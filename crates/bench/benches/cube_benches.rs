@@ -129,7 +129,8 @@ fn bench_maintenance(c: &mut Criterion) {
                 &ups,
                 |t| (0..3).map(|d| full.selection_value(t, d)).collect(),
                 &disk,
-            );
+            )
+            .expect("apply path updates");
             next += 1;
         })
     });

@@ -89,7 +89,8 @@ fn maintain_and_commit(path: &std::path::Path, rel: &Relation, from: usize, to: 
             &updates,
             |t| (0..rel.schema().num_selection()).map(|d| rel.selection_value(t, d)).collect(),
             &disk,
-        );
+        )
+        .expect("apply path updates");
     }
     cube.commit(&rtree).expect("patch commit");
 }

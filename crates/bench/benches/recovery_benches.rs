@@ -91,7 +91,8 @@ fn maintain_and_commit(store: PageStore, rel: &Relation, from: usize, to: usize)
             &updates,
             |t| (0..rel.schema().num_selection()).map(|d| rel.selection_value(t, d)).collect(),
             &disk,
-        );
+        )
+        .expect("apply path updates");
     }
     cube.commit(&rtree).expect("patch commit")
 }

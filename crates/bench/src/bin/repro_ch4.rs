@@ -6,7 +6,7 @@
 use rcube_baseline::{BooleanFirst, RankingFirst};
 use rcube_bench::{base_tuples, cost_ms, print_figure, synthetic, time_ms, Series};
 use rcube_core::coding::{self, Scheme};
-use rcube_core::maintain::apply_path_updates;
+use rcube_core::maintain::{apply_path_updates, PathUpdateBatch};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
 use rcube_core::sigquery::topk_signature;
 use rcube_core::TopKQuery;
@@ -165,20 +165,21 @@ fn fig4_11() {
             // Batch maintenance (Algorithm 2 takes a *set* of new tuples):
             // collect every path update, then apply them cell-by-cell once.
             let (_, ms) = time_ms(|| {
-                let mut updates = Vec::new();
+                let mut updates = PathUpdateBatch::new();
                 for tid in t as u32..(t + batch) as u32 {
                     updates.extend(rtree.insert(&disk, tid, full.ranking_point(tid)));
                 }
                 apply_path_updates(
                     &mut cube,
-                    &updates,
+                    &updates.into_updates(),
                     |x| {
                         (0..full.schema().num_selection())
                             .map(|d| full.selection_value(x, d))
                             .collect()
                     },
                     &disk,
-                );
+                )
+                .expect("apply path updates");
             });
             series.push(&format!("T={t}"), ms);
         }

@@ -55,17 +55,20 @@ impl Scheme {
         }
     }
 
+    /// Every scheme variant, in the order [`encode_best`] breaks ties.
+    const ALL: [Scheme; 7] = [
+        Scheme::Bl,
+        Scheme::Pi { dense: false },
+        Scheme::Pi { dense: true },
+        Scheme::Rl { dense: false },
+        Scheme::Rl { dense: true },
+        Scheme::Pc { dense: false },
+        Scheme::Pc { dense: true },
+    ];
+
     /// Every scheme variant, for exhaustive tests.
     pub fn all() -> Vec<Scheme> {
-        vec![
-            Scheme::Bl,
-            Scheme::Pi { dense: false },
-            Scheme::Pi { dense: true },
-            Scheme::Rl { dense: false },
-            Scheme::Rl { dense: true },
-            Scheme::Pc { dense: false },
-            Scheme::Pc { dense: true },
-        ]
+        Self::ALL.to_vec()
     }
 }
 
@@ -103,10 +106,15 @@ fn encode_region(scheme: Scheme, bits: &PackedBits, m: usize) -> Option<BitWrite
     out.push_bits((len - 1) as u64, w); // original length, one-less
     match scheme {
         Scheme::Bl => {
-            // Raw array with trailing zeros truncated.
-            let last_one = bits.iter_ones().last().map_or(0, |i| i + 1);
-            for i in 0..last_one {
-                out.push(bits.get(i));
+            // Raw array with trailing zeros truncated. Words are LSB-first
+            // and the stream MSB-first, so each word goes out reversed.
+            let payload = bl_payload_len(bits);
+            for (wi, &word) in bits.words().iter().enumerate() {
+                let take = payload.saturating_sub(wi * 64).min(64);
+                if take == 0 {
+                    break;
+                }
+                out.push_bits(word.reverse_bits() >> (64 - take), take);
             }
         }
         Scheme::Pi { dense } => {
@@ -158,13 +166,84 @@ fn encode_region(scheme: Scheme, bits: &PackedBits, m: usize) -> Option<BitWrite
     Some(out)
 }
 
+/// BL payload bits: the array up to and including its last set bit.
+fn bl_payload_len(bits: &PackedBits) -> usize {
+    let words = bits.words();
+    words
+        .iter()
+        .rposition(|&w| w != 0)
+        .map_or(0, |wi| wi * 64 + 64 - words[wi].leading_zeros() as usize)
+}
+
+/// Value bits of the run code for a run of `i`.
+fn run_value_bits(i: u64) -> usize {
+    bits_for((i + 1) as usize).max(1)
+}
+
 /// Gamma-style run code: `max(1, ⌈log2(i+1)⌉) − 1` ones, a zero, then `i`
 /// (Section 4.2.2's run-length rule; `i = 1` encodes as `01`).
 fn push_run(out: &mut BitWriter, i: u64) {
-    let bits = bits_for((i + 1) as usize).max(1);
+    let bits = run_value_bits(i);
     out.push_repeat(true, bits - 1);
     out.push(false);
     out.push_bits(i, bits);
+}
+
+/// What the position-list schemes (PI, RL, PC) cost for one polarity,
+/// tallied in a single pass over the positions.
+struct PositionCosts {
+    /// Positions listed.
+    count: usize,
+    /// Total bits of the RL run codes.
+    rl_bits: usize,
+    /// Distinct PC prefix groups.
+    pc_groups: usize,
+}
+
+fn position_costs(positions: impl Iterator<Item = usize>, pc_suffix: usize) -> PositionCosts {
+    let mut costs = PositionCosts { count: 0, rl_bits: 0, pc_groups: 0 };
+    let mut next_run_start = 0usize;
+    let mut last_prefix = None;
+    for p in positions {
+        costs.count += 1;
+        costs.rl_bits += 2 * run_value_bits((p - next_run_start) as u64);
+        next_run_start = p + 1;
+        let prefix = p >> pc_suffix;
+        if last_prefix != Some(prefix) {
+            costs.pc_groups += 1;
+            last_prefix = Some(prefix);
+        }
+    }
+    costs
+}
+
+/// The region length in bits every scheme would produce for `bits`, in
+/// [`Scheme::ALL`] order — computed from the set/clear positions alone,
+/// nothing is encoded. `None` marks an inapplicable scheme, exactly where
+/// [`encode_region`] returns `None`.
+fn region_lens(bits: &PackedBits, m: usize) -> [Option<usize>; 7] {
+    let len = bits.len();
+    if len == 0 || len > m {
+        return [None; 7];
+    }
+    let w = w_of(m);
+    // PC needs a prefix/suffix split; a group never outgrows its count
+    // field, because a prefix has only `2^s` distinct positions under it.
+    let (p, s) = if w < 2 { (0, 0) } else { pc_split(m) };
+    let ones = position_costs(bits.iter_ones(), s);
+    let zeros = position_costs(bits.iter_zeros(), s);
+    let pi = |c: &PositionCosts| Some(w + c.count * w);
+    let rl = |c: &PositionCosts| Some(w + c.rl_bits);
+    let pc = |c: &PositionCosts| (w >= 2).then(|| w + c.pc_groups * (p + s) + c.count * s);
+    [
+        Some(w + bl_payload_len(bits)),
+        pi(&ones),
+        pi(&zeros),
+        rl(&ones),
+        rl(&zeros),
+        pc(&ones),
+        pc(&zeros),
+    ]
 }
 
 fn read_run(r: &mut BitReader) -> Option<u64> {
@@ -196,23 +275,23 @@ pub fn encode_with(
 }
 
 /// Encodes `bits` with the smallest applicable scheme; returns the winner.
+///
+/// Size-first: every scheme's region length comes from [`region_lens`]
+/// and only the winner is encoded. Ties go to the earliest scheme in
+/// [`Scheme::ALL`] order (strict `<`), so the emitted bits are the ones an
+/// encode-all-seven-and-compare pass would pick.
 pub fn encode_best(bits: &PackedBits, m: usize, out: &mut BitWriter) -> Scheme {
-    let mut best: Option<(Scheme, BitWriter)> = None;
-    for scheme in Scheme::all() {
-        if let Some(region) = encode_region(scheme, bits, m) {
-            let better = match &best {
-                None => true,
-                Some((_, b)) => region.len() < b.len(),
-            };
-            if better {
-                best = Some((scheme, region));
+    let mut best: Option<(Scheme, usize)> = None;
+    for (scheme, len) in Scheme::ALL.into_iter().zip(region_lens(bits, m)) {
+        if let Some(len) = len {
+            if best.is_none_or(|(_, b)| len < b) {
+                best = Some((scheme, len));
             }
         }
     }
-    let (scheme, region) = best.expect("BL always applies");
-    out.push_bits(scheme.cs_bits(), 3);
-    out.push_bits((region.len().max(1) - 1) as u64, len_width(m));
-    out.extend(&region);
+    let (scheme, predicted) = best.expect("BL always applies");
+    let coded = encode_with(scheme, bits, m, out).expect("a sized scheme applies");
+    debug_assert_eq!(coded, 3 + len_width(m) + predicted, "{scheme:?} size model diverged");
     scheme
 }
 
@@ -536,7 +615,83 @@ mod tests {
         }
     }
 
+    /// The encode-all-seven-and-compare reference `encode_best` replaced:
+    /// materializes every applicable region and keeps the first smallest.
+    fn encode_best_exhaustive(bits: &PackedBits, m: usize, out: &mut BitWriter) -> Scheme {
+        let mut best: Option<(Scheme, BitWriter)> = None;
+        for scheme in Scheme::all() {
+            if let Some(region) = encode_region(scheme, bits, m) {
+                if best.as_ref().is_none_or(|(_, b)| region.len() < b.len()) {
+                    best = Some((scheme, region));
+                }
+            }
+        }
+        let (scheme, region) = best.expect("BL always applies");
+        out.push_bits(scheme.cs_bits(), 3);
+        out.push_bits((region.len().max(1) - 1) as u64, len_width(m));
+        out.extend(&region);
+        scheme
+    }
+
+    /// Asserts size-first ≡ exhaustive (scheme and emitted bits, at an
+    /// unaligned start) and that the coding decodes back to `bools`.
+    fn assert_matches_exhaustive(bools: &[bool], m: usize) {
+        let bits = PackedBits::from_bools(bools);
+        let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+        fast.push_bits(0b101, 3);
+        slow.push_bits(0b101, 3);
+        let got = encode_best(&bits, m, &mut fast);
+        let want = encode_best_exhaustive(&bits, m, &mut slow);
+        assert_eq!(got, want, "winner diverged: m {m}, node {bools:?}");
+        assert_eq!(fast.len(), slow.len(), "m {m}, node {bools:?}");
+        assert_eq!(fast.as_bytes(), slow.as_bytes(), "m {m}, node {bools:?}");
+        let mut r = BitReader::new(fast.as_bytes(), fast.len());
+        assert_eq!(r.read_bits(3), Some(0b101));
+        assert_eq!(decode_node(&mut r, m).expect("own coding").to_bools(), bools);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn size_first_encoding_is_bit_identical_to_the_exhaustive_encoder() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for m in 1..=256usize {
+            // Full-width and truncated arrays: empty, full, a lone bit at
+            // either end, and random fills from sparse to dense.
+            for len in [m, m.div_ceil(2), 1] {
+                let mut nodes = vec![vec![false; len], vec![true; len]];
+                for edge in [0, len - 1] {
+                    let mut sparse = vec![false; len];
+                    sparse[edge] = true;
+                    nodes.push(sparse.iter().map(|&b| !b).collect());
+                    nodes.push(sparse);
+                }
+                for one_in in [16u64, 4, 2] {
+                    let sparse: Vec<bool> = (0..len).map(|_| next() % one_in == 0).collect();
+                    nodes.push(sparse.iter().map(|&b| !b).collect());
+                    nodes.push(sparse);
+                }
+                for node in &nodes {
+                    assert_matches_exhaustive(node, m);
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn proptest_size_first_matches_exhaustive(
+            raw in proptest::collection::vec(proptest::bool::ANY, 1..200),
+            slack in 0usize..57,
+        ) {
+            assert_matches_exhaustive(&raw, raw.len() + slack);
+        }
+
         #[test]
         fn proptest_best_roundtrip(raw in proptest::collection::vec(proptest::bool::ANY, 1..64)) {
             let m = 64;

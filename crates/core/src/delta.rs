@@ -18,13 +18,23 @@
 //!   answer. Every append and flush boundary is crash-scriptable through
 //!   the same [`rcube_storage::fault`] machinery the vacuum sweep uses.
 //! * **Flush/merge** — [`DeltaCube::flush`] folds the memtable into the
-//!   base cube through the existing incremental-maintenance path
-//!   (R-tree insert/delete → [`crate::maintain::apply_path_updates`] →
-//!   COW `replace_cell` + crash-atomic `commit`), then compacts the WAL
-//!   via the same fsync + atomic-rename publish protocol the vacuum
-//!   uses ([`rcube_storage::FileBackend::publish_swap`]), all under the
-//!   cube file's advisory writer lock. Readers are never blocked: they
-//!   serve the generation they opened until their cursors drain.
+//!   base cube through the incremental-maintenance path as one *batch*:
+//!   every R-tree insert/delete of the snapshot runs first, their update
+//!   sets coalesce per tid (first `old_path`, last `new_path`, no-ops
+//!   dropped — [`crate::maintain::PathUpdateBatch`]), and a single
+//!   [`crate::maintain::apply_path_updates`] rewrites each touched cell
+//!   signature once (COW `replace_cell`), so a flush costs O(touched
+//!   cells), not O(ops × cuboids). A cell signature is a pure function of
+//!   the set of tuple paths in the cell, which is why the coalesced set
+//!   lands on exactly the signatures the op-by-op application would. One
+//!   crash-atomic `commit` publishes the result, then the WAL is
+//!   compacted via the same fsync + atomic-rename publish protocol the
+//!   vacuum uses ([`rcube_storage::FileBackend::publish_swap`]), all
+//!   under the cube file's advisory writer lock. Readers are never
+//!   blocked: they serve the generation they opened until their cursors
+//!   drain; at the swap the superseded generation drops its buffer-pool
+//!   frames and decoded-node cache (a cursor still pinned on it keeps the
+//!   frames it holds and re-reads the rest on demand).
 //!
 //! # Serving: the three-way certified merge
 //!
@@ -45,15 +55,18 @@
 //!
 //! The flush ordering makes every boundary idempotent:
 //!
-//! 1. apply ops to a writable base handle, `commit` (crash-atomic
-//!    superblock publish — a crash before the commit leaves the old
-//!    generation, and the untouched WAL replays everything);
+//! 1. fold the snapshot into a writable base handle as one batch,
+//!    `commit` (crash-atomic superblock publish — a crash before the
+//!    commit leaves the old generation, and the untouched WAL replays
+//!    everything);
 //! 2. rewrite the WAL (temp + fsync + rename): flushed ops move from
 //!    the *pending* section to compact *applied* records that persist
 //!    each delta tuple's selection values — a crash between commit and
 //!    rename replays the flushed ops back into the memtable, where they
 //!    shadow the identical base data and the next flush re-applies them
-//!    as a no-op (delete-then-insert on the R-tree);
+//!    idempotently (delete-then-insert on the R-tree; a tombstone that
+//!    replaced such an op in the memtable keeps its selection values, so
+//!    the re-fold can still clear the tuple from its cells);
 //! 3. only then swap the serving handle and prune the memtable, atomic
 //!    under the memtable lock, so a concurrent open sees either
 //!    (old generation + full overlay) or (new generation + pruned
@@ -62,7 +75,7 @@
 //! Appends block for the duration of a flush (they share the writer
 //! mutex); readers never do.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -79,7 +92,7 @@ use rcube_storage::{
 };
 use rcube_table::{Relation, Tid};
 
-use crate::maintain::apply_path_updates;
+use crate::maintain::{apply_path_updates, PathUpdateBatch};
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
 use crate::sigcube::SignatureCube;
 use crate::QueryStats;
@@ -134,14 +147,28 @@ enum MemOp {
     /// Insert (or re-insert after a crash replay) of a delta tuple.
     Upsert { sel: Vec<u32>, point: Vec<f64> },
     /// Tombstone: masks a base (or previously flushed delta) tuple.
-    Delete,
+    /// `shadowed_sel` holds the selection values of a *pending* insert this
+    /// tombstone replaced: if a crashed flush already folded that insert
+    /// into the base (commit done, WAL rewrite not), they are the only
+    /// record of which cells the next flush must clear it from.
+    Delete { shadowed_sel: Option<Vec<u32>> },
 }
 
 impl MemOp {
+    const TOMBSTONE: MemOp = MemOp::Delete { shadowed_sel: None };
+
     fn bytes(&self) -> usize {
         16 + match self {
             MemOp::Upsert { sel, point } => sel.len() * 4 + point.len() * 8,
-            MemOp::Delete => 0,
+            MemOp::Delete { shadowed_sel } => shadowed_sel.as_ref().map_or(0, |s| s.len() * 4),
+        }
+    }
+
+    /// Selection values this op knows for its tid.
+    fn sel(&self) -> Option<&Vec<u32>> {
+        match self {
+            MemOp::Upsert { sel, .. } => Some(sel),
+            MemOp::Delete { shadowed_sel } => shadowed_sel.as_ref(),
         }
     }
 }
@@ -155,9 +182,12 @@ struct Memtable {
 }
 
 impl Memtable {
-    fn put(&mut self, tid: Tid, op: MemOp) {
+    fn put(&mut self, tid: Tid, mut op: MemOp) {
         if let Some(old) = self.ops.remove(&tid) {
             self.bytes -= old.bytes();
+            if let MemOp::Delete { shadowed_sel } = &mut op {
+                *shadowed_sel = old.sel().cloned();
+            }
         }
         self.bytes += op.bytes();
         self.ops.insert(tid, op);
@@ -351,7 +381,11 @@ fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
             break;
         }
         if len > MAX_RECORD_LEN {
-            return Err(StorageError::BadLength { page: frame_index + 1, len, max: MAX_RECORD_LEN });
+            return Err(StorageError::BadLength {
+                page: frame_index + 1,
+                len,
+                max: MAX_RECORD_LEN,
+            });
         }
         let payload = &bytes[pos + 8..pos + 8 + len];
         let last_frame = pos + 8 + len == bytes.len();
@@ -389,7 +423,7 @@ fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
             WalRecord::Delete { seq, tid } => {
                 s.report.pending += 1;
                 s.next_seq = s.next_seq.max(seq + 1);
-                s.mem.put(tid, MemOp::Delete);
+                s.mem.put(tid, MemOp::TOMBSTONE);
             }
         }
         s.report.records += 1;
@@ -423,7 +457,11 @@ impl DeltaWriter {
     /// dying kernel got to flush), `Drop` loses it entirely. Torn and
     /// dropped appends still advance the in-process sequence — the
     /// "process" only discovers the loss when the crash sweep reopens.
-    fn append(&mut self, payload: &[u8], faults: Option<&Arc<FaultPlan>>) -> Result<u64, StorageError> {
+    fn append(
+        &mut self,
+        payload: &[u8],
+        faults: Option<&Arc<FaultPlan>>,
+    ) -> Result<u64, StorageError> {
         let framed = frame(payload);
         let outcome = match faults {
             Some(plan) => plan.on_write().map_err(StorageError::Io)?,
@@ -477,6 +515,23 @@ pub struct FlushReport {
     /// Delta tuples alive in the base after the flush (applied WAL
     /// records retained for future maintenance).
     pub live_delta_tuples: usize,
+    /// Net tuple-path changes the fold applied, after coalescing every
+    /// R-tree operation's update set per tid.
+    pub path_updates: usize,
+    /// Cell signatures rewritten: one per touched cell per cuboid, however
+    /// many ops hit the cell.
+    pub cells_rewritten: usize,
+    /// Pages the cycle appended to the cube file (rewritten partials,
+    /// catalog, allocation map).
+    pub pages_appended: u64,
+}
+
+/// What folding one snapshot did to the writable base handle (the
+/// like-named [`FlushReport`] fields).
+struct FoldCounts {
+    applied_ops: usize,
+    path_updates: usize,
+    cells_rewritten: usize,
 }
 
 /// Point-in-time delta-layer state for `Engine::stats_snapshot`.
@@ -527,6 +582,8 @@ pub struct DeltaCube {
     appends_ctr: Counter,
     flush_hist: Histogram,
     flushes_ctr: Counter,
+    path_updates_ctr: Counter,
+    cells_rewritten_ctr: Counter,
 }
 
 impl std::fmt::Debug for DeltaCube {
@@ -554,8 +611,10 @@ impl DeltaCube {
         let wal_path = wal_path_for(&path);
         let (cube, rtree) = SignatureCube::open_from_with(&path, opts.pool_pages)?;
         let generation = FileBackend::peek_superblock(&path)?.generation;
-        let head =
-            Box::new(GenNode { handle: BaseHandle { cube, rtree, generation }, next: OnceLock::new() });
+        let head = Box::new(GenNode {
+            handle: BaseHandle { cube, rtree, generation },
+            next: OnceLock::new(),
+        });
 
         // Replay (or create) the WAL.
         let mut state = if wal_path.exists() {
@@ -568,7 +627,12 @@ impl DeltaCube {
             s.report.truncated_bytes = 0;
             s
         };
-        let mut file = OpenOptions::new().read(true).write(true).create(true).open(&wal_path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&wal_path)?;
         if state.valid_len < WAL_HEADER_LEN as u64 {
             // Fresh (or torn-at-creation) WAL: stamp a clean header.
             file.set_len(0)?;
@@ -619,6 +683,8 @@ impl DeltaCube {
             appends_ctr: metrics.counter("delta.appends"),
             flush_hist: metrics.histogram("delta.flush_duration_us"),
             flushes_ctr: metrics.counter("delta.flushes"),
+            path_updates_ctr: metrics.counter("delta.flush.path_updates"),
+            cells_rewritten_ctr: metrics.counter("delta.flush.cells_rewritten"),
             metrics,
         })
     }
@@ -762,31 +828,71 @@ impl DeltaCube {
         self.wal_bytes_ctr.add(appended);
         self.appends_ctr.inc();
         let mut mem = self.mem.write().unwrap();
-        mem.put(tid, MemOp::Delete);
+        mem.put(tid, MemOp::TOMBSTONE);
         self.mem_depth.set(mem.ops.len() as u64);
         Ok(())
     }
 
-    /// Selection values for any tid the maintenance closure may ask
-    /// about: the flush snapshot first, then flushed delta tuples, then
-    /// the base relation.
+    /// Selection values for any tid the fold's update set names: the flush
+    /// snapshot first, then flushed delta tuples, then the base relation.
     fn selection_values_for(
         &self,
         tid: Tid,
         snapshot: &BTreeMap<Tid, MemOp>,
         applied: &BTreeMap<Tid, (Vec<u32>, Vec<f64>)>,
-    ) -> Vec<u32> {
-        if let Some(MemOp::Upsert { sel, .. }) = snapshot.get(&tid) {
-            return sel.clone();
+    ) -> Result<Vec<u32>, StorageError> {
+        if let Some(sel) = snapshot.get(&tid).and_then(MemOp::sel) {
+            return Ok(sel.clone());
         }
         if let Some((sel, _)) = applied.get(&tid) {
-            return sel.clone();
+            return Ok(sel.clone());
         }
         if (tid as usize) < self.base_rel.len() {
             let n = self.base_rel.schema().num_selection();
-            return (0..n).map(|d| self.base_rel.selection_value(tid, d)).collect();
+            return Ok((0..n).map(|d| self.base_rel.selection_value(tid, d)).collect());
         }
-        panic!("delta flush: no selection values for tid {tid}");
+        // A delta tuple in the base R-tree with no applied record: the WAL
+        // does not belong to this cube file.
+        Err(StorageError::Malformed("delta flush: no selection values for a moved delta tuple"))
+    }
+
+    /// Folds `snapshot` into the writable base handle: every R-tree
+    /// insert/delete first, their update sets coalesced per tid, then one
+    /// [`apply_path_updates`] over the net set — each touched cell is
+    /// rewritten once ([`crate::maintain`] argues why that equals the
+    /// per-op application).
+    fn fold_snapshot(
+        &self,
+        cube: &mut SignatureCube,
+        rtree: &mut RTree,
+        snapshot: &BTreeMap<Tid, MemOp>,
+        applied: &BTreeMap<Tid, (Vec<u32>, Vec<f64>)>,
+    ) -> Result<FoldCounts, StorageError> {
+        let mut batch = PathUpdateBatch::new();
+        let mut applied_ops = 0usize;
+        for (&tid, op) in snapshot {
+            // Replayed ops may already be in the base (a crash between
+            // commit and WAL rewrite): delete-then-insert makes the
+            // re-apply idempotent. Deleting an absent tuple is a no-op.
+            let mut updates = rtree.delete(&self.disk, tid);
+            if let MemOp::Upsert { point, .. } = op {
+                updates.extend(rtree.insert(&self.disk, tid, point.clone()));
+            }
+            if !updates.is_empty() {
+                applied_ops += 1;
+                batch.extend(updates);
+            }
+        }
+        let updates = batch.into_updates();
+        // Resolve each moved tuple's selection values once, up front, so a
+        // foreign WAL fails typed before any cell is rewritten.
+        let mut selections: HashMap<Tid, Vec<u32>> = HashMap::with_capacity(updates.len());
+        for u in &updates {
+            selections.insert(u.tid, self.selection_values_for(u.tid, snapshot, applied)?);
+        }
+        let cells_rewritten =
+            apply_path_updates(cube, &updates, |t| selections[&t].clone(), &self.disk)?;
+        Ok(FoldCounts { applied_ops, path_updates: updates.len(), cells_rewritten })
     }
 
     /// Folds the current memtable into the base cube and compacts the
@@ -807,6 +913,9 @@ impl DeltaCube {
                 generation: self.serving_generation(),
                 duration: start.elapsed(),
                 live_delta_tuples: w.applied.len(),
+                path_updates: 0,
+                cells_rewritten: 0,
+                pages_appended: 0,
             });
         }
 
@@ -820,36 +929,11 @@ impl DeltaCube {
             )?)),
             None => PageStore::open_file_writable(&self.path, self.pool_pages)?,
         };
+        let pages_before = FileBackend::peek_superblock(&self.path)?.page_count;
         let (mut cube, mut rtree) = SignatureCube::open_store(store)?;
         cube.set_metrics(self.metrics.clone());
-        let mut applied_ops = 0usize;
-        for (&tid, op) in &snapshot {
-            let updates = match op {
-                MemOp::Upsert { point, .. } => {
-                    // Replayed ops may already be in the base (a crash
-                    // between commit and WAL rewrite): delete-then-insert
-                    // makes the re-apply idempotent.
-                    let mut u = if rtree.tuple_path(tid).is_some() {
-                        rtree.delete(&self.disk, tid)
-                    } else {
-                        Vec::new()
-                    };
-                    u.extend(rtree.insert(&self.disk, tid, point.clone()));
-                    u
-                }
-                MemOp::Delete => rtree.delete(&self.disk, tid),
-            };
-            if updates.is_empty() {
-                continue; // delete of an already-absent tuple
-            }
-            apply_path_updates(
-                &mut cube,
-                &updates,
-                |t| self.selection_values_for(t, &snapshot, &w.applied),
-                &self.disk,
-            );
-            applied_ops += 1;
-        }
+        let FoldCounts { applied_ops, path_updates, cells_rewritten } =
+            self.fold_snapshot(&mut cube, &mut rtree, &snapshot, &w.applied)?;
         let generation = cube.commit(&rtree)?;
         if self.faults.as_ref().is_some_and(|p| p.crashed()) {
             // The scripted page-level crash hit during the fold: the
@@ -860,22 +944,13 @@ impl DeltaCube {
             )));
         }
         drop((cube, rtree)); // releases the cube file's writer lock
+        let pages_appended =
+            FileBackend::peek_superblock(&self.path)?.page_count.saturating_sub(pages_before);
 
         // 2. Compact the WAL: flushed upserts become applied records,
         //    flushed deletes evict their applied record, pending section
         //    empties (appends were blocked the whole flush).
         let flushed_seq = w.next_seq - 1;
-        let mut new_applied = w.applied.clone();
-        for (&tid, op) in &snapshot {
-            match op {
-                MemOp::Upsert { sel, point } => {
-                    new_applied.insert(tid, (sel.clone(), point.clone()));
-                }
-                MemOp::Delete => {
-                    new_applied.remove(&tid);
-                }
-            }
-        }
         if let Some(plan) = &self.faults {
             plan.on_swap(SwapStage::TempWrite).map_err(StorageError::Io)?;
         }
@@ -885,10 +960,20 @@ impl DeltaCube {
             PathBuf::from(os)
         };
         {
+            let survivors = w
+                .applied
+                .iter()
+                .filter(|(tid, _)| !snapshot.contains_key(tid))
+                .map(|(tid, (sel, point))| (tid, sel, point));
+            let flushed = snapshot.iter().filter_map(|(tid, op)| match op {
+                MemOp::Upsert { sel, point } => Some((tid, sel, point)),
+                MemOp::Delete { .. } => None,
+            });
             let mut tf = File::create(&temp)?;
             tf.write_all(&wal_header(flushed_seq))?;
-            for (tid, (sel, point)) in &new_applied {
-                let mut payload = Vec::new();
+            let mut payload = Vec::new();
+            for (tid, sel, point) in survivors.chain(flushed) {
+                payload.clear();
                 encode_upsert(&mut payload, KIND_APPLIED, 0, *tid, sel, point);
                 tf.write_all(&frame(&payload))?;
             }
@@ -899,7 +984,18 @@ impl DeltaCube {
         FileBackend::publish_swap(&temp, &self.wal_path, self.faults.as_ref())?;
         w.file = OpenOptions::new().read(true).write(true).open(&self.wal_path)?;
         w.offset = w.file.metadata()?.len();
-        w.applied = new_applied;
+        // The compacted WAL is durable: only now does the in-process
+        // applied set follow it.
+        for (tid, op) in snapshot {
+            match op {
+                MemOp::Upsert { sel, point } => {
+                    w.applied.insert(tid, (sel, point));
+                }
+                MemOp::Delete { .. } => {
+                    w.applied.remove(&tid);
+                }
+            }
+        }
         self.wal_len.store(w.offset, Ordering::SeqCst);
         self.applied_count.store(w.applied.len() as u64, Ordering::SeqCst);
 
@@ -907,6 +1003,7 @@ impl DeltaCube {
         //    critical section: a concurrent open sees old+full or
         //    new+empty, never a mix. Open cursors ride their pinned node.
         let (new_cube, new_rtree) = SignatureCube::open_from_with(&self.path, self.pool_pages)?;
+        let retired = self.current();
         {
             let mut mem = self.mem.write().unwrap();
             self.push_generation(BaseHandle { cube: new_cube, rtree: new_rtree, generation });
@@ -914,8 +1011,15 @@ impl DeltaCube {
             mem.bytes = 0;
             self.mem_depth.set(0);
         }
+        // The superseded generation stays in the chain for its pinned
+        // cursors, but stops holding caches nobody new will read: cursors
+        // keep the `Arc` frames they hold and re-read the rest on demand.
+        retired.cube.store().clear_cache();
+        retired.cube.node_cache().clear();
         self.flushes.fetch_add(1, Ordering::SeqCst);
         self.flushes_ctr.inc();
+        self.path_updates_ctr.add(path_updates as u64);
+        self.cells_rewritten_ctr.add(cells_rewritten as u64);
         let duration = start.elapsed();
         self.flush_hist.record(duration.as_micros() as u64);
         Ok(FlushReport {
@@ -923,6 +1027,9 @@ impl DeltaCube {
             generation,
             duration,
             live_delta_tuples: self.applied_count.load(Ordering::SeqCst) as usize,
+            path_updates,
+            cells_rewritten,
+            pages_appended,
         })
     }
 }
@@ -1081,7 +1188,9 @@ mod tests {
     use crate::sigcube::SignatureCubeConfig;
     use rcube_func::Linear;
     use rcube_index::rtree::RTreeConfig;
+    use rcube_index::HierIndex;
     use rcube_table::gen::SyntheticSpec;
+    use rcube_table::RelationBuilder;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1127,9 +1236,8 @@ mod tests {
 
         // Insert the remaining 60 tuples and delete 10 base tuples.
         for tid in 300..360u32 {
-            let sel: Vec<u32> = (0..full.schema().num_selection())
-                .map(|d| full.selection_value(tid, d))
-                .collect();
+            let sel: Vec<u32> =
+                (0..full.schema().num_selection()).map(|d| full.selection_value(tid, d)).collect();
             let got = delta.insert(&sel, &full.ranking_point(tid)).unwrap();
             assert_eq!(got, tid, "tids allocate densely from the base length");
         }
@@ -1174,9 +1282,8 @@ mod tests {
         build_base(&base, &path);
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         for tid in 300..340u32 {
-            let sel: Vec<u32> = (0..full.schema().num_selection())
-                .map(|d| full.selection_value(tid, d))
-                .collect();
+            let sel: Vec<u32> =
+                (0..full.schema().num_selection()).map(|d| full.selection_value(tid, d)).collect();
             delta.insert(&sel, &full.ranking_point(tid)).unwrap();
         }
         delta.delete(5).unwrap();
@@ -1205,13 +1312,14 @@ mod tests {
         build_base(&base, &path);
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         for tid in 300..330u32 {
-            let sel: Vec<u32> = (0..full.schema().num_selection())
-                .map(|d| full.selection_value(tid, d))
-                .collect();
+            let sel: Vec<u32> =
+                (0..full.schema().num_selection()).map(|d| full.selection_value(tid, d)).collect();
             delta.insert(&sel, &full.ranking_point(tid)).unwrap();
         }
-        let q = Query::select([]).rank(Linear::uniform(2)).top(6);
-        let q12 = Query::select([]).rank(Linear::uniform(2)).top(12);
+        // A selective query, so the cursor probes signatures through the
+        // generation's buffer pool and node cache.
+        let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(6);
+        let q12 = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(12);
         let fresh12 = delta.source().open(&q12.plan()).unwrap().try_drain().unwrap().items;
 
         let mut cursor = delta.source().open(&q.plan()).unwrap();
@@ -1220,7 +1328,14 @@ mod tests {
 
         // Flush mid-session (same thread: both are shared borrows), then
         // ingest more — the paused cursor must not see any of it.
+        let pinned = &delta.head.handle.cube;
+        assert!(pinned.pool_stats().unwrap().used_pages() > 0, "the cursor warmed its pool");
+        assert!(pinned.node_cache().stats().entries > 0);
         delta.flush().unwrap();
+        // The superseded generation dropped its caches at the swap; the
+        // pinned cursor below re-reads what it still needs.
+        assert_eq!(pinned.pool_stats().unwrap().used_pages(), 0, "retired pool holds no pages");
+        assert_eq!(pinned.node_cache().stats().entries, 0, "retired node cache is empty");
         for tid in 0..3u32 {
             delta.delete(tid).unwrap();
         }
@@ -1313,6 +1428,308 @@ mod tests {
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
         cleanup(&path);
+    }
+
+    // ---- fold equivalence: batched ≡ per-op ≡ rebuilt -------------------
+
+    /// One step of a generated ingest history. Delete indices are taken
+    /// modulo the respective population, so every generated step is valid.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert {
+            sel: Vec<u32>,
+            point: Vec<f64>,
+        },
+        DeleteBase(usize),
+        DeleteFlushed(usize),
+        DeletePending(usize),
+        Flush,
+        /// A flush that dies between the cube commit and the WAL rewrite,
+        /// then a reopen: the next flush re-folds an already-applied
+        /// snapshot.
+        CrashedFlush,
+    }
+
+    const FOLD_BASE: usize = 48;
+    const FOLD_CARD: u32 = 3;
+
+    fn fold_base_file(path: &Path) -> Relation {
+        let rel = SyntheticSpec { tuples: FOLD_BASE, cardinality: FOLD_CARD, ..Default::default() }
+            .generate();
+        let disk = DiskSim::with_defaults();
+        // Fanout 6 / min 2: a handful of inserts cascades splits up to a
+        // new root, a handful of deletes underflows a leaf.
+        let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(6));
+        let cube = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
+        cube.save_to_with(&rtree, path, 512, 64).expect("save base cube");
+        rel
+    }
+
+    /// The model's `Memtable::put` of a tombstone.
+    fn tombstone(pending: &mut BTreeMap<Tid, MemOp>, tid: Tid) {
+        let shadowed_sel = pending.get(&tid).and_then(MemOp::sel).cloned();
+        pending.insert(tid, MemOp::Delete { shadowed_sel });
+    }
+
+    /// The per-op fold `DeltaCube::flush` replaced, kept as the reference:
+    /// one `apply_path_updates` per R-tree operation, in snapshot order,
+    /// straight onto the twin cube file.
+    fn fold_per_op(
+        path: &Path,
+        base: &Relation,
+        snapshot: &BTreeMap<Tid, MemOp>,
+        applied: &BTreeMap<Tid, Vec<u32>>,
+    ) {
+        let disk = DiskSim::with_defaults();
+        let (mut cube, mut rtree) = SignatureCube::open_writable_with(path, 64).unwrap();
+        let sel_of = |t: Tid| match (snapshot.get(&t).and_then(MemOp::sel), applied.get(&t)) {
+            (Some(sel), _) | (None, Some(sel)) => sel.clone(),
+            _ => (0..base.schema().num_selection()).map(|d| base.selection_value(t, d)).collect(),
+        };
+        for (&tid, op) in snapshot {
+            let updates = rtree.delete(&disk, tid);
+            apply_path_updates(&mut cube, &updates, sel_of, &disk).unwrap();
+            if let MemOp::Upsert { point, .. } = op {
+                let updates = rtree.insert(&disk, tid, point.clone());
+                apply_path_updates(&mut cube, &updates, sel_of, &disk).unwrap();
+            }
+        }
+        cube.commit(&rtree).unwrap();
+    }
+
+    /// `(cuboid dims, cell values)` → the cell's tuple paths, sorted.
+    type CellPathSets = BTreeMap<(Vec<usize>, Vec<u32>), Vec<Vec<u16>>>;
+
+    /// Every cell of every cuboid as a sorted path set.
+    ///
+    /// Compared on path sets, not on partial bytes: a node's
+    /// `PackedBits::len` keeps trailing zeros from whichever slot was once
+    /// set and later cleared, so two folds that reach the same cell by
+    /// different op orders may encode a different recorded length for the
+    /// same set bits.
+    fn cell_path_sets(cube: &SignatureCube) -> CellPathSets {
+        let disk = DiskSim::with_defaults();
+        let mut out = BTreeMap::new();
+        for dims in cube.cuboid_dims() {
+            for v in 0..FOLD_CARD {
+                // Atomic cuboids only (the default config).
+                let vals = vec![v];
+                if let Some(stored) = cube.cell_signature(&dims, &vals) {
+                    let mut paths = stored.load_full(&disk, cube.store()).paths();
+                    paths.sort();
+                    out.insert((dims.clone(), vals), paths);
+                }
+            }
+        }
+        out
+    }
+
+    fn fold_queries() -> Vec<Query> {
+        vec![
+            Query::select([(0, 1)]).rank(Linear::uniform(2)).top(12),
+            Query::select([(1, 2)]).rank(Linear::uniform(2)).top(9),
+            Query::select([(0, 0), (2, 1)]).rank(Linear::uniform(2)).top(15),
+            Query::select([]).rank(Linear::uniform(2)).top(400),
+        ]
+    }
+
+    fn cube_answers(cube: &SignatureCube, rtree: &RTree) -> Vec<Vec<String>> {
+        let disk = DiskSim::with_defaults();
+        fold_queries()
+            .iter()
+            .map(|q| {
+                let items = cube.source(rtree, &disk).open(&q.plan()).unwrap().try_drain().unwrap();
+                render(&items.items)
+            })
+            .collect()
+    }
+
+    /// Drives `steps` through a real `DeltaCube` (batched fold) and through
+    /// the per-op reference on a twin file, then checks both against each
+    /// other and against a cube built from scratch over the final R-tree.
+    /// Returns the tallest R-tree any flush served and the ops they applied.
+    fn check_history(tag: &str, steps: &[Step]) -> (usize, usize) {
+        let (path_a, path_b) = (temp_path(&format!("{tag}_a")), temp_path(&format!("{tag}_b")));
+        let base = fold_base_file(&path_a);
+        std::fs::copy(&path_a, &path_b).unwrap();
+        let cuboids = base.schema().num_selection();
+
+        // The model the reference folds from: pending ops, live flushed
+        // delta tuples, and the latest row under every tid (a reopen may
+        // hand out again the tids of tuples that were inserted and deleted
+        // without a trace).
+        let mut pending: BTreeMap<Tid, MemOp> = BTreeMap::new();
+        let mut flushed: BTreeMap<Tid, Vec<u32>> = BTreeMap::new();
+        let mut rows: Vec<(Vec<u32>, Vec<f64>)> = base
+            .tids()
+            .map(|t| {
+                ((0..cuboids).map(|d| base.selection_value(t, d)).collect(), base.ranking_point(t))
+            })
+            .collect();
+        let mut live_base: Vec<Tid> = base.tids().collect();
+        let (mut applied_ops, mut max_height) = (0usize, 0usize);
+
+        let mut delta = DeltaCube::open(&path_a, base.clone(), DeltaOptions::default()).unwrap();
+        let settle = |pending: &mut BTreeMap<Tid, MemOp>, flushed: &mut BTreeMap<Tid, Vec<u32>>| {
+            for (tid, op) in std::mem::take(pending) {
+                match op {
+                    MemOp::Upsert { sel, .. } => flushed.insert(tid, sel),
+                    MemOp::Delete { .. } => flushed.remove(&tid),
+                };
+            }
+        };
+        for step in steps.iter().chain([&Step::Flush]) {
+            match step {
+                Step::Insert { sel, point } => {
+                    let tid = delta.insert(sel, point).unwrap();
+                    assert!(tid as usize >= FOLD_BASE && tid as usize <= rows.len());
+                    rows.truncate(tid as usize);
+                    rows.push((sel.clone(), point.clone()));
+                    pending.insert(tid, MemOp::Upsert { sel: sel.clone(), point: point.clone() });
+                }
+                Step::DeleteBase(i) if !live_base.is_empty() => {
+                    let tid = live_base.swap_remove(i % live_base.len());
+                    delta.delete(tid).unwrap();
+                    tombstone(&mut pending, tid);
+                }
+                Step::DeleteFlushed(i) if !flushed.is_empty() => {
+                    let tid = *flushed.keys().nth(i % flushed.len()).unwrap();
+                    delta.delete(tid).unwrap();
+                    tombstone(&mut pending, tid);
+                }
+                Step::DeletePending(i) if !pending.is_empty() => {
+                    let tid = *pending.keys().nth(i % pending.len()).unwrap();
+                    delta.delete(tid).unwrap();
+                    tombstone(&mut pending, tid);
+                }
+                Step::Flush => {
+                    let report = delta.flush().unwrap();
+                    fold_per_op(&path_b, &base, &pending, &flushed);
+                    settle(&mut pending, &mut flushed);
+                    applied_ops += report.applied_ops;
+                    max_height = max_height.max(delta.current().rtree.height());
+                    assert!(
+                        report.cells_rewritten <= (report.path_updates * cuboids),
+                        "a net path update touches one cell per cuboid"
+                    );
+                    assert!(report.cells_rewritten <= cuboids * FOLD_CARD as usize);
+                    assert!(report.pages_appended > 0 || report.applied_ops == 0);
+                }
+                Step::CrashedFlush => {
+                    drop(delta);
+                    let plan = FaultPlan::new();
+                    plan.crash_at_swap(SwapStage::TempWrite);
+                    let faulted = DeltaOptions { faults: Some(plan), ..Default::default() };
+                    let dying = DeltaCube::open(&path_a, base.clone(), faulted).unwrap();
+                    let crashed = dying.flush();
+                    assert_eq!(crashed.is_err(), !pending.is_empty(), "the swap stage is reached");
+                    drop(dying);
+                    // The cube committed, the WAL did not move: the twin
+                    // folds once now and the ops stay pending for a re-fold.
+                    fold_per_op(&path_b, &base, &pending, &flushed);
+                    delta =
+                        DeltaCube::open(&path_a, base.clone(), DeltaOptions::default()).unwrap();
+                    assert_eq!(delta.memtable_len(), pending.len(), "replay restores the snapshot");
+                }
+                _ => {} // a delete with nothing of its kind to delete
+            }
+        }
+
+        let full = {
+            let mut b = RelationBuilder::new(base.schema().clone());
+            for (sel, point) in &rows {
+                b.push(sel, point);
+            }
+            b.finish()
+        };
+        let (cube_a, rtree_a) = SignatureCube::open_from_with(&path_a, 64).unwrap();
+        let (cube_b, rtree_b) = SignatureCube::open_from_with(&path_b, 64).unwrap();
+        let (mut paths_a, mut paths_b) = (rtree_a.tuple_paths(), rtree_b.tuple_paths());
+        paths_a.sort();
+        paths_b.sort();
+        assert_eq!(paths_a, paths_b, "both folds drive the R-tree through the same operations");
+        let disk = DiskSim::with_defaults();
+        let rebuilt = SignatureCube::build(&full, &rtree_a, &disk, SignatureCubeConfig::default());
+
+        let cells = cell_path_sets(&cube_a);
+        assert_eq!(cells, cell_path_sets(&cube_b), "batched fold != per-op fold");
+        assert_eq!(cells, cell_path_sets(&rebuilt), "batched fold != cube built from scratch");
+        let answers = cube_answers(&cube_a, &rtree_a);
+        assert_eq!(answers, cube_answers(&cube_b, &rtree_b), "answers: batched != per-op");
+        assert_eq!(answers, cube_answers(&rebuilt, &rtree_a), "answers: batched != rebuilt");
+        // The live DeltaCube (memtable drained by the closing flush) agrees.
+        let served: Vec<Vec<String>> = fold_queries()
+            .iter()
+            .map(|q| render(&delta.source().open(&q.plan()).unwrap().try_drain().unwrap().items))
+            .collect();
+        assert_eq!(served, answers, "answers: served merged view != reopened base");
+        assert_eq!(answers[3].len(), paths_a.len(), "the unfiltered drain sees every live tuple");
+
+        drop(delta);
+        cleanup(&path_a);
+        cleanup(&path_b);
+        (max_height, applied_ops)
+    }
+
+    fn insert_step(i: u32) -> Step {
+        // A tight cluster, so consecutive inserts pile into the same
+        // leaves: splits cascade and the root grows.
+        let f = f64::from(i % 17) / 400.0;
+        Step::Insert { sel: vec![i % 3, (i / 3) % 3, (i / 9) % 3], point: vec![0.31 + f, 0.62 - f] }
+    }
+
+    #[test]
+    fn scripted_history_folds_like_per_op_and_rebuild() {
+        let mut steps = Vec::new();
+        // Delete-then-insert around one flush: the freed leaf slots are
+        // reused by the inserts of the same snapshot.
+        steps.extend((0..6).map(Step::DeleteBase));
+        steps.extend((0..8).map(insert_step));
+        steps.push(Step::Flush);
+        // Enough clustered inserts to split leaves all the way to a new root.
+        steps.extend((8..72).map(insert_step));
+        steps.push(Step::DeletePending(3));
+        steps.push(Step::CrashedFlush);
+        // Tombstone an insert the crashed flush already folded into the
+        // base: the re-fold must still know which cells to clear it from.
+        steps.push(Step::DeletePending(5));
+        steps.extend((0..4).map(Step::DeleteFlushed));
+        steps.push(Step::Flush); // re-folds the crashed snapshot, plus deletes
+                                 // Drain the base until leaves underflow and condense re-inserts.
+        steps.extend((0..36).map(Step::DeleteBase));
+        steps.extend((0..30).map(|i| Step::DeleteFlushed(i * 5)));
+        let (height, applied_ops) = check_history("script", &steps);
+        let built = RTree::over_relation(
+            &DiskSim::with_defaults(),
+            &SyntheticSpec { tuples: FOLD_BASE, cardinality: FOLD_CARD, ..Default::default() }
+                .generate(),
+            &[],
+            RTreeConfig::small(6),
+        );
+        assert!(height > built.height(), "the inserts grew the root ({height})");
+        assert!(applied_ops > 120, "every phase folded ({applied_ops} ops)");
+    }
+
+    fn step_strategy() -> impl proptest::Strategy<Value = Step> {
+        use proptest::Strategy;
+        (0u32..20, 0u32..27, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(kind, n, x, y)| match kind {
+            0..=9 => Step::Insert { sel: vec![n % 3, (n / 3) % 3, n / 9], point: vec![x, y] },
+            10..=12 => Step::DeleteBase(n as usize),
+            13..=14 => Step::DeleteFlushed(n as usize),
+            15..=16 => Step::DeletePending(n as usize),
+            17..=18 => Step::Flush,
+            _ => Step::CrashedFlush,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(24))]
+        #[test]
+        fn proptest_batched_fold_equals_per_op_fold_and_rebuild(
+            steps in proptest::collection::vec(step_strategy(), 1..90),
+        ) {
+            check_history("prop", &steps);
+        }
     }
 
     #[test]

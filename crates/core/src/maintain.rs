@@ -10,6 +10,28 @@
 //! words, set the new paths, and write the signature back — never touching
 //! unaffected cells.
 //!
+//! # Batching: one rewrite per touched cell
+//!
+//! Algorithm 2 takes an update *set*, and the cost that matters is the
+//! number of cell signatures rewritten, so a writer with many R-tree
+//! operations to fold (a delta flush) does not call
+//! [`apply_path_updates`] per operation. It runs all of them against the
+//! tree first, feeding each returned update set to a [`PathUpdateBatch`],
+//! and applies the batch's net set once: every touched cell is loaded,
+//! edited and COW-rewritten exactly once however many operations hit it.
+//!
+//! The coalescing rule is per tid: keep the *first* `old_path` and the
+//! *last* `new_path`, and drop the entry when the two ends are equal.
+//! That is order-independent because a cell signature is a pure function
+//! of the set of tuple paths in its cell, and slots are unique at any
+//! instant: the net set says which paths left the cell's set (first old
+//! paths, all distinct — they coexisted before the batch) and which
+//! entered it (last new paths, all distinct — they coexist after it).
+//! Clearing every old path before setting any new one, as
+//! [`apply_path_updates`] always has, then yields exactly the path set the
+//! sequential per-operation application ends on, even when one tuple
+//! lands on the slot another vacated mid-batch.
+//!
 //! The write-back is patch-level copy-on-write
 //! ([`SignatureCube::replace_cell`]): the rewritten cell's partials are
 //! *appended* under fresh page ids, the replaced ones retired for a later
@@ -19,39 +41,77 @@
 //! publishes the patch as the next generation while readers pinned on the
 //! previous one keep streaming it unchanged (`rcube_storage::format`).
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use rcube_index::rtree::PathUpdate;
-use rcube_storage::DiskSim;
+use rcube_storage::{DiskSim, StorageError};
+use rcube_table::Tid;
 
 use crate::sigcube::SignatureCube;
 use crate::signature::Signature;
 
-/// Applies a batch of path updates to every materialized cuboid.
+/// The net update set of a sequence of R-tree operations (module docs,
+/// *Batching*): feed it each operation's update set in execution order,
+/// then apply [`Self::into_updates`] once.
+#[derive(Debug, Default)]
+pub struct PathUpdateBatch {
+    by_tid: BTreeMap<Tid, PathUpdate>,
+}
+
+impl PathUpdateBatch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds in the update set the next R-tree operation returned: a tid
+    /// seen before keeps its first `old_path` and takes the new
+    /// `new_path`.
+    pub fn extend(&mut self, updates: Vec<PathUpdate>) {
+        for u in updates {
+            match self.by_tid.entry(u.tid) {
+                Entry::Vacant(slot) => {
+                    slot.insert(u);
+                }
+                Entry::Occupied(mut slot) => slot.get_mut().new_path = u.new_path,
+            }
+        }
+    }
+
+    /// The net updates in tid order; tuples that ended where they started
+    /// are dropped.
+    pub fn into_updates(self) -> Vec<PathUpdate> {
+        self.by_tid.into_values().filter(|u| u.old_path != u.new_path).collect()
+    }
+}
+
+/// Applies a set of path updates to every materialized cuboid.
 ///
 /// `selection_values(tid)` supplies the tuple's selection-dimension values
-/// (from the relation, including freshly inserted tuples). Returns the
-/// number of cell signatures rewritten.
+/// (from the relation, including freshly inserted tuples); it is asked once
+/// per update. Returns the number of cell signatures rewritten — one per
+/// distinct touched cell per cuboid. A corrupt stored signature or a
+/// failed retire surfaces as a typed error; cells already rewritten stay
+/// rewritten in the (uncommitted) handle.
 pub fn apply_path_updates(
     cube: &mut SignatureCube,
     updates: &[PathUpdate],
     selection_values: impl Fn(u32) -> Vec<u32>,
     disk: &DiskSim,
-) -> usize {
+) -> Result<usize, StorageError> {
+    let selections: Vec<Vec<u32>> = updates.iter().map(|u| selection_values(u.tid)).collect();
     let mut rewritten = 0;
-    let dims_sets = cube.cuboid_dims();
-    for dims in dims_sets {
-        // Group updates by the affected cell of this cuboid.
-        let mut per_cell: HashMap<Vec<u32>, Vec<&PathUpdate>> = HashMap::new();
-        for u in updates {
-            let all_vals = selection_values(u.tid);
-            let vals: Vec<u32> = dims.iter().map(|&d| all_vals[d]).collect();
-            per_cell.entry(vals).or_default().push(u);
+    for dims in cube.cuboid_dims() {
+        // Group updates by the affected cell of this cuboid (ordered, so
+        // the append order of the rewritten partials is reproducible).
+        let mut per_cell: BTreeMap<Vec<u32>, Vec<&PathUpdate>> = BTreeMap::new();
+        for (u, sel) in updates.iter().zip(&selections) {
+            per_cell.entry(dims.iter().map(|&d| sel[d]).collect()).or_default().push(u);
         }
         for (vals, cell_updates) in per_cell {
             // Load (or create) the cell signature.
             let mut sig = match cube.cell_signature(&dims, &vals) {
-                Some(stored) => stored.load_full(disk, cube.store()),
+                Some(stored) => stored.try_load_full(disk, cube.store())?,
                 None => Signature::empty(cube.fanout()),
             };
             // Clear every old path before setting any new one (Algorithm 2,
@@ -67,11 +127,11 @@ pub fn apply_path_updates(
                     sig.set_path(new);
                 }
             }
-            cube.replace_cell(&dims, vals, &sig, disk);
+            cube.replace_cell(&dims, vals, &sig, disk)?;
             rewritten += 1;
         }
     }
-    rewritten
+    Ok(rewritten)
 }
 
 #[cfg(test)]
@@ -104,7 +164,8 @@ mod tests {
                     (0..full.schema().num_selection()).map(|d| full.selection_value(t, d)).collect()
                 },
                 &disk,
-            );
+            )
+            .unwrap();
         }
 
         // Rebuild from scratch over the same (mutated) R-tree and compare.
@@ -128,7 +189,8 @@ mod tests {
                     (0..full.schema().num_selection()).map(|d| full.selection_value(t, d)).collect()
                 },
                 &disk,
-            );
+            )
+            .unwrap();
         }
         let rebuilt = build_over_remaining(&full, &rtree, &disk);
         assert_cubes_equal(&full, &rtree, &cube, &rebuilt, &disk);
@@ -189,7 +251,8 @@ mod tests {
                     (0..full.schema().num_selection()).map(|d| full.selection_value(t, d)).collect()
                 },
                 &disk,
-            );
+            )
+            .unwrap();
             assert_eq!(rewritten, full.schema().num_selection());
         }
     }

@@ -1245,7 +1245,7 @@ impl SignatureCube {
         vals: Vec<u32>,
         sig: &Signature,
         disk: &DiskSim,
-    ) {
+    ) -> Result<(), StorageError> {
         let cells = self.cuboids.get_mut(dims).expect("cuboid not materialized");
         let old = if sig.is_empty() {
             cells.remove(&vals)
@@ -1268,11 +1268,10 @@ impl SignatureCube {
         if let Some(old) = old {
             for &page in &old.partials {
                 self.node_cache.invalidate_partial(page.0);
-                self.store
-                    .retire(page)
-                    .unwrap_or_else(|e| panic!("SignatureCube::replace_cell retire {page:?}: {e}"));
+                self.store.retire(page)?;
             }
         }
+        Ok(())
     }
 
     /// Deep-verifies the cube file at `path`, repairing by rollback when
@@ -1660,7 +1659,7 @@ mod tests {
             .map(|t| rtree.tuple_path(t).unwrap())
             .collect();
         let sig = Signature::from_paths(cube.fanout(), paths.iter().map(|p| p.as_slice()));
-        cube.replace_cell(&[0], vec![1], &sig, &disk);
+        cube.replace_cell(&[0], vec![1], &sig, &disk).unwrap();
 
         // Untouched cell still fully cache-served after the maintenance…
         let (loads, hits) = warm(&cube, 1, 2);
@@ -1697,7 +1696,7 @@ mod tests {
             .map(|t| rtree.tuple_path(t).unwrap())
             .collect();
         let sig = Signature::from_paths(wcube.fanout(), keep.iter().map(|p| p.as_slice()));
-        wcube.replace_cell(&[0], vec![1], &sig, &disk);
+        wcube.replace_cell(&[0], vec![1], &sig, &disk).unwrap();
         assert!(wcube.store().reclaimable_pages() > 0, "replaced partials must be retired");
         assert_eq!(wcube.commit(&wtree).expect("commit"), 2);
 

@@ -21,7 +21,15 @@ use crate::{QueryStats, TopKQuery, TopKResult};
 #[derive(Debug)]
 enum Entry {
     Node(NodeHandle, Vec<u16>),
-    Tuple(Tid, Vec<u16>, f64),
+    /// A leaf's tuple: its path is the leaf's (kept once per expanded
+    /// leaf in [`SigSearch::leaf_paths`]) plus `slot` — materialized only
+    /// if the tuple is ever popped.
+    Tuple {
+        tid: Tid,
+        leaf: usize,
+        slot: u16,
+        score: f64,
+    },
 }
 
 #[derive(Debug)]
@@ -42,7 +50,7 @@ impl Ord for HeapItem {
         // results surface as early as possible.
         other.bound.total_cmp(&self.bound).then_with(|| {
             let rank = |e: &Entry| match e {
-                Entry::Tuple(..) => 0,
+                Entry::Tuple { .. } => 0,
                 Entry::Node(..) => 1,
             };
             rank(&other.entry).cmp(&rank(&self.entry))
@@ -155,6 +163,8 @@ struct SigSearch<'a> {
     /// intersection) — no tuple qualifies, the search never starts.
     pruner: Option<Pruner<'a>>,
     heap: std::collections::BinaryHeap<HeapItem>,
+    /// Paths of the leaves expanded so far, indexed by `Entry::Tuple::leaf`.
+    leaf_paths: Vec<Vec<u16>>,
     stats: QueryStats,
     before: IoSnapshot,
 }
@@ -185,6 +195,7 @@ impl<'a> SigSearch<'a> {
             proj,
             pruner,
             heap,
+            leaf_paths: Vec::new(),
             stats: QueryStats::default(),
             before,
         }
@@ -196,49 +207,51 @@ impl ProgressiveSearch for SigSearch<'_> {
         let Some(pruner) = self.pruner.as_mut() else {
             return Ok(None);
         };
+        let mut probe: Vec<u16> = Vec::new();
         while let Some(HeapItem { bound: _, entry }) = self.heap.pop() {
             // Boolean pruning: the entry's path must pass every cursor.
-            let path = match &entry {
-                Entry::Node(_, p) => p,
-                Entry::Tuple(_, p, _) => p,
-            };
-            if !path.is_empty() && !pruner.try_check_path(path)? {
-                continue;
-            }
-            match entry {
-                Entry::Tuple(tid, _, score) => {
+            let (n, path) = match entry {
+                Entry::Tuple { tid, leaf, slot, score } => {
+                    probe.clear();
+                    probe.extend_from_slice(&self.leaf_paths[leaf]);
+                    probe.push(slot);
+                    if !pruner.try_check_path(&probe)? {
+                        continue;
+                    }
                     self.stats.tuples_scored += 1;
                     self.stats.peak_heap = self.stats.peak_heap.max(self.heap.len() as u64);
                     return Ok(Some((tid, score)));
                 }
-                Entry::Node(n, path) => {
-                    self.rtree.read_node(self.disk, n);
-                    self.stats.blocks_read += 1;
-                    if self.rtree.is_leaf(n) {
-                        for (slot, (tid, point)) in
-                            self.rtree.leaf_entries(n).into_iter().enumerate()
-                        {
-                            let values: Vec<f64> = self.proj.iter().map(|&d| point[d]).collect();
-                            let score = self.func.score(&values);
-                            let mut tpath = path.clone();
-                            tpath.push(slot as u16);
-                            self.heap.push(HeapItem {
-                                bound: score,
-                                entry: Entry::Tuple(tid, tpath, score),
-                            });
-                            self.stats.states_generated += 1;
-                        }
-                    } else {
-                        for (pos, child) in self.rtree.children(n).into_iter().enumerate() {
-                            let bound = self
-                                .func
-                                .lower_bound(&self.rtree.region(child).project(&self.proj));
-                            let mut cpath = path.clone();
-                            cpath.push(pos as u16);
-                            self.heap.push(HeapItem { bound, entry: Entry::Node(child, cpath) });
-                            self.stats.states_generated += 1;
-                        }
-                    }
+                Entry::Node(n, path) => (n, path),
+            };
+            if !path.is_empty() && !pruner.try_check_path(&path)? {
+                continue;
+            }
+            self.rtree.read_node(self.disk, n);
+            self.stats.blocks_read += 1;
+            if self.rtree.is_leaf(n) {
+                // Borrowed entries, one projection buffer and one path per
+                // leaf: a leaf holds up to `M` tuples and most never leave
+                // the heap, so per-entry clones dominated the query.
+                let leaf = self.leaf_paths.len();
+                self.leaf_paths.push(path);
+                let mut values: Vec<f64> = Vec::with_capacity(self.proj.len());
+                for (slot, &(tid, ref point)) in self.rtree.leaf_slice(n).iter().enumerate() {
+                    values.clear();
+                    values.extend(self.proj.iter().map(|&d| point[d]));
+                    let score = self.func.score(&values);
+                    let entry = Entry::Tuple { tid, leaf, slot: slot as u16, score };
+                    self.heap.push(HeapItem { bound: score, entry });
+                    self.stats.states_generated += 1;
+                }
+            } else {
+                for (pos, child) in self.rtree.children(n).into_iter().enumerate() {
+                    let bound =
+                        self.func.lower_bound(&self.rtree.region(child).project(&self.proj));
+                    let mut cpath = path.clone();
+                    cpath.push(pos as u16);
+                    self.heap.push(HeapItem { bound, entry: Entry::Node(child, cpath) });
+                    self.stats.states_generated += 1;
                 }
             }
             self.stats.peak_heap = self.stats.peak_heap.max(self.heap.len() as u64);

@@ -166,6 +166,15 @@ impl RTree {
             .sum()
     }
 
+    /// Entries of leaf `n`, borrowed — [`HierIndex::leaf_entries`] without
+    /// the per-entry clone (empty for an internal node).
+    pub fn leaf_slice(&self, n: NodeHandle) -> &[(Tid, Vec<f64>)] {
+        match &self.nodes[n.0 as usize].kind {
+            NodeKind::Leaf(e) => e,
+            NodeKind::Internal(_) => &[],
+        }
+    }
+
     /// The tuple path `⟨p0, …, slot⟩` of `tid`.
     pub fn tuple_path(&self, tid: Tid) -> Option<Vec<u16>> {
         let leaf = *self.tid_leaf.get(&tid)?;
@@ -276,12 +285,22 @@ impl RTree {
     }
 
     /// Deletes a tuple (condense-tree with re-insertion), returning path
-    /// updates. Conservatively recomputes all paths — deletion is not on
-    /// the benchmarked fast path (the thesis benchmarks insertion only).
+    /// updates.
+    ///
+    /// A delta flush runs one of these per tombstone, so the common case
+    /// stays local: when the leaf keeps its minimum fill nothing above it
+    /// changes, and the update set is the removed tuple plus the entries
+    /// behind it in that leaf, each shifted down one slot — no other
+    /// tuple's path is even looked at. Only an underflowing leaf, whose
+    /// condense + re-insertion can move tuples anywhere, pays for the
+    /// whole-tree before/after snapshot diff.
     pub fn delete(&mut self, disk: &DiskSim, tid: Tid) -> Vec<PathUpdate> {
         let Some(&leaf) = self.tid_leaf.get(&tid) else {
             return Vec::new();
         };
+        if leaf == self.root || self.node_len(leaf) > self.config.min_entries {
+            return self.delete_in_place(leaf, tid);
+        }
         let before: HashMap<Tid, Vec<u16>> = self.tuple_paths().into_iter().collect();
 
         // Remove the entry.
@@ -348,6 +367,30 @@ impl RTree {
     }
 
     // ---- internals -------------------------------------------------------
+
+    /// Removes `tid` from a leaf that stays at or above minimum fill: the
+    /// entries behind it close the gap, nothing else moves.
+    fn delete_in_place(&mut self, leaf: u32, tid: Tid) -> Vec<PathUpdate> {
+        let prefix = self.path_of_node(leaf);
+        let at = |slot: usize| {
+            let mut path = prefix.clone();
+            path.push(slot as u16);
+            Some(path)
+        };
+        let NodeKind::Leaf(entries) = &mut self.nodes[leaf as usize].kind else {
+            unreachable!("tid_leaf maps to a leaf")
+        };
+        let slot = entries.iter().position(|&(t, _)| t == tid).expect("tid_leaf is current");
+        entries.remove(slot);
+        let mut updates = Vec::with_capacity(entries.len() - slot + 1);
+        updates.push(PathUpdate { tid, old_path: at(slot), new_path: None });
+        for (i, &(t, _)) in entries[slot..].iter().enumerate() {
+            updates.push(PathUpdate { tid: t, old_path: at(slot + i + 1), new_path: at(slot + i) });
+        }
+        self.tid_leaf.remove(&tid);
+        self.recompute_mbrs_upward(leaf);
+        updates
+    }
 
     fn alloc_leaf(&mut self, disk: &DiskSim, entries: Vec<(Tid, Vec<f64>)>) -> u32 {
         let id = self.nodes.len() as u32;
@@ -785,10 +828,7 @@ impl HierIndex for RTree {
     }
 
     fn leaf_entries(&self, n: NodeHandle) -> Vec<(Tid, Vec<f64>)> {
-        match &self.nodes[n.0 as usize].kind {
-            NodeKind::Leaf(e) => e.clone(),
-            NodeKind::Internal(_) => Vec::new(),
-        }
+        self.leaf_slice(n).to_vec()
     }
 
     fn read_node(&self, disk: &DiskSim, n: NodeHandle) {
@@ -1065,6 +1105,57 @@ mod tests {
         for u in &ups[1..] {
             assert_eq!(t.tuple_path(u.tid), u.new_path);
         }
+    }
+
+    /// The whole-tree reference for an update set: every tuple whose path
+    /// differs between two `tuple_paths()` snapshots, order-normalized.
+    fn snapshot_diff(before: &HashMap<Tid, Vec<u16>>, t: &RTree) -> Vec<PathUpdate> {
+        let after: HashMap<Tid, Vec<u16>> = t.tuple_paths().into_iter().collect();
+        let mut tids: Vec<Tid> = before.keys().chain(after.keys()).copied().collect();
+        tids.sort_unstable();
+        tids.dedup();
+        tids.into_iter()
+            .filter(|t| before.get(t) != after.get(t))
+            .map(|tid| PathUpdate {
+                tid,
+                old_path: before.get(&tid).cloned(),
+                new_path: after.get(&tid).cloned(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn update_sets_equal_the_whole_tree_snapshot_diff() {
+        // Fanout 6 / min 2 with wide leaves first (in-place deletes that
+        // shift slots), then enough deletes to underflow and condense, with
+        // inserts interleaved so freed slots are reused and leaves split.
+        let disk = DiskSim::with_defaults();
+        let mut t = RTree::bulk_load(&disk, random_points(240, 2, 21), RTreeConfig::small(6));
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut live: Vec<Tid> = (0..240).collect();
+        let (mut in_place, mut condensed) = (0, 0);
+        for step in 0..400u32 {
+            let before: HashMap<Tid, Vec<u16>> = t.tuple_paths().into_iter().collect();
+            let mut got = if step % 3 == 2 || live.len() < 20 {
+                let tid = 1000 + step;
+                live.push(tid);
+                t.insert(&disk, tid, vec![rng.gen(), rng.gen()])
+            } else {
+                let tid = live.swap_remove(rng.gen_range(0..live.len()));
+                let leaf = t.tid_leaf[&tid];
+                if t.node_len(leaf) > t.config.min_entries {
+                    in_place += 1;
+                } else {
+                    condensed += 1;
+                }
+                t.delete(&disk, tid)
+            };
+            check_invariants(&t);
+            got.sort_by_key(|u| u.tid);
+            assert_eq!(got, snapshot_diff(&before, &t), "step {step}");
+        }
+        assert!(in_place > 50 && condensed > 10, "both delete paths ran: {in_place}/{condensed}");
+        assert!(t.delete(&disk, 999_999).is_empty(), "absent tid is a no-op");
     }
 
     #[test]

@@ -41,28 +41,57 @@ impl BitWriter {
         self.len += 1;
     }
 
-    /// Appends the low `width` bits of `value`, most significant first.
+    /// Appends the low `width` bits of `value`, most significant first:
+    /// tops up the partial last byte, then moves whole bytes.
     pub fn push_bits(&mut self, value: u64, width: usize) {
         debug_assert!(width <= 64);
-        for i in (0..width).rev() {
-            self.push((value >> i) & 1 == 1);
+        let mut left = width;
+        let used = self.len % 8;
+        if used != 0 && left > 0 {
+            let free = 8 - used;
+            let take = free.min(left);
+            let chunk = (value >> (left - take)) as u8 & low_mask(take);
+            *self.bytes.last_mut().expect("partial byte exists") |= chunk << (free - take);
+            left -= take;
         }
+        while left >= 8 {
+            left -= 8;
+            self.bytes.push((value >> left) as u8);
+        }
+        if left > 0 {
+            self.bytes.push((value as u8 & low_mask(left)) << (8 - left));
+        }
+        self.len += width;
     }
 
-    /// Appends `n` copies of `bit`.
+    /// Appends `n` copies of `bit`, a word at a time.
     pub fn push_repeat(&mut self, bit: bool, n: usize) {
-        for _ in 0..n {
-            self.push(bit);
+        let word = if bit { u64::MAX } else { 0 };
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(64);
+            self.push_bits(word, take);
+            left -= take;
         }
     }
 
-    /// Appends every bit produced by another writer.
+    /// Appends every bit produced by another writer: a byte copy when
+    /// this stream ends on a byte boundary, one shift per byte otherwise.
     pub fn extend(&mut self, other: &BitWriter) {
-        let reader = BitReader::new(other.as_bytes(), other.len());
-        let mut r = reader;
-        while let Some(b) = r.next_bit() {
-            self.push(b);
+        let used = self.len % 8;
+        if used == 0 {
+            self.bytes.extend_from_slice(&other.bytes);
+        } else {
+            self.bytes.reserve(other.bytes.len());
+            for &b in &other.bytes {
+                *self.bytes.last_mut().expect("partial byte exists") |= b >> used;
+                self.bytes.push(b << (8 - used));
+            }
         }
+        self.len += other.len;
+        // The padding bits of `other`'s last byte are zero, so a spilled
+        // byte past the new end carries nothing.
+        self.bytes.truncate(self.len.div_ceil(8));
     }
 
     /// The underlying byte buffer (final partial byte zero-padded).
@@ -114,14 +143,21 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads `width` bits as an MSB-first integer; `None` if fewer remain.
+    /// Consumes up to a byte per step, not a bit.
     pub fn read_bits(&mut self, width: usize) -> Option<u64> {
         debug_assert!(width <= 64);
         if self.remaining() < width {
             return None;
         }
         let mut v = 0u64;
-        for _ in 0..width {
-            v = (v << 1) | u64::from(self.next_bit().unwrap());
+        let mut left = width;
+        while left > 0 {
+            let avail = 8 - self.pos % 8;
+            let take = avail.min(left);
+            let chunk = (self.bytes[self.pos / 8] >> (avail - take)) & low_mask(take);
+            v = (v << take) | u64::from(chunk);
+            self.pos += take;
+            left -= take;
         }
         Some(v)
     }
@@ -134,6 +170,12 @@ impl<'a> BitReader<'a> {
         self.pos += n;
         true
     }
+}
+
+/// The low `n` bits of a byte set (`n ≤ 8`).
+#[inline]
+fn low_mask(n: usize) -> u8 {
+    (0xffu16 >> (8 - n)) as u8
 }
 
 /// Number of bits needed to represent values `0..m` (i.e. `⌈log2 m⌉`, with
@@ -260,9 +302,21 @@ impl PackedBits {
         })
     }
 
-    /// Positions of clear bits below `len`, ascending.
+    /// Positions of clear bits below `len`, ascending (the same
+    /// word-at-a-time scan as [`Self::iter_ones`], over inverted words).
     pub fn iter_zeros(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(|&i| !self.get(i))
+        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
+            let live = (self.len - wi * 64).min(64);
+            let mut w = !w & (u64::MAX >> (64 - live));
+            std::iter::from_fn(move || {
+                if w == 0 {
+                    return None;
+                }
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(wi * 64 + bit)
+            })
+        })
     }
 
     /// Word-parallel OR; the result is as long as the longer operand.
@@ -393,6 +447,101 @@ mod tests {
         assert_eq!(ones.count_ones(), 67);
         assert!(ones.get(66) && !ones.get(67));
         assert_eq!(PackedBits::zeros(67).count_ones(), 0);
+    }
+
+    /// Bit-at-a-time references for the chunked codec paths.
+    fn push_bits_ref(w: &mut BitWriter, value: u64, width: usize) {
+        for i in (0..width).rev() {
+            w.push((value >> i) & 1 == 1);
+        }
+    }
+
+    fn read_bits_ref(r: &mut BitReader, width: usize) -> Option<u64> {
+        if r.remaining() < width {
+            return None;
+        }
+        Some((0..width).fold(0u64, |v, _| (v << 1) | u64::from(r.next_bit().unwrap())))
+    }
+
+    fn test_values() -> [u64; 6] {
+        [0, u64::MAX, 0xA5A5_A5A5_A5A5_A5A5, 0x0123_4567_89AB_CDEF, 1, 1 << 63]
+    }
+
+    #[test]
+    fn chunked_push_and_read_match_the_bitwise_reference_at_every_alignment() {
+        for align in 0..8 {
+            for width in 0..=64 {
+                for value in test_values() {
+                    let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+                    // `align` leading ones: garbage above `width` in `value`
+                    // must not leak into them or into the padding.
+                    fast.push_repeat(true, align);
+                    for _ in 0..align {
+                        slow.push(true);
+                    }
+                    fast.push_bits(value, width);
+                    push_bits_ref(&mut slow, value, width);
+                    fast.push_bits(0b101, 3);
+                    push_bits_ref(&mut slow, 0b101, 3);
+                    assert_eq!(fast.len(), slow.len());
+                    assert_eq!(fast.as_bytes(), slow.as_bytes(), "align {align} width {width}");
+
+                    let mut a = BitReader::new(fast.as_bytes(), fast.len());
+                    let mut b = BitReader::new(slow.as_bytes(), slow.len());
+                    assert!(a.skip(align) && b.skip(align));
+                    let got = a.read_bits(width);
+                    assert_eq!(got, read_bits_ref(&mut b, width));
+                    let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+                    assert_eq!(got, Some(value & mask));
+                    assert_eq!(a.read_bits(3), Some(0b101));
+                    assert_eq!(a.read_bits(1), None, "reads past the end stay None");
+                    assert_eq!(a.position(), align + width + 3);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_extend_matches_the_bitwise_reference_at_every_alignment() {
+        for align in 0..8 {
+            for width in 0..=64 {
+                for tail in [0usize, 1, 7, 8, 13] {
+                    let mut other = BitWriter::new();
+                    other.push_bits(0x0123_4567_89AB_CDEF, width);
+                    other.push_repeat(true, tail);
+                    let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+                    fast.push_repeat(true, align);
+                    slow.push_repeat(true, align);
+                    fast.extend(&other);
+                    let mut r = BitReader::new(other.as_bytes(), other.len());
+                    while let Some(b) = r.next_bit() {
+                        slow.push(b);
+                    }
+                    // Appending after the extend proves the padding stayed zero.
+                    fast.push_bits(0b10, 2);
+                    slow.push_bits(0b10, 2);
+                    assert_eq!(fast.len(), slow.len());
+                    assert_eq!(
+                        fast.as_bytes(),
+                        slow.as_bytes(),
+                        "align {align} width {width} tail {tail}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn iter_zeros_is_the_complement_of_iter_ones() {
+        for len in [0usize, 1, 63, 64, 65, 128, 130, 204] {
+            let bools: Vec<bool> = (0..len).map(|i| i % 3 == 0 || i % 11 == 5).collect();
+            let packed = PackedBits::from_bools(&bools);
+            let zeros: Vec<usize> = packed.iter_zeros().collect();
+            let expect: Vec<usize> = (0..len).filter(|&i| !bools[i]).collect();
+            assert_eq!(zeros, expect, "len {len}");
+            assert_eq!(PackedBits::ones(len).iter_zeros().count(), 0);
+            assert_eq!(PackedBits::zeros(len).iter_zeros().count(), len);
+        }
     }
 
     #[test]

@@ -265,6 +265,20 @@
 //! instead: that is body corruption, and the delta layer refuses to
 //! serve a guess.
 //!
+//! **Flush fold**: the pending section folds into the cube file as one
+//! batch, not op by op. Every R-tree insert/delete of the snapshot runs
+//! first; their path-update sets are coalesced per tid — keep the *first*
+//! old path and the *last* new path, drop a tuple that ends where it
+//! started — and the net set is applied once, so each touched cell's
+//! signature is loaded, edited and COW-appended exactly once per flush
+//! (cost O(touched cells), not O(ops × cuboids), and one retired copy of
+//! a cell per flush instead of one per op). The order of the ops inside
+//! the batch cannot matter to the bytes that count: a cell signature is
+//! a pure function of the *set* of tuple paths in the cell, first old
+//! paths are distinct (they coexisted before the batch) and last new
+//! paths are distinct (they coexist after it), and all clears run before
+//! any set. Nothing about the on-disk format changes.
+//!
 //! **Flush compaction** reuses the vacuum's publish protocol verbatim: a
 //! new WAL image (header with the advanced `flushed_seq` + the live
 //! applied records, no pending section) is written to `<path>.wal.new`,
@@ -273,8 +287,8 @@
 //! *before* WAL-rewrite, so every crash point is idempotent: before the
 //! commit the old generation plus the full WAL replay; between commit
 //! and rename the replayed pending ops shadow identical base data and
-//! the next flush re-applies them as a no-op; after the rename both
-//! files agree.
+//! the next flush re-folds them idempotently (each upsert as
+//! delete-then-insert on the R-tree); after the rename both files agree.
 
 use crate::backend::StorageError;
 

@@ -470,7 +470,10 @@ mod tests {
                     assert_eq!(x.weights, y.weights);
                     q += 1;
                 }
-                (WorkloadOp::Insert { sel: x, point: px }, WorkloadOp::Insert { sel: y, point: py }) => {
+                (
+                    WorkloadOp::Insert { sel: x, point: px },
+                    WorkloadOp::Insert { sel: y, point: py },
+                ) => {
                     assert_eq!(x, y);
                     assert_eq!(px, py);
                     assert_eq!(x.len(), rel.schema().num_selection());

@@ -43,8 +43,9 @@ fn main() {
     // The delta cube opens the file read-only for serving and a sibling
     // `<path>.wal` for durability; the engine routes queries through the
     // merged view and writes through the WAL.
-    let delta =
-        Arc::new(DeltaCube::open(&path, base.clone(), DeltaOptions::default()).expect("open delta"));
+    let delta = Arc::new(
+        DeltaCube::open(&path, base.clone(), DeltaOptions::default()).expect("open delta"),
+    );
     let engine = Engine::new(base.clone()).with_delta(Arc::clone(&delta));
     println!(
         "delta open: generation {}, replay found {} records",
@@ -124,8 +125,8 @@ fn main() {
     let tid = engine.insert(&[1, 1, 1], &[0.0001, 0.0001]).expect("post-flush insert");
     drop(engine);
     drop(delta);
-    let reopened =
-        DeltaCube::open(&path, base.clone(), DeltaOptions::default()).expect("reopen after 'crash'");
+    let reopened = DeltaCube::open(&path, base.clone(), DeltaOptions::default())
+        .expect("reopen after 'crash'");
     let replay = reopened.last_replay();
     println!(
         "reopen replayed {} WAL records: {} pending, {} applied{}",

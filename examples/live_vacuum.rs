@@ -54,7 +54,8 @@ fn main() {
             &updates,
             |t| (0..full.schema().num_selection()).map(|d| full.selection_value(t, d)).collect(),
             &disk,
-        );
+        )
+        .expect("apply path updates");
     }
     wcube.commit(&wrtree).expect("patch commit");
 

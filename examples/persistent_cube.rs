@@ -124,7 +124,8 @@ fn commit_while_serving() {
             &updates,
             |t| (0..full.schema().num_selection()).map(|d| full.selection_value(t, d)).collect(),
             &disk,
-        );
+        )
+        .expect("apply path updates");
     }
     let gen_next = wcube.commit(&wrtree).expect("patch commit");
     println!(

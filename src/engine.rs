@@ -769,12 +769,10 @@ impl Engine {
     /// folds pending writes into the base cube past
     /// `config.flush_watermark_ops` — the LSM background merge. Panics
     /// when no delta cube is registered.
-    pub fn start_maintenance_with_delta(
-        &self,
-        config: MaintenanceConfig,
-    ) -> MaintenanceScheduler {
-        let delta =
-            Arc::clone(self.delta.as_ref().expect("start_maintenance_with_delta needs a delta cube"));
+    pub fn start_maintenance_with_delta(&self, config: MaintenanceConfig) -> MaintenanceScheduler {
+        let delta = Arc::clone(
+            self.delta.as_ref().expect("start_maintenance_with_delta needs a delta cube"),
+        );
         let path = delta.path().to_path_buf();
         MaintenanceScheduler::start_with_delta(path, config, self.metrics.clone(), delta)
     }
@@ -833,7 +831,7 @@ impl Engine {
             _ => None,
         };
         // The delta cursor's stats carry the memtable-vs-base split.
-        let delta = (executed == Route::Delta).then(|| crate::observe::DeltaContribution {
+        let delta = (executed == Route::Delta).then_some(crate::observe::DeltaContribution {
             memtable_answers: res.stats.delta_mem_answers,
             base_answers: res.stats.delta_base_answers,
             masked: res.stats.delta_masked,
@@ -1166,8 +1164,7 @@ mod tests {
             let cube = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
             cube.save_to_with(&rtree, &path, 512, 64).expect("save base cube");
         }
-        let delta =
-            Arc::new(DeltaCube::open(&path, rel.clone(), DeltaOptions::default()).unwrap());
+        let delta = Arc::new(DeltaCube::open(&path, rel.clone(), DeltaOptions::default()).unwrap());
         let eng = Engine::new(rel)
             .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() })
             .with_delta(Arc::clone(&delta));

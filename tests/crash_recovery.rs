@@ -111,7 +111,7 @@ fn run_maintenance(
             &updates,
             |t| (0..full.schema().num_selection()).map(|d| full.selection_value(t, d)).collect(),
             &disk,
-        );
+        )?;
     }
     cube.commit(&rtree)
 }

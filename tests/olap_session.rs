@@ -2,7 +2,7 @@
 //! skyline navigation chains, and multi-relation ranked joins — spanning
 //! every crate in the workspace.
 
-use ranking_cube::cube::maintain::apply_path_updates;
+use ranking_cube::cube::maintain::{apply_path_updates, PathUpdateBatch};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::sigquery::topk_signature;
 use ranking_cube::cube::TopKQuery;
@@ -28,16 +28,17 @@ fn maintained_cube_answers_stay_correct() {
     let sel = Selection::new(vec![(0, 1)]);
     for step in 0..4 {
         let lo = 1_000 + step * 50;
-        let mut updates = Vec::new();
+        let mut updates = PathUpdateBatch::new();
         for tid in lo as u32..(lo + 50) as u32 {
             updates.extend(rtree.insert(&disk, tid, full.ranking_point(tid)));
         }
         apply_path_updates(
             &mut cube,
-            &updates,
+            &updates.into_updates(),
             |t| (0..3).map(|d| full.selection_value(t, d)).collect(),
             &disk,
-        );
+        )
+        .unwrap();
         // The live prefix after this batch:
         let live = full.prefix(lo + 50);
         let q = TopKQuery::new(sel.conds().to_vec(), f.clone(), 10);
