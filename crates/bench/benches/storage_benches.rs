@@ -7,13 +7,38 @@
 //! are the cold-open and warm-pool penalties relative to in-memory; the
 //! warm ratio is the one to keep near 1× — a warm pool serves the same
 //! `Arc<[u8]>` frames the in-memory store would.
+//!
+//! Under the query rows sit the two per-page floors a cold query is made
+//! of: `checksum_ns_per_page` (CRC-32 of one 4 KB page, also as MB/s) and
+//! `file_miss_ns` (one whole miss — `pread`, verify, frame, pool insert —
+//! on a file of one-page objects). The `before` block is what this same
+//! emitter read at the parent commit on the same box.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
 use rcube_core::TopKQuery;
 use rcube_func::Linear;
-use rcube_storage::DiskSim;
+use rcube_storage::format::crc32;
+use rcube_storage::{DiskSim, PageId, PageStore, DEFAULT_PAGE_SIZE};
 use rcube_table::gen::SyntheticSpec;
+
+/// One-page objects in the `file_miss` file; one iteration misses on all.
+const MISS_OBJECTS: usize = 1024;
+
+/// What this emitter read at the parent commit (bytewise CRC-32, a fresh
+/// page buffer and three copies per miss), re-measured on the same box as
+/// the committed "after" numbers.
+const BEFORE: &str = r#"{
+    "commit": "PR 12 (89629d0)",
+    "storage_query/file_cold/sel1": 48819.7,
+    "storage_query/file_cold/sel2": 96527.6,
+    "checksum_ns_per_page": 10926.0,
+    "checksum_mb_per_s": 375,
+    "file_miss_ns": 12658.5,
+    "cold_open_penalty_vs_inmem": 3.90,
+    "warm_pool_penalty_vs_inmem": 1.01,
+    "buffer_pool_speedup_cold_to_warm": 3.85
+  }"#;
 
 struct Setup {
     mem_cube: GridRankingCube,
@@ -69,10 +94,41 @@ fn bench_backends(c: &mut Criterion) {
         });
     }
     g.finish();
-
-    // Emit BENCH_storage.json from this group's measurements.
-    emit_json(c);
     std::fs::remove_file(&s.path).ok();
+
+    bench_page_floor(c);
+    // Emit BENCH_storage.json from both groups' measurements.
+    emit_json(c);
+}
+
+fn bench_page_floor(c: &mut Criterion) {
+    let mut g = c.benchmark_group("storage_page");
+    // The checksummed span of one page: everything after the CRC field.
+    let page: Vec<u8> = (0..DEFAULT_PAGE_SIZE).map(|i| (i * 31 % 251) as u8).collect();
+    g.bench_function("checksum", |b| b.iter(|| crc32(black_box(&page[4..]))));
+
+    let mut path = std::env::temp_dir();
+    path.push(format!("rcube_storage_bench_pages_{}", std::process::id()));
+    let disk = DiskSim::with_defaults();
+    let ids: Vec<PageId> = {
+        let store = PageStore::create_file(&path, DEFAULT_PAGE_SIZE, 0).expect("create page file");
+        let ids = (0..MISS_OBJECTS)
+            .map(|i| store.put(&disk, vec![(i % 251) as u8; DEFAULT_PAGE_SIZE / 2]))
+            .collect();
+        store.flush().expect("commit page file");
+        ids
+    };
+    let store = PageStore::open_file(&path, 2 * MISS_OBJECTS).expect("open page file");
+    g.bench_function("file_miss_batch", |b| {
+        b.iter(|| {
+            store.clear_cache();
+            for id in &ids {
+                black_box(store.get_bytes(&disk, *id));
+            }
+        })
+    });
+    g.finish();
+    std::fs::remove_file(&path).ok();
 }
 
 fn emit_json(c: &mut Criterion) {
@@ -85,6 +141,10 @@ fn emit_json(c: &mut Criterion) {
     let cold_penalty = ratio("storage_query/file_cold/sel1", "storage_query/inmem/sel1");
     let warm_penalty = ratio("storage_query/file_warm/sel1", "storage_query/inmem/sel1");
     let pool_speedup = ratio("storage_query/file_cold/sel1", "storage_query/file_warm/sel1");
+    let checksum_ns = find("storage_page/checksum").unwrap_or(0.0);
+    // bytes/ns × 1000 = MB/s (10^6 bytes).
+    let checksum_mb_s = (DEFAULT_PAGE_SIZE - 4) as f64 / checksum_ns.max(f64::MIN_POSITIVE) * 1e3;
+    let miss_ns = find("storage_page/file_miss_batch").unwrap_or(0.0) / MISS_OBJECTS as f64;
 
     let mut json = String::from("{\n  \"bench\": \"storage\",\n  \"unit\": \"ns_per_iter\",\n");
     json.push_str(&rcube_bench::bench_env_json());
@@ -95,14 +155,21 @@ fn emit_json(c: &mut Criterion) {
     }
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"cold_open_penalty_vs_inmem\": {cold_penalty:.2},\n  \"warm_pool_penalty_vs_inmem\": {warm_penalty:.2},\n  \"buffer_pool_speedup_cold_to_warm\": {pool_speedup:.2},\n  \"target_warm_penalty_max\": 3.0\n}}\n"
+        "  \"checksum_ns_per_page\": {checksum_ns:.1},\n  \"checksum_mb_per_s\": {checksum_mb_s:.0},\n  \"file_miss_ns\": {miss_ns:.1},\n"
     ));
+    json.push_str(&format!(
+        "  \"cold_open_penalty_vs_inmem\": {cold_penalty:.2},\n  \"warm_pool_penalty_vs_inmem\": {warm_penalty:.2},\n  \"buffer_pool_speedup_cold_to_warm\": {pool_speedup:.2},\n  \"target_warm_penalty_max\": 3.0,\n"
+    ));
+    json.push_str(&format!("  \"before\": {BEFORE}\n}}\n"));
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_storage.json");
     std::fs::write(path, &json).expect("write BENCH_storage.json");
     println!("wrote {path}");
     println!(
         "storage: cold {cold_penalty:.2}x inmem, warm {warm_penalty:.2}x inmem, pool speedup {pool_speedup:.2}x"
+    );
+    println!(
+        "storage: checksum {checksum_ns:.0} ns/page ({checksum_mb_s:.0} MB/s), file miss {miss_ns:.0} ns"
     );
     // Wall-clock gate, soft on CI (RCUBE_BENCH_SOFT=1): a warm buffer
     // pool must keep file-backed serving within 3x of in-memory.

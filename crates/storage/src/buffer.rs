@@ -15,7 +15,10 @@
 //!   own page-weighted budget and hit/miss/eviction counters — concurrent
 //!   readers of distinct objects almost never contend on the same lock.
 //!   [`BufferPool::stats`] snapshots every shard for observability
-//!   ([`PoolStats`] / [`PoolShardStats`]).
+//!   ([`PoolStats`] / [`PoolShardStats`]). A shard's critical section only
+//!   relinks list nodes: frames it evicts or replaces are handed back to
+//!   the caller (`Victims`) and freed *after* the shard mutex is
+//!   released, so a cold reader never waits on another thread's `free`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -439,12 +442,14 @@ impl BufferPool {
     /// the type docs for the exact invariant).
     pub fn insert(&self, key: PageId, frame: Arc<[u8]>, weight_pages: usize) {
         let idx = self.shard_index(key);
+        let mut victims = Victims::default();
         let (over_slice, evicted) = {
             let mut shard = self.shards[idx].lock().unwrap();
             let before = shard.evictions;
-            shard.insert(key, frame, weight_pages);
+            shard.insert(key, frame, weight_pages, &mut victims);
             (shard.used_pages > shard.capacity_pages, shard.evictions - before)
         };
+        drop(victims); // freed here, with the shard unlocked
         if evicted > 0 {
             if let Some(ms) = self.metrics.get() {
                 ms.evictions.add(evicted);
@@ -471,7 +476,8 @@ impl BufferPool {
                 if i == keep {
                     continue;
                 }
-                if shard.lock().unwrap().evict_tail() {
+                let victim = shard.lock().unwrap().evict_tail();
+                if victim.is_some() {
                     if let Some(ms) = self.metrics.get() {
                         ms.evictions.inc();
                     }
@@ -489,7 +495,8 @@ impl BufferPool {
 
     /// Drops the frame rooted at `key`, if cached.
     pub fn invalidate(&self, key: PageId) {
-        self.shard(key).lock().unwrap().invalidate(key);
+        let removed = self.shard(key).lock().unwrap().invalidate(key);
+        drop(removed);
     }
 
     /// Empties every shard (cold-cache measurement point) and resets the
@@ -520,9 +527,30 @@ struct PoolShard {
 struct FrameNode {
     key: PageId,
     weight: usize,
-    frame: Arc<[u8]>,
+    /// `None` while the node sits on the free list.
+    frame: Option<Arc<[u8]>>,
     prev: usize,
     next: usize,
+}
+
+/// Frames a shard let go of during one insert, carried out of the
+/// critical section so the last reference drops (and the allocator runs)
+/// without the shard mutex. The first victim — the common case, one
+/// one-page frame out per frame in — is held inline; only a heavier
+/// admission that evicts several spills to the heap.
+#[derive(Debug, Default)]
+struct Victims {
+    first: Option<Arc<[u8]>>,
+    rest: Vec<Arc<[u8]>>,
+}
+
+impl Victims {
+    fn push(&mut self, frame: Arc<[u8]>) {
+        match self.first {
+            None => self.first = Some(frame),
+            Some(_) => self.rest.push(frame),
+        }
+    }
 }
 
 impl PoolShard {
@@ -558,7 +586,7 @@ impl PoolShard {
                 self.unlink(idx);
                 self.push_front(idx);
                 self.hits += 1;
-                Some(Arc::clone(&self.nodes[idx].frame))
+                self.nodes[idx].frame.clone()
             }
             None => {
                 self.misses += 1;
@@ -567,23 +595,30 @@ impl PoolShard {
         }
     }
 
-    fn insert(&mut self, key: PageId, frame: Arc<[u8]>, weight_pages: usize) {
+    /// Admits `frame`; every frame this displaces (the one it replaces
+    /// under `key`, and the LRU frames evicted to make room) goes into
+    /// `victims` for the caller to drop once the shard is unlocked.
+    fn insert(
+        &mut self,
+        key: PageId,
+        frame: Arc<[u8]>,
+        weight_pages: usize,
+        victims: &mut Victims,
+    ) {
         if self.capacity_pages == 0 {
             return;
         }
-        self.invalidate(key);
+        if let Some(replaced) = self.invalidate(key) {
+            victims.push(replaced);
+        }
         let weight = weight_pages.max(1);
-        while self.used_pages + weight > self.capacity_pages && self.tail != NIL {
-            let victim = self.tail;
-            let victim_key = self.nodes[victim].key;
-            self.invalidate(victim_key);
-            self.evictions += 1;
+        while self.used_pages + weight > self.capacity_pages {
+            match self.evict_tail() {
+                Some(victim) => victims.push(victim),
+                None => break,
+            }
         }
-        if weight > self.capacity_pages && !self.map.is_empty() {
-            // Defensive: eviction loop above already emptied the shard.
-            return;
-        }
-        let node = FrameNode { key, weight, frame, prev: NIL, next: NIL };
+        let node = FrameNode { key, weight, frame: Some(frame), prev: NIL, next: NIL };
         let idx = match self.free.pop() {
             Some(i) => {
                 self.nodes[i] = node;
@@ -599,24 +634,25 @@ impl PoolShard {
         self.push_front(idx);
     }
 
-    fn invalidate(&mut self, key: PageId) {
-        if let Some(idx) = self.map.remove(&key) {
-            self.used_pages -= self.nodes[idx].weight;
-            self.unlink(idx);
-            self.nodes[idx].frame = Arc::from(&[][..]);
-            self.free.push(idx);
-        }
+    /// Unmaps `key` and returns its frame (for the caller to drop outside
+    /// the lock); the node goes back on the free list.
+    fn invalidate(&mut self, key: PageId) -> Option<Arc<[u8]>> {
+        let idx = self.map.remove(&key)?;
+        self.used_pages -= self.nodes[idx].weight;
+        self.unlink(idx);
+        self.free.push(idx);
+        self.nodes[idx].frame.take()
     }
 
-    /// Evicts this shard's least-recently-used frame; false when empty.
-    fn evict_tail(&mut self) -> bool {
+    /// Evicts this shard's least-recently-used frame and returns it;
+    /// `None` when the shard is empty.
+    fn evict_tail(&mut self) -> Option<Arc<[u8]>> {
         if self.tail == NIL {
-            return false;
+            return None;
         }
-        let victim = self.nodes[self.tail].key;
-        self.invalidate(victim);
+        let victim = self.invalidate(self.nodes[self.tail].key);
         self.evictions += 1;
-        true
+        victim
     }
 
     fn clear(&mut self) {
@@ -828,6 +864,28 @@ mod tests {
         pool.insert(p(9), frame(100), 10);
         assert!(pool.get(p(9)).is_some(), "oversized frame admitted after clearing shard");
         assert!(pool.get(p(1)).is_none());
+    }
+
+    #[test]
+    fn displaced_frames_are_released_not_parked() {
+        // Evicted, replaced and invalidated frames must leave the pool
+        // entirely (no copy parked in a free-listed node): the caller's
+        // handle ends up the only reference.
+        let pool = BufferPool::with_shards(2, 1);
+        let (a, b, c) = (frame(8), frame(8), frame(8));
+        pool.insert(p(1), Arc::clone(&a), 1);
+        pool.insert(p(2), Arc::clone(&b), 1);
+        pool.insert(p(2), frame(8), 1); // replaces b
+        assert_eq!(Arc::strong_count(&b), 1);
+        pool.insert(p(3), Arc::clone(&c), 2); // evicts a and the new 2
+        assert_eq!(Arc::strong_count(&a), 1);
+        assert_eq!(pool.stats().evictions(), 2);
+        pool.invalidate(p(3));
+        assert_eq!(Arc::strong_count(&c), 1);
+        assert_eq!(pool.used_pages(), 0);
+        // Freed nodes are reused and serve hits again.
+        pool.insert(p(4), Arc::clone(&a), 1);
+        assert_eq!(pool.get(p(4)).map(|f| f.len()), Some(8));
     }
 
     #[test]

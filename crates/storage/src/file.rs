@@ -32,7 +32,9 @@
 //! reads against the metering [`DiskSim`], a miss reads and verifies the
 //! covering pages, charges physical reads, and admits the frame under LRU
 //! eviction — the cost model of the in-memory simulator, now with the
-//! bytes actually coming off disk.
+//! bytes actually coming off disk. A miss reads every page into one
+//! per-thread buffer, verifies it there and copies out only the payload,
+//! so its cost is the `pread`s, the checksums and one frame allocation.
 //!
 //! # Fault injection
 //!
@@ -41,6 +43,7 @@
 //! transient `EIO`, sticky bit flips); the crash-recovery suite drives
 //! every write boundary of a commit through it.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::path::Path;
@@ -57,6 +60,14 @@ use crate::format::{
 };
 use crate::lock::WriterLock;
 use crate::stats::IoStats;
+
+thread_local! {
+    /// This thread's raw-page read buffer. A miss reads each covering page
+    /// into it, verifies it there and copies only the payload out, so the
+    /// read path allocates the object's frame and nothing else. Grown (and
+    /// zero-filled) once per thread per page size, not once per page.
+    static PAGE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Default buffer-pool capacity for file-backed stores (pages), matching
 /// the simulator's 256-page (1 MB at 4 KB) default.
@@ -556,22 +567,17 @@ impl FileBackend {
             .ok_or(StorageError::OutOfBounds { page, page_count: u64::MAX / self.page_size as u64 })
     }
 
-    fn read_page_raw(&self, page: u64) -> Result<Vec<u8>, StorageError> {
-        let mut buf = vec![0u8; self.page_size];
+    /// Fills `buf` (one page long) with page `page` as it sits on disk —
+    /// or as the attached [`FaultPlan`] says the media returns it. The
+    /// bytes are unverified: callers run [`decode_page`] on them.
+    fn read_page_raw(&self, page: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+        debug_assert_eq!(buf.len(), self.page_size);
         let offset = self.page_offset(page)?;
+        self.file.read_exact_at(buf, offset).map_err(|_| StorageError::TruncatedObject { page })?;
         if let Some(plan) = &self.faults {
-            // Fault check first so a scripted transient EIO fires even on
-            // pages the pool would otherwise have absorbed below.
-            self.file
-                .read_exact_at(&mut buf, offset)
-                .map_err(|_| StorageError::TruncatedObject { page })?;
-            plan.on_read(offset, &mut buf).map_err(StorageError::Io)?;
-        } else {
-            self.file
-                .read_exact_at(&mut buf, offset)
-                .map_err(|_| StorageError::TruncatedObject { page })?;
+            plan.on_read(offset, buf).map_err(StorageError::Io)?;
         }
-        Ok(buf)
+        Ok(())
     }
 
     fn write_page_raw(&self, page: u64, buf: &[u8]) -> Result<(), StorageError> {
@@ -630,13 +636,33 @@ impl FileBackend {
     /// Reads, validates and assembles the object rooted at `first`.
     /// Returns the payload and its covering page count. Lock-free in
     /// positional mode: positional page reads, atomic bounds check.
+    ///
+    /// Every covering page goes through the thread's scratch buffer and
+    /// is verified there (CRC, then type, then length) before a byte of
+    /// it is kept; a one-page object's frame is built straight from the
+    /// verified payload slice — one allocation and one copy per miss.
     fn read_object(&self, first: u64) -> Result<(Arc<[u8]>, usize), StorageError> {
         let page_count = self.page_count.load(Ordering::Acquire);
         if first < DATA_START || first >= page_count {
             return Err(StorageError::OutOfBounds { page: first, page_count });
         }
-        let head = self.read_page_raw(first)?;
-        let view = decode_page(&head, first)?;
+        let (frame, pages) = PAGE_SCRATCH.with_borrow_mut(|buf| {
+            buf.resize(self.page_size, 0);
+            self.assemble(first, page_count, buf)
+        })?;
+        self.learn_size(first, frame.len() as u32);
+        Ok((frame, pages))
+    }
+
+    /// [`Self::read_object`] past the bounds check, reading through `buf`.
+    fn assemble(
+        &self,
+        first: u64,
+        page_count: u64,
+        buf: &mut [u8],
+    ) -> Result<(Arc<[u8]>, usize), StorageError> {
+        self.read_page_raw(first, buf)?;
+        let view = decode_page(buf, first)?;
         if view.ptype != PageType::ObjFirst {
             return Err(StorageError::BadPageType { page: first, found: view.ptype as u8 });
         }
@@ -648,29 +674,31 @@ impl FileBackend {
         if first + pages as u64 > page_count {
             return Err(StorageError::TruncatedObject { page: first + pages as u64 - 1 });
         }
-        let mut data = Vec::with_capacity(total_len);
-        data.extend_from_slice(&view.payload[4..]);
+        let head = &view.payload[4..];
         let mut continues = view.continues;
-        for i in 1..pages {
-            if !continues {
-                return Err(StorageError::TruncatedObject { page: first + i as u64 - 1 });
+        let frame: Arc<[u8]> = if pages == 1 {
+            Arc::from(head)
+        } else {
+            let mut data = Vec::with_capacity(total_len);
+            data.extend_from_slice(head);
+            for page in first + 1..first + pages as u64 {
+                if !continues {
+                    return Err(StorageError::TruncatedObject { page: page - 1 });
+                }
+                self.read_page_raw(page, buf)?;
+                let v = decode_page(buf, page)?;
+                if v.ptype != PageType::ObjCont {
+                    return Err(StorageError::BadPageType { page, found: v.ptype as u8 });
+                }
+                data.extend_from_slice(v.payload);
+                continues = v.continues;
             }
-            let raw = self.read_page_raw(first + i as u64)?;
-            let v = decode_page(&raw, first + i as u64)?;
-            if v.ptype != PageType::ObjCont {
-                return Err(StorageError::BadPageType {
-                    page: first + i as u64,
-                    found: v.ptype as u8,
-                });
-            }
-            data.extend_from_slice(v.payload);
-            continues = v.continues;
+            data.into()
+        };
+        if frame.len() != total_len || continues {
+            return Err(StorageError::BadLength { page: first, len: frame.len(), max: total_len });
         }
-        if data.len() != total_len || continues {
-            return Err(StorageError::BadLength { page: first, len: data.len(), max: total_len });
-        }
-        self.learn_size(first, total_len as u32);
-        Ok((data.into(), pages))
+        Ok((frame, pages))
     }
 
     /// Pool-aware fetch; charges `stats` (when metering) per covering page.
@@ -701,8 +729,9 @@ impl FileBackend {
             return Ok(()); // never committed with a map (fresh/empty file)
         };
         let mut bits: Vec<u8> = Vec::new();
+        let mut raw = vec![0u8; self.page_size];
         for i in 0..sb.alloc_pages as u64 {
-            let raw = self.read_page_raw(alloc_first + i)?;
+            self.read_page_raw(alloc_first + i, &mut raw)?;
             let v = decode_page(&raw, alloc_first + i)?;
             if v.ptype != PageType::AllocMap {
                 return Err(StorageError::BadPageType {
@@ -1010,24 +1039,221 @@ mod tests {
 
     #[test]
     fn flipped_byte_yields_checksum_error() {
+        // Every single-bit flip of either page of a two-page object must
+        // surface as a checksum error naming the flipped page.
         let path = temp_path("corrupt");
         let disk = DiskSim::with_defaults();
         let id = {
-            let be = FileBackend::create(&path, 256, 0).unwrap();
-            let id = be.put(&disk, vec![5u8; 100]).unwrap();
+            let be = FileBackend::create(&path, 128, 0).unwrap();
+            let id = be.put(&disk, (0..200u8).collect()).unwrap();
             be.flush().unwrap();
             id
         };
-        // Flip one payload byte inside the object's page.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[256 * id.0 as usize + 40] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
         let be = FileBackend::open(&path, 0).unwrap();
-        match be.get(&disk, id) {
-            Err(StorageError::ChecksumMismatch { page }) => assert_eq!(page, id.0),
-            other => panic!("expected checksum mismatch, got {other:?}"),
+        assert_eq!(be.get(&disk, id).unwrap().len(), 200);
+        let mut bytes = std::fs::read(&path).unwrap();
+        for bit in 0..2 * 128 * 8 {
+            let at = 128 * id.0 as usize + bit / 8;
+            bytes[at] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            match be.get(&disk, id) {
+                Err(StorageError::ChecksumMismatch { page }) => {
+                    assert_eq!(page, id.0 + (bit / 8 / 128) as u64, "bit {bit}")
+                }
+                other => panic!("bit {bit}: expected checksum mismatch, got {other:?}"),
+            }
+            bytes[at] ^= 1 << (bit % 8);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// One raw 256-byte page with a valid checksum.
+    fn raw_page(ptype: PageType, flags: u8, payload: &[u8]) -> Vec<u8> {
+        let mut page = vec![0u8; 256];
+        encode_page(&mut page, ptype, flags, payload);
+        page
+    }
+
+    /// First-page payload: the object's declared length, then `data`.
+    fn first_payload(total_len: u32, data: &[u8]) -> Vec<u8> {
+        [&total_len.to_le_bytes()[..], data].concat()
+    }
+
+    #[test]
+    fn read_object_error_arms_keep_their_variant_and_page() {
+        // Structurally wrong objects whose pages all pass their CRC: each
+        // arm's typed error and the page it names are part of the read
+        // contract — with and without a fault plan attached (which routes
+        // every page through `on_read`).
+        const CAP: usize = 256 - PAGE_HEADER;
+        use PageType::{AllocMap, ObjCont, ObjFirst};
+        let full = vec![7u8; CAP];
+        let cases: Vec<(&str, Vec<Vec<u8>>, &str)> = vec![
+            (
+                "continuation page where an object should start",
+                vec![raw_page(ObjCont, 0, &first_payload(10, &[1; 10]))],
+                "BadPageType { page: 2, found: 2 }",
+            ),
+            (
+                "allocation-map page where an object should start",
+                vec![raw_page(AllocMap, 0, &first_payload(10, &[1; 10]))],
+                "BadPageType { page: 2, found: 3 }",
+            ),
+            (
+                "first-page type on a continuation",
+                vec![
+                    raw_page(ObjFirst, FLAG_CONTINUES, &first_payload(300, &full[..CAP - 4])),
+                    raw_page(ObjFirst, 0, &[2; 300 - (CAP - 4)]),
+                ],
+                "BadPageType { page: 3, found: 1 }",
+            ),
+            (
+                "first payload too short for the length prefix",
+                vec![raw_page(ObjFirst, 0, &[1, 2, 3])],
+                "BadLength { page: 2, len: 3, max: 4 }",
+            ),
+            (
+                "multi-page length but no continuation flag",
+                vec![
+                    raw_page(ObjFirst, 0, &first_payload(300, &full[..CAP - 4])),
+                    raw_page(ObjCont, 0, &[2; 300 - (CAP - 4)]),
+                ],
+                "TruncatedObject { page: 2 }",
+            ),
+            (
+                "chain broken on a middle page",
+                vec![
+                    raw_page(ObjFirst, FLAG_CONTINUES, &first_payload(600, &full[..CAP - 4])),
+                    raw_page(ObjCont, 0, &full),
+                    raw_page(ObjCont, 0, &[2; 600 - (2 * CAP - 4)]),
+                ],
+                "TruncatedObject { page: 3 }",
+            ),
+            (
+                "continuation flag on a one-page object",
+                vec![raw_page(ObjFirst, FLAG_CONTINUES, &first_payload(10, &[1; 10]))],
+                "BadLength { page: 2, len: 10, max: 10 }",
+            ),
+            (
+                "continuation flag on the last page",
+                vec![
+                    raw_page(ObjFirst, FLAG_CONTINUES, &first_payload(300, &full[..CAP - 4])),
+                    raw_page(ObjCont, FLAG_CONTINUES, &[2; 300 - (CAP - 4)]),
+                ],
+                "BadLength { page: 2, len: 300, max: 300 }",
+            ),
+            (
+                "one page carrying fewer bytes than declared",
+                vec![raw_page(ObjFirst, 0, &first_payload(10, &[1; 6]))],
+                "BadLength { page: 2, len: 6, max: 10 }",
+            ),
+            (
+                "one page carrying more bytes than declared",
+                vec![raw_page(ObjFirst, 0, &first_payload(10, &[1; 50]))],
+                "BadLength { page: 2, len: 50, max: 10 }",
+            ),
+            (
+                "continuation pages summing short of the declared length",
+                vec![
+                    raw_page(ObjFirst, FLAG_CONTINUES, &first_payload(300, &full[..CAP - 4])),
+                    raw_page(ObjCont, 0, &[2; 5]),
+                ],
+                "BadLength { page: 2, len: 249, max: 300 }",
+            ),
+            (
+                "declared length running past the end of the file",
+                vec![raw_page(ObjFirst, FLAG_CONTINUES, &first_payload(100_000, &full[..CAP - 4]))],
+                "TruncatedObject { page: 405 }",
+            ),
+        ];
+        let path = temp_path("error_arms");
+        let disk = DiskSim::with_defaults();
+        for (what, pages, expected) in cases {
+            {
+                // A committed file with exactly `pages.len()` data pages…
+                let be = FileBackend::create(&path, 256, 0).unwrap();
+                be.put(&disk, vec![0u8; pages.len() * CAP - 4]).unwrap();
+                be.flush().unwrap();
+            }
+            // …whose contents are then swapped for the crafted ones.
+            let mut bytes = std::fs::read(&path).unwrap();
+            for (i, page) in pages.iter().enumerate() {
+                let at = 256 * (DATA_START as usize + i);
+                bytes[at..at + 256].copy_from_slice(page);
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let plan = FaultPlan::new();
+            let faulted = FileOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
+            for opts in [FileOptions::default(), faulted] {
+                let be = FileBackend::open_with(&path, opts).unwrap();
+                let err = be.get(&disk, PageId(DATA_START)).unwrap_err();
+                assert_eq!(format!("{err:?}"), expected, "{what}");
+            }
+            assert!(plan.reads_observed() > 0, "{what}: the plan saw the pages read");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn fault_plan_sees_each_page_before_verification() {
+        // A sticky flip scripted on the *second* page of an object: the
+        // first page must verify, the flip must land in the bytes that
+        // get checksummed (so it is caught, on that page), and the plan
+        // must have been shown both pages.
+        let path = temp_path("fault_order");
+        let disk = DiskSim::with_defaults();
+        let id = {
+            let be = FileBackend::create(&path, 256, 0).unwrap();
+            let id = be.put(&disk, vec![9u8; 400]).unwrap();
+            be.flush().unwrap();
+            id
+        };
+        let plan = FaultPlan::new();
+        let opts = FileOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
+        let be = FileBackend::open_with(&path, opts).unwrap();
+        let opened = plan.reads_observed();
+        assert_eq!(&be.get(&disk, id).unwrap()[..], &[9u8; 400][..]);
+        assert_eq!(plan.reads_observed() - opened, 2);
+        plan.corrupt_byte(256 * (id.0 + 1) + 100, 0x10);
+        match be.get(&disk, id) {
+            Err(StorageError::ChecksumMismatch { page }) => assert_eq!(page, id.0 + 1),
+            other => panic!("expected checksum mismatch on the continuation, got {other:?}"),
+        }
+        assert_eq!(plan.reads_observed() - opened, 4);
+        // The flip lives in the plan, not in the thread's read buffer: a
+        // clean handle on the same thread reads the object intact.
+        let clean = FileBackend::open(&path, 0).unwrap();
+        assert_eq!(&clean.get(&disk, id).unwrap()[..], &[9u8; 400][..]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn scratch_buffer_follows_the_page_size() {
+        // One thread alternating between files of different page sizes:
+        // the shared read buffer must be re-sized per read, never leaking
+        // one file's tail bytes into another's checksum.
+        let disk = DiskSim::with_defaults();
+        let files: Vec<_> = [4096usize, 128, 1024]
+            .iter()
+            .map(|&size| {
+                let path = temp_path(&format!("scratch_{size}"));
+                let data: Vec<u8> = (0..3 * size).map(|i| (i % 253) as u8).collect();
+                let be = FileBackend::create(&path, size, 0).unwrap();
+                let ids = [be.put(&disk, data.clone()), be.put(&disk, data[..40].to_vec())];
+                be.flush().unwrap();
+                (path, data, ids.map(Result::unwrap))
+            })
+            .collect();
+        let opened: Vec<_> = files.iter().map(|f| FileBackend::open(&f.0, 0).unwrap()).collect();
+        for _ in 0..3 {
+            for (be, (_, data, [big, small])) in opened.iter().zip(&files) {
+                assert_eq!(&be.get(&disk, *big).unwrap()[..], &data[..]);
+                assert_eq!(&be.get(&disk, *small).unwrap()[..], &data[..40]);
+            }
+        }
+        for (path, ..) in &files {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]
