@@ -188,6 +188,9 @@ fn main() {
     };
 
     let done = AtomicBool::new(false);
+    // Readers pin the base generation before the first commit lands: a
+    // patch commit is quicker than eight thread starts and opens.
+    let pinned = std::sync::Barrier::new(READERS + 1);
     let inconsistent = AtomicU64::new(0);
     let queries = AtomicU64::new(0);
     let mut latencies: Vec<u64> = Vec::new();
@@ -196,10 +199,11 @@ fn main() {
         let mut handles = Vec::new();
         for _ in 0..READERS {
             let (done, inconsistent, queries) = (&done, &inconsistent, &queries);
-            let (race_path, ans_a) = (&race_path, &ans_a);
+            let (race_path, ans_a, pinned) = (&race_path, &ans_a, &pinned);
             handles.push(s.spawn(move || {
-                let (cube, rtree) =
-                    SignatureCube::open_from_with(race_path, 256).expect("reader open");
+                let opened = SignatureCube::open_from_with(race_path, 256);
+                pinned.wait();
+                let (cube, rtree) = opened.expect("reader open");
                 assert_eq!(cube.store().generation(), Some(gen_a), "reader must pin base gen");
                 let disk = DiskSim::with_defaults();
                 let mut local = Vec::new();
@@ -220,6 +224,7 @@ fn main() {
         }
         // Writer: publish ROUNDS patch commits spaced across the window,
         // so readers overlap every phase of a commit.
+        pinned.wait();
         for r in 0..ROUNDS {
             let (_fb, store) = open_writable_counted(&race_path);
             let from = BASE + r * step;

@@ -22,19 +22,63 @@
 //!   every R-tree insert/delete of the snapshot runs first, their update
 //!   sets coalesce per tid (first `old_path`, last `new_path`, no-ops
 //!   dropped — [`crate::maintain::PathUpdateBatch`]), and a single
-//!   [`crate::maintain::apply_path_updates`] rewrites each touched cell
-//!   signature once (COW `replace_cell`), so a flush costs O(touched
-//!   cells), not O(ops × cuboids). A cell signature is a pure function of
-//!   the set of tuple paths in the cell, which is why the coalesced set
-//!   lands on exactly the signatures the op-by-op application would. One
+//!   [`crate::maintain::apply_path_updates`] splices each touched cell
+//!   once, node-granular: only the nodes whose bits changed are
+//!   re-encoded and only the partials holding one are COW-appended, so
+//!   the signature side of a flush costs what it changed, not the cells
+//!   it landed in. A cell signature is a pure function of the set of
+//!   tuple paths in the cell, which is why the coalesced set lands on
+//!   exactly the signatures the op-by-op application would. One
 //!   crash-atomic `commit` publishes the result, then the WAL is
-//!   compacted via the same fsync + atomic-rename publish protocol the
-//!   vacuum uses ([`rcube_storage::FileBackend::publish_swap`]), all
-//!   under the cube file's advisory writer lock. Readers are never
+//!   compacted via the fsync + atomic-rename protocol the vacuum uses
+//!   ([`rcube_storage::FileBackend::swap_in`]). The fold and the commit
+//!   run under the cube file's advisory writer lock. Readers are never
 //!   blocked: they serve the generation they opened until their cursors
 //!   drain; at the swap the superseded generation drops its buffer-pool
 //!   frames and decoded-node cache (a cursor still pinned on it keeps the
 //!   frames it holds and re-reads the rest on demand).
+//!
+//! # The warm path: the serving generation is the writer's cache
+//!
+//! A flush patches the newest committed generation, so it needs that
+//! generation's cuboid directory and R-tree. The serving handle a
+//! previous flush published *is* those, in memory: it was built from the
+//! very values that flush serialized into the catalog. Each published
+//! handle therefore keeps the [`FileStamp`] of its commit, and a flush —
+//! with the writer lock held — compares it with the stamp of the file it
+//! has just opened for writing: same device and inode (the serving
+//! handle's descriptor pins the inode, so the pair cannot be a recycled
+//! number), same elected generation, page count and catalog page. On a
+//! match the stored catalog is, byte for byte, the serialization of what
+//! the handle holds, nobody can change it under the lock, and the flush
+//! clones the directory and the R-tree — copy-on-write, one pointer per
+//! node, so the fold copies only the nodes it edits and consecutive
+//! generations share the rest — instead of reading and parsing ~1.4 MB
+//! of catalog. After the commit the folded directory and tree *move*
+//! into the next serving handle over a read-only store opened before the
+//! lock is released (and stamp-checked the same way); nothing is parsed
+//! there either.
+//!
+//! Everything else takes the cold path, `SignatureCube::open_store`'s
+//! catalog parse, which stays the only one: the first flush after
+//! [`DeltaCube::open`] (this process published nothing yet), a vacuum
+//! swap (another inode under the path), another writer's commit (another
+//! generation), a flush of this process that committed and then failed
+//! before the swap (the file is a generation ahead of the serving
+//! handle), a platform without file identity. There is no option to
+//! force either path; `FlushReport::cold_opens` and
+//! `delta.flush.cold_opens` say which ran.
+//!
+//! # Reading a flush
+//!
+//! Every cycle records `delta.flush.{open,fold,commit,wal,swap}_us`
+//! histograms (writable handle + catalog; R-tree ops + splice; catalog
+//! write + superblock publish; WAL compaction; read-handle open +
+//! in-process swap), `delta.flush.{path_updates, cells_rewritten,
+//! partials_rewritten, nodes_reencoded, cold_opens}` counters, and one
+//! structured `delta.flush` event ([`DeltaCube::flush_events`]) carrying
+//! all of them with the generation. [`FlushReport`] and [`DeltaStats`]
+//! carry the counts for callers without a registry.
 //!
 //! # Serving: the three-way certified merge
 //!
@@ -59,21 +103,30 @@
 //!    `commit` (crash-atomic superblock publish — a crash before the
 //!    commit leaves the old generation, and the untouched WAL replays
 //!    everything);
-//! 2. rewrite the WAL (temp + fsync + rename): flushed ops move from
-//!    the *pending* section to compact *applied* records that persist
-//!    each delta tuple's selection values — a crash between commit and
-//!    rename replays the flushed ops back into the memtable, where they
-//!    shadow the identical base data and the next flush re-applies them
-//!    idempotently (delete-then-insert on the R-tree; a tombstone that
-//!    replaced such an op in the memtable keeps its selection values, so
-//!    the re-fold can still clear the tuple from its cells);
-//! 3. only then swap the serving handle and prune the memtable, atomic
-//!    under the memtable lock, so a concurrent open sees either
-//!    (old generation + full overlay) or (new generation + pruned
-//!    overlay) — the same logical relation either way.
+//! 2. open the next read handle — the last step that can fail for a
+//!    reason other than the WAL itself — then rewrite the WAL (temp +
+//!    fsync + rename): flushed ops move from the *pending* section to
+//!    compact *applied* records that persist each delta tuple's selection
+//!    values — a crash between commit and rename replays the flushed ops
+//!    back into the memtable, where they shadow the identical base data
+//!    and the next flush re-applies them idempotently (delete-then-insert
+//!    on the R-tree; a tombstone that replaced such an op in the memtable
+//!    keeps its selection values, so the re-fold can still clear the
+//!    tuple from its cells);
+//! 3. only then, with no fallible call in between, move the append
+//!    handle to the descriptor the compacted WAL was written through (it
+//!    follows its inode across the rename — the path is never opened
+//!    again, so no later append can land in the unlinked old WAL), swap
+//!    the serving handle and prune the memtable, atomic under the
+//!    memtable lock, so a concurrent open sees either (old generation +
+//!    full overlay) or (new generation + pruned overlay) — the same
+//!    logical relation either way. The directory fsync that makes the
+//!    rename durable gates only the flush's own `Ok`.
 //!
-//! Appends block for the duration of a flush (they share the writer
-//! mutex); readers never do.
+//! A flush that fails before the rename leaves the process as it was —
+//! old WAL, old generation, full memtable — and writes acknowledged
+//! after it are in the WAL a restart reads. Appends block for the
+//! duration of a flush (they share the writer mutex); readers never do.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
@@ -84,15 +137,15 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use rcube_index::rtree::RTree;
-use rcube_obs::{Counter, Gauge, Histogram, Metrics};
+use rcube_obs::{Counter, Gauge, Histogram, Metrics, QueryTrace, TraceEvent};
 use rcube_storage::format::crc32;
 use rcube_storage::{
-    DiskSim, FaultPlan, FileBackend, PageStore, StorageError, SwapStage, WriteOutcome,
+    DiskSim, FaultPlan, FileBackend, FileStamp, PageStore, StorageError, SwapStage, WriteOutcome,
     DEFAULT_POOL_PAGES,
 };
 use rcube_table::{Relation, Tid};
 
-use crate::maintain::{apply_path_updates, PathUpdateBatch};
+use crate::maintain::{apply_path_updates, MaintenanceCounts, PathUpdateBatch};
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
 use crate::sigcube::SignatureCube;
 use crate::QueryStats;
@@ -486,10 +539,18 @@ impl DeltaWriter {
 /// Nodes chain append-only through [`OnceLock`], so a cursor holding
 /// `&BaseHandle` stays valid for the [`DeltaCube`]'s whole lifetime —
 /// flushes append a new node, they never drop an old one.
+///
+/// Consecutive generations share every R-tree node the flush between
+/// them left alone (the tree is copy-on-write, `rcube_index::rtree`).
 struct BaseHandle {
     cube: SignatureCube,
     rtree: RTree,
     generation: u64,
+    /// What the flush that built this handle stamped into the file when
+    /// it committed — the generation whose catalog is, byte for byte, the
+    /// serialization of `cube`'s directory and `rtree`. `None` for the
+    /// handle [`DeltaCube::open`] parsed off the file.
+    published: Option<FileStamp>,
 }
 
 struct GenNode {
@@ -524,6 +585,15 @@ pub struct FlushReport {
     /// Pages the cycle appended to the cube file (rewritten partials,
     /// catalog, allocation map).
     pub pages_appended: u64,
+    /// Partial signatures appended in place of the ones holding a changed
+    /// node (at most the partials of the touched cells).
+    pub partials_rewritten: usize,
+    /// Signature nodes re-encoded; the other nodes of the rewritten
+    /// partials were copied as stored bits.
+    pub nodes_reencoded: usize,
+    /// 1 when the cycle had to parse the catalog off the file (module
+    /// docs, *The warm path*), 0 when it reused the serving generation's.
+    pub cold_opens: u64,
 }
 
 /// What folding one snapshot did to the writable base handle (the
@@ -531,8 +601,40 @@ pub struct FlushReport {
 struct FoldCounts {
     applied_ops: usize,
     path_updates: usize,
-    cells_rewritten: usize,
+    spliced: MaintenanceCounts,
 }
+
+/// The `delta.flush*` instruments, resolved once at open.
+struct FlushInstruments {
+    duration: Histogram,
+    /// `delta.flush.{open,fold,commit,wal,swap}_us`, in that order.
+    phases: [Histogram; 5],
+    flushes: Counter,
+    path_updates: Counter,
+    cells_rewritten: Counter,
+    partials_rewritten: Counter,
+    nodes_reencoded: Counter,
+    cold_opens: Counter,
+}
+
+impl FlushInstruments {
+    fn new(metrics: &Metrics) -> Self {
+        let phase = |name: &str| metrics.histogram(&format!("delta.flush.{name}_us"));
+        Self {
+            duration: metrics.histogram("delta.flush_duration_us"),
+            phases: ["open", "fold", "commit", "wal", "swap"].map(phase),
+            flushes: metrics.counter("delta.flushes"),
+            path_updates: metrics.counter("delta.flush.path_updates"),
+            cells_rewritten: metrics.counter("delta.flush.cells_rewritten"),
+            partials_rewritten: metrics.counter("delta.flush.partials_rewritten"),
+            nodes_reencoded: metrics.counter("delta.flush.nodes_reencoded"),
+            cold_opens: metrics.counter("delta.flush.cold_opens"),
+        }
+    }
+}
+
+/// Flush events [`DeltaCube::flush_events`] retains.
+const FLUSH_LOG_EVENTS: usize = 64;
 
 /// Point-in-time delta-layer state for `Engine::stats_snapshot`.
 #[derive(Debug, Clone, Copy)]
@@ -549,6 +651,12 @@ pub struct DeltaStats {
     pub flushes: u64,
     /// Base-cube generation new cursors serve.
     pub serving_generation: u64,
+    /// Partial signatures the flushes since open rewrote.
+    pub partials_rewritten: u64,
+    /// Signature nodes the flushes since open re-encoded.
+    pub nodes_reencoded: u64,
+    /// Flushes since open that parsed the catalog off the file.
+    pub cold_opens: u64,
     /// What replay found when this handle opened.
     pub last_replay: ReplayReport,
 }
@@ -574,16 +682,18 @@ pub struct DeltaCube {
     metrics: Metrics,
     last_replay: ReplayReport,
     flushes: AtomicU64,
+    partials_rewritten: AtomicU64,
+    nodes_reencoded: AtomicU64,
+    cold_opens: AtomicU64,
     /// Mirrors of writer-guarded state for lock-free stats.
     wal_len: AtomicU64,
     applied_count: AtomicU64,
     mem_depth: Gauge,
     wal_bytes_ctr: Counter,
     appends_ctr: Counter,
-    flush_hist: Histogram,
-    flushes_ctr: Counter,
-    path_updates_ctr: Counter,
-    cells_rewritten_ctr: Counter,
+    flush_instruments: FlushInstruments,
+    /// One `delta.flush` event per cycle (see [`Self::flush_events`]).
+    flush_log: QueryTrace,
 }
 
 impl std::fmt::Debug for DeltaCube {
@@ -610,9 +720,9 @@ impl DeltaCube {
         let path = path.as_ref().to_path_buf();
         let wal_path = wal_path_for(&path);
         let (cube, rtree) = SignatureCube::open_from_with(&path, opts.pool_pages)?;
-        let generation = FileBackend::peek_superblock(&path)?.generation;
+        let generation = cube.store().generation().unwrap_or(0);
         let head = Box::new(GenNode {
-            handle: BaseHandle { cube, rtree, generation },
+            handle: BaseHandle { cube, rtree, generation, published: None },
             next: OnceLock::new(),
         });
 
@@ -678,13 +788,14 @@ impl DeltaCube {
             faults: opts.faults,
             last_replay: state.report,
             flushes: AtomicU64::new(0),
+            partials_rewritten: AtomicU64::new(0),
+            nodes_reencoded: AtomicU64::new(0),
+            cold_opens: AtomicU64::new(0),
             mem_depth,
             wal_bytes_ctr: metrics.counter("delta.wal_bytes"),
             appends_ctr: metrics.counter("delta.appends"),
-            flush_hist: metrics.histogram("delta.flush_duration_us"),
-            flushes_ctr: metrics.counter("delta.flushes"),
-            path_updates_ctr: metrics.counter("delta.flush.path_updates"),
-            cells_rewritten_ctr: metrics.counter("delta.flush.cells_rewritten"),
+            flush_instruments: FlushInstruments::new(&metrics),
+            flush_log: QueryTrace::new(FLUSH_LOG_EVENTS),
             metrics,
         })
     }
@@ -724,6 +835,17 @@ impl DeltaCube {
         self.current().generation
     }
 
+    /// The most recent flush cycles, one `delta.flush` event each, oldest
+    /// first: its duration, and as fields the generation it published,
+    /// the five phase times (`open_us` … `swap_us`), what the fold touched
+    /// (`applied_ops`, `path_updates`, `cells_rewritten`,
+    /// `partials_rewritten`, `nodes_reencoded`, `pages_appended`) and
+    /// `warm` (1 when it reused the serving generation's catalog). A cycle
+    /// that failed leaves the bare event, duration only.
+    pub fn flush_events(&self) -> Vec<TraceEvent> {
+        self.flush_log.events()
+    }
+
     /// Point-in-time delta-layer state.
     pub fn stats(&self) -> DeltaStats {
         let mem = self.mem.read().unwrap();
@@ -734,6 +856,9 @@ impl DeltaCube {
             applied_tuples: self.applied_count.load(Ordering::SeqCst) as usize,
             flushes: self.flushes.load(Ordering::SeqCst),
             serving_generation: self.serving_generation(),
+            partials_rewritten: self.partials_rewritten.load(Ordering::Relaxed),
+            nodes_reencoded: self.nodes_reencoded.load(Ordering::Relaxed),
+            cold_opens: self.cold_opens.load(Ordering::Relaxed),
             last_replay: self.last_replay,
         }
     }
@@ -890,9 +1015,8 @@ impl DeltaCube {
         for u in &updates {
             selections.insert(u.tid, self.selection_values_for(u.tid, snapshot, applied)?);
         }
-        let cells_rewritten =
-            apply_path_updates(cube, &updates, |t| selections[&t].clone(), &self.disk)?;
-        Ok(FoldCounts { applied_ops, path_updates: updates.len(), cells_rewritten })
+        let spliced = apply_path_updates(cube, &updates, |t| selections[&t].clone(), &self.disk)?;
+        Ok(FoldCounts { applied_ops, path_updates: updates.len(), spliced })
     }
 
     /// Folds the current memtable into the base cube and compacts the
@@ -916,11 +1040,25 @@ impl DeltaCube {
                 path_updates: 0,
                 cells_rewritten: 0,
                 pages_appended: 0,
+                partials_rewritten: 0,
+                nodes_reencoded: 0,
+                cold_opens: 0,
             });
         }
+        let event = self.flush_log.span("delta.flush");
+        let mut mark = Instant::now();
+        let mut lap = || {
+            let now = Instant::now();
+            let us = now.duration_since(mark).as_micros() as u64;
+            mark = now;
+            us
+        };
 
-        // 1. Fold the snapshot into the base via incremental maintenance
-        //    on a writable handle (acquires the advisory writer lock).
+        // 1. A writable handle on the base (acquires the advisory writer
+        //    lock). When the file under the lock is the very file and
+        //    generation the serving handle was published at, that handle's
+        //    directory and R-tree *are* the stored catalog: clone them (one
+        //    pointer per R-tree node) instead of parsing it.
         let store = match &self.faults {
             Some(plan) => PageStore::with_backend(Arc::new(FileBackend::open_writable_faulted(
                 &self.path,
@@ -929,11 +1067,24 @@ impl DeltaCube {
             )?)),
             None => PageStore::open_file_writable(&self.path, self.pool_pages)?,
         };
-        let pages_before = FileBackend::peek_superblock(&self.path)?.page_count;
-        let (mut cube, mut rtree) = SignatureCube::open_store(store)?;
+        let opened = store.file_stamp();
+        let serving = self.current();
+        let warm = matches!(
+            (&serving.published, &opened),
+            (Some(published), Some(opened)) if published.same_publication(opened)
+        );
+        let (mut cube, mut rtree) = if warm {
+            (serving.cube.clone_onto(store), serving.rtree.clone())
+        } else {
+            SignatureCube::open_store(store)?
+        };
         cube.set_metrics(self.metrics.clone());
-        let FoldCounts { applied_ops, path_updates, cells_rewritten } =
+        let open_us = lap();
+
+        // 2. Fold the snapshot in via incremental maintenance, commit.
+        let FoldCounts { applied_ops, path_updates, spliced } =
             self.fold_snapshot(&mut cube, &mut rtree, &snapshot, &w.applied)?;
+        let fold_us = lap();
         let generation = cube.commit(&rtree)?;
         if self.faults.as_ref().is_some_and(|p| p.crashed()) {
             // The scripted page-level crash hit during the fold: the
@@ -943,11 +1094,38 @@ impl DeltaCube {
                 "injected crash during delta flush",
             )));
         }
-        drop((cube, rtree)); // releases the cube file's writer lock
-        let pages_appended =
-            FileBackend::peek_superblock(&self.path)?.page_count.saturating_sub(pages_before);
+        let committed = cube.store().file_stamp();
+        let pages_appended = match (&opened, &committed) {
+            (Some(before), Some(after)) => after.page_count.saturating_sub(before.page_count),
+            _ => 0,
+        };
+        let commit_us = lap();
 
-        // 2. Compact the WAL: flushed upserts become applied records,
+        // 3. The next serving handle: a fresh read-only store, opened while
+        //    the writer lock is still held, under the directory and R-tree
+        //    just committed. Everything that can fail on the way to the
+        //    swap fails here, before the WAL moves. (Dropping the writable
+        //    store inside `move_onto` releases the lock.)
+        let read_store = PageStore::open_file(&self.path, self.pool_pages)?;
+        let next = match (committed, read_store.file_stamp()) {
+            (Some(committed), Some(reopened)) if committed.same_publication(&reopened) => {
+                BaseHandle {
+                    cube: cube.move_onto(read_store),
+                    rtree,
+                    generation,
+                    published: Some(committed),
+                }
+            }
+            // No file identity on this platform: parse what was committed.
+            _ => {
+                drop((cube, rtree));
+                let (cube, rtree) = SignatureCube::open_store(read_store)?;
+                BaseHandle { cube, rtree, generation, published: None }
+            }
+        };
+        let mut swap_us = lap();
+
+        // 4. Compact the WAL: flushed upserts become applied records,
         //    flushed deletes evict their applied record, pending section
         //    empties (appends were blocked the whole flush).
         let flushed_seq = w.next_seq - 1;
@@ -959,6 +1137,7 @@ impl DeltaCube {
             os.push(".new");
             PathBuf::from(os)
         };
+        let mut compacted = wal_header(flushed_seq).to_vec();
         {
             let survivors = w
                 .applied
@@ -969,23 +1148,34 @@ impl DeltaCube {
                 MemOp::Upsert { sel, point } => Some((tid, sel, point)),
                 MemOp::Delete { .. } => None,
             });
-            let mut tf = File::create(&temp)?;
-            tf.write_all(&wal_header(flushed_seq))?;
             let mut payload = Vec::new();
             for (tid, sel, point) in survivors.chain(flushed) {
                 payload.clear();
                 encode_upsert(&mut payload, KIND_APPLIED, 0, *tid, sel, point);
-                tf.write_all(&frame(&payload))?;
+                compacted.extend_from_slice(&frame(&payload));
             }
-            tf.sync_data()?;
         }
-        // fsync + atomic rename + dir fsync, with the scripted
-        // TempSync/Rename crash points — the vacuum's publish protocol.
-        FileBackend::publish_swap(&temp, &self.wal_path, self.faults.as_ref())?;
-        w.file = OpenOptions::new().read(true).write(true).open(&self.wal_path)?;
-        w.offset = w.file.metadata()?.len();
-        // The compacted WAL is durable: only now does the in-process
-        // applied set follow it.
+        // Opened read+write: once renamed over the WAL this descriptor *is*
+        // the WAL (it follows the inode), so it becomes the append handle
+        // without the path being opened again.
+        let mut temp_file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&temp)?;
+        temp_file.write_all(&compacted)?;
+        temp_file.sync_data()?;
+        // fsync + atomic rename, with the scripted TempSync/Rename crash
+        // points — the vacuum's publish protocol up to the rename.
+        FileBackend::swap_in(&temp, &self.wal_path, self.faults.as_ref())?;
+
+        // 5. The rename happened. Nothing from here to the end of the
+        //    in-process swap can fail: appends go to the new WAL, the
+        //    applied set follows it, and the serving generation and the
+        //    memtable change in one critical section — a concurrent open
+        //    sees old+full or new+empty, never a mix. Open cursors ride
+        //    their pinned node.
+        w.file = temp_file;
+        w.offset = compacted.len() as u64;
+        let dir_synced = FileBackend::sync_parent_dir(&self.wal_path);
+        let wal_us = lap();
         for (tid, op) in snapshot {
             match op {
                 MemOp::Upsert { sel, point } => {
@@ -998,15 +1188,9 @@ impl DeltaCube {
         }
         self.wal_len.store(w.offset, Ordering::SeqCst);
         self.applied_count.store(w.applied.len() as u64, Ordering::SeqCst);
-
-        // 3. Swap the serving generation and prune the memtable in one
-        //    critical section: a concurrent open sees old+full or
-        //    new+empty, never a mix. Open cursors ride their pinned node.
-        let (new_cube, new_rtree) = SignatureCube::open_from_with(&self.path, self.pool_pages)?;
-        let retired = self.current();
         {
             let mut mem = self.mem.write().unwrap();
-            self.push_generation(BaseHandle { cube: new_cube, rtree: new_rtree, generation });
+            self.push_generation(next);
             mem.ops.clear();
             mem.bytes = 0;
             self.mem_depth.set(0);
@@ -1014,22 +1198,57 @@ impl DeltaCube {
         // The superseded generation stays in the chain for its pinned
         // cursors, but stops holding caches nobody new will read: cursors
         // keep the `Arc` frames they hold and re-read the rest on demand.
-        retired.cube.store().clear_cache();
-        retired.cube.node_cache().clear();
+        serving.cube.store().clear_cache();
+        serving.cube.node_cache().clear();
+        swap_us += lap();
+
+        let cold_opens = u64::from(!warm);
         self.flushes.fetch_add(1, Ordering::SeqCst);
-        self.flushes_ctr.inc();
-        self.path_updates_ctr.add(path_updates as u64);
-        self.cells_rewritten_ctr.add(cells_rewritten as u64);
+        self.partials_rewritten.fetch_add(spliced.partials_rewritten as u64, Ordering::Relaxed);
+        self.nodes_reencoded.fetch_add(spliced.nodes_reencoded as u64, Ordering::Relaxed);
+        self.cold_opens.fetch_add(cold_opens, Ordering::Relaxed);
+        let ins = &self.flush_instruments;
+        ins.flushes.inc();
+        ins.path_updates.add(path_updates as u64);
+        ins.cells_rewritten.add(spliced.cells_rewritten as u64);
+        ins.partials_rewritten.add(spliced.partials_rewritten as u64);
+        ins.nodes_reencoded.add(spliced.nodes_reencoded as u64);
+        ins.cold_opens.add(cold_opens);
+        let phases = [open_us, fold_us, commit_us, wal_us, swap_us];
+        for (hist, us) in ins.phases.iter().zip(phases) {
+            hist.record(us);
+        }
         let duration = start.elapsed();
-        self.flush_hist.record(duration.as_micros() as u64);
+        ins.duration.record(duration.as_micros() as u64);
+        event
+            .record("generation", generation as f64)
+            .record("warm", f64::from(u8::from(warm)))
+            .record("open_us", open_us as f64)
+            .record("fold_us", fold_us as f64)
+            .record("commit_us", commit_us as f64)
+            .record("wal_us", wal_us as f64)
+            .record("swap_us", swap_us as f64)
+            .record("applied_ops", applied_ops as f64)
+            .record("path_updates", path_updates as f64)
+            .record("cells_rewritten", spliced.cells_rewritten as f64)
+            .record("partials_rewritten", spliced.partials_rewritten as f64)
+            .record("nodes_reencoded", spliced.nodes_reencoded as f64)
+            .record("pages_appended", pages_appended as f64)
+            .finish();
+        // The state above matches the namespace whether or not the rename
+        // is durable yet; only the report waits on the directory.
+        dir_synced?;
         Ok(FlushReport {
             applied_ops,
             generation,
             duration,
             live_delta_tuples: self.applied_count.load(Ordering::SeqCst) as usize,
             path_updates,
-            cells_rewritten,
+            cells_rewritten: spliced.cells_rewritten,
             pages_appended,
+            partials_rewritten: spliced.partials_rewritten,
+            nodes_reencoded: spliced.nodes_reencoded,
+            cold_opens,
         })
     }
 }
@@ -1430,7 +1649,7 @@ mod tests {
         cleanup(&path);
     }
 
-    // ---- fold equivalence: batched ≡ per-op ≡ rebuilt -------------------
+    // ---- fold equivalence: spliced ≡ whole-cell ≡ per-op ≡ rebuilt -------
 
     /// One step of a generated ingest history. Delete indices are taken
     /// modulo the respective population, so every generated step is valid.
@@ -1443,6 +1662,9 @@ mod tests {
         DeleteBase(usize),
         DeleteFlushed(usize),
         DeletePending(usize),
+        /// Deletes every live tuple whose selection dimension `.0` holds
+        /// value `.1`: the next flush empties that cell.
+        DeleteWhere(usize, u32),
         Flush,
         /// A flush that dies between the cube commit and the WAL rewrite,
         /// then a reopen: the next flush re-folds an already-applied
@@ -1453,14 +1675,17 @@ mod tests {
     const FOLD_BASE: usize = 48;
     const FOLD_CARD: u32 = 3;
 
-    fn fold_base_file(path: &Path) -> Relation {
+    /// `alpha` cuts the cells: the default leaves one partial each, a tiny
+    /// one a node or two per partial, so node drops empty whole partials.
+    fn fold_base_file(path: &Path, alpha: f64) -> Relation {
         let rel = SyntheticSpec { tuples: FOLD_BASE, cardinality: FOLD_CARD, ..Default::default() }
             .generate();
         let disk = DiskSim::with_defaults();
         // Fanout 6 / min 2: a handful of inserts cascades splits up to a
         // new root, a handful of deletes underflows a leaf.
         let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(6));
-        let cube = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
+        let config = SignatureCubeConfig { alpha, cuboids: None };
+        let cube = SignatureCube::build(&rel, &rtree, &disk, config);
         cube.save_to_with(&rtree, path, 512, 64).expect("save base cube");
         rel
     }
@@ -1469,6 +1694,19 @@ mod tests {
     fn tombstone(pending: &mut BTreeMap<Tid, MemOp>, tid: Tid) {
         let shadowed_sel = pending.get(&tid).and_then(MemOp::sel).cloned();
         pending.insert(tid, MemOp::Delete { shadowed_sel });
+    }
+
+    /// Selection values as the model knows them: the snapshot's own, then a
+    /// flushed delta tuple's, then the base relation's.
+    fn model_selection<'a>(
+        base: &'a Relation,
+        snapshot: &'a BTreeMap<Tid, MemOp>,
+        applied: &'a BTreeMap<Tid, Vec<u32>>,
+    ) -> impl Fn(Tid) -> Vec<u32> + Copy + 'a {
+        move |t| match (snapshot.get(&t).and_then(MemOp::sel), applied.get(&t)) {
+            (Some(sel), _) | (None, Some(sel)) => sel.clone(),
+            _ => (0..base.schema().num_selection()).map(|d| base.selection_value(t, d)).collect(),
+        }
     }
 
     /// The per-op fold `DeltaCube::flush` replaced, kept as the reference:
@@ -1482,10 +1720,7 @@ mod tests {
     ) {
         let disk = DiskSim::with_defaults();
         let (mut cube, mut rtree) = SignatureCube::open_writable_with(path, 64).unwrap();
-        let sel_of = |t: Tid| match (snapshot.get(&t).and_then(MemOp::sel), applied.get(&t)) {
-            (Some(sel), _) | (None, Some(sel)) => sel.clone(),
-            _ => (0..base.schema().num_selection()).map(|d| base.selection_value(t, d)).collect(),
-        };
+        let sel_of = model_selection(base, snapshot, applied);
         for (&tid, op) in snapshot {
             let updates = rtree.delete(&disk, tid);
             apply_path_updates(&mut cube, &updates, sel_of, &disk).unwrap();
@@ -1495,6 +1730,49 @@ mod tests {
             }
         }
         cube.commit(&rtree).unwrap();
+    }
+
+    /// The fold `DeltaCube::flush` runs, with the whole-cell Algorithm 2 in
+    /// place of the splice: the same R-tree operations, the same net update
+    /// set, every touched cell loaded, edited and re-encoded whole.
+    fn fold_whole_cell(
+        path: &Path,
+        base: &Relation,
+        snapshot: &BTreeMap<Tid, MemOp>,
+        applied: &BTreeMap<Tid, Vec<u32>>,
+    ) {
+        let disk = DiskSim::with_defaults();
+        let (mut cube, mut rtree) = SignatureCube::open_writable_with(path, 64).unwrap();
+        let sel_of = model_selection(base, snapshot, applied);
+        let mut batch = PathUpdateBatch::new();
+        for (&tid, op) in snapshot {
+            let mut updates = rtree.delete(&disk, tid);
+            if let MemOp::Upsert { point, .. } = op {
+                updates.extend(rtree.insert(&disk, tid, point.clone()));
+            }
+            batch.extend(updates);
+        }
+        let updates = batch.into_updates();
+        crate::maintain::apply_path_updates_whole_cell(&mut cube, &updates, sel_of, &disk).unwrap();
+        cube.commit(&rtree).unwrap();
+    }
+
+    /// Every cell's stored nodes (`SignatureCube::cell_nodes`), after
+    /// checking the catalog invariants the splice must leave.
+    type CellNodes = BTreeMap<(Vec<usize>, u32), crate::sigcube::StoredNodes>;
+
+    fn cell_nodes(cube: &SignatureCube) -> CellNodes {
+        let page = DiskSim::with_defaults().page_size();
+        let mut out = BTreeMap::new();
+        for dims in cube.cuboid_dims() {
+            for v in 0..FOLD_CARD {
+                if cube.cell_signature(&dims, &[v]).is_some() {
+                    cube.assert_cell_wellformed(&dims, &[v], Some(page));
+                    out.insert((dims.clone(), v), cube.cell_nodes(&dims, &[v]));
+                }
+            }
+        }
+        out
     }
 
     /// `(cuboid dims, cell values)` → the cell's tuple paths, sorted.
@@ -1544,15 +1822,21 @@ mod tests {
             .collect()
     }
 
-    /// Drives `steps` through a real `DeltaCube` (batched fold) and through
-    /// the per-op reference on a twin file, then checks both against each
-    /// other and against a cube built from scratch over the final R-tree.
-    /// Returns the tallest R-tree any flush served and the ops they applied.
-    fn check_history(tag: &str, steps: &[Step]) -> (usize, usize) {
-        let (path_a, path_b) = (temp_path(&format!("{tag}_a")), temp_path(&format!("{tag}_b")));
-        let base = fold_base_file(&path_a);
+    /// Drives `steps` through a real `DeltaCube` (batched, spliced fold),
+    /// through the whole-cell reference and through the per-op reference on
+    /// twin files, then checks all three against each other and against a
+    /// cube built from scratch over the final R-tree. After every flush the
+    /// spliced cube and the whole-cell twin must hold the same nodes, bits
+    /// and codings, in a well-formed catalog; the first flush after an open
+    /// must be cold and every other one warm. Returns the tallest R-tree
+    /// any flush served and the ops they applied.
+    fn check_history(tag: &str, steps: &[Step], alpha: f64) -> (usize, usize) {
+        let [path_a, path_b, path_c] = ["a", "b", "c"].map(|t| temp_path(&format!("{tag}_{t}")));
+        let base = fold_base_file(&path_a, alpha);
         std::fs::copy(&path_a, &path_b).unwrap();
+        std::fs::copy(&path_a, &path_c).unwrap();
         let cuboids = base.schema().num_selection();
+        let mut fresh_open = true;
 
         // The model the reference folds from: pending ops, live flushed
         // delta tuples, and the latest row under every tid (a reopen may
@@ -1567,9 +1851,10 @@ mod tests {
             })
             .collect();
         let mut live_base: Vec<Tid> = base.tids().collect();
-        let (mut applied_ops, mut max_height) = (0usize, 0usize);
+        let mut applied_ops = 0usize;
 
         let mut delta = DeltaCube::open(&path_a, base.clone(), DeltaOptions::default()).unwrap();
+        let mut max_height = delta.current().rtree.height();
         let settle = |pending: &mut BTreeMap<Tid, MemOp>, flushed: &mut BTreeMap<Tid, Vec<u32>>| {
             for (tid, op) in std::mem::take(pending) {
                 match op {
@@ -1602,12 +1887,54 @@ mod tests {
                     delta.delete(tid).unwrap();
                     tombstone(&mut pending, tid);
                 }
+                Step::DeleteWhere(dim, v) => {
+                    let upserts = pending
+                        .iter()
+                        .filter(|(_, op)| matches!(op, MemOp::Upsert { .. }))
+                        .map(|(&tid, _)| tid);
+                    let live: Vec<Tid> = live_base
+                        .iter()
+                        .copied()
+                        .chain(flushed.keys().copied())
+                        .chain(upserts)
+                        .filter(|t| !matches!(pending.get(t), Some(MemOp::Delete { .. })))
+                        .collect();
+                    let (doomed, kept): (Vec<Tid>, Vec<Tid>) =
+                        live.into_iter().partition(|&t| rows[t as usize].0[*dim] == *v);
+                    // An R-tree with no tuple left does not serialize.
+                    if kept.len() >= 4 {
+                        for tid in doomed {
+                            delta.delete(tid).unwrap();
+                            tombstone(&mut pending, tid);
+                        }
+                        live_base.retain(|&t| rows[t as usize].0[*dim] != *v);
+                    }
+                }
                 Step::Flush => {
                     let report = delta.flush().unwrap();
                     fold_per_op(&path_b, &base, &pending, &flushed);
+                    if !pending.is_empty() {
+                        fold_whole_cell(&path_c, &base, &pending, &flushed);
+                        let (cube_c, _) = SignatureCube::open_from_with(&path_c, 64).unwrap();
+                        assert_eq!(
+                            cell_nodes(&delta.current().cube),
+                            cell_nodes(&cube_c),
+                            "spliced fold != whole-cell fold"
+                        );
+                        assert_eq!(
+                            report.cold_opens,
+                            u64::from(fresh_open),
+                            "warm unless just opened"
+                        );
+                        fresh_open = false;
+                    }
+                    max_height = max_height.max(delta.current().rtree.height());
+                    assert!(
+                        report.nodes_reencoded <= report.path_updates * cuboids * 2 * max_height,
+                        "only nodes on an old or a new path are re-encoded"
+                    );
                     settle(&mut pending, &mut flushed);
                     applied_ops += report.applied_ops;
-                    max_height = max_height.max(delta.current().rtree.height());
                     assert!(
                         report.cells_rewritten <= (report.path_updates * cuboids),
                         "a net path update touches one cell per cuboid"
@@ -1624,11 +1951,16 @@ mod tests {
                     let crashed = dying.flush();
                     assert_eq!(crashed.is_err(), !pending.is_empty(), "the swap stage is reached");
                     drop(dying);
-                    // The cube committed, the WAL did not move: the twin
-                    // folds once now and the ops stay pending for a re-fold.
+                    // The cube committed, the WAL did not move: the twins
+                    // fold once now and the ops stay pending for a re-fold.
                     fold_per_op(&path_b, &base, &pending, &flushed);
+                    if !pending.is_empty() {
+                        fold_whole_cell(&path_c, &base, &pending, &flushed);
+                    }
+                    fresh_open = true;
                     delta =
                         DeltaCube::open(&path_a, base.clone(), DeltaOptions::default()).unwrap();
+                    max_height = max_height.max(delta.current().rtree.height());
                     assert_eq!(delta.memtable_len(), pending.len(), "replay restores the snapshot");
                 }
                 _ => {} // a delete with nothing of its kind to delete
@@ -1644,16 +1976,30 @@ mod tests {
         };
         let (cube_a, rtree_a) = SignatureCube::open_from_with(&path_a, 64).unwrap();
         let (cube_b, rtree_b) = SignatureCube::open_from_with(&path_b, 64).unwrap();
+        let (cube_c, rtree_c) = SignatureCube::open_from_with(&path_c, 64).unwrap();
         let (mut paths_a, mut paths_b) = (rtree_a.tuple_paths(), rtree_b.tuple_paths());
         paths_a.sort();
         paths_b.sort();
         assert_eq!(paths_a, paths_b, "both folds drive the R-tree through the same operations");
+        let mut paths_c = rtree_c.tuple_paths();
+        paths_c.sort();
+        assert_eq!(paths_a, paths_c, "the whole-cell twin ran the same operations");
         let disk = DiskSim::with_defaults();
-        let rebuilt = SignatureCube::build(&full, &rtree_a, &disk, SignatureCubeConfig::default());
+        let config = SignatureCubeConfig { alpha, cuboids: None };
+        let rebuilt = SignatureCube::build(&full, &rtree_a, &disk, config);
 
         let cells = cell_path_sets(&cube_a);
         assert_eq!(cells, cell_path_sets(&cube_b), "batched fold != per-op fold");
+        assert_eq!(cells, cell_path_sets(&cube_c), "spliced fold != whole-cell fold");
         assert_eq!(cells, cell_path_sets(&rebuilt), "batched fold != cube built from scratch");
+        // Node by node: the whole-cell twin to the bit and the coding, the
+        // rebuild on the set bits (a recorded length remembers a slot that
+        // was once set, which a from-scratch build never saw).
+        let nodes = cell_nodes(&cube_a);
+        assert_eq!(nodes, cell_nodes(&cube_c), "spliced nodes != whole-cell nodes");
+        let ones =
+            |cells: &CellNodes| cells.values().map(crate::sigcube::set_bits).collect::<Vec<_>>();
+        assert_eq!(ones(&nodes), ones(&cell_nodes(&rebuilt)), "spliced nodes != rebuilt nodes");
         let answers = cube_answers(&cube_a, &rtree_a);
         assert_eq!(answers, cube_answers(&cube_b, &rtree_b), "answers: batched != per-op");
         assert_eq!(answers, cube_answers(&rebuilt, &rtree_a), "answers: batched != rebuilt");
@@ -1666,8 +2012,9 @@ mod tests {
         assert_eq!(answers[3].len(), paths_a.len(), "the unfiltered drain sees every live tuple");
 
         drop(delta);
-        cleanup(&path_a);
-        cleanup(&path_b);
+        for path in [&path_a, &path_b, &path_c] {
+            cleanup(path);
+        }
         (max_height, applied_ops)
     }
 
@@ -1698,7 +2045,18 @@ mod tests {
                                  // Drain the base until leaves underflow and condense re-inserts.
         steps.extend((0..36).map(Step::DeleteBase));
         steps.extend((0..30).map(|i| Step::DeleteFlushed(i * 5)));
-        let (height, applied_ops) = check_history("script", &steps);
+        // A cell emptied by one flush and filled again by the next…
+        steps.push(Step::Flush);
+        steps.push(Step::DeleteWhere(0, 1));
+        steps.push(Step::Flush);
+        steps.extend((100..130).map(insert_step));
+        steps.push(Step::Flush);
+        // …and one emptied and filled again inside a single snapshot.
+        steps.push(Step::DeleteWhere(1, 2));
+        steps.extend((130..150).map(insert_step));
+        let (height, applied_ops) = check_history("script", &steps, 0.75);
+        // Cut a node or two per partial: drops empty whole partials.
+        check_history("script_small", &steps, 1e-6);
         let built = RTree::over_relation(
             &DiskSim::with_defaults(),
             &SyntheticSpec { tuples: FOLD_BASE, cardinality: FOLD_CARD, ..Default::default() }
@@ -1712,13 +2070,14 @@ mod tests {
 
     fn step_strategy() -> impl proptest::Strategy<Value = Step> {
         use proptest::Strategy;
-        (0u32..20, 0u32..27, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(kind, n, x, y)| match kind {
+        (0u32..21, 0u32..27, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(kind, n, x, y)| match kind {
             0..=9 => Step::Insert { sel: vec![n % 3, (n / 3) % 3, n / 9], point: vec![x, y] },
             10..=12 => Step::DeleteBase(n as usize),
             13..=14 => Step::DeleteFlushed(n as usize),
             15..=16 => Step::DeletePending(n as usize),
             17..=18 => Step::Flush,
-            _ => Step::CrashedFlush,
+            19 => Step::CrashedFlush,
+            _ => Step::DeleteWhere(n as usize % 3, (n / 3) % 3),
         })
     }
 
@@ -1727,9 +2086,268 @@ mod tests {
         #[test]
         fn proptest_batched_fold_equals_per_op_fold_and_rebuild(
             steps in proptest::collection::vec(step_strategy(), 1..90),
+            small_alpha in proptest::bool::ANY,
         ) {
-            check_history("prop", &steps);
+            check_history("prop", &steps, if small_alpha { 1e-6 } else { 0.75 });
         }
+    }
+
+    // ---- warm flush ≡ cold flush, and when warm is not allowed -----------
+
+    fn sel_of(rel: &Relation, tid: Tid) -> Vec<u32> {
+        (0..rel.schema().num_selection()).map(|d| rel.selection_value(tid, d)).collect()
+    }
+
+    /// How a run of [`run_rounds`] treats the cube file before each flush.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Before {
+        /// Nothing: every flush after the first reuses the serving handle.
+        Nothing,
+        /// Puts a byte-identical copy under the path — another inode, so
+        /// the flush must not trust what it holds in memory.
+        SwapInCopy,
+        /// Drops the delta cube and opens it again.
+        Reopen,
+    }
+
+    /// Six rounds of clustered inserts (leaf splits up to a new root) and
+    /// deletes over `path`, a flush after each; returns every flush's
+    /// `cold_opens`.
+    fn run_rounds(path: &Path, full: &Relation, base: &Relation, before: Before) -> Vec<u64> {
+        let mut delta = DeltaCube::open(path, base.clone(), DeltaOptions::default()).unwrap();
+        let mut cold = Vec::new();
+        for round in 0..6u32 {
+            for tid in 300 + round * 20..320 + round * 20 {
+                let f = f64::from(tid % 13) / 300.0;
+                delta.insert(&sel_of(full, tid), &[0.4 + f, 0.5 - f]).unwrap();
+            }
+            for tid in round * 7..round * 7 + 5 {
+                delta.delete(tid).unwrap();
+            }
+            delta.delete(300 + round * 20).unwrap();
+            match before {
+                Before::Nothing => {}
+                Before::SwapInCopy => {
+                    let copy = temp_path("swap_copy");
+                    std::fs::copy(path, &copy).unwrap();
+                    std::fs::rename(&copy, path).unwrap();
+                }
+                Before::Reopen => {
+                    drop(delta);
+                    delta = DeltaCube::open(path, base.clone(), DeltaOptions::default()).unwrap();
+                }
+            }
+            cold.push(delta.flush().unwrap().cold_opens);
+        }
+        cold
+    }
+
+    #[test]
+    fn warm_flushes_leave_the_file_cold_flushes_would() {
+        let full = SyntheticSpec { tuples: 420, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let paths = ["warm", "cold", "reopened"].map(temp_path);
+        build_base(&base, &paths[0]);
+        std::fs::copy(&paths[0], &paths[1]).unwrap();
+        std::fs::copy(&paths[0], &paths[2]).unwrap();
+
+        assert_eq!(run_rounds(&paths[0], &full, &base, Before::Nothing), [1, 0, 0, 0, 0, 0]);
+        assert_eq!(run_rounds(&paths[1], &full, &base, Before::SwapInCopy), [1; 6]);
+        assert_eq!(run_rounds(&paths[2], &full, &base, Before::Reopen), [1; 6]);
+
+        // Same process, same R-tree page allocator: the warm file and the
+        // always-cold file are the same bytes — every partial, every
+        // catalog, both superblock slots.
+        let catalog = |path: &Path| {
+            let store = PageStore::open_file(path, 64).unwrap();
+            store.peek(store.catalog().unwrap()).unwrap()
+        };
+        let opened = paths.each_ref().map(|p| SignatureCube::open_from_with(p, 64).unwrap());
+        assert!(opened[0].1.to_bytes() == opened[1].1.to_bytes(), "R-trees differ");
+        assert!(catalog(&paths[0]) == catalog(&paths[1]), "catalogs differ");
+        assert!(std::fs::read(&paths[0]).unwrap() == std::fs::read(&paths[1]).unwrap());
+        // A reopened delta cube numbers the R-tree nodes it allocates from
+        // zero again, so its file differs in those ids — and in nothing a
+        // query or a later fold can see.
+        for (cube, rtree) in &opened[1..] {
+            let (mut got, mut want) = (rtree.tuple_paths(), opened[0].1.tuple_paths());
+            got.sort();
+            want.sort();
+            assert_eq!(got, want);
+            assert_eq!(cell_path_sets(cube), cell_path_sets(&opened[0].0));
+            assert_eq!(cell_nodes(cube), cell_nodes(&opened[0].0));
+            assert_eq!(cube_answers(cube, rtree), cube_answers(&opened[0].0, &opened[0].1));
+        }
+        drop(opened);
+        paths.iter().for_each(|p| cleanup(p));
+    }
+
+    /// Inserts `tids` of `full` and flushes; returns the flush's `cold_opens`.
+    fn ingest_and_flush(delta: &DeltaCube, full: &Relation, tids: std::ops::Range<Tid>) -> u64 {
+        for tid in tids {
+            assert_eq!(delta.insert(&sel_of(full, tid), &full.ranking_point(tid)).unwrap(), tid);
+        }
+        delta.flush().unwrap().cold_opens
+    }
+
+    /// The merged view must answer like a cube built over `rel` from scratch.
+    fn assert_answers_like_rebuilt(delta: &DeltaCube, rel: &Relation, what: &str) {
+        for q in fold_queries() {
+            let got = delta.source().open(&q.plan()).unwrap().try_drain().unwrap().items;
+            assert_eq!(render(&got), render(&rebuilt_answers(rel, &q)), "{what}: {q:?}");
+        }
+    }
+
+    #[test]
+    fn a_file_the_writer_did_not_publish_forces_the_cold_path() {
+        let full = SyntheticSpec { tuples: 400, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("forced_cold");
+        build_base(&base, &path);
+        let metrics = Metrics::new();
+        let opts = DeltaOptions { metrics: metrics.clone(), ..Default::default() };
+        let delta = DeltaCube::open(&path, base.clone(), opts).unwrap();
+        assert_eq!(ingest_and_flush(&delta, &full, 300..310), 1, "first flush after open");
+        assert_eq!(ingest_and_flush(&delta, &full, 310..320), 0, "its own file, as it left it");
+
+        // A vacuum swaps another file under the path.
+        let config =
+            crate::MaintenanceConfig { page_size: 512, pool_pages: 64, ..Default::default() };
+        crate::vacuum_into_place(&path, &config, &Metrics::disabled(), None).unwrap();
+        assert_eq!(ingest_and_flush(&delta, &full, 320..330), 1, "after a vacuum swap");
+        assert_answers_like_rebuilt(&delta, &full.prefix(330), "after a vacuum swap");
+        assert_eq!(ingest_and_flush(&delta, &full, 330..340), 0);
+
+        // Another writer commits a generation of its own.
+        {
+            let (cube, rtree) = SignatureCube::open_writable_with(&path, 64).unwrap();
+            cube.commit(&rtree).unwrap();
+        }
+        assert_eq!(ingest_and_flush(&delta, &full, 340..350), 1, "after a foreign commit");
+        assert_answers_like_rebuilt(&delta, &full.prefix(350), "after a foreign commit");
+        assert_eq!(ingest_and_flush(&delta, &full, 350..360), 0);
+
+        // A flush of its own that committed and then failed before the swap
+        // (a directory sits where the compacted WAL is written): the file
+        // is one generation ahead of the serving handle.
+        let blocker = {
+            let mut os = wal_path_for(&path).into_os_string();
+            os.push(".new");
+            PathBuf::from(os)
+        };
+        std::fs::create_dir(&blocker).unwrap();
+        for tid in 360..370 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        let generation = delta.serving_generation();
+        assert!(matches!(delta.flush(), Err(StorageError::Io(_))));
+        assert_eq!(delta.serving_generation(), generation, "nothing was swapped");
+        assert_eq!(delta.memtable_len(), 10, "nothing was pruned");
+        std::fs::remove_dir(&blocker).unwrap();
+        // Writes acknowledged after the failed flush go to the WAL a restart
+        // reads, and the re-fold is cold.
+        assert_eq!(ingest_and_flush(&delta, &full, 370..380), 1, "after a half-done flush");
+        assert_answers_like_rebuilt(&delta, &full.prefix(380), "after a half-done flush");
+        assert_eq!(delta.stats().cold_opens, 4);
+        assert_eq!(metrics.counter("delta.flush.cold_opens").get(), 4);
+
+        for tid in 380..385 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        drop(delta);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        assert_eq!(delta.last_replay().pending, 5);
+        assert_answers_like_rebuilt(&delta, &full.prefix(385), "reopened");
+        drop(delta);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn writes_acknowledged_after_a_failed_flush_survive_a_restart() {
+        let full = SyntheticSpec { tuples: 340, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("failed_flush");
+        build_base(&base, &path);
+        let plan = FaultPlan::new();
+        let opts = DeltaOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
+        let delta = DeltaCube::open(&path, base.clone(), opts).unwrap();
+        for tid in 300..320 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        // The disk fills up under the second page the fold appends: a typed
+        // error, no panic, and the process lives on.
+        plan.enospc_at_page_write(plan.writes_observed() + 1);
+        assert!(matches!(delta.flush(), Err(StorageError::Io(_))));
+        assert_eq!(delta.memtable_len(), 20);
+        for tid in 320..330 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        // So does a flush that works, and what is acknowledged after it.
+        assert_eq!(delta.flush().unwrap().applied_ops, 30);
+        for tid in 330..340 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        drop(delta);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        assert_eq!((delta.last_replay().applied, delta.last_replay().pending), (30, 10));
+        assert_answers_like_rebuilt(&delta, &full, "reopened");
+        drop(delta);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn flush_phases_land_in_the_registry_and_the_event_log() {
+        let full = SyntheticSpec { tuples: 330, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("instruments");
+        build_base(&base, &path);
+        let metrics = Metrics::new();
+        let opts = DeltaOptions { metrics: metrics.clone(), ..Default::default() };
+        let delta = DeltaCube::open(&path, base.clone(), opts).unwrap();
+        assert_eq!(delta.flush().unwrap().applied_ops, 0, "an empty flush is not a cycle");
+        assert!(delta.flush_events().is_empty());
+        let mut reports = Vec::new();
+        for round in 0..3u32 {
+            for tid in 300 + round * 10..310 + round * 10 {
+                delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+            }
+            reports.push(delta.flush().unwrap());
+        }
+
+        let snap = metrics.snapshot();
+        for phase in ["open", "fold", "commit", "wal", "swap"] {
+            let hist = snap.histogram(&format!("delta.flush.{phase}_us")).expect(phase);
+            assert_eq!(hist.count, 3, "{phase}");
+        }
+        let sum = |f: fn(&FlushReport) -> usize| reports.iter().map(f).sum::<usize>() as u64;
+        let (partials, nodes) = (sum(|r| r.partials_rewritten), sum(|r| r.nodes_reencoded));
+        assert!(partials > 0 && nodes >= partials);
+        assert_eq!(snap.counter("delta.flush.partials_rewritten"), Some(partials));
+        assert_eq!(snap.counter("delta.flush.nodes_reencoded"), Some(nodes));
+        assert_eq!(snap.counter("delta.flush.cold_opens"), Some(1));
+        let stats = delta.stats();
+        assert_eq!(
+            (stats.partials_rewritten, stats.nodes_reencoded, stats.cold_opens),
+            (partials, nodes, 1)
+        );
+
+        let events = delta.flush_events();
+        assert_eq!(events.len(), 3);
+        for (event, report) in events.iter().zip(&reports) {
+            assert_eq!(event.name, "delta.flush");
+            let field = |key: &str| {
+                event.fields.iter().find(|(k, _)| *k == key).unwrap_or_else(|| panic!("{key}")).1
+            };
+            assert_eq!(field("generation"), report.generation as f64);
+            assert_eq!(field("warm"), 1.0 - report.cold_opens as f64);
+            assert_eq!(field("nodes_reencoded"), report.nodes_reencoded as f64);
+            assert_eq!(field("pages_appended"), report.pages_appended as f64);
+            let phases: f64 =
+                ["open_us", "fold_us", "commit_us", "wal_us", "swap_us"].map(field).iter().sum();
+            assert!(phases <= event.dur_us.unwrap() as f64 + 5.0, "phases fit in the cycle");
+        }
+        drop(delta);
+        cleanup(&path);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Background maintenance: watermark-triggered live vacuum with atomic
 //! file swap.
 //!
-//! COW maintenance ([`crate::sigcube::SignatureCube::replace_cell`] +
-//! `commit`) retires the old copies of patched partials; the pages stay
+//! COW maintenance ([`crate::maintain::apply_path_updates`] + `commit`)
+//! retires the old copies of patched partials; the pages stay
 //! in the file so readers pinned on older generations keep streaming
 //! them, and the file grows without bound until someone compacts it.
 //! This module makes that compaction a *non-event*:

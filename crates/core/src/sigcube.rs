@@ -90,7 +90,7 @@ impl Default for SignatureCubeConfig {
 }
 
 /// A compressed, decomposed, paged signature.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StoredSignature {
     /// Fanout of the mirrored partition.
     m: usize,
@@ -109,16 +109,28 @@ pub struct StoredSignature {
 }
 
 impl StoredSignature {
-    /// Serializes, compresses, decomposes and stores `sig`.
+    /// Serializes, compresses, decomposes and stores `sig`. Panics when
+    /// the store rejects a write (see [`Self::try_write`]).
     pub fn write(
         sig: &Signature,
         disk: &DiskSim,
         store: &PageStore,
         alpha: f64,
     ) -> StoredSignature {
+        Self::try_write(sig, disk, store, alpha)
+            .unwrap_or_else(|e| panic!("StoredSignature::write: {e}"))
+    }
+
+    /// Fallible [`Self::write`]: a failed append comes back typed.
+    pub fn try_write(
+        sig: &Signature,
+        disk: &DiskSim,
+        store: &PageStore,
+        alpha: f64,
+    ) -> Result<StoredSignature, StorageError> {
         let m = sig.fanout();
         let depth = sig.depth();
-        let target_bits = ((disk.page_size() as f64) * alpha * 8.0).max(64.0) as usize;
+        let target_bits = partial_target_bits(disk, alpha);
 
         // BFS over the signature tree, emitting (sid, node) codings.
         let mut partials = Vec::new();
@@ -142,15 +154,15 @@ impl StoredSignature {
             }
             if cur.len() >= target_bits {
                 total_bits += cur.len();
-                partials.push(flush_partial(&mut cur, disk, store));
+                partials.push(flush_partial(&mut cur, disk, store)?);
             }
         }
         if !cur.is_empty() {
             total_bits += cur.len();
-            partials.push(flush_partial(&mut cur, disk, store));
+            partials.push(flush_partial(&mut cur, disk, store)?);
         }
         debug_assert_eq!(partials.len(), first_sid.len());
-        StoredSignature { m, depth, partials, first_sid, total_bits }
+        Ok(StoredSignature { m, depth, partials, first_sid, total_bits })
     }
 
     /// Number of partial signatures.
@@ -202,13 +214,24 @@ impl StoredSignature {
     }
 }
 
-fn flush_partial(cur: &mut BitWriter, disk: &DiskSim, store: &PageStore) -> PageId {
+/// Bits of node codings after which [`StoredSignature::write`] closes a
+/// partial: `α · page` (Section 4.2.3), the rest of the page being the
+/// slack incremental maintenance grows into.
+fn partial_target_bits(disk: &DiskSim, alpha: f64) -> usize {
+    ((disk.page_size() as f64) * alpha * 8.0).max(64.0) as usize
+}
+
+fn flush_partial(
+    cur: &mut BitWriter,
+    disk: &DiskSim,
+    store: &PageStore,
+) -> Result<PageId, StorageError> {
     let taken = std::mem::take(cur);
     let (bytes, bit_len) = taken.into_parts();
     let mut payload = Vec::with_capacity(4 + bytes.len());
     payload.extend_from_slice(&(bit_len as u32).to_le_bytes());
     payload.extend_from_slice(&bytes);
-    store.put(disk, payload)
+    store.try_put(disk, payload)
 }
 
 /// SID varint: 7 value bits per group, MSB-first, high continuation bit.
@@ -226,6 +249,11 @@ fn push_varint(w: &mut BitWriter, mut v: u64) {
         w.push(cont);
         w.push_bits(g as u64, 7);
     }
+}
+
+/// Bits [`push_varint`] spends on `v`.
+fn varint_bits(v: u64) -> usize {
+    8 * (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
 }
 
 fn read_varint(r: &mut BitReader) -> Option<u64> {
@@ -324,6 +352,198 @@ fn scan_partial(bytes: Arc<[u8]>, m: usize) -> Result<PartialView, StorageError>
         dir.push((sid, off));
     }
     Ok(PartialView { bytes, bit_len, dir })
+}
+
+/// [`scan_partial`] of partial `pi` of `stored`, cross-checked against the
+/// catalog's first-SID directory: a disagreement would silently route
+/// SIDs to the wrong partial (nodes "absent", wrong pruning) — surface it
+/// as corruption instead.
+fn scan_checked(
+    bytes: Arc<[u8]>,
+    stored: &StoredSignature,
+    pi: usize,
+) -> Result<PartialView, StorageError> {
+    let view = scan_partial(bytes, stored.m)?;
+    if view.dir.first().map(|&(s, _)| s) != Some(stored.first_sid[pi]) {
+        return Err(StorageError::Malformed(
+            "partial signature disagrees with catalog first-SID directory",
+        ));
+    }
+    Ok(view)
+}
+
+impl PartialView {
+    /// Decodes the node at directory slot `di`; also returns the bits its
+    /// coding spans.
+    fn decode_at(&self, di: usize, m: usize) -> Result<(PackedBits, usize), StorageError> {
+        let mut r = BitReader::new(&self.bytes[4..], self.bit_len);
+        r.skip(self.dir[di].1 as usize);
+        let start = r.position();
+        let bits = coding::decode_node(&mut r, m)
+            .ok_or(StorageError::Malformed("corrupt partial signature node"))?;
+        Ok((bits, r.position() - start))
+    }
+
+    /// The bit range slot `di` occupies in the stream, SID prefix included.
+    fn entry_span(&self, di: usize) -> (usize, usize) {
+        let (sid, off) = self.dir[di];
+        let end = self
+            .dir
+            .get(di + 1)
+            .map_or(self.bit_len, |&(next, at)| at as usize - varint_bits(next));
+        (off as usize - varint_bits(sid), end)
+    }
+}
+
+/// What one [`SignatureCube::splice_cell`] wrote.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CellSplice {
+    /// Partial objects appended.
+    pub partials: usize,
+    /// Node codings produced by [`coding::encode_best`] (every other node
+    /// of a rewritten partial was copied as stored bits).
+    pub nodes: usize,
+}
+
+/// One node under a splice: its bits as stored (`None` — the cell has no
+/// such node) and as the edits leave them (`None` — dropped, or absent).
+struct NodeEdit {
+    stored: Option<PackedBits>,
+    now: Option<PackedBits>,
+}
+
+/// The edit phase of a splice: the nodes on the updated paths, decoded on
+/// first touch out of header-scanned partials. Nothing is written here.
+struct CellEdit<'a> {
+    stored: &'a StoredSignature,
+    store: &'a PageStore,
+    disk: &'a DiskSim,
+    /// Partials some touched SID routes to, by index.
+    views: BTreeMap<usize, PartialView>,
+    nodes: BTreeMap<u64, NodeEdit>,
+}
+
+/// SID of the node holding each component of `path` (root first).
+fn sids_along(m: usize, path: &[u16]) -> Vec<u64> {
+    let mut sid = 0u64;
+    let mut out = Vec::with_capacity(path.len());
+    for &p in path {
+        out.push(sid);
+        sid = sid * (m as u64 + 1) + p as u64 + 1;
+    }
+    out
+}
+
+impl CellEdit<'_> {
+    fn node(&mut self, sid: u64) -> Result<&mut NodeEdit, StorageError> {
+        if !self.nodes.contains_key(&sid) {
+            let mut stored = None;
+            if let Some(pi) = self.stored.partial_of(sid) {
+                if !self.views.contains_key(&pi) {
+                    let bytes = self.store.try_get_bytes(self.disk, self.stored.partials[pi])?;
+                    self.views.insert(pi, scan_checked(bytes, self.stored, pi)?);
+                }
+                let view = &self.views[&pi];
+                if let Ok(di) = view.dir.binary_search_by_key(&sid, |&(s, _)| s) {
+                    stored = Some(view.decode_at(di, self.stored.m)?.0);
+                }
+            }
+            self.nodes.insert(sid, NodeEdit { now: stored.clone(), stored });
+        }
+        Ok(self.nodes.get_mut(&sid).expect("just inserted"))
+    }
+
+    /// [`Signature::clear_path`] on the stored nodes: clears the leaf bit
+    /// and drops every node that empties, clearing its bit in the parent.
+    /// A path the cell does not hold is a no-op.
+    fn clear_path(&mut self, path: &[u16]) -> Result<(), StorageError> {
+        let sids = sids_along(self.stored.m, path);
+        for &sid in &sids {
+            if self.node(sid)?.now.is_none() {
+                return Ok(());
+            }
+        }
+        for (&sid, &p) in sids.iter().zip(path).rev() {
+            let node = self.nodes.get_mut(&sid).expect("loaded above");
+            let bits = node.now.as_mut().expect("present above");
+            bits.clear(p as usize);
+            if bits.any() {
+                break;
+            }
+            node.now = None;
+        }
+        Ok(())
+    }
+
+    /// [`Signature::set_path`] on the stored nodes, creating the missing.
+    fn set_path(&mut self, path: &[u16]) -> Result<(), StorageError> {
+        for (sid, &p) in sids_along(self.stored.m, path).into_iter().zip(path) {
+            self.node(sid)?.now.get_or_insert_with(PackedBits::default).set(p as usize);
+        }
+        Ok(())
+    }
+}
+
+/// One node of a partial being rebuilt.
+enum Piece {
+    /// Bits `[from, to)` of the old stream — an untouched node's SID
+    /// prefix and coding, copied as they are.
+    Kept { from: usize, to: usize },
+    /// A changed or new node, SID prefix and coding freshly written.
+    Coded(BitWriter),
+}
+
+impl Piece {
+    fn bits(&self) -> usize {
+        match self {
+            Piece::Kept { from, to } => to - from,
+            Piece::Coded(w) => w.len(),
+        }
+    }
+}
+
+/// The node sequence of `view` after `changes` (SID-ascending; `None`
+/// drops the node): untouched nodes as bit ranges of the old stream,
+/// changed and created ones re-encoded, all in SID order.
+fn rebuilt_pieces(
+    view: &PartialView,
+    changes: &[(u64, Option<&PackedBits>)],
+    m: usize,
+) -> Vec<(u64, Piece)> {
+    let coded = |sid: u64, bits: &PackedBits| {
+        let mut w = BitWriter::new();
+        push_varint(&mut w, sid);
+        coding::encode_best(bits, m, &mut w);
+        (sid, Piece::Coded(w))
+    };
+    let mut out = Vec::with_capacity(view.dir.len() + changes.len());
+    let mut changes = changes.iter().peekable();
+    for (di, &(sid, _)) in view.dir.iter().enumerate() {
+        while let Some(&(at, bits)) = changes.next_if(|c| c.0 < sid) {
+            out.extend(bits.map(|b| coded(at, b)));
+        }
+        match changes.next_if(|c| c.0 == sid) {
+            Some(&(_, bits)) => out.extend(bits.map(|b| coded(sid, b))),
+            None => {
+                let (from, to) = view.entry_span(di);
+                out.push((sid, Piece::Kept { from, to }));
+            }
+        }
+    }
+    for &(at, bits) in changes {
+        out.extend(bits.map(|b| coded(at, b)));
+    }
+    out
+}
+
+/// Appends bits `[from, to)` of `stream` to `w`, a word at a time.
+fn copy_bits(w: &mut BitWriter, stream: &[u8], from: usize, to: usize) {
+    let mut r = BitReader::new(stream, to);
+    r.skip(from);
+    while r.remaining() > 0 {
+        let take = r.remaining().min(64);
+        w.push_bits(r.read_bits(take).expect("within the stream"), take);
+    }
 }
 
 /// Lazily-loading view of a [`StoredSignature`] used during query
@@ -435,17 +655,7 @@ impl<'a> SigCursor<'a> {
         }
         if self.parts[pi].is_none() {
             let bytes = self.store.try_get_bytes(self.disk, self.stored.partials[pi])?;
-            let view = scan_partial(bytes, self.stored.m)?;
-            // Cross-check the catalog's first-SID directory against the
-            // partial's actual contents: a disagreement would silently
-            // route SIDs to the wrong partial (nodes "absent", wrong
-            // pruning) — surface it as corruption instead.
-            if view.dir.first().map(|&(s, _)| s) != Some(self.stored.first_sid[pi]) {
-                return Err(StorageError::Malformed(
-                    "partial signature disagrees with catalog first-SID directory",
-                ));
-            }
-            self.parts[pi] = Some(view);
+            self.parts[pi] = Some(scan_checked(bytes, self.stored, pi)?);
             self.loads += 1;
         }
         let part = self.parts[pi].as_ref().expect("just loaded");
@@ -455,15 +665,10 @@ impl<'a> SigCursor<'a> {
             }
             return Ok(None);
         };
-        let mut r = BitReader::new(&part.bytes[4..], part.bit_len);
-        r.skip(part.dir[di].1 as usize);
-        let start = r.position();
-        let bits = Arc::new(
-            coding::decode_node(&mut r, self.stored.m)
-                .ok_or(StorageError::Malformed("corrupt partial signature node"))?,
-        );
+        let (bits, coded_bits) = part.decode_at(di, self.stored.m)?;
+        let bits = Arc::new(bits);
         self.nodes_decoded += 1;
-        self.bytes_decoded += ((r.position() - start).div_ceil(8)) as u64;
+        self.bytes_decoded += coded_bits.div_ceil(8) as u64;
         if let Some(cache) = self.cache {
             cache.insert(partial_page, sid, Some(Arc::clone(&bits)));
         }
@@ -992,12 +1197,7 @@ impl SignatureCube {
             for stored in cells.values() {
                 for (pi, &page) in stored.partials.iter().enumerate() {
                     let bytes = self.store.peek(page)?;
-                    let view = scan_partial(Arc::clone(&bytes), self.m)?;
-                    if view.dir.first().map(|&(s, _)| s) != Some(stored.first_sid[pi]) {
-                        return Err(StorageError::Malformed(
-                            "partial signature disagrees with catalog first-SID directory",
-                        ));
-                    }
+                    scan_checked(Arc::clone(&bytes), stored, pi)?;
                     nodes.clear();
                     try_decode_partial(&bytes, self.m, &mut nodes)?;
                 }
@@ -1056,11 +1256,24 @@ impl SignatureCube {
         rtree: &RTree,
         mut map_partial: impl FnMut(PageId) -> Result<u64, StorageError>,
     ) -> Result<ByteWriter, StorageError> {
-        let mut w = ByteWriter::new();
+        // One buffer, sized up front: the serialized tree is most of a
+        // catalog, written in place behind its length prefix.
+        let tree_len = rtree.encoded_len();
+        let directory_len: usize = self
+            .cuboids
+            .iter()
+            .map(|(dims, cells)| {
+                let cell = |s: &StoredSignature| 32 + 4 * dims.len() + 16 * s.partials.len();
+                16 + 8 * dims.len() + cells.values().map(cell).sum::<usize>()
+            })
+            .sum();
+        let mut w = ByteWriter::with_capacity(1 + 8 + 8 + 8 + tree_len + 8 + directory_len);
         w.put_u8(CATALOG_SIG);
         w.put_u64(self.m as u64);
         w.put_f64(self.alpha);
-        w.put_bytes(&rtree.to_bytes());
+        w.put_u64(tree_len as u64);
+        rtree.write_to(&mut w);
+        assert_eq!(w.len(), 1 + 8 + 8 + 8 + tree_len, "RTree::encoded_len disagrees with write_to");
         w.put_u64(self.cuboids.len() as u64);
         for (dims, cells) in &self.cuboids {
             w.put_u64(dims.len() as u64);
@@ -1225,20 +1438,223 @@ impl SignatureCube {
             }
             cuboids.insert(dims, cells);
         }
-        let cube = Self {
+        Ok((Self::over(store, cuboids, m, alpha), rtree))
+    }
+
+    /// A handle serving `cuboids` out of `store`, caches cold.
+    fn over(
+        store: PageStore,
+        cuboids: BTreeMap<Vec<usize>, HashMap<Vec<u32>, StoredSignature>>,
+        m: usize,
+        alpha: f64,
+    ) -> Self {
+        Self {
             store,
             cuboids,
             m,
             alpha,
             node_cache: SharedNodeCache::with_default_budget(),
             metrics: Metrics::global().clone(),
-        };
-        Ok((cube, rtree))
+        }
     }
 
-    /// Replaces (or inserts) a cell signature — the write-back step of
-    /// incremental maintenance, now patch-level COW: the new partials are
-    /// *appended* (fresh page ids), the replaced ones retired.
+    /// A second handle with this cube's cuboid directory over `store` — for
+    /// a store opened on the file generation this directory was committed
+    /// as (the caller checks: equal [`rcube_storage::FileStamp`]s), where
+    /// parsing the catalog would only rebuild what is already here.
+    pub(crate) fn clone_onto(&self, store: PageStore) -> Self {
+        Self::over(store, self.cuboids.clone(), self.m, self.alpha)
+    }
+
+    /// [`Self::clone_onto`] by value: the directory moves, this handle's
+    /// store (and the writer lock it may hold) is dropped.
+    pub(crate) fn move_onto(self, store: PageStore) -> Self {
+        Self::over(store, self.cuboids, self.m, self.alpha)
+    }
+
+    /// Node-granular Algorithm 2 on one cell (the rules and why they are
+    /// exact: [`crate::maintain`]): clears every path of `olds`, then sets
+    /// every path of `news`, decoding only the nodes on those paths, and
+    /// rewrites only the partials that hold a node the edits changed —
+    /// untouched node codings are copied bit for bit, changed ones
+    /// re-encoded, in SID order. Untouched partials keep their page ids
+    /// (hence their pool frames and shared-node-cache entries); replaced
+    /// ones are retired for vacuum.
+    ///
+    /// Nothing is written before every edit has been applied to decoded
+    /// copies, so a corrupt partial or an ill-formed path fails typed with
+    /// the cell as it was.
+    pub(crate) fn splice_cell(
+        &mut self,
+        dims: &[usize],
+        vals: Vec<u32>,
+        olds: &[&[u16]],
+        news: &[&[u16]],
+        disk: &DiskSim,
+    ) -> Result<CellSplice, StorageError> {
+        let m = self.m;
+        if olds.iter().chain(news).any(|p| p.is_empty() || p.iter().any(|&c| c as usize >= m)) {
+            return Err(StorageError::Malformed("tuple path empty or beyond the partition fanout"));
+        }
+        self.metrics.counter("maintenance.cells_replaced").inc();
+        let cells = self.cuboids.get_mut(dims).expect("cuboid not materialized");
+
+        // Edit phase, on decoded copies of the nodes the paths run through.
+        let Some(stored) = cells.get(&vals) else {
+            return self.rewrite_cell(dims, vals, news, disk);
+        };
+        let mut edit = CellEdit {
+            stored,
+            store: &self.store,
+            disk,
+            views: BTreeMap::new(),
+            nodes: BTreeMap::new(),
+        };
+        // Clear every old path before setting any new one (Algorithm 2,
+        // lines 6–7): updates may swap slot positions between tuples, and
+        // a late clear would erase an earlier set.
+        for old in olds {
+            edit.clear_path(old)?;
+        }
+        if edit.nodes.get(&0).is_some_and(|root| root.now.is_none()) {
+            // The clears emptied the cell, so what it becomes is a function
+            // of `news` alone — the one case the depth may change (a root
+            // split or shrink moves every tuple of every cell).
+            return self.rewrite_cell(dims, vals, news, disk);
+        }
+        if news.iter().any(|p| p.len() != stored.depth as usize) {
+            return Err(StorageError::Malformed("tuple path length is not the signature's depth"));
+        }
+        for new in news {
+            edit.set_path(new)?;
+        }
+
+        // Which partials hold a node that changed, and how.
+        let mut dirty: BTreeMap<usize, Vec<(u64, Option<&PackedBits>)>> = BTreeMap::new();
+        for (&sid, node) in edit.nodes.iter().filter(|(_, n)| n.now != n.stored) {
+            let pi = stored.partial_of(sid).ok_or(CORRUPT_PARTIAL)?;
+            dirty.entry(pi).or_default().push((sid, node.now.as_ref()));
+        }
+
+        // Rebuild each of them. A stream that still fits a page stays one
+        // partial — the slack `α` left is there to be used; one that does
+        // not is re-cut by `StoredSignature::write`'s rule (close a piece
+        // at `α · page`), so every piece gets its slack back.
+        let page_bits = disk.page_size().saturating_sub(4) * 8;
+        let target_bits = partial_target_bits(disk, self.alpha);
+        let mut done = CellSplice::default();
+        let mut rebuilt: Vec<(usize, Vec<(PageId, u64)>)> = Vec::with_capacity(dirty.len());
+        let (mut bits_gone, mut bits_new) = (0usize, 0usize);
+        let store = &self.store;
+        let mut close = |cur: &mut BitWriter, first: u64, parts: &mut Vec<(PageId, u64)>| {
+            bits_new += cur.len();
+            parts.push((flush_partial(cur, disk, store)?, first));
+            Ok::<(), StorageError>(())
+        };
+        for (&pi, changes) in &dirty {
+            let view = &edit.views[&pi];
+            let pieces = rebuilt_pieces(view, changes, m);
+            let whole = pieces.iter().map(|(_, p)| p.bits()).sum::<usize>() <= page_bits;
+            let mut parts = Vec::new();
+            let mut cur = BitWriter::new();
+            let mut first = 0u64;
+            for (sid, piece) in &pieces {
+                if !cur.is_empty() && cur.len() + piece.bits() > page_bits {
+                    close(&mut cur, first, &mut parts)?;
+                }
+                if cur.is_empty() {
+                    first = *sid;
+                }
+                match piece {
+                    Piece::Kept { from, to } => copy_bits(&mut cur, &view.bytes[4..], *from, *to),
+                    Piece::Coded(w) => {
+                        cur.extend(w);
+                        done.nodes += 1;
+                    }
+                }
+                if !whole && cur.len() >= target_bits {
+                    close(&mut cur, first, &mut parts)?;
+                }
+            }
+            if !cur.is_empty() {
+                close(&mut cur, first, &mut parts)?;
+            }
+            bits_gone += view.bit_len;
+            done.partials += parts.len();
+            rebuilt.push((pi, parts));
+        }
+        drop(edit);
+
+        // Patch the directory in place, back to front so indices hold.
+        let stored = cells.get_mut(&vals).expect("edited above");
+        let mut replaced = Vec::with_capacity(rebuilt.len());
+        let mut appended = Vec::with_capacity(done.partials);
+        for (pi, parts) in rebuilt.into_iter().rev() {
+            replaced.push(stored.partials[pi]);
+            appended.extend(parts.iter().map(|&(page, _)| page));
+            stored.partials.splice(pi..=pi, parts.iter().map(|&(page, _)| page));
+            stored.first_sid.splice(pi..=pi, parts.iter().map(|&(_, sid)| sid));
+        }
+        stored.total_bits = stored.total_bits - bits_gone + bits_new;
+        debug_assert!(stored.first_sid.windows(2).all(|w| w[0] < w[1]));
+        self.count_appended(&appended, disk);
+        self.retire_partials(&replaced)?;
+        Ok(done)
+    }
+
+    /// Makes the cell the signature of exactly `paths`, written fresh — or
+    /// no cell at all, with no path — and retires what it was.
+    fn rewrite_cell(
+        &mut self,
+        dims: &[usize],
+        vals: Vec<u32>,
+        paths: &[&[u16]],
+        disk: &DiskSim,
+    ) -> Result<CellSplice, StorageError> {
+        let mut done = CellSplice::default();
+        let fresh = if paths.is_empty() {
+            None
+        } else {
+            let sig = Signature::from_paths(self.m, paths.iter().copied());
+            let stored = StoredSignature::try_write(&sig, disk, &self.store, self.alpha)?;
+            self.count_appended(&stored.partials, disk);
+            done = CellSplice { partials: stored.partials.len(), nodes: sig.node_count() };
+            Some(stored)
+        };
+        let cells = self.cuboids.get_mut(dims).expect("cuboid not materialized");
+        let old = match fresh {
+            Some(stored) => cells.insert(vals, stored),
+            None => cells.remove(&vals),
+        };
+        self.retire_partials(&old.map_or(Vec::new(), |o| o.partials))?;
+        Ok(done)
+    }
+
+    fn count_appended(&self, partials: &[PageId], disk: &DiskSim) {
+        let pages: u64 = partials
+            .iter()
+            .map(|&p| self.store.size_of(p).map_or(1, |len| disk.pages_for(len) as u64))
+            .sum();
+        self.metrics.counter("maintenance.pages_appended").add(pages);
+    }
+
+    /// COW retirement: replaced partials leave the *next* generation
+    /// (readers pinned on committed ones keep streaming their bytes), and
+    /// only *their* node-cache entries are dropped — page ids are never
+    /// reused, so untouched partials keep their hot decoded nodes across
+    /// the maintenance commit.
+    fn retire_partials(&self, pages: &[PageId]) -> Result<(), StorageError> {
+        for &page in pages {
+            self.node_cache.invalidate_partial(page.0);
+            self.store.retire(page)?;
+        }
+        Ok(())
+    }
+
+    /// The whole-cell write-back the splice replaced — load everything,
+    /// edit, re-encode everything under fresh page ids — kept as the
+    /// reference the splice is tested against.
+    #[cfg(test)]
     pub(crate) fn replace_cell(
         &mut self,
         dims: &[usize],
@@ -1250,28 +1666,9 @@ impl SignatureCube {
         let old = if sig.is_empty() {
             cells.remove(&vals)
         } else {
-            let stored = StoredSignature::write(sig, disk, &self.store, self.alpha);
-            let appended: u64 = stored
-                .partials
-                .iter()
-                .map(|&p| self.store.size_of(p).map_or(1, |len| disk.pages_for(len) as u64))
-                .sum();
-            self.metrics.counter("maintenance.pages_appended").add(appended);
-            cells.insert(vals, stored)
+            cells.insert(vals, StoredSignature::write(sig, disk, &self.store, self.alpha))
         };
-        self.metrics.counter("maintenance.cells_replaced").inc();
-        // COW retirement: the replaced cell's partials leave the *next*
-        // generation (readers pinned on committed ones keep streaming
-        // their bytes), and only *their* node-cache entries are dropped —
-        // page ids are never reused, so untouched partials keep their hot
-        // decoded nodes across the maintenance commit.
-        if let Some(old) = old {
-            for &page in &old.partials {
-                self.node_cache.invalidate_partial(page.0);
-                self.store.retire(page)?;
-            }
-        }
-        Ok(())
+        self.retire_partials(&old.map_or(Vec::new(), |o| o.partials))
     }
 
     /// Deep-verifies the cube file at `path`, repairing by rollback when
@@ -1325,6 +1722,70 @@ pub enum ScrubOutcome {
         /// The generation now served by every subsequent open.
         to: u64,
     },
+}
+
+/// A stored cell node by node: `sid → (decoded bits, the node's coding as
+/// a bit string)`.
+#[cfg(test)]
+pub(crate) type StoredNodes = BTreeMap<u64, (PackedBits, String)>;
+
+/// `nodes` reduced to each node's set positions — what a cube built from
+/// scratch must share with a maintained one (a recorded length remembers a
+/// slot that was once set; a from-scratch build never saw it).
+#[cfg(test)]
+pub(crate) fn set_bits(nodes: &StoredNodes) -> Vec<(u64, Vec<usize>)> {
+    nodes.iter().map(|(&sid, (bits, _))| (sid, bits.iter_ones().collect())).collect()
+}
+
+/// What the maintenance tests read off a stored cell.
+#[cfg(test)]
+impl SignatureCube {
+    /// Every stored node of the cell, read partial by partial off the store.
+    pub(crate) fn cell_nodes(&self, dims: &[usize], vals: &[u32]) -> StoredNodes {
+        let mut out = BTreeMap::new();
+        let Some(stored) = self.cell_signature(dims, vals) else {
+            return out;
+        };
+        for (pi, &page) in stored.partials.iter().enumerate() {
+            let view = scan_checked(self.store.peek(page).unwrap(), stored, pi).unwrap();
+            for (di, &(sid, off)) in view.dir.iter().enumerate() {
+                let (bits, coded) = view.decode_at(di, self.m).unwrap();
+                let mut r = BitReader::new(&view.bytes[4..], view.bit_len);
+                r.skip(off as usize);
+                let coding = (0..coded).map(|_| if r.next_bit().unwrap() { '1' } else { '0' });
+                assert!(out.insert(sid, (bits, coding.collect())).is_none(), "SID {sid} twice");
+            }
+        }
+        out
+    }
+
+    /// The catalog invariants a splice must leave: `first_sid` strictly
+    /// increasing and naming each partial's first node, SIDs increasing
+    /// across the whole cell, `total_bits` the sum of the streams, and —
+    /// with `page` given — every partial's payload within that many bytes.
+    pub(crate) fn assert_cell_wellformed(&self, dims: &[usize], vals: &[u32], page: Option<usize>) {
+        let stored = self.cell_signature(dims, vals).expect("cell exists");
+        assert_eq!(stored.partials.len(), stored.first_sid.len());
+        assert!(!stored.partials.is_empty(), "a stored cell holds at least its root");
+        assert_eq!(stored.first_sid[0], 0, "the root leads the first partial");
+        assert!(stored.first_sid.windows(2).all(|w| w[0] < w[1]), "{:?}", stored.first_sid);
+        let (mut last, mut bits) = (None, 0usize);
+        for (pi, &p) in stored.partials.iter().enumerate() {
+            let bytes = self.store.peek(p).unwrap();
+            if let Some(page) = page {
+                assert!(bytes.len() <= page, "partial {pi} spans {} > {page} bytes", bytes.len());
+            }
+            let view = scan_checked(bytes, stored, pi).expect("directory agrees with the partial");
+            for &(sid, _) in &view.dir {
+                assert!(last < Some(sid), "SIDs increase across partials");
+                last = Some(sid);
+            }
+            bits += view.bit_len;
+        }
+        assert_eq!(stored.total_bits, bits, "total_bits is the sum of the partial streams");
+        let sig = stored.load_full(&DiskSim::with_defaults(), &self.store);
+        assert_eq!(stored.depth(), sig.depth());
+    }
 }
 
 #[cfg(test)]
@@ -1632,11 +2093,18 @@ mod tests {
 
     #[test]
     fn maintenance_invalidates_only_touched_partials() {
-        // Warm the shared node cache over two cells, replace one, and
-        // prove the untouched cell's nodes survive: the next query over
-        // it is answered entirely by the cache (zero partial loads).
-        let (rel, disk, rtree, mut cube) = setup(900);
-        let warm = |cube: &SignatureCube, d: usize, v: u32| {
+        // A tiny alpha cuts every cell into many partials. Warm the shared
+        // node cache over two cells, splice one tuple into one of them, and
+        // prove that exactly the partials holding a changed node were
+        // replaced: every other partial — of the spliced cell too — keeps
+        // its page id and its decoded nodes, so the next query loads the
+        // rewritten partials and nothing else.
+        let rel = SyntheticSpec { tuples: 900, cardinality: 4, ..Default::default() }.generate();
+        let disk = DiskSim::with_defaults();
+        let mut rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(8));
+        let config = SignatureCubeConfig { alpha: 1e-6, ..Default::default() };
+        let mut cube = SignatureCube::build(&rel, &rtree, &disk, config);
+        let warm = |cube: &SignatureCube, rtree: &RTree, d: usize, v: u32| {
             let sel = Selection::new(vec![(d, v)]);
             let mut p = cube.pruner_for(&sel, &disk).expect("cell exists");
             for tid in rel.tids() {
@@ -1644,35 +2112,67 @@ mod tests {
             }
             (p.loads(), p.shared_node_hits())
         };
-        warm(&cube, 0, 1);
-        warm(&cube, 1, 2);
-        // Second pass over (1,2) is already cache-served.
-        let (loads, hits) = warm(&cube, 1, 2);
+        warm(&cube, &rtree, 0, 1);
+        warm(&cube, &rtree, 1, 2);
+        let (loads, hits) = warm(&cube, &rtree, 0, 1);
         assert_eq!(loads, 0, "warm cell must not reload partials");
         assert!(hits > 0);
 
-        // Replace cell (0,1) with a structurally different signature.
-        let paths: Vec<Vec<u16>> = rel
-            .tids()
-            .filter(|&t| rel.selection_value(t, 0) == 1)
-            .take(3)
-            .map(|t| rtree.tuple_path(t).unwrap())
-            .collect();
-        let sig = Signature::from_paths(cube.fanout(), paths.iter().map(|p| p.as_slice()));
-        cube.replace_cell(&[0], vec![1], &sig, &disk).unwrap();
+        // One no-split insert: a single new path, set in cell (0, 1).
+        let before = cube.cell_signature(&[0], &[1]).unwrap().partial_pages().to_vec();
+        assert!(before.len() > 8, "tiny alpha must decompose ({} partials)", before.len());
+        let updates = rtree.insert(&disk, 9_000, vec![0.4, 0.6]);
+        assert_eq!(updates.len(), 1, "room in the leaf: only the new tuple moves");
+        let path = updates[0].new_path.clone().unwrap();
+        let done = cube.splice_cell(&[0], vec![1], &[], &[&path], &disk).unwrap();
+        cube.assert_cell_wellformed(&[0], &[1], Some(disk.page_size()));
 
-        // Untouched cell still fully cache-served after the maintenance…
-        let (loads, hits) = warm(&cube, 1, 2);
+        let after = cube.cell_signature(&[0], &[1]).unwrap().partial_pages().to_vec();
+        let kept = before.iter().filter(|p| after.contains(p)).count();
+        let replaced = before.len() - kept;
+        assert!((1..=path.len()).contains(&replaced), "one partial per changed node at most");
+        assert_eq!(done.partials, after.len() - kept);
+        assert!(done.nodes <= path.len(), "only nodes on the path are re-encoded");
+
+        // The untouched cell is still fully cache-served…
+        let (loads, hits) = warm(&cube, &rtree, 1, 2);
         assert_eq!(loads, 0, "maintenance on (0,1) must not evict (1,2) nodes");
         assert!(hits > 0);
-        // …while the replaced cell answers from its new partials (no
-        // stale cache entries: fresh page ids, old ones invalidated).
+        // …and the spliced cell reloads its rewritten partials only, with no
+        // stale entry left under a retired page id.
         let sel = Selection::new(vec![(0usize, 1u32)]);
-        let mut p = cube.pruner_for(&sel, &disk).expect("replaced cell exists");
-        for tid in rel.tids() {
-            let path = rtree.tuple_path(tid).unwrap();
-            assert_eq!(p.check_path(&path), paths.contains(&path), "tid {tid}");
+        let mut p = cube.pruner_for(&sel, &disk).expect("spliced cell exists");
+        for tid in rel.tids().chain([9_000]) {
+            let in_cell = tid == 9_000 || rel.selection_value(tid, 0) == 1;
+            assert_eq!(p.check_path(&rtree.tuple_path(tid).unwrap()), in_cell, "tid {tid}");
         }
+        assert_eq!(p.loads(), done.partials as u64, "only the rewritten partials are read");
+    }
+
+    #[test]
+    fn corrupt_partial_mid_splice_fails_typed_and_leaves_the_cell() {
+        let (rel, disk, rtree, mut cube) = setup(400);
+        let tid = rel.tids().find(|&t| rel.selection_value(t, 0) == 1).unwrap();
+        let path = rtree.tuple_path(tid).unwrap();
+        let stored = cube.cell_signature(&[0], &[1]).expect("cell exists");
+        let (pages, bits) = (stored.partial_pages().to_vec(), stored.total_bits);
+        let mut garbage = 200u32.to_le_bytes().to_vec();
+        garbage.extend_from_slice(&[0xAB; 25]);
+        cube.store().overwrite(&disk, pages[0], garbage);
+
+        let err = cube.splice_cell(&[0], vec![1], &[&path], &[], &disk).unwrap_err();
+        assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
+        let stored = cube.cell_signature(&[0], &[1]).expect("the cell is still catalogued");
+        assert_eq!((stored.partial_pages(), stored.total_bits), (&pages[..], bits));
+
+        // Ill-formed paths are refused before anything is read.
+        for bad in [&[][..], &[cube.fanout() as u16][..]] {
+            let err = cube.splice_cell(&[0], vec![2], &[], &[bad], &disk).unwrap_err();
+            assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
+        }
+        let short = &path[..path.len() - 1];
+        let err = cube.splice_cell(&[0], vec![2], &[], &[short], &disk).unwrap_err();
+        assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
     }
 
     #[test]

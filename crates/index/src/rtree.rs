@@ -14,6 +14,7 @@
 //! down to the tuple's slot inside its leaf (Section 4.2.1).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rcube_func::Rect;
 use rcube_storage::{ByteReader, ByteWriter, DiskSim, PageId, StorageError};
@@ -71,10 +72,15 @@ struct Node {
 }
 
 /// The R-tree.
-#[derive(Debug)]
+///
+/// Nodes sit behind [`Arc`], so `clone()` copies one pointer per node plus
+/// the tid → leaf map, and a mutation copies only the nodes it edits
+/// ([`Arc::make_mut`]): a writer folding updates into a clone of the tree
+/// a reader is still searching shares every node it leaves alone.
+#[derive(Debug, Clone)]
 pub struct RTree {
     dims: usize,
-    nodes: Vec<Node>,
+    nodes: Vec<Arc<Node>>,
     root: u32,
     height: usize,
     config: RTreeConfig,
@@ -304,7 +310,7 @@ impl RTree {
         let before: HashMap<Tid, Vec<u16>> = self.tuple_paths().into_iter().collect();
 
         // Remove the entry.
-        if let NodeKind::Leaf(entries) = &mut self.nodes[leaf as usize].kind {
+        if let NodeKind::Leaf(entries) = &mut self.node_mut(leaf).kind {
             entries.retain(|&(t, _)| t != tid);
         }
         self.tid_leaf.remove(&tid);
@@ -317,7 +323,7 @@ impl RTree {
             let parent = self.nodes[cur as usize].parent.expect("non-root has parent");
             if self.node_len(cur) < self.config.min_entries {
                 // Detach `cur` from its parent and stash its tuples.
-                if let NodeKind::Internal(children) = &mut self.nodes[parent as usize].kind {
+                if let NodeKind::Internal(children) = &mut self.node_mut(parent).kind {
                     children.retain(|&c| c != cur);
                 }
                 let mut stash = Vec::new();
@@ -339,7 +345,7 @@ impl RTree {
                 _ => break,
             };
             self.root = next;
-            self.nodes[next as usize].parent = None;
+            self.node_mut(next).parent = None;
             self.height -= 1;
         }
         for (t, p) in orphans {
@@ -377,7 +383,7 @@ impl RTree {
             path.push(slot as u16);
             Some(path)
         };
-        let NodeKind::Leaf(entries) = &mut self.nodes[leaf as usize].kind else {
+        let NodeKind::Leaf(entries) = &mut self.node_mut(leaf).kind else {
             unreachable!("tid_leaf maps to a leaf")
         };
         let slot = entries.iter().position(|&(t, _)| t == tid).expect("tid_leaf is current");
@@ -392,6 +398,19 @@ impl RTree {
         updates
     }
 
+    /// Unique access to node `n`, copying it first when a clone of the
+    /// tree still shares it.
+    fn node_mut(&mut self, n: u32) -> &mut Node {
+        Arc::make_mut(&mut self.nodes[n as usize])
+    }
+
+    /// Re-parents `child`, leaving a node that already points there shared.
+    fn set_parent(&mut self, child: u32, parent: u32) {
+        if self.nodes[child as usize].parent != Some(parent) {
+            self.node_mut(child).parent = Some(parent);
+        }
+    }
+
     fn alloc_leaf(&mut self, disk: &DiskSim, entries: Vec<(Tid, Vec<f64>)>) -> u32 {
         let id = self.nodes.len() as u32;
         let mut mbr = Rect::empty(self.dims);
@@ -401,7 +420,7 @@ impl RTree {
         }
         let page = disk.alloc_page();
         disk.write(page);
-        self.nodes.push(Node { mbr, kind: NodeKind::Leaf(entries), parent: None, page });
+        self.nodes.push(Arc::new(Node { mbr, kind: NodeKind::Leaf(entries), parent: None, page }));
         id
     }
 
@@ -409,12 +428,17 @@ impl RTree {
         let id = self.nodes.len() as u32;
         let mut mbr = Rect::empty(self.dims);
         for &c in &children {
-            mbr.expand_rect(&self.nodes[c as usize].mbr.clone());
-            self.nodes[c as usize].parent = Some(id);
+            mbr.expand_rect(&self.nodes[c as usize].mbr);
+            self.set_parent(c, id);
         }
         let page = disk.alloc_page();
         disk.write(page);
-        self.nodes.push(Node { mbr, kind: NodeKind::Internal(children), parent: None, page });
+        self.nodes.push(Arc::new(Node {
+            mbr,
+            kind: NodeKind::Internal(children),
+            parent: None,
+            page,
+        }));
         id
     }
 
@@ -459,11 +483,12 @@ impl RTree {
     }
 
     fn insert_entry(&mut self, disk: &DiskSim, leaf: u32, tid: Tid, point: Vec<f64>) {
-        if let NodeKind::Leaf(entries) = &mut self.nodes[leaf as usize].kind {
-            entries.push((tid, point.clone()));
+        let node = self.node_mut(leaf);
+        node.mbr.expand(&point);
+        if let NodeKind::Leaf(entries) = &mut node.kind {
+            entries.push((tid, point));
         }
         self.tid_leaf.insert(tid, leaf);
-        self.nodes[leaf as usize].mbr.expand(&point);
         disk.write(self.nodes[leaf as usize].page);
         self.recompute_mbrs_upward(leaf);
         if self.node_len(leaf) > self.config.max_entries {
@@ -501,10 +526,10 @@ impl RTree {
 
         match self.nodes[n as usize].parent {
             Some(parent) => {
-                if let NodeKind::Internal(children) = &mut self.nodes[parent as usize].kind {
+                if let NodeKind::Internal(children) = &mut self.node_mut(parent).kind {
                     children.push(sibling);
                 }
-                self.nodes[sibling as usize].parent = Some(parent);
+                self.set_parent(sibling, parent);
                 self.recompute_mbrs_upward(parent);
                 disk.write(self.nodes[parent as usize].page);
                 if self.node_len(parent) > self.config.max_entries {
@@ -526,18 +551,20 @@ impl RTree {
             mbr.expand(p);
             self.tid_leaf.insert(*tid, n);
         }
-        self.nodes[n as usize].mbr = mbr;
-        self.nodes[n as usize].kind = NodeKind::Leaf(entries);
+        let node = self.node_mut(n);
+        node.mbr = mbr;
+        node.kind = NodeKind::Leaf(entries);
     }
 
     fn replace_internal_children(&mut self, n: u32, children: Vec<u32>) {
         let mut mbr = Rect::empty(self.dims);
         for &c in &children {
-            mbr.expand_rect(&self.nodes[c as usize].mbr.clone());
-            self.nodes[c as usize].parent = Some(n);
+            mbr.expand_rect(&self.nodes[c as usize].mbr);
+            self.set_parent(c, n);
         }
-        self.nodes[n as usize].mbr = mbr;
-        self.nodes[n as usize].kind = NodeKind::Internal(children);
+        let node = self.node_mut(n);
+        node.mbr = mbr;
+        node.kind = NodeKind::Internal(children);
     }
 
     fn recompute_mbrs_upward(&mut self, from: u32) {
@@ -554,12 +581,15 @@ impl RTree {
                 NodeKind::Internal(c) => {
                     let mut r = Rect::empty(self.dims);
                     for &child in c {
-                        r.expand_rect(&self.nodes[child as usize].mbr.clone());
+                        r.expand_rect(&self.nodes[child as usize].mbr);
                     }
                     r
                 }
             };
-            self.nodes[n as usize].mbr = mbr;
+            // An ancestor whose box did not move stays shared.
+            if self.nodes[n as usize].mbr != mbr {
+                self.node_mut(n).mbr = mbr;
+            }
             cur = self.nodes[n as usize].parent;
         }
     }
@@ -584,7 +614,31 @@ impl RTree {
     /// are preserved so a reopened tree charges the same simulated I/O
     /// pattern as the one that built the cube.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::with_capacity(self.encoded_len());
+        self.write_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// Bytes [`Self::write_to`] appends — lets a catalog writer emit the
+    /// length prefix and size its buffer before serializing in place.
+    pub fn encoded_len(&self) -> usize {
+        let node = |n: &Arc<Node>| {
+            8 + 4
+                + 16 * self.dims
+                + 1
+                + 8
+                + match &n.kind {
+                    NodeKind::Internal(children) => 4 * children.len(),
+                    NodeKind::Leaf(entries) => {
+                        entries.iter().map(|(_, point)| 4 + 8 * point.len()).sum()
+                    }
+                }
+        };
+        8 + 4 + 8 + 8 + 8 + 8 + 8 + self.nodes.iter().map(node).sum::<usize>()
+    }
+
+    /// [`Self::to_bytes`] straight into `w`.
+    pub fn write_to(&self, w: &mut ByteWriter) {
         w.put_u64(self.dims as u64);
         w.put_u32(self.root);
         w.put_u64(self.height as u64);
@@ -619,7 +673,6 @@ impl RTree {
                 }
             }
         }
-        w.into_bytes()
     }
 
     /// Deserializes a tree written by [`Self::to_bytes`], rebuilding the
@@ -683,7 +736,7 @@ impl RTree {
                 }
                 _ => return Err(StorageError::Malformed("unknown R-tree node kind")),
             };
-            nodes.push(Node { mbr, kind, parent, page });
+            nodes.push(Arc::new(Node { mbr, kind, parent, page }));
         }
         if root as usize >= nodes.len() {
             return Err(StorageError::Malformed("R-tree root out of range"));
@@ -957,6 +1010,37 @@ mod tests {
             assert_eq!(back.tuple_path(*tid), t.tuple_path(*tid), "path of tid {tid}");
         }
         assert!(RTree::from_bytes(&t.to_bytes()[..10]).is_err());
+    }
+
+    #[test]
+    fn a_clone_shares_nodes_until_one_side_edits_them() {
+        let disk = DiskSim::with_defaults();
+        let served = RTree::bulk_load(&disk, random_points(600, 2, 31), RTreeConfig::small(8));
+        let before = served.to_bytes();
+        assert_eq!(before.len(), served.encoded_len());
+        let mut writer = served.clone();
+        assert!(served.nodes.iter().zip(&writer.nodes).all(|(a, b)| Arc::ptr_eq(a, b)));
+
+        // One no-split insert and one in-place delete: each copies its leaf
+        // (ancestors only where a box moved), nothing else.
+        writer.insert(&disk, 9_000, vec![0.5, 0.5]);
+        writer.delete(&disk, 17);
+        check_invariants(&writer);
+        let copied =
+            served.nodes.iter().zip(&writer.nodes).filter(|(a, b)| !Arc::ptr_eq(a, b)).count();
+        assert!((2..=2 * served.height()).contains(&copied), "copied {copied} nodes");
+
+        // Splits, a condense and re-insertions on the writer's side: the
+        // served tree still serializes to the bytes it had.
+        let mut rng = StdRng::seed_from_u64(32);
+        for i in 0..300u32 {
+            writer.insert(&disk, 10_000 + i, vec![rng.gen(), rng.gen()]);
+            writer.delete(&disk, i * 2);
+        }
+        check_invariants(&writer);
+        check_invariants(&served);
+        assert_eq!(served.to_bytes(), before, "the served clone never moved");
+        assert!(served.tuple_path(17).is_some() && writer.tuple_path(17).is_none());
     }
 
     #[test]

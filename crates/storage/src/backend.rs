@@ -124,6 +124,36 @@ impl From<std::io::Error> for StorageError {
     }
 }
 
+/// Which file a file-backed handle has open and which committed
+/// generation of it the handle stands on: taken at open (the elected
+/// superblock) and again after every commit (the superblock just
+/// stamped); between a catalog write and its commit the stamp is not
+/// meaningful. Two handles with equal stamps read the same catalog and the
+/// same pages below `page_count` — what lets a writer that reopens the
+/// file it last committed keep its in-memory catalog instead of parsing
+/// the stored one again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileStamp {
+    /// `(st_dev, st_ino)` of the open descriptor. The descriptor pins
+    /// the inode, so the pair cannot be reused while the handle lives.
+    /// `None` where the platform has no such identity.
+    pub file_id: Option<(u64, u64)>,
+    /// Committed generation.
+    pub generation: u64,
+    /// Pages that generation covers.
+    pub page_count: u64,
+    /// Its catalog object, if one was recorded.
+    pub catalog_first: Option<u64>,
+}
+
+impl FileStamp {
+    /// True when both stamps name the same generation of the same file —
+    /// never when either side could not identify its file.
+    pub fn same_publication(&self, other: &FileStamp) -> bool {
+        self.file_id.is_some() && self == other
+    }
+}
+
 /// A device that stores byte objects in fixed-size pages.
 ///
 /// Object granularity: `put` lays an object over one or more consecutive
@@ -204,6 +234,12 @@ pub trait PageBackend: Send + Sync + std::fmt::Debug {
     /// The committed generation this handle serves, for backends with
     /// generational commits (`None` for the in-memory simulator).
     fn generation(&self) -> Option<u64> {
+        None
+    }
+
+    /// The file and committed generation behind this handle (`None` for
+    /// backends without generational files).
+    fn file_stamp(&self) -> Option<FileStamp> {
         None
     }
 

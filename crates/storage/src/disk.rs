@@ -361,6 +361,12 @@ impl PageStore {
         self.backend.generation()
     }
 
+    /// The file and committed generation behind this store
+    /// ([`crate::FileStamp`]; `None` on the in-memory backend).
+    pub fn file_stamp(&self) -> Option<crate::FileStamp> {
+        self.backend.file_stamp()
+    }
+
     /// Marks the object rooted at `first` unreachable from the next
     /// generation (COW maintenance retired it).
     pub fn retire(&self, first: PageId) -> Result<(), StorageError> {

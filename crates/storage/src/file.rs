@@ -50,7 +50,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::backend::{PageBackend, StorageError};
+use crate::backend::{FileStamp, PageBackend, StorageError};
 use crate::buffer::{BufferPool, PoolStats};
 use crate::disk::{DiskSim, PageId};
 use crate::fault::{FaultPlan, SwapStage, WriteOutcome};
@@ -481,6 +481,21 @@ impl FileBackend {
         target: &Path,
         faults: Option<&Arc<FaultPlan>>,
     ) -> Result<(), StorageError> {
+        Self::swap_in(temp, target, faults)?;
+        Self::sync_parent_dir(target)
+    }
+
+    /// The first half of [`Self::publish_swap`], up to and including the
+    /// rename. An error means `target` still names the old file; `Ok`
+    /// means it names `temp`'s inode — a caller that must follow the
+    /// rename with in-process state (the WAL compaction keeps appending
+    /// through the descriptor it wrote `temp` with) does so right here,
+    /// then calls [`Self::sync_parent_dir`].
+    pub fn swap_in(
+        temp: &Path,
+        target: &Path,
+        faults: Option<&Arc<FaultPlan>>,
+    ) -> Result<(), StorageError> {
         if let Some(plan) = faults {
             plan.on_swap(SwapStage::TempSync).map_err(StorageError::Io)?;
         }
@@ -489,15 +504,21 @@ impl FileBackend {
             plan.on_swap(SwapStage::Rename).map_err(StorageError::Io)?;
         }
         std::fs::rename(temp, target)?;
-        // Make the rename itself durable where the platform allows
-        // syncing a directory handle (unix); elsewhere the data syncs
-        // above still guarantee a valid file under either name.
+        Ok(())
+    }
+
+    /// Makes a rename onto `target` durable where the platform allows
+    /// syncing a directory handle (unix); elsewhere the data syncs before
+    /// the rename still guarantee a valid file under either name.
+    pub fn sync_parent_dir(target: &Path) -> Result<(), StorageError> {
         #[cfg(unix)]
         if let Some(dir) = target.parent() {
             if !dir.as_os_str().is_empty() {
                 File::open(dir)?.sync_all()?;
             }
         }
+        #[cfg(not(unix))]
+        let _ = target;
         Ok(())
     }
 
@@ -952,6 +973,22 @@ impl PageBackend for FileBackend {
 
     fn generation(&self) -> Option<u64> {
         Some(self.generation.load(Ordering::Relaxed))
+    }
+
+    fn file_stamp(&self) -> Option<FileStamp> {
+        #[cfg(unix)]
+        let file_id = {
+            use std::os::unix::fs::MetadataExt;
+            self.file.file.metadata().ok().map(|m| (m.dev(), m.ino()))
+        };
+        #[cfg(not(unix))]
+        let file_id = None;
+        Some(FileStamp {
+            file_id,
+            generation: self.generation.load(Ordering::Relaxed),
+            page_count: self.committed_pages.load(Ordering::Relaxed),
+            catalog_first: self.catalog().map(|p| p.0),
+        })
     }
 
     fn retire(&self, first: PageId) -> Result<(), StorageError> {

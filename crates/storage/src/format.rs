@@ -269,26 +269,64 @@
 //! batch, not op by op. Every R-tree insert/delete of the snapshot runs
 //! first; their path-update sets are coalesced per tid — keep the *first*
 //! old path and the *last* new path, drop a tuple that ends where it
-//! started — and the net set is applied once, so each touched cell's
-//! signature is loaded, edited and COW-appended exactly once per flush
-//! (cost O(touched cells), not O(ops × cuboids), and one retired copy of
-//! a cell per flush instead of one per op). The order of the ops inside
+//! started — and the net set is applied once, so each touched cell is
+//! spliced exactly once per flush: only the partials holding a node on a
+//! changed path are read, only the nodes whose bits changed are
+//! re-encoded, and only the partials holding one of those are
+//! COW-appended — the other nodes of a rewritten partial are copied as
+//! the bit ranges they occupied, the other partials of the cell keep
+//! their pages (`rcube_core::maintain`). The order of the ops inside
 //! the batch cannot matter to the bytes that count: a cell signature is
 //! a pure function of the *set* of tuple paths in the cell, first old
 //! paths are distinct (they coexisted before the batch) and last new
 //! paths are distinct (they coexist after it), and all clears run before
 //! any set. Nothing about the on-disk format changes.
 //!
-//! **Flush compaction** reuses the vacuum's publish protocol verbatim: a
-//! new WAL image (header with the advanced `flushed_seq` + the live
-//! applied records, no pending section) is written to `<path>.wal.new`,
-//! fsynced, and renamed over `<path>.wal` — crash-scriptable at the same
-//! [`crate::fault::SwapStage`] boundaries. The flush orders cube-commit
-//! *before* WAL-rewrite, so every crash point is idempotent: before the
-//! commit the old generation plus the full WAL replay; between commit
-//! and rename the replayed pending ops shadow identical base data and
-//! the next flush re-folds them idempotently (each upsert as
-//! delete-then-insert on the R-tree); after the rename both files agree.
+//! **The warm path.** A flush needs the catalog — cuboid directory and
+//! R-tree — of the generation it patches. A process that flushed before
+//! already holds it: the handle it serves from was built from the very
+//! directory and tree its last commit serialized. So each published
+//! handle remembers the [`crate::FileStamp`] of that commit (device and
+//! inode of the descriptor, generation, page count, catalog page), and
+//! the next flush, *after* taking the writer lock, compares it with the
+//! stamp of the file it just opened for writing. Equal stamps mean the
+//! same inode (the serving handle's open descriptor pins it, so the
+//! number cannot have been recycled) electing the same superblock; under
+//! the lock nobody else can commit or swap, so the stored catalog is the
+//! bytes this process wrote from what it holds in memory, and parsing
+//! them would rebuild exactly that. The flush then clones the directory
+//! and the R-tree (copy-on-write: one pointer per node) instead of
+//! reading ~the whole catalog back, and after the commit hands both to
+//! the next serving handle over a freshly opened read-only store —
+//! opened before the lock is released and checked against the commit's
+//! stamp the same way. Anything else is **cold** and parses the catalog
+//! as before: the first flush after an open (nothing was published by
+//! this process), a vacuum swap (another inode), a foreign commit
+//! (another generation), a flush of its own that committed and then
+//! failed before swapping (the file is ahead of the serving handle), or
+//! a platform without file identity. The decision reads nothing but
+//! those stamps.
+//!
+//! **Flush compaction** reuses the vacuum's publish protocol: a new WAL
+//! image (header with the advanced `flushed_seq` + the live applied
+//! records, no pending section) is written to `<path>.wal.new`, fsynced,
+//! and renamed over `<path>.wal` — crash-scriptable at the same
+//! [`crate::fault::SwapStage`] boundaries. The temp file is opened
+//! read+write and *that descriptor* becomes the append handle: a
+//! descriptor follows its inode through the rename, so once
+//! [`crate::FileBackend::swap_in`] returns there is nothing left to open
+//! and nothing that can fail between the rename and the in-process swap
+//! (append handle, applied set, serving generation, memtable). Opening
+//! the renamed path again — what the flush used to do — could fail with
+//! the rename already done, leaving every later append acknowledged into
+//! the unlinked old WAL. The parent-directory fsync runs after the
+//! append handle has moved and only gates the flush's own success
+//! report. The flush orders cube-commit *before* WAL-rewrite, so every
+//! crash point is idempotent: before the commit the old generation plus
+//! the full WAL replay; between commit and rename the replayed pending
+//! ops shadow identical base data and the next flush re-folds them
+//! idempotently (each upsert as delete-then-insert on the R-tree); after
+//! the rename both files agree.
 
 use crate::backend::StorageError;
 
@@ -620,6 +658,11 @@ pub struct ByteWriter {
 impl ByteWriter {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A writer whose buffer already holds room for `bytes`.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self { buf: Vec::with_capacity(bytes) }
     }
 
     pub fn into_bytes(self) -> Vec<u8> {

@@ -37,7 +37,7 @@ pub mod lock;
 pub mod manifest;
 pub mod stats;
 
-pub use backend::{MemBackend, PageBackend, StorageError};
+pub use backend::{FileStamp, MemBackend, PageBackend, StorageError};
 pub use bits::{bits_for, BitReader, BitWriter, PackedBits};
 pub use buffer::{
     BufferPool, LruBuffer, PoolShardStats, PoolStats, StripedLruBuffer, DEFAULT_POOL_SHARDS,

@@ -1204,6 +1204,13 @@ mod tests {
         assert_eq!(d.flushes, 0);
         assert!(stats.to_string().contains("memtable ops"));
 
+        // A flush shows in the same block: what it rewrote, and that the
+        // first one after an open reads the catalog off the file.
+        delta.flush().unwrap();
+        let d = eng.stats_snapshot().delta.expect("delta registered");
+        assert_eq!((d.flushes, d.cold_opens, d.memtable_ops), (1, 1, 0));
+        assert!(d.partials_rewritten > 0 && d.nodes_reencoded > 0);
+
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&wal).ok();
     }

@@ -225,7 +225,8 @@ pub struct EngineStats {
     /// Cumulative device I/O counters.
     pub io: IoSnapshot,
     /// Delta-layer state when an LSM delta cube is registered: memtable
-    /// depth/bytes, WAL length, flushes completed, last replay outcome.
+    /// depth/bytes, WAL length, flushes completed and what they rewrote,
+    /// last replay outcome.
     pub delta: Option<DeltaStats>,
     /// Shard count of the registered partitioned cube set, if any.
     pub sharded_shards: Option<usize>,
@@ -259,12 +260,16 @@ impl fmt::Display for EngineStats {
             writeln!(
                 f,
                 "delta: {} memtable ops ({} bytes), {} WAL bytes, {} applied tuples, \
-                 {} flushes, generation {}, last replay: {} records{}",
+                 {} flushes ({} cold opens, {} partials rewritten, {} nodes re-encoded), \
+                 generation {}, last replay: {} records{}",
                 d.memtable_ops,
                 d.memtable_bytes,
                 d.wal_bytes,
                 d.applied_tuples,
                 d.flushes,
+                d.cold_opens,
+                d.partials_rewritten,
+                d.nodes_reencoded,
                 d.serving_generation,
                 d.last_replay.records,
                 if d.last_replay.torn_tail { " (torn tail truncated)" } else { "" }

@@ -13,7 +13,12 @@
 //!   logical post-ops state, and a subsequent clean flush is
 //!   answer-neutral (the delete-then-insert re-apply is idempotent even
 //!   when the crash landed *between* the cube commit and the WAL
-//!   rewrite);
+//!   rewrite) — swept once over a cold flush (the first after an open)
+//!   and once over a warm one (the second of a process, which takes its
+//!   catalog from the generation it serves and writes fewer pages);
+//! * a cursor pinned before a flush keeps streaming the R-tree of its
+//!   generation while the writer splits and condenses a copy-on-write
+//!   clone that shares every untouched node with it;
 //! * the merged base+overlay view stays byte-identical to a cube built
 //!   from scratch over the logical relation across ≥3
 //!   ingest→flush→serve cycles, inserts and deletes alike;
@@ -399,6 +404,84 @@ fn flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
     }
 }
 
+/// The same sweep over a *warm* flush — the second one of a process, which
+/// takes its catalog from the generation it is serving instead of the
+/// file: every page write it issues (fewer than a cold flush: only the
+/// partials holding a changed node, the catalog, the allocation map, the
+/// superblock) and every WAL swap stage.
+#[test]
+fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
+    let full = SyntheticSpec { tuples: 190, cardinality: 4, ..Default::default() }.generate();
+    let base = full.prefix(160);
+    let pristine = temp_path("warm_pristine");
+    build_base(&base, &pristine);
+    let base_bytes = std::fs::read(&pristine).unwrap();
+    cleanup(&pristine);
+
+    // One process: a clean first flush (cold), more writes, then the flush
+    // under test. `arm` scripts the crash once the first flush is through.
+    let session = |path: &Path, plan: &Arc<FaultPlan>, arm: &dyn Fn(&FaultPlan)| {
+        std::fs::write(path, &base_bytes).unwrap();
+        let opts = DeltaOptions { faults: Some(Arc::clone(plan)), ..Default::default() };
+        let delta = DeltaCube::open(path, base.clone(), opts).unwrap();
+        for tid in 160..172u32 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        assert_eq!(delta.flush().expect("first flush").cold_opens, 1);
+        for tid in 172..190u32 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        for tid in [5, 161, 40] {
+            delta.delete(tid).unwrap();
+        }
+        let before = plan.writes_observed();
+        arm(plan);
+        let res = catch_unwind(AssertUnwindSafe(|| delta.flush()));
+        let answers = matches!(res, Ok(Ok(_))).then(|| answers(&delta));
+        (res, plan.writes_observed() - before, answers)
+    };
+
+    // Fault-free twin: the expected answers, the page writes of one warm
+    // flush, and proof that it *was* warm.
+    let (expected, writes) = {
+        let path = temp_path("warm_twin");
+        let (res, writes, got) = session(&path, &FaultPlan::new(), &|_| {});
+        assert_eq!(res.unwrap().unwrap().cold_opens, 0, "the second flush is the warm one");
+        cleanup(&path);
+        (got.unwrap(), writes)
+    };
+    assert!(writes > 3, "a flush commits data + alloc + superblock pages, saw {writes}");
+
+    let run_case = |arm: &dyn Fn(&FaultPlan), label: String| {
+        let path = temp_path("warm_sweep");
+        let plan = FaultPlan::new();
+        let (res, _, _) = session(&path, &plan, arm);
+        assert!(plan.crashed(), "{label}: crash point never reached");
+        assert!(!matches!(res, Ok(Ok(_))), "{label}: a crashed flush must not report success");
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        assert_eq!(answers(&delta), expected, "{label}: reopen after crashed flush");
+        delta.flush().unwrap();
+        assert_eq!(answers(&delta), expected, "{label}: clean flush after the crash");
+        assert_eq!(delta.memtable_len(), 0, "{label}: clean flush drains the memtable");
+        drop(delta);
+        cleanup(&path);
+    };
+    for mode in [CrashMode::Dropped, CrashMode::Torn { keep: 170 }] {
+        for n in 0..writes {
+            let arm = move |plan: &FaultPlan| {
+                plan.crash_after_page_writes(plan.writes_observed() + n, mode);
+            };
+            run_case(&arm, format!("warm page write {n} ({mode:?})"));
+        }
+    }
+    for stage in [SwapStage::TempWrite, SwapStage::TempSync, SwapStage::Rename] {
+        run_case(
+            &move |plan: &FaultPlan| plan.crash_at_swap(stage),
+            format!("warm swap {stage:?}"),
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // 4. Byte-identity with a rebuilt cube across ingest→flush cycles.
 // ---------------------------------------------------------------------
@@ -458,6 +541,70 @@ fn merged_view_stays_byte_identical_to_a_rebuilt_cube_across_cycles() {
     let all = delta.source().open(&deep.plan()).unwrap().try_drain().unwrap().items;
     assert_eq!(all.len(), 382);
     assert!(all.iter().all(|&(t, _)| t >= 8), "deleted tids stay masked after their flush");
+    drop(delta);
+    cleanup(&path);
+}
+
+/// A cursor pinned before a flush keeps streaming the R-tree of the
+/// generation it opened on while the writer splits, condenses and re-packs
+/// its own copy of that tree — which shares every node it did not touch.
+#[test]
+fn pinned_cursor_streams_its_generations_tree_while_the_writer_edits_a_copy() {
+    let full = SyntheticSpec { tuples: 300, cardinality: 4, ..Default::default() }.generate();
+    let base = full.prefix(220);
+    let path = temp_path("pinned_tree");
+    build_base(&base, &path);
+    let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+    for tid in 220..240u32 {
+        delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+    }
+    delta.flush().unwrap();
+
+    // Pin two cursors on this generation: the whole relation, and one
+    // cell's tuples through its signature.
+    let selections: [Vec<(usize, u32)>; 2] = [vec![], vec![(0, 1)]];
+    let query = |conds: &Vec<(usize, u32)>, k: usize| {
+        Query::select(conds.clone()).rank(Linear::uniform(2)).top(k)
+    };
+    let at_open: Vec<String> = selections
+        .iter()
+        .map(|conds| {
+            let q = query(conds, 400);
+            let items = delta.source().open(&q.plan()).unwrap().try_drain().unwrap().items;
+            render(&items)
+        })
+        .collect();
+    let shallow = selections.each_ref().map(|conds| query(conds, 5));
+    let mut cursors: Vec<_> =
+        shallow.iter().map(|q| delta.source().open(&q.plan()).unwrap()).collect();
+    let mut got: Vec<Vec<(Tid, f64)>> = cursors
+        .iter_mut()
+        .map(|c| std::iter::from_fn(|| c.try_next().unwrap()).collect())
+        .collect();
+
+    // Two warm flushes under them: a cluster that splits leaves up to the
+    // root, then deletes that underflow and re-insert.
+    for tid in 240..300u32 {
+        let f = f64::from(tid % 11) / 500.0;
+        delta.insert(&sel_of(&full, tid), &[0.3 + f, 0.7 - f]).unwrap();
+    }
+    assert_eq!(delta.flush().unwrap().cold_opens, 0);
+    for tid in (0..150u32).step_by(2) {
+        delta.delete(tid).unwrap();
+    }
+    assert_eq!(delta.flush().unwrap().cold_opens, 0);
+
+    for (cursor, got) in cursors.iter_mut().zip(&mut got) {
+        cursor.extend_k(400);
+        got.extend(std::iter::from_fn(|| cursor.try_next().unwrap()));
+    }
+    let got: Vec<String> = got.iter().map(|items| render(items)).collect();
+    assert_eq!(got, at_open, "pinned cursors answer the generation they opened on");
+    drop(cursors);
+    // Fresh cursors see what the two flushes did.
+    let fresh = query(&selections[0], 400);
+    let now = delta.source().open(&fresh.plan()).unwrap().try_drain().unwrap().items;
+    assert_eq!(now.len(), 300 - 75);
     drop(delta);
     cleanup(&path);
 }
