@@ -11,6 +11,13 @@
 //! gates are hard even on CI (counters don't jitter): the lazy pruner
 //! must perform strictly fewer `sig_loads` than eager assembly and decode
 //! at least 2× fewer bytes, with bit-identical top-k answers.
+//!
+//! Beside them the JSON carries what the search pushed
+//! (`states_generated`, `peak_heap`) and loaded per query, next to the
+//! values the pop-time-pruning search read on this fixture before pruning
+//! moved to node expansion ([`Case`]): pushes must not rise, and a
+//! rise in `sig_loads_lazy` — possible, one node per expanded node none of
+//! whose entries ever popped — is printed, not hidden.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
@@ -59,10 +66,38 @@ fn setup() -> Setup {
     Setup { disk, rtree, cube, file_disk: DiskSim::with_defaults(), file_rtree, file_cube, path }
 }
 
-/// Multi-dimensional predicates; only atomic cuboids are materialized, so
-/// every one of these exercises the intersection path.
-fn workload() -> Vec<(&'static str, Vec<(usize, u32)>)> {
-    vec![("sel2", vec![(0, 1), (1, 2)]), ("sel3", vec![(0, 1), (1, 2), (2, 3)])]
+/// One multi-dimensional predicate, with the lazy route's per-query
+/// counters at the last commit that probed every entry's path at pop.
+struct Case {
+    label: &'static str,
+    conds: Vec<(usize, u32)>,
+    pop_time_states_generated: u64,
+    pop_time_peak_heap: u64,
+    pop_time_sig_loads: u64,
+    pop_time_bytes_decoded: u64,
+}
+
+/// Only atomic cuboids are materialized, so every one of these exercises
+/// the intersection path.
+fn workload() -> [Case; 2] {
+    [
+        Case {
+            label: "sel2",
+            conds: vec![(0, 1), (1, 2)],
+            pop_time_states_generated: 516,
+            pop_time_peak_heap: 352,
+            pop_time_sig_loads: 41,
+            pop_time_bytes_decoded: 603,
+        },
+        Case {
+            label: "sel3",
+            conds: vec![(0, 1), (1, 2), (2, 3)],
+            pop_time_states_generated: 672,
+            pop_time_peak_heap: 434,
+            pop_time_sig_loads: 121,
+            pop_time_bytes_decoded: 3231,
+        },
+    ]
 }
 
 fn bench_sigcube(c: &mut Criterion) {
@@ -72,7 +107,8 @@ fn bench_sigcube(c: &mut Criterion) {
     let mut counter_lines = Vec::new();
     let mut worst_load_ratio = f64::INFINITY;
     let mut worst_byte_ratio = f64::INFINITY;
-    for (label, conds) in workload() {
+    for case in workload() {
+        let Case { label, conds, .. } = &case;
         let q = TopKQuery::new(conds.clone(), Linear::uniform(3), 10);
         let lazy = topk_signature(&s.rtree, &s.cube, &q, &s.disk);
         let eager = topk_signature_assembled(&s.rtree, &s.cube, &q, &s.disk);
@@ -95,12 +131,37 @@ fn bench_sigcube(c: &mut Criterion) {
             lazy.stats.sig_bytes_decoded,
             eager.stats.sig_bytes_decoded
         );
+        assert!(
+            lazy.stats.states_generated <= case.pop_time_states_generated
+                && lazy.stats.peak_heap <= case.pop_time_peak_heap,
+            "{label}: pruning at expansion pushed more ({} states, peak {}) than pruning at pop ({}, {})",
+            lazy.stats.states_generated,
+            lazy.stats.peak_heap,
+            case.pop_time_states_generated,
+            case.pop_time_peak_heap
+        );
+        println!(
+            "{label}: states_generated {} (pop-time {}), peak_heap {} (pop-time {}), sig_loads_lazy {} (pop-time {}{})",
+            lazy.stats.states_generated,
+            case.pop_time_states_generated,
+            lazy.stats.peak_heap,
+            case.pop_time_peak_heap,
+            lazy.stats.sig_loads,
+            case.pop_time_sig_loads,
+            if lazy.stats.sig_loads > case.pop_time_sig_loads { " — ROSE" } else { "" }
+        );
         counter_lines.push(format!(
-            "  \"counters_{label}\": {{ \"sig_loads_lazy\": {}, \"sig_loads_eager\": {}, \"bytes_decoded_lazy\": {}, \"bytes_decoded_eager\": {}, \"load_reduction\": {load_ratio:.2}, \"bytes_reduction\": {byte_ratio:.2} }}",
+            "  \"counters_{label}\": {{ \"sig_loads_lazy\": {}, \"sig_loads_eager\": {}, \"bytes_decoded_lazy\": {}, \"bytes_decoded_eager\": {}, \"load_reduction\": {load_ratio:.2}, \"bytes_reduction\": {byte_ratio:.2}, \"states_generated\": {}, \"peak_heap\": {}, \"pop_time\": {{ \"states_generated\": {}, \"peak_heap\": {}, \"sig_loads_lazy\": {}, \"bytes_decoded_lazy\": {} }} }}",
             lazy.stats.sig_loads,
             eager.stats.sig_loads,
             lazy.stats.sig_bytes_decoded,
-            eager.stats.sig_bytes_decoded
+            eager.stats.sig_bytes_decoded,
+            lazy.stats.states_generated,
+            lazy.stats.peak_heap,
+            case.pop_time_states_generated,
+            case.pop_time_peak_heap,
+            case.pop_time_sig_loads,
+            case.pop_time_bytes_decoded
         ));
         // The file-backed cube must show the same lazy-vs-eager profile.
         let flazy = topk_signature(&s.file_rtree, &s.file_cube, &q, &s.file_disk);
@@ -116,7 +177,7 @@ fn bench_sigcube(c: &mut Criterion) {
 
     // --- Wall time -------------------------------------------------------
     let mut g = c.benchmark_group("sigcube_query");
-    for (label, conds) in workload() {
+    for Case { label, conds, .. } in workload() {
         let q = TopKQuery::new(conds.clone(), Linear::uniform(3), 10);
         g.bench_function(format!("inmem_eager/{label}"), |b| {
             b.iter(|| topk_signature_assembled(&s.rtree, &s.cube, &q, &s.disk))

@@ -15,10 +15,13 @@
 //!   per-partial *node directory* — a sorted `(SID, bit offset)` array.
 //!   The scan reads only each node's `[CS][Len]` header
 //!   ([`coding::skip_node`]); no node payload is decoded.
-//! * **On-demand node decode.** `check_path` walks root→leaf, decoding
-//!   *individual* nodes at their directory offsets into packed-`u64`-word
-//!   bit arrays ([`rcube_storage::PackedBits`]) and memoizing them. A probe
-//!   that fails at the root decodes exactly one node, not a partial.
+//! * **On-demand node decode.** Probes address one node at a time, by
+//!   SID: the top-k search asks for the mask of the node it is expanding
+//!   ([`Pruner::try_node_mask`]), path-holding callers walk root→leaf
+//!   (`check_path`). Either way *individual* nodes are decoded at their
+//!   directory offsets into packed-`u64`-word bit arrays
+//!   ([`rcube_storage::PackedBits`]) and memoized. A probe that fails at
+//!   the root decodes exactly one node, not a partial.
 //! * **Partial lookup without a catalog map.** BFS write order emits
 //!   strictly increasing SIDs, so each stored signature only records the
 //!   *first SID per partial*; the partial holding any SID is a binary
@@ -62,8 +65,8 @@ use rcube_index::rtree::RTree;
 use rcube_index::HierIndex;
 use rcube_obs::Metrics;
 use rcube_storage::{
-    BitReader, BitWriter, ByteReader, ByteWriter, DiskSim, FileBackend, FileOptions, PackedBits,
-    PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
+    iter_ones, BitReader, BitWriter, ByteReader, ByteWriter, DiskSim, FileBackend, FileOptions,
+    PackedBits, PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
 };
 use rcube_table::{Relation, Selection};
 
@@ -556,6 +559,17 @@ fn copy_bits(w: &mut BitWriter, stream: &[u8], from: usize, to: usize) {
 /// `check_path(&mut self, path)`.
 #[derive(Debug)]
 pub struct SigCursor<'a> {
+    loader: NodeLoader<'a>,
+    /// Decoded nodes (`None` = SID proven absent), keyed by SID. Shared
+    /// `Arc`s so shared-cache hits never copy word vectors.
+    nodes: HashMap<u64, Option<Arc<PackedBits>>>,
+}
+
+/// The storage half of a [`SigCursor`] — everything a node decode touches
+/// except the per-query memo, so the memo's entry can stay borrowed across
+/// the decode (one hash probe per node, hit or miss).
+#[derive(Debug)]
+struct NodeLoader<'a> {
     stored: &'a StoredSignature,
     store: &'a PageStore,
     disk: &'a DiskSim,
@@ -563,20 +577,10 @@ pub struct SigCursor<'a> {
     /// (`None` = per-query memoization only).
     cache: Option<&'a SharedNodeCache>,
     parts: Vec<Option<PartialView>>,
-    /// Decoded nodes (`None` = SID proven absent), keyed by SID. Shared
-    /// `Arc`s so shared-cache hits never copy word vectors.
-    nodes: HashMap<u64, Option<Arc<PackedBits>>>,
-    /// Partial loads performed (the `C_sig` cost of Section 4.3.3).
-    pub loads: u64,
-    /// Individual nodes decoded on demand.
-    pub nodes_decoded: u64,
-    /// Bytes of node codings actually decoded (directory header scans and
-    /// untouched nodes excluded) — the metric `BENCH_sigcube.json` tracks
-    /// against eager whole-partial decoding.
-    pub bytes_decoded: u64,
-    /// Probes answered by the shared node cache (neither loaded nor
-    /// decoded by this query).
-    pub shared_hits: u64,
+    loads: u64,
+    nodes_decoded: u64,
+    bytes_decoded: u64,
+    shared_hits: u64,
 }
 
 impl<'a> SigCursor<'a> {
@@ -593,18 +597,41 @@ impl<'a> SigCursor<'a> {
         cache: Option<&'a SharedNodeCache>,
     ) -> Self {
         let parts = (0..stored.partials.len()).map(|_| None).collect();
-        Self {
+        let loader = NodeLoader {
             stored,
             store,
             disk,
             cache,
             parts,
-            nodes: HashMap::new(),
             loads: 0,
             nodes_decoded: 0,
             bytes_decoded: 0,
             shared_hits: 0,
-        }
+        };
+        Self { loader, nodes: HashMap::new() }
+    }
+
+    /// Partial loads performed (the `C_sig` cost of Section 4.3.3).
+    pub fn loads(&self) -> u64 {
+        self.loader.loads
+    }
+
+    /// Individual nodes decoded on demand.
+    pub fn nodes_decoded(&self) -> u64 {
+        self.loader.nodes_decoded
+    }
+
+    /// Bytes of node codings actually decoded (directory header scans and
+    /// untouched nodes excluded) — the metric `BENCH_sigcube.json` tracks
+    /// against eager whole-partial decoding.
+    pub fn bytes_decoded(&self) -> u64 {
+        self.loader.bytes_decoded
+    }
+
+    /// Probes answered by the shared node cache (neither loaded nor
+    /// decoded by this query).
+    pub fn shared_hits(&self) -> u64 {
+        self.loader.shared_hits
     }
 
     /// True when every bit along `path` is set, loading partials and
@@ -617,7 +644,7 @@ impl<'a> SigCursor<'a> {
     /// Fallible [`Self::check_path`]: corrupt or truncated partials come
     /// back as typed [`StorageError`]s.
     pub fn try_check_path(&mut self, path: &[u16]) -> Result<bool, StorageError> {
-        let m = self.stored.m as u64;
+        let m = self.loader.stored.m as u64;
         let mut sid = 0u64;
         for &p in path {
             match self.node_bits(sid)? {
@@ -632,13 +659,16 @@ impl<'a> SigCursor<'a> {
     /// The packed bit-words of node `sid`, decoding it on demand;
     /// `Ok(None)` when the node does not exist.
     fn node_bits(&mut self, sid: u64) -> Result<Option<&PackedBits>, StorageError> {
-        if !self.nodes.contains_key(&sid) {
-            let decoded = self.decode_sid(sid)?;
-            self.nodes.insert(sid, decoded);
+        use std::collections::hash_map::Entry;
+        Ok(match self.nodes.entry(sid) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(self.loader.decode_sid(sid)?),
         }
-        Ok(self.nodes.get(&sid).and_then(|o| o.as_deref()))
+        .as_deref())
     }
+}
 
+impl NodeLoader<'_> {
     fn decode_sid(&mut self, sid: u64) -> Result<Option<Arc<PackedBits>>, StorageError> {
         let Some(pi) = self.stored.partial_of(sid) else {
             return Ok(None);
@@ -687,6 +717,9 @@ pub struct LazyIntersection<'a> {
     cursors: Vec<SigCursor<'a>>,
     /// sid → subtree-intersection-non-empty verdict.
     verdicts: HashMap<u64, bool>,
+    /// One word accumulator per level, lent to the
+    /// [`Self::subtree_non_empty`] call descending through that level.
+    scratch: Vec<Vec<u64>>,
     m: u64,
     depth: u16,
 }
@@ -694,13 +727,14 @@ pub struct LazyIntersection<'a> {
 impl<'a> LazyIntersection<'a> {
     fn new(cursors: Vec<SigCursor<'a>>) -> Self {
         assert!(!cursors.is_empty(), "lazy intersection needs at least one cursor");
-        let m = cursors[0].stored.m as u64;
-        let depth = cursors.iter().map(|c| c.stored.depth).max().unwrap_or(0);
+        let m = cursors[0].loader.stored.m as u64;
+        let depth = cursors.iter().map(|c| c.loader.stored.depth).max().unwrap_or(0);
         debug_assert!(
-            cursors.iter().all(|c| c.stored.depth == depth && c.stored.m as u64 == m),
+            cursors.iter().all(|c| c.loader.stored.depth == depth && c.loader.stored.m as u64 == m),
             "operands must mirror the same partition"
         );
-        Self { cursors, verdicts: HashMap::new(), m, depth }
+        let scratch = vec![Vec::new(); depth.max(1) as usize];
+        Self { cursors, verdicts: HashMap::new(), scratch, m, depth }
     }
 
     /// True when the assembled intersection would contain `path`.
@@ -730,22 +764,46 @@ impl<'a> LazyIntersection<'a> {
 
     /// Partial loads across all operand cursors.
     pub fn loads(&self) -> u64 {
-        self.cursors.iter().map(|c| c.loads).sum()
+        self.cursors.iter().map(SigCursor::loads).sum()
     }
 
     /// Bytes of node codings decoded across all operand cursors.
     pub fn bytes_decoded(&self) -> u64 {
-        self.cursors.iter().map(|c| c.bytes_decoded).sum()
+        self.cursors.iter().map(SigCursor::bytes_decoded).sum()
     }
 
     /// Individual nodes decoded across all operand cursors.
     pub fn nodes_decoded(&self) -> u64 {
-        self.cursors.iter().map(|c| c.nodes_decoded).sum()
+        self.cursors.iter().map(SigCursor::nodes_decoded).sum()
     }
 
     /// Shared-node-cache hits across all operand cursors.
     pub fn shared_hits(&self) -> u64 {
-        self.cursors.iter().map(|c| c.shared_hits).sum()
+        self.cursors.iter().map(SigCursor::shared_hits).sum()
+    }
+
+    /// The word-parallel AND of node `sid` across every operand, written
+    /// into `out`: the candidate entries of the mirrored partition node.
+    /// Left empty as soon as one operand lacks the node (later operands
+    /// are then not probed). On an internal node a surviving bit is only
+    /// a candidate — [`Self::subtree_non_empty`] of the child decides it.
+    fn node_mask(&mut self, sid: u64, out: &mut Vec<u64>) -> Result<(), StorageError> {
+        out.clear();
+        for (i, c) in self.cursors.iter_mut().enumerate() {
+            let Some(bits) = c.node_bits(sid)? else {
+                out.clear();
+                return Ok(());
+            };
+            if i == 0 {
+                out.extend_from_slice(bits.words());
+            } else {
+                out.truncate(bits.words().len());
+                for (w, &o) in out.iter_mut().zip(bits.words()) {
+                    *w &= o;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Does the intersection of the subtrees rooted at `sid` (a node at
@@ -755,55 +813,38 @@ impl<'a> LazyIntersection<'a> {
         if let Some(&v) = self.verdicts.get(&sid) {
             return Ok(v);
         }
-        // Word-parallel AND of this node's bits across every operand. The
-        // words are copied into a small stack of `u64`s (one node, not a
-        // tree) so the recursion below can re-borrow the cursors.
-        let mut acc: Vec<u64> = Vec::new();
-        let mut missing = false;
-        for (i, c) in self.cursors.iter_mut().enumerate() {
-            match c.node_bits(sid)? {
-                None => {
-                    missing = true;
-                    break;
-                }
-                Some(bits) => {
-                    if i == 0 {
-                        acc.clear();
-                        acc.extend_from_slice(bits.words());
-                    } else {
-                        if bits.words().len() < acc.len() {
-                            acc.truncate(bits.words().len());
-                        }
-                        for (w, &o) in acc.iter_mut().zip(bits.words()) {
-                            *w &= o;
-                        }
-                    }
-                }
-            }
-        }
-        let verdict = if missing {
-            false
-        } else if level + 1 >= self.depth {
-            // Leaf-level node: any surviving slot bit is a common tuple.
-            acc.iter().any(|&w| w != 0)
-        } else {
-            let mut found = false;
-            'words: for (wi, &word) in acc.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let p = wi * 64 + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    let child = sid * (self.m + 1) + p as u64 + 1;
-                    if self.subtree_non_empty(child, level + 1)? {
-                        found = true;
-                        break 'words;
-                    }
-                }
-            }
-            found
-        };
+        // The level's accumulator leaves `self` for the call so the
+        // descent can re-borrow the cursors; a level at or past the leaf
+        // level never recurses, so those may share the last slot.
+        let slot = (level as usize).min(self.scratch.len() - 1);
+        let mut acc = std::mem::take(&mut self.scratch[slot]);
+        let verdict = self.witness_under(sid, level, &mut acc);
+        self.scratch[slot] = acc;
+        let verdict = verdict?;
         self.verdicts.insert(sid, verdict);
         Ok(verdict)
+    }
+
+    /// [`Self::subtree_non_empty`] without the memo, `acc` holding the
+    /// node's mask for the duration.
+    fn witness_under(
+        &mut self,
+        sid: u64,
+        level: u16,
+        acc: &mut Vec<u64>,
+    ) -> Result<bool, StorageError> {
+        self.node_mask(sid, acc)?;
+        if level + 1 >= self.depth {
+            // Leaf-level node: any surviving slot bit is a common tuple.
+            return Ok(acc.iter().any(|&w| w != 0));
+        }
+        for p in iter_ones(acc) {
+            let child = sid * (self.m + 1) + p as u64 + 1;
+            if self.subtree_non_empty(child, level + 1)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 
@@ -851,8 +892,9 @@ impl<'a> Pruner<'a> {
         self.try_check_path(path).unwrap_or_else(|e| panic!("Pruner::check_path: {e}"))
     }
 
-    /// Fallible [`Self::check_path`]: the hardened probe for possibly
-    /// corrupt file-backed cubes.
+    /// Fallible [`Self::check_path`]: the hardened probe for callers that
+    /// hold entry paths (the join stream, the skyline search). The top-k
+    /// search addresses nodes by SID instead: [`Self::try_node_mask`].
     pub fn try_check_path(&mut self, path: &[u16]) -> Result<bool, StorageError> {
         match &mut self.kind {
             PrunerKind::None => Ok(true),
@@ -862,11 +904,46 @@ impl<'a> Pruner<'a> {
         }
     }
 
+    /// Which entries of the partition node mirrored by signature node
+    /// `sid` may qualify, as LSB-first words in `out` (bit `i` = entry
+    /// `i`): the node's bits, ANDed across the operands of a
+    /// multi-predicate pruner; empty when some operand has no such node.
+    /// Returns `false`, leaving `out` alone, when nothing is filtered
+    /// (the empty selection). Bits past the partition node's entry count
+    /// cannot occur on a well-formed file and are the caller's to ignore.
+    ///
+    /// A set bit of a leaf-level node is exact: that tuple qualifies. On
+    /// an internal node it is exact too, except under a multi-predicate
+    /// pruner, where the child must also pass [`Self::try_admit_node`].
+    pub fn try_node_mask(&mut self, sid: u64, out: &mut Vec<u64>) -> Result<bool, StorageError> {
+        let bits = match &mut self.kind {
+            PrunerKind::None => return Ok(false),
+            PrunerKind::Lazy(li) => return li.node_mask(sid, out).map(|()| true),
+            PrunerKind::Single(c) => c.node_bits(sid)?,
+            PrunerKind::Assembled(sig) => sig.node_at(sid).map(|node| &node.bits),
+        };
+        out.clear();
+        out.extend_from_slice(bits.map_or(&[], PackedBits::words));
+        Ok(true)
+    }
+
+    /// The verdict on a node whose bit survived its parent's
+    /// [`Self::try_node_mask`] (`level`: root = 0). Only a multi-predicate
+    /// pruner has anything left to decide — whether the operands' subtrees
+    /// under `sid` share a tuple, memoized per SID; for every other kind
+    /// the parent's bit was the verdict.
+    pub fn try_admit_node(&mut self, sid: u64, level: u16) -> Result<bool, StorageError> {
+        match &mut self.kind {
+            PrunerKind::Lazy(li) => li.subtree_non_empty(sid, level),
+            PrunerKind::None | PrunerKind::Single(_) | PrunerKind::Assembled(_) => Ok(true),
+        }
+    }
+
     /// Partial-signature loads performed (lazy + assembly).
     pub fn loads(&self) -> u64 {
         let lazy = match &self.kind {
             PrunerKind::None | PrunerKind::Assembled(_) => 0,
-            PrunerKind::Single(c) => c.loads,
+            PrunerKind::Single(c) => c.loads(),
             PrunerKind::Lazy(li) => li.loads(),
         };
         lazy + self.assembled_loads
@@ -877,7 +954,7 @@ impl<'a> Pruner<'a> {
     pub fn bytes_decoded(&self) -> u64 {
         let lazy = match &self.kind {
             PrunerKind::None | PrunerKind::Assembled(_) => 0,
-            PrunerKind::Single(c) => c.bytes_decoded,
+            PrunerKind::Single(c) => c.bytes_decoded(),
             PrunerKind::Lazy(li) => li.bytes_decoded(),
         };
         lazy + self.assembled_bytes
@@ -888,7 +965,7 @@ impl<'a> Pruner<'a> {
     pub fn nodes_decoded(&self) -> u64 {
         match &self.kind {
             PrunerKind::None | PrunerKind::Assembled(_) => 0,
-            PrunerKind::Single(c) => c.nodes_decoded,
+            PrunerKind::Single(c) => c.nodes_decoded(),
             PrunerKind::Lazy(li) => li.nodes_decoded(),
         }
     }
@@ -897,7 +974,7 @@ impl<'a> Pruner<'a> {
     pub fn shared_node_hits(&self) -> u64 {
         match &self.kind {
             PrunerKind::None | PrunerKind::Assembled(_) => 0,
-            PrunerKind::Single(c) => c.shared_hits,
+            PrunerKind::Single(c) => c.shared_hits(),
             PrunerKind::Lazy(li) => li.shared_hits(),
         }
     }
@@ -1866,8 +1943,8 @@ mod tests {
         // decodes exactly one node.
         let mut cursor = SigCursor::new(stored, cube.store(), &disk);
         let _ = cursor.check_path(&[0]);
-        assert_eq!(cursor.loads, 1);
-        assert_eq!(cursor.nodes_decoded, 1);
+        assert_eq!(cursor.loads(), 1);
+        assert_eq!(cursor.nodes_decoded(), 1);
 
         // Find two depth-2 prefixes in different subtrees whose level-1
         // nodes live in different partials: probing the second one must
@@ -1899,10 +1976,10 @@ mod tests {
         let second = second.expect("two subtrees in distinct partials");
         let mut cursor = SigCursor::new(stored, cube.store(), &disk);
         assert!(cursor.check_path(&first), "tuple prefix must pass its own cell");
-        let after_first = cursor.loads;
+        let after_first = cursor.loads();
         assert!(cursor.check_path(&second));
         assert_eq!(
-            cursor.loads,
+            cursor.loads(),
             after_first + 1,
             "probing a second subtree must load exactly one more partial"
         );

@@ -2,16 +2,52 @@
 //! Algorithm 3 (Section 4.3).
 //!
 //! The candidate heap orders entries by the ranking function's lower bound
-//! over their region; a popped entry is first checked against the
-//! signature cursors (Boolean pruning) and then either reported (tuple) or
-//! expanded (node). The search halts when the best remaining bound cannot
-//! beat the current kth score — at which point Lemma 3's I/O optimality
-//! holds: only R-tree blocks passing both prunes were retrieved.
+//! over their region. The paper pops an entry, *then* probes its path
+//! against the signature; this search prunes one step earlier, when a node
+//! is **expanded**. The signature node mirroring the R-tree node just read
+//! holds one bit per entry, so one word-AND across the predicate's cursors
+//! ([`Pruner::try_node_mask`]) names every entry that can qualify, and only
+//! those are scored and pushed:
+//!
+//! * a leaf pushes its qualifying tuples as **certified** entries. A
+//!   tuple entry's bound is its exact score and its Boolean verdict was
+//!   the mask bit, so popping one is emitting it — no probe, no path;
+//! * an internal node pushes the children whose bit survives, addressed
+//!   by SID (`child = sid·(M+1) + pos + 1`). For a single stored signature
+//!   (or the assembled baseline, or no predicate at all) the parent's bit
+//!   *was* the child's verdict; under a multi-predicate intersection a
+//!   surviving bit is only a candidate and the child is admitted at pop
+//!   by the memoized subtree verdict ([`Pruner::try_admit_node`]), which
+//!   keeps signature loads as lazy as the paper's pop-time probe.
+//!
+//! # Why the answers and Lemma 3 are untouched
+//!
+//! An entry withheld at expansion is exactly one whose pop-time probe
+//! would have failed (a clear bit on its path fails every probe through
+//! it), and a failed probe's only effect was `continue`. The survivors
+//! carry the same bounds, so they pop in the same order (equal bounds
+//! aside: see the tie rule), and a block is read — `blocks_read` counted
+//! — at the same point as before: after a node pops and is admitted.
+//! Hence only R-tree blocks passing both prunes are retrieved, and the
+//! search still halts once the best remaining bound cannot beat the kth
+//! score (Lemma 3). What does change is when a signature node is first
+//! loaded: at its partition node's expansion rather than at the first pop
+//! of one of that node's entries — one extra load for a node none of whose
+//! entries ever pops, none at all for a child the mask withheld.
+//!
+//! # Tie rule
+//!
+//! The cursor emits ascending `(score, tid)`, the order `TableScan` and
+//! the delta merge use. The heap therefore orders by bound, then
+//! node-before-tuple — a node whose bound equals a pending tuple's score
+//! may still hold an equal-score tuple with a smaller tid, so it is
+//! expanded first — then by tid (by SID between nodes, for a total order
+//! `==` agrees with).
 
-use rcube_func::RankFn;
+use rcube_func::{RankFn, Rect};
 use rcube_index::rtree::RTree;
 use rcube_index::{HierIndex, NodeHandle};
-use rcube_storage::{DiskSim, IoSnapshot, StorageError};
+use rcube_storage::{iter_ones, DiskSim, IoSnapshot, StorageError};
 use rcube_table::Tid;
 
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
@@ -20,16 +56,11 @@ use crate::{QueryStats, TopKQuery, TopKResult};
 
 #[derive(Debug)]
 enum Entry {
-    Node(NodeHandle, Vec<u16>),
-    /// A leaf's tuple: its path is the leaf's (kept once per expanded
-    /// leaf in [`SigSearch::leaf_paths`]) plus `slot` — materialized only
-    /// if the tuple is ever popped.
-    Tuple {
-        tid: Tid,
-        leaf: usize,
-        slot: u16,
-        score: f64,
-    },
+    /// An R-tree node and the signature node mirroring it (`level`:
+    /// root = 0), not yet read.
+    Node { n: NodeHandle, sid: u64, level: u16 },
+    /// A certified tuple: it qualifies and the item's bound is its score.
+    Tuple { tid: Tid },
 }
 
 #[derive(Debug)]
@@ -38,23 +69,27 @@ struct HeapItem {
     entry: Entry,
 }
 
+impl HeapItem {
+    /// `(node-before-tuple, tid or SID)`: the order within one bound.
+    fn tie_key(&self) -> (u8, u64) {
+        match self.entry {
+            Entry::Node { sid, .. } => (0, sid),
+            Entry::Tuple { tid } => (1, tid as u64),
+        }
+    }
+}
+
 impl PartialEq for HeapItem {
     fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for HeapItem {}
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by bound; tuples before nodes at equal bound so exact
-        // results surface as early as possible.
-        other.bound.total_cmp(&self.bound).then_with(|| {
-            let rank = |e: &Entry| match e {
-                Entry::Tuple { .. } => 0,
-                Entry::Node(..) => 1,
-            };
-            rank(&other.entry).cmp(&rank(&self.entry))
-        })
+        // Reversed: `BinaryHeap` is a max-heap, the search wants the
+        // smallest `(bound, tie_key)` first (see the module's tie rule).
+        other.bound.total_cmp(&self.bound).then_with(|| other.tie_key().cmp(&self.tie_key()))
     }
 }
 impl PartialOrd for HeapItem {
@@ -150,8 +185,8 @@ impl<'a> RankedSource<'a> for SigSource<'a> {
 /// Algorithm 3 as a resumable state machine. The branch-and-bound heap
 /// already certifies answers on pop — a tuple entry's bound *is* its exact
 /// score, so when one surfaces at the top of the min-heap no unexplored
-/// subtree can beat it. [`Self::advance`] therefore pops until a tuple
-/// passes the Boolean pruner and emits it; pausing keeps the heap and the
+/// subtree can beat it. [`Self::advance`] therefore pops and expands nodes
+/// until a tuple surfaces and emits it; pausing keeps the heap and the
 /// pruner's decoded-node memos alive, so `extend_k` resumes mid-descent.
 struct SigSearch<'a> {
     rtree: &'a RTree,
@@ -163,8 +198,14 @@ struct SigSearch<'a> {
     /// intersection) — no tuple qualifies, the search never starts.
     pruner: Option<Pruner<'a>>,
     heap: std::collections::BinaryHeap<HeapItem>,
-    /// Paths of the leaves expanded so far, indexed by `Entry::Tuple::leaf`.
-    leaf_paths: Vec<Vec<u16>>,
+    /// `M + 1`, the base of SID arithmetic.
+    sid_base: u64,
+    /// Qualifying-entry mask of the node being expanded.
+    mask: Vec<u64>,
+    /// Projection scratch: one child region, then one tuple point, at a
+    /// time — an expansion allocates nothing per entry.
+    region: Rect,
+    point: Vec<f64>,
     stats: QueryStats,
     before: IoSnapshot,
 }
@@ -182,20 +223,25 @@ impl<'a> SigSearch<'a> {
             proj.iter().all(|&d| d < rtree.point_dims()),
             "query ranking dimension outside the R-tree"
         );
+        let mut region = Rect::unit(proj.len());
         let mut heap = std::collections::BinaryHeap::new();
         if pruner.is_some() {
             let root = rtree.root();
-            let bound = plan.func.lower_bound(&rtree.region(root).project(&proj));
-            heap.push(HeapItem { bound, entry: Entry::Node(root, Vec::new()) });
+            rtree.mbr(root).project_into(&proj, &mut region);
+            let bound = plan.func.lower_bound(&region);
+            heap.push(HeapItem { bound, entry: Entry::Node { n: root, sid: 0, level: 0 } });
         }
         Self {
             rtree,
             disk,
             func: plan.func,
+            point: Vec::with_capacity(proj.len()),
             proj,
             pruner,
             heap,
-            leaf_paths: Vec::new(),
+            sid_base: rtree.max_fanout() as u64 + 1,
+            mask: Vec::new(),
+            region,
             stats: QueryStats::default(),
             before,
         }
@@ -207,52 +253,47 @@ impl ProgressiveSearch for SigSearch<'_> {
         let Some(pruner) = self.pruner.as_mut() else {
             return Ok(None);
         };
-        let mut probe: Vec<u16> = Vec::new();
-        while let Some(HeapItem { bound: _, entry }) = self.heap.pop() {
-            // Boolean pruning: the entry's path must pass every cursor.
-            let (n, path) = match entry {
-                Entry::Tuple { tid, leaf, slot, score } => {
-                    probe.clear();
-                    probe.extend_from_slice(&self.leaf_paths[leaf]);
-                    probe.push(slot);
-                    if !pruner.try_check_path(&probe)? {
-                        continue;
-                    }
+        while let Some(HeapItem { bound, entry }) = self.heap.pop() {
+            let (n, sid, level) = match entry {
+                Entry::Tuple { tid } => {
                     self.stats.tuples_scored += 1;
                     self.stats.peak_heap = self.stats.peak_heap.max(self.heap.len() as u64);
-                    return Ok(Some((tid, score)));
+                    return Ok(Some((tid, bound)));
                 }
-                Entry::Node(n, path) => (n, path),
+                Entry::Node { n, sid, level } => (n, sid, level),
             };
-            if !path.is_empty() && !pruner.try_check_path(&path)? {
+            if !pruner.try_admit_node(sid, level)? {
                 continue;
             }
             self.rtree.read_node(self.disk, n);
             self.stats.blocks_read += 1;
-            if self.rtree.is_leaf(n) {
-                // Borrowed entries, one projection buffer and one path per
-                // leaf: a leaf holds up to `M` tuples and most never leave
-                // the heap, so per-entry clones dominated the query.
-                let leaf = self.leaf_paths.len();
-                self.leaf_paths.push(path);
-                let mut values: Vec<f64> = Vec::with_capacity(self.proj.len());
-                for (slot, &(tid, ref point)) in self.rtree.leaf_slice(n).iter().enumerate() {
-                    values.clear();
-                    values.extend(self.proj.iter().map(|&d| point[d]));
-                    let score = self.func.score(&values);
-                    let entry = Entry::Tuple { tid, leaf, slot: slot as u16, score };
-                    self.heap.push(HeapItem { bound: score, entry });
-                    self.stats.states_generated += 1;
-                }
-            } else {
-                for (pos, child) in self.rtree.children(n).into_iter().enumerate() {
-                    let bound =
-                        self.func.lower_bound(&self.rtree.region(child).project(&self.proj));
-                    let mut cpath = path.clone();
-                    cpath.push(pos as u16);
-                    self.heap.push(HeapItem { bound, entry: Entry::Node(child, cpath) });
-                    self.stats.states_generated += 1;
-                }
+            let tuples = self.rtree.leaf_slice(n);
+            let children = self.rtree.child_ids(n);
+            let entries = tuples.len().max(children.len());
+            if !pruner.try_node_mask(sid, &mut self.mask)? {
+                // No predicate: every entry qualifies.
+                self.mask.clear();
+                self.mask.resize(entries.div_ceil(64), u64::MAX);
+            }
+            // A bit at or past the entry count (the fill's last word, or a
+            // corrupt signature) addresses nothing and ends the scan.
+            for pos in iter_ones(&self.mask).take_while(|&pos| pos < entries) {
+                let item = if let Some(&child) = children.get(pos) {
+                    let child = NodeHandle(child);
+                    self.rtree.mbr(child).project_into(&self.proj, &mut self.region);
+                    let sid = sid * self.sid_base + pos as u64 + 1;
+                    HeapItem {
+                        bound: self.func.lower_bound(&self.region),
+                        entry: Entry::Node { n: child, sid, level: level + 1 },
+                    }
+                } else {
+                    let (tid, ref point) = tuples[pos];
+                    self.point.clear();
+                    self.point.extend(self.proj.iter().map(|&d| point[d]));
+                    HeapItem { bound: self.func.score(&self.point), entry: Entry::Tuple { tid } }
+                };
+                self.heap.push(item);
+                self.stats.states_generated += 1;
             }
             self.stats.peak_heap = self.stats.peak_heap.max(self.heap.len() as u64);
         }
@@ -292,6 +333,7 @@ mod tests {
         (rel, disk, rtree, cube)
     }
 
+    /// Scores of [`scan`] over the whole relation.
     fn naive(
         rel: &Relation,
         sel: &Selection,
@@ -299,12 +341,25 @@ mod tests {
         dims: &[usize],
         k: usize,
     ) -> Vec<f64> {
-        let mut v: Vec<f64> = rel
+        scan(rel, &|_| true, sel, f, dims, k).into_iter().map(|(_, s)| s).collect()
+    }
+
+    /// What `TableScan` answers: every live tuple matching `sel`, ascending
+    /// `(score, tid)`, cut at `k`.
+    fn scan(
+        rel: &Relation,
+        live: &dyn Fn(Tid) -> bool,
+        sel: &Selection,
+        f: &dyn RankFn,
+        dims: &[usize],
+        k: usize,
+    ) -> Vec<(Tid, f64)> {
+        let mut v: Vec<(Tid, f64)> = rel
             .tids()
-            .filter(|&t| sel.matches(rel, t))
-            .map(|t| f.score(&rel.ranking_point_proj(t, dims)))
+            .filter(|&t| live(t) && sel.matches(rel, t))
+            .map(|t| (t, f.score(&rel.ranking_point_proj(t, dims))))
             .collect();
-        v.sort_by(f64::total_cmp);
+        v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         v.truncate(k);
         v
     }
@@ -512,6 +567,307 @@ mod tests {
         let want = naive(&rel, &q.selection, &Linear::uniform(1), &[2], 5);
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
+        }
+    }
+    // ---- mask-driven search ≡ scan, Lemma 3, tie order --------------------
+
+    /// Tids and score bits: equality is byte-identity of the answer.
+    fn bits(items: &[(Tid, f64)]) -> Vec<(Tid, u64)> {
+        items.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+    }
+
+    /// `rel` with every ranking value rounded to a multiple of `1/steps`,
+    /// so scores tie — between tuples and between a tuple and a node bound.
+    fn quantized(rel: &Relation, steps: f64) -> Relation {
+        let mut b = rcube_table::RelationBuilder::new(rel.schema().clone());
+        for t in rel.tids() {
+            let sel: Vec<u32> =
+                (0..rel.schema().num_selection()).map(|d| rel.selection_value(t, d)).collect();
+            let point: Vec<f64> =
+                rel.ranking_point(t).iter().map(|v| (v * steps).round() / steps).collect();
+            b.push(&sel, &point);
+        }
+        b.finish()
+    }
+
+    /// One `(rtree, cube)` pair and the tuples it is supposed to hold.
+    struct Served<'a> {
+        what: &'a str,
+        rel: &'a Relation,
+        live: &'a dyn Fn(Tid) -> bool,
+        rtree: &'a RTree,
+        cube: &'a SignatureCube,
+        disk: &'a DiskSim,
+    }
+
+    impl Served<'_> {
+        /// Every pruner kind against the scan: the serving pruner (none /
+        /// single / lazy by predicate count), the assembled baseline, and
+        /// a cursor split at `k / 2` then extended.
+        fn assert_search_equals_scan(&self, conds: &[(usize, u32)], f: &Linear, k: usize) {
+            let Served { what, rel, live, rtree, cube, disk } = *self;
+            for preds in 0..=conds.len() {
+                let q = TopKQuery::new(conds[..preds].to_vec(), f.clone(), k);
+                let plan = q.plan();
+                let want = bits(&scan(rel, live, &q.selection, f, &q.ranking_dims, k));
+                let served = cube.source(rtree, disk).query(&plan).unwrap();
+                assert_eq!(bits(&served.items), want, "{what}: serving pruner, {preds} predicates");
+                let eager = topk_signature_assembled(rtree, cube, &q, disk);
+                assert_eq!(bits(&eager.items), want, "{what}: assembled, {preds} predicates");
+                let half = QueryPlan { k: k / 2, ..plan };
+                let mut cursor = cube.source(rtree, disk).open(&half).unwrap();
+                let mut paged = cursor.try_drain().unwrap().items;
+                cursor.extend_k(k - k / 2);
+                paged.extend(cursor.try_drain().unwrap().items);
+                assert_eq!(bits(&paged), want, "{what}: split + extend_k, {preds} predicates");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(40))]
+
+        /// The mask-driven search answers what a scan answers — tids and
+        /// score bits — under every pruner kind, paged or not: in memory,
+        /// reopened from a file, and after deletes spliced nodes out of
+        /// the cell signatures (a missing SID is an empty mask). Fanouts
+        /// put leaves on either side of one mask word, the small alphas
+        /// cut every cell into many partials, and the quantized half of
+        /// the cases is nothing but ties.
+        #[test]
+        fn proptest_mask_driven_search_equals_scan(
+            tuples in 150usize..700,
+            cardinality in 2u32..5,
+            fanout in 0usize..5,
+            alpha in 0usize..3,
+            weights in proptest::collection::vec(-1.0f64..2.0, 3),
+            k in 1usize..40,
+            seed in 0u64..10_000,
+        ) {
+            let fanout = [5, 16, 40, 100, 130][fanout];
+            let alpha = [0.01, 0.05, 0.75][alpha];
+            let mut rel = SyntheticSpec {
+                tuples, cardinality, ranking_dims: 3, seed, ..Default::default()
+            }.generate();
+            if seed.is_multiple_of(2) {
+                rel = quantized(&rel, 8.0);
+            }
+            let f = Linear::new(weights);
+            let conds: Vec<(usize, u32)> =
+                (0..3).map(|d| (d, (seed >> (2 * d)) as u32 % cardinality)).collect();
+            let disk = DiskSim::with_defaults();
+            let mut rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(fanout));
+            let mut cube = SignatureCube::build(
+                &rel, &rtree, &disk, SignatureCubeConfig { alpha, ..Default::default() },
+            );
+            let all = |_: Tid| true;
+            Served { what: "in memory", rel: &rel, live: &all, rtree: &rtree, cube: &cube, disk: &disk }
+                .assert_search_equals_scan(&conds, &f, k);
+
+            let mut path = std::env::temp_dir();
+            path.push(format!("rcube_sigsearch_{}_{seed}_{tuples}", std::process::id()));
+            cube.save_to(&rtree, &path).unwrap();
+            {
+                let (file_cube, file_rtree) = SignatureCube::open_from(&path).unwrap();
+                let file_disk = DiskSim::with_defaults();
+                Served {
+                    what: "reopened",
+                    rel: &rel,
+                    live: &all,
+                    rtree: &file_rtree,
+                    cube: &file_cube,
+                    disk: &file_disk,
+                }
+                .assert_search_equals_scan(&conds, &f, k);
+            }
+            std::fs::remove_file(&path).ok();
+
+            // A third of the tuples go: leaves underflow, whole subtrees
+            // leave some cells, their signature nodes are dropped.
+            let gone = |t: Tid| (t as u64 * 7 + seed).is_multiple_of(3);
+            for t in rel.tids().filter(|&t| gone(t)) {
+                let updates = rtree.delete(&disk, t);
+                crate::maintain::apply_path_updates(
+                    &mut cube,
+                    &updates,
+                    |t| {
+                        (0..rel.schema().num_selection())
+                            .map(|d| rel.selection_value(t, d))
+                            .collect()
+                    },
+                    &disk,
+                ).unwrap();
+            }
+            let live = |t: Tid| !gone(t);
+            Served { what: "spliced", rel: &rel, live: &live, rtree: &rtree, cube: &cube, disk: &disk }
+                .assert_search_equals_scan(&conds, &f, k);
+        }
+    }
+
+    /// What a brute-force walk of the tree says the search may touch.
+    #[derive(Debug, Default)]
+    struct TreeCount {
+        /// Nodes passing the Boolean prune with `bound < s_k` / `≤ s_k`.
+        below: u64,
+        at_or_below: u64,
+        /// Every node passing the Boolean prune.
+        passing: u64,
+        /// Entries a full drain pushes: qualifying tuples, plus — under
+        /// passing internal nodes — children holding, for each predicate
+        /// on its own, some matching tuple (the mask's candidate bit).
+        pushed: u64,
+    }
+
+    /// Walks `n`'s subtree; returns, per predicate, whether some tuple
+    /// under `n` matches it, and whether some tuple matches all of them.
+    fn count_tree(
+        rel: &Relation,
+        rtree: &RTree,
+        n: NodeHandle,
+        sel: &Selection,
+        f: &dyn RankFn,
+        s_k: f64,
+        out: &mut TreeCount,
+    ) -> (Vec<bool>, bool) {
+        let conds = sel.conds();
+        let mut each = vec![false; conds.len()];
+        let mut all = false;
+        let mut pushed = 0;
+        for &(tid, _) in rtree.leaf_slice(n) {
+            let hits: Vec<bool> =
+                conds.iter().map(|&(d, v)| rel.selection_value(tid, d) == v).collect();
+            let qualifies = hits.iter().all(|&h| h);
+            pushed += qualifies as u64;
+            all |= qualifies;
+            each.iter_mut().zip(hits).for_each(|(e, h)| *e |= h);
+        }
+        for child in rtree.children(n) {
+            let (child_each, child_all) = count_tree(rel, rtree, child, sel, f, s_k, out);
+            pushed += child_each.iter().all(|&e| e) as u64;
+            all |= child_all;
+            each.iter_mut().zip(child_each).for_each(|(e, c)| *e |= c);
+        }
+        if all {
+            let bound = f.lower_bound(&rtree.region(n));
+            out.passing += 1;
+            out.below += (bound < s_k) as u64;
+            out.at_or_below += (bound <= s_k) as u64;
+            out.pushed += pushed;
+        }
+        (each, all)
+    }
+
+    /// Lemma 3 by brute force: the blocks read are the nodes passing both
+    /// prunes, up to the ones whose bound ties the kth score; and nothing
+    /// is pushed that the signature had ruled out.
+    #[test]
+    fn lemma_3_brackets_blocks_read_and_bounds_states_generated() {
+        let fns: [(&str, Box<dyn RankFn>); 3] = [
+            ("linear", Box::new(Linear::new(vec![1.0, 0.5, 2.0]))),
+            ("sqdist", Box::new(SqDist::new(vec![0.4, 0.6, 0.1]))),
+            ("general", Box::new(GeneralSq::mse3())),
+        ];
+        for (data, quantize) in [("continuous", false), ("quantized", true)] {
+            let (rel, disk, rtree, cube) = setup(2_500);
+            let (rel, rtree, cube) = if quantize {
+                let rel = quantized(&rel, 8.0);
+                let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
+                let cube =
+                    SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
+                (rel, rtree, cube)
+            } else {
+                (rel, rtree, cube)
+            };
+            for conds in [vec![], vec![(0, 1)], vec![(0, 1), (1, 2)], vec![(0, 1), (1, 2), (2, 3)]]
+            {
+                for (name, f) in &fns {
+                    for k in [1, 10, 60, rel.len()] {
+                        let sel = Selection::new(conds.clone());
+                        let plan = QueryPlan {
+                            selection: &sel,
+                            func: f.as_ref(),
+                            ranking_dims: &[0, 1, 2],
+                            k,
+                            cuboids: None,
+                        };
+                        let got = cube.source(&rtree, &disk).query(&plan).unwrap();
+                        let what = format!("{data} {name} {conds:?} k={k}");
+                        let s_k = match got.items.last() {
+                            Some(&(_, s)) if got.items.len() == k => s,
+                            _ => f64::INFINITY, // ran dry: every passing node was read
+                        };
+                        let mut tree = TreeCount::default();
+                        count_tree(&rel, &rtree, rtree.root(), &sel, f.as_ref(), s_k, &mut tree);
+                        let blocks = got.stats.blocks_read;
+                        assert!(
+                            tree.below <= blocks && blocks <= tree.at_or_below,
+                            "{what}: {} ≤ {blocks} ≤ {} broken",
+                            tree.below,
+                            tree.at_or_below
+                        );
+                        assert!(
+                            got.stats.states_generated <= tree.pushed,
+                            "{what}: pushed {} of at most {}",
+                            got.stats.states_generated,
+                            tree.pushed
+                        );
+                        if got.items.len() < k {
+                            assert_eq!(blocks, tree.passing, "{what}: full drain");
+                            assert_eq!(got.stats.states_generated, tree.pushed, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `blocks_read` on this module's fixed fixtures, as read at the commit
+    /// before pruning moved to expansion: the move must not cost a block.
+    #[test]
+    fn blocks_read_on_fixed_fixtures_is_what_pop_time_pruning_read() {
+        let (_, disk, rtree, cube) = setup(3_000);
+        let q = TopKQuery::new(vec![(0, 1), (1, 2), (2, 3)], Linear::uniform(3), 10);
+        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 31);
+        assert_eq!(topk_signature_assembled(&rtree, &cube, &q, &disk).stats.blocks_read, 31);
+        let q = TopKQuery::new(vec![], Linear::uniform(3), 10);
+        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 13);
+
+        let (_, disk, rtree, cube) = setup(1_500);
+        let q = TopKQuery::new(vec![(0, 2)], SqDist::new(vec![0.4, 0.6, 0.1]), 10);
+        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 13);
+        let q = TopKQuery::new(vec![(0, 2)], GeneralSq::mse3(), 10);
+        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 53);
+
+        let (_, disk, rtree, cube) = setup(1_000);
+        let q = TopKQuery::new(vec![(0, 0), (2, 1)], Linear::uniform(3), 5);
+        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 22);
+
+        let (_, disk, rtree, cube) = setup(800);
+        let q = TopKQuery::with_ranking_dims(vec![(1, 1)], Linear::uniform(1), vec![2], 5);
+        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 21);
+    }
+
+    /// A signature bit at or past the partition node's entry count — only
+    /// a corrupt file has one — addresses nothing: the scan stops at the
+    /// node's last entry instead of indexing past the leaf. A signature
+    /// gone stale against its tree is that shape: deletes the cube never
+    /// heard of shift a leaf's entries down and leave bits set behind them.
+    #[test]
+    fn mask_bits_past_the_entry_count_are_ignored() {
+        let (rel, disk, mut rtree, cube) = setup(600);
+        let mut live: std::collections::HashSet<Tid> = rel.tids().collect();
+        for t in rel.tids().filter(|t| t % 2 == 0) {
+            rtree.delete(&disk, t);
+            live.remove(&t);
+        }
+        for conds in [vec![], vec![(0, 1)], vec![(0, 1), (1, 2)]] {
+            let q = TopKQuery::new(conds, Linear::uniform(3), rel.len());
+            for got in [
+                topk_signature(&rtree, &cube, &q, &disk),
+                topk_signature_assembled(&rtree, &cube, &q, &disk),
+            ] {
+                assert!(got.tids().iter().all(|t| live.contains(t)), "an entry the tree holds");
+            }
         }
     }
 }

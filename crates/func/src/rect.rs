@@ -128,6 +128,15 @@ impl Rect {
         }
     }
 
+    /// [`Self::project`] into a caller-owned rect, reusing its buffers — a
+    /// search projecting one region per child keeps a single scratch rect.
+    pub fn project_into(&self, dims: &[usize], out: &mut Rect) {
+        out.lo.clear();
+        out.lo.extend(dims.iter().map(|&d| self.lo[d]));
+        out.hi.clear();
+        out.hi.extend(dims.iter().map(|&d| self.hi[d]));
+    }
+
     /// The point of the rect closest to `q` (per-dimension clamp); the
     /// geometric core of `SqDist`/`L1Dist` lower bounds and of BBS `mindist`.
     pub fn closest_point(&self, q: &[f64]) -> Vec<f64> {
@@ -188,6 +197,10 @@ mod tests {
         let r = Rect::new(vec![0.0, 1.0, 2.0], vec![3.0, 4.0, 5.0]);
         let p = r.project(&[2, 0]);
         assert_eq!(p, Rect::new(vec![2.0, 0.0], vec![5.0, 3.0]));
+        // Into a scratch of another arity: same rect, buffers reused.
+        let mut scratch = Rect::unit(3);
+        r.project_into(&[2, 0], &mut scratch);
+        assert_eq!(scratch, p);
     }
 
     #[test]

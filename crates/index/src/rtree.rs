@@ -181,6 +181,21 @@ impl RTree {
         }
     }
 
+    /// Child node ids of internal node `n`, borrowed and in entry order
+    /// (wrap one in [`NodeHandle`] to address it; empty for a leaf).
+    pub fn child_ids(&self, n: NodeHandle) -> &[u32] {
+        match &self.nodes[n.0 as usize].kind {
+            NodeKind::Internal(c) => c,
+            NodeKind::Leaf(_) => &[],
+        }
+    }
+
+    /// Bounding region of `n`, borrowed — [`HierIndex::region`] without
+    /// the clone.
+    pub fn mbr(&self, n: NodeHandle) -> &Rect {
+        &self.nodes[n.0 as usize].mbr
+    }
+
     /// The tuple path `⟨p0, …, slot⟩` of `tid`.
     pub fn tuple_path(&self, tid: Tid) -> Option<Vec<u16>> {
         let leaf = *self.tid_leaf.get(&tid)?;
@@ -870,14 +885,11 @@ impl HierIndex for RTree {
     }
 
     fn region(&self, n: NodeHandle) -> Rect {
-        self.nodes[n.0 as usize].mbr.clone()
+        self.mbr(n).clone()
     }
 
     fn children(&self, n: NodeHandle) -> Vec<NodeHandle> {
-        match &self.nodes[n.0 as usize].kind {
-            NodeKind::Internal(c) => c.iter().map(|&i| NodeHandle(i)).collect(),
-            NodeKind::Leaf(_) => Vec::new(),
-        }
+        self.child_ids(n).iter().map(|&i| NodeHandle(i)).collect()
     }
 
     fn leaf_entries(&self, n: NodeHandle) -> Vec<(Tid, Vec<f64>)> {

@@ -189,6 +189,23 @@ pub fn bits_for(m: usize) -> usize {
     }
 }
 
+/// Positions of the set bits of an LSB-first word array, ascending: one
+/// `trailing_zeros` per set bit, not a per-bit loop. [`PackedBits::iter_ones`]
+/// over bare words, for masks ANDed together outside a [`PackedBits`].
+pub fn iter_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                return None;
+            }
+            let bit = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(wi * 64 + bit)
+        })
+    })
+}
+
 /// A length-tracked bit array packed into `u64` words.
 ///
 /// Signature nodes are at most one partition fanout `M` wide, so a node is
@@ -289,17 +306,7 @@ impl PackedBits {
     /// Positions of set bits, ascending (word-at-a-time trailing-zeros
     /// scan, not a per-bit loop).
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                Some(wi * 64 + bit)
-            })
-        })
+        iter_ones(&self.words)
     }
 
     /// Positions of clear bits below `len`, ascending (the same

@@ -38,7 +38,7 @@ pub mod manifest;
 pub mod stats;
 
 pub use backend::{FileStamp, MemBackend, PageBackend, StorageError};
-pub use bits::{bits_for, BitReader, BitWriter, PackedBits};
+pub use bits::{bits_for, iter_ones, BitReader, BitWriter, PackedBits};
 pub use buffer::{
     BufferPool, LruBuffer, PoolShardStats, PoolStats, StripedLruBuffer, DEFAULT_POOL_SHARDS,
 };

@@ -2,8 +2,10 @@
 //! return the same answers as a naive scan, on shared random workloads.
 
 use ranking_cube::baseline::{BooleanFirst, RankMapping, RankingFirst, TableScan};
+use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
 use ranking_cube::cube::fragments::{FragmentConfig, RankingFragments};
 use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
+use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::sigquery::topk_signature;
 use ranking_cube::cube::TopKQuery;
@@ -14,7 +16,7 @@ use ranking_cube::merge::{IndexMerge, MergeConfig};
 use ranking_cube::storage::DiskSim;
 use ranking_cube::table::gen::SyntheticSpec;
 use ranking_cube::table::workload::{QueryGen, WorkloadParams};
-use ranking_cube::table::{Relation, Selection};
+use ranking_cube::table::{Relation, RelationBuilder, Selection, Tid};
 
 fn naive_scores(
     rel: &Relation,
@@ -152,4 +154,67 @@ fn forest_surrogate_end_to_end() {
     let q = TopKQuery::new(vec![(4, 1), (5, 0)], f.clone(), 10);
     let want = naive_scores(&rel, &q.selection, &f, &[0, 1, 2], 10);
     assert_scores(&frags.query(&q, &disk).scores(), &want, "fragments on forest");
+}
+
+/// Ranking values in eighths make scores tie by the dozen — tuple against
+/// tuple and tuple against node bound — so an engine that surfaces ties in
+/// heap order picks a different tid *set* than the scan, not just another
+/// order. The signature route must answer the scan's `(score, tid)` order
+/// bit for bit: straight off a cube, and through a delta cube whose
+/// memtable holds one more tuple tied with the best of the base.
+#[test]
+fn quantized_ties_break_by_tid_on_the_signature_route() {
+    let raw = SyntheticSpec { tuples: 4_000, cardinality: 5, ..Default::default() }.generate();
+    let mut b = RelationBuilder::new(raw.schema().clone());
+    for t in raw.tids() {
+        let sel: Vec<u32> =
+            (0..raw.schema().num_selection()).map(|d| raw.selection_value(t, d)).collect();
+        let point: Vec<f64> =
+            raw.ranking_point(t).iter().map(|v| (v * 8.0).round() / 8.0).collect();
+        if t + 1 == raw.len() as Tid {
+            b.push(&[0, 0, 0], &[0.0, 0.0]); // the memtable's tuple: best score, last tid
+        } else {
+            b.push(&sel, &point);
+        }
+    }
+    let rel = b.finish();
+    let disk = DiskSim::with_defaults();
+    let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
+    let sig = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
+    let scan = TableScan::new(&rel, &disk);
+
+    let base = rel.prefix(rel.len() - 1);
+    let mut path = std::env::temp_dir();
+    path.push(format!("rcube_e2e_ties_{}", std::process::id()));
+    let base_tree = RTree::over_relation(&disk, &base, &[], RTreeConfig::small(16));
+    SignatureCube::build(&base, &base_tree, &disk, SignatureCubeConfig::default())
+        .save_to(&base_tree, &path)
+        .expect("save base cube");
+    let delta = DeltaCube::open(&path, base, DeltaOptions::default()).expect("open delta cube");
+    let last = rel.len() as Tid - 1;
+    assert_eq!(delta.insert(&[0, 0, 0], &rel.ranking_point(last)).unwrap(), last);
+
+    let bits = |items: &[(Tid, f64)]| -> Vec<(Tid, u64)> {
+        items.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+    };
+    let selections: [&[(usize, u32)]; 5] =
+        [&[], &[(0, 0)], &[(0, 1)], &[(1, 3)], &[(0, 0), (1, 0)]];
+    for conds in selections {
+        for weights in [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]] {
+            for k in [1, 10, 25] {
+                let q =
+                    Query::select(conds.iter().copied()).rank(Linear::new(weights.to_vec())).top(k);
+                let plan = q.plan();
+                let what = format!("{conds:?} {weights:?} k={k}");
+                let want = scan.source(&rel, &disk).query(&plan).unwrap().items;
+                let got = sig.source(&rtree, &disk).query(&plan).unwrap().items;
+                assert_eq!(bits(&got), bits(&want), "signature cube, {what}");
+                let got = delta.source().open(&plan).unwrap().try_drain().unwrap().items;
+                assert_eq!(bits(&got), bits(&want), "delta cube, {what}");
+            }
+        }
+    }
+    drop(delta);
+    let _ = std::fs::remove_file(wal_path_for(&path));
+    let _ = std::fs::remove_file(&path);
 }
