@@ -1,48 +1,24 @@
 //! The ranking-first strategy ("Ranking" in Section 4.4).
 //!
-//! Progressive branch-and-bound over the R-tree — identical search order to
-//! the signature method — but with **no** Boolean pruning: predicates are
-//! verified tuple-at-a-time by random access, and only for tuples that have
-//! already been determined as candidate results (popped from the heap),
-//! which provably minimizes the number of verifications.
+//! The engine's own Algorithm 3 ([`rcube_core::sigquery`]) run with **no**
+//! Boolean pruning — so the search order, the blocks read and the
+//! `(score, tid)` tie rule are the signature method's by construction —
+//! behind a filter that verifies the predicates tuple-at-a-time by random
+//! access, and only for tuples already certified as the next candidate
+//! (popped from the heap), which provably minimizes the number of
+//! verifications.
 
 use rcube_core::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
+use rcube_core::sigquery::open_unpruned;
 use rcube_core::{QueryStats, TopKQuery, TopKResult};
 use rcube_func::RankFn;
 use rcube_index::rtree::RTree;
-use rcube_index::{HierIndex, NodeHandle};
-use rcube_storage::{DiskSim, IoSnapshot, StorageError};
+use rcube_storage::{DiskSim, StorageError};
 use rcube_table::{Relation, Selection, Tid};
 
 /// Ranking-first evaluator over an R-tree.
 #[derive(Debug)]
 pub struct RankingFirst;
-
-#[derive(Debug)]
-enum Entry {
-    Node(NodeHandle),
-    Tuple(Tid, f64),
-}
-
-#[derive(Debug)]
-struct Item(f64, u64, Entry);
-
-impl PartialEq for Item {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0 && self.1 == other.1
-    }
-}
-impl Eq for Item {}
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
-    }
-}
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 impl RankingFirst {
     /// Answers `query` with progressive R-tree retrieval + late Boolean
@@ -81,90 +57,44 @@ pub struct RankingFirstSource<'a> {
 
 impl<'a> RankedSource<'a> for RankingFirstSource<'a> {
     fn open(&self, plan: &QueryPlan<'a>) -> Result<TopKCursor<'a>, StorageError> {
-        let proj = plan.ranking_dims.to_vec();
-        let root = self.rtree.root();
-        let mut heap = std::collections::BinaryHeap::new();
-        heap.push(Item(
-            plan.func.lower_bound(&self.rtree.region(root).project(&proj)),
-            0,
-            Entry::Node(root),
-        ));
-        let search = RankingFirstSearch {
-            rtree: self.rtree,
+        // The unpruned search has no answer limit of its own: how far it
+        // runs is decided by how many of its tuples verify.
+        let ranked = open_unpruned(self.rtree, self.disk, &QueryPlan { k: usize::MAX, ..*plan });
+        let search = VerifyOnPop {
+            ranked,
             rel: self.rel,
             disk: self.disk,
-            func: plan.func,
             selection: plan.selection.clone(),
-            proj,
-            heap,
-            seq: 0,
-            stats: QueryStats::default(),
-            before: self.disk.stats().snapshot(),
         };
         Ok(TopKCursor::new(Box::new(search), plan.k))
     }
 }
 
-/// The ranking-first loop as a resumable state machine: identical search
-/// order to the signature method, tuple-at-a-time Boolean verification on
-/// pop.
-struct RankingFirstSearch<'a> {
-    rtree: &'a RTree,
+/// Late Boolean verification: each tuple the unpruned search certifies
+/// costs one random access, and is emitted only when it matches.
+struct VerifyOnPop<'a> {
+    ranked: TopKCursor<'a>,
     rel: &'a Relation,
     disk: &'a DiskSim,
-    func: &'a dyn RankFn,
     selection: Selection,
-    proj: Vec<usize>,
-    heap: std::collections::BinaryHeap<Item>,
-    seq: u64,
-    stats: QueryStats,
-    before: IoSnapshot,
 }
 
-impl ProgressiveSearch for RankingFirstSearch<'_> {
+impl ProgressiveSearch for VerifyOnPop<'_> {
     fn advance(&mut self) -> Result<Option<(Tid, f64)>, StorageError> {
-        while let Some(Item(_, _, entry)) = self.heap.pop() {
-            match entry {
-                Entry::Tuple(tid, score) => {
-                    // Late Boolean verification by random access.
-                    self.disk.random_access();
-                    if self.selection.matches(self.rel, tid) {
-                        self.stats.tuples_scored += 1;
-                        self.stats.peak_heap = self.stats.peak_heap.max(self.heap.len() as u64);
-                        return Ok(Some((tid, score)));
-                    }
-                }
-                Entry::Node(n) => {
-                    self.rtree.read_node(self.disk, n);
-                    self.stats.blocks_read += 1;
-                    if self.rtree.is_leaf(n) {
-                        for (tid, point) in self.rtree.leaf_entries(n) {
-                            let vals: Vec<f64> = self.proj.iter().map(|&d| point[d]).collect();
-                            let s = self.func.score(&vals);
-                            self.seq += 1;
-                            self.heap.push(Item(s, self.seq, Entry::Tuple(tid, s)));
-                            self.stats.states_generated += 1;
-                        }
-                    } else {
-                        for c in self.rtree.children(n) {
-                            let b =
-                                self.func.lower_bound(&self.rtree.region(c).project(&self.proj));
-                            self.seq += 1;
-                            self.heap.push(Item(b, self.seq, Entry::Node(c)));
-                            self.stats.states_generated += 1;
-                        }
-                    }
-                }
+        while let Some((tid, score)) = self.ranked.try_next()? {
+            self.disk.random_access();
+            if self.selection.matches(self.rel, tid) {
+                return Ok(Some((tid, score)));
             }
-            self.stats.peak_heap = self.stats.peak_heap.max(self.heap.len() as u64);
         }
         Ok(None)
     }
 
+    /// The search's counters; `tuples_scored` is every tuple it certified,
+    /// that is, every verification paid for. Its I/O window spans the
+    /// random accesses charged here (same device, opened before them).
     fn stats(&self) -> QueryStats {
-        let mut stats = self.stats;
-        stats.io = self.before.delta(&self.disk.stats().snapshot());
-        stats
+        self.ranked.stats()
     }
 }
 
@@ -201,6 +131,30 @@ mod tests {
                 assert!((g - w).abs() < 1e-9);
             }
         }
+    }
+
+    /// `blocks_read` / random accesses on this module's fixtures, as read
+    /// at the commit whose ranking-first kept its own copy of the search
+    /// loop: running the engine's search instead costs not a block and not
+    /// a verification more.
+    #[test]
+    fn blocks_and_verifications_are_what_the_bespoke_search_read() {
+        let cost = |r: TopKResult| (r.stats.blocks_read, r.stats.io.random_accesses);
+        let rel = SyntheticSpec { tuples: 2_000, cardinality: 5, ..Default::default() }.generate();
+        let disk = DiskSim::with_defaults();
+        let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
+        let q = TopKQuery::new(vec![(0, 2), (1, 3)], Linear::new(vec![1.0, 2.0]), 10);
+        assert_eq!(cost(RankingFirst::topk(&rtree, &rel, &q, &disk)), (43, 206));
+        let q = TopKQuery::new(vec![(0, 2), (1, 3)], Linear::new(vec![0.5, 0.1]), 10);
+        assert_eq!(cost(RankingFirst::topk(&rtree, &rel, &q, &disk)), (30, 187));
+
+        let rel = SyntheticSpec { tuples: 3_000, cardinality: 10, ..Default::default() }.generate();
+        let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
+        let f = SqDist::new(vec![0.5, 0.5]);
+        let q = TopKQuery::new(vec![(0, 1)], f.clone(), 10);
+        assert_eq!(cost(RankingFirst::topk(&rtree, &rel, &q, &disk)), (34, 148));
+        let q = TopKQuery::new(vec![(0, 1), (1, 1), (2, 1)], f, 10);
+        assert_eq!(cost(RankingFirst::topk(&rtree, &rel, &q, &disk)), (274, 3_000));
     }
 
     #[test]

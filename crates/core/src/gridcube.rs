@@ -773,11 +773,13 @@ impl<'a> GridSearch<'a> {
 impl ProgressiveSearch for GridSearch<'_> {
     fn advance(&mut self) -> Result<Option<(rcube_table::Tid, f64)>, StorageError> {
         loop {
-            // Certify: the cheapest evaluated tuple is an answer once no
-            // frontier block could hold anything cheaper (S ≤ S_unseen).
+            // Certify: the cheapest evaluated tuple is an answer once every
+            // frontier block is strictly worse (S < S_unseen). A block
+            // whose bound *ties* may hold an equal-score tuple with a
+            // smaller tid, and answers are ascending `(score, tid)`.
             let frontier = self.h.peek().map(|&HeapBlock(b, _)| b);
             if let (Some(c), Some(bound)) = (self.candidates.peek(), frontier) {
-                if c.0 <= bound {
+                if c.0 < bound {
                     let MinScored(score, tid) = self.candidates.pop().unwrap();
                     return Ok(Some((tid, score)));
                 }
@@ -785,11 +787,11 @@ impl ProgressiveSearch for GridSearch<'_> {
             if frontier.is_none() {
                 // Frontier exhausted: re-seed with the best block never
                 // inserted (Section 3.6.1 fallback for non-convex
-                // functions), unless the best pending candidate already
-                // beats everything unexplored.
+                // functions), unless the best pending candidate strictly
+                // beats everything unexplored (a tie is read, as above).
                 let best = self.best_uninserted();
                 match best {
-                    Some((lb, bid)) if self.candidates.peek().is_none_or(|c| lb < c.0) => {
+                    Some((lb, bid)) if self.candidates.peek().is_none_or(|c| lb <= c.0) => {
                         self.inserted.insert(bid);
                         self.uninserted_best = None;
                         self.h.push(HeapBlock(lb, bid));

@@ -175,52 +175,32 @@ pub struct MaintenanceScheduler {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
+impl SchedulerState {
+    /// Books one cycle's outcome: `done` on success, a lock conflict when
+    /// a live writer held the file (retried on a later poll), anything
+    /// else as an error kept for [`MaintenanceScheduler::last_error`].
+    fn book<T>(&self, outcome: Result<T, StorageError>, done: impl FnOnce(T)) {
+        match outcome {
+            Ok(report) => done(report),
+            Err(StorageError::WriterLocked { .. }) => {
+                self.lock_conflicts.fetch_add(1, Ordering::SeqCst);
+            }
+            Err(e) => {
+                self.errors.fetch_add(1, Ordering::SeqCst);
+                *self.last_error.lock().expect("nothing panics holding last_error") =
+                    Some(e.to_string());
+            }
+        }
+    }
+}
+
 impl MaintenanceScheduler {
     /// Starts the daemon for the cube file at `path`. Vacuum activity is
     /// recorded into `metrics` (`maintenance.vacuums`,
     /// `maintenance.pages_reclaimed`, `maintenance.vacuum_duration_us`,
     /// `maintenance.lock_contention`).
     pub fn start(path: impl Into<PathBuf>, config: MaintenanceConfig, metrics: Metrics) -> Self {
-        let path = path.into();
-        let stop = Arc::new(AtomicBool::new(false));
-        let state = Arc::new(SchedulerState::default());
-        let (t_stop, t_state) = (Arc::clone(&stop), Arc::clone(&state));
-        let handle = std::thread::Builder::new()
-            .name("rcube-maintenance".into())
-            .spawn(move || {
-                while !t_stop.load(Ordering::SeqCst) {
-                    let due = match FileBackend::peek_superblock(&path) {
-                        Ok(sb) => sb.retired_pages >= config.watermark_pages,
-                        Err(_) => false, // target missing/torn: nothing to do
-                    };
-                    if due {
-                        match vacuum_into_place(&path, &config, &metrics, None) {
-                            Ok(report) => {
-                                t_state.vacuums.fetch_add(1, Ordering::SeqCst);
-                                t_state
-                                    .pages_reclaimed
-                                    .fetch_add(report.reclaimed_pages, Ordering::SeqCst);
-                            }
-                            Err(StorageError::WriterLocked { .. }) => {
-                                t_state.lock_conflicts.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(e) => {
-                                t_state.errors.fetch_add(1, Ordering::SeqCst);
-                                *t_state.last_error.lock().unwrap() = Some(e.to_string());
-                            }
-                        }
-                    }
-                    // Sleep in short slices so stop() returns promptly.
-                    let mut remaining = config.poll_interval;
-                    while !t_stop.load(Ordering::SeqCst) && remaining > Duration::ZERO {
-                        let slice = remaining.min(Duration::from_millis(20));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
-            })
-            .expect("spawn maintenance scheduler thread");
-        Self { stop, state, handle: Some(handle) }
+        Self::spawn(path.into(), config, metrics, None)
     }
 
     /// Starts a delta-aware daemon: on top of the vacuum watermark, each
@@ -236,7 +216,18 @@ impl MaintenanceScheduler {
         metrics: Metrics,
         delta: Arc<crate::delta::DeltaCube>,
     ) -> Self {
-        let path = path.into();
+        Self::spawn(path.into(), config, metrics, Some(delta))
+    }
+
+    /// The one poll loop behind both constructors: flush the delta cube
+    /// (when there is one) past its watermark, then vacuum the file past
+    /// its own, then sleep out the poll interval.
+    fn spawn(
+        path: PathBuf,
+        config: MaintenanceConfig,
+        metrics: Metrics,
+        delta: Option<Arc<crate::delta::DeltaCube>>,
+    ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let state = Arc::new(SchedulerState::default());
         let (t_stop, t_state) = (Arc::clone(&stop), Arc::clone(&state));
@@ -244,41 +235,25 @@ impl MaintenanceScheduler {
             .name("rcube-maintenance".into())
             .spawn(move || {
                 while !t_stop.load(Ordering::SeqCst) {
-                    if delta.memtable_len() as u64 >= config.flush_watermark_ops {
-                        match delta.flush() {
-                            Ok(_) => {
+                    if let Some(delta) = &delta {
+                        if delta.memtable_len() as u64 >= config.flush_watermark_ops {
+                            t_state.book(delta.flush(), |_| {
                                 t_state.flushes.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(StorageError::WriterLocked { .. }) => {
-                                t_state.lock_conflicts.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(e) => {
-                                t_state.errors.fetch_add(1, Ordering::SeqCst);
-                                *t_state.last_error.lock().unwrap() = Some(e.to_string());
-                            }
+                            });
                         }
                     }
-                    let due = match FileBackend::peek_superblock(&path) {
-                        Ok(sb) => sb.retired_pages >= config.watermark_pages,
-                        Err(_) => false,
-                    };
+                    // A missing or torn target has nothing to vacuum.
+                    let due = FileBackend::peek_superblock(&path)
+                        .is_ok_and(|sb| sb.retired_pages >= config.watermark_pages);
                     if due {
-                        match vacuum_into_place(&path, &config, &metrics, None) {
-                            Ok(report) => {
-                                t_state.vacuums.fetch_add(1, Ordering::SeqCst);
-                                t_state
-                                    .pages_reclaimed
-                                    .fetch_add(report.reclaimed_pages, Ordering::SeqCst);
-                            }
-                            Err(StorageError::WriterLocked { .. }) => {
-                                t_state.lock_conflicts.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(e) => {
-                                t_state.errors.fetch_add(1, Ordering::SeqCst);
-                                *t_state.last_error.lock().unwrap() = Some(e.to_string());
-                            }
-                        }
+                        t_state.book(vacuum_into_place(&path, &config, &metrics, None), |report| {
+                            t_state.vacuums.fetch_add(1, Ordering::SeqCst);
+                            t_state
+                                .pages_reclaimed
+                                .fetch_add(report.reclaimed_pages, Ordering::SeqCst);
+                        });
                     }
+                    // Sleep in short slices so stop() returns promptly.
                     let mut remaining = config.poll_interval;
                     while !t_stop.load(Ordering::SeqCst) && remaining > Duration::ZERO {
                         let slice = remaining.min(Duration::from_millis(20));

@@ -17,11 +17,12 @@
 //!   ([`coding::skip_node`]); no node payload is decoded.
 //! * **On-demand node decode.** Probes address one node at a time, by
 //!   SID: the top-k search asks for the mask of the node it is expanding
-//!   ([`Pruner::try_node_mask`]), path-holding callers walk root→leaf
-//!   (`check_path`). Either way *individual* nodes are decoded at their
-//!   directory offsets into packed-`u64`-word bit arrays
-//!   ([`rcube_storage::PackedBits`]) and memoized. A probe that fails at
-//!   the root decodes exactly one node, not a partial.
+//!   ([`Pruner::try_node_mask`]); a search that must decide at pop asks
+//!   for one entry's bit in its parent's mask
+//!   ([`Pruner::try_admit_entry`]). Nobody carries a path: *individual*
+//!   nodes are decoded at their directory offsets into packed-`u64`-word
+//!   bit arrays ([`rcube_storage::PackedBits`]) and memoized. A probe that
+//!   fails at the root decodes exactly one node, not a partial.
 //! * **Partial lookup without a catalog map.** BFS write order emits
 //!   strictly increasing SIDs, so each stored signature only records the
 //!   *first SID per partial*; the partial holding any SID is a binary
@@ -554,9 +555,9 @@ fn copy_bits(w: &mut BitWriter, stream: &[u8], from: usize, to: usize) {
 /// node lives in a not-yet-loaded partial, and only the requested *nodes*
 /// are decoded from the shared page bytes.
 ///
-/// The cursor captures its metering device at construction, so the probe
-/// signature is the same for in-memory and reopened file-backed cubes:
-/// `check_path(&mut self, path)`.
+/// The cursor captures its metering device at construction, so probing is
+/// the same call for in-memory and reopened file-backed cubes. Probes go
+/// through the [`Pruner`] wrapping it.
 #[derive(Debug)]
 pub struct SigCursor<'a> {
     loader: NodeLoader<'a>,
@@ -632,28 +633,6 @@ impl<'a> SigCursor<'a> {
     /// decoded by this query).
     pub fn shared_hits(&self) -> u64 {
         self.loader.shared_hits
-    }
-
-    /// True when every bit along `path` is set, loading partials and
-    /// decoding nodes on demand. Panics on storage corruption (see
-    /// [`Self::try_check_path`]).
-    pub fn check_path(&mut self, path: &[u16]) -> bool {
-        self.try_check_path(path).unwrap_or_else(|e| panic!("SigCursor::check_path: {e}"))
-    }
-
-    /// Fallible [`Self::check_path`]: corrupt or truncated partials come
-    /// back as typed [`StorageError`]s.
-    pub fn try_check_path(&mut self, path: &[u16]) -> Result<bool, StorageError> {
-        let m = self.loader.stored.m as u64;
-        let mut sid = 0u64;
-        for &p in path {
-            match self.node_bits(sid)? {
-                Some(bits) if bits.get(p as usize) => {}
-                _ => return Ok(false),
-            }
-            sid = sid * (m + 1) + p as u64 + 1;
-        }
-        Ok(true)
     }
 
     /// The packed bit-words of node `sid`, decoding it on demand;
@@ -735,31 +714,6 @@ impl<'a> LazyIntersection<'a> {
         );
         let scratch = vec![Vec::new(); depth.max(1) as usize];
         Self { cursors, verdicts: HashMap::new(), scratch, m, depth }
-    }
-
-    /// True when the assembled intersection would contain `path`.
-    pub fn check_path(&mut self, path: &[u16]) -> bool {
-        self.try_check_path(path).unwrap_or_else(|e| panic!("LazyIntersection::check_path: {e}"))
-    }
-
-    /// Fallible [`Self::check_path`].
-    pub fn try_check_path(&mut self, path: &[u16]) -> Result<bool, StorageError> {
-        if path.len() >= self.depth as usize {
-            // Tuple path: its leaf bit has no subtree below, so the plain
-            // conjunction *is* the assembled verdict — the path itself is
-            // the common witness certifying every prefix bit.
-            for c in &mut self.cursors {
-                if !c.try_check_path(path)? {
-                    return Ok(false);
-                }
-            }
-            return Ok(true);
-        }
-        // Node path: the assembled bit survives iff the subtree
-        // intersection under it is non-empty; a non-empty verdict also
-        // certifies every bit along the path (the witness runs through it).
-        let sid = Signature::sid_of(self.m as usize, path);
-        self.subtree_non_empty(sid, path.len() as u16)
     }
 
     /// Partial loads across all operand cursors.
@@ -870,7 +824,8 @@ enum PrunerKind<'a> {
 }
 
 impl<'a> Pruner<'a> {
-    fn none() -> Self {
+    /// The pruner of the empty selection: every entry qualifies.
+    pub(crate) fn none() -> Self {
         Self { kind: PrunerKind::None, assembled_loads: 0, assembled_bytes: 0 }
     }
 
@@ -884,24 +839,6 @@ impl<'a> Pruner<'a> {
 
     fn assembled(sig: Signature, loads: u64, bytes: u64) -> Self {
         Self { kind: PrunerKind::Assembled(sig), assembled_loads: loads, assembled_bytes: bytes }
-    }
-
-    /// True when the entry at `path` may contain qualifying tuples.
-    /// Panics on storage corruption (see [`Self::try_check_path`]).
-    pub fn check_path(&mut self, path: &[u16]) -> bool {
-        self.try_check_path(path).unwrap_or_else(|e| panic!("Pruner::check_path: {e}"))
-    }
-
-    /// Fallible [`Self::check_path`]: the hardened probe for callers that
-    /// hold entry paths (the join stream, the skyline search). The top-k
-    /// search addresses nodes by SID instead: [`Self::try_node_mask`].
-    pub fn try_check_path(&mut self, path: &[u16]) -> Result<bool, StorageError> {
-        match &mut self.kind {
-            PrunerKind::None => Ok(true),
-            PrunerKind::Single(c) => c.try_check_path(path),
-            PrunerKind::Lazy(li) => li.try_check_path(path),
-            PrunerKind::Assembled(sig) => Ok(sig.contains_path(path)),
-        }
     }
 
     /// Which entries of the partition node mirrored by signature node
@@ -937,6 +874,39 @@ impl<'a> Pruner<'a> {
             PrunerKind::Lazy(li) => li.subtree_non_empty(sid, level),
             PrunerKind::None | PrunerKind::Single(_) | PrunerKind::Assembled(_) => Ok(true),
         }
+    }
+
+    /// The two calls above taken at *pop*, for a search whose entries
+    /// outlive the pruner they were pushed under (the skyline resumes a
+    /// logged frontier under another selection, so nothing can be decided
+    /// at expansion): entry `sid` qualifies when its bit survives its
+    /// parent's [`Self::try_node_mask`] and — for a node, `node_level` its
+    /// level — it passes [`Self::try_admit_node`]. A tuple slot is
+    /// addressed like a child, `leaf·(M+1) + slot + 1`, with no level. The
+    /// root has no parent: the pruner's existence admitted it. On a
+    /// well-formed signature this is "every bit along the entry's path is
+    /// set", since a node exists only under a set bit.
+    pub fn try_admit_entry(
+        &mut self,
+        sid: u64,
+        node_level: Option<u16>,
+        mask: &mut Vec<u64>,
+    ) -> Result<bool, StorageError> {
+        let base = match &self.kind {
+            PrunerKind::None => return Ok(true),
+            PrunerKind::Single(c) => c.loader.stored.m as u64,
+            PrunerKind::Lazy(li) => li.m,
+            PrunerKind::Assembled(sig) => sig.fanout() as u64,
+        } + 1;
+        if sid == 0 {
+            return Ok(true);
+        }
+        let (parent, pos) = ((sid - 1) / base, ((sid - 1) % base) as usize);
+        self.try_node_mask(parent, mask)?;
+        if mask.get(pos / 64).is_none_or(|w| w >> (pos % 64) & 1 == 0) {
+            return Ok(false);
+        }
+        node_level.map_or(Ok(true), |level| self.try_admit_node(sid, level))
     }
 
     /// Partial-signature loads performed (lazy + assembly).
@@ -1879,6 +1849,34 @@ mod tests {
         (rel, disk, rtree, cube)
     }
 
+    /// What the path probe the searches used to carry answered, as a walk
+    /// over the SID-addressed probes that replaced it: every bit along
+    /// `path` set in its node's mask and, for a node path (shorter than the
+    /// tree's `height`), the node admitted. The pop-time form of the same
+    /// question, [`Pruner::try_admit_entry`], must agree.
+    fn walk(pruner: &mut Pruner<'_>, rtree: &RTree, path: &[u16]) -> bool {
+        let base = rtree.max_fanout() as u64 + 1;
+        let node_level = (path.len() < rtree.height()).then_some(path.len() as u16);
+        let (mut sid, mut mask) = (0u64, Vec::new());
+        let mut set = true;
+        for &p in path {
+            let filtered = pruner.try_node_mask(sid, &mut mask).unwrap();
+            set = !filtered || mask.get(p as usize / 64).is_some_and(|w| w >> (p % 64) & 1 == 1);
+            if !set {
+                break;
+            }
+            sid = sid * base + p as u64 + 1;
+        }
+        let verdict = set && node_level.is_none_or(|l| pruner.try_admit_node(sid, l).unwrap());
+        let sid = Signature::sid_of(rtree.max_fanout(), path);
+        assert_eq!(
+            pruner.try_admit_entry(sid, node_level, &mut mask).unwrap(),
+            verdict,
+            "{path:?}"
+        );
+        verdict
+    }
+
     #[test]
     fn stored_signature_round_trips() {
         let (rel, disk, rtree, cube) = setup(800);
@@ -1905,16 +1903,12 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(600);
         let stored = cube.cell_signature(&[0], &[1]).expect("cell exists");
         let full = stored.load_full(&disk, cube.store());
-        let mut cursor = SigCursor::new(stored, cube.store(), &disk);
+        let mut cursor = Pruner::single(SigCursor::new(stored, cube.store(), &disk));
+        // Tuple paths and every prefix (node path) of them.
         for tid in rel.tids() {
             let path = rtree.tuple_path(tid).unwrap();
-            assert_eq!(cursor.check_path(&path), full.contains_path(&path));
-        }
-        // Prefix (node-path) probes agree too.
-        for tid in rel.tids().step_by(7) {
-            let path = rtree.tuple_path(tid).unwrap();
-            for l in 1..path.len() {
-                assert_eq!(cursor.check_path(&path[..l]), full.contains_path(&path[..l]));
+            for l in 1..=path.len() {
+                assert_eq!(walk(&mut cursor, &rtree, &path[..l]), full.contains_path(&path[..l]));
             }
         }
     }
@@ -1941,8 +1935,8 @@ mod tests {
 
         // Checking only the root bit loads exactly the root's partial and
         // decodes exactly one node.
-        let mut cursor = SigCursor::new(stored, cube.store(), &disk);
-        let _ = cursor.check_path(&[0]);
+        let mut cursor = Pruner::single(SigCursor::new(stored, cube.store(), &disk));
+        let _ = walk(&mut cursor, &rtree, &[0]);
         assert_eq!(cursor.loads(), 1);
         assert_eq!(cursor.nodes_decoded(), 1);
 
@@ -1974,10 +1968,10 @@ mod tests {
         }
         let (first, _) = probe.expect("cell has deep tuples");
         let second = second.expect("two subtrees in distinct partials");
-        let mut cursor = SigCursor::new(stored, cube.store(), &disk);
-        assert!(cursor.check_path(&first), "tuple prefix must pass its own cell");
+        let mut cursor = Pruner::single(SigCursor::new(stored, cube.store(), &disk));
+        assert!(walk(&mut cursor, &rtree, &first), "tuple prefix must pass its own cell");
         let after_first = cursor.loads();
-        assert!(cursor.check_path(&second));
+        assert!(walk(&mut cursor, &rtree, &second));
         assert_eq!(
             cursor.loads(),
             after_first + 1,
@@ -2027,15 +2021,14 @@ mod tests {
             let (Some(sig), Some(mut pruner)) = (assembled, lazy) else {
                 continue;
             };
+            let mut eager = cube.eager_pruner_for(&sel, &disk).expect("assembly is non-empty");
             for tid in rel.tids() {
                 let path = rtree.tuple_path(tid).unwrap();
                 for l in 1..=path.len() {
-                    assert_eq!(
-                        pruner.check_path(&path[..l]),
-                        sig.contains_path(&path[..l]),
-                        "tid {tid} prefix {l} sel {:?}",
-                        sel.conds()
-                    );
+                    let want = sig.contains_path(&path[..l]);
+                    let what = format!("tid {tid} prefix {l} sel {:?}", sel.conds());
+                    assert_eq!(walk(&mut pruner, &rtree, &path[..l]), want, "lazy, {what}");
+                    assert_eq!(walk(&mut eager, &rtree, &path[..l]), want, "assembled, {what}");
                 }
             }
         }
@@ -2050,7 +2043,11 @@ mod tests {
         // Drive both over the same probes (a top-k search touches fewer).
         for tid in rel.tids() {
             let path = rtree.tuple_path(tid).unwrap();
-            assert_eq!(lazy.check_path(&path), eager.check_path(&path), "tid {tid}");
+            assert_eq!(
+                walk(&mut lazy, &rtree, &path),
+                walk(&mut eager, &rtree, &path),
+                "tid {tid}"
+            );
         }
         assert!(
             lazy.loads() <= eager.loads(),
@@ -2118,8 +2115,9 @@ mod tests {
         let mut p = 200u32.to_le_bytes().to_vec();
         p.extend_from_slice(&[0xAB; 25]);
         cube.store().overwrite(&disk, page, p);
-        let mut cursor = SigCursor::new(stored, cube.store(), &disk);
-        assert!(cursor.try_check_path(&[0]).is_err());
+        let mut cursor = Pruner::single(SigCursor::new(stored, cube.store(), &disk));
+        assert!(cursor.try_node_mask(0, &mut Vec::new()).is_err());
+        assert!(cursor.try_admit_entry(1, None, &mut Vec::new()).is_err());
         assert!(stored.try_load_full(&disk, cube.store()).is_err());
         assert!(cube.verify_integrity().is_err());
     }
@@ -2153,15 +2151,23 @@ mod tests {
                 // The probe signature is identical for both backends: the
                 // metering device is captured at construction, not
                 // threaded through every check.
-                let mut mem_cur = SigCursor::new(mem_cell, cube.store(), &disk);
-                let mut file_cur = SigCursor::new(file_cell, reopened.store(), &disk2);
+                let mut mem_cur = Pruner::single(SigCursor::new(mem_cell, cube.store(), &disk));
+                let mut file_cur =
+                    Pruner::single(SigCursor::new(file_cell, reopened.store(), &disk2));
                 for tid in rel.tids() {
                     let p = rtree.tuple_path(tid).unwrap();
-                    assert_eq!(
-                        mem_cur.check_path(&p),
-                        file_cur.check_path(&p),
-                        "tid {tid} dim {d} val {v}"
-                    );
+                    let in_cell = rel.selection_value(tid, d) == v;
+                    for l in 1..=p.len() {
+                        // A prefix of a cell tuple's path is in the cell;
+                        // for the others only the two backends must agree.
+                        let (mem, file) = (
+                            walk(&mut mem_cur, &rtree, &p[..l]),
+                            walk(&mut file_cur, &rtree2, &p[..l]),
+                        );
+                        assert_eq!(mem, file, "tid {tid} dim {d} val {v} prefix {l}");
+                        assert!(mem || !in_cell, "tid {tid} dim {d} val {v} prefix {l}");
+                    }
+                    assert_eq!(walk(&mut file_cur, &rtree2, &p), in_cell, "tid {tid}");
                 }
             }
         }
@@ -2185,7 +2191,7 @@ mod tests {
             let sel = Selection::new(vec![(d, v)]);
             let mut p = cube.pruner_for(&sel, &disk).expect("cell exists");
             for tid in rel.tids() {
-                let _ = p.check_path(&rtree.tuple_path(tid).unwrap());
+                let _ = walk(&mut p, rtree, &rtree.tuple_path(tid).unwrap());
             }
             (p.loads(), p.shared_node_hits())
         };
@@ -2221,7 +2227,7 @@ mod tests {
         let mut p = cube.pruner_for(&sel, &disk).expect("spliced cell exists");
         for tid in rel.tids().chain([9_000]) {
             let in_cell = tid == 9_000 || rel.selection_value(tid, 0) == 1;
-            assert_eq!(p.check_path(&rtree.tuple_path(tid).unwrap()), in_cell, "tid {tid}");
+            assert_eq!(walk(&mut p, &rtree, &rtree.tuple_path(tid).unwrap()), in_cell, "tid {tid}");
         }
         assert_eq!(p.loads(), done.partials as u64, "only the rewritten partials are read");
     }
@@ -2283,10 +2289,10 @@ mod tests {
         reopened.verify_integrity().expect("clean scrub");
         let disk2 = DiskSim::with_defaults();
         let cell = reopened.cell_signature(&[0], &[1]).expect("patched cell");
-        let mut cur = SigCursor::new(cell, reopened.store(), &disk2);
+        let mut cur = Pruner::single(SigCursor::new(cell, reopened.store(), &disk2));
         for tid in rel.tids() {
             let p = rtree2.tuple_path(tid).unwrap();
-            assert_eq!(cur.check_path(&p), keep.contains(&p), "tid {tid}");
+            assert_eq!(walk(&mut cur, &rtree2, &p), keep.contains(&p), "tid {tid}");
         }
 
         // Vacuum drops the retired pages; the compacted file is clean and
@@ -2374,7 +2380,7 @@ mod tests {
                     let want = naive(&path[..l]);
                     proptest::prop_assert_eq!(assembled.contains_path(&path[..l]), want,
                         "assembled diverges from naive at {:?}", &path[..l]);
-                    proptest::prop_assert_eq!(lazy.check_path(&path[..l]), want,
+                    proptest::prop_assert_eq!(walk(&mut lazy, &rtree, &path[..l]), want,
                         "lazy diverges from naive at {:?}", &path[..l]);
                 }
             }

@@ -134,6 +134,21 @@ pub fn topk_signature_assembled<F: RankFn>(
     TopKCursor::new(Box::new(search), plan.k).drain()
 }
 
+/// This search with nothing to prune by: best-first descent over `rtree`
+/// alone, every entry qualifying, in the order and at the block counts of
+/// the signature route under an empty selection. **`plan.selection` is
+/// ignored** — the ranking-first baseline opens this and verifies the
+/// predicates itself, one popped tuple at a time.
+pub fn open_unpruned<'a>(
+    rtree: &'a RTree,
+    disk: &'a DiskSim,
+    plan: &QueryPlan<'a>,
+) -> TopKCursor<'a> {
+    let before = disk.stats().snapshot();
+    let search = SigSearch::new(rtree, disk, plan, Some(Pruner::none()), before);
+    TopKCursor::new(Box::new(search), plan.k)
+}
+
 /// A `(SignatureCube, RTree)` pair bound to a metering device: the
 /// signature engine's [`RankedSource`]. Constructed per query via
 /// [`SignatureCube::source`]; opening a cursor builds the lazy

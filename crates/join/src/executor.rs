@@ -10,12 +10,13 @@
 use std::collections::HashMap;
 
 use rcube_core::QueryStats;
+use rcube_func::{Linear, RankFn};
 use rcube_storage::DiskSim;
 use rcube_table::Tid;
 
 use crate::optimizer::{Access, Plan};
 use crate::relation::JoinRelation;
-use crate::stream::{MaterializedStream, RankedStream, TupleStream};
+use crate::stream::RankedStream;
 use crate::SpjrQuery;
 
 /// A joined answer: one tid per relation plus the combined score.
@@ -51,32 +52,33 @@ impl RankJoin {
         let mut stats = QueryStats::default();
 
         // Open streams with list pruning: each stream skips join keys
-        // absent from every other relation (Section 6.3.3).
-        let mut streams: Vec<Box<dyn TupleStream + '_>> = Vec::with_capacity(m);
-        for (i, (jr, rq)) in relations.iter().zip(&query.relations).enumerate() {
+        // absent from every other relation (Section 6.3.3). The functions
+        // and dimension list outlive the cursors that borrow them.
+        let funcs: Vec<Linear> =
+            query.relations.iter().map(|rq| Linear::new(rq.weights.clone())).collect();
+        let dims: Vec<usize> = (0..funcs.iter().map(Linear::arity).max().unwrap_or(0)).collect();
+        let mut streams: Vec<RankedStream<'_>> = Vec::with_capacity(m);
+        for (i, ((jr, rq), func)) in relations.iter().zip(&query.relations).zip(&funcs).enumerate()
+        {
             let mut filter = jr.key_set().clone();
             for (j, other) in relations.iter().enumerate() {
                 if j != i {
                     filter.retain(|k| other.key_set().contains(k));
                 }
             }
-            let stream: Box<dyn TupleStream> = match plan.access[i] {
-                Access::RankAware => Box::new(RankedStream::open(
+            streams.push(match plan.access[i] {
+                Access::RankAware => RankedStream::open(
                     jr,
                     &rq.selection,
-                    rq.weights.clone(),
+                    func,
+                    &dims[..func.arity()],
                     Some(filter),
                     disk,
-                )),
-                Access::BooleanFirst => Box::new(MaterializedStream::open(
-                    jr,
-                    &rq.selection,
-                    rq.weights.clone(),
-                    disk,
-                    Some(&filter),
-                )),
-            };
-            streams.push(stream);
+                ),
+                Access::BooleanFirst => {
+                    RankedStream::materialized(jr, &rq.selection, func, Some(&filter), disk)
+                }
+            });
         }
 
         // Seen tables: per relation, key → [(tid, score)].
@@ -116,7 +118,7 @@ impl RankJoin {
                 if exhausted[i] {
                     continue;
                 }
-                match streams[i].next(disk) {
+                match streams[i].next() {
                     None => {
                         exhausted[i] = true;
                         continue;

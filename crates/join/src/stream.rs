@@ -1,212 +1,70 @@
 //! Rank-aware selection (Section 6.3.1): a per-relation operator producing
 //! qualifying tuples one at a time in ascending partial-score order.
 //!
-//! Internally a branch-and-bound descent over the relation's R-tree with
-//! signature Boolean pruning — the streaming form of Algorithm 3. The
-//! optimizer may instead materialize the qualifying tuples upfront
-//! (Boolean-first access) and stream from the sorted buffer; both
-//! implement [`TupleStream`].
+//! A [`RankedStream`] is the relation's own top-k cursor with no answer
+//! limit — Algorithm 3 as the signature route runs it
+//! ([`rcube_core::sigquery`]), not a copy of it — behind the join-key
+//! filter of list pruning. The optimizer may instead materialize the
+//! qualifying tuples upfront (Boolean-first access); that is the same
+//! cursor type over a sorted buffer ([`SortedDrain`]), so the executor sees
+//! one stream type either way.
 
-use std::collections::BinaryHeap;
+use std::collections::HashSet;
 
-use rcube_core::sigcube::Pruner;
+use rcube_core::query::{QueryPlan, RankedSource, SortedDrain, TopKCursor};
+use rcube_core::QueryStats;
 use rcube_func::{Linear, RankFn};
-use rcube_index::{HierIndex, NodeHandle};
 use rcube_storage::DiskSim;
 use rcube_table::{Selection, Tid};
 
 use crate::relation::JoinRelation;
 
-/// A stream of `(tid, partial score)` in ascending score order.
-pub trait TupleStream {
-    /// The next qualifying tuple, charging I/O as needed.
-    fn next(&mut self, disk: &DiskSim) -> Option<(Tid, f64)>;
-
-    /// Lower bound for every not-yet-returned tuple (the `first/last`
-    /// bookkeeping of the rank-join threshold).
-    fn bound(&self) -> f64;
-
-    /// Blocks read so far.
-    fn blocks_read(&self) -> u64;
-}
-
+/// A stream of `(tid, partial score)` over a [`JoinRelation`], ascending by
+/// `(score, tid)`.
 #[derive(Debug)]
-enum Entry {
-    Node(NodeHandle, Vec<u16>),
-    Tuple(Tid, Vec<u16>, f64),
-}
-
-#[derive(Debug)]
-struct Item {
-    key: f64,
-    seq: u64,
-    entry: Entry,
-}
-
-impl PartialEq for Item {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl Eq for Item {}
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.total_cmp(&self.key).then(other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Progressive rank-aware selection over a [`JoinRelation`].
 pub struct RankedStream<'a> {
+    cursor: TopKCursor<'a>,
     relation: &'a JoinRelation,
-    pruner: Option<Pruner<'a>>,
-    func: Linear,
-    heap: BinaryHeap<Item>,
-    seq: u64,
-    last: f64,
-    exhausted: bool,
-    blocks: u64,
     /// Keys that can possibly join (list pruning); `None` disables.
-    key_filter: Option<std::collections::HashSet<u32>>,
-}
-
-impl<'a> std::fmt::Debug for RankedStream<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RankedStream")
-            .field("last", &self.last)
-            .field("exhausted", &self.exhausted)
-            .finish()
-    }
+    key_filter: Option<HashSet<u32>>,
+    /// Score of the tuple returned last; `+∞` once the stream ran dry.
+    last: f64,
 }
 
 impl<'a> RankedStream<'a> {
-    /// Opens a stream; returns `None`-producing stream when a predicate's
-    /// cell is empty. Signature probes charge `disk` (captured by the
-    /// pruner at construction, so probes don't thread a device), keeping
-    /// pruning I/O inside the executor's query stats.
+    /// Rank-aware access: progressive search over the relation's ranking
+    /// cube, `func` reading the ranking dimensions `dims`. Signature
+    /// probes and node reads charge `disk`, keeping pruning I/O inside the
+    /// executor's query stats.
     pub fn open(
         relation: &'a JoinRelation,
-        selection: &Selection,
-        weights: Vec<f64>,
-        key_filter: Option<std::collections::HashSet<u32>>,
+        selection: &'a Selection,
+        func: &'a Linear,
+        dims: &'a [usize],
+        key_filter: Option<HashSet<u32>>,
         disk: &'a DiskSim,
     ) -> Self {
-        let pruner = relation.cube().pruner_for(selection, disk);
-        let empty_cell = pruner.is_none();
-        let func = Linear::new(weights);
-        let mut heap = BinaryHeap::new();
-        if !empty_cell {
-            let root = relation.rtree().root();
-            let bound = func.lower_bound(&relation.rtree().region(root));
-            heap.push(Item { key: bound, seq: 0, entry: Entry::Node(root, Vec::new()) });
-        }
-        Self {
-            relation,
-            pruner,
-            func,
-            heap,
-            seq: 0,
-            last: f64::NEG_INFINITY,
-            exhausted: empty_cell,
-            blocks: 0,
-            key_filter,
-        }
-    }
-}
-
-impl<'a> TupleStream for RankedStream<'a> {
-    fn next(&mut self, disk: &DiskSim) -> Option<(Tid, f64)> {
-        while let Some(Item { entry, .. }) = self.heap.pop() {
-            let path = match &entry {
-                Entry::Node(_, p) => p,
-                Entry::Tuple(_, p, _) => p,
-            };
-            if !path.is_empty() && !self.pruner.as_mut().is_none_or(|p| p.check_path(path)) {
-                continue;
-            }
-            match entry {
-                Entry::Tuple(tid, _, score) => {
-                    if let Some(filter) = &self.key_filter {
-                        if !filter.contains(&self.relation.key_of(tid)) {
-                            continue; // list pruning: key cannot join
-                        }
-                    }
-                    self.last = score;
-                    return Some((tid, score));
-                }
-                Entry::Node(n, path) => {
-                    let rtree = self.relation.rtree();
-                    rtree.read_node(disk, n);
-                    self.blocks += 1;
-                    if rtree.is_leaf(n) {
-                        for (slot, (tid, point)) in rtree.leaf_entries(n).into_iter().enumerate() {
-                            let score = self.func.score(&point);
-                            let mut tpath = path.clone();
-                            tpath.push(slot as u16);
-                            self.seq += 1;
-                            self.heap.push(Item {
-                                key: score,
-                                seq: self.seq,
-                                entry: Entry::Tuple(tid, tpath, score),
-                            });
-                        }
-                    } else {
-                        for (pos, child) in rtree.children(n).into_iter().enumerate() {
-                            let bound = self.func.lower_bound(&rtree.region(child));
-                            let mut cpath = path.clone();
-                            cpath.push(pos as u16);
-                            self.seq += 1;
-                            self.heap.push(Item {
-                                key: bound,
-                                seq: self.seq,
-                                entry: Entry::Node(child, cpath),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        self.exhausted = true;
-        None
+        let plan = QueryPlan { selection, func, ranking_dims: dims, k: usize::MAX, cuboids: None };
+        let cursor = relation
+            .cube()
+            .source(relation.rtree(), disk)
+            .open(&plan)
+            .expect("in-memory join relation cannot fail");
+        Self { cursor, relation, key_filter, last: f64::NEG_INFINITY }
     }
 
-    fn bound(&self) -> f64 {
-        if self.exhausted {
-            f64::INFINITY
-        } else {
-            self.heap.peek().map_or(f64::INFINITY, |i| i.key).max(self.last)
-        }
-    }
-
-    fn blocks_read(&self) -> u64 {
-        self.blocks
-    }
-}
-
-/// Boolean-first access: qualifying tuples materialized and sorted upfront
-/// (chosen by the optimizer for very selective predicates).
-#[derive(Debug)]
-pub struct MaterializedStream {
-    items: Vec<(Tid, f64)>,
-    pos: usize,
-    blocks: u64,
-}
-
-impl MaterializedStream {
-    pub fn open(
-        relation: &JoinRelation,
+    /// Boolean-first access: qualifying, joinable tuples fetched by random
+    /// access and sorted upfront (chosen by the optimizer for very
+    /// selective predicates).
+    pub fn materialized(
+        relation: &'a JoinRelation,
         selection: &Selection,
-        weights: Vec<f64>,
+        func: &Linear,
+        key_filter: Option<&HashSet<u32>>,
         disk: &DiskSim,
-        key_filter: Option<&std::collections::HashSet<u32>>,
     ) -> Self {
         let rel = relation.relation();
-        let func = Linear::new(weights);
-        let mut items: Vec<(Tid, f64)> = rel
+        let items = rel
             .tids()
             .filter(|&t| selection.matches(rel, t))
             .filter(|&t| key_filter.is_none_or(|f| f.contains(&relation.key_of(t))))
@@ -215,24 +73,37 @@ impl MaterializedStream {
                 (t, func.score(&rel.ranking_point(t)))
             })
             .collect();
-        items.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        Self { items, pos: 0, blocks: 0 }
+        let drain = SortedDrain::new(items, QueryStats::default());
+        let cursor = TopKCursor::new(Box::new(drain), usize::MAX);
+        Self { cursor, relation, key_filter: None, last: f64::NEG_INFINITY }
+    }
+
+    /// Lower bound for every not-yet-returned tuple — the `last_i` of the
+    /// rank-join threshold: the cursor certifies ascending order, so
+    /// nothing still to come scores below what was returned last.
+    pub fn bound(&self) -> f64 {
+        self.last
+    }
+
+    /// Blocks read so far.
+    pub fn blocks_read(&self) -> u64 {
+        self.cursor.stats().blocks_read
     }
 }
 
-impl TupleStream for MaterializedStream {
-    fn next(&mut self, _disk: &DiskSim) -> Option<(Tid, f64)> {
-        let item = self.items.get(self.pos).copied();
-        self.pos += 1;
-        item
-    }
+/// The next qualifying tuple whose key can join, charging I/O as needed.
+impl Iterator for RankedStream<'_> {
+    type Item = (Tid, f64);
 
-    fn bound(&self) -> f64 {
-        self.items.get(self.pos).map_or(f64::INFINITY, |&(_, s)| s)
-    }
-
-    fn blocks_read(&self) -> u64 {
-        self.blocks
+    fn next(&mut self) -> Option<(Tid, f64)> {
+        for (tid, score) in self.cursor.by_ref() {
+            if self.key_filter.as_ref().is_none_or(|f| f.contains(&self.relation.key_of(tid))) {
+                self.last = score;
+                return Some((tid, score));
+            }
+        }
+        self.last = f64::INFINITY;
+        None
     }
 }
 
@@ -240,6 +111,8 @@ impl TupleStream for MaterializedStream {
 mod tests {
     use super::*;
     use rcube_table::gen::SyntheticSpec;
+
+    const DIMS: [usize; 2] = [0, 1];
 
     fn setup() -> (DiskSim, JoinRelation) {
         let rel = SyntheticSpec { tuples: 800, cardinality: 4, ..Default::default() }.generate();
@@ -252,10 +125,11 @@ mod tests {
     fn stream_yields_ascending_qualifying_tuples() {
         let (disk, jr) = setup();
         let sel = Selection::new(vec![(0, 1)]);
-        let mut s = RankedStream::open(&jr, &sel, vec![1.0, 1.0], None, &disk);
+        let f = Linear::new(vec![1.0, 1.0]);
+        let s = RankedStream::open(&jr, &sel, &f, &DIMS, None, &disk);
         let mut prev = f64::NEG_INFINITY;
         let mut count = 0;
-        while let Some((tid, score)) = s.next(&disk) {
+        for (tid, score) in s {
             assert!(score >= prev - 1e-12, "stream must be sorted");
             assert!(sel.matches(jr.relation(), tid));
             prev = score;
@@ -269,25 +143,54 @@ mod tests {
     fn key_filter_prunes_streams() {
         let (disk, jr) = setup();
         let sel = Selection::all();
-        let filter: std::collections::HashSet<u32> = [0u32, 7, 14].into_iter().collect();
-        let mut s = RankedStream::open(&jr, &sel, vec![1.0, 1.0], Some(filter.clone()), &disk);
-        while let Some((tid, _)) = s.next(&disk) {
+        let f = Linear::new(vec![1.0, 1.0]);
+        let filter: HashSet<u32> = [0u32, 7, 14].into_iter().collect();
+        let s = RankedStream::open(&jr, &sel, &f, &DIMS, Some(filter.clone()), &disk);
+        for (tid, _) in s {
             assert!(filter.contains(&jr.key_of(tid)));
         }
     }
 
+    /// Both access paths are one filtered scan in `(score, tid)` order —
+    /// tids and score bits, with and without list pruning — and the bound
+    /// a stream reports never exceeds what it returns next.
     #[test]
     fn materialized_stream_equals_ranked_stream() {
         let (disk, jr) = setup();
-        let sel = Selection::new(vec![(1, 2)]);
-        let mut a = RankedStream::open(&jr, &sel, vec![2.0, 0.5], None, &disk);
-        let mut b = MaterializedStream::open(&jr, &sel, vec![2.0, 0.5], &disk, None);
-        loop {
-            let (x, y) = (a.next(&disk), b.next(&disk));
-            match (x, y) {
-                (None, None) => break,
-                (Some((_, sa)), Some((_, sb))) => assert!((sa - sb).abs() < 1e-12),
-                other => panic!("stream length mismatch: {other:?}"),
+        let rel = jr.relation();
+        let f = Linear::new(vec![2.0, 0.5]);
+        let keys: HashSet<u32> = (0..40).filter(|k| k % 3 == 0).collect();
+        for (conds, filter) in [
+            (vec![(1, 2)], None),
+            (vec![(1, 2)], Some(&keys)),
+            (vec![], Some(&keys)),
+            (vec![(0, 1), (2, 3)], Some(&keys)),
+            (vec![(0, 99)], None),
+        ] {
+            let sel = Selection::new(conds);
+            let mut want: Vec<(Tid, f64)> = rel
+                .tids()
+                .filter(|&t| sel.matches(rel, t))
+                .filter(|&t| filter.is_none_or(|f| f.contains(&jr.key_of(t))))
+                .map(|t| (t, f.score(&rel.ranking_point(t))))
+                .collect();
+            want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let bits = |v: &[(Tid, f64)]| -> Vec<(Tid, u64)> {
+                v.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+            };
+            for mut stream in [
+                RankedStream::open(&jr, &sel, &f, &DIMS, filter.cloned(), &disk),
+                RankedStream::materialized(&jr, &sel, &f, filter, &disk),
+            ] {
+                let mut got = Vec::new();
+                loop {
+                    let bound = stream.bound();
+                    let Some(item) = stream.next() else { break };
+                    assert!(bound <= item.1, "bound {bound} above the next score {}", item.1);
+                    got.push(item);
+                }
+                assert_eq!(stream.bound(), f64::INFINITY, "a dry stream bounds nothing");
+                assert_eq!(bits(&got), bits(&want), "{:?} filter {}", sel, filter.is_some());
             }
         }
     }
@@ -295,10 +198,13 @@ mod tests {
     #[test]
     fn bound_tracks_progress() {
         let (disk, jr) = setup();
-        let mut s = RankedStream::open(&jr, &Selection::all(), vec![1.0, 1.0], None, &disk);
+        let sel = Selection::all();
+        let f = Linear::new(vec![1.0, 1.0]);
+        let mut s = RankedStream::open(&jr, &sel, &f, &DIMS, None, &disk);
         let b0 = s.bound();
-        let (_, s1) = s.next(&disk).unwrap();
+        let (_, s1) = s.next().unwrap();
         assert!(s.bound() >= b0 - 1e-12);
         assert!(s.bound() >= s1 - 1e-12);
+        assert!(s.blocks_read() > 0, "the first answer read the root at least");
     }
 }

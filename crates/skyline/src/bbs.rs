@@ -1,12 +1,20 @@
 //! Branch-and-bound skyline with signature Boolean pruning (Section 7.2).
 //!
 //! The candidate heap orders entries by `mindist` in preference space; a
-//! popped entry is Boolean-checked against the signature cursors and
+//! popped entry is Boolean-checked against the signature and
 //! dominance-checked against the accepted skyline (a node is pruned when
 //! its transformed minimum corner is dominated — Figure 7.1). Every
 //! discarded entry is logged into a [`SkylineSession`] so drill-down and
 //! roll-up queries can re-construct the candidate heap (Section 7.2.4)
 //! instead of restarting from the root.
+//!
+//! Entries are addressed the way the top-k search addresses them
+//! ([`rcube_core::sigquery`]): by the SID of the signature node mirroring
+//! them, `child = sid·(M+1) + pos + 1`, a tuple taking the SID its leaf
+//! slot would have as a child. Unlike the top-k search the Boolean check
+//! stays at *pop* ([`rcube_core::sigcube::Pruner::try_admit_entry`]): a
+//! logged entry is replayed under whatever selection the next navigation
+//! step asks for, so no verdict taken when it was pushed would still hold.
 
 use std::collections::BinaryHeap;
 
@@ -14,7 +22,7 @@ use rcube_core::sigcube::SignatureCube;
 use rcube_core::QueryStats;
 use rcube_index::rtree::RTree;
 use rcube_index::{HierIndex, NodeHandle};
-use rcube_storage::DiskSim;
+use rcube_storage::{DiskSim, IoSnapshot};
 use rcube_table::{Relation, Tid};
 
 use crate::dominance::{dominates, mindist, transform_point, transform_rect_min};
@@ -23,10 +31,10 @@ use crate::{SkylineQuery, SkylineResult};
 /// A replayable heap entry.
 #[derive(Debug, Clone)]
 pub(crate) enum SEntry {
-    /// R-tree node + its entry path.
-    Node(NodeHandle, Vec<u16>),
-    /// Tuple: tid, full path, transformed preference coordinates.
-    Tuple(Tid, Vec<u16>, Vec<f64>),
+    /// R-tree node, its SID and its level (root = 0).
+    Node(NodeHandle, u64, u16),
+    /// Tuple: tid, SID, transformed preference coordinates.
+    Tuple(Tid, u64, Vec<f64>),
 }
 
 #[derive(Debug)]
@@ -50,6 +58,106 @@ impl Ord for Item {
 impl PartialOrd for Item {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// The candidate heap, the skyline accepted so far and the one way entries
+/// get onto the heap — what the signature search and the ranking-first
+/// baseline share.
+struct Search<'q> {
+    rtree: &'q RTree,
+    query: &'q SkylineQuery,
+    disk: &'q DiskSim,
+    heap: BinaryHeap<Item>,
+    seq: u64,
+    skyline: Vec<(Tid, Vec<f64>)>,
+    stats: QueryStats,
+    before: IoSnapshot,
+}
+
+impl<'q> Search<'q> {
+    fn new(rtree: &'q RTree, query: &'q SkylineQuery, disk: &'q DiskSim) -> Self {
+        Self {
+            rtree,
+            query,
+            disk,
+            heap: BinaryHeap::new(),
+            seq: 0,
+            skyline: Vec::new(),
+            stats: QueryStats::default(),
+            before: disk.stats().snapshot(),
+        }
+    }
+
+    fn push(&mut self, key: f64, entry: SEntry) {
+        self.seq += 1;
+        self.heap.push(Item { key, seq: self.seq, entry });
+        self.stats.peak_heap = self.stats.peak_heap.max(self.heap.len() as u64);
+    }
+
+    fn pop(&mut self) -> Option<(f64, SEntry)> {
+        self.heap.pop().map(|Item { key, entry, .. }| (key, entry))
+    }
+
+    /// A search from scratch: the frontier is the root, SID 0.
+    fn from_root(rtree: &'q RTree, query: &'q SkylineQuery, disk: &'q DiskSim) -> Self {
+        let mut search = Self::new(rtree, query, disk);
+        let root = rtree.root();
+        search.push(mindist(&search.corner(root)), SEntry::Node(root, 0, 0));
+        search
+    }
+
+    /// Transformed minimum corner of `n`'s region in preference space.
+    fn corner(&self, n: NodeHandle) -> Vec<f64> {
+        let region = self.rtree.mbr(n).project(&self.query.pref_dims);
+        transform_rect_min(&region, self.query.dynamic_point.as_deref())
+    }
+
+    /// Dominance pruning: a tuple by its coordinates, a node by its
+    /// transformed minimum corner.
+    fn dominated(&self, entry: &SEntry) -> bool {
+        let corner;
+        let coords = match entry {
+            SEntry::Tuple(_, _, coords) => coords,
+            SEntry::Node(n, ..) => {
+                corner = self.corner(*n);
+                &corner
+            }
+        };
+        self.skyline.iter().any(|(_, s)| dominates(s, coords))
+    }
+
+    /// Reads node `n` and pushes every entry of it.
+    fn expand(&mut self, n: NodeHandle, sid: u64, level: u16) {
+        let rtree = self.rtree;
+        rtree.read_node(self.disk, n);
+        self.stats.blocks_read += 1;
+        let first_child = sid * (rtree.max_fanout() as u64 + 1) + 1;
+        for (slot, (tid, point)) in rtree.leaf_slice(n).iter().enumerate() {
+            let raw: Vec<f64> = self.query.pref_dims.iter().map(|&d| point[d]).collect();
+            let coords = transform_point(&raw, self.query.dynamic_point.as_deref());
+            self.push(mindist(&coords), SEntry::Tuple(*tid, first_child + slot as u64, coords));
+            self.stats.states_generated += 1;
+        }
+        for (pos, &child) in rtree.child_ids(n).iter().enumerate() {
+            let child = NodeHandle(child);
+            let key = mindist(&self.corner(child));
+            self.push(key, SEntry::Node(child, first_child + pos as u64, level + 1));
+            self.stats.states_generated += 1;
+        }
+    }
+
+    fn accept(&mut self, tid: Tid, coords: Vec<f64>) {
+        self.skyline.push((tid, coords));
+        self.stats.tuples_scored += 1;
+    }
+
+    fn finish(mut self) -> SkylineResult {
+        self.stats.io = self.before.delta(&self.disk.stats().snapshot());
+        SkylineResult {
+            tids: self.skyline.into_iter().map(|(t, _)| t).collect(),
+            stats: self.stats,
+        }
     }
 }
 
@@ -90,12 +198,7 @@ impl<'a> SkylineEngine<'a> {
 
     /// Answers a skyline query from scratch.
     pub fn skyline(&self, query: &SkylineQuery, disk: &DiskSim) -> (SkylineResult, SkylineSession) {
-        let root = self.rtree.root();
-        let root_key = mindist(&transform_rect_min(
-            &self.rtree.region(root).project(&query.pref_dims),
-            query.dynamic_point.as_deref(),
-        ));
-        self.run(query, vec![(root_key, SEntry::Node(root, Vec::new()))], disk)
+        self.run(Search::from_root(self.rtree, query, disk))
     }
 
     /// Resumes from a previous session's frontier with a modified Boolean
@@ -109,113 +212,55 @@ impl<'a> SkylineEngine<'a> {
     ) -> (SkylineResult, SkylineSession) {
         assert_eq!(session.query.pref_dims, query.pref_dims, "preference dims must match");
         assert_eq!(session.query.dynamic_point, query.dynamic_point, "dynamic point must match");
-        let mut seeds = session.pruned.clone();
-        seeds.extend(session.accepted.iter().cloned());
-        self.run(query, seeds, disk)
+        let mut search = Search::new(self.rtree, query, disk);
+        for (key, entry) in session.pruned.iter().chain(&session.accepted) {
+            search.push(*key, entry.clone());
+        }
+        self.run(search)
     }
 
-    fn run(
-        &self,
-        query: &SkylineQuery,
-        seeds: Vec<(f64, SEntry)>,
-        disk: &DiskSim,
-    ) -> (SkylineResult, SkylineSession) {
-        let before = disk.stats().snapshot();
-        let mut stats = QueryStats::default();
-        let dynp = query.dynamic_point.as_deref();
-
+    /// Drains `search`'s frontier under its query's selection.
+    fn run(&self, mut search: Search<'_>) -> (SkylineResult, SkylineSession) {
+        let query = search.query;
         let mut session =
             SkylineSession { pruned: Vec::new(), accepted: Vec::new(), query: query.clone() };
 
-        let Some(mut pruner) = self.cube.pruner_for(&query.selection, disk) else {
+        let Some(mut pruner) = self.cube.pruner_for(&query.selection, search.disk) else {
             // Some predicate selects an empty cell: no answers; keep the
-            // seeds so a later roll-up can still resume.
-            session.pruned = seeds;
-            stats.io = before.delta(&disk.stats().snapshot());
-            return (SkylineResult { tids: Vec::new(), stats }, session);
+            // seeds, in the order they came, so a later roll-up can still
+            // resume.
+            let mut seeds = std::mem::take(&mut search.heap).into_vec();
+            seeds.sort_by_key(|item| item.seq);
+            session.pruned = seeds.into_iter().map(|item| (item.key, item.entry)).collect();
+            return (search.finish(), session);
         };
+        let mut mask = Vec::new();
 
-        let mut heap: BinaryHeap<Item> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (key, entry) in seeds {
-            seq += 1;
-            heap.push(Item { key, seq, entry });
-        }
-        let mut skyline: Vec<(Tid, Vec<f64>)> = Vec::new();
-
-        while let Some(Item { key, entry, .. }) = heap.pop() {
-            // Boolean pruning.
-            let path = match &entry {
-                SEntry::Node(_, p) => p,
-                SEntry::Tuple(_, p, _) => p,
+        while let Some((key, entry)) = search.pop() {
+            // Boolean pruning first, dominance only on what it let through.
+            let (sid, node_level) = match entry {
+                SEntry::Node(_, sid, level) => (sid, Some(level)),
+                SEntry::Tuple(_, sid, _) => (sid, None),
             };
-            if !path.is_empty() && !pruner.check_path(path) {
+            let admitted = pruner
+                .try_admit_entry(sid, node_level, &mut mask)
+                .unwrap_or_else(|e| panic!("skyline signature probe: {e}"));
+            if !admitted || search.dominated(&entry) {
                 session.pruned.push((key, entry));
                 continue;
             }
             match entry {
-                SEntry::Tuple(tid, path, coords) => {
-                    if skyline.iter().any(|(_, s)| dominates(s, &coords)) {
-                        session.pruned.push((key, SEntry::Tuple(tid, path, coords)));
-                        continue;
-                    }
-                    skyline.push((tid, coords.clone()));
-                    session.accepted.push((key, SEntry::Tuple(tid, path, coords)));
-                    stats.tuples_scored += 1;
-                }
-                SEntry::Node(n, path) => {
-                    // Dominance pruning on the transformed min corner.
-                    let corner =
-                        transform_rect_min(&self.rtree.region(n).project(&query.pref_dims), dynp);
-                    if skyline.iter().any(|(_, s)| dominates(s, &corner)) {
-                        session.pruned.push((key, SEntry::Node(n, path)));
-                        continue;
-                    }
-                    self.rtree.read_node(disk, n);
-                    stats.blocks_read += 1;
-                    if self.rtree.is_leaf(n) {
-                        for (slot, (tid, point)) in
-                            self.rtree.leaf_entries(n).into_iter().enumerate()
-                        {
-                            let raw: Vec<f64> = query.pref_dims.iter().map(|&d| point[d]).collect();
-                            let coords = transform_point(&raw, dynp);
-                            let mut tpath = path.clone();
-                            tpath.push(slot as u16);
-                            seq += 1;
-                            heap.push(Item {
-                                key: mindist(&coords),
-                                seq,
-                                entry: SEntry::Tuple(tid, tpath, coords),
-                            });
-                            stats.states_generated += 1;
-                        }
-                    } else {
-                        for (pos, child) in self.rtree.children(n).into_iter().enumerate() {
-                            let ccorner = transform_rect_min(
-                                &self.rtree.region(child).project(&query.pref_dims),
-                                dynp,
-                            );
-                            let mut cpath = path.clone();
-                            cpath.push(pos as u16);
-                            seq += 1;
-                            heap.push(Item {
-                                key: mindist(&ccorner),
-                                seq,
-                                entry: SEntry::Node(child, cpath),
-                            });
-                            stats.states_generated += 1;
-                        }
-                    }
+                SEntry::Node(n, sid, level) => search.expand(n, sid, level),
+                SEntry::Tuple(tid, _, ref coords) => {
+                    search.accept(tid, coords.clone());
+                    session.accepted.push((key, entry));
                 }
             }
-            stats.peak_heap = stats.peak_heap.max(heap.len() as u64);
         }
 
-        stats.sig_loads = pruner.loads();
-        stats.sig_bytes_decoded = pruner.bytes_decoded();
-        stats.io = before.delta(&disk.stats().snapshot());
-        let tids = skyline.into_iter().map(|(t, _)| t).collect();
-        (SkylineResult { tids, stats }, session)
+        search.stats.sig_loads = pruner.loads();
+        search.stats.sig_bytes_decoded = pruner.bytes_decoded();
+        (search.finish(), session)
     }
 }
 
@@ -227,70 +272,22 @@ pub fn skyline_ranking_first(
     query: &SkylineQuery,
     disk: &DiskSim,
 ) -> SkylineResult {
-    let before = disk.stats().snapshot();
-    let mut stats = QueryStats::default();
-    let dynp = query.dynamic_point.as_deref();
-    let mut heap: BinaryHeap<Item> = BinaryHeap::new();
-    let root = rtree.root();
-    let mut seq = 0u64;
-    heap.push(Item {
-        key: mindist(&transform_rect_min(&rtree.region(root).project(&query.pref_dims), dynp)),
-        seq,
-        entry: SEntry::Node(root, Vec::new()),
-    });
-    let mut skyline: Vec<(Tid, Vec<f64>)> = Vec::new();
-
-    while let Some(Item { entry, .. }) = heap.pop() {
+    let mut search = Search::from_root(rtree, query, disk);
+    while let Some((_, entry)) = search.pop() {
+        if search.dominated(&entry) {
+            continue;
+        }
         match entry {
+            SEntry::Node(n, sid, level) => search.expand(n, sid, level),
             SEntry::Tuple(tid, _, coords) => {
-                if skyline.iter().any(|(_, s)| dominates(s, &coords)) {
-                    continue;
-                }
                 disk.random_access();
                 if query.selection.matches(rel, tid) {
-                    skyline.push((tid, coords));
-                    stats.tuples_scored += 1;
-                }
-            }
-            SEntry::Node(n, path) => {
-                let corner = transform_rect_min(&rtree.region(n).project(&query.pref_dims), dynp);
-                if skyline.iter().any(|(_, s)| dominates(s, &corner)) {
-                    continue;
-                }
-                rtree.read_node(disk, n);
-                stats.blocks_read += 1;
-                if rtree.is_leaf(n) {
-                    for (tid, point) in rtree.leaf_entries(n) {
-                        let raw: Vec<f64> = query.pref_dims.iter().map(|&d| point[d]).collect();
-                        let coords = transform_point(&raw, dynp);
-                        seq += 1;
-                        heap.push(Item {
-                            key: mindist(&coords),
-                            seq,
-                            entry: SEntry::Tuple(tid, Vec::new(), coords),
-                        });
-                    }
-                } else {
-                    for child in rtree.children(n) {
-                        let c = transform_rect_min(
-                            &rtree.region(child).project(&query.pref_dims),
-                            dynp,
-                        );
-                        seq += 1;
-                        heap.push(Item {
-                            key: mindist(&c),
-                            seq,
-                            entry: SEntry::Node(child, path.clone()),
-                        });
-                    }
+                    search.accept(tid, coords);
                 }
             }
         }
-        stats.peak_heap = stats.peak_heap.max(heap.len() as u64);
     }
-    stats.io = before.delta(&disk.stats().snapshot());
-    let tids = skyline.into_iter().map(|(t, _)| t).collect();
-    SkylineResult { tids, stats }
+    search.finish()
 }
 
 #[cfg(test)]

@@ -131,6 +131,44 @@ mod tests {
         assert_eq!(sorted(r3.tids), crate::bnl_skyline(&rel, &q3));
     }
 
+    /// What SID-addressed entries log and read along a chain of navigation
+    /// steps, against the values the path-addressed search read on the
+    /// same fixture (hard-coded from the commit before the switch): the
+    /// session is entry for entry the one paths produced.
+    #[test]
+    fn sid_addressed_sessions_log_what_path_addressed_ones_logged() {
+        let (rel, disk, rtree, cube) = setup(1_500);
+        let engine = SkylineEngine::new(&rtree, &cube);
+        let mut seen = Vec::new();
+        let mut note = |(r, s): (SkylineResult, SkylineSession)| {
+            assert_eq!(sorted(r.tids.clone()), crate::bnl_skyline(&rel, s.query()));
+            seen.push((s.frontier_len(), r.stats.blocks_read, r.tids.len()));
+            s
+        };
+        let s = note(engine.skyline(&SkylineQuery::new(vec![], vec![0, 1]), &disk));
+        let s = note(engine.drill_down(&s, 0, 1, &disk));
+        let s = note(engine.drill_down(&s, 2, 3, &disk));
+        let s = note(engine.roll_up(&s, 0, &disk));
+        let s = note(engine.drill_down(&s, 1, 99, &disk)); // an empty cell keeps the seeds
+        note(engine.roll_up(&s, 1, &disk));
+        let q = SkylineQuery::dynamic(vec![(0, 1), (1, 2)], vec![0, 1], vec![0.4, 0.6]);
+        let s = note(engine.skyline(&q, &disk));
+        note(engine.roll_up(&s, 1, &disk));
+        assert_eq!(
+            seen,
+            [
+                (85, 14, 9),
+                (231, 21, 10),
+                (277, 6, 6),
+                (278, 0, 5),
+                (283, 0, 0),
+                (278, 0, 5),
+                (283, 42, 7),
+                (396, 16, 6)
+            ]
+        );
+    }
+
     #[test]
     fn dynamic_navigation_supported() {
         let (rel, disk, rtree, cube) = setup(800);

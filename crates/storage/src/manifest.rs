@@ -28,18 +28,22 @@
 //!
 //! Readers gate on the version field exactly like cube files do: an
 //! unknown version is [`StorageError::UnsupportedVersion`], never a
-//! guess at the layout. [`ShardManifest::save_to`] publishes through a
-//! sibling temp file + fsync + atomic rename, so a crash mid-write
-//! leaves either the old manifest or the new one — election at open is
+//! guess at the layout. [`ShardManifest::save_to`] publishes through
+//! the same swap protocol as a vacuum or a WAL compaction
+//! ([`FileBackend::publish_swap`]: sibling temp file, fsync, atomic
+//! rename, parent-directory fsync), so a crash at any stage leaves
+//! either the old manifest or the new one, whole — election at open is
 //! therefore trivial (there is only ever one candidate), with the CRC
 //! rejecting torn or bit-flipped content as a typed
 //! [`StorageError::ChecksumMismatch`]. Per-shard durability remains the
 //! cube files' own double-buffered superblock election.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::backend::StorageError;
+use crate::fault::{FaultPlan, SwapStage};
+use crate::file::FileBackend;
 use crate::format::{crc32, ByteReader, ByteWriter};
 
 /// Manifest file magic.
@@ -180,18 +184,24 @@ impl ShardManifest {
         Ok(())
     }
 
-    /// Writes the manifest at `path` via temp file + fsync + atomic
-    /// rename, so readers only ever see a complete manifest.
+    /// Writes the manifest at `path` through the swap protocol every
+    /// other publish uses ([`FileBackend::publish_swap`]: sibling temp
+    /// file, fsync, atomic rename, parent-directory fsync), so readers
+    /// only ever see a complete manifest and the rename survives a crash.
     pub fn save_to(&self, path: &Path) -> Result<(), StorageError> {
+        self.publish(path, None)
+    }
+
+    /// [`Self::save_to`] with the swap-boundary crash points armed by
+    /// `faults` — the entry point of this module's stage sweep.
+    fn publish(&self, path: &Path, faults: Option<&Arc<FaultPlan>>) -> Result<(), StorageError> {
         self.validate()?;
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let bytes = self.encode();
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        if let Some(plan) = faults {
+            plan.on_swap(SwapStage::TempWrite).map_err(StorageError::Io)?;
+        }
+        std::fs::write(&tmp, self.encode())?;
+        FileBackend::publish_swap(&tmp, path, faults)
     }
 
     /// Reads and validates the manifest at `path`.
@@ -277,6 +287,42 @@ mod tests {
         m2.shards[1].file = "cars.shard1b".into();
         m2.save_to(&path).unwrap();
         assert_eq!(ShardManifest::open_from(&path).unwrap(), m2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The swap protocol's stage sweep on the shard-set publish: a crash
+    /// before the rename (temp write, temp fsync, the rename itself)
+    /// leaves the previous manifest decoding whole — or no manifest where
+    /// there was none — and a publish that gets past it serves the new one.
+    #[test]
+    fn crash_at_every_swap_stage_leaves_one_whole_manifest() {
+        let dir = std::env::temp_dir().join(format!("rcsm_sweep_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("set.manifest");
+        let old = sample();
+        let mut new = old.clone();
+        new.shards[1].file = "cars.shard1b".into();
+
+        for stage in [SwapStage::TempWrite, SwapStage::TempSync, SwapStage::Rename] {
+            let plan = FaultPlan::new();
+            plan.crash_at_swap(stage);
+            let err = old.publish(&path, Some(&plan)).expect_err("scripted crash must surface");
+            assert!(matches!(err, StorageError::Io(_)), "{stage:?}: {err}");
+            assert!(plan.crashed());
+            assert!(!path.exists(), "{stage:?}: a first publish that crashed published nothing");
+        }
+        old.save_to(&path).unwrap();
+        for stage in [SwapStage::TempWrite, SwapStage::TempSync, SwapStage::Rename] {
+            let plan = FaultPlan::new();
+            plan.crash_at_swap(stage);
+            new.publish(&path, Some(&plan)).expect_err("scripted crash must surface");
+            assert_eq!(ShardManifest::open_from(&path).unwrap(), old, "crash at {stage:?}");
+        }
+        // Unarmed hooks publish; so does a plan armed only past the rename.
+        let plan = FaultPlan::new();
+        plan.crash_at_swap(SwapStage::LockRelease);
+        new.publish(&path, Some(&plan)).unwrap();
+        assert_eq!(ShardManifest::open_from(&path).unwrap(), new);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -394,93 +394,63 @@ impl Engine {
         self.signature.as_ref()
     }
 
-    /// Every route's standing for `query`, in preference order — the one
-    /// decision procedure shared by routing ([`Self::candidates`]) and
-    /// [`Self::explain`], so the plan a report shows is exactly the plan
+    /// Whether `query` pins the grid route with an explicit `via_cuboids`
+    /// cover. A cover only means anything to the grid engines, so a pin
+    /// without a registered grid cube — or one whose partition misses a
+    /// ranking dimension — panics rather than silently dropping the cover.
+    fn pins_grid(&self, plan: &QueryPlan<'_>) -> bool {
+        if plan.cuboids.is_none() {
+            return false;
+        }
+        let grid = self.grid.as_ref().expect("via_cuboids requires a registered grid cube");
+        assert!(
+            plan.ranking_dims.iter().all(|d| grid.ranking_dims().contains(d)),
+            "via_cuboids query ranks on dimensions the grid partition does not cover"
+        );
+        true
+    }
+
+    /// Whether `route` covers the plan's selection and ranking dimensions;
+    /// `None` when nothing is registered on it.
+    fn can_answer(&self, route: Route, plan: &QueryPlan<'_>) -> Option<bool> {
+        let (sel, dims) = (plan.selection, plan.ranking_dims);
+        match route {
+            Route::Delta => self.delta.as_ref().map(|d| d.can_answer(sel, dims)),
+            Route::Sharded => self.sharded.as_ref().map(|c| c.can_answer(sel, dims)),
+            Route::Grid => self.grid.as_ref().map(|g| g.can_answer(sel, dims)),
+            Route::Fragments => self.fragments.as_ref().map(|fr| fr.can_answer(sel, dims)),
+            Route::Signature => {
+                self.signature.as_ref().map(|(rtree, cube)| cube.can_answer(rtree, sel, dims))
+            }
+            Route::Scan => Some(true),
+        }
+    }
+
+    /// Every route's standing for `query`, in preference order: the rows
+    /// of [`Self::explain`]. Built from the three facts
+    /// [`Self::candidates`] routes by — the pin, [`Self::can_answer`], the
+    /// quarantine list — so the plan a report shows is exactly the plan
     /// the router executes.
     fn consider(&self, query: &Query) -> Vec<CandidatePlan> {
         let plan = query.plan();
-        if plan.cuboids.is_some() {
-            let grid = self.grid.as_ref().expect("via_cuboids requires a registered grid cube");
-            assert!(
-                plan.ranking_dims.iter().all(|d| grid.ranking_dims().contains(d)),
-                "via_cuboids query ranks on dimensions the grid partition does not cover"
-            );
-            return Route::ALL
-                .iter()
-                .map(|&route| {
-                    let chosen = route == Route::Grid;
-                    CandidatePlan {
-                        route,
-                        registered: chosen,
-                        eligible: chosen,
-                        quarantined: None,
-                        chosen,
-                        reason: if chosen {
-                            "pinned: explicit via_cuboids cover".into()
-                        } else {
-                            "skipped: query pins the grid via an explicit cuboid cover".into()
-                        },
-                    }
-                })
-                .collect();
-        }
+        let pinned = self.pins_grid(&plan);
         let down = self.quarantine.lock().unwrap();
         let mut chosen_yet = false;
-        let mut rows = Vec::with_capacity(Route::ALL.len());
-        for route in Route::ALL {
-            let registered = match route {
-                Route::Delta => self.delta.is_some(),
-                Route::Sharded => self.sharded.is_some(),
-                Route::Grid => self.grid.is_some(),
-                Route::Fragments => self.fragments.is_some(),
-                Route::Signature => self.signature.is_some(),
-                Route::Scan => true,
-            };
-            let eligible = registered
-                && match route {
-                    Route::Delta => self
-                        .delta
-                        .as_ref()
-                        .is_some_and(|d| d.can_answer(plan.selection, plan.ranking_dims)),
-                    Route::Sharded => self
-                        .sharded
-                        .as_ref()
-                        .is_some_and(|c| c.can_answer(plan.selection, plan.ranking_dims)),
-                    Route::Grid => self
-                        .grid
-                        .as_ref()
-                        .is_some_and(|g| g.can_answer(plan.selection, plan.ranking_dims)),
-                    Route::Fragments => self
-                        .fragments
-                        .as_ref()
-                        .is_some_and(|fr| fr.can_answer(plan.selection, plan.ranking_dims)),
-                    Route::Signature => self.signature.as_ref().is_some_and(|(rtree, cube)| {
-                        cube.can_answer(rtree, plan.selection, plan.ranking_dims)
-                    }),
-                    Route::Scan => true,
-                };
-            let quarantined = down.iter().find(|(q, _)| *q == route).map(|(_, why)| why.clone());
-            let viable = registered && eligible && quarantined.is_none();
-            let chosen = viable && !chosen_yet;
-            chosen_yet |= chosen;
-            let reason = if chosen {
-                match route {
-                    Route::Scan => "chosen: always-applicable fallback".into(),
-                    _ => "chosen: covers the selection and ranking dimensions".into(),
-                }
-            } else if !registered {
-                "skipped: not registered".into()
-            } else if let Some(why) = &quarantined {
-                format!("skipped: quarantined ({why})")
-            } else if !eligible {
-                "skipped: cannot answer (selection or ranking dims uncovered)".into()
+        let rows = Route::ALL.map(|route| {
+            let (registered, eligible, quarantined) = if pinned {
+                (route == Route::Grid, route == Route::Grid, None)
             } else {
-                "viable: next fallback if the preferred route fails".into()
+                let covers = self.can_answer(route, &plan);
+                let why = down.iter().find(|(q, _)| *q == route).map(|(_, why)| why.clone());
+                (covers.is_some(), covers == Some(true), why)
             };
-            rows.push(CandidatePlan { route, registered, eligible, quarantined, chosen, reason });
-        }
-        rows
+            let mut row =
+                CandidatePlan { route, registered, eligible, quarantined, chosen: false, pinned };
+            row.chosen = row.viable() && !chosen_yet;
+            chosen_yet |= row.chosen;
+            row
+        });
+        rows.into()
     }
 
     /// Candidate routes for `query`, best first: every registered,
@@ -489,7 +459,15 @@ impl Engine {
     /// grid route alone — degrading a pinned query to another path would
     /// silently drop its cover.
     fn candidates(&self, query: &Query) -> Vec<Route> {
-        self.consider(query).into_iter().filter(|c| c.viable()).map(|c| c.route).collect()
+        let plan = query.plan();
+        if self.pins_grid(&plan) {
+            return vec![Route::Grid];
+        }
+        let down = self.quarantine.lock().unwrap();
+        let viable = |route: &Route| {
+            self.can_answer(*route, &plan) == Some(true) && !down.iter().any(|(q, _)| q == route)
+        };
+        Route::ALL.into_iter().filter(viable).collect()
     }
 
     /// The access path [`Self::open`] will use for `query` — the first
@@ -1084,8 +1062,20 @@ mod tests {
         );
         assert_eq!(degraded.items, scan_only.query(&q).items);
 
-        // Subsequent queries skip the quarantined route up front…
+        // Subsequent queries skip the quarantined route up front, and the
+        // plan says why…
         assert_eq!(eng.route(&q), Route::Scan);
+        let rows: Vec<String> =
+            eng.explain(&q).to_string().lines().skip(7).map(str::to_owned).collect();
+        let why = &quarantined[0].1;
+        assert_eq!(
+            rows,
+            [
+                format!("     Signature skipped: quarantined ({why})"),
+                "  -> Scan      chosen: always-applicable fallback".to_owned(),
+                "  route: Scan".to_owned()
+            ]
+        );
         // …until the store is healed and the quarantine lifted.
         faults.heal();
         eng.clear_quarantine();

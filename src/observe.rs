@@ -36,14 +36,38 @@ pub struct CandidatePlan {
     pub quarantined: Option<String>,
     /// Whether the router would open this path first.
     pub chosen: bool,
-    /// Human explanation of the row (why chosen / why skipped).
-    pub reason: String,
+    /// Whether the query pins the grid route with an explicit
+    /// `via_cuboids` cover — then the only reason any row was chosen or
+    /// skipped.
+    pub pinned: bool,
 }
 
 impl CandidatePlan {
     /// Whether the retry/fallback ladder may try this route at all.
     pub fn viable(&self) -> bool {
         self.registered && self.eligible && self.quarantined.is_none()
+    }
+
+    /// Human explanation of the row (why chosen / why skipped).
+    pub fn reason(&self) -> String {
+        let fixed = if self.pinned && self.chosen {
+            "pinned: explicit via_cuboids cover"
+        } else if self.pinned {
+            "skipped: query pins the grid via an explicit cuboid cover"
+        } else if self.chosen && self.route == Route::Scan {
+            "chosen: always-applicable fallback"
+        } else if self.chosen {
+            "chosen: covers the selection and ranking dimensions"
+        } else if !self.registered {
+            "skipped: not registered"
+        } else if let Some(why) = &self.quarantined {
+            return format!("skipped: quarantined ({why})");
+        } else if !self.eligible {
+            "skipped: cannot answer (selection or ranking dims uncovered)"
+        } else {
+            "viable: next fallback if the preferred route fails"
+        };
+        fixed.into()
     }
 }
 
@@ -83,7 +107,7 @@ impl fmt::Display for PlanReport {
         writeln!(f, "  candidates (preference order):")?;
         for c in &self.candidates {
             let mark = if c.chosen { "->" } else { "  " };
-            writeln!(f, "  {} {:<9} {}", mark, format!("{:?}", c.route), c.reason)?;
+            writeln!(f, "  {} {:<9} {}", mark, format!("{:?}", c.route), c.reason())?;
         }
         write!(f, "  route: {:?}", self.route)
     }

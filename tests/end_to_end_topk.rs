@@ -6,6 +6,7 @@ use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
 use ranking_cube::cube::fragments::{FragmentConfig, RankingFragments};
 use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::cube::query::{Query, RankedSource};
+use ranking_cube::cube::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::sigquery::topk_signature;
 use ranking_cube::cube::TopKQuery;
@@ -156,14 +157,11 @@ fn forest_surrogate_end_to_end() {
     assert_scores(&frags.query(&q, &disk).scores(), &want, "fragments on forest");
 }
 
-/// Ranking values in eighths make scores tie by the dozen — tuple against
-/// tuple and tuple against node bound — so an engine that surfaces ties in
-/// heap order picks a different tid *set* than the scan, not just another
-/// order. The signature route must answer the scan's `(score, tid)` order
-/// bit for bit: straight off a cube, and through a delta cube whose
-/// memtable holds one more tuple tied with the best of the base.
-#[test]
-fn quantized_ties_break_by_tid_on_the_signature_route() {
+/// 4000 tuples with ranking values in eighths: scores tie by the dozen —
+/// tuple against tuple and tuple against node or block bound — so an engine
+/// that surfaces ties in heap order picks a different tid *set* than the
+/// scan, not just another order. The last tuple has the best score of all.
+fn quantized_relation() -> Relation {
     let raw = SyntheticSpec { tuples: 4_000, cardinality: 5, ..Default::default() }.generate();
     let mut b = RelationBuilder::new(raw.schema().clone());
     for t in raw.tids() {
@@ -172,16 +170,51 @@ fn quantized_ties_break_by_tid_on_the_signature_route() {
         let point: Vec<f64> =
             raw.ranking_point(t).iter().map(|v| (v * 8.0).round() / 8.0).collect();
         if t + 1 == raw.len() as Tid {
-            b.push(&[0, 0, 0], &[0.0, 0.0]); // the memtable's tuple: best score, last tid
+            b.push(&[0, 0, 0], &[0.0, 0.0]); // best score, last tid
         } else {
             b.push(&sel, &point);
         }
     }
-    let rel = b.finish();
+    b.finish()
+}
+
+/// A route under test: its name and how it answers a query.
+type Route<'a> = (&'a str, &'a dyn Fn(&Query) -> Vec<(Tid, f64)>);
+
+/// Runs the 45 tie queries (5 selections × 3 weightings × 3 values of k)
+/// through every `(name, answer)` route and holds each to the scan's
+/// `(score, tid)` order bit for bit.
+fn assert_routes_break_ties_like_the_scan(rel: &Relation, disk: &DiskSim, routes: &[Route<'_>]) {
+    let scan = TableScan::new(rel, disk);
+    let bits = |items: &[(Tid, f64)]| -> Vec<(Tid, u64)> {
+        items.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+    };
+    let selections: [&[(usize, u32)]; 5] =
+        [&[], &[(0, 0)], &[(0, 1)], &[(1, 3)], &[(0, 0), (1, 0)]];
+    for conds in selections {
+        for weights in [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]] {
+            for k in [1, 10, 25] {
+                let q =
+                    Query::select(conds.iter().copied()).rank(Linear::new(weights.to_vec())).top(k);
+                let want = scan.source(rel, disk).query(&q.plan()).unwrap().items;
+                for (route, answer) in routes {
+                    let got = answer(&q);
+                    assert_eq!(bits(&got), bits(&want), "{route}, {conds:?} {weights:?} k={k}");
+                }
+            }
+        }
+    }
+}
+
+/// The signature route must answer the scan's `(score, tid)` order bit for
+/// bit: straight off a cube, and through a delta cube whose memtable holds
+/// one more tuple tied with the best of the base.
+#[test]
+fn quantized_ties_break_by_tid_on_the_signature_route() {
+    let rel = quantized_relation();
     let disk = DiskSim::with_defaults();
     let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
     let sig = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
-    let scan = TableScan::new(&rel, &disk);
 
     let base = rel.prefix(rel.len() - 1);
     let mut path = std::env::temp_dir();
@@ -194,27 +227,51 @@ fn quantized_ties_break_by_tid_on_the_signature_route() {
     let last = rel.len() as Tid - 1;
     assert_eq!(delta.insert(&[0, 0, 0], &rel.ranking_point(last)).unwrap(), last);
 
-    let bits = |items: &[(Tid, f64)]| -> Vec<(Tid, u64)> {
-        items.iter().map(|&(t, s)| (t, s.to_bits())).collect()
-    };
-    let selections: [&[(usize, u32)]; 5] =
-        [&[], &[(0, 0)], &[(0, 1)], &[(1, 3)], &[(0, 0), (1, 0)]];
-    for conds in selections {
-        for weights in [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]] {
-            for k in [1, 10, 25] {
-                let q =
-                    Query::select(conds.iter().copied()).rank(Linear::new(weights.to_vec())).top(k);
-                let plan = q.plan();
-                let what = format!("{conds:?} {weights:?} k={k}");
-                let want = scan.source(&rel, &disk).query(&plan).unwrap().items;
-                let got = sig.source(&rtree, &disk).query(&plan).unwrap().items;
-                assert_eq!(bits(&got), bits(&want), "signature cube, {what}");
-                let got = delta.source().open(&plan).unwrap().try_drain().unwrap().items;
-                assert_eq!(bits(&got), bits(&want), "delta cube, {what}");
-            }
-        }
-    }
+    assert_routes_break_ties_like_the_scan(
+        &rel,
+        &disk,
+        &[
+            ("signature cube", &|q| sig.source(&rtree, &disk).query(&q.plan()).unwrap().items),
+            ("delta cube", &|q| delta.source().query(&q.plan()).unwrap().items),
+        ],
+    );
     drop(delta);
     let _ = std::fs::remove_file(wal_path_for(&path));
     let _ = std::fs::remove_file(&path);
+}
+
+/// The same fixture through the routes that certify against *block*
+/// bounds — grid cube, fragments, a sharded grid set — and through the
+/// ranking-first baseline: a block or node whose bound ties the best
+/// candidate may still hold an equal-score tuple with a smaller tid.
+#[test]
+fn quantized_ties_break_by_tid_on_the_grid_routes_and_ranking_first() {
+    let rel = quantized_relation();
+    let disk = DiskSim::with_defaults();
+    let grid_cfg = GridCubeConfig { block_size: 100, ..Default::default() };
+    let grid = GridRankingCube::build(&rel, &disk, grid_cfg.clone());
+    let frags =
+        RankingFragments::build(&rel, &disk, FragmentConfig { fragment_size: 1, block_size: 100 });
+    let sharded = ShardedCube::build_in_memory(
+        &rel,
+        &ShardedCubeConfig {
+            shards: 3,
+            engine: ShardEngineConfig::Grid(grid_cfg),
+            ..Default::default()
+        },
+    );
+    let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
+
+    assert_routes_break_ties_like_the_scan(
+        &rel,
+        &disk,
+        &[
+            ("grid cube", &|q| grid.source(&disk).query(&q.plan()).unwrap().items),
+            ("fragments", &|q| frags.source(&disk).query(&q.plan()).unwrap().items),
+            ("sharded grid", &|q| sharded.source().query(&q.plan()).unwrap().items),
+            ("ranking-first", &|q| {
+                RankingFirst::source(&rtree, &rel, &disk).query(&q.plan()).unwrap().items
+            }),
+        ],
+    );
 }

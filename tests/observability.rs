@@ -166,8 +166,50 @@ fn explain_charges_no_io_and_reports_candidates() {
     assert!(plan.candidates[5].eligible, "the scan is always eligible");
     assert_eq!(plan.selection, vec![(0, 1), (1, 2)]);
     assert!(plan.estimated_selectivity > 0.0 && plan.estimated_selectivity <= 1.0);
-    let rendered = plan.to_string();
-    assert!(rendered.contains("-> Grid"), "Display marks the chosen route:\n{rendered}");
+    // The rendering, byte for byte as it read when every row carried a
+    // pre-formatted reason: chosen / viable / unregistered rows, then a
+    // pinned plan, then one only the scan can answer.
+    assert_eq!(
+        plan.to_string(),
+        "PLAN Query { selection: Selection { conds: [(0, 1), (1, 2)] }, ranking_dims: [0, 1], k: 5, cuboids: None }
+  estimate: 0.0625 selectivity over 1200 tuples (~75.0 matches), k=5
+  candidates (preference order):
+     Delta     skipped: not registered
+     Sharded   skipped: not registered
+  -> Grid      chosen: covers the selection and ranking dimensions
+     Fragments skipped: not registered
+     Signature viable: next fallback if the preferred route fails
+     Scan      viable: next fallback if the preferred route fails
+  route: Grid"
+    );
+    let pinned = Query::select([(0, 1)]).rank(Linear::uniform(2)).via_cuboids(vec![vec![0]]).top(5);
+    assert_eq!(
+        eng.explain(&pinned).to_string(),
+        "PLAN Query { selection: Selection { conds: [(0, 1)] }, ranking_dims: [0, 1], k: 5, cuboids: Some([[0]]) }
+  estimate: 0.2500 selectivity over 1200 tuples (~300.0 matches), k=5
+  candidates (preference order):
+     Delta     skipped: query pins the grid via an explicit cuboid cover
+     Sharded   skipped: query pins the grid via an explicit cuboid cover
+  -> Grid      pinned: explicit via_cuboids cover
+     Fragments skipped: query pins the grid via an explicit cuboid cover
+     Signature skipped: query pins the grid via an explicit cuboid cover
+     Scan      skipped: query pins the grid via an explicit cuboid cover
+  route: Grid"
+    );
+    let uncovered = Query::select([(0, 1)]).rank_on(vec![5], Linear::uniform(1)).top(5);
+    assert_eq!(
+        eng.explain(&uncovered).to_string(),
+        "PLAN Query { selection: Selection { conds: [(0, 1)] }, ranking_dims: [5], k: 5, cuboids: None }
+  estimate: 0.2500 selectivity over 1200 tuples (~300.0 matches), k=5
+  candidates (preference order):
+     Delta     skipped: not registered
+     Sharded   skipped: not registered
+     Grid      skipped: cannot answer (selection or ranking dims uncovered)
+     Fragments skipped: not registered
+     Signature skipped: cannot answer (selection or ranking dims uncovered)
+  -> Scan      chosen: always-applicable fallback
+  route: Scan"
+    );
 
     // Quarantine state shows up in the report and reroutes the plan.
     let eng2 = Engine::new(rel(400, 4, 22))

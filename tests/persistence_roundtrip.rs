@@ -11,6 +11,7 @@ use std::sync::OnceLock;
 use ranking_cube::cube::fragments::{FragmentConfig, RankingFragments};
 use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
+use ranking_cube::cube::signature::Signature;
 use ranking_cube::cube::sigquery::{topk_signature, topk_signature_assembled};
 use ranking_cube::cube::TopKQuery;
 use ranking_cube::func::Linear;
@@ -272,12 +273,18 @@ proptest::proptest! {
         );
         if let Some(mut pruner) = lazy_file {
             let assembled = assembled.unwrap();
+            let mut mask = Vec::new();
             for tid in rel.tids() {
                 let p = rtree2.tuple_path(tid).unwrap();
                 for l in 1..=p.len() {
                     let want = naive(&p[..l]);
                     proptest::prop_assert_eq!(assembled.contains_path(&p[..l]), want);
-                    proptest::prop_assert_eq!(pruner.check_path(&p[..l]), want,
+                    // Every prefix is probed, so the entry's own bit (and,
+                    // for a node, its subtree verdict) is the whole path.
+                    let sid = Signature::sid_of(reopened.fanout(), &p[..l]);
+                    let node_level = (l < p.len()).then_some(l as u16);
+                    proptest::prop_assert_eq!(
+                        pruner.try_admit_entry(sid, node_level, &mut mask).unwrap(), want,
                         "reopened lazy pruner diverges at {:?}", &p[..l]);
                 }
             }
