@@ -15,7 +15,8 @@
 //! 3. Both hold identically on a cube reopened from a file.
 //!
 //! The run writes `BENCH_progressive.json` at the workspace root next to
-//! the other `BENCH_*.json` trajectories.
+//! the other `BENCH_*.json` trajectories. Its `before` block is what this
+//! same emitter read at the parent commit on the same box.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rcube_baseline::{RankMapping, TableScan};
@@ -30,6 +31,21 @@ use rcube_table::Relation;
 
 const K: usize = 50;
 const DELTA: usize = 50;
+
+/// What this emitter read at the parent commit (the grid search seeding
+/// its frontier by bounding every block, per query), alternated with the
+/// committed "after" run on the same box. The block counters are gates,
+/// not a trajectory: they read 2 / 7 / 4 / 11 on both sides.
+const BEFORE: &str = r#"{
+    "commit": "PR 18 (dc911de)",
+    "progressive/grid/first_answer": 25479.9,
+    "progressive/grid/full_top_k": 32993.2,
+    "progressive/grid/extend_after_k": 56310.1,
+    "progressive/grid/fresh_k_plus_delta": 39864.9,
+    "progressive/scan/first_answer": 316196.1,
+    "grid_ttfa_wall_speedup_vs_full_k": 1.29,
+    "grid_ttfa_wall_speedup_vs_scan_ttfa": 12.41
+  }"#;
 
 struct Setup {
     rel: Relation,
@@ -259,7 +275,7 @@ fn emit_json(c: &mut Criterion, lines: &[String], grid: &Profile, grid_fresh: u6
         json.push_str(",\n");
     }
     json.push_str(&format!(
-        "  \"grid_first_answer_block_reduction\": {:.2},\n  \"grid_extension_vs_fresh_blocks\": {:.2},\n  \"grid_ttfa_wall_speedup_vs_full_k\": {ttfa_speedup:.2},\n  \"grid_ttfa_wall_speedup_vs_scan_ttfa\": {scan_ttfa_vs_grid:.2},\n  \"scan_first_answer_blocks\": {},\n  \"gates\": \"first<full and extension<fresh are hard deterministic counter gates\"\n}}\n",
+        "  \"grid_first_answer_block_reduction\": {:.2},\n  \"grid_extension_vs_fresh_blocks\": {:.2},\n  \"grid_ttfa_wall_speedup_vs_full_k\": {ttfa_speedup:.2},\n  \"grid_ttfa_wall_speedup_vs_scan_ttfa\": {scan_ttfa_vs_grid:.2},\n  \"scan_first_answer_blocks\": {},\n  \"gates\": \"first<full and extension<fresh are hard deterministic counter gates\",\n  \"before\": {BEFORE}\n}}\n",
         grid.blocks_at_k as f64 / grid.blocks_first.max(1) as f64,
         grid_fresh as f64 / grid.blocks_extension.max(1) as f64,
         scan.blocks_first,

@@ -31,6 +31,17 @@ use rcube_storage::DiskSim;
 use rcube_table::workload::QuerySpec;
 
 const TUPLES: usize = 20_000;
+
+/// What this emitter read at the parent commit (every shard's grid search
+/// seeding its frontier by bounding every block), alternated with the
+/// committed "after" run on the same box. Twelve queries through
+/// `par_query`'s per-query thread fan-out: the spread between two runs of
+/// one side is as wide as the gap between the sides.
+const BEFORE: &str = r#"{
+    "commit": "PR 18 (dc911de)",
+    "aggregate_qps": { "s1": 8960.9, "s2": 8696.0, "s4": 7966.3 },
+    "scaling_4s_vs_1s": 0.89
+  }"#;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const QUERIES: usize = 12;
 
@@ -224,7 +235,7 @@ fn main() {
          \"max_per_shard_pull_slack\": {max_pull_slack}, \
          \"pull_slack_bound\": 1, \
          \"per_shard_io_deterministic\": true, \
-         \"sample_query_blocks_4s\": {merged_blocks_4s} }}\n}}\n"
+         \"sample_query_blocks_4s\": {merged_blocks_4s} }},\n  \"before\": {BEFORE}\n}}\n"
     ));
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");

@@ -25,19 +25,22 @@ use rcube_table::gen::SyntheticSpec;
 /// One-page objects in the `file_miss` file; one iteration misses on all.
 const MISS_OBJECTS: usize = 1024;
 
-/// What this emitter read at the parent commit (bytewise CRC-32, a fresh
-/// page buffer and three copies per miss), re-measured on the same box as
-/// the committed "after" numbers.
+/// What this emitter read at the parent commit (the grid search seeding
+/// its frontier by bounding every block, per query), alternated with the
+/// committed "after" run on the same box.
 const BEFORE: &str = r#"{
-    "commit": "PR 12 (89629d0)",
-    "storage_query/file_cold/sel1": 48819.7,
-    "storage_query/file_cold/sel2": 96527.6,
-    "checksum_ns_per_page": 10926.0,
-    "checksum_mb_per_s": 375,
-    "file_miss_ns": 12658.5,
-    "cold_open_penalty_vs_inmem": 3.90,
-    "warm_pool_penalty_vs_inmem": 1.01,
-    "buffer_pool_speedup_cold_to_warm": 3.85
+    "commit": "PR 18 (dc911de)",
+    "storage_query/inmem/sel1": 12999.8,
+    "storage_query/file_warm/sel1": 12614.3,
+    "storage_query/file_cold/sel1": 21896.8,
+    "storage_query/inmem/sel2": 13168.4,
+    "storage_query/file_warm/sel2": 13110.3,
+    "storage_query/file_cold/sel2": 33212.9,
+    "checksum_ns_per_page": 2027.2,
+    "file_miss_ns": 3216.8,
+    "cold_open_penalty_vs_inmem": 1.68,
+    "warm_pool_penalty_vs_inmem": 0.97,
+    "buffer_pool_speedup_cold_to_warm": 1.74
   }"#;
 
 struct Setup {

@@ -1288,8 +1288,7 @@ impl SignatureCube {
         let file = PageStore::create_file_with(path, page_size, opts)?;
         let scratch = DiskSim::new(page_size, 0);
         let w = self.encode_catalog(rtree, |old| {
-            let data = self.store.peek(old)?;
-            Ok(file.try_put(&scratch, data.to_vec())?.0)
+            Ok(file.try_put_shared(&scratch, self.store.peek(old)?)?.0)
         })?;
         finish_catalog(&file, w)
     }

@@ -57,6 +57,15 @@ pub trait RankFn: Send + Sync {
 
     /// A lower bound of the score over the box `region`. Must satisfy
     /// `lower_bound(Ω) ≤ min_{x ∈ Ω} score(x)`; tighter is faster.
+    ///
+    /// That soundness is all a correct answer needs. The grid search also
+    /// bounds boxes of many blocks and descends into the best one first;
+    /// it meets blocks in ascending bound order when the bound is
+    /// *inclusion-monotone* — `Ω′ ⊆ Ω ⇒ lower_bound(Ω′) ≥ lower_bound(Ω)`,
+    /// in floating point, not only over the reals. Every family in this
+    /// crate is (exact box minima and interval arithmetic both are); a
+    /// bound that is sound but not monotone still answers correctly and
+    /// merely reads blocks in another order.
     fn lower_bound(&self, region: &Rect) -> f64;
 
     /// Structural shape used to select an expansion strategy.

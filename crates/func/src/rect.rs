@@ -61,6 +61,16 @@ impl Rect {
         Interval::new(self.lo[d], self.hi[d])
     }
 
+    /// Replaces the bounds on dimension `d` in place — a search bounding
+    /// one region after another keeps a single scratch rect. Panics if
+    /// `lo > hi`, like [`Rect::new`].
+    #[inline]
+    pub fn set(&mut self, d: usize, lo: f64, hi: f64) {
+        assert!(lo <= hi, "Rect lower bound {lo} exceeds upper bound {hi}");
+        self.lo[d] = lo;
+        self.hi[d] = hi;
+    }
+
     /// Grows the rect to cover `p` (MBR maintenance).
     pub fn expand(&mut self, p: &[f64]) {
         for ((lo, hi), &v) in self.lo.iter_mut().zip(self.hi.iter_mut()).zip(p) {
@@ -201,6 +211,13 @@ mod tests {
         let mut scratch = Rect::unit(3);
         r.project_into(&[2, 0], &mut scratch);
         assert_eq!(scratch, p);
+    }
+
+    #[test]
+    fn set_replaces_one_dimension() {
+        let mut r = Rect::unit(2);
+        r.set(1, 0.25, 0.5);
+        assert_eq!(r, Rect::new(vec![0.0, 0.25], vec![1.0, 0.5]));
     }
 
     #[test]

@@ -24,6 +24,10 @@ pub struct GridPartition {
     boundaries: Vec<Vec<f64>>,
     /// Bins per dimension (`b`).
     bins: usize,
+    /// Row-major stride per dimension, `b^(R−1−i)`: every coordinate,
+    /// neighbour and pseudo-block id below is arithmetic on these, so the
+    /// query loop never materializes a coordinate vector.
+    strides: Vec<usize>,
     /// Ranking dimensions covered, in relation order.
     dims: Vec<usize>,
     /// tid → bid.
@@ -67,6 +71,7 @@ impl GridPartition {
         let mut part = Self {
             boundaries,
             bins,
+            strides: row_major_strides(bins, r),
             dims,
             tuple_bid: Vec::with_capacity(rel.len()),
             blocks: vec![Vec::new(); bins.pow(r as u32)],
@@ -126,53 +131,58 @@ impl GridPartition {
         idx.saturating_sub(1).min(self.bins - 1)
     }
 
+    /// Bin coordinate of `bid` along dimension index `i`.
+    #[inline]
+    pub fn coord(&self, bid: Bid, i: usize) -> usize {
+        bid as usize / self.strides[i] % self.bins
+    }
+
+    /// Row-major stride of dimension index `i`: block ids that far apart
+    /// differ by one bin along it.
+    #[inline]
+    pub fn stride(&self, i: usize) -> usize {
+        self.strides[i]
+    }
+
     /// Row-major coordinates of a block.
     pub fn bid_coords(&self, bid: Bid) -> Vec<usize> {
-        let r = self.dims.len();
-        let mut c = vec![0usize; r];
-        let mut rest = bid as usize;
-        for i in (0..r).rev() {
-            c[i] = rest % self.bins;
-            rest /= self.bins;
-        }
-        c
+        (0..self.dims.len()).map(|i| self.coord(bid, i)).collect()
     }
 
     /// Block id from coordinates.
     pub fn coords_bid(&self, coords: &[usize]) -> Bid {
-        let mut bid = 0usize;
-        for &c in coords {
-            bid = bid * self.bins + c;
-        }
-        bid as Bid
+        coords.iter().zip(&self.strides).map(|(c, s)| c * s).sum::<usize>() as Bid
     }
 
     /// Geometric region of base block `bid` over the partition dimensions.
     pub fn block_rect(&self, bid: Bid) -> Rect {
-        let coords = self.bid_coords(bid);
-        let lo = coords.iter().enumerate().map(|(i, &c)| self.boundaries[i][c]).collect();
-        let hi = coords.iter().enumerate().map(|(i, &c)| self.boundaries[i][c + 1]).collect();
-        Rect::new(lo, hi)
+        let edges = |side: usize| {
+            (0..self.dims.len()).map(|i| self.boundaries[i][self.coord(bid, i) + side]).collect()
+        };
+        Rect::new(edges(0), edges(1))
+    }
+
+    /// Region of the box of blocks between corner blocks `lo` and `hi`
+    /// (inclusive; `lo` no greater than `hi` on any coordinate), projected
+    /// onto the dimension indices `proj`, written into a caller-owned rect
+    /// of `proj.len()` dimensions. With `lo == hi` this is
+    /// `block_rect(lo).project(proj)` to the bit, without the allocations.
+    pub fn span_rect_into(&self, lo: Bid, hi: Bid, proj: &[usize], out: &mut Rect) {
+        for (d, &i) in proj.iter().enumerate() {
+            let edges = &self.boundaries[i];
+            out.set(d, edges[self.coord(lo, i)], edges[self.coord(hi, i) + 1]);
+        }
     }
 
     /// Axis-neighbours of `bid` (±1 per dimension) — the `neighbor(b, c)`
     /// relation of Lemma 1.
-    pub fn neighbors(&self, bid: Bid) -> Vec<Bid> {
-        let coords = self.bid_coords(bid);
-        let mut out = Vec::with_capacity(2 * coords.len());
-        for i in 0..coords.len() {
-            if coords[i] > 0 {
-                let mut c = coords.clone();
-                c[i] -= 1;
-                out.push(self.coords_bid(&c));
-            }
-            if coords[i] + 1 < self.bins {
-                let mut c = coords.clone();
-                c[i] += 1;
-                out.push(self.coords_bid(&c));
-            }
-        }
-        out
+    pub fn neighbors(&self, bid: Bid) -> impl Iterator<Item = Bid> + '_ {
+        (0..self.dims.len()).flat_map(move |i| {
+            let (c, s) = (self.coord(bid, i), self.strides[i] as Bid);
+            let below = (c > 0).then(|| bid - s);
+            let above = (c + 1 < self.bins).then(|| bid + s);
+            below.into_iter().chain(above)
+        })
     }
 
     /// Scale factor for a cuboid over selection cardinalities `cards`
@@ -190,13 +200,8 @@ impl GridPartition {
     /// Pseudo-block id of a base block under scale factor `sf` (merging
     /// every `sf` consecutive bins per dimension).
     pub fn pid_of(&self, bid: Bid, sf: usize) -> u32 {
-        let coords = self.bid_coords(bid);
         let pbins = self.bins.div_ceil(sf);
-        let mut pid = 0usize;
-        for &c in &coords {
-            pid = pid * pbins + c / sf;
-        }
-        pid as u32
+        (0..self.dims.len()).fold(0, |pid, i| pid * pbins + self.coord(bid, i) / sf) as u32
     }
 
     /// Number of pseudo blocks under scale factor `sf`.
@@ -238,7 +243,8 @@ impl GridPartition {
                 *slot = bid as Bid;
             }
         }
-        Ok(Self { boundaries, bins, dims, tuple_bid, blocks })
+        let strides = row_major_strides(bins, dims.len());
+        Ok(Self { boundaries, bins, strides, dims, tuple_bid, blocks })
     }
 
     /// Serializes the partition's meta information + block table (cube
@@ -300,6 +306,12 @@ impl GridPartition {
     }
 }
 
+/// `b^(R−1−i)` for `i` in `0..R`. The caller has already sized `b^R` blocks,
+/// so nothing here can overflow.
+fn row_major_strides(bins: usize, r: usize) -> Vec<usize> {
+    (0..r).map(|i| bins.pow((r - 1 - i) as u32)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,7 +369,7 @@ mod tests {
         let g = GridPartition::build(&rel, &[], 50);
         let bins = g.bins_per_dim();
         let mid = g.coords_bid(&[bins / 2, bins / 2]);
-        let n = g.neighbors(mid);
+        let n: Vec<Bid> = g.neighbors(mid).collect();
         assert_eq!(n.len(), 4);
         for nb in n {
             let a = g.bid_coords(mid);
@@ -366,7 +378,61 @@ mod tests {
             assert_eq!(dist, 1);
         }
         // Corner block has only R neighbours.
-        assert_eq!(g.neighbors(g.coords_bid(&[0, 0])).len(), 2);
+        assert_eq!(g.neighbors(g.coords_bid(&[0, 0])).count(), 2);
+    }
+
+    /// The stride arithmetic against the coordinate vectors it replaced, on
+    /// partitions of one to four dimensions: neighbours in the old order
+    /// (per dimension, below then above), pseudo-block ids under every
+    /// scale factor, and box regions bit for bit.
+    #[test]
+    fn stride_arithmetic_matches_coordinate_vectors() {
+        for r in 1..=4 {
+            let rel =
+                SyntheticSpec { tuples: 900, ranking_dims: r, ..Default::default() }.generate();
+            let g = GridPartition::build(&rel, &[], 6);
+            let bins = g.bins_per_dim();
+            assert!(bins >= 3, "{r} dims: {bins} bins");
+            for bid in 0..g.num_blocks() as Bid {
+                let c = g.bid_coords(bid);
+                assert_eq!(g.coords_bid(&c), bid);
+                let mut want = Vec::new();
+                for i in 0..r {
+                    let moved = |to: usize| {
+                        let mut m = c.clone();
+                        m[i] = to;
+                        g.coords_bid(&m)
+                    };
+                    if c[i] > 0 {
+                        want.push(moved(c[i] - 1));
+                    }
+                    if c[i] + 1 < bins {
+                        want.push(moved(c[i] + 1));
+                    }
+                }
+                assert_eq!(g.neighbors(bid).collect::<Vec<_>>(), want, "{r} dims, block {bid}");
+                for sf in 1..=bins + 1 {
+                    let pbins = bins.div_ceil(sf);
+                    let want = c.iter().fold(0, |pid, &x| pid * pbins + x / sf);
+                    assert_eq!(g.pid_of(bid, sf) as usize, want, "{r} dims, block {bid}, sf {sf}");
+                }
+            }
+            // Boxes between two corner blocks, on the last dimension alone
+            // and on all of them reversed.
+            let all: Vec<usize> = (0..r).rev().collect();
+            for proj in [&all[..1], &all[..]] {
+                let mut got = Rect::unit(proj.len());
+                for (lo, hi) in [(0, 0), (0, g.num_blocks() - 1), (1, g.num_blocks() - 1)] {
+                    let (lo, hi) = (lo as Bid, hi as Bid);
+                    let (a, b) = (g.block_rect(lo).project(proj), g.block_rect(hi).project(proj));
+                    g.span_rect_into(lo, hi, proj, &mut got);
+                    for d in 0..proj.len() {
+                        assert_eq!(got.lo(d).to_bits(), a.lo(d).to_bits());
+                        assert_eq!(got.hi(d).to_bits(), b.hi(d).to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -165,7 +165,16 @@ impl FileStamp {
 /// the byte-level [`crate::BufferPool`] for the file store).
 pub trait PageBackend: Send + Sync + std::fmt::Debug {
     /// Stores a new object, charging writes; returns its first page id.
-    fn put(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError>;
+    /// The backend keeps the handle it is given — the map entry of
+    /// [`MemBackend`], the write-through pool frame of the file store — so
+    /// a caller that already holds the bytes shared (a save copying one
+    /// store's objects into another) hands them over without a copy.
+    fn put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError>;
+
+    /// [`Self::put_shared`] for bytes the caller owns outright.
+    fn put(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
+        self.put_shared(disk, data.into())
+    }
 
     /// Replaces the object rooted at `first` (same id, new bytes).
     ///
@@ -283,14 +292,14 @@ impl MemBackend {
 }
 
 impl PageBackend for MemBackend {
-    fn put(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
+    fn put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
         let pages = disk.pages_for(data.len());
         let ids = disk.alloc_pages(pages);
         let first = ids[0];
         for id in &ids {
             disk.write(*id);
         }
-        self.objects.write().unwrap().insert(first, data.into());
+        self.objects.write().unwrap().insert(first, data);
         Ok(first)
     }
 

@@ -272,6 +272,12 @@ impl PageStore {
         self.backend.put(disk, data)
     }
 
+    /// [`PageStore::try_put`] for bytes already behind a shared handle:
+    /// the store keeps that handle instead of copying out of it.
+    pub fn try_put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
+        self.backend.put_shared(disk, data)
+    }
+
     /// Replaces the object rooted at `first` (same id, new bytes). Charges
     /// writes for the covering pages.
     pub fn overwrite(&self, disk: &DiskSim, first: PageId, data: Vec<u8>) {
@@ -524,6 +530,30 @@ mod tests {
         assert!(store.read_only());
         assert_eq!(store.catalog(), Some(id));
         assert_eq!(&store.get(&disk, id)[..], b"persistent bytes");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The shared form keeps the caller's handle: on a file store the
+    /// write-through frame *is* the `Arc` handed in (and so is the map
+    /// entry of the in-memory one); the bytes on disk are their own copy
+    /// and read back equal once the pool is emptied.
+    #[test]
+    fn put_shared_keeps_the_callers_handle() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("rcube_pagestore_shared_{}", std::process::id()));
+        let disk = DiskSim::with_defaults();
+        let data: Arc<[u8]> = (0..1500u32).map(|i| i as u8).collect();
+        for store in [PageStore::new(), PageStore::create_file(&path, 512, 8).unwrap()] {
+            let id = store.try_put_shared(&disk, Arc::clone(&data)).unwrap();
+            assert!(Arc::ptr_eq(&store.peek(id).unwrap(), &data));
+            assert_eq!(store.size_of(id), Some(1500));
+            if store.pool_stats().is_some() {
+                store.clear_cache();
+                let cold = store.peek(id).unwrap();
+                assert!(!Arc::ptr_eq(&cold, &data));
+                assert_eq!(cold, data);
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 }

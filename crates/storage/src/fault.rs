@@ -342,8 +342,8 @@ impl FaultBackend {
 }
 
 impl PageBackend for FaultBackend {
-    fn put(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
-        self.inner.put(disk, data)
+    fn put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
+        self.inner.put_shared(disk, data)
     }
 
     fn overwrite(&self, disk: &DiskSim, first: PageId, data: Vec<u8>) -> Result<(), StorageError> {

@@ -773,7 +773,7 @@ impl FileBackend {
 }
 
 impl PageBackend for FileBackend {
-    fn put(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
+    fn put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
         if self.read_only {
             return Err(StorageError::ReadOnly);
         }
@@ -791,8 +791,8 @@ impl PageBackend for FileBackend {
         for _ in 0..pages {
             stats.record_write();
         }
-        let frame: Arc<[u8]> = data.into();
-        self.pool.insert(PageId(first), frame, pages);
+        // Write-through: the caller's handle is the pool frame.
+        self.pool.insert(PageId(first), data, pages);
         Ok(PageId(first))
     }
 

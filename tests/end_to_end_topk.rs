@@ -10,7 +10,7 @@ use ranking_cube::cube::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfi
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::sigquery::topk_signature;
 use ranking_cube::cube::TopKQuery;
-use ranking_cube::func::{Linear, RankFn};
+use ranking_cube::func::{Expr, Linear, RankFn};
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::index::HierIndex;
 use ranking_cube::merge::{IndexMerge, MergeConfig};
@@ -274,4 +274,55 @@ fn quantized_ties_break_by_tid_on_the_grid_routes_and_ranking_first() {
             }),
         ],
     );
+}
+
+/// A ranking function with two basins — `min` of two bowls, the second
+/// raised by `off` — through every route that runs the grid search. The
+/// second basin's blocks are no neighbours of anything the first basin's
+/// search reads, so answers certified against the frontier alone miss them
+/// (28 of these 48 queries did on the grid route); the search has to hold
+/// its candidates against the blocks it has not reached as well.
+#[test]
+fn two_basins_are_both_searched_on_the_grid_routes() {
+    let rel = SyntheticSpec { tuples: 4_000, cardinality: 3, ..Default::default() }.generate();
+    let disk = DiskSim::with_defaults();
+    let grid_cfg = GridCubeConfig { block_size: 40, ..Default::default() };
+    let grid = GridRankingCube::build(&rel, &disk, grid_cfg.clone());
+    let frags =
+        RankingFragments::build(&rel, &disk, FragmentConfig { fragment_size: 1, block_size: 40 });
+    let sharded = ShardedCube::build_in_memory(
+        &rel,
+        &ShardedCubeConfig {
+            shards: 3,
+            engine: ShardEngineConfig::Grid(grid_cfg),
+            ..Default::default()
+        },
+    );
+    let routes: [Route<'_>; 3] = [
+        ("grid cube", &|q| grid.source(&disk).query(&q.plan()).unwrap().items),
+        ("fragments", &|q| frags.source(&disk).query(&q.plan()).unwrap().items),
+        ("sharded grid", &|q| sharded.source().query(&q.plan()).unwrap().items),
+    ];
+    let scan = TableScan::new(&rel, &disk);
+    let bits = |items: &[(Tid, f64)]| -> Vec<(Tid, u64)> {
+        items.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+    };
+    let bowl = |x: f64, y: f64| {
+        Expr::var(0)
+            .sub(Expr::constant(x))
+            .square()
+            .add(Expr::var(1).sub(Expr::constant(y)).square())
+    };
+    for off in [0.0, 0.0005, 0.002, 0.01] {
+        for k in [1, 5, 20, 50] {
+            for v in 0..3 {
+                let f = bowl(0.1, 0.15).min(bowl(0.9, 0.85).add(Expr::constant(off)));
+                let q = Query::select([(0, v)]).rank(f).top(k);
+                let want = scan.source(&rel, &disk).query(&q.plan()).unwrap().items;
+                for (route, answer) in &routes {
+                    assert_eq!(bits(&answer(&q)), bits(&want), "{route}, off {off} (0,{v}) k={k}");
+                }
+            }
+        }
+    }
 }
