@@ -163,11 +163,12 @@ fn cell_has_bid(page: &[u8], bid: Bid) -> bool {
     cell_entry(page, bid).is_some()
 }
 
-/// Looks up `bid` in a cell page and returns a streaming cursor over its
-/// posting list — a zero-copy view into the page bytes.
-fn cell_cursor(page: &[u8], bid: Bid) -> Option<IdCursor<'_>> {
-    let (base, slice) = cell_entry(page, bid)?;
-    IdListRef::parse(slice).ok().map(|l| l.cursor_with_base(base))
+/// A streaming cursor over `bid`'s posting list in a cell page whose
+/// directory holds it ([`cell_has_bid`]) — a zero-copy view into the page
+/// bytes. A list that does not parse is a malformed file.
+fn cell_cursor(page: &[u8], bid: Bid) -> Result<IdCursor<'_>, StorageError> {
+    let (base, slice) = cell_entry(page, bid).expect("bid checked in pass 1");
+    Ok(IdListRef::parse(slice)?.cursor_with_base(base))
 }
 
 /// The materialized grid ranking cube.
@@ -859,18 +860,24 @@ impl<'a> GridSearch<'a> {
             }
         }
         // Pass 2: zero-copy cursors over the buffered pages, then stream
-        // the intersection.
+        // the intersection. A cursor that meets bytes it cannot decode
+        // ends early: its error, read after the drain, keeps a malformed
+        // list from passing for a short one.
         let pid_buffer = &self.pid_buffer;
         let mut cursors = self.covering.iter().enumerate().map(|(ci, cover)| {
             let page = pid_buffer[&(ci, cover.key.1)].as_deref().expect("buffered in pass 1");
-            cell_cursor(page, bid).expect("bid checked in pass 1")
+            cell_cursor(page, bid)
         });
-        if self.covering.len() == 1 {
-            tids.extend(cursors.next().expect("one covering cuboid"));
+        let error = if self.covering.len() == 1 {
+            let mut list = cursors.next().expect("one covering cuboid")?;
+            tids.extend(list.by_ref());
+            list.error()
         } else {
-            tids.extend(KWayIntersect::from_cursors(cursors.collect()));
-        }
-        Ok(())
+            let mut common = KWayIntersect::from_cursors(cursors.collect::<Result<_, _>>()?);
+            tids.extend(common.by_ref());
+            common.error()
+        };
+        error.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// The evaluate step: fetch real values from the base block table and
@@ -1631,6 +1638,183 @@ mod tests {
                 let fresh = cube.source(&disk).query(&plan(25)).unwrap();
                 assert_eq!(answer_bits(&resumed), answer_bits(&fresh.items), "off {off}, (0,{v})");
                 assert!(cursor.stats().blocks_read <= fresh.stats.blocks_read);
+            }
+        }
+    }
+
+    // ---- What a cell page stores, and what it does when it lies ----
+
+    /// A cell page taken apart: `(bid, base, encoded list)` per directory
+    /// entry.
+    fn cell_lists(page: &[u8]) -> Vec<(Bid, Tid, &[u8])> {
+        let n = u32::from_le_bytes(page[..4].try_into().unwrap()) as usize;
+        let word = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().unwrap());
+        let bids = (0..n).map(|i| word(4 + i * DIR_ENTRY));
+        bids.map(|bid| {
+            let (base, list) = cell_entry(page, bid).expect("listed in the directory");
+            (bid, base, list)
+        })
+        .collect()
+    }
+
+    /// The inverse of [`cell_lists`], for pages whose lists a test rewrote.
+    fn cell_page(lists: &[(Bid, Tid, Vec<u8>)]) -> Vec<u8> {
+        let mut out = (lists.len() as u32).to_le_bytes().to_vec();
+        let mut end = 0u32;
+        for (bid, base, list) in lists {
+            end += list.len() as u32;
+            for word in [*bid, *base, end] {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        out.extend(lists.iter().flat_map(|(_, _, list)| list.iter().copied()));
+        out
+    }
+
+    /// Every stored list of `cube`, decoded and held to the relation: the
+    /// tuples of its block that carry its cell's values. Returns the
+    /// longest list's length and every tag met.
+    fn check_stored_lists(rel: &Relation, cube: &GridRankingCube) -> (usize, Vec<u8>) {
+        let (mut longest, mut tags) = (0, Vec::new());
+        for (dims, cuboid) in &cube.cuboids {
+            for ((vals, _pid), &page) in &cuboid.cells {
+                let page = cube.store.peek(page).unwrap();
+                for (bid, base, list) in cell_lists(&page) {
+                    let got: Vec<Tid> =
+                        IdListRef::parse(list).unwrap().cursor_with_base(base).collect();
+                    let in_cell = |t: Tid| {
+                        dims.iter().zip(vals).all(|(&d, &v)| rel.selection_value(t, d) == v)
+                    };
+                    let want: Vec<Tid> = cube
+                        .partition
+                        .block_tids(bid)
+                        .iter()
+                        .copied()
+                        .filter(|&t| in_cell(t))
+                        .collect();
+                    assert_eq!(got, want, "cuboid {dims:?} cell {vals:?} block {bid}");
+                    longest = longest.max(got.len());
+                    if !tags.contains(&list[0]) {
+                        tags.push(list[0]);
+                    }
+                }
+            }
+        }
+        (longest, tags)
+    }
+
+    /// The benchmark's shape scaled down (four cardinality-10 selection
+    /// dimensions, three ranking dimensions, all 15 cuboids): a stored list
+    /// is one cell ∩ one base block, so it is short — and a delta list.
+    #[test]
+    fn every_stored_list_is_a_short_delta_list() {
+        let rel = SyntheticSpec {
+            tuples: 12_000,
+            selection_dims: 4,
+            cardinality: 10,
+            ranking_dims: 3,
+            ..Default::default()
+        }
+        .generate();
+        let disk = DiskSim::with_defaults();
+        let cube = GridRankingCube::build(&rel, &disk, GridCubeConfig::default());
+        assert_eq!(cube.cuboids.len(), 15);
+        let (longest, tags) = check_stored_lists(&rel, &cube);
+        assert!(longest <= cube.block_size(), "longest list {longest}");
+        assert_eq!(tags, [idlist::TAG_DELTA]);
+    }
+
+    /// A cardinality-2 dimension is what puts half a block into one list:
+    /// lists above 128 tids — the length at which a skip table used to be
+    /// written in front — are stored, read back and leapfrogged as the same
+    /// delta lists as every other.
+    #[test]
+    fn lists_longer_than_a_skip_block_round_trip_and_answer() {
+        let rel = SyntheticSpec {
+            tuples: 7_500,
+            selection_dims: 3,
+            cardinality: 2,
+            ranking_dims: 3,
+            ..Default::default()
+        }
+        .generate();
+        let disk = DiskSim::with_defaults();
+        let config = |cuboids| GridCubeConfig { block_size: 300, cuboids, ..Default::default() };
+        let full = GridRankingCube::build(&rel, &disk, config(CuboidSpec::AllSubsets));
+        let (longest, tags) = check_stored_lists(&rel, &full);
+        assert!(longest > 128, "longest list {longest}");
+        assert_eq!(tags, [idlist::TAG_DELTA]);
+        // Atomic cuboids only: two conditions intersect two long lists.
+        let atomic = GridRankingCube::build(&rel, &disk, config(CuboidSpec::Fragments(1)));
+        let f = Linear::new(vec![1.0, 0.5, 2.0]);
+        for conds in [vec![(0, 1)], vec![(0, 0), (2, 1)], vec![(0, 1), (1, 1), (2, 0)]] {
+            let sel = Selection::new(conds.clone());
+            let want = scan_topk(&rel, &sel, &f, &[0, 1, 2], 40);
+            for cube in [&full, &atomic] {
+                let q = TopKQuery::new(conds.clone(), f.clone(), 40);
+                assert_eq!(answer_bits(&cube.query(&q, &disk).items), want, "{conds:?}");
+            }
+        }
+    }
+
+    /// A cell page holding a list of the retired tag 2, or one cut inside
+    /// a varint, is a malformed file: the query fails typed. It used to
+    /// panic on the first and answer without the lost tids on the second.
+    #[test]
+    fn an_undecodable_list_fails_the_query_typed() {
+        let rel = SyntheticSpec { tuples: 2_000, cardinality: 3, ..Default::default() }.generate();
+        let disk = DiskSim::with_defaults();
+        // [5, 9] as tag 2 stored it: count, one block, its table entry, gaps.
+        fn as_tag_2(_: &[u8]) -> Vec<u8> {
+            vec![2, 2, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0, 5, 3]
+        }
+        // The last gap gains a continuation bit and loses its last byte.
+        fn cut_varint(list: &[u8]) -> Vec<u8> {
+            let mut list = list.to_vec();
+            *list.last_mut().expect("a stored list holds a tid") |= 0x80;
+            list
+        }
+        type Corrupt = fn(&[u8]) -> Vec<u8>;
+        for (what, corrupt) in [("tag 2", as_tag_2 as Corrupt), ("cut varint", cut_varint)] {
+            let cube = GridRankingCube::build(
+                &rel,
+                &disk,
+                GridCubeConfig {
+                    block_size: 40,
+                    cuboids: CuboidSpec::Fragments(1),
+                    ..Default::default()
+                },
+            );
+            // One covering cuboid drains a cursor, two leapfrog.
+            let queries = [vec![(0, 1)], vec![(0, 1), (1, 2)]];
+            let intact: Vec<usize> = queries
+                .iter()
+                .map(|conds| {
+                    let q = TopKQuery::new(conds.clone(), Linear::uniform(2), 500);
+                    cube.try_query(&q, &disk).expect("intact cube").items.len()
+                })
+                .collect();
+            assert!(intact.iter().all(|&n| n > 100), "{intact:?}");
+            for ((vals, _pid), &page) in &cube.cuboids[&vec![0]].cells {
+                if vals[..] != [1] {
+                    continue;
+                }
+                let bytes = cube.store.peek(page).unwrap();
+                let lists: Vec<_> = cell_lists(&bytes)
+                    .into_iter()
+                    .map(|(bid, base, list)| (bid, base, corrupt(list)))
+                    .collect();
+                cube.store.overwrite(&disk, page, cell_page(&lists));
+            }
+            for conds in queries {
+                let q = TopKQuery::new(conds.clone(), Linear::uniform(2), 500);
+                let got = cube.try_query(&q, &disk);
+                // Persistent, so the engine's ladder takes the route out of
+                // service and falls back instead of retrying.
+                assert!(
+                    matches!(&got, Err(e @ StorageError::Malformed(_)) if !e.is_transient()),
+                    "{what}, {conds:?}: {got:?}"
+                );
             }
         }
     }

@@ -6,7 +6,7 @@
 //! the *compressed* form — intersecting covering cuboids is the hottest
 //! loop in the whole system, so decoding every list to a `Vec<Tid>` and
 //! hashing it (the original implementation) throws the win away. This
-//! module is a posting-list engine built around three ideas:
+//! module is built around two ideas:
 //!
 //! 1. **Zero-copy views.** [`IdListRef`] borrows the encoded bytes
 //!    (typically an `Arc<[u8]>` page handed out by the buffer pool) and
@@ -15,55 +15,46 @@
 //!    contract: an `IdListRef<'a>` — and every cursor or iterator derived
 //!    from it — is valid exactly as long as the page bytes `&'a [u8]` it
 //!    wraps.
-//! 2. **Word-parallel bitmaps.** Dense lists are bitmaps whose
-//!    intersection is a `u64`-wise AND; cardinality is `count_ones`. Bits
-//!    are laid out exactly as the legacy byte-oriented encoding (bit `t`
-//!    lives in byte `t/8`, position `t%8` — little-endian word order makes
-//!    the two layouts identical), so old buffers are read word-parallel
-//!    with no re-encode.
-//! 3. **Skip-delta blocks + streaming k-way intersection.** Sparse lists
-//!    are delta–varints grouped into blocks of [`SKIP_BLOCK`] tids, fronted
-//!    by a table of `(max_tid, end_offset)` pairs. [`IdCursor::seek`]
-//!    gallops: exponential probe over the skip table, binary search into
-//!    the window, then at most one block of linear decoding.
-//!    [`KWayIntersect`] leapfrogs any number of cursors — ordered smallest
-//!    estimated cardinality first — without materializing any intermediate
-//!    list.
+//! 2. **Streaming k-way intersection.** [`KWayIntersect`] leapfrogs any
+//!    number of [`IdCursor`]s — ordered smallest estimated cardinality
+//!    first — without materializing any intermediate list. A bitmap
+//!    cursor seeks by jumping to the target's word; a delta cursor walks.
 //!
 //! ## Representations and when each is chosen
 //!
 //! | tag | layout | chosen by [`encode_auto`] when |
 //! |-----|--------|-------------------------------|
-//! | 0 (`delta`)  | LEB128 gaps | short lists (≤ one skip block): a skip table buys nothing |
+//! | 0 (`delta`)  | LEB128 gaps | sparse lists: the gaps take no more bytes than the bitmap would |
 //! | 1 (`bitmap`) | `universe: u32` + bit bytes | dense lists: `⌈universe/8⌉` is the smallest form |
-//! | 2 (`skip`)   | count + block table + LEB128 gaps | long sparse lists: pays 8 bytes per block for `O(log B)` seeks |
 //!
-//! All three tags decode forever — buffers written by older versions of
-//! this crate (tags 0 and 1) are read without re-encoding.
+//! A stored list is one cuboid cell ∩ one base block, so it holds at most
+//! a block's worth of tids (`block_size`, a few hundred): on the
+//! benchmark's cube (100k tuples, four cardinality-10 dimensions, 343
+//! blocks, all 15 cuboids) every one of the 653 501 stored lists is tag 0,
+//! the longest 50 tids, 65 % of them singletons. Tag 2, a delta list
+//! fronted by a skip table, was written only for lists above 128 tids (a
+//! cardinality-2 dimension at the default block size); it is no longer
+//! read, and a buffer carrying it fails [`IdListRef::parse`] with
+//! [`DecodeError::BadTag`]. A longer-list layout belongs with a workload
+//! that stores such lists.
 //!
-//! ## Universe semantics
+//! ## Bitmap layout
 //!
-//! A bitmap over universe `u` represents a subset of `0..u`. Intersecting
-//! bitmaps with different universes yields a list over `min(ua, ub)`:
-//! every bit at or above the smaller universe is dropped, because the
-//! smaller bitmap carries no information there. Headers are parsed once,
-//! at [`IdListRef::parse`] time — never per intersection step.
+//! A bitmap over universe `u` represents a subset of `0..u`: bit `t` lives
+//! in byte `t/8`, position `t%8`, so little-endian `u64` loads read it a
+//! word at a time. Bits at or above `u` are masked off. Headers are parsed
+//! once, at [`IdListRef::parse`] time — never per intersection step.
 
+use rcube_storage::StorageError;
 use rcube_table::Tid;
 
 /// Encoded representation tag (first byte of the buffer).
 pub const TAG_DELTA: u8 = 0;
 /// Bitmap over a `u32` universe.
 pub const TAG_BITMAP: u8 = 1;
-/// Block-structured delta list with a skip table.
-pub const TAG_SKIP: u8 = 2;
 
-/// Tids per skip block. 128 single-byte gaps ≈ two cache lines of payload
-/// per 8-byte table entry.
-pub const SKIP_BLOCK: usize = 128;
-
-/// Decoding failures. The streaming cursors stop cleanly at the first
-/// malformed byte; [`try_decode`] surfaces the reason instead.
+/// Decoding failures. A cursor stops cleanly at the first malformed byte
+/// and keeps the reason ([`IdCursor::error`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The buffer ended inside a varint or declared more payload than present.
@@ -87,12 +78,22 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// A list read off a cube page that does not decode is a malformed file.
+impl From<DecodeError> for StorageError {
+    fn from(e: DecodeError) -> Self {
+        StorageError::Malformed(match e {
+            DecodeError::Truncated => "posting list truncated",
+            DecodeError::VarintOverflow => "posting-list varint exceeds 32 bits",
+            DecodeError::BadTag(_) => "unknown posting-list tag",
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encoders
 // ---------------------------------------------------------------------------
 
-/// Delta–varint encodes an ascending tid list (legacy tag; still written
-/// for short lists where a skip table is pure overhead).
+/// Delta–varint encodes an ascending tid list.
 pub fn encode_delta(tids: &[Tid]) -> Vec<u8> {
     debug_assert!(tids.windows(2).all(|w| w[0] < w[1]), "tid list must be strictly ascending");
     let mut out = vec![TAG_DELTA];
@@ -118,45 +119,13 @@ pub fn encode_bitmap(tids: &[Tid], universe: u32) -> Vec<u8> {
     out
 }
 
-/// Skip-delta encodes an ascending tid list: `[tag][count: u32]
-/// [num_blocks: u32][(max_tid: u32, end_offset: u32) per block][gaps…]`.
-/// `end_offset` is the cumulative payload length through the block, so a
-/// seek jumps to any block in O(1) once the table entry is found.
-pub fn encode_skip(tids: &[Tid]) -> Vec<u8> {
-    debug_assert!(tids.windows(2).all(|w| w[0] < w[1]), "tid list must be strictly ascending");
-    let num_blocks = tids.len().div_ceil(SKIP_BLOCK);
-    let mut out = vec![TAG_SKIP];
-    out.extend_from_slice(&(tids.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(num_blocks as u32).to_le_bytes());
-
-    let mut payload = Vec::with_capacity(tids.len() * 2);
-    let mut table = Vec::with_capacity(num_blocks * 8);
-    let mut prev = 0u32;
-    let mut first = true;
-    for block in tids.chunks(SKIP_BLOCK) {
-        for &t in block {
-            let gap = if first { t } else { t - prev - 1 };
-            push_leb(&mut payload, gap);
-            prev = t;
-            first = false;
-        }
-        table.extend_from_slice(&prev.to_le_bytes());
-        table.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    }
-    out.extend_from_slice(&table);
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Picks the best representation for this list: bitmap when densest,
-/// otherwise skip-delta for long lists and plain delta for short ones
-/// (where the skip table cannot amortize).
+/// Picks the smaller representation for this list: the delta gaps, or the
+/// bitmap when the list is dense enough for `5 + ⌈universe/8⌉` bytes to
+/// undercut them.
 pub fn encode_auto(tids: &[Tid], universe: u32) -> Vec<u8> {
-    let sparse = if tids.len() <= SKIP_BLOCK { encode_delta(tids) } else { encode_skip(tids) };
-    // Bitmap size is known without building it: 5 + ⌈universe/8⌉.
-    let bitmap_len = 5 + (universe as usize).div_ceil(8);
-    if sparse.len() <= bitmap_len {
-        sparse
+    let delta = encode_delta(tids);
+    if delta.len() <= 5 + (universe as usize).div_ceil(8) {
+        delta
     } else {
         encode_bitmap(tids, universe)
     }
@@ -178,31 +147,17 @@ pub struct IdListRef<'a> {
 
 #[derive(Debug, Clone, Copy)]
 enum Repr<'a> {
-    Empty,
-    Delta {
-        gaps: &'a [u8],
-    },
-    Bitmap {
-        universe: u32,
-        bits: &'a [u8],
-    },
-    Skip {
-        count: u32,
-        /// `(max_tid, end_offset)` pairs, 8 bytes each.
-        table: &'a [u8],
-        payload: &'a [u8],
-    },
+    Delta { gaps: &'a [u8] },
+    Bitmap { universe: u32, bits: &'a [u8] },
 }
 
 impl<'a> IdListRef<'a> {
     /// Parses the header of an encoded buffer. The returned view borrows
     /// `buf`; no bytes are copied.
     pub fn parse(buf: &'a [u8]) -> Result<Self, DecodeError> {
-        let Some(&tag) = buf.first() else {
-            return Ok(Self { repr: Repr::Empty });
-        };
-        match tag {
-            TAG_DELTA => Ok(Self { repr: Repr::Delta { gaps: &buf[1..] } }),
+        // No bytes at all is the empty list.
+        match buf.first().copied().unwrap_or(TAG_DELTA) {
+            TAG_DELTA => Ok(Self { repr: Repr::Delta { gaps: buf.get(1..).unwrap_or(&[]) } }),
             TAG_BITMAP => {
                 if buf.len() < 5 {
                     return Err(DecodeError::Truncated);
@@ -215,66 +170,20 @@ impl<'a> IdListRef<'a> {
                 }
                 Ok(Self { repr: Repr::Bitmap { universe, bits: &bits[..need] } })
             }
-            TAG_SKIP => {
-                if buf.len() < 9 {
-                    return Err(DecodeError::Truncated);
-                }
-                let count = u32::from_le_bytes(buf[1..5].try_into().unwrap());
-                let num_blocks = u32::from_le_bytes(buf[5..9].try_into().unwrap()) as usize;
-                let table_len = num_blocks.checked_mul(8).ok_or(DecodeError::Truncated)?;
-                if buf.len() < 9 + table_len {
-                    return Err(DecodeError::Truncated);
-                }
-                let table = &buf[9..9 + table_len];
-                let payload = &buf[9 + table_len..];
-                if num_blocks > 0 {
-                    let last_end = u32::from_le_bytes(table[table_len - 4..].try_into().unwrap());
-                    if payload.len() < last_end as usize {
-                        return Err(DecodeError::Truncated);
-                    }
-                }
-                // `count` sizes downstream allocations, so it must be
-                // consistent with the block structure: every block holds
-                // 1..=SKIP_BLOCK elements.
-                let max_count = num_blocks.saturating_mul(SKIP_BLOCK);
-                let min_count = if num_blocks == 0 { 0 } else { (num_blocks - 1) * SKIP_BLOCK + 1 };
-                if !(min_count..=max_count).contains(&(count as usize)) {
-                    return Err(DecodeError::Truncated);
-                }
-                Ok(Self { repr: Repr::Skip { count, table, payload } })
-            }
             other => Err(DecodeError::BadTag(other)),
         }
     }
 
-    /// The representation tag (for tests and stats).
-    pub fn tag(&self) -> u8 {
-        match self.repr {
-            Repr::Empty | Repr::Delta { .. } => TAG_DELTA,
-            Repr::Bitmap { .. } => TAG_BITMAP,
-            Repr::Skip { .. } => TAG_SKIP,
-        }
-    }
-
-    /// True when the list can be proven empty from the header alone.
-    pub fn is_empty(&self) -> bool {
-        match self.repr {
-            Repr::Empty => true,
-            Repr::Delta { gaps } => gaps.is_empty(),
-            Repr::Bitmap { universe, .. } => universe == 0,
-            Repr::Skip { count, .. } => count == 0,
-        }
-    }
-
     /// Cardinality estimate used to order k-way intersections: exact for
-    /// skip lists (header) and bitmaps (word-parallel popcount), an upper
-    /// bound (payload bytes) for plain delta lists.
+    /// bitmaps (word-parallel popcount), an upper bound (payload bytes)
+    /// for delta lists.
     pub fn estimated_card(&self) -> usize {
         match self.repr {
-            Repr::Empty => 0,
             Repr::Delta { gaps } => gaps.len(),
-            Repr::Bitmap { bits, universe } => popcount_bits(bits, universe) as usize,
-            Repr::Skip { count, .. } => count as usize,
+            Repr::Bitmap { bits, universe } => {
+                let words = (universe as usize).div_ceil(64);
+                (0..words).map(|w| load_word(bits, universe, w).count_ones() as usize).sum()
+            }
         }
     }
 
@@ -288,21 +197,14 @@ impl<'a> IdListRef<'a> {
     pub fn cursor_with_base(self, base: Tid) -> IdCursor<'a> {
         let est = self.estimated_card();
         let inner = match self.repr {
-            Repr::Empty => CursorInner::Done,
             Repr::Delta { gaps } => {
                 CursorInner::Delta { data: gaps, pos: 0, prev: 0, started: false }
             }
-            Repr::Bitmap { universe, bits } => {
-                CursorInner::Bitmap { bits, universe, word_idx: 0, word: 0, loaded: false }
-            }
-            Repr::Skip { table, payload, .. } => CursorInner::Skip {
-                table,
-                payload,
-                block: 0,
-                pos: 0,
-                block_end: if table.is_empty() { 0 } else { table_end(table, 0) as usize },
-                prev: 0,
-                started: false,
+            Repr::Bitmap { universe, bits } => CursorInner::Bitmap {
+                bits,
+                universe,
+                word_idx: 0,
+                word: load_word(bits, universe, 0),
             },
         };
         let mut c = IdCursor { cur: None, base, est, inner, poisoned: None };
@@ -312,84 +214,28 @@ impl<'a> IdListRef<'a> {
 
     /// Decodes the whole list (allocating). Malformed tails stop cleanly.
     pub fn to_vec(self) -> Vec<Tid> {
-        let mut c = self.cursor();
         let mut out = Vec::with_capacity(self.estimated_card());
-        while let Some(t) = c.current() {
-            out.push(t);
-            c.advance();
-        }
+        out.extend(self.cursor());
         out
     }
+}
 
-    fn as_bitmap(&self) -> Option<(u32, &'a [u8])> {
-        match self.repr {
-            Repr::Bitmap { universe, bits } => Some((universe, bits)),
-            _ => None,
+/// Word `word` of a bitmap over `universe`: a little-endian `u64` load of
+/// up to 8 bytes starting at `bits[8*word]`, bits at or above the universe
+/// masked off.
+#[inline]
+fn load_word(bits: &[u8], universe: u32, word: usize) -> u64 {
+    let chunk = bits.get(word * 8..).unwrap_or(&[]);
+    let raw = match chunk.first_chunk::<8>() {
+        Some(full) => u64::from_le_bytes(*full),
+        None => {
+            let mut tail = [0u8; 8];
+            tail[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(tail)
         }
-    }
-}
-
-/// Little-endian `u64` load of up to 8 bytes starting at `bits[8*word]`.
-/// The byte layout matches the legacy bitmap encoding, so word loads read
-/// old buffers unchanged.
-#[inline]
-fn load_word(bits: &[u8], word: usize) -> u64 {
-    let start = word * 8;
-    if start >= bits.len() {
-        return 0;
-    }
-    let chunk = &bits[start..];
-    if chunk.len() >= 8 {
-        u64::from_le_bytes(chunk[..8].try_into().unwrap())
-    } else {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        u64::from_le_bytes(buf)
-    }
-}
-
-/// The AND of word `w` across every bitmap, masked to `universe` —
-/// the single word-parallel kernel behind the k-way iterator, the
-/// cardinality fold and the materializing extract.
-#[inline]
-fn and_word(universe: u32, bits: &[&[u8]], w: usize) -> u64 {
-    let mut word = universe_mask(universe, w);
-    for b in bits {
-        word &= load_word(b, w);
-        if word == 0 {
-            break;
-        }
-    }
-    word
-}
-
-/// Mask selecting the valid bits of word `word` under `universe`.
-#[inline]
-fn universe_mask(universe: u32, word: usize) -> u64 {
-    let lo = (word as u64) * 64;
-    let hi = u64::from(universe);
-    if hi >= lo + 64 {
-        !0
-    } else if hi <= lo {
-        0
-    } else {
-        (1u64 << (hi - lo)) - 1
-    }
-}
-
-fn popcount_bits(bits: &[u8], universe: u32) -> u64 {
-    let words = (universe as usize).div_ceil(64);
-    (0..words).map(|w| (load_word(bits, w) & universe_mask(universe, w)).count_ones() as u64).sum()
-}
-
-#[inline]
-fn table_max(table: &[u8], block: usize) -> u32 {
-    u32::from_le_bytes(table[block * 8..block * 8 + 4].try_into().unwrap())
-}
-
-#[inline]
-fn table_end(table: &[u8], block: usize) -> u32 {
-    u32::from_le_bytes(table[block * 8 + 4..block * 8 + 8].try_into().unwrap())
+    };
+    let valid = u64::from(universe).saturating_sub(word as u64 * 64);
+    raw & if valid >= 64 { !0 } else { (1u64 << valid) - 1 }
 }
 
 // ---------------------------------------------------------------------------
@@ -409,6 +255,7 @@ pub struct IdCursor<'a> {
 
 #[derive(Debug, Clone)]
 enum CursorInner<'a> {
+    /// Poisoned: nothing more comes out.
     Done,
     Delta {
         data: &'a [u8],
@@ -416,21 +263,13 @@ enum CursorInner<'a> {
         prev: u32,
         started: bool,
     },
+    /// `word` is word `word_idx` less the bits at and below the current
+    /// element.
     Bitmap {
         bits: &'a [u8],
         universe: u32,
         word_idx: usize,
         word: u64,
-        loaded: bool,
-    },
-    Skip {
-        table: &'a [u8],
-        payload: &'a [u8],
-        block: usize,
-        pos: usize,
-        block_end: usize,
-        prev: u32,
-        started: bool,
     },
 }
 
@@ -446,18 +285,15 @@ impl<'a> IdCursor<'a> {
         self.est
     }
 
-    /// True when the cursor stopped early because the bytes were malformed.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The decode error that stopped the cursor, if any.
+    /// The decode error that stopped the cursor early, if any. A caller
+    /// that must not mistake a malformed list for a short one reads this
+    /// once the cursor is drained.
     pub fn error(&self) -> Option<DecodeError> {
         self.poisoned
     }
 
     /// Moves to the next element. Malformed bytes end the stream cleanly
-    /// (and mark the cursor poisoned).
+    /// (and leave the reason in [`Self::error`]).
     pub fn advance(&mut self) {
         match self.try_advance() {
             Ok(next) => self.cur = next,
@@ -470,9 +306,8 @@ impl<'a> IdCursor<'a> {
     }
 
     fn try_advance(&mut self) -> Result<Option<Tid>, DecodeError> {
-        let base = self.base;
-        match &mut self.inner {
-            CursorInner::Done => Ok(None),
+        let rel = match &mut self.inner {
+            CursorInner::Done => return Ok(None),
             CursorInner::Delta { data, pos, prev, started } => {
                 if *pos >= data.len() {
                     return Ok(None);
@@ -488,149 +323,43 @@ impl<'a> IdCursor<'a> {
                 };
                 *started = true;
                 *prev = t;
-                base.checked_add(t).map(Some).ok_or(DecodeError::VarintOverflow)
+                t
             }
-            CursorInner::Bitmap { bits, universe, word_idx, word, loaded } => {
-                if !*loaded {
-                    *loaded = true;
-                    *word = load_word(bits, 0) & universe_mask(*universe, 0);
-                } else if *word != 0 {
-                    *word &= *word - 1; // clear the bit we were positioned on
-                }
+            CursorInner::Bitmap { bits, universe, word_idx, word } => {
                 let num_words = (*universe as usize).div_ceil(64);
                 while *word == 0 {
                     *word_idx += 1;
                     if *word_idx >= num_words {
                         return Ok(None);
                     }
-                    *word = load_word(bits, *word_idx) & universe_mask(*universe, *word_idx);
+                    *word = load_word(bits, *universe, *word_idx);
                 }
                 let t = (*word_idx as u32) * 64 + word.trailing_zeros();
-                base.checked_add(t).map(Some).ok_or(DecodeError::VarintOverflow)
+                *word &= *word - 1;
+                t
             }
-            CursorInner::Skip { table, payload, block, pos, block_end, prev, started } => {
-                let num_blocks = table.len() / 8;
-                while *pos >= *block_end {
-                    if *block + 1 >= num_blocks {
-                        return Ok(None);
-                    }
-                    *prev = table_max(table, *block);
-                    *block += 1;
-                    *block_end = table_end(table, *block) as usize;
-                }
-                let (gap, next) = read_leb(payload, *pos)?;
-                *pos = next;
-                let t = if *started {
-                    prev.checked_add(gap)
-                        .and_then(|v| v.checked_add(1))
-                        .ok_or(DecodeError::VarintOverflow)?
-                } else {
-                    gap
-                };
-                *started = true;
-                *prev = t;
-                base.checked_add(t).map(Some).ok_or(DecodeError::VarintOverflow)
-            }
-        }
+        };
+        self.base.checked_add(rel).map(Some).ok_or(DecodeError::VarintOverflow)
     }
 
     /// Positions the cursor on the first element `≥ target` (no-op when
-    /// already there). Skip lists gallop over their block table; bitmaps
-    /// jump straight to the target word; plain delta lists walk.
+    /// already there). Bitmaps jump straight to the target word; delta
+    /// lists walk — a stored list is at most a block's worth of tids.
     pub fn seek(&mut self, target: Tid) {
-        match self.cur {
-            None => return,
-            Some(c) if c >= target => return,
-            _ => {}
-        }
-        let rel = target.saturating_sub(self.base);
-
-        // Representation-specific jump, then settle by linear advance.
-        match &mut self.inner {
-            CursorInner::Skip { table, payload: _, block, pos, block_end, prev, started } => {
-                let num_blocks = table.len() / 8;
-                if num_blocks > 0 && table_max(table, *block) < rel {
-                    // Galloping probe: double the stride from the current
-                    // block, then binary search inside the overshoot window.
-                    let mut lo = *block + 1;
-                    let mut step = 1usize;
-                    let mut hi = lo;
-                    while hi < num_blocks && table_max(table, hi) < rel {
-                        lo = hi + 1;
-                        step *= 2;
-                        hi = (hi + step).min(num_blocks - 1);
-                        if hi == num_blocks - 1 && table_max(table, hi) < rel {
-                            // Target beyond the last block's max: exhausted.
-                            self.cur = None;
-                            self.inner = CursorInner::Done;
-                            return;
-                        }
-                    }
-                    if lo >= num_blocks {
-                        self.cur = None;
-                        self.inner = CursorInner::Done;
-                        return;
-                    }
-                    let mut a = lo;
-                    let mut b = hi;
-                    while a < b {
-                        let mid = (a + b) / 2;
-                        if table_max(table, mid) < rel {
-                            a = mid + 1;
-                        } else {
-                            b = mid;
-                        }
-                    }
-                    // Jump to block `a`: its predecessor's max re-seeds the
-                    // delta chain.
-                    *block = a;
-                    *pos = if a == 0 { 0 } else { table_end(table, a - 1) as usize };
-                    *block_end = table_end(table, a) as usize;
-                    *prev = if a == 0 { 0 } else { table_max(table, a - 1) };
-                    *started = a != 0;
-                    self.advance();
-                }
-            }
-            CursorInner::Bitmap { bits, universe, word_idx, word, loaded } => {
+        if let (CursorInner::Bitmap { bits, universe, word_idx, word }, Some(cur)) =
+            (&mut self.inner, self.cur)
+        {
+            if cur < target {
+                let rel = target - self.base;
                 let target_word = (rel / 64) as usize;
-                if target_word > *word_idx || !*loaded {
-                    *loaded = true;
-                    *word_idx = (*word_idx).max(target_word);
-                    *word = load_word(bits, *word_idx) & universe_mask(*universe, *word_idx);
+                if target_word > *word_idx {
+                    *word_idx = target_word;
+                    *word = load_word(bits, *universe, target_word);
                 }
-                if *word_idx == target_word {
-                    // Drop bits below the target inside the word.
-                    let shift = rel % 64;
-                    *word &= !0u64 << shift;
-                }
-                let num_words = (*universe as usize).div_ceil(64);
-                while *word == 0 {
-                    *word_idx += 1;
-                    if *word_idx >= num_words {
-                        self.cur = None;
-                        self.inner = CursorInner::Done;
-                        return;
-                    }
-                    *word = load_word(bits, *word_idx) & universe_mask(*universe, *word_idx);
-                }
-                let t = (*word_idx as u32) * 64 + word.trailing_zeros();
-                match self.base.checked_add(t) {
-                    Some(v) => self.cur = Some(v),
-                    None => {
-                        self.poisoned = Some(DecodeError::VarintOverflow);
-                        self.cur = None;
-                        self.inner = CursorInner::Done;
-                    }
-                }
-                return;
+                *word &= !0u64 << (rel % 64); // drop bits below the target
             }
-            _ => {}
         }
-
-        while let Some(c) = self.cur {
-            if c >= target {
-                break;
-            }
+        while self.cur.is_some_and(|c| c < target) {
             self.advance();
         }
     }
@@ -650,72 +379,29 @@ impl<'a> Iterator for IdCursor<'a> {
 // Streaming k-way intersection
 // ---------------------------------------------------------------------------
 
-/// Streaming intersection of `k` posting lists.
+/// Streaming intersection of `k` posting lists, each with its own base.
 ///
-/// Lists are ordered by estimated cardinality (smallest first) and
+/// The cursors are ordered by estimated cardinality (smallest first) and
 /// leapfrogged: the rarest list nominates candidates, the others `seek`.
-/// When every operand is a bitmap (with no base offsets), the iterator
-/// short-circuits to a word-parallel AND over the shared universe prefix.
-/// Nothing is materialized until the caller collects.
+/// Nothing is materialized until the caller collects. No cursors yield
+/// nothing; one passes through.
 pub struct KWayIntersect<'a> {
-    inner: KWayInner<'a>,
-}
-
-enum KWayInner<'a> {
-    /// Intersection is empty or of zero lists.
-    Empty,
-    /// Single list: pass through.
-    Single(IdCursor<'a>),
-    /// All-bitmap fast path: word-wise AND.
-    Bitmaps { bits: Vec<&'a [u8]>, universe: u32, word_idx: usize, word: u64, primed: bool },
-    /// General leapfrog over cardinality-ordered cursors.
-    Leapfrog { cursors: Vec<IdCursor<'a>> },
-}
-
-/// Detects the all-bitmap fast path: every list a bitmap (and at least
-/// two of them) yields the shared-universe operands for word-parallel
-/// processing. The single place the min-universe policy lives — the k-way
-/// iterator, cardinality fold and pairwise materializer all route here.
-fn bitmap_operands<'a>(lists: &[IdListRef<'a>]) -> Option<(u32, Vec<&'a [u8]>)> {
-    if lists.len() < 2 {
-        return None;
-    }
-    let pairs = lists.iter().map(|l| l.as_bitmap()).collect::<Option<Vec<_>>>()?;
-    let universe = pairs.iter().map(|&(u, _)| u).min().unwrap_or(0);
-    Some((universe, pairs.into_iter().map(|(_, b)| b).collect()))
+    cursors: Vec<IdCursor<'a>>,
 }
 
 impl<'a> KWayIntersect<'a> {
-    /// Intersects parsed views. Bitmap-only inputs take the word-parallel
-    /// path; mixed representations leapfrog.
-    pub fn new(lists: &[IdListRef<'a>]) -> Self {
-        if lists.is_empty() {
-            return Self { inner: KWayInner::Empty };
-        }
-        if lists.iter().any(|l| l.is_empty()) {
-            return Self { inner: KWayInner::Empty };
-        }
-        if let Some((universe, bits)) = bitmap_operands(lists) {
-            return Self {
-                inner: KWayInner::Bitmaps { bits, universe, word_idx: 0, word: 0, primed: false },
-            };
-        }
-        Self::from_cursors(lists.iter().map(|l| l.cursor()).collect())
+    /// Intersects cursors, each already carrying its list's base
+    /// ([`IdListRef::cursor_with_base`]).
+    pub fn from_cursors(mut cursors: Vec<IdCursor<'a>>) -> Self {
+        cursors.sort_by_key(|c| c.estimated_card());
+        Self { cursors }
     }
 
-    /// Intersects pre-built cursors (e.g. with per-list base offsets).
-    pub fn from_cursors(mut cursors: Vec<IdCursor<'a>>) -> Self {
-        if cursors.is_empty() {
-            return Self { inner: KWayInner::Empty };
-        }
-        if cursors.iter().any(|c| c.current().is_none()) {
-            return Self { inner: KWayInner::Empty };
-        }
-        if cursors.len() == 1 {
-            return Self { inner: KWayInner::Single(cursors.pop().unwrap()) };
-        }
-        cursors.sort_by_key(|c| c.estimated_card());
-        Self { inner: KWayInner::Leapfrog { cursors } }
+    /// The first decode error among the operands ([`IdCursor::error`]): a
+    /// malformed list ends the intersection early, and this is how the
+    /// caller tells that from an intersection that ran dry.
+    pub fn error(&self) -> Option<DecodeError> {
+        self.cursors.iter().find_map(IdCursor::error)
     }
 }
 
@@ -723,125 +409,25 @@ impl<'a> Iterator for KWayIntersect<'a> {
     type Item = Tid;
 
     fn next(&mut self) -> Option<Tid> {
-        match &mut self.inner {
-            KWayInner::Empty => None,
-            KWayInner::Single(c) => c.next(),
-            KWayInner::Bitmaps { bits, universe, word_idx, word, primed } => {
-                let num_words = (*universe as usize).div_ceil(64);
-                loop {
-                    if *word != 0 {
-                        let t = (*word_idx as u32) * 64 + word.trailing_zeros();
-                        *word &= *word - 1;
-                        return Some(t);
+        let (rarest, rest) = self.cursors.split_first_mut()?;
+        let mut candidate = rarest.current()?;
+        'outer: loop {
+            for c in rest.iter_mut() {
+                c.seek(candidate);
+                match c.current() {
+                    None => return None,
+                    Some(v) if v > candidate => {
+                        rarest.seek(v);
+                        candidate = rarest.current()?;
+                        continue 'outer;
                     }
-                    if *primed {
-                        *word_idx += 1;
-                    }
-                    *primed = true;
-                    if *word_idx >= num_words {
-                        return None;
-                    }
-                    *word = and_word(*universe, bits, *word_idx);
+                    Some(_) => {}
                 }
             }
-            KWayInner::Leapfrog { cursors } => {
-                let mut candidate = cursors[0].current()?;
-                'outer: loop {
-                    for c in cursors[1..].iter_mut() {
-                        c.seek(candidate);
-                        match c.current() {
-                            None => return None,
-                            Some(v) if v > candidate => {
-                                cursors[0].seek(v);
-                                candidate = cursors[0].current()?;
-                                continue 'outer;
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                    cursors[0].advance();
-                    return Some(candidate);
-                }
-            }
+            rarest.advance();
+            return Some(candidate);
         }
     }
-}
-
-/// Cardinality of the intersection without materializing it; the
-/// all-bitmap case is pure wordwise AND + `count_ones`.
-pub fn intersect_cardinality<'a>(lists: &[IdListRef<'a>]) -> u64 {
-    if let Some((universe, bits)) = bitmap_operands(lists) {
-        let num_words = (universe as usize).div_ceil(64);
-        return (0..num_words).map(|w| u64::from(and_word(universe, &bits, w).count_ones())).sum();
-    }
-    KWayIntersect::new(lists).count() as u64
-}
-
-// ---------------------------------------------------------------------------
-// Whole-buffer conveniences (legacy API, kept byte-compatible)
-// ---------------------------------------------------------------------------
-
-/// Decodes any representation back to an ascending tid list. Malformed
-/// input stops cleanly at the last valid element (see [`try_decode`] for
-/// the strict version). Unknown tags decode as empty.
-pub fn decode(buf: &[u8]) -> Vec<Tid> {
-    match IdListRef::parse(buf) {
-        Ok(list) => list.to_vec(),
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Strict decode: surfaces truncation / varint overflow instead of
-/// stopping early.
-pub fn try_decode(buf: &[u8]) -> Result<Vec<Tid>, DecodeError> {
-    let list = IdListRef::parse(buf)?;
-    let est = list.estimated_card();
-    let mut c = list.cursor();
-    let mut out = Vec::with_capacity(est);
-    loop {
-        if let Some(e) = c.error() {
-            return Err(e);
-        }
-        match c.current() {
-            Some(t) => out.push(t),
-            None => return Ok(out),
-        }
-        c.advance();
-    }
-}
-
-/// Intersects two encoded lists. Bitmap∩bitmap runs word-parallel (the
-/// fast-merge claim of Section 3.6.3) over `min(ua, ub)` — bits at or
-/// above the smaller universe are dropped. Everything else streams through
-/// the k-way leapfrog. Malformed buffers intersect as empty.
-pub fn intersect(a: &[u8], b: &[u8]) -> Vec<Tid> {
-    let (Ok(la), Ok(lb)) = (IdListRef::parse(a), IdListRef::parse(b)) else {
-        return Vec::new();
-    };
-    if let Some((universe, bits)) = bitmap_operands(&[la, lb]) {
-        return and_extract(universe, &bits);
-    }
-    KWayIntersect::new(&[la, lb]).collect()
-}
-
-/// Materializes a multi-way bitmap AND in two word-parallel passes: count
-/// (`count_ones`) to size the output exactly, then extract set bits. The
-/// counting pass costs a few percent and removes every reallocation from
-/// the dominant extraction pass.
-fn and_extract(universe: u32, bits: &[&[u8]]) -> Vec<Tid> {
-    let num_words = (universe as usize).div_ceil(64);
-    let count: usize =
-        (0..num_words).map(|w| and_word(universe, bits, w).count_ones() as usize).sum();
-    let mut out = Vec::with_capacity(count);
-    for w in 0..num_words {
-        let mut word = and_word(universe, bits, w);
-        let base = (w as u32) * 64;
-        while word != 0 {
-            out.push(base + word.trailing_zeros());
-            word &= word - 1;
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -894,10 +480,27 @@ mod tests {
         out
     }
 
-    /// Every representation of a list, including offset variants.
+    /// Both representations of a list.
     fn encodings(tids: &[Tid]) -> Vec<Vec<u8>> {
         let universe = tids.last().map_or(1, |&m| m + 1);
-        vec![encode_delta(tids), encode_bitmap(tids, universe), encode_skip(tids)]
+        vec![encode_delta(tids), encode_bitmap(tids, universe)]
+    }
+
+    fn decode(buf: &[u8]) -> Vec<Tid> {
+        IdListRef::parse(buf).unwrap().to_vec()
+    }
+
+    /// Strict decode: the cursor's error instead of a short list.
+    fn try_decode(buf: &[u8]) -> Result<Vec<Tid>, DecodeError> {
+        let mut c = IdListRef::parse(buf)?.cursor();
+        let out: Vec<Tid> = c.by_ref().collect();
+        c.error().map_or(Ok(out), Err)
+    }
+
+    /// The leapfrog over whole buffers, no bases.
+    fn intersect(bufs: &[&[u8]]) -> Vec<Tid> {
+        let cursors = bufs.iter().map(|b| IdListRef::parse(b).unwrap().cursor()).collect();
+        KWayIntersect::from_cursors(cursors).collect()
     }
 
     #[test]
@@ -912,15 +515,7 @@ mod tests {
     fn bitmap_round_trips() {
         let tids = vec![0, 3, 8, 62, 63];
         assert_eq!(decode(&encode_bitmap(&tids, 64)), tids);
-    }
-
-    #[test]
-    fn skip_round_trips() {
-        for n in [0usize, 1, 2, SKIP_BLOCK - 1, SKIP_BLOCK, SKIP_BLOCK + 1, 1000] {
-            let tids: Vec<Tid> = (0..n as u32).map(|i| i * 7 + 3).collect();
-            assert_eq!(decode(&encode_skip(&tids)), tids, "n={n}");
-            assert_eq!(try_decode(&encode_skip(&tids)).unwrap(), tids, "n={n}");
-        }
+        assert_eq!(decode(&encode_bitmap(&[], 0)), Vec::<Tid>::new());
     }
 
     #[test]
@@ -939,14 +534,12 @@ mod tests {
         assert_eq!(auto[0], TAG_DELTA);
         assert!(auto.len() < 5 + 100_000 / 8);
         assert_eq!(decode(&auto), sparse);
-    }
-
-    #[test]
-    fn long_sparse_lists_get_skip_tables() {
-        let sparse: Vec<Tid> = (0..2_000u32).map(|i| i * 50).collect();
-        let auto = encode_auto(&sparse, 100_000);
-        assert_eq!(auto[0], TAG_SKIP);
-        assert_eq!(decode(&auto), sparse);
+        // Length does not change the form: a long sparse list is the same
+        // delta list, with no table in front of it.
+        let long: Vec<Tid> = (0..2_000u32).map(|i| i * 50).collect();
+        let auto = encode_auto(&long, 100_000);
+        assert_eq!(auto, encode_delta(&long));
+        assert_eq!(decode(&auto), long);
     }
 
     #[test]
@@ -963,36 +556,44 @@ mod tests {
     }
 
     #[test]
+    fn retired_skip_tag_fails_typed() {
+        // [5, 9] as the retired tag 2 stored it: count, one block, its
+        // `(max_tid, end_offset)` table entry, then the two gaps.
+        let skip = [2u8, 2, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0, 5, 3];
+        let err = IdListRef::parse(&skip).unwrap_err();
+        assert_eq!(err, DecodeError::BadTag(2));
+        assert!(matches!(StorageError::from(err), StorageError::Malformed(_)));
+    }
+
+    #[test]
     fn intersection_matches_set_semantics() {
         let a = vec![1, 3, 5, 7, 9, 50];
         let b = vec![3, 4, 5, 50, 80];
         let want = vec![3, 5, 50];
-        // All nine representation pairings.
-        for ea in [encode_delta(&a), encode_bitmap(&a, 128), encode_skip(&a)] {
-            for eb in [encode_delta(&b), encode_bitmap(&b, 128), encode_skip(&b)] {
-                assert_eq!(intersect(&ea, &eb), want, "tags {} ∩ {}", ea[0], eb[0]);
+        // All four representation pairings.
+        for ea in [encode_delta(&a), encode_bitmap(&a, 128)] {
+            for eb in [encode_delta(&b), encode_bitmap(&b, 128)] {
+                assert_eq!(intersect(&[&ea, &eb]), want, "tags {} ∩ {}", ea[0], eb[0]);
             }
         }
     }
 
     #[test]
     fn bitmap_universe_mismatch_drops_high_bits() {
-        // a over universe 100, b over universe 1000: bits ≥ 100 must drop,
-        // because the smaller bitmap carries no information there.
+        // a over universe 100, b over universe 1000: nothing at or above
+        // 100 can come out, whichever side nominates.
         let a: Vec<Tid> = (0..100).collect();
         let b: Vec<Tid> = (0..1000).filter(|t| t % 3 == 0).collect();
         let ea = encode_bitmap(&a, 100);
         let eb = encode_bitmap(&b, 1000);
         let want: Vec<Tid> = (0..100).filter(|t| t % 3 == 0).collect();
-        assert_eq!(intersect(&ea, &eb), want);
-        assert_eq!(intersect(&eb, &ea), want);
-        assert_eq!(
-            intersect_cardinality(&[
-                IdListRef::parse(&ea).unwrap(),
-                IdListRef::parse(&eb).unwrap()
-            ]),
-            want.len() as u64
-        );
+        assert_eq!(intersect(&[&ea, &eb]), want);
+        assert_eq!(intersect(&[&eb, &ea]), want);
+        // Bits stored past the declared universe are not elements.
+        let mut stray = encode_bitmap(&[1, 9], 10);
+        stray[6] |= 0b1111_1100; // bits 10..16 of the second byte
+        assert_eq!(decode(&stray), vec![1, 9]);
+        assert_eq!(IdListRef::parse(&stray).unwrap().estimated_card(), 2);
     }
 
     #[test]
@@ -1022,30 +623,14 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_skip_count_rejected() {
-        // count must agree with num_blocks — a forged huge count would
-        // otherwise size a giant allocation before any element decodes.
-        let forged = [TAG_SKIP, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0];
-        assert_eq!(IdListRef::parse(&forged).unwrap_err(), DecodeError::Truncated);
-        assert_eq!(decode(&forged), Vec::<Tid>::new());
-        // A count of 2 with one block of 1 max element is fine; 200 in one
-        // block is not (blocks hold at most SKIP_BLOCK).
-        let mut one_block = encode_skip(&[5, 9]);
-        assert!(IdListRef::parse(&one_block).is_ok());
-        one_block[1..5].copy_from_slice(&200u32.to_le_bytes());
-        assert_eq!(IdListRef::parse(&one_block).unwrap_err(), DecodeError::Truncated);
-    }
-
-    #[test]
     fn truncated_headers_error() {
         assert_eq!(IdListRef::parse(&[TAG_BITMAP, 1, 0]).unwrap_err(), DecodeError::Truncated);
         assert_eq!(
             IdListRef::parse(&[TAG_BITMAP, 64, 0, 0, 0, 0xff]).unwrap_err(),
             DecodeError::Truncated
         );
-        assert_eq!(IdListRef::parse(&[TAG_SKIP, 1, 0]).unwrap_err(), DecodeError::Truncated);
         assert_eq!(IdListRef::parse(&[9, 9, 9]).unwrap_err(), DecodeError::BadTag(9));
-        assert!(IdListRef::parse(&[]).unwrap().is_empty());
+        assert_eq!(IdListRef::parse(&[]).unwrap().cursor().current(), None);
     }
 
     #[test]
@@ -1066,6 +651,7 @@ mod tests {
             assert_eq!(c.current(), tids.last().copied());
             c.seek(u32::MAX);
             assert_eq!(c.current(), None);
+            assert_eq!(c.error(), None, "running off the end is not an error");
         }
     }
 
@@ -1089,15 +675,13 @@ mod tests {
         // (which would emit a bogus small tid and break ascending order) —
         // the cursor poisons and ends instead. Bitmap is exempt here: a
         // real bitmap near this universe would be half a gigabyte.
-        let tids = [0, u32::MAX - 10];
-        for enc in [encode_delta(&tids), encode_skip(&tids)] {
-            let list = IdListRef::parse(&enc).unwrap();
-            let got: Vec<Tid> = list.cursor_with_base(100).collect();
-            assert_eq!(got, vec![100], "tag {}: overflow element must be dropped", enc[0]);
-            let mut c = list.cursor_with_base(100);
-            c.advance();
-            assert_eq!(c.error(), Some(DecodeError::VarintOverflow), "tag {}", enc[0]);
-        }
+        let enc = encode_delta(&[0, u32::MAX - 10]);
+        let list = IdListRef::parse(&enc).unwrap();
+        let got: Vec<Tid> = list.cursor_with_base(100).collect();
+        assert_eq!(got, vec![100], "overflow element must be dropped");
+        let mut c = list.cursor_with_base(100);
+        c.advance();
+        assert_eq!(c.error(), Some(DecodeError::VarintOverflow));
     }
 
     #[test]
@@ -1105,16 +689,9 @@ mod tests {
         let a: Vec<Tid> = (0..1_000).map(|i| i * 2).collect();
         let b: Vec<Tid> = (0..1_000).map(|i| i * 3).collect();
         let c: Vec<Tid> = (0..1_000).map(|i| i * 5).collect();
-        let (ea, eb, ec) = (encode_skip(&a), encode_bitmap(&b, 3_000), encode_delta(&c));
-        let lists = [
-            IdListRef::parse(&ea).unwrap(),
-            IdListRef::parse(&eb).unwrap(),
-            IdListRef::parse(&ec).unwrap(),
-        ];
-        let got: Vec<Tid> = KWayIntersect::new(&lists).collect();
+        let (ea, eb, ec) = (encode_delta(&a), encode_bitmap(&b, 3_000), encode_delta(&c));
         let want: Vec<Tid> = (0..2_000).filter(|t| t % 30 == 0).collect();
-        assert_eq!(got, want);
-        assert_eq!(intersect_cardinality(&lists), want.len() as u64);
+        assert_eq!(intersect(&[&ea, &eb, &ec]), want);
     }
 
     #[test]
@@ -1124,26 +701,43 @@ mod tests {
         let run: Vec<Tid> = (40..50).collect();
         for ee in encodings(&empty) {
             for es in encodings(&single) {
-                let lists = [IdListRef::parse(&es).unwrap(), IdListRef::parse(&ee).unwrap()];
-                assert_eq!(KWayIntersect::new(&lists).count(), 0);
+                assert_eq!(intersect(&[&es, &ee]), empty);
+                assert_eq!(intersect(&[&ee, &es]), empty);
             }
         }
         for es in encodings(&single) {
             for er in encodings(&run) {
-                let lists = [IdListRef::parse(&es).unwrap(), IdListRef::parse(&er).unwrap()];
-                assert_eq!(KWayIntersect::new(&lists).collect::<Vec<_>>(), vec![42]);
+                assert_eq!(intersect(&[&es, &er]), vec![42]);
             }
         }
         // Zero lists and one list.
-        assert_eq!(KWayIntersect::new(&[]).count(), 0);
-        let e = encode_delta(&run);
-        let l = [IdListRef::parse(&e).unwrap()];
-        assert_eq!(KWayIntersect::new(&l).collect::<Vec<_>>(), run);
+        assert_eq!(intersect(&[]), empty);
+        assert_eq!(intersect(&[&encode_delta(&run)]), run);
+    }
+
+    #[test]
+    fn kway_reports_a_poisoned_operand() {
+        // A list cut inside a varint ends the stream early; the error is
+        // how a caller tells that from an intersection that ran dry.
+        let full: Vec<Tid> = (0..40).map(|i| i * 300).collect();
+        let mut cut = encode_delta(&full);
+        cut.truncate(cut.len() - 1); // the last gap loses its final byte
+        let ok = encode_delta(&full);
+        for bufs in [vec![&cut], vec![&ok, &cut], vec![&cut, &ok]] {
+            let cursors = bufs.iter().map(|b| IdListRef::parse(b).unwrap().cursor()).collect();
+            let mut it = KWayIntersect::from_cursors(cursors);
+            assert_eq!(it.by_ref().collect::<Vec<_>>(), full[..39], "{} operands", bufs.len());
+            assert_eq!(it.error(), Some(DecodeError::Truncated));
+        }
+        let mut clean = KWayIntersect::from_cursors(vec![IdListRef::parse(&ok).unwrap().cursor()]);
+        assert_eq!(clean.by_ref().count(), 40);
+        assert_eq!(clean.error(), None);
     }
 
     #[test]
     fn word_parallel_equals_bit_at_a_time() {
-        // The seed's byte-oriented loop, kept as the reference oracle.
+        // The seed's byte-oriented loop, kept as the reference oracle for
+        // the bitmap cursor's word loads and jumps.
         fn seed_bitmap_intersect(a: &[u8], b: &[u8]) -> Vec<Tid> {
             let ua = u32::from_le_bytes(a[1..5].try_into().unwrap());
             let ub = u32::from_le_bytes(b[1..5].try_into().unwrap());
@@ -1161,7 +755,7 @@ mod tests {
         let b: Vec<Tid> = (0..10_000).filter(|t| t % 3 == 0).collect();
         let ea = encode_bitmap(&a, 10_000);
         let eb = encode_bitmap(&b, 10_007); // deliberately unequal universes
-        assert_eq!(intersect(&ea, &eb), seed_bitmap_intersect(&ea, &eb));
+        assert_eq!(intersect(&[&ea, &eb]), seed_bitmap_intersect(&ea, &eb));
     }
 
     proptest::proptest! {
@@ -1170,45 +764,43 @@ mod tests {
             raw.sort_unstable();
             raw.dedup();
             let universe = raw.last().map_or(1, |&m| m + 1);
-            proptest::prop_assert_eq!(&decode(&encode_delta(&raw)), &raw);
-            proptest::prop_assert_eq!(&decode(&encode_bitmap(&raw, universe)), &raw);
-            proptest::prop_assert_eq!(&decode(&encode_skip(&raw)), &raw);
-            proptest::prop_assert_eq!(&decode(&encode_auto(&raw, universe)), &raw);
+            proptest::prop_assert_eq!(&try_decode(&encode_delta(&raw)).unwrap(), &raw);
+            proptest::prop_assert_eq!(&try_decode(&encode_bitmap(&raw, universe)).unwrap(), &raw);
+            proptest::prop_assert_eq!(&try_decode(&encode_auto(&raw, universe)).unwrap(), &raw);
         }
 
+        /// Delta × bitmap operand mixes, each list encoded relative to its
+        /// own base as a cell page stores them, against the naive set.
         #[test]
         fn proptest_kway_equals_naive(
             mut a in proptest::collection::vec(0u32..2_000, 0..400),
             mut b in proptest::collection::vec(0u32..2_000, 0..400),
             mut c in proptest::collection::vec(0u32..2_000, 0..400),
-            reprs in (0usize..3, 0usize..3, 0usize..3),
+            bitmap in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
         ) {
             for l in [&mut a, &mut b, &mut c] {
                 l.sort_unstable();
                 l.dedup();
             }
-            let want = naive_intersect(&[&a, &b, &c]);
-            let pick = |tids: &[Tid], which: usize| -> Vec<u8> {
-                let universe = tids.last().map_or(1, |&m| m + 1);
-                match which {
-                    0 => encode_delta(tids),
-                    1 => encode_bitmap(tids, universe),
-                    _ => encode_skip(tids),
-                }
+            let pick = |tids: &[Tid], bitmap: bool| -> (Tid, Vec<u8>) {
+                let base = tids.first().copied().unwrap_or(0);
+                let rel: Vec<Tid> = tids.iter().map(|t| t - base).collect();
+                let universe = rel.last().map_or(1, |&m| m + 1);
+                (base, if bitmap { encode_bitmap(&rel, universe) } else { encode_delta(&rel) })
             };
-            let (ea, eb, ec) = (pick(&a, reprs.0), pick(&b, reprs.1), pick(&c, reprs.2));
-            let lists = [
-                IdListRef::parse(&ea).unwrap(),
-                IdListRef::parse(&eb).unwrap(),
-                IdListRef::parse(&ec).unwrap(),
-            ];
-            let got: Vec<Tid> = KWayIntersect::new(&lists).collect();
-            proptest::prop_assert_eq!(&got, &want, "reprs {:?}", reprs);
-            proptest::prop_assert_eq!(intersect_cardinality(&lists), want.len() as u64);
-            // Pairwise paths agree too.
-            let got2 = intersect(&ea, &eb);
-            let want2 = naive_intersect(&[&a, &b]);
-            proptest::prop_assert_eq!(&got2, &want2);
+            let encoded = [pick(&a, bitmap.0), pick(&b, bitmap.1), pick(&c, bitmap.2)];
+            let cursors = |n: usize| -> Vec<IdCursor<'_>> {
+                encoded[..n]
+                    .iter()
+                    .map(|(base, buf)| IdListRef::parse(buf).unwrap().cursor_with_base(*base))
+                    .collect()
+            };
+            let mut it = KWayIntersect::from_cursors(cursors(3));
+            let got: Vec<Tid> = it.by_ref().collect();
+            proptest::prop_assert_eq!(&got, &naive_intersect(&[&a, &b, &c]), "bitmap {:?}", bitmap);
+            proptest::prop_assert_eq!(it.error(), None);
+            let got2: Vec<Tid> = KWayIntersect::from_cursors(cursors(2)).collect();
+            proptest::prop_assert_eq!(&got2, &naive_intersect(&[&a, &b]));
         }
 
         #[test]
@@ -1218,7 +810,7 @@ mod tests {
         ) {
             raw.sort_unstable();
             raw.dedup();
-            for enc in [encode_delta(&raw), encode_bitmap(&raw, raw.last().unwrap() + 1), encode_skip(&raw)] {
+            for enc in encodings(&raw) {
                 let list = IdListRef::parse(&enc).unwrap();
                 let mut sorted_targets = targets.clone();
                 sorted_targets.sort_unstable();

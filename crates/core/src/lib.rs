@@ -14,10 +14,10 @@
 //!   branch-and-bound search under simultaneous ranking and Boolean
 //!   pruning.
 //!
-//! Both engines store their cell measures through [`idlist`] — the
-//! compressed posting-list engine (zero-copy views, word-parallel
-//! bitmaps, skip-delta blocks, streaming k-way intersection) that backs
-//! the grid cube's retrieve step and the fragments' covering-set merge.
+//! The grid engines store their cell measures through [`idlist`] — the
+//! compressed posting lists (zero-copy views, delta varints or a bitmap
+//! by size, streaming k-way intersection) that back the grid cube's
+//! retrieve step and the fragments' covering-set merge.
 //!
 //! Every engine answers queries through one operator surface: the
 //! [`query::RankedSource`] trait opens a resumable, pull-based
@@ -113,9 +113,8 @@ pub struct QueryStats {
     pub states_generated: u64,
     /// Partial-signature loads (Figure 7.12's loading-time breakdown).
     pub sig_loads: u64,
-    /// Bytes of signature codings actually decoded (whole partials on the
-    /// eager assembly path, individual nodes on the lazy path) — the
-    /// reduction `BENCH_sigcube.json` tracks.
+    /// Bytes of signature codings actually decoded, node by node — what
+    /// `BENCH_sigcube.json` tracks against decoding whole cells.
     pub sig_bytes_decoded: u64,
     /// Individual signature nodes decoded on demand by the lazy read path
     /// (the per-query work a shared cache removes on repeat traffic).

@@ -1,8 +1,8 @@
 //! Shared cross-query decoded-signature-node cache.
 //!
 //! PR 3's lazy read path memoizes decoded nodes *per query* (inside each
-//! [`crate::sigcube::SigCursor`]), so two queries hitting the same hot
-//! cuboid both pay the first decode of every node they touch. For an
+//! cursor of a [`crate::sigcube::Pruner`]), so two queries hitting the same
+//! hot cuboid both pay the first decode of every node they touch. For an
 //! online serving workload — many concurrent top-k queries over a
 //! read-mostly cube — that first decode dominates repeat traffic. The
 //! [`SharedNodeCache`] sits between the per-query memo and storage: a

@@ -128,7 +128,7 @@ pub fn vacuum_into_place(
     if let Some(plan) = faults {
         plan.on_swap(SwapStage::TempWrite).map_err(StorageError::Io)?;
     }
-    let opts = FileOptions { pool_pages: 0, faults: faults.cloned(), ..FileOptions::default() };
+    let opts = FileOptions { pool_pages: 0, faults: faults.cloned() };
     let reclaimed_pages = cube.vacuum_to_opts(&rtree, &temp, config.page_size, opts)?;
     if faults.is_some_and(|p| p.crashed()) {
         // The scripted page-level crash hit inside the temp write: the

@@ -6,8 +6,8 @@
 //!
 //! # Lazy zero-copy read path
 //!
-//! Queries probe signatures through a [`SigCursor`] that never
-//! materializes a partial:
+//! Queries probe signatures through per-signature cursors (`SigCursor`,
+//! held by the query's [`Pruner`]) that never materialize a partial:
 //!
 //! * **Zero-copy partial views.** On first touch of a partial the cursor
 //!   takes the shared page handle from `PageStore::get_bytes` (a view into
@@ -30,15 +30,17 @@
 //!   per-node `sid → partial` hash map of earlier revisions is gone from
 //!   the catalog.
 //!
-//! Multi-dimensional predicates without an exact cuboid are answered by a
-//! [`LazyIntersection`] pruner: it ANDs node bit-words across the atomic
-//! cursors on demand, memoizes a per-SID *subtree non-empty* verdict, and
-//! descends only into subtrees the search actually visits — equivalent to
-//! the eagerly assembled intersection of Section 4.3.3 (a bit survives
-//! only if its child intersection is non-empty) without ever materializing
-//! an intermediate tree. The eager path survives as
-//! [`SignatureCube::eager_pruner_for`] for benchmarks and equivalence
-//! tests.
+//! Multi-dimensional predicates without an exact cuboid are answered by
+//! one cursor per predicate under the same [`Pruner`]: it ANDs node
+//! bit-words across the atomic cursors on demand, memoizes a per-SID
+//! *subtree non-empty* verdict, and descends only into subtrees the search
+//! actually visits — equivalent to the eagerly assembled intersection of
+//! Section 4.3.3 (a bit survives only if its child intersection is
+//! non-empty) without ever materializing an intermediate tree.
+//! [`SignatureCube::assemble`] builds that intersection eagerly: it is the
+//! reference the equivalence tests hold the lazy answers to, and
+//! `BENCH_sigcube.json` prints beside the lazy counters what a query that
+//! assembled first would load and decode, read off the catalog.
 //!
 //! # Shared cross-query node cache
 //!
@@ -557,9 +559,9 @@ fn copy_bits(w: &mut BitWriter, stream: &[u8], from: usize, to: usize) {
 ///
 /// The cursor captures its metering device at construction, so probing is
 /// the same call for in-memory and reopened file-backed cubes. Probes go
-/// through the [`Pruner`] wrapping it.
+/// through the [`Pruner`] holding it.
 #[derive(Debug)]
-pub struct SigCursor<'a> {
+pub(crate) struct SigCursor<'a> {
     loader: NodeLoader<'a>,
     /// Decoded nodes (`None` = SID proven absent), keyed by SID. Shared
     /// `Arc`s so shared-cache hits never copy word vectors.
@@ -578,20 +580,23 @@ struct NodeLoader<'a> {
     /// (`None` = per-query memoization only).
     cache: Option<&'a SharedNodeCache>,
     parts: Vec<Option<PartialView>>,
+    /// Partial loads performed (the `C_sig` cost of Section 4.3.3).
     loads: u64,
+    /// Individual nodes decoded on demand.
     nodes_decoded: u64,
+    /// Bytes of node codings actually decoded (directory header scans and
+    /// untouched nodes excluded) — the metric `BENCH_sigcube.json` tracks
+    /// against whole-cell decoding.
     bytes_decoded: u64,
+    /// Probes answered by the shared node cache (neither loaded nor
+    /// decoded by this query).
     shared_hits: u64,
 }
 
 impl<'a> SigCursor<'a> {
-    pub fn new(stored: &'a StoredSignature, store: &'a PageStore, disk: &'a DiskSim) -> Self {
-        Self::with_cache(stored, store, disk, None)
-    }
-
-    /// Cursor that consults `cache` before touching storage (the serving
-    /// configuration [`SignatureCube::pruner_for`] builds).
-    pub fn with_cache(
+    /// A cursor that consults `cache`, when given, before touching storage
+    /// (the serving configuration [`SignatureCube::pruner_for`] builds).
+    pub(crate) fn new(
         stored: &'a StoredSignature,
         store: &'a PageStore,
         disk: &'a DiskSim,
@@ -610,29 +615,6 @@ impl<'a> SigCursor<'a> {
             shared_hits: 0,
         };
         Self { loader, nodes: HashMap::new() }
-    }
-
-    /// Partial loads performed (the `C_sig` cost of Section 4.3.3).
-    pub fn loads(&self) -> u64 {
-        self.loader.loads
-    }
-
-    /// Individual nodes decoded on demand.
-    pub fn nodes_decoded(&self) -> u64 {
-        self.loader.nodes_decoded
-    }
-
-    /// Bytes of node codings actually decoded (directory header scans and
-    /// untouched nodes excluded) — the metric `BENCH_sigcube.json` tracks
-    /// against eager whole-partial decoding.
-    pub fn bytes_decoded(&self) -> u64 {
-        self.loader.bytes_decoded
-    }
-
-    /// Probes answered by the shared node cache (neither loaded nor
-    /// decoded by this query).
-    pub fn shared_hits(&self) -> u64 {
-        self.loader.shared_hits
     }
 
     /// The packed bit-words of node `sid`, decoding it on demand;
@@ -685,14 +667,20 @@ impl NodeLoader<'_> {
     }
 }
 
-/// Lazy multi-predicate intersection (Section 4.3.3 without the assembly):
-/// node bit-words are ANDed across the atomic cursors on demand and a
-/// per-SID *subtree non-empty* verdict is memoized. Equivalent to probing
-/// the eagerly assembled signature — a bit survives only if its child
-/// intersection is non-empty — but no intermediate tree is ever built and
-/// only subtrees the search visits are descended.
+/// A query-time Boolean pruner (see [`SignatureCube::pruner_for`]): one
+/// lazy cursor per stored signature the selection resolved to.
+///
+/// * **None** (the empty selection): everything passes.
+/// * **One** (an exact cuboid, or a single predicate): a set bit is exact.
+/// * **Several** (one atomic signature per predicate): the lazy
+///   intersection of Section 4.3.3, without the assembly. Node bit-words
+///   are ANDed across the cursors on demand and a per-SID *subtree
+///   non-empty* verdict is memoized — equivalent to probing the assembled
+///   signature ([`SignatureCube::assemble`]: a bit survives only if its
+///   child intersection is non-empty), but no intermediate tree is ever
+///   built and only subtrees the search visits are descended.
 #[derive(Debug)]
-pub struct LazyIntersection<'a> {
+pub struct Pruner<'a> {
     cursors: Vec<SigCursor<'a>>,
     /// sid → subtree-intersection-non-empty verdict.
     verdicts: HashMap<u64, bool>,
@@ -703,50 +691,48 @@ pub struct LazyIntersection<'a> {
     depth: u16,
 }
 
-impl<'a> LazyIntersection<'a> {
-    fn new(cursors: Vec<SigCursor<'a>>) -> Self {
-        assert!(!cursors.is_empty(), "lazy intersection needs at least one cursor");
-        let m = cursors[0].loader.stored.m as u64;
-        let depth = cursors.iter().map(|c| c.loader.stored.depth).max().unwrap_or(0);
+impl<'a> Pruner<'a> {
+    /// The pruner of the empty selection: every entry qualifies.
+    pub(crate) fn none() -> Self {
+        Self::over(Vec::new())
+    }
+
+    /// The pruner deciding by the conjunction of `cursors`, which must
+    /// mirror the same partition.
+    pub(crate) fn over(cursors: Vec<SigCursor<'a>>) -> Self {
+        let (m, depth) =
+            cursors.first().map_or((0, 0), |c| (c.loader.stored.m as u64, c.loader.stored.depth));
         debug_assert!(
             cursors.iter().all(|c| c.loader.stored.depth == depth && c.loader.stored.m as u64 == m),
             "operands must mirror the same partition"
         );
-        let scratch = vec![Vec::new(); depth.max(1) as usize];
-        Self { cursors, verdicts: HashMap::new(), scratch, m, depth }
+        // Only an intersection descends; one cursor or none never borrows
+        // an accumulator, and a query should not allocate what it cannot use.
+        let levels = if cursors.len() > 1 { depth.max(1) as usize } else { 0 };
+        Self { cursors, verdicts: HashMap::new(), scratch: vec![Vec::new(); levels], m, depth }
     }
 
-    /// Partial loads across all operand cursors.
-    pub fn loads(&self) -> u64 {
-        self.cursors.iter().map(SigCursor::loads).sum()
-    }
-
-    /// Bytes of node codings decoded across all operand cursors.
-    pub fn bytes_decoded(&self) -> u64 {
-        self.cursors.iter().map(SigCursor::bytes_decoded).sum()
-    }
-
-    /// Individual nodes decoded across all operand cursors.
-    pub fn nodes_decoded(&self) -> u64 {
-        self.cursors.iter().map(SigCursor::nodes_decoded).sum()
-    }
-
-    /// Shared-node-cache hits across all operand cursors.
-    pub fn shared_hits(&self) -> u64 {
-        self.cursors.iter().map(SigCursor::shared_hits).sum()
-    }
-
-    /// The word-parallel AND of node `sid` across every operand, written
-    /// into `out`: the candidate entries of the mirrored partition node.
-    /// Left empty as soon as one operand lacks the node (later operands
-    /// are then not probed). On an internal node a surviving bit is only
-    /// a candidate — [`Self::subtree_non_empty`] of the child decides it.
-    fn node_mask(&mut self, sid: u64, out: &mut Vec<u64>) -> Result<(), StorageError> {
+    /// Which entries of the partition node mirrored by signature node
+    /// `sid` may qualify, as LSB-first words in `out` (bit `i` = entry
+    /// `i`): the node's bits, ANDed word-parallel across the operands;
+    /// empty as soon as one operand has no such node (later operands are
+    /// then not probed). Returns `false`, leaving `out` alone, when
+    /// nothing is filtered (the empty selection). Bits past the partition
+    /// node's entry count cannot occur on a well-formed file and are the
+    /// caller's to ignore.
+    ///
+    /// A set bit of a leaf-level node is exact: that tuple qualifies. On
+    /// an internal node it is exact too, except under several operands,
+    /// where the child must also pass [`Self::try_admit_node`].
+    pub fn try_node_mask(&mut self, sid: u64, out: &mut Vec<u64>) -> Result<bool, StorageError> {
+        if self.cursors.is_empty() {
+            return Ok(false);
+        }
         out.clear();
         for (i, c) in self.cursors.iter_mut().enumerate() {
             let Some(bits) = c.node_bits(sid)? else {
                 out.clear();
-                return Ok(());
+                break;
             };
             if i == 0 {
                 out.extend_from_slice(bits.words());
@@ -757,7 +743,19 @@ impl<'a> LazyIntersection<'a> {
                 }
             }
         }
-        Ok(())
+        Ok(true)
+    }
+
+    /// The verdict on a node whose bit survived its parent's
+    /// [`Self::try_node_mask`] (`level`: root = 0). Only several operands
+    /// leave anything to decide — whether their subtrees under `sid` share
+    /// a tuple, memoized per SID; otherwise the parent's bit was the
+    /// verdict, and nothing is descended.
+    pub fn try_admit_node(&mut self, sid: u64, level: u16) -> Result<bool, StorageError> {
+        if self.cursors.len() < 2 {
+            return Ok(true);
+        }
+        self.subtree_non_empty(sid, level)
     }
 
     /// Does the intersection of the subtrees rooted at `sid` (a node at
@@ -787,7 +785,7 @@ impl<'a> LazyIntersection<'a> {
         level: u16,
         acc: &mut Vec<u64>,
     ) -> Result<bool, StorageError> {
-        self.node_mask(sid, acc)?;
+        self.try_node_mask(sid, acc)?;
         if level + 1 >= self.depth {
             // Leaf-level node: any surviving slot bit is a common tuple.
             return Ok(acc.iter().any(|&w| w != 0));
@@ -799,81 +797,6 @@ impl<'a> LazyIntersection<'a> {
             }
         }
         Ok(false)
-    }
-}
-
-/// A query-time Boolean pruner (see [`SignatureCube::pruner_for`]).
-#[derive(Debug)]
-pub struct Pruner<'a> {
-    kind: PrunerKind<'a>,
-    assembled_loads: u64,
-    assembled_bytes: u64,
-}
-
-#[derive(Debug)]
-enum PrunerKind<'a> {
-    /// No predicates: everything passes.
-    None,
-    /// One stored signature decides the predicate (lazy partial loading).
-    Single(SigCursor<'a>),
-    /// Lazy on-demand intersection of atomic signatures (the default for
-    /// multi-dimensional predicates).
-    Lazy(LazyIntersection<'a>),
-    /// Eagerly assembled in-memory intersection (benchmark baseline).
-    Assembled(Signature),
-}
-
-impl<'a> Pruner<'a> {
-    /// The pruner of the empty selection: every entry qualifies.
-    pub(crate) fn none() -> Self {
-        Self { kind: PrunerKind::None, assembled_loads: 0, assembled_bytes: 0 }
-    }
-
-    fn single(cursor: SigCursor<'a>) -> Self {
-        Self { kind: PrunerKind::Single(cursor), assembled_loads: 0, assembled_bytes: 0 }
-    }
-
-    fn lazy(li: LazyIntersection<'a>) -> Self {
-        Self { kind: PrunerKind::Lazy(li), assembled_loads: 0, assembled_bytes: 0 }
-    }
-
-    fn assembled(sig: Signature, loads: u64, bytes: u64) -> Self {
-        Self { kind: PrunerKind::Assembled(sig), assembled_loads: loads, assembled_bytes: bytes }
-    }
-
-    /// Which entries of the partition node mirrored by signature node
-    /// `sid` may qualify, as LSB-first words in `out` (bit `i` = entry
-    /// `i`): the node's bits, ANDed across the operands of a
-    /// multi-predicate pruner; empty when some operand has no such node.
-    /// Returns `false`, leaving `out` alone, when nothing is filtered
-    /// (the empty selection). Bits past the partition node's entry count
-    /// cannot occur on a well-formed file and are the caller's to ignore.
-    ///
-    /// A set bit of a leaf-level node is exact: that tuple qualifies. On
-    /// an internal node it is exact too, except under a multi-predicate
-    /// pruner, where the child must also pass [`Self::try_admit_node`].
-    pub fn try_node_mask(&mut self, sid: u64, out: &mut Vec<u64>) -> Result<bool, StorageError> {
-        let bits = match &mut self.kind {
-            PrunerKind::None => return Ok(false),
-            PrunerKind::Lazy(li) => return li.node_mask(sid, out).map(|()| true),
-            PrunerKind::Single(c) => c.node_bits(sid)?,
-            PrunerKind::Assembled(sig) => sig.node_at(sid).map(|node| &node.bits),
-        };
-        out.clear();
-        out.extend_from_slice(bits.map_or(&[], PackedBits::words));
-        Ok(true)
-    }
-
-    /// The verdict on a node whose bit survived its parent's
-    /// [`Self::try_node_mask`] (`level`: root = 0). Only a multi-predicate
-    /// pruner has anything left to decide — whether the operands' subtrees
-    /// under `sid` share a tuple, memoized per SID; for every other kind
-    /// the parent's bit was the verdict.
-    pub fn try_admit_node(&mut self, sid: u64, level: u16) -> Result<bool, StorageError> {
-        match &mut self.kind {
-            PrunerKind::Lazy(li) => li.subtree_non_empty(sid, level),
-            PrunerKind::None | PrunerKind::Single(_) | PrunerKind::Assembled(_) => Ok(true),
-        }
     }
 
     /// The two calls above taken at *pop*, for a search whose entries
@@ -892,15 +815,10 @@ impl<'a> Pruner<'a> {
         node_level: Option<u16>,
         mask: &mut Vec<u64>,
     ) -> Result<bool, StorageError> {
-        let base = match &self.kind {
-            PrunerKind::None => return Ok(true),
-            PrunerKind::Single(c) => c.loader.stored.m as u64,
-            PrunerKind::Lazy(li) => li.m,
-            PrunerKind::Assembled(sig) => sig.fanout() as u64,
-        } + 1;
-        if sid == 0 {
+        if self.cursors.is_empty() || sid == 0 {
             return Ok(true);
         }
+        let base = self.m + 1;
         let (parent, pos) = ((sid - 1) / base, ((sid - 1) % base) as usize);
         self.try_node_mask(parent, mask)?;
         if mask.get(pos / 64).is_none_or(|w| w >> (pos % 64) & 1 == 0) {
@@ -909,60 +827,29 @@ impl<'a> Pruner<'a> {
         node_level.map_or(Ok(true), |level| self.try_admit_node(sid, level))
     }
 
-    /// Partial-signature loads performed (lazy + assembly).
+    fn sum(&self, counter: impl Fn(&NodeLoader<'a>) -> u64) -> u64 {
+        self.cursors.iter().map(|c| counter(&c.loader)).sum()
+    }
+
+    /// Partial-signature loads performed.
     pub fn loads(&self) -> u64 {
-        let lazy = match &self.kind {
-            PrunerKind::None | PrunerKind::Assembled(_) => 0,
-            PrunerKind::Single(c) => c.loads(),
-            PrunerKind::Lazy(li) => li.loads(),
-        };
-        lazy + self.assembled_loads
+        self.sum(|l| l.loads)
     }
 
-    /// Bytes of node codings decoded so far (whole partials for the
-    /// assembled baseline, individual nodes for the lazy paths).
+    /// Bytes of node codings decoded so far.
     pub fn bytes_decoded(&self) -> u64 {
-        let lazy = match &self.kind {
-            PrunerKind::None | PrunerKind::Assembled(_) => 0,
-            PrunerKind::Single(c) => c.bytes_decoded(),
-            PrunerKind::Lazy(li) => li.bytes_decoded(),
-        };
-        lazy + self.assembled_bytes
+        self.sum(|l| l.bytes_decoded)
     }
 
-    /// Individual nodes decoded by this query (zero for the assembled
-    /// baseline, which decodes whole partials instead).
+    /// Individual nodes decoded by this query.
     pub fn nodes_decoded(&self) -> u64 {
-        match &self.kind {
-            PrunerKind::None | PrunerKind::Assembled(_) => 0,
-            PrunerKind::Single(c) => c.nodes_decoded(),
-            PrunerKind::Lazy(li) => li.nodes_decoded(),
-        }
+        self.sum(|l| l.nodes_decoded)
     }
 
     /// Probes answered by the shared cross-query node cache.
     pub fn shared_node_hits(&self) -> u64 {
-        match &self.kind {
-            PrunerKind::None | PrunerKind::Assembled(_) => 0,
-            PrunerKind::Single(c) => c.shared_hits(),
-            PrunerKind::Lazy(li) => li.shared_hits(),
-        }
+        self.sum(|l| l.shared_hits)
     }
-}
-
-/// How a selection resolves against the materialized cuboids (see
-/// [`SignatureCube::resolve_selection`]).
-#[derive(Debug)]
-enum Resolved<'a> {
-    /// Empty selection: everything qualifies.
-    All,
-    /// Some predicate's cell has no tuples: nothing qualifies.
-    Empty,
-    /// One stored signature (exact cuboid match or single predicate)
-    /// decides the selection.
-    Single(&'a StoredSignature),
-    /// One atomic signature per predicate; their intersection decides.
-    Multi(Vec<&'a StoredSignature>),
 }
 
 /// The signature-based ranking cube over an R-tree partition.
@@ -1100,44 +987,29 @@ impl SignatureCube {
         self.cuboids.get(dims)?.get(vals)
     }
 
-    /// Resolves a selection against the materialized cuboids — the one
-    /// place encoding the exact-cuboid / single-predicate / conjunction
-    /// preference shared by the lazy and eager pruners.
-    fn resolve_selection(&self, selection: &Selection) -> Resolved<'_> {
+    /// Resolves a selection against the materialized cuboids to the stored
+    /// signatures whose conjunction decides it: none for the empty
+    /// selection, one for an exact cuboid match or a single predicate,
+    /// else one atomic signature per predicate. `None` when some
+    /// predicate's cell has no tuples — nothing qualifies.
+    fn resolve_selection(&self, selection: &Selection) -> Option<Vec<&StoredSignature>> {
         if selection.is_empty() {
-            return Resolved::All;
+            return Some(Vec::new());
         }
-        let dims = selection.dims();
-        if let Some(cells) = self.cuboids.get(&dims) {
+        if let Some(cells) = self.cuboids.get(&selection.dims()) {
             let vals: Vec<u32> = selection.conds().iter().map(|&(_, v)| v).collect();
-            return match cells.get(&vals) {
-                Some(stored) => Resolved::Single(stored),
-                None => Resolved::Empty,
-            };
+            return cells.get(&vals).map(|stored| vec![stored]);
         }
-        if selection.len() == 1 {
-            let &(d, v) = &selection.conds()[0];
-            return match self.cell_signature(&[d], &[v]) {
-                Some(stored) => Resolved::Single(stored),
-                None => Resolved::Empty,
-            };
-        }
-        let mut cells = Vec::with_capacity(selection.len());
-        for &(d, v) in selection.conds() {
-            match self.cell_signature(&[d], &[v]) {
-                Some(stored) => cells.push(stored),
-                None => return Resolved::Empty,
-            }
-        }
-        Resolved::Multi(cells)
+        selection.conds().iter().map(|&(d, v)| self.cell_signature(&[d], &[v])).collect()
     }
 
-    /// The Boolean pruner for a selection: a lazy cursor when one stored
-    /// signature decides the predicate, or a [`LazyIntersection`] for
-    /// multi-dimensional predicates without an exact cuboid — probing
-    /// exactly what the assembled signature of Section 4.3.3 would answer,
-    /// without materializing it. Returns `None` when some predicate's cell
-    /// is empty or the intersection is provably empty at the root.
+    /// The Boolean pruner for a selection: a lazy cursor over the stored
+    /// signature that decides the predicate, or one per predicate — their
+    /// lazy intersection — for multi-dimensional predicates without an
+    /// exact cuboid, probing exactly what the assembled signature of
+    /// Section 4.3.3 ([`Self::assemble`]) would answer without
+    /// materializing it. Returns `None` when some predicate's cell is
+    /// empty or the intersection is provably empty at the root.
     pub fn pruner_for<'a>(
         &'a self,
         selection: &Selection,
@@ -1154,68 +1026,18 @@ impl SignatureCube {
         selection: &Selection,
         disk: &'a DiskSim,
     ) -> Result<Option<Pruner<'a>>, StorageError> {
-        match self.resolve_selection(selection) {
-            Resolved::All => Ok(Some(Pruner::none())),
-            Resolved::Empty => Ok(None),
-            Resolved::Single(stored) => Ok(Some(Pruner::single(SigCursor::with_cache(
-                stored,
-                &self.store,
-                disk,
-                Some(&self.node_cache),
-            )))),
-            Resolved::Multi(cells) => {
-                let cursors = cells
-                    .iter()
-                    .map(|s| SigCursor::with_cache(s, &self.store, disk, Some(&self.node_cache)))
-                    .collect();
-                let mut lazy = LazyIntersection::new(cursors);
-                // Root emptiness mirrors the assembled form's `is_empty`
-                // check: an empty intersection means no tuple qualifies —
-                // signal it up front so searches skip entirely.
-                if !lazy.subtree_non_empty(0, 0)? {
-                    return Ok(None);
-                }
-                Ok(Some(Pruner::lazy(lazy)))
-            }
+        let Some(cells) = self.resolve_selection(selection) else {
+            return Ok(None);
+        };
+        let cursor = |s| SigCursor::new(s, &self.store, disk, Some(&self.node_cache));
+        let mut pruner = Pruner::over(cells.into_iter().map(cursor).collect());
+        // Root emptiness mirrors the assembled form's `is_empty` check: an
+        // empty intersection means no tuple qualifies — signal it up front
+        // so searches skip entirely. (One stored signature is never empty.)
+        if !pruner.try_admit_node(0, 0)? {
+            return Ok(None);
         }
-    }
-
-    /// The pre-refactor eager pruner: loads *every* partial of every
-    /// predicate cell and materializes the assembled intersection. Kept as
-    /// the benchmark/equivalence baseline the lazy pruner is measured
-    /// against (`BENCH_sigcube.json`).
-    pub fn eager_pruner_for<'a>(
-        &'a self,
-        selection: &Selection,
-        disk: &'a DiskSim,
-    ) -> Option<Pruner<'a>> {
-        match self.resolve_selection(selection) {
-            Resolved::All => Some(Pruner::none()),
-            Resolved::Empty => None,
-            Resolved::Single(stored) => {
-                Some(Pruner::single(SigCursor::new(stored, &self.store, disk)))
-            }
-            Resolved::Multi(cells) => {
-                // Assemble: decode whole cells, intersect tree-by-tree.
-                let mut loads = 0u64;
-                let mut bytes = 0u64;
-                let mut acc: Option<Signature> = None;
-                for stored in cells {
-                    loads += stored.num_partials() as u64;
-                    bytes += stored.total_bits.div_ceil(8) as u64;
-                    let sig = stored.load_full(disk, &self.store);
-                    acc = Some(match acc {
-                        None => sig,
-                        Some(prev) => prev.intersect(&sig),
-                    });
-                }
-                let assembled = acc.expect("non-empty selection");
-                if assembled.is_empty() {
-                    return None;
-                }
-                Some(Pruner::assembled(assembled, loads, bytes))
-            }
-        }
+        Ok(Some(pruner))
     }
 
     /// Fully assembles the signature of an arbitrary Boolean predicate by
@@ -1902,7 +1724,7 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(600);
         let stored = cube.cell_signature(&[0], &[1]).expect("cell exists");
         let full = stored.load_full(&disk, cube.store());
-        let mut cursor = Pruner::single(SigCursor::new(stored, cube.store(), &disk));
+        let mut cursor = Pruner::over(vec![SigCursor::new(stored, cube.store(), &disk, None)]);
         // Tuple paths and every prefix (node path) of them.
         for tid in rel.tids() {
             let path = rtree.tuple_path(tid).unwrap();
@@ -1934,7 +1756,7 @@ mod tests {
 
         // Checking only the root bit loads exactly the root's partial and
         // decodes exactly one node.
-        let mut cursor = Pruner::single(SigCursor::new(stored, cube.store(), &disk));
+        let mut cursor = Pruner::over(vec![SigCursor::new(stored, cube.store(), &disk, None)]);
         let _ = walk(&mut cursor, &rtree, &[0]);
         assert_eq!(cursor.loads(), 1);
         assert_eq!(cursor.nodes_decoded(), 1);
@@ -1967,7 +1789,7 @@ mod tests {
         }
         let (first, _) = probe.expect("cell has deep tuples");
         let second = second.expect("two subtrees in distinct partials");
-        let mut cursor = Pruner::single(SigCursor::new(stored, cube.store(), &disk));
+        let mut cursor = Pruner::over(vec![SigCursor::new(stored, cube.store(), &disk, None)]);
         assert!(walk(&mut cursor, &rtree, &first), "tuple prefix must pass its own cell");
         let after_first = cursor.loads();
         assert!(walk(&mut cursor, &rtree, &second));
@@ -1988,7 +1810,7 @@ mod tests {
         // Value 2 may exist; an out-of-range value certainly has no cell.
         assert!(cube.cell_signature(&[0], &[99]).is_none());
         let sel = Selection::new(vec![(0, 99)]);
-        assert!(matches!(cube.resolve_selection(&sel), Resolved::Empty));
+        assert!(cube.resolve_selection(&sel).is_none());
         assert!(cube.pruner_for(&sel, &disk).is_none());
     }
 
@@ -2020,17 +1842,24 @@ mod tests {
             let (Some(sig), Some(mut pruner)) = (assembled, lazy) else {
                 continue;
             };
-            let mut eager = cube.eager_pruner_for(&sel, &disk).expect("assembly is non-empty");
             for tid in rel.tids() {
                 let path = rtree.tuple_path(tid).unwrap();
                 for l in 1..=path.len() {
                     let want = sig.contains_path(&path[..l]);
                     let what = format!("tid {tid} prefix {l} sel {:?}", sel.conds());
                     assert_eq!(walk(&mut pruner, &rtree, &path[..l]), want, "lazy, {what}");
-                    assert_eq!(walk(&mut eager, &rtree, &path[..l]), want, "assembled, {what}");
                 }
             }
         }
+    }
+
+    /// What assembling the predicate costs, read off the catalog: every
+    /// partial of every predicate cell loaded, every coded byte decoded.
+    fn assembly_cost(cube: &SignatureCube, sel: &Selection) -> (u64, u64) {
+        let cells = sel.conds().iter().map(|&(d, v)| cube.cell_signature(&[d], &[v]).unwrap());
+        cells.fold((0, 0), |(loads, bytes), stored| {
+            (loads + stored.num_partials() as u64, bytes + stored.total_bits.div_ceil(8) as u64)
+        })
     }
 
     #[test]
@@ -2038,27 +1867,18 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(3_000);
         let sel = Selection::new(vec![(0, 1), (1, 2)]);
         let mut lazy = cube.pruner_for(&sel, &disk).expect("non-empty intersection");
-        let mut eager = cube.eager_pruner_for(&sel, &disk).expect("non-empty intersection");
-        // Drive both over the same probes (a top-k search touches fewer).
+        let assembled = cube.assemble(&sel, &disk).expect("both cells exist");
+        // Drive it over every tuple's probe (a top-k search touches fewer).
         for tid in rel.tids() {
             let path = rtree.tuple_path(tid).unwrap();
-            assert_eq!(
-                walk(&mut lazy, &rtree, &path),
-                walk(&mut eager, &rtree, &path),
-                "tid {tid}"
-            );
+            assert_eq!(walk(&mut lazy, &rtree, &path), assembled.contains_path(&path), "tid {tid}");
         }
+        let (eager_loads, eager_bytes) = assembly_cost(&cube, &sel);
+        assert!(lazy.loads() <= eager_loads, "lazy {} vs eager {eager_loads} loads", lazy.loads());
         assert!(
-            lazy.loads() <= eager.loads(),
-            "lazy {} vs eager {} partial loads",
-            lazy.loads(),
-            eager.loads()
-        );
-        assert!(
-            lazy.bytes_decoded() < eager.bytes_decoded(),
-            "lazy {} vs eager {} bytes decoded",
-            lazy.bytes_decoded(),
-            eager.bytes_decoded()
+            lazy.bytes_decoded() < eager_bytes,
+            "lazy {} vs eager {eager_bytes} bytes decoded",
+            lazy.bytes_decoded()
         );
     }
 
@@ -2078,7 +1898,7 @@ mod tests {
         );
         let sel = Selection::new(vec![(0, 1), (1, 1)]);
         assert!(
-            matches!(cube.resolve_selection(&sel), Resolved::Single(_)),
+            cube.resolve_selection(&sel).is_some_and(|cells| cells.len() == 1),
             "exact cuboid match should resolve to a single stored signature"
         );
         let _ = disk;
@@ -2114,7 +1934,7 @@ mod tests {
         let mut p = 200u32.to_le_bytes().to_vec();
         p.extend_from_slice(&[0xAB; 25]);
         cube.store().overwrite(&disk, page, p);
-        let mut cursor = Pruner::single(SigCursor::new(stored, cube.store(), &disk));
+        let mut cursor = Pruner::over(vec![SigCursor::new(stored, cube.store(), &disk, None)]);
         assert!(cursor.try_node_mask(0, &mut Vec::new()).is_err());
         assert!(cursor.try_admit_entry(1, None, &mut Vec::new()).is_err());
         assert!(stored.try_load_full(&disk, cube.store()).is_err());
@@ -2150,9 +1970,10 @@ mod tests {
                 // The probe signature is identical for both backends: the
                 // metering device is captured at construction, not
                 // threaded through every check.
-                let mut mem_cur = Pruner::single(SigCursor::new(mem_cell, cube.store(), &disk));
+                let mut mem_cur =
+                    Pruner::over(vec![SigCursor::new(mem_cell, cube.store(), &disk, None)]);
                 let mut file_cur =
-                    Pruner::single(SigCursor::new(file_cell, reopened.store(), &disk2));
+                    Pruner::over(vec![SigCursor::new(file_cell, reopened.store(), &disk2, None)]);
                 for tid in rel.tids() {
                     let p = rtree.tuple_path(tid).unwrap();
                     let in_cell = rel.selection_value(tid, d) == v;
@@ -2288,7 +2109,7 @@ mod tests {
         reopened.verify_integrity().expect("clean scrub");
         let disk2 = DiskSim::with_defaults();
         let cell = reopened.cell_signature(&[0], &[1]).expect("patched cell");
-        let mut cur = Pruner::single(SigCursor::new(cell, reopened.store(), &disk2));
+        let mut cur = Pruner::over(vec![SigCursor::new(cell, reopened.store(), &disk2, None)]);
         for tid in rel.tids() {
             let p = rtree2.tuple_path(tid).unwrap();
             assert_eq!(walk(&mut cur, &rtree2, &p), keep.contains(&p), "tid {tid}");

@@ -187,20 +187,6 @@ impl Signature {
         true
     }
 
-    /// The node addressed by `sid` ([`Self::sid_of`] of its path), if the
-    /// signature has one: the SID's base-`(M+1)` digits are the path,
-    /// last component first.
-    pub fn node_at(&self, sid: u64) -> Option<&SigNode> {
-        let base = self.m as u64 + 1;
-        let mut path = Vec::new();
-        let mut rest = sid;
-        while rest != 0 {
-            path.push(((rest - 1) % base) as u16);
-            rest = (rest - 1) / base;
-        }
-        path.iter().rev().try_fold(self.root.as_ref()?, |node, &p| node.child(p))
-    }
-
     /// All full paths present (leaf-level set bits), for round-trip tests.
     pub fn paths(&self) -> Vec<Vec<u16>> {
         fn rec(node: &SigNode, prefix: &mut Vec<u16>, out: &mut Vec<Vec<u16>>) {
@@ -423,20 +409,6 @@ mod tests {
         }
         assert!(seen.insert(Signature::sid_of(m, &[]))); // root = 0
         assert!(seen.contains(&0));
-    }
-
-    #[test]
-    fn node_at_inverts_sid_of() {
-        let paths: Vec<Vec<u16>> = vec![vec![0, 2, 1], vec![2, 0, 0], vec![2, 1, 2]];
-        let sig = Signature::from_paths(3, paths.iter().map(|p| p.as_slice()));
-        for p in &paths {
-            for l in 0..p.len() {
-                let node = sig.node_at(Signature::sid_of(3, &p[..l])).expect("node on a path");
-                assert!(node.bits.get(p[l] as usize), "{p:?} level {l}");
-            }
-        }
-        assert!(sig.node_at(Signature::sid_of(3, &[1])).is_none(), "no tuple under entry 1");
-        assert!(Signature::empty(3).node_at(0).is_none());
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   the mask bit, so popping one is emitting it — no probe, no path;
 //! * an internal node pushes the children whose bit survives, addressed
 //!   by SID (`child = sid·(M+1) + pos + 1`). For a single stored signature
-//!   (or the assembled baseline, or no predicate at all) the parent's bit
-//!   *was* the child's verdict; under a multi-predicate intersection a
-//!   surviving bit is only a candidate and the child is admitted at pop
-//!   by the memoized subtree verdict ([`Pruner::try_admit_node`]), which
-//!   keeps signature loads as lazy as the paper's pop-time probe.
+//!   (or no predicate at all) the parent's bit *was* the child's verdict;
+//!   under a multi-predicate intersection a surviving bit is only a
+//!   candidate and the child is admitted at pop by the memoized subtree
+//!   verdict ([`Pruner::try_admit_node`]), which keeps signature loads as
+//!   lazy as the paper's pop-time probe.
 //!
 //! # Why the answers and Lemma 3 are untouched
 //!
@@ -115,25 +115,6 @@ pub fn topk_signature<F: RankFn>(
         .unwrap_or_else(|e| panic!("storage error during query: {e}"))
 }
 
-/// [`topk_signature`] driven by the eager assembled pruner — the
-/// pre-refactor baseline kept for benchmarks (`BENCH_sigcube.json`) and
-/// lazy-vs-eager equivalence tests. Answers are identical; only the
-/// signature-load profile differs.
-pub fn topk_signature_assembled<F: RankFn>(
-    rtree: &RTree,
-    cube: &SignatureCube,
-    query: &TopKQuery<F>,
-    disk: &DiskSim,
-) -> TopKResult {
-    // Snapshot I/O before pruner construction so assembly reads are part
-    // of the reported query cost.
-    let before = disk.stats().snapshot();
-    let pruner = cube.eager_pruner_for(&query.selection, disk);
-    let plan = query.plan();
-    let search = SigSearch::new(rtree, disk, &plan, pruner, before);
-    TopKCursor::new(Box::new(search), plan.k).drain()
-}
-
 /// This search with nothing to prune by: best-first descent over `rtree`
 /// alone, every entry qualifying, in the order and at the block counts of
 /// the signature route under an empty selection. **`plan.selection` is
@@ -152,9 +133,8 @@ pub fn open_unpruned<'a>(
 /// A `(SignatureCube, RTree)` pair bound to a metering device: the
 /// signature engine's [`RankedSource`]. Constructed per query via
 /// [`SignatureCube::source`]; opening a cursor builds the lazy
-/// [`crate::sigcube::LazyIntersection`] pruner (consulting the cube's
-/// shared cross-query node cache) and charges its root probe to the
-/// cursor's stats.
+/// [`Pruner`] (consulting the cube's shared cross-query node cache) and
+/// charges its root probe to the cursor's stats.
 #[derive(Debug, Clone, Copy)]
 pub struct SigSource<'a> {
     rtree: &'a RTree,
@@ -483,26 +463,31 @@ mod tests {
         for conds in [vec![(0usize, 1u32), (1, 2)], vec![(0, 0), (1, 1), (2, 2)]] {
             let q = TopKQuery::new(conds.clone(), Linear::uniform(3), 10);
             let lazy = topk_signature(&rtree, &cube, &q, &disk);
-            let eager = topk_signature_assembled(&rtree, &cube, &q, &disk);
-            assert_eq!(lazy.items, eager.items, "answers diverged for {conds:?}");
+            let want = scan(&rel, &|_| true, &q.selection, &q.func, &q.ranking_dims, 10);
+            assert_eq!(bits(&lazy.items), bits(&want), "answers diverged for {conds:?}");
+            // What assembling the predicate would cost, off the catalog:
+            // every partial of every cell loaded, every coded byte decoded.
+            let cells = conds.iter().map(|&(d, v)| cube.cell_signature(&[d], &[v]).unwrap());
+            let (eager_loads, eager_bytes) = cells.fold((0, 0), |(loads, bytes), stored| {
+                (loads + stored.num_partials() as u64, bytes + stored.total_bits.div_ceil(8) as u64)
+            });
             assert!(
-                lazy.stats.sig_loads < eager.stats.sig_loads,
-                "{conds:?}: lazy {} loads must undercut eager {}",
-                lazy.stats.sig_loads,
-                eager.stats.sig_loads
+                lazy.stats.sig_loads < eager_loads,
+                "{conds:?}: lazy {} loads must undercut eager {eager_loads}",
+                lazy.stats.sig_loads
             );
             assert!(
-                lazy.stats.sig_bytes_decoded < eager.stats.sig_bytes_decoded,
-                "{conds:?}: lazy {} bytes must undercut eager {}",
-                lazy.stats.sig_bytes_decoded,
-                eager.stats.sig_bytes_decoded
+                lazy.stats.sig_bytes_decoded < eager_bytes,
+                "{conds:?}: lazy {} bytes must undercut eager {eager_bytes}",
+                lazy.stats.sig_bytes_decoded
             );
         }
     }
 
     proptest::proptest! {
-        /// Top-k answers are identical between the lazy pruner and the
-        /// eager assembled baseline over random workloads.
+        /// Top-k answers under the lazy intersection are the table scan's
+        /// — what a search over the eagerly assembled signature answered —
+        /// over random workloads.
         #[test]
         fn proptest_lazy_topk_equals_eager_topk(
             tuples in 200usize..900,
@@ -522,8 +507,8 @@ mod tests {
             ];
             let q = TopKQuery::new(conds, Linear::uniform(3), k);
             let lazy = topk_signature(&rtree, &cube, &q, &disk);
-            let eager = topk_signature_assembled(&rtree, &cube, &q, &disk);
-            proptest::prop_assert_eq!(lazy.items, eager.items);
+            let want = scan(&rel, &|_| true, &q.selection, &q.func, &q.ranking_dims, k);
+            proptest::prop_assert_eq!(bits(&lazy.items), bits(&want));
         }
     }
 
@@ -616,9 +601,9 @@ mod tests {
     }
 
     impl Served<'_> {
-        /// Every pruner kind against the scan: the serving pruner (none /
-        /// single / lazy by predicate count), the assembled baseline, and
-        /// a cursor split at `k / 2` then extended.
+        /// Every pruner shape against the scan: the serving pruner (no,
+        /// one or several cursors by predicate count), and a cursor split
+        /// at `k / 2` then extended.
         fn assert_search_equals_scan(&self, conds: &[(usize, u32)], f: &Linear, k: usize) {
             let Served { what, rel, live, rtree, cube, disk } = *self;
             for preds in 0..=conds.len() {
@@ -627,8 +612,6 @@ mod tests {
                 let want = bits(&scan(rel, live, &q.selection, f, &q.ranking_dims, k));
                 let served = cube.source(rtree, disk).query(&plan).unwrap();
                 assert_eq!(bits(&served.items), want, "{what}: serving pruner, {preds} predicates");
-                let eager = topk_signature_assembled(rtree, cube, &q, disk);
-                assert_eq!(bits(&eager.items), want, "{what}: assembled, {preds} predicates");
                 let half = QueryPlan { k: k / 2, ..plan };
                 let mut cursor = cube.source(rtree, disk).open(&half).unwrap();
                 let mut paged = cursor.try_drain().unwrap().items;
@@ -843,7 +826,6 @@ mod tests {
         let (_, disk, rtree, cube) = setup(3_000);
         let q = TopKQuery::new(vec![(0, 1), (1, 2), (2, 3)], Linear::uniform(3), 10);
         assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 31);
-        assert_eq!(topk_signature_assembled(&rtree, &cube, &q, &disk).stats.blocks_read, 31);
         let q = TopKQuery::new(vec![], Linear::uniform(3), 10);
         assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 13);
 
@@ -877,12 +859,8 @@ mod tests {
         }
         for conds in [vec![], vec![(0, 1)], vec![(0, 1), (1, 2)]] {
             let q = TopKQuery::new(conds, Linear::uniform(3), rel.len());
-            for got in [
-                topk_signature(&rtree, &cube, &q, &disk),
-                topk_signature_assembled(&rtree, &cube, &q, &disk),
-            ] {
-                assert!(got.tids().iter().all(|t| live.contains(t)), "an entry the tree holds");
-            }
+            let got = topk_signature(&rtree, &cube, &q, &disk);
+            assert!(got.tids().iter().all(|t| live.contains(t)), "an entry the tree holds");
         }
     }
 }

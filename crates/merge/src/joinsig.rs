@@ -234,7 +234,7 @@ fn encode_combo(bases: &[u64], combo: &[u16]) -> u64 {
 /// and probes the stored bytes zero-copy.
 ///
 /// The cursor captures its metering device at construction — the probe
-/// API unified with `rcube_core::sigcube::SigCursor`: callers probe with
+/// API unified with `rcube_core::sigcube::Pruner`: callers probe with
 /// `check_child(key, combo)` / `check_state(key)` and never thread
 /// `&DiskSim` through the search.
 #[derive(Debug)]

@@ -15,13 +15,13 @@
 //! # Concurrency
 //!
 //! The read path holds **no lock on the file handle**: pages are fetched
-//! with positional reads ([`IoMode::Positional`], `pread` on unix;
-//! [`IoMode::SeekLocked`] keeps correctness elsewhere with a mutex around
-//! the seek+access pair), metadata lives in atomics, and cached frames
-//! sit in a lock-striped sharded [`BufferPool`]. A read-only handle is
-//! pinned to the generation it elected at open: later commits append
-//! pages past its horizon and stamp the *other* slot, so pinned readers
-//! keep streaming their generation byte-identically with no coordination.
+//! with positional reads (`pread` on unix; elsewhere a mutex around the
+//! seek+access pair keeps correctness), metadata lives in atomics, and
+//! cached frames sit in a lock-striped sharded [`BufferPool`]. A read-only
+//! handle is pinned to the generation it elected at open: later commits
+//! append pages past its horizon and stamp the *other* slot, so pinned
+//! readers keep streaming their generation byte-identically with no
+//! coordination.
 //! Writers (`put` / `overwrite` / `flush`) serialize on one writer mutex;
 //! committed pages are immutable ([`StorageError::ImmutableGeneration`]
 //! guards them), making the file single-writer, many-reader with MVCC
@@ -55,8 +55,8 @@ use crate::buffer::{BufferPool, PoolStats};
 use crate::disk::{DiskSim, PageId};
 use crate::fault::{FaultPlan, SwapStage, WriteOutcome};
 use crate::format::{
-    decode_page, encode_page, PageType, Superblock, DATA_START, FLAG_CONTINUES, MAX_PAGE_SIZE,
-    MIN_PAGE_SIZE, NO_PAGE, PAGE_HEADER, SUPERBLOCK_LEN,
+    decode_page, elect_superblock, encode_page, Election, PageType, Superblock, DATA_START,
+    FLAG_CONTINUES, MAX_PAGE_SIZE, MIN_PAGE_SIZE, NO_PAGE, PAGE_HEADER, SUPERBLOCK_LEN,
 };
 use crate::lock::WriterLock;
 use crate::stats::IoStats;
@@ -73,28 +73,20 @@ thread_local! {
 /// the simulator's 256-page (1 MB at 4 KB) default.
 pub const DEFAULT_POOL_PAGES: usize = 256;
 
-/// How a [`FileBackend`] performs raw page I/O.
+/// How a [`FileBackend`] performs raw page I/O: positional where the
+/// platform has the syscalls, seek-locked elsewhere.
 ///
-/// Both modes are always compiled, so the fallback is *tested* on every
-/// platform instead of assumed on the exotic ones.
+/// Both modes are always compiled, and the module's tests run the fallback
+/// on unix too, so it is *tested* on every platform instead of assumed on
+/// the exotic ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
+enum IoMode {
     /// Positional syscalls (`pread`/`pwrite`); no shared cursor, no lock.
-    /// Only available on unix — the default there.
+    /// Only available on unix.
     Positional,
     /// A mutex around the seek+access pair: serializes raw I/O (but
-    /// nothing above it). The default — and only — mode off unix.
+    /// nothing above it). The only mode off unix.
     SeekLocked,
-}
-
-impl Default for IoMode {
-    fn default() -> Self {
-        if cfg!(unix) {
-            Self::Positional
-        } else {
-            Self::SeekLocked
-        }
-    }
 }
 
 /// A file read/written at absolute offsets, shareable across threads
@@ -108,9 +100,8 @@ struct PagedFile {
 }
 
 impl PagedFile {
-    fn new(file: File, mode: IoMode) -> Self {
-        // Off unix there is no positional syscall to call: force the lock.
-        let mode = if cfg!(unix) { mode } else { IoMode::SeekLocked };
+    fn new(file: File) -> Self {
+        let mode = if cfg!(unix) { IoMode::Positional } else { IoMode::SeekLocked };
         Self { file, mode, cursor: Mutex::new(()) }
     }
 
@@ -148,8 +139,6 @@ impl PagedFile {
 pub struct FileOptions {
     /// Buffer-pool capacity in pages (0 = uncached).
     pub pool_pages: usize,
-    /// Raw-I/O strategy; [`IoMode::default`] picks positional on unix.
-    pub io_mode: IoMode,
     /// Optional scripted media faults (crash/corruption harnesses).
     pub faults: Option<Arc<FaultPlan>>,
 }
@@ -228,11 +217,7 @@ impl FileBackend {
         pool_pages: usize,
         faults: Arc<FaultPlan>,
     ) -> Result<Self, StorageError> {
-        Self::create_with(
-            path,
-            page_size,
-            FileOptions { pool_pages, faults: Some(faults), ..FileOptions::default() },
-        )
+        Self::create_with(path, page_size, FileOptions { pool_pages, faults: Some(faults) })
     }
 
     /// Creates a fresh cube file with explicit [`FileOptions`].
@@ -250,7 +235,7 @@ impl FileBackend {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
         let backend = Self {
-            file: PagedFile::new(file, opts.io_mode),
+            file: PagedFile::new(file),
             page_size,
             read_only: false,
             page_count: AtomicU64::new(DATA_START),
@@ -332,7 +317,7 @@ impl FileBackend {
         pool_pages: usize,
         faults: Arc<FaultPlan>,
     ) -> Result<Self, StorageError> {
-        let opts = FileOptions { pool_pages, faults: Some(faults), ..FileOptions::default() };
+        let opts = FileOptions { pool_pages, faults: Some(faults) };
         Self::open_impl(path, opts, true, false)
     }
 
@@ -385,28 +370,16 @@ impl FileBackend {
     ) -> Result<Self, StorageError> {
         let lock = if writable { Some(WriterLock::acquire(path.as_ref())?) } else { None };
         let file = OpenOptions::new().read(true).write(writable).open(path)?;
-        let file = PagedFile::new(file, opts.io_mode);
+        let file = PagedFile::new(file);
         let (c0, c1) = Self::read_slots(&file)?;
-        let elected = match (&c0, &c1) {
-            (Ok(a), Ok(b)) => {
-                if a.generation >= b.generation {
-                    (*a, 0u64)
-                } else {
-                    (*b, 1)
-                }
-            }
-            (Ok(a), Err(_)) => (*a, 0),
-            (Err(_), Ok(b)) => (*b, 1),
-            (Err(_), Err(_)) => return Err(c0.unwrap_err()),
-        };
+        let elected = elect_superblock(c0, c1)?;
         let (sb, slot) = if previous {
-            match (c0, c1, elected.1) {
-                (Ok(older), Ok(_), 1) => (older, 0u64),
-                (Ok(_), Ok(older), 0) => (older, 1),
-                _ => return Err(StorageError::Malformed("no previous generation to open")),
-            }
+            let older = elected
+                .previous
+                .ok_or(StorageError::Malformed("no previous generation to open"))?;
+            (older, 1 - elected.slot)
         } else {
-            elected
+            (elected.winner, elected.slot)
         };
         let page_size = sb.page_size as usize;
         let file_len = file.file.metadata()?.len();
@@ -458,14 +431,8 @@ impl FileBackend {
     /// The maintenance scheduler's cheap watermark poll.
     pub fn peek_superblock(path: impl AsRef<Path>) -> Result<Superblock, StorageError> {
         let file = OpenOptions::new().read(true).open(path)?;
-        let file = PagedFile::new(file, IoMode::default());
-        let (c0, c1) = Self::read_slots(&file)?;
-        match (c0, c1) {
-            (Ok(a), Ok(b)) => Ok(if a.generation >= b.generation { a } else { b }),
-            (Ok(a), Err(_)) => Ok(a),
-            (Err(_), Ok(b)) => Ok(b),
-            (Err(e0), Err(_)) => Err(e0),
-        }
+        let (c0, c1) = Self::read_slots(&PagedFile::new(file))?;
+        Ok(elect_superblock(c0, c1)?.winner)
     }
 
     /// Atomically publishes `temp` — a complete, committed cube file —
@@ -531,17 +498,12 @@ impl FileBackend {
     /// Call only with no writable handle open on the file.
     pub fn rollback_latest(path: impl AsRef<Path>) -> Result<u64, StorageError> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let file = PagedFile::new(file, IoMode::default());
+        let file = PagedFile::new(file);
         let (c0, c1) = Self::read_slots(&file)?;
-        let (survivor, doomed_slot) = match (c0, c1) {
-            (Ok(a), Ok(b)) => {
-                if a.generation >= b.generation {
-                    (b, 0u64)
-                } else {
-                    (a, 1)
-                }
-            }
-            _ => return Err(StorageError::Malformed("no previous generation to roll back to")),
+        let Ok(Election { slot: doomed_slot, previous: Some(survivor), .. }) =
+            elect_superblock(c0, c1)
+        else {
+            return Err(StorageError::Malformed("no previous generation to roll back to"));
         };
         let zeros = vec![0u8; survivor.page_size as usize];
         file.write_all_at(&zeros, doomed_slot * survivor.page_size as u64)?;
@@ -1611,17 +1573,16 @@ mod tests {
         let objects: Vec<Vec<u8>> =
             (0..16u8).map(|i| vec![i; 64 + (i as usize * 53) % 500]).collect();
         let ids: Vec<PageId> = {
-            let opts = FileOptions { pool_pages: 8, io_mode: IoMode::SeekLocked, faults: None };
-            let be = FileBackend::create_with(&path, 256, opts).unwrap();
-            assert_eq!(be.file.mode, IoMode::SeekLocked);
+            let mut be = FileBackend::create(&path, 256, 8).unwrap();
+            be.file.mode = IoMode::SeekLocked;
             let ids = objects.iter().map(|o| be.put(&disk, o.clone()).unwrap()).collect();
             be.flush().unwrap();
             ids
         };
         // Reopen in each mode; answers must be byte-identical.
-        for mode in [IoMode::SeekLocked, IoMode::default()] {
-            let opts = FileOptions { pool_pages: 0, io_mode: mode, faults: None };
-            let be = FileBackend::open_with(&path, opts).unwrap();
+        for mode in [IoMode::SeekLocked, IoMode::Positional] {
+            let mut be = FileBackend::open(&path, 0).unwrap();
+            be.file.mode = mode;
             std::thread::scope(|s| {
                 for t in 0..4usize {
                     let (be, ids, objects) = (&be, &ids, &objects);

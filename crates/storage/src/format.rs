@@ -623,26 +623,37 @@ impl Superblock {
     }
 }
 
-/// Elects the live generation from the two slot images: the valid slot
+/// The outcome of [`elect_superblock`].
+#[derive(Debug, Clone, Copy)]
+pub struct Election {
+    /// The live generation's superblock.
+    pub winner: Superblock,
+    /// The slot (0 or 1) holding it; the loser's is the other one.
+    pub slot: u64,
+    /// The losing slot's superblock when it is valid too — the previous
+    /// generation, still whole.
+    pub previous: Option<Superblock>,
+}
+
+/// Elects the live generation from the two decoded slots
+/// ([`Superblock::decode_slot`] of slot 0 and slot 1): the valid slot
 /// with the highest generation wins (ties cannot happen — a commit always
 /// increments). An invalid slot is a *candidate rejection*, not an error:
 /// a crash mid-commit legitimately leaves one slot torn. Only when both
-/// slots fail does the open fail, reporting slot 0's error (a foreign
+/// slots fail does the election fail, reporting slot 0's error (a foreign
 /// file surfaces as [`StorageError::BadMagic`], a corrupt one as a
 /// checksum mismatch).
-pub fn elect_superblock(slot0: &[u8], slot1: &[u8]) -> Result<(Superblock, u64), StorageError> {
-    let c0 = Superblock::decode_slot(slot0, 0);
-    let c1 = Superblock::decode_slot(slot1, 1);
-    match (c0, c1) {
-        (Ok(a), Ok(b)) => {
-            if a.generation >= b.generation {
-                Ok((a, 0))
-            } else {
-                Ok((b, 1))
-            }
+pub fn elect_superblock(
+    slot0: Result<Superblock, StorageError>,
+    slot1: Result<Superblock, StorageError>,
+) -> Result<Election, StorageError> {
+    match (slot0, slot1) {
+        (Ok(a), Ok(b)) if a.generation >= b.generation => {
+            Ok(Election { winner: a, slot: 0, previous: Some(b) })
         }
-        (Ok(a), Err(_)) => Ok((a, 0)),
-        (Err(_), Ok(b)) => Ok((b, 1)),
+        (Ok(a), Ok(b)) => Ok(Election { winner: b, slot: 1, previous: Some(a) }),
+        (Ok(a), Err(_)) => Ok(Election { winner: a, slot: 0, previous: None }),
+        (Err(_), Ok(b)) => Ok(Election { winner: b, slot: 1, previous: None }),
         (Err(e0), Err(_)) => Err(e0),
     }
 }
@@ -935,27 +946,34 @@ mod tests {
 
     #[test]
     fn election_picks_highest_valid_generation() {
+        let elect = |s0: &[u8], s1: &[u8]| {
+            elect_superblock(Superblock::decode_slot(s0, 0), Superblock::decode_slot(s1, 1))
+        };
         let mut s0 = vec![0u8; SUPERBLOCK_LEN];
         let mut s1 = vec![0u8; SUPERBLOCK_LEN];
         sample_sb(4).encode(&mut s0);
         sample_sb(5).encode(&mut s1);
-        let (sb, slot) = elect_superblock(&s0, &s1).unwrap();
-        assert_eq!((sb.generation, slot), (5, 1));
+        let e = elect(&s0, &s1).unwrap();
+        assert_eq!((e.winner.generation, e.slot), (5, 1));
+        assert_eq!(e.previous.map(|sb| sb.generation), Some(4));
 
-        // Newer slot torn mid-commit: the older generation must win.
+        // Newer slot torn mid-commit: the older generation must win, and
+        // there is no previous one to fall back to.
         let mut torn = s1.clone();
         torn[30] ^= 0xFF;
-        let (sb, slot) = elect_superblock(&s0, &torn).unwrap();
-        assert_eq!((sb.generation, slot), (4, 0));
+        let e = elect(&s0, &torn).unwrap();
+        assert_eq!((e.winner.generation, e.slot), (4, 0));
+        assert!(e.previous.is_none());
 
         // Slot 0 newer after the next commit flips sides.
         sample_sb(6).encode(&mut s0);
-        let (sb, slot) = elect_superblock(&s0, &s1).unwrap();
-        assert_eq!((sb.generation, slot), (6, 0));
+        let e = elect(&s0, &s1).unwrap();
+        assert_eq!((e.winner.generation, e.slot), (6, 0));
+        assert_eq!(e.previous.map(|sb| sb.generation), Some(5));
 
         // Both invalid: slot 0's error surfaces (BadMagic for foreign files).
         let garbage = vec![0x42u8; SUPERBLOCK_LEN];
-        assert!(matches!(elect_superblock(&garbage, &garbage), Err(StorageError::BadMagic)));
+        assert!(matches!(elect(&garbage, &garbage), Err(StorageError::BadMagic)));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use buffer::{
 };
 pub use disk::{DiskSim, PageId, PageStore};
 pub use fault::{CrashMode, FaultBackend, FaultPlan, SwapStage, WriteOutcome};
-pub use file::{FileBackend, FileOptions, IoMode, DEFAULT_POOL_PAGES};
+pub use file::{FileBackend, FileOptions, DEFAULT_POOL_PAGES};
 pub use format::{ByteReader, ByteWriter};
 pub use lock::{lock_path_for, WriterLock};
 pub use manifest::{ShardEngineKind, ShardEntry, ShardManifest, MANIFEST_VERSION};

@@ -294,7 +294,7 @@ proptest::proptest! {
 
         let plan = FaultPlan::new();
         plan.corrupt_byte(offset, 1 << bit);
-        let opts = FileOptions { pool_pages: 32, faults: Some(Arc::clone(&plan)), ..Default::default() };
+        let opts = FileOptions { pool_pages: 32, faults: Some(Arc::clone(&plan)) };
         let opened = FileBackend::open_with(&path, opts)
             .map(|be| PageStore::with_backend(Arc::new(be)))
             .and_then(SignatureCube::open_store);
