@@ -10,11 +10,10 @@
 //! filter-first plan pays for resumable pagination.
 
 use rcube_core::query::{QueryPlan, RankedSource, SortedDrain, TopKCursor};
-use rcube_core::{QueryStats, TopKResult};
-use rcube_func::RankFn;
+use rcube_core::QueryStats;
 use rcube_index::BPlusTree;
 use rcube_storage::{DiskSim, StorageError};
-use rcube_table::{Relation, Selection, Tid};
+use rcube_table::{Relation, Tid};
 
 use crate::{rows_per_page, scan::TableScan};
 
@@ -37,26 +36,12 @@ impl BooleanFirst {
         Self { indexes, scan: TableScan::new(rel, disk) }
     }
 
-    /// Answers a top-k query — a thin batch wrapper over [`Self::source`]:
-    /// index scan on the most selective predicate (estimated via dimension
-    /// cardinality), then verify + rank via random accesses; or a plain
-    /// table scan when predicted cheaper.
-    pub fn topk<F: RankFn>(
-        &self,
-        rel: &Relation,
-        disk: &DiskSim,
-        selection: &Selection,
-        func: &F,
-        ranking_dims: &[usize],
-        k: usize,
-    ) -> TopKResult {
-        let plan = QueryPlan { selection, func, ranking_dims, k, cuboids: None };
-        self.source(rel, disk).query(&plan).expect("in-memory baseline cannot fail")
-    }
-
     /// Binds the evaluator to its relation and metering device as a
     /// [`RankedSource`] — trivially progressive: filter-then-rank runs
-    /// fully at open, the cursor drains the sorted answers.
+    /// fully at open (index scan on the most selective predicate, estimated
+    /// via dimension cardinality, then verify + rank via random accesses;
+    /// or a plain table scan when predicted cheaper), the cursor drains the
+    /// sorted answers.
     pub fn source<'a>(&'a self, rel: &'a Relation, disk: &'a DiskSim) -> BooleanFirstSource<'a> {
         BooleanFirstSource { bf: self, rel, disk }
     }
@@ -116,8 +101,10 @@ impl<'a> RankedSource<'a> for BooleanFirstSource<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcube_core::query::Query;
     use rcube_func::Linear;
     use rcube_table::gen::SyntheticSpec;
+    use rcube_table::Selection;
 
     fn naive(rel: &Relation, sel: &Selection, k: usize) -> Vec<f64> {
         let mut v: Vec<f64> = rel
@@ -136,9 +123,9 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let bf = BooleanFirst::build(&rel, &disk);
         for conds in [vec![(0, 3)], vec![(0, 1), (1, 2)], vec![(0, 0), (1, 0), (2, 0)]] {
-            let sel = Selection::new(conds.clone());
-            let res = bf.topk(&rel, &disk, &sel, &Linear::uniform(2), &[0, 1], 10);
-            let want = naive(&rel, &sel, 10);
+            let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(10);
+            let res = bf.source(&rel, &disk).query(&q.plan()).unwrap();
+            let want = naive(&rel, q.selection(), 10);
             assert_eq!(res.scores().len(), want.len(), "conds {conds:?}");
             for (g, w) in res.scores().iter().zip(&want) {
                 assert!((g - w).abs() < 1e-12);
@@ -152,8 +139,8 @@ mod tests {
             SyntheticSpec { tuples: 4_000, cardinality: 200, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let bf = BooleanFirst::build(&rel, &disk);
-        let sel = Selection::new(vec![(0, 7)]);
-        let res = bf.topk(&rel, &disk, &sel, &Linear::uniform(2), &[0, 1], 10);
+        let q = Query::select([(0, 7)]).rank(Linear::uniform(2)).top(10);
+        let res = bf.source(&rel, &disk).query(&q.plan()).unwrap();
         assert!(res.stats.io.random_accesses > 0, "index plan must random-access rows");
         // Roughly T/C matches expected.
         let expect = 4_000 / 200;
@@ -165,8 +152,8 @@ mod tests {
         let rel = SyntheticSpec { tuples: 3_000, cardinality: 2, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let bf = BooleanFirst::build(&rel, &disk);
-        let sel = Selection::new(vec![(0, 1)]);
-        let res = bf.topk(&rel, &disk, &sel, &Linear::uniform(2), &[0, 1], 10);
+        let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(10);
+        let res = bf.source(&rel, &disk).query(&q.plan()).unwrap();
         // Scan plan: no random accesses.
         assert_eq!(res.stats.io.random_accesses, 0);
         assert!(!res.items.is_empty());

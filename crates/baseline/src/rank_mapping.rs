@@ -15,7 +15,7 @@
 //! reproducing the order-sensitivity reported in Figures 3.7/3.9.
 
 use rcube_core::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
-use rcube_core::{QueryStats, TopKHeap, TopKResult};
+use rcube_core::{QueryStats, TopKHeap};
 use rcube_func::{Linear, RankFn};
 use rcube_storage::{DiskSim, IoSnapshot, StorageError};
 use rcube_table::{Relation, Selection, Tid};
@@ -56,23 +56,9 @@ impl RankMapping {
         Self { order, position, descent, rows_per_page: rpp }
     }
 
-    /// Answers a top-k query with **optimal** range bounds for a linear
-    /// function — a thin batch wrapper over [`Self::source`].
-    pub fn topk(
-        &self,
-        rel: &Relation,
-        disk: &DiskSim,
-        selection: &Selection,
-        func: &Linear,
-        ranking_dims: &[usize],
-        k: usize,
-    ) -> TopKResult {
-        let plan = QueryPlan { selection, func, ranking_dims, k, cuboids: None };
-        self.source(rel, disk).query(&plan).expect("in-memory baseline cannot fail")
-    }
-
     /// Binds the mapping to its relation and metering device as a
-    /// [`RankedSource`]. The bound oracle depends on `k`, so this source
+    /// [`RankedSource`] answering with **optimal** range bounds for a
+    /// linear function. The bound oracle depends on `k`, so this source
     /// is the workspace's deliberate *non*-resumable engine: `extend_k`
     /// re-plans with wider bounds and re-reads the matching runs — the
     /// top-k → range-query transformation cannot paginate, exactly the
@@ -275,6 +261,7 @@ fn composite_key(rel: &Relation, t: Tid) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcube_core::query::Query;
     use rcube_table::gen::SyntheticSpec;
 
     #[test]
@@ -282,12 +269,11 @@ mod tests {
         let rel = SyntheticSpec { tuples: 2_000, cardinality: 6, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let rm = RankMapping::build(&rel, &disk);
-        let sel = Selection::new(vec![(0, 2)]);
-        let f = Linear::new(vec![1.0, 2.0]);
-        let res = rm.topk(&rel, &disk, &sel, &f, &[0, 1], 10);
+        let q = Query::select([(0, 2)]).rank(Linear::new(vec![1.0, 2.0])).top(10);
+        let res = rm.source(&rel, &disk).query(&q.plan()).unwrap();
         let mut want: Vec<f64> = rel
             .tids()
-            .filter(|&t| sel.matches(&rel, t))
+            .filter(|&t| q.selection().matches(&rel, t))
             .map(|t| rel.ranking_value(t, 0) + 2.0 * rel.ranking_value(t, 1))
             .collect();
         want.sort_by(f64::total_cmp);
@@ -303,10 +289,9 @@ mod tests {
         let rel = SyntheticSpec { tuples: 5_000, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let rm = RankMapping::build(&rel, &disk);
-        let sel = Selection::new(vec![(0, 1)]);
-        let f = Linear::uniform(2);
-        let small = rm.topk(&rel, &disk, &sel, &f, &[0, 1], 5);
-        let large = rm.topk(&rel, &disk, &sel, &f, &[0, 1], 50);
+        let top = |k| Query::select([(0, 1)]).rank(Linear::uniform(2)).top(k);
+        let small = rm.source(&rel, &disk).query(&top(5).plan()).unwrap();
+        let large = rm.source(&rel, &disk).query(&top(50).plan()).unwrap();
         assert!(large.stats.blocks_read >= small.stats.blocks_read);
     }
 
@@ -317,9 +302,9 @@ mod tests {
         let rel = SyntheticSpec { tuples: 4_000, cardinality: 10, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let rm = RankMapping::build(&rel, &disk);
-        let f = Linear::uniform(2);
-        let lead = rm.topk(&rel, &disk, &Selection::new(vec![(0, 3)]), &f, &[0, 1], 10);
-        let trail = rm.topk(&rel, &disk, &Selection::new(vec![(2, 3)]), &f, &[0, 1], 10);
+        let on = |dim| Query::select([(dim, 3)]).rank(Linear::uniform(2)).top(10);
+        let lead = rm.source(&rel, &disk).query(&on(0).plan()).unwrap();
+        let trail = rm.source(&rel, &disk).query(&on(2).plan()).unwrap();
         assert!(
             trail.stats.blocks_read > lead.stats.blocks_read,
             "non-prefix selections must fragment the range scan ({} vs {})",
@@ -335,9 +320,9 @@ mod tests {
         let rm = RankMapping::build(&rel, &disk);
         // Very selective: likely fewer than k matches — bounds become the
         // whole domain and the query still returns every match.
-        let sel = Selection::new(vec![(0, 5), (1, 5)]);
-        let res = rm.topk(&rel, &disk, &sel, &Linear::uniform(2), &[0, 1], 10);
-        let matching = rel.tids().filter(|&t| sel.matches(&rel, t)).count();
+        let q = Query::select([(0, 5), (1, 5)]).rank(Linear::uniform(2)).top(10);
+        let res = rm.source(&rel, &disk).query(&q.plan()).unwrap();
+        let matching = rel.tids().filter(|&t| q.selection().matches(&rel, t)).count();
         assert_eq!(res.items.len(), matching.min(10));
     }
 }

@@ -10,8 +10,7 @@
 
 use rcube_core::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
 use rcube_core::sigquery::open_unpruned;
-use rcube_core::{QueryStats, TopKQuery, TopKResult};
-use rcube_func::RankFn;
+use rcube_core::QueryStats;
 use rcube_index::rtree::RTree;
 use rcube_storage::{DiskSim, StorageError};
 use rcube_table::{Relation, Selection, Tid};
@@ -21,19 +20,9 @@ use rcube_table::{Relation, Selection, Tid};
 pub struct RankingFirst;
 
 impl RankingFirst {
-    /// Answers `query` with progressive R-tree retrieval + late Boolean
-    /// verification — a thin batch wrapper over [`Self::source`].
-    pub fn topk<F: RankFn>(
-        rtree: &RTree,
-        rel: &Relation,
-        query: &TopKQuery<F>,
-        disk: &DiskSim,
-    ) -> TopKResult {
-        Self::source(rtree, rel, disk).query(&query.plan()).expect("in-memory baseline cannot fail")
-    }
-
     /// Binds an R-tree, relation and metering device as a
-    /// [`RankedSource`]. Unlike the other baselines this one is genuinely
+    /// [`RankedSource`]: progressive R-tree retrieval + late Boolean
+    /// verification. Unlike the other baselines this one is genuinely
     /// progressive — the branch-and-bound heap certifies each tuple on
     /// pop, verification happens lazily, and `extend_k` resumes
     /// mid-descent — it just lacks Boolean pruning, paying one random
@@ -101,7 +90,8 @@ impl ProgressiveSearch for VerifyOnPop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcube_func::{Linear, SqDist};
+    use rcube_core::query::Query;
+    use rcube_func::{Linear, RankFn, SqDist};
     use rcube_index::rtree::RTreeConfig;
     use rcube_table::gen::SyntheticSpec;
     use rcube_table::Selection;
@@ -123,9 +113,9 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
         for f in [Linear::new(vec![1.0, 2.0]), Linear::new(vec![0.5, 0.1])] {
-            let q = TopKQuery::new(vec![(0, 2), (1, 3)], f.clone(), 10);
-            let got = RankingFirst::topk(&rtree, &rel, &q, &disk);
-            let want = naive(&rel, &q.selection, &f, 10);
+            let q = Query::select([(0, 2), (1, 3)]).rank(f.clone()).top(10);
+            let got = RankingFirst::source(&rtree, &rel, &disk).query(&q.plan()).unwrap();
+            let want = naive(&rel, q.selection(), &f, 10);
             assert_eq!(got.items.len(), want.len());
             for (g, w) in got.scores().iter().zip(&want) {
                 assert!((g - w).abs() < 1e-9);
@@ -139,22 +129,25 @@ mod tests {
     /// a verification more.
     #[test]
     fn blocks_and_verifications_are_what_the_bespoke_search_read() {
-        let cost = |r: TopKResult| (r.stats.blocks_read, r.stats.io.random_accesses);
-        let rel = SyntheticSpec { tuples: 2_000, cardinality: 5, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
+        let cost = |rtree: &RTree, rel: &Relation, q: &Query| {
+            let r = RankingFirst::source(rtree, rel, &disk).query(&q.plan()).unwrap();
+            (r.stats.blocks_read, r.stats.io.random_accesses)
+        };
+        let rel = SyntheticSpec { tuples: 2_000, cardinality: 5, ..Default::default() }.generate();
         let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
-        let q = TopKQuery::new(vec![(0, 2), (1, 3)], Linear::new(vec![1.0, 2.0]), 10);
-        assert_eq!(cost(RankingFirst::topk(&rtree, &rel, &q, &disk)), (43, 206));
-        let q = TopKQuery::new(vec![(0, 2), (1, 3)], Linear::new(vec![0.5, 0.1]), 10);
-        assert_eq!(cost(RankingFirst::topk(&rtree, &rel, &q, &disk)), (30, 187));
+        let q = Query::select([(0, 2), (1, 3)]).rank(Linear::new(vec![1.0, 2.0])).top(10);
+        assert_eq!(cost(&rtree, &rel, &q), (43, 206));
+        let q = Query::select([(0, 2), (1, 3)]).rank(Linear::new(vec![0.5, 0.1])).top(10);
+        assert_eq!(cost(&rtree, &rel, &q), (30, 187));
 
         let rel = SyntheticSpec { tuples: 3_000, cardinality: 10, ..Default::default() }.generate();
         let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
         let f = SqDist::new(vec![0.5, 0.5]);
-        let q = TopKQuery::new(vec![(0, 1)], f.clone(), 10);
-        assert_eq!(cost(RankingFirst::topk(&rtree, &rel, &q, &disk)), (34, 148));
-        let q = TopKQuery::new(vec![(0, 1), (1, 1), (2, 1)], f, 10);
-        assert_eq!(cost(RankingFirst::topk(&rtree, &rel, &q, &disk)), (274, 3_000));
+        let q = Query::select([(0, 1)]).rank(f.clone()).top(10);
+        assert_eq!(cost(&rtree, &rel, &q), (34, 148));
+        let q = Query::select([(0, 1), (1, 1), (2, 1)]).rank(f).top(10);
+        assert_eq!(cost(&rtree, &rel, &q), (274, 3_000));
     }
 
     #[test]
@@ -164,10 +157,10 @@ mod tests {
         let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
         let f = SqDist::new(vec![0.5, 0.5]);
         // Loose predicate: few wasted verifications. Tight: many.
-        let loose = TopKQuery::new(vec![(0, 1)], f.clone(), 10);
-        let tight = TopKQuery::new(vec![(0, 1), (1, 1), (2, 1)], f, 10);
-        let rl = RankingFirst::topk(&rtree, &rel, &loose, &disk);
-        let rt = RankingFirst::topk(&rtree, &rel, &tight, &disk);
+        let loose = Query::select([(0, 1)]).rank(f.clone()).top(10);
+        let tight = Query::select([(0, 1), (1, 1), (2, 1)]).rank(f).top(10);
+        let rl = RankingFirst::source(&rtree, &rel, &disk).query(&loose.plan()).unwrap();
+        let rt = RankingFirst::source(&rtree, &rel, &disk).query(&tight.plan()).unwrap();
         assert!(
             rt.stats.io.random_accesses > rl.stats.io.random_accesses,
             "tighter predicates force more wasted verifications ({} vs {})",

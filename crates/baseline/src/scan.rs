@@ -1,10 +1,9 @@
 //! Sequential table scan (`TS`).
 
 use rcube_core::query::{QueryPlan, RankedSource, SortedDrain, TopKCursor};
-use rcube_core::{QueryStats, TopKResult};
-use rcube_func::RankFn;
+use rcube_core::QueryStats;
 use rcube_storage::{DiskSim, StorageError};
-use rcube_table::{Relation, Selection};
+use rcube_table::Relation;
 
 use crate::rows_per_page;
 
@@ -24,21 +23,6 @@ impl TableScan {
             disk.write(p);
         }
         Self { pages, rows_per_page: rpp }
-    }
-
-    /// Top-k by scanning every page — a thin batch wrapper over
-    /// [`Self::source`].
-    pub fn topk<F: RankFn>(
-        &self,
-        rel: &Relation,
-        disk: &DiskSim,
-        selection: &Selection,
-        func: &F,
-        ranking_dims: &[usize],
-        k: usize,
-    ) -> TopKResult {
-        let plan = QueryPlan { selection, func, ranking_dims, k, cuboids: None };
-        self.source(rel, disk).query(&plan).expect("in-memory scan cannot fail")
     }
 
     /// Binds the scan to its relation and metering device as a
@@ -91,6 +75,7 @@ impl<'a> RankedSource<'a> for ScanSource<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcube_core::query::Query;
     use rcube_func::Linear;
     use rcube_table::gen::SyntheticSpec;
 
@@ -99,11 +84,11 @@ mod tests {
         let rel = SyntheticSpec { tuples: 1_000, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let ts = TableScan::new(&rel, &disk);
-        let sel = Selection::new(vec![(0, 1)]);
-        let res = ts.topk(&rel, &disk, &sel, &Linear::uniform(2), &[0, 1], 5);
+        let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(5);
+        let res = ts.source(&rel, &disk).query(&q.plan()).unwrap();
         let mut want: Vec<f64> = rel
             .tids()
-            .filter(|&t| sel.matches(&rel, t))
+            .filter(|&t| q.selection().matches(&rel, t))
             .map(|t| rel.ranking_value(t, 0) + rel.ranking_value(t, 1))
             .collect();
         want.sort_by(f64::total_cmp);
@@ -119,8 +104,9 @@ mod tests {
         let rel = SyntheticSpec { tuples: 5_000, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let ts = TableScan::new(&rel, &disk);
-        let r1 = ts.topk(&rel, &disk, &Selection::all(), &Linear::uniform(2), &[0, 1], 1);
-        let r2 = ts.topk(&rel, &disk, &Selection::all(), &Linear::uniform(2), &[0, 1], 100);
+        let top = |k| Query::all().rank(Linear::uniform(2)).top(k);
+        let r1 = ts.source(&rel, &disk).query(&top(1).plan()).unwrap();
+        let r2 = ts.source(&rel, &disk).query(&top(100).plan()).unwrap();
         assert_eq!(r1.stats.blocks_read, r2.stats.blocks_read);
         assert_eq!(r1.stats.blocks_read as usize, ts.num_pages());
     }

@@ -21,9 +21,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use rcube_core::query::{Query, RankedSource};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
-use rcube_core::sigquery::topk_signature;
-use rcube_core::{GridCubeConfig, GridRankingCube, TopKQuery};
+use rcube_core::{GridCubeConfig, GridRankingCube};
 use rcube_func::Linear;
 use rcube_index::rtree::{RTree, RTreeConfig};
 use rcube_storage::DiskSim;
@@ -79,13 +79,13 @@ fn sig_workload() -> Vec<(Vec<(usize, u32)>, usize)> {
 fn run_workload_once(s: &Setup, disk: &DiskSim) -> u64 {
     let mut n = 0u64;
     for (conds, k) in grid_workload() {
-        let q = TopKQuery::new(conds, Linear::uniform(2), k);
-        std::hint::black_box(s.grid_file.query(&q, disk));
+        let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+        std::hint::black_box(s.grid_file.source(disk).query(&q.plan()).unwrap());
         n += 1;
     }
     for (conds, k) in sig_workload() {
-        let q = TopKQuery::new(conds, Linear::uniform(3), k);
-        std::hint::black_box(topk_signature(&s.sig_rtree, &s.sig_file, &q, disk));
+        let q = Query::select(conds).rank(Linear::uniform(3)).top(k);
+        std::hint::black_box(s.sig_file.source(&s.sig_rtree, disk).query(&q.plan()).unwrap());
         n += 1;
     }
     n
@@ -127,10 +127,10 @@ fn repeat_decode_counters(path: &std::path::Path, rounds: usize) -> (u64, u64, u
     let (mut with_cache, mut without_cache, mut shared_hits) = (0u64, 0u64, 0u64);
     for _ in 0..rounds {
         for (conds, k) in sig_workload() {
-            let q = TopKQuery::new(conds.clone(), Linear::uniform(3), k);
-            let a = topk_signature(&rtree_a, &cached, &q, &disk_a);
-            let q = TopKQuery::new(conds, Linear::uniform(3), k);
-            let b = topk_signature(&rtree_b, &memo_only, &q, &disk_b);
+            let q = Query::select(conds.clone()).rank(Linear::uniform(3)).top(k);
+            let a = cached.source(&rtree_a, &disk_a).query(&q.plan()).unwrap();
+            let q = Query::select(conds).rank(Linear::uniform(3)).top(k);
+            let b = memo_only.source(&rtree_b, &disk_b).query(&q.plan()).unwrap();
             assert_eq!(a.items, b.items, "shared cache changed an answer");
             with_cache += a.stats.sig_nodes_decoded;
             without_cache += b.stats.sig_nodes_decoded;

@@ -4,11 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rcube_baseline::{BooleanFirst, RankMapping, TableScan};
-use rcube_core::fragments::{FragmentConfig, RankingFragments};
-use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
+use rcube_core::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
+use rcube_core::query::{Query, RankedSource};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
-use rcube_core::sigquery::topk_signature;
-use rcube_core::TopKQuery;
 use rcube_func::Linear;
 use rcube_index::rtree::{RTree, RTreeConfig};
 use rcube_storage::DiskSim;
@@ -44,27 +42,24 @@ fn bench_topk_query(c: &mut Criterion) {
     let scan = TableScan::new(&rel, &disk);
     let bf = BooleanFirst::build(&rel, &disk);
     let rm = RankMapping::build(&rel, &disk);
-    let sel = Selection::new(vec![(0, 1), (1, 2)]);
-    let f = Linear::new(vec![1.0, 2.0]);
 
     let mut g = c.benchmark_group("topk_query");
     for k in [10usize, 100] {
-        g.bench_with_input(BenchmarkId::new("grid_cube", k), &k, |b, &k| {
-            let q = TopKQuery::new(sel.conds().to_vec(), f.clone(), k);
-            b.iter(|| cube.query(&q, &disk))
+        let q = Query::select([(0, 1), (1, 2)]).rank(Linear::new(vec![1.0, 2.0])).top(k);
+        g.bench_with_input(BenchmarkId::new("grid_cube", k), &q, |b, q| {
+            b.iter(|| cube.source(&disk).query(&q.plan()).unwrap())
         });
-        g.bench_with_input(BenchmarkId::new("signature_cube", k), &k, |b, &k| {
-            let q = TopKQuery::new(sel.conds().to_vec(), f.clone(), k);
-            b.iter(|| topk_signature(&rtree, &sig, &q, &disk))
+        g.bench_with_input(BenchmarkId::new("signature_cube", k), &q, |b, q| {
+            b.iter(|| sig.source(&rtree, &disk).query(&q.plan()).unwrap())
         });
-        g.bench_with_input(BenchmarkId::new("table_scan", k), &k, |b, &k| {
-            b.iter(|| scan.topk(&rel, &disk, &sel, &f, &[0, 1], k))
+        g.bench_with_input(BenchmarkId::new("table_scan", k), &q, |b, q| {
+            b.iter(|| scan.source(&rel, &disk).query(&q.plan()).unwrap())
         });
-        g.bench_with_input(BenchmarkId::new("boolean_first", k), &k, |b, &k| {
-            b.iter(|| bf.topk(&rel, &disk, &sel, &f, &[0, 1], k))
+        g.bench_with_input(BenchmarkId::new("boolean_first", k), &q, |b, q| {
+            b.iter(|| bf.source(&rel, &disk).query(&q.plan()).unwrap())
         });
-        g.bench_with_input(BenchmarkId::new("rank_mapping", k), &k, |b, &k| {
-            b.iter(|| rm.topk(&rel, &disk, &sel, &f, &[0, 1], k))
+        g.bench_with_input(BenchmarkId::new("rank_mapping", k), &q, |b, q| {
+            b.iter(|| rm.source(&rel, &disk).query(&q.plan()).unwrap())
         });
     }
     g.finish();
@@ -77,16 +72,20 @@ fn bench_fragments_covering(c: &mut Criterion) {
     let rel = SyntheticSpec { tuples: T, selection_dims: 6, cardinality: 5, ..Default::default() }
         .generate();
     let disk = DiskSim::with_defaults();
-    let frags =
-        RankingFragments::build(&rel, &disk, FragmentConfig { fragment_size: 2, block_size: 300 });
+    let frags = GridRankingCube::build(
+        &rel,
+        &disk,
+        GridCubeConfig { block_size: 300, cuboids: CuboidSpec::Fragments(2), ..Default::default() },
+    );
     let spans: [(usize, Vec<(usize, u32)>); 3] =
         [(1, vec![(0, 1), (1, 2)]), (2, vec![(0, 1), (2, 2)]), (3, vec![(0, 1), (2, 2), (4, 0)])];
     let mut g = c.benchmark_group("fragments_covering_set");
     for (span, conds) in spans {
-        assert_eq!(frags.covering_fragments(&Selection::new(conds.clone())), span);
+        let cover = frags.covering_cuboids(&Selection::new(conds.clone())).expect("covered");
+        assert_eq!(cover.len(), span);
         g.bench_with_input(BenchmarkId::new("query", span), &conds, |b, conds| {
-            let q = TopKQuery::new(conds.clone(), Linear::uniform(2), 10);
-            b.iter(|| frags.query(&q, &disk))
+            let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(10);
+            b.iter(|| frags.source(&disk).query(&q.plan()).unwrap())
         });
     }
     g.finish();

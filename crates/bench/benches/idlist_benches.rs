@@ -17,9 +17,9 @@
 use std::collections::HashSet;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rcube_core::fragments::{FragmentConfig, RankingFragments};
+use rcube_core::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
 use rcube_core::idlist::{self, IdCursor, IdListRef, KWayIntersect};
-use rcube_core::TopKQuery;
+use rcube_core::query::{Query, RankedSource};
 use rcube_func::Linear;
 use rcube_storage::DiskSim;
 use rcube_table::gen::SyntheticSpec;
@@ -81,15 +81,18 @@ fn bench_fragments_query(c: &mut Criterion) {
         SyntheticSpec { tuples: 20_000, selection_dims: 6, cardinality: 5, ..Default::default() }
             .generate();
     let disk = DiskSim::with_defaults();
-    let frags =
-        RankingFragments::build(&rel, &disk, FragmentConfig { fragment_size: 2, block_size: 300 });
+    let frags = GridRankingCube::build(
+        &rel,
+        &disk,
+        GridCubeConfig { block_size: 300, cuboids: CuboidSpec::Fragments(2), ..Default::default() },
+    );
     let mut g = c.benchmark_group("fragments_covering_query");
     for (label, conds) in
         [("span2", vec![(0usize, 1u32), (2, 2)]), ("span3", vec![(0, 1), (2, 2), (4, 0)])]
     {
         g.bench_function(label, |b| {
-            let q = TopKQuery::new(conds.clone(), Linear::uniform(2), 10);
-            b.iter(|| frags.query(&q, &disk))
+            let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(10);
+            b.iter(|| frags.source(&disk).query(&q.plan()).unwrap())
         });
     }
     g.finish();

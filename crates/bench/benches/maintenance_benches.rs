@@ -25,10 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ranking_cube::cube::maintain::apply_path_updates;
+use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::scheduler::{vacuum_into_place, MaintenanceConfig};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
-use ranking_cube::cube::sigquery::topk_signature;
-use ranking_cube::cube::TopKQuery;
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::obs::Metrics;
@@ -69,8 +68,8 @@ fn answers(cube: &SignatureCube, rtree: &RTree, disk: &DiskSim) -> Vec<String> {
     workload()
         .into_iter()
         .map(|(conds, k)| {
-            let q = TopKQuery::new(conds, Linear::uniform(2), k);
-            render(&topk_signature(rtree, cube, &q, disk).items)
+            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+            render(&cube.source(rtree, disk).query(&q.plan()).unwrap().items)
         })
         .collect()
 }
@@ -168,8 +167,9 @@ fn main() {
                         break;
                     }
                     for (i, (conds, k)) in workload().into_iter().enumerate() {
-                        let q = TopKQuery::new(conds, Linear::uniform(2), k);
-                        let got = render(&topk_signature(&rtree, &cube, &q, &disk).items);
+                        let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+                        let got =
+                            render(&cube.source(&rtree, &disk).query(&q.plan()).unwrap().items);
                         if got != ans_a[i] {
                             inconsistent.fetch_add(1, Ordering::Relaxed);
                         }

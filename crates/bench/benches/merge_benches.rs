@@ -3,7 +3,8 @@
 //! function families.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rcube_func::{Constrained, GeneralSq, Linear, RankFn, SqDist};
+use rcube_core::query::{Query, RankedSource};
+use rcube_func::{Constrained, GeneralSq, Linear, SqDist};
 use rcube_index::bptree::BPlusTree;
 use rcube_index::HierIndex;
 use rcube_merge::{Expansion, IndexMerge, MergeAlgo, MergeConfig};
@@ -12,11 +13,11 @@ use rcube_table::gen::SyntheticSpec;
 
 const T: usize = 20_000;
 
-fn functions() -> Vec<(&'static str, Box<dyn RankFn>)> {
-    vec![
-        ("fs", Box::new(SqDist::new(vec![0.35, 0.65]))),
-        ("fg", Box::new(GeneralSq::fg())),
-        ("fc", Box::new(Constrained::new(Linear::uniform(2), 1, 0.25, 0.55))),
+fn queries() -> [(&'static str, Query); 3] {
+    [
+        ("fs", Query::all().rank(SqDist::new(vec![0.35, 0.65])).top(100)),
+        ("fg", Query::all().rank(GeneralSq::fg()).top(100)),
+        ("fc", Query::all().rank(Constrained::new(Linear::uniform(2), 1, 0.25, 0.55)).top(100)),
     ]
 }
 
@@ -38,16 +39,16 @@ fn bench_merge(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("index_merge_top100");
     g.sample_size(10);
-    for (name, f) in &functions() {
-        g.bench_with_input(BenchmarkId::new("basic", name), f, |b, f| {
+    for (name, q) in &queries() {
+        g.bench_with_input(BenchmarkId::new("basic", name), q, |b, q| {
             let cfg = MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto };
-            b.iter(|| plain.topk(f.as_ref(), 100, &cfg, &disk))
+            b.iter(|| plain.source(cfg, &disk).query(&q.plan()).unwrap())
         });
-        g.bench_with_input(BenchmarkId::new("progressive", name), f, |b, f| {
-            b.iter(|| plain.topk(f.as_ref(), 100, &MergeConfig::default(), &disk))
+        g.bench_with_input(BenchmarkId::new("progressive", name), q, |b, q| {
+            b.iter(|| plain.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap())
         });
-        g.bench_with_input(BenchmarkId::new("progressive_sig", name), f, |b, f| {
-            b.iter(|| with_sig.topk(f.as_ref(), 100, &MergeConfig::default(), &disk))
+        g.bench_with_input(BenchmarkId::new("progressive_sig", name), q, |b, q| {
+            b.iter(|| with_sig.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap())
         });
     }
     g.finish();

@@ -86,21 +86,21 @@ fn main() {
     // --- Gate 2: counter parity with QueryStats -------------------------
     // The warm-up pass above ran every query once on each engine.
     let snap = instrumented.metrics().snapshot();
-    let count_total: u64 = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan]
+    let count_total: u64 = [Route::Grid, Route::Signature, Route::Scan]
         .iter()
         .filter_map(|r| snap.histogram(&format!("query.{}.latency_us", r.name())))
         .map(|h| h.count)
         .sum();
-    let counter_total: u64 = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan]
+    let counter_total: u64 = [Route::Grid, Route::Signature, Route::Scan]
         .iter()
         .filter_map(|r| snap.counter(&format!("query.{}.count", r.name())))
         .sum();
-    let blocks_total: u64 = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan]
+    let blocks_total: u64 = [Route::Grid, Route::Signature, Route::Scan]
         .iter()
         .filter_map(|r| snap.histogram(&format!("query.{}.blocks_read", r.name())))
         .map(|h| h.sum)
         .sum();
-    let tuples_total: u64 = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan]
+    let tuples_total: u64 = [Route::Grid, Route::Signature, Route::Scan]
         .iter()
         .filter_map(|r| snap.histogram(&format!("query.{}.tuples_scored", r.name())))
         .map(|h| h.sum)

@@ -26,9 +26,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rcube_core::maintain::apply_path_updates;
+use rcube_core::query::{Query, RankedSource};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
-use rcube_core::sigquery::topk_signature;
-use rcube_core::TopKQuery;
 use rcube_func::Linear;
 use rcube_index::rtree::{RTree, RTreeConfig};
 use rcube_storage::{DiskSim, FileBackend, PageStore};
@@ -65,8 +64,8 @@ fn answers(cube: &SignatureCube, rtree: &RTree, disk: &DiskSim) -> Vec<String> {
     workload()
         .into_iter()
         .map(|(conds, k)| {
-            let q = TopKQuery::new(conds, Linear::uniform(2), k);
-            render(&topk_signature(rtree, cube, &q, disk).items)
+            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+            render(&cube.source(rtree, disk).query(&q.plan()).unwrap().items)
         })
         .collect()
 }
@@ -210,8 +209,9 @@ fn main() {
                 while !done.load(Ordering::Acquire) {
                     for (i, (conds, k)) in workload().into_iter().enumerate() {
                         let t0 = Instant::now();
-                        let q = TopKQuery::new(conds, Linear::uniform(2), k);
-                        let got = render(&topk_signature(&rtree, &cube, &q, &disk).items);
+                        let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+                        let got =
+                            render(&cube.source(&rtree, &disk).query(&q.plan()).unwrap().items);
                         local.push(t0.elapsed().as_nanos() as u64);
                         queries.fetch_add(1, Ordering::Relaxed);
                         if got != ans_a[i] {

@@ -24,9 +24,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rcube_baseline::TableScan;
+use rcube_core::query::{Query, RankedSource};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
-use rcube_core::sigquery::topk_signature;
-use rcube_core::TopKQuery;
 use rcube_func::Linear;
 use rcube_index::rtree::{RTree, RTreeConfig};
 use rcube_storage::DiskSim;
@@ -116,16 +115,10 @@ fn bench_sigcube(c: &mut Criterion) {
     let mut worst_byte_ratio = f64::INFINITY;
     for case in workload() {
         let Case { label, conds, .. } = &case;
-        let q = TopKQuery::new(conds.clone(), Linear::uniform(3), 10);
-        let lazy = topk_signature(&s.rtree, &s.cube, &q, &s.disk);
-        let scan = TableScan::new(&s.rel, &s.disk).topk(
-            &s.rel,
-            &s.disk,
-            &q.selection,
-            &q.func,
-            &q.ranking_dims,
-            q.k,
-        );
+        let q = Query::select(conds.clone()).rank(Linear::uniform(3)).top(10);
+        let lazy = s.cube.source(&s.rtree, &s.disk).query(&q.plan()).unwrap();
+        let scan =
+            TableScan::new(&s.rel, &s.disk).source(&s.rel, &s.disk).query(&q.plan()).unwrap();
         let bits = |items: &[(u32, f64)]| -> Vec<(u32, u64)> {
             items.iter().map(|&(t, s)| (t, s.to_bits())).collect()
         };
@@ -186,7 +179,7 @@ fn bench_sigcube(c: &mut Criterion) {
             case.pop_time_bytes_decoded
         ));
         // The file-backed cube must show the same profile.
-        let flazy = topk_signature(&s.file_rtree, &s.file_cube, &q, &s.file_disk);
+        let flazy = s.file_cube.source(&s.file_rtree, &s.file_disk).query(&q.plan()).unwrap();
         assert_eq!(flazy.items, lazy.items, "{label}: file-backed != in-memory answers");
         assert_eq!(flazy.stats.sig_loads, lazy.stats.sig_loads, "{label}: file-backed laziness");
     }
@@ -198,24 +191,24 @@ fn bench_sigcube(c: &mut Criterion) {
     // --- Wall time -------------------------------------------------------
     let mut g = c.benchmark_group("sigcube_query");
     for Case { label, conds, .. } in workload() {
-        let q = TopKQuery::new(conds.clone(), Linear::uniform(3), 10);
+        let q = Query::select(conds.clone()).rank(Linear::uniform(3)).top(10);
         g.bench_function(format!("inmem_lazy/{label}"), |b| {
-            b.iter(|| topk_signature(&s.rtree, &s.cube, &q, &s.disk))
+            b.iter(|| s.cube.source(&s.rtree, &s.disk).query(&q.plan()).unwrap())
         });
 
-        let q = TopKQuery::new(conds.clone(), Linear::uniform(3), 10);
+        let q = Query::select(conds.clone()).rank(Linear::uniform(3)).top(10);
         // Prime the pool once, then measure warm file-backed serving.
-        topk_signature(&s.file_rtree, &s.file_cube, &q, &s.file_disk);
+        s.file_cube.source(&s.file_rtree, &s.file_disk).query(&q.plan()).unwrap();
         g.bench_function(format!("file_warm_lazy/{label}"), |b| {
-            b.iter(|| topk_signature(&s.file_rtree, &s.file_cube, &q, &s.file_disk))
+            b.iter(|| s.file_cube.source(&s.file_rtree, &s.file_disk).query(&q.plan()).unwrap())
         });
 
-        let q = TopKQuery::new(conds, Linear::uniform(3), 10);
+        let q = Query::select(conds).rank(Linear::uniform(3)).top(10);
         g.bench_function(format!("file_cold_lazy/{label}"), |b| {
             b.iter(|| {
                 s.file_cube.store().clear_cache();
                 s.file_disk.clear_buffer();
-                topk_signature(&s.file_rtree, &s.file_cube, &q, &s.file_disk)
+                s.file_cube.source(&s.file_rtree, &s.file_disk).query(&q.plan()).unwrap()
             })
         });
     }

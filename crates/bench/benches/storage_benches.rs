@@ -16,7 +16,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
-use rcube_core::TopKQuery;
+use rcube_core::query::{Query, RankedSource};
 use rcube_func::Linear;
 use rcube_storage::format::crc32;
 use rcube_storage::{DiskSim, PageId, PageStore, DEFAULT_PAGE_SIZE};
@@ -72,17 +72,21 @@ fn bench_backends(c: &mut Criterion) {
     let s = setup();
     let mut g = c.benchmark_group("storage_query");
     for (label, conds) in workload() {
-        let q = TopKQuery::new(conds.clone(), Linear::uniform(2), 10);
+        let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(10);
         let disk = DiskSim::with_defaults();
-        g.bench_function(format!("inmem/{label}"), |b| b.iter(|| s.mem_cube.query(&q, &disk)));
+        g.bench_function(format!("inmem/{label}"), |b| {
+            b.iter(|| s.mem_cube.source(&disk).query(&q.plan()).unwrap())
+        });
 
-        let q = TopKQuery::new(conds.clone(), Linear::uniform(2), 10);
+        let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(10);
         let disk = DiskSim::with_defaults();
         // Prime the pool once, then measure warm-pool serving.
-        s.file_cube.query(&q, &disk);
-        g.bench_function(format!("file_warm/{label}"), |b| b.iter(|| s.file_cube.query(&q, &disk)));
+        s.file_cube.source(&disk).query(&q.plan()).unwrap();
+        g.bench_function(format!("file_warm/{label}"), |b| {
+            b.iter(|| s.file_cube.source(&disk).query(&q.plan()).unwrap())
+        });
 
-        let q = TopKQuery::new(conds, Linear::uniform(2), 10);
+        let q = Query::select(conds).rank(Linear::uniform(2)).top(10);
         let disk = DiskSim::with_defaults();
         // Cache-cold: every iteration drops the buffer pool (and the id
         // buffer), so each query re-reads and re-verifies its pages. The
@@ -92,7 +96,7 @@ fn bench_backends(c: &mut Criterion) {
             b.iter(|| {
                 s.file_cube.store().clear_cache();
                 disk.clear_buffer();
-                s.file_cube.query(&q, &disk)
+                s.file_cube.source(&disk).query(&q.plan()).unwrap()
             })
         });
     }

@@ -6,9 +6,8 @@ use rcube_baseline::{BooleanFirst, RankMapping};
 use rcube_bench::{
     base_tuples, cost_ms, print_figure, query_batch, synthetic, time_ms, Series, QUERIES_PER_POINT,
 };
-use rcube_core::fragments::{FragmentConfig, RankingFragments};
 use rcube_core::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
-use rcube_core::TopKQuery;
+use rcube_core::query::{Query, RankedSource};
 use rcube_func::Linear;
 use rcube_index::BPlusTree;
 use rcube_storage::DiskSim;
@@ -42,26 +41,32 @@ fn default_setup(tuples: usize) -> Setup {
     setup(synthetic(tuples, 3, 20, 2, DataDist::Uniform, 11), 300, CuboidSpec::AllSubsets)
 }
 
+/// The generated query as the one every source takes.
+fn query_of(q: &QuerySpec) -> Query {
+    Query::select(q.selection.conds().to_vec())
+        .rank_on(q.ranking_dims.clone(), Linear::new(q.weights.clone()))
+        .top(q.k)
+}
+
+/// A ranking-fragments cube (Section 3.4): fragments of size `f`, `P` = 300.
+fn fragments(rel: &Relation, disk: &DiskSim, f: usize) -> GridRankingCube {
+    let config =
+        GridCubeConfig { block_size: 300, cuboids: CuboidSpec::Fragments(f), ..Default::default() };
+    GridRankingCube::build(rel, disk, config)
+}
+
 fn avg_times(s: &Setup, queries: &[QuerySpec]) -> (f64, f64, f64) {
     let (mut tc, mut tr, mut tb) = (0.0, 0.0, 0.0);
     for q in queries {
-        let f = Linear::new(q.weights.clone());
-        let query = TopKQuery::with_ranking_dims(
-            q.selection.conds().to_vec(),
-            f.clone(),
-            q.ranking_dims.clone(),
-            q.k,
-        );
+        let query = query_of(q);
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| s.cube.query(&query, &s.disk));
+        let (res, cpu) = time_ms(|| s.cube.source(&s.disk).query(&query.plan()).unwrap());
         tc += cost_ms(cpu, res.stats.io);
         s.disk.clear_buffer();
-        let (res, cpu) =
-            time_ms(|| s.rm.topk(&s.rel, &s.disk, &q.selection, &f, &q.ranking_dims, q.k));
+        let (res, cpu) = time_ms(|| s.rm.source(&s.rel, &s.disk).query(&query.plan()).unwrap());
         tr += cost_ms(cpu, res.stats.io);
         s.disk.clear_buffer();
-        let (res, cpu) =
-            time_ms(|| s.bl.topk(&s.rel, &s.disk, &q.selection, &f, &q.ranking_dims, q.k));
+        let (res, cpu) = time_ms(|| s.bl.source(&s.rel, &s.disk).query(&query.plan()).unwrap());
         tb += cost_ms(cpu, res.stats.io);
     }
     let n = queries.len() as f64;
@@ -214,14 +219,9 @@ fn fig3_10() {
         let qs = query_batch(&s.rel, 2, 2, 10, 1.0, QUERIES_PER_POINT, 27);
         let mut t = 0.0;
         for q in &qs {
-            let query = TopKQuery::with_ranking_dims(
-                q.selection.conds().to_vec(),
-                Linear::new(q.weights.clone()),
-                q.ranking_dims.clone(),
-                q.k,
-            );
+            let query = query_of(q);
             s.disk.clear_buffer();
-            let (res, cpu) = time_ms(|| s.cube.query(&query, &s.disk));
+            let (res, cpu) = time_ms(|| s.cube.source(&s.disk).query(&query.plan()).unwrap());
             t += cost_ms(cpu, res.stats.io);
         }
         series.push("ranking cube", t / qs.len() as f64);
@@ -244,11 +244,7 @@ fn fig3_11() {
     for &s_dims in &dims {
         let rel = synthetic(t, s_dims, 20, 2, DataDist::Uniform, 17);
         let disk = DiskSim::with_defaults();
-        let frags = RankingFragments::build(
-            &rel,
-            &disk,
-            FragmentConfig { fragment_size: 2, block_size: 300 },
-        );
+        let frags = fragments(&rel, &disk, 2);
         series.push("RF (MB)", frags.materialized_bytes() as f64 / 1e6);
         // Rank mapping: clustered composite index ≈ one copy of the data
         // per fragment-sized index set (the thesis builds one per fragment).
@@ -278,8 +274,7 @@ fn fig3_11() {
 fn fig3_12() {
     let rel = synthetic(base_tuples(), 6, 5, 2, DataDist::Uniform, 18);
     let disk = DiskSim::with_defaults();
-    let frags =
-        RankingFragments::build(&rel, &disk, FragmentConfig { fragment_size: 2, block_size: 300 });
+    let frags = fragments(&rel, &disk, 2);
     // Queries intentionally covered by 1, 2 and 3 fragments.
     let selections = [
         Selection::new(vec![(0, 1), (1, 2)]),
@@ -289,11 +284,11 @@ fn fig3_12() {
     let mut series = Series::default();
     let mut xs = Vec::new();
     for sel in &selections {
-        let n = frags.covering_fragments(sel);
+        let n = frags.covering_cuboids(sel).map_or(0, |c| c.len());
         xs.push(n.to_string());
-        let q = TopKQuery::new(sel.conds().to_vec(), Linear::uniform(2), 10);
+        let q = Query::select(sel.conds().to_vec()).rank(Linear::uniform(2)).top(10);
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| frags.query(&q, &disk));
+        let (res, cpu) = time_ms(|| frags.source(&disk).query(&q.plan()).unwrap());
         series.push("ranking fragments", cost_ms(cpu, res.stats.io));
     }
     print_figure(
@@ -311,22 +306,13 @@ fn fig3_13() {
     let mut series = Series::default();
     for &f in &fs {
         let disk = DiskSim::with_defaults();
-        let frags = RankingFragments::build(
-            &rel,
-            &disk,
-            FragmentConfig { fragment_size: f, block_size: 300 },
-        );
+        let frags = fragments(&rel, &disk, f);
         let qs = query_batch(&rel, 3, 2, 10, 1.0, QUERIES_PER_POINT, 28);
         let mut t = 0.0;
         for q in &qs {
-            let query = TopKQuery::with_ranking_dims(
-                q.selection.conds().to_vec(),
-                Linear::new(q.weights.clone()),
-                q.ranking_dims.clone(),
-                q.k,
-            );
+            let query = query_of(q);
             disk.clear_buffer();
-            let (res, cpu) = time_ms(|| frags.query(&query, &disk));
+            let (res, cpu) = time_ms(|| frags.source(&disk).query(&query.plan()).unwrap());
             t += cost_ms(cpu, res.stats.io);
         }
         series.push("ranking fragments", t / qs.len() as f64);
@@ -346,33 +332,21 @@ fn fig3_14() {
     for &s_dims in &dims {
         let rel = synthetic(base_tuples() / 2, s_dims, 5, 2, DataDist::Uniform, 20);
         let disk = DiskSim::with_defaults();
-        let frags = RankingFragments::build(
-            &rel,
-            &disk,
-            FragmentConfig { fragment_size: 2, block_size: 300 },
-        );
+        let frags = fragments(&rel, &disk, 2);
         let rm = RankMapping::build(&rel, &disk);
         let bl = BooleanFirst::build(&rel, &disk);
         let qs = query_batch(&rel, 3, 2, 10, 1.0, QUERIES_PER_POINT, 29);
         let (mut tf, mut tr, mut tb) = (0.0, 0.0, 0.0);
         for q in &qs {
-            let f = Linear::new(q.weights.clone());
-            let query = TopKQuery::with_ranking_dims(
-                q.selection.conds().to_vec(),
-                f.clone(),
-                q.ranking_dims.clone(),
-                q.k,
-            );
+            let query = query_of(q);
             disk.clear_buffer();
-            let (res, cpu) = time_ms(|| frags.query(&query, &disk));
+            let (res, cpu) = time_ms(|| frags.source(&disk).query(&query.plan()).unwrap());
             tf += cost_ms(cpu, res.stats.io);
             disk.clear_buffer();
-            let (res, cpu) =
-                time_ms(|| rm.topk(&rel, &disk, &q.selection, &f, &q.ranking_dims, q.k));
+            let (res, cpu) = time_ms(|| rm.source(&rel, &disk).query(&query.plan()).unwrap());
             tr += cost_ms(cpu, res.stats.io);
             disk.clear_buffer();
-            let (res, cpu) =
-                time_ms(|| bl.topk(&rel, &disk, &q.selection, &f, &q.ranking_dims, q.k));
+            let (res, cpu) = time_ms(|| bl.source(&rel, &disk).query(&query.plan()).unwrap());
             tb += cost_ms(cpu, res.stats.io);
         }
         let n = qs.len() as f64;
@@ -394,8 +368,7 @@ fn fig3_15() {
     // ranking over all 3 quantitative attributes.
     let rel = forest_cover(base_tuples(), 30);
     let disk = DiskSim::with_defaults();
-    let frags =
-        RankingFragments::build(&rel, &disk, FragmentConfig { fragment_size: 3, block_size: 300 });
+    let frags = fragments(&rel, &disk, 3);
     let rm = RankMapping::build(&rel, &disk);
     let bl = BooleanFirst::build(&rel, &disk);
     let ks = [5usize, 10, 15, 20];
@@ -404,23 +377,15 @@ fn fig3_15() {
         let qs = query_batch(&rel, 3, 3, k, 1.0, QUERIES_PER_POINT, 31);
         let (mut tf, mut tr, mut tb) = (0.0, 0.0, 0.0);
         for q in &qs {
-            let f = Linear::new(q.weights.clone());
-            let query = TopKQuery::with_ranking_dims(
-                q.selection.conds().to_vec(),
-                f.clone(),
-                q.ranking_dims.clone(),
-                q.k,
-            );
+            let query = query_of(q);
             disk.clear_buffer();
-            let (res, cpu) = time_ms(|| frags.query(&query, &disk));
+            let (res, cpu) = time_ms(|| frags.source(&disk).query(&query.plan()).unwrap());
             tf += cost_ms(cpu, res.stats.io);
             disk.clear_buffer();
-            let (res, cpu) =
-                time_ms(|| rm.topk(&rel, &disk, &q.selection, &f, &q.ranking_dims, q.k));
+            let (res, cpu) = time_ms(|| rm.source(&rel, &disk).query(&query.plan()).unwrap());
             tr += cost_ms(cpu, res.stats.io);
             disk.clear_buffer();
-            let (res, cpu) =
-                time_ms(|| bl.topk(&rel, &disk, &q.selection, &f, &q.ranking_dims, q.k));
+            let (res, cpu) = time_ms(|| bl.source(&rel, &disk).query(&query.plan()).unwrap());
             tb += cost_ms(cpu, res.stats.io);
         }
         let n = qs.len() as f64;

@@ -7,9 +7,8 @@ use rcube_baseline::{BooleanFirst, RankingFirst};
 use rcube_bench::{base_tuples, cost_ms, print_figure, synthetic, time_ms, Series};
 use rcube_core::coding::{self, Scheme};
 use rcube_core::maintain::{apply_path_updates, PathUpdateBatch};
+use rcube_core::query::{Query, RankedSource};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
-use rcube_core::sigquery::topk_signature;
-use rcube_core::TopKQuery;
 use rcube_func::{GeneralSq, Linear, RankFn, SqDist};
 use rcube_index::bptree::BPlusTree;
 use rcube_index::rtree::{RTree, RTreeConfig};
@@ -201,16 +200,16 @@ fn fig4_12() {
     let ks = [10usize, 20, 50, 100];
     let mut series = Series::default();
     for &k in &ks {
-        let f = Linear::new(vec![0.7, 1.1, 0.4]);
-        let q = TopKQuery::new(vec![(0, 5), (1, 9)], f.clone(), k);
+        let q = Query::select([(0, 5), (1, 9)]).rank(Linear::new(vec![0.7, 1.1, 0.4])).top(k);
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| bf.topk(&rel, &disk, &q.selection, &f, &[0, 1, 2], k));
+        let (res, cpu) = time_ms(|| bf.source(&rel, &disk).query(&q.plan()).unwrap());
         series.push("Boolean", cost_ms(cpu, res.stats.io));
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| RankingFirst::topk(&rtree, &rel, &q, &disk));
+        let (res, cpu) =
+            time_ms(|| RankingFirst::source(&rtree, &rel, &disk).query(&q.plan()).unwrap());
         series.push("Ranking", cost_ms(cpu, res.stats.io));
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| topk_signature(&rtree, &cube, &q, &disk));
+        let (res, cpu) = time_ms(|| cube.source(&rtree, &disk).query(&q.plan()).unwrap());
         series.push("Signature", cost_ms(cpu, res.stats.io));
     }
     print_figure(
@@ -235,12 +234,12 @@ fn fig4_13() {
     let mut xs = Vec::new();
     for (name, f) in functions {
         xs.push(name.to_string());
-        let q = TopKQuery::new(vec![(0, 5), (1, 9)], f, 100);
+        let q = Query::select([(0, 5), (1, 9)]).rank(f).top(100);
         disk.clear_buffer();
-        let rf = RankingFirst::topk(&rtree, &rel, &q, &disk);
+        let rf = RankingFirst::source(&rtree, &rel, &disk).query(&q.plan()).unwrap();
         series.push("Ranking", rf.stats.blocks_read as f64);
         disk.clear_buffer();
-        let sig = topk_signature(&rtree, &cube, &q, &disk);
+        let sig = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
         series.push("Signature", sig.stats.blocks_read as f64);
     }
     print_figure(

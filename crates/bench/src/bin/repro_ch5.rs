@@ -4,6 +4,7 @@
 
 use rcube_baseline::TableScan;
 use rcube_bench::{base_tuples, cost_ms, print_figure, synthetic, time_ms, Series};
+use rcube_core::query::{Query, RankedSource};
 use rcube_func::{Constrained, GeneralSq, Linear, RankFn, SqDist};
 use rcube_index::bptree::BPlusTree;
 use rcube_index::rtree::{RTree, RTreeConfig};
@@ -11,7 +12,7 @@ use rcube_index::HierIndex;
 use rcube_merge::{Expansion, IndexMerge, MergeAlgo, MergeConfig};
 use rcube_storage::DiskSim;
 use rcube_table::gen::{forest_cover, DataDist};
-use rcube_table::{Relation, Selection};
+use rcube_table::Relation;
 
 const BTREE_FANOUT: usize = 64;
 
@@ -57,7 +58,7 @@ fn ch5_setup(tuples: usize, dims: usize, seed: u64) -> Ch5Setup {
     Ch5Setup { rel, disk, trees, scan }
 }
 
-fn time_vs_k(fig: &str, title: &str, f: &dyn RankFn) {
+fn time_vs_k(fig: &str, title: &str, f: impl RankFn + Clone + 'static) {
     // Larger T than the other figures: the index-merge vs table-scan
     // crossover needs the scan to cost enough pages (the paper runs 1M+).
     let s = ch5_setup(5 * base_tuples(), 2, 51);
@@ -66,26 +67,22 @@ fn time_vs_k(fig: &str, title: &str, f: &dyn RankFn) {
     let with_sig = IndexMerge::new(idx).with_full_signature(&s.disk);
     let ks = [10usize, 20, 50, 100];
     let mut series = Series::default();
+    let basic = MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto };
     for &k in &ks {
+        let q = Query::all().rank(f.clone()).top(k);
         s.disk.clear_buffer();
-        let (res, cpu) =
-            time_ms(|| s.scan.topk(&s.rel, &s.disk, &Selection::all(), &f, &[0, 1], k));
+        let (res, cpu) = time_ms(|| s.scan.source(&s.rel, &s.disk).query(&q.plan()).unwrap());
         series.push("TS", cost_ms(cpu, res.stats.io));
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| {
-            plain.topk(
-                f,
-                k,
-                &MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto },
-                &s.disk,
-            )
-        });
+        let (res, cpu) = time_ms(|| plain.source(basic, &s.disk).query(&q.plan()).unwrap());
         series.push("BL", cost_ms(cpu, res.stats.io));
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| plain.topk(f, k, &MergeConfig::default(), &s.disk));
+        let (res, cpu) =
+            time_ms(|| plain.source(MergeConfig::default(), &s.disk).query(&q.plan()).unwrap());
         series.push("PE", cost_ms(cpu, res.stats.io));
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| with_sig.topk(f, k, &MergeConfig::default(), &s.disk));
+        let (res, cpu) =
+            time_ms(|| with_sig.source(MergeConfig::default(), &s.disk).query(&q.plan()).unwrap());
         series.push("PE+SIG", cost_ms(cpu, res.stats.io));
     }
     print_figure(fig, title, "K", &ks.map(|k| k.to_string()), &series);
@@ -97,14 +94,10 @@ fn table5_1() {
     let idx: Vec<&dyn HierIndex> = s.trees.iter().map(|t| t as &dyn HierIndex).collect();
     let basic = IndexMerge::new(idx.clone());
     let improved = IndexMerge::new(idx).with_full_signature(&s.disk);
-    let f = fg2();
-    let b = basic.topk(
-        &f,
-        100,
-        &MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto },
-        &s.disk,
-    );
-    let i = improved.topk(&f, 100, &MergeConfig::default(), &s.disk);
+    let q = Query::all().rank(fg2()).top(100);
+    let full = MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto };
+    let b = basic.source(full, &s.disk).query(&q.plan()).unwrap();
+    let i = improved.source(MergeConfig::default(), &s.disk).query(&q.plan()).unwrap();
     println!();
     println!("== Table 5.1: significance of the two challenges (f = (A−B²)², top-100) ==");
     println!("{:>12} {:>18} {:>14}", "Index-Merge", "States Generated", "Disk Accesses");
@@ -113,13 +106,13 @@ fn table5_1() {
 }
 
 fn fig5_7() {
-    time_vs_k("Fig 5.7", "execution time (ms) w.r.t. K, f = fs", &fs2());
+    time_vs_k("Fig 5.7", "execution time (ms) w.r.t. K, f = fs", fs2());
 }
 fn fig5_8() {
-    time_vs_k("Fig 5.8", "execution time (ms) w.r.t. K, f = fg", &fg2());
+    time_vs_k("Fig 5.8", "execution time (ms) w.r.t. K, f = fg", fg2());
 }
 fn fig5_9() {
-    time_vs_k("Fig 5.9", "execution time (ms) w.r.t. K, f = fc", &fc2());
+    time_vs_k("Fig 5.9", "execution time (ms) w.r.t. K, f = fc", fc2());
 }
 
 fn fig5_10_11_12() {
@@ -127,22 +120,21 @@ fn fig5_10_11_12() {
     let idx: Vec<&dyn HierIndex> = s.trees.iter().map(|t| t as &dyn HierIndex).collect();
     let plain = IndexMerge::new(idx.clone());
     let with_sig = IndexMerge::new(idx).with_full_signature(&s.disk);
-    let functions: Vec<(&str, Box<dyn RankFn>)> =
-        vec![("fs", Box::new(fs2())), ("fg", Box::new(fg2())), ("fc", Box::new(fc2()))];
+    let functions = [
+        ("fs", Query::all().rank(fs2()).top(100)),
+        ("fg", Query::all().rank(fg2()).top(100)),
+        ("fc", Query::all().rank(fc2()).top(100)),
+    ];
     let mut disk_series = Series::default();
     let mut states_series = Series::default();
     let mut heap_series = Series::default();
     let mut xs = Vec::new();
-    for (name, f) in &functions {
+    let basic = MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto };
+    for (name, q) in &functions {
         xs.push(name.to_string());
-        let b = plain.topk(
-            f.as_ref(),
-            100,
-            &MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto },
-            &s.disk,
-        );
-        let p = plain.topk(f.as_ref(), 100, &MergeConfig::default(), &s.disk);
-        let g = with_sig.topk(f.as_ref(), 100, &MergeConfig::default(), &s.disk);
+        let b = plain.source(basic, &s.disk).query(&q.plan()).unwrap();
+        let p = plain.source(MergeConfig::default(), &s.disk).query(&q.plan()).unwrap();
+        let g = with_sig.source(MergeConfig::default(), &s.disk).query(&q.plan()).unwrap();
         disk_series.push("BL", b.stats.blocks_read as f64);
         disk_series.push("PE", p.stats.blocks_read as f64);
         disk_series.push("PE+SIG(idx)", g.stats.blocks_read as f64);
@@ -172,14 +164,17 @@ fn fig5_13() {
     let ks = [10usize, 20, 50, 100];
     let mut series = Series::default();
     for &k in &ks {
+        let q = Query::all().rank(f.clone()).top(k);
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| scan.topk(&rel, &disk, &Selection::all(), &f, &[0, 1, 2], k));
+        let (res, cpu) = time_ms(|| scan.source(&rel, &disk).query(&q.plan()).unwrap());
         series.push("TS", cost_ms(cpu, res.stats.io));
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| plain.topk(&f, k, &MergeConfig::default(), &disk));
+        let (res, cpu) =
+            time_ms(|| plain.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap());
         series.push("PE", cost_ms(cpu, res.stats.io));
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| with_sig.topk(&f, k, &MergeConfig::default(), &disk));
+        let (res, cpu) =
+            time_ms(|| with_sig.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap());
         series.push("PE+SIG", cost_ms(cpu, res.stats.io));
     }
     print_figure(
@@ -207,16 +202,17 @@ fn fig5_14() {
         let merge = IndexMerge::new(idx.clone()).with_full_signature(&disk);
         let plain = IndexMerge::new(idx);
         let f = SqDist::new((0..2 * d).map(|i| 0.3 + 0.05 * i as f64).collect());
+        let q = Query::all().rank(f).top(100);
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| {
-            scan.topk(&rel, &disk, &Selection::all(), &f, &(0..2 * d).collect::<Vec<_>>(), 100)
-        });
+        let (res, cpu) = time_ms(|| scan.source(&rel, &disk).query(&q.plan()).unwrap());
         series.push("TS", cost_ms(cpu, res.stats.io));
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| plain.topk(&f, 100, &MergeConfig::default(), &disk));
+        let (res, cpu) =
+            time_ms(|| plain.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap());
         series.push("PE", cost_ms(cpu, res.stats.io));
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| merge.topk(&f, 100, &MergeConfig::default(), &disk));
+        let (res, cpu) =
+            time_ms(|| merge.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap());
         series.push("PE+SIG", cost_ms(cpu, res.stats.io));
     }
     print_figure(
@@ -239,9 +235,12 @@ fn fig5_15_16_17() {
     let ks = [10usize, 20, 50, 100];
     let (mut ts, mut hs, mut ds) = (Series::default(), Series::default(), Series::default());
     for &k in &ks {
+        let q = Query::all().rank(f.clone()).top(k);
         for (name, engine) in [("PE", &pe), ("PE+2dSIG", &sig2), ("PE+3dSIG", &sig3)] {
             s.disk.clear_buffer();
-            let (res, cpu) = time_ms(|| engine.topk(&f, k, &MergeConfig::default(), &s.disk));
+            let (res, cpu) = time_ms(|| {
+                engine.source(MergeConfig::default(), &s.disk).query(&q.plan()).unwrap()
+            });
             ts.push(name, cost_ms(cpu, res.stats.io));
             hs.push(name, res.stats.peak_heap as f64);
             ds.push(name, (res.stats.blocks_read + res.stats.sig_loads) as f64);
@@ -266,9 +265,10 @@ fn fig5_18() {
     let mut series = Series::default();
     for &u in &used {
         let weights: Vec<f64> = (0..4).map(|i| if i < u { 1.0 } else { 0.0 }).collect();
-        let f = SqDist::weighted(vec![0.4; 4], weights);
+        let q = Query::all().rank(SqDist::weighted(vec![0.4; 4], weights)).top(100);
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| merge.topk(&f, 100, &MergeConfig::default(), &disk));
+        let (res, cpu) =
+            time_ms(|| merge.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap());
         series.push("PE+SIG", cost_ms(cpu, res.stats.io));
     }
     print_figure(
@@ -290,9 +290,10 @@ fn fig5_19() {
         let trees = btrees(&rel, &disk, m);
         let idx: Vec<&dyn HierIndex> = trees.iter().map(|t| t as &dyn HierIndex).collect();
         let merge = IndexMerge::new(idx).with_full_signature(&disk);
-        let f = fs2();
+        let q = Query::all().rank(fs2()).top(100);
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| merge.topk(&f, 100, &MergeConfig::default(), &disk));
+        let (res, cpu) =
+            time_ms(|| merge.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap());
         series.push("PE+SIG", cost_ms(cpu, res.stats.io));
     }
     print_figure(
@@ -316,9 +317,10 @@ fn fig5_20_21_22() {
         let trees = btrees(&rel, &disk, BTREE_FANOUT);
         let idx: Vec<&dyn HierIndex> = trees.iter().map(|t| t as &dyn HierIndex).collect();
         let (merge, build_ms) = time_ms(|| IndexMerge::new(idx.clone()).with_full_signature(&disk));
-        let f = fg2();
+        let q = Query::all().rank(fg2()).top(100);
         disk.clear_buffer();
-        let (res, cpu) = time_ms(|| merge.topk(&f, 100, &MergeConfig::default(), &disk));
+        let (res, cpu) =
+            time_ms(|| merge.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap());
         time_series.push("PE+SIG", cost_ms(cpu, res.stats.io));
         build_series.push("join-signature", build_ms);
         size_series.push("join-signature (KB)", merge.signature_bytes() as f64 / 1e3);

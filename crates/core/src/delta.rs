@@ -140,8 +140,8 @@ use rcube_index::rtree::RTree;
 use rcube_obs::{Counter, Gauge, Histogram, Metrics, QueryTrace, TraceEvent};
 use rcube_storage::format::crc32;
 use rcube_storage::{
-    DiskSim, FaultPlan, FileBackend, FileStamp, PageStore, StorageError, SwapStage, WriteOutcome,
-    DEFAULT_POOL_PAGES,
+    DiskSim, FaultPlan, FileBackend, FileOptions, FileStamp, PageStore, StorageError, SwapStage,
+    WriteOutcome, DEFAULT_POOL_PAGES,
 };
 use rcube_table::{Relation, Tid};
 
@@ -1059,14 +1059,9 @@ impl DeltaCube {
         //    generation the serving handle was published at, that handle's
         //    directory and R-tree *are* the stored catalog: clone them (one
         //    pointer per R-tree node) instead of parsing it.
-        let store = match &self.faults {
-            Some(plan) => PageStore::with_backend(Arc::new(FileBackend::open_writable_faulted(
-                &self.path,
-                self.pool_pages,
-                Arc::clone(plan),
-            )?)),
-            None => PageStore::open_file_writable(&self.path, self.pool_pages)?,
-        };
+        let opts = FileOptions { pool_pages: self.pool_pages, faults: self.faults.clone() };
+        let store =
+            PageStore::with_backend(Arc::new(FileBackend::open_writable_with(&self.path, opts)?));
         let opened = store.file_stamp();
         let serving = self.current();
         let warm = matches!(

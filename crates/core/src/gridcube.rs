@@ -19,9 +19,20 @@
 //! search alone); for an ad hoc function with several basins (Section
 //! 3.6.1) it is what sends the search into the next one.
 //!
-//! Queries whose selection dimensions are not materialized as a single
-//! cuboid are answered by a *covering set* of cuboids whose tid lists are
-//! intersected online (Section 3.4.2) — the fragments mechanism.
+//! # Ranking fragments (Section 3.4)
+//!
+//! Which cuboids are materialized is [`CuboidSpec`]. Full materialization
+//! needs `2^S − 1` cuboids; [`CuboidSpec::Fragments`] of size `F` groups the
+//! selection dimensions into `⌈S/F⌉` chunks and materializes each chunk's
+//! local cube, `⌈S/F⌉ · (2^F − 1)` cuboids in all, so the space grows
+//! **linearly** with `S` (Lemma 2). A query whose selection dimensions are
+//! not materialized as a single cuboid is answered by a *covering set* of
+//! cuboids (Section 3.4.2, [`GridRankingCube::covering_cuboids`]): the
+//! per-cuboid posting lists ([`crate::idlist`]) are intersected by the
+//! streaming k-way leapfrog directly over the buffered cell pages — one
+//! cursor per covering cuboid, never an intermediate tid set. A query over
+//! fragments is that case and nothing else: same partition, same search,
+//! same file format.
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
@@ -36,7 +47,7 @@ use rcube_table::{Relation, Selection, Tid};
 
 use crate::idlist::{self, IdCursor, IdListRef, KWayIntersect};
 use crate::query::{MinScored, ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
-use crate::{QueryStats, TopKQuery, TopKResult};
+use crate::QueryStats;
 
 /// Which cuboids to materialize.
 #[derive(Debug, Clone)]
@@ -319,8 +330,8 @@ impl GridRankingCube {
     }
 
     /// Binds this cube to its metering device as a [`RankedSource`] — the
-    /// progressive front door ([`RankedSource::open`] yields a resumable
-    /// [`TopKCursor`]; the batch methods below drain one).
+    /// only way to query it ([`RankedSource::open`] yields a resumable
+    /// [`TopKCursor`], [`RankedSource::query`] drains one).
     pub fn source<'a>(&'a self, disk: &'a DiskSim) -> GridSource<'a> {
         GridSource { cube: self, disk }
     }
@@ -331,46 +342,6 @@ impl GridRankingCube {
     pub fn can_answer(&self, selection: &Selection, ranking_dims: &[usize]) -> bool {
         self.covering_cuboids(selection).is_some()
             && ranking_dims.iter().all(|d| self.ranking_dims.contains(d))
-    }
-
-    /// Answers a top-k query (Section 3.3 / 3.4.2) — a thin batch wrapper:
-    /// open a progressive cursor, drain `k` answers.
-    pub fn query<F: RankFn>(&self, query: &TopKQuery<F>, disk: &DiskSim) -> TopKResult {
-        self.try_query(query, disk).unwrap_or_else(|e| panic!("storage error during query: {e}"))
-    }
-
-    /// Fallible [`Self::query`]: over a file-backed store a truncated or
-    /// corrupted page surfaces as a typed [`StorageError`] instead of a
-    /// panic (and never as a wrong answer).
-    pub fn try_query<F: RankFn>(
-        &self,
-        query: &TopKQuery<F>,
-        disk: &DiskSim,
-    ) -> Result<TopKResult, StorageError> {
-        self.source(disk).query(&query.plan())
-    }
-
-    /// Answers a top-k query through an explicit covering cuboid set (the
-    /// `cuboids` plan option of [`QueryPlan`]).
-    pub fn query_with_cuboids<F: RankFn>(
-        &self,
-        query: &TopKQuery<F>,
-        covering: &[Vec<usize>],
-        disk: &DiskSim,
-    ) -> TopKResult {
-        self.try_query_with_cuboids(query, covering, disk)
-            .unwrap_or_else(|e| panic!("storage error during query: {e}"))
-    }
-
-    /// Fallible [`Self::query_with_cuboids`].
-    pub fn try_query_with_cuboids<F: RankFn>(
-        &self,
-        query: &TopKQuery<F>,
-        covering: &[Vec<usize>],
-        disk: &DiskSim,
-    ) -> Result<TopKResult, StorageError> {
-        let plan = QueryPlan { cuboids: Some(covering), ..query.plan() };
-        self.source(disk).query(&plan)
     }
 
     /// Block size parameter `P`.
@@ -406,54 +377,12 @@ impl GridRankingCube {
         page_size: usize,
         pool_pages: usize,
     ) -> Result<(), StorageError> {
+        // Copies every object into the file (deterministic order) and
+        // writes the catalog: kind tag, config, ranking dims, partition,
+        // base-page table, cuboid directory with remapped page ids.
         let file = PageStore::create_file(path, page_size, pool_pages)?;
         let mut w = ByteWriter::new();
         w.put_u8(CATALOG_GRID);
-        self.write_file_payload(&file, &mut w)?;
-        finish_catalog(&file, w)
-    }
-
-    /// Reopens a cube saved by [`Self::save_to`], read-only, with the
-    /// default buffer-pool capacity.
-    pub fn open_from(path: impl AsRef<std::path::Path>) -> Result<Self, StorageError> {
-        Self::open_from_with(path, DEFAULT_POOL_PAGES)
-    }
-
-    /// [`Self::open_from`] with an explicit buffer-pool capacity (pages).
-    pub fn open_from_with(
-        path: impl AsRef<std::path::Path>,
-        pool_pages: usize,
-    ) -> Result<Self, StorageError> {
-        let store = PageStore::open_file(path, pool_pages)?;
-        let catalog = read_catalog(&store, CATALOG_GRID)?;
-        let mut r = ByteReader::new(&catalog[1..]);
-        Self::read_file_payload(store, &mut r)
-    }
-
-    /// Scrubs every stored object (base blocks, cuboid cells) through the
-    /// validated read path, cache-cold, surfacing the first checksum /
-    /// structure error. `Ok(())` means all pages decode clean.
-    pub fn verify_integrity(&self) -> Result<(), StorageError> {
-        self.store.clear_cache();
-        for page in self.base_pages.iter().flatten() {
-            self.store.peek(*page)?;
-        }
-        for cuboid in self.cuboids.values() {
-            for &page in cuboid.cells.values() {
-                self.store.peek(page)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Copies every object into `file` (deterministic order) and writes
-    /// the catalog body: config, ranking dims, partition, base-page table,
-    /// cuboid directory with remapped page ids.
-    pub(crate) fn write_file_payload(
-        &self,
-        file: &PageStore,
-        w: &mut ByteWriter,
-    ) -> Result<(), StorageError> {
         let scratch = DiskSim::new(DEFAULT_PAGE_SIZE, 0);
         w.put_u64(self.config.block_size as u64);
         w.put_u64(self.ranking_dims.len() as u64);
@@ -491,15 +420,23 @@ impl GridRankingCube {
                 w.put_u64(file.try_put_shared(&scratch, data)?.0);
             }
         }
-        Ok(())
+        finish_catalog(&file, w)
     }
 
-    /// Inverse of [`Self::write_file_payload`]: rebuilds a cube over the
-    /// (typically file-backed, read-only) `store`.
-    pub(crate) fn read_file_payload(
-        store: PageStore,
-        r: &mut ByteReader<'_>,
+    /// Reopens a cube saved by [`Self::save_to`], read-only, with the
+    /// default buffer-pool capacity.
+    pub fn open_from(path: impl AsRef<std::path::Path>) -> Result<Self, StorageError> {
+        Self::open_from_with(path, DEFAULT_POOL_PAGES)
+    }
+
+    /// [`Self::open_from`] with an explicit buffer-pool capacity (pages).
+    pub fn open_from_with(
+        path: impl AsRef<std::path::Path>,
+        pool_pages: usize,
     ) -> Result<Self, StorageError> {
+        let store = PageStore::open_file(path, pool_pages)?;
+        let catalog = read_catalog(&store, CATALOG_GRID)?;
+        let mut r = ByteReader::new(&catalog[1..]);
         const LIMIT: usize = 1 << 30;
         let block_size = r.count(LIMIT)?;
         let nrd = r.count(64)?;
@@ -548,15 +485,32 @@ impl GridRankingCube {
         };
         Ok(Self { partition, store, base_pages, cuboids, ranking_dims, config })
     }
+
+    /// Scrubs every stored object (base blocks, cuboid cells) through the
+    /// validated read path, cache-cold, surfacing the first checksum /
+    /// structure error. `Ok(())` means all pages decode clean.
+    pub fn verify_integrity(&self) -> Result<(), StorageError> {
+        self.store.clear_cache();
+        for page in self.base_pages.iter().flatten() {
+            self.store.peek(*page)?;
+        }
+        for cuboid in self.cuboids.values() {
+            for &page in cuboid.cells.values() {
+                self.store.peek(page)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Catalog kind tags (first byte of the catalog object). The signature
 /// catalog moved from tag 3 to tag 4 when its per-cell layout changed
 /// (per-node `sid → partial` pairs → per-partial first-SID directory +
-/// depth); files written with the old layout are rejected with a typed
-/// kind-mismatch error instead of being misparsed.
+/// depth), and tag 2 was a fragments-configured grid cube behind two extra
+/// integers, which now saves under the grid tag; files carrying a retired
+/// tag are rejected with a typed kind-mismatch error instead of being
+/// misparsed.
 pub(crate) const CATALOG_GRID: u8 = 1;
-pub(crate) const CATALOG_FRAGMENTS: u8 = 2;
 pub(crate) const CATALOG_SIG: u8 = 4;
 
 /// Stores the finished catalog object, records it in the superblock and
@@ -1033,6 +987,7 @@ pub(crate) fn fragment_subsets(s: usize, f: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Query;
     use rcube_func::{Expr, GeneralSq, L1Dist, Linear, SqDist};
     use rcube_table::gen::SyntheticSpec;
     use rcube_table::workload::{QueryGen, WorkloadParams};
@@ -1067,13 +1022,10 @@ mod tests {
             QueryGen::new(WorkloadParams { num_conditions: 2, k: 10, ..Default::default() });
         for spec in qg.batch(&rel, 10) {
             let f = Linear::new(spec.weights.clone());
-            let q = TopKQuery::with_ranking_dims(
-                spec.selection.conds().to_vec(),
-                f,
-                spec.ranking_dims.clone(),
-                spec.k,
-            );
-            let got = cube.query(&q, &disk);
+            let q = Query::select(spec.selection.conds().to_vec())
+                .rank_on(spec.ranking_dims.clone(), f)
+                .top(spec.k);
+            let got = cube.source(&disk).query(&q.plan()).unwrap();
             let want = naive_topk(
                 &rel,
                 &spec.selection,
@@ -1102,9 +1054,9 @@ mod tests {
             GridCubeConfig { block_size: 50, ..Default::default() },
         );
         let f = SqDist::new(vec![0.3, 0.7]);
-        let q = TopKQuery::new(vec![(0, 1)], f, 5);
-        let got = cube.query(&q, &disk);
-        let want = naive_topk(&rel, &q.selection, &SqDist::new(vec![0.3, 0.7]), &[0, 1], 5);
+        let q = Query::select([(0, 1)]).rank(f).top(5);
+        let got = cube.source(&disk).query(&q.plan()).unwrap();
+        let want = naive_topk(&rel, q.selection(), &SqDist::new(vec![0.3, 0.7]), &[0, 1], 5);
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
@@ -1121,9 +1073,9 @@ mod tests {
             GridCubeConfig { block_size: 50, ..Default::default() },
         );
         let f = Linear::new(vec![1.0, -2.0]);
-        let q = TopKQuery::new(vec![(1, 0)], f, 8);
-        let got = cube.query(&q, &disk);
-        let want = naive_topk(&rel, &q.selection, &Linear::new(vec![1.0, -2.0]), &[0, 1], 8);
+        let q = Query::select([(1, 0)]).rank(f).top(8);
+        let got = cube.source(&disk).query(&q.plan()).unwrap();
+        let want = naive_topk(&rel, q.selection(), &Linear::new(vec![1.0, -2.0]), &[0, 1], 8);
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
@@ -1134,8 +1086,8 @@ mod tests {
         let rel = SyntheticSpec { tuples: 500, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let cube = GridRankingCube::build(&rel, &disk, GridCubeConfig::default());
-        let q = TopKQuery::new(vec![], Linear::uniform(2), 3);
-        let got = cube.query(&q, &disk);
+        let q = Query::all().rank(Linear::uniform(2)).top(3);
+        let got = cube.source(&disk).query(&q.plan()).unwrap();
         let want = naive_topk(&rel, &Selection::all(), &Linear::uniform(2), &[0, 1], 3);
         assert_eq!(got.scores().len(), 3);
         for (g, w) in got.scores().iter().zip(&want) {
@@ -1152,9 +1104,9 @@ mod tests {
             &disk,
             GridCubeConfig { block_size: 20, ..Default::default() },
         );
-        let q = TopKQuery::new(vec![(0, 0), (1, 1), (2, 2)], Linear::uniform(2), 10);
-        let got = cube.query(&q, &disk);
-        let matching = rel.tids().filter(|&t| q.selection.matches(&rel, t)).count();
+        let q = Query::select([(0, 0), (1, 1), (2, 2)]).rank(Linear::uniform(2)).top(10);
+        let got = cube.source(&disk).query(&q.plan()).unwrap();
+        let matching = rel.tids().filter(|&t| q.selection().matches(&rel, t)).count();
         assert_eq!(got.items.len(), matching.min(10));
     }
 
@@ -1192,9 +1144,9 @@ mod tests {
         let sel = Selection::new(vec![(1, 2), (3, 4)]);
         let cover = cube.covering_cuboids(&sel).unwrap();
         assert_eq!(cover.len(), 2, "dims 1 and 3 live in different fragments");
-        let q = TopKQuery::new(vec![(1, 2), (3, 4)], Linear::uniform(2), 10);
-        let got = cube.query(&q, &disk);
-        let want = naive_topk(&rel, &q.selection, &Linear::uniform(2), &[0, 1], 10);
+        let q = Query::select([(1, 2), (3, 4)]).rank(Linear::uniform(2)).top(10);
+        let got = cube.source(&disk).query(&q.plan()).unwrap();
+        let want = naive_topk(&rel, q.selection(), &Linear::uniform(2), &[0, 1], 10);
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
@@ -1245,14 +1197,11 @@ mod tests {
         let mut qg =
             QueryGen::new(WorkloadParams { num_conditions: 2, k: 10, ..Default::default() });
         for spec in qg.batch(&rel, 8) {
-            let q = TopKQuery::with_ranking_dims(
-                spec.selection.conds().to_vec(),
-                Linear::new(spec.weights.clone()),
-                spec.ranking_dims.clone(),
-                spec.k,
-            );
-            let mem = cube.query(&q, &disk);
-            let file = reopened.query(&q, &disk2);
+            let q = Query::select(spec.selection.conds().to_vec())
+                .rank_on(spec.ranking_dims.clone(), Linear::new(spec.weights.clone()))
+                .top(spec.k);
+            let mem = cube.source(&disk).query(&q.plan()).unwrap();
+            let file = reopened.source(&disk2).query(&q.plan()).unwrap();
             // Byte-identical: same tids, same score bit patterns.
             assert_eq!(mem.items.len(), file.items.len());
             for ((t1, s1), (t2, s2)) in mem.items.iter().zip(&file.items) {
@@ -1276,9 +1225,9 @@ mod tests {
         let path = temp_cube_path("empty_sel");
         cube.save_to_with(&path, 1024, 32).expect("save");
         let reopened = GridRankingCube::open_from_with(&path, 32).expect("open");
-        let q = TopKQuery::new(vec![], Linear::uniform(2), 5);
-        let mem = cube.query(&q, &disk);
-        let file = reopened.query(&q, &DiskSim::with_defaults());
+        let q = Query::all().rank(Linear::uniform(2)).top(5);
+        let mem = cube.source(&disk).query(&q.plan()).unwrap();
+        let file = reopened.source(&DiskSim::with_defaults()).query(&q.plan()).unwrap();
         assert_eq!(mem.items, file.items);
         std::fs::remove_file(&path).ok();
     }
@@ -1324,13 +1273,31 @@ mod tests {
     }
 
     #[test]
+    fn retired_fragments_catalog_tag_is_a_typed_kind_mismatch() {
+        // Tag 2 headed a fragments catalog; no reader is left for it.
+        let path = temp_cube_path("tag2");
+        let file = PageStore::create_file(&path, 1024, 8).expect("create");
+        let mut w = ByteWriter::new();
+        w.put_u8(2);
+        w.put_u64(2); // what followed the tag: fragment size, …
+        w.put_u64(4); // … selection dimensions, then a grid payload
+        finish_catalog(&file, w).expect("catalog");
+        drop(file);
+        match GridRankingCube::open_from(&path) {
+            Err(StorageError::Malformed(why)) => assert!(why.contains("catalog kind"), "{why}"),
+            other => panic!("expected a typed kind mismatch, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn query_charges_io() {
         let rel = SyntheticSpec { tuples: 5_000, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let cube = GridRankingCube::build(&rel, &disk, GridCubeConfig::default());
         disk.clear_buffer();
-        let q = TopKQuery::new(vec![(0, 1)], Linear::uniform(2), 10);
-        let res = cube.query(&q, &disk);
+        let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(10);
+        let res = cube.source(&disk).query(&q.plan()).unwrap();
         assert!(res.stats.io.logical_reads > 0, "query must touch the store");
         assert!(res.stats.blocks_read > 0);
     }
@@ -1751,8 +1718,12 @@ mod tests {
             let sel = Selection::new(conds.clone());
             let want = scan_topk(&rel, &sel, &f, &[0, 1, 2], 40);
             for cube in [&full, &atomic] {
-                let q = TopKQuery::new(conds.clone(), f.clone(), 40);
-                assert_eq!(answer_bits(&cube.query(&q, &disk).items), want, "{conds:?}");
+                let q = Query::select(conds.clone()).rank(f.clone()).top(40);
+                assert_eq!(
+                    answer_bits(&cube.source(&disk).query(&q.plan()).unwrap().items),
+                    want,
+                    "{conds:?}"
+                );
             }
         }
     }
@@ -1790,8 +1761,8 @@ mod tests {
             let intact: Vec<usize> = queries
                 .iter()
                 .map(|conds| {
-                    let q = TopKQuery::new(conds.clone(), Linear::uniform(2), 500);
-                    cube.try_query(&q, &disk).expect("intact cube").items.len()
+                    let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(500);
+                    cube.source(&disk).query(&q.plan()).expect("intact cube").items.len()
                 })
                 .collect();
             assert!(intact.iter().all(|&n| n > 100), "{intact:?}");
@@ -1807,8 +1778,8 @@ mod tests {
                 cube.store.overwrite(&disk, page, cell_page(&lists));
             }
             for conds in queries {
-                let q = TopKQuery::new(conds.clone(), Linear::uniform(2), 500);
-                let got = cube.try_query(&q, &disk);
+                let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(500);
+                let got = cube.source(&disk).query(&q.plan());
                 // Persistent, so the engine's ladder takes the route out of
                 // service and falls back instead of retrying.
                 assert!(

@@ -6,8 +6,10 @@
 //!
 //! * **Grid partition + neighborhood search** — [`gridcube::GridRankingCube`]
 //!   materializes tid/bid lists per cuboid cell over an equi-depth grid
-//!   (Chapter 3); [`fragments::RankingFragments`] extends it to high
-//!   selection dimensionality with linear-space semi-materialization.
+//!   (Chapter 3). Which cuboids it materializes is a configuration:
+//!   [`gridcube::CuboidSpec::Fragments`] is the linear-space
+//!   semi-materialization for high selection dimensionality (Section 3.4),
+//!   answered by the same cube through a covering set of cuboids.
 //! * **Hierarchical partition + top-down search** —
 //!   [`sigcube::SignatureCube`] materializes compressed bit-tree
 //!   *signatures* over an R-tree (Chapter 4) and answers queries with
@@ -17,7 +19,7 @@
 //! The grid engines store their cell measures through [`idlist`] — the
 //! compressed posting lists (zero-copy views, delta varints or a bitmap
 //! by size, streaming k-way intersection) that back the grid cube's
-//! retrieve step and the fragments' covering-set merge.
+//! retrieve step and the covering-set merge.
 //!
 //! Every engine answers queries through one operator surface: the
 //! [`query::RankedSource`] trait opens a resumable, pull-based
@@ -25,21 +27,20 @@
 //! via [`query::Query`]`::select(...).rank(...).top(k)`), making the
 //! paper's progressive, semi-online computation visible in the API —
 //! answers stream in score order, and `extend_k` paginates by resuming the
-//! bound-driven frontier instead of re-running. Batch `query()` methods
-//! are thin wrappers that drain a cursor. The [`query`] module documents
-//! the full ordering / stats / resume contract.
+//! bound-driven frontier instead of re-running.
+//! [`query::RankedSource::query`] drains a cursor into a batch
+//! [`TopKResult`]. The [`query`] module documents the full ordering /
+//! stats / resume contract.
 //!
 //! Cubes persist: `save_to` writes a cube into a single checksummed file
 //! (`rcube_storage::format` describes the layout) and `open_from` reopens
 //! it read-only in a fresh process with identical top-k answers — the
 //! same query code running over buffer-pool frames instead of in-memory
-//! maps. See [`gridcube::GridRankingCube::save_to`],
-//! [`fragments::RankingFragments::save_to`] and
+//! maps. See [`gridcube::GridRankingCube::save_to`] and
 //! [`sigcube::SignatureCube::save_to`].
 
 pub mod coding;
 pub mod delta;
-pub mod fragments;
 pub mod gridcube;
 pub mod idlist;
 pub mod maintain;
@@ -62,40 +63,8 @@ pub use shard::{
 };
 pub use sigcube::{ScrubOutcome, SignatureCube, SignatureCubeConfig};
 
-use rcube_func::RankFn;
 use rcube_storage::IoSnapshot;
-use rcube_table::{Selection, Tid};
-
-/// A top-k query: multi-dimensional selection + ad-hoc ranking function.
-///
-/// `ranking_dims` names the relation ranking dimensions the function reads,
-/// in argument order; it defaults to `0..f.arity()`.
-#[derive(Debug)]
-pub struct TopKQuery<F> {
-    pub selection: Selection,
-    pub func: F,
-    pub ranking_dims: Vec<usize>,
-    pub k: usize,
-}
-
-impl<F: RankFn> TopKQuery<F> {
-    /// Query with selection conditions given as `(dimension, value)` pairs.
-    pub fn new(conds: Vec<(usize, u32)>, func: F, k: usize) -> Self {
-        let ranking_dims = (0..func.arity()).collect();
-        Self { selection: Selection::new(conds), func, ranking_dims, k }
-    }
-
-    /// Query reading an explicit subset of ranking dimensions.
-    pub fn with_ranking_dims(
-        conds: Vec<(usize, u32)>,
-        func: F,
-        ranking_dims: Vec<usize>,
-        k: usize,
-    ) -> Self {
-        assert_eq!(func.arity(), ranking_dims.len(), "function arity must match ranking dims");
-        Self { selection: Selection::new(conds), func, ranking_dims, k }
-    }
-}
+use rcube_table::Tid;
 
 /// Execution counters every engine reports alongside its answers, mirroring
 /// the cost metrics plotted in the evaluation chapters.
@@ -130,7 +99,7 @@ pub struct QueryStats {
     /// attempts (`BENCH_recovery.json` tracks degradation visibility).
     pub path_retries: u64,
     /// Routes abandoned for the next-best one after a persistent storage
-    /// fault (signature → grid/fragments → scan). Non-zero means the
+    /// fault (signature → grid → scan). Non-zero means the
     /// answer is correct but was computed by a degraded, usually slower
     /// access path.
     pub path_fallbacks: u64,
@@ -297,14 +266,167 @@ mod tests {
 
     #[test]
     fn query_defaults_ranking_dims_from_arity() {
-        let q = TopKQuery::new(vec![(0, 1)], Linear::uniform(3), 10);
-        assert_eq!(q.ranking_dims, vec![0, 1, 2]);
-        assert_eq!(q.k, 10);
+        let q = Query::select([(0, 1)]).rank(Linear::uniform(3)).top(10);
+        assert_eq!(q.plan().ranking_dims, vec![0, 1, 2]);
+        assert_eq!(q.k(), 10);
     }
 
     #[test]
     #[should_panic(expected = "arity must match")]
     fn mismatched_ranking_dims_panics() {
-        let _ = TopKQuery::with_ranking_dims(vec![], Linear::uniform(2), vec![0], 5);
+        let _ = Query::all().rank_on(vec![0], Linear::uniform(2)).top(5);
+    }
+}
+
+/// Section 3.4's claims about ranking fragments, held on what a fragment
+/// set is: a [`GridRankingCube`] built with
+/// [`gridcube::CuboidSpec::Fragments`].
+#[cfg(test)]
+mod fragments {
+    mod tests {
+        use rcube_func::Linear;
+        use rcube_storage::DiskSim;
+        use rcube_table::gen::SyntheticSpec;
+        use rcube_table::{Relation, Selection};
+
+        use crate::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
+        use crate::query::{Query, RankedSource};
+
+        fn build(s: usize, f: usize, t: usize) -> (Relation, DiskSim, GridRankingCube) {
+            let rel = SyntheticSpec {
+                tuples: t,
+                selection_dims: s,
+                cardinality: 5,
+                ..Default::default()
+            }
+            .generate();
+            let disk = DiskSim::with_defaults();
+            let config = GridCubeConfig {
+                block_size: 64,
+                cuboids: CuboidSpec::Fragments(f),
+                ..Default::default()
+            };
+            let cube = GridRankingCube::build(&rel, &disk, config);
+            (rel, disk, cube)
+        }
+
+        /// Fragments a selection touches (Figure 3.12's x-axis): the size
+        /// of its covering cuboid set.
+        fn covering_fragments(cube: &GridRankingCube, conds: &[(usize, u32)]) -> usize {
+            cube.covering_cuboids(&Selection::new(conds.to_vec())).map_or(0, |c| c.len())
+        }
+
+        /// `⌈S/F⌉`, read off the cube: a selection on every dimension is
+        /// covered by each fragment's top cuboid.
+        fn num_fragments(cube: &GridRankingCube, s: usize) -> usize {
+            covering_fragments(cube, &(0..s).map(|d| (d, 0)).collect::<Vec<_>>())
+        }
+
+        /// The scores a scan of `rel` ranks first under `x + y`.
+        fn naive_sum_topk(rel: &Relation, sel: &Selection, k: usize) -> Vec<f64> {
+            let mut want: Vec<f64> = rel
+                .tids()
+                .filter(|&t| sel.matches(rel, t))
+                .map(|t| rel.ranking_value(t, 0) + rel.ranking_value(t, 1))
+                .collect();
+            want.sort_by(f64::total_cmp);
+            want.truncate(k);
+            want
+        }
+
+        fn assert_matches_naive(rel: &Relation, disk: &DiskSim, cube: &GridRankingCube, q: &Query) {
+            let got = cube.source(disk).query(&q.plan()).unwrap();
+            let want = naive_sum_topk(rel, q.selection(), q.k());
+            assert_eq!(got.items.len(), want.len());
+            for (g, w) in got.scores().iter().zip(&want) {
+                assert!((g - w).abs() < 1e-9);
+            }
+        }
+
+        #[test]
+        fn fragment_count() {
+            // (S, F) → ⌈S/F⌉ fragments of 2^|chunk| − 1 cuboids each.
+            for (s, f, fragments, cuboids) in [(12, 2, 6, 18), (12, 3, 4, 28), (5, 2, 3, 7)] {
+                let (_, _, cube) = build(s, f, 200);
+                assert_eq!(num_fragments(&cube, s), fragments);
+                assert_eq!(cube.cuboid_dims().len(), cuboids);
+            }
+        }
+
+        #[test]
+        fn covering_fragment_counts() {
+            let (_, _, cube) = build(6, 2, 300);
+            // Dims 0,1 share a fragment: 1 covering cuboid.
+            assert_eq!(covering_fragments(&cube, &[(0, 1), (1, 2)]), 1);
+            // Dims 0,2 span two fragments.
+            assert_eq!(covering_fragments(&cube, &[(0, 1), (2, 2)]), 2);
+            // Dims 1,2,4 span three fragments.
+            assert_eq!(covering_fragments(&cube, &[(1, 0), (2, 2), (4, 1)]), 3);
+        }
+
+        #[test]
+        fn space_grows_linearly_with_dimensions() {
+            // Lemma 2: fixed F ⇒ space linear in S.
+            let sizes: Vec<usize> = [3usize, 6, 9, 12]
+                .iter()
+                .map(|&s| build(s, 2, 1_000).2.materialized_bytes())
+                .collect();
+            // Consecutive increments should be roughly equal (within 2×), far
+            // from the exponential growth of a full cube.
+            let d1 = sizes[1] as f64 - sizes[0] as f64;
+            let d3 = sizes[3] as f64 - sizes[2] as f64;
+            assert!(d1 > 0.0 && d3 > 0.0);
+            assert!(d3 / d1 < 2.0, "increments {d1} vs {d3} suggest super-linear growth");
+        }
+
+        #[test]
+        fn wide_fan_intersection_matches_naive() {
+            // Six fragments of size 1: every multi-condition query leapfrogs a
+            // 3+-cursor fan through the streaming intersector.
+            let (rel, disk, cube) = build(6, 1, 1_500);
+            assert_eq!(num_fragments(&cube, 6), 6);
+            let conds = [(0, 1), (1, 2), (2, 0), (3, 3), (4, 1)];
+            assert_eq!(covering_fragments(&cube, &conds), 5);
+            let q = Query::select(conds).rank(Linear::uniform(2)).top(10);
+            assert_matches_naive(&rel, &disk, &cube, &q);
+        }
+
+        #[test]
+        fn impossible_selection_returns_empty() {
+            // A value outside every cell: the covering intersection must
+            // short-circuit on the absent cell, not panic or over-read.
+            let (rel, disk, cube) = build(4, 2, 400);
+            let q = Query::select([(0, 4), (2, 4), (3, 4)]).rank(Linear::uniform(2)).top(5);
+            let got = cube.source(&disk).query(&q.plan()).unwrap();
+            let matching = rel.tids().filter(|&t| q.selection().matches(&rel, t)).count();
+            assert_eq!(got.items.len(), matching.min(5));
+        }
+
+        #[test]
+        fn fragments_survive_save_and_reopen() {
+            let (_, disk, cube) = build(6, 2, 1_200);
+            let mut path = std::env::temp_dir();
+            path.push(format!("rcube_fragments_{}", std::process::id()));
+            cube.save_to_with(&path, 1024, 64).expect("save");
+            let reopened = GridRankingCube::open_from_with(&path, 64).expect("open");
+            assert_eq!(reopened.cuboid_dims(), cube.cuboid_dims());
+            assert_eq!(num_fragments(&reopened, 6), 3);
+            let q = Query::select([(0, 1), (3, 2), (5, 0)]).rank(Linear::uniform(2)).top(10);
+            let mem = cube.source(&disk).query(&q.plan()).unwrap();
+            let file = reopened.source(&DiskSim::with_defaults()).query(&q.plan()).unwrap();
+            assert_eq!(mem.items.len(), file.items.len());
+            for ((t1, s1), (t2, s2)) in mem.items.iter().zip(&file.items) {
+                assert_eq!(t1, t2);
+                assert_eq!(s1.to_bits(), s2.to_bits());
+            }
+            std::fs::remove_file(&path).ok();
+        }
+
+        #[test]
+        fn cross_fragment_query_matches_naive() {
+            let (rel, disk, cube) = build(6, 2, 2_000);
+            let q = Query::select([(0, 1), (3, 2), (5, 0)]).rank(Linear::uniform(2)).top(10);
+            assert_matches_naive(&rel, &disk, &cube, &q);
+        }
     }
 }

@@ -4,9 +4,11 @@
 //! The paper's defining trait is *semi-online* computation: top-k answers
 //! are produced progressively, block by block, in bound-driven order. This
 //! module makes that property visible in the API instead of burying it in
-//! the executors. Every engine in the workspace — the grid cube, ranking
-//! fragments, the signature cube, index-merge and the evaluation baselines
-//! — implements one operator:
+//! the executors. Every engine in the workspace — the grid cube (under any
+//! cuboid choice, ranking fragments included), the signature cube, the
+//! sharded and delta layers, index-merge and the evaluation baselines —
+//! implements one operator, and it is the only way to ask any of them
+//! anything:
 //!
 //! ```text
 //! RankedSource::open(&self, plan: &QueryPlan) -> Result<TopKCursor, StorageError>
@@ -44,9 +46,8 @@
 //!   extension re-plans and re-reads — the order-sensitivity the paper
 //!   criticizes.)
 //!
-//! Batch entry points (`GridRankingCube::query`, `topk_signature`,
-//! `IndexMerge::topk`, the baselines' `topk`) survive as thin wrappers:
-//! open a cursor, drain `k` answers, return a [`TopKResult`].
+//! A batch answer is the same operator drained: [`RankedSource::query`]
+//! opens a cursor, pulls `k` answers and returns a [`TopKResult`].
 
 use std::sync::Arc;
 
@@ -55,15 +56,16 @@ use rcube_obs::QueryTrace;
 use rcube_storage::StorageError;
 use rcube_table::{Selection, Tid};
 
-use crate::{QueryStats, TopKQuery, TopKResult};
+use crate::{QueryStats, TopKResult};
 
 /// A fully-specified top-k request, ready to hand to any [`RankedSource`].
 ///
-/// Every field is a cheap borrow (a `Copy` view of a [`Query`] or
-/// [`TopKQuery`]): engines clone the selection and ranking-dimension list
-/// at [`RankedSource::open`] but keep borrowing the ranking function, so
-/// the plan value itself may be dropped once a cursor is open — only the
-/// function (and the source) must outlive the cursor.
+/// Every field is a cheap borrow (a `Copy` view of a [`Query`], or a
+/// literal over parts the caller already holds): engines clone the
+/// selection and ranking-dimension list at [`RankedSource::open`] but keep
+/// borrowing the ranking function, so the plan value itself may be dropped
+/// once a cursor is open — only the function (and the source) must outlive
+/// the cursor.
 #[derive(Clone, Copy)]
 pub struct QueryPlan<'q> {
     /// The Boolean selection (conjunction of equality predicates).
@@ -75,9 +77,8 @@ pub struct QueryPlan<'q> {
     /// Number of answers requested up front ([`TopKCursor::extend_k`]
     /// raises it later).
     pub k: usize,
-    /// Explicit covering cuboid set (grid engines only) — the old
-    /// `query_with_cuboids` entry point folded into a plan option.
-    /// `None` lets the engine pick its own cover.
+    /// Explicit covering cuboid set (grid engines only). `None` lets the
+    /// engine pick its own cover.
     pub cuboids: Option<&'q [Vec<usize>]>,
 }
 
@@ -89,21 +90,6 @@ impl std::fmt::Debug for QueryPlan<'_> {
             .field("k", &self.k)
             .field("cuboids", &self.cuboids)
             .finish()
-    }
-}
-
-impl<F: RankFn> TopKQuery<F> {
-    /// This query as a borrowed [`QueryPlan`] — the adapter the batch
-    /// wrappers use to route the legacy `TopKQuery` type through
-    /// [`RankedSource::open`].
-    pub fn plan(&self) -> QueryPlan<'_> {
-        QueryPlan {
-            selection: &self.selection,
-            func: &self.func,
-            ranking_dims: &self.ranking_dims,
-            k: self.k,
-            cuboids: None,
-        }
     }
 }
 
@@ -181,8 +167,7 @@ impl Query {
         self
     }
 
-    /// Forces an explicit covering cuboid set on grid engines (the old
-    /// `query_with_cuboids` entry point as a plan option).
+    /// Forces an explicit covering cuboid set on grid engines.
     pub fn via_cuboids(mut self, cuboids: Vec<Vec<usize>>) -> Self {
         self.cuboids = Some(cuboids);
         self
@@ -382,8 +367,7 @@ impl<'a> TopKCursor<'a> {
         self.search.stats()
     }
 
-    /// Drains up to the current limit into a batch [`TopKResult`] — the
-    /// implementation behind every legacy batch entry point.
+    /// Drains up to the current limit into a batch [`TopKResult`].
     pub fn try_drain(&mut self) -> Result<TopKResult, StorageError> {
         let mut items = Vec::with_capacity(self.limit.saturating_sub(self.emitted).min(1 << 20));
         while let Some(item) = self.try_next()? {

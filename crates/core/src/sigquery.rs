@@ -52,7 +52,7 @@ use rcube_table::Tid;
 
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
 use crate::sigcube::{Pruner, SignatureCube};
-use crate::{QueryStats, TopKQuery, TopKResult};
+use crate::QueryStats;
 
 #[derive(Debug)]
 enum Entry {
@@ -98,23 +98,6 @@ impl PartialOrd for HeapItem {
     }
 }
 
-/// Answers a top-k query over `rtree` with Boolean pruning from `cube` —
-/// a thin batch wrapper: open a progressive cursor, drain `k` answers.
-///
-/// `query.ranking_dims` indexes into the *relation's* ranking dimensions;
-/// they must be covered by the R-tree (which is built over all of them by
-/// default).
-pub fn topk_signature<F: RankFn>(
-    rtree: &RTree,
-    cube: &SignatureCube,
-    query: &TopKQuery<F>,
-    disk: &DiskSim,
-) -> TopKResult {
-    cube.source(rtree, disk)
-        .query(&query.plan())
-        .unwrap_or_else(|e| panic!("storage error during query: {e}"))
-}
-
 /// This search with nothing to prune by: best-first descent over `rtree`
 /// alone, every entry qualifying, in the order and at the block counts of
 /// the signature route under an empty selection. **`plan.selection` is
@@ -144,7 +127,9 @@ pub struct SigSource<'a> {
 
 impl SignatureCube {
     /// Binds this cube and its R-tree partition to a metering device as a
-    /// [`RankedSource`].
+    /// [`RankedSource`]. `plan.ranking_dims` index the *relation's*
+    /// ranking dimensions; the R-tree must cover them (it is built over all
+    /// of them by default).
     pub fn source<'a>(&'a self, rtree: &'a RTree, disk: &'a DiskSim) -> SigSource<'a> {
         SigSource { rtree, cube: self, disk }
     }
@@ -311,6 +296,7 @@ impl ProgressiveSearch for SigSearch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Query;
     use rcube_func::{GeneralSq, Linear, RankFn, SqDist};
     use rcube_index::rtree::RTreeConfig;
     use rcube_table::gen::SyntheticSpec;
@@ -365,13 +351,10 @@ mod tests {
         let mut qg = QueryGen::new(WorkloadParams { num_ranking: 3, ..Default::default() });
         for spec in qg.batch(&rel, 8) {
             let f = Linear::new(spec.weights.clone());
-            let q = TopKQuery::with_ranking_dims(
-                spec.selection.conds().to_vec(),
-                f,
-                spec.ranking_dims.clone(),
-                10,
-            );
-            let got = topk_signature(&rtree, &cube, &q, &disk);
+            let q = Query::select(spec.selection.conds().to_vec())
+                .rank_on(spec.ranking_dims.clone(), f)
+                .top(10);
+            let got = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
             let want = naive(
                 &rel,
                 &spec.selection,
@@ -395,17 +378,17 @@ mod tests {
         let sel = vec![(0usize, 2u32)];
         // fd: nearest neighbour.
         let fd = SqDist::new(vec![0.4, 0.6, 0.1]);
-        let q = TopKQuery::new(sel.clone(), fd, 10);
-        let got = topk_signature(&rtree, &cube, &q, &disk);
-        let want = naive(&rel, &q.selection, &SqDist::new(vec![0.4, 0.6, 0.1]), &[0, 1, 2], 10);
+        let q = Query::select(sel.clone()).rank(fd).top(10);
+        let got = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
+        let want = naive(&rel, q.selection(), &SqDist::new(vec![0.4, 0.6, 0.1]), &[0, 1, 2], 10);
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
         // fg: (2X − Y − Z)² — non-monotone, non-convex.
         let fg = GeneralSq::mse3();
-        let q = TopKQuery::new(sel, fg, 10);
-        let got = topk_signature(&rtree, &cube, &q, &disk);
-        let want = naive(&rel, &q.selection, &GeneralSq::mse3(), &[0, 1, 2], 10);
+        let q = Query::select(sel).rank(fg).top(10);
+        let got = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
+        let want = naive(&rel, q.selection(), &GeneralSq::mse3(), &[0, 1, 2], 10);
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
@@ -414,8 +397,8 @@ mod tests {
     #[test]
     fn empty_predicate_cell_returns_no_answers() {
         let (_, disk, rtree, cube) = setup(200);
-        let q = TopKQuery::new(vec![(0, 99)], Linear::uniform(3), 10);
-        let got = topk_signature(&rtree, &cube, &q, &disk);
+        let q = Query::select([(0, 99)]).rank(Linear::uniform(3)).top(10);
+        let got = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
         assert!(got.items.is_empty());
         assert_eq!(got.stats.blocks_read, 0, "nothing should be fetched");
     }
@@ -424,20 +407,20 @@ mod tests {
     fn boolean_pruning_reduces_block_reads() {
         let (rel, disk, rtree, cube) = setup(3_000);
         // Highly selective conjunction.
-        let q = TopKQuery::new(vec![(0, 1), (1, 2), (2, 3)], Linear::uniform(3), 10);
-        let with_sig = topk_signature(&rtree, &cube, &q, &disk);
+        let q = Query::select([(0, 1), (1, 2), (2, 3)]).rank(Linear::uniform(3)).top(10);
+        let with_sig = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
         // Same search without Boolean pruning: empty selection, then filter.
-        let q_nosel = TopKQuery::new(vec![], Linear::uniform(3), rel.len());
-        let all = topk_signature(&rtree, &cube, &q_nosel, &disk);
+        let q_nosel = Query::all().rank(Linear::uniform(3)).top(rel.len());
+        let all = cube.source(&rtree, &disk).query(&q_nosel.plan()).unwrap();
         assert!(with_sig.stats.blocks_read < all.stats.blocks_read);
     }
 
     #[test]
     fn multidim_selection_via_lazy_intersection() {
         let (rel, disk, rtree, cube) = setup(1_000);
-        let q = TopKQuery::new(vec![(0, 0), (2, 1)], Linear::uniform(3), 5);
-        let got = topk_signature(&rtree, &cube, &q, &disk);
-        let want = naive(&rel, &q.selection, &Linear::uniform(3), &[0, 1, 2], 5);
+        let q = Query::select([(0, 0), (2, 1)]).rank(Linear::uniform(3)).top(5);
+        let got = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
+        let want = naive(&rel, q.selection(), &Linear::uniform(3), &[0, 1, 2], 5);
         assert_eq!(got.items.len(), want.len());
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
@@ -461,9 +444,10 @@ mod tests {
         );
         // Multi-dimensional predicates, no exact cuboid materialized.
         for conds in [vec![(0usize, 1u32), (1, 2)], vec![(0, 0), (1, 1), (2, 2)]] {
-            let q = TopKQuery::new(conds.clone(), Linear::uniform(3), 10);
-            let lazy = topk_signature(&rtree, &cube, &q, &disk);
-            let want = scan(&rel, &|_| true, &q.selection, &q.func, &q.ranking_dims, 10);
+            let q = Query::select(conds.clone()).rank(Linear::uniform(3)).top(10);
+            let lazy = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
+            let want =
+                scan(&rel, &|_| true, q.selection(), q.plan().func, q.plan().ranking_dims, 10);
             assert_eq!(bits(&lazy.items), bits(&want), "answers diverged for {conds:?}");
             // What assembling the predicate would cost, off the catalog:
             // every partial of every cell loaded, every coded byte decoded.
@@ -505,9 +489,9 @@ mod tests {
                 (0usize, seed as u32 % cardinality),
                 (1, (seed as u32 / 7) % cardinality),
             ];
-            let q = TopKQuery::new(conds, Linear::uniform(3), k);
-            let lazy = topk_signature(&rtree, &cube, &q, &disk);
-            let want = scan(&rel, &|_| true, &q.selection, &q.func, &q.ranking_dims, k);
+            let q = Query::select(conds).rank(Linear::uniform(3)).top(k);
+            let lazy = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
+            let want = scan(&rel, &|_| true, q.selection(), q.plan().func, q.plan().ranking_dims, k);
             proptest::prop_assert_eq!(bits(&lazy.items), bits(&want));
         }
     }
@@ -525,13 +509,13 @@ mod tests {
             &disk,
             SignatureCubeConfig { alpha: 0.02, ..Default::default() },
         );
-        let q = TopKQuery::new(vec![(0, 1), (1, 2)], Linear::uniform(3), 10);
+        let q = Query::select([(0, 1), (1, 2)]).rank(Linear::uniform(3)).top(10);
 
         // Warm pass decodes and populates; repeat pass is served by the
         // shared cache — strictly fewer nodes decoded, identical answers.
-        let cold = topk_signature(&rtree, &cube, &q, &disk);
+        let cold = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
         assert!(cold.stats.sig_nodes_decoded > 0, "cold query must decode");
-        let warm = topk_signature(&rtree, &cube, &q, &disk);
+        let warm = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
         assert_eq!(warm.items, cold.items);
         assert!(
             warm.stats.sig_nodes_decoded < cold.stats.sig_nodes_decoded,
@@ -549,8 +533,8 @@ mod tests {
         // Budget 0 disables cross-query caching: every pass decodes like
         // the first, with identical answers.
         cube.set_node_cache_budget(0);
-        let off1 = topk_signature(&rtree, &cube, &q, &disk);
-        let off2 = topk_signature(&rtree, &cube, &q, &disk);
+        let off1 = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
+        let off2 = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
         assert_eq!(off1.items, cold.items);
         assert_eq!(off2.items, cold.items);
         assert_eq!(off1.stats.sig_nodes_decoded, cold.stats.sig_nodes_decoded);
@@ -562,9 +546,9 @@ mod tests {
     fn projected_ranking_dims_work() {
         let (rel, disk, rtree, cube) = setup(800);
         // Rank on dimension 2 only.
-        let q = TopKQuery::with_ranking_dims(vec![(1, 1)], Linear::uniform(1), vec![2], 5);
-        let got = topk_signature(&rtree, &cube, &q, &disk);
-        let want = naive(&rel, &q.selection, &Linear::uniform(1), &[2], 5);
+        let q = Query::select([(1, 1)]).rank_on(vec![2], Linear::uniform(1)).top(5);
+        let got = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
+        let want = naive(&rel, q.selection(), &Linear::uniform(1), &[2], 5);
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
@@ -607,9 +591,9 @@ mod tests {
         fn assert_search_equals_scan(&self, conds: &[(usize, u32)], f: &Linear, k: usize) {
             let Served { what, rel, live, rtree, cube, disk } = *self;
             for preds in 0..=conds.len() {
-                let q = TopKQuery::new(conds[..preds].to_vec(), f.clone(), k);
+                let q = Query::select(conds[..preds].to_vec()).rank(f.clone()).top(k);
                 let plan = q.plan();
-                let want = bits(&scan(rel, live, &q.selection, f, &q.ranking_dims, k));
+                let want = bits(&scan(rel, live, plan.selection, f, plan.ranking_dims, k));
                 let served = cube.source(rtree, disk).query(&plan).unwrap();
                 assert_eq!(bits(&served.items), want, "{what}: serving pruner, {preds} predicates");
                 let half = QueryPlan { k: k / 2, ..plan };
@@ -824,24 +808,24 @@ mod tests {
     #[test]
     fn blocks_read_on_fixed_fixtures_is_what_pop_time_pruning_read() {
         let (_, disk, rtree, cube) = setup(3_000);
-        let q = TopKQuery::new(vec![(0, 1), (1, 2), (2, 3)], Linear::uniform(3), 10);
-        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 31);
-        let q = TopKQuery::new(vec![], Linear::uniform(3), 10);
-        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 13);
+        let q = Query::select([(0, 1), (1, 2), (2, 3)]).rank(Linear::uniform(3)).top(10);
+        assert_eq!(cube.source(&rtree, &disk).query(&q.plan()).unwrap().stats.blocks_read, 31);
+        let q = Query::all().rank(Linear::uniform(3)).top(10);
+        assert_eq!(cube.source(&rtree, &disk).query(&q.plan()).unwrap().stats.blocks_read, 13);
 
         let (_, disk, rtree, cube) = setup(1_500);
-        let q = TopKQuery::new(vec![(0, 2)], SqDist::new(vec![0.4, 0.6, 0.1]), 10);
-        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 13);
-        let q = TopKQuery::new(vec![(0, 2)], GeneralSq::mse3(), 10);
-        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 53);
+        let q = Query::select([(0, 2)]).rank(SqDist::new(vec![0.4, 0.6, 0.1])).top(10);
+        assert_eq!(cube.source(&rtree, &disk).query(&q.plan()).unwrap().stats.blocks_read, 13);
+        let q = Query::select([(0, 2)]).rank(GeneralSq::mse3()).top(10);
+        assert_eq!(cube.source(&rtree, &disk).query(&q.plan()).unwrap().stats.blocks_read, 53);
 
         let (_, disk, rtree, cube) = setup(1_000);
-        let q = TopKQuery::new(vec![(0, 0), (2, 1)], Linear::uniform(3), 5);
-        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 22);
+        let q = Query::select([(0, 0), (2, 1)]).rank(Linear::uniform(3)).top(5);
+        assert_eq!(cube.source(&rtree, &disk).query(&q.plan()).unwrap().stats.blocks_read, 22);
 
         let (_, disk, rtree, cube) = setup(800);
-        let q = TopKQuery::with_ranking_dims(vec![(1, 1)], Linear::uniform(1), vec![2], 5);
-        assert_eq!(topk_signature(&rtree, &cube, &q, &disk).stats.blocks_read, 21);
+        let q = Query::select([(1, 1)]).rank_on(vec![2], Linear::uniform(1)).top(5);
+        assert_eq!(cube.source(&rtree, &disk).query(&q.plan()).unwrap().stats.blocks_read, 21);
     }
 
     /// A signature bit at or past the partition node's entry count — only
@@ -858,8 +842,8 @@ mod tests {
             live.remove(&t);
         }
         for conds in [vec![], vec![(0, 1)], vec![(0, 1), (1, 2)]] {
-            let q = TopKQuery::new(conds, Linear::uniform(3), rel.len());
-            let got = topk_signature(&rtree, &cube, &q, &disk);
+            let q = Query::select(conds).rank(Linear::uniform(3)).top(rel.len());
+            let got = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
             assert!(got.tids().iter().all(|t| live.contains(t)), "an entry the tree holds");
         }
     }

@@ -93,16 +93,6 @@ impl Interval {
         }
     }
 
-    /// Image of `min(x, k)` — used by constrained functions.
-    pub fn min_with(self, k: f64) -> Self {
-        Self { lo: self.lo.min(k), hi: self.hi.min(k) }
-    }
-
-    /// Image of `max(x, k)`.
-    pub fn max_with(self, k: f64) -> Self {
-        Self { lo: self.lo.max(k), hi: self.hi.max(k) }
-    }
-
     /// Interval hull of two intervals.
     pub fn hull(self, rhs: Self) -> Self {
         Self { lo: self.lo.min(rhs.lo), hi: self.hi.max(rhs.hi) }

@@ -152,11 +152,6 @@ impl Rect {
     pub fn closest_point(&self, q: &[f64]) -> Vec<f64> {
         (0..self.dims()).map(|d| q[d].clamp(self.lo[d], self.hi[d])).collect()
     }
-
-    /// The centre of the rect.
-    pub fn center(&self) -> Vec<f64> {
-        (0..self.dims()).map(|d| 0.5 * (self.lo[d] + self.hi[d])).collect()
-    }
 }
 
 #[cfg(test)]

@@ -211,11 +211,6 @@ impl JoinSignature {
         self.pages.len()
     }
 
-    /// True when the state keyed `key` is non-empty (exists at all).
-    pub fn contains_state(&self, key: &StateKey) -> bool {
-        self.pages.contains_key(key)
-    }
-
     fn page_of(&self, key: &StateKey) -> Option<PageId> {
         self.pages.get(key).copied()
     }

@@ -27,7 +27,7 @@ pub use state::JointState;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use rcube_core::query::{MinScored, ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
-use rcube_core::{QueryStats, TopKResult};
+use rcube_core::QueryStats;
 use rcube_func::RankFn;
 use rcube_index::{HierIndex, NodeHandle};
 use rcube_storage::{DiskSim, IoSnapshot, StorageError};
@@ -147,20 +147,6 @@ impl<'a> IndexMerge<'a> {
         self.indices.iter().map(|i| i.dims()).sum()
     }
 
-    /// Answers a top-k query — a thin batch wrapper: open a progressive
-    /// cursor, drain `k` answers.
-    pub fn topk(
-        &self,
-        f: &dyn RankFn,
-        k: usize,
-        config: &MergeConfig,
-        disk: &DiskSim,
-    ) -> TopKResult {
-        assert_eq!(f.arity(), self.total_dims(), "function arity must cover all merged dims");
-        let search = MergeSearch::new(self, f, config, disk);
-        TopKCursor::new(Box::new(search), k).drain()
-    }
-
     /// Binds this engine to a metering device (and an algorithm choice) as
     /// a [`rcube_core::query::RankedSource`].
     pub fn source<'b>(&'b self, config: MergeConfig, disk: &'b DiskSim) -> MergeSource<'b>
@@ -223,9 +209,12 @@ enum Frontier<'a> {
 /// the frontier heap in lower-bound order; leaf retrievals hash-merge
 /// partially seen tuples and fully merged ones enter a `(score, tid)`
 /// candidate heap. [`ProgressiveSearch::advance`] emits the cheapest
-/// candidate once its score is ≤ the frontier's best remaining bound — no
-/// state still pending (or any of its descendants, whose bounds only
-/// grow) can produce anything cheaper. Pausing keeps both heaps, the
+/// candidate once its score is strictly below the frontier's best
+/// remaining bound — no state still pending (or any of its descendants,
+/// whose bounds only grow) can produce anything cheaper, and strictly
+/// because a state whose bound *equals* the score may hold an equal-score
+/// tuple with a smaller tid (answers are `(score, tid)`-ordered, like
+/// `TableScan`'s). Pausing keeps both heaps, the
 /// redundant-leaf set and the partial-merge table alive, so `extend_k`
 /// resumes mid-merge.
 struct MergeSearch<'a> {
@@ -453,11 +442,11 @@ impl<'a> MergeSearch<'a> {
 impl ProgressiveSearch for MergeSearch<'_> {
     fn advance(&mut self) -> Result<Option<(Tid, f64)>, StorageError> {
         loop {
-            // Certify: a merged tuple is an answer once no pending state's
-            // bound undercuts it (descendant bounds only grow, and every
-            // not-yet-merged tuple is covered by a pending state).
+            // Certify: a merged tuple is an answer once every pending
+            // state's bound is above it (descendant bounds only grow, and
+            // every not-yet-merged tuple is covered by a pending state).
             if let Some(MinScored(score, _)) = self.state.candidates.peek() {
-                if self.frontier_bound().is_none_or(|b| *score <= b) {
+                if self.frontier_bound().is_none_or(|b| *score < b) {
                     let MinScored(score, tid) = self.state.candidates.pop().unwrap();
                     return Ok(Some((tid, score)));
                 }
@@ -502,6 +491,7 @@ fn make_machine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcube_core::query::Query;
     use rcube_func::{Constrained, Expr, GeneralSq, Linear, SqDist};
     use rcube_index::BPlusTree;
     use rcube_table::gen::SyntheticSpec;
@@ -530,11 +520,11 @@ mod tests {
         rel: &Relation,
         merge: &IndexMerge<'_>,
         disk: &DiskSim,
-        f: &dyn RankFn,
-        cfg: &MergeConfig,
+        q: &Query,
+        cfg: MergeConfig,
     ) {
-        let got = merge.topk(f, 10, cfg, disk);
-        let want = naive(rel, f, 10);
+        let got = merge.source(cfg, disk).query(&q.plan()).unwrap();
+        let want = naive(rel, q.plan().func, q.k());
         assert_eq!(got.items.len(), want.len(), "{cfg:?}");
         for (g, w) in got.scores().iter().zip(&want) {
             assert!((g - w).abs() < 1e-9, "{cfg:?}: {g} vs {w}");
@@ -550,23 +540,23 @@ mod tests {
         let plain = IndexMerge::new(idx.clone());
         let with_sig = IndexMerge::new(idx).with_full_signature(&disk);
 
-        let functions: Vec<Box<dyn RankFn>> = vec![
-            Box::new(Linear::new(vec![1.0, 2.0])),
-            Box::new(SqDist::new(vec![0.3, 0.7])),
-            Box::new(GeneralSq::fg()),
-            Box::new(Constrained::new(Linear::uniform(2), 1, 0.2, 0.6)),
-            Box::new(Expr::var(0).sub(Expr::var(1).square()).square()),
+        let queries = [
+            Query::all().rank(Linear::new(vec![1.0, 2.0])).top(10),
+            Query::all().rank(SqDist::new(vec![0.3, 0.7])).top(10),
+            Query::all().rank(GeneralSq::fg()).top(10),
+            Query::all().rank(Constrained::new(Linear::uniform(2), 1, 0.2, 0.6)).top(10),
+            Query::all().rank(Expr::var(0).sub(Expr::var(1).square()).square()).top(10),
         ];
-        for f in &functions {
+        for q in &queries {
             for algo in [MergeAlgo::Basic, MergeAlgo::Progressive] {
                 let cfg = MergeConfig { algo, expansion: Expansion::Auto };
-                check_config(&rel, &plain, &disk, f.as_ref(), &cfg);
-                check_config(&rel, &with_sig, &disk, f.as_ref(), &cfg);
+                check_config(&rel, &plain, &disk, q, cfg);
+                check_config(&rel, &with_sig, &disk, q, cfg);
             }
             // Forced threshold expansion.
             let cfg = MergeConfig { algo: MergeAlgo::Progressive, expansion: Expansion::Threshold };
-            check_config(&rel, &plain, &disk, f.as_ref(), &cfg);
-            check_config(&rel, &with_sig, &disk, f.as_ref(), &cfg);
+            check_config(&rel, &plain, &disk, q, cfg);
+            check_config(&rel, &with_sig, &disk, q, cfg);
         }
     }
 
@@ -580,7 +570,7 @@ mod tests {
         assert!(NeighborhoodMachine::applicable(&idx, &f));
         let merge = IndexMerge::new(idx);
         let cfg = MergeConfig { algo: MergeAlgo::Progressive, expansion: Expansion::Neighborhood };
-        check_config(&rel, &merge, &disk, &f, &cfg);
+        check_config(&rel, &merge, &disk, &Query::all().rank(f).top(10), cfg);
     }
 
     #[test]
@@ -591,14 +581,12 @@ mod tests {
         let trees = build_trees(&rel, &disk, 16);
         let idx: Vec<&dyn HierIndex> = trees.iter().map(|t| t as &dyn HierIndex).collect();
         let merge = IndexMerge::new(idx);
-        let f = GeneralSq::fg();
-        let basic = merge.topk(
-            &f,
-            50,
-            &MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto },
-            &disk,
-        );
-        let prog = merge.topk(&f, 50, &MergeConfig::default(), &disk);
+        let q = Query::all().rank(GeneralSq::fg()).top(50);
+        let basic = merge
+            .source(MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto }, &disk)
+            .query(&q.plan())
+            .unwrap();
+        let prog = merge.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap();
         assert!(
             prog.stats.states_generated * 2 < basic.stats.states_generated,
             "progressive {} vs basic {}",
@@ -616,10 +604,10 @@ mod tests {
         let idx: Vec<&dyn HierIndex> = trees.iter().map(|t| t as &dyn HierIndex).collect();
         let plain = IndexMerge::new(idx.clone());
         let with_sig = IndexMerge::new(idx).with_full_signature(&disk);
-        let f = GeneralSq::fg();
+        let q = Query::all().rank(GeneralSq::fg()).top(100);
         let cfg = MergeConfig::default();
-        let pe = plain.topk(&f, 100, &cfg, &disk);
-        let sig = with_sig.topk(&f, 100, &cfg, &disk);
+        let pe = plain.source(cfg, &disk).query(&q.plan()).unwrap();
+        let sig = with_sig.source(cfg, &disk).query(&q.plan()).unwrap();
         assert!(
             sig.stats.blocks_read < pe.stats.blocks_read,
             "PE+SIG {} vs PE {} leaf reads",
@@ -636,10 +624,9 @@ mod tests {
         let idx: Vec<&dyn HierIndex> = trees.iter().map(|t| t as &dyn HierIndex).collect();
         let merge2d = IndexMerge::new(idx.clone()).with_pairwise_signatures(&disk);
         let merge3d = IndexMerge::new(idx).with_full_signature(&disk);
-        let f = SqDist::new(vec![0.2, 0.5, 0.8]);
-        let cfg = MergeConfig::default();
-        check_config(&rel, &merge2d, &disk, &f, &cfg);
-        check_config(&rel, &merge3d, &disk, &f, &cfg);
+        let q = Query::all().rank(SqDist::new(vec![0.2, 0.5, 0.8])).top(10);
+        check_config(&rel, &merge2d, &disk, &q, MergeConfig::default());
+        check_config(&rel, &merge3d, &disk, &q, MergeConfig::default());
         assert_eq!(merge2d.signatures().len(), 3);
     }
 
@@ -658,8 +645,8 @@ mod tests {
         );
         let idx: Vec<&dyn HierIndex> = vec![&rt, &bt];
         let merge = IndexMerge::new(idx).with_full_signature(&disk);
-        let f = SqDist::new(vec![0.5, 0.5, 0.5]);
-        check_config(&rel, &merge, &disk, &f, &MergeConfig::default());
+        let q = Query::all().rank(SqDist::new(vec![0.5, 0.5, 0.5])).top(10);
+        check_config(&rel, &merge, &disk, &q, MergeConfig::default());
     }
 
     #[test]
@@ -673,14 +660,12 @@ mod tests {
         let idx: Vec<&dyn HierIndex> = trees.iter().map(|t| t as &dyn HierIndex).collect();
         let basic_engine = IndexMerge::new(idx.clone());
         let improved = IndexMerge::new(idx).with_full_signature(&disk);
-        let f = GeneralSq::fg();
-        let b = basic_engine.topk(
-            &f,
-            100,
-            &MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto },
-            &disk,
-        );
-        let i = improved.topk(&f, 100, &MergeConfig::default(), &disk);
+        let q = Query::all().rank(GeneralSq::fg()).top(100);
+        let b = basic_engine
+            .source(MergeConfig { algo: MergeAlgo::Basic, expansion: Expansion::Auto }, &disk)
+            .query(&q.plan())
+            .unwrap();
+        let i = improved.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap();
         assert!(i.stats.states_generated < b.stats.states_generated / 2);
         assert!(i.stats.blocks_read < b.stats.blocks_read);
         assert!(i.stats.peak_heap * 4 < b.stats.peak_heap);

@@ -1,7 +1,7 @@
 //! Block-nested-loop skyline — the reference implementation and the core
 //! of the Boolean-first baseline (filter by predicates, then BNL).
 
-use rcube_core::{QueryStats, TopKResult};
+use rcube_core::QueryStats;
 use rcube_storage::DiskSim;
 use rcube_table::{Relation, Tid};
 
@@ -49,12 +49,6 @@ pub fn boolean_first_skyline(
     stats.tuples_scored = rel.tids().filter(|&t| query.selection.matches(rel, t)).count() as u64;
     stats.io = before.delta(&disk.stats().snapshot());
     SkylineResult { tids, stats }
-}
-
-/// Convenience: converts a skyline into the `TopKResult` shape when a test
-/// wants a uniform interface.
-pub fn as_result(tids: Vec<Tid>, stats: QueryStats) -> TopKResult {
-    TopKResult { items: tids.into_iter().map(|t| (t, 0.0)).collect(), stats }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use rcube_obs::{Counter, Metrics};
 
 use crate::backend::{MemBackend, PageBackend, StorageError};
 use crate::buffer::StripedLruBuffer;
-use crate::file::{FileBackend, DEFAULT_POOL_PAGES};
+use crate::file::FileBackend;
 use crate::stats::IoStats;
 use crate::DEFAULT_PAGE_SIZE;
 
@@ -232,11 +232,6 @@ impl PageStore {
         pool_pages: usize,
     ) -> Result<Self, StorageError> {
         Ok(Self { backend: Arc::new(FileBackend::open(path, pool_pages)?) })
-    }
-
-    /// Opens an existing cube file with the default pool capacity.
-    pub fn open_file_default(path: impl AsRef<std::path::Path>) -> Result<Self, StorageError> {
-        Self::open_file(path, DEFAULT_POOL_PAGES)
     }
 
     /// Opens an existing cube file for writing: appends land after the

@@ -3,7 +3,7 @@
 //! Two layers, matching the two places real systems fail:
 //!
 //! * [`FaultPlan`] — a *media* plan shared with a [`crate::FileBackend`]
-//!   (`create_faulted` / `open_writable_faulted`). It scripts faults at
+//!   through `FileOptions::faults`. It scripts faults at
 //!   the raw page-I/O boundary: crash after the Nth page write (torn
 //!   prefix or fully dropped — everything after the crash point silently
 //!   fails to persist, like a kernel losing its dirty pages), `ENOSPC`

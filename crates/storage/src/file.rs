@@ -210,16 +210,6 @@ impl FileBackend {
         Self::create_with(path, page_size, FileOptions::with_pool(pool_pages))
     }
 
-    /// [`Self::create`] with a scripted media-fault plan attached.
-    pub fn create_faulted(
-        path: impl AsRef<Path>,
-        page_size: usize,
-        pool_pages: usize,
-        faults: Arc<FaultPlan>,
-    ) -> Result<Self, StorageError> {
-        Self::create_with(path, page_size, FileOptions { pool_pages, faults: Some(faults) })
-    }
-
     /// Creates a fresh cube file with explicit [`FileOptions`].
     pub fn create_with(
         path: impl AsRef<Path>,
@@ -288,11 +278,6 @@ impl FileBackend {
         Self::open_impl(path, opts, false, false)
     }
 
-    /// Opens with the default pool capacity.
-    pub fn open_default(path: impl AsRef<Path>) -> Result<Self, StorageError> {
-        Self::open(path, DEFAULT_POOL_PAGES)
-    }
-
     /// Opens read-only pinned on the *previous* generation (the losing,
     /// still-valid slot) — the scrub path verifies it before rolling the
     /// open pointer back.
@@ -311,13 +296,12 @@ impl FileBackend {
         Self::open_impl(path, FileOptions::with_pool(pool_pages), true, false)
     }
 
-    /// [`Self::open_writable`] with a scripted media-fault plan.
-    pub fn open_writable_faulted(
+    /// [`Self::open_writable`] with explicit [`FileOptions`] (a scripted
+    /// media-fault plan, when one is attached).
+    pub fn open_writable_with(
         path: impl AsRef<Path>,
-        pool_pages: usize,
-        faults: Arc<FaultPlan>,
+        opts: FileOptions,
     ) -> Result<Self, StorageError> {
-        let opts = FileOptions { pool_pages, faults: Some(faults) };
         Self::open_impl(path, opts, true, false)
     }
 
@@ -1469,7 +1453,8 @@ mod tests {
         let plan = FaultPlan::new();
         plan.crash_after_page_writes(0, CrashMode::Dropped);
         {
-            let be = FileBackend::open_writable_faulted(&path, 4, Arc::clone(&plan)).unwrap();
+            let opts = FileOptions { pool_pages: 4, faults: Some(Arc::clone(&plan)) };
+            let be = FileBackend::open_writable_with(&path, opts).unwrap();
             let b = be.put(&disk, vec![2u8; 50]).unwrap();
             be.set_catalog(b).unwrap();
             be.flush().unwrap(); // "succeeds" — but nothing persisted

@@ -91,10 +91,14 @@
 //!
 //! The superblock's catalog pointer names one ordinary object whose first
 //! byte is a *kind tag* interpreted by the cube layer (`rcube_core`):
-//! `1` grid cube, `2` ranking fragments, `4` signature cube. Readers
-//! reject a mismatched tag with a typed error, so a catalog-layout change
-//! is shipped as a new tag rather than a silent reinterpretation. Tag `3`
-//! (the original signature-cube catalog) is retired: it carried a per-node
+//! `1` grid cube (whatever cuboids it materializes, ranking fragments
+//! included), `4` signature cube. Readers reject a mismatched tag with a
+//! typed error, so a catalog-layout change is shipped as a new tag rather
+//! than a silent reinterpretation. Tag `2` (a fragments-configured grid
+//! cube behind two extra integers) is retired: such a cube saves under
+//! tag `1`, and a file carrying tag `2` fails to open with the
+//! kind-mismatch error and must be re-saved. Tag `3` (the original
+//! signature-cube catalog) is retired too: it carried a per-node
 //! `sid → partial` pair list per cell; tag `4` stores, per cell, the
 //! signature depth plus one *first-SID* entry per partial — BFS write
 //! order makes SIDs strictly increasing, so that sorted array replaces

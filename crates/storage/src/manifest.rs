@@ -215,11 +215,6 @@ impl ShardManifest {
         let dir = manifest_path.parent().unwrap_or_else(|| Path::new("."));
         dir.join(&self.shards[i].file)
     }
-
-    /// Total tuples across all shards.
-    pub fn total_tuples(&self) -> u64 {
-        self.shards.iter().map(|s| s.tuples).sum()
-    }
 }
 
 #[cfg(test)]

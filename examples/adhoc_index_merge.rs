@@ -46,20 +46,22 @@ fn main() {
         .add(Expr::var(0).sub(Expr::constant(0.5)).abs());
     println!("\ntop-5 by (A − B²)² + |A − 0.5|:");
 
-    let res = with_sig.topk(&f, 5, &MergeConfig::default(), &disk);
+    let top5 = Query::all().rank(f.clone()).top(5);
+    let res = with_sig.source(MergeConfig::default(), &disk).query(&top5.plan()).unwrap();
     for (tid, score) in &res.items {
         let p = rel.ranking_point(*tid);
         println!("  t{tid}: A = {:.3}, B = {:.3}, f = {score:.5}", p[0], p[1]);
     }
 
     // Compare the three search configurations on work done.
+    let top100 = Query::all().rank(f.clone()).top(100);
     for (name, engine, algo) in [
         ("basic (Algorithm 4)", &plain, MergeAlgo::Basic),
         ("progressive (Algorithm 5)", &plain, MergeAlgo::Progressive),
         ("progressive + join-signature", &with_sig, MergeAlgo::Progressive),
     ] {
         let cfg = MergeConfig { algo, expansion: Expansion::Auto };
-        let r = engine.topk(&f, 100, &cfg, &disk);
+        let r = engine.source(cfg, &disk).query(&top100.plan()).unwrap();
         println!(
             "{name:>30}: {:>7} states, {:>5} leaf reads, peak heap {:>6}",
             r.stats.states_generated, r.stats.blocks_read, r.stats.peak_heap

@@ -12,7 +12,6 @@
 use std::time::Duration;
 
 use ranking_cube::cube::maintain::apply_path_updates;
-use ranking_cube::cube::sigquery::topk_signature;
 use ranking_cube::prelude::*;
 use ranking_cube::storage::{lock_path_for, FileBackend, StorageError};
 use ranking_cube::table::gen::SyntheticSpec;
@@ -39,9 +38,9 @@ fn main() {
 
     // A reader pins the base generation before any maintenance runs.
     let (pinned, pinned_rtree) = SignatureCube::open_from(&path).expect("pinned reader");
-    let q = TopKQuery::new(vec![(0, 1)], Linear::uniform(2), 8);
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
     let pinned_disk = DiskSim::with_defaults();
-    let before = topk_signature(&pinned_rtree, &pinned, &q, &pinned_disk);
+    let before = pinned.source(&pinned_rtree, &pinned_disk).query(&q.plan()).unwrap();
     println!("pinned reader opened generation {:?}", pinned.store().generation());
 
     // COW maintenance commits the next generation and leaves retired
@@ -111,7 +110,7 @@ fn main() {
 
     // The reader pinned before all of it still answers its generation —
     // the rename unlinked the old inode's name, not its bytes.
-    let after_swap = topk_signature(&pinned_rtree, &pinned, &q, &pinned_disk);
+    let after_swap = pinned.source(&pinned_rtree, &pinned_disk).query(&q.plan()).unwrap();
     assert_eq!(after_swap.items, before.items);
     println!("pinned reader unaffected by the swap: {}", render(&after_swap.items));
     drop((pinned, pinned_rtree));

@@ -11,7 +11,6 @@
 use std::time::Instant;
 
 use ranking_cube::cube::maintain::apply_path_updates;
-use ranking_cube::cube::sigquery::topk_signature;
 use ranking_cube::cube::ScrubOutcome;
 use ranking_cube::prelude::*;
 use ranking_cube::table::gen::SyntheticSpec;
@@ -54,20 +53,20 @@ fn main() {
     let reopened = GridRankingCube::open_from(&path).expect("reopen cube");
     println!("reopened read-only in {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
 
-    let query = TopKQuery::new(vec![(0, 1), (2, 3)], Linear::uniform(2), 10);
+    let query = Query::select([(0, 1), (2, 3)]).rank(Linear::uniform(2)).top(10);
     let serve_disk = DiskSim::with_defaults();
 
     // Cold: buffer pool empty, every page read from the file and verified.
     let t = Instant::now();
-    let cold = reopened.query(&query, &serve_disk);
+    let cold = reopened.source(&serve_disk).query(&query.plan()).unwrap();
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Warm: the same pages now live in buffer-pool frames.
     let t = Instant::now();
-    let warm = reopened.query(&query, &serve_disk);
+    let warm = reopened.source(&serve_disk).query(&query.plan()).unwrap();
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let mem = cube.query(&query, &disk);
+    let mem = cube.source(&disk).query(&query.plan()).unwrap();
     assert_eq!(mem.items, cold.items);
     assert_eq!(mem.items, warm.items);
     println!("top-{} identical across in-memory / cold file / warm file", cold.items.len());
@@ -140,15 +139,15 @@ fn commit_while_serving() {
         streamed.push(item);
     }
     drop(cursor);
-    let q = TopKQuery::new(vec![(0, 1)], Linear::uniform(2), 8);
-    let pinned = topk_signature(&reader_rtree, &reader, &q, &reader_disk);
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
+    let pinned = reader.source(&reader_rtree, &reader_disk).query(&q.plan()).unwrap();
     assert_eq!(streamed, pinned.items, "cursor must finish on its opened generation");
     println!("cursor finished on generation {gen_open}: {}", render(&streamed));
 
     // Fresh opens elect the new generation.
     let (fresh, fresh_rtree) = SignatureCube::open_from(&path).expect("fresh open");
     assert_eq!(fresh.store().generation(), Some(gen_next));
-    let after = topk_signature(&fresh_rtree, &fresh, &q, &DiskSim::with_defaults());
+    let after = fresh.source(&fresh_rtree, &DiskSim::with_defaults()).query(&q.plan()).unwrap();
     println!("generation {gen_next} serves:        {}", render(&after.items));
 
     // Damage a page only the new generation reaches, then scrub: the
@@ -177,7 +176,8 @@ fn commit_while_serving() {
     let (restored, restored_rtree) = SignatureCube::open_from(&path).expect("reopen after scrub");
     assert_eq!(restored.store().generation(), Some(gen_open));
     restored.verify_integrity().expect("restored generation verifies");
-    let rolled = topk_signature(&restored_rtree, &restored, &q, &DiskSim::with_defaults());
+    let rolled =
+        restored.source(&restored_rtree, &DiskSim::with_defaults()).query(&q.plan()).unwrap();
     assert_eq!(rolled.items, pinned.items);
     println!("generation {gen_open} serves again: {}", render(&rolled.items));
 

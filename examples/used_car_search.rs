@@ -56,8 +56,8 @@ fn main() {
     let cube = GridRankingCube::build(&cars, &disk, GridCubeConfig::default());
 
     // Q1: cheapest low-mileage red sedans.
-    let q1 = TopKQuery::new(vec![(0, SEDAN), (2, RED)], Linear::uniform(2), 10);
-    let r1 = cube.query(&q1, &disk);
+    let q1 = Query::select([(0, SEDAN), (2, RED)]).rank(Linear::uniform(2)).top(10);
+    let r1 = cube.source(&disk).query(&q1.plan()).unwrap();
     println!("Q1: top-10 red sedans by price + mileage");
     for (tid, score) in &r1.items {
         println!(
@@ -72,8 +72,8 @@ fn main() {
     let target_price = 20_000.0 / 50_000.0;
     let target_miles = 10_000.0 / 150_000.0;
     let f2 = SqDist::new(vec![target_price, target_miles]);
-    let q2 = TopKQuery::new(vec![(0, CONVERTIBLE), (1, FORD)], f2.clone(), 5);
-    let r2 = cube.query(&q2, &disk);
+    let q2 = Query::select([(0, CONVERTIBLE), (1, FORD)]).rank(f2.clone()).top(5);
+    let r2 = cube.source(&disk).query(&q2.plan()).unwrap();
     println!("\nQ2: top-5 Ford convertibles near $20k / 10k miles");
     for (tid, score) in &r2.items {
         println!(
@@ -86,7 +86,7 @@ fn main() {
     // Sanity: the cube agrees with a full scan.
     let mut naive: Vec<(u32, f64)> = cars
         .tids()
-        .filter(|&t| q2.selection.matches(&cars, t))
+        .filter(|&t| q2.selection().matches(&cars, t))
         .map(|t| (t, f2.score(&cars.ranking_point(t))))
         .collect();
     naive.sort_by(|a, b| a.1.total_cmp(&b.1));

@@ -17,11 +17,10 @@
 //!    bound-driven scatter-gather cursor (`rcube_core::shard`), preferred
 //!    over single cubes because its shards pull in parallel;
 //! 3. **Grid ranking cube** — covering cuboids over the selection, the
-//!    paper's primary engine;
-//! 4. **Ranking fragments** — the linear-space variant for high selection
-//!    dimensionality;
-//! 5. **Signature cube** — hierarchical partition + top-down search;
-//! 6. **Table scan** — the always-applicable fallback (built implicitly,
+//!    paper's primary engine (materialized in full or as the linear-space
+//!    ranking fragments of Section 3.4: a `CuboidSpec`, not a route);
+//! 4. **Signature cube** — hierarchical partition + top-down search;
+//! 5. **Table scan** — the always-applicable fallback (built implicitly,
 //!    so every well-formed query is answerable).
 //!
 //! # Graceful degradation
@@ -34,8 +33,9 @@
 //!   bounded exponential backoff, surfaced as
 //!   `QueryStats::path_retries`.
 //! * **Persistent faults** (checksum mismatches, truncation) abandon the
-//!   route for the next candidate — down to the in-memory table scan,
-//!   which always answers — counted in `QueryStats::path_fallbacks`.
+//!   route for the next candidate (signature → grid → scan) — down to the
+//!   in-memory table scan, which always answers — counted in
+//!   `QueryStats::path_fallbacks`.
 //! * A route that failed persistently is **quarantined**: subsequent
 //!   queries skip it until [`Engine::clear_quarantine`] (after a repair
 //!   such as `SignatureCube::scrub_path`). The scan is never quarantined.
@@ -57,7 +57,6 @@ use std::time::{Duration, Instant};
 
 use rcube_baseline::TableScan;
 use rcube_core::delta::DeltaCube;
-use rcube_core::fragments::{FragmentConfig, RankingFragments};
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
 use rcube_core::query::{Query, QueryPlan, RankedSource, TopKCursor};
 use rcube_core::shard::{ShardedCube, ShardedCubeConfig};
@@ -98,8 +97,6 @@ pub enum Route {
     Sharded,
     /// The grid ranking cube answered.
     Grid,
-    /// The ranking fragments answered.
-    Fragments,
     /// The signature cube + R-tree answered.
     Signature,
     /// The table-scan fallback answered.
@@ -108,14 +105,8 @@ pub enum Route {
 
 impl Route {
     /// Every route, in the engine's preference order.
-    pub const ALL: [Route; 6] = [
-        Route::Delta,
-        Route::Sharded,
-        Route::Grid,
-        Route::Fragments,
-        Route::Signature,
-        Route::Scan,
-    ];
+    pub const ALL: [Route; 5] =
+        [Route::Delta, Route::Sharded, Route::Grid, Route::Signature, Route::Scan];
 
     /// The metric-series name for this route (`query.<name>.…`).
     pub fn name(self) -> &'static str {
@@ -123,21 +114,14 @@ impl Route {
             Route::Delta => "delta",
             Route::Sharded => "sharded",
             Route::Grid => "grid",
-            Route::Fragments => "fragments",
             Route::Signature => "signature",
             Route::Scan => "scan",
         }
     }
 
+    /// Position in [`Self::ALL`] (the variants are declared in that order).
     fn index(self) -> usize {
-        match self {
-            Route::Delta => 0,
-            Route::Sharded => 1,
-            Route::Grid => 2,
-            Route::Fragments => 3,
-            Route::Signature => 4,
-            Route::Scan => 5,
-        }
+        self as usize
     }
 }
 
@@ -187,7 +171,6 @@ pub struct Engine {
     delta: Option<Arc<DeltaCube>>,
     sharded: Option<ShardedCube>,
     grid: Option<GridRankingCube>,
-    fragments: Option<RankingFragments>,
     signature: Option<(RTree, SignatureCube)>,
     scan: TableScan,
     /// Routes taken out of service by a persistent storage fault, with
@@ -199,7 +182,7 @@ pub struct Engine {
     metrics: Metrics,
     /// Pre-resolved per-route query instruments, indexed by
     /// [`Route::index`].
-    route_metrics: [RouteMetricSet; 6],
+    route_metrics: [RouteMetricSet; 5],
     retries_total: Counter,
     fallbacks_total: Counter,
     quarantines_total: Counter,
@@ -241,7 +224,6 @@ impl Engine {
             delta: None,
             sharded: None,
             grid: None,
-            fragments: None,
             signature: None,
             scan,
             quarantine: Mutex::new(Vec::new()),
@@ -295,14 +277,6 @@ impl Engine {
         self
     }
 
-    /// Materializes ranking fragments and registers them.
-    pub fn with_fragments(mut self, config: FragmentConfig) -> Self {
-        let frags = RankingFragments::build(&self.rel, &self.disk, config);
-        frags.cube().store().attach_metrics(&self.metrics, "fragments");
-        self.fragments = Some(frags);
-        self
-    }
-
     /// Builds an R-tree over the ranking dimensions, materializes a
     /// signature cube over it, and registers the pair.
     pub fn with_signature_cube(mut self, rcfg: RTreeConfig, scfg: SignatureCubeConfig) -> Self {
@@ -318,13 +292,6 @@ impl Engine {
     pub fn with_prebuilt_grid(mut self, cube: GridRankingCube) -> Self {
         cube.store().attach_metrics(&self.metrics, "grid");
         self.grid = Some(cube);
-        self
-    }
-
-    /// Registers already-materialized ranking fragments.
-    pub fn with_prebuilt_fragments(mut self, fragments: RankingFragments) -> Self {
-        fragments.cube().store().attach_metrics(&self.metrics, "fragments");
-        self.fragments = Some(fragments);
         self
     }
 
@@ -384,11 +351,6 @@ impl Engine {
         self.grid.as_ref()
     }
 
-    /// The registered fragments, if any.
-    pub fn fragments(&self) -> Option<&RankingFragments> {
-        self.fragments.as_ref()
-    }
-
     /// The registered signature cube + R-tree, if any.
     pub fn signature_cube(&self) -> Option<&(RTree, SignatureCube)> {
         self.signature.as_ref()
@@ -410,40 +372,51 @@ impl Engine {
         true
     }
 
-    /// Whether `route` covers the plan's selection and ranking dimensions;
-    /// `None` when nothing is registered on it.
-    fn can_answer(&self, route: Route, plan: &QueryPlan<'_>) -> Option<bool> {
+    /// One route's standing for `plan`: whether anything is registered on
+    /// it, whether that covers the plan's selection and ranking dimensions,
+    /// and the fault that quarantined it (`down` is the quarantine list,
+    /// locked by the caller). The one place the pin, the sources'
+    /// `can_answer` and the quarantine list are combined: the router
+    /// filters on it ([`Self::viable`]) and [`Self::consider`] renders it,
+    /// so the plan a report shows is the plan the router executes. A pinned
+    /// query stands on the grid alone.
+    fn standing<'d>(
+        &self,
+        route: Route,
+        plan: &QueryPlan<'_>,
+        down: &'d [(Route, String)],
+    ) -> (bool, bool, Option<&'d str>) {
+        if self.pins_grid(plan) {
+            return (route == Route::Grid, route == Route::Grid, None);
+        }
         let (sel, dims) = (plan.selection, plan.ranking_dims);
-        match route {
+        let covers = match route {
             Route::Delta => self.delta.as_ref().map(|d| d.can_answer(sel, dims)),
             Route::Sharded => self.sharded.as_ref().map(|c| c.can_answer(sel, dims)),
             Route::Grid => self.grid.as_ref().map(|g| g.can_answer(sel, dims)),
-            Route::Fragments => self.fragments.as_ref().map(|fr| fr.can_answer(sel, dims)),
             Route::Signature => {
                 self.signature.as_ref().map(|(rtree, cube)| cube.can_answer(rtree, sel, dims))
             }
             Route::Scan => Some(true),
-        }
+        };
+        let why = down.iter().find(|(q, _)| *q == route).map(|(_, why)| why.as_str());
+        (covers.is_some(), covers == Some(true), why)
     }
 
-    /// Every route's standing for `query`, in preference order: the rows
-    /// of [`Self::explain`]. Built from the three facts
-    /// [`Self::candidates`] routes by — the pin, [`Self::can_answer`], the
-    /// quarantine list — so the plan a report shows is exactly the plan
-    /// the router executes.
-    fn consider(&self, query: &Query) -> Vec<CandidatePlan> {
-        let plan = query.plan();
-        let pinned = self.pins_grid(&plan);
+    /// Whether the retry/fallback ladder may try `route` for `plan`.
+    fn viable(&self, route: Route, plan: &QueryPlan<'_>, down: &[(Route, String)]) -> bool {
+        matches!(self.standing(route, plan, down), (true, true, None))
+    }
+
+    /// Every route's standing for `plan`, in preference order: the rows of
+    /// [`Self::explain`].
+    fn consider(&self, plan: &QueryPlan<'_>) -> Vec<CandidatePlan> {
+        let pinned = self.pins_grid(plan);
         let down = self.quarantine.lock().unwrap();
         let mut chosen_yet = false;
         let rows = Route::ALL.map(|route| {
-            let (registered, eligible, quarantined) = if pinned {
-                (route == Route::Grid, route == Route::Grid, None)
-            } else {
-                let covers = self.can_answer(route, &plan);
-                let why = down.iter().find(|(q, _)| *q == route).map(|(_, why)| why.clone());
-                (covers.is_some(), covers == Some(true), why)
-            };
+            let (registered, eligible, why) = self.standing(route, plan, &down);
+            let quarantined = why.map(str::to_owned);
             let mut row =
                 CandidatePlan { route, registered, eligible, quarantined, chosen: false, pinned };
             row.chosen = row.viable() && !chosen_yet;
@@ -453,21 +426,20 @@ impl Engine {
         rows.into()
     }
 
-    /// Candidate routes for `query`, best first: every registered,
-    /// non-quarantined source that can answer the plan, always ending
-    /// with the table scan. An explicit `via_cuboids` pin returns the
-    /// grid route alone — degrading a pinned query to another path would
-    /// silently drop its cover.
-    fn candidates(&self, query: &Query) -> Vec<Route> {
-        let plan = query.plan();
-        if self.pins_grid(&plan) {
-            return vec![Route::Grid];
-        }
+    /// Candidate routes for `plan`, best first: every registered,
+    /// non-quarantined source that can answer it, always ending with the
+    /// table scan. An explicit `via_cuboids` pin returns the grid route
+    /// alone — degrading a pinned query to another path would silently
+    /// drop its cover.
+    fn candidates(&self, plan: &QueryPlan<'_>) -> Vec<Route> {
         let down = self.quarantine.lock().unwrap();
-        let viable = |route: &Route| {
-            self.can_answer(*route, &plan) == Some(true) && !down.iter().any(|(q, _)| q == route)
-        };
-        Route::ALL.into_iter().filter(viable).collect()
+        Route::ALL.into_iter().filter(|&route| self.viable(route, plan, &down)).collect()
+    }
+
+    /// The first of [`Self::candidates`], without collecting the rest.
+    fn route_for(&self, plan: &QueryPlan<'_>) -> Route {
+        let down = self.quarantine.lock().unwrap();
+        Route::ALL.into_iter().find(|&r| self.viable(r, plan, &down)).expect("the scan is viable")
     }
 
     /// The access path [`Self::open`] will use for `query` — the first
@@ -479,7 +451,7 @@ impl Engine {
     /// none is registered or its partition misses a ranking dimension)
     /// rather than silently dropping the cover on another path.
     pub fn route(&self, query: &Query) -> Route {
-        self.candidates(query)[0]
+        self.route_for(&query.plan())
     }
 
     /// Opens a cursor on one specific route.
@@ -493,9 +465,6 @@ impl Engine {
             Route::Sharded => self.sharded.as_ref().expect("routed to sharded").source().open(plan),
             Route::Grid => {
                 self.grid.as_ref().expect("routed to grid").source(&self.disk).open(plan)
-            }
-            Route::Fragments => {
-                self.fragments.as_ref().expect("routed to fragments").source(&self.disk).open(plan)
             }
             Route::Signature => {
                 let (rtree, cube) = self.signature.as_ref().expect("routed to signature");
@@ -513,7 +482,7 @@ impl Engine {
     /// retry/fallback orchestration for batch answers.
     pub fn open<'e>(&'e self, query: &'e Query) -> Result<TopKCursor<'e>, StorageError> {
         let plan = query.plan();
-        let route = self.route(query);
+        let route = self.route_for(&plan);
         self.route_metrics[route.index()].count.inc();
         self.open_route(route, &plan)
     }
@@ -560,7 +529,7 @@ impl Engine {
         let mut fallbacks = 0u64;
         let mut backoff_spent = Duration::ZERO;
         let mut last_err = None;
-        for route in self.candidates(query) {
+        for route in self.candidates(&plan) {
             let mut attempt = 1;
             loop {
                 let run = self.open_route(route, &plan).and_then(|mut c| {
@@ -768,7 +737,7 @@ impl Engine {
     pub fn explain(&self, query: &Query) -> PlanReport {
         let plan = query.plan();
         let estimated_selectivity = plan.selection.estimated_selectivity(&self.rel);
-        let candidates = self.consider(query);
+        let candidates = self.consider(&plan);
         let route = candidates
             .iter()
             .find(|c| c.chosen)
@@ -860,7 +829,6 @@ impl Engine {
             sharded_shards: self.sharded.as_ref().map(|c| c.num_shards()),
             sharded_failed: self.sharded.as_ref().map(|c| c.failed_shards()).unwrap_or_default(),
             grid_pool: self.grid.as_ref().and_then(|g| g.pool_stats()),
-            fragments_pool: self.fragments.as_ref().and_then(|fr| fr.cube().pool_stats()),
             signature_pool: self.signature.as_ref().and_then(|(_, c)| c.pool_stats()),
             node_cache: self.signature.as_ref().map(|(_, c)| c.node_cache().stats()),
             quarantined: self.quarantined(),
@@ -1066,7 +1034,7 @@ mod tests {
         // plan says why…
         assert_eq!(eng.route(&q), Route::Scan);
         let rows: Vec<String> =
-            eng.explain(&q).to_string().lines().skip(7).map(str::to_owned).collect();
+            eng.explain(&q).to_string().lines().skip(6).map(str::to_owned).collect();
         let why = &quarantined[0].1;
         assert_eq!(
             rows,

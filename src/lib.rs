@@ -17,7 +17,7 @@
 //! | [`table`] | relations, schemas, generators, workloads | §3.5.1 |
 //! | [`index`] | B+-tree, R-tree, equi-depth grid | substrates |
 //! | [`func`] | ranking functions with box lower bounds | §1.2.1 |
-//! | [`cube`] | grid ranking cube, fragments, signature cube | Ch 3–4 |
+//! | [`cube`] | grid ranking cube (full or fragments), signature cube | Ch 3–4 |
 //! | [`merge`] | index-merge for high ranking dimensionality | Ch 5 |
 //! | [`join`] | SPJR ranked queries over multiple relations | Ch 6 |
 //! | [`skyline`] | skyline / dynamic skyline with Boolean predicates | Ch 7 |
@@ -216,14 +216,13 @@ pub mod prelude {
     };
     pub use rcube_baseline::{BooleanFirst, RankMapping, RankingFirst, TableScan};
     pub use rcube_core::delta::{DeltaCube, DeltaOptions, DeltaStats, FlushReport, ReplayReport};
-    pub use rcube_core::fragments::{FragmentConfig, RankingFragments};
-    pub use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
+    pub use rcube_core::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
     pub use rcube_core::query::{Query, QueryPlan, RankedSource, TopKCursor};
     pub use rcube_core::shard::{FanoutReport, ShardEngineConfig, ShardedCube, ShardedCubeConfig};
     pub use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
     pub use rcube_core::{
-        vacuum_into_place, MaintenanceConfig, MaintenanceScheduler, QueryStats, TopKQuery,
-        TopKResult, VacuumReport,
+        vacuum_into_place, MaintenanceConfig, MaintenanceScheduler, QueryStats, TopKResult,
+        VacuumReport,
     };
     pub use rcube_func::{Expr, GeneralSq, L1Dist, Linear, RankFn, Rect, SqDist};
     pub use rcube_index::bptree::BPlusTree;

@@ -20,8 +20,8 @@ use rcube_storage::{IoSnapshot, PoolStats};
 use crate::engine::Route;
 
 /// One access path's standing for a query: why the router did (or did
-/// not) pick it. Rows appear in preference order (sharded, grid,
-/// fragments, signature, scan).
+/// not) pick it. Rows appear in preference order (delta, sharded, grid,
+/// signature, scan).
 #[derive(Debug, Clone)]
 pub struct CandidatePlan {
     /// The access path under consideration.
@@ -157,13 +157,6 @@ pub struct DeltaContribution {
     pub masked: u64,
 }
 
-impl AnalyzeReport {
-    /// Actual matches found, for the estimated-vs-actual row.
-    pub fn actual_matches(&self) -> usize {
-        self.items.len()
-    }
-}
-
 impl fmt::Display for AnalyzeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.plan)?;
@@ -259,8 +252,6 @@ pub struct EngineStats {
     pub sharded_failed: Vec<(usize, String)>,
     /// Grid cube buffer-pool stats (file-backed stores only).
     pub grid_pool: Option<PoolStats>,
-    /// Fragments buffer-pool stats (file-backed stores only).
-    pub fragments_pool: Option<PoolStats>,
     /// Signature cube buffer-pool stats (file-backed stores only).
     pub signature_pool: Option<PoolStats>,
     /// Shared cross-query signature node cache stats.
@@ -302,11 +293,7 @@ impl fmt::Display for EngineStats {
         if let Some(n) = self.sharded_shards {
             writeln!(f, "sharded: {} shards, {} failed", n, self.sharded_failed.len())?;
         }
-        for (name, pool) in [
-            ("grid", &self.grid_pool),
-            ("fragments", &self.fragments_pool),
-            ("signature", &self.signature_pool),
-        ] {
+        for (name, pool) in [("grid", &self.grid_pool), ("signature", &self.signature_pool)] {
             if let Some(p) = pool {
                 writeln!(
                     f,

@@ -11,9 +11,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
-use ranking_cube::cube::sigquery::topk_signature;
-use ranking_cube::cube::{GridCubeConfig, GridRankingCube, TopKQuery};
+use ranking_cube::cube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::storage::DiskSim;
@@ -95,14 +95,18 @@ impl Workload {
         let disk = DiskSim::with_defaults();
         let mut out = Vec::new();
         for (conds, k) in &self.grid_queries {
-            let q = TopKQuery::new(conds.clone(), Linear::uniform(2), *k);
-            out.push(render(&self.grid_file.query(&q, &disk).items));
+            let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(*k);
+            out.push(render(&self.grid_file.source(&disk).query(&q.plan()).unwrap().items));
         }
         for (conds, k) in &self.sig_queries {
-            let q = TopKQuery::new(conds.clone(), Linear::uniform(3), *k);
-            out.push(render(&topk_signature(&self.mem_rtree, &self.mem_sig, &q, &disk).items));
-            let q = TopKQuery::new(conds.clone(), Linear::uniform(3), *k);
-            out.push(render(&topk_signature(&self.file_rtree, &self.file_sig, &q, &disk).items));
+            let q = Query::select(conds.clone()).rank(Linear::uniform(3)).top(*k);
+            out.push(render(
+                &self.mem_sig.source(&self.mem_rtree, &disk).query(&q.plan()).unwrap().items,
+            ));
+            let q = Query::select(conds.clone()).rank(Linear::uniform(3)).top(*k);
+            out.push(render(
+                &self.file_sig.source(&self.file_rtree, &disk).query(&q.plan()).unwrap().items,
+            ));
         }
         out
     }
@@ -183,8 +187,8 @@ fn shared_cache_on_equals_off_concurrently() {
         conds
             .iter()
             .map(|c| {
-                let q = TopKQuery::new(c.clone(), Linear::uniform(3), 10);
-                render(&topk_signature(rtree, cube, &q, &disk).items)
+                let q = Query::select(c.clone()).rank(Linear::uniform(3)).top(10);
+                render(&cube.source(rtree, &disk).query(&q.plan()).unwrap().items)
             })
             .collect()
     };
@@ -238,11 +242,11 @@ proptest::proptest! {
             vec![(1, (seed as u32 / 5) % cardinality), (2, (seed as u32 / 7) % cardinality)],
         ];
         for c in conds {
-            let q = TopKQuery::new(c.clone(), Linear::uniform(3), k);
+            let q = Query::select(c.clone()).rank(Linear::uniform(3)).top(k);
             // Twice each: the second cache-on run is served from the cache.
-            let on1 = topk_signature(&rtree, &cube_on, &q, &disk);
-            let on2 = topk_signature(&rtree, &cube_on, &q, &disk);
-            let off1 = topk_signature(&rtree, &cube_off, &q, &disk);
+            let on1 = cube_on.source(&rtree, &disk).query(&q.plan()).unwrap();
+            let on2 = cube_on.source(&rtree, &disk).query(&q.plan()).unwrap();
+            let off1 = cube_off.source(&rtree, &disk).query(&q.plan()).unwrap();
             proptest::prop_assert_eq!(render(&on1.items), render(&off1.items),
                 "cache-on vs cache-off diverged for {:?}", &c);
             proptest::prop_assert_eq!(render(&on2.items), render(&off1.items),
@@ -250,9 +254,9 @@ proptest::proptest! {
             proptest::prop_assert_eq!(off1.stats.shared_node_hits, 0);
         }
         cube_on.set_node_cache_budget(2_000);
-        let q = TopKQuery::new(vec![(0, 0), (1, 1)], Linear::uniform(3), k);
-        let tiny = topk_signature(&rtree, &cube_on, &q, &disk);
-        let off = topk_signature(&rtree, &cube_off, &q, &disk);
+        let q = Query::select([(0, 0), (1, 1)]).rank(Linear::uniform(3)).top(k);
+        let tiny = cube_on.source(&rtree, &disk).query(&q.plan()).unwrap();
+        let off = cube_off.source(&rtree, &disk).query(&q.plan()).unwrap();
         proptest::prop_assert_eq!(render(&tiny.items), render(&off.items),
             "tiny-budget cache diverged");
     }

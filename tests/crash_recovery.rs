@@ -23,9 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use ranking_cube::cube::maintain::apply_path_updates;
+use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{ScrubOutcome, SignatureCube, SignatureCubeConfig};
-use ranking_cube::cube::sigquery::topk_signature;
-use ranking_cube::cube::TopKQuery;
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::storage::{
@@ -66,8 +65,8 @@ fn answers(cube: &SignatureCube, rtree: &RTree) -> Vec<String> {
     workload()
         .into_iter()
         .map(|(conds, k)| {
-            let q = TopKQuery::new(conds, Linear::uniform(2), k);
-            render(&topk_signature(rtree, cube, &q, &disk).items)
+            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+            render(&cube.source(rtree, &disk).query(&q.plan()).unwrap().items)
         })
         .collect()
 }
@@ -87,9 +86,9 @@ fn open_readonly(path: &Path) -> (SignatureCube, RTree) {
 }
 
 fn faulted_writable(path: &Path, plan: &Arc<FaultPlan>) -> PageStore {
+    let opts = FileOptions { pool_pages: WRITER_POOL, faults: Some(Arc::clone(plan)) };
     PageStore::with_backend(Arc::new(
-        FileBackend::open_writable_faulted(path, WRITER_POOL, Arc::clone(plan))
-            .expect("open writable (faulted)"),
+        FileBackend::open_writable_with(path, opts).expect("open writable (faulted)"),
     ))
 }
 

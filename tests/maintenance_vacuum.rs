@@ -25,9 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use ranking_cube::cube::maintain::apply_path_updates;
+use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
-use ranking_cube::cube::sigquery::topk_signature;
-use ranking_cube::cube::{vacuum_into_place, MaintenanceConfig, MaintenanceScheduler, TopKQuery};
+use ranking_cube::cube::{vacuum_into_place, MaintenanceConfig, MaintenanceScheduler};
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::obs::Metrics;
@@ -67,8 +67,8 @@ fn answers(cube: &SignatureCube, rtree: &RTree) -> Vec<String> {
     workload()
         .into_iter()
         .map(|(conds, k)| {
-            let q = TopKQuery::new(conds, Linear::uniform(2), k);
-            render(&topk_signature(rtree, cube, &q, &disk).items)
+            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+            render(&cube.source(rtree, &disk).query(&q.plan()).unwrap().items)
         })
         .collect()
 }
@@ -483,7 +483,7 @@ fn engine_serves_through_live_vacuum_and_refreshes() {
     let (cube, rtree) = open_readonly(&path);
     let rel = full.prefix(full.len());
     let mut eng = Engine::new(rel).with_prebuilt_signature(rtree, cube);
-    let q = ranking_cube::cube::query::Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
     assert_eq!(eng.route(&q), Route::Signature);
     let before = eng.query(&q);
 

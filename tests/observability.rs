@@ -6,9 +6,10 @@
 //!   engine (property-tested over random relations and queries), and
 //!   charges no I/O of its own;
 //! * EXPLAIN ANALYZE's trace reconciles **exactly** with the answering
-//!   cursor's `QueryStats` on every route (grid, fragments, signature,
-//!   scan): the `cursor.attach` event carries open-sunk cost and each
-//!   pull carries its delta, so attach + Σ deltas = final stats;
+//!   cursor's `QueryStats` on every route (grid, over a full cube and
+//!   over ranking fragments; signature; scan): the `cursor.attach` event
+//!   carries open-sunk cost and each pull carries its delta, so attach +
+//!   Σ deltas = final stats;
 //! * the slow-query log captures plan + trace + counters, bounded;
 //! * the Prometheus/JSON exports render every engine series.
 
@@ -121,7 +122,13 @@ fn explain_analyze_reconciles_on_every_route() {
             Engine::new(rel(900, 5, 11))
                 .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() }),
         ),
-        (Route::Fragments, Engine::new(rel(900, 5, 12)).with_fragments(FragmentConfig::default())),
+        (
+            Route::Grid,
+            Engine::new(rel(900, 5, 12)).with_grid_cube(GridCubeConfig {
+                cuboids: CuboidSpec::Fragments(2),
+                ..Default::default()
+            }),
+        ),
         (
             Route::Signature,
             Engine::new(rel(900, 5, 13))
@@ -158,12 +165,11 @@ fn explain_charges_no_io_and_reports_candidates() {
     assert_eq!(before, after, "EXPLAIN must not execute (no I/O charged)");
 
     assert_eq!(plan.route, Route::Grid);
-    assert_eq!(plan.candidates.len(), 6, "every route gets a row");
+    assert_eq!(plan.candidates.len(), 5, "every route gets a row");
     assert!(!plan.candidates[0].registered, "delta cube not registered");
     assert!(!plan.candidates[1].registered, "sharded set not registered");
     assert!(plan.candidates[2].chosen, "grid is the best registered path");
-    assert!(!plan.candidates[3].registered, "fragments not registered");
-    assert!(plan.candidates[5].eligible, "the scan is always eligible");
+    assert!(plan.candidates[4].eligible, "the scan is always eligible");
     assert_eq!(plan.selection, vec![(0, 1), (1, 2)]);
     assert!(plan.estimated_selectivity > 0.0 && plan.estimated_selectivity <= 1.0);
     // The rendering, byte for byte as it read when every row carried a
@@ -177,7 +183,6 @@ fn explain_charges_no_io_and_reports_candidates() {
      Delta     skipped: not registered
      Sharded   skipped: not registered
   -> Grid      chosen: covers the selection and ranking dimensions
-     Fragments skipped: not registered
      Signature viable: next fallback if the preferred route fails
      Scan      viable: next fallback if the preferred route fails
   route: Grid"
@@ -191,7 +196,6 @@ fn explain_charges_no_io_and_reports_candidates() {
      Delta     skipped: query pins the grid via an explicit cuboid cover
      Sharded   skipped: query pins the grid via an explicit cuboid cover
   -> Grid      pinned: explicit via_cuboids cover
-     Fragments skipped: query pins the grid via an explicit cuboid cover
      Signature skipped: query pins the grid via an explicit cuboid cover
      Scan      skipped: query pins the grid via an explicit cuboid cover
   route: Grid"
@@ -205,7 +209,6 @@ fn explain_charges_no_io_and_reports_candidates() {
      Delta     skipped: not registered
      Sharded   skipped: not registered
      Grid      skipped: cannot answer (selection or ranking dims uncovered)
-     Fragments skipped: not registered
      Signature skipped: cannot answer (selection or ranking dims uncovered)
   -> Scan      chosen: always-applicable fallback
   route: Scan"

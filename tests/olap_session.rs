@@ -3,9 +3,8 @@
 //! every crate in the workspace.
 
 use ranking_cube::cube::maintain::{apply_path_updates, PathUpdateBatch};
+use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
-use ranking_cube::cube::sigquery::topk_signature;
-use ranking_cube::cube::TopKQuery;
 use ranking_cube::func::{Linear, RankFn};
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::join::{full_join_topk, optimize, JoinRelation, RankJoin, RelQuery, SpjrQuery};
@@ -41,8 +40,8 @@ fn maintained_cube_answers_stay_correct() {
         .unwrap();
         // The live prefix after this batch:
         let live = full.prefix(lo + 50);
-        let q = TopKQuery::new(sel.conds().to_vec(), f.clone(), 10);
-        let got = topk_signature(&rtree, &cube, &q, &disk);
+        let q = Query::select(sel.conds().to_vec()).rank(f.clone()).top(10);
+        let got = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
         let want = naive(&live, &sel, &f, 10);
         assert_eq!(got.scores().len(), want.len());
         for (g, w) in got.scores().iter().zip(&want) {
@@ -136,10 +135,10 @@ fn warm_buffer_reduces_physical_io() {
     let disk = DiskSim::with_defaults();
     let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
     let cube = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
-    let q = TopKQuery::new(vec![(0, 1)], Linear::uniform(2), 10);
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(10);
     disk.clear_buffer();
-    let cold = topk_signature(&rtree, &cube, &q, &disk);
-    let warm = topk_signature(&rtree, &cube, &q, &disk);
+    let cold = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
+    let warm = cube.source(&rtree, &disk).query(&q.plan()).unwrap();
     assert_eq!(cold.tids(), warm.tids());
     assert!(
         warm.stats.io.disk_reads < cold.stats.io.disk_reads,

@@ -1,8 +1,8 @@
 //! The thesis' worked examples, reproduced end to end.
 
 use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
+use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::signature::Signature;
-use ranking_cube::cube::TopKQuery;
 use ranking_cube::func::{Linear, SqDist};
 use ranking_cube::index::{BPlusTree, HierIndex};
 use ranking_cube::merge::{IndexMerge, JoinSigCursor, JoinSignature, MergeConfig};
@@ -25,8 +25,8 @@ fn section_3_3_3_demonstrative_example() {
         GridRankingCube::build(&rel, &disk, GridCubeConfig { block_size: 1, ..Default::default() });
     // select top 2 * where A1 = 1 and A2 = 1 sort by N1 + N2 (1-based in
     // the thesis; our values are 0-based).
-    let q = TopKQuery::new(vec![(0, 0), (1, 0)], Linear::uniform(2), 2);
-    let res = cube.query(&q, &disk);
+    let q = Query::select([(0, 0), (1, 0)]).rank(Linear::uniform(2)).top(2);
+    let res = cube.source(&disk).query(&q.plan()).unwrap();
     assert_eq!(res.tids(), vec![0, 2]);
     assert!((res.items[0].1 - 0.10).abs() < 1e-12);
     assert!((res.items[1].1 - 0.30).abs() < 1e-12);
@@ -68,7 +68,8 @@ fn table_5_2_index_merge_example() {
 
     // f = (A − B)²: SqDist-style via GeneralSq over both attributes.
     let f = ranking_cube::func::GeneralSq::new(vec![(0, 1.0), (1, -1.0)], vec![]);
-    let res = merge.topk(&f, 1, &MergeConfig::default(), &disk);
+    let q = Query::all().rank(f).top(1);
+    let res = merge.source(MergeConfig::default(), &disk).query(&q.plan()).unwrap();
     assert_eq!(res.tids(), vec![3]); // t4, 0-based tid 3
     assert!((res.items[0].1 - 25.0).abs() < 1e-9);
 
@@ -97,7 +98,7 @@ fn intro_example_1_q2_quadratic_target() {
     let cube =
         GridRankingCube::build(&rel, &disk, GridCubeConfig { block_size: 1, ..Default::default() });
     let f = SqDist::new(vec![0.40, 1.0 / 15.0]);
-    let q = TopKQuery::new(vec![(0, 1), (1, 1)], f, 1);
-    let res = cube.query(&q, &disk);
+    let q = Query::select([(0, 1), (1, 1)]).rank(f).top(1);
+    let res = cube.source(&disk).query(&q.plan()).unwrap();
     assert_eq!(res.tids(), vec![0]);
 }

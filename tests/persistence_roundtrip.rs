@@ -9,12 +9,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use ranking_cube::baseline::TableScan;
-use ranking_cube::cube::fragments::{FragmentConfig, RankingFragments};
-use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
+use ranking_cube::cube::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
+use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::signature::Signature;
-use ranking_cube::cube::sigquery::topk_signature;
-use ranking_cube::cube::TopKQuery;
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::storage::DiskSim;
@@ -68,9 +66,9 @@ proptest::proptest! {
             conds.push((dim_b, val_b % cardinality));
         }
         for conds in [Vec::new(), conds] {
-            let q = TopKQuery::new(conds, Linear::uniform(2), k);
-            let mem = cube.query(&q, &disk);
-            let file = reopened.query(&q, &disk2);
+            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+            let mem = cube.source(&disk).query(&q.plan()).unwrap();
+            let file = reopened.source(&disk2).query(&q.plan()).unwrap();
             proptest::prop_assert_eq!(render(&mem.items), render(&file.items));
             // Same tid-set, order included.
             proptest::prop_assert_eq!(mem.tids(), file.tids());
@@ -89,8 +87,8 @@ fn grid_answers(cube: &GridRankingCube) -> Vec<String> {
     flip_workload()
         .into_iter()
         .map(|(conds, k)| {
-            let q = TopKQuery::new(conds, Linear::uniform(2), k);
-            render(&cube.query(&q, &disk).items)
+            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+            render(&cube.source(&disk).query(&q.plan()).unwrap().items)
         })
         .collect()
 }
@@ -157,8 +155,8 @@ fn sig_answers(cube: &SignatureCube, rtree: &RTree) -> Vec<String> {
     flip_workload()
         .into_iter()
         .map(|(conds, k)| {
-            let q = TopKQuery::new(conds, Linear::uniform(2), k);
-            render(&topk_signature(rtree, cube, &q, &disk).items)
+            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+            render(&cube.source(rtree, &disk).query(&q.plan()).unwrap().items)
         })
         .collect()
 }
@@ -292,9 +290,9 @@ proptest::proptest! {
         }
 
         // Top-k over the reopened cube is bit-identical to the scan's.
-        let q = TopKQuery::new(conds, Linear::uniform(2), 10);
-        let lazy = topk_signature(&rtree2, &reopened, &q, &disk2);
-        let scan = TableScan::new(&rel, &disk).topk(&rel, &disk, &sel, &q.func, &q.ranking_dims, 10);
+        let q = Query::select(conds).rank(Linear::uniform(2)).top(10);
+        let lazy = reopened.source(&rtree2, &disk2).query(&q.plan()).unwrap();
+        let scan = TableScan::new(&rel, &disk).source(&rel, &disk).query(&q.plan()).unwrap();
         proptest::prop_assert_eq!(render(&lazy.items), render(&scan.items));
         std::fs::remove_file(&path).ok();
     }
@@ -306,16 +304,18 @@ fn fragments_roundtrip_across_reopen() {
         SyntheticSpec { tuples: 1_500, selection_dims: 6, cardinality: 5, ..Default::default() }
             .generate();
     let disk = DiskSim::with_defaults();
-    let frags =
-        RankingFragments::build(&rel, &disk, FragmentConfig { fragment_size: 2, block_size: 64 });
+    let config =
+        GridCubeConfig { block_size: 64, cuboids: CuboidSpec::Fragments(2), ..Default::default() };
+    let frags = GridRankingCube::build(&rel, &disk, config);
     let path = temp_path("frags");
     frags.save_to(&path).expect("save");
-    let reopened = RankingFragments::open_from(&path).expect("open");
+    let reopened = GridRankingCube::open_from(&path).expect("open");
+    assert_eq!(reopened.cuboid_dims(), frags.cuboid_dims(), "the same fragments reopen");
     let disk2 = DiskSim::with_defaults();
     for conds in [vec![(0usize, 1u32), (2, 2)], vec![(1, 0), (3, 3), (5, 1)]] {
-        let q = TopKQuery::new(conds, Linear::uniform(2), 10);
-        let mem = frags.query(&q, &disk);
-        let file = reopened.query(&q, &disk2);
+        let q = Query::select(conds).rank(Linear::uniform(2)).top(10);
+        let mem = frags.source(&disk).query(&q.plan()).unwrap();
+        let file = reopened.source(&disk2).query(&q.plan()).unwrap();
         assert_eq!(render(&mem.items), render(&file.items));
     }
     std::fs::remove_file(&path).ok();
@@ -349,8 +349,8 @@ fn child_reopen_and_print() {
     assert!(cube.store().read_only(), "child: reopened cube must be read-only");
     let disk = DiskSim::with_defaults();
     for (conds, weights, k) in child_workload() {
-        let q = TopKQuery::new(conds, Linear::new(weights), k);
-        let res = cube.query(&q, &disk);
+        let q = Query::select(conds).rank(Linear::new(weights)).top(k);
+        let res = cube.source(&disk).query(&q.plan()).unwrap();
         println!("RESULT {}", render(&res.items));
     }
 }
@@ -374,8 +374,8 @@ fn cube_reopens_in_separate_process_with_identical_answers() {
     let expected: Vec<String> = child_workload()
         .into_iter()
         .map(|(conds, weights, k)| {
-            let q = TopKQuery::new(conds, Linear::new(weights), k);
-            format!("RESULT {}", render(&cube.query(&q, &disk).items))
+            let q = Query::select(conds).rank(Linear::new(weights)).top(k);
+            format!("RESULT {}", render(&cube.source(&disk).query(&q.plan()).unwrap().items))
         })
         .collect();
 

@@ -1,7 +1,7 @@
 //! The `RankedSource` contract, proven for every engine in the workspace:
 //!
 //! * **Prefix ≡ batch.** The first `k` items of an opened cursor are
-//!   exactly the items of the engine's batch `query(k)`.
+//!   exactly the items of the source's batch `RankedSource::query`.
 //! * **Resume ≡ restart.** `take(j) + extend_k(k − j) + take(k − j)`
 //!   yields exactly the items of a fresh `take(k)` — the resumed frontier
 //!   never changes answers, only cost.
@@ -13,11 +13,9 @@
 //! on a cube reopened from a saved file.
 
 use ranking_cube::baseline::{BooleanFirst, RankMapping, RankingFirst, TableScan};
-use ranking_cube::cube::fragments::{FragmentConfig, RankingFragments};
-use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
-use ranking_cube::cube::query::{Query, RankedSource, TopKCursor};
+use ranking_cube::cube::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
+use ranking_cube::cube::query::{Query, QueryPlan, RankedSource, TopKCursor};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
-use ranking_cube::cube::TopKQuery;
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::index::HierIndex;
@@ -40,8 +38,8 @@ fn take(cursor: &mut TopKCursor<'_>, n: usize) -> Vec<(u32, f64)> {
 
 /// The three contract properties for one engine, expressed over closures
 /// so every `RankedSource` (with its own binding shape) fits:
-/// `open(k)` opens a fresh cursor, `batch(k)` runs the legacy batch entry
-/// point.
+/// `open(k)` opens a fresh cursor, `batch(k)` drains one through
+/// `RankedSource::query`.
 fn check_contract<'a>(
     engine: &str,
     open: &dyn Fn(usize) -> TopKCursor<'a>,
@@ -107,17 +105,14 @@ proptest::proptest! {
         );
         let func = Linear::new(vec![1.0, 0.5]);
         let conds = vec![(0usize, (seed % 4) as u32)];
-        let q = TopKQuery::new(conds.clone(), func.clone(), k);
+        let q = Query::select(conds).rank(func).top(k);
         check_contract(
             "grid (mem)",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..q.plan() };
+                let plan = QueryPlan { k: kk, ..q.plan() };
                 cube.source(&disk).open(&plan).expect("open")
             },
-            &|kk| {
-                let q = TopKQuery::new(conds.clone(), func.clone(), kk);
-                cube.query(&q, &disk).items
-            },
+            &|kk| cube.source(&disk).query(&QueryPlan { k: kk, ..q.plan() }).unwrap().items,
             k,
             j,
         );
@@ -131,13 +126,11 @@ proptest::proptest! {
         check_contract(
             "grid (file)",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..q.plan() };
+                let plan = QueryPlan { k: kk, ..q.plan() };
                 reopened.source(&disk2).open(&plan).expect("open")
             },
-            &|kk| {
-                let q = TopKQuery::new(conds.clone(), func.clone(), kk);
-                cube.query(&q, &disk).items // in-memory batch: file ≡ mem
-            },
+            // The in-memory batch: file ≡ mem.
+            &|kk| cube.source(&disk).query(&QueryPlan { k: kk, ..q.plan() }).unwrap().items,
             k,
             j,
         );
@@ -156,25 +149,26 @@ proptest::proptest! {
             tuples, cardinality: 4, selection_dims: 4, seed, ..Default::default()
         }.generate();
         let disk = DiskSim::with_defaults();
-        let frags = RankingFragments::build(
+        let frags = GridRankingCube::build(
             &rel,
             &disk,
-            FragmentConfig { fragment_size: 2, block_size: 64 },
+            GridCubeConfig {
+                block_size: 64,
+                cuboids: CuboidSpec::Fragments(2),
+                ..Default::default()
+            },
         );
         let func = Linear::uniform(2);
         // Dims 0 and 3 live in different fragments: real intersection.
         let conds = vec![(0usize, (seed % 4) as u32), (3, ((seed / 7) % 4) as u32)];
-        let q = TopKQuery::new(conds.clone(), func.clone(), k);
+        let q = Query::select(conds).rank(func).top(k);
         check_contract(
             "fragments (mem)",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..q.plan() };
+                let plan = QueryPlan { k: kk, ..q.plan() };
                 frags.source(&disk).open(&plan).expect("open")
             },
-            &|kk| {
-                let q = TopKQuery::new(conds.clone(), func.clone(), kk);
-                frags.query(&q, &disk).items
-            },
+            &|kk| frags.source(&disk).query(&QueryPlan { k: kk, ..q.plan() }).unwrap().items,
             k,
             j,
         );
@@ -182,18 +176,15 @@ proptest::proptest! {
         let mut path = std::env::temp_dir();
         path.push(format!("rcube_prog_frags_{}_{seed}", std::process::id()));
         frags.save_to_with(&path, 1024, 64).expect("save");
-        let reopened = RankingFragments::open_from_with(&path, 64).expect("open");
+        let reopened = GridRankingCube::open_from_with(&path, 64).expect("open");
         let disk2 = DiskSim::with_defaults();
         check_contract(
             "fragments (file)",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..q.plan() };
+                let plan = QueryPlan { k: kk, ..q.plan() };
                 reopened.source(&disk2).open(&plan).expect("open")
             },
-            &|kk| {
-                let q = TopKQuery::new(conds.clone(), func.clone(), kk);
-                frags.query(&q, &disk).items
-            },
+            &|kk| frags.source(&disk).query(&QueryPlan { k: kk, ..q.plan() }).unwrap().items,
             k,
             j,
         );
@@ -215,17 +206,14 @@ proptest::proptest! {
         let func = Linear::uniform(2);
         // A 2-d predicate with only atomic cuboids: the lazy intersection.
         let conds = vec![(0usize, (seed % 4) as u32), (1, ((seed / 3) % 4) as u32)];
-        let q = TopKQuery::new(conds.clone(), func.clone(), k);
+        let q = Query::select(conds).rank(func).top(k);
         check_contract(
             "signature (mem)",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..q.plan() };
+                let plan = QueryPlan { k: kk, ..q.plan() };
                 cube.source(&rtree, &disk).open(&plan).expect("open")
             },
-            &|kk| {
-                let q = TopKQuery::new(conds.clone(), func.clone(), kk);
-                ranking_cube::cube::sigquery::topk_signature(&rtree, &cube, &q, &disk).items
-            },
+            &|kk| cube.source(&rtree, &disk).query(&QueryPlan { k: kk, ..q.plan() }).unwrap().items,
             k,
             j,
         );
@@ -238,13 +226,10 @@ proptest::proptest! {
         check_contract(
             "signature (file)",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..q.plan() };
+                let plan = QueryPlan { k: kk, ..q.plan() };
                 recube.source(&rertree, &disk2).open(&plan).expect("open")
             },
-            &|kk| {
-                let q = TopKQuery::new(conds.clone(), func.clone(), kk);
-                ranking_cube::cube::sigquery::topk_signature(&rtree, &cube, &q, &disk).items
-            },
+            &|kk| cube.source(&rtree, &disk).query(&QueryPlan { k: kk, ..q.plan() }).unwrap().items,
             k,
             j,
         );
@@ -272,16 +257,17 @@ proptest::proptest! {
             .collect();
         let idx: Vec<&dyn HierIndex> = trees.iter().map(|t| t as &dyn HierIndex).collect();
         let merge = IndexMerge::new(idx).with_full_signature(&disk);
-        let func = Linear::new(vec![1.0, 2.0]);
         let config = MergeConfig::default();
-        let query = Query::all().rank(func.clone());
+        let query = Query::all().rank(Linear::new(vec![1.0, 2.0]));
         check_contract(
             "index-merge",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..query.plan() };
+                let plan = QueryPlan { k: kk, ..query.plan() };
                 merge.source(config, &disk).open(&plan).expect("open")
             },
-            &|kk| merge.topk(&func, kk, &config, &disk).items,
+            &|kk| {
+                merge.source(config, &disk).query(&QueryPlan { k: kk, ..query.plan() }).unwrap().items
+            },
             k,
             j,
         );
@@ -301,16 +287,14 @@ proptest::proptest! {
         let scan = TableScan::new(&rel, &disk);
         let func = Linear::uniform(2);
         let conds = vec![(0usize, (seed % 4) as u32)];
-        let q = TopKQuery::new(conds.clone(), func.clone(), k);
+        let q = Query::select(conds).rank(func).top(k);
         check_contract(
             "table scan",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..q.plan() };
+                let plan = QueryPlan { k: kk, ..q.plan() };
                 scan.source(&rel, &disk).open(&plan).expect("open")
             },
-            &|kk| {
-                scan.topk(&rel, &disk, &q.selection, &func, &[0, 1], kk).items
-            },
+            &|kk| scan.source(&rel, &disk).query(&QueryPlan { k: kk, ..q.plan() }).unwrap().items,
             k,
             j,
         );
@@ -319,13 +303,10 @@ proptest::proptest! {
         check_contract(
             "ranking-first",
             &|kk| {
-                let plan = ranking_cube::cube::query::QueryPlan { k: kk, ..q.plan() };
+                let plan = QueryPlan { k: kk, ..q.plan() };
                 RankingFirst::source(&rtree, &rel, &disk).open(&plan).expect("open")
             },
-            &|kk| {
-                let q = TopKQuery::new(conds.clone(), func.clone(), kk);
-                RankingFirst::topk(&rtree, &rel, &q, &disk).items
-            },
+            &|kk| RankingFirst::source(&rtree, &rel, &disk).query(&QueryPlan { k: kk, ..q.plan() }).unwrap().items,
             k,
             j,
         );
@@ -344,19 +325,19 @@ fn boolean_first_and_rank_mapping_cursors_match_batch() {
     let rm = RankMapping::build(&rel, &disk);
     let func = Linear::new(vec![1.0, 2.0]);
     for (k, j) in [(10, 3), (25, 10), (1, 1)] {
-        let q = TopKQuery::new(vec![(0, 3)], func.clone(), k);
+        let q = Query::select([(0, 3)]).rank(func.clone()).top(k);
 
-        let batch = bf.topk(&rel, &disk, &q.selection, &func, &[0, 1], k).items;
+        let batch = bf.source(&rel, &disk).query(&q.plan()).unwrap().items;
         let mut cursor = bf.source(&rel, &disk).open(&q.plan()).expect("open");
         assert_eq!(take(&mut cursor, k), batch, "boolean-first prefix");
 
-        let batch = rm.topk(&rel, &disk, &q.selection, &func, &[0, 1], k).items;
+        let batch = rm.source(&rel, &disk).query(&q.plan()).unwrap().items;
         let mut cursor = rm.source(&rel, &disk).open(&q.plan()).expect("open");
         let streamed = take(&mut cursor, k);
         assert_eq!(streamed, batch, "rank-mapping prefix");
 
         // Split + extend still equals the fresh run (items, not cost).
-        let plan_j = ranking_cube::cube::query::QueryPlan { k: j, ..q.plan() };
+        let plan_j = QueryPlan { k: j, ..q.plan() };
         let mut split = rm.source(&rel, &disk).open(&plan_j).expect("open");
         let mut resumed = take(&mut split, j);
         split.extend_k(k - j);
@@ -383,7 +364,7 @@ fn cursor_streams_are_sorted_and_deterministic() {
         &disk,
         GridCubeConfig { block_size: 50, ..Default::default() },
     );
-    let q = TopKQuery::new(vec![(1, 1)], Linear::uniform(2), 40);
+    let q = Query::select([(1, 1)]).rank(Linear::uniform(2)).top(40);
     let run = || {
         let mut c = cube.source(&disk).open(&q.plan()).expect("open");
         take(&mut c, 40)
