@@ -7,12 +7,14 @@
 //! gate families:
 //!
 //! * **Throughput scaling** (wall-clock): aggregate queries/sec at 1, 2,
-//!   4 and 8 threads. The 4-thread gate (≥ 2.5× single-thread) is
-//!   enforced hard only when the machine actually has ≥ 4 hardware
-//!   threads and `RCUBE_BENCH_SOFT` is unset — on a 1-core container or a
-//!   noisy CI runner it downgrades to a warning, like every other
-//!   wall-clock gate in this repo. The JSON records the hardware so the
-//!   number is interpretable.
+//!   4 and 8 threads, each the best of five interleaved rounds. The
+//!   2-thread gate (`SCALING_2T_MIN`) is enforced hard whenever the
+//!   machine has ≥ 2 hardware threads and `RCUBE_BENCH_SOFT` is unset; the
+//!   4-thread target (≥ 2.5× single-thread) is recorded and never
+//!   enforced — no box this repo has been measured on has four cores. On
+//!   a 1-core container or a noisy CI runner both are warnings, like every
+//!   other wall-clock gate in this repo. The JSON records the hardware so
+//!   the numbers are interpretable.
 //! * **Deterministic decode counters** (always hard): a repeated
 //!   signature workload with the shared node cache must decode *strictly
 //!   fewer* nodes than the same workload limited to PR 3's per-query
@@ -141,6 +143,13 @@ fn repeat_decode_counters(path: &std::path::Path, rounds: usize) -> (u64, u64, u
     (with_cache, without_cache, shared_hits)
 }
 
+/// The 2-thread bar: the lowest of five runs on the 2-core box (1.30,
+/// 1.31, 1.36, 1.38, 1.41) minus 10 %; the commit before thread-striped
+/// meters and relink-free cache hits read 1.03–1.07 by the same method.
+/// Half the workload is signature queries, whose shared node cache
+/// (`RwLock` word, `Arc` refcounts) is the queue that is left.
+const SCALING_2T_MIN: f64 = 1.17;
+
 fn main() {
     let soft = std::env::var_os("RCUBE_BENCH_SOFT").is_some();
     let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -164,33 +173,44 @@ fn main() {
     // from the same serving state.
     let disk = DiskSim::with_defaults();
     run_workload_once(&s, &disk);
-    let window = Duration::from_millis(400);
+    let window = Duration::from_millis(300);
     let thread_counts = [1usize, 2, 4, 8];
-    let mut qps = Vec::new();
-    for &t in &thread_counts {
-        let v = measure_qps(&s, t, window);
-        println!("concurrency: {t:>2} threads -> {v:>10.0} queries/sec aggregate");
-        qps.push(v);
+    // Rounds interleave the thread counts, so a noisy stretch of the box
+    // lands on all of them, and the best round stands for each: what
+    // shares the machine only ever slows a round down.
+    let mut qps = vec![0f64; thread_counts.len()];
+    for _ in 0..5 {
+        for (best, &t) in qps.iter_mut().zip(&thread_counts) {
+            *best = best.max(measure_qps(&s, t, window));
+        }
     }
+    for (v, t) in qps.iter().zip(&thread_counts) {
+        println!("concurrency: {t:>2} threads -> {v:>10.0} queries/sec aggregate");
+    }
+    let scaling_2t = qps[1] / qps[0].max(f64::MIN_POSITIVE);
     let scaling_4t = qps[2] / qps[0].max(f64::MIN_POSITIVE);
-    let enforce = !soft && hardware >= 4;
+    let enforce = !soft && hardware >= 2;
     println!(
-        "concurrency: 4-thread scaling {scaling_4t:.2}x vs single thread \
-         ({hardware} hardware threads, gate {})",
+        "concurrency: scaling vs single thread {scaling_2t:.2}x at 2 threads, {scaling_4t:.2}x \
+         at 4 ({hardware} hardware threads, 2-thread gate {})",
         if enforce { "hard" } else { "soft" }
     );
     if enforce {
         assert!(
-            scaling_4t >= 2.5,
-            "4-thread aggregate throughput must be >= 2.5x single-thread, got {scaling_4t:.2}x"
+            scaling_2t >= SCALING_2T_MIN,
+            "2-thread aggregate throughput must be >= {SCALING_2T_MIN}x single-thread, \
+             got {scaling_2t:.2}x"
         );
-    } else if scaling_4t < 2.5 {
+    } else if scaling_2t < SCALING_2T_MIN {
         eprintln!(
-            "WARNING: 4-thread scaling {scaling_4t:.2}x below the 2.5x target \
+            "WARNING: 2-thread scaling {scaling_2t:.2}x below the {SCALING_2T_MIN}x gate \
              (soft: {} hardware threads{})",
             hardware,
             if soft { ", RCUBE_BENCH_SOFT" } else { "" }
         );
+    }
+    if scaling_4t < 2.5 {
+        eprintln!("note: 4-thread scaling {scaling_4t:.2}x, target 2.5x (recorded, not enforced)");
     }
 
     // --- Cache effectiveness (the pool_stats / node-cache snapshots) ----
@@ -234,8 +254,14 @@ fn main() {
     }
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"scaling_4t_vs_1t\": {scaling_4t:.2},\n  \"target_scaling_4t_min\": 2.5,\n  \
-         \"scaling_gate_enforced\": {enforce},\n"
+        "  \"scaling_2t_vs_1t\": {scaling_2t:.2},\n  \"gate_scaling_2t_min\": {SCALING_2T_MIN},\n  \
+         \"scaling_2t_gate_enforced\": {enforce},\n  \
+         \"scaling_4t_vs_1t\": {scaling_4t:.2},\n  \"target_scaling_4t_min\": 2.5,\n  \
+         \"scaling_gate_enforced\": false,\n  \
+         \"before\": {{ \"commit\": \"PR 21 (e806c39)\", \"method\": \"one 400 ms window per \
+         thread count, as committed\", \"t1\": 18414.2, \"t2\": 21862.6, \
+         \"scaling_2t_vs_1t\": 1.19, \"scaling_4t_vs_1t\": 1.17, \
+         \"best_of_5_rounds\": {{ \"t1\": 20641, \"t2\": 22189, \"scaling_2t_vs_1t\": 1.07 }} }},\n"
     ));
     json.push_str(&format!(
         "  \"counters_repeat_workload\": {{ \"nodes_decoded_shared_cache\": {with_cache}, \

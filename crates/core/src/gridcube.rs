@@ -34,7 +34,7 @@
 //! fragments is that case and nothing else: same partition, same search,
 //! same file format.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use rcube_func::{RankFn, Rect};
@@ -81,11 +81,35 @@ impl Default for GridCubeConfig {
 
 #[derive(Debug)]
 struct Cuboid {
+    /// The cuboid's selection dimensions, in the order its cell keys
+    /// carry their values.
+    dims: Vec<usize>,
+    /// `dims` as a bitmask ([`dims_mask`]): what cover resolution works on.
+    mask: u64,
     /// Pseudo-block scale factor for this cuboid.
     sf: usize,
     /// `(cell values over dims, pid) → stored cell page`. Each page is a
     /// per-bid posting-list directory (see [`encode_cell`]).
     cells: HashMap<(Vec<u32>, u32), PageId>,
+}
+
+impl Cuboid {
+    fn new(dims: Vec<usize>, sf: usize, cells: HashMap<(Vec<u32>, u32), PageId>) -> Option<Self> {
+        let mask = dims_mask(dims.iter().copied())?;
+        Some(Self { dims, mask, sf, cells })
+    }
+}
+
+/// Selection dimensions as a bitmask, bit `d` for dimension `d`; `None`
+/// when one is past the 64 a mask holds (no cuboid has such a dimension,
+/// so no cover reaches it).
+fn dims_mask(dims: impl IntoIterator<Item = usize>) -> Option<u64> {
+    dims.into_iter().try_fold(0u64, |mask, d| (d < 64).then(|| mask | 1 << d))
+}
+
+/// [`dims_mask`] of the dimensions a selection constrains.
+fn selection_mask(selection: &Selection) -> Option<u64> {
+    dims_mask(selection.conds().iter().map(|&(d, _)| d))
 }
 
 /// Bytes per entry of a cell page's bid directory: `[bid][base][end]`.
@@ -189,7 +213,9 @@ pub struct GridRankingCube {
     store: PageStore,
     /// bid → base block page (tid + ranking values records).
     base_pages: Vec<Option<PageId>>,
-    cuboids: BTreeMap<Vec<usize>, Cuboid>,
+    /// The materialized cuboids, ascending by `dims` (the order cover
+    /// resolution breaks ties in, and the order a saved catalog lists them).
+    cuboids: Vec<Cuboid>,
     /// Relation ranking dimensions covered, in partition order.
     ranking_dims: Vec<usize>,
     config: GridCubeConfig,
@@ -224,7 +250,7 @@ impl GridRankingCube {
         }
 
         // Cuboid dimension sets.
-        let dim_sets = match &config.cuboids {
+        let mut dim_sets = match &config.cuboids {
             CuboidSpec::AllSubsets => {
                 all_subsets(&(0..rel.schema().num_selection()).collect::<Vec<_>>())
             }
@@ -232,7 +258,9 @@ impl GridRankingCube {
             CuboidSpec::Explicit(sets) => sets.clone(),
         };
 
-        let mut cuboids = BTreeMap::new();
+        dim_sets.sort();
+        dim_sets.dedup();
+        let mut cuboids = Vec::with_capacity(dim_sets.len());
         for dims in dim_sets {
             let cards: Vec<u32> =
                 dims.iter().map(|&d| rel.schema().selection_dim(d).cardinality()).collect();
@@ -263,7 +291,8 @@ impl GridRankingCube {
                 let (_, pid, _, tid) = cell[0];
                 cells.insert((vals_of(tid).collect(), pid), store.put(disk, encode_cell(cell)));
             }
-            cuboids.insert(dims, Cuboid { sf, cells });
+            let cuboid = Cuboid::new(dims, sf, cells);
+            cuboids.push(cuboid.expect("a grid cube indexes selection dimensions 0..64"));
         }
 
         Self { partition, store, base_pages, cuboids, ranking_dims, config }
@@ -286,47 +315,87 @@ impl GridRankingCube {
 
     /// Dimension sets of the materialized cuboids.
     pub fn cuboid_dims(&self) -> Vec<Vec<usize>> {
-        self.cuboids.keys().cloned().collect()
+        self.cuboids.iter().map(|c| c.dims.clone()).collect()
+    }
+
+    /// True when `other` materializes the same cuboids in the same order,
+    /// so a cover resolved on one (ordinals into that order) is the cover
+    /// the other would resolve — shards built from one `CuboidSpec`.
+    pub(crate) fn same_cuboids(&self, other: &Self) -> bool {
+        self.cuboids.iter().map(|c| &c.dims).eq(other.cuboids.iter().map(|c| &c.dims))
     }
 
     /// The covering cuboid set for a selection (Section 3.4.2): maximal
     /// materialized cuboids with `Dim(C) ⊆ Q`, then a greedy minimum cover.
     /// `None` when the materialized cuboids cannot cover the query.
     pub fn covering_cuboids(&self, selection: &Selection) -> Option<Vec<Vec<usize>>> {
-        let q: HashSet<usize> = selection.dims().into_iter().collect();
-        if q.is_empty() {
-            return Some(Vec::new());
-        }
-        // Candidates: cuboids whose dims ⊆ Q.
-        let candidates: Vec<&Vec<usize>> =
-            self.cuboids.keys().filter(|dims| dims.iter().all(|d| q.contains(d))).collect();
-        // Maximal step: drop candidates strictly contained in another.
-        let maximal: Vec<&Vec<usize>> = candidates
+        let cover = self.cover_of(selection)?;
+        Some(cover.into_iter().map(|i| self.cuboids[i].dims.clone()).collect())
+    }
+
+    /// [`Self::covering_cuboids`] as ordinals into `self.cuboids`, resolved
+    /// on dimension bitmasks. Ties between equally good cuboids go to the
+    /// last in `dims` order.
+    fn cover_of(&self, selection: &Selection) -> Option<Vec<usize>> {
+        let q = selection_mask(selection)?;
+        // Candidates: cuboids whose dims ⊆ Q. Maximal step: drop the ones
+        // strictly contained in another.
+        let candidates: Vec<usize> =
+            (0..self.cuboids.len()).filter(|&i| self.cuboids[i].mask & !q == 0).collect();
+        let maximal: Vec<usize> = candidates
             .iter()
-            .filter(|&&c| {
+            .copied()
+            .filter(|&i| {
+                let c = &self.cuboids[i];
                 !candidates
                     .iter()
-                    .any(|&other| other.len() > c.len() && c.iter().all(|d| other.contains(d)))
+                    .map(|&o| &self.cuboids[o])
+                    .any(|other| other.dims.len() > c.dims.len() && c.mask & !other.mask == 0)
             })
-            .copied()
             .collect();
         // Greedy minimum cover.
-        let mut uncovered = q.clone();
-        let mut chosen = Vec::new();
-        while !uncovered.is_empty() {
-            let best = maximal
-                .iter()
-                .max_by_key(|c| c.iter().filter(|d| uncovered.contains(d)).count())?;
-            let gain = best.iter().filter(|d| uncovered.contains(d)).count();
-            if gain == 0 {
+        let mut uncovered = q;
+        let mut chosen = Vec::with_capacity(q.count_ones() as usize);
+        while uncovered != 0 {
+            let gain = |&i: &usize| (self.cuboids[i].mask & uncovered).count_ones();
+            let best = *maximal.iter().max_by_key(|i| gain(i))?;
+            if gain(&best) == 0 {
                 return None;
             }
-            for d in best.iter() {
-                uncovered.remove(d);
-            }
-            chosen.push((*best).clone());
+            uncovered &= !self.cuboids[best].mask;
+            chosen.push(best);
         }
         Some(chosen)
+    }
+
+    /// Whether [`Self::cover_of`] would find a cover, without building one:
+    /// every candidate lies inside some maximal one, so the greedy pass
+    /// succeeds exactly when the candidates' union is the whole selection.
+    fn covers(&self, selection: &Selection) -> bool {
+        selection_mask(selection).is_some_and(|q| {
+            let inside = self.cuboids.iter().filter(|c| c.mask & !q == 0);
+            inside.fold(0, |reach, c| reach | c.mask) == q
+        })
+    }
+
+    /// The cover a search over `plan` runs on, as ordinals: the plan's
+    /// pinned `via_cuboids` set, else the resolved one. Panics when the plan
+    /// pins a cuboid that is not materialized or the selection cannot be
+    /// covered — routing asks [`Self::can_answer`] first.
+    pub(crate) fn plan_cover(&self, plan: &QueryPlan<'_>) -> Vec<usize> {
+        match plan.cuboids {
+            Some(pinned) => pinned
+                .iter()
+                .map(|dims| {
+                    self.cuboids
+                        .binary_search_by(|c| c.dims.cmp(dims))
+                        .expect("via_cuboids names a cuboid that is not materialized")
+                })
+                .collect(),
+            None => self
+                .cover_of(plan.selection)
+                .expect("materialized cuboids cannot cover the query's selection dimensions"),
+        }
     }
 
     /// Binds this cube to its metering device as a [`RankedSource`] — the
@@ -340,8 +409,7 @@ impl GridRankingCube {
     /// cover the selection and the partition covers the ranking
     /// dimensions. The `Engine` facade routes on this.
     pub fn can_answer(&self, selection: &Selection, ranking_dims: &[usize]) -> bool {
-        self.covering_cuboids(selection).is_some()
-            && ranking_dims.iter().all(|d| self.ranking_dims.contains(d))
+        self.covers(selection) && ranking_dims.iter().all(|d| self.ranking_dims.contains(d))
     }
 
     /// Block size parameter `P`.
@@ -400,9 +468,9 @@ impl GridRankingCube {
             }
         }
         w.put_u64(self.cuboids.len() as u64);
-        for (dims, cuboid) in &self.cuboids {
-            w.put_u64(dims.len() as u64);
-            for &d in dims {
+        for cuboid in &self.cuboids {
+            w.put_u64(cuboid.dims.len() as u64);
+            for &d in &cuboid.dims {
                 w.put_u64(d as u64);
             }
             w.put_u64(cuboid.sf as u64);
@@ -476,12 +544,17 @@ impl GridRankingCube {
                 let pid = r.u32()?;
                 cells.insert((vals, pid), PageId(r.u64()?));
             }
-            cuboids.insert(dims, Cuboid { sf, cells });
+            cuboids.insert(dims, (sf, cells));
         }
+        let cuboids = cuboids
+            .into_iter()
+            .map(|(dims, (sf, cells))| Cuboid::new(dims, sf, cells))
+            .collect::<Option<Vec<_>>>()
+            .ok_or(StorageError::Malformed("cuboid dimension out of range"))?;
         let config = GridCubeConfig {
             block_size,
             ranking_dims: ranking_dims.clone(),
-            cuboids: CuboidSpec::Explicit(cuboids.keys().cloned().collect()),
+            cuboids: CuboidSpec::Explicit(cuboids.iter().map(|c| c.dims.clone()).collect()),
         };
         Ok(Self { partition, store, base_pages, cuboids, ranking_dims, config })
     }
@@ -494,7 +567,7 @@ impl GridRankingCube {
         for page in self.base_pages.iter().flatten() {
             self.store.peek(*page)?;
         }
-        for cuboid in self.cuboids.values() {
+        for cuboid in &self.cuboids {
             for &page in cuboid.cells.values() {
                 self.store.peek(page)?;
             }
@@ -544,9 +617,18 @@ pub struct GridSource<'a> {
     disk: &'a DiskSim,
 }
 
+impl<'a> GridSource<'a> {
+    /// [`RankedSource::open`] over a cover already resolved
+    /// ([`GridRankingCube::plan_cover`]) on a cube with the same cuboids —
+    /// how a shard set resolves once for all of its shards.
+    pub(crate) fn open_covered(&self, plan: &QueryPlan<'a>, cover: &[usize]) -> TopKCursor<'a> {
+        TopKCursor::new(Box::new(GridSearch::new(self.cube, self.disk, plan, cover)), plan.k)
+    }
+}
+
 impl<'a> RankedSource<'a> for GridSource<'a> {
     fn open(&self, plan: &QueryPlan<'a>) -> Result<TopKCursor<'a>, StorageError> {
-        Ok(TopKCursor::new(Box::new(GridSearch::new(self.cube, self.disk, plan)), plan.k))
+        Ok(self.open_covered(plan, &self.cube.plan_cover(plan)))
     }
 }
 
@@ -632,24 +714,20 @@ const PID_BUFFER_CAP: usize = 14;
 const CANDIDATES_CAP: usize = 64;
 
 impl<'a> GridSearch<'a> {
-    fn new(cube: &'a GridRankingCube, disk: &'a DiskSim, plan: &QueryPlan<'a>) -> Self {
-        let chosen;
-        let covering: &[Vec<usize>] = match plan.cuboids {
-            Some(c) => c,
-            None => {
-                chosen = cube
-                    .covering_cuboids(plan.selection)
-                    .expect("materialized cuboids cannot cover the query's selection dimensions");
-                &chosen
-            }
-        };
-        let covering = covering
+    fn new(
+        cube: &'a GridRankingCube,
+        disk: &'a DiskSim,
+        plan: &QueryPlan<'a>,
+        cover: &[usize],
+    ) -> Self {
+        let covering = cover
             .iter()
-            .map(|dims| {
-                let vals = dims.iter().map(|&d| {
+            .map(|&i| {
+                let cuboid = &cube.cuboids[i];
+                let vals = cuboid.dims.iter().map(|&d| {
                     plan.selection.value_on(d).expect("covering cuboid dim not in query")
                 });
-                Cover { cuboid: &cube.cuboids[dims], key: (vals.collect(), 0) }
+                Cover { cuboid, key: (vals.collect(), 0) }
             })
             .collect();
         let proj: Vec<usize> = plan
@@ -1121,6 +1199,89 @@ mod tests {
         assert_eq!(cover, vec![vec![0, 2]]);
     }
 
+    /// The cover resolution this crate shipped before it worked on
+    /// bitmasks, kept verbatim as the reference: hash sets of dimensions
+    /// over the materialized sets in `BTreeMap` (ascending) order.
+    fn covering_by_hash_sets(
+        cuboids: &[Vec<usize>],
+        selection: &Selection,
+    ) -> Option<Vec<Vec<usize>>> {
+        use std::collections::HashSet;
+        let q: HashSet<usize> = selection.dims().into_iter().collect();
+        if q.is_empty() {
+            return Some(Vec::new());
+        }
+        let candidates: Vec<&Vec<usize>> =
+            cuboids.iter().filter(|dims| dims.iter().all(|d| q.contains(d))).collect();
+        let maximal: Vec<&Vec<usize>> = candidates
+            .iter()
+            .filter(|&&c| {
+                !candidates
+                    .iter()
+                    .any(|&other| other.len() > c.len() && c.iter().all(|d| other.contains(d)))
+            })
+            .copied()
+            .collect();
+        let mut uncovered = q.clone();
+        let mut chosen = Vec::new();
+        while !uncovered.is_empty() {
+            let best = maximal
+                .iter()
+                .max_by_key(|c| c.iter().filter(|d| uncovered.contains(d)).count())?;
+            let gain = best.iter().filter(|d| uncovered.contains(d)).count();
+            if gain == 0 {
+                return None;
+            }
+            for d in best.iter() {
+                uncovered.remove(d);
+            }
+            chosen.push((*best).clone());
+        }
+        Some(chosen)
+    }
+
+    #[test]
+    fn covering_on_masks_matches_the_hash_set_resolution() {
+        let rel =
+            SyntheticSpec { tuples: 120, selection_dims: 6, cardinality: 2, ..Default::default() }
+                .generate();
+        let disk = DiskSim::with_defaults();
+        let specs = [
+            CuboidSpec::AllSubsets,
+            CuboidSpec::Fragments(2),
+            CuboidSpec::Fragments(3),
+            // Covers no query that touches dimension 5, and offers ties:
+            // {0,1} and {1,2} gain equally on a query over {0,1,2}.
+            CuboidSpec::Explicit(vec![vec![0, 1], vec![1, 2], vec![2, 3, 4], vec![3], vec![0, 4]]),
+        ];
+        for spec in specs {
+            let cfg =
+                GridCubeConfig { block_size: 40, cuboids: spec.clone(), ..Default::default() };
+            let cube = GridRankingCube::build(&rel, &disk, cfg);
+            let mut cuboids = cube.cuboid_dims();
+            cuboids.sort();
+            let (mut covered, mut uncovered) = (0, 0);
+            for dims in std::iter::once(Vec::new()).chain(all_subsets(&[0, 1, 2, 3, 4, 5])) {
+                let sel = Selection::new(dims.iter().map(|&d| (d, 1)).collect());
+                let want = covering_by_hash_sets(&cuboids, &sel);
+                assert_eq!(cube.covering_cuboids(&sel), want, "{spec:?} on {dims:?}");
+                assert_eq!(cube.can_answer(&sel, &[0, 1]), want.is_some(), "{spec:?} on {dims:?}");
+                if want.is_some() {
+                    covered += 1;
+                } else {
+                    uncovered += 1;
+                }
+            }
+            let explicit = matches!(spec, CuboidSpec::Explicit(_));
+            assert_eq!(uncovered > 0, explicit, "{spec:?}: {covered} covered, {uncovered} not");
+        }
+        // A dimension no mask can hold is simply not covered.
+        let cube = GridRankingCube::build(&rel, &disk, GridCubeConfig::default());
+        let far = Selection::new(vec![(0, 1), (64, 0)]);
+        assert_eq!(cube.covering_cuboids(&far), None);
+        assert!(!cube.can_answer(&far, &[0]));
+    }
+
     #[test]
     fn fragments_cover_via_intersection() {
         let rel = SyntheticSpec {
@@ -1395,7 +1556,7 @@ mod tests {
                     };
                     let what = format!("{family} on {dims:?} of {r}");
 
-                    let mut search = GridSearch::new(&cube, &disk, &plan);
+                    let mut search = GridSearch::new(&cube, &disk, &plan, &cube.plan_cover(&plan));
                     let mut want: Vec<(f64, Bid)> =
                         (0..blocks).map(|b| (scanned_bound(&search, b), b)).collect();
                     want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -1408,7 +1569,7 @@ mod tests {
                     // Now with a moving inserted set: a few pseudo-random
                     // blocks enter the frontier before every step, as
                     // neighbours would, and the yielded block follows them.
-                    let mut search = GridSearch::new(&cube, &disk, &plan);
+                    let mut search = GridSearch::new(&cube, &disk, &plan, &cube.plan_cover(&plan));
                     let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ blocks as u64;
                     loop {
                         for _ in 0..3 {
@@ -1551,7 +1712,7 @@ mod tests {
                     k: 10,
                     cuboids: None,
                 };
-                let mut search = GridSearch::new(&cube, &disk, &plan);
+                let mut search = GridSearch::new(&cube, &disk, &plan, &cube.plan_cover(&plan));
                 let opened = search.capacities();
                 let answers = (0..10).map_while(|_| search.advance().unwrap()).count();
                 assert_eq!(answers, 10);
@@ -1643,7 +1804,8 @@ mod tests {
     /// longest list's length and every tag met.
     fn check_stored_lists(rel: &Relation, cube: &GridRankingCube) -> (usize, Vec<u8>) {
         let (mut longest, mut tags) = (0, Vec::new());
-        for (dims, cuboid) in &cube.cuboids {
+        for cuboid in &cube.cuboids {
+            let dims = &cuboid.dims;
             for ((vals, _pid), &page) in &cuboid.cells {
                 let page = cube.store.peek(page).unwrap();
                 for (bid, base, list) in cell_lists(&page) {
@@ -1766,7 +1928,8 @@ mod tests {
                 })
                 .collect();
             assert!(intact.iter().all(|&n| n > 100), "{intact:?}");
-            for ((vals, _pid), &page) in &cube.cuboids[&vec![0]].cells {
+            for ((vals, _pid), &page) in &cube.cuboids.iter().find(|c| c.dims == [0]).unwrap().cells
+            {
                 if vals[..] != [1] {
                     continue;
                 }

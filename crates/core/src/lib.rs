@@ -70,7 +70,11 @@ use rcube_table::Tid;
 /// the cost metrics plotted in the evaluation chapters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
-    /// I/O charged during the query (delta snapshot).
+    /// I/O charged to the cursor's device between its open and this
+    /// reading: the delta of a meter every cursor on that `DiskSim`
+    /// shares. Exact for a client alone on its device; with concurrent
+    /// clients it also holds what they charged in the same window (the
+    /// other counters here are the cursor's own).
     pub io: IoSnapshot,
     /// Blocks / index nodes retrieved.
     pub blocks_read: u64,

@@ -44,7 +44,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use rcube_obs::{Counter, Metrics};
+use rcube_obs::{Counter, Metrics, Striped};
 use rcube_storage::PackedBits;
 
 /// Default cache budget: 4 MiB of packed node words — a few thousand hot
@@ -80,8 +80,8 @@ pub struct SharedNodeCache {
     shards: Vec<RwLock<Shard>>,
     /// Byte budget per shard; 0 disables the cache entirely.
     shard_budget: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// `[hits, misses]`, striped by looking-up thread.
+    lookups: Striped<2>,
     evictions: AtomicU64,
     /// Live registry counters ([`SharedNodeCache::attach_metrics`]).
     metrics: OnceLock<NodeCacheMetricSet>,
@@ -98,9 +98,14 @@ struct NodeCacheMetricSet {
     evictions: Counter,
 }
 
+const HITS: usize = 0;
+const MISSES: usize = 1;
+
 /// One resident node (or proven absence) plus its clock reference bit.
-/// The bit is set by lookups under the shard's *read* lock (it is atomic),
-/// and swept/cleared by the eviction clock under the write lock.
+/// The bit is set by lookups under the shard's *read* lock (it is atomic;
+/// a lookup that finds it set leaves it alone, so a hot node's line stays
+/// shared between readers), and swept/cleared by the eviction clock under
+/// the write lock.
 #[derive(Debug)]
 struct CacheEntry {
     /// `None` = SID proven absent from its partial. Nodes are shared
@@ -131,8 +136,7 @@ impl SharedNodeCache {
         Self {
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
             shard_budget: budget_bytes / SHARDS,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            lookups: Striped::default(),
             evictions: AtomicU64::new(0),
             metrics: OnceLock::new(),
         }
@@ -178,13 +182,15 @@ impl SharedNodeCache {
         let found = {
             let shard = self.shard(key).read().unwrap();
             shard.map.get(&key).map(|e| {
-                e.referenced.store(true, Ordering::Relaxed);
+                if !e.referenced.load(Ordering::Relaxed) {
+                    e.referenced.store(true, Ordering::Relaxed);
+                }
                 e.value.clone()
             })
         };
         match found {
             Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.lookups.add(HITS, 1);
                 if let Some(ms) = self.metrics.get() {
                     ms.hits.inc();
                     if v.is_none() {
@@ -194,7 +200,7 @@ impl SharedNodeCache {
                 Some(v)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.lookups.add(MISSES, 1);
                 if let Some(ms) = self.metrics.get() {
                     ms.misses.inc();
                 }
@@ -283,8 +289,8 @@ impl SharedNodeCache {
             bytes += s.bytes;
         }
         NodeCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.lookups.sum(HITS),
+            misses: self.lookups.sum(MISSES),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries,
             bytes,

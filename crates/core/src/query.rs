@@ -56,6 +56,7 @@ use rcube_obs::QueryTrace;
 use rcube_storage::StorageError;
 use rcube_table::{Selection, Tid};
 
+use crate::shard::FanoutReport;
 use crate::{QueryStats, TopKResult};
 
 /// A fully-specified top-k request, ready to hand to any [`RankedSource`].
@@ -216,6 +217,12 @@ pub trait ProgressiveSearch {
     /// plan depends on `k` up front (rank-mapping's bound oracle) re-plan
     /// here.
     fn reserve(&mut self, _k: usize) {}
+
+    /// What the search's scatter did per shard so far; `None` for every
+    /// engine that is not a shard set.
+    fn fanout(&self) -> Option<FanoutReport> {
+        None
+    }
 }
 
 /// A pull-based, resumable top-k cursor (see the module docs for the
@@ -365,6 +372,13 @@ impl<'a> TopKCursor<'a> {
     /// counters accumulated by the answers pulled so far.
     pub fn stats(&self) -> QueryStats {
         self.search.stats()
+    }
+
+    /// The per-shard fan-out of *this* cursor's query so far (sharded
+    /// sources only) — unlike `ShardedCube::last_fanout`, never another
+    /// client's.
+    pub fn fanout(&self) -> Option<FanoutReport> {
+        self.search.fanout()
     }
 
     /// Drains up to the current limit into a batch [`TopKResult`].

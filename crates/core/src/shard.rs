@@ -41,9 +41,25 @@
 //! cube's health table before the error propagates, so the serving layer
 //! can quarantine per-(route, shard) and fall back while the other
 //! shards stay reopenable; [`ShardedCube::repair_shard`] reopens just
-//! the failed file.
+//! the failed file. While no shard is failed — the serving state — the
+//! table is never locked: `can_answer`, `open` and `par_query` read one
+//! atomic count of failed shards, published (Release) by the writer that
+//! marked or repaired one.
+//!
+//! # What a query shares with its neighbours
+//!
+//! Two clients on one set write none of each other's cache lines beyond
+//! the buffer-pool stripes they both read: per-shard instruments are
+//! thread-striped, the cover is resolved once per query for the whole set
+//! (every shard is built from one `CuboidSpec`; a set whose shards
+//! disagree resolves per shard), and the fan-out of a query lives **on its
+//! cursor** ([`TopKCursor::fanout`]) — that is what `explain_analyze`
+//! reads. [`ShardedCube::last_fanout`] remains as the single-client
+//! convenience: a process-wide "most recently finished" slot any
+//! concurrent cursor overwrites on drop, rewritten in place.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -146,11 +162,27 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Opens a cursor over this shard's *local* tids.
-    fn open<'a>(&'a self, plan: &QueryPlan<'a>) -> Result<TopKCursor<'a>, StorageError> {
+    /// Opens a cursor over this shard's *local* tids; `cover` is the
+    /// set-wide grid cover when the set resolved one
+    /// ([`ShardedCube::shared_cover`]).
+    fn open<'a>(
+        &'a self,
+        plan: &QueryPlan<'a>,
+        cover: Option<&[usize]>,
+    ) -> Result<TopKCursor<'a>, StorageError> {
+        match (&self.engine, cover) {
+            (ShardEngine::Grid(cube), Some(cover)) => {
+                Ok(cube.source(&self.disk).open_covered(plan, cover))
+            }
+            (ShardEngine::Grid(cube), None) => cube.source(&self.disk).open(plan),
+            (ShardEngine::Signature(s), _) => s.cube.source(&s.rtree, &self.disk).open(plan),
+        }
+    }
+
+    fn grid(&self) -> Option<&GridRankingCube> {
         match &self.engine {
-            ShardEngine::Grid(cube) => cube.source(&self.disk).open(plan),
-            ShardEngine::Signature(s) => s.cube.source(&s.rtree, &self.disk).open(plan),
+            ShardEngine::Grid(cube) => Some(cube),
+            ShardEngine::Signature(_) => None,
         }
     }
 
@@ -287,8 +319,23 @@ pub struct ShardedCube {
     /// Per-shard failure reasons; a `Some` entry takes the whole set out
     /// of routing (`can_answer` → false) until that shard is repaired.
     health: Mutex<Vec<Option<String>>>,
+    /// How many `health` entries are `Some`. Written under the `health`
+    /// lock with Release; the serving paths load it with Acquire and skip
+    /// the lock while it is zero.
+    failed: AtomicUsize,
+    /// Every shard is a grid cube over the same cuboids, so one resolved
+    /// cover serves them all ([`Self::shared_cover`]).
+    uniform_grid: bool,
     instruments: OnceLock<Vec<ShardInstruments>>,
     last_fanout: Mutex<Option<FanoutReport>>,
+}
+
+/// Whether one grid cover, resolved on the first shard, is every shard's.
+fn uniform_grid(shards: &[Shard]) -> bool {
+    match shards.first().and_then(Shard::grid) {
+        Some(first) => shards.iter().all(|s| s.grid().is_some_and(|g| g.same_cuboids(first))),
+        None => false,
+    }
 }
 
 impl ShardedCube {
@@ -296,7 +343,7 @@ impl ShardedCube {
     /// balanced tid ranges, one cube per range.
     pub fn build_in_memory(rel: &Relation, cfg: &ShardedCubeConfig) -> Self {
         let ranges = partition_ranges(rel.len(), cfg.shards);
-        let shards = ranges
+        let shards: Vec<Shard> = ranges
             .iter()
             .map(|&(lo, hi)| {
                 let sub = rel.range(lo, hi);
@@ -305,13 +352,25 @@ impl ShardedCube {
                 Shard { engine, disk, tid_lo: lo as u64, tid_hi: hi as u64, path: None }
             })
             .collect();
+        Self::assemble(shards, engine_kind_of(&cfg.engine), None, cfg.pool_pages, cfg.parallelism)
+    }
+
+    fn assemble(
+        shards: Vec<Shard>,
+        engine_kind: ShardEngineKind,
+        manifest_path: Option<PathBuf>,
+        pool_pages: usize,
+        parallelism: usize,
+    ) -> Self {
         Self {
+            health: Mutex::new(vec![None; shards.len()]),
+            failed: AtomicUsize::new(0),
+            uniform_grid: uniform_grid(&shards),
             shards,
-            engine_kind: engine_kind_of(&cfg.engine),
-            manifest_path: None,
-            pool_pages: cfg.pool_pages,
-            parallelism: effective_parallelism(cfg.parallelism),
-            health: Mutex::new(vec![None; ranges.len()]),
+            engine_kind,
+            manifest_path,
+            pool_pages,
+            parallelism: effective_parallelism(parallelism),
             instruments: OnceLock::new(),
             last_fanout: Mutex::new(None),
         }
@@ -386,17 +445,7 @@ impl ShardedCube {
                 path: Some(path),
             });
         }
-        let n = shards.len();
-        Ok(Self {
-            shards,
-            engine_kind: manifest.engine,
-            manifest_path: Some(manifest_path),
-            pool_pages,
-            parallelism: effective_parallelism(parallelism),
-            health: Mutex::new(vec![None; n]),
-            instruments: OnceLock::new(),
-            last_fanout: Mutex::new(None),
-        })
+        Ok(Self::assemble(shards, manifest.engine, Some(manifest_path), pool_pages, parallelism))
     }
 
     /// Number of shards in the set.
@@ -416,8 +465,30 @@ impl ShardedCube {
 
     /// True when every shard covers the plan *and* no shard is failed.
     pub fn can_answer(&self, selection: &Selection, ranking_dims: &[usize]) -> bool {
-        self.failed_shards().is_empty()
-            && self.shards.iter().all(|s| s.can_answer(selection, ranking_dims))
+        self.is_healthy() && self.shards.iter().all(|s| s.can_answer(selection, ranking_dims))
+    }
+
+    /// No shard is marked failed (one Acquire load, no lock).
+    fn is_healthy(&self) -> bool {
+        self.failed.load(Ordering::Acquire) == 0
+    }
+
+    /// The typed refusal of a set with a failed shard.
+    fn check_healthy(&self) -> Result<(), StorageError> {
+        if self.is_healthy() {
+            Ok(())
+        } else {
+            Err(StorageError::Malformed(
+                "sharded cube has a failed shard; repair it before querying",
+            ))
+        }
+    }
+
+    /// The grid cover of `plan` resolved once for the whole set, when every
+    /// shard would resolve the same one.
+    fn shared_cover(&self, plan: &QueryPlan<'_>) -> Option<Vec<usize>> {
+        let first = self.shards.first()?.grid().filter(|_| self.uniform_grid)?;
+        Some(first.plan_cover(plan))
     }
 
     /// Binds the set to its scatter-gather [`RankedSource`].
@@ -427,6 +498,9 @@ impl ShardedCube {
 
     /// Shards currently failed, with the condemning error message.
     pub fn failed_shards(&self) -> Vec<(usize, String)> {
+        if self.is_healthy() {
+            return Vec::new();
+        }
         self.health
             .lock()
             .unwrap()
@@ -440,6 +514,7 @@ impl ShardedCube {
         let mut health = self.health.lock().unwrap();
         if health[shard].is_none() {
             health[shard] = Some(msg);
+            self.failed.fetch_add(1, Ordering::Release);
         }
     }
 
@@ -461,7 +536,10 @@ impl ShardedCube {
         };
         fresh.verify_integrity()?;
         self.shards[shard] = fresh;
-        self.health.lock().unwrap()[shard] = None;
+        self.uniform_grid = uniform_grid(&self.shards);
+        if self.health.lock().unwrap()[shard].take().is_some() {
+            self.failed.fetch_sub(1, Ordering::Release);
+        }
         Ok(())
     }
 
@@ -502,7 +580,9 @@ impl ShardedCube {
     }
 
     /// The fan-out of the most recently *finished* sharded query (the
-    /// cursor writes it on drop), for `explain_analyze`.
+    /// cursor writes it on drop). With one client that is the query just
+    /// run; with several it is whoever finished last — read
+    /// [`TopKCursor::fanout`] for a query's own.
     pub fn last_fanout(&self) -> Option<FanoutReport> {
         self.last_fanout.lock().unwrap().clone()
     }
@@ -516,11 +596,7 @@ impl ShardedCube {
     /// gates belong on [`ShardedCube::source`]. This is the throughput
     /// path `BENCH_shard.json` measures aggregate qps on.
     pub fn par_query(&self, plan: &QueryPlan<'_>) -> Result<TopKResult, StorageError> {
-        if !self.failed_shards().is_empty() {
-            return Err(StorageError::Malformed(
-                "sharded cube has a failed shard; repair it before querying",
-            ));
-        }
+        self.check_healthy()?;
         let k = plan.k;
         let acc = Mutex::new(LexTopK::new(k));
         let n = self.shards.len();
@@ -705,7 +781,7 @@ fn drain_shard_bounded(
 ) -> Result<ShardDrain, StorageError> {
     let mut local = *plan;
     local.k = k;
-    let mut cursor = shard.open(&local)?;
+    let mut cursor = shard.open(&local, None)?;
     let base = shard.tid_lo as Tid;
     let mut pruned = false;
     while let Some((tid, score)) = cursor.try_next()? {
@@ -731,12 +807,9 @@ pub struct ShardedSource<'a> {
 
 impl<'a> RankedSource<'a> for ShardedSource<'a> {
     fn open(&self, plan: &QueryPlan<'a>) -> Result<TopKCursor<'a>, StorageError> {
-        if !self.cube.failed_shards().is_empty() {
-            return Err(StorageError::Malformed(
-                "sharded cube has a failed shard; repair it before querying",
-            ));
-        }
         let cube = self.cube;
+        cube.check_healthy()?;
+        let cover = cube.shared_cover(plan);
         let mut frontiers: Vec<Frontier<'a>> = cube
             .shards
             .iter()
@@ -755,8 +828,9 @@ impl<'a> RankedSource<'a> for ShardedSource<'a> {
         // cuboids, signature pruners) runs concurrently, and a failed
         // shard surfaces here — inside the engine's retry/fallback
         // ladder — rather than on the first pull.
-        let open_result =
-            parallel_over(&mut frontiers, cube.parallelism, |f| open_frontier(cube, f, *plan));
+        let open_result = parallel_over(&mut frontiers, cube.parallelism, |f| {
+            open_frontier(cube, f, *plan, cover.as_deref())
+        });
         if let Err((shard, e)) = open_result {
             cube.mark_failed(shard, e.to_string());
             return Err(e);
@@ -846,8 +920,9 @@ fn open_frontier<'a>(
     cube: &'a ShardedCube,
     f: &mut Frontier<'a>,
     plan: QueryPlan<'a>,
+    cover: Option<&[usize]>,
 ) -> Result<(), StorageError> {
-    f.cursor = Some(cube.shards[f.shard].open(&plan)?);
+    f.cursor = Some(cube.shards[f.shard].open(&plan, cover)?);
     if let Some(ins) = cube.instruments.get() {
         ins[f.shard].opens.inc();
     }
@@ -907,22 +982,17 @@ impl ShardedSearch<'_> {
             })
     }
 
-    fn fanout_report(&self) -> FanoutReport {
-        FanoutReport {
-            shards: self
-                .frontiers
-                .iter()
-                .map(|f| ShardFanout {
-                    shard: f.shard,
-                    opened: f.cursor.is_some(),
-                    pulls: f.pulls,
-                    answers: f.answers,
-                    blocks_read: f.cursor.as_ref().map_or(0, |c| c.stats().blocks_read),
-                    pruned: f.state == FState::Ready,
-                    exhausted: f.state == FState::Done,
-                })
-                .collect(),
-        }
+    /// One row per shard of what the scatter has done so far.
+    fn fanout_rows(&self) -> impl Iterator<Item = ShardFanout> + '_ {
+        self.frontiers.iter().map(|f| ShardFanout {
+            shard: f.shard,
+            opened: f.cursor.is_some(),
+            pulls: f.pulls,
+            answers: f.answers,
+            blocks_read: f.cursor.as_ref().map_or(0, |c| c.stats().blocks_read),
+            pruned: f.state == FState::Ready,
+            exhausted: f.state == FState::Done,
+        })
     }
 }
 
@@ -984,18 +1054,27 @@ impl ProgressiveSearch for ShardedSearch<'_> {
             }
         }
     }
+
+    fn fanout(&self) -> Option<FanoutReport> {
+        Some(FanoutReport { shards: self.fanout_rows().collect() })
+    }
 }
 
 impl Drop for ShardedSearch<'_> {
     fn drop(&mut self) {
-        let report = self.fanout_report();
+        // The set-wide slot is rewritten in place: after the first query
+        // its row vector is never reallocated, so one client's drop neither
+        // allocates nor frees what another client's drop allocated.
+        let mut slot = self.cube.last_fanout.lock().unwrap();
+        let rows = &mut slot.get_or_insert_with(FanoutReport::default).shards;
+        rows.clear();
+        rows.extend(self.fanout_rows());
         if let Some(ins) = self.cube.instruments.get() {
-            for s in &report.shards {
+            for s in rows.iter() {
                 ins[s.shard].answers.add(s.answers);
                 ins[s.shard].blocks.add(s.blocks_read);
             }
         }
-        *self.cube.last_fanout.lock().unwrap() = Some(report);
     }
 }
 

@@ -1,9 +1,10 @@
 //! The metrics registry: named counters, gauges and log₂-bucketed
 //! histograms behind cheap pre-resolved handles (crate docs for the
-//! locking discipline).
+//! locking discipline and the cost model: a record is one relaxed atomic
+//! add on the recording thread's stripe of a [`Striped`] cell).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of log₂ buckets per histogram. Bucket `i > 0` holds recorded
@@ -33,26 +34,77 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-#[derive(Debug)]
-struct HistogramCell {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+/// Stripes per [`Striped`] cell. Fixed: a recording thread draws one slot
+/// for its lifetime, so up to this many threads record without ever
+/// writing a cache line another of them writes; beyond that, threads share
+/// stripes (still exact — every add is an atomic read-modify-write — just
+/// no longer private).
+pub const STRIPES: usize = 16;
+
+/// The slot this thread records into, drawn round-robin on first use.
+fn stripe_slot() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    SLOT.with(|s| *s)
 }
 
-impl HistogramCell {
-    fn new() -> Self {
+/// One thread's share of a [`Striped`] cell, on cache lines of its own
+/// (128 bytes: x86-64 prefetches lines in adjacent pairs).
+#[derive(Debug)]
+#[repr(align(128))]
+struct Stripe<const N: usize>([AtomicU64; N]);
+
+/// `N` monotonic `u64` tallies striped by recording thread — the one cell
+/// behind every [`Counter`] and [`Histogram`], and behind the I/O meter
+/// and cache totals of the storage and core crates. [`Self::add`] is one
+/// relaxed atomic add on the calling thread's stripe; [`Self::sum`] reads
+/// every stripe once. Each per-stripe value only grows, so a sum observed
+/// twice is monotonic; tallies of one cell are not read atomically with
+/// respect to each other (they never were).
+#[derive(Debug)]
+pub struct Striped<const N: usize> {
+    stripes: [Stripe<N>; STRIPES],
+}
+
+impl<const N: usize> Default for Striped<N> {
+    fn default() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
+            stripes: std::array::from_fn(|_| Stripe(std::array::from_fn(|_| AtomicU64::new(0)))),
         }
     }
 }
 
+impl<const N: usize> Striped<N> {
+    /// Adds `n` to tally `i` on this thread's stripe.
+    #[inline]
+    pub fn add(&self, i: usize, n: u64) {
+        self.stripes[stripe_slot()].0[i].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Tally `i` summed over every stripe.
+    pub fn sum(&self, i: usize) -> u64 {
+        self.stripes.iter().map(|s| s.0[i].load(Ordering::Relaxed)).sum()
+    }
+
+    /// Zeroes every tally (measurement points only: adds racing a reset
+    /// may land on either side of it).
+    pub fn reset(&self) {
+        for cell in self.stripes.iter().flat_map(|s| &s.0) {
+            cell.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A histogram's tallies: one per bucket, then the sum of recorded values.
+/// The observation count is the sum of the buckets.
+type HistogramCell = Striped<{ HISTOGRAM_BUCKETS + 1 }>;
+const SUM: usize = HISTOGRAM_BUCKETS;
+
 #[derive(Debug, Clone)]
 enum Instrument {
-    Counter(Arc<AtomicU64>),
+    Counter(Arc<Striped<1>>),
     Gauge(Arc<AtomicU64>),
     Histogram(Arc<HistogramCell>),
 }
@@ -123,7 +175,7 @@ impl Metrics {
     pub fn counter(&self, name: &str) -> Counter {
         match &self.registry {
             None => Counter(None),
-            Some(r) => match r.resolve(name, || Instrument::Counter(Arc::new(AtomicU64::new(0)))) {
+            Some(r) => match r.resolve(name, || Instrument::Counter(Arc::default())) {
                 Instrument::Counter(c) => Counter(Some(c)),
                 other => panic!("metric {name:?} already registered as a {}", other.kind()),
             },
@@ -145,38 +197,31 @@ impl Metrics {
     pub fn histogram(&self, name: &str) -> Histogram {
         match &self.registry {
             None => Histogram(None),
-            Some(r) => {
-                match r.resolve(name, || Instrument::Histogram(Arc::new(HistogramCell::new()))) {
-                    Instrument::Histogram(h) => Histogram(Some(h)),
-                    other => panic!("metric {name:?} already registered as a {}", other.kind()),
-                }
-            }
+            Some(r) => match r.resolve(name, || Instrument::Histogram(Arc::default())) {
+                Instrument::Histogram(h) => Histogram(Some(h)),
+                other => panic!("metric {name:?} already registered as a {}", other.kind()),
+            },
         }
     }
 
     /// A point-in-time copy of every registered instrument, sorted by
-    /// name. Concurrent recording keeps running; each atomic is read
-    /// once, so a counter observed across two snapshots is monotonic.
+    /// name. Concurrent recording keeps running; each stripe of each
+    /// instrument is read once, so a counter observed across two snapshots
+    /// is monotonic.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         let Some(r) = &self.registry else { return snap };
         let map = r.instruments.lock().unwrap();
         for (name, inst) in map.iter() {
             match inst {
-                Instrument::Counter(c) => {
-                    snap.counters.push((name.clone(), c.load(Ordering::Relaxed)))
-                }
+                Instrument::Counter(c) => snap.counters.push((name.clone(), c.sum(0))),
                 Instrument::Gauge(g) => snap.gauges.push((name.clone(), g.load(Ordering::Relaxed))),
                 Instrument::Histogram(h) => {
-                    let buckets: Vec<u64> =
-                        h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+                    let buckets: Vec<u64> = (0..HISTOGRAM_BUCKETS).map(|i| h.sum(i)).collect();
+                    let count = buckets.iter().sum();
                     snap.histograms.push((
                         name.clone(),
-                        HistogramSnapshot {
-                            buckets,
-                            count: h.count.load(Ordering::Relaxed),
-                            sum: h.sum.load(Ordering::Relaxed),
-                        },
+                        HistogramSnapshot { buckets, count, sum: h.sum(SUM) },
                     ));
                 }
             }
@@ -188,7 +233,7 @@ impl Metrics {
 /// A monotonic counter handle. `Default` (and any handle minted from
 /// [`Metrics::disabled`]) is a no-op.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
+pub struct Counter(Option<Arc<Striped<1>>>);
 
 impl Counter {
     /// Adds one.
@@ -197,17 +242,18 @@ impl Counter {
         self.add(1)
     }
 
-    /// Adds `n` (relaxed; one atomic when enabled, one branch when not).
+    /// Adds `n` (one relaxed atomic on the recording thread's stripe when
+    /// enabled, one branch when not).
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(c) = &self.0 {
-            c.fetch_add(n, Ordering::Relaxed);
+            c.add(0, n);
         }
     }
 
-    /// Current value (0 when disabled).
+    /// Current value, summed over the stripes (0 when disabled).
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |c| c.sum(0))
     }
 }
 
@@ -244,24 +290,24 @@ impl Gauge {
 pub struct Histogram(Option<Arc<HistogramCell>>);
 
 impl Histogram {
-    /// Records one observation (three relaxed atomics when enabled).
+    /// Records one observation (two relaxed atomics on the recording
+    /// thread's stripe when enabled: its bucket and the sum).
     #[inline]
     pub fn record(&self, value: u64) {
         if let Some(h) = &self.0 {
-            h.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            h.count.fetch_add(1, Ordering::Relaxed);
-            h.sum.fetch_add(value, Ordering::Relaxed);
+            h.add(bucket_index(value), 1);
+            h.add(SUM, value);
         }
     }
 
     /// Observations recorded so far (0 when disabled).
     pub fn count(&self) -> u64 {
-        self.0.as_ref().map_or(0, |h| h.count.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |h| (0..HISTOGRAM_BUCKETS).map(|i| h.sum(i)).sum())
     }
 
     /// Sum of recorded values (0 when disabled).
     pub fn sum(&self) -> u64 {
-        self.0.as_ref().map_or(0, |h| h.sum.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |h| h.sum(SUM))
     }
 }
 
@@ -496,5 +542,134 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"a.b\":3"), "{json}");
         assert!(json.contains("\"h\":{\"count\":1,\"sum\":6,\"buckets\":[[7,1]]}"), "{json}");
+    }
+
+    /// Threads × adds per thread of the exactness tests below.
+    const THREADS: u64 = 8;
+    const PER_THREAD: u64 = 100_000;
+
+    #[test]
+    fn striped_instruments_sum_exactly_under_eight_threads() {
+        let m = Metrics::new();
+        let (c, h) = (m.counter("c"), m.histogram("h"));
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (c, h) = (c.clone(), h.clone());
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        c.inc();
+                        h.record((i + t) % 1000);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), THREADS * PER_THREAD);
+        assert_eq!(h.count(), THREADS * PER_THREAD);
+        // What one thread would have recorded, bucket by bucket.
+        let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
+        let mut sum = 0u64;
+        for t in 0..THREADS {
+            for i in 0..PER_THREAD {
+                buckets[bucket_index((i + t) % 1000)] += 1;
+                sum += (i + t) % 1000;
+            }
+        }
+        let snap = m.snapshot();
+        let hs = snap.histogram("h").unwrap();
+        assert_eq!((hs.count, hs.sum, h.sum()), (THREADS * PER_THREAD, sum, sum));
+        assert_eq!(hs.buckets, buckets);
+        assert_eq!(snap.counter("c"), Some(THREADS * PER_THREAD));
+    }
+
+    #[test]
+    fn a_counter_read_while_writers_run_is_monotonic() {
+        let m = Metrics::new();
+        let c = m.counter("c");
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let started = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    started.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        c.inc();
+                    }
+                });
+            }
+            started.wait();
+            let mut last = 0;
+            for _ in 0..2_000 {
+                let now = m.snapshot().counter("c").unwrap();
+                assert!(now >= last, "counter went back: {last} -> {now}");
+                last = now;
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(m.snapshot().counter("c"), Some(c.get()));
+    }
+
+    #[test]
+    fn more_live_threads_than_stripes_still_sum_exactly() {
+        let cell = Striped::<2>::default();
+        let threads = 3 * STRIPES;
+        // Every thread is alive (parked on the barrier) before any records,
+        // so stripes are shared by construction, not by luck.
+        let all_alive = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    all_alive.wait();
+                    for _ in 0..10_000 {
+                        cell.add(0, 1);
+                        cell.add(1, 3);
+                    }
+                });
+            }
+        });
+        assert_eq!((cell.sum(0), cell.sum(1)), (threads as u64 * 10_000, threads as u64 * 30_000));
+        cell.reset();
+        assert_eq!((cell.sum(0), cell.sum(1)), (0, 0));
+    }
+
+    #[test]
+    fn exports_are_byte_identical_to_the_unstriped_registry() {
+        // The literals are what the single-atomic registry (PR 21) rendered
+        // for this sequence; striping must not show in either export.
+        let m = Metrics::new();
+        m.counter("pool.hits").add(41);
+        m.counter("pool.hits").inc();
+        m.counter("query.grid.count").add(7);
+        m.gauge("delta.generation").set(3);
+        let h = m.histogram("query.grid.latency_us");
+        for v in [0u64, 1, 1, 13, 14, 200, 4096, 1 << 40] {
+            h.record(v);
+        }
+        m.histogram("empty.us");
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.to_prometheus_text(),
+            "# TYPE pool_hits counter\npool_hits 42\n\
+             # TYPE query_grid_count counter\nquery_grid_count 7\n\
+             # TYPE delta_generation gauge\ndelta_generation 3\n\
+             # TYPE empty_us histogram\n\
+             empty_us_bucket{le=\"+Inf\"} 0\nempty_us_sum 0\nempty_us_count 0\n\
+             # TYPE query_grid_latency_us histogram\n\
+             query_grid_latency_us_bucket{le=\"0\"} 1\n\
+             query_grid_latency_us_bucket{le=\"1\"} 3\n\
+             query_grid_latency_us_bucket{le=\"15\"} 5\n\
+             query_grid_latency_us_bucket{le=\"255\"} 6\n\
+             query_grid_latency_us_bucket{le=\"8191\"} 7\n\
+             query_grid_latency_us_bucket{le=\"2199023255551\"} 8\n\
+             query_grid_latency_us_bucket{le=\"+Inf\"} 8\n\
+             query_grid_latency_us_sum 1099511632101\nquery_grid_latency_us_count 8\n"
+        );
+        assert_eq!(
+            snap.to_json(),
+            "{\"counters\":{\"pool.hits\":42,\"query.grid.count\":7},\
+             \"gauges\":{\"delta.generation\":3},\
+             \"histograms\":{\"empty.us\":{\"count\":0,\"sum\":0,\"buckets\":[]},\
+             \"query.grid.latency_us\":{\"count\":8,\"sum\":1099511632101,\
+             \"buckets\":[[0,1],[1,2],[15,2],[255,1],[8191,1],[2199023255551,1]]}}}"
+        );
     }
 }

@@ -1,29 +1,54 @@
-//! LRU buffer pools: id-only accounting and real byte frames.
+//! Buffer pools: id-only LRU accounting and real byte frames.
 //!
-//! Two pools live here, both built on O(1) intrusive-list LRUs with
-//! capacity expressed in pages:
+//! Two pools live here, both O(1) intrusive lists with capacity expressed
+//! in pages:
 //!
-//! * [`LruBuffer`] — page *identifiers* only. The simulated device
-//!   ([`crate::DiskSim`]) does not move bytes on hit/miss; this buffer
-//!   just decides whether a logical read is charged as a physical one.
+//! * [`LruBuffer`] — page *identifiers* only, exact LRU. The simulated
+//!   device ([`crate::DiskSim`]) does not move bytes on hit/miss; this
+//!   buffer just decides whether a logical read is charged as a physical
+//!   one, and its miss counts are the disk-access columns of the thesis
+//!   figures — its policy never changes.
 //! * [`BufferPool`] — real frames, **sharded for concurrency**. The file
 //!   backend caches each object's assembled payload as an `Arc<[u8]>`
 //!   frame weighted by its covering page count; `get_bytes` handles are
 //!   shared views into these frames, so a hit serves the zero-copy
 //!   posting-list cursors without touching the file. The pool is split
-//!   into N lock-striped LRU shards keyed by first page id, each with its
-//!   own page-weighted budget and hit/miss/eviction counters — concurrent
-//!   readers of distinct objects almost never contend on the same lock.
+//!   into N lock-striped shards keyed by first page id, each with its own
+//!   page-weighted budget and hit/miss/eviction counters.
 //!   [`BufferPool::stats`] snapshots every shard for observability
-//!   ([`PoolStats`] / [`PoolShardStats`]). A shard's critical section only
-//!   relinks list nodes: frames it evicts or replaces are handed back to
-//!   the caller (`Victims`) and freed *after* the shard mutex is
-//!   released, so a cold reader never waits on another thread's `free`.
+//!   ([`PoolStats`] / [`PoolShardStats`]).
+//!
+//! # Replacement: second chance
+//!
+//! A shard is a list in admission order plus one `referenced` flag per
+//! frame — the policy `rcube_core`'s shared node cache runs, on pages. A
+//! miss admits at the head. Eviction looks at the tail: a referenced tail
+//! has its flag cleared and goes back to the head, an unreferenced one is
+//! evicted, so a frame hit since it was last considered survives one more
+//! trip around and a cold scan evicts itself.
+//!
+//! **What a hit writes.** Under the shard's mutex a hit looks the key up,
+//! sets the flag *if it is clear* and clones the frame handle: the lock
+//! word, the frame's reference count, and (once per trip around the list)
+//! the flag. It relinks nothing — exact LRU moved the frame to the head on
+//! every hit, four list nodes written per lookup on lines every client of a
+//! hot shard shares. Hit and miss totals are thread-striped cells beside
+//! the mutex, not fields under it, so counting a hit writes only the
+//! counting thread's own line.
+//!
+//! **What did not change.** The budget invariant (`used_pages ≤
+//! max(capacity_pages, weight of the largest resident frame)` after any
+//! insert), page-weighted budgets per shard, the oversized-alone rule and
+//! the cross-shard reclaim after it, and the meaning of every counter. A
+//! shard's critical section never frees: frames it evicts or replaces are
+//! handed back to the caller (`Victims`) and dropped *after* the shard
+//! mutex is released, so a cold reader never waits on another thread's
+//! `free`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use rcube_obs::{Counter, Metrics};
+use rcube_obs::{Counter, Metrics, Striped};
 
 use crate::disk::PageId;
 
@@ -308,14 +333,14 @@ impl PoolStats {
     }
 }
 
-/// A byte-caching buffer pool: object frames under page-weighted LRU,
-/// sharded by first page id (see the module docs).
+/// A byte-caching buffer pool: object frames under page-weighted second
+/// chance, sharded by first page id (see the module docs).
 ///
 /// All methods take `&self`; synchronization is internal and per-shard, so
 /// any number of reader threads can hit disjoint shards in parallel.
 /// Frames are keyed by the object's first page id and weigh as many pages
 /// as the object covers on disk. Inserting past a shard's budget evicts
-/// that shard's least-recently-used frames until the new one fits; a
+/// that shard's oldest unreferenced frames until the new one fits; a
 /// frame heavier than its whole shard's slice is admitted alone in that
 /// shard (so huge objects still benefit from back-to-back reads) and the
 /// pool then reclaims pages from the *other* shards until the global
@@ -326,7 +351,7 @@ impl PoolStats {
 /// one sharding trade-off, visible in the eviction counters.
 #[derive(Debug)]
 pub struct BufferPool {
-    shards: Vec<Mutex<PoolShard>>,
+    shards: Vec<PoolStripe>,
     /// Pool-wide budget (the sum of the shard slices), cached so the
     /// post-insert rebalance check doesn't re-lock every shard.
     capacity_pages: usize,
@@ -335,9 +360,39 @@ pub struct BufferPool {
     metrics: OnceLock<PoolMetricSet>,
 }
 
+/// One lock stripe: the frame list behind its mutex, and the stripe's
+/// lookup totals beside it.
+#[derive(Debug)]
+struct PoolStripe {
+    list: Mutex<PoolShard>,
+    /// `[hits, misses]`, thread-striped: counted outside the mutex.
+    lookups: Striped<2>,
+}
+
+const HITS: usize = 0;
+const MISSES: usize = 1;
+
+impl PoolStripe {
+    fn new(capacity_pages: usize) -> Self {
+        Self { list: Mutex::new(PoolShard::new(capacity_pages)), lookups: Striped::default() }
+    }
+
+    fn stats(&self) -> PoolShardStats {
+        let list = self.list.lock().unwrap();
+        PoolShardStats {
+            hits: self.lookups.sum(HITS),
+            misses: self.lookups.sum(MISSES),
+            evictions: list.evictions,
+            used_pages: list.used_pages,
+            capacity_pages: list.capacity_pages,
+            frames: list.map.len(),
+        }
+    }
+}
+
 /// Pre-resolved counter handles for the pool hot paths (the per-shard
-/// `u64` counters stay authoritative for [`PoolStats`]; these mirror them
-/// into a live registry without locking a shard to observe).
+/// totals stay authoritative for [`PoolStats`]; these mirror them into a
+/// live registry without locking a shard to observe).
 #[derive(Debug)]
 struct PoolMetricSet {
     hits: Counter,
@@ -360,8 +415,7 @@ impl BufferPool {
     pub fn with_shards(capacity_pages: usize, shards: usize) -> Self {
         let n = shards.max(1).min(capacity_pages.max(1));
         let (per, extra) = (capacity_pages / n, capacity_pages % n);
-        let shards =
-            (0..n).map(|i| Mutex::new(PoolShard::new(per + usize::from(i < extra)))).collect();
+        let shards = (0..n).map(|i| PoolStripe::new(per + usize::from(i < extra))).collect();
         Self { shards, capacity_pages, metrics: OnceLock::new() }
     }
 
@@ -389,7 +443,7 @@ impl BufferPool {
         (h as usize) % self.shards.len()
     }
 
-    fn shard(&self, key: PageId) -> &Mutex<PoolShard> {
+    fn shard(&self, key: PageId) -> &PoolStripe {
         &self.shards[self.shard_index(key)]
     }
 
@@ -400,12 +454,12 @@ impl BufferPool {
 
     /// Pages currently held by cached frames.
     pub fn used_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().used_pages).sum()
+        self.shards.iter().map(|s| s.list.lock().unwrap().used_pages).sum()
     }
 
     /// Number of cached frames.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
+        self.shards.iter().map(|s| s.list.lock().unwrap().map.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -422,20 +476,23 @@ impl BufferPool {
 
     /// Per-shard occupancy and hit/miss/eviction counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats { shards: self.shards.iter().map(|s| s.lock().unwrap().stats()).collect() }
+        PoolStats { shards: self.shards.iter().map(PoolStripe::stats).collect() }
     }
 
-    /// Looks up (and promotes) the frame rooted at `key`.
+    /// Looks up the frame rooted at `key`; a hit marks it referenced (its
+    /// second chance at the next eviction) and moves nothing.
     pub fn get(&self, key: PageId) -> Option<Arc<[u8]>> {
-        let frame = self.shard(key).lock().unwrap().get(key);
+        let stripe = self.shard(key);
+        let frame = stripe.list.lock().unwrap().get(key);
+        stripe.lookups.add(if frame.is_some() { HITS } else { MISSES }, 1);
         if let Some(ms) = self.metrics.get() {
             if frame.is_some() { &ms.hits } else { &ms.misses }.inc();
         }
         frame
     }
 
-    /// Admits a frame weighing `weight_pages`, evicting LRU frames from
-    /// its shard until it fits (a frame heavier than the whole shard is
+    /// Admits a frame weighing `weight_pages`, evicting unreferenced frames
+    /// from the tail of its shard until it fits (a frame heavier than the whole shard is
     /// admitted alone). Replaces any existing frame under the same key.
     /// If the admission pushed the shard past its slice, pages are
     /// reclaimed from the other shards so the pool-wide budget holds (see
@@ -444,7 +501,7 @@ impl BufferPool {
         let idx = self.shard_index(key);
         let mut victims = Victims::default();
         let (over_slice, evicted) = {
-            let mut shard = self.shards[idx].lock().unwrap();
+            let mut shard = self.shards[idx].list.lock().unwrap();
             let before = shard.evictions;
             shard.insert(key, frame, weight_pages, &mut victims);
             (shard.used_pages > shard.capacity_pages, shard.evictions - before)
@@ -462,7 +519,7 @@ impl BufferPool {
         }
     }
 
-    /// Evicts LRU frames from shards other than `keep` until the pool is
+    /// Evicts tail frames from shards other than `keep` until the pool is
     /// back within its global budget (or only `keep`'s frames remain —
     /// the single-oversized-frame case, where occupancy equals that
     /// frame's weight, exactly like the pre-sharding pool).
@@ -476,7 +533,7 @@ impl BufferPool {
                 if i == keep {
                     continue;
                 }
-                let victim = shard.lock().unwrap().evict_tail();
+                let victim = shard.list.lock().unwrap().evict_tail();
                 if victim.is_some() {
                     if let Some(ms) = self.metrics.get() {
                         ms.evictions.inc();
@@ -495,7 +552,7 @@ impl BufferPool {
 
     /// Drops the frame rooted at `key`, if cached.
     pub fn invalidate(&self, key: PageId) {
-        let removed = self.shard(key).lock().unwrap().invalidate(key);
+        let removed = self.shard(key).list.lock().unwrap().invalidate(key);
         drop(removed);
     }
 
@@ -503,12 +560,14 @@ impl BufferPool {
     /// counters.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().unwrap().clear();
+            shard.list.lock().unwrap().clear();
+            shard.lookups.reset();
         }
     }
 }
 
-/// One lock stripe of the pool: an intrusive page-weighted LRU of frames.
+/// The list of one lock stripe: frames in admission order (head = newest),
+/// page-weighted, evicted from the tail with a second chance.
 #[derive(Debug)]
 struct PoolShard {
     capacity_pages: usize,
@@ -518,9 +577,13 @@ struct PoolShard {
     head: usize,
     tail: usize,
     free: Vec<usize>,
-    hits: u64,
-    misses: u64,
     evictions: u64,
+    /// Writes a hit-only workload must not make: list relinks and
+    /// `referenced` stores (`a_repeat_hit_moves_nothing`).
+    #[cfg(test)]
+    relinks: u64,
+    #[cfg(test)]
+    flag_writes: u64,
 }
 
 #[derive(Debug)]
@@ -529,6 +592,8 @@ struct FrameNode {
     weight: usize,
     /// `None` while the node sits on the free list.
     frame: Option<Arc<[u8]>>,
+    /// Hit since admission or since eviction last passed over it.
+    referenced: bool,
     prev: usize,
     next: usize,
 }
@@ -563,40 +628,29 @@ impl PoolShard {
             head: NIL,
             tail: NIL,
             free: Vec::new(),
-            hits: 0,
-            misses: 0,
             evictions: 0,
-        }
-    }
-
-    fn stats(&self) -> PoolShardStats {
-        PoolShardStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            used_pages: self.used_pages,
-            capacity_pages: self.capacity_pages,
-            frames: self.map.len(),
+            #[cfg(test)]
+            relinks: 0,
+            #[cfg(test)]
+            flag_writes: 0,
         }
     }
 
     fn get(&mut self, key: PageId) -> Option<Arc<[u8]>> {
-        match self.map.get(&key).copied() {
-            Some(idx) => {
-                self.unlink(idx);
-                self.push_front(idx);
-                self.hits += 1;
-                self.nodes[idx].frame.clone()
-            }
-            None => {
-                self.misses += 1;
-                None
+        let node = &mut self.nodes[*self.map.get(&key)?];
+        // Test before set: a frame that is already marked stays a read.
+        if !node.referenced {
+            node.referenced = true;
+            #[cfg(test)]
+            {
+                self.flag_writes += 1;
             }
         }
+        node.frame.clone()
     }
 
     /// Admits `frame`; every frame this displaces (the one it replaces
-    /// under `key`, and the LRU frames evicted to make room) goes into
+    /// under `key`, and the tail frames evicted to make room) goes into
     /// `victims` for the caller to drop once the shard is unlocked.
     fn insert(
         &mut self,
@@ -618,7 +672,8 @@ impl PoolShard {
                 None => break,
             }
         }
-        let node = FrameNode { key, weight, frame: Some(frame), prev: NIL, next: NIL };
+        let node =
+            FrameNode { key, weight, frame: Some(frame), referenced: false, prev: NIL, next: NIL };
         let idx = match self.free.pop() {
             Some(i) => {
                 self.nodes[i] = node;
@@ -644,15 +699,25 @@ impl PoolShard {
         self.nodes[idx].frame.take()
     }
 
-    /// Evicts this shard's least-recently-used frame and returns it;
-    /// `None` when the shard is empty.
+    /// Evicts the frame nearest the tail that has not been hit since
+    /// eviction last passed it, and returns it; referenced frames on the
+    /// way lose their flag and go back to the head (each pass clears a
+    /// flag, so the walk ends). `None` when the shard is empty.
     fn evict_tail(&mut self) -> Option<Arc<[u8]>> {
-        if self.tail == NIL {
-            return None;
+        loop {
+            let tail = self.tail;
+            if tail == NIL {
+                return None;
+            }
+            if !self.nodes[tail].referenced {
+                let victim = self.invalidate(self.nodes[tail].key);
+                self.evictions += 1;
+                return victim;
+            }
+            self.nodes[tail].referenced = false;
+            self.unlink(tail);
+            self.push_front(tail);
         }
-        let victim = self.invalidate(self.nodes[self.tail].key);
-        self.evictions += 1;
-        victim
     }
 
     fn clear(&mut self) {
@@ -662,12 +727,14 @@ impl PoolShard {
         self.head = NIL;
         self.tail = NIL;
         self.used_pages = 0;
-        self.hits = 0;
-        self.misses = 0;
         self.evictions = 0;
     }
 
     fn unlink(&mut self, idx: usize) {
+        #[cfg(test)]
+        {
+            self.relinks += 1;
+        }
         let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
         if prev != NIL {
             self.nodes[prev].next = next;
@@ -855,6 +922,52 @@ mod tests {
         pool.insert(p(3), frame(1), 1);
         assert!(pool.get(p(1)).is_some());
         assert!(pool.get(p(2)).is_none());
+    }
+
+    #[test]
+    fn hot_frames_survive_a_cold_scan() {
+        // The node cache's test of this name, on pages: a working set that
+        // is hit between scans outlives a scan twice the pool's size,
+        // because every cold frame reaches the tail unreferenced.
+        let pool = BufferPool::with_shards(64, 1);
+        let hot: Vec<u64> = (0..16).map(|i| 1_000_000 + i).collect();
+        for &k in &hot {
+            pool.insert(p(k), frame(8), 1);
+        }
+        let touch_hot = |pool: &BufferPool| {
+            for &k in &hot {
+                assert!(pool.get(p(k)).is_some(), "hot frame {k} must stay resident");
+            }
+        };
+        touch_hot(&pool);
+        for i in 0..128u64 {
+            pool.insert(p(i), frame(8), 1);
+            if i % 32 == 31 {
+                touch_hot(&pool); // the working set stays hot while serving
+            }
+        }
+        assert!(pool.stats().evictions() >= 128 - 48, "the scan must create real pressure");
+        touch_hot(&pool);
+        assert!(pool.used_pages() <= 64, "budget holds under the scan");
+    }
+
+    #[test]
+    fn a_repeat_hit_moves_nothing() {
+        let pool = BufferPool::with_shards(4, 1);
+        pool.insert(p(1), frame(8), 1);
+        pool.insert(p(2), frame(8), 1);
+        let writes = |pool: &BufferPool| {
+            let list = pool.shards[0].list.lock().unwrap();
+            (list.relinks, list.flag_writes)
+        };
+        let before = writes(&pool);
+        for _ in 0..1_000 {
+            assert!(pool.get(p(1)).is_some());
+        }
+        let after = writes(&pool);
+        assert_eq!(after.0, before.0, "a hit relinks no list node");
+        assert_eq!(after.1, before.1 + 1, "the referenced flag is written once, then only read");
+        assert_eq!(pool.hit_stats(), (1_000, 0));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct PageId(pub u64);
 #[derive(Debug)]
 pub struct DiskSim {
     page_size: usize,
-    stats: Arc<IoStats>,
+    stats: IoStats,
     buffer: StripedLruBuffer,
     next_page: AtomicU64,
     /// Live I/O counters, resolved once by [`DiskSim::attach_metrics`].
@@ -63,7 +63,7 @@ impl DiskSim {
     pub fn new(page_size: usize, buffer_pages: usize) -> Self {
         Self {
             page_size,
-            stats: IoStats::new_shared(),
+            stats: IoStats::default(),
             buffer: StripedLruBuffer::new(buffer_pages),
             next_page: AtomicU64::new(0),
             metrics: OnceLock::new(),
@@ -95,9 +95,10 @@ impl DiskSim {
         self.page_size
     }
 
-    /// Shared I/O counters.
-    pub fn stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
+    /// The device's I/O meter, borrowed: every cursor and backend charging
+    /// this device records into (and snapshots) the same counters.
+    pub fn stats(&self) -> &IoStats {
+        &self.stats
     }
 
     /// Allocates a fresh page id.
@@ -134,7 +135,7 @@ impl DiskSim {
     /// Charges a write of `page` (write-through; also populates the buffer).
     pub fn write(&self, page: PageId) {
         self.buffer.touch(page);
-        self.stats.record_write();
+        self.stats.record_writes(1);
         if let Some(ms) = self.metrics.get() {
             ms.writes.inc();
         }

@@ -672,17 +672,13 @@ impl FileBackend {
     fn fetch(&self, first: PageId, stats: Option<&IoStats>) -> Result<Arc<[u8]>, StorageError> {
         if let Some(frame) = self.pool.get(first) {
             if let Some(stats) = stats {
-                for _ in 0..self.pages_for_object(frame.len()) {
-                    stats.record_read(true);
-                }
+                stats.record_reads(self.pages_for_object(frame.len()) as u64, true);
             }
             return Ok(frame);
         }
         let (frame, pages) = self.read_object(first.0)?;
         if let Some(stats) = stats {
-            for _ in 0..pages {
-                stats.record_read(false);
-            }
+            stats.record_reads(pages as u64, false);
         }
         self.pool.insert(first, Arc::clone(&frame), pages);
         Ok(frame)
@@ -733,10 +729,7 @@ impl PageBackend for FileBackend {
         self.object_count.fetch_add(1, Ordering::Relaxed);
         self.dirty.store(true, Ordering::Relaxed);
         self.learn_size(first, data.len() as u32);
-        let stats = disk.stats();
-        for _ in 0..pages {
-            stats.record_write();
-        }
+        disk.stats().record_writes(pages as u64);
         // Write-through: the caller's handle is the pool frame.
         self.pool.insert(PageId(first), data, pages);
         Ok(PageId(first))
@@ -771,10 +764,7 @@ impl PageBackend for FileBackend {
             });
         }
         self.write_object_pages(first.0, &data)?;
-        let stats = disk.stats();
-        for _ in 0..new_pages {
-            stats.record_write();
-        }
+        disk.stats().record_writes(new_pages as u64);
         self.total_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
         self.total_bytes.fetch_sub(old_len as u64, Ordering::Relaxed);
         self.dirty.store(true, Ordering::Relaxed);
@@ -785,7 +775,7 @@ impl PageBackend for FileBackend {
     }
 
     fn get(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError> {
-        self.fetch(first, Some(&disk.stats()))
+        self.fetch(first, Some(disk.stats()))
     }
 
     fn peek(&self, first: PageId) -> Result<Arc<[u8]>, StorageError> {

@@ -5,69 +5,74 @@
 //! and in-memory working-set sizes. [`IoStats`] is the single source of truth
 //! for the I/O family; every simulated component charges it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use rcube_obs::Striped;
 
-/// Atomic counters shared between a [`crate::DiskSim`] and its clients.
+/// The I/O meter shared between a [`crate::DiskSim`] and its clients.
 ///
-/// All counters are monotonically increasing; use [`IoStats::snapshot`] and
-/// [`IoSnapshot::delta`] to meter an individual query.
+/// Four monotonically increasing counters in one thread-striped cell
+/// (`rcube_obs::Striped`): recording is a relaxed atomic add on the
+/// recording thread's own stripe, so query threads charging one device do
+/// not write each other's cache lines, and [`IoStats::snapshot`] sums the
+/// stripes. Use `snapshot` and [`IoSnapshot::delta`] to meter an individual
+/// query — exact for a client alone on its device; with several clients
+/// the delta also holds whatever the others charged in between.
 #[derive(Debug, Default)]
 pub struct IoStats {
-    /// Page reads requested by clients (buffer hits included).
-    pub logical_reads: AtomicU64,
-    /// Page reads that missed the buffer pool and hit the simulated disk.
-    pub disk_reads: AtomicU64,
-    /// Page writes.
-    pub writes: AtomicU64,
-    /// Random (non-clustered) accesses; tracked separately because the
-    /// baseline approaches of Section 3.5 are dominated by them.
-    pub random_accesses: AtomicU64,
+    counters: Striped<4>,
 }
 
-impl IoStats {
-    /// Creates a fresh shared counter set.
-    pub fn new_shared() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
+/// Page reads requested by clients (buffer hits included).
+const LOGICAL_READS: usize = 0;
+/// Page reads that missed the buffer pool and hit the simulated disk.
+const DISK_READS: usize = 1;
+/// Page writes.
+const WRITES: usize = 2;
+/// Random (non-clustered) accesses; tracked separately because the
+/// baseline approaches of Section 3.5 are dominated by them.
+const RANDOM_ACCESSES: usize = 3;
 
+impl IoStats {
     /// Records a logical page read; `hit` tells whether the buffer absorbed it.
     #[inline]
     pub fn record_read(&self, hit: bool) {
-        self.logical_reads.fetch_add(1, Ordering::Relaxed);
+        self.record_reads(1, hit);
+    }
+
+    /// Records `pages` logical page reads of one object, all hits or all
+    /// misses (an object is cached or fetched whole).
+    #[inline]
+    pub fn record_reads(&self, pages: u64, hit: bool) {
+        self.counters.add(LOGICAL_READS, pages);
         if !hit {
-            self.disk_reads.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(DISK_READS, pages);
         }
     }
 
-    /// Records a page write.
+    /// Records `pages` page writes.
     #[inline]
-    pub fn record_write(&self) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
+    pub fn record_writes(&self, pages: u64) {
+        self.counters.add(WRITES, pages);
     }
 
     /// Records a random access (tuple-level fetch not served by a scan).
     #[inline]
     pub fn record_random(&self) {
-        self.random_accesses.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(RANDOM_ACCESSES, 1);
     }
 
     /// Captures the current counter values.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
-            logical_reads: self.logical_reads.load(Ordering::Relaxed),
-            disk_reads: self.disk_reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            random_accesses: self.random_accesses.load(Ordering::Relaxed),
+            logical_reads: self.counters.sum(LOGICAL_READS),
+            disk_reads: self.counters.sum(DISK_READS),
+            writes: self.counters.sum(WRITES),
+            random_accesses: self.counters.sum(RANDOM_ACCESSES),
         }
     }
 
     /// Resets every counter to zero.
     pub fn reset(&self) {
-        self.logical_reads.store(0, Ordering::Relaxed);
-        self.disk_reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.random_accesses.store(0, Ordering::Relaxed);
+        self.counters.reset();
     }
 }
 
@@ -106,7 +111,7 @@ mod tests {
         let stats = IoStats::default();
         stats.record_read(true);
         stats.record_read(false);
-        stats.record_write();
+        stats.record_writes(1);
         stats.record_random();
         let snap = stats.snapshot();
         assert_eq!(snap.logical_reads, 2);
@@ -129,5 +134,33 @@ mod tests {
         assert_eq!(d.logical_reads, 2);
         assert_eq!(d.disk_reads, 1);
         assert_eq!(d.total_disk_ops(), 1);
+    }
+
+    #[test]
+    fn eight_threads_lose_no_read() {
+        let stats = IoStats::default();
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let stats = &stats;
+                s.spawn(move || {
+                    for i in 0..100_000u64 {
+                        stats.record_read((i + t) % 4 != 0); // every fourth misses
+                        if i % 10 == 0 {
+                            stats.record_writes(2);
+                            stats.record_random();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            stats.snapshot(),
+            IoSnapshot {
+                logical_reads: 800_000,
+                disk_reads: 200_000,
+                writes: 160_000,
+                random_accesses: 80_000,
+            }
+        );
     }
 }

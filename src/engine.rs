@@ -51,7 +51,7 @@
 //! answer: every route returns the same certified top-k.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -59,7 +59,7 @@ use rcube_baseline::TableScan;
 use rcube_core::delta::DeltaCube;
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
 use rcube_core::query::{Query, QueryPlan, RankedSource, TopKCursor};
-use rcube_core::shard::{ShardedCube, ShardedCubeConfig};
+use rcube_core::shard::{FanoutReport, ShardedCube, ShardedCubeConfig};
 use rcube_core::sigcube::{ScrubOutcome, SignatureCube, SignatureCubeConfig};
 use rcube_core::{MaintenanceConfig, MaintenanceScheduler, TopKResult};
 use rcube_index::rtree::{RTree, RTreeConfig};
@@ -163,6 +163,38 @@ impl RouteMetricSet {
     }
 }
 
+/// Routes taken out of service by a persistent storage fault, with the
+/// error that condemned each. The scan is never quarantined.
+///
+/// Routing reads this on every query, and in the serving state it is empty:
+/// `len` mirrors the list's length so a router that loads zero (Acquire)
+/// never touches the mutex. Every mutation goes through [`Self::update`],
+/// which stores the new length (Release) before it unlocks — a thread that
+/// quarantines a route and then signals another has that thread's *next*
+/// query route around it.
+#[derive(Debug, Default)]
+struct Quarantine {
+    list: Mutex<Vec<(Route, String)>>,
+    len: AtomicUsize,
+}
+
+impl Quarantine {
+    /// Runs `read` on the current list — without locking while it is empty.
+    fn with<R>(&self, read: impl FnOnce(&[(Route, String)]) -> R) -> R {
+        if self.len.load(Ordering::Acquire) == 0 {
+            return read(&[]);
+        }
+        read(&self.list.lock().unwrap())
+    }
+
+    /// Mutates the list and publishes its new length.
+    fn update(&self, change: impl FnOnce(&mut Vec<(Route, String)>)) {
+        let mut list = self.list.lock().unwrap();
+        change(&mut list);
+        self.len.store(list.len(), Ordering::Release);
+    }
+}
+
 /// One relation, one metering device, every registered access path.
 #[derive(Debug)]
 pub struct Engine {
@@ -173,9 +205,7 @@ pub struct Engine {
     grid: Option<GridRankingCube>,
     signature: Option<(RTree, SignatureCube)>,
     scan: TableScan,
-    /// Routes taken out of service by a persistent storage fault, with
-    /// the error that condemned them. The scan is never quarantined.
-    quarantine: Mutex<Vec<(Route, String)>>,
+    quarantine: Quarantine,
     /// This engine's metric registry; every registered component mirrors
     /// its counters here (pass [`Metrics::disabled`] to
     /// [`Self::with_disk_and_metrics`] to opt out at zero cost).
@@ -226,7 +256,7 @@ impl Engine {
             grid: None,
             signature: None,
             scan,
-            quarantine: Mutex::new(Vec::new()),
+            quarantine: Quarantine::default(),
             metrics,
             route_metrics,
             retries_total,
@@ -374,8 +404,8 @@ impl Engine {
 
     /// One route's standing for `plan`: whether anything is registered on
     /// it, whether that covers the plan's selection and ranking dimensions,
-    /// and the fault that quarantined it (`down` is the quarantine list,
-    /// locked by the caller). The one place the pin, the sources'
+    /// and the fault that quarantined it (`down` is the quarantine list, as
+    /// [`Quarantine::with`] lends it). The one place the pin, the sources'
     /// `can_answer` and the quarantine list are combined: the router
     /// filters on it ([`Self::viable`]) and [`Self::consider`] renders it,
     /// so the plan a report shows is the plan the router executes. A pinned
@@ -412,16 +442,23 @@ impl Engine {
     /// [`Self::explain`].
     fn consider(&self, plan: &QueryPlan<'_>) -> Vec<CandidatePlan> {
         let pinned = self.pins_grid(plan);
-        let down = self.quarantine.lock().unwrap();
         let mut chosen_yet = false;
-        let rows = Route::ALL.map(|route| {
-            let (registered, eligible, why) = self.standing(route, plan, &down);
-            let quarantined = why.map(str::to_owned);
-            let mut row =
-                CandidatePlan { route, registered, eligible, quarantined, chosen: false, pinned };
-            row.chosen = row.viable() && !chosen_yet;
-            chosen_yet |= row.chosen;
-            row
+        let rows = self.quarantine.with(|down| {
+            Route::ALL.map(|route| {
+                let (registered, eligible, why) = self.standing(route, plan, down);
+                let quarantined = why.map(str::to_owned);
+                let mut row = CandidatePlan {
+                    route,
+                    registered,
+                    eligible,
+                    quarantined,
+                    chosen: false,
+                    pinned,
+                };
+                row.chosen = row.viable() && !chosen_yet;
+                chosen_yet |= row.chosen;
+                row
+            })
         });
         rows.into()
     }
@@ -432,14 +469,16 @@ impl Engine {
     /// alone — degrading a pinned query to another path would silently
     /// drop its cover.
     fn candidates(&self, plan: &QueryPlan<'_>) -> Vec<Route> {
-        let down = self.quarantine.lock().unwrap();
-        Route::ALL.into_iter().filter(|&route| self.viable(route, plan, &down)).collect()
+        self.quarantine.with(|down| {
+            Route::ALL.into_iter().filter(|&route| self.viable(route, plan, down)).collect()
+        })
     }
 
     /// The first of [`Self::candidates`], without collecting the rest.
     fn route_for(&self, plan: &QueryPlan<'_>) -> Route {
-        let down = self.quarantine.lock().unwrap();
-        Route::ALL.into_iter().find(|&r| self.viable(r, plan, &down)).expect("the scan is viable")
+        self.quarantine
+            .with(|down| Route::ALL.into_iter().find(|&r| self.viable(r, plan, down)))
+            .expect("the scan is viable")
     }
 
     /// The access path [`Self::open`] will use for `query` — the first
@@ -505,7 +544,7 @@ impl Engine {
         let threshold = self.slow_threshold_ns.load(Ordering::Relaxed);
         let trace = (threshold != SLOW_LOG_OFF).then(|| Arc::new(QueryTrace::new(TRACE_CAP)));
         let start = Instant::now();
-        let (res, route) = self.run_traced(query, trace.as_ref())?;
+        let (res, route, _) = self.run_traced(query, trace.as_ref())?;
         let wall = start.elapsed();
         self.record_query(route, wall, &res);
         if wall.as_nanos() as u64 >= threshold {
@@ -517,13 +556,14 @@ impl Engine {
     /// The retry/fallback ladder behind [`Self::try_query`] and
     /// [`Self::explain_analyze`]: runs `query` to completion, attaching
     /// `trace` (when given) to the answering cursor so every pull lands
-    /// in the trace ring. Returns the result plus the route that
-    /// actually answered.
+    /// in the trace ring. Returns the result, the route that actually
+    /// answered and — from the answering cursor itself — its fan-out when
+    /// that route is the shard set.
     fn run_traced(
         &self,
         query: &Query,
         trace: Option<&Arc<QueryTrace>>,
-    ) -> Result<(TopKResult, Route), StorageError> {
+    ) -> Result<(TopKResult, Route, Option<FanoutReport>), StorageError> {
         let plan = query.plan();
         let mut retries = 0u64;
         let mut fallbacks = 0u64;
@@ -536,16 +576,17 @@ impl Engine {
                     if let Some(t) = trace {
                         c.attach_trace(Arc::clone(t));
                     }
-                    c.try_drain()
+                    let res = c.try_drain()?;
+                    Ok((res, c.fanout()))
                 });
                 match run {
-                    Ok(mut res) => {
+                    Ok((mut res, fanout)) => {
                         res.stats.path_retries = retries;
                         res.stats.path_fallbacks = fallbacks;
                         res.stats.backoff_ns = backoff_spent.as_nanos() as u64;
                         self.retries_total.add(retries);
                         self.fallbacks_total.add(fallbacks);
-                        return Ok((res, route));
+                        return Ok((res, route, fanout));
                     }
                     Err(e) if e.is_transient() && attempt < RETRY_ATTEMPTS => {
                         // Capped + jittered sleep, charged against the
@@ -574,15 +615,15 @@ impl Engine {
                             }
                             _ => Vec::new(),
                         };
-                        let mut down = self.quarantine.lock().unwrap();
-                        if failed.is_empty() {
-                            down.push((route, e.to_string()));
-                        } else {
-                            for (i, msg) in failed {
-                                down.push((route, format!("shard {i}: {msg}")));
+                        self.quarantine.update(|down| {
+                            if failed.is_empty() {
+                                down.push((route, e.to_string()));
+                            } else {
+                                for (i, msg) in failed {
+                                    down.push((route, format!("shard {i}: {msg}")));
+                                }
                             }
-                        }
-                        drop(down);
+                        });
                         self.quarantines_total.inc();
                         fallbacks += 1;
                         last_err = Some(e);
@@ -633,13 +674,13 @@ impl Engine {
     /// Routes currently out of service after a persistent storage fault,
     /// with the error that condemned each.
     pub fn quarantined(&self) -> Vec<(Route, String)> {
-        self.quarantine.lock().unwrap().clone()
+        self.quarantine.with(<[_]>::to_vec)
     }
 
     /// Returns every quarantined route to service (call after repairing
     /// the underlying store, e.g. a scrub/rollback or vacuum).
     pub fn clear_quarantine(&self) {
-        self.quarantine.lock().unwrap().clear();
+        self.quarantine.update(Vec::clear);
     }
 
     /// Repairs the cube file backing `route` and returns *that route
@@ -654,7 +695,7 @@ impl Engine {
         path: impl AsRef<std::path::Path>,
     ) -> Result<ScrubOutcome, StorageError> {
         let outcome = SignatureCube::scrub_path(path)?;
-        self.quarantine.lock().unwrap().retain(|(q, _)| *q != route);
+        self.quarantine.update(|down| down.retain(|(q, _)| *q != route));
         Ok(outcome)
     }
 
@@ -672,8 +713,10 @@ impl Engine {
         cube.repair_shard(shard)?;
         let prefix = format!("shard {shard}:");
         let healthy = cube.failed_shards().is_empty();
-        self.quarantine.lock().unwrap().retain(|(route, why)| {
-            *route != Route::Sharded || (!healthy && !why.starts_with(&prefix))
+        self.quarantine.update(|down| {
+            down.retain(|(route, why)| {
+                *route != Route::Sharded || (!healthy && !why.starts_with(&prefix))
+            })
         });
         Ok(())
     }
@@ -761,22 +804,18 @@ impl Engine {
     /// the executed route, the answering cursor's exact [`QueryStats`],
     /// wall-clock time, and the full event trace. The report's `stats`
     /// are taken verbatim from the cursor, so its counters reconcile
-    /// exactly with the trace deltas (`cursor.attach` + Σ pull deltas).
+    /// exactly with the trace deltas (`cursor.attach` + Σ pull deltas) —
+    /// and so is the sharded route's fan-out (`TopKCursor::fanout`), which
+    /// is therefore this query's under any number of concurrent clients.
     ///
     /// [`QueryStats`]: rcube_core::QueryStats
     pub fn explain_analyze(&self, query: &Query) -> Result<AnalyzeReport, StorageError> {
         let plan = self.explain(query);
         let trace = Arc::new(QueryTrace::new(TRACE_CAP));
         let start = Instant::now();
-        let (res, executed) = self.run_traced(query, Some(&trace))?;
+        let (res, executed, fanout) = self.run_traced(query, Some(&trace))?;
         let wall = start.elapsed();
         self.record_query(executed, wall, &res);
-        // The sharded cursor records its fan-out on drop (inside
-        // run_traced), so the freshest report is exactly this query's.
-        let fanout = match executed {
-            Route::Sharded => self.sharded.as_ref().and_then(|c| c.last_fanout()),
-            _ => None,
-        };
         // The delta cursor's stats carry the memtable-vs-base split.
         let delta = (executed == Route::Delta).then_some(crate::observe::DeltaContribution {
             memtable_answers: res.stats.delta_mem_answers,

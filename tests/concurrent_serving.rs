@@ -5,20 +5,33 @@
 //! cache must never change an answer (only how much decode work repeat
 //! queries pay).
 //!
+//! Through the `Engine` front door the same holds route by route — two
+//! threads on the same Zipf-hot cells answer exactly as a table scan and
+//! lose no count in any thread-striped tally — and the checks the healthy
+//! path makes without a lock (the engine's quarantine list, the shard
+//! set's health table) still see what another thread condemned before the
+//! next query.
+//!
 //! Run under `cargo test --release` in CI so the race-prone path is
 //! exercised with optimizations (and without the debug-build timing that
 //! hides interleavings).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 
+use ranking_cube::baseline::TableScan;
+use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
 use ranking_cube::cube::query::{Query, RankedSource};
+use ranking_cube::cube::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
-use ranking_cube::storage::DiskSim;
+use ranking_cube::storage::{DiskSim, StorageError};
 use ranking_cube::table::gen::SyntheticSpec;
+use ranking_cube::table::workload::{WorkloadParams, ZipfQueryGen};
 use ranking_cube::table::Relation;
+use ranking_cube::{Engine, Route};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -208,6 +221,313 @@ fn shared_cache_on_equals_off_concurrently() {
     assert!(on.node_cache().stats().hits > 0, "cache-on cube must register shared hits");
     assert_eq!(off.node_cache().stats().hits, 0, "disabled cache must never hit");
     std::fs::remove_file(&path).ok();
+}
+
+/// Zipf-skewed queries (value 0 of every dimension is the hot cell), as
+/// the benchmark of record draws them.
+fn zipf_queries(rel: &Relation, n: usize) -> Vec<Query> {
+    let params = WorkloadParams { num_conditions: 2, k: 10, seed: 11, ..Default::default() };
+    let mut gen = ZipfQueryGen::new(params, 1.2);
+    gen.batch(rel, n)
+        .iter()
+        .map(|spec| {
+            Query::select(spec.selection.conds().to_vec())
+                .rank_on(spec.ranking_dims.clone(), Linear::new(spec.weights.clone()))
+                .top(spec.k)
+        })
+        .collect()
+}
+
+/// `(score bits, tid)` per answer: equality is byte-identity.
+type Answer = Vec<(u64, u32)>;
+
+fn scan_answers(rel: &Relation, queries: &[Query]) -> Vec<Answer> {
+    let disk = DiskSim::with_defaults();
+    let scan = TableScan::new(rel, &disk);
+    let source = scan.source(rel, &disk);
+    let answer = |q: &Query| source.query(&q.plan()).unwrap().items;
+    queries.iter().map(|q| answer(q).iter().map(|&(t, s)| (s.to_bits(), t)).collect()).collect()
+}
+
+/// One lap over `queries` through `Engine::open`, every answer held to the
+/// scan's. Returns the page reads the lap's cursors account for.
+fn lap(eng: &Engine, route: Route, queries: &[Query], expected: &[Answer]) -> u64 {
+    let mut logical_reads = 0;
+    for (q, want) in queries.iter().zip(expected) {
+        assert_eq!(eng.route(q), route);
+        let mut cursor = eng.open(q).expect("healthy route opens");
+        let mut got = Answer::new();
+        while let Some((tid, score)) = cursor.try_next().expect("healthy route answers") {
+            got.push((score.to_bits(), tid));
+        }
+        assert_eq!(&got, want, "{route:?} diverged from the table scan on {q:?}");
+        logical_reads += cursor.stats().io.logical_reads;
+    }
+    logical_reads
+}
+
+/// Two threads, started together, `LAPS` laps each over the same queries.
+const LAPS: u64 = 3;
+
+fn hammer(eng: &Engine, route: Route, queries: &[Query], expected: &[Answer]) {
+    let together = Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                together.wait();
+                for _ in 0..LAPS {
+                    lap(eng, route, queries, expected);
+                }
+            });
+        }
+    });
+}
+
+/// Sum of the named counters in `eng`'s registry.
+fn counters(eng: &Engine, names: &[String]) -> u64 {
+    let snap = eng.metrics().snapshot();
+    names.iter().map(|n| snap.counter(n).unwrap_or_else(|| panic!("no counter {n}"))).sum()
+}
+
+#[test]
+fn two_clients_on_the_grid_route_lose_no_count() {
+    let rel = SyntheticSpec { tuples: 4_000, cardinality: 5, ..Default::default() }.generate();
+    let path = temp_path("engine_grid");
+    {
+        let disk = DiskSim::with_defaults();
+        let cfg = GridCubeConfig { block_size: 64, ..Default::default() };
+        GridRankingCube::build(&rel, &disk, cfg).save_to(&path).expect("save grid cube");
+    }
+    let cube = GridRankingCube::open_from(&path).expect("reopen grid cube");
+    let eng = Engine::new(rel.clone()).with_prebuilt_grid(cube);
+    let queries = zipf_queries(&rel, 48);
+    let expected = scan_answers(&rel, &queries);
+
+    let lookups =
+        |eng: &Engine| counters(eng, &["grid.pool.hits".to_owned(), "grid.pool.misses".to_owned()]);
+    let pool_lookups = |eng: &Engine| {
+        let pool = eng.grid_cube().unwrap().pool_stats().expect("file-backed");
+        pool.hits() + pool.misses()
+    };
+    // The pool met the catalog read before the registry was attached.
+    let unmirrored = pool_lookups(&eng);
+
+    hammer(&eng, Route::Grid, &queries, &expected);
+
+    // Three tallies striped independently of one another — the registry's
+    // pool counters, the pool's own per-shard totals and the device's I/O
+    // meter — agree on how many objects (one page each here) were read.
+    assert!(lookups(&eng) > 0);
+    assert_eq!(lookups(&eng), pool_lookups(&eng) - unmirrored);
+    assert_eq!(lookups(&eng), eng.disk().stats().snapshot().logical_reads);
+    assert_eq!(counters(&eng, &["query.grid.count".to_owned()]), 2 * LAPS * queries.len() as u64);
+
+    // A client alone on its device: its cursors' I/O deltas are exact, and
+    // account for every lookup of the lap.
+    let before = lookups(&eng);
+    let accounted = lap(&eng, Route::Grid, &queries, &expected);
+    assert!(accounted > 0);
+    assert_eq!(lookups(&eng) - before, accounted);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn two_clients_on_the_sharded_route_lose_no_count() {
+    let rel = SyntheticSpec { tuples: 4_000, cardinality: 5, ..Default::default() }.generate();
+    let dir = temp_path("engine_sharded");
+    std::fs::create_dir_all(&dir).unwrap();
+    // Blocks small enough that every stored object is one page.
+    let grid = GridCubeConfig { block_size: 64, ..Default::default() };
+    let cfg = ShardedCubeConfig {
+        shards: 4,
+        engine: ShardEngineConfig::Grid(grid),
+        parallelism: 1,
+        ..Default::default()
+    };
+    let cube = ShardedCube::build_to(&rel, dir.join("set.manifest"), &cfg).expect("build set");
+    let eng = Engine::new(rel.clone()).with_prebuilt_sharded(cube);
+    let queries = zipf_queries(&rel, 48);
+    let expected = scan_answers(&rel, &queries);
+
+    hammer(&eng, Route::Sharded, &queries, &expected);
+
+    let per_shard = |series: &str| -> Vec<String> {
+        (0..4).map(|i| format!("sharded.shard{i}.{series}")).collect()
+    };
+    let lookups = |eng: &Engine| {
+        counters(eng, &per_shard("pool.hits")) + counters(eng, &per_shard("pool.misses"))
+    };
+    let shards = eng.sharded_cube().unwrap().shards();
+    let device_reads: u64 = shards.iter().map(|s| s.io().logical_reads).sum();
+    assert_eq!(lookups(&eng), device_reads, "one-page objects: a lookup is a page read");
+    let opens = 2 * LAPS * queries.len() as u64;
+    assert_eq!(counters(&eng, &["query.sharded.count".to_owned()]), opens);
+    assert_eq!(counters(&eng, &per_shard("opens")), 4 * opens);
+    // Every answer came out of exactly one shard.
+    let answers: u64 = expected.iter().map(|a| a.len() as u64).sum();
+    assert_eq!(counters(&eng, &per_shard("answers")), 2 * LAPS * answers);
+
+    let before = lookups(&eng);
+    let accounted = lap(&eng, Route::Sharded, &queries, &expected);
+    assert_eq!(lookups(&eng) - before, accounted);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn two_clients_on_the_delta_route_lose_no_count() {
+    let rel = SyntheticSpec { tuples: 3_000, cardinality: 5, ..Default::default() }.generate();
+    let path = temp_path("engine_delta");
+    {
+        let disk = DiskSim::with_defaults();
+        let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
+        let config = SignatureCubeConfig { alpha: 0.02, ..Default::default() };
+        let cube = SignatureCube::build(&rel, &rtree, &disk, config);
+        cube.save_to_with(&rtree, &path, 512, 64).expect("save base cube");
+    }
+    let opts = DeltaOptions::default();
+    let delta = Arc::new(DeltaCube::open(&path, rel.clone(), opts).expect("open delta"));
+    let eng = Engine::new(rel.clone()).with_delta(Arc::clone(&delta));
+    let queries = zipf_queries(&rel, 32);
+    let expected = scan_answers(&rel, &queries);
+
+    hammer(&eng, Route::Delta, &queries, &expected);
+    assert_eq!(counters(&eng, &["query.delta.count".to_owned()]), 2 * LAPS * queries.len() as u64);
+
+    // A pending write changes what every later cursor sees, concurrently
+    // opened ones included: the best possible tuple of the hot cell wins
+    // each of its queries on both threads.
+    let tid = eng.insert(&[0, 0, 0], &[0.0, 0.0]).expect("insert");
+    let hot: Vec<Query> =
+        (0..8).map(|_| Query::select([(0, 0), (1, 0)]).rank(Linear::uniform(2)).top(3)).collect();
+    let together = Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                together.wait();
+                for q in &hot {
+                    let first = eng.open(q).unwrap().try_next().unwrap();
+                    assert_eq!(first, Some((tid, 0.0)));
+                }
+            });
+        }
+    });
+    drop(eng);
+    drop(delta);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(wal_path_for(&path)).ok();
+}
+
+#[test]
+fn a_route_condemned_on_one_thread_is_skipped_by_the_next_open_on_another() {
+    let rel =
+        SyntheticSpec { tuples: 900, cardinality: 4, seed: 9, ..Default::default() }.generate();
+    let dir = temp_path("engine_condemned");
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("set.manifest");
+    let cfg = ShardedCubeConfig { shards: 3, parallelism: 1, ..Default::default() };
+    drop(ShardedCube::build_to(&rel, &manifest, &cfg).expect("build set"));
+
+    // Rot shard 1's data pages (superblocks and catalog spared): the set
+    // opens, and the first query to pull a damaged page meets a checksum.
+    let shard1 = dir.join("set.shard1");
+    let pristine = std::fs::read(&shard1).expect("read shard file");
+    let mut bad = pristine.clone();
+    let (lo, hi) = (8192, bad.len() - 16 * 4096);
+    bad[lo..hi].iter_mut().for_each(|b| *b ^= 0x55);
+    std::fs::write(&shard1, &bad).expect("write damaged shard");
+
+    let cube = ShardedCube::open_from_with(&manifest, 64, 1).expect("superblocks still elect");
+    let mut eng = Engine::new(rel.clone()).with_prebuilt_sharded(cube);
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
+    let expected = scan_answers(&rel, std::slice::from_ref(&q));
+    assert_eq!(eng.route(&q), Route::Sharded, "nothing is known to be wrong yet");
+
+    let (condemned, next) = mpsc::channel();
+    std::thread::scope(|s| {
+        let (eng, q, expected) = (&eng, &q, &expected);
+        // Thread A runs into the fault: the route is quarantined.
+        s.spawn(move || {
+            let degraded = eng.try_query(q).expect("the scan answers");
+            assert_eq!(degraded.stats.path_fallbacks, 1);
+            condemned.send(()).unwrap();
+        });
+        // Thread B's *next* open — no lock taken on its way in — routes
+        // around it and still answers exactly.
+        s.spawn(move || {
+            next.recv().unwrap();
+            assert_eq!(eng.route(q), Route::Scan);
+            lap(eng, Route::Scan, std::slice::from_ref(q), expected);
+        });
+    });
+    let down = eng.quarantined();
+    assert_eq!(down.len(), 1);
+    assert!(down[0].0 == Route::Sharded && down[0].1.starts_with("shard 1:"), "{down:?}");
+
+    // The set itself refuses, typed, whoever asks and however often.
+    let set = eng.sharded_cube().unwrap();
+    assert_eq!(set.failed_shards().len(), 1);
+    assert!(!set.can_answer(q.selection(), &[0, 1]));
+    for _ in 0..2 {
+        let refused = set.source().open(&q.plan()).expect_err("a failed shard fails the open");
+        assert!(matches!(refused, StorageError::Malformed(m) if m.contains("failed shard")));
+    }
+
+    // Lifting the quarantine alone does not help: the shard is still down,
+    // so routing (which asks the set) keeps to the scan.
+    eng.clear_quarantine();
+    assert!(eng.quarantined().is_empty());
+    assert_eq!(eng.route(&q), Route::Scan);
+
+    // Repair brings the shard, and with it the route, back.
+    std::fs::write(&shard1, &pristine).expect("restore shard file");
+    eng.repair_shard(1).expect("repair reopens the healed shard");
+    assert!(eng.sharded_cube().unwrap().failed_shards().is_empty());
+    assert_eq!(eng.route(&q), Route::Sharded);
+    lap(&eng, Route::Sharded, std::slice::from_ref(&q), &expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn explain_analyze_reports_its_own_fan_out_under_a_second_client() {
+    // `ShardedCube::last_fanout` is whoever finished last; the report must
+    // come off the cursor `explain_analyze` itself drained.
+    let rel = SyntheticSpec { tuples: 3_000, cardinality: 4, ..Default::default() }.generate();
+    let eng = Engine::new(rel).with_sharded_cube(ShardedCubeConfig {
+        shards: 4,
+        parallelism: 1,
+        ..Default::default()
+    });
+    let mine = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(7);
+    // A different shape on purpose: more answers, other blocks.
+    let theirs = Query::select([(1, 2)]).rank(Linear::new(vec![0.2, 0.8])).top(40);
+    /// Stops the other client when the checking loop ends, panics included
+    /// (the scope would otherwise wait on it for ever).
+    struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let running = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            running.wait();
+            while !stop.load(Ordering::Relaxed) {
+                assert_eq!(eng.query(&theirs).items.len(), 40);
+            }
+        });
+        running.wait();
+        let _stop = StopOnDrop(&stop);
+        for _ in 0..200 {
+            let report = eng.explain_analyze(&mine).expect("healthy engine");
+            assert_eq!(report.executed, Route::Sharded);
+            let fanout = report.fanout.expect("a sharded run reports its fan-out");
+            let answers: u64 = fanout.shards.iter().map(|s| s.answers).sum();
+            assert_eq!(answers, report.items.len() as u64, "another query's fan-out");
+            assert_eq!(fanout.blocks_read(), report.stats.blocks_read);
+        }
+    });
 }
 
 proptest::proptest! {
