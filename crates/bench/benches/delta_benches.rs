@@ -28,9 +28,21 @@
 //!   against the catalogs before and after); and only the first flush
 //!   after an open parses the catalog off the file (`cold_opens` is
 //!   exactly 1).
+//!   The **read side of a flush** (`chill` in the JSON): one reader runs
+//!   a fixed lap of 64 queries after every one of 8 flushes of 64 writes
+//!   (which land away from the lap's answers, so the lap asks for the same
+//!   signature nodes every time — what it has to decode again is what the
+//!   flush cooled). From the second generation on — the first flush after
+//!   an open starts a node cache of its own — a lap decodes **0** nodes
+//!   and loads **0** partials: the decoded-node cache follows the file
+//!   across flushes. The `before` block is what the parent commit read,
+//!   which emptied the cache at every swap.
 //! * **Clock (reported, never load-bearing):** ingest ops/sec during
 //!   the cycles and mixed read/write ops/sec from the Zipf-skewed
-//!   `MixedWorkloadGen` stream.
+//!   `MixedWorkloadGen` stream; and, in `chill`, the median latency of
+//!   the first 8 queries a reader runs after a swap over that of its
+//!   queries 128 and later (two readers, the writer flushing every 64
+//!   writes) — 1.0 would be a flush nobody downstream can feel.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, RwLock};
@@ -68,6 +80,16 @@ const MIXED_OPS: usize = 600;
 /// "before" of the trajectory the JSON carries.
 const BEFORE_INGEST_OPS_PER_SEC: f64 = 3791.2;
 const BEFORE_FLUSH_US_MEAN: f64 = 13_825.0;
+/// `chill`: generations, writes per flush, queries per lap.
+const CHILL_FLUSHES: usize = 8;
+const CHILL_WRITES: usize = 64;
+const CHILL_LAP: usize = 64;
+/// What the `chill` laps read at the parent commit (PR 22), per
+/// generation 1..=8: every flush handed queries an empty node cache.
+const BEFORE_CHILL_DECODED: [u64; CHILL_FLUSHES] = [2498; CHILL_FLUSHES];
+const BEFORE_CHILL_LOADED: [u64; CHILL_FLUSHES] = [114; CHILL_FLUSHES];
+/// First 8 queries after a swap 217 µs, queries 128+ 48 µs.
+const BEFORE_CHILL_RATIO: f64 = 4.5;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -204,6 +226,154 @@ fn gate_node_granular(report: &FlushReport, before: &Catalog, after: &Catalog, l
         report.partials_rewritten
     );
     assert!(report.partials_rewritten > 0, "{label}: a fold that applied ops rewrites a partial");
+}
+
+/// The `chill` block of `BENCH_delta.json` (module docs): what a flush
+/// costs the queries that come after it.
+fn chill_block(full: &Relation, base_rel: &Relation) -> String {
+    let path = temp_path("chill");
+    // A delta cube over a base file written fresh (and no WAL beside it).
+    let open = || {
+        std::fs::remove_file(wal_path_for(&path)).ok();
+        let disk = DiskSim::with_defaults();
+        let rtree = RTree::over_relation(&disk, base_rel, &[], RTreeConfig::small(16));
+        let cube = SignatureCube::build(base_rel, &rtree, &disk, SignatureCubeConfig::default());
+        cube.save_to_with(&rtree, &path, PAGE, POOL).expect("save chill base");
+        let opts = DeltaOptions { pool_pages: POOL, ..Default::default() };
+        DeltaCube::open(&path, base_rel.clone(), opts).expect("open chill delta")
+    };
+    // The lap: every cell of dimension 0, then pairs across two dimensions,
+    // 64 queries, top-8 by the uniform linear function (answers sit near
+    // the origin).
+    let lap: Vec<Query> = (0..CHILL_LAP as u32)
+        .map(|i| {
+            let conds = if i < CARDINALITY {
+                vec![(0, i)]
+            } else {
+                vec![(1, i % CARDINALITY), (2, (i / CARDINALITY) % CARDINALITY)]
+            };
+            Query::select(conds).rank(Linear::uniform(2)).top(8)
+        })
+        .collect();
+    // Writes: the selection values of real tuples (so every lap cell is
+    // spliced, sooner or later), points in the far corner.
+    let write_burst = |delta: &DeltaCube, burst: usize| {
+        for i in 0..CHILL_WRITES {
+            let like = BASE + (burst * CHILL_WRITES + i) % (TOTAL - BASE);
+            let far = 0.8 + (i % 16) as f64 / 100.0;
+            delta.insert(&sel_of(full, like as Tid), &[far, 1.75 - far]).expect("chill insert");
+        }
+        delta.flush().expect("chill flush")
+    };
+
+    // Counters: one reader, one lap per generation.
+    let delta = open();
+    let run_lap = |delta: &DeltaCube| {
+        lap.iter().fold((0u64, 0u64), |(decoded, loaded), q| {
+            let stats = delta.source().open(&q.plan()).unwrap().try_drain().unwrap().stats;
+            (decoded + stats.sig_nodes_decoded, loaded + stats.sig_loads)
+        })
+    };
+    let (warmup_decoded, _) = run_lap(&delta);
+    assert!(warmup_decoded > 0, "the first lap decodes its working set");
+    let (mut decoded, mut loaded) = (Vec::new(), Vec::new());
+    for generation in 1..=CHILL_FLUSHES {
+        let report = write_burst(&delta, generation);
+        assert_eq!(report.cold_opens, u64::from(generation == 1));
+        let (d, l) = run_lap(&delta);
+        decoded.push(d);
+        loaded.push(l);
+    }
+    println!("chill: nodes decoded per lap {decoded:?}, partials loaded per lap {loaded:?}");
+    drop(delta);
+
+    // Clock: two readers loop over the lap while the writer cycles.
+    let delta = open();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (mut post, mut steady) = (Vec::new(), Vec::new());
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2usize)
+            .map(|r| {
+                let (delta, lap, done) = (&delta, &lap, &done);
+                s.spawn(move || {
+                    let (mut post, mut steady) = (Vec::new(), Vec::new());
+                    let (mut generation, mut since) = (delta.flushes_completed(), 0usize);
+                    let mut at = r * CHILL_LAP / 2;
+                    while !done.load(Ordering::Relaxed) {
+                        let now = delta.flushes_completed();
+                        if now != generation {
+                            (generation, since) = (now, 0);
+                        }
+                        let plan = lap[at % CHILL_LAP].plan();
+                        let t = Instant::now();
+                        let got = delta.source().open(&plan).unwrap().try_drain().unwrap();
+                        let ns = t.elapsed().as_nanos() as u64;
+                        std::hint::black_box(got);
+                        match since {
+                            0..8 if generation > 1 => post.push(ns),
+                            128.. if generation > 1 => steady.push(ns),
+                            _ => {}
+                        }
+                        since += 1;
+                        at += 1;
+                    }
+                    (post, steady)
+                })
+            })
+            .collect();
+        // Set however this thread leaves the scope, or the readers spin on.
+        struct Done<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for Done<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let writer_done = Done(&done);
+        for burst in 0..3 * CHILL_FLUSHES {
+            write_burst(&delta, burst);
+        }
+        drop(writer_done);
+        for reader in readers {
+            let (p, st) = reader.join().expect("chill reader");
+            post.extend(p);
+            steady.extend(st);
+        }
+    });
+    let median = |v: &mut Vec<u64>| {
+        v.sort_unstable();
+        v.get(v.len() / 2).map_or(0.0, |&ns| ns as f64 / 1e3)
+    };
+    let (post_us, steady_us) = (median(&mut post), median(&mut steady));
+    let ratio = post_us / steady_us.max(f64::MIN_POSITIVE);
+    println!(
+        "chill: first 8 queries after a swap p50 {post_us:.1}us ({} samples), queries 128+ p50 \
+         {steady_us:.1}us ({}), ratio {ratio:.2} (parent {BEFORE_CHILL_RATIO:.2})",
+        post.len(),
+        steady.len()
+    );
+    drop(delta);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(wal_path_for(&path)).ok();
+
+    // Hard: from the second generation on the cache came along.
+    assert!(decoded[0] > 0, "the first flush after an open starts a cold cache");
+    assert!(
+        decoded[1..].iter().chain(&loaded[1..]).all(|&n| n == 0),
+        "a warm flush cooled the cube: decoded {decoded:?}, loaded {loaded:?} per lap"
+    );
+    let list = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
+    format!(
+        "  \"chill\": {{\n    \"flushes\": {CHILL_FLUSHES}, \"writes_per_flush\": {CHILL_WRITES}, \
+         \"lap_queries\": {CHILL_LAP},\n    \"before\": {{ \"nodes_decoded_per_lap\": [{}], \
+         \"sig_loads_per_lap\": [{}], \"post_flush_over_steady_p50\": {BEFORE_CHILL_RATIO:.2} \
+         }},\n    \"nodes_decoded_per_lap\": [{}],\n    \"sig_loads_per_lap\": [{}],\n    \
+         \"post_flush_p50_us\": {post_us:.1},\n    \"steady_p50_us\": {steady_us:.1},\n    \
+         \"post_flush_over_steady_p50\": {ratio:.2}\n  }},\n",
+        list(&BEFORE_CHILL_DECODED),
+        list(&BEFORE_CHILL_LOADED),
+        list(&decoded),
+        list(&loaded),
+    )
 }
 
 fn query_of(spec: &QuerySpec) -> Query {
@@ -504,6 +674,8 @@ fn main() {
         replay.applied,
     );
 
+    let chill = chill_block(&full, &base_rel);
+
     // --- BENCH_delta.json ------------------------------------------------
     let mut json = String::from("{\n  \"bench\": \"delta\",\n");
     json.push_str(&rcube_bench::bench_env_json());
@@ -532,6 +704,7 @@ fn main() {
         partials_rewritten as f64 / flushes_done.max(1) as f64,
         nodes_reencoded as f64 / flushes_done.max(1) as f64
     ));
+    json.push_str(&chill);
     json.push_str(&format!(
         "  \"ingest_ops_per_sec_before\": {BEFORE_INGEST_OPS_PER_SEC:.1},\n  \
          \"ingest_ops_per_sec\": {ingest_ops_per_sec:.1},\n  \"mixed_ops_per_sec\": \

@@ -35,8 +35,9 @@
 //!   run under the cube file's advisory writer lock. Readers are never
 //!   blocked: they serve the generation they opened until their cursors
 //!   drain; at the swap the superseded generation drops its buffer-pool
-//!   frames and decoded-node cache (a cursor still pinned on it keeps the
-//!   frames it holds and re-reads the rest on demand).
+//!   frames (a cursor still pinned on it keeps the frames it holds and
+//!   re-reads the rest on demand). The decoded-node cache is *not* dropped:
+//!   it follows the file to the next generation (below).
 //!
 //! # The warm path: the serving generation is the writer's cache
 //!
@@ -59,12 +60,53 @@
 //! lock is released (and stamp-checked the same way); nothing is parsed
 //! there either.
 //!
+//! **The decoded-node cache takes the same road.** A generation used to
+//! live ≈ 190 queries on the benchmark's stream and hand the next an empty
+//! cache, so the signature route never served at its warm speed (first
+//! queries after a swap 194 µs, steady state 69 µs). Now the cache
+//! ([`crate::nodecache`]) belongs to the file: the warm path's writable
+//! handle *shares* the serving handle's cache
+//! (`SignatureCube::clone_onto`), and so does the handle published after
+//! the commit. What is handed over, per flush:
+//!
+//! * the ≈ ⅓ of the partials the fold did not touch keep their page ids,
+//!   hence their node tables — no work at all;
+//! * every partial the fold rewrote gets its table *made by the splice*
+//!   that wrote it, from its own piece list: nodes copied as stored reach
+//!   the decoded bits (and the reference bits) of the old table's slots,
+//!   shared slab-wise, not copied node by node; re-encoded nodes enter
+//!   decoded; dropped nodes are simply not listed. A cell written fresh
+//!   (a root split) hands nothing over;
+//! * the old tables stay one more generation, off the cache's books, for
+//!   the cursors that opened just before the swap, and leave at the
+//!   following one. A cursor pinned longer re-reads its generation's
+//!   partials, which stay on the file until a vacuum.
+//!
+//! *When it becomes visible.* The tables are keyed by the page ids the
+//! fold appended, and those are not committed while the flush can still
+//! fail — a failed flush leaves the file as it was, and the retry appends
+//! other bytes under the very same ids. So the writable handle *stages*
+//! them, the stage moves into the next serving handle, and the last step
+//! of the flush (3 under *Crash safety*) publishes it: after the WAL
+//! rename, where nothing can fail any more. *What a failed flush
+//! discards:* the stage, with the handle — nothing of it was ever
+//! visible; the serving generation keeps the cache exactly as its queries
+//! left it.
+//!
+//! The buffer pool needs no such hand-off: with the node cache warm a
+//! serving generation reads next to no partials (the pool misses a flush
+//! shows are the fold's own reads, `delta.flush.pool.misses`), so each
+//! generation's pool simply starts empty and the superseded one is
+//! cleared.
+//!
 //! Everything else takes the cold path, `SignatureCube::open_store`'s
-//! catalog parse, which stays the only one: the first flush after
-//! [`DeltaCube::open`] (this process published nothing yet), a vacuum
-//! swap (another inode under the path), another writer's commit (another
-//! generation), a flush of this process that committed and then failed
-//! before the swap (the file is a generation ahead of the serving
+//! catalog parse, which stays the only one — and starts a fresh node
+//! cache, for the same reason it distrusts the catalog in memory: the
+//! keys of the old one may name another file's pages. That is the first
+//! flush after [`DeltaCube::open`] (this process published nothing yet),
+//! a vacuum swap (another inode under the path), another writer's commit
+//! (another generation), a flush of this process that committed and then
+//! failed before the swap (the file is a generation ahead of the serving
 //! handle), a platform without file identity. There is no option to
 //! force either path; `FlushReport::cold_opens` and
 //! `delta.flush.cold_opens` say which ran.
@@ -116,11 +158,12 @@
 //! 3. only then, with no fallible call in between, move the append
 //!    handle to the descriptor the compacted WAL was written through (it
 //!    follows its inode across the rename — the path is never opened
-//!    again, so no later append can land in the unlinked old WAL), swap
-//!    the serving handle and prune the memtable, atomic under the
-//!    memtable lock, so a concurrent open sees either (old generation +
-//!    full overlay) or (new generation + pruned overlay) — the same
-//!    logical relation either way. The directory fsync that makes the
+//!    again, so no later append can land in the unlinked old WAL),
+//!    publish the node tables the fold staged, swap the serving handle
+//!    and prune the memtable, atomic under the memtable lock, so a
+//!    concurrent open sees either (old generation + full overlay) or (new
+//!    generation + pruned overlay) — the same logical relation either
+//!    way. The directory fsync that makes the
 //!    rename durable gates only the flush's own `Ok`.
 //!
 //! A flush that fails before the rename leaves the process as it was —
@@ -128,7 +171,7 @@
 //! after it are in the WAL a restart reads. Appends block for the
 //! duration of a flush (they share the writer mutex); readers never do.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -227,23 +270,26 @@ impl MemOp {
 }
 
 /// The concurrently-readable overlay: latest op per tid plus a byte
-/// tally for the depth gauge.
+/// tally for the depth gauge. The ops sit behind an `Arc` a cursor (and a
+/// flush) pins instead of copying: a write clones them — at most a flush
+/// interval's worth — only while some cursor still holds the last state.
 #[derive(Debug, Default)]
 struct Memtable {
-    ops: BTreeMap<Tid, MemOp>,
+    ops: Arc<BTreeMap<Tid, MemOp>>,
     bytes: usize,
 }
 
 impl Memtable {
     fn put(&mut self, tid: Tid, mut op: MemOp) {
-        if let Some(old) = self.ops.remove(&tid) {
+        let ops = Arc::make_mut(&mut self.ops);
+        if let Some(old) = ops.remove(&tid) {
             self.bytes -= old.bytes();
             if let MemOp::Delete { shadowed_sel } = &mut op {
                 *shadowed_sel = old.sel().cloned();
             }
         }
         self.bytes += op.bytes();
-        self.ops.insert(tid, op);
+        ops.insert(tid, op);
     }
 }
 
@@ -536,9 +582,9 @@ impl DeltaWriter {
 }
 
 /// One pinned base generation: a read-only cube handle plus its R-tree.
-/// Nodes chain append-only through [`OnceLock`], so a cursor holding
-/// `&BaseHandle` stays valid for the [`DeltaCube`]'s whole lifetime —
-/// flushes append a new node, they never drop an old one.
+/// Generations are kept append-only in a chain of [`GenNode`]s, so a
+/// cursor holding `&BaseHandle` stays valid for the [`DeltaCube`]'s whole
+/// lifetime — flushes append a generation, they never drop an old one.
 ///
 /// Consecutive generations share every R-tree node the flush between
 /// them left alone (the tree is copy-on-write, `rcube_index::rtree`).
@@ -553,14 +599,22 @@ struct BaseHandle {
     published: Option<FileStamp>,
 }
 
+/// Generations one chain node holds. Every query finds the newest one by
+/// walking the chain, so the walk has to stay short: one hop per
+/// generation read 13 ns a hop — 5 µs an open, twice a query (routing asks
+/// too), after the 400 flushes of a 15 s benchmark window.
+const GEN_CHUNK: usize = 64;
+
+/// [`GEN_CHUNK`] generations, set in order, and the node after them.
 struct GenNode {
-    handle: BaseHandle,
+    handles: Box<[OnceLock<BaseHandle>]>,
     next: OnceLock<Box<GenNode>>,
 }
 
-impl std::fmt::Debug for GenNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GenNode").field("generation", &self.handle.generation).finish()
+impl GenNode {
+    fn new() -> Box<Self> {
+        let handles = (0..GEN_CHUNK).map(|_| OnceLock::new()).collect();
+        Box::new(Self { handles, next: OnceLock::new() })
     }
 }
 
@@ -676,6 +730,8 @@ pub struct DeltaCube {
     pool_pages: usize,
     disk: DiskSim,
     head: Box<GenNode>,
+    /// Generations in the chain; the newest is the one served.
+    generations: AtomicU64,
     mem: RwLock<Memtable>,
     writer: Mutex<DeltaWriter>,
     faults: Option<Arc<FaultPlan>>,
@@ -719,12 +775,14 @@ impl DeltaCube {
     ) -> Result<Self, StorageError> {
         let path = path.as_ref().to_path_buf();
         let wal_path = wal_path_for(&path);
-        let (cube, rtree) = SignatureCube::open_from_with(&path, opts.pool_pages)?;
+        let (mut cube, rtree) = SignatureCube::open_from_with(&path, opts.pool_pages)?;
+        // What queries read — this generation's pool and the node cache of
+        // the lineage it starts — is the `signature.*` series.
+        cube.set_metrics(opts.metrics.clone());
         let generation = cube.store().generation().unwrap_or(0);
-        let head = Box::new(GenNode {
-            handle: BaseHandle { cube, rtree, generation, published: None },
-            next: OnceLock::new(),
-        });
+        let head = GenNode::new();
+        let opened = BaseHandle { cube, rtree, generation, published: None };
+        assert!(head.handles[0].set(opened).is_ok(), "a new chain node is empty");
 
         // Replay (or create) the WAL.
         let mut state = if wal_path.exists() {
@@ -783,6 +841,7 @@ impl DeltaCube {
             pool_pages: opts.pool_pages,
             disk: DiskSim::with_defaults(),
             head,
+            generations: AtomicU64::new(1),
             mem: RwLock::new(state.mem),
             writer: Mutex::new(writer),
             faults: opts.faults,
@@ -863,30 +922,29 @@ impl DeltaCube {
         }
     }
 
-    /// Walks the generation chain to the newest node. Safe to call
-    /// concurrently with a flush: the chain is append-only and nodes are
-    /// never dropped before the `DeltaCube` itself.
+    /// The newest generation. Safe to call concurrently with a flush: the
+    /// chain is append-only, a generation is counted (`Release`) only once
+    /// it is in place, and nothing is dropped before the `DeltaCube`
+    /// itself.
     fn current(&self) -> &BaseHandle {
+        let at = self.generations.load(Ordering::Acquire) as usize - 1;
         let mut node: &GenNode = &self.head;
-        while let Some(next) = node.next.get() {
-            node = next;
+        for _ in 0..at / GEN_CHUNK {
+            node = node.next.get().expect("chained before it was counted");
         }
-        &node.handle
+        node.handles[at % GEN_CHUNK].get().expect("set before it was counted")
     }
 
+    /// Appends the generation a flush built. One flush runs at a time (the
+    /// writer mutex), so the count cannot move underneath.
     fn push_generation(&self, handle: BaseHandle) {
-        let mut boxed = Box::new(GenNode { handle, next: OnceLock::new() });
+        let at = self.generations.load(Ordering::Relaxed) as usize;
         let mut node: &GenNode = &self.head;
-        loop {
-            match node.next.get() {
-                Some(next) => node = next,
-                None => match node.next.set(boxed) {
-                    Ok(()) => return,
-                    // Lost a (theoretical) race: keep walking.
-                    Err(b) => boxed = b,
-                },
-            }
+        for _ in 0..at / GEN_CHUNK {
+            node = node.next.get_or_init(GenNode::new);
         }
+        assert!(node.handles[at % GEN_CHUNK].set(handle).is_ok(), "one writer appends");
+        self.generations.store(at as u64 + 1, Ordering::Release);
     }
 
     /// True when the merged view can answer the plan — delegated to the
@@ -1030,7 +1088,7 @@ impl DeltaCube {
     pub fn flush(&self) -> Result<FlushReport, StorageError> {
         let start = Instant::now();
         let mut w = self.writer.lock().unwrap();
-        let snapshot: BTreeMap<Tid, MemOp> = self.mem.read().unwrap().ops.clone();
+        let snapshot = Arc::clone(&self.mem.read().unwrap().ops);
         if snapshot.is_empty() {
             return Ok(FlushReport {
                 applied_ops: 0,
@@ -1058,10 +1116,14 @@ impl DeltaCube {
         //    lock). When the file under the lock is the very file and
         //    generation the serving handle was published at, that handle's
         //    directory and R-tree *are* the stored catalog: clone them (one
-        //    pointer per R-tree node) instead of parsing it.
+        //    pointer per R-tree node) instead of parsing it, and write
+        //    through its node cache, staging what the fold hands over.
         let opts = FileOptions { pool_pages: self.pool_pages, faults: self.faults.clone() };
         let store =
             PageStore::with_backend(Arc::new(FileBackend::open_writable_with(&self.path, opts)?));
+        // The fold's own partial reads, apart from what queries read
+        // (attachment is once per store: `set_metrics` below leaves it).
+        store.attach_metrics(&self.metrics, "delta.flush");
         let opened = store.file_stamp();
         let serving = self.current();
         let warm = matches!(
@@ -1102,7 +1164,7 @@ impl DeltaCube {
         //    swap fails here, before the WAL moves. (Dropping the writable
         //    store inside `move_onto` releases the lock.)
         let read_store = PageStore::open_file(&self.path, self.pool_pages)?;
-        let next = match (committed, read_store.file_stamp()) {
+        let mut next = match (committed, read_store.file_stamp()) {
             (Some(committed), Some(reopened)) if committed.same_publication(&reopened) => {
                 BaseHandle {
                     cube: cube.move_onto(read_store),
@@ -1118,6 +1180,7 @@ impl DeltaCube {
                 BaseHandle { cube, rtree, generation, published: None }
             }
         };
+        next.cube.set_metrics(self.metrics.clone());
         let mut swap_us = lap();
 
         // 4. Compact the WAL: flushed upserts become applied records,
@@ -1166,12 +1229,26 @@ impl DeltaCube {
         //    applied set follows it, and the serving generation and the
         //    memtable change in one critical section — a concurrent open
         //    sees old+full or new+empty, never a mix. Open cursors ride
-        //    their pinned node.
+        //    their pinned node. The node tables the fold staged become
+        //    visible here and no earlier: until now the commit could still
+        //    have been abandoned, and the next attempt writes other bytes
+        //    under the same page ids.
         w.file = temp_file;
         w.offset = compacted.len() as u64;
         let dir_synced = FileBackend::sync_parent_dir(&self.wal_path);
         let wal_us = lap();
-        for (tid, op) in snapshot {
+        next.cube.publish_hand_over();
+        let cache_moved_on = std::ptr::eq(serving.cube.node_cache(), next.cube.node_cache());
+        {
+            let mut mem = self.mem.write().unwrap();
+            self.push_generation(next);
+            mem.ops = Arc::default();
+            mem.bytes = 0;
+            self.mem_depth.set(0);
+        }
+        // The memtable let go of the snapshot: it is ours unless a cursor
+        // still pins it.
+        for (tid, op) in Arc::try_unwrap(snapshot).unwrap_or_else(|pinned| (*pinned).clone()) {
             match op {
                 MemOp::Upsert { sel, point } => {
                     w.applied.insert(tid, (sel, point));
@@ -1183,18 +1260,16 @@ impl DeltaCube {
         }
         self.wal_len.store(w.offset, Ordering::SeqCst);
         self.applied_count.store(w.applied.len() as u64, Ordering::SeqCst);
-        {
-            let mut mem = self.mem.write().unwrap();
-            self.push_generation(next);
-            mem.ops.clear();
-            mem.bytes = 0;
-            self.mem_depth.set(0);
-        }
         // The superseded generation stays in the chain for its pinned
-        // cursors, but stops holding caches nobody new will read: cursors
-        // keep the `Arc` frames they hold and re-read the rest on demand.
+        // cursors, but its pool stops holding frames nobody new will read
+        // (cursors keep the `Arc` frames they hold and re-read the rest on
+        // demand). Its node cache goes the same way only when the new
+        // generation started one of its own (a cold flush); on the warm
+        // path both serve out of the same one.
         serving.cube.store().clear_cache();
-        serving.cube.node_cache().clear();
+        if !cache_moved_on {
+            serving.cube.node_cache().clear();
+        }
         swap_us += lap();
 
         let cold_opens = u64::from(!warm);
@@ -1264,27 +1339,26 @@ impl std::fmt::Debug for DeltaSource<'_> {
 impl<'a> RankedSource<'a> for DeltaSource<'a> {
     fn open(&self, plan: &QueryPlan<'a>) -> Result<TopKCursor<'a>, StorageError> {
         let delta = self.delta;
-        // Snapshot overlay + generation under the memtable read lock:
-        // flush swaps both inside the write lock, so the pair is
-        // consistent — the pin this cursor keeps for its lifetime.
-        let (mem_items, mask, handle) = {
+        // Pin overlay + generation under the memtable read lock: flush
+        // swaps both inside the write lock, so the pair is consistent — the
+        // pin this cursor keeps for its lifetime.
+        let (ops, handle) = {
             let mem = delta.mem.read().unwrap();
-            let handle = delta.current();
-            let conds = plan.selection.conds();
-            let mut items: Vec<(Tid, f64)> = Vec::new();
-            let mut mask: HashSet<Tid> = HashSet::with_capacity(mem.ops.len());
-            for (&tid, op) in &mem.ops {
-                mask.insert(tid);
-                if let MemOp::Upsert { sel, point } = op {
-                    if conds.iter().all(|&(d, v)| sel.get(d) == Some(&v)) {
-                        let pt: Vec<f64> = plan.ranking_dims.iter().map(|&d| point[d]).collect();
-                        items.push((tid, plan.func.score(&pt)));
-                    }
+            (Arc::clone(&mem.ops), delta.current())
+        };
+        let conds = plan.selection.conds();
+        let mut mem_items: Vec<(Tid, f64)> = Vec::new();
+        let mut pt = Vec::new(); // grown by the first matching upsert, if any
+        for (&tid, op) in ops.iter() {
+            if let MemOp::Upsert { sel, point } = op {
+                if conds.iter().all(|&(d, v)| sel.get(d) == Some(&v)) {
+                    pt.clear();
+                    pt.extend(plan.ranking_dims.iter().map(|&d| point[d]));
+                    mem_items.push((tid, plan.func.score(&pt)));
                 }
             }
-            items.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            (items, mask, handle)
-        };
+        }
+        mem_items.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let base = handle.cube.source(&handle.rtree, &delta.disk).open(plan)?;
         let mem_scored = mem_items.len() as u64;
         let search = DeltaSearch {
@@ -1293,7 +1367,7 @@ impl<'a> RankedSource<'a> for DeltaSource<'a> {
             pending_base: None,
             mem: mem_items,
             mem_pos: 0,
-            mask,
+            ops,
             mem_scored,
             mem_emitted: 0,
             base_emitted: 0,
@@ -1314,9 +1388,9 @@ struct DeltaSearch<'a> {
     pending_base: Option<(Tid, f64)>,
     mem: Vec<(Tid, f64)>,
     mem_pos: usize,
-    /// Every tid with a memtable op at open: base answers carrying one
-    /// are superseded (updated or deleted) and must not surface.
-    mask: HashSet<Tid>,
+    /// The memtable as pinned at open: a base answer whose tid has an op
+    /// here is superseded (updated or deleted) and must not surface.
+    ops: Arc<BTreeMap<Tid, MemOp>>,
     mem_scored: u64,
     mem_emitted: u64,
     base_emitted: u64,
@@ -1332,7 +1406,7 @@ impl DeltaSearch<'_> {
         while self.pending_base.is_none() && !self.base_done {
             match self.base.try_next()? {
                 Some((tid, score)) => {
-                    if self.mask.contains(&tid) {
+                    if self.ops.contains_key(&tid) {
                         self.masked += 1;
                     } else {
                         self.pending_base = Some((tid, score));
@@ -1520,48 +1594,99 @@ mod tests {
 
     #[test]
     fn cursor_pins_its_generation_across_a_flush() {
-        let full = SyntheticSpec { tuples: 330, cardinality: 4, ..Default::default() }.generate();
+        let full = SyntheticSpec { tuples: 390, cardinality: 4, ..Default::default() }.generate();
         let base = full.prefix(300);
         let path = temp_path("pin");
         build_base(&base, &path);
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         for tid in 300..330u32 {
-            let sel: Vec<u32> =
-                (0..full.schema().num_selection()).map(|d| full.selection_value(tid, d)).collect();
-            delta.insert(&sel, &full.ranking_point(tid)).unwrap();
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
         }
         // A selective query, so the cursor probes signatures through the
-        // generation's buffer pool and node cache.
+        // generation's buffer pool and the node cache.
         let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(6);
-        let q12 = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(12);
-        let fresh12 = delta.source().open(&q12.plan()).unwrap().try_drain().unwrap().items;
+        let q12 = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(400);
+        let fresh = delta.source().open(&q12.plan()).unwrap().try_drain().unwrap().items;
 
         let mut cursor = delta.source().open(&q.plan()).unwrap();
-        let first: Vec<_> = std::iter::from_fn(|| cursor.try_next().unwrap()).collect();
-        assert_eq!(first.len(), 6);
+        let mut got: Vec<_> = std::iter::from_fn(|| cursor.try_next().unwrap()).collect();
+        assert_eq!(got.len(), 6);
 
-        // Flush mid-session (same thread: both are shared borrows), then
-        // ingest more — the paused cursor must not see any of it.
-        let pinned = &delta.head.handle.cube;
+        // Three flushes mid-session (same thread: all shared borrows), each
+        // followed by more ingest — the paused cursor must see none of it,
+        // and keeps streaming its generation a few answers at a time.
+        let pinned = &delta.head.handles[0].get().unwrap().cube;
         assert!(pinned.pool_stats().unwrap().used_pages() > 0, "the cursor warmed its pool");
         assert!(pinned.node_cache().stats().entries > 0);
-        delta.flush().unwrap();
-        // The superseded generation dropped its caches at the swap; the
-        // pinned cursor below re-reads what it still needs.
-        assert_eq!(pinned.pool_stats().unwrap().used_pages(), 0, "retired pool holds no pages");
-        assert_eq!(pinned.node_cache().stats().entries, 0, "retired node cache is empty");
-        for tid in 0..3u32 {
-            delta.delete(tid).unwrap();
+        for round in 0..3u32 {
+            delta.flush().unwrap();
+            // A superseded generation drops its pool frames at the swap; the
+            // pinned cursor re-reads what it still needs.
+            assert_eq!(pinned.pool_stats().unwrap().used_pages(), 0, "retired pool holds no pages");
+            for tid in round * 3..round * 3 + 3 {
+                delta.delete(tid).unwrap();
+            }
+            for tid in 330 + round * 20..350 + round * 20 {
+                delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+            }
+            cursor.extend_k(4);
+            got.extend(std::iter::from_fn(|| cursor.try_next().unwrap()));
+            delta.current().cube.assert_node_cache_matches_file();
         }
-        cursor.extend_k(6);
-        let rest: Vec<_> = std::iter::from_fn(|| cursor.try_next().unwrap()).collect();
-        let mut both = first;
-        both.extend(rest);
+        cursor.extend_k(400);
+        got.extend(std::iter::from_fn(|| cursor.try_next().unwrap()));
         assert_eq!(
-            render(&both),
-            render(&fresh12),
-            "extend_k across a flush answers the open-time state"
+            render(&got),
+            render(&fresh),
+            "extend_k across flushes answers the open-time state"
         );
+        drop(cursor);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn the_node_cache_stays_bounded_over_fifty_flushes() {
+        // No cursor pinned: what the cache holds after any number of warm
+        // flushes is the partials the directory serves plus the ones the
+        // last flush retired — never a trail of old generations.
+        let full = SyntheticSpec { tuples: 500, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("bounded");
+        build_base(&base, &path);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        let (mut retired_by_last, mut stored_before) = (0, 0);
+        for round in 0..50u32 {
+            for tid in 300 + round * 4..304 + round * 4 {
+                delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+            }
+            delta.delete(round * 2).unwrap();
+            for q in fold_queries() {
+                delta.source().open(&q.plan()).unwrap().try_drain().unwrap();
+            }
+            let report = delta.flush().unwrap();
+            assert_eq!(report.cold_opens, u64::from(round == 0));
+            let cube = &delta.current().cube;
+            let (tables, nodes) = cube.assert_node_cache_matches_file();
+            let served: usize = cube
+                .cuboid_dims()
+                .iter()
+                .flat_map(|dims| (0..3).filter_map(|v| cube.cell_signature(dims, &[v])))
+                .map(|stored| stored.num_partials())
+                .sum();
+            assert!(
+                tables <= served + retired_by_last.max(report.partials_rewritten),
+                "round {round}: {tables} tables for {served} served partials"
+            );
+            let stored_nodes: usize = cell_nodes(cube).values().map(|cell| cell.len()).sum();
+            // Entries: the nodes stored now, plus — in the retired tables,
+            // mostly the same `Arc`s — the ones stored a generation ago.
+            assert!(nodes <= stored_nodes + stored_before, "round {round}: {nodes} entries");
+            assert!(cube.node_cache().stats().entries <= stored_nodes, "round {round}");
+            (retired_by_last, stored_before) = (report.partials_rewritten, stored_nodes);
+        }
+        let dropped: Vec<Tid> = (0..50).map(|round| round * 2).collect();
+        assert_answers_like_logical(&delta, &full, 500, &dropped);
+        drop(delta);
         cleanup(&path);
     }
 
@@ -1806,6 +1931,12 @@ mod tests {
         ]
     }
 
+    /// [`fold_queries`] through the live merged view.
+    fn served_answers(delta: &DeltaCube) -> Vec<Vec<String>> {
+        let drained = |q: &Query| delta.source().open(&q.plan()).unwrap().try_drain().unwrap();
+        fold_queries().iter().map(|q| render(&drained(q).items)).collect()
+    }
+
     fn cube_answers(cube: &SignatureCube, rtree: &RTree) -> Vec<Vec<String>> {
         let disk = DiskSim::with_defaults();
         fold_queries()
@@ -1906,7 +2037,18 @@ mod tests {
                     }
                 }
                 Step::Flush => {
+                    // Queries on both sides of the swap: what they decode
+                    // before it is what the fold hands over, what they read
+                    // after it is what the hand-over published — held to the
+                    // file by the oracle, and to a handle with no cache.
+                    served_answers(&delta);
                     let report = delta.flush().unwrap();
+                    let served = served_answers(&delta);
+                    delta.current().cube.assert_node_cache_matches_file();
+                    let (mut uncached, its_rtree) =
+                        SignatureCube::open_from_with(&path_a, 64).unwrap();
+                    uncached.set_node_cache_budget(0);
+                    assert_eq!(served, cube_answers(&uncached, &its_rtree), "cached != uncached");
                     fold_per_op(&path_b, &base, &pending, &flushed);
                     if !pending.is_empty() {
                         fold_whole_cell(&path_c, &base, &pending, &flushed);
@@ -1999,11 +2141,7 @@ mod tests {
         assert_eq!(answers, cube_answers(&cube_b, &rtree_b), "answers: batched != per-op");
         assert_eq!(answers, cube_answers(&rebuilt, &rtree_a), "answers: batched != rebuilt");
         // The live DeltaCube (memtable drained by the closing flush) agrees.
-        let served: Vec<Vec<String>> = fold_queries()
-            .iter()
-            .map(|q| render(&delta.source().open(&q.plan()).unwrap().try_drain().unwrap().items))
-            .collect();
-        assert_eq!(served, answers, "answers: served merged view != reopened base");
+        assert_eq!(served_answers(&delta), answers, "answers: served merged view != reopened base");
         assert_eq!(answers[3].len(), paths_a.len(), "the unfiltered drain sees every live tuple");
 
         drop(delta);
@@ -2202,25 +2340,51 @@ mod tests {
         let metrics = Metrics::new();
         let opts = DeltaOptions { metrics: metrics.clone(), ..Default::default() };
         let delta = DeltaCube::open(&path, base.clone(), opts).unwrap();
-        assert_eq!(ingest_and_flush(&delta, &full, 300..310), 1, "first flush after open");
-        assert_eq!(ingest_and_flush(&delta, &full, 310..320), 0, "its own file, as it left it");
+        // Flushes between two warm-ups, and whether the generation after
+        // them serves out of the node cache of the one before: a warm flush
+        // hands the cache on, warm; a cold one starts another, holding
+        // nothing but what its own fold wrote.
+        let flush_keeps_cache = |tids: std::ops::Range<Tid>, what: &str| {
+            served_answers(&delta);
+            let before = delta.current();
+            assert!(before.cube.node_cache().stats().entries > 0, "{what}: warmed");
+            let cold = ingest_and_flush(&delta, &full, tids);
+            let after = delta.current();
+            let kept = std::ptr::eq(before.cube.node_cache(), after.cube.node_cache());
+            assert_eq!(
+                kept,
+                cold == 0,
+                "{what}: a cache is handed on exactly when the flush is warm"
+            );
+            if !kept {
+                assert_eq!(before.cube.node_cache().stats().entries, 0, "{what}: old cache let go");
+                let (nodes, fresh) =
+                    (delta.stats().nodes_reencoded, after.cube.node_cache().stats());
+                assert!(fresh.entries as u64 <= nodes, "{what}: only what this fold wrote");
+                assert_eq!((fresh.hits, fresh.misses), (0, 0), "{what}: nobody read it yet");
+            }
+            after.cube.assert_node_cache_matches_file();
+            cold
+        };
+        assert_eq!(flush_keeps_cache(300..310, "first flush"), 1, "first flush after open");
+        assert_eq!(flush_keeps_cache(310..320, "second flush"), 0, "its own file, as it left it");
 
         // A vacuum swaps another file under the path.
         let config =
             crate::MaintenanceConfig { page_size: 512, pool_pages: 64, ..Default::default() };
         crate::vacuum_into_place(&path, &config, &Metrics::disabled(), None).unwrap();
-        assert_eq!(ingest_and_flush(&delta, &full, 320..330), 1, "after a vacuum swap");
+        assert_eq!(flush_keeps_cache(320..330, "vacuum swap"), 1, "after a vacuum swap");
         assert_answers_like_rebuilt(&delta, &full.prefix(330), "after a vacuum swap");
-        assert_eq!(ingest_and_flush(&delta, &full, 330..340), 0);
+        assert_eq!(flush_keeps_cache(330..340, "after the vacuum"), 0);
 
         // Another writer commits a generation of its own.
         {
             let (cube, rtree) = SignatureCube::open_writable_with(&path, 64).unwrap();
             cube.commit(&rtree).unwrap();
         }
-        assert_eq!(ingest_and_flush(&delta, &full, 340..350), 1, "after a foreign commit");
+        assert_eq!(flush_keeps_cache(340..350, "foreign commit"), 1, "after a foreign commit");
         assert_answers_like_rebuilt(&delta, &full.prefix(350), "after a foreign commit");
-        assert_eq!(ingest_and_flush(&delta, &full, 350..360), 0);
+        assert_eq!(flush_keeps_cache(350..360, "after the foreign commit"), 0);
 
         // A flush of its own that committed and then failed before the swap
         // (a directory sits where the compacted WAL is written): the file
@@ -2241,7 +2405,8 @@ mod tests {
         std::fs::remove_dir(&blocker).unwrap();
         // Writes acknowledged after the failed flush go to the WAL a restart
         // reads, and the re-fold is cold.
-        assert_eq!(ingest_and_flush(&delta, &full, 370..380), 1, "after a half-done flush");
+        delta.current().cube.assert_node_cache_matches_file();
+        assert_eq!(flush_keeps_cache(370..380, "half-done flush"), 1, "after a half-done flush");
         assert_answers_like_rebuilt(&delta, &full.prefix(380), "after a half-done flush");
         assert_eq!(delta.stats().cold_opens, 4);
         assert_eq!(metrics.counter("delta.flush.cold_opens").get(), 4);
@@ -2253,6 +2418,221 @@ mod tests {
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         assert_eq!(delta.last_replay().pending, 5);
         assert_answers_like_rebuilt(&delta, &full.prefix(385), "reopened");
+        drop(delta);
+        cleanup(&path);
+    }
+
+    /// `full`'s tuples `0..n` minus `dropped`, and each kept tuple's tid.
+    fn logical_relation(full: &Relation, n: Tid, dropped: &[Tid]) -> (Relation, Vec<Tid>) {
+        let mut b = RelationBuilder::new(full.schema().clone());
+        let kept: Vec<Tid> = (0..n).filter(|t| !dropped.contains(t)).collect();
+        for &tid in &kept {
+            b.push(&sel_of(full, tid), &full.ranking_point(tid));
+        }
+        (b.finish(), kept)
+    }
+
+    /// The merged view must answer like a cube built from scratch over the
+    /// tuples `0..n` of `full` minus `dropped` — tid for tid.
+    fn assert_answers_like_logical(delta: &DeltaCube, full: &Relation, n: Tid, dropped: &[Tid]) {
+        let (logical, kept) = logical_relation(full, n, dropped);
+        for q in fold_queries() {
+            let got = delta.source().open(&q.plan()).unwrap().try_drain().unwrap().items;
+            let want: Vec<(Tid, f64)> = rebuilt_answers(&logical, &q)
+                .into_iter()
+                .map(|(t, score)| (kept[t as usize], score))
+                .collect();
+            // Ties between equal scores order by tid on both sides, and
+            // `kept` is increasing, so the renumbering keeps the order.
+            assert_eq!(render(&got), render(&want), "{n} tuples, {} dropped: {q:?}", dropped.len());
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_publishes_nothing() {
+        // A warm flush that fails — at every page write it issues, and
+        // between its commit and its swap — leaves the node cache exactly
+        // what the serving generation's file backs: the retry appends
+        // *other* bytes under the page ids the failed attempt used, so one
+        // table published early would be a wrong answer, not a slow one.
+        let full = SyntheticSpec { tuples: 420, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let pristine = temp_path("nopublish_base");
+        build_base(&base, &pristine);
+
+        // One process: a cold flush, a warm-up, writes, the flush under
+        // test (which `arm` makes fail), more writes, the retry.
+        // Arms the failure; what it returns disarms it.
+        type Arm<'a> = &'a dyn Fn(&Path, &FaultPlan) -> Box<dyn FnOnce()>;
+        let session = |arm: Arm| {
+            let path = temp_path("nopublish");
+            std::fs::copy(&pristine, &path).unwrap();
+            let plan = FaultPlan::new();
+            let opts = DeltaOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
+            let delta = DeltaCube::open(&path, base.clone(), opts).unwrap();
+            assert_eq!(ingest_and_flush(&delta, &full, 300..330), 1);
+            served_answers(&delta);
+            for tid in 330..360 {
+                delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+            }
+            let dropped = [7, 301, 150];
+            dropped.iter().for_each(|&tid| delta.delete(tid).unwrap());
+            let before = plan.writes_observed();
+            let disarm = arm(&path, &plan);
+            let failed = delta.flush();
+            let writes = plan.writes_observed() - before;
+            disarm();
+            if failed.is_err() {
+                let serving = delta.current();
+                serving.cube.assert_node_cache_matches_file();
+                served_answers(&delta);
+                assert_answers_like_logical(&delta, &full, 360, &dropped);
+                // What the retry folds is not what the failed attempt folded.
+                for tid in 360..380 {
+                    delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+                }
+                delta.flush().expect("the retry goes through");
+            }
+            let (tables, _) = delta.current().cube.assert_node_cache_matches_file();
+            assert!(tables > 0, "the hand-over left the cache warm");
+            let n = if failed.is_err() { 380 } else { 360 };
+            assert_answers_like_logical(&delta, &full, n, &dropped);
+            delta.current().cube.assert_node_cache_matches_file();
+            drop(delta);
+            cleanup(&path);
+            (failed.map(|report| report.cold_opens), writes)
+        };
+
+        let (clean, writes) = session(&|_, _| Box::new(|| ()));
+        assert_eq!(clean.unwrap(), 0, "the flush under test is a warm one");
+        assert!(writes > 3, "data, catalog, allocation map, superblock: {writes} page writes");
+        for n in 0..writes {
+            let (failed, _) = session(&|_, plan| {
+                plan.enospc_at_page_write(plan.writes_observed() + n);
+                Box::new(|| ())
+            });
+            assert!(matches!(failed, Err(StorageError::Io(_))), "page write {n}: {failed:?}");
+        }
+        // Committed, then failed before the swap: a directory sits where the
+        // compacted WAL is written.
+        let (failed, _) = session(&|path, _| {
+            let mut blocker = wal_path_for(path).into_os_string();
+            blocker.push(".new");
+            let blocker = PathBuf::from(blocker);
+            std::fs::create_dir(&blocker).unwrap();
+            Box::new(move || std::fs::remove_dir(&blocker).unwrap())
+        });
+        assert!(matches!(failed, Err(StorageError::Io(_))), "{failed:?}");
+        cleanup(&pristine);
+    }
+
+    #[test]
+    fn two_readers_stream_while_the_writer_hands_over() {
+        // Inserts, deletes of base / flushed / pending tuples, clustered
+        // inserts that split leaves up to a new root (whole cells written
+        // fresh), a cell emptied and refilled — a flush after each burst,
+        // and two readers querying throughout, each answer held to the
+        // rows it may contain. After every flush: the cache oracle, and the
+        // merged view against a cube built from scratch.
+        let full = SyntheticSpec { tuples: 700, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("readers");
+        build_base(&base, &path);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let answered = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for reader in 0..2usize {
+                let (delta, full, stop, answered) = (&delta, &full, &stop, &answered);
+                s.spawn(move || {
+                    let queries = fold_queries();
+                    let mut at = reader;
+                    while !stop.load(Ordering::Relaxed) {
+                        let q = &queries[at % queries.len()];
+                        at += 1;
+                        let plan = q.plan();
+                        let items = delta.source().open(&plan).unwrap().try_drain().unwrap().items;
+                        for pair in items.windows(2) {
+                            let order =
+                                pair[0].1.total_cmp(&pair[1].1).then(pair[0].0.cmp(&pair[1].0));
+                            assert!(
+                                order.is_lt(),
+                                "ascending (score, tid), no tuple twice: {pair:?}"
+                            );
+                        }
+                        for &(tid, score) in &items {
+                            // Tids are allocated densely: tuple `tid` is row
+                            // `tid` of `full`, whenever it was inserted.
+                            let sel = sel_of(full, tid);
+                            assert!(plan.selection.conds().iter().all(|&(d, v)| sel[d] == v));
+                            let point = full.ranking_point(tid);
+                            let pt: Vec<f64> =
+                                plan.ranking_dims.iter().map(|&d| point[d]).collect();
+                            assert_eq!(
+                                score.to_bits(),
+                                plan.func.score(&pt).to_bits(),
+                                "tid {tid}"
+                            );
+                        }
+                        answered.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            // Releases the readers when this thread leaves the scope —
+            // done, or unwinding from a failed assertion.
+            struct Release<'a>(&'a std::sync::atomic::AtomicBool);
+            impl Drop for Release<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let _release = Release(&stop);
+            let next = std::cell::Cell::new(300 as Tid);
+            let dropped = std::cell::RefCell::new(Vec::<Tid>::new());
+            let live = |tid: &Tid| !dropped.borrow().contains(tid);
+            let burst = |inserts: u32, deletes: &[Tid]| {
+                for _ in 0..inserts {
+                    let tid = next.replace(next.get() + 1);
+                    let got = delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+                    assert_eq!(got, tid);
+                }
+                for &tid in deletes {
+                    delta.delete(tid).unwrap();
+                    dropped.borrow_mut().push(tid);
+                }
+                let seen = answered.load(Ordering::Relaxed);
+                let report = delta.flush().unwrap();
+                delta.current().cube.assert_node_cache_matches_file();
+                assert_answers_like_logical(&delta, &full, next.get(), &dropped.borrow());
+                delta.current().cube.assert_node_cache_matches_file();
+                // Let the readers in on this generation before the next.
+                let waiting = Instant::now();
+                while answered.load(Ordering::Relaxed) < seen + 8 {
+                    assert!(waiting.elapsed() < Duration::from_secs(60), "the readers stopped");
+                    std::thread::yield_now();
+                }
+                report
+            };
+            assert_eq!(burst(40, &[3, 11, 42]).cold_opens, 1);
+            // A base tuple, a flushed one, and — deleted before its flush —
+            // a pending one.
+            assert_eq!(burst(30, &[77, 305, 365]).cold_opens, 0);
+            // Empty cell (0, 1), then refill it.
+            let cell: Vec<Tid> =
+                (0..next.get()).filter(|&t| full.selection_value(t, 0) == 1 && live(&t)).collect();
+            burst(0, &cell);
+            burst(120, &[]);
+            for round in 0..4 {
+                let victims: Vec<Tid> =
+                    (0..6).map(|i| 100 + round * 13 + i * 2).filter(live).collect();
+                assert_eq!(burst(40, &victims).cold_opens, 0);
+            }
+        });
+        assert!(
+            delta.current().cube.node_cache().stats().hits > 0,
+            "the readers were cache-served"
+        );
+        assert!(delta.current().rtree.height() >= 2);
         drop(delta);
         cleanup(&path);
     }

@@ -48,7 +48,10 @@
 //! push it past the page). A partial whose nodes all dropped disappears
 //! from the catalog. `partials`, `first_sid` and `total_bits` are patched
 //! in place; untouched partials keep their page ids, and with them their
-//! buffer-pool frames and their shared-node-cache entries.
+//! buffer-pool frames and their node tables in the shared node cache. A
+//! rewritten partial's table is made by the splice from the same piece
+//! list (copied nodes keep their decoded bits, re-encoded ones enter
+//! decoded) and replaces the old one ([`crate::nodecache`]).
 //!
 //! **When the cell is rewritten instead.** If the clears drop the root,
 //! nothing of the old cell survives and what it becomes depends on the new
@@ -90,7 +93,7 @@
 //!
 //! The write-back is patch-level copy-on-write: rewritten partials are
 //! *appended*, the replaced ones retired for a later vacuum, and only the
-//! replaced partials' shared-node-cache entries are invalidated. On a
+//! replaced partials' node tables leave the shared node cache. On a
 //! writable file-backed cube a following [`SignatureCube::commit`]
 //! publishes the patch as the next generation while readers pinned on the
 //! previous one keep streaming it unchanged (`rcube_storage::format`).

@@ -44,18 +44,35 @@
 //!
 //! # Shared cross-query node cache
 //!
-//! The memos above are per-query; the cube additionally owns a
+//! The memos above are per-query; the cube additionally holds a
 //! [`crate::nodecache::SharedNodeCache`] consulted by every cursor
 //! *before* loading a partial: on a repeat query over a hot cuboid the
 //! cursor skips both the partial load and the node decode (metered as
-//! `shared_node_hits`, never as I/O). The cache keys by
-//! `(partial first page id, SID)` — page ids are never reused across
-//! generations (commits append, COW maintenance retires), so when
-//! incremental maintenance replaces a cell only the *replaced* partials'
-//! entries are dropped ([`crate::nodecache::SharedNodeCache::invalidate_partial`]);
-//! untouched partials keep their hot decoded nodes across a maintenance
-//! commit. [`SignatureCube::set_node_cache_budget`]
-//! resizes or (with zero) disables it; answers are identical either way.
+//! `shared_node_hits`, never as I/O). The cache maps a partial's first
+//! page id to that partial's node table — its header-scan directory plus a
+//! slot per decoded node — which a cursor resolves once per partial it
+//! visits; a hit after that is a binary search, no lock. Page ids of
+//! committed partials are never reused within a file (commits append, COW
+//! maintenance retires), so an untouched partial keeps its table across a
+//! maintenance commit with no work at all, and a replaced one **hands its
+//! table over**: [`SignatureCube::splice_cell`] knows, node by node, what
+//! it copied and what it re-encoded, and builds the table of every partial
+//! it writes — copied nodes keep the slots, hence the decoded bits, the old
+//! table held for them, re-encoded nodes enter decoded, dropped nodes
+//! simply are not there. The old partials'
+//! tables go ([`crate::nodecache::SharedNodeCache::invalidate_partial`] —
+//! one removal each). A cell written fresh carries nothing.
+//!
+//! The cache sits behind an `Arc` because it belongs to the *file*, not to
+//! a handle: [`crate::delta::DeltaCube`] serves one file through a chain
+//! of handles and gives each the cache of its predecessor (only where it
+//! has checked that the file is the one it last committed). The handle
+//! its flush writes through then *stages* the tables it builds and hands
+//! them over once the commit stands — pages a failed commit appended are
+//! reused by the next attempt for other bytes, so nothing keyed by an
+//! uncommitted page id may become visible to readers.
+//! [`SignatureCube::set_node_cache_budget`] resizes or (with zero)
+//! disables the cache; answers are identical either way.
 //!
 //! Each stored node is prefixed with its SID (Section 4.2.1), making
 //! partials self-describing — a small space overhead relative to the
@@ -75,7 +92,7 @@ use rcube_table::{Relation, Selection};
 
 use crate::coding;
 use crate::gridcube::{finish_catalog, read_catalog, CATALOG_SIG};
-use crate::nodecache::SharedNodeCache;
+use crate::nodecache::{DirEntry, HandOver, PartialTable, SharedNodeCache, TableBuilder};
 use crate::signature::{SigNode, Signature};
 
 /// Construction parameters for the signature cube.
@@ -329,21 +346,22 @@ fn rebuild_signature(m: usize, nodes: &HashMap<u64, PackedBits>) -> Signature {
     Signature::from_node(m, root)
 }
 
-/// A zero-copy view over one loaded partial: the shared page handle plus
-/// the node directory built by a header-only scan.
+/// A zero-copy view over one loaded partial: the shared page handle (a
+/// buffer-pool frame view on file backends) plus its node table — the
+/// `(sid, bit offset)` directory a header-only scan builds, shared with
+/// every other reader of the partial when it came out of the node cache.
 #[derive(Debug)]
 struct PartialView {
-    /// Shared object bytes (a buffer-pool frame view on file backends).
     bytes: Arc<[u8]>,
-    bit_len: usize,
-    /// `(sid, bit offset of the node coding)`, sorted ascending by SID.
-    dir: Vec<(u64, u32)>,
+    table: Arc<PartialTable>,
 }
 
-/// Header-scans a partial into its node directory without decoding any
-/// node payload, validating the BFS strictly-increasing SID invariant.
-fn scan_partial(bytes: Arc<[u8]>, m: usize) -> Result<PartialView, StorageError> {
-    let (stream, bit_len) = partial_stream(&bytes)?;
+/// Header-scans a partial into its node table without decoding any node
+/// payload, validating the BFS strictly-increasing SID invariant. `shared`:
+/// the table gets slots for decoded nodes — one nobody else will see needs
+/// none.
+fn scan_partial(bytes: &[u8], m: usize, shared: bool) -> Result<PartialTable, StorageError> {
+    let (stream, bit_len) = partial_stream(bytes)?;
     let mut dir = Vec::new();
     let mut r = BitReader::new(stream, bit_len);
     let mut prev: Option<u64> = None;
@@ -355,49 +373,98 @@ fn scan_partial(bytes: Arc<[u8]>, m: usize) -> Result<PartialView, StorageError>
         prev = Some(sid);
         let off = r.position() as u32;
         coding::skip_node(&mut r, m).ok_or(CORRUPT_PARTIAL)?;
-        dir.push((sid, off));
+        dir.push(DirEntry::scanned(sid, off, dir.len()));
     }
-    Ok(PartialView { bytes, bit_len, dir })
+    Ok(if shared {
+        PartialTable::new(bit_len, dir)
+    } else {
+        PartialTable::directory_only(bit_len, dir)
+    })
 }
 
-/// [`scan_partial`] of partial `pi` of `stored`, cross-checked against the
+/// Cross-checks the table of partial `pi` of `stored` against the
 /// catalog's first-SID directory: a disagreement would silently route
 /// SIDs to the wrong partial (nodes "absent", wrong pruning) — surface it
 /// as corruption instead.
-fn scan_checked(
-    bytes: Arc<[u8]>,
+fn check_first_sid(
+    table: &PartialTable,
     stored: &StoredSignature,
     pi: usize,
-) -> Result<PartialView, StorageError> {
-    let view = scan_partial(bytes, stored.m)?;
-    if view.dir.first().map(|&(s, _)| s) != Some(stored.first_sid[pi]) {
+) -> Result<(), StorageError> {
+    if table.dir().first().map(|e| e.sid) != Some(stored.first_sid[pi]) {
         return Err(StorageError::Malformed(
             "partial signature disagrees with catalog first-SID directory",
         ));
     }
-    Ok(view)
+    Ok(())
+}
+
+/// [`scan_partial`] of partial `pi` of `stored`, held to the catalog
+/// ([`check_first_sid`]).
+fn scan_checked(
+    bytes: Arc<[u8]>,
+    stored: &StoredSignature,
+    pi: usize,
+    shared: bool,
+) -> Result<PartialView, StorageError> {
+    let table = scan_partial(&bytes, stored.m, shared)?;
+    check_first_sid(&table, stored, pi)?;
+    Ok(PartialView { bytes, table: Arc::new(table) })
+}
+
+/// Decodes the node at directory slot `di` of `table` out of the
+/// partial's `bytes`; also returns the bits its coding spans.
+fn decode_at(
+    bytes: &[u8],
+    table: &PartialTable,
+    di: usize,
+    m: usize,
+) -> Result<(PackedBits, usize), StorageError> {
+    let mut r = BitReader::new(&bytes[4..], table.bit_len());
+    r.skip(table.dir()[di].off as usize);
+    let start = r.position();
+    let bits = coding::decode_node(&mut r, m)
+        .ok_or(StorageError::Malformed("corrupt partial signature node"))?;
+    Ok((bits, r.position() - start))
+}
+
+/// Holds `bytes` just read to a `table` an earlier scan of the same partial
+/// built: the frame must still say what the table says.
+fn check_frame(bytes: &[u8], table: &PartialTable) -> Result<(), StorageError> {
+    if partial_stream(bytes)?.1 != table.bit_len() {
+        return Err(StorageError::Malformed("partial signature disagrees with its node table"));
+    }
+    Ok(())
 }
 
 impl PartialView {
-    /// Decodes the node at directory slot `di`; also returns the bits its
-    /// coding spans.
+    /// A view of `bytes` under a `table` taken from the node cache.
+    fn under(
+        bytes: Arc<[u8]>,
+        table: Arc<PartialTable>,
+        stored: &StoredSignature,
+        pi: usize,
+    ) -> Result<Self, StorageError> {
+        check_frame(&bytes, &table)?;
+        check_first_sid(&table, stored, pi)?;
+        Ok(Self { bytes, table })
+    }
+
+    fn dir(&self) -> &[DirEntry] {
+        self.table.dir()
+    }
+
     fn decode_at(&self, di: usize, m: usize) -> Result<(PackedBits, usize), StorageError> {
-        let mut r = BitReader::new(&self.bytes[4..], self.bit_len);
-        r.skip(self.dir[di].1 as usize);
-        let start = r.position();
-        let bits = coding::decode_node(&mut r, m)
-            .ok_or(StorageError::Malformed("corrupt partial signature node"))?;
-        Ok((bits, r.position() - start))
+        decode_at(&self.bytes, &self.table, di, m)
     }
 
     /// The bit range slot `di` occupies in the stream, SID prefix included.
     fn entry_span(&self, di: usize) -> (usize, usize) {
-        let (sid, off) = self.dir[di];
-        let end = self
-            .dir
+        let dir = self.dir();
+        let end = dir
             .get(di + 1)
-            .map_or(self.bit_len, |&(next, at)| at as usize - varint_bits(next));
-        (off as usize - varint_bits(sid), end)
+            .map_or(self.table.bit_len(), |next| next.off as usize - varint_bits(next.sid));
+        (dir[di].off as usize - varint_bits(dir[di].sid), end)
     }
 }
 
@@ -424,6 +491,11 @@ struct CellEdit<'a> {
     stored: &'a StoredSignature,
     store: &'a PageStore,
     disk: &'a DiskSim,
+    /// Where a partial's node table may already sit — the handle's staged
+    /// hand-over, then its cache: a view starts from it (no header scan)
+    /// and the splice carries its decoded nodes over.
+    staged: Option<&'a HandOver>,
+    cache: &'a SharedNodeCache,
     /// Partials some touched SID routes to, by index.
     views: BTreeMap<usize, PartialView>,
     nodes: BTreeMap<u64, NodeEdit>,
@@ -446,11 +518,17 @@ impl CellEdit<'_> {
             let mut stored = None;
             if let Some(pi) = self.stored.partial_of(sid) {
                 if !self.views.contains_key(&pi) {
-                    let bytes = self.store.try_get_bytes(self.disk, self.stored.partials[pi])?;
-                    self.views.insert(pi, scan_checked(bytes, self.stored, pi)?);
+                    let page = self.stored.partials[pi];
+                    let bytes = self.store.try_get_bytes(self.disk, page)?;
+                    let staged = self.staged.and_then(|s| s.tables.get(&page.0).cloned());
+                    let view = match staged.or_else(|| self.cache.table(page.0)) {
+                        Some(table) => PartialView::under(bytes, table, self.stored, pi)?,
+                        None => scan_checked(bytes, self.stored, pi, !self.cache.is_disabled())?,
+                    };
+                    self.views.insert(pi, view);
                 }
                 let view = &self.views[&pi];
-                if let Ok(di) = view.dir.binary_search_by_key(&sid, |&(s, _)| s) {
+                if let Some(di) = view.table.slot_of(sid) {
                     stored = Some(view.decode_at(di, self.stored.m)?.0);
                 }
             }
@@ -491,19 +569,20 @@ impl CellEdit<'_> {
 }
 
 /// One node of a partial being rebuilt.
-enum Piece {
-    /// Bits `[from, to)` of the old stream — an untouched node's SID
-    /// prefix and coding, copied as they are.
-    Kept { from: usize, to: usize },
-    /// A changed or new node, SID prefix and coding freshly written.
-    Coded(BitWriter),
+enum Piece<'a> {
+    /// Bits `[from, to)` of the old stream — the SID prefix and coding of
+    /// the untouched node in old directory slot `di`, copied as they are.
+    Kept { di: usize, from: usize, to: usize },
+    /// A changed or new node, SID prefix and coding freshly written, and
+    /// the bits that coding decodes to.
+    Coded(BitWriter, &'a PackedBits),
 }
 
-impl Piece {
+impl Piece<'_> {
     fn bits(&self) -> usize {
         match self {
-            Piece::Kept { from, to } => to - from,
-            Piece::Coded(w) => w.len(),
+            Piece::Kept { from, to, .. } => to - from,
+            Piece::Coded(w, _) => w.len(),
         }
     }
 }
@@ -511,20 +590,20 @@ impl Piece {
 /// The node sequence of `view` after `changes` (SID-ascending; `None`
 /// drops the node): untouched nodes as bit ranges of the old stream,
 /// changed and created ones re-encoded, all in SID order.
-fn rebuilt_pieces(
+fn rebuilt_pieces<'a>(
     view: &PartialView,
-    changes: &[(u64, Option<&PackedBits>)],
+    changes: &[(u64, Option<&'a PackedBits>)],
     m: usize,
-) -> Vec<(u64, Piece)> {
-    let coded = |sid: u64, bits: &PackedBits| {
+) -> Vec<(u64, Piece<'a>)> {
+    let coded = |sid: u64, bits: &'a PackedBits| {
         let mut w = BitWriter::new();
         push_varint(&mut w, sid);
         coding::encode_best(bits, m, &mut w);
-        (sid, Piece::Coded(w))
+        (sid, Piece::Coded(w, bits))
     };
-    let mut out = Vec::with_capacity(view.dir.len() + changes.len());
+    let mut out = Vec::with_capacity(view.dir().len() + changes.len());
     let mut changes = changes.iter().peekable();
-    for (di, &(sid, _)) in view.dir.iter().enumerate() {
+    for (di, &DirEntry { sid, .. }) in view.dir().iter().enumerate() {
         while let Some(&(at, bits)) = changes.next_if(|c| c.0 < sid) {
             out.extend(bits.map(|b| coded(at, b)));
         }
@@ -532,7 +611,7 @@ fn rebuilt_pieces(
             Some(&(_, bits)) => out.extend(bits.map(|b| coded(sid, b))),
             None => {
                 let (from, to) = view.entry_span(di);
-                out.push((sid, Piece::Kept { from, to }));
+                out.push((sid, Piece::Kept { di, from, to }));
             }
         }
     }
@@ -579,7 +658,9 @@ struct NodeLoader<'a> {
     /// Shared cross-query node cache, consulted before loading a partial
     /// (`None` = per-query memoization only).
     cache: Option<&'a SharedNodeCache>,
-    parts: Vec<Option<PartialView>>,
+    /// Per partial, once a probe routed there: its node table and — only
+    /// if a node had to be decoded — its bytes.
+    parts: Vec<Option<Part>>,
     /// Partial loads performed (the `C_sig` cost of Section 4.3.3).
     loads: u64,
     /// Individual nodes decoded on demand.
@@ -591,6 +672,19 @@ struct NodeLoader<'a> {
     /// Probes answered by the shared node cache (neither loaded nor
     /// decoded by this query).
     shared_hits: u64,
+}
+
+/// One partial as a cursor holds it. The table is resolved once per
+/// query — out of the shared cache, or by this cursor's own header scan —
+/// and every later probe of the partial is a search of it.
+#[derive(Debug)]
+struct Part {
+    table: Arc<PartialTable>,
+    /// The partial's bytes, loaded when the first node had to be decoded.
+    bytes: Option<Arc<[u8]>>,
+    /// The table is this cursor's own scan: what it proves absent cost a
+    /// partial load, and is metered as a miss.
+    scanned: bool,
 }
 
 impl<'a> SigCursor<'a> {
@@ -607,7 +701,7 @@ impl<'a> SigCursor<'a> {
             stored,
             store,
             disk,
-            cache,
+            cache: cache.filter(|c| !c.is_disabled()),
             parts,
             loads: 0,
             nodes_decoded: 0,
@@ -634,36 +728,67 @@ impl NodeLoader<'_> {
         let Some(pi) = self.stored.partial_of(sid) else {
             return Ok(None);
         };
-        let partial_page = self.stored.partials[pi].0;
-        // Shared cache first: a hit (decoded node *or* proven absence)
-        // skips the partial load and the decode — no I/O is charged, the
-        // bytes never left memory.
-        if let Some(cache) = self.cache {
-            if let Some(cached) = cache.get(partial_page, sid) {
-                self.shared_hits += 1;
-                return Ok(cached);
-            }
-        }
+        let page = self.stored.partials[pi];
         if self.parts[pi].is_none() {
-            let bytes = self.store.try_get_bytes(self.disk, self.stored.partials[pi])?;
-            self.parts[pi] = Some(scan_checked(bytes, self.stored, pi)?);
-            self.loads += 1;
+            // Shared cache first: with the partial's table resident, a
+            // decoded node *or* a proven absence skips the partial load and
+            // the decode — no I/O is charged, the bytes never left memory.
+            let part = match self.cache.and_then(|c| c.table(page.0)) {
+                Some(table) => {
+                    check_first_sid(&table, self.stored, pi)?;
+                    Part { table, bytes: None, scanned: false }
+                }
+                None => {
+                    let bytes = self.store.try_get_bytes(self.disk, page)?;
+                    self.loads += 1;
+                    let shared = self.cache.is_some();
+                    let PartialView { bytes, table } =
+                        scan_checked(bytes, self.stored, pi, shared)?;
+                    let table = self.cache.map_or(Arc::clone(&table), |c| c.admit(page.0, table));
+                    Part { table, bytes: Some(bytes), scanned: true }
+                }
+            };
+            self.parts[pi] = Some(part);
         }
-        let part = self.parts[pi].as_ref().expect("just loaded");
-        let Ok(di) = part.dir.binary_search_by_key(&sid, |&(s, _)| s) else {
-            if let Some(cache) = self.cache {
-                cache.insert(partial_page, sid, None);
+        let part = self.parts[pi].as_mut().expect("resolved above");
+        let Some(di) = part.table.slot_of(sid) else {
+            match self.cache {
+                Some(cache) if part.scanned => cache.record_miss(true),
+                Some(cache) => {
+                    self.shared_hits += 1;
+                    cache.record_hit(true);
+                }
+                None => {}
             }
             return Ok(None);
         };
-        let (bits, coded_bits) = part.decode_at(di, self.stored.m)?;
+        // Only a shared table can hold a node this query did not decode.
+        if let (Some(cache), Some(node)) = (self.cache, part.table.node(di)) {
+            self.shared_hits += 1;
+            cache.record_hit(false);
+            return Ok(Some(Arc::clone(node)));
+        }
+        let bytes = match &part.bytes {
+            Some(bytes) => bytes,
+            None => {
+                // The table spares the header scan, not the read.
+                let bytes = self.store.try_get_bytes(self.disk, page)?;
+                self.loads += 1;
+                check_frame(&bytes, &part.table)?;
+                part.bytes.insert(bytes)
+            }
+        };
+        let (bits, coded_bits) = decode_at(bytes, &part.table, di, self.stored.m)?;
         let bits = Arc::new(bits);
         self.nodes_decoded += 1;
         self.bytes_decoded += coded_bits.div_ceil(8) as u64;
-        if let Some(cache) = self.cache {
-            cache.insert(partial_page, sid, Some(Arc::clone(&bits)));
-        }
-        Ok(Some(bits))
+        Ok(Some(match self.cache {
+            Some(cache) => {
+                cache.record_miss(false);
+                Arc::clone(cache.fill(page.0, &part.table, di, bits))
+            }
+            None => bits,
+        }))
     }
 }
 
@@ -860,9 +985,16 @@ pub struct SignatureCube {
     cuboids: BTreeMap<Vec<usize>, HashMap<Vec<u32>, StoredSignature>>,
     m: usize,
     alpha: f64,
-    /// Shared cross-query decoded-node cache (see the module docs);
-    /// cleared whenever a cell signature is replaced.
-    node_cache: SharedNodeCache,
+    /// Shared cross-query decoded-node cache (see the module docs). One
+    /// per file: [`Self::clone_onto`] / [`Self::move_onto`] share it.
+    node_cache: Arc<SharedNodeCache>,
+    /// `Some` on a handle that writes through a cache the serving
+    /// generation reads ([`Self::clone_onto`]): the tables its splices
+    /// build wait here, under page ids that are not committed yet, until
+    /// [`Self::publish_hand_over`]; dropping the handle drops them.
+    /// `None`: the cache is this handle's alone and splices publish as
+    /// they go.
+    staged: Option<HandOver>,
     /// Registry receiving maintenance events (commit / patch / vacuum).
     /// Defaults to the process-wide registry; [`Self::set_metrics`]
     /// points it at an engine's own.
@@ -920,7 +1052,8 @@ impl SignatureCube {
             cuboids,
             m,
             alpha: config.alpha,
-            node_cache: SharedNodeCache::with_default_budget(),
+            node_cache: Arc::new(SharedNodeCache::with_default_budget()),
+            staged: None,
             metrics: Metrics::global().clone(),
         }
     }
@@ -974,7 +1107,7 @@ impl SignatureCube {
     /// Answers are identical at any setting — only repeat-decode work
     /// changes.
     pub fn set_node_cache_budget(&mut self, bytes: usize) {
-        self.node_cache = SharedNodeCache::new(bytes);
+        self.node_cache = Arc::new(SharedNodeCache::new(bytes));
     }
 
     /// Materialized cuboid dimension sets.
@@ -1029,7 +1162,7 @@ impl SignatureCube {
         let Some(cells) = self.resolve_selection(selection) else {
             return Ok(None);
         };
-        let cursor = |s| SigCursor::new(s, &self.store, disk, Some(&self.node_cache));
+        let cursor = |s| SigCursor::new(s, &self.store, disk, Some(&*self.node_cache));
         let mut pruner = Pruner::over(cells.into_iter().map(cursor).collect());
         // Root emptiness mirrors the assembled form's `is_empty` check: an
         // empty intersection means no tuple qualifies — signal it up front
@@ -1066,7 +1199,7 @@ impl SignatureCube {
             for stored in cells.values() {
                 for (pi, &page) in stored.partials.iter().enumerate() {
                     let bytes = self.store.peek(page)?;
-                    scan_checked(Arc::clone(&bytes), stored, pi)?;
+                    scan_checked(Arc::clone(&bytes), stored, pi, false)?;
                     nodes.clear();
                     try_decode_partial(&bytes, self.m, &mut nodes)?;
                 }
@@ -1321,7 +1454,8 @@ impl SignatureCube {
             cuboids,
             m,
             alpha,
-            node_cache: SharedNodeCache::with_default_budget(),
+            node_cache: Arc::new(SharedNodeCache::with_default_budget()),
+            staged: None,
             metrics: Metrics::global().clone(),
         }
     }
@@ -1329,15 +1463,63 @@ impl SignatureCube {
     /// A second handle with this cube's cuboid directory over `store` — for
     /// a store opened on the file generation this directory was committed
     /// as (the caller checks: equal [`rcube_storage::FileStamp`]s), where
-    /// parsing the catalog would only rebuild what is already here.
+    /// parsing the catalog would only rebuild what is already here. It
+    /// shares this handle's node cache — same file, same committed bytes
+    /// under every key — and, being the handle a writer edits while this
+    /// one serves, stages what its splices hand over
+    /// ([`Self::publish_hand_over`]).
     pub(crate) fn clone_onto(&self, store: PageStore) -> Self {
-        Self::over(store, self.cuboids.clone(), self.m, self.alpha)
+        Self {
+            store,
+            cuboids: self.cuboids.clone(),
+            m: self.m,
+            alpha: self.alpha,
+            node_cache: Arc::clone(&self.node_cache),
+            staged: Some(HandOver::default()),
+            metrics: Metrics::global().clone(),
+        }
     }
 
-    /// [`Self::clone_onto`] by value: the directory moves, this handle's
-    /// store (and the writer lock it may hold) is dropped.
+    /// [`Self::clone_onto`] by value: the directory, the node cache and
+    /// whatever is staged move, this handle's store (and the writer lock it
+    /// may hold) is dropped.
     pub(crate) fn move_onto(self, store: PageStore) -> Self {
-        Self::over(store, self.cuboids, self.m, self.alpha)
+        Self { store, metrics: Metrics::global().clone(), ..self }
+    }
+
+    /// Makes what this handle's splices staged visible in the node cache
+    /// it shares, and schedules the partials they retired to leave it at
+    /// the next hand-over. For the moment the commit those splices were
+    /// part of can no longer fail; a no-op on a handle that stages nothing.
+    pub(crate) fn publish_hand_over(&mut self) {
+        if let Some(commit) = self.staged.take() {
+            self.node_cache.hand_over(commit);
+        }
+    }
+
+    /// What a splice did to the node cache: `tables` for the partials it
+    /// wrote, `replaced` retired — staged or applied at once, by the kind
+    /// of handle this is.
+    fn hand_over(&mut self, tables: HashMap<u64, Arc<PartialTable>>, replaced: &[PageId]) {
+        match &mut self.staged {
+            Some(staged) => {
+                for page in replaced {
+                    // A partial this very commit wrote was never visible.
+                    if staged.tables.remove(&page.0).is_none() {
+                        staged.retired.push(page.0);
+                    }
+                }
+                staged.tables.extend(tables);
+            }
+            None => {
+                for page in replaced {
+                    self.node_cache.invalidate_partial(page.0);
+                }
+                for (page, table) in tables {
+                    self.node_cache.admit(page, table);
+                }
+            }
+        }
     }
 
     /// Node-granular Algorithm 2 on one cell (the rules and why they are
@@ -1346,8 +1528,11 @@ impl SignatureCube {
     /// rewrites only the partials that hold a node the edits changed —
     /// untouched node codings are copied bit for bit, changed ones
     /// re-encoded, in SID order. Untouched partials keep their page ids
-    /// (hence their pool frames and shared-node-cache entries); replaced
-    /// ones are retired for vacuum.
+    /// (hence their pool frames and node-cache tables); replaced ones are
+    /// retired for vacuum, and each partial written in their place gets
+    /// its node table made here, from the very piece list it was written
+    /// from: a copied node keeps the slot — the decoded bits, if any — the
+    /// old table held for it; a re-encoded node enters decoded.
     ///
     /// Nothing is written before every edit has been applied to decoded
     /// copies, so a corrupt partial or an ill-formed path fails typed with
@@ -1375,6 +1560,8 @@ impl SignatureCube {
             stored,
             store: &self.store,
             disk,
+            staged: self.staged.as_ref(),
+            cache: &self.node_cache,
             views: BTreeMap::new(),
             nodes: BTreeMap::new(),
         };
@@ -1414,40 +1601,57 @@ impl SignatureCube {
         let mut rebuilt: Vec<(usize, Vec<(PageId, u64)>)> = Vec::with_capacity(dirty.len());
         let (mut bits_gone, mut bits_new) = (0usize, 0usize);
         let store = &self.store;
-        let mut close = |cur: &mut BitWriter, first: u64, parts: &mut Vec<(PageId, u64)>| {
-            bits_new += cur.len();
-            parts.push((flush_partial(cur, disk, store)?, first));
-            Ok::<(), StorageError>(())
+        // The node table of each partial written, unless nobody would read it.
+        let tabled = !self.node_cache.is_disabled();
+        let mut tables: HashMap<u64, Arc<PartialTable>> = HashMap::new();
+        let mut close = |cur: &mut BitWriter, first: u64, table: &mut Option<TableBuilder>| {
+            let bit_len = cur.len();
+            bits_new += bit_len;
+            let page = flush_partial(cur, disk, store)?;
+            if let Some(table) = table {
+                tables.insert(page.0, Arc::new(table.finish(bit_len)));
+            }
+            Ok::<_, StorageError>((page, first))
         };
         for (&pi, changes) in &dirty {
             let view = &edit.views[&pi];
             let pieces = rebuilt_pieces(view, changes, m);
             let whole = pieces.iter().map(|(_, p)| p.bits()).sum::<usize>() <= page_bits;
+            let mut table = tabled.then(|| TableBuilder::succeeding(&view.table));
             let mut parts = Vec::new();
             let mut cur = BitWriter::new();
             let mut first = 0u64;
             for (sid, piece) in &pieces {
                 if !cur.is_empty() && cur.len() + piece.bits() > page_bits {
-                    close(&mut cur, first, &mut parts)?;
+                    parts.push(close(&mut cur, first, &mut table)?);
                 }
                 if cur.is_empty() {
                     first = *sid;
                 }
+                let off = (cur.len() + varint_bits(*sid)) as u32;
                 match piece {
-                    Piece::Kept { from, to } => copy_bits(&mut cur, &view.bytes[4..], *from, *to),
-                    Piece::Coded(w) => {
+                    Piece::Kept { di, from, to } => {
+                        copy_bits(&mut cur, &view.bytes[4..], *from, *to);
+                        if let Some(table) = &mut table {
+                            table.keep(*sid, off, *di);
+                        }
+                    }
+                    Piece::Coded(w, bits) => {
                         cur.extend(w);
                         done.nodes += 1;
+                        if let Some(table) = &mut table {
+                            table.fresh(*sid, off, Arc::new((*bits).clone()));
+                        }
                     }
                 }
                 if !whole && cur.len() >= target_bits {
-                    close(&mut cur, first, &mut parts)?;
+                    parts.push(close(&mut cur, first, &mut table)?);
                 }
             }
             if !cur.is_empty() {
-                close(&mut cur, first, &mut parts)?;
+                parts.push(close(&mut cur, first, &mut table)?);
             }
-            bits_gone += view.bit_len;
+            bits_gone += view.table.bit_len();
             done.partials += parts.len();
             rebuilt.push((pi, parts));
         }
@@ -1466,6 +1670,7 @@ impl SignatureCube {
         stored.total_bits = stored.total_bits - bits_gone + bits_new;
         debug_assert!(stored.first_sid.windows(2).all(|w| w[0] < w[1]));
         self.count_appended(&appended, disk);
+        self.hand_over(tables, &replaced);
         self.retire_partials(&replaced)?;
         Ok(done)
     }
@@ -1494,7 +1699,10 @@ impl SignatureCube {
             Some(stored) => cells.insert(vals, stored),
             None => cells.remove(&vals),
         };
-        self.retire_partials(&old.map_or(Vec::new(), |o| o.partials))?;
+        // Written fresh, the cell hands nothing over: its old tables go.
+        let replaced = old.map_or(Vec::new(), |o| o.partials);
+        self.hand_over(HashMap::new(), &replaced);
+        self.retire_partials(&replaced)?;
         Ok(done)
     }
 
@@ -1507,16 +1715,10 @@ impl SignatureCube {
     }
 
     /// COW retirement: replaced partials leave the *next* generation
-    /// (readers pinned on committed ones keep streaming their bytes), and
-    /// only *their* node-cache entries are dropped — page ids are never
-    /// reused, so untouched partials keep their hot decoded nodes across
-    /// the maintenance commit.
+    /// (readers pinned on committed ones keep streaming their bytes). Their
+    /// node tables are [`Self::hand_over`]'s business.
     fn retire_partials(&self, pages: &[PageId]) -> Result<(), StorageError> {
-        for &page in pages {
-            self.node_cache.invalidate_partial(page.0);
-            self.store.retire(page)?;
-        }
-        Ok(())
+        pages.iter().try_for_each(|&page| self.store.retire(page))
     }
 
     /// The whole-cell write-back the splice replaced — load everything,
@@ -1536,7 +1738,9 @@ impl SignatureCube {
         } else {
             cells.insert(vals, StoredSignature::write(sig, disk, &self.store, self.alpha))
         };
-        self.retire_partials(&old.map_or(Vec::new(), |o| o.partials))
+        let replaced = old.map_or(Vec::new(), |o| o.partials);
+        self.hand_over(HashMap::new(), &replaced);
+        self.retire_partials(&replaced)
     }
 
     /// Deep-verifies the cube file at `path`, repairing by rollback when
@@ -1615,16 +1819,55 @@ impl SignatureCube {
             return out;
         };
         for (pi, &page) in stored.partials.iter().enumerate() {
-            let view = scan_checked(self.store.peek(page).unwrap(), stored, pi).unwrap();
-            for (di, &(sid, off)) in view.dir.iter().enumerate() {
+            let view = scan_checked(self.store.peek(page).unwrap(), stored, pi, false).unwrap();
+            for (di, &DirEntry { sid, off, .. }) in view.dir().iter().enumerate() {
                 let (bits, coded) = view.decode_at(di, self.m).unwrap();
-                let mut r = BitReader::new(&view.bytes[4..], view.bit_len);
+                let mut r = BitReader::new(&view.bytes[4..], view.table.bit_len());
                 r.skip(off as usize);
                 let coding = (0..coded).map(|_| if r.next_bit().unwrap() { '1' } else { '0' });
                 assert!(out.insert(sid, (bits, coding.collect())).is_none(), "SID {sid} twice");
             }
         }
         out
+    }
+
+    /// The cache-content oracle: every table resident in the node cache is
+    /// what a header scan of its partial's bytes *on the file* builds, and
+    /// every decoded node it holds is the node those bytes decode to, bit
+    /// for bit and length for length. Holds for the retired partials the
+    /// cache still keeps (their bytes stay on disk until a vacuum) and
+    /// fails for a table under a page id the file does not back, or backs
+    /// with other bytes — an early-published entry of an abandoned commit.
+    /// Every partial the directory serves must agree with its table, if it
+    /// has one. Returns `(tables, decoded nodes)` resident.
+    pub(crate) fn assert_node_cache_matches_file(&self) -> (usize, usize) {
+        let tables = self.node_cache.resident_tables();
+        let mut nodes = 0;
+        for (page, table) in &tables {
+            let bytes = self
+                .store
+                .peek(PageId(*page))
+                .unwrap_or_else(|e| panic!("cached partial {page} is not on the file: {e}"));
+            let scanned = scan_partial(&bytes, self.m, false).expect("cached partial scans clean");
+            let listed =
+                |t: &PartialTable| t.dir().iter().map(|e| (e.sid, e.off)).collect::<Vec<_>>();
+            assert_eq!(listed(table), listed(&scanned), "partial {page}: directory");
+            assert_eq!(table.bit_len(), scanned.bit_len(), "partial {page}: stream length");
+            for (sid, cached) in table.resident_nodes() {
+                let di = scanned.slot_of(sid).expect("listed above");
+                let (decoded, _) = decode_at(&bytes, &scanned, di, self.m).unwrap();
+                assert!(*cached == decoded, "partial {page}, SID {sid}: {cached:?} != {decoded:?}");
+                nodes += 1;
+            }
+        }
+        for stored in self.cuboids.values().flat_map(|cells| cells.values()) {
+            for (pi, page) in stored.partials.iter().enumerate() {
+                if let Some(table) = self.node_cache.table(page.0) {
+                    check_first_sid(&table, stored, pi).expect("table agrees with the catalog");
+                }
+            }
+        }
+        (tables.len(), nodes)
     }
 
     /// The catalog invariants a splice must leave: `first_sid` strictly
@@ -1643,12 +1886,13 @@ impl SignatureCube {
             if let Some(page) = page {
                 assert!(bytes.len() <= page, "partial {pi} spans {} > {page} bytes", bytes.len());
             }
-            let view = scan_checked(bytes, stored, pi).expect("directory agrees with the partial");
-            for &(sid, _) in &view.dir {
+            let view =
+                scan_checked(bytes, stored, pi, false).expect("directory agrees with the partial");
+            for &DirEntry { sid, .. } in view.dir() {
                 assert!(last < Some(sid), "SIDs increase across partials");
                 last = Some(sid);
             }
-            bits += view.bit_len;
+            bits += view.table.bit_len();
         }
         assert_eq!(stored.total_bits, bits, "total_bits is the sum of the partial streams");
         let sig = stored.load_full(&DiskSim::with_defaults(), &self.store);
@@ -1925,7 +2169,7 @@ mod tests {
                 try_decode_partial(&garbage, cube.fanout(), &mut nodes).is_err(),
                 "garbage {garbage:?} must be rejected"
             );
-            assert!(scan_partial(garbage.clone().into(), cube.fanout()).is_err());
+            assert!(scan_partial(&garbage, cube.fanout(), false).is_err());
         }
 
         // Overwrite a real partial with garbage: the cursor's try_ probe
@@ -2000,8 +2244,9 @@ mod tests {
         // node cache over two cells, splice one tuple into one of them, and
         // prove that exactly the partials holding a changed node were
         // replaced: every other partial — of the spliced cell too — keeps
-        // its page id and its decoded nodes, so the next query loads the
-        // rewritten partials and nothing else.
+        // its page id and its node table, the replaced ones lose theirs,
+        // and the partials written in their place got tables from the
+        // splice itself — the next query over the cell reads nothing.
         let rel = SyntheticSpec { tuples: 900, cardinality: 4, ..Default::default() }.generate();
         let disk = DiskSim::with_defaults();
         let mut rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(8));
@@ -2041,15 +2286,36 @@ mod tests {
         let (loads, hits) = warm(&cube, &rtree, 1, 2);
         assert_eq!(loads, 0, "maintenance on (0,1) must not evict (1,2) nodes");
         assert!(hits > 0);
-        // …and the spliced cell reloads its rewritten partials only, with no
-        // stale entry left under a retired page id.
+        // …no table is left under a retired page id, every partial of the
+        // spliced cell has one…
+        for page in &before {
+            assert_eq!(cube.node_cache().table(page.0).is_some(), after.contains(page), "{page:?}");
+        }
+        assert!(after.iter().all(|page| cube.node_cache().table(page.0).is_some()));
+        cube.assert_node_cache_matches_file();
+        // …and the spliced cell answers out of them: the nodes the splice
+        // copied were handed over decoded, the ones it re-encoded entered
+        // decoded, so nothing is loaded and nothing decoded again.
         let sel = Selection::new(vec![(0usize, 1u32)]);
         let mut p = cube.pruner_for(&sel, &disk).expect("spliced cell exists");
         for tid in rel.tids().chain([9_000]) {
             let in_cell = tid == 9_000 || rel.selection_value(tid, 0) == 1;
             assert_eq!(walk(&mut p, &rtree, &rtree.tuple_path(tid).unwrap()), in_cell, "tid {tid}");
         }
-        assert_eq!(p.loads(), done.partials as u64, "only the rewritten partials are read");
+        assert_eq!((p.loads(), p.nodes_decoded()), (0, 0), "the hand-over left nothing to read");
+
+        // With the cache off the same splice hands nothing over and answers
+        // the same.
+        cube.set_node_cache_budget(0);
+        let updates = rtree.insert(&disk, 9_001, vec![0.41, 0.61]);
+        let path = updates.iter().find(|u| u.tid == 9_001).unwrap().new_path.clone().unwrap();
+        let olds: Vec<_> = updates.iter().filter(|u| u.tid != 9_001).collect();
+        assert!(olds.is_empty(), "room in the leaf");
+        cube.splice_cell(&[0], vec![1], &[], &[&path], &disk).unwrap();
+        assert_eq!(cube.assert_node_cache_matches_file(), (0, 0));
+        let mut p = cube.pruner_for(&sel, &disk).expect("spliced cell exists");
+        assert!(walk(&mut p, &rtree, &rtree.tuple_path(9_001).unwrap()));
+        assert!(p.loads() > 0 && p.shared_node_hits() == 0);
     }
 
     #[test]

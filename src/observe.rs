@@ -7,6 +7,37 @@
 //! `Engine::stats_snapshot` — with human-readable `Display` renderings
 //! for demos and operator consoles. The raw metric series behind these
 //! reports live in [`rcube_obs`] (re-exported as [`crate::obs`]).
+//!
+//! # What the signature and delta series count
+//!
+//! The `signature.*` series are what *queries* read, on the signature
+//! route and on the delta route alike (a delta cube given the engine's
+//! registry in `DeltaOptions::metrics` attaches every generation it
+//! serves):
+//!
+//! * `signature.nodecache.hits` — node lookups answered by the shared
+//!   node cache, `.absent_hits` the ones among them the partial's table
+//!   proved absent; equal to the sum of the cursors' `shared_node_hits`.
+//! * `signature.nodecache.misses` — lookups that had to read the partial:
+//!   `misses - absent_misses` nodes were decoded (the cursors'
+//!   `sig_nodes_decoded`), `.absent_misses` found, by the query's own
+//!   header scan, that there was no node. On a delta cube the cache
+//!   follows the file across flushes, so after warm-up misses stay below
+//!   `delta.flush.nodes_reencoded`; a rise after every flush means a
+//!   flush took the cold path (`delta.flush.cold_opens`) or the budget
+//!   evicts (`.evictions`).
+//! * `signature.pool.{hits,misses,evictions}` — buffer-pool traffic of
+//!   the handles queries read through: one pool on the signature route,
+//!   one per served generation on the delta route (each starts cold; with
+//!   the node cache warm, a generation reads next to nothing).
+//! * `delta.flush.pool.{hits,misses,evictions}` — the *fold's* own reads:
+//!   the partials a flush splices, through its writable handle's pool
+//!   (≈ one miss per partial rewritten). Until PR 24 these were the only
+//!   thing `signature.pool.*` showed on a delta cube, and
+//!   `signature.nodecache.*` read zero there.
+//! * `delta.flush.{path_updates,cells_rewritten,partials_rewritten,
+//!   nodes_reencoded,cold_opens}` and the `delta.flush.*_us` phase
+//!   histograms — what each flush changed and where its time went.
 
 use std::fmt;
 use std::time::Duration;

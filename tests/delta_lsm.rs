@@ -406,9 +406,14 @@ fn flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
 
 /// The same sweep over a *warm* flush — the second one of a process, which
 /// takes its catalog from the generation it is serving instead of the
-/// file: every page write it issues (fewer than a cold flush: only the
-/// partials holding a changed node, the catalog, the allocation map, the
-/// superblock) and every WAL swap stage.
+/// file, and writes through that generation's node cache: every page write
+/// it issues (fewer than a cold flush: only the partials holding a changed
+/// node, the catalog, the allocation map, the superblock) and every WAL
+/// swap stage. Then the failures a process *survives* — the disk full at
+/// each of those page writes: the same process serves on, retries, and the
+/// retry appends other bytes under the page ids the failed attempt used,
+/// so an answer out of a node table published before its commit stood
+/// would be wrong here.
 #[test]
 fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
     let full = SyntheticSpec { tuples: 190, cardinality: 4, ..Default::default() }.generate();
@@ -428,6 +433,7 @@ fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
             delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
         }
         assert_eq!(delta.flush().expect("first flush").cold_opens, 1);
+        answers(&delta); // warm the node cache the flush under test writes through
         for tid in 172..190u32 {
             delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
         }
@@ -438,14 +444,14 @@ fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
         arm(plan);
         let res = catch_unwind(AssertUnwindSafe(|| delta.flush()));
         let answers = matches!(res, Ok(Ok(_))).then(|| answers(&delta));
-        (res, plan.writes_observed() - before, answers)
+        (res, plan.writes_observed() - before, answers, delta)
     };
 
     // Fault-free twin: the expected answers, the page writes of one warm
     // flush, and proof that it *was* warm.
     let (expected, writes) = {
         let path = temp_path("warm_twin");
-        let (res, writes, got) = session(&path, &FaultPlan::new(), &|_| {});
+        let (res, writes, got, _) = session(&path, &FaultPlan::new(), &|_| {});
         assert_eq!(res.unwrap().unwrap().cold_opens, 0, "the second flush is the warm one");
         cleanup(&path);
         (got.unwrap(), writes)
@@ -455,7 +461,8 @@ fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
     let run_case = |arm: &dyn Fn(&FaultPlan), label: String| {
         let path = temp_path("warm_sweep");
         let plan = FaultPlan::new();
-        let (res, _, _) = session(&path, &plan, arm);
+        let (res, _, _, dead) = session(&path, &plan, arm);
+        drop(dead);
         assert!(plan.crashed(), "{label}: crash point never reached");
         assert!(!matches!(res, Ok(Ok(_))), "{label}: a crashed flush must not report success");
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
@@ -479,6 +486,42 @@ fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
             &move |plan: &FaultPlan| plan.crash_at_swap(stage),
             format!("warm swap {stage:?}"),
         );
+    }
+
+    // ENOSPC at each page write: no crash, the process lives on.
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(4);
+    for n in 0..writes {
+        let label = format!("disk full at warm page write {n}");
+        let path = temp_path("warm_full");
+        let plan = FaultPlan::new();
+        let arm = move |plan: &FaultPlan| plan.enospc_at_page_write(plan.writes_observed() + n);
+        let (res, _, _, delta) = session(&path, &plan, &arm);
+        assert!(matches!(res, Ok(Err(StorageError::Io(_)))), "{label}: typed failure");
+        assert!(!plan.crashed(), "{label}: nothing died");
+        assert_eq!(answers(&delta), expected, "{label}: still serving, memtable intact");
+        // A cursor pinned across the retry rides the old generation.
+        let at_open = delta.source().open(&q.plan()).unwrap().try_drain().unwrap().items;
+        let mut pinned = delta.source().open(&q.plan()).unwrap();
+        let mut streamed: Vec<_> = pinned.try_next().unwrap().into_iter().collect();
+        // The retry folds two writes more than the attempt did: other bytes
+        // under the same page ids.
+        delta.delete(72).unwrap();
+        delta.insert(&sel_of(&full, 7), &full.ranking_point(7)).unwrap();
+        assert_eq!(delta.flush().expect("retry").cold_opens, 0, "{label}: file as it was: warm");
+        let after_retry = answers(&delta);
+        assert_ne!(after_retry, expected, "{label}: the two extra writes show");
+        streamed.extend(std::iter::from_fn(|| pinned.try_next().unwrap()));
+        assert_eq!(render(&streamed), render(&at_open), "{label}: the pinned cursor's generation");
+        drop(pinned);
+        // The same history with no failure in it answers the same.
+        let twin = temp_path("warm_full_twin");
+        let (_, _, _, clean) = session(&twin, &FaultPlan::new(), &|_| {});
+        clean.delete(72).unwrap();
+        clean.insert(&sel_of(&full, 7), &full.ranking_point(7)).unwrap();
+        assert_eq!(after_retry, answers(&clean), "{label}: the retry answers like a clean run");
+        drop((clean, delta));
+        cleanup(&twin);
+        cleanup(&path);
     }
 }
 
@@ -547,7 +590,11 @@ fn merged_view_stays_byte_identical_to_a_rebuilt_cube_across_cycles() {
 
 /// A cursor pinned before a flush keeps streaming the R-tree of the
 /// generation it opened on while the writer splits, condenses and re-packs
-/// its own copy of that tree — which shares every node it did not touch.
+/// its own copy of that tree — which shares every node it did not touch —
+/// and keeps probing that generation's signatures while three flushes
+/// hand the node cache on: the tables it reads through are retired by the
+/// first, dropped from the cache by the second, and it re-reads its own
+/// generation's partials (still on the file) after that.
 #[test]
 fn pinned_cursor_streams_its_generations_tree_while_the_writer_edits_a_copy() {
     let full = SyntheticSpec { tuples: 300, cardinality: 4, ..Default::default() }.generate();
@@ -582,15 +629,23 @@ fn pinned_cursor_streams_its_generations_tree_while_the_writer_edits_a_copy() {
         .map(|c| std::iter::from_fn(|| c.try_next().unwrap()).collect())
         .collect();
 
-    // Two warm flushes under them: a cluster that splits leaves up to the
-    // root, then deletes that underflow and re-insert.
-    for tid in 240..300u32 {
+    // Three warm flushes under them: a cluster that splits leaves up to the
+    // root, deletes that underflow and re-insert, a last few inserts.
+    for tid in 240..290u32 {
         let f = f64::from(tid % 11) / 500.0;
         delta.insert(&sel_of(&full, tid), &[0.3 + f, 0.7 - f]).unwrap();
     }
     assert_eq!(delta.flush().unwrap().cold_opens, 0);
     for tid in (0..150u32).step_by(2) {
         delta.delete(tid).unwrap();
+    }
+    assert_eq!(delta.flush().unwrap().cold_opens, 0);
+    for (cursor, got) in cursors.iter_mut().zip(&mut got) {
+        cursor.extend_k(3);
+        got.extend(std::iter::from_fn(|| cursor.try_next().unwrap()));
+    }
+    for tid in 290..300u32 {
+        delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
     }
     assert_eq!(delta.flush().unwrap().cold_opens, 0);
 

@@ -11,7 +11,10 @@
 //!   carries open-sunk cost and each pull carries its delta, so attach +
 //!   Σ deltas = final stats;
 //! * the slow-query log captures plan + trace + counters, bounded;
-//! * the Prometheus/JSON exports render every engine series.
+//! * the Prometheus/JSON exports render every engine series;
+//! * the delta route's node cache and buffer pools are lit: across flushes
+//!   the `signature.nodecache.*` series count exactly the lookups the
+//!   cursors report, and the fold's reads land under `delta.flush.pool.*`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -340,4 +343,92 @@ fn stats_snapshot_and_exports_cover_engine_series() {
     let b = eng.query(&q);
     assert_eq!(a.items, b.items, "instrumentation must not change answers");
     assert!(bare.metrics().snapshot().counters.is_empty(), "disabled registry records nothing");
+}
+
+// --- The delta route's cache and pools are lit ----------------------------
+
+#[test]
+fn delta_route_lights_the_node_cache_and_tells_the_folds_reads_apart() {
+    use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
+    use ranking_cube::index::rtree::RTree;
+    use ranking_cube::storage::DiskSim;
+
+    let full = rel(460, 4, 17);
+    let base = full.prefix(400);
+    let mut path = std::env::temp_dir();
+    path.push(format!("rcube_obs_delta_{}", std::process::id()));
+    let wal = wal_path_for(&path);
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
+    {
+        let disk = DiskSim::with_defaults();
+        let rtree = RTree::over_relation(&disk, &base, &[], RTreeConfig::small(16));
+        let cube = SignatureCube::build(&base, &rtree, &disk, SignatureCubeConfig::default());
+        cube.save_to_with(&rtree, &path, 512, 64).expect("save base cube");
+    }
+    let metrics = Metrics::new();
+    let eng =
+        Engine::with_disk_and_metrics(base.clone(), DiskSim::with_defaults(), metrics.clone());
+    let opts = DeltaOptions { metrics: metrics.clone(), ..Default::default() };
+    let delta = Arc::new(DeltaCube::open(&path, base, opts).unwrap());
+    let eng = eng.with_delta(Arc::clone(&delta));
+
+    // One predicate, and two (cursors over two atomic cuboids: one may
+    // hold a node the other lacks — the absences).
+    let queries: Vec<Query> = (0..4)
+        .flat_map(|v| {
+            [
+                Query::select([(0, v)]).rank(Linear::uniform(2)).top(8),
+                Query::select([(1, v), (2, (v + 1) % 4)]).rank(Linear::uniform(2)).top(8),
+            ]
+        })
+        .collect();
+    let (mut shared, mut decoded, mut loads) = (0u64, 0u64, 0u64);
+    let mut lap = |eng: &Engine| {
+        for q in &queries {
+            assert_eq!(eng.route(q), Route::Delta);
+            let stats = eng.query(q).stats;
+            shared += stats.shared_node_hits;
+            decoded += stats.sig_nodes_decoded;
+            loads += stats.sig_loads;
+        }
+    };
+    let counter = |name: &str| metrics.snapshot().counter(name).unwrap_or(0);
+    lap(&eng);
+    for round in 0..3u32 {
+        for tid in 400 + round * 20..420 + round * 20 {
+            let sel: Vec<u32> = (0..3).map(|d| full.selection_value(tid, d)).collect();
+            eng.insert(&sel, &full.ranking_point(tid)).unwrap();
+        }
+        eng.delete(round * 5).unwrap();
+        lap(&eng);
+        let pool_before = counter("signature.pool.misses");
+        let report = delta.flush().unwrap();
+        assert_eq!(report.cold_opens, u64::from(round == 0));
+        assert!(counter("delta.flush.pool.misses") > 0, "the fold reads the partials it splices");
+        assert_eq!(
+            counter("signature.pool.misses"),
+            pool_before,
+            "and not on the queries' account"
+        );
+        lap(&eng);
+    }
+
+    // Every lookup a cursor made is in the registry, on the right side.
+    let (hits, misses) =
+        (counter("signature.nodecache.hits"), counter("signature.nodecache.misses"));
+    assert!(hits > 0 && counter("signature.nodecache.absent_hits") <= hits);
+    assert_eq!(hits, shared, "a hit is a probe the cursor counts as shared");
+    let absent_misses = counter("signature.nodecache.absent_misses");
+    assert_eq!(misses, decoded + absent_misses, "a miss decoded a node, or proved it absent");
+    assert_eq!(hits + misses, shared + decoded + absent_misses);
+    // What the queries read went through the serving generations' pools.
+    assert!(loads > 0);
+    let pool = counter("signature.pool.hits") + counter("signature.pool.misses");
+    assert!(pool >= loads, "{pool} pool lookups for {loads} partial loads");
+    // The last two flushes were warm: the lineage's cache outlived them.
+    let stats = eng.stats_snapshot();
+    assert!(stats.metrics.counter("delta.flush.nodes_reencoded").unwrap() > 0);
+
+    drop((eng, delta));
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
 }
