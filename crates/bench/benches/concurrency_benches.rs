@@ -8,13 +8,10 @@
 //!
 //! * **Throughput scaling** (wall-clock): aggregate queries/sec at 1, 2,
 //!   4 and 8 threads, each the best of five interleaved rounds. The
-//!   2-thread gate (`SCALING_2T_MIN`) is enforced hard whenever the
-//!   machine has ≥ 2 hardware threads and `RCUBE_BENCH_SOFT` is unset; the
-//!   4-thread target (≥ 2.5× single-thread) is recorded and never
-//!   enforced — no box this repo has been measured on has four cores. On
-//!   a 1-core container or a noisy CI runner both are warnings, like every
-//!   other wall-clock gate in this repo. The JSON records the hardware so
-//!   the numbers are interpretable.
+//!   2-thread gate (`SCALING_2T_MIN`) is a clock gate with a floor of 2
+//!   hardware threads; the 4-thread target (≥ 2.5× single-thread) is
+//!   recorded and never enforced — no box this repo has been measured on
+//!   has four cores.
 //! * **Deterministic decode counters** (always hard): a repeated
 //!   signature workload with the shared node cache must decode *strictly
 //!   fewer* nodes than the same workload limited to PR 3's per-query
@@ -23,6 +20,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use rcube_bench::{fixed, BenchReport, Bound, Json, Obj};
 use rcube_core::query::{Query, RankedSource};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
 use rcube_core::{GridCubeConfig, GridRankingCube};
@@ -44,8 +42,7 @@ fn setup() -> Setup {
             .generate();
     let disk = DiskSim::with_defaults();
 
-    let mut grid_path = std::env::temp_dir();
-    grid_path.push(format!("rcube_conc_bench_grid_{}", std::process::id()));
+    let grid_path = rcube_bench::temp_path("conc", "grid");
     let grid_mem = GridRankingCube::build(
         &rel,
         &disk,
@@ -54,8 +51,7 @@ fn setup() -> Setup {
     grid_mem.save_to(&grid_path).expect("save grid cube");
     let grid_file = GridRankingCube::open_from(&grid_path).expect("reopen grid cube");
 
-    let mut sig_path = std::env::temp_dir();
-    sig_path.push(format!("rcube_conc_bench_sig_{}", std::process::id()));
+    let sig_path = rcube_bench::temp_path("conc", "sig");
     let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
     let sig_mem = SignatureCube::build(
         &rel,
@@ -150,9 +146,12 @@ fn repeat_decode_counters(path: &std::path::Path, rounds: usize) -> (u64, u64, u
 /// (`RwLock` word, `Arc` refcounts) is the queue that is left.
 const SCALING_2T_MIN: f64 = 1.17;
 
+/// What this emitter read at the parent of the commit that set the 2-thread
+/// bar.
+const BEFORE: &str = r#"{ "commit": "PR 21 (e806c39)", "method": "one 400 ms window per thread count, as committed", "t1": 18414.2, "t2": 21862.6, "scaling_2t_vs_1t": 1.19, "scaling_4t_vs_1t": 1.17, "best_of_5_rounds": { "t1": 20641, "t2": 22189, "scaling_2t_vs_1t": 1.07 } }"#;
+
 fn main() {
-    let soft = std::env::var_os("RCUBE_BENCH_SOFT").is_some();
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut report = BenchReport::new("concurrency");
     let s = setup();
 
     // --- Deterministic counters (hard gate, no wall clock involved) -----
@@ -189,29 +188,8 @@ fn main() {
     }
     let scaling_2t = qps[1] / qps[0].max(f64::MIN_POSITIVE);
     let scaling_4t = qps[2] / qps[0].max(f64::MIN_POSITIVE);
-    let enforce = !soft && hardware >= 2;
-    println!(
-        "concurrency: scaling vs single thread {scaling_2t:.2}x at 2 threads, {scaling_4t:.2}x \
-         at 4 ({hardware} hardware threads, 2-thread gate {})",
-        if enforce { "hard" } else { "soft" }
-    );
-    if enforce {
-        assert!(
-            scaling_2t >= SCALING_2T_MIN,
-            "2-thread aggregate throughput must be >= {SCALING_2T_MIN}x single-thread, \
-             got {scaling_2t:.2}x"
-        );
-    } else if scaling_2t < SCALING_2T_MIN {
-        eprintln!(
-            "WARNING: 2-thread scaling {scaling_2t:.2}x below the {SCALING_2T_MIN}x gate \
-             (soft: {} hardware threads{})",
-            hardware,
-            if soft { ", RCUBE_BENCH_SOFT" } else { "" }
-        );
-    }
-    if scaling_4t < 2.5 {
-        eprintln!("note: 4-thread scaling {scaling_4t:.2}x, target 2.5x (recorded, not enforced)");
-    }
+    report.clock_gate("scaling_2t_vs_1t", scaling_2t, Bound::Min(SCALING_2T_MIN), Some(2));
+    report.clock_gate("scaling_4t_vs_1t", scaling_4t, Bound::Min(2.5), None);
 
     // --- Cache effectiveness (the pool_stats / node-cache snapshots) ----
     let pool = s.grid_file.pool_stats().expect("file-backed grid cube has a pool");
@@ -244,49 +222,36 @@ fn main() {
     assert!(pool.hits() > 0, "hammering must hit the sharded pool");
 
     // --- BENCH_concurrency.json -----------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"concurrency\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str("  \"aggregate_qps\": {\n");
-    for (i, (&t, v)) in thread_counts.iter().zip(&qps).enumerate() {
-        let sep = if i + 1 == thread_counts.len() { "" } else { "," };
-        json.push_str(&format!("    \"t{t}\": {v:.1}{sep}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"scaling_2t_vs_1t\": {scaling_2t:.2},\n  \"gate_scaling_2t_min\": {SCALING_2T_MIN},\n  \
-         \"scaling_2t_gate_enforced\": {enforce},\n  \
-         \"scaling_4t_vs_1t\": {scaling_4t:.2},\n  \"target_scaling_4t_min\": 2.5,\n  \
-         \"scaling_gate_enforced\": false,\n  \
-         \"before\": {{ \"commit\": \"PR 21 (e806c39)\", \"method\": \"one 400 ms window per \
-         thread count, as committed\", \"t1\": 18414.2, \"t2\": 21862.6, \
-         \"scaling_2t_vs_1t\": 1.19, \"scaling_4t_vs_1t\": 1.17, \
-         \"best_of_5_rounds\": {{ \"t1\": 20641, \"t2\": 22189, \"scaling_2t_vs_1t\": 1.07 }} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"counters_repeat_workload\": {{ \"nodes_decoded_shared_cache\": {with_cache}, \
-         \"nodes_decoded_memo_only\": {without_cache}, \"shared_node_hits\": {shared_hits}, \
-         \"decode_reduction\": {:.2} }},\n",
-        without_cache as f64 / with_cache.max(1) as f64
-    ));
-    json.push_str(&format!(
-        "  \"grid_pool\": {{ \"shards\": {}, \"capacity_pages\": {}, \"used_pages\": {}, \
-         \"hit_rate\": {:.3}, \"evictions\": {} }},\n",
-        pool.shards.len(),
-        pool.capacity_pages(),
-        pool.used_pages(),
-        pool.hit_rate(),
-        pool.evictions()
-    ));
-    json.push_str(&format!(
-        "  \"sig_node_cache\": {{ \"entries\": {}, \"bytes\": {}, \"hits\": {}, \
-         \"misses\": {}, \"evictions\": {} }}\n}}\n",
-        nc.entries, nc.bytes, nc.hits, nc.misses, nc.evictions
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_concurrency.json");
-    std::fs::write(path, &json).expect("write BENCH_concurrency.json");
-    println!("wrote {path}");
+    let aggregate_qps = thread_counts
+        .iter()
+        .zip(&qps)
+        .fold(Obj::lines(), |o, (t, v)| o.with(format!("t{t}"), fixed(*v, 1)));
+    let repeat_workload = Obj::new()
+        .with("nodes_decoded_shared_cache", with_cache)
+        .with("nodes_decoded_memo_only", without_cache)
+        .with("shared_node_hits", shared_hits)
+        .with("decode_reduction", fixed(without_cache as f64 / with_cache.max(1) as f64, 2));
+    let grid_pool = Obj::new()
+        .with("shards", pool.shards.len())
+        .with("capacity_pages", pool.capacity_pages())
+        .with("used_pages", pool.used_pages())
+        .with("hit_rate", fixed(pool.hit_rate(), 3))
+        .with("evictions", pool.evictions());
+    let sig_node_cache = Obj::new()
+        .with("entries", nc.entries)
+        .with("bytes", nc.bytes)
+        .with("hits", nc.hits)
+        .with("misses", nc.misses)
+        .with("evictions", nc.evictions);
+    report
+        .set("aggregate_qps", aggregate_qps)
+        .set("scaling_2t_vs_1t", fixed(scaling_2t, 2))
+        .set("scaling_4t_vs_1t", fixed(scaling_4t, 2))
+        .set("before", Json::Raw(BEFORE))
+        .set("counters_repeat_workload", repeat_workload)
+        .set("grid_pool", grid_pool)
+        .set("sig_node_cache", sig_node_cache);
+    report.write();
 
     for p in &s.paths {
         std::fs::remove_file(p).ok();

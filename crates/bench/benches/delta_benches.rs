@@ -58,11 +58,11 @@ use ranking_cube::obs::Metrics;
 use ranking_cube::storage::DiskSim;
 use ranking_cube::table::gen::SyntheticSpec;
 use ranking_cube::table::workload::{
-    MixedWorkloadGen, MixedWorkloadParams, QuerySpec, WorkloadOp, WorkloadParams,
+    MixedWorkloadGen, MixedWorkloadParams, WorkloadOp, WorkloadParams,
 };
 use ranking_cube::table::{Relation, RelationBuilder, Tid};
+use rcube_bench::{fixed, percentile, query_of, render, save_signature_cube, BenchReport, Obj};
 
-const PAGE: usize = 4096;
 const POOL: usize = 2048;
 const READERS: usize = 4;
 const CARDINALITY: u32 = 8;
@@ -91,16 +91,12 @@ const BEFORE_CHILL_LOADED: [u64; CHILL_FLUSHES] = [114; CHILL_FLUSHES];
 /// First 8 queries after a swap 217 µs, queries 128+ 48 µs.
 const BEFORE_CHILL_RATIO: f64 = 4.5;
 
+/// A scratch cube path with no file or WAL left at it.
 fn temp_path(tag: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("rcube_delta_bench_{tag}_{}", std::process::id()));
+    let p = rcube_bench::temp_path("delta", tag);
     let _ = std::fs::remove_file(&p);
     let _ = std::fs::remove_file(wal_path_for(&p));
     p
-}
-
-fn render(items: &[(Tid, f64)]) -> String {
-    items.iter().map(|(t, s)| format!("{t}:{:016x}", s.to_bits())).collect::<Vec<_>>().join(",")
 }
 
 fn render_scores(items: &[(Tid, f64)]) -> String {
@@ -230,15 +226,12 @@ fn gate_node_granular(report: &FlushReport, before: &Catalog, after: &Catalog, l
 
 /// The `chill` block of `BENCH_delta.json` (module docs): what a flush
 /// costs the queries that come after it.
-fn chill_block(full: &Relation, base_rel: &Relation) -> String {
+fn chill_block(full: &Relation, base_rel: &Relation) -> Obj {
     let path = temp_path("chill");
     // A delta cube over a base file written fresh (and no WAL beside it).
     let open = || {
         std::fs::remove_file(wal_path_for(&path)).ok();
-        let disk = DiskSim::with_defaults();
-        let rtree = RTree::over_relation(&disk, base_rel, &[], RTreeConfig::small(16));
-        let cube = SignatureCube::build(base_rel, &rtree, &disk, SignatureCubeConfig::default());
-        cube.save_to_with(&rtree, &path, PAGE, POOL).expect("save chill base");
+        save_signature_cube(base_rel, Default::default(), &DiskSim::with_defaults(), &path);
         let opts = DeltaOptions { pool_pages: POOL, ..Default::default() };
         DeltaCube::open(&path, base_rel.clone(), opts).expect("open chill delta")
     };
@@ -339,11 +332,8 @@ fn chill_block(full: &Relation, base_rel: &Relation) -> String {
             steady.extend(st);
         }
     });
-    let median = |v: &mut Vec<u64>| {
-        v.sort_unstable();
-        v.get(v.len() / 2).map_or(0.0, |&ns| ns as f64 / 1e3)
-    };
-    let (post_us, steady_us) = (median(&mut post), median(&mut steady));
+    let median_us = |v: &mut [u64]| percentile(v, 0.5).map_or(0.0, |ns| ns as f64 / 1e3);
+    let (post_us, steady_us) = (median_us(&mut post), median_us(&mut steady));
     let ratio = post_us / steady_us.max(f64::MIN_POSITIVE);
     println!(
         "chill: first 8 queries after a swap p50 {post_us:.1}us ({} samples), queries 128+ p50 \
@@ -361,39 +351,28 @@ fn chill_block(full: &Relation, base_rel: &Relation) -> String {
         decoded[1..].iter().chain(&loaded[1..]).all(|&n| n == 0),
         "a warm flush cooled the cube: decoded {decoded:?}, loaded {loaded:?} per lap"
     );
-    let list = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-    format!(
-        "  \"chill\": {{\n    \"flushes\": {CHILL_FLUSHES}, \"writes_per_flush\": {CHILL_WRITES}, \
-         \"lap_queries\": {CHILL_LAP},\n    \"before\": {{ \"nodes_decoded_per_lap\": [{}], \
-         \"sig_loads_per_lap\": [{}], \"post_flush_over_steady_p50\": {BEFORE_CHILL_RATIO:.2} \
-         }},\n    \"nodes_decoded_per_lap\": [{}],\n    \"sig_loads_per_lap\": [{}],\n    \
-         \"post_flush_p50_us\": {post_us:.1},\n    \"steady_p50_us\": {steady_us:.1},\n    \
-         \"post_flush_over_steady_p50\": {ratio:.2}\n  }},\n",
-        list(&BEFORE_CHILL_DECODED),
-        list(&BEFORE_CHILL_LOADED),
-        list(&decoded),
-        list(&loaded),
-    )
-}
-
-fn query_of(spec: &QuerySpec) -> Query {
-    Query::select(spec.selection.conds().to_vec())
-        .rank_on(spec.ranking_dims.clone(), Linear::new(spec.weights.clone()))
-        .top(spec.k)
+    let before = Obj::new()
+        .with("nodes_decoded_per_lap", BEFORE_CHILL_DECODED.to_vec())
+        .with("sig_loads_per_lap", BEFORE_CHILL_LOADED.to_vec())
+        .with("post_flush_over_steady_p50", fixed(BEFORE_CHILL_RATIO, 2));
+    Obj::lines()
+        .with("flushes", CHILL_FLUSHES)
+        .with("writes_per_flush", CHILL_WRITES)
+        .with("lap_queries", CHILL_LAP)
+        .with("before", before)
+        .with("nodes_decoded_per_lap", decoded)
+        .with("sig_loads_per_lap", loaded)
+        .with("post_flush_p50_us", fixed(post_us, 1))
+        .with("steady_p50_us", fixed(steady_us, 1))
+        .with("post_flush_over_steady_p50", fixed(ratio, 2))
 }
 
 fn main() {
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let full =
         SyntheticSpec { tuples: TOTAL, cardinality: CARDINALITY, ..Default::default() }.generate();
     let base_rel = full.prefix(BASE);
     let path = temp_path("live");
-    {
-        let disk = DiskSim::with_defaults();
-        let rtree = RTree::over_relation(&disk, &base_rel, &[], RTreeConfig::small(16));
-        let cube = SignatureCube::build(&base_rel, &rtree, &disk, SignatureCubeConfig::default());
-        cube.save_to_with(&rtree, &path, PAGE, POOL).expect("save base cube");
-    }
+    save_signature_cube(&base_rel, Default::default(), &DiskSim::with_defaults(), &path);
     let metrics = Metrics::new();
     let delta = DeltaCube::open(
         &path,
@@ -522,30 +501,25 @@ fn main() {
     let ingest_ops = (CYCLES * STEP + DELETED.len()) as f64;
     let ingest_ops_per_sec = ingest_ops / ingest_secs.max(f64::MIN_POSITIVE);
 
-    // Post-delete checkpoint: tids shift in the rebuild, identity moves
-    // to the score bit patterns.
-    let logical_after_deletes = {
+    // Once deletes shift tids in the rebuild, identity moves to the score
+    // bit patterns: the merged view against a cube rebuilt over the base
+    // minus the deleted base tuples, plus `extra` tuples.
+    let verify_scores = |delta: &DeltaCube, extra: &[(Tid, Vec<u32>, Vec<f64>)], label: &str| {
         let mut b = RelationBuilder::new(full.schema().clone());
-        for t in 0..TOTAL as Tid {
-            if !DELETED.contains(&t) {
-                b.push(&sel_of(&full, t), &full.ranking_point(t));
-            }
+        for t in (0..TOTAL as Tid).filter(|t| !DELETED.contains(t)) {
+            b.push(&sel_of(&full, t), &full.ranking_point(t));
         }
-        b.finish()
+        for (_, sel, point) in extra {
+            b.push(sel, point);
+        }
+        let scores = |r: &String| {
+            r.split(',').filter_map(|i| i.split(':').nth(1)).collect::<Vec<_>>().join(",")
+        };
+        let got: Vec<String> = answers(delta).iter().map(scores).collect();
+        let want: Vec<String> = rebuilt_answers(&b.finish()).into_iter().map(|(_, s)| s).collect();
+        assert_eq!(got, want, "{label}: merged view != rebuilt logical cube");
     };
-    let got_scores: Vec<String> = answers(&delta)
-        .iter()
-        .map(|r| {
-            r.split(',')
-                .filter(|s| !s.is_empty())
-                .map(|i| i.split(':').nth(1).unwrap())
-                .collect::<Vec<_>>()
-                .join(",")
-        })
-        .collect();
-    let want_scores: Vec<String> =
-        rebuilt_answers(&logical_after_deletes).into_iter().map(|(_, s)| s).collect();
-    assert_eq!(got_scores, want_scores, "post-delete merged view != rebuilt logical cube");
+    verify_scores(&delta, &[], "post-delete");
     identity_checks += 1;
 
     // Zipf-skewed mixed read/write stream against the quiesced delta:
@@ -587,34 +561,9 @@ fn main() {
     let report = delta.flush().expect("post-mixed flush");
     note_fold(&report, &mut flush_us, "post-mixed flush");
 
-    // Mixed checkpoint: rebuild the logical relation (base minus deleted
-    // base tuples, plus the surviving mixed inserts) and re-check the
-    // score-bit identity.
-    let logical_mixed = {
-        let mut b = RelationBuilder::new(full.schema().clone());
-        for t in 0..TOTAL as Tid {
-            if !DELETED.contains(&t) {
-                b.push(&sel_of(&full, t), &full.ranking_point(t));
-            }
-        }
-        for (_, sel, point) in &live {
-            b.push(sel, point);
-        }
-        b.finish()
-    };
-    let got_scores: Vec<String> = answers(&delta)
-        .iter()
-        .map(|r| {
-            r.split(',')
-                .filter(|s| !s.is_empty())
-                .map(|i| i.split(':').nth(1).unwrap())
-                .collect::<Vec<_>>()
-                .join(",")
-        })
-        .collect();
-    let want_scores: Vec<String> =
-        rebuilt_answers(&logical_mixed).into_iter().map(|(_, s)| s).collect();
-    assert_eq!(got_scores, want_scores, "post-mixed merged view != rebuilt logical cube");
+    // Mixed checkpoint: the surviving mixed inserts join the logical
+    // relation.
+    verify_scores(&delta, &live, "post-mixed");
     identity_checks += 1;
 
     // Exact replay accounting: a handful of un-flushed appends, then a
@@ -677,43 +626,37 @@ fn main() {
     let chill = chill_block(&full, &base_rel);
 
     // --- BENCH_delta.json ------------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"delta\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str(&format!(
-        "  \"readers\": {READERS},\n  \"cycles\": {ROUNDS},\n  \"mixed_ops\": {MIXED_OPS},\n"
-    ));
-    json.push_str(&format!("  \"inconsistent_answers\": {bad},\n"));
-    json.push_str(&format!("  \"pinned_answers\": {},\n", pinned_answers.load(Ordering::Relaxed)));
-    json.push_str(&format!("  \"byte_identity_checkpoints\": {identity_checks},\n"));
-    json.push_str("  \"identity_mismatches\": 0,\n");
-    json.push_str(&format!(
-        "  \"replay_records\": {},\n  \"replay_pending\": {},\n  \"replay_applied\": {},\n  \
-         \"replay_exact\": {replay_exact},\n  \"torn_tail\": {},\n",
-        replay.records, replay.pending, replay.applied, replay.torn_tail
-    ));
-    json.push_str(&format!(
-        "  \"appends_total\": {appends_total},\n  \"flushes\": {flushes_done},\n"
-    ));
-    json.push_str(&format!(
-        "  \"fold_ops\": {fold_ops},\n  \"path_updates\": {path_updates},\n  \
-         \"cells_rewritten\": {cells_rewritten},\n  \"cells_rewritten_per_flush\": {:.1},\n  \
-         \"partials_rewritten_per_flush\": {:.1},\n  \"nodes_reencoded_per_flush\": {:.1},\n  \
-         \"cold_opens\": {cold_opens},\n",
-        cells_rewritten as f64 / flushes_done.max(1) as f64,
-        partials_rewritten as f64 / flushes_done.max(1) as f64,
-        nodes_reencoded as f64 / flushes_done.max(1) as f64
-    ));
-    json.push_str(&chill);
-    json.push_str(&format!(
-        "  \"ingest_ops_per_sec_before\": {BEFORE_INGEST_OPS_PER_SEC:.1},\n  \
-         \"ingest_ops_per_sec\": {ingest_ops_per_sec:.1},\n  \"mixed_ops_per_sec\": \
-         {mixed_ops_per_sec:.1},\n  \"flush_duration_us_mean_before\": \
-         {BEFORE_FLUSH_US_MEAN:.0},\n  \"flush_duration_us_mean\": {mean_flush_us:.0}\n}}\n"
-    ));
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_delta.json");
-    std::fs::write(out, &json).expect("write BENCH_delta.json");
-    println!("wrote {out}");
+    let per_flush = |n: u64| fixed(n as f64 / flushes_done.max(1) as f64, 1);
+    let mut report = BenchReport::new("delta");
+    report
+        .set("readers", READERS)
+        .set("cycles", ROUNDS)
+        .set("mixed_ops", MIXED_OPS)
+        .set("inconsistent_answers", bad)
+        .set("pinned_answers", pinned_answers.load(Ordering::Relaxed))
+        .set("byte_identity_checkpoints", identity_checks)
+        .set("identity_mismatches", 0u64)
+        .set("replay_records", replay.records)
+        .set("replay_pending", replay.pending)
+        .set("replay_applied", replay.applied)
+        .set("replay_exact", replay_exact)
+        .set("torn_tail", replay.torn_tail)
+        .set("appends_total", appends_total)
+        .set("flushes", flushes_done)
+        .set("fold_ops", fold_ops)
+        .set("path_updates", path_updates)
+        .set("cells_rewritten", cells_rewritten)
+        .set("cells_rewritten_per_flush", per_flush(cells_rewritten))
+        .set("partials_rewritten_per_flush", per_flush(partials_rewritten))
+        .set("nodes_reencoded_per_flush", per_flush(nodes_reencoded))
+        .set("cold_opens", cold_opens)
+        .set("chill", chill)
+        .set("ingest_ops_per_sec_before", fixed(BEFORE_INGEST_OPS_PER_SEC, 1))
+        .set("ingest_ops_per_sec", fixed(ingest_ops_per_sec, 1))
+        .set("mixed_ops_per_sec", fixed(mixed_ops_per_sec, 1))
+        .set("flush_duration_us_mean_before", fixed(BEFORE_FLUSH_US_MEAN, 0))
+        .set("flush_duration_us_mean", fixed(mean_flush_us, 0));
+    report.write();
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(wal_path_for(&path)).ok();
 }

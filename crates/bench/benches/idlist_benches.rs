@@ -11,12 +11,13 @@
 //!
 //! The run writes `BENCH_idlist.json` at the workspace root so the perf
 //! trajectory of this hot path is recorded PR over PR. The gate is that
-//! the streaming leapfrog is no slower than decode-and-hash (soft under
-//! `RCUBE_BENCH_SOFT=1`: wall-clock ratios are noisy on shared runners).
+//! the streaming leapfrog is no slower than decode-and-hash, a clock gate
+//! under the rule of `rcube_bench::report`.
 
 use std::collections::HashSet;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rcube_bench::{fixed, BenchReport, Bound};
 use rcube_core::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
 use rcube_core::idlist::{self, IdCursor, IdListRef, KWayIntersect};
 use rcube_core::query::{Query, RankedSource};
@@ -101,42 +102,14 @@ fn bench_fragments_query(c: &mut Criterion) {
 /// Serializes every measurement of this run — plus the headline speedup —
 /// to `BENCH_idlist.json` at the workspace root. Runs last in the group.
 fn emit_json(c: &mut Criterion) {
-    let ms = c.measurements().to_vec();
-    let find = |id: &str| ms.iter().find(|m| m.id == id).map(|m| m.mean_ns);
-    let su_kway = match (
-        find("kway_intersect_3/seed_decode_hashset"),
-        find("kway_intersect_3/streaming_leapfrog"),
-    ) {
-        (Some(b), Some(n)) if n > 0.0 => b / n,
-        _ => 0.0,
-    };
-
-    let mut json = String::from("{\n  \"bench\": \"idlist\",\n  \"unit\": \"ns_per_iter\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str("  \"results\": {\n");
-    for (i, m) in ms.iter().enumerate() {
-        let sep = if i + 1 == ms.len() { "" } else { "," };
-        json.push_str(&format!("    \"{}\": {:.1}{}\n", m.id, m.mean_ns, sep));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"speedup_kway_intersect\": {su_kway:.2},\n  \"target_kway_speedup_min\": 1.0\n}}\n"
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_idlist.json");
-    std::fs::write(path, &json).expect("write BENCH_idlist.json");
-    println!("wrote {path}");
-    println!("speedup: kway leapfrog {su_kway:.1}x decode-and-hash");
-    if std::env::var_os("RCUBE_BENCH_SOFT").is_some() {
-        if su_kway < 1.0 {
-            eprintln!("WARNING: leapfrog {su_kway:.2}× decode-and-hash, below 1×");
-        }
-    } else {
-        assert!(
-            su_kway >= 1.0,
-            "the streaming leapfrog must not lose to decode-and-hash, got {su_kway:.2}×"
-        );
-    }
+    let results = c.measurements().iter().map(|m| (m.id.as_str(), m.mean_ns));
+    let mut report = BenchReport::criterion("idlist", results);
+    let su_kway =
+        report.ratio("kway_intersect_3/seed_decode_hashset", "kway_intersect_3/streaming_leapfrog");
+    report.set("speedup_kway_intersect", fixed(su_kway, 2));
+    // The streaming leapfrog must not lose to decode-and-hash.
+    report.clock_gate("speedup_kway_intersect", su_kway, Bound::Min(1.0), Some(1));
+    report.write();
 }
 
 criterion_group!(benches, bench_kway, bench_fragments_query, emit_json);

@@ -15,25 +15,24 @@
 //!   byte-identically to a serial maintain-only twin (vacuum is
 //!   answer-neutral); and the obs instruments (vacuum counter, duration
 //!   histogram, lock-contention counter) saw every cycle.
-//! * **Clock (hard unless `RCUBE_BENCH_SOFT` is set):** reader
-//!   throughput during the vacuum storm must hold at least 0.8x the
-//!   steady-state throughput measured on the same pinned handles just
-//!   before — compaction is a background maintenance task, not a
-//!   stop-the-world event.
+//! * **Clock:** reader throughput during the vacuum storm must hold at
+//!   least 0.8x the steady-state throughput measured on the same pinned
+//!   handles just before — compaction is a background maintenance task,
+//!   not a stop-the-world event.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use ranking_cube::cube::maintain::apply_path_updates;
-use ranking_cube::cube::query::{Query, RankedSource};
+use ranking_cube::cube::query::RankedSource;
 use ranking_cube::cube::scheduler::{vacuum_into_place, MaintenanceConfig};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
-use ranking_cube::func::Linear;
-use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::obs::Metrics;
 use ranking_cube::storage::{DiskSim, FileBackend, PageStore};
 use ranking_cube::table::gen::SyntheticSpec;
-use ranking_cube::table::Relation;
+use rcube_bench::{
+    answers, fixed, maintain_and_commit, reader_queries, render, save_signature_cube, BenchReport,
+    Bound,
+};
 
 const PAGE: usize = 4096;
 const POOL: usize = 4096;
@@ -50,77 +49,28 @@ const PHASE_STEADY: u64 = 0;
 const PHASE_STORM: u64 = 1;
 const PHASE_DONE: u64 = 2;
 
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("rcube_maint_bench_{tag}_{}", std::process::id()));
-    p
-}
-
-fn render(items: &[(u32, f64)]) -> String {
-    items.iter().map(|(t, s)| format!("{t}:{:016x}", s.to_bits())).collect::<Vec<_>>().join(",")
-}
-
-fn workload() -> Vec<(Vec<(usize, u32)>, usize)> {
-    vec![(vec![(0, 1)], 10), (vec![(1, 2)], 8), (vec![(0, 0), (1, 1)], 10), (vec![(2, 3)], 5)]
-}
-
-fn answers(cube: &SignatureCube, rtree: &RTree, disk: &DiskSim) -> Vec<String> {
-    workload()
-        .into_iter()
-        .map(|(conds, k)| {
-            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
-            render(&cube.source(rtree, disk).query(&q.plan()).unwrap().items)
-        })
-        .collect()
-}
-
-/// One maintenance round: R-tree inserts for `from..to`, COW cell
-/// patches, one generational commit. Drops the writable handle (and its
-/// writer lock) before returning.
-fn maintain_and_commit(path: &std::path::Path, rel: &Relation, from: usize, to: usize) {
-    let store = PageStore::open_file_writable(path, POOL).expect("open writable");
-    let (mut cube, mut rtree) = SignatureCube::open_store(store).expect("decode catalog");
-    let disk = DiskSim::with_defaults();
-    for tid in from..to {
-        let updates = rtree.insert(&disk, tid as u32, rel.ranking_point(tid as u32));
-        apply_path_updates(
-            &mut cube,
-            &updates,
-            |t| (0..rel.schema().num_selection()).map(|d| rel.selection_value(t, d)).collect(),
-            &disk,
-        )
-        .expect("apply path updates");
-    }
-    cube.commit(&rtree).expect("patch commit");
-}
-
 fn main() {
-    let soft = std::env::var_os("RCUBE_BENCH_SOFT").is_some();
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let rel =
         SyntheticSpec { tuples: TOTAL, cardinality: CARDINALITY, ..Default::default() }.generate();
     let base_rel = rel.prefix(BASE);
     let disk = DiskSim::with_defaults();
-    let rtree = RTree::over_relation(&disk, &base_rel, &[], RTreeConfig::small(16));
-    let cube = SignatureCube::build(
-        &base_rel,
-        &rtree,
-        &disk,
-        SignatureCubeConfig { alpha: 0.05, ..Default::default() },
-    );
-    let live_path = temp_path("live");
-    cube.save_to_with(&rtree, &live_path, PAGE, POOL).expect("save base cube");
-    drop((cube, rtree));
+    let live_path = rcube_bench::temp_path("maint", "live");
+    let sig_config = SignatureCubeConfig { alpha: 0.05, ..Default::default() };
+    save_signature_cube(&base_rel, sig_config, &disk, &live_path);
+
+    // Every maintenance round opens, and drops, a writable handle and its
+    // writer lock.
+    let writable = |p: &_| PageStore::open_file_writable(p, POOL).expect("open writable");
 
     // Serial maintain-only twin: the deterministic reference the
     // vacuumed file must answer identically to — proving every swap was
     // answer-neutral.
-    let twin_path = temp_path("twin");
+    let twin_path = rcube_bench::temp_path("maint", "twin");
     std::fs::copy(&live_path, &twin_path).expect("copy base file");
     let step = (TOTAL - BASE) / CYCLES;
     for c in 0..CYCLES {
         let from = BASE + c * step;
-        maintain_and_commit(&twin_path, &rel, from, from + step);
+        maintain_and_commit(writable(&twin_path), &rel, from, from + step);
     }
     let ans_twin = {
         let (cube, rtree) = SignatureCube::open_from_with(&twin_path, POOL).expect("twin open");
@@ -161,16 +111,16 @@ fn main() {
                     SignatureCube::open_from_with(live_path, 256).expect("reader open");
                 assert_eq!(cube.store().generation(), Some(gen_a), "reader must pin base gen");
                 let disk = DiskSim::with_defaults();
+                let workload = reader_queries();
                 loop {
                     let ph = phase.load(Ordering::Acquire);
                     if ph == PHASE_DONE {
                         break;
                     }
-                    for (i, (conds, k)) in workload().into_iter().enumerate() {
-                        let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
+                    for (q, want) in workload.iter().zip(ans_a) {
                         let got =
                             render(&cube.source(&rtree, &disk).query(&q.plan()).unwrap().items);
-                        if got != ans_a[i] {
+                        if got != *want {
                             inconsistent.fetch_add(1, Ordering::Relaxed);
                         }
                         let counter =
@@ -191,7 +141,7 @@ fn main() {
         let t1 = Instant::now();
         for c in 0..CYCLES {
             let from = BASE + c * step;
-            maintain_and_commit(&live_path, &rel, from, from + step);
+            maintain_and_commit(writable(&live_path), &rel, from, from + step);
             let report =
                 vacuum_into_place(&live_path, &config, &metrics, None).expect("live vacuum cycle");
             assert!(report.reclaimed_pages > 0, "cycle {c} reclaimed nothing");
@@ -231,42 +181,21 @@ fn main() {
     assert_eq!(metrics.histogram("maintenance.vacuum_duration_us").count(), CYCLES as u64);
     assert_eq!(metrics.counter("maintenance.lock_contention").get(), 0);
 
-    // --- Clock gate: readers must not stall during the storm ------------
-    let enforce = !soft && hardware > READERS;
-    if enforce {
-        assert!(
-            ratio >= 0.8,
-            "reader throughput during live vacuum fell to {ratio:.2}x of steady-state \
-             (gate: >= 0.8x)"
-        );
-    } else if ratio < 0.8 {
-        eprintln!(
-            "WARNING: vacuum-window throughput ratio {ratio:.2} below the 0.8 target (soft: \
-             {hardware} hardware threads{})",
-            if soft { ", RCUBE_BENCH_SOFT" } else { "" }
-        );
-    }
-
     // --- BENCH_maintenance.json -----------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"maintenance\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str(&format!("  \"readers\": {READERS},\n  \"vacuum_cycles\": {CYCLES},\n"));
-    json.push_str(&format!(
-        "  \"reader_qps_steady\": {qps_steady:.1},\n  \"reader_qps_during_vacuum\": \
-         {qps_storm:.1},\n  \"qps_ratio\": {ratio:.3},\n"
-    ));
-    json.push_str(&format!("  \"inconsistent_answers\": {bad},\n"));
-    json.push_str(&format!(
-        "  \"pages_reclaimed_total\": {reclaimed_total},\n  \"vacuum_duration_us_mean\": \
-         {mean_vacuum_us:.0},\n"
-    ));
-    json.push_str(&format!(
-        "  \"lock_contention\": {}\n}}\n",
-        metrics.counter("maintenance.lock_contention").get()
-    ));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_maintenance.json");
-    std::fs::write(path, &json).expect("write BENCH_maintenance.json");
-    println!("wrote {path}");
+    let mut report = BenchReport::new("maintenance");
+    report
+        .set("readers", READERS)
+        .set("vacuum_cycles", CYCLES)
+        .set("reader_qps_steady", fixed(qps_steady, 1))
+        .set("reader_qps_during_vacuum", fixed(qps_storm, 1))
+        .set("qps_ratio", fixed(ratio, 3))
+        .set("inconsistent_answers", bad)
+        .set("pages_reclaimed_total", reclaimed_total)
+        .set("vacuum_duration_us_mean", fixed(mean_vacuum_us, 0))
+        .set("lock_contention", metrics.counter("maintenance.lock_contention").get());
+    // Readers must not stall during the storm: each of the READERS needs a
+    // hardware thread of its own, and the maintenance path one more.
+    report.clock_gate("qps_ratio", ratio, Bound::Min(0.8), Some(READERS + 1));
+    report.write();
     std::fs::remove_file(&live_path).ok();
 }

@@ -16,14 +16,14 @@
 //!   totals the queries; `query.<r>.blocks_read` / `.tuples_scored`
 //!   histogram sums equal the accumulated per-query stats).
 //! * **overhead_pct ≤ 5** (wall-clock): the instrumented engine's
-//!   workload time stays within 5% of the uninstrumented one. Reported
-//!   always; enforced unless `RCUBE_BENCH_SOFT` is set (CI containers
-//!   and 1-core runners make wall-clock gates flaky).
+//!   workload time stays within 5% of the uninstrumented one, a clock
+//!   gate under the rule of `rcube_bench::report`.
 
 use std::time::Instant;
 
 use ranking_cube::obs::Metrics;
 use ranking_cube::prelude::*;
+use rcube_bench::{fixed, BenchReport, Bound, Obj};
 use rcube_core::gridcube::GridCubeConfig;
 use rcube_core::sigcube::SignatureCubeConfig;
 use rcube_index::rtree::RTreeConfig;
@@ -71,7 +71,6 @@ fn run_workload(eng: &Engine, queries: &[Query]) -> (Vec<(u32, u64)>, QueryStats
 }
 
 fn main() {
-    let soft = std::env::var_os("RCUBE_BENCH_SOFT").is_some();
     let queries = workload();
 
     let instrumented = build_engine(Metrics::new());
@@ -135,37 +134,24 @@ fn main() {
     let overhead_pct = (ms_instr - ms_bare) / ms_bare * 100.0;
     println!(
         "observability overhead: instrumented {ms_instr:.2} ms vs bare {ms_bare:.2} ms \
-         ({overhead_pct:+.2}%){}",
-        if soft { " [soft]" } else { "" }
+         ({overhead_pct:+.2}%)"
     );
-    if !soft {
-        assert!(
-            overhead_pct <= 5.0,
-            "instrumentation overhead {overhead_pct:.2}% exceeds the 5% gate \
-             (set RCUBE_BENCH_SOFT=1 on noisy runners)"
-        );
-    }
 
     // --- BENCH_observability.json ---------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"observability\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!(
-        "  \"queries\": {},\n  \"answers_identical\": {answers_identical},\n  \
-         \"counter_parity\": {counter_parity},\n",
-        queries.len()
-    ));
-    json.push_str(&format!(
-        "  \"counters\": {{ \"queries_counted\": {counter_total}, \"blocks_read\": \
-         {blocks_total}, \"tuples_scored\": {tuples_total} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"wall_ms\": {{ \"instrumented\": {ms_instr:.3}, \"bare\": {ms_bare:.3} }},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \"target_overhead_pct_max\": 5.0,\n  \
-         \"overhead_gate_enforced\": {}\n}}\n",
-        !soft
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_observability.json");
-    std::fs::write(path, &json).expect("write BENCH_observability.json");
-    println!("wrote {path}");
+    let mut report = BenchReport::new("observability");
+    let counters = Obj::new()
+        .with("queries_counted", counter_total)
+        .with("blocks_read", blocks_total)
+        .with("tuples_scored", tuples_total);
+    let wall_ms =
+        Obj::new().with("instrumented", fixed(ms_instr, 3)).with("bare", fixed(ms_bare, 3));
+    report
+        .set("queries", queries.len())
+        .set("answers_identical", answers_identical)
+        .set("counter_parity", counter_parity)
+        .set("counters", counters)
+        .set("wall_ms", wall_ms)
+        .set("overhead_pct", fixed(overhead_pct, 2));
+    report.clock_gate("overhead_pct", overhead_pct, Bound::Max(5.0), Some(1));
+    report.write();
 }

@@ -1,7 +1,7 @@
 //! Progressive-query benchmarks: the paper's *semi-online* property,
 //! measured. Three claims, each gated on deterministic I/O counters (hard
-//! even on CI — counters don't jitter; only wall-clock ratios soften
-//! under `RCUBE_BENCH_SOFT`):
+//! even on CI — counters don't jitter; wall-clock ratios are recorded
+//! only):
 //!
 //! 1. **Time-to-first-answer ≪ full-k time.** A bound-driven cursor
 //!    certifies its first answer after reading strictly fewer blocks than
@@ -20,6 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rcube_baseline::{RankMapping, TableScan};
+use rcube_bench::{fixed, BenchReport, Json, Obj};
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
 use rcube_core::query::{Query, QueryPlan, RankedSource, TopKCursor};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
@@ -75,8 +76,7 @@ fn setup() -> Setup {
     let sig = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
     let scan = TableScan::new(&rel, &disk);
     let rank_map = RankMapping::build(&rel, &disk);
-    let mut path = std::env::temp_dir();
-    path.push(format!("rcube_prog_bench_{}", std::process::id()));
+    let path = rcube_bench::temp_path("prog", "grid");
     grid.save_to(&path).expect("save grid cube");
     let file_grid = GridRankingCube::open_from(&path).expect("reopen grid cube");
     Setup {
@@ -136,16 +136,20 @@ fn bench_progressive(c: &mut Criterion) {
     let q_ext = query(K + DELTA);
 
     // --- Deterministic counters (run once, asserted hard) ---------------
-    let mut lines = Vec::new();
+    let mut profiles = Vec::new();
     let mut record = |name: &str, p: &Profile, fresh_blocks: u64| {
         println!(
             "{name}: first answer after {} blocks, top-{K} after {}, extend_k({DELTA}) read {} vs fresh top-{} {}",
             p.blocks_first, p.blocks_at_k, p.blocks_extension, K + DELTA, fresh_blocks
         );
-        lines.push(format!(
-            "  \"{name}\": {{ \"blocks_first_answer\": {}, \"blocks_top_k\": {}, \"blocks_extension\": {}, \"blocks_fresh_k_plus_delta\": {}, \"k\": {K}, \"delta\": {DELTA} }}",
-            p.blocks_first, p.blocks_at_k, p.blocks_extension, fresh_blocks
-        ));
+        let counts = Obj::new()
+            .with("blocks_first_answer", p.blocks_first)
+            .with("blocks_top_k", p.blocks_at_k)
+            .with("blocks_extension", p.blocks_extension)
+            .with("blocks_fresh_k_plus_delta", fresh_blocks)
+            .with("k", K)
+            .with("delta", DELTA);
+        profiles.push((name.to_string(), counts));
     };
 
     // Grid cube, in memory.
@@ -248,47 +252,31 @@ fn bench_progressive(c: &mut Criterion) {
     });
     g.finish();
 
-    emit_json(c, &lines, &p, fresh_blocks, &pb);
-    std::fs::remove_file(&s.path).ok();
-}
-
-fn emit_json(c: &mut Criterion, lines: &[String], grid: &Profile, grid_fresh: u64, scan: &Profile) {
-    let ms = c.measurements().to_vec();
-    let find = |id: &str| ms.iter().find(|m| m.id == id).map(|m| m.mean_ns);
-    let ratio = |num: &str, den: &str| match (find(num), find(den)) {
-        (Some(n), Some(d)) if n > 0.0 => d / n,
-        _ => 0.0,
-    };
-    let ttfa_speedup = ratio("progressive/grid/first_answer", "progressive/grid/full_top_k");
-    let scan_ttfa_vs_grid = ratio("progressive/grid/first_answer", "progressive/scan/first_answer");
-
-    let mut json = String::from("{\n  \"bench\": \"progressive\",\n  \"unit\": \"ns_per_iter\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str("  \"results\": {\n");
-    for (i, m) in ms.iter().enumerate() {
-        let sep = if i + 1 == ms.len() { "" } else { "," };
-        json.push_str(&format!("    \"{}\": {:.1}{}\n", m.id, m.mean_ns, sep));
-    }
-    json.push_str("  },\n");
-    for line in lines {
-        json.push_str(line);
-        json.push_str(",\n");
-    }
-    json.push_str(&format!(
-        "  \"grid_first_answer_block_reduction\": {:.2},\n  \"grid_extension_vs_fresh_blocks\": {:.2},\n  \"grid_ttfa_wall_speedup_vs_full_k\": {ttfa_speedup:.2},\n  \"grid_ttfa_wall_speedup_vs_scan_ttfa\": {scan_ttfa_vs_grid:.2},\n  \"scan_first_answer_blocks\": {},\n  \"gates\": \"first<full and extension<fresh are hard deterministic counter gates\",\n  \"before\": {BEFORE}\n}}\n",
-        grid.blocks_at_k as f64 / grid.blocks_first.max(1) as f64,
-        grid_fresh as f64 / grid.blocks_extension.max(1) as f64,
-        scan.blocks_first,
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_progressive.json");
-    std::fs::write(path, &json).expect("write BENCH_progressive.json");
-    println!("wrote {path}");
+    let results = c.measurements().iter().map(|m| (m.id.as_str(), m.mean_ns));
+    let mut report = BenchReport::criterion("progressive", results);
+    let ttfa_speedup = report.ratio("progressive/grid/full_top_k", "progressive/grid/first_answer");
+    let scan_ttfa_vs_grid =
+        report.ratio("progressive/scan/first_answer", "progressive/grid/first_answer");
+    let first_reduction = p.blocks_at_k as f64 / p.blocks_first.max(1) as f64;
+    let extension_vs_fresh = fresh_blocks as f64 / p.blocks_extension.max(1) as f64;
     println!(
-        "progressive: first answer {:.1}x fewer blocks than full top-{K}, extension {:.1}x fewer than fresh re-query, ttfa {ttfa_speedup:.2}x faster wall",
-        grid.blocks_at_k as f64 / grid.blocks_first.max(1) as f64,
-        grid_fresh as f64 / grid.blocks_extension.max(1) as f64,
+        "progressive: first answer {first_reduction:.1}x fewer blocks than full top-{K}, extension {extension_vs_fresh:.1}x fewer than fresh re-query, ttfa {ttfa_speedup:.2}x faster wall"
     );
+    for (name, counts) in profiles {
+        report.set(&name, counts);
+    }
+    report
+        .set("grid_first_answer_block_reduction", fixed(first_reduction, 2))
+        .set("grid_extension_vs_fresh_blocks", fixed(extension_vs_fresh, 2))
+        .set("grid_ttfa_wall_speedup_vs_full_k", fixed(ttfa_speedup, 2))
+        .set("grid_ttfa_wall_speedup_vs_scan_ttfa", fixed(scan_ttfa_vs_grid, 2))
+        .set("scan_first_answer_blocks", pb.blocks_first)
+        .set("before", Json::Raw(BEFORE));
+    // Asserted above on grid_mem, grid_file and signature_mem alike.
+    report.counter_gate("grid_first_answer_block_reduction", "> 1", "first answer < full top-k");
+    report.counter_gate("grid_extension_vs_fresh_blocks", "> 1", "extend_k < fresh top-(k+delta)");
+    report.write();
+    std::fs::remove_file(&s.path).ok();
 }
 
 criterion_group!(benches, bench_progressive);

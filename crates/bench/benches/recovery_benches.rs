@@ -17,22 +17,22 @@
 //!
 //! Reader throughput and tail latency during the commits are recorded in
 //! the JSON for trend tracking; they are wall-clock numbers and carry no
-//! hard gate (`RCUBE_BENCH_SOFT` exists for the other suites' clock
-//! gates — this one never asserts on the clock).
+//! gate.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rcube_core::maintain::apply_path_updates;
-use rcube_core::query::{Query, RankedSource};
+use rcube_bench::{
+    answers, fixed, maintain_and_commit, percentile, reader_queries, render, save_signature_cube,
+    BenchReport, Obj,
+};
+use rcube_core::query::RankedSource;
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
-use rcube_func::Linear;
 use rcube_index::rtree::{RTree, RTreeConfig};
 use rcube_storage::{DiskSim, FileBackend, PageStore};
 use rcube_table::gen::SyntheticSpec;
-use rcube_table::Relation;
 
 const PAGE: usize = 4096;
 const POOL: usize = 4096;
@@ -45,30 +45,7 @@ const CARDINALITY: u32 = 32;
 const BASE: usize = 9_960;
 const TOTAL: usize = 10_000;
 const ROUNDS: usize = 5;
-
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("rcube_recovery_bench_{tag}_{}", std::process::id()));
-    p
-}
-
-fn render(items: &[(u32, f64)]) -> String {
-    items.iter().map(|(t, s)| format!("{t}:{:016x}", s.to_bits())).collect::<Vec<_>>().join(",")
-}
-
-fn workload() -> Vec<(Vec<(usize, u32)>, usize)> {
-    vec![(vec![(0, 1)], 10), (vec![(1, 2)], 8), (vec![(0, 0), (1, 1)], 10), (vec![(2, 3)], 5)]
-}
-
-fn answers(cube: &SignatureCube, rtree: &RTree, disk: &DiskSim) -> Vec<String> {
-    workload()
-        .into_iter()
-        .map(|(conds, k)| {
-            let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
-            render(&cube.source(rtree, disk).query(&q.plan()).unwrap().items)
-        })
-        .collect()
-}
+const CONFIG: SignatureCubeConfig = SignatureCubeConfig { alpha: 0.05, cuboids: None };
 
 /// Opens the cube file writable over a *typed* backend handle, so the
 /// raw `pages_written` counter stays readable next to the store.
@@ -78,54 +55,19 @@ fn open_writable_counted(path: &Path) -> (Arc<FileBackend>, PageStore) {
     (fb, store)
 }
 
-/// One maintenance round over an open store: R-tree inserts for tuples
-/// `from..to`, COW cell patches, one generational commit.
-fn maintain_and_commit(store: PageStore, rel: &Relation, from: usize, to: usize) -> u64 {
-    let (mut cube, mut rtree) = SignatureCube::open_store(store).expect("decode catalog");
-    let disk = DiskSim::with_defaults();
-    for tid in from..to {
-        let updates = rtree.insert(&disk, tid as u32, rel.ranking_point(tid as u32));
-        apply_path_updates(
-            &mut cube,
-            &updates,
-            |t| (0..rel.schema().num_selection()).map(|d| rel.selection_value(t, d)).collect(),
-            &disk,
-        )
-        .expect("apply path updates");
-    }
-    cube.commit(&rtree).expect("patch commit")
-}
-
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx] as f64 / 1_000.0
-}
-
 fn main() {
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let rel =
         SyntheticSpec { tuples: TOTAL, cardinality: CARDINALITY, ..Default::default() }.generate();
     let base_rel = rel.prefix(BASE);
     let disk = DiskSim::with_defaults();
-    let rtree = RTree::over_relation(&disk, &base_rel, &[], RTreeConfig::small(16));
-    let cube = SignatureCube::build(
-        &base_rel,
-        &rtree,
-        &disk,
-        SignatureCubeConfig { alpha: 0.05, ..Default::default() },
-    );
-    let base_path = temp_path("base");
-    cube.save_to_with(&rtree, &base_path, PAGE, POOL).expect("save base cube");
-    drop((cube, rtree));
+    let base_path = rcube_bench::temp_path("recovery", "base");
+    save_signature_cube(&base_rel, CONFIG, &disk, &base_path);
 
     // --- Patch commit vs full rematerialize (hard counter gate) ---------
     // One maintenance batch (the first ROUNDS-th of the delta) published
     // as a COW patch commit, page writes counted at the raw I/O boundary.
     let step = (TOTAL - BASE) / ROUNDS;
-    let patch_path = temp_path("patch");
+    let patch_path = rcube_bench::temp_path("recovery", "patch");
     std::fs::copy(&base_path, &patch_path).expect("copy base file");
     let (patch_fb, patch_store) = open_writable_counted(&patch_path);
     maintain_and_commit(patch_store, &rel, BASE, BASE + step);
@@ -139,17 +81,11 @@ fn main() {
     // Rematerializing the same post-patch state from scratch: every
     // partial plus the catalog goes through the page-write path.
     let gate_rel = rel.prefix(BASE + step);
-    let full_path = temp_path("full");
+    let full_path = rcube_bench::temp_path("recovery", "full");
     let full_rtree = RTree::over_relation(&disk, &gate_rel, &[], RTreeConfig::small(16));
     let full_fb = Arc::new(FileBackend::create(&full_path, PAGE, POOL).expect("create"));
     let full_store = PageStore::with_backend(Arc::clone(&full_fb) as _);
-    let full_cube = SignatureCube::build_in(
-        &gate_rel,
-        &full_rtree,
-        &disk,
-        SignatureCubeConfig { alpha: 0.05, ..Default::default() },
-        full_store,
-    );
+    let full_cube = SignatureCube::build_in(&gate_rel, &full_rtree, &disk, CONFIG, full_store);
     full_cube.commit(&full_rtree).expect("full commit");
     let pages_full = full_fb.pages_written();
     drop((full_cube, full_fb));
@@ -167,7 +103,7 @@ fn main() {
     // --- Eight pinned readers racing a committing writer ----------------
     // Serial twin of the commit storm first: the deterministic reference
     // for the answers the raced file must converge to.
-    let twin_path = temp_path("twin");
+    let twin_path = rcube_bench::temp_path("recovery", "twin");
     std::fs::copy(&base_path, &twin_path).expect("copy base file");
     for r in 0..ROUNDS {
         let (_fb, store) = open_writable_counted(&twin_path);
@@ -179,7 +115,7 @@ fn main() {
         answers(&cube, &rtree, &disk)
     };
 
-    let race_path = temp_path("race");
+    let race_path = rcube_bench::temp_path("recovery", "race");
     std::fs::copy(&base_path, &race_path).expect("copy base file");
     let (ans_a, gen_a) = {
         let (cube, rtree) = SignatureCube::open_from_with(&race_path, POOL).expect("open");
@@ -205,16 +141,16 @@ fn main() {
                 let (cube, rtree) = opened.expect("reader open");
                 assert_eq!(cube.store().generation(), Some(gen_a), "reader must pin base gen");
                 let disk = DiskSim::with_defaults();
+                let workload = reader_queries();
                 let mut local = Vec::new();
                 while !done.load(Ordering::Acquire) {
-                    for (i, (conds, k)) in workload().into_iter().enumerate() {
+                    for (q, want) in workload.iter().zip(ans_a) {
                         let t0 = Instant::now();
-                        let q = Query::select(conds).rank(Linear::uniform(2)).top(k);
                         let got =
                             render(&cube.source(&rtree, &disk).query(&q.plan()).unwrap().items);
                         local.push(t0.elapsed().as_nanos() as u64);
                         queries.fetch_add(1, Ordering::Relaxed);
-                        if got != ans_a[i] {
+                        if got != *want {
                             inconsistent.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -240,8 +176,8 @@ fn main() {
     let total_queries = queries.load(Ordering::Relaxed);
     let bad = inconsistent.load(Ordering::Relaxed);
     let qps = total_queries as f64 / elapsed;
-    latencies.sort_unstable();
-    let (p50, p99) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
+    let mut latency_us = |q| percentile(&mut latencies, q).map_or(0.0, |ns| ns as f64 / 1e3);
+    let (p50, p99) = (latency_us(0.50), latency_us(0.99));
     println!(
         "recovery: {READERS} pinned readers sustained {qps:.0} queries/sec during {ROUNDS} \
          commits (p50 {p50:.1}us, p99 {p99:.1}us, {bad} inconsistent answers)"
@@ -261,25 +197,18 @@ fn main() {
     drop((cube, rtree));
 
     // --- BENCH_recovery.json --------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"recovery\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str(&format!("  \"readers\": {READERS},\n  \"commits_during_window\": {ROUNDS},\n"));
-    json.push_str(&format!(
-        "  \"reader_qps\": {qps:.1},\n  \"latency_us\": {{ \"p50\": {p50:.1}, \"p99\": {p99:.1} \
-         }},\n"
-    ));
-    json.push_str(&format!("  \"inconsistent_answers\": {bad},\n"));
-    json.push_str(&format!(
-        "  \"pages_patch_commit\": {pages_patch},\n  \"pages_full_rematerialize\": {pages_full},\n"
-    ));
-    json.push_str(&format!(
-        "  \"write_reduction\": {:.2},\n  \"reclaimable_after_patch\": {reclaimable}\n}}\n",
-        pages_full as f64 / pages_patch.max(1) as f64
-    ));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    std::fs::write(path, &json).expect("write BENCH_recovery.json");
-    println!("wrote {path}");
+    let mut report = BenchReport::new("recovery");
+    report
+        .set("readers", READERS)
+        .set("commits_during_window", ROUNDS)
+        .set("reader_qps", fixed(qps, 1))
+        .set("latency_us", Obj::new().with("p50", fixed(p50, 1)).with("p99", fixed(p99, 1)))
+        .set("inconsistent_answers", bad)
+        .set("pages_patch_commit", pages_patch)
+        .set("pages_full_rematerialize", pages_full)
+        .set("write_reduction", fixed(pages_full as f64 / pages_patch.max(1) as f64, 2))
+        .set("reclaimable_after_patch", reclaimable);
+    report.write();
 
     for p in [&base_path, &patch_path, &full_path, &twin_path, &race_path] {
         std::fs::remove_file(p).ok();

@@ -15,18 +15,15 @@
 //!     identical per-shard pulls/answers/blocks (pulls are a pure
 //!     function of the consumed-answer sequence, not thread timing).
 //! * **Throughput scaling** (wall-clock): aggregate queries/sec at 1, 2
-//!   and 4 shards on the parallel batch path. The 4-shard gate
-//!   (≥ 2.5× one shard) is enforced hard only on machines with ≥ 4
-//!   hardware threads and `RCUBE_BENCH_SOFT` unset — elsewhere it is
-//!   recorded and downgraded to a warning, like every wall-clock gate
-//!   in this repo.
+//!   and 4 shards on the parallel batch path. The 4-shard gate (≥ 2.5×
+//!   one shard) is a clock gate with a floor of 4 hardware threads.
 
 use std::time::{Duration, Instant};
 
+use rcube_bench::{fixed, query_of, BenchReport, Bound, Json, Obj};
 use rcube_core::query::{Query, RankedSource};
 use rcube_core::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
 use rcube_core::{GridCubeConfig, GridRankingCube};
-use rcube_func::Linear;
 use rcube_storage::DiskSim;
 use rcube_table::workload::QuerySpec;
 
@@ -45,12 +42,6 @@ const BEFORE: &str = r#"{
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const QUERIES: usize = 12;
 
-fn query_of(spec: &QuerySpec) -> Query {
-    Query::select(spec.selection.conds().to_vec())
-        .rank_on(spec.ranking_dims.clone(), Linear::new(spec.weights.clone()))
-        .top(spec.k)
-}
-
 struct Setup {
     unsharded: GridRankingCube,
     disk: DiskSim,
@@ -64,7 +55,7 @@ fn setup() -> Setup {
     // Zipf-skewed mix: hot selection values recur, like real workloads.
     let queries = rcube_bench::zipf_query_batch(&rel, 2, 2, 10, 3.0, 1.1, QUERIES, 42);
 
-    let dir = std::env::temp_dir().join(format!("rcube_shard_bench_{}", std::process::id()));
+    let dir = rcube_bench::temp_path("shard", "sets");
     std::fs::create_dir_all(&dir).expect("create bench temp dir");
 
     let gcfg = GridCubeConfig { block_size: 300, ..Default::default() };
@@ -110,8 +101,6 @@ fn measure_qps(cube: &ShardedCube, queries: &[Query], window: Duration) -> f64 {
 
 #[allow(clippy::needless_range_loop)]
 fn main() {
-    let soft = std::env::var_os("RCUBE_BENCH_SOFT").is_some();
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let s = setup();
     let queries: Vec<Query> = s.queries.iter().map(query_of).collect();
 
@@ -193,54 +182,29 @@ fn main() {
     let qps_1 = qps.iter().find(|(n, _)| *n == 1).unwrap().1;
     let qps_4 = qps.iter().find(|(n, _)| *n == 4).unwrap().1;
     let scaling_4s = qps_4 / qps_1.max(f64::MIN_POSITIVE);
-    let enforce = !soft && hardware >= 4;
-    println!(
-        "shard: 4-shard scaling {scaling_4s:.2}x vs one shard \
-         ({hardware} hardware threads, gate {})",
-        if enforce { "hard" } else { "soft" }
-    );
-    if enforce {
-        assert!(
-            scaling_4s >= 2.5,
-            "4-shard aggregate throughput must be >= 2.5x one shard, got {scaling_4s:.2}x"
-        );
-    } else if scaling_4s < 2.5 {
-        eprintln!(
-            "WARNING: 4-shard scaling {scaling_4s:.2}x below the 2.5x target \
-             (soft: {hardware} hardware threads{})",
-            if soft { ", RCUBE_BENCH_SOFT" } else { "" }
-        );
-    }
 
     // --- BENCH_shard.json -------------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"shard\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str(&format!(
-        "  \"tuples\": {TUPLES},\n  \"queries\": {QUERIES},\n  \"query_mix\": \"zipf(1.1)\",\n"
-    ));
-    json.push_str("  \"aggregate_qps\": {\n");
-    for (i, (n, v)) in qps.iter().enumerate() {
-        let sep = if i + 1 == qps.len() { "" } else { "," };
-        json.push_str(&format!("    \"s{n}\": {v:.1}{sep}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"scaling_4s_vs_1s\": {scaling_4s:.2},\n  \"target_scaling_4s_min\": 2.5,\n  \
-         \"scaling_gate_enforced\": {enforce},\n"
-    ));
-    json.push_str(&format!(
-        "  \"counters\": {{ \"merged_identical_to_unsharded\": true, \
-         \"par_query_identical_to_unsharded\": true, \
-         \"max_per_shard_pull_slack\": {max_pull_slack}, \
-         \"pull_slack_bound\": 1, \
-         \"per_shard_io_deterministic\": true, \
-         \"sample_query_blocks_4s\": {merged_blocks_4s} }},\n  \"before\": {BEFORE}\n}}\n"
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
-    std::fs::write(path, &json).expect("write BENCH_shard.json");
-    println!("wrote {path}");
+    let mut report = BenchReport::new("shard");
+    report.clock_gate("scaling_4s_vs_1s", scaling_4s, Bound::Min(2.5), Some(4));
+    let counters = Obj::new()
+        .with("merged_identical_to_unsharded", true)
+        .with("par_query_identical_to_unsharded", true)
+        .with("max_per_shard_pull_slack", max_pull_slack)
+        .with("per_shard_io_deterministic", true)
+        .with("sample_query_blocks_4s", merged_blocks_4s);
+    report
+        .set("tuples", TUPLES)
+        .set("queries", QUERIES)
+        .set("query_mix", "zipf(1.1)")
+        .set(
+            "aggregate_qps",
+            qps.iter().fold(Obj::lines(), |o, (n, v)| o.with(format!("s{n}"), fixed(*v, 1))),
+        )
+        .set("scaling_4s_vs_1s", fixed(scaling_4s, 2))
+        .set("counters", counters)
+        .set("before", Json::Raw(BEFORE));
+    report.counter_gate("counters.max_per_shard_pull_slack", "<= 1", "pulls <= answers + 1");
+    report.write();
 
     std::fs::remove_dir_all(&s.dir).ok();
 }

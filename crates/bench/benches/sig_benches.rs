@@ -24,6 +24,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rcube_baseline::TableScan;
+use rcube_bench::{fixed, BenchReport, Bound, Obj};
 use rcube_core::query::{Query, RankedSource};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
 use rcube_func::Linear;
@@ -57,8 +58,7 @@ fn setup() -> Setup {
         &disk,
         SignatureCubeConfig { alpha: 0.02, ..Default::default() },
     );
-    let mut path = std::env::temp_dir();
-    path.push(format!("rcube_sig_bench_{}", std::process::id()));
+    let path = rcube_bench::temp_path("sig", "cube");
     cube.save_to(&rtree, &path).expect("save signature cube");
     let (mut file_cube, file_rtree) =
         SignatureCube::open_from(&path).expect("reopen signature cube");
@@ -110,7 +110,7 @@ fn bench_sigcube(c: &mut Criterion) {
     let s = setup();
 
     // --- Deterministic counters (run once, asserted hard) ---------------
-    let mut counter_lines = Vec::new();
+    let mut counters = Vec::new();
     let mut worst_load_ratio = f64::INFINITY;
     let mut worst_byte_ratio = f64::INFINITY;
     for case in workload() {
@@ -165,19 +165,22 @@ fn bench_sigcube(c: &mut Criterion) {
             case.pop_time_sig_loads,
             if lazy.stats.sig_loads > case.pop_time_sig_loads { " — ROSE" } else { "" }
         );
-        counter_lines.push(format!(
-            "  \"counters_{label}\": {{ \"sig_loads_lazy\": {}, \"sig_loads_eager\": {}, \"bytes_decoded_lazy\": {}, \"bytes_decoded_eager\": {}, \"load_reduction\": {load_ratio:.2}, \"bytes_reduction\": {byte_ratio:.2}, \"states_generated\": {}, \"peak_heap\": {}, \"pop_time\": {{ \"states_generated\": {}, \"peak_heap\": {}, \"sig_loads_lazy\": {}, \"bytes_decoded_lazy\": {} }} }}",
-            lazy.stats.sig_loads,
-            eager_loads,
-            lazy.stats.sig_bytes_decoded,
-            eager_bytes,
-            lazy.stats.states_generated,
-            lazy.stats.peak_heap,
-            case.pop_time_states_generated,
-            case.pop_time_peak_heap,
-            case.pop_time_sig_loads,
-            case.pop_time_bytes_decoded
-        ));
+        let pop_time = Obj::new()
+            .with("states_generated", case.pop_time_states_generated)
+            .with("peak_heap", case.pop_time_peak_heap)
+            .with("sig_loads_lazy", case.pop_time_sig_loads)
+            .with("bytes_decoded_lazy", case.pop_time_bytes_decoded);
+        let measured = Obj::new()
+            .with("sig_loads_lazy", lazy.stats.sig_loads)
+            .with("sig_loads_eager", eager_loads)
+            .with("bytes_decoded_lazy", lazy.stats.sig_bytes_decoded)
+            .with("bytes_decoded_eager", eager_bytes)
+            .with("load_reduction", fixed(load_ratio, 2))
+            .with("bytes_reduction", fixed(byte_ratio, 2))
+            .with("states_generated", lazy.stats.states_generated)
+            .with("peak_heap", lazy.stats.peak_heap)
+            .with("pop_time", pop_time);
+        counters.push((format!("counters_{label}"), measured));
         // The file-backed cube must show the same profile.
         let flazy = s.file_cube.source(&s.file_rtree, &s.file_disk).query(&q.plan()).unwrap();
         assert_eq!(flazy.items, lazy.items, "{label}: file-backed != in-memory answers");
@@ -214,53 +217,26 @@ fn bench_sigcube(c: &mut Criterion) {
     }
     g.finish();
 
-    emit_json(c, &counter_lines, worst_load_ratio, worst_byte_ratio);
-    std::fs::remove_file(&s.path).ok();
-}
-
-fn emit_json(c: &mut Criterion, counters: &[String], load_ratio: f64, byte_ratio: f64) {
-    let ms = c.measurements().to_vec();
-    let find = |id: &str| ms.iter().find(|m| m.id == id).map(|m| m.mean_ns);
-    let ratio = |num: &str, den: &str| match (find(num), find(den)) {
-        (Some(n), Some(d)) if d > 0.0 => n / d,
-        _ => 0.0,
-    };
-    let warm_penalty = ratio("sigcube_query/file_warm_lazy/sel2", "sigcube_query/inmem_lazy/sel2");
-
-    let mut json = String::from("{\n  \"bench\": \"sigcube\",\n  \"unit\": \"ns_per_iter\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str("  \"results\": {\n");
-    for (i, m) in ms.iter().enumerate() {
-        let sep = if i + 1 == ms.len() { "" } else { "," };
-        json.push_str(&format!("    \"{}\": {:.1}{}\n", m.id, m.mean_ns, sep));
-    }
-    json.push_str("  },\n");
-    for line in counters {
-        json.push_str(line);
-        json.push_str(",\n");
-    }
-    json.push_str(&format!(
-        "  \"sig_load_reduction_lazy_vs_eager\": {load_ratio:.2},\n  \"bytes_decoded_reduction_lazy_vs_eager\": {byte_ratio:.2},\n  \"file_warm_penalty_vs_inmem_lazy\": {warm_penalty:.2},\n  \"target_bytes_reduction_min\": 2.0\n}}\n"
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sigcube.json");
-    std::fs::write(path, &json).expect("write BENCH_sigcube.json");
-    println!("wrote {path}");
+    let results = c.measurements().iter().map(|m| (m.id.as_str(), m.mean_ns));
+    let mut report = BenchReport::criterion("sigcube", results);
+    let warm_penalty =
+        report.ratio("sigcube_query/file_warm_lazy/sel2", "sigcube_query/inmem_lazy/sel2");
     println!(
-        "sigcube: loads {load_ratio:.2}x fewer, bytes {byte_ratio:.2}x fewer, warm file {warm_penalty:.2}x inmem"
+        "sigcube: loads {worst_load_ratio:.2}x fewer, bytes {worst_byte_ratio:.2}x fewer, warm file {warm_penalty:.2}x inmem"
     );
-    // Wall-clock gate, soft on CI (RCUBE_BENCH_SOFT=1): warm file-backed
-    // lazy queries should stay within 3x of in-memory lazy ones.
-    if std::env::var_os("RCUBE_BENCH_SOFT").is_some() {
-        if warm_penalty > 3.0 {
-            eprintln!("WARNING: warm file penalty {warm_penalty:.2}x above the 3x target");
-        }
-    } else {
-        assert!(
-            warm_penalty <= 3.0,
-            "warm file-backed lazy queries must stay within 3x of in-memory, got {warm_penalty:.2}x"
-        );
+    for (key, measured) in counters {
+        report.set(&key, measured);
     }
+    report
+        .set("sig_load_reduction_lazy_vs_eager", fixed(worst_load_ratio, 2))
+        .set("bytes_decoded_reduction_lazy_vs_eager", fixed(worst_byte_ratio, 2))
+        .set("file_warm_penalty_vs_inmem_lazy", fixed(warm_penalty, 2));
+    report.counter_gate("bytes_decoded_reduction_lazy_vs_eager", ">= 2.0", "worst query");
+    // Warm file-backed lazy queries should stay within 3x of in-memory
+    // lazy ones.
+    report.clock_gate("file_warm_penalty_vs_inmem_lazy", warm_penalty, Bound::Max(3.0), Some(1));
+    report.write();
+    std::fs::remove_file(&s.path).ok();
 }
 
 criterion_group!(benches, bench_sigcube);

@@ -15,6 +15,7 @@
 //! emitter read at the parent commit on the same box.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use rcube_bench::{fixed, BenchReport, Bound, Json};
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
 use rcube_core::query::{Query, RankedSource};
 use rcube_func::Linear;
@@ -57,8 +58,7 @@ fn setup() -> Setup {
         &disk,
         GridCubeConfig { block_size: 300, ..Default::default() },
     );
-    let mut path = std::env::temp_dir();
-    path.push(format!("rcube_storage_bench_{}", std::process::id()));
+    let path = rcube_bench::temp_path("storage", "cube");
     mem_cube.save_to(&path).expect("save cube file");
     let file_cube = GridRankingCube::open_from(&path).expect("reopen cube file");
     Setup { mem_cube, file_cube, path }
@@ -104,7 +104,6 @@ fn bench_backends(c: &mut Criterion) {
     std::fs::remove_file(&s.path).ok();
 
     bench_page_floor(c);
-    // Emit BENCH_storage.json from both groups' measurements.
     emit_json(c);
 }
 
@@ -114,8 +113,7 @@ fn bench_page_floor(c: &mut Criterion) {
     let page: Vec<u8> = (0..DEFAULT_PAGE_SIZE).map(|i| (i * 31 % 251) as u8).collect();
     g.bench_function("checksum", |b| b.iter(|| crc32(black_box(&page[4..]))));
 
-    let mut path = std::env::temp_dir();
-    path.push(format!("rcube_storage_bench_pages_{}", std::process::id()));
+    let path = rcube_bench::temp_path("storage", "pages");
     let disk = DiskSim::with_defaults();
     let ids: Vec<PageId> = {
         let store = PageStore::create_file(&path, DEFAULT_PAGE_SIZE, 0).expect("create page file");
@@ -139,57 +137,34 @@ fn bench_page_floor(c: &mut Criterion) {
 }
 
 fn emit_json(c: &mut Criterion) {
-    let ms = c.measurements().to_vec();
-    let find = |id: &str| ms.iter().find(|m| m.id == id).map(|m| m.mean_ns);
-    let ratio = |num: &str, den: &str| match (find(num), find(den)) {
-        (Some(n), Some(d)) if d > 0.0 => n / d,
-        _ => 0.0,
-    };
-    let cold_penalty = ratio("storage_query/file_cold/sel1", "storage_query/inmem/sel1");
-    let warm_penalty = ratio("storage_query/file_warm/sel1", "storage_query/inmem/sel1");
-    let pool_speedup = ratio("storage_query/file_cold/sel1", "storage_query/file_warm/sel1");
-    let checksum_ns = find("storage_page/checksum").unwrap_or(0.0);
+    let results = c.measurements().iter().map(|m| (m.id.as_str(), m.mean_ns));
+    let mut report = BenchReport::criterion("storage", results);
+    let cold_penalty = report.ratio("storage_query/file_cold/sel1", "storage_query/inmem/sel1");
+    let warm_penalty = report.ratio("storage_query/file_warm/sel1", "storage_query/inmem/sel1");
+    let pool_speedup = report.ratio("storage_query/file_cold/sel1", "storage_query/file_warm/sel1");
+    let checksum_ns = report.result("storage_page/checksum").unwrap_or(0.0);
     // bytes/ns × 1000 = MB/s (10^6 bytes).
     let checksum_mb_s = (DEFAULT_PAGE_SIZE - 4) as f64 / checksum_ns.max(f64::MIN_POSITIVE) * 1e3;
-    let miss_ns = find("storage_page/file_miss_batch").unwrap_or(0.0) / MISS_OBJECTS as f64;
-
-    let mut json = String::from("{\n  \"bench\": \"storage\",\n  \"unit\": \"ns_per_iter\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str("  \"results\": {\n");
-    for (i, m) in ms.iter().enumerate() {
-        let sep = if i + 1 == ms.len() { "" } else { "," };
-        json.push_str(&format!("    \"{}\": {:.1}{}\n", m.id, m.mean_ns, sep));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"checksum_ns_per_page\": {checksum_ns:.1},\n  \"checksum_mb_per_s\": {checksum_mb_s:.0},\n  \"file_miss_ns\": {miss_ns:.1},\n"
-    ));
-    json.push_str(&format!(
-        "  \"cold_open_penalty_vs_inmem\": {cold_penalty:.2},\n  \"warm_pool_penalty_vs_inmem\": {warm_penalty:.2},\n  \"buffer_pool_speedup_cold_to_warm\": {pool_speedup:.2},\n  \"target_warm_penalty_max\": 3.0,\n"
-    ));
-    json.push_str(&format!("  \"before\": {BEFORE}\n}}\n"));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_storage.json");
-    std::fs::write(path, &json).expect("write BENCH_storage.json");
-    println!("wrote {path}");
+    let miss_ns =
+        report.result("storage_page/file_miss_batch").unwrap_or(0.0) / MISS_OBJECTS as f64;
     println!(
         "storage: cold {cold_penalty:.2}x inmem, warm {warm_penalty:.2}x inmem, pool speedup {pool_speedup:.2}x"
     );
     println!(
         "storage: checksum {checksum_ns:.0} ns/page ({checksum_mb_s:.0} MB/s), file miss {miss_ns:.0} ns"
     );
-    // Wall-clock gate, soft on CI (RCUBE_BENCH_SOFT=1): a warm buffer
-    // pool must keep file-backed serving within 3x of in-memory.
-    if std::env::var_os("RCUBE_BENCH_SOFT").is_some() {
-        if warm_penalty > 3.0 {
-            eprintln!("WARNING: warm-pool penalty {warm_penalty:.2}x above the 3x target");
-        }
-    } else {
-        assert!(
-            warm_penalty <= 3.0,
-            "warm file-backed queries must stay within 3x of in-memory, got {warm_penalty:.2}x"
-        );
-    }
+    report
+        .set("checksum_ns_per_page", fixed(checksum_ns, 1))
+        .set("checksum_mb_per_s", fixed(checksum_mb_s, 0))
+        .set("file_miss_ns", fixed(miss_ns, 1))
+        .set("cold_open_penalty_vs_inmem", fixed(cold_penalty, 2))
+        .set("warm_pool_penalty_vs_inmem", fixed(warm_penalty, 2))
+        .set("buffer_pool_speedup_cold_to_warm", fixed(pool_speedup, 2))
+        .set("before", Json::Raw(BEFORE));
+    // A warm buffer pool must keep file-backed serving within 3x of
+    // in-memory.
+    report.clock_gate("warm_pool_penalty_vs_inmem", warm_penalty, Bound::Max(3.0), Some(1));
+    report.write();
 }
 
 criterion_group!(benches, bench_backends);

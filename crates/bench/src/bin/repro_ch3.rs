@@ -4,7 +4,8 @@
 
 use rcube_baseline::{BooleanFirst, RankMapping};
 use rcube_bench::{
-    base_tuples, cost_ms, print_figure, query_batch, synthetic, time_ms, Series, QUERIES_PER_POINT,
+    base_tuples, cost_ms, print_figure, query_batch, query_of, synthetic, time_ms, Series,
+    QUERIES_PER_POINT,
 };
 use rcube_core::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
 use rcube_core::query::{Query, RankedSource};
@@ -39,13 +40,6 @@ fn setup(rel: Relation, block: usize, cuboids: CuboidSpec) -> Setup {
 
 fn default_setup(tuples: usize) -> Setup {
     setup(synthetic(tuples, 3, 20, 2, DataDist::Uniform, 11), 300, CuboidSpec::AllSubsets)
-}
-
-/// The generated query as the one every source takes.
-fn query_of(q: &QuerySpec) -> Query {
-    Query::select(q.selection.conds().to_vec())
-        .rank_on(q.ranking_dims.clone(), Linear::new(q.weights.clone()))
-        .top(q.k)
 }
 
 /// A ranking-fragments cube (Section 3.4): fragments of size `f`, `P` = 300.

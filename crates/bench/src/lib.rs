@@ -9,12 +9,21 @@
 //! target is the *shape* — who wins, by roughly what factor, and where
 //! crossovers fall.
 
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use rcube_storage::IoSnapshot;
+use rcube_core::maintain::apply_path_updates;
+use rcube_core::query::{Query, RankedSource};
+use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
+use rcube_func::Linear;
+use rcube_index::rtree::{RTree, RTreeConfig};
+use rcube_storage::{DiskSim, IoSnapshot, PageStore};
 use rcube_table::gen::{DataDist, SyntheticSpec};
 use rcube_table::workload::{QueryGen, QuerySpec, WorkloadParams, ZipfQueryGen};
-use rcube_table::Relation;
+use rcube_table::{Relation, Tid};
+
+pub mod report;
+pub use report::{fixed, BenchReport, Bound, Json, Obj};
 
 /// Global scale knob: data sizes multiply by `RCUBE_SCALE` (default 1.0).
 pub fn scale() -> f64 {
@@ -49,20 +58,6 @@ pub const RANDOM_MS: f64 = 0.2;
 /// Total modeled milliseconds for a run: CPU + charged I/O.
 pub fn cost_ms(cpu_ms: f64, io: IoSnapshot) -> f64 {
     cpu_ms + io.disk_reads as f64 * READ_MS + io.random_accesses as f64 * RANDOM_MS
-}
-
-/// The `"bench_env"` JSON block every `BENCH_*.json` emitter embeds
-/// (hardware threads, simulated page size, build profile), so archived
-/// artifacts from different machines and build modes stay comparable.
-/// Splice it right after the opening `"bench"` line; it ends with `,\n`.
-pub fn bench_env_json() -> String {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-    format!(
-        "  \"bench_env\": {{ \"hardware_threads\": {threads}, \"page_size_bytes\": {}, \
-         \"build_profile\": \"{profile}\" }},\n",
-        rcube_storage::DEFAULT_PAGE_SIZE
-    )
 }
 
 /// A measurement series: named method → one value per x point.
@@ -151,6 +146,77 @@ pub fn zipf_query_batch(
     qg.batch(rel, n)
 }
 
+/// The generated query as the one every source takes.
+pub fn query_of(spec: &QuerySpec) -> Query {
+    Query::select(spec.selection.conds().to_vec())
+        .rank_on(spec.ranking_dims.clone(), Linear::new(spec.weights.clone()))
+        .top(spec.k)
+}
+
+/// A scratch path in the temp dir, unique to this bench, tag and process.
+pub fn temp_path(bench: &str, tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("rcube_{bench}_bench_{tag}_{}", std::process::id()))
+}
+
+/// An answer as comparable text: each tid with its score's bit pattern.
+pub fn render(items: &[(Tid, f64)]) -> String {
+    items.iter().map(|(t, s)| format!("{t}:{:016x}", s.to_bits())).collect::<Vec<_>>().join(",")
+}
+
+/// The four queries the pinned-reader benches (recovery, maintenance)
+/// serve while a writer commits underneath them.
+pub fn reader_queries() -> Vec<Query> {
+    [(vec![(0, 1)], 10), (vec![(1, 2)], 8), (vec![(0, 0), (1, 1)], 10), (vec![(2, 3)], 5)]
+        .into_iter()
+        .map(|(conds, k)| Query::select(conds).rank(Linear::uniform(2)).top(k))
+        .collect()
+}
+
+/// [`render`]ed answers to [`reader_queries`] on a signature cube.
+pub fn answers(cube: &SignatureCube, rtree: &RTree, disk: &DiskSim) -> Vec<String> {
+    let source = cube.source(rtree, disk);
+    reader_queries()
+        .iter()
+        .map(|q| render(&source.query(&q.plan()).expect("query").items))
+        .collect()
+}
+
+/// Builds a signature cube over `rel` (R-tree fanout 16, nodes charged to
+/// `disk`) and saves it, R-tree included, as a cube file at `path`.
+pub fn save_signature_cube(
+    rel: &Relation,
+    config: SignatureCubeConfig,
+    disk: &DiskSim,
+    path: &Path,
+) {
+    let rtree = RTree::over_relation(disk, rel, &[], RTreeConfig::small(16));
+    let cube = SignatureCube::build(rel, &rtree, disk, config);
+    cube.save_to(&rtree, path).expect("save signature cube");
+}
+
+/// One maintenance round over a writable store: R-tree inserts of tuples
+/// `from..to` of `rel`, COW cell patches, one generational commit. The
+/// store (and its writer lock) is dropped on return.
+pub fn maintain_and_commit(store: PageStore, rel: &Relation, from: usize, to: usize) {
+    let (mut cube, mut rtree) = SignatureCube::open_store(store).expect("decode catalog");
+    let disk = DiskSim::with_defaults();
+    for tid in from as Tid..to as Tid {
+        let updates = rtree.insert(&disk, tid, rel.ranking_point(tid));
+        let sel =
+            |t| (0..rel.schema().num_selection()).map(|d| rel.selection_value(t, d)).collect();
+        apply_path_updates(&mut cube, &updates, sel, &disk).expect("apply path updates");
+    }
+    cube.commit(&rtree).expect("patch commit");
+}
+
+/// The `q`-quantile of `samples` by nearest rank, `round((n − 1)·q)`;
+/// sorts `samples`. `None` when there are none.
+pub fn percentile(samples: &mut [u64], q: f64) -> Option<u64> {
+    samples.sort_unstable();
+    let last = samples.len().checked_sub(1)?;
+    Some(samples[(last as f64 * q).round() as usize])
+}
+
 /// One reproducible figure: its id and the closure that regenerates it.
 pub type Figure<'a> = (&'a str, Box<dyn FnMut() + 'a>);
 
@@ -198,12 +264,32 @@ mod tests {
 
     #[test]
     fn bench_env_block_is_well_formed() {
-        let block = bench_env_json();
-        assert!(block.starts_with("  \"bench_env\": {"));
-        assert!(block.ends_with(",\n"));
-        assert!(block.contains("\"hardware_threads\":"));
-        assert!(block.contains("\"page_size_bytes\": 4096"));
-        assert!(block.contains("\"build_profile\":"));
+        let text = BenchReport::new("x").render();
+        let env = text.lines().nth(2).expect("bench_env follows bench");
+        assert!(env.starts_with("  \"bench_env\": { \"hardware_threads\": "), "{env}");
+        assert!(
+            env.ends_with(", \"page_size_bytes\": 4096, \"build_profile\": \"release\" },")
+                || env.ends_with(", \"page_size_bytes\": 4096, \"build_profile\": \"debug\" },")
+        );
+        assert!(text.starts_with("{\n  \"bench\": \"x\",\n"));
+    }
+
+    #[test]
+    fn percentile_takes_the_nearest_rank() {
+        assert_eq!(percentile(&mut [4, 1, 3, 2], 0.5), Some(3));
+        assert_eq!(percentile(&mut [5, 1, 3], 0.5), Some(3));
+        let mut hundred: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(percentile(&mut hundred, 0.99), Some(99));
+        assert_eq!(
+            (percentile(&mut hundred, 0.0), percentile(&mut hundred, 1.0)),
+            (Some(1), Some(100))
+        );
+        assert_eq!(percentile(&mut [], 0.5), None);
+        // The old `v[n / 2]` median picks the same sample at every length.
+        for n in 1..=9u64 {
+            let mut v: Vec<u64> = (0..n).collect();
+            assert_eq!(percentile(&mut v, 0.5), Some(n / 2));
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 # `#[cfg(test)]` that is followed by a `mod`, blank lines and `//` comment
 # lines (doc comments included) not counted. Prints one total per crate, the
 # `crates/core/src + src/` figure ROADMAP item 6 tracks, and the workspace
-# total with and without `crates/bench`. Run from anywhere inside the
-# repository; pass a directory to count another checkout.
+# total with and without `crates/bench`. A last row counts the bench targets
+# (`crates/bench/benches`) by the same rule; no total above includes them.
+# Run from anywhere inside the repository; pass a directory to count
+# another checkout.
 set -eu
 cd "${1:-$(dirname "$0")/..}"
 
@@ -32,3 +34,4 @@ done
 printf '%-22s %6d\n' 'crates/core/src + src' "$(count crates/core/src src)"
 printf '%-22s %6d\n' 'all but crates/bench' "$((all - bench))"
 printf '%-22s %6d\n' 'all' "$all"
+printf '%-22s %6d\n' 'crates/bench/benches' "$(count crates/bench/benches)"
