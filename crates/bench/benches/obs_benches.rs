@@ -11,10 +11,11 @@
 //!   same scores down to the f64 bit pattern. Instrumentation must
 //!   never perturb the result.
 //! * **counter_parity** (hard, deterministic): the registry's per-route
-//!   query counters and histogram sums reconcile exactly with the
-//!   `QueryStats` the cursors themselves reported (`query.<r>.count`
-//!   totals the queries; `query.<r>.blocks_read` / `.tuples_scored`
-//!   histogram sums equal the accumulated per-query stats).
+//!   query counters and histogram sums, over every route in `Route::ALL`,
+//!   reconcile exactly with the `QueryStats` the cursors themselves
+//!   reported (`query.<r>.count` totals the queries;
+//!   `query.<r>.blocks_read` / `.tuples_scored` histogram sums equal the
+//!   accumulated per-query stats).
 //! * **overhead_pct ≤ 5** (wall-clock): the instrumented engine's
 //!   workload time stays within 5% of the uninstrumented one, a clock
 //!   gate under the rule of `rcube_bench::report`.
@@ -25,8 +26,6 @@ use ranking_cube::obs::Metrics;
 use ranking_cube::prelude::*;
 use rcube_bench::{fixed, BenchReport, Bound, Obj};
 use rcube_core::gridcube::GridCubeConfig;
-use rcube_core::sigcube::SignatureCubeConfig;
-use rcube_index::rtree::RTreeConfig;
 use rcube_table::gen::DataDist;
 
 const TUPLES: usize = 4_000;
@@ -39,11 +38,10 @@ fn build_engine(metrics: Metrics) -> Engine {
     let rel = rcube_bench::synthetic(TUPLES, 3, 8, 2, DataDist::Uniform, SEED);
     Engine::with_disk_and_metrics(rel, DiskSim::with_defaults(), metrics)
         .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() })
-        .with_signature_cube(RTreeConfig::small(16), SignatureCubeConfig::default())
 }
 
-/// The mixed workload: grid-covered point selections, roll-ups, and a
-/// narrow-rank query that exercises the signature/scan side.
+/// The mixed workload: point selections, roll-ups and a rank on one
+/// dimension — all covered by the grid cube.
 fn workload() -> Vec<Query> {
     let mut queries = Vec::new();
     for v0 in 0..8u32 {
@@ -85,21 +83,19 @@ fn main() {
     // --- Gate 2: counter parity with QueryStats -------------------------
     // The warm-up pass above ran every query once on each engine.
     let snap = instrumented.metrics().snapshot();
-    let count_total: u64 = [Route::Grid, Route::Signature, Route::Scan]
+    let count_total: u64 = Route::ALL
         .iter()
         .filter_map(|r| snap.histogram(&format!("query.{}.latency_us", r.name())))
         .map(|h| h.count)
         .sum();
-    let counter_total: u64 = [Route::Grid, Route::Signature, Route::Scan]
-        .iter()
-        .filter_map(|r| snap.counter(&format!("query.{}.count", r.name())))
-        .sum();
-    let blocks_total: u64 = [Route::Grid, Route::Signature, Route::Scan]
+    let counter_total: u64 =
+        Route::ALL.iter().filter_map(|r| snap.counter(&format!("query.{}.count", r.name()))).sum();
+    let blocks_total: u64 = Route::ALL
         .iter()
         .filter_map(|r| snap.histogram(&format!("query.{}.blocks_read", r.name())))
         .map(|h| h.sum)
         .sum();
-    let tuples_total: u64 = [Route::Grid, Route::Signature, Route::Scan]
+    let tuples_total: u64 = Route::ALL
         .iter()
         .filter_map(|r| snap.histogram(&format!("query.{}.tuples_scored", r.name())))
         .map(|h| h.sum)

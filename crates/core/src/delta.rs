@@ -225,9 +225,10 @@ pub struct DeltaOptions {
     pub pool_pages: usize,
     /// Metric registry the delta instruments land in.
     pub metrics: Metrics,
-    /// Crash-point script armed on WAL appends (write-level) and the
-    /// flush boundaries (page writes + swap stages). `None` in
-    /// production.
+    /// Fault script armed on WAL appends (write-level), the flush
+    /// boundaries (page writes + swap stages) and the reads of every handle
+    /// on the cube file, the serving generations' included (transient
+    /// `EIO`, sticky bit flips). `None` in production.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -599,6 +600,20 @@ struct BaseHandle {
     published: Option<FileStamp>,
 }
 
+impl BaseHandle {
+    /// Parses the newest generation of the file at `path` into a serving
+    /// handle — `SignatureCube::open_store`, the one catalog parse — over a
+    /// read-only store under `opts` (its fault plan included). The handle
+    /// starts a fresh node cache; it and the pool report as `signature.*`.
+    fn open(path: &Path, opts: FileOptions, metrics: &Metrics) -> Result<Self, StorageError> {
+        let store = PageStore::with_backend(Arc::new(FileBackend::open_with(path, opts)?));
+        let (mut cube, rtree) = SignatureCube::open_store(store)?;
+        cube.set_metrics(metrics.clone());
+        let generation = cube.store().generation().unwrap_or(0);
+        Ok(Self { cube, rtree, generation, published: None })
+    }
+}
+
 /// Generations one chain node holds. Every query finds the newest one by
 /// walking the chain, so the walk has to stay short: one hop per
 /// generation read 13 ns a hop — 5 µs an open, twice a query (routing asks
@@ -775,13 +790,9 @@ impl DeltaCube {
     ) -> Result<Self, StorageError> {
         let path = path.as_ref().to_path_buf();
         let wal_path = wal_path_for(&path);
-        let (mut cube, rtree) = SignatureCube::open_from_with(&path, opts.pool_pages)?;
-        // What queries read — this generation's pool and the node cache of
-        // the lineage it starts — is the `signature.*` series.
-        cube.set_metrics(opts.metrics.clone());
-        let generation = cube.store().generation().unwrap_or(0);
+        let file_opts = FileOptions { pool_pages: opts.pool_pages, faults: opts.faults.clone() };
         let head = GenNode::new();
-        let opened = BaseHandle { cube, rtree, generation, published: None };
+        let opened = BaseHandle::open(&path, file_opts, &opts.metrics)?;
         assert!(head.handles[0].set(opened).is_ok(), "a new chain node is empty");
 
         // Replay (or create) the WAL.
@@ -894,6 +905,12 @@ impl DeltaCube {
         self.current().generation
     }
 
+    /// The base cube new cursors read: the serving generation, with its
+    /// buffer pool and the node cache of its lineage.
+    pub fn serving_cube(&self) -> &SignatureCube {
+        &self.current().cube
+    }
+
     /// The most recent flush cycles, one `delta.flush` event each, oldest
     /// first: its duration, and as fields the generation it published,
     /// the five phase times (`open_us` … `swap_us`), what the fold touched
@@ -945,6 +962,29 @@ impl DeltaCube {
         }
         assert!(node.handles[at % GEN_CHUNK].set(handle).is_ok(), "one writer appends");
         self.generations.store(at as u64 + 1, Ordering::Release);
+    }
+
+    /// Serves the file now under [`Self::path`] from the next query on:
+    /// what follows a vacuum that swapped a compacted file in (the
+    /// maintenance scheduler calls it after each vacuum it completes). A
+    /// flush would elect the new file too, but an idle delta runs none.
+    /// The generation is parsed off the file, so the next flush takes the
+    /// cold path; the superseded one keeps its pinned cursors, minus its
+    /// pool frames and node tables, whose page ids name the old file.
+    pub(crate) fn reelect(&self) -> Result<(), StorageError> {
+        let _writer = self.writer.lock().expect("no append or flush panicked holding the writer");
+        let next = BaseHandle::open(&self.path, self.file_options(), &self.metrics)?;
+        let serving = self.current();
+        self.push_generation(next);
+        serving.cube.store().clear_cache();
+        serving.cube.node_cache().clear();
+        Ok(())
+    }
+
+    /// How every handle on the cube file opens: the serving pool size and
+    /// the fault plan.
+    fn file_options(&self) -> FileOptions {
+        FileOptions { pool_pages: self.pool_pages, faults: self.faults.clone() }
     }
 
     /// True when the merged view can answer the plan — delegated to the
@@ -1118,9 +1158,10 @@ impl DeltaCube {
         //    directory and R-tree *are* the stored catalog: clone them (one
         //    pointer per R-tree node) instead of parsing it, and write
         //    through its node cache, staging what the fold hands over.
-        let opts = FileOptions { pool_pages: self.pool_pages, faults: self.faults.clone() };
-        let store =
-            PageStore::with_backend(Arc::new(FileBackend::open_writable_with(&self.path, opts)?));
+        let store = PageStore::with_backend(Arc::new(FileBackend::open_writable_with(
+            &self.path,
+            self.file_options(),
+        )?));
         // The fold's own partial reads, apart from what queries read
         // (attachment is once per store: `set_metrics` below leaves it).
         store.attach_metrics(&self.metrics, "delta.flush");
@@ -1163,7 +1204,10 @@ impl DeltaCube {
         //    just committed. Everything that can fail on the way to the
         //    swap fails here, before the WAL moves. (Dropping the writable
         //    store inside `move_onto` releases the lock.)
-        let read_store = PageStore::open_file(&self.path, self.pool_pages)?;
+        let read_store = PageStore::with_backend(Arc::new(FileBackend::open_with(
+            &self.path,
+            self.file_options(),
+        )?));
         let mut next = match (committed, read_store.file_stamp()) {
             (Some(committed), Some(reopened)) if committed.same_publication(&reopened) => {
                 BaseHandle {
@@ -2418,6 +2462,40 @@ mod tests {
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         assert_eq!(delta.last_replay().pending, 5);
         assert_answers_like_rebuilt(&delta, &full.prefix(385), "reopened");
+        drop(delta);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn an_idle_delta_reelects_the_vacuumed_file() {
+        let full = SyntheticSpec { tuples: 330, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("reelect");
+        build_base(&base, &path);
+        let delta = DeltaCube::open(&path, base, DeltaOptions::default()).unwrap();
+        assert_eq!(ingest_and_flush(&delta, &full, 300..310), 1);
+        assert_eq!(ingest_and_flush(&delta, &full, 310..320), 0);
+        let answers = served_answers(&delta);
+        let q = &fold_queries()[3];
+        let mut pinned = delta.source().open(&q.plan()).unwrap();
+        let head = pinned.next().unwrap();
+        let old = delta.current();
+
+        let config =
+            crate::MaintenanceConfig { page_size: 512, pool_pages: 64, ..Default::default() };
+        crate::vacuum_into_place(&path, &config, &Metrics::disabled(), None).unwrap();
+        delta.reelect().unwrap();
+        let sb = FileBackend::peek_superblock(&path).unwrap();
+        assert_eq!((delta.serving_generation(), sb.retired_pages), (sb.generation, 0));
+        assert_eq!(delta.serving_cube().store().reclaimable_pages(), 0, "the compacted file");
+        assert_eq!(old.cube.node_cache().stats().entries, 0, "the old file's tables let go");
+        let mut rest = vec![head];
+        rest.extend(pinned.by_ref());
+        assert_eq!(render(&rest), answers[3], "a cursor pinned before the vacuum drains as it was");
+        assert_eq!(served_answers(&delta), answers);
+        assert_eq!(ingest_and_flush(&delta, &full, 320..330), 1, "parsed off the file: cold");
+        assert_answers_like_rebuilt(&delta, &full, "after the re-election");
+        drop(pinned);
         drop(delta);
         cleanup(&path);
     }

@@ -14,10 +14,13 @@
 //!   rename only unlinks the *name*: their descriptors keep the retired
 //!   inode byte-identical until their cursors drain, while every open
 //!   after the swap elects the compacted file.
-//! * [`MaintenanceScheduler`] runs those cycles on a background thread
+//! * [`MaintenanceScheduler`] serves one [`DeltaCube`] from a background
+//!   thread — the daemon the `Engine` facade starts via
+//!   `start_maintenance`. It folds the memtable into the cube file once
+//!   its depth crosses one watermark, and runs those vacuum cycles
 //!   whenever the persisted retired-page count (superblock field,
-//!   surviving restarts) crosses a configurable watermark — the daemon
-//!   the `Engine` facade starts via `start_maintenance`.
+//!   surviving restarts) crosses another; after each vacuum the delta
+//!   re-elects the compacted file, so an idle delta serves it too.
 //!
 //! Writers are excluded for the whole swap window by the advisory lock
 //! file; a concurrent writer (or second scheduler) observes a typed
@@ -36,6 +39,7 @@ use rcube_obs::Metrics;
 use rcube_storage::{FaultPlan, FileBackend, FileOptions, StorageError, WriterLock};
 use rcube_storage::{SwapStage, DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES};
 
+use crate::delta::DeltaCube;
 use crate::sigcube::SignatureCube;
 
 /// Knobs for one maintenance daemon (and for manual vacuum cycles).
@@ -52,10 +56,9 @@ pub struct MaintenanceConfig {
     pub page_size: usize,
     /// Buffer-pool capacity for the vacuum's read-only source handle.
     pub pool_pages: usize,
-    /// Memtable-depth watermark for delta-aware schedulers
-    /// ([`MaintenanceScheduler::start_with_delta`]): a poll that sees
-    /// this many pending ops triggers a flush/merge cycle. Ignored by
-    /// vacuum-only schedulers.
+    /// Memtable-depth watermark: a poll that sees this many pending ops
+    /// in the scheduler's delta cube triggers a flush/merge cycle.
+    /// Ignored by a manual [`vacuum_into_place`].
     pub flush_watermark_ops: u64,
 }
 
@@ -163,11 +166,12 @@ struct SchedulerState {
     last_error: Mutex<Option<String>>,
 }
 
-/// The background maintenance daemon: polls the target file's persisted
-/// retired-page count and runs [`vacuum_into_place`] past the
-/// watermark. One scheduler per cube file; stop (or drop) joins the
-/// thread. Lock contention with a writer is expected steady-state
-/// behavior — the vacuum yields and the next poll retries.
+/// The background maintenance daemon of one [`DeltaCube`]: polls its
+/// memtable depth and flushes past one watermark, polls its file's
+/// persisted retired-page count and runs [`vacuum_into_place`] past the
+/// other. One scheduler per cube file; stop (or drop) joins the thread.
+/// Lock contention with a writer is expected steady-state behavior — the
+/// cycle yields and the next poll retries.
 #[derive(Debug)]
 pub struct MaintenanceScheduler {
     stop: Arc<AtomicBool>,
@@ -195,39 +199,18 @@ impl SchedulerState {
 }
 
 impl MaintenanceScheduler {
-    /// Starts the daemon for the cube file at `path`. Vacuum activity is
-    /// recorded into `metrics` (`maintenance.vacuums`,
-    /// `maintenance.pages_reclaimed`, `maintenance.vacuum_duration_us`,
-    /// `maintenance.lock_contention`).
-    pub fn start(path: impl Into<PathBuf>, config: MaintenanceConfig, metrics: Metrics) -> Self {
-        Self::spawn(path.into(), config, metrics, None)
-    }
-
-    /// Starts a delta-aware daemon: on top of the vacuum watermark, each
-    /// poll checks the [`DeltaCube`](crate::delta::DeltaCube)'s memtable
-    /// depth and runs a flush/merge cycle once it reaches
-    /// `config.flush_watermark_ops` — the LSM background-merge half of
-    /// ingest-while-serving. Flush lock contention (e.g. with a
-    /// concurrent vacuum of the same file) is counted and retried on a
-    /// later poll, exactly like vacuum contention.
-    pub fn start_with_delta(
-        path: impl Into<PathBuf>,
-        config: MaintenanceConfig,
-        metrics: Metrics,
-        delta: Arc<crate::delta::DeltaCube>,
-    ) -> Self {
-        Self::spawn(path.into(), config, metrics, Some(delta))
-    }
-
-    /// The one poll loop behind both constructors: flush the delta cube
-    /// (when there is one) past its watermark, then vacuum the file past
-    /// its own, then sleep out the poll interval.
-    fn spawn(
-        path: PathBuf,
-        config: MaintenanceConfig,
-        metrics: Metrics,
-        delta: Option<Arc<crate::delta::DeltaCube>>,
-    ) -> Self {
+    /// Starts the daemon for `delta` and the cube file it wraps. Each
+    /// poll flushes the memtable once its depth reaches
+    /// `config.flush_watermark_ops` (the LSM background merge), then
+    /// vacuums the file once its retired pages reach
+    /// `config.watermark_pages` and has the delta re-elect the compacted
+    /// file, then sleeps out the poll interval. Lock contention between
+    /// the two (or with another writer) is counted and retried on a later
+    /// poll. Vacuum activity is recorded into `metrics`
+    /// (`maintenance.vacuums`, `maintenance.pages_reclaimed`,
+    /// `maintenance.vacuum_duration_us`, `maintenance.lock_contention`).
+    pub fn start(config: MaintenanceConfig, metrics: Metrics, delta: Arc<DeltaCube>) -> Self {
+        let path = delta.path().to_path_buf();
         let stop = Arc::new(AtomicBool::new(false));
         let state = Arc::new(SchedulerState::default());
         let (t_stop, t_state) = (Arc::clone(&stop), Arc::clone(&state));
@@ -235,18 +218,18 @@ impl MaintenanceScheduler {
             .name("rcube-maintenance".into())
             .spawn(move || {
                 while !t_stop.load(Ordering::SeqCst) {
-                    if let Some(delta) = &delta {
-                        if delta.memtable_len() as u64 >= config.flush_watermark_ops {
-                            t_state.book(delta.flush(), |_| {
-                                t_state.flushes.fetch_add(1, Ordering::SeqCst);
-                            });
-                        }
+                    if delta.memtable_len() as u64 >= config.flush_watermark_ops {
+                        t_state.book(delta.flush(), |_| {
+                            t_state.flushes.fetch_add(1, Ordering::SeqCst);
+                        });
                     }
                     // A missing or torn target has nothing to vacuum.
                     let due = FileBackend::peek_superblock(&path)
                         .is_ok_and(|sb| sb.retired_pages >= config.watermark_pages);
                     if due {
-                        t_state.book(vacuum_into_place(&path, &config, &metrics, None), |report| {
+                        let cycle = vacuum_into_place(&path, &config, &metrics, None)
+                            .and_then(|report| delta.reelect().map(|()| report));
+                        t_state.book(cycle, |report| {
                             t_state.vacuums.fetch_add(1, Ordering::SeqCst);
                             t_state
                                 .pages_reclaimed
@@ -271,8 +254,8 @@ impl MaintenanceScheduler {
         self.state.vacuums.load(Ordering::SeqCst)
     }
 
-    /// Delta flush/merge cycles completed since start (delta-aware
-    /// schedulers only; always zero for [`MaintenanceScheduler::start`]).
+    /// Flush/merge cycles the daemon ran since start (flushes the delta's
+    /// other callers ran are in `DeltaCube::flushes_completed`).
     pub fn flushes_completed(&self) -> u64 {
         self.state.flushes.load(Ordering::SeqCst)
     }
@@ -287,7 +270,8 @@ impl MaintenanceScheduler {
         self.state.lock_conflicts.load(Ordering::SeqCst)
     }
 
-    /// Vacuum cycles that failed for a reason other than lock contention.
+    /// Cycles (flush, or vacuum and re-election) that failed for a reason
+    /// other than lock contention.
     pub fn errors(&self) -> u64 {
         self.state.errors.load(Ordering::SeqCst)
     }

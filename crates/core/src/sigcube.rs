@@ -1389,9 +1389,9 @@ impl SignatureCube {
     }
 
     /// Decodes the catalog of an already-opened store into a queryable
-    /// `(SignatureCube, RTree)` pair — the entry point for stores over
-    /// custom backends (e.g. a `rcube_storage::FaultBackend` wrapping a
-    /// cube file in degradation tests).
+    /// `(SignatureCube, RTree)` pair — the entry point for stores opened
+    /// with explicit `FileOptions` (e.g. a `FaultPlan` attached in
+    /// crash and degradation tests).
     pub fn open_store(store: PageStore) -> Result<(Self, RTree), StorageError> {
         Self::from_store(store)
     }

@@ -269,7 +269,6 @@ pub trait PageBackend: Send + Sync + std::fmt::Debug {
 
     /// Mirrors backend activity (buffer pool, fault injections) into
     /// `metrics` under `{prefix}.…` series. Default: nothing to observe.
-    /// Wrappers ([`crate::FaultBackend`]) forward to the inner backend.
     fn attach_metrics(&self, metrics: &rcube_obs::Metrics, prefix: &str) {
         let _ = (metrics, prefix);
     }

@@ -1,19 +1,16 @@
 //! Deterministic fault injection for crash-safety and degradation tests.
 //!
-//! Two layers, matching the two places real systems fail:
-//!
-//! * [`FaultPlan`] — a *media* plan shared with a [`crate::FileBackend`]
-//!   through `FileOptions::faults`. It scripts faults at
-//!   the raw page-I/O boundary: crash after the Nth page write (torn
-//!   prefix or fully dropped — everything after the crash point silently
-//!   fails to persist, like a kernel losing its dirty pages), `ENOSPC`
-//!   on a scripted write, transient `EIO` on reads, and sticky bit flips
-//!   applied to read buffers (media corruption without rewriting the
-//!   file).
-//! * [`FaultBackend`] — an *object-level* [`PageBackend`] wrapper for
-//!   engine-degradation tests: scripted transient errors on the next N
-//!   `get`s and permanently poisoned objects that always fail their
-//!   checksum, with every other call forwarded untouched.
+//! One layer, at the place real systems fail: a [`FaultPlan`] is a
+//! *media* plan shared with a [`crate::FileBackend`] through
+//! `FileOptions::faults` (and with a delta cube's every handle through
+//! `DeltaOptions::faults`). It scripts faults at the raw page-I/O
+//! boundary: crash after the Nth page write (torn prefix or fully
+//! dropped — everything after the crash point silently fails to persist,
+//! like a kernel losing its dirty pages), `ENOSPC` on a scripted write,
+//! transient `EIO` on reads, and sticky bit flips applied to read buffers
+//! (media corruption without rewriting the file) — the last two are what
+//! the engine's retry and quarantine tests drive, and [`FaultPlan::heal`]
+//! lifts them.
 //!
 //! Everything is driven by explicit scripts (atomics set by the test),
 //! so a failing run replays exactly. The crash model preserves program
@@ -21,15 +18,10 @@
 //! the guarantee `fsync` + a single-disk crash gives, and the one the
 //! double-superblock commit protocol is designed for.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rcube_obs::{Counter, Metrics};
-
-use crate::backend::{PageBackend, StorageError};
-use crate::buffer::PoolStats;
-use crate::disk::{DiskSim, PageId};
 
 /// How the crash point mangles the page write it lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,6 +132,13 @@ impl FaultPlan {
     /// the byte XORed with `mask`.
     pub fn corrupt_byte(&self, offset: u64, mask: u8) {
         self.corruption.lock().unwrap().push((offset, mask));
+    }
+
+    /// Clears the read faults: pending transient `EIO`s and every sticky
+    /// corruption — the media is healthy again.
+    pub fn heal(&self) {
+        self.transient_reads.store(0, Ordering::SeqCst);
+        self.corruption.lock().unwrap().clear();
     }
 
     /// Arm a crash at one vacuum-swap boundary: the process "dies"
@@ -270,161 +269,9 @@ impl FaultPlan {
     }
 }
 
-/// Object-level fault wrapper: forwards every [`PageBackend`] call to the
-/// inner backend, injecting scripted failures on `get` (see module docs).
-#[derive(Debug)]
-pub struct FaultBackend {
-    inner: Arc<dyn PageBackend>,
-    /// Remaining `get`s to fail with a transient error.
-    transient_gets: AtomicU64,
-    /// Objects whose `get`/`peek` permanently fails a checksum.
-    poisoned: Mutex<HashSet<u64>>,
-    /// Live fault-trip counters (attached via `PageBackend::attach_metrics`).
-    metrics: OnceLock<FaultMetricSet>,
-}
-
-impl FaultBackend {
-    pub fn new(inner: Arc<dyn PageBackend>) -> Arc<Self> {
-        Arc::new(Self {
-            inner,
-            transient_gets: AtomicU64::new(0),
-            poisoned: Mutex::new(HashSet::new()),
-            metrics: OnceLock::new(),
-        })
-    }
-
-    /// Fail the next `n` object reads with a transient I/O error.
-    pub fn fail_next_gets(&self, n: u64) {
-        self.transient_gets.store(n, Ordering::SeqCst);
-    }
-
-    /// Permanently poison the object rooted at `first`: every read
-    /// reports a checksum mismatch, as if its pages were flipped on disk.
-    pub fn poison(&self, first: PageId) {
-        self.poisoned.lock().unwrap().insert(first.0);
-    }
-
-    /// Clear all scripted faults.
-    pub fn heal(&self) {
-        self.transient_gets.store(0, Ordering::SeqCst);
-        self.poisoned.lock().unwrap().clear();
-    }
-
-    fn check_read(&self, first: PageId) -> Result<(), StorageError> {
-        if self.poisoned.lock().unwrap().contains(&first.0) {
-            if let Some(ms) = self.metrics.get() {
-                ms.read_trips.inc();
-            }
-            return Err(StorageError::ChecksumMismatch { page: first.0 });
-        }
-        let mut remaining = self.transient_gets.load(Ordering::SeqCst);
-        while remaining > 0 {
-            match self.transient_gets.compare_exchange(
-                remaining,
-                remaining - 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    if let Some(ms) = self.metrics.get() {
-                        ms.read_trips.inc();
-                    }
-                    return Err(StorageError::Io(std::io::Error::new(
-                        std::io::ErrorKind::Interrupted,
-                        "injected transient get failure",
-                    )));
-                }
-                Err(seen) => remaining = seen,
-            }
-        }
-        Ok(())
-    }
-}
-
-impl PageBackend for FaultBackend {
-    fn put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
-        self.inner.put_shared(disk, data)
-    }
-
-    fn overwrite(&self, disk: &DiskSim, first: PageId, data: Vec<u8>) -> Result<(), StorageError> {
-        self.inner.overwrite(disk, first, data)
-    }
-
-    fn get(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError> {
-        self.check_read(first)?;
-        self.inner.get(disk, first)
-    }
-
-    fn peek(&self, first: PageId) -> Result<Arc<[u8]>, StorageError> {
-        self.check_read(first)?;
-        self.inner.peek(first)
-    }
-
-    fn size_of(&self, first: PageId) -> Option<usize> {
-        self.inner.size_of(first)
-    }
-
-    fn total_bytes(&self) -> usize {
-        self.inner.total_bytes()
-    }
-
-    fn object_count(&self) -> usize {
-        self.inner.object_count()
-    }
-
-    fn clear_cache(&self) {
-        self.inner.clear_cache()
-    }
-
-    fn flush(&self) -> Result<(), StorageError> {
-        self.inner.flush()
-    }
-
-    fn read_only(&self) -> bool {
-        self.inner.read_only()
-    }
-
-    fn catalog(&self) -> Option<PageId> {
-        self.inner.catalog()
-    }
-
-    fn set_catalog(&self, first: PageId) -> Result<(), StorageError> {
-        self.inner.set_catalog(first)
-    }
-
-    fn put_catalog(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
-        self.inner.put_catalog(disk, data)
-    }
-
-    fn pool_stats(&self) -> Option<PoolStats> {
-        self.inner.pool_stats()
-    }
-
-    fn generation(&self) -> Option<u64> {
-        self.inner.generation()
-    }
-
-    fn retire(&self, first: PageId) -> Result<(), StorageError> {
-        self.inner.retire(first)
-    }
-
-    fn reclaimable_pages(&self) -> u64 {
-        self.inner.reclaimable_pages()
-    }
-
-    fn attach_metrics(&self, metrics: &Metrics, prefix: &str) {
-        let _ = self.metrics.set(FaultMetricSet {
-            write_trips: metrics.counter(&format!("{prefix}.fault.write_trips")),
-            read_trips: metrics.counter(&format!("{prefix}.fault.read_trips")),
-        });
-        self.inner.attach_metrics(metrics, prefix);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemBackend;
 
     #[test]
     fn write_script_crashes_then_drops() {
@@ -458,6 +305,11 @@ mod tests {
         assert!(plan.on_read(0, &mut buf).is_err());
         plan.on_read(0, &mut buf).unwrap();
         assert_eq!(plan.reads_observed(), 3);
+        plan.fail_next_reads(1);
+        plan.heal();
+        let mut clean = vec![0u8; 100];
+        plan.on_read(100, &mut clean).unwrap();
+        assert_eq!(clean[5], 0, "healed: neither the flip nor the EIO is left");
     }
 
     #[test]
@@ -475,21 +327,5 @@ mod tests {
         plan.crash_at_swap(SwapStage::LockRelease);
         assert!(plan.lock_release_crashes());
         assert!(plan.crashed());
-    }
-
-    #[test]
-    fn fault_backend_scripts_transient_and_poisoned_gets() {
-        let disk = DiskSim::with_defaults();
-        let be = FaultBackend::new(Arc::new(MemBackend::new()));
-        let a = be.put(&disk, vec![1u8; 50]).unwrap();
-        let b = be.put(&disk, vec![2u8; 50]).unwrap();
-        be.fail_next_gets(1);
-        let err = be.get(&disk, a).unwrap_err();
-        assert!(err.is_transient());
-        assert_eq!(&be.get(&disk, a).unwrap()[..], &[1u8; 50][..]);
-        be.poison(b);
-        assert!(matches!(be.get(&disk, b), Err(StorageError::ChecksumMismatch { .. })));
-        be.heal();
-        assert_eq!(&be.get(&disk, b).unwrap()[..], &[2u8; 50][..]);
     }
 }

@@ -43,7 +43,7 @@ pub use buffer::{
     BufferPool, LruBuffer, PoolShardStats, PoolStats, StripedLruBuffer, DEFAULT_POOL_SHARDS,
 };
 pub use disk::{DiskSim, PageId, PageStore};
-pub use fault::{CrashMode, FaultBackend, FaultPlan, SwapStage, WriteOutcome};
+pub use fault::{CrashMode, FaultPlan, SwapStage, WriteOutcome};
 pub use file::{FileBackend, FileOptions, DEFAULT_POOL_PAGES};
 pub use format::{ByteReader, ByteWriter};
 pub use lock::{lock_path_for, WriterLock};

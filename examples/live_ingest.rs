@@ -101,13 +101,15 @@ fn main() {
     // writes into the base past the watermark — ingest keeps serving the
     // same answers straight through the fold and generation swap.
     let served = engine.query(&probe);
-    let daemon = engine.start_maintenance_with_delta(MaintenanceConfig {
-        flush_watermark_ops: 16,
-        poll_interval: Duration::from_millis(10),
-        page_size: PAGE,
-        pool_pages: 256,
-        ..MaintenanceConfig::default()
-    });
+    let daemon = engine
+        .start_maintenance(MaintenanceConfig {
+            flush_watermark_ops: 16,
+            poll_interval: Duration::from_millis(10),
+            page_size: PAGE,
+            pool_pages: 256,
+            ..MaintenanceConfig::default()
+        })
+        .expect("a delta cube is registered");
     while daemon.flushes_completed() == 0 {
         assert_eq!(engine.query(&probe).items, served.items, "answers never waver mid-flush");
     }

@@ -1,16 +1,18 @@
 //! The maintenance daemon end to end: COW commits retire pages, the
 //! watermark scheduler vacuums the cube file into a sibling temp file
 //! and publishes it by atomic rename — while a pinned reader keeps
-//! answering from the old inode — then the engine re-elects the
-//! compacted file. Plus the guard rails: a second writer is refused
-//! with a typed error, and a dead writer's stale lock is taken over.
+//! answering from the old inode — then the engine's delta cube re-elects
+//! the compacted file on its own. Plus the guard rails: a second writer is
+//! refused with a typed error, and a dead writer's stale lock is taken over.
 //!
 //! ```sh
 //! cargo run --release --example live_vacuum
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use ranking_cube::cube::delta::wal_path_for;
 use ranking_cube::cube::maintain::apply_path_updates;
 use ranking_cube::prelude::*;
 use ranking_cube::storage::{lock_path_for, FileBackend, StorageError};
@@ -77,27 +79,29 @@ fn main() {
         bytes_before / 1024
     );
 
-    // The engine serves the file while the maintenance daemon watches
-    // the persisted retired-page count and vacuums past the watermark:
-    // compact into `<path>.vacuum`, fsync, rename over the live name.
-    let (ecube, ertree) = SignatureCube::open_from(&path).expect("engine open");
-    let mut engine = Engine::new(full.prefix(full.len())).with_prebuilt_signature(ertree, ecube);
+    // The engine serves the file through a delta cube while its
+    // maintenance daemon watches the persisted retired-page count and
+    // vacuums past the watermark: compact into `<path>.vacuum`, fsync,
+    // rename over the live name.
+    let opts = DeltaOptions { pool_pages: 256, ..DeltaOptions::default() };
+    let delta = Arc::new(DeltaCube::open(&path, full.clone(), opts).expect("delta open"));
+    let engine = Engine::new(full).with_delta(Arc::clone(&delta));
     let query = Query::select([(0usize, 1u32)]).rank(Linear::uniform(2)).top(8);
     let served = engine.query(&query);
+    let generation = delta.serving_generation();
 
-    let daemon = engine.start_maintenance(
-        &path,
-        MaintenanceConfig {
+    let daemon = engine
+        .start_maintenance(MaintenanceConfig {
             watermark_pages: 1,
             poll_interval: Duration::from_millis(20),
             page_size: PAGE,
             pool_pages: 256,
             ..MaintenanceConfig::default()
-        },
-    );
+        })
+        .expect("a delta cube is registered");
     while daemon.vacuums_completed() == 0 {
-        // The engine's pinned handle rides the old inode through the
-        // swap: answers never waver mid-vacuum.
+        // Queries opened before the swap ride the old inode through it:
+        // answers never waver mid-vacuum.
         assert_eq!(engine.query(&query).items, served.items);
     }
     println!(
@@ -116,7 +120,7 @@ fn main() {
     drop((pinned, pinned_rtree));
 
     // Fresh elections see the compacted file: zero retired pages, same
-    // answers, smaller file. The engine re-elects it with a handle swap.
+    // answers, smaller file. The daemon had the delta re-elect it.
     let sb = FileBackend::peek_superblock(&path).expect("peek compacted");
     let bytes_after = std::fs::metadata(&path).expect("stat").len();
     println!(
@@ -126,9 +130,14 @@ fn main() {
         bytes_after / 1024,
         bytes_before / 1024
     );
-    engine.refresh_signature_from(&path, 256).expect("re-elect compacted file");
+    assert_eq!(delta.serving_generation(), sb.generation);
     assert_eq!(engine.query(&query).items, served.items, "vacuum must be answer-neutral");
-    println!("engine re-elected the compacted file: {}", render(&served.items));
+    println!(
+        "engine serves the compacted file (generation {generation} -> {}): {}",
+        sb.generation,
+        render(&served.items)
+    );
+    drop((engine, delta));
 
     // Crash-legacy housekeeping: a lock file left by a dead process is
     // classified stale by the liveness probe and taken over.
@@ -138,4 +147,5 @@ fn main() {
     drop(takeover);
 
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(wal_path_for(&path)).ok();
 }

@@ -13,29 +13,17 @@ use ranking_cube::prelude::*;
 use ranking_cube::table::gen::SyntheticSpec;
 
 fn main() {
-    // A synthetic relation served by a grid cube (covering ranking dims
-    // {0, 1}) and a signature cube; ranking dim 2 is left uncovered on
-    // purpose so one query later must fall back to the table scan.
+    // A synthetic relation served by a grid cube covering ranking dims
+    // {0, 1}; ranking dim 2 is left uncovered on purpose so one query
+    // later must fall back to the table scan.
     let relation =
         SyntheticSpec { tuples: 5_000, cardinality: 6, ranking_dims: 3, ..Default::default() }
             .generate();
-    // The signature cube's R-tree is pinned to ranking dims {0, 1} so
-    // dim 2 really is uncovered by every cube.
-    let disk = DiskSim::with_defaults();
-    let rtree = RTree::over_relation(&disk, &relation, &[0, 1], RTreeConfig::small(16));
-    let sig = ranking_cube::cube::sigcube::SignatureCube::build(
-        &relation,
-        &rtree,
-        &disk,
-        SignatureCubeConfig::default(),
-    );
-    let engine = Engine::with_disk(relation, disk)
-        .with_grid_cube(GridCubeConfig {
-            block_size: 64,
-            ranking_dims: vec![0, 1],
-            ..Default::default()
-        })
-        .with_prebuilt_signature(rtree, sig);
+    let engine = Engine::new(relation).with_grid_cube(GridCubeConfig {
+        block_size: 64,
+        ranking_dims: vec![0, 1],
+        ..Default::default()
+    });
 
     // Everything below the threshold is business as usual; the log only
     // keeps what crosses it. Zero captures every query so the demo is
@@ -66,7 +54,7 @@ fn main() {
     println!("{report}");
 
     // --- The cold scan-path query -----------------------------------------
-    // Ranking on dimension 2 is covered by neither cube: the router has
+    // Ranking on dimension 2 is not covered by the cube: the router has
     // to take the always-applicable table scan, which reads the whole
     // selection — exactly the kind of query a slow log should surface.
     let cold = Query::select([(0, 1)]).rank_on(vec![2], Linear::uniform(1)).top(10);

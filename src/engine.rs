@@ -8,19 +8,21 @@
 //! [`Engine::query`] for a batch answer). Routing is a static preference
 //! order over the paths that can answer the plan:
 //!
-//! 1. **Delta cube** — the LSM ingest-while-serving layer
-//!    (`rcube_core::delta`): base cube + in-memory overlay of pending
-//!    writes, preferred when registered because it is the only route
-//!    that sees un-flushed inserts/deletes ([`Engine::insert`] /
-//!    [`Engine::delete`]);
+//! 1. **Delta cube** — the signature cube of Chapter 4 (hierarchical
+//!    partition + top-down search) served from its file through the LSM
+//!    ingest-while-serving layer (`rcube_core::delta`): base cube +
+//!    in-memory overlay of pending writes. It is the one way a signature
+//!    cube is registered — with nothing pending it answers what the base
+//!    alone would — and it is preferred because it is the only route that
+//!    sees un-flushed inserts/deletes ([`Engine::insert`] /
+//!    [`Engine::delete`]): every other cube goes stale at the first write;
 //! 2. **Partitioned cube set** — tid-range shards merged by the
 //!    bound-driven scatter-gather cursor (`rcube_core::shard`), preferred
 //!    over single cubes because its shards pull in parallel;
 //! 3. **Grid ranking cube** — covering cuboids over the selection, the
 //!    paper's primary engine (materialized in full or as the linear-space
 //!    ranking fragments of Section 3.4: a `CuboidSpec`, not a route);
-//! 4. **Signature cube** — hierarchical partition + top-down search;
-//! 5. **Table scan** — the always-applicable fallback (built implicitly,
+//! 4. **Table scan** — the always-applicable fallback (built implicitly,
 //!    so every well-formed query is answerable).
 //!
 //! # Graceful degradation
@@ -33,8 +35,8 @@
 //!   bounded exponential backoff, surfaced as
 //!   `QueryStats::path_retries`.
 //! * **Persistent faults** (checksum mismatches, truncation) abandon the
-//!   route for the next candidate (signature → grid → scan) — down to the
-//!   in-memory table scan, which always answers — counted in
+//!   route for the next candidate (delta → sharded → grid → scan) — down
+//!   to the in-memory table scan, which always answers — counted in
 //!   `QueryStats::path_fallbacks`.
 //! * A route that failed persistently is **quarantined**: subsequent
 //!   queries skip it until [`Engine::clear_quarantine`] (after a repair
@@ -60,9 +62,8 @@ use rcube_core::delta::DeltaCube;
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
 use rcube_core::query::{Query, QueryPlan, RankedSource, TopKCursor};
 use rcube_core::shard::{FanoutReport, ShardedCube, ShardedCubeConfig};
-use rcube_core::sigcube::{ScrubOutcome, SignatureCube, SignatureCubeConfig};
+use rcube_core::sigcube::{ScrubOutcome, SignatureCube};
 use rcube_core::{MaintenanceConfig, MaintenanceScheduler, TopKResult};
-use rcube_index::rtree::{RTree, RTreeConfig};
 use rcube_obs::{Counter, Histogram, Metrics, QueryTrace};
 use rcube_storage::{DiskSim, StorageError};
 use rcube_table::Relation;
@@ -97,16 +98,13 @@ pub enum Route {
     Sharded,
     /// The grid ranking cube answered.
     Grid,
-    /// The signature cube + R-tree answered.
-    Signature,
     /// The table-scan fallback answered.
     Scan,
 }
 
 impl Route {
     /// Every route, in the engine's preference order.
-    pub const ALL: [Route; 5] =
-        [Route::Delta, Route::Sharded, Route::Grid, Route::Signature, Route::Scan];
+    pub const ALL: [Route; 4] = [Route::Delta, Route::Sharded, Route::Grid, Route::Scan];
 
     /// The metric-series name for this route (`query.<name>.…`).
     pub fn name(self) -> &'static str {
@@ -114,7 +112,6 @@ impl Route {
             Route::Delta => "delta",
             Route::Sharded => "sharded",
             Route::Grid => "grid",
-            Route::Signature => "signature",
             Route::Scan => "scan",
         }
     }
@@ -203,7 +200,6 @@ pub struct Engine {
     delta: Option<Arc<DeltaCube>>,
     sharded: Option<ShardedCube>,
     grid: Option<GridRankingCube>,
-    signature: Option<(RTree, SignatureCube)>,
     scan: TableScan,
     quarantine: Quarantine,
     /// This engine's metric registry; every registered component mirrors
@@ -212,7 +208,7 @@ pub struct Engine {
     metrics: Metrics,
     /// Pre-resolved per-route query instruments, indexed by
     /// [`Route::index`].
-    route_metrics: [RouteMetricSet; 5],
+    route_metrics: [RouteMetricSet; Route::ALL.len()],
     retries_total: Counter,
     fallbacks_total: Counter,
     quarantines_total: Counter,
@@ -254,7 +250,6 @@ impl Engine {
             delta: None,
             sharded: None,
             grid: None,
-            signature: None,
             scan,
             quarantine: Quarantine::default(),
             metrics,
@@ -269,11 +264,11 @@ impl Engine {
     }
 
     /// Registers an opened [`DeltaCube`] (the LSM ingest-while-serving
-    /// layer over a persistent cube file) as the most-preferred route and
-    /// enables the writer API ([`Self::insert`] / [`Self::delete`]). The
-    /// `Arc` is shared with whoever drives background flushes — typically
-    /// a delta-aware maintenance scheduler
-    /// ([`Self::start_maintenance_with_delta`]).
+    /// layer over a persistent signature cube file — how a signature cube
+    /// is served) as the most-preferred route and enables the writer API
+    /// ([`Self::insert`] / [`Self::delete`]). The `Arc` is shared with
+    /// whoever drives background flushes — typically the maintenance
+    /// scheduler ([`Self::start_maintenance`]).
     pub fn with_delta(mut self, delta: Arc<DeltaCube>) -> Self {
         self.delta = Some(delta);
         self
@@ -307,30 +302,11 @@ impl Engine {
         self
     }
 
-    /// Builds an R-tree over the ranking dimensions, materializes a
-    /// signature cube over it, and registers the pair.
-    pub fn with_signature_cube(mut self, rcfg: RTreeConfig, scfg: SignatureCubeConfig) -> Self {
-        let rtree = RTree::over_relation(&self.disk, &self.rel, &[], rcfg);
-        let mut cube = SignatureCube::build(&self.rel, &rtree, &self.disk, scfg);
-        cube.set_metrics(self.metrics.clone());
-        self.signature = Some((rtree, cube));
-        self
-    }
-
     /// Registers an already-materialized grid cube (e.g. reopened from a
     /// cube file) instead of building one.
     pub fn with_prebuilt_grid(mut self, cube: GridRankingCube) -> Self {
         cube.store().attach_metrics(&self.metrics, "grid");
         self.grid = Some(cube);
-        self
-    }
-
-    /// Registers an already-materialized signature cube + R-tree pair —
-    /// how reopened cube files (or fault-wrapped stores in degradation
-    /// tests) are served.
-    pub fn with_prebuilt_signature(mut self, rtree: RTree, mut cube: SignatureCube) -> Self {
-        cube.set_metrics(self.metrics.clone());
-        self.signature = Some((rtree, cube));
         self
     }
 
@@ -381,11 +357,6 @@ impl Engine {
         self.grid.as_ref()
     }
 
-    /// The registered signature cube + R-tree, if any.
-    pub fn signature_cube(&self) -> Option<&(RTree, SignatureCube)> {
-        self.signature.as_ref()
-    }
-
     /// Whether `query` pins the grid route with an explicit `via_cuboids`
     /// cover. A cover only means anything to the grid engines, so a pin
     /// without a registered grid cube — or one whose partition misses a
@@ -424,9 +395,6 @@ impl Engine {
             Route::Delta => self.delta.as_ref().map(|d| d.can_answer(sel, dims)),
             Route::Sharded => self.sharded.as_ref().map(|c| c.can_answer(sel, dims)),
             Route::Grid => self.grid.as_ref().map(|g| g.can_answer(sel, dims)),
-            Route::Signature => {
-                self.signature.as_ref().map(|(rtree, cube)| cube.can_answer(rtree, sel, dims))
-            }
             Route::Scan => Some(true),
         };
         let why = down.iter().find(|(q, _)| *q == route).map(|(_, why)| why.as_str());
@@ -504,10 +472,6 @@ impl Engine {
             Route::Sharded => self.sharded.as_ref().expect("routed to sharded").source().open(plan),
             Route::Grid => {
                 self.grid.as_ref().expect("routed to grid").source(&self.disk).open(plan)
-            }
-            Route::Signature => {
-                let (rtree, cube) = self.signature.as_ref().expect("routed to signature");
-                cube.source(rtree, &self.disk).open(plan)
             }
             Route::Scan => self.scan.source(&self.rel, &self.disk).open(plan),
         }
@@ -721,50 +685,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Replaces the registered signature pair with a fresh open of
-    /// `path` — the post-swap half of a live vacuum: once the
-    /// maintenance daemon publishes a compacted file under the same
-    /// name, the engine re-elects it here. Dropping the old handle
-    /// discards its buffer pool and shared node cache wholesale; the
-    /// compacted file's page ids are all fresh, so invalidation is a
-    /// handle swap, never a page-by-page flush.
-    pub fn refresh_signature_from(
-        &mut self,
-        path: impl AsRef<std::path::Path>,
-        pool_pages: usize,
-    ) -> Result<(), StorageError> {
-        let (mut cube, rtree) = SignatureCube::open_from_with(path, pool_pages)?;
-        cube.set_metrics(self.metrics.clone());
-        self.signature = Some((rtree, cube));
-        Ok(())
-    }
-
-    /// Starts the background maintenance daemon for the cube file at
-    /// `path`, recording vacuum activity into this engine's metric
-    /// registry (`maintenance.vacuums`, `maintenance.pages_reclaimed`,
-    /// `maintenance.vacuum_duration_us`, `maintenance.lock_contention`).
-    /// Stop (or drop) the returned scheduler to join its thread; call
-    /// [`Self::refresh_signature_from`] after a completed vacuum to
-    /// serve from the compacted file.
+    /// Starts the background maintenance daemon for the registered delta
+    /// cube, recording into this engine's metric registry: it folds pending
+    /// writes into the cube file past `config.flush_watermark_ops` (the LSM
+    /// background merge) and vacuums the file past
+    /// `config.watermark_pages` (`maintenance.vacuums`,
+    /// `maintenance.pages_reclaimed`, `maintenance.vacuum_duration_us`,
+    /// `maintenance.lock_contention`), after which the delta serves the
+    /// compacted file. Stop (or drop) the returned scheduler to join its
+    /// thread. Fails with a typed error when no delta cube is registered.
     pub fn start_maintenance(
         &self,
-        path: impl Into<std::path::PathBuf>,
         config: MaintenanceConfig,
-    ) -> MaintenanceScheduler {
-        MaintenanceScheduler::start(path, config, self.metrics.clone())
-    }
-
-    /// [`Self::start_maintenance`] for an engine serving a registered
-    /// delta cube: the daemon additionally polls the memtable depth and
-    /// folds pending writes into the base cube past
-    /// `config.flush_watermark_ops` — the LSM background merge. Panics
-    /// when no delta cube is registered.
-    pub fn start_maintenance_with_delta(&self, config: MaintenanceConfig) -> MaintenanceScheduler {
-        let delta = Arc::clone(
-            self.delta.as_ref().expect("start_maintenance_with_delta needs a delta cube"),
-        );
-        let path = delta.path().to_path_buf();
-        MaintenanceScheduler::start_with_delta(path, config, self.metrics.clone(), delta)
+    ) -> Result<MaintenanceScheduler, StorageError> {
+        let delta =
+            self.delta.as_ref().ok_or(StorageError::Malformed("no delta cube is registered"))?;
+        Ok(MaintenanceScheduler::start(config, self.metrics.clone(), Arc::clone(delta)))
     }
 
     /// This engine's metric registry — snapshot it for Prometheus/JSON
@@ -858,7 +794,7 @@ impl Engine {
     }
 
     /// One aggregated point-in-time view of the engine: device I/O,
-    /// per-path buffer pools, the shared signature node cache,
+    /// per-path buffer pools, the delta's serving signature node cache,
     /// quarantine state, slow-log depth, and a snapshot of every metric
     /// series in the registry.
     pub fn stats_snapshot(&self) -> EngineStats {
@@ -868,8 +804,8 @@ impl Engine {
             sharded_shards: self.sharded.as_ref().map(|c| c.num_shards()),
             sharded_failed: self.sharded.as_ref().map(|c| c.failed_shards()).unwrap_or_default(),
             grid_pool: self.grid.as_ref().and_then(|g| g.pool_stats()),
-            signature_pool: self.signature.as_ref().and_then(|(_, c)| c.pool_stats()),
-            node_cache: self.signature.as_ref().map(|(_, c)| c.node_cache().stats()),
+            signature_pool: self.delta.as_ref().and_then(|d| d.serving_cube().pool_stats()),
+            node_cache: self.delta.as_ref().map(|d| d.serving_cube().node_cache().stats()),
             quarantined: self.quarantined(),
             slow_queries: self.slow_log.lock().unwrap().len(),
             metrics: self.metrics.snapshot(),
@@ -880,16 +816,66 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcube_core::delta::{wal_path_for, DeltaOptions};
     use rcube_core::query::Query;
+    use rcube_core::sigcube::SignatureCubeConfig;
     use rcube_func::Linear;
+    use rcube_index::rtree::{RTree, RTreeConfig};
+    use rcube_storage::{FaultPlan, FileBackend};
     use rcube_table::gen::SyntheticSpec;
     use rcube_table::Selection;
 
     fn engine(tuples: usize) -> Engine {
         let rel = SyntheticSpec { tuples, cardinality: 5, ..Default::default() }.generate();
-        Engine::new(rel)
-            .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() })
-            .with_signature_cube(RTreeConfig::small(16), SignatureCubeConfig::default())
+        Engine::new(rel).with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() })
+    }
+
+    /// A signature cube file under the temp dir, removed with its WAL on
+    /// drop.
+    struct TempCube(std::path::PathBuf);
+
+    impl TempCube {
+        /// Saves a signature cube over `rel` to a fresh temp file.
+        fn save(rel: &Relation, tag: &str) -> Self {
+            static FILES: AtomicUsize = AtomicUsize::new(0);
+            let n = FILES.fetch_add(1, Ordering::Relaxed);
+            let path =
+                std::env::temp_dir().join(format!("rcube_engine_{tag}_{}_{n}", std::process::id()));
+            let disk = DiskSim::with_defaults();
+            let rtree = RTree::over_relation(&disk, rel, &[], RTreeConfig::small(16));
+            let cube = SignatureCube::build(rel, &rtree, &disk, SignatureCubeConfig::default());
+            cube.save_to_with(&rtree, &path, 512, 64).expect("save cube file");
+            Self(path)
+        }
+    }
+
+    impl Drop for TempCube {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+            std::fs::remove_file(wal_path_for(&self.0)).ok();
+        }
+    }
+
+    /// An engine whose only cube is a delta cube over a signature cube
+    /// file, every read of which goes through the returned fault plan.
+    fn faulted_delta_engine(tuples: usize) -> (Engine, Arc<FaultPlan>, TempCube) {
+        let rel = SyntheticSpec { tuples, cardinality: 4, ..Default::default() }.generate();
+        let file = TempCube::save(&rel, "faulted");
+        let faults = FaultPlan::new();
+        let opts = DeltaOptions { faults: Some(Arc::clone(&faults)), ..Default::default() };
+        let delta = DeltaCube::open(&file.0, rel.clone(), opts).expect("open delta cube");
+        (Engine::new(rel).with_delta(Arc::new(delta)), faults, file)
+    }
+
+    /// Flips a byte of every partial of the probed cell `(0 = 1)` as the
+    /// media returns it: the delta route fails a checksum on first touch.
+    fn corrupt_probed_cell(eng: &Engine, faults: &FaultPlan) {
+        let delta = eng.delta_cube().expect("registered");
+        let page_size = FileBackend::peek_superblock(delta.path()).expect("peek").page_size;
+        let cell = delta.serving_cube().cell_signature(&[0], &[1]).expect("cell");
+        for page in cell.partial_pages() {
+            faults.corrupt_byte(page.0 * u64::from(page_size) + 16, 0x01);
+        }
     }
 
     #[test]
@@ -899,8 +885,7 @@ mod tests {
         assert_eq!(eng.route(&q), Route::Grid);
 
         // A grid whose partition covers only ranking dim 0 cannot answer a
-        // query ranking on dim 1: the engine must fall through — to the
-        // signature cube when registered, else all the way to the scan.
+        // query ranking on dim 1: the engine must fall through to the scan.
         let rel = SyntheticSpec { tuples: 800, cardinality: 5, ..Default::default() }.generate();
         let narrow = Engine::new(rel).with_grid_cube(GridCubeConfig {
             block_size: 64,
@@ -1006,32 +991,14 @@ mod tests {
         assert!(res.stats.blocks_read > 0, "scan charges page reads");
     }
 
-    use std::sync::Arc;
-
-    use rcube_storage::{FaultBackend, MemBackend, PageStore};
-
-    /// An engine whose only cube is a signature cube living in a
-    /// fault-injectable store; returns the shared fault handle.
-    fn faulted_signature_engine(tuples: usize) -> (Engine, Arc<FaultBackend>) {
-        let rel = SyntheticSpec { tuples, cardinality: 4, ..Default::default() }.generate();
-        let disk = DiskSim::with_defaults();
-        let rtree =
-            rcube_index::rtree::RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
-        let faults = FaultBackend::new(Arc::new(MemBackend::new()));
-        let store = PageStore::with_backend(faults.clone());
-        let cube =
-            SignatureCube::build_in(&rel, &rtree, &disk, SignatureCubeConfig::default(), store);
-        (Engine::new(rel).with_prebuilt_signature(rtree, cube), faults)
-    }
-
     #[test]
     fn transient_faults_are_retried_not_fatal() {
-        let (eng, faults) = faulted_signature_engine(600);
+        let (eng, faults, _file) = faulted_delta_engine(600);
         let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(5);
-        assert_eq!(eng.route(&q), Route::Signature);
+        assert_eq!(eng.route(&q), Route::Delta);
 
         // Two injected transient failures: attempt 1 and 2 die, 3 answers.
-        faults.fail_next_gets(2);
+        faults.fail_next_reads(2);
         let res = eng.try_query(&q).expect("transient faults must be absorbed by retry");
         assert_eq!(res.stats.path_retries, 2, "both retries surfaced in stats");
         assert_eq!(res.stats.path_fallbacks, 0, "the route itself recovered");
@@ -1045,22 +1012,18 @@ mod tests {
 
     #[test]
     fn persistent_fault_degrades_to_scan_and_quarantines() {
-        let (eng, faults) = faulted_signature_engine(700);
+        let (eng, faults, _file) = faulted_delta_engine(700);
         let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
 
-        // Poison every partial of the probed cell: the signature route
-        // now fails with a (non-transient) checksum error on first touch.
-        let (_, cube) = eng.signature_cube().expect("registered");
-        let pages: Vec<_> = cube.cell_signature(&[0], &[1]).expect("cell").partial_pages().to_vec();
-        for p in &pages {
-            faults.poison(*p);
-        }
+        // Corrupt every partial of the probed cell: the delta route now
+        // fails with a (non-transient) checksum error on first touch.
+        corrupt_probed_cell(&eng, &faults);
 
         let degraded = eng.try_query(&q).expect("scan fallback must answer");
         assert_eq!(degraded.stats.path_fallbacks, 1, "one route abandoned");
         let quarantined = eng.quarantined();
         assert_eq!(quarantined.len(), 1);
-        assert_eq!(quarantined[0].0, Route::Signature);
+        assert_eq!(quarantined[0].0, Route::Delta);
         assert!(quarantined[0].1.contains("checksum"), "reason recorded: {}", quarantined[0].1);
 
         // Degradation changed the path, not the answer.
@@ -1073,12 +1036,14 @@ mod tests {
         // plan says why…
         assert_eq!(eng.route(&q), Route::Scan);
         let rows: Vec<String> =
-            eng.explain(&q).to_string().lines().skip(6).map(str::to_owned).collect();
+            eng.explain(&q).to_string().lines().skip(3).map(str::to_owned).collect();
         let why = &quarantined[0].1;
         assert_eq!(
             rows,
             [
-                format!("     Signature skipped: quarantined ({why})"),
+                format!("     Delta     skipped: quarantined ({why})"),
+                "     Sharded   skipped: not registered".to_owned(),
+                "     Grid      skipped: not registered".to_owned(),
                 "  -> Scan      chosen: always-applicable fallback".to_owned(),
                 "  route: Scan".to_owned()
             ]
@@ -1086,7 +1051,7 @@ mod tests {
         // …until the store is healed and the quarantine lifted.
         faults.heal();
         eng.clear_quarantine();
-        assert_eq!(eng.route(&q), Route::Signature);
+        assert_eq!(eng.route(&q), Route::Delta);
         let healed = eng.try_query(&q).expect("healed route serves again");
         assert_eq!(healed.items, degraded.items);
         assert_eq!(healed.stats.path_fallbacks, 0);
@@ -1119,8 +1084,8 @@ mod tests {
         // Fresh engine per run: a warmed buffer pool would absorb the
         // scripted faults without touching the backend.
         let run = || {
-            let (eng, faults) = faulted_signature_engine(600);
-            faults.fail_next_gets(2);
+            let (eng, faults, _file) = faulted_delta_engine(600);
+            faults.fail_next_reads(2);
             eng.try_query(&q).expect("retries absorb the faults")
         };
 
@@ -1139,29 +1104,17 @@ mod tests {
         assert_eq!(first.stats.backoff_ns, second.stats.backoff_ns);
 
         // The fast path reports zero.
-        let (eng, _) = faulted_signature_engine(600);
+        let (eng, _, _file) = faulted_delta_engine(600);
         let clean = eng.try_query(&q).expect("clean run");
         assert_eq!(clean.stats.backoff_ns, 0);
     }
 
     #[test]
     fn delta_route_serves_writes_and_reports_contribution() {
-        use rcube_core::delta::{DeltaCube, DeltaOptions};
-        use rcube_index::rtree::RTree;
-
         let rel = SyntheticSpec { tuples: 400, cardinality: 4, ..Default::default() }.generate();
-        let mut path = std::env::temp_dir();
-        path.push(format!("rcube_engine_delta_{}", std::process::id()));
-        let wal = rcube_core::delta::wal_path_for(&path);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&wal).ok();
-        {
-            let disk = DiskSim::with_defaults();
-            let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
-            let cube = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
-            cube.save_to_with(&rtree, &path, 512, 64).expect("save base cube");
-        }
-        let delta = Arc::new(DeltaCube::open(&path, rel.clone(), DeltaOptions::default()).unwrap());
+        let file = TempCube::save(&rel, "delta");
+        let delta =
+            Arc::new(DeltaCube::open(&file.0, rel.clone(), DeltaOptions::default()).unwrap());
         let eng = Engine::new(rel)
             .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() })
             .with_delta(Arc::clone(&delta));
@@ -1207,9 +1160,6 @@ mod tests {
         let d = eng.stats_snapshot().delta.expect("delta registered");
         assert_eq!((d.flushes, d.cold_opens, d.memtable_ops), (1, 1, 0));
         assert!(d.partials_rewritten > 0 && d.nodes_reencoded > 0);
-
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&wal).ok();
     }
 
     #[test]
@@ -1223,51 +1173,36 @@ mod tests {
             eng.delete(0),
             Err(StorageError::Malformed("no delta cube is registered"))
         ));
+        assert!(matches!(
+            eng.start_maintenance(MaintenanceConfig::default()),
+            Err(StorageError::Malformed("no delta cube is registered"))
+        ));
     }
 
     #[test]
     fn repair_path_restores_only_the_repaired_route() {
-        use rcube_core::sigcube::ScrubOutcome;
-        use rcube_index::rtree::RTree;
-
-        let (eng, faults) = faulted_signature_engine(500);
+        let (eng, faults, file) = faulted_delta_engine(500);
         let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(6);
 
-        // Condemn the signature route with a persistent checksum fault.
-        let (_, cube) = eng.signature_cube().expect("registered");
-        let pages: Vec<_> = cube.cell_signature(&[0], &[1]).expect("cell").partial_pages().to_vec();
-        for p in &pages {
-            faults.poison(*p);
-        }
+        // Condemn the delta route with a persistent checksum fault.
+        corrupt_probed_cell(&eng, &faults);
         let degraded = eng.try_query(&q).expect("scan fallback answers");
         assert_eq!(eng.quarantined().len(), 1);
 
-        // A healthy cube file stands in for the repaired store on disk.
-        let mut path = std::env::temp_dir();
-        path.push(format!("rcube_repair_{}", std::process::id()));
-        {
-            let rel =
-                SyntheticSpec { tuples: 200, cardinality: 4, ..Default::default() }.generate();
-            let disk = DiskSim::with_defaults();
-            let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
-            let cube = SignatureCube::build(&rel, &rtree, &disk, SignatureCubeConfig::default());
-            cube.save_to_with(&rtree, &path, 512, 64).expect("save cube file");
-        }
-
-        // Repairing a *different* route scrubs the file but leaves the
-        // signature quarantine standing.
-        let outcome = eng.repair_path(Route::Grid, &path).expect("scrub clean file");
+        // The flips live in the media plan: the file on disk scrubs clean.
+        // Repairing a *different* route scrubs it but leaves the delta
+        // quarantine standing.
+        let outcome = eng.repair_path(Route::Grid, &file.0).expect("scrub clean file");
         assert!(matches!(outcome, ScrubOutcome::Clean { .. }));
         assert_eq!(eng.quarantined().len(), 1, "unrelated repair must not lift quarantine");
         assert_eq!(eng.route(&q), Route::Scan);
 
-        // Repairing the condemned route (store healed) restores it alone.
+        // Repairing the condemned route (media healed) restores it alone.
         faults.heal();
-        eng.repair_path(Route::Signature, &path).expect("scrub + targeted unquarantine");
+        eng.repair_path(Route::Delta, &file.0).expect("scrub + targeted unquarantine");
         assert!(eng.quarantined().is_empty());
-        assert_eq!(eng.route(&q), Route::Signature);
+        assert_eq!(eng.route(&q), Route::Delta);
         let healed = eng.try_query(&q).expect("restored route serves");
         assert_eq!(healed.items, degraded.items, "repair changed the path, not the answer");
-        std::fs::remove_file(&path).ok();
     }
 }

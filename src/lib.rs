@@ -101,17 +101,20 @@
 //!
 //! ## Serve under writes: the LSM delta cube
 //!
-//! A [`cube::delta::DeltaCube`] wraps a persistent cube file with an
-//! in-memory memtable and a crash-safe WAL, so one process can **ingest
-//! tuples and answer certified top-k queries at the same time**. Register
-//! it and the engine grows a writer API: [`Engine::insert`] /
-//! [`Engine::delete`] are durable in the WAL before they return and
-//! visible to every query opened afterwards; a background flush
-//! ([`cube::delta::DeltaCube::flush`], or the delta-aware maintenance
-//! daemon via [`Engine::start_maintenance_with_delta`]) folds pending
-//! writes into the base cube without ever blocking readers — cursors pin
-//! the generation they opened, and answers are byte-identical to a cube
-//! rebuilt from scratch at every point.
+//! A [`cube::delta::DeltaCube`] wraps a persistent signature cube file
+//! with an in-memory memtable and a crash-safe WAL, so one process can
+//! **ingest tuples and answer certified top-k queries at the same time**.
+//! It is the one way the engine serves a signature cube: with nothing
+//! pending it answers what the file alone would. Register it and the
+//! engine grows a writer API: [`Engine::insert`] / [`Engine::delete`] are
+//! durable in the WAL before they return and visible to every query
+//! opened afterwards; a background flush
+//! ([`cube::delta::DeltaCube::flush`], or the maintenance daemon via
+//! [`Engine::start_maintenance`], which also vacuums the file and has the
+//! delta serve the compacted one) folds pending writes into the base cube
+//! without ever blocking readers — cursors pin the generation they opened,
+//! and answers are byte-identical to a cube rebuilt from scratch at every
+//! point.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -10,10 +10,11 @@
 //!
 //! # What the signature and delta series count
 //!
-//! The `signature.*` series are what *queries* read, on the signature
-//! route and on the delta route alike (a delta cube given the engine's
-//! registry in `DeltaOptions::metrics` attaches every generation it
-//! serves):
+//! The `signature.*` series are what *queries* read on the delta route,
+//! the one route that serves a signature cube (a delta cube given the
+//! engine's registry in `DeltaOptions::metrics` attaches every generation
+//! it serves); `Engine::stats_snapshot` shows the serving generation's
+//! `node_cache` and `signature_pool` beside them:
 //!
 //! * `signature.nodecache.hits` — node lookups answered by the shared
 //!   node cache, `.absent_hits` the ones among them the partial's table
@@ -27,14 +28,12 @@
 //!   flush took the cold path (`delta.flush.cold_opens`) or the budget
 //!   evicts (`.evictions`).
 //! * `signature.pool.{hits,misses,evictions}` — buffer-pool traffic of
-//!   the handles queries read through: one pool on the signature route,
-//!   one per served generation on the delta route (each starts cold; with
-//!   the node cache warm, a generation reads next to nothing).
+//!   the handles queries read through: one pool per served generation
+//!   (each starts cold; with the node cache warm, a generation reads next
+//!   to nothing).
 //! * `delta.flush.pool.{hits,misses,evictions}` — the *fold's* own reads:
 //!   the partials a flush splices, through its writable handle's pool
-//!   (≈ one miss per partial rewritten). Until PR 24 these were the only
-//!   thing `signature.pool.*` showed on a delta cube, and
-//!   `signature.nodecache.*` read zero there.
+//!   (≈ one miss per partial rewritten).
 //! * `delta.flush.{path_updates,cells_rewritten,partials_rewritten,
 //!   nodes_reencoded,cold_opens}` and the `delta.flush.*_us` phase
 //!   histograms — what each flush changed and where its time went.
@@ -52,7 +51,7 @@ use crate::engine::Route;
 
 /// One access path's standing for a query: why the router did (or did
 /// not) pick it. Rows appear in preference order (delta, sharded, grid,
-/// signature, scan).
+/// scan).
 #[derive(Debug, Clone)]
 pub struct CandidatePlan {
     /// The access path under consideration.
@@ -283,9 +282,12 @@ pub struct EngineStats {
     pub sharded_failed: Vec<(usize, String)>,
     /// Grid cube buffer-pool stats (file-backed stores only).
     pub grid_pool: Option<PoolStats>,
-    /// Signature cube buffer-pool stats (file-backed stores only).
+    /// Buffer-pool stats of the delta cube's serving generation — the
+    /// signature cube new queries read.
     pub signature_pool: Option<PoolStats>,
-    /// Shared cross-query signature node cache stats.
+    /// Stats of the shared cross-query node cache that generation reads
+    /// through (the cache follows the file across warm flushes; a cold
+    /// one, or a vacuum, starts another).
     pub node_cache: Option<rcube_core::nodecache::NodeCacheStats>,
     /// Routes currently out of service, with the condemning error.
     pub quarantined: Vec<(Route, String)>,

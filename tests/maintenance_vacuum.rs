@@ -13,17 +13,19 @@
 //!   writable open is refused fast with the typed
 //!   `StorageError::WriterLocked { owner_pid }`, and a lock file left
 //!   by a *dead* process is taken over;
-//! * the background scheduler vacuums once the persisted retired-page
-//!   count crosses its watermark, then goes quiet;
-//! * the engine front door serves through the whole cycle and re-elects
-//!   the compacted file via `refresh_signature_from`.
+//! * the background scheduler of a delta cube vacuums once the persisted
+//!   retired-page count crosses its watermark, then goes quiet;
+//! * the engine front door serves through the whole cycle, and its delta
+//!   cube re-elects the compacted file without being asked.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
+use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
 use ranking_cube::cube::maintain::apply_path_updates;
 use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
@@ -83,6 +85,18 @@ fn save_base(full: &Relation, base: usize, path: &Path) {
 
 fn open_readonly(path: &Path) -> (SignatureCube, RTree) {
     SignatureCube::open_from_with(path, 32).expect("open cube file")
+}
+
+/// A delta cube over the cube file at `path`, whose tuples are `full`'s —
+/// what a maintenance scheduler serves.
+fn delta_over(path: &Path, full: &Relation) -> Arc<DeltaCube> {
+    Arc::new(DeltaCube::open(path, full.clone(), DeltaOptions::default()).expect("open delta"))
+}
+
+/// Removes a cube file and the WAL a delta cube kept beside it.
+fn remove_cube(path: &Path) {
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(wal_path_for(path)).ok();
 }
 
 /// COW maintenance: insert tuples `from..to`, patch affected cells,
@@ -398,15 +412,16 @@ fn scheduler_vacuums_past_watermark_then_goes_quiet() {
 
     // Quiet below the watermark: nothing to do yet.
     let metrics = Metrics::new();
+    let delta = delta_over(&path, &full);
     let high = MaintenanceConfig { watermark_pages: retired + 100, ..config() };
-    let quiet = MaintenanceScheduler::start(&path, high, metrics.clone());
+    let quiet = MaintenanceScheduler::start(high, metrics.clone(), Arc::clone(&delta));
     std::thread::sleep(Duration::from_millis(120));
     assert_eq!(quiet.vacuums_completed(), 0, "below the watermark the daemon must not vacuum");
     assert_eq!(quiet.errors(), 0, "{:?}", quiet.last_error());
     quiet.stop();
 
     // Past the watermark: the daemon vacuums, then finds nothing more.
-    let sched = MaintenanceScheduler::start(&path, config(), metrics.clone());
+    let sched = MaintenanceScheduler::start(config(), metrics.clone(), Arc::clone(&delta));
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while sched.vacuums_completed() == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -420,13 +435,15 @@ fn scheduler_vacuums_past_watermark_then_goes_quiet() {
     assert_eq!(sched.vacuums_completed(), 1, "the daemon must go quiet after compaction");
     sched.stop();
 
-    assert_eq!(FileBackend::peek_superblock(&path).expect("peek").retired_pages, 0);
+    let sb = FileBackend::peek_superblock(&path).expect("peek");
+    assert_eq!(sb.retired_pages, 0);
+    assert_eq!(delta.serving_generation(), sb.generation, "the delta serves the compacted file");
     let (cube, rtree) = open_readonly(&path);
     assert_eq!(answers(&cube, &rtree), ans, "daemon vacuum changed an answer");
-    drop((cube, rtree));
+    drop((cube, rtree, delta));
     assert_eq!(metrics.counter("maintenance.vacuums").get(), 1);
     assert!(metrics.histogram("maintenance.vacuum_duration_us").count() >= 1);
-    std::fs::remove_file(&path).ok();
+    remove_cube(&path);
 }
 
 /// A vacuum colliding with a live writer yields typed, counted, and
@@ -448,7 +465,8 @@ fn vacuum_yields_to_live_writer_then_succeeds() {
     assert_eq!(metrics.counter("maintenance.lock_contention").get(), 1);
 
     // The scheduler keeps yielding while the writer lives…
-    let sched = MaintenanceScheduler::start(&path, config(), metrics.clone());
+    let delta = delta_over(&path, &full);
+    let sched = MaintenanceScheduler::start(config(), metrics.clone(), Arc::clone(&delta));
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while sched.lock_conflicts() == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -467,28 +485,38 @@ fn vacuum_yields_to_live_writer_then_succeeds() {
     sched.stop();
     let (cube, rtree) = open_readonly(&path);
     assert_eq!(answers(&cube, &rtree), ans);
-    std::fs::remove_file(&path).ok();
+    drop((cube, rtree, delta));
+    remove_cube(&path);
 }
 
-/// The engine front door across a full maintenance cycle: it serves its
-/// pinned generation while the daemon swaps the file underneath, then
-/// re-elects the compacted file with `refresh_signature_from` — same
-/// answers, fresh pools, no quarantine.
+/// The engine front door across a full maintenance cycle: it serves while
+/// the daemon swaps the file underneath, and its delta cube re-elects the
+/// compacted file without being asked — same answers, a cursor opened
+/// before the swap drains unchanged, the next flush parses the new file,
+/// no quarantine.
 #[test]
 fn engine_serves_through_live_vacuum_and_refreshes() {
     let full = SyntheticSpec { tuples: 150, cardinality: 3, ..Default::default() }.generate();
     let path = temp_path("engine");
-    let (_ans, retired) = prepare_retired(&full, 140, &path);
+    prepare_retired(&full, 140, &path);
 
-    let (cube, rtree) = open_readonly(&path);
-    let rel = full.prefix(full.len());
-    let mut eng = Engine::new(rel).with_prebuilt_signature(rtree, cube);
+    let delta = delta_over(&path, &full);
+    let eng = Engine::new(full.clone()).with_delta(Arc::clone(&delta));
+    // Two flushes: the first after an open parses the catalog, the second
+    // reuses the generation the first published.
+    for (point, cold) in [([0.5, 0.5], 1), ([0.6, 0.4], 0)] {
+        eng.insert(&[1, 0, 0], &point).expect("insert");
+        assert_eq!(delta.flush().expect("flush").cold_opens, cold);
+    }
+    let retired = FileBackend::peek_superblock(&path).expect("peek").retired_pages;
     let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
-    assert_eq!(eng.route(&q), Route::Signature);
+    assert_eq!(eng.route(&q), Route::Delta);
     let before = eng.query(&q);
+    let mut pinned = eng.open(&q).expect("open before the vacuum");
+    let head = pinned.next().expect("a first answer");
 
-    // The daemon vacuums while the engine keeps serving its pinned file.
-    let sched = eng.start_maintenance(&path, config());
+    // The daemon vacuums while the engine keeps serving.
+    let sched = eng.start_maintenance(config()).expect("a delta cube is registered");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while sched.vacuums_completed() == 0 && std::time::Instant::now() < deadline {
         assert_eq!(eng.query(&q).items, before.items, "engine answers drifted mid-vacuum");
@@ -496,14 +524,22 @@ fn engine_serves_through_live_vacuum_and_refreshes() {
     assert_eq!(sched.vacuums_completed(), 1, "{:?}", sched.last_error());
     assert_eq!(sched.pages_reclaimed(), retired);
     sched.stop();
-    assert_eq!(eng.query(&q).items, before.items, "pinned handle outlives the swap");
     // The daemon shares the engine's registry.
     assert_eq!(eng.metrics().counter("maintenance.vacuums").get(), 1);
 
-    // Re-elect the compacted file: same answers through fresh pools.
-    eng.refresh_signature_from(&path, 64).expect("refresh onto compacted file");
-    assert_eq!(eng.route(&q), Route::Signature);
-    assert_eq!(eng.query(&q).items, before.items, "refresh changed an answer");
+    // The delta serves the compacted file's generation…
+    let sb = FileBackend::peek_superblock(&path).expect("peek compacted");
+    assert_eq!(sb.retired_pages, 0);
+    assert_eq!(delta.serving_generation(), sb.generation);
+    // …a cursor opened before the swap drains what it would have…
+    let drained: Vec<_> = std::iter::once(head).chain(pinned.by_ref()).collect();
+    assert_eq!(drained, before.items, "the pinned generation outlives the swap");
+    drop(pinned);
+    // …new queries answer the same, and the next flush parses the new file.
+    assert_eq!(eng.query(&q).items, before.items, "re-election changed an answer");
     assert!(eng.quarantined().is_empty());
-    std::fs::remove_file(&path).ok();
+    eng.insert(&[2, 1, 0], &[0.7, 0.3]).expect("insert");
+    assert_eq!(delta.flush().expect("flush onto the compacted file").cold_opens, 1);
+    drop((eng, delta));
+    remove_cube(&path);
 }

@@ -7,25 +7,60 @@
 //!   charges no I/O of its own;
 //! * EXPLAIN ANALYZE's trace reconciles **exactly** with the answering
 //!   cursor's `QueryStats` on every route (grid, over a full cube and
-//!   over ranking fragments; signature; scan): the `cursor.attach` event
+//!   over ranking fragments; delta; scan): the `cursor.attach` event
 //!   carries open-sunk cost and each pull carries its delta, so attach +
 //!   Σ deltas = final stats;
 //! * the slow-query log captures plan + trace + counters, bounded;
 //! * the Prometheus/JSON exports render every engine series;
 //! * the delta route's node cache and buffer pools are lit: across flushes
 //!   the `signature.nodecache.*` series count exactly the lookups the
-//!   cursors report, and the fold's reads land under `delta.flush.pool.*`.
+//!   cursors report, `stats_snapshot` shows the serving generation's
+//!   cache, and the fold's reads land under `delta.flush.pool.*`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ranking_cube::cube::delta::wal_path_for;
 use ranking_cube::obs::{Metrics, TraceEvent};
 use ranking_cube::prelude::*;
 use ranking_cube::table::gen::SyntheticSpec;
 
 fn rel(tuples: usize, cardinality: u32, seed: u64) -> Relation {
     SyntheticSpec { tuples, cardinality, seed, ..Default::default() }.generate()
+}
+
+/// A signature cube file under the temp dir, removed on drop together
+/// with the WAL a delta cube keeps beside it.
+struct CubeFile(PathBuf);
+
+impl CubeFile {
+    /// Saves a signature cube over `rel` (R-tree fanout `fanout`).
+    fn save(rel: &Relation, fanout: usize) -> Self {
+        static FILES: AtomicUsize = AtomicUsize::new(0);
+        let n = FILES.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("rcube_obs_{}_{n}", std::process::id()));
+        let disk = DiskSim::with_defaults();
+        let rtree = RTree::over_relation(&disk, rel, &[], RTreeConfig::small(fanout));
+        let cube = SignatureCube::build(rel, &rtree, &disk, SignatureCubeConfig::default());
+        cube.save_to_with(&rtree, &path, 512, 64).expect("save cube file");
+        Self(path)
+    }
+}
+
+impl Drop for CubeFile {
+    fn drop(&mut self) {
+        let _ = (std::fs::remove_file(&self.0), std::fs::remove_file(wal_path_for(&self.0)));
+    }
+}
+
+/// `eng` serving a delta cube over `file`, whose tuples are `rel`'s, into
+/// the engine's registry.
+fn with_delta_over(eng: Engine, file: &CubeFile, rel: Relation) -> Engine {
+    let opts = DeltaOptions { metrics: eng.metrics().clone(), ..Default::default() };
+    let delta = DeltaCube::open(&file.0, rel, opts).expect("open delta cube");
+    eng.with_delta(Arc::new(delta))
 }
 
 // --- Registry under concurrency -----------------------------------------
@@ -119,6 +154,7 @@ fn reconcile(events: &[TraceEvent], stats: &QueryStats, emitted: usize) {
 #[test]
 fn explain_analyze_reconciles_on_every_route() {
     let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(7);
+    let file = CubeFile::save(&rel(900, 5, 13), 16);
     let engines: Vec<(Route, Engine)> = vec![
         (
             Route::Grid,
@@ -132,11 +168,7 @@ fn explain_analyze_reconciles_on_every_route() {
                 ..Default::default()
             }),
         ),
-        (
-            Route::Signature,
-            Engine::new(rel(900, 5, 13))
-                .with_signature_cube(RTreeConfig::small(16), SignatureCubeConfig::default()),
-        ),
+        (Route::Delta, with_delta_over(Engine::new(rel(900, 5, 13)), &file, rel(900, 5, 13))),
         (Route::Scan, Engine::new(rel(900, 5, 14))),
     ];
     for (want_route, eng) in engines {
@@ -158,8 +190,7 @@ fn explain_analyze_reconciles_on_every_route() {
 #[test]
 fn explain_charges_no_io_and_reports_candidates() {
     let eng = Engine::new(rel(1_200, 4, 21))
-        .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() })
-        .with_signature_cube(RTreeConfig::small(16), SignatureCubeConfig::default());
+        .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() });
     let q = Query::select([(0, 1), (1, 2)]).rank(Linear::uniform(2)).top(5);
 
     let before = eng.disk().stats().snapshot();
@@ -168,11 +199,11 @@ fn explain_charges_no_io_and_reports_candidates() {
     assert_eq!(before, after, "EXPLAIN must not execute (no I/O charged)");
 
     assert_eq!(plan.route, Route::Grid);
-    assert_eq!(plan.candidates.len(), 5, "every route gets a row");
+    assert_eq!(plan.candidates.len(), 4, "every route gets a row");
     assert!(!plan.candidates[0].registered, "delta cube not registered");
     assert!(!plan.candidates[1].registered, "sharded set not registered");
     assert!(plan.candidates[2].chosen, "grid is the best registered path");
-    assert!(plan.candidates[4].eligible, "the scan is always eligible");
+    assert!(plan.candidates[3].eligible, "the scan is always eligible");
     assert_eq!(plan.selection, vec![(0, 1), (1, 2)]);
     assert!(plan.estimated_selectivity > 0.0 && plan.estimated_selectivity <= 1.0);
     // The rendering, byte for byte as it read when every row carried a
@@ -186,7 +217,6 @@ fn explain_charges_no_io_and_reports_candidates() {
      Delta     skipped: not registered
      Sharded   skipped: not registered
   -> Grid      chosen: covers the selection and ranking dimensions
-     Signature viable: next fallback if the preferred route fails
      Scan      viable: next fallback if the preferred route fails
   route: Grid"
     );
@@ -199,7 +229,6 @@ fn explain_charges_no_io_and_reports_candidates() {
      Delta     skipped: query pins the grid via an explicit cuboid cover
      Sharded   skipped: query pins the grid via an explicit cuboid cover
   -> Grid      pinned: explicit via_cuboids cover
-     Signature skipped: query pins the grid via an explicit cuboid cover
      Scan      skipped: query pins the grid via an explicit cuboid cover
   route: Grid"
     );
@@ -212,7 +241,6 @@ fn explain_charges_no_io_and_reports_candidates() {
      Delta     skipped: not registered
      Sharded   skipped: not registered
      Grid      skipped: cannot answer (selection or ranking dims uncovered)
-     Signature skipped: cannot answer (selection or ranking dims uncovered)
   -> Scan      chosen: always-applicable fallback
   route: Scan"
     );
@@ -239,15 +267,16 @@ proptest::proptest! {
         k in 1usize..15,
         seed in 0u64..300,
         with_grid in proptest::bool::ANY,
-        with_sig in proptest::bool::ANY,
+        with_delta in proptest::bool::ANY,
     ) {
         let relation = rel(tuples, cardinality, seed);
-        let mut eng = Engine::new(relation);
+        let mut eng = Engine::new(relation.clone());
         if with_grid {
             eng = eng.with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() });
         }
-        if with_sig {
-            eng = eng.with_signature_cube(RTreeConfig::small(8), SignatureCubeConfig::default());
+        let file = with_delta.then(|| CubeFile::save(&relation, 8));
+        if let Some(file) = &file {
+            eng = with_delta_over(eng, file, relation);
         }
         let q = Query::select([(0, d0 % cardinality), (1, d1 % cardinality)])
             .rank(Linear::uniform(2))
@@ -302,15 +331,14 @@ fn slow_query_log_captures_plan_trace_and_is_bounded() {
 #[test]
 fn stats_snapshot_and_exports_cover_engine_series() {
     let eng = Engine::new(rel(1_000, 4, 41))
-        .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() })
-        .with_signature_cube(RTreeConfig::small(16), SignatureCubeConfig::default());
+        .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() });
     for v in 0..4 {
         eng.query(&Query::select([(0, v)]).rank(Linear::uniform(2)).top(5));
     }
 
     let stats = eng.stats_snapshot();
     assert!(stats.io.logical_reads > 0, "queries charge I/O");
-    assert!(stats.node_cache.is_some(), "signature cube registers its node cache");
+    assert!(stats.node_cache.is_none(), "no delta cube, no signature node cache");
     assert!(stats.quarantined.is_empty());
     assert_eq!(
         stats.metrics.counter("query.grid.count"),
@@ -349,28 +377,14 @@ fn stats_snapshot_and_exports_cover_engine_series() {
 
 #[test]
 fn delta_route_lights_the_node_cache_and_tells_the_folds_reads_apart() {
-    use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
-    use ranking_cube::index::rtree::RTree;
-    use ranking_cube::storage::DiskSim;
-
     let full = rel(460, 4, 17);
     let base = full.prefix(400);
-    let mut path = std::env::temp_dir();
-    path.push(format!("rcube_obs_delta_{}", std::process::id()));
-    let wal = wal_path_for(&path);
-    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
-    {
-        let disk = DiskSim::with_defaults();
-        let rtree = RTree::over_relation(&disk, &base, &[], RTreeConfig::small(16));
-        let cube = SignatureCube::build(&base, &rtree, &disk, SignatureCubeConfig::default());
-        cube.save_to_with(&rtree, &path, 512, 64).expect("save base cube");
-    }
+    let file = CubeFile::save(&base, 16);
     let metrics = Metrics::new();
     let eng =
         Engine::with_disk_and_metrics(base.clone(), DiskSim::with_defaults(), metrics.clone());
-    let opts = DeltaOptions { metrics: metrics.clone(), ..Default::default() };
-    let delta = Arc::new(DeltaCube::open(&path, base, opts).unwrap());
-    let eng = eng.with_delta(Arc::clone(&delta));
+    let eng = with_delta_over(eng, &file, base);
+    let delta = Arc::clone(eng.delta_cube().expect("registered"));
 
     // One predicate, and two (cursors over two atomic cuboids: one may
     // hold a node the other lacks — the absences).
@@ -394,6 +408,13 @@ fn delta_route_lights_the_node_cache_and_tells_the_folds_reads_apart() {
     };
     let counter = |name: &str| metrics.snapshot().counter(name).unwrap_or(0);
     lap(&eng);
+    lap(&eng);
+    // Until the first flush one cache has served every lookup, and the
+    // snapshot shows it: the serving generation's.
+    let cache = eng.stats_snapshot().node_cache.expect("a delta engine shows its node cache");
+    assert!(cache.hits > 0, "the second lap reads what the first decoded");
+    assert_eq!(cache.hits, counter("signature.nodecache.hits"));
+    assert!(eng.stats_snapshot().signature_pool.is_some(), "and its pool");
     for round in 0..3u32 {
         for tid in 400 + round * 20..420 + round * 20 {
             let sel: Vec<u32> = (0..3).map(|d| full.selection_value(tid, d)).collect();
@@ -430,5 +451,4 @@ fn delta_route_lights_the_node_cache_and_tells_the_folds_reads_apart() {
     assert!(stats.metrics.counter("delta.flush.nodes_reencoded").unwrap() > 0);
 
     drop((eng, delta));
-    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
 }
