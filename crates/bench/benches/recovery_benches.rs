@@ -82,11 +82,11 @@ fn main() {
     // partial plus the catalog goes through the page-write path.
     let gate_rel = rel.prefix(BASE + step);
     let full_path = rcube_bench::temp_path("recovery", "full");
-    let full_rtree = RTree::over_relation(&disk, &gate_rel, &[], RTreeConfig::small(16));
+    let mut full_rtree = RTree::over_relation(&disk, &gate_rel, &[], RTreeConfig::small(16));
     let full_fb = Arc::new(FileBackend::create(&full_path, PAGE, POOL).expect("create"));
     let full_store = PageStore::with_backend(Arc::clone(&full_fb) as _);
-    let full_cube = SignatureCube::build_in(&gate_rel, &full_rtree, &disk, CONFIG, full_store);
-    full_cube.commit(&full_rtree).expect("full commit");
+    let mut full_cube = SignatureCube::build_in(&gate_rel, &full_rtree, &disk, CONFIG, full_store);
+    full_cube.commit(&mut full_rtree).expect("full commit");
     let pages_full = full_fb.pages_written();
     drop((full_cube, full_fb));
 

@@ -206,7 +206,7 @@ pub fn maintain_and_commit(store: PageStore, rel: &Relation, from: usize, to: us
             |t| (0..rel.schema().num_selection()).map(|d| rel.selection_value(t, d)).collect();
         apply_path_updates(&mut cube, &updates, sel, &disk).expect("apply path updates");
     }
-    cube.commit(&rtree).expect("patch commit");
+    cube.commit(&mut rtree).expect("patch commit");
 }
 
 /// The `q`-quantile of `samples` by nearest rank, `round((n − 1)·q)`;

@@ -999,6 +999,21 @@ pub struct SignatureCube {
     /// Defaults to the process-wide registry; [`Self::set_metrics`]
     /// points it at an engine's own.
     metrics: Metrics,
+    /// The R-tree node table of the catalog this handle last read or
+    /// committed (node id → the object holding that node): what
+    /// [`Self::commit`] may reuse, and retires what it replaces. Empty on
+    /// a cube not yet committed.
+    rtree_nodes: Vec<PageId>,
+}
+
+/// What [`SignatureCube::commit`] published.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Committed {
+    /// The generation now committed.
+    pub generation: u64,
+    /// R-tree nodes written: the ones changed since the catalog this
+    /// handle last read or committed (every node on a first commit).
+    pub rtree_nodes_written: usize,
 }
 
 impl SignatureCube {
@@ -1055,6 +1070,7 @@ impl SignatureCube {
             node_cache: Arc::new(SharedNodeCache::with_default_budget()),
             staged: None,
             metrics: Metrics::global().clone(),
+            rtree_nodes: Vec::new(),
         }
     }
 
@@ -1210,8 +1226,9 @@ impl SignatureCube {
 
     /// Saves the signature cube *and* its R-tree partition into a single
     /// cube file: every partial-signature object is copied page-by-page,
-    /// and the catalog records the cuboid directory plus the serialized
-    /// tree, so [`Self::open_from`] restores a fully queryable pair.
+    /// every R-tree node is written as an object of its own, and the
+    /// catalog records the cuboid directory plus the tree's header and
+    /// node table, so [`Self::open_from`] restores a fully queryable pair.
     pub fn save_to(
         &self,
         rtree: &RTree,
@@ -1242,24 +1259,28 @@ impl SignatureCube {
     ) -> Result<(), StorageError> {
         let file = PageStore::create_file_with(path, page_size, opts)?;
         let scratch = DiskSim::new(page_size, 0);
-        let w = self.encode_catalog(rtree, |old| {
-            Ok(file.try_put_shared(&scratch, self.store.peek(old)?)?.0)
-        })?;
+        let (w, _) = self.encode_catalog(
+            rtree,
+            |old| Ok(file.try_put_shared(&scratch, self.store.peek(old)?)?.0),
+            |n| file.put_meta(&scratch, rtree.encode_node(n)),
+        )?;
         finish_catalog(&file, w)
     }
 
-    /// Serializes the catalog (cuboid directory plus the R-tree), passing
-    /// each partial's page id through `map_partial` — identity for an
-    /// in-place [`Self::commit`], a page-by-page copy for
-    /// [`Self::save_to`] / [`Self::vacuum_to`] into another file.
+    /// Serializes the catalog: the cuboid directory, then the R-tree's
+    /// header and node table. Each partial's page id passes through
+    /// `map_partial` (identity for an in-place [`Self::commit`], a
+    /// page-by-page copy for [`Self::save_to`] / [`Self::vacuum_to`] into
+    /// another file), and each node id through `node_object`, which names
+    /// the object holding that node — after the partials, so a save lays
+    /// them out where they always were. Returns the catalog and the node
+    /// table it records.
     fn encode_catalog(
         &self,
         rtree: &RTree,
         mut map_partial: impl FnMut(PageId) -> Result<u64, StorageError>,
-    ) -> Result<ByteWriter, StorageError> {
-        // One buffer, sized up front: the serialized tree is most of a
-        // catalog, written in place behind its length prefix.
-        let tree_len = rtree.encoded_len();
+        node_object: impl FnMut(u32) -> Result<PageId, StorageError>,
+    ) -> Result<(ByteWriter, Vec<PageId>), StorageError> {
         let directory_len: usize = self
             .cuboids
             .iter()
@@ -1268,13 +1289,12 @@ impl SignatureCube {
                 16 + 8 * dims.len() + cells.values().map(cell).sum::<usize>()
             })
             .sum();
-        let mut w = ByteWriter::with_capacity(1 + 8 + 8 + 8 + tree_len + 8 + directory_len);
+        // The tree's header is 52 bytes, its node table 8 a node.
+        let tree_len = 52 + 8 * rtree.node_slots() as usize;
+        let mut w = ByteWriter::with_capacity(1 + 8 + 8 + 8 + directory_len + tree_len);
         w.put_u8(CATALOG_SIG);
         w.put_u64(self.m as u64);
         w.put_f64(self.alpha);
-        w.put_u64(tree_len as u64);
-        rtree.write_to(&mut w);
-        assert_eq!(w.len(), 1 + 8 + 8 + 8 + tree_len, "RTree::encoded_len disagrees with write_to");
         w.put_u64(self.cuboids.len() as u64);
         for (dims, cells) in &self.cuboids {
             w.put_u64(dims.len() as u64);
@@ -1304,26 +1324,58 @@ impl SignatureCube {
                 }
             }
         }
-        Ok(w)
+        let objects = (0..rtree.node_slots()).map(node_object).collect::<Result<Vec<_>, _>>()?;
+        rtree.write_paged(&mut w, &objects);
+        Ok((w, objects))
     }
 
     /// Publishes the cube's current state as the *next generation* of its
-    /// own writable file-backed store: the catalog is appended with
-    /// identity-mapped partial ids and the inactive superblock slot is
-    /// stamped (`rcube_storage::format`'s crash-atomic publish point).
-    /// Partials appended since the last commit become durable; partials
-    /// retired by maintenance stay on disk for readers pinned on older
-    /// generations until [`Self::vacuum_to`] compacts them away. Returns
-    /// the generation now committed.
-    pub fn commit(&self, rtree: &RTree) -> Result<u64, StorageError> {
-        let w = self.encode_catalog(rtree, |p| Ok(p.0))?;
+    /// own writable file-backed store: the R-tree nodes changed since the
+    /// catalog this handle last read or committed are appended (every node
+    /// on a first commit), then the catalog, with identity-mapped partial
+    /// ids, and the inactive superblock slot is stamped
+    /// (`rcube_storage::format`'s crash-atomic publish point). A node is
+    /// reused when the tree still names, for it, the object this handle's
+    /// node table does — an edit forgets the object (`RTree::node_mut`),
+    /// and a tree paired with another cube's store names other objects.
+    ///
+    /// Partials appended since the last commit become durable. What the
+    /// new generation no longer reaches is retired for [`Self::vacuum_to`]
+    /// — partials replaced by maintenance (as they were), the catalog it
+    /// supersedes, every node object it replaces, and (in the file
+    /// backend's commit) the allocation map — and stays on disk for
+    /// readers pinned on older generations. Only once the commit stands
+    /// does `rtree` learn where its written nodes live.
+    pub fn commit(&mut self, rtree: &mut RTree) -> Result<Committed, StorageError> {
         let scratch = DiskSim::new(DEFAULT_PAGE_SIZE, 0);
+        let mut written = 0;
+        let (w, table) = self.encode_catalog(
+            rtree,
+            |p| Ok(p.0),
+            |n| match rtree.stored_node(n) {
+                Some(object) if self.rtree_nodes.get(n as usize) == Some(&object) => Ok(object),
+                _ => {
+                    written += 1;
+                    self.store.put_meta(&scratch, rtree.encode_node(n))
+                }
+            },
+        )?;
+        let superseded = self.store.catalog();
         self.store.put_catalog(&scratch, w.into_bytes())?;
+        let replaced =
+            self.rtree_nodes.iter().enumerate().filter(|&(n, old)| table.get(n) != Some(old));
+        for page in superseded.into_iter().chain(replaced.map(|(_, &old)| old)) {
+            self.store.retire(page)?;
+        }
         self.store.flush()?;
+        for (n, &object) in table.iter().enumerate() {
+            rtree.set_stored_node(n as u32, object);
+        }
+        self.rtree_nodes = table;
         let generation = self.store.generation().unwrap_or(0);
         self.metrics.counter("maintenance.commits").inc();
         self.metrics.gauge("maintenance.generation").set(generation);
-        Ok(generation)
+        Ok(Committed { generation, rtree_nodes_written: written })
     }
 
     /// Copy-compacts the cube into a fresh file at `path`: only live
@@ -1402,7 +1454,6 @@ impl SignatureCube {
         let mut r = ByteReader::new(&catalog[1..]);
         let m = r.count(LIMIT)?;
         let alpha = r.f64()?;
-        let rtree = RTree::from_bytes(r.bytes()?)?;
         let ncuboids = r.count(LIMIT)?;
         let mut cuboids = BTreeMap::new();
         for _ in 0..ncuboids {
@@ -1439,7 +1490,9 @@ impl SignatureCube {
             }
             cuboids.insert(dims, cells);
         }
-        Ok((Self::over(store, cuboids, m, alpha), rtree))
+        let rtree = RTree::read_paged(&mut r, |object| store.peek(object))?;
+        let rtree_nodes = (0..rtree.node_slots()).filter_map(|n| rtree.stored_node(n)).collect();
+        Ok((Self::over(store, cuboids, m, alpha, rtree_nodes), rtree))
     }
 
     /// A handle serving `cuboids` out of `store`, caches cold.
@@ -1448,6 +1501,7 @@ impl SignatureCube {
         cuboids: BTreeMap<Vec<usize>, HashMap<Vec<u32>, StoredSignature>>,
         m: usize,
         alpha: f64,
+        rtree_nodes: Vec<PageId>,
     ) -> Self {
         Self {
             store,
@@ -1457,6 +1511,7 @@ impl SignatureCube {
             node_cache: Arc::new(SharedNodeCache::with_default_budget()),
             staged: None,
             metrics: Metrics::global().clone(),
+            rtree_nodes,
         }
     }
 
@@ -1477,6 +1532,7 @@ impl SignatureCube {
             node_cache: Arc::clone(&self.node_cache),
             staged: Some(HandOver::default()),
             metrics: Metrics::global().clone(),
+            rtree_nodes: self.rtree_nodes.clone(),
         }
     }
 
@@ -2345,6 +2401,81 @@ mod tests {
     }
 
     #[test]
+    fn a_v4_file_is_refused_not_misread() {
+        let (_, _, rtree, cube) = setup(300);
+        let path = std::env::temp_dir().join(format!("rcube_sig_v4_{}", std::process::id()));
+        cube.save_to_with(&rtree, &path, 1024, 64).expect("save");
+        assert!(SignatureCube::open_from_with(&path, 64).is_ok());
+        // Stamp both superblock slots as v4 (checksums kept valid): the
+        // layout that kept the whole R-tree inside the catalog.
+        let mut bytes = std::fs::read(&path).unwrap();
+        for slot in bytes.chunks_mut(1024).take(2) {
+            if slot[..8] == rcube_storage::format::MAGIC {
+                slot[8..10].copy_from_slice(&4u16.to_le_bytes());
+                let crc = rcube_storage::format::crc32(&slot[..76]);
+                slot[76..80].copy_from_slice(&crc.to_le_bytes());
+            }
+        }
+        std::fs::write(&path, bytes).unwrap();
+        let refused = SignatureCube::open_from_with(&path, 64).map(|_| ());
+        assert!(matches!(refused, Err(StorageError::UnsupportedVersion(4))), "{refused:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_commit_writes_the_nodes_that_changed_and_retires_what_they_replace() {
+        let (rel, disk, rtree, cube) = setup(700);
+        let path = std::env::temp_dir().join(format!("rcube_sig_nodes_{}", std::process::id()));
+        cube.save_to_with(&rtree, &path, 1024, 64).expect("save");
+        let (mut wcube, mut wtree) = SignatureCube::open_writable_with(&path, 64).expect("open");
+        let reclaimable = |c: &SignatureCube| c.store().reclaimable_pages();
+
+        // Nothing changed: no node is written, the old catalog and map retire.
+        assert_eq!(wcube.commit(&mut wtree).unwrap().rtree_nodes_written, 0);
+        let retired = reclaimable(&wcube);
+        assert!(retired >= 2, "catalog and allocation map: {retired}");
+
+        // One insert: its leaf and the ancestors whose box grew, no more;
+        // each replaced node object retires.
+        let schema = rel.schema();
+        let updates = wtree.insert(&disk, 700, vec![0.5; schema.num_ranking()]);
+        let sel = |t| {
+            let value = |d| if t == 700 { 1 } else { rel.selection_value(t, d) };
+            (0..schema.num_selection()).map(value).collect()
+        };
+        crate::maintain::apply_path_updates(&mut wcube, &updates, sel, &disk).unwrap();
+        let committed = wcube.commit(&mut wtree).unwrap();
+        assert!((1..=wtree.height() + 1).contains(&committed.rtree_nodes_written));
+        assert!(reclaimable(&wcube) >= retired + 2 + committed.rtree_nodes_written as u64 - 1);
+        drop(wcube);
+        let (reopened, rtree2) = SignatureCube::open_from_with(&path, 64).expect("reopen");
+        reopened.verify_integrity().expect("clean scrub");
+        assert_eq!(rtree2.tuple_paths(), wtree.tuple_paths());
+
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_tree_paired_with_another_file_writes_every_node_there() {
+        let (rel, disk, rtree, cube) = setup(300);
+        let path = std::env::temp_dir().join(format!("rcube_sig_pair_{}", std::process::id()));
+        cube.save_to_with(&rtree, &path, 1024, 64).expect("save");
+        // The tree remembers objects of *that* file; a cube built into
+        // another has none of them.
+        let (_, mut tree) = SignatureCube::open_from_with(&path, 64).expect("open");
+        let other = std::env::temp_dir().join(format!("rcube_sig_other_{}", std::process::id()));
+        let store = PageStore::create_file(&other, 1024, 64).unwrap();
+        let mut fresh = SignatureCube::build_in(&rel, &tree, &disk, Default::default(), store);
+        let written = fresh.commit(&mut tree).unwrap().rtree_nodes_written;
+        assert_eq!(written, tree.node_slots() as usize);
+        drop(fresh);
+        let (reopened, _) = SignatureCube::open_from_with(&other, 64).expect("reopen");
+        reopened.verify_integrity().expect("clean scrub");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&other).ok();
+    }
+
+    #[test]
     fn writable_reopen_commit_publishes_next_generation() {
         let (rel, disk, rtree, cube) = setup(700);
         let mut path = std::env::temp_dir();
@@ -2353,7 +2484,7 @@ mod tests {
 
         // Reopen writable: same answers, generation 1 (save_to committed
         // once), appends allowed.
-        let (mut wcube, wtree) = SignatureCube::open_writable_with(&path, 64).expect("open");
+        let (mut wcube, mut wtree) = SignatureCube::open_writable_with(&path, 64).expect("open");
         assert!(!wcube.store().read_only());
         assert_eq!(wcube.store().generation(), Some(1));
 
@@ -2367,7 +2498,7 @@ mod tests {
         let sig = Signature::from_paths(wcube.fanout(), keep.iter().map(|p| p.as_slice()));
         wcube.replace_cell(&[0], vec![1], &sig, &disk).unwrap();
         assert!(wcube.store().reclaimable_pages() > 0, "replaced partials must be retired");
-        assert_eq!(wcube.commit(&wtree).expect("commit"), 2);
+        assert_eq!(wcube.commit(&mut wtree).expect("commit").generation, 2);
 
         // A fresh open serves the patched generation.
         let (reopened, rtree2) = SignatureCube::open_from_with(&path, 64).expect("reopen");

@@ -77,6 +77,12 @@ struct Node {
 /// the tid → leaf map, and a mutation copies only the nodes it edits
 /// ([`Arc::make_mut`]): a writer folding updates into a clone of the tree
 /// a reader is still searching shares every node it leaves alone.
+///
+/// Persisted, the tree is one store object per node
+/// ([`Self::encode_node`], [`Self::write_paged`]): the tree remembers which
+/// object holds each node as it is now, and every mutation goes through
+/// one helper that forgets it — so a commit rewrites exactly the nodes
+/// changed since the last one.
 #[derive(Debug, Clone)]
 pub struct RTree {
     dims: usize,
@@ -86,6 +92,11 @@ pub struct RTree {
     config: RTreeConfig,
     /// tid → leaf node (answers "which leaf holds this tuple" in O(1)).
     tid_leaf: HashMap<Tid, u32>,
+    /// Per node id, the store object holding the node's current bytes;
+    /// `None` for a node never stored or changed since. Beside the nodes,
+    /// not in them: `Arc::make_mut` copies a shared node, and the copy
+    /// is exactly what must lose the id.
+    stored: Vec<Option<PageId>>,
 }
 
 impl RTree {
@@ -100,6 +111,7 @@ impl RTree {
             height: 1,
             config,
             tid_leaf: HashMap::with_capacity(points.len()),
+            stored: Vec::new(),
         };
         // Pack to the fill fraction, not to capacity, so subsequent
         // insertions do not cascade splits from the first tuple on. Keeping
@@ -414,9 +426,19 @@ impl RTree {
     }
 
     /// Unique access to node `n`, copying it first when a clone of the
-    /// tree still shares it.
+    /// tree still shares it. The only way to edit a node: it forgets the
+    /// object that stored the node's old bytes.
     fn node_mut(&mut self, n: u32) -> &mut Node {
+        self.stored[n as usize] = None;
         Arc::make_mut(&mut self.nodes[n as usize])
+    }
+
+    /// Appends `node`, not stored yet, and returns its id.
+    fn push_node(&mut self, node: Node) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Arc::new(node));
+        self.stored.push(None);
+        id
     }
 
     /// Re-parents `child`, leaving a node that already points there shared.
@@ -435,8 +457,7 @@ impl RTree {
         }
         let page = disk.alloc_page();
         disk.write(page);
-        self.nodes.push(Arc::new(Node { mbr, kind: NodeKind::Leaf(entries), parent: None, page }));
-        id
+        self.push_node(Node { mbr, kind: NodeKind::Leaf(entries), parent: None, page })
     }
 
     fn alloc_internal(&mut self, disk: &DiskSim, children: Vec<u32>) -> u32 {
@@ -448,13 +469,7 @@ impl RTree {
         }
         let page = disk.alloc_page();
         disk.write(page);
-        self.nodes.push(Arc::new(Node {
-            mbr,
-            kind: NodeKind::Internal(children),
-            parent: None,
-            page,
-        }));
-        id
+        self.push_node(Node { mbr, kind: NodeKind::Internal(children), parent: None, page })
     }
 
     fn node_len(&self, n: u32) -> usize {
@@ -624,167 +639,147 @@ impl RTree {
         self.insert_entry(disk, cur, tid, point);
     }
 
-    /// Serializes the full tree (geometry, structure, page ids, sizing)
-    /// for cube persistence; [`Self::from_bytes`] is the inverse. Page ids
-    /// are preserved so a reopened tree charges the same simulated I/O
-    /// pattern as the one that built the cube.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(self.encoded_len());
-        self.write_to(&mut w);
+    // ---- persistence: one store object per node -------------------------
+    //
+    // A catalog keeps the header and a node table (node id → object id,
+    // `write_paged` / `read_paged`); each node is an object of its own
+    // (`encode_node`). Page ids are preserved so a reopened tree charges
+    // the same simulated I/O pattern as the one that built the cube. The
+    // byte layout is specified in `rcube_storage::format` (*Signature
+    // catalog*).
+
+    /// Node ids in use, reachable or not (a condense detaches nodes but
+    /// never renumbers them): the length of a stored node table.
+    pub fn node_slots(&self) -> u32 {
+        self.nodes.len() as u32
+    }
+
+    /// The store object holding node `n` as it is now — `None` when the
+    /// node was never stored or has changed since.
+    pub fn stored_node(&self, n: u32) -> Option<PageId> {
+        self.stored[n as usize]
+    }
+
+    /// Records that `object` holds node `n` as it is now.
+    pub fn set_stored_node(&mut self, n: u32, object: PageId) {
+        self.stored[n as usize] = Some(object);
+    }
+
+    /// Node `n` as one store object: its id, modelled page, parent, MBR,
+    /// kind and entries.
+    pub fn encode_node(&self, n: u32) -> Vec<u8> {
+        let node = &self.nodes[n as usize];
+        let entries = match &node.kind {
+            NodeKind::Internal(children) => 4 * children.len(),
+            NodeKind::Leaf(entries) => entries.len() * (4 + 8 * self.dims),
+        };
+        let mut w = ByteWriter::with_capacity(4 + 8 + 4 + 16 * self.dims + 1 + 4 + entries);
+        w.put_u32(n);
+        w.put_u64(node.page.0);
+        w.put_u32(node.parent.unwrap_or(u32::MAX));
+        for d in 0..self.dims {
+            w.put_f64(node.mbr.lo(d));
+            w.put_f64(node.mbr.hi(d));
+        }
+        match &node.kind {
+            NodeKind::Internal(children) => {
+                w.put_u8(0);
+                w.put_u32(children.len() as u32);
+                for &c in children {
+                    w.put_u32(c);
+                }
+            }
+            NodeKind::Leaf(entries) => {
+                w.put_u8(1);
+                w.put_u32(entries.len() as u32);
+                for (tid, point) in entries {
+                    w.put_u32(*tid);
+                    for &v in point {
+                        w.put_f64(v);
+                    }
+                }
+            }
+        }
         w.into_bytes()
     }
 
-    /// Bytes [`Self::write_to`] appends — lets a catalog writer emit the
-    /// length prefix and size its buffer before serializing in place.
-    pub fn encoded_len(&self) -> usize {
-        let node = |n: &Arc<Node>| {
-            8 + 4
-                + 16 * self.dims
-                + 1
-                + 8
-                + match &n.kind {
-                    NodeKind::Internal(children) => 4 * children.len(),
-                    NodeKind::Leaf(entries) => {
-                        entries.iter().map(|(_, point)| 4 + 8 * point.len()).sum()
-                    }
-                }
-        };
-        8 + 4 + 8 + 8 + 8 + 8 + 8 + self.nodes.iter().map(node).sum::<usize>()
-    }
-
-    /// [`Self::to_bytes`] straight into `w`.
-    pub fn write_to(&self, w: &mut ByteWriter) {
+    /// Appends the tree header (dims, root, height, sizing) and the node
+    /// table: `objects[n]` is the store object holding node `n`, one per
+    /// node id.
+    pub fn write_paged(&self, w: &mut ByteWriter, objects: &[PageId]) {
+        assert_eq!(objects.len(), self.nodes.len(), "one object per node id");
         w.put_u64(self.dims as u64);
         w.put_u32(self.root);
         w.put_u64(self.height as u64);
         w.put_u64(self.config.max_entries as u64);
         w.put_u64(self.config.min_entries as u64);
         w.put_f64(self.config.bulk_fill);
-        w.put_u64(self.nodes.len() as u64);
-        for node in &self.nodes {
-            w.put_u64(node.page.0);
-            w.put_u32(node.parent.map_or(u32::MAX, |p| p));
-            for d in 0..self.dims {
-                w.put_f64(node.mbr.lo(d));
-                w.put_f64(node.mbr.hi(d));
-            }
-            match &node.kind {
-                NodeKind::Internal(children) => {
-                    w.put_u8(0);
-                    w.put_u64(children.len() as u64);
-                    for &c in children {
-                        w.put_u32(c);
-                    }
-                }
-                NodeKind::Leaf(entries) => {
-                    w.put_u8(1);
-                    w.put_u64(entries.len() as u64);
-                    for (tid, point) in entries {
-                        w.put_u32(*tid);
-                        for &v in point {
-                            w.put_f64(v);
-                        }
-                    }
-                }
-            }
+        w.put_u64(objects.len() as u64);
+        for object in objects {
+            w.put_u64(object.0);
         }
     }
 
-    /// Deserializes a tree written by [`Self::to_bytes`], rebuilding the
-    /// tid → leaf map from the stored leaves.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
+    /// Rebuilds the tree [`Self::write_paged`] described from `r`, fetching
+    /// each node object through `load`; every node remembers its object.
+    /// Anything that is not a well-formed tree — a truncated or garbled
+    /// object, a node under another id, an index out of range, a cycle, a
+    /// parent link that disagrees with its parent, a leaf off the tree's
+    /// height, an overfull node, a tid stored twice, disordered or NaN
+    /// bounds — fails typed, before any traversal could loop or panic.
+    pub fn read_paged(
+        r: &mut ByteReader<'_>,
+        mut load: impl FnMut(PageId) -> Result<Arc<[u8]>, StorageError>,
+    ) -> Result<Self, StorageError> {
         const LIMIT: usize = 1 << 30;
-        let mut r = ByteReader::new(bytes);
         let dims = r.count(64)?;
         let root = r.u32()?;
         let height = r.count(LIMIT)?;
         let max_entries = r.count(LIMIT)?;
         let min_entries = r.count(LIMIT)?;
         let bulk_fill = r.f64()?;
-        let node_count = r.count(LIMIT)?;
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let page = PageId(r.u64()?);
-            let parent = match r.u32()? {
-                u32::MAX => None,
-                p => Some(p),
-            };
-            let (mut lo, mut hi) = (Vec::with_capacity(dims), Vec::with_capacity(dims));
-            for _ in 0..dims {
-                lo.push(r.f64()?);
-                hi.push(r.f64()?);
-            }
-            // Rect::new asserts lo <= hi, so reject garbled bounds —
-            // including NaN, which is incomparable — as a typed error
-            // instead of panicking.
-            let ordered = |l: &f64, h: &f64| {
-                matches!(
-                    l.partial_cmp(h),
-                    Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-                )
-            };
-            if !lo.iter().zip(&hi).all(|(l, h)| ordered(l, h)) {
-                return Err(StorageError::Malformed("R-tree MBR bounds out of order"));
-            }
-            let mbr = Rect::new(lo, hi);
-            let kind = match r.u8()? {
-                0 => {
-                    let n = r.count(LIMIT)?;
-                    let mut children = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        children.push(r.u32()?);
-                    }
-                    NodeKind::Internal(children)
-                }
-                1 => {
-                    let n = r.count(LIMIT)?;
-                    let mut entries = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let tid = r.u32()?;
-                        let mut point = Vec::with_capacity(dims);
-                        for _ in 0..dims {
-                            point.push(r.f64()?);
-                        }
-                        entries.push((tid, point));
-                    }
-                    NodeKind::Leaf(entries)
-                }
-                _ => return Err(StorageError::Malformed("unknown R-tree node kind")),
-            };
-            nodes.push(Arc::new(Node { mbr, kind, parent, page }));
+        if dims == 0 || height == 0 || max_entries < 2 || !(1..=max_entries).contains(&min_entries)
+        {
+            return Err(StorageError::Malformed("R-tree header out of range"));
         }
-        if root as usize >= nodes.len() {
+        let slots = r.count(r.remaining() / 8)?;
+        let objects = (0..slots).map(|_| r.u64().map(PageId)).collect::<Result<Vec<_>, _>>()?;
+        let nodes = objects
+            .iter()
+            .enumerate()
+            .map(|(n, &object)| {
+                decode_node(&load(object)?, n as u32, dims, max_entries, slots).map(Arc::new)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if root as usize >= slots {
             return Err(StorageError::Malformed("R-tree root out of range"));
         }
-        // Structural validation before any traversal: every node index in
-        // range, and the root-reachable graph acyclic (live_nodes has no
-        // visited set, so a cycle here would loop forever).
-        for node in &nodes {
-            if let Some(p) = node.parent {
-                if p as usize >= nodes.len() {
-                    return Err(StorageError::Malformed("R-tree parent index out of range"));
-                }
-            }
-            if let NodeKind::Internal(children) = &node.kind {
-                if children.iter().any(|&c| c as usize >= nodes.len()) {
-                    return Err(StorageError::Malformed("R-tree child index out of range"));
-                }
-            }
-        }
+        // Walk what the root reaches: each node once (a cycle or a shared
+        // child is caught before it could loop), linked back to the node
+        // that lists it, leaves exactly at the tree's height.
         let mut tid_leaf = HashMap::new();
-        let mut visited = vec![false; nodes.len()];
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
+        let mut visited = vec![false; slots];
+        let mut stack = vec![(root, None, 1usize)];
+        while let Some((n, parent, depth)) = stack.pop() {
             if std::mem::replace(&mut visited[n as usize], true) {
                 return Err(StorageError::Malformed("R-tree node reachable twice (cycle)"));
             }
-            match &nodes[n as usize].kind {
-                NodeKind::Internal(children) => stack.extend_from_slice(children),
-                NodeKind::Leaf(entries) => {
+            let node = &nodes[n as usize];
+            if node.parent != parent {
+                return Err(StorageError::Malformed("R-tree parent link disagrees with the tree"));
+            }
+            match &node.kind {
+                NodeKind::Internal(children) if depth < height => {
+                    stack.extend(children.iter().map(|&c| (c, Some(n), depth + 1)));
+                }
+                NodeKind::Leaf(entries) if depth == height => {
                     for &(tid, _) in entries {
-                        tid_leaf.insert(tid, n);
+                        if tid_leaf.insert(tid, n).is_some() {
+                            return Err(StorageError::Malformed("R-tree stores a tid twice"));
+                        }
                     }
                 }
+                _ => return Err(StorageError::Malformed("R-tree node off the tree's height")),
             }
         }
         Ok(Self {
@@ -794,6 +789,7 @@ impl RTree {
             height,
             config: RTreeConfig { max_entries, min_entries, bulk_fill },
             tid_leaf,
+            stored: objects.into_iter().map(Some).collect(),
         })
     }
 
@@ -809,6 +805,65 @@ impl RTree {
         }
         seen.into_iter()
     }
+}
+
+/// One node object written by [`RTree::encode_node`], checked to be node
+/// `id` of a `dims`-dimensional tree of `slots` nodes holding at most
+/// `max_entries` entries each.
+fn decode_node(
+    bytes: &[u8],
+    id: u32,
+    dims: usize,
+    max_entries: usize,
+    slots: usize,
+) -> Result<Node, StorageError> {
+    let mut r = ByteReader::new(bytes);
+    if r.u32()? != id {
+        return Err(StorageError::Malformed("R-tree node object under another node id"));
+    }
+    let page = PageId(r.u64()?);
+    let parent = match r.u32()? {
+        u32::MAX => None,
+        p if (p as usize) < slots => Some(p),
+        _ => return Err(StorageError::Malformed("R-tree parent index out of range")),
+    };
+    let (mut lo, mut hi) = (Vec::with_capacity(dims), Vec::with_capacity(dims));
+    for _ in 0..dims {
+        lo.push(r.f64()?);
+        hi.push(r.f64()?);
+    }
+    // Rect::new asserts lo <= hi, so reject garbled bounds — including
+    // NaN, which is incomparable — as a typed error instead of panicking.
+    if !lo.iter().zip(&hi).all(|(l, h)| l <= h) {
+        return Err(StorageError::Malformed("R-tree MBR bounds out of order"));
+    }
+    let mbr = Rect::new(lo, hi);
+    let kind = r.u8()?;
+    let len = r.u32()? as usize;
+    let entry = if kind == 0 { 4 } else { 4 + 8 * dims };
+    if len > max_entries || len * entry != r.remaining() {
+        return Err(StorageError::Malformed("R-tree node entry count disagrees with its object"));
+    }
+    let kind = match kind {
+        0 => {
+            let children = (0..len).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
+            if children.iter().any(|&c| c as usize >= slots) {
+                return Err(StorageError::Malformed("R-tree child index out of range"));
+            }
+            NodeKind::Internal(children)
+        }
+        1 => {
+            let mut entries = Vec::with_capacity(len);
+            for _ in 0..len {
+                let tid = r.u32()?;
+                let point = (0..dims).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
+                entries.push((tid, point));
+            }
+            NodeKind::Leaf(entries)
+        }
+        _ => return Err(StorageError::Malformed("unknown R-tree node kind")),
+    };
+    Ok(Node { mbr, kind, parent, page })
 }
 
 /// Guttman's quadratic split: pick the two seeds wasting the most area,
@@ -1008,42 +1063,92 @@ mod tests {
         assert_eq!(tuple_count, t.tid_leaf.len());
     }
 
+    /// A store for paged trees: node objects by id.
+    type Objects = HashMap<PageId, Arc<[u8]>>;
+
+    /// Stores every node of `t` afresh (object ids spaced out, as in a
+    /// file) and returns the catalog entry and the objects.
+    fn store_paged(t: &RTree) -> (Vec<u8>, Objects) {
+        let mut objects = Objects::new();
+        let ids: Vec<PageId> = (0..t.node_slots())
+            .map(|n| {
+                let id = PageId(100 + 3 * u64::from(n));
+                objects.insert(id, t.encode_node(n).into());
+                id
+            })
+            .collect();
+        let mut w = ByteWriter::new();
+        t.write_paged(&mut w, &ids);
+        (w.into_bytes(), objects)
+    }
+
+    fn read_back(entry: &[u8], objects: &Objects) -> Result<RTree, StorageError> {
+        RTree::read_paged(&mut ByteReader::new(entry), |id| {
+            objects.get(&id).cloned().ok_or(StorageError::MissingObject(id))
+        })
+    }
+
+    /// Everything a save of `t` writes but the object ids: every node's
+    /// object and the header.
+    fn image(t: &RTree) -> Vec<Vec<u8>> {
+        let mut header = ByteWriter::new();
+        t.write_paged(&mut header, &vec![PageId(0); t.node_slots() as usize]);
+        (0..t.node_slots()).map(|n| t.encode_node(n)).chain([header.into_bytes()]).collect()
+    }
+
     #[test]
     fn serialization_round_trips() {
         let disk = DiskSim::with_defaults();
         let pts = random_points(700, 3, 11);
         let t = RTree::bulk_load(&disk, pts.clone(), RTreeConfig::small(12));
-        let back = RTree::from_bytes(&t.to_bytes()).expect("round trip");
+        assert!((0..t.node_slots()).all(|n| t.stored_node(n).is_none()), "built, never stored");
+        let (entry, objects) = store_paged(&t);
+        let back = read_back(&entry, &objects).expect("round trip");
         check_invariants(&back);
+        assert_eq!(image(&back), image(&t));
         assert_eq!(back.point_dims(), t.point_dims());
         assert_eq!(back.height(), t.height());
         assert_eq!(back.node_count(), t.node_count());
         for (tid, _) in &pts {
             assert_eq!(back.tuple_path(*tid), t.tuple_path(*tid), "path of tid {tid}");
         }
-        assert!(RTree::from_bytes(&t.to_bytes()[..10]).is_err());
+        for n in 0..back.node_slots() {
+            let object = back.stored_node(n).expect("a read node knows its object");
+            assert_eq!(*objects[&object], *back.encode_node(n));
+        }
+        assert!(read_back(&entry[..10], &objects).is_err());
+        assert!(read_back(&entry[..entry.len() - 1], &objects).is_err());
     }
 
     #[test]
     fn a_clone_shares_nodes_until_one_side_edits_them() {
         let disk = DiskSim::with_defaults();
-        let served = RTree::bulk_load(&disk, random_points(600, 2, 31), RTreeConfig::small(8));
-        let before = served.to_bytes();
-        assert_eq!(before.len(), served.encoded_len());
+        let built = RTree::bulk_load(&disk, random_points(600, 2, 31), RTreeConfig::small(8));
+        let (entry, objects) = store_paged(&built);
+        let served = read_back(&entry, &objects).unwrap();
+        let before = image(&served);
         let mut writer = served.clone();
         assert!(served.nodes.iter().zip(&writer.nodes).all(|(a, b)| Arc::ptr_eq(a, b)));
 
         // One no-split insert and one in-place delete: each copies its leaf
-        // (ancestors only where a box moved), nothing else.
+        // (ancestors only where a box moved), nothing else — and exactly
+        // the copies forget their stored objects.
         writer.insert(&disk, 9_000, vec![0.5, 0.5]);
         writer.delete(&disk, 17);
         check_invariants(&writer);
-        let copied =
-            served.nodes.iter().zip(&writer.nodes).filter(|(a, b)| !Arc::ptr_eq(a, b)).count();
-        assert!((2..=2 * served.height()).contains(&copied), "copied {copied} nodes");
+        let copied: Vec<u32> = (0..served.node_slots())
+            .filter(|&n| !Arc::ptr_eq(&served.nodes[n as usize], &writer.nodes[n as usize]))
+            .collect();
+        assert!((2..=2 * served.height()).contains(&copied.len()), "copied {copied:?}");
+        for n in 0..served.node_slots() {
+            assert!(served.stored_node(n).is_some());
+            let kept = writer.stored_node(n);
+            assert_eq!(kept.is_none(), copied.contains(&n), "node {n}");
+            assert!(kept.is_none() || kept == served.stored_node(n));
+        }
 
         // Splits, a condense and re-insertions on the writer's side: the
-        // served tree still serializes to the bytes it had.
+        // served tree still encodes to the bytes it had.
         let mut rng = StdRng::seed_from_u64(32);
         for i in 0..300u32 {
             writer.insert(&disk, 10_000 + i, vec![rng.gen(), rng.gen()]);
@@ -1051,20 +1156,17 @@ mod tests {
         }
         check_invariants(&writer);
         check_invariants(&served);
-        assert_eq!(served.to_bytes(), before, "the served clone never moved");
+        assert_eq!(image(&served), before, "the served clone never moved");
         assert!(served.tuple_path(17).is_some() && writer.tuple_path(17).is_none());
+        assert!(writer.node_slots() > served.node_slots());
+        for n in served.node_slots()..writer.node_slots() {
+            assert_eq!(writer.stored_node(n), None, "a new node was never stored");
+        }
     }
 
-    #[test]
-    fn malformed_serialization_fails_typed_not_by_panic() {
-        // A minimal hand-built blob: one internal node whose only child is
-        // itself (a cycle), which must be rejected, not looped on.
-        let disk = DiskSim::with_defaults();
-        let t = RTree::bulk_load(&disk, random_points(5, 2, 3), RTreeConfig::small(8));
-        let good = t.to_bytes();
-        // Locate the root node's record and splice in garbage variants via
-        // re-serialization of crafted trees instead: child out of range.
-        let mut w = rcube_storage::ByteWriter::new();
+    /// A one-node tree whose root is `root`'s encoding, under object 1.
+    fn one_node(root: &[u8]) -> (Vec<u8>, Objects) {
+        let mut w = ByteWriter::new();
         w.put_u64(2); // dims
         w.put_u32(0); // root
         w.put_u64(1); // height
@@ -1072,6 +1174,14 @@ mod tests {
         w.put_u64(2); // min_entries
         w.put_f64(0.7);
         w.put_u64(1); // one node
+        w.put_u64(1); // … in object 1
+        (w.into_bytes(), Objects::from([(PageId(1), Arc::from(root))]))
+    }
+
+    /// Node 0 of a 2-d tree: internal, no parent, unit box, `children`.
+    fn internal_root(children: &[u32]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(0); // node id
         w.put_u64(0); // page
         w.put_u32(u32::MAX); // no parent
         for _ in 0..2 {
@@ -1079,18 +1189,122 @@ mod tests {
             w.put_f64(1.0);
         }
         w.put_u8(0); // internal
-        w.put_u64(1);
-        let mut oob = w.into_bytes();
-        let mut cycle = oob.clone();
-        oob.extend_from_slice(&7u32.to_le_bytes()); // child 7 of 1 node
-        cycle.extend_from_slice(&0u32.to_le_bytes()); // child = self
-        assert!(RTree::from_bytes(&oob).is_err(), "out-of-range child must fail");
-        assert!(RTree::from_bytes(&cycle).is_err(), "self-cycle must fail");
+        w.put_u32(children.len() as u32);
+        for &c in children {
+            w.put_u32(c);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn malformed_serialization_fails_typed_not_by_panic() {
+        // Truncated: the catalog entry and a node object alike.
+        let disk = DiskSim::with_defaults();
+        let t = RTree::bulk_load(&disk, random_points(5, 2, 3), RTreeConfig::small(8));
+        let (entry, objects) = store_paged(&t);
+        assert!(read_back(&entry, &objects).is_ok());
+        assert!(read_back(&entry[..entry.len() - 4], &objects).is_err(), "truncated table");
+        let mut short = objects.clone();
+        let (&id, bytes) = short.iter_mut().next().unwrap();
+        *bytes = bytes[..bytes.len() - 1].into();
+        assert!(read_back(&entry, &short).is_err(), "truncated node {id:?}");
+        // An out-of-range child, and a node that is its own child (a
+        // cycle), are rejected rather than followed.
+        let (entry, objects) = one_node(&internal_root(&[7]));
+        assert!(read_back(&entry, &objects).is_err(), "out-of-range child must fail");
+        let (entry, objects) = one_node(&internal_root(&[0]));
+        assert!(read_back(&entry, &objects).is_err(), "self-cycle must fail");
         // NaN MBR bounds fail typed too (NaN <= x is false).
-        let mut nan = good.clone();
-        let mbr_off = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4; // first node's first lo
-        nan[mbr_off..mbr_off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert!(RTree::from_bytes(&nan).is_err(), "NaN bound must fail");
+        let (entry, mut objects) = store_paged(&t);
+        let root = PageId(100 + 3 * u64::from(t.root)); // where `store_paged` put it
+        let mut nan = objects[&root].to_vec();
+        let lo = 4 + 8 + 4; // node id, page, parent: the first lo
+        nan[lo..lo + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        objects.insert(root, nan.into());
+        assert!(read_back(&entry, &objects).is_err(), "NaN bound must fail");
+    }
+
+    /// A tree a decode accepted must be one the tree's own operations can
+    /// walk and edit: every tuple path leads to its tuple, and an insert
+    /// and a delete keep it so.
+    fn exercise(mut t: RTree, disk: &DiskSim) {
+        let paths = t.tuple_paths();
+        assert_eq!(paths.len(), t.tid_leaf.len());
+        for (tid, path) in &paths {
+            assert_eq!(t.tuple_path(*tid).as_ref(), Some(path));
+            let mut cur = t.root();
+            for &p in &path[..path.len() - 1] {
+                cur = NodeHandle(t.child_ids(cur)[p as usize]);
+            }
+            assert_eq!(t.leaf_slice(cur)[*path.last().unwrap() as usize].0, *tid);
+        }
+        let _ = t.byte_size() + t.node_count();
+        let point = vec![0.5; t.point_dims()];
+        t.insert(disk, u32::MAX, point);
+        if let Some(&(tid, _)) = paths.first() {
+            t.delete(disk, tid);
+        }
+        assert!(t.tuple_path(u32::MAX).is_some());
+    }
+
+    #[test]
+    fn decode_fuzz_gives_a_typed_error_or_a_valid_tree() {
+        let disk = DiskSim::with_defaults();
+        let t = RTree::bulk_load(&disk, random_points(90, 2, 41), RTreeConfig::small(6));
+        let (entry, objects) = store_paged(&t);
+        let ids: Vec<PageId> = {
+            let mut ids: Vec<PageId> = objects.keys().copied().collect();
+            ids.sort();
+            ids
+        };
+        let mut rng = StdRng::seed_from_u64(42);
+        let (mut rejected, mut accepted) = (0, 0);
+        for _ in 0..3_000 {
+            let (mut entry, mut objects) = (entry.clone(), objects.clone());
+            let victim = ids[rng.gen_range(0..ids.len())];
+            match rng.gen_range(0..5) {
+                // A bit flipped in one node object…
+                0 => {
+                    let mut bytes = objects[&victim].to_vec();
+                    let bit = rng.gen_range(0..bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                    objects.insert(victim, bytes.into());
+                }
+                // … or in the header and node table.
+                1 => {
+                    let bit = rng.gen_range(0..entry.len() * 8);
+                    entry[bit / 8] ^= 1 << (bit % 8);
+                }
+                // An arbitrary object in a node's place.
+                2 => {
+                    let len = rng.gen_range(0..200);
+                    let junk: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                    objects.insert(victim, junk.into());
+                }
+                // Two table entries swapped.
+                3 => {
+                    let (i, j) = (rng.gen_range(0..ids.len()), rng.gen_range(0..ids.len()));
+                    let at = |k: usize| 44 + 8 * k;
+                    for b in 0..8 {
+                        entry.swap(at(i) + b, at(j) + b);
+                    }
+                }
+                // A node object cut short.
+                _ => {
+                    let bytes = &objects[&victim];
+                    let cut: Arc<[u8]> = bytes[..rng.gen_range(0..bytes.len())].into();
+                    objects.insert(victim, cut);
+                }
+            }
+            match read_back(&entry, &objects) {
+                Ok(tree) => {
+                    accepted += 1;
+                    exercise(tree, &disk);
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(rejected > 1_000 && accepted > 100, "{rejected} rejected, {accepted} accepted");
     }
 
     #[test]

@@ -223,12 +223,19 @@ pub trait PageBackend: Send + Sync + std::fmt::Debug {
     /// Records the root object (the cube catalog) in device metadata.
     fn set_catalog(&self, first: PageId) -> Result<(), StorageError>;
 
-    /// Stores the catalog object and records it as the root. Backends
-    /// with persistent metadata exclude it from `total_bytes` /
+    /// Stores a metadata object: the catalog, or an object only the
+    /// catalog names (an R-tree node). Backends with persistent metadata
+    /// neither charge it to `disk` nor count it in `total_bytes` /
     /// `object_count`, keeping those the paper's *materialized cube size*
     /// (cells + base blocks), not file overhead.
+    fn put_meta(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
+        self.put(disk, data)
+    }
+
+    /// Stores the catalog object ([`Self::put_meta`]) and records it as
+    /// the root.
     fn put_catalog(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
-        let id = self.put(disk, data)?;
+        let id = self.put_meta(disk, data)?;
         self.set_catalog(id)?;
         Ok(id)
     }

@@ -395,6 +395,12 @@ impl PageStore {
         self.backend.set_catalog(first)
     }
 
+    /// Stores a metadata object the catalog names, uncharged and excluded
+    /// from the materialized totals on persistent backends.
+    pub fn put_meta(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
+        self.backend.put_meta(disk, data)
+    }
+
     /// Stores the catalog object and records it as the root (excluded
     /// from the materialized totals on persistent backends).
     pub fn put_catalog(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {

@@ -167,7 +167,7 @@ pub struct FileBackend {
     generation: AtomicU64,
     /// Total object payload bytes (materialized-size metric).
     total_bytes: AtomicU64,
-    /// Stored objects (catalog excluded).
+    /// Stored objects (metadata objects excluded: catalog, R-tree nodes).
     object_count: AtomicU64,
     /// Catalog first page, [`NO_PAGE`] = none.
     catalog_first: AtomicU64,
@@ -180,6 +180,9 @@ pub struct FileBackend {
     /// Pages retired by COW maintenance — unreachable from the next
     /// generation, reclaimable by a vacuum pass.
     retired_pages: AtomicU64,
+    /// Pages of the allocation map the committed generation points at
+    /// (0 = none): the next commit appends another and retires this one.
+    alloc_pages: AtomicU64,
     /// first page → object payload length, learned on put and first read.
     sizes: RwLock<HashMap<u64, u32>>,
     /// Sharded frame cache; internally synchronized.
@@ -237,6 +240,7 @@ impl FileBackend {
             dirty: AtomicBool::new(true),
             pages_written: AtomicU64::new(0),
             retired_pages: AtomicU64::new(0),
+            alloc_pages: AtomicU64::new(0),
             sizes: RwLock::new(HashMap::new()),
             pool: BufferPool::new(opts.pool_pages),
             writer: Mutex::new(()),
@@ -400,6 +404,7 @@ impl FileBackend {
             // Seed from the elected slot: the vacuum watermark survives
             // reopen instead of resetting to zero each restart.
             retired_pages: AtomicU64::new(sb.retired_pages),
+            alloc_pages: AtomicU64::new(sb.alloc_first.map_or(0, |_| u64::from(sb.alloc_pages))),
             sizes: RwLock::new(HashMap::new()),
             pool: BufferPool::new(opts.pool_pages),
             writer: Mutex::new(()),
@@ -513,7 +518,8 @@ impl FileBackend {
     }
 
     /// Pages retired by COW maintenance, unreachable from the next
-    /// generation: what a vacuum (compacting rewrite) would reclaim.
+    /// generation — replaced objects, superseded catalogs and allocation
+    /// maps: what a vacuum (compacting rewrite) would reclaim.
     pub fn reclaimable_pages(&self) -> u64 {
         self.retired_pages.load(Ordering::Relaxed)
     }
@@ -835,6 +841,9 @@ impl PageBackend for FileBackend {
         // Data and map durable before the publish write: the elected
         // superblock must never describe pages that did not persist.
         self.file.sync_all()?;
+        // The map this one replaces is unreachable from the new generation.
+        let retired_pages =
+            self.retired_pages.load(Ordering::Relaxed) + self.alloc_pages.load(Ordering::Relaxed);
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         let catalog_first = self.catalog_first.load(Ordering::Relaxed);
         let sb = Superblock {
@@ -846,7 +855,7 @@ impl PageBackend for FileBackend {
             alloc_first: Some(alloc_first),
             alloc_pages: map_pages as u32,
             generation,
-            retired_pages: self.retired_pages.load(Ordering::Relaxed),
+            retired_pages,
         };
         let mut slot_page = vec![0u8; self.page_size];
         sb.encode(&mut slot_page);
@@ -855,6 +864,8 @@ impl PageBackend for FileBackend {
         self.file.sync_all()?;
         self.generation.store(generation, Ordering::Relaxed);
         self.committed_pages.store(final_count, Ordering::Relaxed);
+        self.retired_pages.store(retired_pages, Ordering::Relaxed);
+        self.alloc_pages.store(map_pages as u64, Ordering::Relaxed);
         self.dirty.store(false, Ordering::Relaxed);
         Ok(())
     }
@@ -863,24 +874,29 @@ impl PageBackend for FileBackend {
         self.read_only
     }
 
-    fn put_catalog(&self, _disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
+    fn put_meta(&self, _disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
         if self.read_only {
             return Err(StorageError::ReadOnly);
         }
         let _w = self.writer.lock().unwrap();
-        // Like `put`, but the catalog is file metadata: it is neither
+        // Like `put`, but the object is file metadata: it is neither
         // charged as query I/O nor counted in the materialized totals.
         let first = self.page_count.load(Ordering::Relaxed);
         let pages = self.write_object_pages(first, &data)?;
         self.page_count.store(first + pages as u64, Ordering::Release);
-        // Release: a reader that observes this pointer (Acquire in
-        // `catalog`) must also observe the page_count covering it.
-        self.catalog_first.store(first, Ordering::Release);
         self.dirty.store(true, Ordering::Relaxed);
         self.learn_size(first, data.len() as u32);
         let frame: Arc<[u8]> = data.into();
         self.pool.insert(PageId(first), frame, pages);
         Ok(PageId(first))
+    }
+
+    fn put_catalog(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
+        let first = self.put_meta(disk, data)?;
+        // Release: a reader that observes this pointer (Acquire in
+        // `catalog`) must also observe the page_count covering it.
+        self.catalog_first.store(first.0, Ordering::Release);
+        Ok(first)
     }
 
     fn catalog(&self) -> Option<PageId> {
@@ -1504,6 +1520,29 @@ mod tests {
         assert_eq!(FileBackend::open(&path, 0).unwrap().reclaimable_pages(), retired);
         assert_eq!(FileBackend::open_writable(&path, 0).unwrap().reclaimable_pages(), retired);
         assert_eq!(FileBackend::peek_superblock(&path).unwrap().retired_pages, retired);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_commit_retires_the_allocation_map_it_replaces() {
+        let path = temp_path("retired_map");
+        let disk = DiskSim::with_defaults();
+        let be = FileBackend::create(&path, 256, 4).unwrap();
+        be.put(&disk, vec![1u8; 600]).unwrap();
+        be.flush().unwrap();
+        assert_eq!(be.reclaimable_pages(), 0, "the first map replaces none");
+        let first_map = FileBackend::peek_superblock(&path).unwrap().alloc_pages;
+        be.put(&disk, vec![2u8; 600]).unwrap();
+        be.flush().unwrap();
+        assert_eq!(be.reclaimable_pages(), u64::from(first_map));
+        drop(be);
+        // A writable reopen knows which map the elected generation points at.
+        let be = FileBackend::open_writable(&path, 0).unwrap();
+        let second_map = FileBackend::peek_superblock(&path).unwrap().alloc_pages;
+        be.put(&disk, vec![3u8; 600]).unwrap();
+        be.flush().unwrap();
+        assert_eq!(be.reclaimable_pages(), u64::from(first_map + second_map));
+        drop(be);
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,5 +1,6 @@
-//! The on-disk cube file format (v4: crash-safe generational commits,
-//! persisted vacuum accounting, cross-process writer exclusion).
+//! The on-disk cube file format (v5: crash-safe generational commits,
+//! persisted vacuum accounting, cross-process writer exclusion, a
+//! signature cube's R-tree stored one object per node).
 //!
 //! A cube file is a single file of fixed-size pages. Pages 0 and 1 are
 //! the two **superblock slots**; every other page carries an 8-byte
@@ -35,14 +36,20 @@
 //!
 //! The version field is the compatibility gate: readers reject files with
 //! an unknown version instead of guessing at the layout. Files written by
-//! the v1 single-superblock layout or the v3 72-byte superblock (no
-//! retired-page field) fail the version gate and must be re-saved.
+//! the v1 single-superblock layout, the v3 72-byte superblock (no
+//! retired-page field) or v4 (a signature cube's whole R-tree serialized
+//! inside its catalog) fail the version gate with
+//! [`StorageError::UnsupportedVersion`] and must be re-saved; there is
+//! no reader for an older layout.
 //!
 //! The retired-page count is the background scheduler's watermark
-//! signal: COW maintenance retires old copies of patched objects, and
+//! signal: a commit retires what the new generation no longer reaches —
+//! the old copies of patched objects (partials, R-tree nodes), the
+//! catalog it supersedes and the allocation map it replaces — and
 //! persisting the tally per generation means `reclaimable_pages()` — and
 //! therefore the vacuum trigger — survives a process restart instead of
-//! resetting to zero.
+//! resetting to zero. A vacuum shrinks the file by exactly that count,
+//! less the difference between the two files' allocation maps.
 //!
 //! **Observability.** Every maintenance transition over this format is
 //! mirrored into the `rcube_obs` metrics registry: `SignatureCube::commit`
@@ -105,6 +112,29 @@
 //! the map (binary search) and shrinks the catalog from O(nodes) to
 //! O(partials). Files written with tag 3 fail to open with a
 //! kind-mismatch error and must be re-saved.
+//!
+//! **Signature catalog (tag 4, v5).** All integers little-endian:
+//!
+//! | field                  | encoding                                        |
+//! |------------------------|-------------------------------------------------|
+//! | kind tag               | `u8` = 4                                        |
+//! | fanout `m`, `α`        | `u64`, `f64`                                    |
+//! | cuboid directory       | per cuboid: dims, then per cell its values, `total_bits`, depth, partial page ids and first SIDs |
+//! | R-tree header          | dims `u64` · root `u32` · height `u64` · `M` `u64` · `m` `u64` · bulk fill `f64` |
+//! | R-tree node table      | node count `u64`, then one `u64` object id per node id |
+//!
+//! The R-tree is stored **one object per node** (`rcube_index::rtree`):
+//! node id `u32` (checked against its table slot) · modelled page id
+//! `u64` · parent `u32` (`u32::MAX` = none) · MBR (`lo`, `hi` `f64` per
+//! dimension) · kind `u8` (0 internal, 1 leaf) · entry count `u32` ·
+//! child ids `u32` each, or per leaf entry tid `u32` + point `f64` per
+//! dimension. A commit appends only the nodes maintenance changed; every
+//! other table entry names the object an earlier generation wrote, so
+//! consecutive generations share them the way they share untouched
+//! partials. A node larger than one page spans several through the
+//! ordinary object framing. Node objects and the catalog are metadata:
+//! never charged as query I/O, never counted in `total_bytes` /
+//! `object_count`.
 //!
 //! # Generations, commits and copy-on-write
 //!
@@ -192,7 +222,7 @@
 //! 1. acquire `<path>.lock` (writers and other vacuums excluded for the
 //!    whole window; readers are never excluded),
 //! 2. open the source read-only and copy its live objects into the temp
-//!    file (a complete v4 cube file with a fresh generation history),
+//!    file (a complete v5 cube file with a fresh generation history),
 //! 3. `fsync` the temp file,
 //! 4. `rename(2)` it over `<path>` — the atomic publish point,
 //! 5. `fsync` the parent directory, release the lock.
@@ -300,7 +330,9 @@
 //! bytes this process wrote from what it holds in memory, and parsing
 //! them would rebuild exactly that. The flush then clones the directory
 //! and the R-tree (copy-on-write: one pointer per node) instead of
-//! reading ~the whole catalog back, and after the commit hands both to
+//! reading the catalog and every R-tree node object back — the clone
+//! also remembers which object stores each node, so the commit appends
+//! only the nodes the fold changed — and after the commit hands both to
 //! the next serving handle over a freshly opened read-only store —
 //! opened before the lock is released and checked against the commit's
 //! stamp the same way. Anything else is **cold** and parses the catalog
@@ -338,7 +370,7 @@ use crate::backend::StorageError;
 pub const MAGIC: [u8; 8] = *b"RCUBEFS1";
 
 /// Current format version (superblock bytes 8..10).
-pub const FORMAT_VERSION: u16 = 4;
+pub const FORMAT_VERSION: u16 = 5;
 
 /// Bytes of per-page header preceding the payload.
 pub const PAGE_HEADER: usize = 8;

@@ -58,7 +58,7 @@ fn main() {
         )
         .expect("apply path updates");
     }
-    wcube.commit(&wrtree).expect("patch commit");
+    wcube.commit(&mut wrtree).expect("patch commit");
 
     // While the writer lives, its advisory lock excludes every other
     // writable open — typed, fast, naming the owner.

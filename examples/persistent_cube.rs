@@ -126,7 +126,7 @@ fn commit_while_serving() {
         )
         .expect("apply path updates");
     }
-    let gen_next = wcube.commit(&wrtree).expect("patch commit");
+    let gen_next = wcube.commit(&mut wrtree).expect("patch commit").generation;
     println!(
         "writer committed generation {gen_next} ({} retired pages await vacuum)",
         wcube.store().reclaimable_pages()

@@ -112,7 +112,7 @@ fn run_maintenance(
             &disk,
         )?;
     }
-    cube.commit(&rtree)
+    Ok(cube.commit(&mut rtree)?.generation)
 }
 
 /// The crash-point sweep: a full maintenance commit is replayed once per

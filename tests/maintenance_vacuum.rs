@@ -118,7 +118,7 @@ fn run_maintenance(
             &disk,
         )?;
     }
-    cube.commit(&rtree)
+    Ok(cube.commit(&mut rtree)?.generation)
 }
 
 /// A cube file with retired pages awaiting a vacuum: saves the base cube
