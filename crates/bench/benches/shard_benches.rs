@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use rcube_bench::{fixed, query_of, BenchReport, Bound, Json, Obj};
 use rcube_core::query::{Query, RankedSource};
-use rcube_core::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
+use rcube_core::shard::{ShardedCube, ShardedCubeConfig};
 use rcube_core::{GridCubeConfig, GridRankingCube};
 use rcube_storage::DiskSim;
 use rcube_table::workload::QuerySpec;
@@ -69,11 +69,7 @@ fn setup() -> Setup {
     let sets = SHARD_COUNTS
         .iter()
         .map(|&n| {
-            let cfg = ShardedCubeConfig {
-                shards: n,
-                engine: ShardEngineConfig::Grid(gcfg.clone()),
-                ..Default::default()
-            };
+            let cfg = ShardedCubeConfig { shards: n, grid: gcfg.clone(), ..Default::default() };
             let manifest = dir.join(format!("set{n}.manifest"));
             (n, ShardedCube::build_to(&rel, &manifest, &cfg).expect("build sharded set"))
         })

@@ -186,7 +186,7 @@ use std::time::{Duration, Instant};
 
 use rcube_index::rtree::RTree;
 use rcube_obs::{Counter, Gauge, Histogram, Metrics, QueryTrace, TraceEvent};
-use rcube_storage::format::crc32;
+use rcube_storage::format::{crc32, ByteReader};
 use rcube_storage::{
     DiskSim, FaultPlan, FileBackend, FileOptions, FileStamp, PageStore, StorageError, SwapStage,
     WriteOutcome, DEFAULT_POOL_PAGES,
@@ -361,51 +361,33 @@ fn wal_header(flushed_seq: u64) -> [u8; WAL_HEADER_LEN] {
     h
 }
 
+/// Decodes one frame's payload. A short payload or an unknown record kind
+/// is a checksum failure of frame `at_frame`, which [`replay_wal`]
+/// classifies as a torn tail or body corruption.
 fn decode_payload(payload: &[u8], at_frame: u64) -> Result<WalRecord, StorageError> {
-    let bad = |_: &'static str| StorageError::ChecksumMismatch { page: at_frame };
-    let need = |n: usize, pos: usize| {
-        if pos + n > payload.len() {
-            Err(bad("short payload"))
-        } else {
-            Ok(())
-        }
-    };
-    need(13, 0)?;
-    let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let kind = payload[8];
-    let tid = Tid::from_le_bytes(payload[9..13].try_into().unwrap());
-    match kind {
-        KIND_DELETE => Ok(WalRecord::Delete { seq, tid }),
-        KIND_UPSERT | KIND_APPLIED => {
-            let mut pos = 13;
-            need(2, pos)?;
-            let nsel = u16::from_le_bytes(payload[pos..pos + 2].try_into().unwrap()) as usize;
-            pos += 2;
-            need(nsel * 4, pos)?;
-            let mut sel = Vec::with_capacity(nsel);
-            for _ in 0..nsel {
-                sel.push(u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap()));
-                pos += 4;
-            }
-            need(2, pos)?;
-            let npt = u16::from_le_bytes(payload[pos..pos + 2].try_into().unwrap()) as usize;
-            pos += 2;
-            need(npt * 8, pos)?;
-            let mut point = Vec::with_capacity(npt);
-            for _ in 0..npt {
-                point.push(f64::from_bits(u64::from_le_bytes(
-                    payload[pos..pos + 8].try_into().unwrap(),
-                )));
-                pos += 8;
-            }
-            if kind == KIND_APPLIED {
-                Ok(WalRecord::Applied { tid, sel, point })
-            } else {
-                Ok(WalRecord::Upsert { seq, tid, sel, point })
-            }
-        }
-        _ => Err(bad("unknown record kind")),
+    read_record(&mut ByteReader::new(payload))
+        .map_err(|_| StorageError::ChecksumMismatch { page: at_frame })
+}
+
+fn read_record(r: &mut ByteReader<'_>) -> Result<WalRecord, StorageError> {
+    let seq = r.u64()?;
+    let kind = r.u8()?;
+    let tid = r.u32()?;
+    if kind == KIND_DELETE {
+        return Ok(WalRecord::Delete { seq, tid });
     }
+    if kind != KIND_UPSERT && kind != KIND_APPLIED {
+        return Err(StorageError::Malformed("unknown WAL record kind"));
+    }
+    let nsel = r.u16()?;
+    let sel = (0..nsel).map(|_| r.u32()).collect::<Result<_, _>>()?;
+    let npt = r.u16()?;
+    let point = (0..npt).map(|_| r.f64()).collect::<Result<_, _>>()?;
+    Ok(if kind == KIND_APPLIED {
+        WalRecord::Applied { tid, sel, point }
+    } else {
+        WalRecord::Upsert { seq, tid, sel, point }
+    })
 }
 
 /// Everything replay reconstructs from the WAL bytes.
@@ -448,18 +430,19 @@ fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
         s.report = report;
         return Ok(s);
     }
-    if &bytes[0..8] != WAL_MAGIC {
+    let mut header = ByteReader::new(&bytes[..WAL_HEADER_LEN]);
+    if header.take(8)? != WAL_MAGIC {
         return Err(StorageError::BadMagic);
     }
-    let version = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
+    let version = header.u16()?;
     if version != WAL_VERSION {
         return Err(StorageError::UnsupportedVersion(version));
     }
-    let stored = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-    if crc32(&bytes[0..20]) != stored {
+    let _flags = header.u16()?;
+    let flushed_seq = header.u64()?;
+    if crc32(&bytes[0..20]) != header.u32()? {
         return Err(StorageError::ChecksumMismatch { page: 0 });
     }
-    let flushed_seq = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
     let mut s = state(flushed_seq);
 
     let mut pos = WAL_HEADER_LEN;
@@ -476,8 +459,9 @@ fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
             torn(&mut s, pos, bytes);
             break;
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        let mut head = ByteReader::new(&bytes[pos..pos + 8]);
+        let len = head.u32()? as usize;
+        let crc = head.u32()?;
         if len > remaining.saturating_sub(8) {
             // The declared body runs past EOF. Either a torn append or a
             // corrupted length field — indistinguishable, but both leave

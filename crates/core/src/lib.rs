@@ -57,10 +57,7 @@ pub use gridcube::{GridCubeConfig, GridRankingCube};
 pub use nodecache::{NodeCacheStats, SharedNodeCache};
 pub use query::{ProgressiveSearch, Query, QueryPlan, RankedSource, TopKCursor};
 pub use scheduler::{vacuum_into_place, MaintenanceConfig, MaintenanceScheduler, VacuumReport};
-pub use shard::{
-    FanoutReport, Shard, ShardEngineConfig, ShardFanout, ShardedCube, ShardedCubeConfig,
-    ShardedSource,
-};
+pub use shard::{FanoutReport, Shard, ShardFanout, ShardedCube, ShardedCubeConfig, ShardedSource};
 pub use sigcube::{ScrubOutcome, SignatureCube, SignatureCubeConfig};
 
 use rcube_storage::IoSnapshot;

@@ -1,13 +1,12 @@
 //! Partitioned cube sets with scatter-gather top-k.
 //!
 //! A [`ShardedCube`] splits a relation at build time by tid range into N
-//! self-contained cubes — each shard is an ordinary cube file with its
-//! own buffer pool, I/O meter, (for signature shards) shared node cache,
-//! and metrics prefix — bound together by a small CRC-stamped manifest
-//! ([`rcube_storage::manifest`]). Because every shard speaks the same
-//! [`RankedSource`] operator, the shard set is *itself* just another
-//! `RankedSource`: [`ShardedSource`] opens one cursor per shard and
-//! merges them with a bound-driven k-way selection.
+//! self-contained grid cubes — each shard is an ordinary cube file with
+//! its own buffer pool, I/O meter and metrics prefix — bound together by
+//! a small CRC-stamped manifest ([`rcube_storage::manifest`]). Because
+//! every shard speaks the same [`RankedSource`] operator, the shard set is
+//! *itself* just another `RankedSource`: [`ShardedSource`] opens one
+//! cursor per shard and merges them with a bound-driven k-way selection.
 //!
 //! # The merge never pulls past the bound
 //!
@@ -22,18 +21,18 @@
 //! shard cursor's limit, and every frontier resumes exactly where it
 //! stopped.
 //!
-//! # Parallel scatter
+//! # The merge runs on the calling thread
 //!
-//! Shard pulls are independent (nothing is shared between shards), so
-//! whenever more than one frontier needs a refill — the initial scatter,
-//! and the refill wave after `extend_k` — the pulls run on scoped worker
-//! threads, up to the configured parallelism. Which answers are pulled
-//! is a pure function of the answer sequence, never of thread timing, so
-//! per-shard I/O counters stay deterministic. [`ShardedCube::par_query`]
-//! additionally offers a fully parallel *batch* path: every shard drains
-//! toward a shared global threshold concurrently (deterministic answers;
-//! I/O there depends on how fast the threshold tightens, so the
-//! deterministic gates use the cursor merge).
+//! The cursor opens every shard, and refills every consumed frontier (the
+//! initial scatter, and the refill wave after `extend_k`), in shard order
+//! on the thread that pulls it. Spawning workers per wave cost more than
+//! the pulls they spread on every machine it was measured on. Which
+//! answers are pulled is a pure function of the answer sequence, so
+//! per-shard I/O counters are deterministic. [`ShardedCube::par_query`]
+//! is the one parallel path, a *batch* drain: every shard drains toward a
+//! shared global threshold on [`ShardedCubeConfig::parallelism`] scoped
+//! workers (deterministic answers; I/O there depends on how fast the
+//! threshold tightens, so the deterministic gates use the cursor merge).
 //!
 //! # Degradation unit: the shard
 //!
@@ -51,7 +50,7 @@
 //! Two clients on one set write none of each other's cache lines beyond
 //! the buffer-pool stripes they both read: per-shard instruments are
 //! thread-striped, the cover is resolved once per query for the whole set
-//! (every shard is built from one `CuboidSpec`; a set whose shards
+//! (every shard is built from one `CuboidSpec`; a set whose shard files
 //! disagree resolves per shard), and the fan-out of a query lives **on its
 //! cursor** ([`TopKCursor::fanout`]) — that is what `explain_analyze`
 //! reads. [`ShardedCube::last_fanout`] remains as the single-client
@@ -63,40 +62,29 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use rcube_index::rtree::{RTree, RTreeConfig};
 use rcube_obs::Metrics;
 use rcube_storage::{
-    DiskSim, IoSnapshot, ShardEngineKind, ShardEntry, ShardManifest, StorageError,
-    DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
+    DiskSim, IoSnapshot, ShardEntry, ShardManifest, StorageError, DEFAULT_PAGE_SIZE,
+    DEFAULT_POOL_PAGES,
 };
 use rcube_table::{Relation, Selection, Tid};
 
 use crate::gridcube::{GridCubeConfig, GridRankingCube};
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
-use crate::sigcube::{SignatureCube, SignatureCubeConfig};
 use crate::{QueryStats, TopKResult};
-
-/// Which engine the shards are built with, plus its construction knobs.
-#[derive(Debug, Clone)]
-pub enum ShardEngineConfig {
-    /// Grid partition + neighborhood search per shard.
-    Grid(GridCubeConfig),
-    /// R-tree + signature cube per shard (each shard gets its own
-    /// `SharedNodeCache`).
-    Signature(RTreeConfig, SignatureCubeConfig),
-}
 
 /// Construction parameters for a partitioned cube set.
 #[derive(Debug, Clone)]
 pub struct ShardedCubeConfig {
     /// Number of tid-range shards (clamped to the relation's rows).
     pub shards: usize,
-    /// Engine every shard is built with.
-    pub engine: ShardEngineConfig,
+    /// Grid cube every shard is built with.
+    pub grid: GridCubeConfig,
     /// Per-shard buffer-pool capacity (pages) for file-backed sets.
     pub pool_pages: usize,
-    /// Worker threads for the parallel scatter; `0` = one per hardware
-    /// thread.
+    /// Worker threads for [`ShardedCube::par_query`]'s batch drain; `0` =
+    /// one per hardware thread. The cursor merge always runs on the
+    /// calling thread.
     pub parallelism: usize,
 }
 
@@ -104,7 +92,7 @@ impl Default for ShardedCubeConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            engine: ShardEngineConfig::Grid(GridCubeConfig::default()),
+            grid: GridCubeConfig::default(),
             pool_pages: DEFAULT_POOL_PAGES,
             parallelism: 0,
         }
@@ -135,26 +123,13 @@ fn partition_ranges(rows: usize, n: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// A signature-engine shard: the cube plus the R-tree it indexes.
-#[derive(Debug)]
-struct SigShard {
-    cube: SignatureCube,
-    rtree: RTree,
-}
-
-#[derive(Debug)]
-enum ShardEngine {
-    Grid(Box<GridRankingCube>),
-    Signature(Box<SigShard>),
-}
-
-/// One self-contained partition of the relation: a cube over the
+/// One self-contained partition of the relation: a grid cube over the
 /// sub-relation `tid_lo..tid_hi`, with its own I/O meter (and, when
 /// file-backed, its own buffer pool). Local tid `i` is global tid
 /// `tid_lo + i`.
 #[derive(Debug)]
 pub struct Shard {
-    engine: ShardEngine,
+    cube: GridRankingCube,
     disk: DiskSim,
     tid_lo: u64,
     tid_hi: u64,
@@ -162,6 +137,17 @@ pub struct Shard {
 }
 
 impl Shard {
+    /// Opens the shard's cube file with a `pool_pages` buffer pool.
+    fn open_file(
+        path: PathBuf,
+        pool_pages: usize,
+        tid_lo: u64,
+        tid_hi: u64,
+    ) -> Result<Self, StorageError> {
+        let cube = GridRankingCube::open_from_with(&path, pool_pages)?;
+        Ok(Shard { cube, disk: DiskSim::with_defaults(), tid_lo, tid_hi, path: Some(path) })
+    }
+
     /// Opens a cursor over this shard's *local* tids; `cover` is the
     /// set-wide grid cover when the set resolved one
     /// ([`ShardedCube::shared_cover`]).
@@ -170,43 +156,10 @@ impl Shard {
         plan: &QueryPlan<'a>,
         cover: Option<&[usize]>,
     ) -> Result<TopKCursor<'a>, StorageError> {
-        match (&self.engine, cover) {
-            (ShardEngine::Grid(cube), Some(cover)) => {
-                Ok(cube.source(&self.disk).open_covered(plan, cover))
-            }
-            (ShardEngine::Grid(cube), None) => cube.source(&self.disk).open(plan),
-            (ShardEngine::Signature(s), _) => s.cube.source(&s.rtree, &self.disk).open(plan),
-        }
-    }
-
-    fn grid(&self) -> Option<&GridRankingCube> {
-        match &self.engine {
-            ShardEngine::Grid(cube) => Some(cube),
-            ShardEngine::Signature(_) => None,
-        }
-    }
-
-    fn can_answer(&self, selection: &Selection, ranking_dims: &[usize]) -> bool {
-        match &self.engine {
-            ShardEngine::Grid(cube) => cube.can_answer(selection, ranking_dims),
-            ShardEngine::Signature(s) => s.cube.can_answer(&s.rtree, selection, ranking_dims),
-        }
-    }
-
-    fn verify_integrity(&self) -> Result<(), StorageError> {
-        match &self.engine {
-            ShardEngine::Grid(cube) => cube.verify_integrity(),
-            ShardEngine::Signature(s) => s.cube.verify_integrity(),
-        }
-    }
-
-    fn attach_metrics(&self, metrics: &Metrics, prefix: &str) {
-        match &self.engine {
-            ShardEngine::Grid(cube) => cube.store().attach_metrics(metrics, prefix),
-            ShardEngine::Signature(s) => {
-                s.cube.store().attach_metrics(metrics, prefix);
-                s.cube.node_cache().attach_metrics(metrics, &format!("{prefix}.nodes"));
-            }
+        let source = self.cube.source(&self.disk);
+        match cover {
+            Some(cover) => Ok(source.open_covered(plan, cover)),
+            None => source.open(plan),
         }
     }
 
@@ -217,10 +170,7 @@ impl Shard {
 
     /// This shard's buffer-pool stats (file-backed shards only).
     pub fn pool_stats(&self) -> Option<rcube_storage::PoolStats> {
-        match &self.engine {
-            ShardEngine::Grid(cube) => cube.pool_stats(),
-            ShardEngine::Signature(s) => s.cube.pool_stats(),
-        }
+        self.cube.pool_stats()
     }
 
     /// The global tid range `[lo, hi)` this shard serves.
@@ -312,7 +262,6 @@ impl std::fmt::Display for FanoutReport {
 #[derive(Debug)]
 pub struct ShardedCube {
     shards: Vec<Shard>,
-    engine_kind: ShardEngineKind,
     manifest_path: Option<PathBuf>,
     pool_pages: usize,
     parallelism: usize,
@@ -323,8 +272,8 @@ pub struct ShardedCube {
     /// lock with Release; the serving paths load it with Acquire and skip
     /// the lock while it is zero.
     failed: AtomicUsize,
-    /// Every shard is a grid cube over the same cuboids, so one resolved
-    /// cover serves them all ([`Self::shared_cover`]).
+    /// Every shard's cube has the same cuboids, so one resolved cover
+    /// serves them all ([`Self::shared_cover`]).
     uniform_grid: bool,
     instruments: OnceLock<Vec<ShardInstruments>>,
     last_fanout: Mutex<Option<FanoutReport>>,
@@ -332,10 +281,7 @@ pub struct ShardedCube {
 
 /// Whether one grid cover, resolved on the first shard, is every shard's.
 fn uniform_grid(shards: &[Shard]) -> bool {
-    match shards.first().and_then(Shard::grid) {
-        Some(first) => shards.iter().all(|s| s.grid().is_some_and(|g| g.same_cuboids(first))),
-        None => false,
-    }
+    shards.first().is_some_and(|first| shards.iter().all(|s| s.cube.same_cuboids(&first.cube)))
 }
 
 impl ShardedCube {
@@ -348,16 +294,15 @@ impl ShardedCube {
             .map(|&(lo, hi)| {
                 let sub = rel.range(lo, hi);
                 let disk = DiskSim::with_defaults();
-                let engine = build_engine(&sub, &disk, &cfg.engine);
-                Shard { engine, disk, tid_lo: lo as u64, tid_hi: hi as u64, path: None }
+                let cube = GridRankingCube::build(&sub, &disk, cfg.grid.clone());
+                Shard { cube, disk, tid_lo: lo as u64, tid_hi: hi as u64, path: None }
             })
             .collect();
-        Self::assemble(shards, engine_kind_of(&cfg.engine), None, cfg.pool_pages, cfg.parallelism)
+        Self::assemble(shards, None, cfg.pool_pages, cfg.parallelism)
     }
 
     fn assemble(
         shards: Vec<Shard>,
-        engine_kind: ShardEngineKind,
         manifest_path: Option<PathBuf>,
         pool_pages: usize,
         parallelism: usize,
@@ -367,7 +312,6 @@ impl ShardedCube {
             failed: AtomicUsize::new(0),
             uniform_grid: uniform_grid(&shards),
             shards,
-            engine_kind,
             manifest_path,
             pool_pages,
             parallelism: effective_parallelism(parallelism),
@@ -395,17 +339,8 @@ impl ShardedCube {
             let disk = DiskSim::with_defaults();
             let file = format!("{stem}.shard{i}");
             let path = manifest_path.with_file_name(&file);
-            match &cfg.engine {
-                ShardEngineConfig::Grid(gcfg) => {
-                    let cube = GridRankingCube::build(&sub, &disk, gcfg.clone());
-                    cube.save_to_with(&path, DEFAULT_PAGE_SIZE, cfg.pool_pages)?;
-                }
-                ShardEngineConfig::Signature(rcfg, scfg) => {
-                    let rtree = RTree::over_relation(&disk, &sub, &[], rcfg.clone());
-                    let cube = SignatureCube::build(&sub, &rtree, &disk, scfg.clone());
-                    cube.save_to_with(&rtree, &path, DEFAULT_PAGE_SIZE, cfg.pool_pages)?;
-                }
-            }
+            let cube = GridRankingCube::build(&sub, &disk, cfg.grid.clone());
+            cube.save_to_with(&path, DEFAULT_PAGE_SIZE, cfg.pool_pages)?;
             entries.push(ShardEntry {
                 file,
                 tid_lo: lo as u64,
@@ -413,7 +348,7 @@ impl ShardedCube {
                 tuples: (hi - lo) as u64,
             });
         }
-        let manifest = ShardManifest { engine: engine_kind_of(&cfg.engine), shards: entries };
+        let manifest = ShardManifest { shards: entries };
         manifest.save_to(manifest_path)?;
         Self::open_from_with(manifest_path, cfg.pool_pages, cfg.parallelism)
     }
@@ -425,7 +360,8 @@ impl ShardedCube {
     }
 
     /// [`Self::open_from`] with explicit per-shard buffer-pool capacity
-    /// and scatter parallelism (`0` = hardware threads).
+    /// and [`Self::par_query`] worker count (`0` = hardware threads; the
+    /// cursor merge runs on the calling thread either way).
     pub fn open_from_with(
         manifest_path: impl AsRef<Path>,
         pool_pages: usize,
@@ -436,16 +372,9 @@ impl ShardedCube {
         let mut shards = Vec::with_capacity(manifest.shards.len());
         for (i, entry) in manifest.shards.iter().enumerate() {
             let path = manifest.shard_path(&manifest_path, i);
-            let engine = open_engine(manifest.engine, &path, pool_pages)?;
-            shards.push(Shard {
-                engine,
-                disk: DiskSim::with_defaults(),
-                tid_lo: entry.tid_lo,
-                tid_hi: entry.tid_hi,
-                path: Some(path),
-            });
+            shards.push(Shard::open_file(path, pool_pages, entry.tid_lo, entry.tid_hi)?);
         }
-        Ok(Self::assemble(shards, manifest.engine, Some(manifest_path), pool_pages, parallelism))
+        Ok(Self::assemble(shards, Some(manifest_path), pool_pages, parallelism))
     }
 
     /// Number of shards in the set.
@@ -465,7 +394,7 @@ impl ShardedCube {
 
     /// True when every shard covers the plan *and* no shard is failed.
     pub fn can_answer(&self, selection: &Selection, ranking_dims: &[usize]) -> bool {
-        self.is_healthy() && self.shards.iter().all(|s| s.can_answer(selection, ranking_dims))
+        self.is_healthy() && self.shards.iter().all(|s| s.cube.can_answer(selection, ranking_dims))
     }
 
     /// No shard is marked failed (one Acquire load, no lock).
@@ -487,8 +416,8 @@ impl ShardedCube {
     /// The grid cover of `plan` resolved once for the whole set, when every
     /// shard would resolve the same one.
     fn shared_cover(&self, plan: &QueryPlan<'_>) -> Option<Vec<usize>> {
-        let first = self.shards.first()?.grid().filter(|_| self.uniform_grid)?;
-        Some(first.plan_cover(plan))
+        let first = self.shards.first().filter(|_| self.uniform_grid)?;
+        Some(first.cube.plan_cover(plan))
     }
 
     /// Binds the set to its scatter-gather [`RankedSource`].
@@ -526,15 +455,8 @@ impl ShardedCube {
             self.shards.get(shard).ok_or(StorageError::Malformed("shard index out of range"))?;
         let path =
             s.path.clone().ok_or(StorageError::Malformed("in-memory shards cannot be reopened"))?;
-        let engine = open_engine(self.engine_kind, &path, self.pool_pages)?;
-        let fresh = Shard {
-            engine,
-            disk: DiskSim::with_defaults(),
-            tid_lo: s.tid_lo,
-            tid_hi: s.tid_hi,
-            path: Some(path),
-        };
-        fresh.verify_integrity()?;
+        let fresh = Shard::open_file(path, self.pool_pages, s.tid_lo, s.tid_hi)?;
+        fresh.cube.verify_integrity()?;
         self.shards[shard] = fresh;
         self.uniform_grid = uniform_grid(&self.shards);
         if self.health.lock().unwrap()[shard].take().is_some() {
@@ -547,7 +469,7 @@ impl ShardedCube {
     /// failing shard is marked failed and its error returned.
     pub fn verify_integrity(&self) -> Result<(), StorageError> {
         for (i, s) in self.shards.iter().enumerate() {
-            if let Err(e) = s.verify_integrity() {
+            if let Err(e) = s.cube.verify_integrity() {
                 self.mark_failed(i, e.to_string());
                 return Err(e);
             }
@@ -566,7 +488,7 @@ impl ShardedCube {
             .enumerate()
             .map(|(i, s)| {
                 let prefix = format!("sharded.shard{i}");
-                s.attach_metrics(metrics, &prefix);
+                s.cube.store().attach_metrics(metrics, &prefix);
                 ShardInstruments {
                     opens: metrics.counter(&format!("{prefix}.opens")),
                     pulls: metrics.counter(&format!("{prefix}.pulls")),
@@ -650,42 +572,6 @@ impl ShardedCube {
         stats.shards_opened = n as u64;
         Ok(TopKResult { items: acc.into_inner().unwrap().into_sorted(), stats })
     }
-}
-
-fn engine_kind_of(cfg: &ShardEngineConfig) -> ShardEngineKind {
-    match cfg {
-        ShardEngineConfig::Grid(_) => ShardEngineKind::Grid,
-        ShardEngineConfig::Signature(..) => ShardEngineKind::Signature,
-    }
-}
-
-fn build_engine(sub: &Relation, disk: &DiskSim, cfg: &ShardEngineConfig) -> ShardEngine {
-    match cfg {
-        ShardEngineConfig::Grid(gcfg) => {
-            ShardEngine::Grid(Box::new(GridRankingCube::build(sub, disk, gcfg.clone())))
-        }
-        ShardEngineConfig::Signature(rcfg, scfg) => {
-            let rtree = RTree::over_relation(disk, sub, &[], rcfg.clone());
-            let cube = SignatureCube::build(sub, &rtree, disk, scfg.clone());
-            ShardEngine::Signature(Box::new(SigShard { cube, rtree }))
-        }
-    }
-}
-
-fn open_engine(
-    kind: ShardEngineKind,
-    path: &Path,
-    pool_pages: usize,
-) -> Result<ShardEngine, StorageError> {
-    Ok(match kind {
-        ShardEngineKind::Grid => {
-            ShardEngine::Grid(Box::new(GridRankingCube::open_from_with(path, pool_pages)?))
-        }
-        ShardEngineKind::Signature => {
-            let (cube, rtree) = SignatureCube::open_from_with(path, pool_pages)?;
-            ShardEngine::Signature(Box::new(SigShard { cube, rtree }))
-        }
-    })
 }
 
 /// Field-wise accumulation of per-shard cursor stats into a roll-up
@@ -824,16 +710,14 @@ impl<'a> RankedSource<'a> for ShardedSource<'a> {
                 answers: 0,
             })
             .collect();
-        // Eager scatter of the opens: per-shard plan setup (covering
-        // cuboids, signature pruners) runs concurrently, and a failed
-        // shard surfaces here — inside the engine's retry/fallback
-        // ladder — rather than on the first pull.
-        let open_result = parallel_over(&mut frontiers, cube.parallelism, |f| {
-            open_frontier(cube, f, *plan, cover.as_deref())
-        });
-        if let Err((shard, e)) = open_result {
-            cube.mark_failed(shard, e.to_string());
-            return Err(e);
+        // Eager opens: a failed shard surfaces here — inside the engine's
+        // retry/fallback ladder — rather than on the first pull.
+        for f in &mut frontiers {
+            let shard = f.shard;
+            if let Err(e) = open_frontier(cube, f, *plan, cover.as_deref()) {
+                cube.mark_failed(shard, e.to_string());
+                return Err(e);
+            }
         }
         let search = ShardedSearch { cube, frontiers, target: plan.k };
         Ok(TopKCursor::new(Box::new(search), plan.k))
@@ -860,60 +744,6 @@ struct Frontier<'a> {
     state: FState,
     pulls: u64,
     answers: u64,
-}
-
-/// Runs `op` once per frontier, on scoped worker threads when more than
-/// one frontier needs work. Returns the first `(shard, error)`.
-fn parallel_over<'a, F>(
-    frontiers: &mut [Frontier<'a>],
-    parallelism: usize,
-    op: F,
-) -> Result<(), (usize, StorageError)>
-where
-    F: Fn(&mut Frontier<'a>) -> Result<(), StorageError> + Sync,
-{
-    let mut pending: Vec<&mut Frontier<'a>> =
-        frontiers.iter_mut().filter(|f| f.state == FState::NeedsPull).collect();
-    if pending.is_empty() {
-        return Ok(());
-    }
-    if pending.len() == 1 || parallelism <= 1 {
-        for f in pending {
-            let shard = f.shard;
-            op(f).map_err(|e| (shard, e))?;
-        }
-        return Ok(());
-    }
-    let chunk = pending.len().div_ceil(parallelism);
-    let mut first_err = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pending
-            .chunks_mut(chunk)
-            .map(|group| {
-                let op = &op;
-                scope.spawn(move || {
-                    for f in group {
-                        let shard = f.shard;
-                        if let Err(e) = op(f) {
-                            return Err((shard, e));
-                        }
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Err(err) = h.join().expect("shard pull worker panicked") {
-                if first_err.is_none() {
-                    first_err = Some(err);
-                }
-            }
-        }
-    });
-    match first_err {
-        Some(err) => Err(err),
-        None => Ok(()),
-    }
 }
 
 fn open_frontier<'a>(
@@ -969,17 +799,19 @@ struct ShardedSearch<'a> {
 }
 
 impl ShardedSearch<'_> {
-    /// Refills every consumed frontier — in parallel when the scatter is
-    /// wider than one shard. Which pulls happen is a pure function of
-    /// the consumed-answer sequence, so per-shard I/O is deterministic.
+    /// Refills every consumed frontier, in shard order. Which pulls
+    /// happen is a pure function of the consumed-answer sequence, so
+    /// per-shard I/O is deterministic.
     fn fill(&mut self) -> Result<(), StorageError> {
-        let target = self.target;
-        let cube = self.cube;
-        parallel_over(&mut self.frontiers, cube.parallelism, |f| pull_frontier(cube, f, target))
-            .map_err(|(shard, e)| {
+        let (cube, target) = (self.cube, self.target);
+        for f in self.frontiers.iter_mut().filter(|f| f.state == FState::NeedsPull) {
+            let shard = f.shard;
+            if let Err(e) = pull_frontier(cube, f, target) {
                 cube.mark_failed(shard, e.to_string());
-                e
-            })
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 
     /// One row per shard of what the scatter has done so far.
@@ -1102,14 +934,18 @@ mod tests {
     fn sharded_merge_matches_unsharded() {
         let rel = rel();
         for shards in [1, 2, 3, 4] {
-            let cfg = ShardedCubeConfig { shards, ..Default::default() };
-            let cube = ShardedCube::build_in_memory(&rel, &cfg);
-            for k in [1, 7, 25] {
-                let query = Query::select([(0, 3)]).rank(Linear::uniform(2)).top(k);
-                let expect = unsharded_answers(&rel, &query, k);
-                let got = cube.source().query(&query.plan()).unwrap();
-                assert_eq!(got.items, expect, "shards={shards} k={k}");
-                assert_eq!(got.stats.shards_opened, shards as u64);
+            for parallelism in [0, 1, 2] {
+                let cfg = ShardedCubeConfig { shards, parallelism, ..Default::default() };
+                let cube = ShardedCube::build_in_memory(&rel, &cfg);
+                for k in [1, 7, 25] {
+                    let query = Query::select([(0, 3)]).rank(Linear::uniform(2)).top(k);
+                    let expect = unsharded_answers(&rel, &query, k);
+                    let got = cube.source().query(&query.plan()).unwrap();
+                    let at = format!("shards={shards} parallelism={parallelism} k={k}");
+                    assert_eq!(got.items, expect, "{at}");
+                    assert_eq!(got.stats.shards_opened, shards as u64);
+                    assert_eq!(cube.par_query(&query.plan()).unwrap().items, expect, "{at}");
+                }
             }
         }
     }
@@ -1173,23 +1009,5 @@ mod tests {
         assert_eq!(ranges, vec![(0, 4), (4, 7), (7, 10)]);
         assert_eq!(partition_ranges(2, 5).len(), 2);
         assert_eq!(partition_ranges(0, 3), vec![(0, 0)]);
-    }
-
-    #[test]
-    fn signature_shards_answer_identically() {
-        let rel = SyntheticSpec { tuples: 800, ..Default::default() }.generate();
-        let cfg = ShardedCubeConfig {
-            shards: 3,
-            engine: ShardEngineConfig::Signature(
-                RTreeConfig::small(16),
-                SignatureCubeConfig::default(),
-            ),
-            ..Default::default()
-        };
-        let cube = ShardedCube::build_in_memory(&rel, &cfg);
-        let query = Query::select([(0, 4)]).rank(Linear::uniform(2)).top(8);
-        let expect = unsharded_answers(&rel, &query, 8);
-        let got = cube.source().query(&query.plan()).unwrap();
-        assert_eq!(got.items, expect);
     }
 }

@@ -245,9 +245,11 @@
 //! complete, self-checksummed unit in the format above, with its own
 //! buffer pool and generation history — plus one small manifest file
 //! binding them into a set (see [`crate::manifest`] for the exact
-//! layout). The manifest records the engine kind, and per shard the cube
-//! file name (relative, so the whole directory relocates) and the global
-//! tid range it serves; a trailing CRC-32 stamps the whole thing.
+//! layout). Every shard is a grid cube: the manifest's engine byte is
+//! always 1, and one naming anything else is a typed
+//! [`StorageError::Malformed`]. Per shard it records the cube file name
+//! (relative, so the whole directory relocates) and the global tid range
+//! it serves; a trailing CRC-32 stamps the whole thing.
 //!
 //! * **Versioning.** The manifest carries its own version field
 //!   ([`crate::manifest::MANIFEST_VERSION`]), gated at open exactly like
@@ -756,9 +758,9 @@ impl ByteWriter {
     }
 }
 
-/// Bounded reader over catalog bytes: every read is checked, so a
-/// truncated or garbled catalog surfaces as [`StorageError::Malformed`]
-/// instead of a panic.
+/// Bounded reader over catalog, manifest and WAL bytes: every read is
+/// checked, so truncated or garbled input surfaces as
+/// [`StorageError::Malformed`] instead of a panic.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -783,20 +785,31 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StorageError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
     pub fn u8(&mut self) -> Result<u8, StorageError> {
         Ok(self.take(1)?[0])
     }
 
+    pub fn u16(&mut self) -> Result<u16, StorageError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
     pub fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub fn f64(&mut self) -> Result<f64, StorageError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     /// Checked u64 → usize for counts; rejects absurd values early so a
@@ -1016,11 +1029,15 @@ mod tests {
     fn byte_reader_bounds_checked() {
         let mut w = ByteWriter::new();
         w.put_u32(7);
+        w.put_u16(0xBEEF);
         w.put_bytes(b"abc");
+        w.put_u8(9);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u32().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.bytes().unwrap(), b"abc");
+        assert!(matches!(r.u16(), Err(StorageError::Malformed(_))));
         assert!(matches!(r.u64(), Err(StorageError::Malformed(_))));
     }
 }

@@ -47,7 +47,7 @@ pub use fault::{CrashMode, FaultPlan, SwapStage, WriteOutcome};
 pub use file::{FileBackend, FileOptions, DEFAULT_POOL_PAGES};
 pub use format::{ByteReader, ByteWriter};
 pub use lock::{lock_path_for, WriterLock};
-pub use manifest::{ShardEngineKind, ShardEntry, ShardManifest, MANIFEST_VERSION};
+pub use manifest::{ShardEntry, ShardManifest, MANIFEST_VERSION};
 pub use stats::{IoSnapshot, IoStats};
 
 /// Default page size used throughout the reproduction (bytes).

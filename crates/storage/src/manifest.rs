@@ -16,7 +16,8 @@
 //! |--------|------|-----------------------------------------------|
 //! | 0      | 4    | magic `b"RCSM"`                               |
 //! | 4      | 2    | manifest version ([`MANIFEST_VERSION`])       |
-//! | 6      | 1    | engine kind (1 = grid, 2 = signature)         |
+//! | 6      | 1    | engine byte: always 1 (grid; anything else is |
+//! |        |      | [`StorageError::Malformed`])                  |
 //! | 7      | 1    | flags (reserved, zero)                        |
 //! | 8      | 8    | shard count                                   |
 //! | …      | …    | per shard: file name (u64-length-prefixed     |
@@ -53,31 +54,8 @@ pub const MANIFEST_VERSION: u16 = 1;
 /// Sanity cap on the shard count a manifest may claim.
 pub const MAX_SHARDS: usize = 4096;
 
-/// Which cube engine every shard in the set was built with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardEngineKind {
-    /// Grid partition + neighborhood search (`GridRankingCube`).
-    Grid,
-    /// R-tree + signature cube (`SignatureCube`).
-    Signature,
-}
-
-impl ShardEngineKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            ShardEngineKind::Grid => 1,
-            ShardEngineKind::Signature => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, StorageError> {
-        match v {
-            1 => Ok(ShardEngineKind::Grid),
-            2 => Ok(ShardEngineKind::Signature),
-            _ => Err(StorageError::Malformed("unknown shard engine kind")),
-        }
-    }
-}
+/// The engine byte: every shard is a grid cube (`GridRankingCube`).
+const ENGINE_GRID: u8 = 1;
 
 /// One shard's row in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,8 +73,6 @@ pub struct ShardEntry {
 /// The parsed, validated shard manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardManifest {
-    /// Engine every shard was built with.
-    pub engine: ShardEngineKind,
     /// Shards in ascending tid order.
     pub shards: Vec<ShardEntry>,
 }
@@ -107,7 +83,7 @@ impl ShardManifest {
         let mut w = ByteWriter::new();
         w.put_bytes_raw(&MANIFEST_MAGIC);
         w.put_u16(MANIFEST_VERSION);
-        w.put_u8(self.engine.to_u8());
+        w.put_u8(ENGINE_GRID);
         w.put_u8(0);
         w.put_u64(self.shards.len() as u64);
         for s in &self.shards {
@@ -128,19 +104,20 @@ impl ShardManifest {
             return Err(StorageError::Malformed("shard manifest truncated"));
         }
         let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored {
+        if crc32(body) != ByteReader::new(crc_bytes).u32()? {
             return Err(StorageError::ChecksumMismatch { page: 0 });
         }
         let mut r = ByteReader::new(body);
         if r.take(4)? != MANIFEST_MAGIC {
             return Err(StorageError::BadMagic);
         }
-        let version = u16::from_le_bytes(r.take(2)?.try_into().unwrap());
+        let version = r.u16()?;
         if version != MANIFEST_VERSION {
             return Err(StorageError::UnsupportedVersion(version));
         }
-        let engine = ShardEngineKind::from_u8(r.u8()?)?;
+        if r.u8()? != ENGINE_GRID {
+            return Err(StorageError::Malformed("shard manifest names an engine other than grid"));
+        }
         let _flags = r.u8()?;
         let count = r.count(MAX_SHARDS)?;
         let mut shards = Vec::with_capacity(count);
@@ -157,7 +134,7 @@ impl ShardManifest {
         if r.remaining() != 0 {
             return Err(StorageError::Malformed("shard manifest has trailing bytes"));
         }
-        let m = Self { engine, shards };
+        let m = Self { shards };
         m.validate()?;
         Ok(m)
     }
@@ -223,7 +200,6 @@ mod tests {
 
     fn sample() -> ShardManifest {
         ShardManifest {
-            engine: ShardEngineKind::Grid,
             shards: vec![
                 ShardEntry { file: "cars.shard0".into(), tid_lo: 0, tid_hi: 100, tuples: 100 },
                 ShardEntry { file: "cars.shard1".into(), tid_lo: 100, tid_hi: 180, tuples: 80 },
@@ -236,6 +212,46 @@ mod tests {
         let m = sample();
         let back = ShardManifest::decode(&m.encode()).unwrap();
         assert_eq!(back, m);
+    }
+
+    /// The bytes every earlier grid manifest was written with, laid out
+    /// by hand from the table above: they still decode, and encoding
+    /// writes them unchanged.
+    #[test]
+    fn grid_manifest_layout_is_unchanged() {
+        let mut bytes = b"RCSM".to_vec();
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.extend_from_slice(&[1, 0]);
+        bytes.extend_from_slice(&2u64.to_le_bytes());
+        for (file, lo, hi) in [("cars.shard0", 0u64, 100u64), ("cars.shard1", 100, 180)] {
+            bytes.extend_from_slice(&(file.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(file.as_bytes());
+            for v in [lo, hi, hi - lo] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(ShardManifest::decode(&bytes).unwrap(), sample());
+        assert_eq!(sample().encode(), bytes);
+    }
+
+    /// Shards are grid cubes only: a manifest whose engine byte names any
+    /// other engine (2 was the signature engine) is refused even when its
+    /// CRC is valid.
+    #[test]
+    fn non_grid_engine_byte_is_malformed() {
+        let mut bytes = sample().encode();
+        for engine in [0, 2, 0xFF] {
+            bytes[6] = engine;
+            let body_len = bytes.len() - 4;
+            let crc = crc32(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(ShardManifest::decode(&bytes), Err(StorageError::Malformed(_))),
+                "engine byte {engine} was accepted"
+            );
+        }
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //!    alone would — and it is preferred because it is the only route that
 //!    sees un-flushed inserts/deletes ([`Engine::insert`] /
 //!    [`Engine::delete`]): every other cube goes stale at the first write;
-//! 2. **Partitioned cube set** — tid-range shards merged by the
-//!    bound-driven scatter-gather cursor (`rcube_core::shard`), preferred
-//!    over single cubes because its shards pull in parallel;
+//! 2. **Partitioned cube set** — tid-range grid shards merged on the
+//!    calling thread by the bound-driven scatter-gather cursor
+//!    (`rcube_core::shard`). It is preferred over the single grid cube
+//!    because registering a set asks for what only it gives: a pool and
+//!    meter per shard, and a failure unit of one shard (see below);
 //! 3. **Grid ranking cube** — covering cuboids over the selection, the
 //!    paper's primary engine (materialized in full or as the linear-space
 //!    ranking fragments of Section 3.4: a `CuboidSpec`, not a route);

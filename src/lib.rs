@@ -221,7 +221,7 @@ pub mod prelude {
     pub use rcube_core::delta::{DeltaCube, DeltaOptions, DeltaStats, FlushReport, ReplayReport};
     pub use rcube_core::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
     pub use rcube_core::query::{Query, QueryPlan, RankedSource, TopKCursor};
-    pub use rcube_core::shard::{FanoutReport, ShardEngineConfig, ShardedCube, ShardedCubeConfig};
+    pub use rcube_core::shard::{FanoutReport, ShardedCube, ShardedCubeConfig};
     pub use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
     pub use rcube_core::{
         vacuum_into_place, MaintenanceConfig, MaintenanceScheduler, QueryStats, TopKResult,

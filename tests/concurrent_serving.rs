@@ -22,7 +22,7 @@ use std::sync::{mpsc, Arc, Barrier};
 use ranking_cube::baseline::TableScan;
 use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
 use ranking_cube::cube::query::{Query, RankedSource};
-use ranking_cube::cube::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
+use ranking_cube::cube::shard::{ShardedCube, ShardedCubeConfig};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::func::Linear;
@@ -338,12 +338,7 @@ fn two_clients_on_the_sharded_route_lose_no_count() {
     std::fs::create_dir_all(&dir).unwrap();
     // Blocks small enough that every stored object is one page.
     let grid = GridCubeConfig { block_size: 64, ..Default::default() };
-    let cfg = ShardedCubeConfig {
-        shards: 4,
-        engine: ShardEngineConfig::Grid(grid),
-        parallelism: 1,
-        ..Default::default()
-    };
+    let cfg = ShardedCubeConfig { shards: 4, grid, parallelism: 1, ..Default::default() };
     let cube = ShardedCube::build_to(&rel, dir.join("set.manifest"), &cfg).expect("build set");
     let eng = Engine::new(rel.clone()).with_prebuilt_sharded(cube);
     let queries = zipf_queries(&rel, 48);

@@ -5,7 +5,7 @@ use ranking_cube::baseline::{BooleanFirst, RankMapping, RankingFirst, TableScan}
 use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
 use ranking_cube::cube::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
 use ranking_cube::cube::query::{Query, RankedSource};
-use ranking_cube::cube::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
+use ranking_cube::cube::shard::{ShardedCube, ShardedCubeConfig};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::func::{Expr, Linear, RankFn};
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
@@ -296,11 +296,7 @@ fn quantized_ties_break_by_tid_on_the_grid_routes_and_ranking_first() {
     let (frags, reopened) = fragments(&rel, &disk, 1, 100, "ties");
     let sharded = ShardedCube::build_in_memory(
         &rel,
-        &ShardedCubeConfig {
-            shards: 3,
-            engine: ShardEngineConfig::Grid(grid_cfg),
-            ..Default::default()
-        },
+        &ShardedCubeConfig { shards: 3, grid: grid_cfg, ..Default::default() },
     );
     let rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(16));
 
@@ -381,11 +377,7 @@ fn two_basins_are_both_searched_on_the_grid_routes() {
     let (frags, reopened) = fragments(&rel, &disk, 1, 40, "basins");
     let sharded = ShardedCube::build_in_memory(
         &rel,
-        &ShardedCubeConfig {
-            shards: 3,
-            engine: ShardEngineConfig::Grid(grid_cfg),
-            ..Default::default()
-        },
+        &ShardedCubeConfig { shards: 3, grid: grid_cfg, ..Default::default() },
     );
     let routes: [Route<'_>; 4] = [
         ("grid cube", &|q| grid.source(&disk).query(&q.plan()).unwrap().items),

@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 
 use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::cube::query::{Query, RankedSource, TopKCursor};
-use ranking_cube::cube::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
+use ranking_cube::cube::shard::{ShardedCube, ShardedCubeConfig};
 use ranking_cube::func::Linear;
 use ranking_cube::storage::{DiskSim, ShardManifest, StorageError};
 use ranking_cube::table::gen::SyntheticSpec;
@@ -194,11 +194,8 @@ fn corrupted_manifest_is_a_typed_error() {
     let dir = std::env::temp_dir().join(format!("rcube_manifest_fault_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let manifest = dir.join("set.manifest");
-    let cfg = ShardedCubeConfig {
-        shards: 2,
-        engine: ShardEngineConfig::Grid(GridCubeConfig::default()),
-        ..Default::default()
-    };
+    let cfg =
+        ShardedCubeConfig { shards: 2, grid: GridCubeConfig::default(), ..Default::default() };
     drop(ShardedCube::build_to(&relation, &manifest, &cfg).expect("build to disk"));
 
     let bytes = std::fs::read(&manifest).expect("read manifest");
