@@ -42,11 +42,19 @@
 //!   `MixedWorkloadGen` stream; and, in `chill`, the median latency of
 //!   the first 8 queries a reader runs after a swap over that of its
 //!   queries 128 and later (two readers, the writer flushing every 64
-//!   writes) — 1.0 would be a flush nobody downstream can feel.
+//!   writes) — 1.0 would be a flush nobody downstream can feel. Beside
+//!   `flush_duration_us_mean`, what a flush costs the *writers*: over 8
+//!   flushes of 64 writes, a second thread appends for as long as each
+//!   flush runs (up to 64 appends, 100 µs apart).
+//!   `append_max_us_during_flush` is the slowest of those appends,
+//!   `writer_hold_us_p50` the median time a flush held the append mutex
+//!   (`FlushReport::writer_hold_us`), and `writer_hold_over_flush_p50`
+//!   that median over the flushes' median duration (target ≤ 0.2, never
+//!   enforced).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions, FlushReport};
 use ranking_cube::cube::query::{Query, RankedSource};
@@ -61,7 +69,9 @@ use ranking_cube::table::workload::{
     MixedWorkloadGen, MixedWorkloadParams, WorkloadOp, WorkloadParams,
 };
 use ranking_cube::table::{Relation, RelationBuilder, Tid};
-use rcube_bench::{fixed, percentile, query_of, render, save_signature_cube, BenchReport, Obj};
+use rcube_bench::{
+    fixed, percentile, query_of, render, save_signature_cube, BenchReport, Bound, Obj,
+};
 
 const POOL: usize = 2048;
 const READERS: usize = 4;
@@ -90,6 +100,12 @@ const BEFORE_CHILL_DECODED: [u64; CHILL_FLUSHES] = [2498; CHILL_FLUSHES];
 const BEFORE_CHILL_LOADED: [u64; CHILL_FLUSHES] = [114; CHILL_FLUSHES];
 /// First 8 queries after a swap 217 µs, queries 128+ 48 µs.
 const BEFORE_CHILL_RATIO: f64 = 4.5;
+/// Flushes of `CHILL_WRITES` writes each that a second thread appends
+/// through.
+const OVERLAP_FLUSHES: usize = 8;
+/// Target for `writer_hold_over_flush_p50`: a flush keeps appends waiting
+/// for at most a fifth of its cycle.
+const WRITER_HOLD_SHARE_MAX: f64 = 0.2;
 
 /// A scratch cube path with no file or WAL left at it.
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -367,6 +383,58 @@ fn chill_block(full: &Relation, base_rel: &Relation) -> Obj {
         .with("post_flush_over_steady_p50", fixed(ratio, 2))
 }
 
+/// What a flush costs the writers (module docs): the slowest append a
+/// second thread made while a flush ran, and the medians of the flushes'
+/// append-mutex hold and duration, all in µs.
+fn appends_during_flush(full: &Relation, base_rel: &Relation) -> (u64, u64, u64) {
+    let path = temp_path("overlap");
+    save_signature_cube(base_rel, Default::default(), &DiskSim::with_defaults(), &path);
+    let opts = DeltaOptions { pool_pages: POOL, ..Default::default() };
+    let delta = DeltaCube::open(&path, base_rel.clone(), opts).expect("open overlap delta");
+    let insert_like = |i: usize| {
+        let like = (BASE + i % (TOTAL - BASE)) as Tid;
+        delta.insert(&sel_of(full, like), &full.ranking_point(like)).expect("overlap insert");
+    };
+    let (mut append_max_us, mut carried) = (0u64, 0u64);
+    let (mut hold_us, mut flush_us) = (Vec::new(), Vec::new());
+    for round in 0..OVERLAP_FLUSHES {
+        (0..CHILL_WRITES).for_each(|i| insert_like(round * CHILL_WRITES + i));
+        let flushing = AtomicBool::new(true);
+        let slowest = std::thread::scope(|s| {
+            let appender = s.spawn(|| {
+                let mut slowest = 0u64;
+                for i in 0..CHILL_WRITES {
+                    if !flushing.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let t = Instant::now();
+                    insert_like(i);
+                    slowest = slowest.max(t.elapsed().as_micros() as u64);
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                slowest
+            });
+            let report = delta.flush().expect("overlap flush");
+            flushing.store(false, Ordering::Release);
+            hold_us.push(report.writer_hold_us);
+            flush_us.push(report.duration.as_micros() as u64);
+            carried += report.carried_ops;
+            appender.join().expect("appender")
+        });
+        append_max_us = append_max_us.max(slowest);
+    }
+    drop(delta);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(wal_path_for(&path)).ok();
+    let (hold_p50, flush_p50) =
+        (percentile(&mut hold_us, 0.5).unwrap(), percentile(&mut flush_us, 0.5).unwrap());
+    println!(
+        "appends during flush: slowest {append_max_us}us, {carried} carried over \
+         {OVERLAP_FLUSHES} flushes; append mutex held p50 {hold_p50}us of a p50 {flush_p50}us flush"
+    );
+    (append_max_us, hold_p50, flush_p50)
+}
+
 fn main() {
     let full =
         SyntheticSpec { tuples: TOTAL, cardinality: CARDINALITY, ..Default::default() }.generate();
@@ -624,6 +692,8 @@ fn main() {
     );
 
     let chill = chill_block(&full, &base_rel);
+    let (append_max_us, hold_p50, flush_p50) = appends_during_flush(&full, &base_rel);
+    let hold_share = hold_p50 as f64 / flush_p50.max(1) as f64;
 
     // --- BENCH_delta.json ------------------------------------------------
     let per_flush = |n: u64| fixed(n as f64 / flushes_done.max(1) as f64, 1);
@@ -655,7 +725,16 @@ fn main() {
         .set("ingest_ops_per_sec", fixed(ingest_ops_per_sec, 1))
         .set("mixed_ops_per_sec", fixed(mixed_ops_per_sec, 1))
         .set("flush_duration_us_mean_before", fixed(BEFORE_FLUSH_US_MEAN, 0))
-        .set("flush_duration_us_mean", fixed(mean_flush_us, 0));
+        .set("flush_duration_us_mean", fixed(mean_flush_us, 0))
+        .set("append_max_us_during_flush", append_max_us)
+        .set("writer_hold_us_p50", hold_p50)
+        .set("writer_hold_over_flush_p50", fixed(hold_share, 3));
+    report.clock_gate(
+        "writer_hold_over_flush_p50",
+        hold_share,
+        Bound::Max(WRITER_HOLD_SHARE_MAX),
+        None,
+    );
     report.write();
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(wal_path_for(&path)).ok();

@@ -32,11 +32,13 @@
 //!   crash-atomic `commit` publishes the result, then the WAL is
 //!   compacted via the fsync + atomic-rename protocol the vacuum uses
 //!   ([`rcube_storage::FileBackend::swap_in`]). The fold and the commit
-//!   run under the cube file's advisory writer lock. Readers are never
-//!   blocked: they serve the generation they opened until their cursors
-//!   drain; at the swap the superseded generation drops its buffer-pool
-//!   frames (a cursor still pinned on it keeps the frames it holds and
-//!   re-reads the rest on demand). The decoded-node cache is *not* dropped:
+//!   run under the cube file's advisory writer lock. Appends keep landing
+//!   in the memtable and the WAL while a flush runs (*Crash safety*
+//!   below says when they wait). Readers are never blocked: they serve
+//!   the generation they opened until their cursors drain; at the swap the
+//!   superseded generation drops its buffer-pool frames (a cursor still
+//!   pinned on it keeps the frames it holds and re-reads the rest on
+//!   demand). The decoded-node cache is *not* dropped:
 //!   it follows the file to the next generation (below).
 //!
 //! # The warm path: the serving generation is the writer's cache
@@ -119,13 +121,15 @@
 //!
 //! Every cycle records `delta.flush.{open,fold,commit,wal,swap}_us`
 //! histograms (writable handle + catalog; R-tree ops + splice; changed
-//! R-tree nodes + catalog write + superblock publish; WAL compaction;
-//! read-handle open + in-process swap), `delta.flush.{path_updates,
-//! cells_rewritten, partials_rewritten, nodes_reencoded,
-//! rtree_nodes_written, cold_opens}` counters, and one
-//! structured `delta.flush` event ([`DeltaCube::flush_events`]) carrying
-//! all of them with the generation. [`FlushReport`] and [`DeltaStats`]
-//! carry the counts for callers without a registry.
+//! R-tree nodes + catalog write + superblock publish; WAL compaction and
+//! hand-over; read-handle open + in-process swap), the
+//! `delta.flush.writer_hold_us` histogram (how long the cycle kept appends
+//! waiting), `delta.flush.{path_updates, cells_rewritten,
+//! partials_rewritten, nodes_reencoded, rtree_nodes_written, cold_opens}`
+//! counters, and one structured `delta.flush` event
+//! ([`DeltaCube::flush_events`]) carrying all of them with the generation
+//! and `carried_ops`, the appends that landed mid-cycle. [`FlushReport`]
+//! and [`DeltaStats`] carry the counts for callers without a registry.
 //!
 //! # Serving: the three-way certified merge
 //!
@@ -144,37 +148,54 @@
 //!
 //! # Crash safety
 //!
-//! The flush ordering makes every boundary idempotent:
+//! Two mutexes split the writer. The *append mutex* serializes inserts
+//! and deletes; it guards the WAL handle, the WAL's end and the next seq
+//! and tid. The *flush mutex* serializes [`DeltaCube::flush`] with
+//! re-election and owns the flushed-but-live delta tuples. Every memtable
+//! op carries the WAL seq it was logged under. A flush takes the append
+//! mutex twice, briefly: once to snapshot the memtable, its last seq and
+//! the WAL's end, and once to hand the WAL over (step 3). The flush
+//! ordering makes every boundary idempotent:
 //!
 //! 1. fold the snapshot into a writable base handle as one batch,
 //!    `commit` (crash-atomic superblock publish — a crash before the
 //!    commit leaves the old generation, and the untouched WAL replays
-//!    everything);
+//!    everything, appends made since the snapshot included);
 //! 2. open the next read handle — the last step that can fail for a
-//!    reason other than the WAL itself — then rewrite the WAL (temp +
-//!    fsync + rename): flushed ops move from the *pending* section to
-//!    compact *applied* records that persist each delta tuple's selection
-//!    values — a crash between commit and rename replays the flushed ops
+//!    reason other than the WAL itself — then write and fsync the
+//!    compacted WAL to a temp file while appends go on landing in the old
+//!    one: a header whose `flushed_seq` is the snapshot's last seq, then
+//!    compact *applied* records that persist each live delta tuple's
+//!    selection values. A crash before the rename replays the flushed ops
 //!    back into the memtable, where they shadow the identical base data
 //!    and the next flush re-applies them idempotently (delete-then-insert
 //!    on the R-tree; a tombstone that replaced such an op in the memtable
 //!    keeps its selection values, so the re-fold can still clear the
 //!    tuple from its cells);
-//! 3. only then, with no fallible call in between, move the append
-//!    handle to the descriptor the compacted WAL was written through (it
-//!    follows its inode across the rename — the path is never opened
-//!    again, so no later append can land in the unlinked old WAL),
-//!    publish the node tables the fold staged, swap the serving handle
-//!    and prune the memtable, atomic under the memtable lock, so a
+//! 3. under the append mutex, copy the frames appended since the snapshot
+//!    byte for byte onto the temp file's end. Their seqs all follow the
+//!    snapshot's, so the result is what replay already reads: header,
+//!    applied records, pending frames. Then fsync it, rename it over the
+//!    WAL and fsync the directory. The directory fsync stays inside the
+//!    mutex: the next append lands in the new inode, and once acknowledged
+//!    it must not be lost to a crash that undoes the rename. Then, with no
+//!    fallible call in between, move the append handle to the descriptor
+//!    the compacted WAL was written through (it follows its inode across
+//!    the rename — the path is never opened again, so no later append can
+//!    land in the unlinked old WAL), publish the node tables the fold
+//!    staged, swap the serving handle and prune the memtable of the ops at
+//!    or below the snapshot's seq, atomic under the memtable lock, so a
 //!    concurrent open sees either (old generation + full overlay) or (new
-//!    generation + pruned overlay) — the same logical relation either
-//!    way. The directory fsync that makes the
-//!    rename durable gates only the flush's own `Ok`.
+//!    generation + the ops appended since) — the same logical relation
+//!    either way. A directory fsync that fails gates only the flush's own
+//!    `Ok`.
 //!
 //! A flush that fails before the rename leaves the process as it was —
 //! old WAL, old generation, full memtable — and writes acknowledged
-//! after it are in the WAL a restart reads. Appends block for the
-//! duration of a flush (they share the writer mutex); readers never do.
+//! during or after it are in the WAL a restart reads. Appends wait for a
+//! flush only while it holds the append mutex
+//! (`delta.flush.writer_hold_us`): two short holds, not the fold, the
+//! commit or the WAL rewrite. Readers never wait.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
@@ -275,27 +296,57 @@ impl MemOp {
     }
 }
 
+/// A memtable entry: the latest op on its tid and the WAL seq it was
+/// logged under, which tells a flush the ops it folded (at or below its
+/// snapshot's seq) from the ones appended while it ran.
+#[derive(Debug, Clone)]
+struct Logged {
+    seq: u64,
+    op: MemOp,
+}
+
+/// The memtable's ops: latest op per tid.
+type MemOps = BTreeMap<Tid, Logged>;
+
+/// Flushed-but-live delta tuples: tid → selection values + point.
+type Applied = BTreeMap<Tid, (Vec<u32>, Vec<f64>)>;
+
 /// The concurrently-readable overlay: latest op per tid plus a byte
 /// tally for the depth gauge. The ops sit behind an `Arc` a cursor (and a
 /// flush) pins instead of copying: a write clones them — at most a flush
-/// interval's worth — only while some cursor still holds the last state.
+/// interval's worth — only while some cursor or flush still holds the
+/// last state.
 #[derive(Debug, Default)]
 struct Memtable {
-    ops: Arc<BTreeMap<Tid, MemOp>>,
+    ops: Arc<MemOps>,
     bytes: usize,
 }
 
 impl Memtable {
-    fn put(&mut self, tid: Tid, mut op: MemOp) {
+    fn put(&mut self, tid: Tid, seq: u64, mut op: MemOp) {
         let ops = Arc::make_mut(&mut self.ops);
         if let Some(old) = ops.remove(&tid) {
-            self.bytes -= old.bytes();
+            self.bytes -= old.op.bytes();
             if let MemOp::Delete { shadowed_sel } = &mut op {
-                *shadowed_sel = old.sel().cloned();
+                *shadowed_sel = old.op.sel().cloned();
             }
         }
         self.bytes += op.bytes();
-        ops.insert(tid, op);
+        ops.insert(tid, Logged { seq, op });
+    }
+
+    /// Drops the ops a flush folded — those logged at or below
+    /// `flushed_seq` — and keeps every later one as it is (a delete keeps
+    /// the selection values it shadowed).
+    fn prune(&mut self, flushed_seq: u64) {
+        let kept: MemOps = self
+            .ops
+            .iter()
+            .filter(|(_, e)| e.seq > flushed_seq)
+            .map(|(&t, e)| (t, e.clone()))
+            .collect();
+        self.bytes = kept.values().map(|e| e.op.bytes()).sum();
+        self.ops = Arc::new(kept);
     }
 }
 
@@ -394,7 +445,7 @@ fn read_record(r: &mut ByteReader<'_>) -> Result<WalRecord, StorageError> {
 struct WalState {
     flushed_seq: u64,
     mem: Memtable,
-    applied: BTreeMap<Tid, (Vec<u32>, Vec<f64>)>,
+    applied: Applied,
     next_seq: u64,
     max_tid: Option<Tid>,
     valid_len: u64,
@@ -507,12 +558,12 @@ fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
                 s.report.pending += 1;
                 s.next_seq = s.next_seq.max(seq + 1);
                 s.max_tid = Some(s.max_tid.map_or(tid, |m: Tid| m.max(tid)));
-                s.mem.put(tid, MemOp::Upsert { sel, point });
+                s.mem.put(tid, seq, MemOp::Upsert { sel, point });
             }
             WalRecord::Delete { seq, tid } => {
                 s.report.pending += 1;
                 s.next_seq = s.next_seq.max(seq + 1);
-                s.mem.put(tid, MemOp::TOMBSTONE);
+                s.mem.put(tid, seq, MemOp::TOMBSTONE);
             }
         }
         s.report.records += 1;
@@ -525,19 +576,16 @@ fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
     Ok(s)
 }
 
-/// Writer-side state, serialized by the writer mutex: the WAL append
-/// handle plus everything only the single writer touches.
+/// The append side, serialized by the append mutex: the WAL handle, its
+/// valid end, the next seq and tid. Inserts and deletes hold the mutex
+/// for one append; a flush takes it only to snapshot and to hand the WAL
+/// over (module docs, *Crash safety*).
 struct DeltaWriter {
     file: File,
     /// Valid end of the WAL file (appends land here).
     offset: u64,
     next_seq: u64,
     next_tid: Tid,
-    /// Flushed-but-live delta tuples (tid → selection values + point):
-    /// the side data incremental maintenance needs when a later R-tree
-    /// split moves one of them. Persisted as `KIND_APPLIED` records in
-    /// the compacted WAL.
-    applied: BTreeMap<Tid, (Vec<u32>, Vec<f64>)>,
 }
 
 impl DeltaWriter {
@@ -655,6 +703,12 @@ pub struct FlushReport {
     /// 1 when the cycle had to parse the catalog off the file (module
     /// docs, *The warm path*), 0 when it reused the serving generation's.
     pub cold_opens: u64,
+    /// Microseconds the cycle held the append mutex — the longest an
+    /// insert or delete could wait for it (module docs, *Crash safety*).
+    pub writer_hold_us: u64,
+    /// Ops appended while the cycle ran: their frames moved to the
+    /// compacted WAL, and they stay in the memtable for the next flush.
+    pub carried_ops: u64,
 }
 
 /// What folding one snapshot did to the writable base handle (the
@@ -670,6 +724,7 @@ struct FlushInstruments {
     duration: Histogram,
     /// `delta.flush.{open,fold,commit,wal,swap}_us`, in that order.
     phases: [Histogram; 5],
+    writer_hold: Histogram,
     flushes: Counter,
     path_updates: Counter,
     cells_rewritten: Counter,
@@ -685,6 +740,7 @@ impl FlushInstruments {
         Self {
             duration: metrics.histogram("delta.flush_duration_us"),
             phases: ["open", "fold", "commit", "wal", "swap"].map(phase),
+            writer_hold: phase("writer_hold"),
             flushes: metrics.counter("delta.flushes"),
             path_updates: metrics.counter("delta.flush.path_updates"),
             cells_rewritten: metrics.counter("delta.flush.cells_rewritten"),
@@ -742,7 +798,14 @@ pub struct DeltaCube {
     /// Generations in the chain; the newest is the one served.
     generations: AtomicU64,
     mem: RwLock<Memtable>,
-    writer: Mutex<DeltaWriter>,
+    /// The append mutex (module docs, *Crash safety*).
+    append: Mutex<DeltaWriter>,
+    /// The flush mutex: held by a flush for its whole cycle and by
+    /// [`Self::reelect`]. It owns the flushed-but-live delta tuples, the
+    /// side data incremental maintenance needs when a later R-tree split
+    /// moves one of them (persisted as `KIND_APPLIED` records in the
+    /// compacted WAL).
+    applied: Mutex<Applied>,
     faults: Option<Arc<FaultPlan>>,
     metrics: Metrics,
     last_replay: ReplayReport,
@@ -759,7 +822,15 @@ pub struct DeltaCube {
     flush_instruments: FlushInstruments,
     /// One `delta.flush` event per cycle (see [`Self::flush_events`]).
     flush_log: QueryTrace,
+    /// Runs once, on the flushing thread, right after the next flush's
+    /// commit: where a test lands appends mid-cycle.
+    #[cfg(test)]
+    after_commit: Mutex<Option<MidFlushHook>>,
 }
+
+/// What a test runs inside a flush (`DeltaCube::after_commit`).
+#[cfg(test)]
+type MidFlushHook = Box<dyn FnOnce(&DeltaCube) + Send>;
 
 impl std::fmt::Debug for DeltaCube {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -830,16 +901,11 @@ impl DeltaCube {
 
         let next_tid =
             state.max_tid.map_or(base_rel.len() as Tid, |m| m.max(base_rel.len() as Tid - 1) + 1);
-        let writer = DeltaWriter {
-            file,
-            offset: state.valid_len,
-            next_seq: state.next_seq,
-            next_tid,
-            applied: state.applied,
-        };
+        let writer =
+            DeltaWriter { file, offset: state.valid_len, next_seq: state.next_seq, next_tid };
         Ok(Self {
             wal_len: AtomicU64::new(writer.offset),
-            applied_count: AtomicU64::new(writer.applied.len() as u64),
+            applied_count: AtomicU64::new(state.applied.len() as u64),
             path,
             wal_path,
             base_rel,
@@ -848,7 +914,8 @@ impl DeltaCube {
             head,
             generations: AtomicU64::new(1),
             mem: RwLock::new(state.mem),
-            writer: Mutex::new(writer),
+            append: Mutex::new(writer),
+            applied: Mutex::new(state.applied),
             faults: opts.faults,
             last_replay: state.report,
             flushes: AtomicU64::new(0),
@@ -861,6 +928,8 @@ impl DeltaCube {
             flush_instruments: FlushInstruments::new(&metrics),
             flush_log: QueryTrace::new(FLUSH_LOG_EVENTS),
             metrics,
+            #[cfg(test)]
+            after_commit: Mutex::new(None),
         })
     }
 
@@ -907,10 +976,12 @@ impl DeltaCube {
 
     /// The most recent flush cycles, one `delta.flush` event each, oldest
     /// first: its duration, and as fields the generation it published,
-    /// the five phase times (`open_us` … `swap_us`), what the fold touched
-    /// (`applied_ops`, `path_updates`, `cells_rewritten`,
-    /// `partials_rewritten`, `nodes_reencoded`, `rtree_nodes_written`,
-    /// `pages_appended`) and
+    /// the five phase times (`open_us` … `swap_us`), `writer_hold_us`
+    /// (how long it held the append mutex, which inserts and deletes
+    /// wait on), `carried_ops` (ops appended while it ran, whose frames
+    /// moved to the compacted WAL), what the fold touched (`applied_ops`,
+    /// `path_updates`, `cells_rewritten`, `partials_rewritten`,
+    /// `nodes_reencoded`, `rtree_nodes_written`, `pages_appended`) and
     /// `warm` (1 when it reused the serving generation's catalog). A cycle
     /// that failed leaves the bare event, duration only.
     pub fn flush_events(&self) -> Vec<TraceEvent> {
@@ -948,7 +1019,7 @@ impl DeltaCube {
     }
 
     /// Appends the generation a flush built. One flush runs at a time (the
-    /// writer mutex), so the count cannot move underneath.
+    /// flush mutex), so the count cannot move underneath.
     fn push_generation(&self, handle: BaseHandle) {
         let at = self.generations.load(Ordering::Relaxed) as usize;
         let mut node: &GenNode = &self.head;
@@ -967,13 +1038,18 @@ impl DeltaCube {
     /// cold path; the superseded one keeps its pinned cursors, minus its
     /// pool frames and node tables, whose page ids name the old file.
     pub(crate) fn reelect(&self) -> Result<(), StorageError> {
-        let _writer = self.writer.lock().expect("no append or flush panicked holding the writer");
+        let _flush = self.applied.lock().expect("no flush panicked holding the flush mutex");
         let next = BaseHandle::open(&self.path, self.file_options(), &self.metrics)?;
         let serving = self.current();
         self.push_generation(next);
         serving.cube.store().clear_cache();
         serving.cube.node_cache().clear();
         Ok(())
+    }
+
+    /// The append mutex's guard.
+    fn appender(&self) -> std::sync::MutexGuard<'_, DeltaWriter> {
+        self.append.lock().expect("no append or flush panicked holding the append mutex")
     }
 
     /// How every handle on the cube file opens: the serving pool size and
@@ -1012,7 +1088,7 @@ impl DeltaCube {
                 return Err(StorageError::Malformed("insert: selection value out of domain"));
             }
         }
-        let mut w = self.writer.lock().unwrap();
+        let mut w = self.appender();
         let seq = w.next_seq;
         let tid = w.next_tid;
         let mut payload = Vec::new();
@@ -1024,7 +1100,7 @@ impl DeltaCube {
         self.wal_bytes_ctr.add(appended);
         self.appends_ctr.inc();
         let mut mem = self.mem.write().unwrap();
-        mem.put(tid, MemOp::Upsert { sel: sel.to_vec(), point: point.to_vec() });
+        mem.put(tid, seq, MemOp::Upsert { sel: sel.to_vec(), point: point.to_vec() });
         self.mem_depth.set(mem.ops.len() as u64);
         Ok(tid)
     }
@@ -1033,7 +1109,7 @@ impl DeltaCube {
     /// a pending insert. Idempotent; deleting a tid that was never
     /// allocated is a typed error.
     pub fn delete(&self, tid: Tid) -> Result<(), StorageError> {
-        let mut w = self.writer.lock().unwrap();
+        let mut w = self.appender();
         if tid >= w.next_tid {
             return Err(StorageError::Malformed("delete: tid was never allocated"));
         }
@@ -1046,7 +1122,7 @@ impl DeltaCube {
         self.wal_bytes_ctr.add(appended);
         self.appends_ctr.inc();
         let mut mem = self.mem.write().unwrap();
-        mem.put(tid, MemOp::TOMBSTONE);
+        mem.put(tid, seq, MemOp::TOMBSTONE);
         self.mem_depth.set(mem.ops.len() as u64);
         Ok(())
     }
@@ -1056,10 +1132,10 @@ impl DeltaCube {
     fn selection_values_for(
         &self,
         tid: Tid,
-        snapshot: &BTreeMap<Tid, MemOp>,
-        applied: &BTreeMap<Tid, (Vec<u32>, Vec<f64>)>,
+        snapshot: &MemOps,
+        applied: &Applied,
     ) -> Result<Vec<u32>, StorageError> {
-        if let Some(sel) = snapshot.get(&tid).and_then(MemOp::sel) {
+        if let Some(sel) = snapshot.get(&tid).and_then(|e| e.op.sel()) {
             return Ok(sel.clone());
         }
         if let Some((sel, _)) = applied.get(&tid) {
@@ -1083,12 +1159,12 @@ impl DeltaCube {
         &self,
         cube: &mut SignatureCube,
         rtree: &mut RTree,
-        snapshot: &BTreeMap<Tid, MemOp>,
-        applied: &BTreeMap<Tid, (Vec<u32>, Vec<f64>)>,
+        snapshot: &MemOps,
+        applied: &Applied,
     ) -> Result<FoldCounts, StorageError> {
         let mut batch = PathUpdateBatch::new();
         let mut applied_ops = 0usize;
-        for (&tid, op) in snapshot {
+        for (&tid, Logged { op, .. }) in snapshot {
             // Replayed ops may already be in the base (a crash between
             // commit and WAL rewrite): delete-then-insert makes the
             // re-apply idempotent. Deleting an absent tuple is a no-op.
@@ -1112,9 +1188,12 @@ impl DeltaCube {
         Ok(FoldCounts { applied_ops, path_updates: updates.len(), spliced })
     }
 
-    /// Folds the current memtable into the base cube and compacts the
-    /// WAL — one LSM merge cycle (module docs list the crash-ordering
-    /// argument). Appends block for the duration; readers do not, and
+    /// Folds the memtable into the base cube and compacts the WAL — one
+    /// LSM merge cycle (module docs list the crash-ordering argument).
+    /// Inserts and deletes go on while it runs: they wait only while the
+    /// cycle snapshots the memtable and while it hands the WAL over
+    /// ([`FlushReport::writer_hold_us`]), and what they append mid-cycle
+    /// stays in the memtable for the next flush. Readers never wait, and
     /// cursors already open keep serving the generation they pinned.
     ///
     /// Fails with [`StorageError::WriterLocked`] when another writer
@@ -1122,14 +1201,21 @@ impl DeltaCube {
     /// the scheduler counts that as contention and retries later.
     pub fn flush(&self) -> Result<FlushReport, StorageError> {
         let start = Instant::now();
-        let mut w = self.writer.lock().unwrap();
-        let snapshot = Arc::clone(&self.mem.read().unwrap().ops);
+        let mut applied = self.applied.lock().expect("no flush panicked holding the flush mutex");
+        // The snapshot: every op logged at or below `flushed_seq` is in it,
+        // and every WAL byte past `tail_from` was appended after it.
+        let (snapshot, flushed_seq, tail_from, mut writer_hold) = {
+            let w = self.appender();
+            let held = Instant::now();
+            let ops = Arc::clone(&self.mem.read().unwrap().ops);
+            (ops, w.next_seq - 1, w.offset, held.elapsed())
+        };
         if snapshot.is_empty() {
             return Ok(FlushReport {
                 applied_ops: 0,
                 generation: self.serving_generation(),
                 duration: start.elapsed(),
-                live_delta_tuples: w.applied.len(),
+                live_delta_tuples: applied.len(),
                 path_updates: 0,
                 cells_rewritten: 0,
                 pages_appended: 0,
@@ -1137,6 +1223,8 @@ impl DeltaCube {
                 nodes_reencoded: 0,
                 rtree_nodes_written: 0,
                 cold_opens: 0,
+                writer_hold_us: writer_hold.as_micros() as u64,
+                carried_ops: 0,
             });
         }
         let event = self.flush_log.span("delta.flush");
@@ -1177,23 +1265,23 @@ impl DeltaCube {
 
         // 2. Fold the snapshot in via incremental maintenance, commit.
         let FoldCounts { applied_ops, path_updates, spliced } =
-            self.fold_snapshot(&mut cube, &mut rtree, &snapshot, &w.applied)?;
+            self.fold_snapshot(&mut cube, &mut rtree, &snapshot, &applied)?;
         let fold_us = lap();
         let Committed { generation, rtree_nodes_written } = cube.commit(&mut rtree)?;
-        if self.faults.as_ref().is_some_and(|p| p.crashed()) {
-            // The scripted page-level crash hit during the fold: the
-            // in-process state is a lie, the disk kept the old
-            // generation. Die like the process would.
-            return Err(StorageError::Io(std::io::Error::other(
-                "injected crash during delta flush",
-            )));
-        }
+        // A scripted page-level crash hit during the fold, the commit or an
+        // append made since the snapshot: the in-process state is a lie,
+        // and the disk kept the old WAL.
+        self.die_if_crashed()?;
         let committed = cube.store().file_stamp();
         let pages_appended = match (&opened, &committed) {
             (Some(before), Some(after)) => after.page_count.saturating_sub(before.page_count),
             _ => 0,
         };
         let commit_us = lap();
+        #[cfg(test)]
+        if let Some(hook) = self.after_commit.lock().unwrap().take() {
+            hook(self);
+        }
 
         // 3. The next serving handle: a fresh read-only store, opened while
         //    the writer lock is still held, under the directory and R-tree
@@ -1223,10 +1311,8 @@ impl DeltaCube {
         next.cube.set_metrics(self.metrics.clone());
         let mut swap_us = lap();
 
-        // 4. Compact the WAL: flushed upserts become applied records,
-        //    flushed deletes evict their applied record, pending section
-        //    empties (appends were blocked the whole flush).
-        let flushed_seq = w.next_seq - 1;
+        // 4. Compact the WAL into a temp file while appends go on: flushed
+        //    upserts become applied records, flushed deletes evict theirs.
         if let Some(plan) = &self.faults {
             plan.on_swap(SwapStage::TempWrite).map_err(StorageError::Io)?;
         }
@@ -1237,12 +1323,11 @@ impl DeltaCube {
         };
         let mut compacted = wal_header(flushed_seq).to_vec();
         {
-            let survivors = w
-                .applied
+            let survivors = applied
                 .iter()
                 .filter(|(tid, _)| !snapshot.contains_key(tid))
                 .map(|(tid, (sel, point))| (tid, sel, point));
-            let flushed = snapshot.iter().filter_map(|(tid, op)| match op {
+            let flushed = snapshot.iter().filter_map(|(tid, e)| match &e.op {
                 MemOp::Upsert { sel, point } => Some((tid, sel, point)),
                 MemOp::Delete { .. } => None,
             });
@@ -1260,46 +1345,62 @@ impl DeltaCube {
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&temp)?;
         temp_file.write_all(&compacted)?;
         temp_file.sync_data()?;
+
+        // 5. The hand-over, under the append mutex. The frames appended
+        //    since the snapshot all carry later seqs: copied verbatim behind
+        //    the applied records, they are the pending section replay reads.
+        let mut w = self.appender();
+        let held = Instant::now();
+        // A crash scripted on an append made since the commit: the
+        // process is dead, so it renames nothing.
+        self.die_if_crashed()?;
+        let mut tail = vec![0; (w.offset - tail_from) as usize];
+        w.file.seek(SeekFrom::Start(tail_from))?;
+        w.file.read_exact(&mut tail)?;
+        temp_file.write_all(&tail)?;
         // fsync + atomic rename, with the scripted TempSync/Rename crash
         // points — the vacuum's publish protocol up to the rename.
         FileBackend::swap_in(&temp, &self.wal_path, self.faults.as_ref())?;
 
-        // 5. The rename happened. Nothing from here to the end of the
-        //    in-process swap can fail: appends go to the new WAL, the
-        //    applied set follows it, and the serving generation and the
-        //    memtable change in one critical section — a concurrent open
-        //    sees old+full or new+empty, never a mix. Open cursors ride
-        //    their pinned node. The node tables the fold staged become
+        // 6. The rename happened. Nothing from here to the end of the
+        //    in-process swap can fail. The directory fsync is done before an
+        //    append can land in the new inode; its failure only gates the
+        //    report. Appends go to the new WAL, and the serving generation
+        //    and the memtable change in one critical section — a concurrent
+        //    open sees old+full or new+carried, never a mix. Open cursors
+        //    ride their pinned node. The node tables the fold staged become
         //    visible here and no earlier: until now the commit could still
         //    have been abandoned, and the next attempt writes other bytes
         //    under the same page ids.
-        w.file = temp_file;
-        w.offset = compacted.len() as u64;
         let dir_synced = FileBackend::sync_parent_dir(&self.wal_path);
+        w.file = temp_file;
+        w.offset = (compacted.len() + tail.len()) as u64;
+        let carried_ops = w.next_seq - 1 - flushed_seq;
         let wal_us = lap();
         next.cube.publish_hand_over();
         let cache_moved_on = std::ptr::eq(serving.cube.node_cache(), next.cube.node_cache());
         {
             let mut mem = self.mem.write().unwrap();
             self.push_generation(next);
-            mem.ops = Arc::default();
-            mem.bytes = 0;
-            self.mem_depth.set(0);
+            mem.prune(flushed_seq);
+            self.mem_depth.set(mem.ops.len() as u64);
         }
+        self.wal_len.store(w.offset, Ordering::SeqCst);
+        drop(w);
+        writer_hold += held.elapsed();
         // The memtable let go of the snapshot: it is ours unless a cursor
         // still pins it.
-        for (tid, op) in Arc::try_unwrap(snapshot).unwrap_or_else(|pinned| (*pinned).clone()) {
-            match op {
+        for (tid, e) in Arc::try_unwrap(snapshot).unwrap_or_else(|pinned| (*pinned).clone()) {
+            match e.op {
                 MemOp::Upsert { sel, point } => {
-                    w.applied.insert(tid, (sel, point));
+                    applied.insert(tid, (sel, point));
                 }
                 MemOp::Delete { .. } => {
-                    w.applied.remove(&tid);
+                    applied.remove(&tid);
                 }
             }
         }
-        self.wal_len.store(w.offset, Ordering::SeqCst);
-        self.applied_count.store(w.applied.len() as u64, Ordering::SeqCst);
+        self.applied_count.store(applied.len() as u64, Ordering::SeqCst);
         // The superseded generation stays in the chain for its pinned
         // cursors, but its pool stops holding frames nobody new will read
         // (cursors keep the `Arc` frames they hold and re-read the rest on
@@ -1313,6 +1414,7 @@ impl DeltaCube {
         swap_us += lap();
 
         let cold_opens = u64::from(!warm);
+        let writer_hold_us = writer_hold.as_micros() as u64;
         self.flushes.fetch_add(1, Ordering::SeqCst);
         self.partials_rewritten.fetch_add(spliced.partials_rewritten as u64, Ordering::Relaxed);
         self.nodes_reencoded.fetch_add(spliced.nodes_reencoded as u64, Ordering::Relaxed);
@@ -1329,6 +1431,7 @@ impl DeltaCube {
         for (hist, us) in ins.phases.iter().zip(phases) {
             hist.record(us);
         }
+        ins.writer_hold.record(writer_hold_us);
         let duration = start.elapsed();
         ins.duration.record(duration.as_micros() as u64);
         event
@@ -1339,7 +1442,9 @@ impl DeltaCube {
             .record("commit_us", commit_us as f64)
             .record("wal_us", wal_us as f64)
             .record("swap_us", swap_us as f64)
+            .record("writer_hold_us", writer_hold_us as f64)
             .record("applied_ops", applied_ops as f64)
+            .record("carried_ops", carried_ops as f64)
             .record("path_updates", path_updates as f64)
             .record("cells_rewritten", spliced.cells_rewritten as f64)
             .record("partials_rewritten", spliced.partials_rewritten as f64)
@@ -1354,7 +1459,7 @@ impl DeltaCube {
             applied_ops,
             generation,
             duration,
-            live_delta_tuples: self.applied_count.load(Ordering::SeqCst) as usize,
+            live_delta_tuples: applied.len(),
             path_updates,
             cells_rewritten: spliced.cells_rewritten,
             pages_appended,
@@ -1362,7 +1467,20 @@ impl DeltaCube {
             nodes_reencoded: spliced.nodes_reencoded,
             rtree_nodes_written,
             cold_opens,
+            writer_hold_us,
+            carried_ops,
         })
+    }
+
+    /// Dies like the process would once the fault script's crash point has
+    /// passed: everything it did since is a lie the disk never saw.
+    fn die_if_crashed(&self) -> Result<(), StorageError> {
+        if self.faults.as_ref().is_some_and(|p| p.crashed()) {
+            return Err(StorageError::Io(std::io::Error::other(
+                "injected crash during delta flush",
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -1392,7 +1510,7 @@ impl<'a> RankedSource<'a> for DeltaSource<'a> {
         let conds = plan.selection.conds();
         let mut mem_items: Vec<(Tid, f64)> = Vec::new();
         let mut pt = Vec::new(); // grown by the first matching upsert, if any
-        for (&tid, op) in ops.iter() {
+        for (&tid, Logged { op, .. }) in ops.iter() {
             if let MemOp::Upsert { sel, point } = op {
                 if conds.iter().all(|&(d, v)| sel.get(d) == Some(&v)) {
                     pt.clear();
@@ -1433,7 +1551,7 @@ struct DeltaSearch<'a> {
     mem_pos: usize,
     /// The memtable as pinned at open: a base answer whose tid has an op
     /// here is superseded (updated or deleted) and must not surface.
-    ops: Arc<BTreeMap<Tid, MemOp>>,
+    ops: Arc<MemOps>,
     mem_scored: u64,
     mem_emitted: u64,
     base_emitted: u64,
@@ -2749,6 +2867,82 @@ mod tests {
     }
 
     #[test]
+    fn appends_land_in_the_memtable_while_a_flush_runs() {
+        // Inserts and deletes issued right after the flush's commit — the
+        // fold is done, the WAL not handed over yet — go through, stay in
+        // the memtable past the flush, and move to the compacted WAL byte
+        // for byte. A flush that held the append mutex through its cycle
+        // would deadlock in the hook: the flush runs on a thread with a
+        // timeout, so that fails instead of hanging.
+        let full = SyntheticSpec { tuples: 340, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("mid_flush");
+        build_base(&base, &path);
+        let delta =
+            Arc::new(DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap());
+        for tid in 300..330 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        // A base tuple, and a pending insert the tombstone replaces.
+        delta.delete(4).unwrap();
+        delta.delete(310).unwrap();
+        // Mid-cycle: ten inserts, then deletes of a tuple the flush is
+        // folding, of a base tuple and of one of the ten.
+        const HOOK_OPS: u64 = 13;
+        let hook_full = full.clone();
+        *delta.after_commit.lock().unwrap() = Some(Box::new(move |d: &DeltaCube| {
+            for tid in 330..340 {
+                d.insert(&sel_of(&hook_full, tid), &hook_full.ranking_point(tid)).unwrap();
+            }
+            for tid in [320, 9, 333] {
+                d.delete(tid).unwrap();
+            }
+        }));
+        let (done, flushed) = std::sync::mpsc::channel();
+        let flusher = Arc::clone(&delta);
+        let flushing = std::thread::spawn(move || done.send(flusher.flush()).unwrap());
+        let report = flushed
+            .recv_timeout(Duration::from_secs(60))
+            .expect("appends made mid-flush must not wait for the whole flush")
+            .unwrap();
+        flushing.join().unwrap();
+        assert_eq!(report.carried_ops, HOOK_OPS);
+        assert!(delta.after_commit.lock().unwrap().is_none(), "the hook ran");
+
+        // The memtable holds exactly the hook's ops.
+        let kinds: Vec<(Tid, bool)> = delta
+            .mem
+            .read()
+            .unwrap()
+            .ops
+            .iter()
+            .map(|(&tid, e)| (tid, matches!(e.op, MemOp::Upsert { .. })))
+            .collect();
+        let mut want: Vec<(Tid, bool)> =
+            (330..340).map(|tid| (tid, tid != 333)).chain([(9, false), (320, false)]).collect();
+        want.sort_unstable();
+        assert_eq!(kinds, want);
+        let dropped = [4, 310, 320, 9, 333];
+        assert_answers_like_logical(&delta, &full, 340, &dropped);
+        let wal_len = std::fs::metadata(wal_path_for(&path)).unwrap().len();
+        assert_eq!(delta.stats().wal_bytes, wal_len, "the append handle is the file on disk");
+        let served = served_answers(&delta);
+
+        drop(delta);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        assert_eq!(delta.last_replay().pending, HOOK_OPS, "the carried frames replay");
+        assert!(!delta.last_replay().torn_tail);
+        assert_eq!(served_answers(&delta), served, "reopened answers byte for byte");
+        // The next flush folds what was carried — the delete of a tuple the
+        // first flush folded included.
+        assert_eq!(delta.flush().unwrap().carried_ops, 0);
+        assert_eq!(delta.memtable_len(), 0);
+        assert_answers_like_logical(&delta, &full, 340, &dropped);
+        drop(delta);
+        cleanup(&path);
+    }
+
+    #[test]
     fn flush_phases_land_in_the_registry_and_the_event_log() {
         let full = SyntheticSpec { tuples: 330, cardinality: 3, ..Default::default() }.generate();
         let base = full.prefix(300);
@@ -2802,7 +2996,12 @@ mod tests {
             let phases: f64 =
                 ["open_us", "fold_us", "commit_us", "wal_us", "swap_us"].map(field).iter().sum();
             assert!(phases <= event.dur_us.unwrap() as f64 + 5.0, "phases fit in the cycle");
+            assert_eq!(field("writer_hold_us"), report.writer_hold_us as f64);
+            assert!(field("writer_hold_us") <= event.dur_us.unwrap() as f64);
+            assert_eq!(field("carried_ops"), 0.0, "nothing appended mid-cycle");
         }
+        let hold = snap.histogram("delta.flush.writer_hold_us").expect("writer_hold_us");
+        assert_eq!(hold.count, 3);
         drop(delta);
         cleanup(&path);
     }

@@ -18,6 +18,7 @@
 //! the guarantee `fsync` + a single-disk crash gives, and the one the
 //! double-superblock commit protocol is designed for.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -91,6 +92,17 @@ pub struct FaultPlan {
     swap_crashed: AtomicBool,
     /// Live fault-trip counters ([`FaultPlan::attach_metrics`]).
     metrics: OnceLock<FaultMetricSet>,
+    /// The action [`FaultPlan::before_page_write`] armed, and its index.
+    before_write: Mutex<Option<(u64, Scripted)>>,
+}
+
+/// An action a script runs once at a scripted point.
+struct Scripted(Box<dyn FnOnce() + Send>);
+
+impl fmt::Debug for Scripted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Scripted")
+    }
 }
 
 /// Pre-resolved counters for injected-fault trips.
@@ -115,6 +127,17 @@ impl FaultPlan {
     pub fn crash_after_page_writes(&self, n: u64, mode: CrashMode) {
         *self.crash_mode.lock().unwrap() = mode;
         self.crash_after.store(n, Ordering::SeqCst);
+    }
+
+    /// Runs `action` once, on the writing thread, just before page write
+    /// `n` is classified: what another thread might do between two writes
+    /// of one operation (an append landing mid-flush), made deterministic.
+    /// The writes `action` issues are numbered first — `n`, `n + 1`, … —
+    /// so the crash script covers them like any other, and the write that
+    /// triggered it takes the next index.
+    pub fn before_page_write(&self, n: u64, action: impl FnOnce() + Send + 'static) {
+        *self.before_write.lock().expect("nothing panics holding a scripted action") =
+            Some((n, Scripted(Box::new(action))));
     }
 
     /// Fail the page write at index `n` with `ENOSPC` (one-shot).
@@ -212,6 +235,15 @@ impl FaultPlan {
 
     /// Backend hook: classify the next raw page write.
     pub fn on_write(&self) -> Result<WriteOutcome, std::io::Error> {
+        let due = {
+            let mut armed =
+                self.before_write.lock().expect("nothing panics holding a scripted action");
+            let next = self.writes.load(Ordering::SeqCst);
+            armed.take_if(|(n, _)| *n <= next)
+        };
+        if let Some((_, Scripted(action))) = due {
+            action();
+        }
         let idx = self.writes.fetch_add(1, Ordering::SeqCst);
         if idx == self.enospc_at.load(Ordering::SeqCst) {
             self.enospc_at.store(u64::MAX, Ordering::SeqCst);
@@ -282,6 +314,21 @@ mod tests {
         assert_eq!(plan.on_write().unwrap(), WriteOutcome::Prefix(10));
         assert_eq!(plan.on_write().unwrap(), WriteOutcome::Drop);
         assert!(plan.crashed());
+    }
+
+    #[test]
+    fn a_scripted_action_runs_before_its_write_and_its_writes_count_first() {
+        let plan = FaultPlan::new();
+        plan.crash_after_page_writes(2, CrashMode::Dropped);
+        let inner = Arc::clone(&plan);
+        plan.before_page_write(1, move || {
+            assert_eq!(inner.on_write().unwrap(), WriteOutcome::Persist, "write 1");
+            assert_eq!(inner.on_write().unwrap(), WriteOutcome::Drop, "write 2");
+        });
+        assert_eq!(plan.on_write().unwrap(), WriteOutcome::Persist, "write 0");
+        assert_eq!(plan.on_write().unwrap(), WriteOutcome::Drop, "write 3, after the action's");
+        assert_eq!(plan.writes_observed(), 4);
+        assert_eq!(plan.on_write().unwrap(), WriteOutcome::Drop, "the action ran once");
     }
 
     #[test]

@@ -36,7 +36,9 @@
 //!   (≈ one miss per partial rewritten).
 //! * `delta.flush.{path_updates,cells_rewritten,partials_rewritten,
 //!   nodes_reencoded,cold_opens}` and the `delta.flush.*_us` phase
-//!   histograms — what each flush changed and where its time went.
+//!   histograms — what each flush changed and where its time went;
+//!   `delta.flush.writer_hold_us` how long each kept inserts and deletes
+//!   waiting (the append mutex, held only to snapshot and to hand over).
 
 use std::fmt;
 use std::time::Duration;

@@ -15,7 +15,9 @@
 //!   when the crash landed *between* the cube commit and the WAL
 //!   rewrite) — swept once over a cold flush (the first after an open)
 //!   and once over a warm one (the second of a process, which takes its
-//!   catalog from the generation it serves and writes fewer pages);
+//!   catalog from the generation it serves and writes fewer pages), and
+//!   once over a flush that takes appends mid-cycle (each reopen holds
+//!   exactly the ops acknowledged before the crash point);
 //! * a cursor pinned before a flush keeps streaming the R-tree of its
 //!   generation while the writer splits and condenses a copy-on-write
 //!   clone that shares every untouched node with it;
@@ -401,6 +403,151 @@ fn flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
         let plan = FaultPlan::new();
         plan.crash_at_swap(stage);
         run_case(plan, format!("WAL swap {stage:?}"));
+    }
+}
+
+/// The same sweep over a flush that takes appends mid-cycle. Its first page
+/// write — the fold's, after the snapshot — first lets six inserts and two
+/// deletes land through a scripted action: one delete of a pending insert
+/// the flush is folding, one of a base tuple. Crashed at each of those
+/// appends (dropped and torn), at every page write of the flush after them
+/// and at each WAL swap stage, the reopen serves the old generation or the
+/// new one and holds exactly the acknowledged ops — every one before the
+/// crash point.
+#[test]
+fn flush_crash_sweep_with_appends_mid_cycle_reopens_to_the_acknowledged_state() {
+    let full = SyntheticSpec { tuples: 190, cardinality: 4, ..Default::default() }.generate();
+    let base = full.prefix(160);
+    const PRE_OPS: u64 = 26;
+    let pristine = temp_path("midcycle_pristine");
+    build_base(&base, &pristine);
+    let g0 = {
+        let delta = DeltaCube::open(&pristine, base.clone(), DeltaOptions::default()).unwrap();
+        for tid in 160..184u32 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        for tid in [3, 17] {
+            delta.delete(tid).unwrap();
+        }
+        delta.serving_generation()
+    };
+    let base_bytes = std::fs::read(&pristine).unwrap();
+    let wal_bytes = std::fs::read(wal_path_for(&pristine)).unwrap();
+    cleanup(&pristine);
+
+    // The mid-cycle ops in order, `(tid, insert?)`; `mid` applies the
+    // first `k` of them.
+    const MID: [(Tid, bool); 8] = [
+        (184, true),
+        (185, true),
+        (186, true),
+        (187, true),
+        (188, true),
+        (189, true),
+        (170, false),
+        (40, false),
+    ];
+    const MID_OPS: u64 = MID.len() as u64;
+    let mid = |d: &DeltaCube, full: &Relation, k: u64| {
+        for &(tid, insert) in &MID[..k as usize] {
+            if insert {
+                d.insert(&sel_of(full, tid), &full.ranking_point(tid)).unwrap();
+            } else {
+                d.delete(tid).unwrap();
+            }
+        }
+    };
+    // `expected[k]`: the answers with the pre-flush ops and the first `k`
+    // mid-cycle ops live, fault-free and never flushed.
+    let expected: Vec<Vec<String>> = (0..=MID_OPS)
+        .map(|k| {
+            let path = temp_path("midcycle_expect");
+            std::fs::write(&path, &base_bytes).unwrap();
+            std::fs::write(wal_path_for(&path), &wal_bytes).unwrap();
+            let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+            mid(&delta, &full, k);
+            let got = answers(&delta);
+            drop(delta);
+            cleanup(&path);
+            got
+        })
+        .collect();
+    let rebuilt = rebuilt_answers(&logical_relation(&full, 190, &[3, 17, 170, 40]));
+    for (got, (_, want_scores)) in expected[MID_OPS as usize].iter().zip(&rebuilt) {
+        let got_scores =
+            got.split(',').map(|i| i.split(':').nth(1).unwrap_or("")).collect::<Vec<_>>().join(",");
+        assert_eq!(got_scores, *want_scores, "all ops live: the merged view of a rebuilt cube");
+    }
+
+    // One process: the durable pre-flush ops, the mid-cycle ops armed on the
+    // flush's first page write, `arm`'s fault, the flush.
+    let session = |arm: &dyn Fn(&FaultPlan)| {
+        let path = temp_path("midcycle");
+        std::fs::write(&path, &base_bytes).unwrap();
+        std::fs::write(wal_path_for(&path), &wal_bytes).unwrap();
+        let plan = FaultPlan::new();
+        let opts = DeltaOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
+        let delta = Arc::new(DeltaCube::open(&path, base.clone(), opts).unwrap());
+        let (during, rel) = (Arc::downgrade(&delta), full.clone());
+        plan.before_page_write(0, move || mid(&during.upgrade().unwrap(), &rel, MID_OPS));
+        arm(&plan);
+        let res = delta.flush();
+        (path, plan, res, delta)
+    };
+
+    // Fault-free twin: the page writes of the flush and of the appends, and
+    // the appends carried over to the compacted WAL.
+    let writes = {
+        let (path, plan, res, delta) = session(&|_| {});
+        let report = res.expect("clean flush");
+        assert_eq!(report.carried_ops, MID_OPS);
+        assert_eq!(delta.memtable_len(), MID_OPS as usize, "the mid-cycle ops outlive the flush");
+        assert_eq!(answers(&delta), expected[MID_OPS as usize]);
+        drop(delta);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        assert_eq!(delta.last_replay().pending, MID_OPS, "the carried frames replay");
+        assert_eq!(delta.serving_generation(), g0 + 1);
+        assert_eq!(answers(&delta), expected[MID_OPS as usize]);
+        drop(delta);
+        cleanup(&path);
+        plan.writes_observed()
+    };
+    assert!(writes > MID_OPS + 3, "appends + data + alloc + superblock pages, saw {writes}");
+
+    let run_case = |arm: &dyn Fn(&FaultPlan), acknowledged: u64, label: String| {
+        let (path, plan, res, dead) = session(arm);
+        drop(dead);
+        assert!(plan.crashed(), "{label}: crash point never reached");
+        assert!(res.is_err(), "{label}: a crashed flush must not report success");
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        let generation = delta.serving_generation();
+        assert!(generation == g0 || generation == g0 + 1, "{label}: generation {generation}");
+        let replay = delta.last_replay();
+        assert_eq!(replay.pending, PRE_OPS + acknowledged, "{label}: acknowledged ops replay");
+        assert_eq!(answers(&delta), expected[acknowledged as usize], "{label}: reopen");
+        delta.flush().unwrap();
+        assert_eq!(answers(&delta), expected[acknowledged as usize], "{label}: clean flush");
+        assert_eq!(delta.memtable_len(), 0, "{label}: clean flush drains the memtable");
+        drop(delta);
+        cleanup(&path);
+    };
+    // keep=20 tears an append mid-frame as well as a page.
+    for mode in [CrashMode::Dropped, CrashMode::Torn { keep: 20 }] {
+        for n in 0..writes {
+            let what = if n < MID_OPS { "mid-cycle append" } else { "flush page write" };
+            run_case(
+                &move |plan: &FaultPlan| plan.crash_after_page_writes(n, mode),
+                n.min(MID_OPS),
+                format!("{what} {n} ({mode:?})"),
+            );
+        }
+    }
+    for stage in [SwapStage::TempWrite, SwapStage::TempSync, SwapStage::Rename] {
+        run_case(
+            &move |plan: &FaultPlan| plan.crash_at_swap(stage),
+            MID_OPS,
+            format!("WAL swap {stage:?}"),
+        );
     }
 }
 
