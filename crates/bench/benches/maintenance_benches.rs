@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ranking_cube::cube::query::RankedSource;
-use ranking_cube::cube::scheduler::{vacuum_into_place, MaintenanceConfig};
+use ranking_cube::cube::scheduler::vacuum_into_place;
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::obs::Metrics;
 use ranking_cube::storage::{DiskSim, FileBackend, PageStore};
@@ -34,7 +34,6 @@ use rcube_bench::{
     Bound,
 };
 
-const PAGE: usize = 4096;
 const POOL: usize = 4096;
 const READERS: usize = 4;
 /// High cardinality keeps each maintenance batch patching a fraction of
@@ -83,13 +82,6 @@ fn main() {
         (answers(&cube, &rtree, &disk), cube.store().generation().unwrap())
     };
 
-    let config = MaintenanceConfig {
-        watermark_pages: 1,
-        poll_interval: Duration::from_millis(10),
-        page_size: PAGE,
-        pool_pages: POOL,
-        ..MaintenanceConfig::default()
-    };
     let metrics = Metrics::new();
     let phase = AtomicU64::new(PHASE_STEADY);
     let queries_steady = AtomicU64::new(0);
@@ -142,8 +134,7 @@ fn main() {
         for c in 0..CYCLES {
             let from = BASE + c * step;
             maintain_and_commit(writable(&live_path), &rel, from, from + step);
-            let report =
-                vacuum_into_place(&live_path, &config, &metrics, None).expect("live vacuum cycle");
+            let report = vacuum_into_place(&live_path, &metrics, None).expect("live vacuum cycle");
             assert!(report.reclaimed_pages > 0, "cycle {c} reclaimed nothing");
             reclaimed_total += report.reclaimed_pages;
             vacuum_us.push(report.duration.as_micros() as u64);

@@ -822,15 +822,7 @@ pub struct DeltaCube {
     flush_instruments: FlushInstruments,
     /// One `delta.flush` event per cycle (see [`Self::flush_events`]).
     flush_log: QueryTrace,
-    /// Runs once, on the flushing thread, right after the next flush's
-    /// commit: where a test lands appends mid-cycle.
-    #[cfg(test)]
-    after_commit: Mutex<Option<MidFlushHook>>,
 }
-
-/// What a test runs inside a flush (`DeltaCube::after_commit`).
-#[cfg(test)]
-type MidFlushHook = Box<dyn FnOnce(&DeltaCube) + Send>;
 
 impl std::fmt::Debug for DeltaCube {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -928,8 +920,6 @@ impl DeltaCube {
             flush_instruments: FlushInstruments::new(&metrics),
             flush_log: QueryTrace::new(FLUSH_LOG_EVENTS),
             metrics,
-            #[cfg(test)]
-            after_commit: Mutex::new(None),
         })
     }
 
@@ -1278,10 +1268,6 @@ impl DeltaCube {
             _ => 0,
         };
         let commit_us = lap();
-        #[cfg(test)]
-        if let Some(hook) = self.after_commit.lock().unwrap().take() {
-            hook(self);
-        }
 
         // 3. The next serving handle: a fresh read-only store, opened while
         //    the writer lock is still held, under the directory and R-tree
@@ -2532,9 +2518,7 @@ mod tests {
         assert_eq!(flush_keeps_cache(310..320, "second flush"), 0, "its own file, as it left it");
 
         // A vacuum swaps another file under the path.
-        let config =
-            crate::MaintenanceConfig { page_size: 512, pool_pages: 64, ..Default::default() };
-        crate::vacuum_into_place(&path, &config, &Metrics::disabled(), None).unwrap();
+        crate::vacuum_into_place(&path, &Metrics::disabled(), None).unwrap();
         assert_eq!(flush_keeps_cache(320..330, "vacuum swap"), 1, "after a vacuum swap");
         assert_answers_like_rebuilt(&delta, &full.prefix(330), "after a vacuum swap");
         assert_eq!(flush_keeps_cache(330..340, "after the vacuum"), 0);
@@ -2599,9 +2583,7 @@ mod tests {
         let head = pinned.next().unwrap();
         let old = delta.current();
 
-        let config =
-            crate::MaintenanceConfig { page_size: 512, pool_pages: 64, ..Default::default() };
-        crate::vacuum_into_place(&path, &config, &Metrics::disabled(), None).unwrap();
+        crate::vacuum_into_place(&path, &Metrics::disabled(), None).unwrap();
         delta.reelect().unwrap();
         let sb = FileBackend::peek_superblock(&path).unwrap();
         assert_eq!((delta.serving_generation(), sb.retired_pages), (sb.generation, 0));
@@ -2868,18 +2850,20 @@ mod tests {
 
     #[test]
     fn appends_land_in_the_memtable_while_a_flush_runs() {
-        // Inserts and deletes issued right after the flush's commit — the
-        // fold is done, the WAL not handed over yet — go through, stay in
-        // the memtable past the flush, and move to the compacted WAL byte
-        // for byte. A flush that held the append mutex through its cycle
-        // would deadlock in the hook: the flush runs on a thread with a
-        // timeout, so that fails instead of hanging.
+        // Inserts and deletes issued just before the flush's first page
+        // write — the snapshot is taken, the WAL not handed over yet — go
+        // through, stay in the memtable past the flush, and move to the
+        // compacted WAL byte for byte. A flush that held the append mutex
+        // through its cycle would deadlock in the scripted action: the
+        // flush runs on a thread with a timeout, so that fails instead of
+        // hanging.
         let full = SyntheticSpec { tuples: 340, cardinality: 3, ..Default::default() }.generate();
         let base = full.prefix(300);
         let path = temp_path("mid_flush");
         build_base(&base, &path);
-        let delta =
-            Arc::new(DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap());
+        let plan = FaultPlan::new();
+        let opts = DeltaOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
+        let delta = Arc::new(DeltaCube::open(&path, base.clone(), opts).unwrap());
         for tid in 300..330 {
             delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
         }
@@ -2889,15 +2873,19 @@ mod tests {
         // Mid-cycle: ten inserts, then deletes of a tuple the flush is
         // folding, of a base tuple and of one of the ten.
         const HOOK_OPS: u64 = 13;
-        let hook_full = full.clone();
-        *delta.after_commit.lock().unwrap() = Some(Box::new(move |d: &DeltaCube| {
+        let (during, hook_full) = (Arc::downgrade(&delta), full.clone());
+        let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let hook_ran = Arc::clone(&ran);
+        plan.before_page_write(plan.writes_observed(), move || {
+            let d = during.upgrade().unwrap();
             for tid in 330..340 {
                 d.insert(&sel_of(&hook_full, tid), &hook_full.ranking_point(tid)).unwrap();
             }
             for tid in [320, 9, 333] {
                 d.delete(tid).unwrap();
             }
-        }));
+            hook_ran.store(true, Ordering::SeqCst);
+        });
         let (done, flushed) = std::sync::mpsc::channel();
         let flusher = Arc::clone(&delta);
         let flushing = std::thread::spawn(move || done.send(flusher.flush()).unwrap());
@@ -2907,7 +2895,7 @@ mod tests {
             .unwrap();
         flushing.join().unwrap();
         assert_eq!(report.carried_ops, HOOK_OPS);
-        assert!(delta.after_commit.lock().unwrap().is_none(), "the hook ran");
+        assert!(ran.load(Ordering::SeqCst), "the hook ran");
 
         // The memtable holds exactly the hook's ops.
         let kinds: Vec<(Tid, bool)> = delta
@@ -3053,9 +3041,7 @@ mod tests {
         // one map of its own.
         let before = FileBackend::peek_superblock(&path).unwrap();
         assert!(before.retired_pages > 0);
-        let config =
-            crate::MaintenanceConfig { page_size: 512, pool_pages: 64, ..Default::default() };
-        let report = crate::vacuum_into_place(&path, &config, &Metrics::disabled(), None).unwrap();
+        let report = crate::vacuum_into_place(&path, &Metrics::disabled(), None).unwrap();
         assert_eq!(report.reclaimed_pages, before.retired_pages);
         let after = FileBackend::peek_superblock(&path).unwrap();
         let maps = u64::from(before.alloc_pages) - u64::from(after.alloc_pages);

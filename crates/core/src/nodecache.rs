@@ -59,25 +59,27 @@
 //!   outside the budget (they share nearly every node with their
 //!   successors) and bounded by what one commit rewrites.
 //! * **Bounded budget, second-chance eviction.** Every table carries its
-//!   weight (directory skeleton + decoded nodes). Past the budget a
-//!   per-stripe clock sweeps tables in admission order: nodes referenced
-//!   since the last sweep survive with their bit cleared, the others are
-//!   dropped — the table is replaced by its survivors, or removed when
-//!   none is left. Cursors holding the old table keep reading it.
-//!   Eviction is advisory: an evicted node is re-decoded and re-admitted;
-//!   correctness never depends on residency.
+//!   weight (directory skeleton + decoded nodes). Each stripe keeps its
+//!   tables in one [`QueueMap`], the queue the storage crate's page caches
+//!   evict through. Past the budget a clock sweeps a stripe's tables oldest
+//!   first: nodes referenced since the last sweep survive with their bit
+//!   cleared, the others are dropped — the table is queued again (replaced
+//!   by its survivors if it lost any), or removed when none is left.
+//!   Cursors holding the old table keep reading it. Eviction is advisory:
+//!   an evicted node is re-decoded and re-admitted; correctness never
+//!   depends on residency.
 //!
 //! A shared hit skips the partial load *and* the node decode, so it is
 //! metered separately (`shared_node_hits` in `rcube_core::QueryStats`)
 //! from per-query memo hits and charged no I/O: the node never left
 //! memory.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use rcube_obs::{Counter, Metrics, Striped};
-use rcube_storage::PackedBits;
+use rcube_storage::{PackedBits, QueueMap, Stripes};
 
 /// Default cache budget: 4 MiB of tables and packed node words — a few
 /// thousand hot cuboid cells at typical node sizes.
@@ -405,7 +407,7 @@ pub(crate) struct HandOver {
 /// `&self`; synchronization is internal (striped `RwLock`s + atomics).
 #[derive(Debug)]
 pub struct SharedNodeCache {
-    shards: Vec<RwLock<Shard>>,
+    shards: Stripes<RwLock<Shard>>,
     /// Byte budget over all stripes; 0 disables the cache entirely.
     budget: usize,
     /// Weight of every resident table.
@@ -436,17 +438,15 @@ const MISSES: usize = 1;
 
 #[derive(Debug, Default)]
 struct Shard {
-    tables: HashMap<u64, Arc<PartialTable>>,
+    /// Resident tables in clock order: one live queue slot per resident
+    /// page id.
+    tables: QueueMap<u64, Arc<PartialTable>>,
     /// Tables of the partials the last [`SharedNodeCache::hand_over`]
     /// retired, kept for the readers of the generation it superseded and
     /// dropped by the next one. Outside the budget and the clock: nearly
     /// all they hold is shared with the tables that replaced them, and
     /// there is at most one commit's worth.
     leaving: HashMap<u64, Arc<PartialTable>>,
-    /// Clock ring in admission order. May hold stale ids of tables already
-    /// removed; those are discarded when the hand reaches them. Every
-    /// resident page id appears exactly once.
-    ring: VecDeque<u64>,
 }
 
 impl SharedNodeCache {
@@ -487,19 +487,13 @@ impl SharedNodeCache {
         self.budget == 0
     }
 
-    fn shard_index(&self, page: u64) -> usize {
-        // Fibonacci hash: consecutive first page ids (the append-only
-        // allocator's pattern) spread across stripes.
-        ((page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % self.shards.len()
-    }
-
     /// The table of the partial rooted at `page`, if resident — the one
     /// locked step of a query's visit to that partial.
     pub(crate) fn table(&self, page: u64) -> Option<Arc<PartialTable>> {
         if self.is_disabled() {
             return None;
         }
-        let shard = self.shards[self.shard_index(page)].read().unwrap();
+        let shard = self.shards.of(page).read().unwrap();
         shard.tables.get(&page).or_else(|| shard.leaving.get(&page)).cloned()
     }
 
@@ -511,14 +505,13 @@ impl SharedNodeCache {
         if table.weight() > self.budget {
             return table;
         }
-        let idx = self.shard_index(page);
+        let idx = self.shards.index_of(page);
         let resident = {
             let mut shard = self.shards[idx].write().unwrap();
             if let Some(first) = shard.tables.get(&page) {
                 return Arc::clone(first);
             }
             self.bytes.fetch_add(table.weight(), Ordering::Relaxed);
-            shard.ring.push_back(page);
             shard.tables.insert(page, Arc::clone(&table));
             table
         };
@@ -538,7 +531,7 @@ impl SharedNodeCache {
         di: usize,
         bits: Arc<PackedBits>,
     ) -> &'t Arc<PackedBits> {
-        let idx = self.shard_index(page);
+        let idx = self.shards.index_of(page);
         {
             let shard = self.shards[idx].read().unwrap();
             let grown = table.set(di, bits);
@@ -583,32 +576,26 @@ impl SharedNodeCache {
                 return;
             }
             let mut shard = self.shards[(from + step) % SHARDS].write().unwrap();
-            for _ in 0..shard.ring.len() {
+            // One turn of the hand: every table resident now, oldest first.
+            for _ in 0..shard.tables.len() {
                 if self.bytes.load(Ordering::Relaxed) <= self.budget {
                     return;
                 }
-                let Some(page) = shard.ring.pop_front() else {
+                let Some((page, table)) = shard.tables.pop_oldest() else {
                     break;
-                };
-                let Some(table) = shard.tables.get(&page) else {
-                    continue; // stale ring slot of an already-removed table
                 };
                 let before = table.weight();
                 let dropped = match table.sweep() {
                     Swept::Intact => {
-                        shard.ring.push_back(page); // second chance
+                        shard.tables.insert(page, table); // second chance
                         continue;
                     }
                     Swept::Shrunk { table, dropped } => {
                         self.bytes.fetch_add(table.weight(), Ordering::Relaxed);
                         shard.tables.insert(page, Arc::new(table));
-                        shard.ring.push_back(page);
                         dropped
                     }
-                    Swept::Empty { dropped } => {
-                        shard.tables.remove(&page);
-                        dropped
-                    }
+                    Swept::Empty { dropped } => dropped,
                 };
                 self.bytes.fetch_sub(before, Ordering::Relaxed);
                 self.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
@@ -623,13 +610,12 @@ impl SharedNodeCache {
     /// maintenance prefers [`Self::invalidate_partial`]). Hit/miss/
     /// eviction counters keep accumulating.
     pub fn clear(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let mut s = shard.write().unwrap();
             let gone: usize = s.tables.values().map(|t| t.weight()).sum();
             self.bytes.fetch_sub(gone, Ordering::Relaxed);
             s.tables.clear();
             s.leaving.clear();
-            s.ring.clear();
         }
     }
 
@@ -637,10 +623,9 @@ impl SharedNodeCache {
     /// per-partial invalidation COW maintenance needs: a replaced cell's
     /// old partials are retired (their page ids never come back), so only
     /// their tables go; untouched partials stay resident across the
-    /// commit. One removal; the stale ring slot is left for the clock hand
-    /// to discard, exactly like eviction does.
+    /// commit. One removal.
     pub fn invalidate_partial(&self, partial_page: u64) {
-        let mut shard = self.shards[self.shard_index(partial_page)].write().unwrap();
+        let mut shard = self.shards.of(partial_page).write().unwrap();
         shard.leaving.remove(&partial_page);
         if let Some(table) = shard.tables.remove(&partial_page) {
             self.bytes.fetch_sub(table.weight(), Ordering::Relaxed);
@@ -658,11 +643,11 @@ impl SharedNodeCache {
         if self.is_disabled() {
             return;
         }
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             shard.write().unwrap().leaving.clear();
         }
         for page in commit.retired {
-            let mut shard = self.shards[self.shard_index(page)].write().unwrap();
+            let mut shard = self.shards.of(page).write().unwrap();
             if let Some(table) = shard.tables.remove(&page) {
                 self.bytes.fetch_sub(table.weight(), Ordering::Relaxed);
                 shard.leaving.insert(page, table);
@@ -677,7 +662,7 @@ impl SharedNodeCache {
     /// Counter and occupancy snapshot.
     pub fn stats(&self) -> NodeCacheStats {
         let mut entries = 0usize;
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             entries += shard.read().unwrap().tables.values().map(|t| t.resident()).sum::<usize>();
         }
         NodeCacheStats {
@@ -694,7 +679,7 @@ impl SharedNodeCache {
     #[cfg(test)]
     pub(crate) fn resident_tables(&self) -> Vec<(u64, Arc<PartialTable>)> {
         let mut out = Vec::new();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let s = shard.read().unwrap();
             out.extend(s.tables.iter().chain(&s.leaving).map(|(&page, t)| (page, Arc::clone(t))));
         }
@@ -924,7 +909,8 @@ mod tests {
             let t = cache.table(partial).expect("untouched partial survives");
             assert_eq!(t.resident_nodes().len(), 5);
         }
-        // The ring's stale slot must not break subsequent admission.
+        // The removed table's stale queue slot must not break subsequent
+        // admission.
         for i in 0..100u64 {
             lookup(&cache, 40 + i, i, &[i], 64);
         }
@@ -957,6 +943,31 @@ mod tests {
         assert!(cache.table(11).is_none());
         let weighed: usize = cache.resident_tables().iter().map(|(_, t)| t.weight()).sum();
         assert_eq!(cache.stats().bytes, weighed);
+    }
+
+    #[test]
+    fn hand_overs_under_budget_keep_the_queue_bounded() {
+        // Each hand-over retires one partial and admits its successor under
+        // a fresh page id, the way a flush does. Nothing is evicted under
+        // budget, so only the queue's compaction bounds the slots the
+        // retired tables leave behind.
+        let cache = SharedNodeCache::new(1 << 20);
+        for page in 0..32u64 {
+            cache.admit(page, table(&[page]));
+        }
+        for cycle in 0..10_000u64 {
+            let next = cycle + 32;
+            let tables = HashMap::from([(next, table(&[next]))]);
+            cache.hand_over(HandOver { tables, retired: vec![cycle] });
+            for shard in cache.shards.iter() {
+                let tables = &shard.read().unwrap().tables;
+                let (slots, live) = (tables.slots(), tables.len());
+                assert!(slots <= 2 * live + 8, "cycle {cycle}: {slots} slots, {live} live");
+            }
+        }
+        assert_eq!(cache.stats().evictions, 0);
+        let live: usize = cache.shards.iter().map(|s| s.read().unwrap().tables.len()).sum();
+        assert_eq!(live, 32, "one table per partial in service");
     }
 
     #[test]

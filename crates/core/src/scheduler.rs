@@ -37,12 +37,15 @@ use std::time::{Duration, Instant};
 
 use rcube_obs::Metrics;
 use rcube_storage::{FaultPlan, FileBackend, FileOptions, StorageError, WriterLock};
-use rcube_storage::{SwapStage, DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES};
+use rcube_storage::{SwapStage, DEFAULT_POOL_PAGES};
 
 use crate::delta::DeltaCube;
 use crate::sigcube::SignatureCube;
 
-/// Knobs for one maintenance daemon (and for manual vacuum cycles).
+/// Knobs for one maintenance daemon (and for manual vacuum cycles): when
+/// to flush and when to vacuum. How is not configurable: a vacuum keeps
+/// the page size of the file it compacts and reads its source through a
+/// default-sized pool ([`vacuum_into_place`]).
 #[derive(Debug, Clone)]
 pub struct MaintenanceConfig {
     /// Retired-page watermark: a poll that sees `reclaimable_pages() >=
@@ -52,10 +55,6 @@ pub struct MaintenanceConfig {
     /// How often the scheduler polls the superblock (a three-read peek,
     /// no pool, no lock).
     pub poll_interval: Duration,
-    /// Page size of the compacted file (normally the source's).
-    pub page_size: usize,
-    /// Buffer-pool capacity for the vacuum's read-only source handle.
-    pub pool_pages: usize,
     /// Memtable-depth watermark: a poll that sees this many pending ops
     /// in the scheduler's delta cube triggers a flush/merge cycle.
     /// Ignored by a manual [`vacuum_into_place`].
@@ -67,8 +66,6 @@ impl Default for MaintenanceConfig {
         Self {
             watermark_pages: 64,
             poll_interval: Duration::from_millis(200),
-            page_size: DEFAULT_PAGE_SIZE,
-            pool_pages: DEFAULT_POOL_PAGES,
             flush_watermark_ops: 256,
         }
     }
@@ -100,8 +97,11 @@ pub fn vacuum_temp_path(path: &Path) -> PathBuf {
 ///    [`StorageError::WriterLocked`] if a live writer holds it — the
 ///    scheduler counts that as contention and retries a later poll),
 /// 2. open the newest generation read-only (pinned readers elsewhere
-///    are untouched; new writers are excluded by the lock),
-/// 3. compact live objects into `<path>.vacuum`,
+///    are untouched; new writers are excluded by the lock) through a
+///    [`DEFAULT_POOL_PAGES`] pool — the compaction reads each live object
+///    once, so the pool never hits,
+/// 3. compact live objects into `<path>.vacuum`, in pages the size of the
+///    source's (its superblock's `page_size`),
 /// 4. publish by fsync + atomic rename over `path`,
 /// 5. release the lock.
 ///
@@ -110,7 +110,6 @@ pub fn vacuum_temp_path(path: &Path) -> PathBuf {
 /// in production.
 pub fn vacuum_into_place(
     path: impl AsRef<Path>,
-    config: &MaintenanceConfig,
     metrics: &Metrics,
     faults: Option<&Arc<FaultPlan>>,
 ) -> Result<VacuumReport, StorageError> {
@@ -125,14 +124,15 @@ pub fn vacuum_into_place(
     };
     // Read-only snapshot of the newest generation. The persisted
     // retired-page count is the reclaim figure (reads don't retire).
-    let (mut cube, rtree) = SignatureCube::open_from_with(path, config.pool_pages)?;
+    let page_size = FileBackend::peek_superblock(path)?.page_size as usize;
+    let (mut cube, rtree) = SignatureCube::open_from_with(path, DEFAULT_POOL_PAGES)?;
     cube.set_metrics(metrics.clone());
     let temp = vacuum_temp_path(path);
     if let Some(plan) = faults {
         plan.on_swap(SwapStage::TempWrite).map_err(StorageError::Io)?;
     }
     let opts = FileOptions { pool_pages: 0, faults: faults.cloned() };
-    let reclaimed_pages = cube.vacuum_to_opts(&rtree, &temp, config.page_size, opts)?;
+    let reclaimed_pages = cube.vacuum_to_opts(&rtree, &temp, page_size, opts)?;
     if faults.is_some_and(|p| p.crashed()) {
         // The scripted page-level crash hit inside the temp write: the
         // process "died" before the swap. Surface it so the sweep (and a
@@ -227,7 +227,7 @@ impl MaintenanceScheduler {
                     let due = FileBackend::peek_superblock(&path)
                         .is_ok_and(|sb| sb.retired_pages >= config.watermark_pages);
                     if due {
-                        let cycle = vacuum_into_place(&path, &config, &metrics, None)
+                        let cycle = vacuum_into_place(&path, &metrics, None)
                             .and_then(|report| delta.reelect().map(|()| report));
                         t_state.book(cycle, |report| {
                             t_state.vacuums.fetch_add(1, Ordering::SeqCst);

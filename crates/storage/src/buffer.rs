@@ -1,13 +1,14 @@
-//! Buffer pools: id-only LRU accounting and real byte frames.
+//! Page caches: the id-level LRU of the simulated device and the byte
+//! frames of the file backend, both evicting through one queue.
 //!
-//! Two pools live here, both O(1) intrusive lists with capacity expressed
-//! in pages:
-//!
-//! * [`LruBuffer`] — page *identifiers* only, exact LRU. The simulated
-//!   device ([`crate::DiskSim`]) does not move bytes on hit/miss; this
-//!   buffer just decides whether a logical read is charged as a physical
-//!   one, and its miss counts are the disk-access columns of the thesis
-//!   figures — its policy never changes.
+//! * [`QueueMap`] — the replacement queue: a map that remembers in which
+//!   order its keys were last queued. Both caches below and `rcube_core`'s
+//!   shared node cache keep their entries in one.
+//! * [`StripedLruBuffer`] — page *identifiers* only, exact LRU per lock
+//!   stripe. The simulated device ([`crate::DiskSim`]) does not move bytes
+//!   on hit/miss; this buffer just decides whether a logical read is
+//!   charged as a physical one, and its miss counts are the disk-access
+//!   columns of the thesis figures — its policy never changes.
 //! * [`BufferPool`] — real frames, **sharded for concurrency**. The file
 //!   backend caches each object's assembled payload as an `Arc<[u8]>`
 //!   frame weighted by its covering page count; `get_bytes` handles are
@@ -17,173 +18,261 @@
 //!   page-weighted budget and hit/miss/eviction counters.
 //!   [`BufferPool::stats`] snapshots every shard for observability
 //!   ([`PoolStats`] / [`PoolShardStats`]).
+//! * [`Stripes`] — the page-id hash and the clamped capacity split every
+//!   striped cache shares.
 //!
-//! # Replacement: second chance
+//! # One queue, three policies
 //!
-//! A shard is a list in admission order plus one `referenced` flag per
-//! frame — the policy `rcube_core`'s shared node cache runs, on pages. A
-//! miss admits at the head. Eviction looks at the tail: a referenced tail
-//! has its flag cleared and goes back to the head, an unreferenced one is
-//! evicted, so a frame hit since it was last considered survives one more
-//! trip around and a cold scan evicts itself.
+//! A [`QueueMap`] is a hash map plus a queue of `(key, stamp)` slots,
+//! oldest first. Inserting or requeueing a key stamps it afresh and pushes
+//! a slot at the back; the slot it had stays behind, stale, and so does the
+//! slot of a removed key. [`QueueMap::pop_oldest`] drops stale slots as it
+//! meets them, and the queue is compacted once stale slots outnumber live
+//! entries, so it never holds more than `2·len + 8` slots. Each cache's
+//! policy is a few lines over it:
 //!
-//! **What a hit writes.** Under the shard's mutex a hit looks the key up,
-//! sets the flag *if it is clear* and clones the frame handle: the lock
-//! word, the frame's reference count, and (once per trip around the list)
-//! the flag. It relinks nothing — exact LRU moved the frame to the head on
-//! every hit, four list nodes written per lookup on lines every client of a
-//! hot shard shares. Hit and miss totals are thread-striped cells beside
-//! the mutex, not fields under it, so counting a hit writes only the
-//! counting thread's own line.
+//! * **Exact LRU** (a [`StripedLruBuffer`] stripe): a hit requeues the
+//!   page; a miss at capacity pops the oldest page.
+//! * **Second chance** (a [`BufferPool`] shard): a hit marks its frame
+//!   referenced and queues nothing. Eviction pops the oldest frame: a
+//!   referenced one has its flag cleared and is queued again, an
+//!   unreferenced one is evicted — so a frame hit since it was last
+//!   considered survives one more trip around and a cold scan evicts
+//!   itself.
+//! * **The table clock** (`rcube_core::nodecache`): a swept table that
+//!   kept nodes is queued again, one that kept none is removed.
 //!
-//! **What did not change.** The budget invariant (`used_pages ≤
+//! **What a hit writes.** Under the shard's mutex a pool hit looks the key
+//! up, sets the flag *if it is clear* and clones the frame handle: the lock
+//! word, the frame's reference count, and (once per trip around the queue)
+//! the flag. It queues nothing: requeueing on every hit, as exact LRU does,
+//! would write lines every client of a hot shard shares. Hit and miss totals
+//! are thread-striped cells beside the mutex, not fields under it, so
+//! counting a hit writes only the counting thread's own line.
+//!
+//! **The pool's invariants.** The budget invariant (`used_pages ≤
 //! max(capacity_pages, weight of the largest resident frame)` after any
 //! insert), page-weighted budgets per shard, the oversized-alone rule and
-//! the cross-shard reclaim after it, and the meaning of every counter. A
-//! shard's critical section never frees: frames it evicts or replaces are
-//! handed back to the caller (`Victims`) and dropped *after* the shard
-//! mutex is released, so a cold reader never waits on another thread's
-//! `free`.
+//! the cross-shard reclaim after it. A shard's critical section never
+//! frees: frames it evicts or replaces are handed back to the caller
+//! (`Victims`) and dropped *after* the shard mutex is released, so a cold
+//! reader never waits on another thread's `free`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
+use std::hash::Hash;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rcube_obs::{Counter, Metrics, Striped};
 
 use crate::disk::PageId;
 
-/// Intrusive doubly-linked LRU list backed by a slab of nodes.
+/// Stale slots a [`QueueMap`] tolerates beyond one per live entry.
+const QUEUE_SLACK: usize = 8;
+
+/// An insertion-ordered map: each key remembers when it was last inserted
+/// or requeued, and [`Self::pop_oldest`] hands back the one queued longest
+/// ago (module docs, *One queue, three policies*).
 #[derive(Debug)]
-pub struct LruBuffer {
-    capacity: usize,
-    map: HashMap<PageId, usize>,
-    nodes: Vec<Node>,
-    head: usize, // most-recently used
-    tail: usize, // least-recently used
-    free: Vec<usize>,
+pub struct QueueMap<K, V> {
+    entries: HashMap<K, (V, u64)>,
+    /// Keys oldest first, each with the stamp it was queued under; a slot
+    /// whose stamp is not its key's current one is stale.
+    slots: VecDeque<(K, u64)>,
+    stamp: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    page: PageId,
-    prev: usize,
-    next: usize,
+impl<K: Copy + Eq + Hash, V> Default for QueueMap<K, V> {
+    fn default() -> Self {
+        Self { entries: HashMap::new(), slots: VecDeque::new(), stamp: 0 }
+    }
 }
 
-const NIL: usize = usize::MAX;
+impl<K: Copy + Eq + Hash, V> QueueMap<K, V> {
+    /// Live entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
 
-impl LruBuffer {
-    /// Creates a buffer holding at most `capacity` pages. A capacity of zero
-    /// disables caching entirely (every read is a physical read).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
-            nodes: Vec::with_capacity(capacity.min(1 << 20)),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
+    /// True when no entry is live.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Queue slots, stale ones included: never more than `2·len + 8`.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The value under `key`, without requeueing it.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.entries.get(key).map(|(value, _)| value)
+    }
+
+    /// The value under `key`, mutably, without requeueing it.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|(value, _)| value)
+    }
+
+    /// Every live entry, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.entries.iter().map(|(key, (value, _))| (key, value))
+    }
+
+    /// Every live value, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.values().map(|(value, _)| value)
+    }
+
+    /// Makes `key` the newest entry, holding `value`; returns the value it
+    /// replaced.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.stamp += 1;
+        self.slots.push_back((key, self.stamp));
+        let replaced = self.entries.insert(key, (value, self.stamp)).map(|(value, _)| value);
+        self.bound();
+        replaced
+    }
+
+    /// Makes `key` the newest entry; false when it is not live.
+    pub fn requeue(&mut self, key: &K) -> bool {
+        let Some((_, stamp)) = self.entries.get_mut(key) else {
+            return false;
+        };
+        if self.slots.back() != Some(&(*key, *stamp)) {
+            self.stamp += 1;
+            *stamp = self.stamp;
+            self.slots.push_back((*key, self.stamp));
+            self.bound();
+        }
+        true
+    }
+
+    /// Drops `key` and returns its value; its slot goes stale.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let (value, _) = self.entries.remove(key)?;
+        self.bound();
+        Some(value)
+    }
+
+    /// Removes and returns the entry queued longest ago.
+    pub fn pop_oldest(&mut self) -> Option<(K, V)> {
+        while let Some((key, stamp)) = self.slots.pop_front() {
+            if let Entry::Occupied(entry) = self.entries.entry(key) {
+                if entry.get().1 == stamp {
+                    let (value, _) = entry.remove();
+                    self.bound();
+                    return Some((key, value));
+                }
+            }
+        }
+        None
+    }
+
+    /// Drops every entry, and the map's buckets with them: compaction
+    /// walks the buckets, so a map emptied by a cold-cache reset must not
+    /// keep the size it had when full.
+    pub fn clear(&mut self) {
+        *self = Self::default();
+    }
+
+    /// Compacts the queue once stale slots outnumber live entries (by more
+    /// than [`QUEUE_SLACK`]): the live slots are the entries' current
+    /// stamps, so the queue is rebuilt from the map in stamp order — a sort
+    /// in place, no hashing and no allocation — and the work is amortized
+    /// over the operations that left the stale slots.
+    fn bound(&mut self) {
+        if self.slots.len() > 2 * self.entries.len() + QUEUE_SLACK {
+            self.slots.clear();
+            self.slots.extend(self.entries.iter().map(|(&key, &(_, stamp))| (key, stamp)));
+            self.slots.make_contiguous().sort_unstable_by_key(|&(_, stamp)| stamp);
         }
     }
+}
 
-    /// Number of pages currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
+/// Lock stripes of a page cache, keyed by page id.
+#[derive(Debug)]
+pub struct Stripes<T>(Vec<T>);
+
+impl<T> Stripes<T> {
+    /// Up to `n` stripes sharing `capacity` evenly, earlier stripes
+    /// absorbing the remainder; `stripe` builds one from its slice. The
+    /// count is clamped so no stripe starts with zero capacity unless the
+    /// whole cache is disabled (then there is one).
+    pub fn split(capacity: usize, n: usize, stripe: impl Fn(usize) -> T) -> Self {
+        let n = n.max(1).min(capacity.max(1));
+        let (per, extra) = (capacity / n, capacity % n);
+        (0..n).map(|i| stripe(per + usize::from(i < extra))).collect()
     }
 
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// The stripe `key` lives in. A Fibonacci multiplicative hash, so
+    /// consecutive page ids (the append-only allocator's pattern) spread
+    /// across stripes.
+    pub fn index_of(&self, key: u64) -> usize {
+        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % self.0.len()
     }
 
-    /// Configured capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The stripe of `key`.
+    pub fn of(&self, key: u64) -> &T {
+        &self.0[self.index_of(key)]
+    }
+}
+
+impl<T> FromIterator<T> for Stripes<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(stripes: I) -> Self {
+        Self(stripes.into_iter().collect())
+    }
+}
+
+impl<T> Deref for Stripes<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+/// One stripe of a [`StripedLruBuffer`]: page identifiers under exact LRU.
+#[derive(Debug)]
+struct LruBuffer {
+    capacity: usize,
+    pages: QueueMap<PageId, ()>,
+}
+
+impl LruBuffer {
+    /// A buffer holding at most `capacity` pages. A capacity of zero
+    /// disables caching entirely (every read is a physical read).
+    fn new(capacity: usize) -> Self {
+        Self { capacity, pages: QueueMap::default() }
+    }
+
+    fn len(&self) -> usize {
+        self.pages.len()
     }
 
     /// Touches `page`; returns `true` on a hit. On a miss the page is
     /// admitted, evicting the least-recently-used page if at capacity.
-    pub fn touch(&mut self, page: PageId) -> bool {
+    fn touch(&mut self, page: PageId) -> bool {
         if self.capacity == 0 {
             return false;
         }
-        if let Some(&idx) = self.map.get(&page) {
-            self.unlink(idx);
-            self.push_front(idx);
+        if self.pages.requeue(&page) {
             return true;
         }
-        if self.map.len() >= self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            let victim_page = self.nodes[victim].page;
-            self.unlink(victim);
-            self.map.remove(&victim_page);
-            self.free.push(victim);
+        if self.pages.len() >= self.capacity {
+            self.pages.pop_oldest();
         }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Node { page, prev: NIL, next: NIL };
-                i
-            }
-            None => {
-                self.nodes.push(Node { page, prev: NIL, next: NIL });
-                self.nodes.len() - 1
-            }
-        };
-        self.map.insert(page, idx);
-        self.push_front(idx);
+        self.pages.insert(page, ());
         false
     }
 
-    /// True when `page` is cached (without promoting it).
-    pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+    fn contains(&self, page: PageId) -> bool {
+        self.pages.get(&page).is_some()
     }
 
-    /// Drops `page` from the buffer (e.g. after a structural delete).
-    pub fn invalidate(&mut self, page: PageId) {
-        if let Some(idx) = self.map.remove(&page) {
-            self.unlink(idx);
-            self.free.push(idx);
-        }
-    }
-
-    /// Empties the buffer (used between metered query runs for cold-cache
-    /// measurements).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let Node { prev, next, .. } = self.nodes[idx];
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else if self.head == idx {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else if self.tail == idx {
-            self.tail = prev;
-        }
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
+    fn clear(&mut self) {
+        self.pages.clear();
     }
 }
 
@@ -192,17 +281,16 @@ impl LruBuffer {
 /// meaningfully large at the default 256-page capacity.
 pub const DEFAULT_POOL_SHARDS: usize = 8;
 
-/// An id-level LRU buffer split into lock stripes — [`LruBuffer`] sharded
-/// the same way [`BufferPool`] was in the concurrent-serving PR, so the
-/// simulated device's hit/miss accounting stops serializing cursor-heavy
-/// concurrent workloads on one mutex. Pages hash to stripes by id
-/// (Fibonacci multiplicative hash, like the pool); each stripe runs its
-/// own LRU over an even slice of the capacity. Per-stripe LRU is an
+/// An id-level LRU buffer split into lock stripes, the same way
+/// [`BufferPool`] is, so the simulated device's hit/miss accounting does
+/// not serialize cursor-heavy concurrent workloads on one mutex. Pages
+/// hash to stripes by id ([`Stripes`]); each stripe runs its own exact
+/// LRU over an even slice of the capacity. Per-stripe LRU is an
 /// approximation of global LRU — hit rates differ slightly at tiny
 /// capacities, deterministically for any fixed access sequence.
 #[derive(Debug)]
 pub struct StripedLruBuffer {
-    shards: Vec<Mutex<LruBuffer>>,
+    shards: Stripes<Mutex<LruBuffer>>,
 }
 
 impl StripedLruBuffer {
@@ -215,32 +303,18 @@ impl StripedLruBuffer {
     }
 
     /// Buffer with an explicit stripe count (clamped to `capacity`).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let n = shards.max(1).min(capacity.max(1));
-        let (per, extra) = (capacity / n, capacity % n);
-        let shards =
-            (0..n).map(|i| Mutex::new(LruBuffer::new(per + usize::from(i < extra)))).collect();
-        Self { shards }
-    }
-
-    fn shard(&self, page: PageId) -> &Mutex<LruBuffer> {
-        let h = page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h as usize) % self.shards.len()]
-    }
-
-    /// Number of lock stripes.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    pub(crate) fn with_shards(capacity: usize, shards: usize) -> Self {
+        Self { shards: Stripes::split(capacity, shards, |c| Mutex::new(LruBuffer::new(c))) }
     }
 
     /// Touches `page` in its stripe; returns `true` on a hit.
     pub fn touch(&self, page: PageId) -> bool {
-        self.shard(page).lock().unwrap().touch(page)
+        self.shards.of(page.0).lock().unwrap().touch(page)
     }
 
     /// True when `page` is cached (without promoting it).
     pub fn contains(&self, page: PageId) -> bool {
-        self.shard(page).lock().unwrap().contains(page)
+        self.shards.of(page.0).lock().unwrap().contains(page)
     }
 
     /// Pages currently cached across stripes.
@@ -255,12 +329,12 @@ impl StripedLruBuffer {
 
     /// Configured capacity across stripes.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().capacity()).sum()
+        self.shards.iter().map(|s| s.lock().unwrap().capacity).sum()
     }
 
     /// Empties every stripe (cold-cache measurement point).
     pub fn clear(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             shard.lock().unwrap().clear();
         }
     }
@@ -351,7 +425,7 @@ impl PoolStats {
 /// one sharding trade-off, visible in the eviction counters.
 #[derive(Debug)]
 pub struct BufferPool {
-    shards: Vec<PoolStripe>,
+    shards: Stripes<PoolStripe>,
     /// Pool-wide budget (the sum of the shard slices), cached so the
     /// post-insert rebalance check doesn't re-lock every shard.
     capacity_pages: usize,
@@ -385,7 +459,7 @@ impl PoolStripe {
             evictions: list.evictions,
             used_pages: list.used_pages,
             capacity_pages: list.capacity_pages,
-            frames: list.map.len(),
+            frames: list.frames.len(),
         }
     }
 }
@@ -408,14 +482,10 @@ impl BufferPool {
         Self::with_shards(capacity_pages, DEFAULT_POOL_SHARDS)
     }
 
-    /// Pool with an explicit shard count. The budget is split evenly
-    /// (earlier shards absorb the remainder); the effective shard count is
-    /// clamped so no shard starts with a zero budget unless the whole pool
-    /// is disabled.
-    pub fn with_shards(capacity_pages: usize, shards: usize) -> Self {
-        let n = shards.max(1).min(capacity_pages.max(1));
-        let (per, extra) = (capacity_pages / n, capacity_pages % n);
-        let shards = (0..n).map(|i| PoolStripe::new(per + usize::from(i < extra))).collect();
+    /// Pool with an explicit shard count, the budget split by
+    /// [`Stripes::split`].
+    pub(crate) fn with_shards(capacity_pages: usize, shards: usize) -> Self {
+        let shards = Stripes::split(capacity_pages, shards, PoolStripe::new);
         Self { shards, capacity_pages, metrics: OnceLock::new() }
     }
 
@@ -431,22 +501,6 @@ impl BufferPool {
         });
     }
 
-    /// Number of lock stripes.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_index(&self, key: PageId) -> usize {
-        // Fibonacci multiplicative hash: consecutive first-page ids (the
-        // append-only allocator's pattern) spread across stripes.
-        let h = key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (h as usize) % self.shards.len()
-    }
-
-    fn shard(&self, key: PageId) -> &PoolStripe {
-        &self.shards[self.shard_index(key)]
-    }
-
     /// Configured capacity in pages (sum over shards).
     pub fn capacity_pages(&self) -> usize {
         self.capacity_pages
@@ -459,7 +513,7 @@ impl BufferPool {
 
     /// Number of cached frames.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.list.lock().unwrap().map.len()).sum()
+        self.shards.iter().map(|s| s.list.lock().unwrap().frames.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -482,7 +536,7 @@ impl BufferPool {
     /// Looks up the frame rooted at `key`; a hit marks it referenced (its
     /// second chance at the next eviction) and moves nothing.
     pub fn get(&self, key: PageId) -> Option<Arc<[u8]>> {
-        let stripe = self.shard(key);
+        let stripe = self.shards.of(key.0);
         let frame = stripe.list.lock().unwrap().get(key);
         stripe.lookups.add(if frame.is_some() { HITS } else { MISSES }, 1);
         if let Some(ms) = self.metrics.get() {
@@ -491,14 +545,14 @@ impl BufferPool {
         frame
     }
 
-    /// Admits a frame weighing `weight_pages`, evicting unreferenced frames
-    /// from the tail of its shard until it fits (a frame heavier than the whole shard is
+    /// Admits a frame weighing `weight_pages`, evicting its shard's oldest
+    /// unreferenced frames until it fits (a frame heavier than the whole shard is
     /// admitted alone). Replaces any existing frame under the same key.
     /// If the admission pushed the shard past its slice, pages are
     /// reclaimed from the other shards so the pool-wide budget holds (see
     /// the type docs for the exact invariant).
     pub fn insert(&self, key: PageId, frame: Arc<[u8]>, weight_pages: usize) {
-        let idx = self.shard_index(key);
+        let idx = self.shards.index_of(key.0);
         let mut victims = Victims::default();
         let (over_slice, evicted) = {
             let mut shard = self.shards[idx].list.lock().unwrap();
@@ -519,7 +573,7 @@ impl BufferPool {
         }
     }
 
-    /// Evicts tail frames from shards other than `keep` until the pool is
+    /// Evicts the oldest unreferenced frames of shards other than `keep` until the pool is
     /// back within its global budget (or only `keep`'s frames remain —
     /// the single-oversized-frame case, where occupancy equals that
     /// frame's weight, exactly like the pre-sharding pool).
@@ -533,7 +587,7 @@ impl BufferPool {
                 if i == keep {
                     continue;
                 }
-                let victim = shard.list.lock().unwrap().evict_tail();
+                let victim = shard.list.lock().unwrap().evict_oldest();
                 if victim.is_some() {
                     if let Some(ms) = self.metrics.get() {
                         ms.evictions.inc();
@@ -552,50 +606,39 @@ impl BufferPool {
 
     /// Drops the frame rooted at `key`, if cached.
     pub fn invalidate(&self, key: PageId) {
-        let removed = self.shard(key).list.lock().unwrap().invalidate(key);
+        let removed = self.shards.of(key.0).list.lock().unwrap().invalidate(key);
         drop(removed);
     }
 
     /// Empties every shard (cold-cache measurement point) and resets the
     /// counters.
     pub fn clear(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             shard.list.lock().unwrap().clear();
             shard.lookups.reset();
         }
     }
 }
 
-/// The list of one lock stripe: frames in admission order (head = newest),
-/// page-weighted, evicted from the tail with a second chance.
+/// The frames of one lock stripe, page-weighted, in second-chance order.
 #[derive(Debug)]
 struct PoolShard {
     capacity_pages: usize,
     used_pages: usize,
-    map: HashMap<PageId, usize>,
-    nodes: Vec<FrameNode>,
-    head: usize,
-    tail: usize,
-    free: Vec<usize>,
+    frames: QueueMap<PageId, Frame>,
     evictions: u64,
-    /// Writes a hit-only workload must not make: list relinks and
-    /// `referenced` stores (`a_repeat_hit_moves_nothing`).
-    #[cfg(test)]
-    relinks: u64,
+    /// `referenced` stores, which a hit-only workload makes once per frame
+    /// (`a_repeat_hit_moves_nothing`).
     #[cfg(test)]
     flag_writes: u64,
 }
 
 #[derive(Debug)]
-struct FrameNode {
-    key: PageId,
+struct Frame {
+    bytes: Arc<[u8]>,
     weight: usize,
-    /// `None` while the node sits on the free list.
-    frame: Option<Arc<[u8]>>,
     /// Hit since admission or since eviction last passed over it.
     referenced: bool,
-    prev: usize,
-    next: usize,
 }
 
 /// Frames a shard let go of during one insert, carried out of the
@@ -623,143 +666,76 @@ impl PoolShard {
         Self {
             capacity_pages,
             used_pages: 0,
-            map: HashMap::new(),
-            nodes: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
+            frames: QueueMap::default(),
             evictions: 0,
-            #[cfg(test)]
-            relinks: 0,
             #[cfg(test)]
             flag_writes: 0,
         }
     }
 
     fn get(&mut self, key: PageId) -> Option<Arc<[u8]>> {
-        let node = &mut self.nodes[*self.map.get(&key)?];
+        let frame = self.frames.get_mut(&key)?;
         // Test before set: a frame that is already marked stays a read.
-        if !node.referenced {
-            node.referenced = true;
+        if !frame.referenced {
+            frame.referenced = true;
             #[cfg(test)]
             {
                 self.flag_writes += 1;
             }
         }
-        node.frame.clone()
+        Some(Arc::clone(&frame.bytes))
     }
 
-    /// Admits `frame`; every frame this displaces (the one it replaces
-    /// under `key`, and the tail frames evicted to make room) goes into
+    /// Admits `bytes`; every frame this displaces (the one it replaces
+    /// under `key`, and the frames evicted to make room) goes into
     /// `victims` for the caller to drop once the shard is unlocked.
-    fn insert(
-        &mut self,
-        key: PageId,
-        frame: Arc<[u8]>,
-        weight_pages: usize,
-        victims: &mut Victims,
-    ) {
+    fn insert(&mut self, key: PageId, bytes: Arc<[u8]>, weight: usize, victims: &mut Victims) {
         if self.capacity_pages == 0 {
             return;
         }
         if let Some(replaced) = self.invalidate(key) {
             victims.push(replaced);
         }
-        let weight = weight_pages.max(1);
+        let weight = weight.max(1);
         while self.used_pages + weight > self.capacity_pages {
-            match self.evict_tail() {
+            match self.evict_oldest() {
                 Some(victim) => victims.push(victim),
                 None => break,
             }
         }
-        let node =
-            FrameNode { key, weight, frame: Some(frame), referenced: false, prev: NIL, next: NIL };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        };
         self.used_pages += weight;
-        self.map.insert(key, idx);
-        self.push_front(idx);
+        self.frames.insert(key, Frame { bytes, weight, referenced: false });
     }
 
     /// Unmaps `key` and returns its frame (for the caller to drop outside
-    /// the lock); the node goes back on the free list.
+    /// the lock).
     fn invalidate(&mut self, key: PageId) -> Option<Arc<[u8]>> {
-        let idx = self.map.remove(&key)?;
-        self.used_pages -= self.nodes[idx].weight;
-        self.unlink(idx);
-        self.free.push(idx);
-        self.nodes[idx].frame.take()
+        let frame = self.frames.remove(&key)?;
+        self.used_pages -= frame.weight;
+        Some(frame.bytes)
     }
 
-    /// Evicts the frame nearest the tail that has not been hit since
-    /// eviction last passed it, and returns it; referenced frames on the
-    /// way lose their flag and go back to the head (each pass clears a
-    /// flag, so the walk ends). `None` when the shard is empty.
-    fn evict_tail(&mut self) -> Option<Arc<[u8]>> {
+    /// Evicts the oldest frame that has not been hit since eviction last
+    /// passed it, and returns it; referenced frames on the way lose their
+    /// flag and are queued again (each pass clears a flag, so the walk
+    /// ends). `None` when the shard is empty.
+    fn evict_oldest(&mut self) -> Option<Arc<[u8]>> {
         loop {
-            let tail = self.tail;
-            if tail == NIL {
-                return None;
-            }
-            if !self.nodes[tail].referenced {
-                let victim = self.invalidate(self.nodes[tail].key);
+            let (key, mut frame) = self.frames.pop_oldest()?;
+            if !frame.referenced {
+                self.used_pages -= frame.weight;
                 self.evictions += 1;
-                return victim;
+                return Some(frame.bytes);
             }
-            self.nodes[tail].referenced = false;
-            self.unlink(tail);
-            self.push_front(tail);
+            frame.referenced = false;
+            self.frames.insert(key, frame);
         }
     }
 
     fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.frames.clear();
         self.used_pages = 0;
         self.evictions = 0;
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        #[cfg(test)]
-        {
-            self.relinks += 1;
-        }
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else if self.head == idx {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else if self.tail == idx {
-            self.tail = prev;
-        }
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
     }
 }
 
@@ -796,15 +772,15 @@ mod tests {
         let mut lru = LruBuffer::new(0);
         assert!(!lru.touch(p(7)));
         assert!(!lru.touch(p(7)));
-        assert!(lru.is_empty());
+        assert_eq!(lru.len(), 0);
     }
 
     #[test]
     fn invalidate_frees_slot() {
         let mut lru = LruBuffer::new(1);
         lru.touch(p(1));
-        lru.invalidate(p(1));
-        assert!(lru.is_empty());
+        lru.pages.remove(&p(1));
+        assert_eq!(lru.len(), 0);
         assert!(!lru.touch(p(2)));
         assert!(lru.contains(p(2)));
     }
@@ -826,7 +802,7 @@ mod tests {
             lru.touch(p(i));
         }
         lru.clear();
-        assert!(lru.is_empty());
+        assert_eq!(lru.len(), 0);
         assert!(!lru.touch(p(0)));
     }
 
@@ -845,15 +821,15 @@ mod tests {
     #[test]
     fn striped_capacity_splits_and_clamps() {
         let buf = StripedLruBuffer::new(256);
-        assert_eq!(buf.num_shards(), DEFAULT_POOL_SHARDS);
+        assert_eq!(buf.shards.len(), DEFAULT_POOL_SHARDS);
         assert_eq!(buf.capacity(), 256);
         // Fewer pages than stripes: clamp so no stripe starts at zero.
         let tiny = StripedLruBuffer::new(3);
-        assert_eq!(tiny.num_shards(), 3);
+        assert_eq!(tiny.shards.len(), 3);
         assert_eq!(tiny.capacity(), 3);
         // Zero capacity disables caching entirely.
         let off = StripedLruBuffer::new(0);
-        assert_eq!(off.num_shards(), 1);
+        assert_eq!(off.shards.len(), 1);
         assert!(!off.touch(p(1)));
         assert!(!off.touch(p(1)));
     }
@@ -958,14 +934,14 @@ mod tests {
         pool.insert(p(2), frame(8), 1);
         let writes = |pool: &BufferPool| {
             let list = pool.shards[0].list.lock().unwrap();
-            (list.relinks, list.flag_writes)
+            (list.frames.slots(), list.flag_writes)
         };
         let before = writes(&pool);
         for _ in 0..1_000 {
             assert!(pool.get(p(1)).is_some());
         }
         let after = writes(&pool);
-        assert_eq!(after.0, before.0, "a hit relinks no list node");
+        assert_eq!(after.0, before.0, "a hit adds no queue slot");
         assert_eq!(after.1, before.1 + 1, "the referenced flag is written once, then only read");
         assert_eq!(pool.hit_stats(), (1_000, 0));
     }
@@ -982,7 +958,7 @@ mod tests {
     #[test]
     fn displaced_frames_are_released_not_parked() {
         // Evicted, replaced and invalidated frames must leave the pool
-        // entirely (no copy parked in a free-listed node): the caller's
+        // entirely (no copy parked in the queue): the caller's
         // handle ends up the only reference.
         let pool = BufferPool::with_shards(2, 1);
         let (a, b, c) = (frame(8), frame(8), frame(8));
@@ -996,7 +972,7 @@ mod tests {
         pool.invalidate(p(3));
         assert_eq!(Arc::strong_count(&c), 1);
         assert_eq!(pool.used_pages(), 0);
-        // Freed nodes are reused and serve hits again.
+        // The emptied shard admits and serves hits again.
         pool.insert(p(4), Arc::clone(&a), 1);
         assert_eq!(pool.get(p(4)).map(|f| f.len()), Some(8));
     }
@@ -1063,15 +1039,15 @@ mod tests {
     #[test]
     fn shards_split_budget_and_count_clamps() {
         let pool = BufferPool::with_shards(10, 4);
-        assert_eq!(pool.num_shards(), 4);
+        assert_eq!(pool.shards.len(), 4);
         assert_eq!(pool.capacity_pages(), 10);
         // More shards than pages: clamp so no shard starts at zero budget.
         let tiny = BufferPool::with_shards(3, 8);
-        assert_eq!(tiny.num_shards(), 3);
+        assert_eq!(tiny.shards.len(), 3);
         assert_eq!(tiny.capacity_pages(), 3);
         // Disabled pool still has one (empty) stripe.
         let off = BufferPool::with_shards(0, 8);
-        assert_eq!(off.num_shards(), 1);
+        assert_eq!(off.shards.len(), 1);
         assert_eq!(off.capacity_pages(), 0);
     }
 
@@ -1086,7 +1062,7 @@ mod tests {
         }
         pool.get(p(999));
         let s = pool.stats();
-        assert_eq!(s.shards.len(), pool.num_shards());
+        assert_eq!(s.shards.len(), pool.shards.len());
         assert_eq!(s.hits(), 16);
         assert_eq!(s.misses(), 1);
         assert_eq!(s.frames(), 16);
@@ -1115,5 +1091,188 @@ mod tests {
             }
         });
         assert!(pool.used_pages() <= pool.capacity_pages());
+    }
+
+    /// A naive exact LRU per stripe, most recent first, over the same
+    /// stripes and capacities as `buf`.
+    struct ModelLru {
+        stripes: Stripes<(usize, Vec<u64>)>,
+    }
+
+    impl ModelLru {
+        fn touch(&mut self, page: u64) -> bool {
+            let i = self.stripes.index_of(page);
+            let (capacity, pages) = &mut self.stripes.0[i];
+            if *capacity == 0 {
+                return false;
+            }
+            let hit = match pages.iter().position(|&q| q == page) {
+                Some(at) => {
+                    pages.remove(at);
+                    true
+                }
+                None => {
+                    pages.truncate(*capacity - 1);
+                    false
+                }
+            };
+            pages.insert(0, page);
+            hit
+        }
+
+        fn contains(&self, page: u64) -> bool {
+            self.stripes.of(page).1.contains(&page)
+        }
+    }
+
+    #[test]
+    fn striped_lru_matches_a_move_to_front_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for stripes in [1, DEFAULT_POOL_SHARDS] {
+            for capacity in 0..=9 {
+                let mut rng = StdRng::seed_from_u64(capacity as u64 * 31 + stripes as u64);
+                let buf = StripedLruBuffer::with_shards(capacity, stripes);
+                let mut model =
+                    ModelLru { stripes: Stripes::split(capacity, stripes, |c| (c, Vec::new())) };
+                for step in 0..4_000 {
+                    let page = rng.gen_range(0..16u64);
+                    let what = format!("{stripes} stripes, capacity {capacity}, step {step}");
+                    match rng.gen_range(0..20) {
+                        0 => {
+                            buf.clear();
+                            model.stripes.0.iter_mut().for_each(|s| s.1.clear());
+                        }
+                        1..=3 => {
+                            assert_eq!(buf.contains(p(page)), model.contains(page), "{what}")
+                        }
+                        _ => assert_eq!(buf.touch(p(page)), model.touch(page), "{what}"),
+                    }
+                    let resident: usize = model.stripes.iter().map(|s| s.1.len()).sum();
+                    assert_eq!(buf.len(), resident, "{what}");
+                }
+            }
+        }
+    }
+
+    /// A naive second-chance shard: `(key, weight, referenced, tag)`,
+    /// oldest first, and the counters a pool stripe keeps.
+    #[derive(Default)]
+    struct ModelPool {
+        capacity: usize,
+        queue: VecDeque<(u64, usize, bool, u8)>,
+        used: usize,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl ModelPool {
+        fn get(&mut self, key: u64) -> Option<u8> {
+            let found = self.queue.iter_mut().find(|f| f.0 == key);
+            match found {
+                Some(f) => {
+                    f.2 = true;
+                    self.hits += 1;
+                    Some(f.3)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn invalidate(&mut self, key: u64) {
+            if let Some(at) = self.queue.iter().position(|f| f.0 == key) {
+                self.used -= self.queue.remove(at).unwrap().1;
+            }
+        }
+
+        fn insert(&mut self, key: u64, weight: usize, tag: u8) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.invalidate(key);
+            while self.used + weight > self.capacity {
+                let Some(mut oldest) = self.queue.pop_front() else {
+                    break;
+                };
+                if oldest.2 {
+                    oldest.2 = false;
+                    self.queue.push_back(oldest);
+                } else {
+                    self.used -= oldest.1;
+                    self.evictions += 1;
+                }
+            }
+            self.queue.push_back((key, weight, false, tag));
+            self.used += weight;
+        }
+    }
+
+    #[test]
+    fn one_stripe_pool_matches_a_second_chance_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for capacity in 0..=9 {
+            let mut rng = StdRng::seed_from_u64(capacity as u64);
+            let pool = BufferPool::with_shards(capacity, 1);
+            let mut model = ModelPool { capacity, ..ModelPool::default() };
+            for step in 0..4_000u32 {
+                let key = rng.gen_range(0..12u64);
+                let what = format!("capacity {capacity}, step {step}");
+                match rng.gen_range(0..20) {
+                    0 => {
+                        pool.clear();
+                        model = ModelPool { capacity, ..ModelPool::default() };
+                    }
+                    1..=2 => {
+                        pool.invalidate(p(key));
+                        model.invalidate(key);
+                    }
+                    3..=9 => {
+                        let (weight, tag) = (rng.gen_range(1..=3usize), step as u8);
+                        pool.insert(p(key), vec![tag].into(), weight);
+                        model.insert(key, weight, tag);
+                    }
+                    _ => assert_eq!(pool.get(p(key)).map(|f| f[0]), model.get(key), "{what}"),
+                }
+                let s = pool.stats();
+                assert_eq!(
+                    (s.hits(), s.misses(), s.evictions(), s.used_pages(), s.frames()),
+                    (model.hits, model.misses, model.evictions, model.used, model.queue.len()),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn queue_slots_stay_bounded_under_churn() {
+        // Under budget nothing is evicted, so only the queue's own
+        // compaction bounds the stale slots invalidations and hits leave.
+        let pool = BufferPool::with_shards(64, 1);
+        let lru = StripedLruBuffer::with_shards(64, 1);
+        for i in 0..32u64 {
+            pool.insert(p(i), frame(8), 1);
+            lru.touch(p(i));
+        }
+        for cycle in 0..10_000u64 {
+            let key = p(cycle % 32);
+            pool.invalidate(key);
+            pool.insert(key, frame(8), 1);
+            assert!(lru.touch(p(cycle * 7 % 32)), "a hit under budget");
+            let shard = pool.shards[0].list.lock().unwrap();
+            let stripe = lru.shards[0].lock().unwrap();
+            for (slots, live) in
+                [(shard.frames.slots(), shard.frames.len()), (stripe.pages.slots(), stripe.len())]
+            {
+                assert!(
+                    slots <= 2 * live + QUEUE_SLACK,
+                    "cycle {cycle}: {slots} slots, {live} live"
+                );
+            }
+        }
+        assert_eq!(pool.stats().evictions(), 0);
+        assert_eq!(pool.len(), 32);
     }
 }

@@ -1,12 +1,14 @@
 //! The metered block device and the byte-addressed page store.
 //!
 //! [`DiskSim`] is the I/O *meter*: components allocate page ids and charge
-//! reads/writes against its shared [`IoStats`], with an id-level LRU
-//! buffer deciding hit vs physical read. It is fully thread-safe — atomic
-//! allocator, and the buffer is lock-striped
-//! ([`crate::buffer::StripedLruBuffer`]) the same way the byte-caching
-//! `BufferPool` is, so cursor-heavy concurrent workloads charging hits
-//! against one shared device no longer serialize on a single mutex.
+//! reads/writes against its shared [`IoStats`], with an id-level exact-LRU
+//! buffer deciding hit vs physical read — its misses are the thesis
+//! figures' disk accesses. It is fully thread-safe: an atomic allocator,
+//! and a buffer ([`crate::buffer::StripedLruBuffer`]) lock-striped and
+//! queued the same way the byte-caching `BufferPool` is
+//! ([`crate::buffer::Stripes`], [`crate::buffer::QueueMap`]), so
+//! cursor-heavy concurrent workloads charging hits against one shared
+//! device do not serialize on a single mutex.
 //!
 //! [`PageStore`] holds real object bytes behind a pluggable
 //! [`PageBackend`]: the in-memory simulator by default, or a checksummed

@@ -40,7 +40,7 @@ pub mod stats;
 pub use backend::{FileStamp, MemBackend, PageBackend, StorageError};
 pub use bits::{bits_for, iter_ones, BitReader, BitWriter, PackedBits};
 pub use buffer::{
-    BufferPool, LruBuffer, PoolShardStats, PoolStats, StripedLruBuffer, DEFAULT_POOL_SHARDS,
+    BufferPool, PoolShardStats, PoolStats, QueueMap, StripedLruBuffer, Stripes, DEFAULT_POOL_SHARDS,
 };
 pub use disk::{DiskSim, PageId, PageStore};
 pub use fault::{CrashMode, FaultPlan, SwapStage, WriteOutcome};

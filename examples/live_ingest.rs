@@ -105,8 +105,6 @@ fn main() {
         .start_maintenance(MaintenanceConfig {
             flush_watermark_ops: 16,
             poll_interval: Duration::from_millis(10),
-            page_size: PAGE,
-            pool_pages: 256,
             ..MaintenanceConfig::default()
         })
         .expect("a delta cube is registered");

@@ -94,8 +94,6 @@ fn main() {
         .start_maintenance(MaintenanceConfig {
             watermark_pages: 1,
             poll_interval: Duration::from_millis(20),
-            page_size: PAGE,
-            pool_pages: 256,
             ..MaintenanceConfig::default()
         })
         .expect("a delta cube is registered");

@@ -139,8 +139,6 @@ fn config() -> MaintenanceConfig {
     MaintenanceConfig {
         watermark_pages: 1,
         poll_interval: Duration::from_millis(30),
-        page_size: PAGE,
-        pool_pages: 64,
         ..MaintenanceConfig::default()
     }
 }
@@ -170,7 +168,7 @@ fn live_vacuum_swaps_under_pinned_readers() {
     assert_ne!(ans_a, ans_b, "maintenance must have changed some answer");
 
     let metrics = Metrics::new();
-    let report = vacuum_into_place(&path, &config(), &metrics, None).expect("vacuum");
+    let report = vacuum_into_place(&path, &metrics, None).expect("vacuum");
     assert_eq!(report.reclaimed_pages, retired, "vacuum reclaims exactly the retired pages");
 
     // Both pinned readers keep answering their opened generation
@@ -202,6 +200,24 @@ fn live_vacuum_swaps_under_pinned_readers() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A vacuum compacts into pages the size of the file it compacts: a
+/// 512-byte-page file comes out with 512-byte pages, not the 4 KiB default.
+#[test]
+fn a_vacuum_keeps_the_page_size_of_the_file_it_compacts() {
+    let full = SyntheticSpec { tuples: 150, cardinality: 3, ..Default::default() }.generate();
+    let path = temp_path("page_size");
+    let (ans, retired) = prepare_retired(&full, 140, &path);
+    assert_eq!(FileBackend::peek_superblock(&path).expect("peek").page_size as usize, PAGE);
+    let report = vacuum_into_place(&path, &Metrics::disabled(), None).expect("vacuum");
+    assert_eq!(report.reclaimed_pages, retired);
+    let sb = FileBackend::peek_superblock(&path).expect("peek compacted");
+    assert_eq!(sb.page_size as usize, PAGE, "the compacted file keeps the source's pages");
+    let (cube, rtree) = open_readonly(&path);
+    cube.verify_integrity().expect("compacted file verifies clean");
+    assert_eq!(answers(&cube, &rtree), ans, "vacuum changed an answer");
+    std::fs::remove_file(&path).ok();
+}
+
 /// The fault sweep: crash the vacuum at every temp-file page write (both
 /// dropped and torn) and at every named swap stage. Before the rename
 /// the target must be byte-for-byte untouched; a crash at the lock
@@ -221,7 +237,7 @@ fn vacuum_crash_sweep_recovers_a_valid_generation_at_every_boundary() {
     std::fs::write(&twin, &pristine).expect("copy");
     let counter = FaultPlan::new();
     let metrics = Metrics::new();
-    vacuum_into_place(&twin, &config(), &metrics, Some(&counter)).expect("clean guarded vacuum");
+    vacuum_into_place(&twin, &metrics, Some(&counter)).expect("clean guarded vacuum");
     let writes = counter.writes_observed();
     assert!(writes > 3, "vacuum writes data + alloc map + superblock pages into the temp file");
     {
@@ -239,7 +255,7 @@ fn vacuum_crash_sweep_recovers_a_valid_generation_at_every_boundary() {
             let plan = FaultPlan::new();
             plan.crash_after_page_writes(i, mode);
             let res = catch_unwind(AssertUnwindSafe(|| {
-                vacuum_into_place(&p, &config(), &Metrics::disabled(), Some(&plan))
+                vacuum_into_place(&p, &Metrics::disabled(), Some(&plan))
             }));
             assert!(plan.crashed(), "crash point {i} never reached ({writes} writes total)");
             assert!(
@@ -267,7 +283,7 @@ fn vacuum_crash_sweep_recovers_a_valid_generation_at_every_boundary() {
         std::fs::write(&p, &pristine).expect("copy");
         let plan = FaultPlan::new();
         plan.crash_at_swap(stage);
-        let err = vacuum_into_place(&p, &config(), &Metrics::disabled(), Some(&plan))
+        let err = vacuum_into_place(&p, &Metrics::disabled(), Some(&plan))
             .expect_err("scripted stage crash must surface");
         assert!(matches!(err, StorageError::Io(_)), "stage {stage:?}: {err}");
         assert!(plan.crashed());
@@ -290,7 +306,7 @@ fn vacuum_crash_sweep_recovers_a_valid_generation_at_every_boundary() {
     std::fs::write(&p, &pristine).expect("copy");
     let plan = FaultPlan::new();
     plan.crash_at_swap(SwapStage::LockRelease);
-    vacuum_into_place(&p, &config(), &Metrics::disabled(), Some(&plan))
+    vacuum_into_place(&p, &Metrics::disabled(), Some(&plan))
         .expect_err("lock-release crash must surface");
     assert!(plan.crashed());
     let lock = lock_path_for(&p);
@@ -457,8 +473,8 @@ fn vacuum_yields_to_live_writer_then_succeeds() {
 
     let writer = PageStore::open_file_writable(&path, WRITER_POOL).expect("live writer");
     let metrics = Metrics::new();
-    let err = vacuum_into_place(&path, &config(), &metrics, None)
-        .expect_err("vacuum must yield to a live writer");
+    let err =
+        vacuum_into_place(&path, &metrics, None).expect_err("vacuum must yield to a live writer");
     assert!(
         matches!(err, StorageError::WriterLocked { owner_pid } if owner_pid == std::process::id())
     );
