@@ -1,8 +1,8 @@
 //! LSM delta cube benchmark: ingest-while-serving. Reader threads pin
 //! cursors on a quiesced state, then keep draining while the writer
 //! runs whole ingest→flush→merge→swap cycles underneath them — WAL
-//! appends, memtable folds into the base cube via COW commit, WAL
-//! compaction by atomic rename, generation swap.
+//! appends, memtable folds into the base cube via COW commit, the WAL
+//! hand-over by atomic rename, generation swap.
 //!
 //! The run writes `BENCH_delta.json` at the workspace root. Gates:
 //!
@@ -13,9 +13,11 @@
 //!   byte-identical to a signature cube built from scratch over the
 //!   logical relation (tid-exact on insert-only points, score-exact
 //!   once deletes shift tids); a reopen replays the WAL with *exact*
-//!   counts (pending == appends since the last flush, applied == live
-//!   delta tuples, no torn tail) and answers identically to the
-//!   pre-shutdown state; the obs instruments saw every append and
+//!   counts (records == pending == appends since the last flush, no torn
+//!   tail) and answers identically to the pre-shutdown state; a flush
+//!   writes the same WAL bytes at the first flush and the last, whatever
+//!   the live delta tuples (`wal_bytes_written_per_flush`: the header of
+//!   a WAL with nothing carried); the obs instruments saw every append and
 //!   every flush; and the fold is cell-granular — every flush rewrites
 //!   at least the distinct cells its ops land in and at most every cell
 //!   that exists, once each, which on this workload is strictly fewer
@@ -455,18 +457,23 @@ fn main() {
     let (mut cells_rewritten, mut path_updates, mut fold_ops) = (0u64, 0u64, 0u64);
     let (mut partials_rewritten, mut nodes_reencoded, mut cold_opens) = (0u64, 0u64, 0u64);
     let mut catalog = catalog_of(&path);
-    let mut note_fold = |report: &FlushReport, flush_us: &mut Vec<u64>, label: &str| {
-        flush_us.push(report.duration.as_micros() as u64);
-        cells_rewritten += report.cells_rewritten as u64;
-        path_updates += report.path_updates as u64;
-        fold_ops += report.applied_ops as u64;
-        partials_rewritten += report.partials_rewritten as u64;
-        nodes_reencoded += report.nodes_reencoded as u64;
-        cold_opens += report.cold_opens;
-        let after = catalog_of(&path);
-        gate_node_granular(report, &catalog, &after, label);
-        catalog = after;
-    };
+    // The WAL each flush leaves: with no appends during it, every byte of
+    // it is what the flush wrote.
+    let mut wal_written: Vec<u64> = Vec::new();
+    let mut note_fold =
+        |report: &FlushReport, delta: &DeltaCube, flush_us: &mut Vec<u64>, label: &str| {
+            flush_us.push(report.duration.as_micros() as u64);
+            wal_written.push(delta.stats().wal_bytes);
+            cells_rewritten += report.cells_rewritten as u64;
+            path_updates += report.path_updates as u64;
+            fold_ops += report.applied_ops as u64;
+            partials_rewritten += report.partials_rewritten as u64;
+            nodes_reencoded += report.nodes_reencoded as u64;
+            cold_opens += report.cold_opens;
+            let after = catalog_of(&path);
+            gate_node_granular(report, &catalog, &after, label);
+            catalog = after;
+        };
     let expected: RwLock<Vec<String>> = RwLock::new(Vec::new());
     let barrier = Barrier::new(READERS + 1);
     let inconsistent = AtomicU64::new(0);
@@ -549,7 +556,7 @@ fn main() {
                 let sels: Vec<Vec<u32>> =
                     (upto as Tid..(upto + STEP) as Tid).map(|t| sel_of(&full, t)).collect();
                 gate_cell_granular(&report, STEP, &sels, &format!("insert round {round}"));
-                note_fold(&report, &mut flush_us, &format!("insert round {round}"));
+                note_fold(&report, &delta, &mut flush_us, &format!("insert round {round}"));
             } else {
                 for &tid in &DELETED {
                     delta.delete(tid).unwrap();
@@ -560,7 +567,7 @@ fn main() {
                 assert_eq!(report.applied_ops, DELETED.len());
                 let sels: Vec<Vec<u32>> = DELETED.iter().map(|&t| sel_of(&full, t)).collect();
                 gate_cell_granular(&report, DELETED.len(), &sels, "delete round");
-                note_fold(&report, &mut flush_us, "delete round");
+                note_fold(&report, &delta, &mut flush_us, "delete round");
             }
             barrier.wait(); // C
         }
@@ -627,7 +634,7 @@ fn main() {
     }
     let mixed_ops_per_sec = mixed_done as f64 / t.elapsed().as_secs_f64();
     let report = delta.flush().expect("post-mixed flush");
-    note_fold(&report, &mut flush_us, "post-mixed flush");
+    note_fold(&report, &delta, &mut flush_us, "post-mixed flush");
 
     // Mixed checkpoint: the surviving mixed inserts join the logical
     // relation.
@@ -651,11 +658,7 @@ fn main() {
         DeltaCube::open(&path, base_rel.clone(), DeltaOptions::default()).expect("reopen");
     let replay = reopened.last_replay();
     assert_eq!(replay.pending, TAIL, "pending must equal appends since the last flush");
-    assert_eq!(
-        replay.applied, stats_before.applied_tuples as u64,
-        "applied records must equal the pre-shutdown live delta tuples"
-    );
-    assert_eq!(replay.records, replay.pending + replay.applied);
+    assert_eq!(replay.records, TAIL, "the WAL holds nothing but what is pending");
     assert!(!replay.torn_tail, "clean shutdown must not classify as torn");
     assert_eq!(answers(&reopened), before, "reopen answers the pre-shutdown state");
     let replay_exact = true;
@@ -678,6 +681,12 @@ fn main() {
 
     // --- Hard deterministic gates ---------------------------------------
     assert_eq!(bad, 0, "a pinned reader observed an answer from a foreign state mid-cycle");
+    let wal_per_flush = *wal_written.last().expect("flushes ran");
+    assert_eq!(
+        wal_written.first(),
+        Some(&wal_per_flush),
+        "WAL bytes a flush writes must not grow with the live delta tuples: {wal_written:?}"
+    );
     assert_eq!(identity_checks, ROUNDS as u64 + 2);
 
     let mean_flush_us = flush_us.iter().sum::<u64>() as f64 / flush_us.len().max(1) as f64;
@@ -685,10 +694,10 @@ fn main() {
         "delta: {READERS} pinned readers, {ROUNDS} ingest→flush→swap rounds, {bad} inconsistent \
          of {} pinned answers; {identity_checks} byte-identity checkpoints; ingest \
          {ingest_ops_per_sec:.0} ops/s, mixed {mixed_ops_per_sec:.0} ops/s ({mixed_answers} \
-         answers), mean flush {mean_flush_us:.0}us; replay {}+{} records exact",
+         answers), mean flush {mean_flush_us:.0}us; replay {} records exact; {wal_per_flush} WAL \
+         bytes written per flush",
         pinned_answers.load(Ordering::Relaxed),
-        replay.pending,
-        replay.applied,
+        replay.records,
     );
 
     let chill = chill_block(&full, &base_rel);
@@ -708,7 +717,7 @@ fn main() {
         .set("identity_mismatches", 0u64)
         .set("replay_records", replay.records)
         .set("replay_pending", replay.pending)
-        .set("replay_applied", replay.applied)
+        .set("wal_bytes_written_per_flush", wal_per_flush)
         .set("replay_exact", replay_exact)
         .set("torn_tail", replay.torn_tail)
         .set("appends_total", appends_total)
@@ -729,6 +738,11 @@ fn main() {
         .set("append_max_us_during_flush", append_max_us)
         .set("writer_hold_us_p50", hold_p50)
         .set("writer_hold_over_flush_p50", fixed(hold_share, 3));
+    report.counter_gate(
+        "wal_bytes_written_per_flush",
+        "== at the first flush",
+        "independent of live delta tuples",
+    );
     report.clock_gate(
         "writer_hold_over_flush_p50",
         hold_share,

@@ -12,11 +12,12 @@
 //!   ascending `(score, tid)` order, so the overlay is itself a
 //!   certified answer stream.
 //! * **WAL** — a crash-safe append-only sibling file (`<cube>.wal`) of
-//!   CRC-framed records, replayed on open. A torn tail (a crash mid
-//!   append) replays the clean prefix and truncates; corruption *inside*
-//!   the valid body surfaces as a typed [`StorageError`] — never a wrong
-//!   answer. Every append and flush boundary is crash-scriptable through
-//!   the same [`rcube_storage::fault`] machinery the vacuum sweep uses.
+//!   CRC-framed upserts and deletes the cube file does not hold yet,
+//!   replayed on open. A torn tail (a crash mid append) replays the clean
+//!   prefix and truncates; corruption *inside* the valid body surfaces as
+//!   a typed [`StorageError`] — never a wrong answer. Every append and
+//!   flush boundary is crash-scriptable through the same
+//!   [`rcube_storage::fault`] machinery the vacuum sweep uses.
 //! * **Flush/merge** — [`DeltaCube::flush`] folds the memtable into the
 //!   base cube through the incremental-maintenance path as one *batch*:
 //!   every R-tree insert/delete of the snapshot runs first, their update
@@ -29,17 +30,32 @@
 //!   it landed in. A cell signature is a pure function of the set of
 //!   tuple paths in the cell, which is why the coalesced set lands on
 //!   exactly the signatures the op-by-op application would. One
-//!   crash-atomic `commit` publishes the result, then the WAL is
-//!   compacted via the fsync + atomic-rename protocol the vacuum uses
-//!   ([`rcube_storage::FileBackend::swap_in`]). The fold and the commit
-//!   run under the cube file's advisory writer lock. Appends keep landing
-//!   in the memtable and the WAL while a flush runs (*Crash safety*
-//!   below says when they wait). Readers are never blocked: they serve
-//!   the generation they opened until their cursors drain; at the swap the
-//!   superseded generation drops its buffer-pool frames (a cursor still
-//!   pinned on it keeps the frames it holds and re-reads the rest on
-//!   demand). The decoded-node cache is *not* dropped:
-//!   it follows the file to the next generation (below).
+//!   crash-atomic `commit` publishes the result, then the WAL drops the
+//!   frames the commit folded, via the fsync + atomic-rename protocol the
+//!   vacuum uses ([`rcube_storage::FileBackend::swap_in`]). The fold and
+//!   the commit run under the cube file's advisory writer lock. Appends
+//!   keep landing in the memtable and the WAL while a flush runs (*Crash
+//!   safety* below says when they wait). Readers are never blocked: they
+//!   serve the generation they opened until their cursors drain; at the
+//!   swap the superseded generation drops its buffer-pool frames (a cursor
+//!   still pinned on it keeps the frames it holds and re-reads the rest on
+//!   demand). The decoded-node cache is *not* dropped: it follows the file
+//!   to the next generation (below).
+//!
+//! # The cube file owns its tuples
+//!
+//! A fold whose R-tree operations move a tuple — a split, a condense, a
+//! delete — re-derives that tuple's cells, so it needs the tuple's
+//! selection values. The cube file records them (`crate::tuples`): the
+//! selection schema, the tuple count, one column of selection values by
+//! tid, and `flushed_seq`, the last WAL seq folded into the file. A fold
+//! takes a moved tuple's values from the snapshot's upsert or from that
+//! column, and each commit writes the column chunks its inserts changed
+//! (one or two: delta tids ascend). So the WAL holds only what is
+//! pending, and a flush rewrites none of what earlier flushes folded.
+//! Tids of inserted tuples are allocated from the file's tuple count
+//! upward; the `Relation` [`DeltaCube::open`] takes is only checked
+//! against the file.
 //!
 //! # The warm path: the serving generation is the writer's cache
 //!
@@ -121,8 +137,8 @@
 //!
 //! Every cycle records `delta.flush.{open,fold,commit,wal,swap}_us`
 //! histograms (writable handle + catalog; R-tree ops + splice; changed
-//! R-tree nodes + catalog write + superblock publish; WAL compaction and
-//! hand-over; read-handle open + in-process swap), the
+//! R-tree nodes and column chunks + catalog write + superblock publish;
+//! the WAL hand-over; read-handle open + in-process swap), the
 //! `delta.flush.writer_hold_us` histogram (how long the cycle kept appends
 //! waiting), `delta.flush.{path_updates, cells_rewritten,
 //! partials_rewritten, nodes_reencoded, rtree_nodes_written, cold_opens}`
@@ -130,6 +146,12 @@
 //! ([`DeltaCube::flush_events`]) carrying all of them with the generation
 //! and `carried_ops`, the appends that landed mid-cycle. [`FlushReport`]
 //! and [`DeltaStats`] carry the counts for callers without a registry.
+//!
+//! `wal_us` is the hand-over alone: waiting for the append mutex, then
+//! writing, fsyncing and renaming a WAL of the header and the frames
+//! appended since the snapshot. It follows the appends a flush carries,
+//! not the tuples earlier flushes folded — a quiet flush writes the
+//! 16-byte header and nothing else.
 //!
 //! # Serving: the three-way certified merge
 //!
@@ -151,51 +173,49 @@
 //! Two mutexes split the writer. The *append mutex* serializes inserts
 //! and deletes; it guards the WAL handle, the WAL's end and the next seq
 //! and tid. The *flush mutex* serializes [`DeltaCube::flush`] with
-//! re-election and owns the flushed-but-live delta tuples. Every memtable
-//! op carries the WAL seq it was logged under. A flush takes the append
-//! mutex twice, briefly: once to snapshot the memtable, its last seq and
-//! the WAL's end, and once to hand the WAL over (step 3). The flush
-//! ordering makes every boundary idempotent:
+//! re-election. Every memtable op carries the WAL seq it was logged
+//! under, and every generation of the cube file records the last seq
+//! folded into it. One rule makes every boundary safe: **an op at or
+//! below the file's `flushed_seq` is in the file** — replay skips its
+//! frame, and a fold skips it. A flush takes the append mutex twice,
+//! briefly: once to snapshot the memtable, its last seq and the WAL's
+//! end, and once to hand the WAL over (step 3).
 //!
-//! 1. fold the snapshot into a writable base handle as one batch,
-//!    `commit` (crash-atomic superblock publish — a crash before the
-//!    commit leaves the old generation, and the untouched WAL replays
-//!    everything, appends made since the snapshot included);
+//! 1. fold the snapshot's ops above the file's `flushed_seq` into a
+//!    writable base handle as one batch, and `commit` it with the
+//!    snapshot's last seq as its `flushed_seq` (crash-atomic superblock
+//!    publish — a crash before it leaves the old generation, and the
+//!    untouched WAL replays everything, appends made since the snapshot
+//!    included);
 //! 2. open the next read handle — the last step that can fail for a
-//!    reason other than the WAL itself — then write and fsync the
-//!    compacted WAL to a temp file while appends go on landing in the old
-//!    one: a header whose `flushed_seq` is the snapshot's last seq, then
-//!    compact *applied* records that persist each live delta tuple's
-//!    selection values. A crash before the rename replays the flushed ops
-//!    back into the memtable, where they shadow the identical base data
-//!    and the next flush re-applies them idempotently (delete-then-insert
-//!    on the R-tree; a tombstone that replaced such an op in the memtable
-//!    keeps its selection values, so the re-fold can still clear the
-//!    tuple from its cells);
-//! 3. under the append mutex, copy the frames appended since the snapshot
-//!    byte for byte onto the temp file's end. Their seqs all follow the
-//!    snapshot's, so the result is what replay already reads: header,
-//!    applied records, pending frames. Then fsync it, rename it over the
-//!    WAL and fsync the directory. The directory fsync stays inside the
-//!    mutex: the next append lands in the new inode, and once acknowledged
-//!    it must not be lost to a crash that undoes the rename. Then, with no
-//!    fallible call in between, move the append handle to the descriptor
-//!    the compacted WAL was written through (it follows its inode across
-//!    the rename — the path is never opened again, so no later append can
-//!    land in the unlinked old WAL), publish the node tables the fold
-//!    staged, swap the serving handle and prune the memtable of the ops at
-//!    or below the snapshot's seq, atomic under the memtable lock, so a
-//!    concurrent open sees either (old generation + full overlay) or (new
-//!    generation + the ops appended since) — the same logical relation
-//!    either way. A directory fsync that fails gates only the flush's own
-//!    `Ok`.
+//!    reason other than the WAL itself;
+//! 3. under the append mutex, write a new WAL to a temp file: the header,
+//!    then the frames appended since the snapshot, byte for byte (their
+//!    seqs all follow the snapshot's). Fsync it, rename it over the WAL
+//!    and fsync the directory. A crash before the rename leaves the old
+//!    WAL beside the new generation: replay skips the frames it folded,
+//!    and the reopen holds exactly the ops appended since the snapshot.
+//!    The directory fsync stays inside the mutex: the next append lands
+//!    in the new inode, and once acknowledged it must not be lost to a
+//!    crash that undoes the rename. Then, with no fallible call in
+//!    between, move the append handle to the descriptor the new WAL was
+//!    written through (it follows its inode across the rename — the path
+//!    is never opened again, so no later append can land in the unlinked
+//!    old WAL), publish the node tables the fold staged, swap the serving
+//!    handle and prune the memtable of the ops at or below the snapshot's
+//!    seq, atomic under the memtable lock, so a concurrent open sees
+//!    either (old generation + full overlay) or (new generation + the ops
+//!    appended since) — the same logical relation either way. A directory
+//!    fsync that fails gates only the flush's own `Ok`.
 //!
-//! A flush that fails before the rename leaves the process as it was —
-//! old WAL, old generation, full memtable — and writes acknowledged
-//! during or after it are in the WAL a restart reads. Appends wait for a
-//! flush only while it holds the append mutex
-//! (`delta.flush.writer_hold_us`): two short holds, not the fold, the
-//! commit or the WAL rewrite. Readers never wait.
+//! A flush that fails before its commit leaves the process as it was. One
+//! that fails after it leaves the file a generation ahead, with the WAL
+//! and the memtable still holding the snapshot: the next flush takes the
+//! cold path, reads the newer `flushed_seq` and folds only the ops above
+//! it. Writes acknowledged during or after a failed flush are in the WAL
+//! a restart reads. Appends wait for a flush only while it holds the
+//! append mutex (`delta.flush.writer_hold_us`): two short holds, not the
+//! fold or the commit. Readers never wait.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
@@ -212,9 +232,9 @@ use rcube_storage::{
     DiskSim, FaultPlan, FileBackend, FileOptions, FileStamp, PageStore, StorageError, SwapStage,
     WriteOutcome, DEFAULT_POOL_PAGES,
 };
-use rcube_table::{Relation, Tid};
+use rcube_table::{Dim, Relation, Tid};
 
-use crate::maintain::{apply_path_updates, MaintenanceCounts, PathUpdateBatch};
+use crate::maintain::{apply_path_updates, PathUpdateBatch};
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
 use crate::sigcube::{Committed, SignatureCube};
 use crate::QueryStats;
@@ -222,9 +242,9 @@ use crate::QueryStats;
 /// WAL file magic (8 bytes, distinct from the cube-file magic).
 const WAL_MAGIC: &[u8; 8] = b"RCUBWAL1";
 /// WAL format version this build reads and writes.
-const WAL_VERSION: u16 = 1;
-/// Header bytes: magic + version + flags + flushed_seq + crc.
-const WAL_HEADER_LEN: usize = 8 + 2 + 2 + 8 + 4;
+const WAL_VERSION: u16 = 2;
+/// Header bytes: magic + version + flags + crc.
+const WAL_HEADER_LEN: usize = 8 + 2 + 2 + 4;
 /// Upper bound on one record's payload; a parsed length past this is
 /// structural damage, not a big tuple.
 const MAX_RECORD_LEN: usize = 1 << 20;
@@ -232,16 +252,17 @@ const MAX_RECORD_LEN: usize = 1 << 20;
 /// Record kinds inside the WAL.
 const KIND_UPSERT: u8 = 1;
 const KIND_DELETE: u8 = 2;
-/// A flushed-but-live delta tuple retained after compaction: the cube
-/// file stores its signatures and R-tree point but not its selection
-/// values, so the WAL keeps them for future incremental maintenance.
-const KIND_APPLIED: u8 = 3;
+
+/// `path` with `suffix` appended to its last component.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
+}
 
 /// The sibling WAL path for a cube file: `<path>.wal`.
 pub fn wal_path_for(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".wal");
-    PathBuf::from(os)
+    sibling(path, ".wal")
 }
 
 /// Knobs for [`DeltaCube::open`].
@@ -267,31 +288,17 @@ impl Default for DeltaOptions {
 /// One logical write against the delta layer: the latest op per tid.
 #[derive(Debug, Clone)]
 enum MemOp {
-    /// Insert (or re-insert after a crash replay) of a delta tuple.
+    /// Insert of a delta tuple.
     Upsert { sel: Vec<u32>, point: Vec<f64> },
     /// Tombstone: masks a base (or previously flushed delta) tuple.
-    /// `shadowed_sel` holds the selection values of a *pending* insert this
-    /// tombstone replaced: if a crashed flush already folded that insert
-    /// into the base (commit done, WAL rewrite not), they are the only
-    /// record of which cells the next flush must clear it from.
-    Delete { shadowed_sel: Option<Vec<u32>> },
+    Delete,
 }
 
 impl MemOp {
-    const TOMBSTONE: MemOp = MemOp::Delete { shadowed_sel: None };
-
     fn bytes(&self) -> usize {
         16 + match self {
             MemOp::Upsert { sel, point } => sel.len() * 4 + point.len() * 8,
-            MemOp::Delete { shadowed_sel } => shadowed_sel.as_ref().map_or(0, |s| s.len() * 4),
-        }
-    }
-
-    /// Selection values this op knows for its tid.
-    fn sel(&self) -> Option<&Vec<u32>> {
-        match self {
-            MemOp::Upsert { sel, .. } => Some(sel),
-            MemOp::Delete { shadowed_sel } => shadowed_sel.as_ref(),
+            MemOp::Delete => 0,
         }
     }
 }
@@ -308,9 +315,6 @@ struct Logged {
 /// The memtable's ops: latest op per tid.
 type MemOps = BTreeMap<Tid, Logged>;
 
-/// Flushed-but-live delta tuples: tid → selection values + point.
-type Applied = BTreeMap<Tid, (Vec<u32>, Vec<f64>)>;
-
 /// The concurrently-readable overlay: latest op per tid plus a byte
 /// tally for the depth gauge. The ops sit behind an `Arc` a cursor (and a
 /// flush) pins instead of copying: a write clones them — at most a flush
@@ -323,42 +327,29 @@ struct Memtable {
 }
 
 impl Memtable {
-    fn put(&mut self, tid: Tid, seq: u64, mut op: MemOp) {
-        let ops = Arc::make_mut(&mut self.ops);
-        if let Some(old) = ops.remove(&tid) {
-            self.bytes -= old.op.bytes();
-            if let MemOp::Delete { shadowed_sel } = &mut op {
-                *shadowed_sel = old.op.sel().cloned();
-            }
-        }
+    fn put(&mut self, tid: Tid, seq: u64, op: MemOp) {
         self.bytes += op.bytes();
-        ops.insert(tid, Logged { seq, op });
+        if let Some(old) = Arc::make_mut(&mut self.ops).insert(tid, Logged { seq, op }) {
+            self.bytes -= old.op.bytes();
+        }
     }
 
     /// Drops the ops a flush folded — those logged at or below
-    /// `flushed_seq` — and keeps every later one as it is (a delete keeps
-    /// the selection values it shadowed).
+    /// `flushed_seq` — and keeps every later one as it is.
     fn prune(&mut self, flushed_seq: u64) {
-        let kept: MemOps = self
-            .ops
-            .iter()
-            .filter(|(_, e)| e.seq > flushed_seq)
-            .map(|(&t, e)| (t, e.clone()))
-            .collect();
-        self.bytes = kept.values().map(|e| e.op.bytes()).sum();
-        self.ops = Arc::new(kept);
+        Arc::make_mut(&mut self.ops).retain(|_, e| e.seq > flushed_seq);
+        self.bytes = self.ops.values().map(|e| e.op.bytes()).sum();
     }
 }
 
 /// What replaying the WAL on open found.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayReport {
-    /// Valid frames decoded (pending + applied).
+    /// Valid frames decoded.
     pub records: u64,
-    /// Pending ops re-entered into the memtable.
+    /// Ops re-entered into the memtable: the frames above the cube
+    /// file's `flushed_seq` (those at or below it are in the file).
     pub pending: u64,
-    /// Applied-tuple records loaded (flushed delta tuples still live).
-    pub applied: u64,
     /// Whether a torn tail (crash mid-append) was truncated away.
     pub torn_tail: bool,
     /// Bytes dropped by the torn-tail truncation.
@@ -366,15 +357,15 @@ pub struct ReplayReport {
 }
 
 /// One decoded WAL record.
-enum WalRecord {
-    Upsert { seq: u64, tid: Tid, sel: Vec<u32>, point: Vec<f64> },
-    Delete { seq: u64, tid: Tid },
-    Applied { tid: Tid, sel: Vec<u32>, point: Vec<f64> },
+struct WalRecord {
+    seq: u64,
+    tid: Tid,
+    op: MemOp,
 }
 
-fn encode_upsert(buf: &mut Vec<u8>, kind: u8, seq: u64, tid: Tid, sel: &[u32], point: &[f64]) {
+fn encode_upsert(buf: &mut Vec<u8>, seq: u64, tid: Tid, sel: &[u32], point: &[f64]) {
     buf.extend_from_slice(&seq.to_le_bytes());
-    buf.push(kind);
+    buf.push(KIND_UPSERT);
     buf.extend_from_slice(&tid.to_le_bytes());
     buf.extend_from_slice(&(sel.len() as u16).to_le_bytes());
     for v in sel {
@@ -401,58 +392,48 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     f
 }
 
-fn wal_header(flushed_seq: u64) -> [u8; WAL_HEADER_LEN] {
+fn wal_header() -> [u8; WAL_HEADER_LEN] {
     let mut h = [0u8; WAL_HEADER_LEN];
     h[0..8].copy_from_slice(WAL_MAGIC);
     h[8..10].copy_from_slice(&WAL_VERSION.to_le_bytes());
     // bytes 10..12: flags, reserved zero.
-    h[12..20].copy_from_slice(&flushed_seq.to_le_bytes());
-    let crc = crc32(&h[0..20]);
-    h[20..24].copy_from_slice(&crc.to_le_bytes());
+    let crc = crc32(&h[0..12]);
+    h[12..16].copy_from_slice(&crc.to_le_bytes());
     h
-}
-
-/// Decodes one frame's payload. A short payload or an unknown record kind
-/// is a checksum failure of frame `at_frame`, which [`replay_wal`]
-/// classifies as a torn tail or body corruption.
-fn decode_payload(payload: &[u8], at_frame: u64) -> Result<WalRecord, StorageError> {
-    read_record(&mut ByteReader::new(payload))
-        .map_err(|_| StorageError::ChecksumMismatch { page: at_frame })
 }
 
 fn read_record(r: &mut ByteReader<'_>) -> Result<WalRecord, StorageError> {
     let seq = r.u64()?;
     let kind = r.u8()?;
     let tid = r.u32()?;
-    if kind == KIND_DELETE {
-        return Ok(WalRecord::Delete { seq, tid });
-    }
-    if kind != KIND_UPSERT && kind != KIND_APPLIED {
-        return Err(StorageError::Malformed("unknown WAL record kind"));
-    }
-    let nsel = r.u16()?;
-    let sel = (0..nsel).map(|_| r.u32()).collect::<Result<_, _>>()?;
-    let npt = r.u16()?;
-    let point = (0..npt).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    Ok(if kind == KIND_APPLIED {
-        WalRecord::Applied { tid, sel, point }
-    } else {
-        WalRecord::Upsert { seq, tid, sel, point }
-    })
+    let op = match kind {
+        KIND_DELETE => MemOp::Delete,
+        KIND_UPSERT => {
+            let nsel = r.u16()?;
+            let sel = (0..nsel).map(|_| r.u32()).collect::<Result<_, _>>()?;
+            let npt = r.u16()?;
+            let point = (0..npt).map(|_| r.f64()).collect::<Result<_, _>>()?;
+            MemOp::Upsert { sel, point }
+        }
+        _ => return Err(StorageError::Malformed("unknown WAL record kind")),
+    };
+    Ok(WalRecord { seq, tid, op })
 }
 
 /// Everything replay reconstructs from the WAL bytes.
 struct WalState {
-    flushed_seq: u64,
     mem: Memtable,
-    applied: Applied,
+    /// Past every frame's seq and the cube file's `flushed_seq`.
     next_seq: u64,
-    max_tid: Option<Tid>,
+    /// Past every frame's tid.
+    next_tid: Tid,
     valid_len: u64,
     report: ReplayReport,
 }
 
-/// Replays WAL `bytes`: a clean prefix plus, possibly, a torn tail.
+/// Replays WAL `bytes`: a clean prefix plus, possibly, a torn tail. Frames
+/// at or below `flushed_seq` are decoded and skipped: the cube file holds
+/// them.
 ///
 /// Classification: a frame that *extends to or past end-of-file*, or
 /// whose CRC fails *at* end-of-file, is a torn tail — the crash-mid-append
@@ -460,25 +441,20 @@ struct WalState {
 /// truncation point). A CRC/structure failure with more data *behind* it
 /// cannot be a torn append and surfaces as a typed error instead: that is
 /// body corruption, and serving a guess would be a wrong answer.
-fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
-    let mut report = ReplayReport::default();
-    let state = |flushed_seq: u64| WalState {
-        flushed_seq,
+fn replay_wal(bytes: &[u8], flushed_seq: u64) -> Result<WalState, StorageError> {
+    let mut s = WalState {
         mem: Memtable::default(),
-        applied: BTreeMap::new(),
         next_seq: flushed_seq + 1,
-        max_tid: None,
+        next_tid: 0,
         valid_len: WAL_HEADER_LEN as u64,
         report: ReplayReport::default(),
     };
     if bytes.len() < WAL_HEADER_LEN {
         // Crash during WAL creation: nothing was ever logged. Treat the
         // stub as a torn tail and start fresh.
-        report.torn_tail = true;
-        report.truncated_bytes = bytes.len() as u64;
-        let mut s = state(0);
+        s.report.torn_tail = true;
+        s.report.truncated_bytes = bytes.len() as u64;
         s.valid_len = 0;
-        s.report = report;
         return Ok(s);
     }
     let mut header = ByteReader::new(&bytes[..WAL_HEADER_LEN]);
@@ -490,89 +466,49 @@ fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
         return Err(StorageError::UnsupportedVersion(version));
     }
     let _flags = header.u16()?;
-    let flushed_seq = header.u64()?;
-    if crc32(&bytes[0..20]) != header.u32()? {
+    if crc32(&bytes[0..12]) != header.u32()? {
         return Err(StorageError::ChecksumMismatch { page: 0 });
     }
-    let mut s = state(flushed_seq);
 
     let mut pos = WAL_HEADER_LEN;
-    let mut frame_index = 0u64;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        // A frame head or body reaching past EOF is a torn append.
-        let torn = |s: &mut WalState, pos: usize, bytes: &[u8]| {
-            s.report.torn_tail = true;
-            s.report.truncated_bytes = (bytes.len() - pos) as u64;
-            s.valid_len = pos as u64;
-        };
-        if remaining < 8 {
-            torn(&mut s, pos, bytes);
-            break;
-        }
-        let mut head = ByteReader::new(&bytes[pos..pos + 8]);
-        let len = head.u32()? as usize;
-        let crc = head.u32()?;
-        if len > remaining.saturating_sub(8) {
-            // The declared body runs past EOF. Either a torn append or a
-            // corrupted length field — indistinguishable, but both leave
-            // no decodable data behind, so the prefix is all there is.
-            torn(&mut s, pos, bytes);
+        let (rest, frame) = (&bytes[pos..], s.report.records + 1);
+        let mut head = ByteReader::new(rest);
+        // A frame head or body reaching past EOF is a torn append — or a
+        // corrupted length field: indistinguishable, but both leave no
+        // decodable data behind, so the prefix is all there is.
+        let (Ok(len), Ok(crc)) = (head.u32(), head.u32()) else { break };
+        let len = len as usize;
+        if len > rest.len() - 8 {
             break;
         }
         if len > MAX_RECORD_LEN {
-            return Err(StorageError::BadLength {
-                page: frame_index + 1,
-                len,
-                max: MAX_RECORD_LEN,
-            });
+            return Err(StorageError::BadLength { page: frame, len, max: MAX_RECORD_LEN });
         }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        let last_frame = pos + 8 + len == bytes.len();
-        if crc32(payload) != crc {
-            if last_frame {
-                torn(&mut s, pos, bytes);
+        // A CRC or structure failure on the final frame is a torn append
+        // (a structure failure there, a CRC collision landing on a torn
+        // write): truncate rather than guess. Anywhere else it is body
+        // corruption.
+        let payload = &rest[8..8 + len];
+        let record = (crc32(payload) == crc).then(|| read_record(&mut ByteReader::new(payload)));
+        let Some(Ok(WalRecord { seq, tid, op })) = record else {
+            if 8 + len == rest.len() {
                 break;
             }
-            return Err(StorageError::ChecksumMismatch { page: frame_index + 1 });
-        }
-        let record = match decode_payload(payload, frame_index + 1) {
-            Ok(r) => r,
-            Err(e) if last_frame => {
-                // CRC matched but the structure is short: only possible
-                // on the final frame if the CRC collision landed on a
-                // torn write — truncate rather than guess.
-                let _ = e;
-                torn(&mut s, pos, bytes);
-                break;
-            }
-            Err(e) => return Err(e),
+            return Err(StorageError::ChecksumMismatch { page: frame });
         };
-        match record {
-            WalRecord::Applied { tid, sel, point } => {
-                s.report.applied += 1;
-                s.max_tid = Some(s.max_tid.map_or(tid, |m: Tid| m.max(tid)));
-                s.applied.insert(tid, (sel, point));
-            }
-            WalRecord::Upsert { seq, tid, sel, point } => {
-                s.report.pending += 1;
-                s.next_seq = s.next_seq.max(seq + 1);
-                s.max_tid = Some(s.max_tid.map_or(tid, |m: Tid| m.max(tid)));
-                s.mem.put(tid, seq, MemOp::Upsert { sel, point });
-            }
-            WalRecord::Delete { seq, tid } => {
-                s.report.pending += 1;
-                s.next_seq = s.next_seq.max(seq + 1);
-                s.mem.put(tid, seq, MemOp::TOMBSTONE);
-            }
-        }
         s.report.records += 1;
+        s.next_seq = s.next_seq.max(seq + 1);
+        s.next_tid = s.next_tid.max(tid + 1);
+        if seq > flushed_seq {
+            s.report.pending += 1;
+            s.mem.put(tid, seq, op);
+        }
         pos += 8 + len;
-        s.valid_len = pos as u64;
-        frame_index += 1;
     }
-    s.report.records = s.report.pending + s.report.applied;
-    s.report.torn_tail |= report.torn_tail;
+    s.valid_len = pos as u64;
+    s.report.truncated_bytes = (bytes.len() - pos) as u64;
+    s.report.torn_tail = pos < bytes.len();
     Ok(s)
 }
 
@@ -671,7 +607,7 @@ impl GenNode {
 }
 
 /// What one [`DeltaCube::flush`] cycle accomplished.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FlushReport {
     /// Memtable ops folded into the base cube.
     pub applied_ops: usize,
@@ -679,9 +615,6 @@ pub struct FlushReport {
     pub generation: u64,
     /// Wall time of the whole cycle.
     pub duration: Duration,
-    /// Delta tuples alive in the base after the flush (applied WAL
-    /// records retained for future maintenance).
-    pub live_delta_tuples: usize,
     /// Net tuple-path changes the fold applied, after coalescing every
     /// R-tree operation's update set per tid.
     pub path_updates: usize,
@@ -706,48 +639,41 @@ pub struct FlushReport {
     /// Microseconds the cycle held the append mutex — the longest an
     /// insert or delete could wait for it (module docs, *Crash safety*).
     pub writer_hold_us: u64,
-    /// Ops appended while the cycle ran: their frames moved to the
-    /// compacted WAL, and they stay in the memtable for the next flush.
+    /// Ops appended while the cycle ran: their frames moved to the new
+    /// WAL, and they stay in the memtable for the next flush.
     pub carried_ops: u64,
 }
 
-/// What folding one snapshot did to the writable base handle (the
-/// like-named [`FlushReport`] fields).
-struct FoldCounts {
-    applied_ops: usize,
-    path_updates: usize,
-    spliced: MaintenanceCounts,
-}
+/// A cycle's phase times, each a `delta.flush.<name>` histogram and a
+/// field of its `delta.flush` event.
+const FLUSH_PHASES: [&str; 6] =
+    ["open_us", "fold_us", "commit_us", "wal_us", "swap_us", "writer_hold_us"];
+/// A cycle's counts, each a `delta.flush.<name>` counter and a field of its
+/// `delta.flush` event.
+const FLUSH_COUNTS: [&str; 6] = [
+    "path_updates",
+    "cells_rewritten",
+    "partials_rewritten",
+    "nodes_reencoded",
+    "rtree_nodes_written",
+    "cold_opens",
+];
 
 /// The `delta.flush*` instruments, resolved once at open.
 struct FlushInstruments {
     duration: Histogram,
-    /// `delta.flush.{open,fold,commit,wal,swap}_us`, in that order.
-    phases: [Histogram; 5],
-    writer_hold: Histogram,
     flushes: Counter,
-    path_updates: Counter,
-    cells_rewritten: Counter,
-    partials_rewritten: Counter,
-    nodes_reencoded: Counter,
-    rtree_nodes_written: Counter,
-    cold_opens: Counter,
+    phases: [Histogram; 6],
+    counts: [Counter; 6],
 }
 
 impl FlushInstruments {
     fn new(metrics: &Metrics) -> Self {
-        let phase = |name: &str| metrics.histogram(&format!("delta.flush.{name}_us"));
         Self {
             duration: metrics.histogram("delta.flush_duration_us"),
-            phases: ["open", "fold", "commit", "wal", "swap"].map(phase),
-            writer_hold: phase("writer_hold"),
             flushes: metrics.counter("delta.flushes"),
-            path_updates: metrics.counter("delta.flush.path_updates"),
-            cells_rewritten: metrics.counter("delta.flush.cells_rewritten"),
-            partials_rewritten: metrics.counter("delta.flush.partials_rewritten"),
-            nodes_reencoded: metrics.counter("delta.flush.nodes_reencoded"),
-            rtree_nodes_written: metrics.counter("delta.flush.rtree_nodes_written"),
-            cold_opens: metrics.counter("delta.flush.cold_opens"),
+            phases: FLUSH_PHASES.map(|name| metrics.histogram(&format!("delta.flush.{name}"))),
+            counts: FLUSH_COUNTS.map(|name| metrics.counter(&format!("delta.flush.{name}"))),
         }
     }
 }
@@ -764,8 +690,6 @@ pub struct DeltaStats {
     pub memtable_bytes: usize,
     /// Valid WAL bytes on disk.
     pub wal_bytes: u64,
-    /// Flushed-but-live delta tuples retained in the compacted WAL.
-    pub applied_tuples: usize,
     /// Flush cycles completed since open.
     pub flushes: u64,
     /// Base-cube generation new cursors serve.
@@ -783,15 +707,13 @@ pub struct DeltaStats {
 /// An ingest-while-serving wrapper over a persistent signature cube
 /// file: memtable + WAL + background-mergeable base (module docs).
 ///
-/// `base_rel` is the relation the base cube was built over — incremental
-/// maintenance resolves *base* tuples' selection values through it when
-/// an R-tree rebalance moves them (delta tuples carry their own values
-/// through the WAL). Tids for inserted tuples are allocated from
-/// `base_rel.len()` upward.
+/// The cube file holds its tuples' selection values and schema, so
+/// inserts are validated against the file and tids for inserted tuples
+/// are allocated from the file's tuple count upward (past any tid the WAL
+/// names).
 pub struct DeltaCube {
     path: PathBuf,
     wal_path: PathBuf,
-    base_rel: Relation,
     pool_pages: usize,
     disk: DiskSim,
     head: Box<GenNode>,
@@ -801,11 +723,8 @@ pub struct DeltaCube {
     /// The append mutex (module docs, *Crash safety*).
     append: Mutex<DeltaWriter>,
     /// The flush mutex: held by a flush for its whole cycle and by
-    /// [`Self::reelect`]. It owns the flushed-but-live delta tuples, the
-    /// side data incremental maintenance needs when a later R-tree split
-    /// moves one of them (persisted as `KIND_APPLIED` records in the
-    /// compacted WAL).
-    applied: Mutex<Applied>,
+    /// [`Self::reelect`].
+    flush_lock: Mutex<()>,
     faults: Option<Arc<FaultPlan>>,
     metrics: Metrics,
     last_replay: ReplayReport,
@@ -813,9 +732,8 @@ pub struct DeltaCube {
     partials_rewritten: AtomicU64,
     nodes_reencoded: AtomicU64,
     cold_opens: AtomicU64,
-    /// Mirrors of writer-guarded state for lock-free stats.
+    /// Mirror of the WAL's end for lock-free stats.
     wal_len: AtomicU64,
-    applied_count: AtomicU64,
     mem_depth: Gauge,
     wal_bytes_ctr: Counter,
     appends_ctr: Counter,
@@ -840,6 +758,11 @@ impl DeltaCube {
     /// [`SignatureCube::save_to_with`]). Replays `<path>.wal` — creating
     /// it when absent, truncating a torn tail, surfacing body corruption
     /// as a typed error — and begins serving the merged view.
+    ///
+    /// `base_rel` is the relation the file was built over. Nothing is
+    /// read from it: a relation whose selection or ranking schema differs
+    /// from the file's, or that holds more tuples than the file, is
+    /// [`StorageError::Malformed`].
     pub fn open(
         path: impl AsRef<Path>,
         base_rel: Relation,
@@ -850,30 +773,29 @@ impl DeltaCube {
         let file_opts = FileOptions { pool_pages: opts.pool_pages, faults: opts.faults.clone() };
         let head = GenNode::new();
         let opened = BaseHandle::open(&path, file_opts, &opts.metrics)?;
+        let tuples = &opened.cube.tuples;
+        let cards = base_rel.schema().selection_dims().iter().map(Dim::cardinality);
+        if !cards.eq(tuples.cards().iter().copied())
+            || base_rel.schema().num_ranking() != opened.rtree.point_dims()
+            || base_rel.len() > tuples.len()
+        {
+            return Err(StorageError::Malformed("delta open: the relation is not the file's base"));
+        }
+        let (flushed_seq, file_tuples) = (tuples.flushed_seq, tuples.len() as Tid);
         assert!(head.handles[0].set(opened).is_ok(), "a new chain node is empty");
 
-        // Replay (or create) the WAL.
-        let mut state = if wal_path.exists() {
-            let mut bytes = Vec::new();
-            File::open(&wal_path)?.read_to_end(&mut bytes)?;
-            replay_wal(&bytes)?
-        } else {
-            let mut s = replay_wal(&[])?;
-            s.report.torn_tail = false; // a missing WAL is a fresh start, not a tear
-            s.report.truncated_bytes = 0;
-            s
-        };
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&wal_path)?;
+        // Replay the WAL, creating it when absent (the first append's
+        // fsync makes the header durable with it).
+        if !wal_path.exists() {
+            std::fs::write(&wal_path, wal_header())?;
+        }
+        let mut state = replay_wal(&std::fs::read(&wal_path)?, flushed_seq)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(&wal_path)?;
         if state.valid_len < WAL_HEADER_LEN as u64 {
             // Fresh (or torn-at-creation) WAL: stamp a clean header.
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
-            file.write_all(&wal_header(state.flushed_seq))?;
+            file.write_all(&wal_header())?;
             file.sync_data()?;
             state.valid_len = WAL_HEADER_LEN as u64;
         } else if state.report.torn_tail {
@@ -891,23 +813,20 @@ impl DeltaCube {
         let mem_depth = metrics.gauge("delta.memtable_depth");
         mem_depth.set(state.mem.ops.len() as u64);
 
-        let next_tid =
-            state.max_tid.map_or(base_rel.len() as Tid, |m| m.max(base_rel.len() as Tid - 1) + 1);
+        let next_tid = state.next_tid.max(file_tuples);
         let writer =
             DeltaWriter { file, offset: state.valid_len, next_seq: state.next_seq, next_tid };
         Ok(Self {
             wal_len: AtomicU64::new(writer.offset),
-            applied_count: AtomicU64::new(state.applied.len() as u64),
             path,
             wal_path,
-            base_rel,
             pool_pages: opts.pool_pages,
             disk: DiskSim::with_defaults(),
             head,
             generations: AtomicU64::new(1),
             mem: RwLock::new(state.mem),
             append: Mutex::new(writer),
-            applied: Mutex::new(state.applied),
+            flush_lock: Mutex::new(()),
             faults: opts.faults,
             last_replay: state.report,
             flushes: AtomicU64::new(0),
@@ -969,11 +888,11 @@ impl DeltaCube {
     /// the five phase times (`open_us` … `swap_us`), `writer_hold_us`
     /// (how long it held the append mutex, which inserts and deletes
     /// wait on), `carried_ops` (ops appended while it ran, whose frames
-    /// moved to the compacted WAL), what the fold touched (`applied_ops`,
+    /// moved to the new WAL), what the fold touched (`applied_ops`,
     /// `path_updates`, `cells_rewritten`, `partials_rewritten`,
-    /// `nodes_reencoded`, `rtree_nodes_written`, `pages_appended`) and
-    /// `warm` (1 when it reused the serving generation's catalog). A cycle
-    /// that failed leaves the bare event, duration only.
+    /// `nodes_reencoded`, `rtree_nodes_written`, `pages_appended`),
+    /// `cold_opens` and `warm` (1 when it reused the serving generation's
+    /// catalog). A cycle that failed leaves the bare event, duration only.
     pub fn flush_events(&self) -> Vec<TraceEvent> {
         self.flush_log.events()
     }
@@ -985,7 +904,6 @@ impl DeltaCube {
             memtable_ops: mem.ops.len(),
             memtable_bytes: mem.bytes,
             wal_bytes: self.wal_len.load(Ordering::SeqCst),
-            applied_tuples: self.applied_count.load(Ordering::SeqCst) as usize,
             flushes: self.flushes.load(Ordering::SeqCst),
             serving_generation: self.serving_generation(),
             partials_rewritten: self.partials_rewritten.load(Ordering::Relaxed),
@@ -1028,7 +946,7 @@ impl DeltaCube {
     /// cold path; the superseded one keeps its pinned cursors, minus its
     /// pool frames and node tables, whose page ids name the old file.
     pub(crate) fn reelect(&self) -> Result<(), StorageError> {
-        let _flush = self.applied.lock().expect("no flush panicked holding the flush mutex");
+        let _flush = self.flush_lock.lock().expect("no flush panicked holding the flush mutex");
         let next = BaseHandle::open(&self.path, self.file_options(), &self.metrics)?;
         let serving = self.current();
         self.push_generation(next);
@@ -1064,25 +982,30 @@ impl DeltaCube {
     /// Inserts a tuple (selection values + full ranking point), returning
     /// its allocated tid. Durable in the WAL before it is visible to new
     /// cursors; visible to every cursor opened afterwards, invisible to
-    /// cursors already open (they pin their snapshot).
+    /// cursors already open (they pin their snapshot). Values the cube
+    /// file's schema does not admit, and a ranking value that is NaN or
+    /// infinite (it has no place in the ascending score order), are
+    /// [`StorageError::Malformed`] and append nothing.
     pub fn insert(&self, sel: &[u32], point: &[f64]) -> Result<Tid, StorageError> {
-        let schema = self.base_rel.schema();
-        if sel.len() != schema.num_selection() {
+        let base = self.current();
+        let cards = base.cube.tuples.cards();
+        if sel.len() != cards.len() {
             return Err(StorageError::Malformed("insert: wrong selection arity"));
         }
-        if point.len() != schema.num_ranking() {
+        if point.len() != base.rtree.point_dims() {
             return Err(StorageError::Malformed("insert: wrong ranking arity"));
         }
-        for (d, &v) in sel.iter().enumerate() {
-            if v >= schema.selection_dim(d).cardinality() {
-                return Err(StorageError::Malformed("insert: selection value out of domain"));
-            }
+        if sel.iter().zip(cards).any(|(&v, &c)| v >= c) {
+            return Err(StorageError::Malformed("insert: selection value out of domain"));
+        }
+        if !point.iter().all(|p| p.is_finite()) {
+            return Err(StorageError::Malformed("insert: ranking value not finite"));
         }
         let mut w = self.appender();
         let seq = w.next_seq;
         let tid = w.next_tid;
         let mut payload = Vec::new();
-        encode_upsert(&mut payload, KIND_UPSERT, seq, tid, sel, point);
+        encode_upsert(&mut payload, seq, tid, sel, point);
         let appended = w.append(&payload, self.faults.as_ref())?;
         w.next_seq += 1;
         w.next_tid += 1;
@@ -1112,74 +1035,77 @@ impl DeltaCube {
         self.wal_bytes_ctr.add(appended);
         self.appends_ctr.inc();
         let mut mem = self.mem.write().unwrap();
-        mem.put(tid, seq, MemOp::TOMBSTONE);
+        mem.put(tid, seq, MemOp::Delete);
         self.mem_depth.set(mem.ops.len() as u64);
         Ok(())
     }
 
-    /// Selection values for any tid the fold's update set names: the flush
-    /// snapshot first, then flushed delta tuples, then the base relation.
-    fn selection_values_for(
-        &self,
-        tid: Tid,
-        snapshot: &MemOps,
-        applied: &Applied,
-    ) -> Result<Vec<u32>, StorageError> {
-        if let Some(sel) = snapshot.get(&tid).and_then(|e| e.op.sel()) {
-            return Ok(sel.clone());
-        }
-        if let Some((sel, _)) = applied.get(&tid) {
-            return Ok(sel.clone());
-        }
-        if (tid as usize) < self.base_rel.len() {
-            let n = self.base_rel.schema().num_selection();
-            return Ok((0..n).map(|d| self.base_rel.selection_value(tid, d)).collect());
-        }
-        // A delta tuple in the base R-tree with no applied record: the WAL
-        // does not belong to this cube file.
-        Err(StorageError::Malformed("delta flush: no selection values for a moved delta tuple"))
-    }
-
-    /// Folds `snapshot` into the writable base handle: every R-tree
-    /// insert/delete first, their update sets coalesced per tid, then one
-    /// [`apply_path_updates`] over the net set — each touched cell is
-    /// rewritten once ([`crate::maintain`] argues why that equals the
-    /// per-op application).
+    /// Folds `snapshot`'s ops above the file's `flushed_seq` into the
+    /// writable base handle: every R-tree insert/delete first, their update
+    /// sets coalesced per tid, then one [`apply_path_updates`] over the net
+    /// set — each touched cell is rewritten once ([`crate::maintain`]
+    /// argues why that equals the per-op application), and each inserted
+    /// tuple's selection values enter the file's column. Returns the
+    /// report's fold counts (`applied_ops` … `nodes_reencoded`).
     fn fold_snapshot(
         &self,
         cube: &mut SignatureCube,
         rtree: &mut RTree,
         snapshot: &MemOps,
-        applied: &Applied,
-    ) -> Result<FoldCounts, StorageError> {
+    ) -> Result<FlushReport, StorageError> {
+        // Ops at or below it are in the file already: a flush committed
+        // them and failed before it could prune the memtable.
+        let folded = cube.tuples.flushed_seq;
         let mut batch = PathUpdateBatch::new();
         let mut applied_ops = 0usize;
-        for (&tid, Logged { op, .. }) in snapshot {
-            // Replayed ops may already be in the base (a crash between
-            // commit and WAL rewrite): delete-then-insert makes the
-            // re-apply idempotent. Deleting an absent tuple is a no-op.
-            let mut updates = rtree.delete(&self.disk, tid);
-            if let MemOp::Upsert { point, .. } = op {
-                updates.extend(rtree.insert(&self.disk, tid, point.clone()));
+        for (&tid, Logged { seq, op }) in snapshot {
+            if *seq <= folded {
+                continue;
             }
+            let updates = match op {
+                MemOp::Upsert { point, .. } => {
+                    if rtree.tuple_path(tid).is_some() {
+                        return Err(StorageError::Malformed("delta flush: insert of a stored tid"));
+                    }
+                    rtree.insert(&self.disk, tid, point.clone())
+                }
+                // Deleting a tuple the base never held is a no-op.
+                MemOp::Delete => rtree.delete(&self.disk, tid),
+            };
             if !updates.is_empty() {
                 applied_ops += 1;
                 batch.extend(updates);
             }
         }
         let updates = batch.into_updates();
-        // Resolve each moved tuple's selection values once, up front, so a
-        // foreign WAL fails typed before any cell is rewritten.
+        // Resolve each moved tuple's selection values once, up front — the
+        // snapshot's upsert, else the file's column — so a tid with neither
+        // fails typed before any cell is rewritten.
         let mut selections: HashMap<Tid, Vec<u32>> = HashMap::with_capacity(updates.len());
         for u in &updates {
-            selections.insert(u.tid, self.selection_values_for(u.tid, snapshot, applied)?);
+            let sel = match snapshot.get(&u.tid) {
+                Some(Logged { op: MemOp::Upsert { sel, .. }, .. }) => Some(sel.clone()),
+                _ => cube.tuples.get(u.tid),
+            };
+            let sel = sel.ok_or(StorageError::Malformed(
+                "delta flush: no selection values for a moved tuple",
+            ))?;
+            selections.insert(u.tid, sel);
         }
         let spliced = apply_path_updates(cube, &updates, |t| selections[&t].clone(), &self.disk)?;
-        Ok(FoldCounts { applied_ops, path_updates: updates.len(), spliced })
+        Ok(FlushReport {
+            applied_ops,
+            path_updates: updates.len(),
+            cells_rewritten: spliced.cells_rewritten,
+            partials_rewritten: spliced.partials_rewritten,
+            nodes_reencoded: spliced.nodes_reencoded,
+            ..FlushReport::default()
+        })
     }
 
-    /// Folds the memtable into the base cube and compacts the WAL — one
-    /// LSM merge cycle (module docs list the crash-ordering argument).
+    /// Folds the memtable into the base cube and drops the folded frames
+    /// from the WAL — one LSM merge cycle (module docs list the
+    /// crash-ordering argument).
     /// Inserts and deletes go on while it runs: they wait only while the
     /// cycle snapshots the memtable and while it hands the WAL over
     /// ([`FlushReport::writer_hold_us`]), and what they append mid-cycle
@@ -1191,10 +1117,10 @@ impl DeltaCube {
     /// the scheduler counts that as contention and retries later.
     pub fn flush(&self) -> Result<FlushReport, StorageError> {
         let start = Instant::now();
-        let mut applied = self.applied.lock().expect("no flush panicked holding the flush mutex");
-        // The snapshot: every op logged at or below `flushed_seq` is in it,
-        // and every WAL byte past `tail_from` was appended after it.
-        let (snapshot, flushed_seq, tail_from, mut writer_hold) = {
+        let _flush = self.flush_lock.lock().expect("no flush panicked holding the flush mutex");
+        // The snapshot: every op logged at or below `snapshot_seq` is in
+        // it, and every WAL byte past `tail_from` was appended after it.
+        let (snapshot, snapshot_seq, tail_from, mut writer_hold) = {
             let w = self.appender();
             let held = Instant::now();
             let ops = Arc::clone(&self.mem.read().unwrap().ops);
@@ -1202,19 +1128,10 @@ impl DeltaCube {
         };
         if snapshot.is_empty() {
             return Ok(FlushReport {
-                applied_ops: 0,
                 generation: self.serving_generation(),
                 duration: start.elapsed(),
-                live_delta_tuples: applied.len(),
-                path_updates: 0,
-                cells_rewritten: 0,
-                pages_appended: 0,
-                partials_rewritten: 0,
-                nodes_reencoded: 0,
-                rtree_nodes_written: 0,
-                cold_opens: 0,
                 writer_hold_us: writer_hold.as_micros() as u64,
-                carried_ops: 0,
+                ..FlushReport::default()
             });
         }
         let event = self.flush_log.span("delta.flush");
@@ -1253,20 +1170,19 @@ impl DeltaCube {
         cube.set_metrics(self.metrics.clone());
         let open_us = lap();
 
-        // 2. Fold the snapshot in via incremental maintenance, commit.
-        let FoldCounts { applied_ops, path_updates, spliced } =
-            self.fold_snapshot(&mut cube, &mut rtree, &snapshot, &applied)?;
+        // 2. Fold the snapshot in via incremental maintenance, commit it
+        //    as folded up to its last seq.
+        let fold = self.fold_snapshot(&mut cube, &mut rtree, &snapshot)?;
         let fold_us = lap();
+        cube.tuples.flushed_seq = snapshot_seq;
         let Committed { generation, rtree_nodes_written } = cube.commit(&mut rtree)?;
         // A scripted page-level crash hit during the fold, the commit or an
         // append made since the snapshot: the in-process state is a lie,
         // and the disk kept the old WAL.
         self.die_if_crashed()?;
         let committed = cube.store().file_stamp();
-        let pages_appended = match (&opened, &committed) {
-            (Some(before), Some(after)) => after.page_count.saturating_sub(before.page_count),
-            _ => 0,
-        };
+        let pages_appended = (opened.as_ref().zip(committed.as_ref()))
+            .map_or(0, |(before, after)| after.page_count.saturating_sub(before.page_count));
         let commit_us = lap();
 
         // 3. The next serving handle: a fresh read-only store, opened while
@@ -1297,58 +1213,34 @@ impl DeltaCube {
         next.cube.set_metrics(self.metrics.clone());
         let mut swap_us = lap();
 
-        // 4. Compact the WAL into a temp file while appends go on: flushed
-        //    upserts become applied records, flushed deletes evict theirs.
-        if let Some(plan) = &self.faults {
-            plan.on_swap(SwapStage::TempWrite).map_err(StorageError::Io)?;
-        }
-        let temp = {
-            let mut os = self.wal_path.as_os_str().to_os_string();
-            os.push(".new");
-            PathBuf::from(os)
-        };
-        let mut compacted = wal_header(flushed_seq).to_vec();
-        {
-            let survivors = applied
-                .iter()
-                .filter(|(tid, _)| !snapshot.contains_key(tid))
-                .map(|(tid, (sel, point))| (tid, sel, point));
-            let flushed = snapshot.iter().filter_map(|(tid, e)| match &e.op {
-                MemOp::Upsert { sel, point } => Some((tid, sel, point)),
-                MemOp::Delete { .. } => None,
-            });
-            let mut payload = Vec::new();
-            for (tid, sel, point) in survivors.chain(flushed) {
-                payload.clear();
-                encode_upsert(&mut payload, KIND_APPLIED, 0, *tid, sel, point);
-                compacted.extend_from_slice(&frame(&payload));
-            }
-        }
-        // Opened read+write: once renamed over the WAL this descriptor *is*
-        // the WAL (it follows the inode), so it becomes the append handle
-        // without the path being opened again.
-        let mut temp_file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&temp)?;
-        temp_file.write_all(&compacted)?;
-        temp_file.sync_data()?;
-
-        // 5. The hand-over, under the append mutex. The frames appended
-        //    since the snapshot all carry later seqs: copied verbatim behind
-        //    the applied records, they are the pending section replay reads.
+        // 4. The hand-over, under the append mutex: a new WAL of the
+        //    header and the frames appended since the snapshot — their seqs
+        //    all follow it — written to a temp file, fsynced and renamed
+        //    over the old one.
         let mut w = self.appender();
         let held = Instant::now();
         // A crash scripted on an append made since the commit: the
         // process is dead, so it renames nothing.
         self.die_if_crashed()?;
-        let mut tail = vec![0; (w.offset - tail_from) as usize];
+        if let Some(plan) = &self.faults {
+            plan.on_swap(SwapStage::TempWrite).map_err(StorageError::Io)?;
+        }
+        let mut image = wal_header().to_vec();
+        image.resize(WAL_HEADER_LEN + (w.offset - tail_from) as usize, 0);
         w.file.seek(SeekFrom::Start(tail_from))?;
-        w.file.read_exact(&mut tail)?;
-        temp_file.write_all(&tail)?;
+        w.file.read_exact(&mut image[WAL_HEADER_LEN..])?;
+        let temp = sibling(&self.wal_path, ".new");
+        // Opened read+write: once renamed over the WAL this descriptor *is*
+        // the WAL (it follows the inode), so it becomes the append handle
+        // without the path being opened again.
+        let mut temp_file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&temp)?;
+        temp_file.write_all(&image)?;
         // fsync + atomic rename, with the scripted TempSync/Rename crash
         // points — the vacuum's publish protocol up to the rename.
         FileBackend::swap_in(&temp, &self.wal_path, self.faults.as_ref())?;
 
-        // 6. The rename happened. Nothing from here to the end of the
+        // 5. The rename happened. Nothing from here to the end of the
         //    in-process swap can fail. The directory fsync is done before an
         //    append can land in the new inode; its failure only gates the
         //    report. Appends go to the new WAL, and the serving generation
@@ -1360,33 +1252,20 @@ impl DeltaCube {
         //    under the same page ids.
         let dir_synced = FileBackend::sync_parent_dir(&self.wal_path);
         w.file = temp_file;
-        w.offset = (compacted.len() + tail.len()) as u64;
-        let carried_ops = w.next_seq - 1 - flushed_seq;
+        w.offset = image.len() as u64;
+        let carried_ops = w.next_seq - 1 - snapshot_seq;
         let wal_us = lap();
         next.cube.publish_hand_over();
         let cache_moved_on = std::ptr::eq(serving.cube.node_cache(), next.cube.node_cache());
         {
             let mut mem = self.mem.write().unwrap();
             self.push_generation(next);
-            mem.prune(flushed_seq);
+            mem.prune(snapshot_seq);
             self.mem_depth.set(mem.ops.len() as u64);
         }
         self.wal_len.store(w.offset, Ordering::SeqCst);
         drop(w);
         writer_hold += held.elapsed();
-        // The memtable let go of the snapshot: it is ours unless a cursor
-        // still pins it.
-        for (tid, e) in Arc::try_unwrap(snapshot).unwrap_or_else(|pinned| (*pinned).clone()) {
-            match e.op {
-                MemOp::Upsert { sel, point } => {
-                    applied.insert(tid, (sel, point));
-                }
-                MemOp::Delete { .. } => {
-                    applied.remove(&tid);
-                }
-            }
-        }
-        self.applied_count.store(applied.len() as u64, Ordering::SeqCst);
         // The superseded generation stays in the chain for its pinned
         // cursors, but its pool stops holding frames nobody new will read
         // (cursors keep the `Arc` frames they hold and re-read the rest on
@@ -1399,63 +1278,51 @@ impl DeltaCube {
         }
         swap_us += lap();
 
-        let cold_opens = u64::from(!warm);
-        let writer_hold_us = writer_hold.as_micros() as u64;
+        let report = FlushReport {
+            generation,
+            duration: start.elapsed(),
+            pages_appended,
+            rtree_nodes_written,
+            cold_opens: u64::from(!warm),
+            writer_hold_us: writer_hold.as_micros() as u64,
+            carried_ops,
+            ..fold
+        };
         self.flushes.fetch_add(1, Ordering::SeqCst);
-        self.partials_rewritten.fetch_add(spliced.partials_rewritten as u64, Ordering::Relaxed);
-        self.nodes_reencoded.fetch_add(spliced.nodes_reencoded as u64, Ordering::Relaxed);
-        self.cold_opens.fetch_add(cold_opens, Ordering::Relaxed);
+        self.partials_rewritten.fetch_add(report.partials_rewritten as u64, Ordering::Relaxed);
+        self.nodes_reencoded.fetch_add(report.nodes_reencoded as u64, Ordering::Relaxed);
+        self.cold_opens.fetch_add(report.cold_opens, Ordering::Relaxed);
         let ins = &self.flush_instruments;
         ins.flushes.inc();
-        ins.path_updates.add(path_updates as u64);
-        ins.cells_rewritten.add(spliced.cells_rewritten as u64);
-        ins.partials_rewritten.add(spliced.partials_rewritten as u64);
-        ins.nodes_reencoded.add(spliced.nodes_reencoded as u64);
-        ins.rtree_nodes_written.add(rtree_nodes_written as u64);
-        ins.cold_opens.add(cold_opens);
-        let phases = [open_us, fold_us, commit_us, wal_us, swap_us];
-        for (hist, us) in ins.phases.iter().zip(phases) {
-            hist.record(us);
-        }
-        ins.writer_hold.record(writer_hold_us);
-        let duration = start.elapsed();
-        ins.duration.record(duration.as_micros() as u64);
-        event
+        ins.duration.record(report.duration.as_micros() as u64);
+        let mut event = event
             .record("generation", generation as f64)
             .record("warm", f64::from(u8::from(warm)))
-            .record("open_us", open_us as f64)
-            .record("fold_us", fold_us as f64)
-            .record("commit_us", commit_us as f64)
-            .record("wal_us", wal_us as f64)
-            .record("swap_us", swap_us as f64)
-            .record("writer_hold_us", writer_hold_us as f64)
-            .record("applied_ops", applied_ops as f64)
+            .record("applied_ops", report.applied_ops as f64)
             .record("carried_ops", carried_ops as f64)
-            .record("path_updates", path_updates as f64)
-            .record("cells_rewritten", spliced.cells_rewritten as f64)
-            .record("partials_rewritten", spliced.partials_rewritten as f64)
-            .record("nodes_reencoded", spliced.nodes_reencoded as f64)
-            .record("rtree_nodes_written", rtree_nodes_written as f64)
-            .record("pages_appended", pages_appended as f64)
-            .finish();
+            .record("pages_appended", pages_appended as f64);
+        let phases = [open_us, fold_us, commit_us, wal_us, swap_us, report.writer_hold_us];
+        for ((name, hist), us) in FLUSH_PHASES.into_iter().zip(&ins.phases).zip(phases) {
+            hist.record(us);
+            event = event.record(name, us as f64);
+        }
+        let counts = [
+            report.path_updates,
+            report.cells_rewritten,
+            report.partials_rewritten,
+            report.nodes_reencoded,
+            rtree_nodes_written,
+            report.cold_opens as usize,
+        ];
+        for ((name, counter), n) in FLUSH_COUNTS.into_iter().zip(&ins.counts).zip(counts) {
+            counter.add(n as u64);
+            event = event.record(name, n as f64);
+        }
+        event.finish();
         // The state above matches the namespace whether or not the rename
         // is durable yet; only the report waits on the directory.
         dir_synced?;
-        Ok(FlushReport {
-            applied_ops,
-            generation,
-            duration,
-            live_delta_tuples: applied.len(),
-            path_updates,
-            cells_rewritten: spliced.cells_rewritten,
-            pages_appended,
-            partials_rewritten: spliced.partials_rewritten,
-            nodes_reencoded: spliced.nodes_reencoded,
-            rtree_nodes_written,
-            cold_opens,
-            writer_hold_us,
-            carried_ops,
-        })
+        Ok(report)
     }
 
     /// Dies like the process would once the fault script's crash point has
@@ -1729,7 +1596,6 @@ mod tests {
         assert_eq!(report.applied_ops, 41);
         assert_eq!(delta.memtable_len(), 0, "flush empties the memtable");
         assert_eq!(delta.flushes_completed(), 1);
-        assert_eq!(report.live_delta_tuples, 40);
 
         let after = delta.source().open(&q.plan()).unwrap().try_drain().unwrap();
         assert_eq!(render(&before.items), render(&after.items), "flush is answer-neutral");
@@ -1859,19 +1725,19 @@ mod tests {
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         let replay = delta.last_replay();
         assert_eq!(replay.pending, 21, "every append replays");
-        assert_eq!(replay.applied, 0);
         assert!(!replay.torn_tail);
         assert_eq!(delta.memtable_len(), 21);
         let after = delta.source().open(&q.plan()).unwrap().try_drain().unwrap().items;
         assert_eq!(render(&before), render(&after), "replay restores the merged view");
 
-        // Flush, reopen: pending drains into applied records.
+        // Flush, reopen: the cube file holds what was pending, the WAL
+        // nothing but its header.
         delta.flush().unwrap();
         drop(delta);
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         let replay = delta.last_replay();
-        assert_eq!(replay.pending, 0);
-        assert_eq!(replay.applied, 20, "live delta tuples persist as applied records");
+        assert_eq!((replay.records, replay.pending), (0, 0));
+        assert_eq!(delta.stats().wal_bytes, WAL_HEADER_LEN as u64);
         assert_eq!(delta.memtable_len(), 0);
         let final_items = delta.source().open(&q.plan()).unwrap().try_drain().unwrap().items;
         assert_eq!(render(&before), render(&final_items));
@@ -1933,9 +1799,8 @@ mod tests {
         /// value `.1`: the next flush empties that cell.
         DeleteWhere(usize, u32),
         Flush,
-        /// A flush that dies between the cube commit and the WAL rewrite,
-        /// then a reopen: the next flush re-folds an already-applied
-        /// snapshot.
+        /// A flush that dies between the cube commit and the WAL hand-over,
+        /// then a reopen: replay skips every frame the commit folded.
         CrashedFlush,
     }
 
@@ -1959,8 +1824,7 @@ mod tests {
 
     /// The model's `Memtable::put` of a tombstone.
     fn tombstone(pending: &mut BTreeMap<Tid, MemOp>, tid: Tid) {
-        let shadowed_sel = pending.get(&tid).and_then(MemOp::sel).cloned();
-        pending.insert(tid, MemOp::Delete { shadowed_sel });
+        pending.insert(tid, MemOp::Delete);
     }
 
     /// Selection values as the model knows them: the snapshot's own, then a
@@ -1970,8 +1834,8 @@ mod tests {
         snapshot: &'a BTreeMap<Tid, MemOp>,
         applied: &'a BTreeMap<Tid, Vec<u32>>,
     ) -> impl Fn(Tid) -> Vec<u32> + Copy + 'a {
-        move |t| match (snapshot.get(&t).and_then(MemOp::sel), applied.get(&t)) {
-            (Some(sel), _) | (None, Some(sel)) => sel.clone(),
+        move |t| match (snapshot.get(&t), applied.get(&t)) {
+            (Some(MemOp::Upsert { sel, .. }), _) | (_, Some(sel)) => sel.clone(),
             _ => (0..base.schema().num_selection()).map(|d| base.selection_value(t, d)).collect(),
         }
     }
@@ -2132,7 +1996,7 @@ mod tests {
             for (tid, op) in std::mem::take(pending) {
                 match op {
                     MemOp::Upsert { sel, .. } => flushed.insert(tid, sel),
-                    MemOp::Delete { .. } => flushed.remove(&tid),
+                    MemOp::Delete => flushed.remove(&tid),
                 };
             }
         };
@@ -2170,7 +2034,7 @@ mod tests {
                         .copied()
                         .chain(flushed.keys().copied())
                         .chain(upserts)
-                        .filter(|t| !matches!(pending.get(t), Some(MemOp::Delete { .. })))
+                        .filter(|t| !matches!(pending.get(t), Some(MemOp::Delete)))
                         .collect();
                     let (doomed, kept): (Vec<Tid>, Vec<Tid>) =
                         live.into_iter().partition(|&t| rows[t as usize].0[*dim] == *v);
@@ -2236,16 +2100,17 @@ mod tests {
                     assert_eq!(crashed.is_err(), !pending.is_empty(), "the swap stage is reached");
                     drop(dying);
                     // The cube committed, the WAL did not move: the twins
-                    // fold once now and the ops stay pending for a re-fold.
+                    // fold the same ops, and the reopen holds none of them.
                     fold_per_op(&path_b, &base, &pending, &flushed);
                     if !pending.is_empty() {
                         fold_whole_cell(&path_c, &base, &pending, &flushed);
                     }
+                    settle(&mut pending, &mut flushed);
                     fresh_open = true;
                     delta =
                         DeltaCube::open(&path_a, base.clone(), DeltaOptions::default()).unwrap();
                     max_height = max_height.max(delta.current().rtree.height());
-                    assert_eq!(delta.memtable_len(), pending.len(), "replay restores the snapshot");
+                    assert_eq!(delta.memtable_len(), 0, "replay skips every folded frame");
                 }
                 _ => {} // a delete with nothing of its kind to delete
             }
@@ -2317,12 +2182,13 @@ mod tests {
         steps.extend((8..72).map(insert_step));
         steps.push(Step::DeletePending(3));
         steps.push(Step::CrashedFlush);
-        // Tombstone an insert the crashed flush already folded into the
-        // base: the re-fold must still know which cells to clear it from.
-        steps.push(Step::DeletePending(5));
+        // Tombstone an insert only the crashed flush folded (the 14th
+        // flushed tid; the first flush folded 8): the next flush clears it
+        // from its cells with the values the crashed commit wrote.
+        steps.push(Step::DeleteFlushed(13));
         steps.extend((0..4).map(Step::DeleteFlushed));
-        steps.push(Step::Flush); // re-folds the crashed snapshot, plus deletes
-                                 // Drain the base until leaves underflow and condense re-inserts.
+        steps.push(Step::Flush);
+        // Drain the base until leaves underflow and condense re-inserts.
         steps.extend((0..36).map(Step::DeleteBase));
         steps.extend((0..30).map(|i| Step::DeleteFlushed(i * 5)));
         // A cell emptied by one flush and filled again by the next…
@@ -2533,8 +2399,8 @@ mod tests {
         assert_eq!(flush_keeps_cache(350..360, "after the foreign commit"), 0);
 
         // A flush of its own that committed and then failed before the swap
-        // (a directory sits where the compacted WAL is written): the file
-        // is one generation ahead of the serving handle.
+        // (a directory sits where the new WAL is written): the file is one
+        // generation ahead of the serving handle.
         let blocker = {
             let mut os = wal_path_for(&path).into_os_string();
             os.push(".new");
@@ -2550,9 +2416,13 @@ mod tests {
         assert_eq!(delta.memtable_len(), 10, "nothing was pruned");
         std::fs::remove_dir(&blocker).unwrap();
         // Writes acknowledged after the failed flush go to the WAL a restart
-        // reads, and the re-fold is cold.
+        // reads. The retry is cold, and folds only the ten ops above the
+        // `flushed_seq` the failed flush committed.
         delta.current().cube.assert_node_cache_matches_file();
         assert_eq!(flush_keeps_cache(370..380, "half-done flush"), 1, "after a half-done flush");
+        let retry = delta.flush_events().pop().unwrap();
+        let applied = retry.fields.iter().find(|(k, _)| *k == "applied_ops").unwrap().1;
+        assert_eq!(applied, 10.0, "the retry skips what the failed flush committed");
         assert_answers_like_rebuilt(&delta, &full.prefix(380), "after a half-done flush");
         assert_eq!(delta.stats().cold_opens, 4);
         assert_eq!(metrics.counter("delta.flush.cold_opens").get(), 4);
@@ -2692,7 +2562,7 @@ mod tests {
             assert!(matches!(failed, Err(StorageError::Io(_))), "page write {n}: {failed:?}");
         }
         // Committed, then failed before the swap: a directory sits where the
-        // compacted WAL is written.
+        // new WAL is written.
         let (failed, _) = session(&|path, _| {
             let mut blocker = wal_path_for(path).into_os_string();
             blocker.push(".new");
@@ -2842,7 +2712,7 @@ mod tests {
         }
         drop(delta);
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
-        assert_eq!((delta.last_replay().applied, delta.last_replay().pending), (30, 10));
+        assert_eq!((delta.last_replay().records, delta.last_replay().pending), (10, 10));
         assert_answers_like_rebuilt(&delta, &full, "reopened");
         drop(delta);
         cleanup(&path);
@@ -2853,7 +2723,7 @@ mod tests {
         // Inserts and deletes issued just before the flush's first page
         // write — the snapshot is taken, the WAL not handed over yet — go
         // through, stay in the memtable past the flush, and move to the
-        // compacted WAL byte for byte. A flush that held the append mutex
+        // new WAL byte for byte. A flush that held the append mutex
         // through its cycle would deadlock in the scripted action: the
         // flush runs on a thread with a timeout, so that fails instead of
         // hanging.
@@ -3083,5 +2953,187 @@ mod tests {
             drop(delta);
             cleanup(&path);
         }
+    }
+
+    #[test]
+    fn an_insert_with_a_ranking_value_that_is_not_finite_is_refused() {
+        let full = SyntheticSpec { tuples: 330, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("not_finite");
+        build_base(&base, &path);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        ingest_and_flush(&delta, &full, 300..310);
+        for tid in 310..320 {
+            delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+        }
+        let (wal, answers) = (delta.stats().wal_bytes, served_answers(&delta));
+        let sel = sel_of(&full, 320);
+        for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for point in [[bad, 0.5], [0.5, bad]] {
+                assert!(
+                    matches!(
+                        delta.insert(&sel, &point),
+                        Err(StorageError::Malformed("insert: ranking value not finite"))
+                    ),
+                    "{point:?}"
+                );
+            }
+        }
+        assert_eq!(delta.stats().wal_bytes, wal, "nothing appended");
+        assert_eq!(served_answers(&delta), answers, "nothing visible");
+        assert_eq!(delta.flush().unwrap().applied_ops, 10);
+        assert_answers_like_rebuilt(&delta, &full.prefix(320), "after the flush");
+        drop(delta);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_quiet_flush_leaves_the_wal_its_header_whatever_the_live_delta_tuples() {
+        let full = SyntheticSpec { tuples: 5300, cardinality: 4, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("quiet_wal");
+        build_base(&base, &path);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        let wal_len = || std::fs::metadata(wal_path_for(&path)).unwrap().len();
+        // No delta tuple: a flush of base deletes.
+        for tid in 0..5 {
+            delta.delete(tid).unwrap();
+        }
+        delta.flush().unwrap();
+        assert_eq!(wal_len(), WAL_HEADER_LEN as u64, "0 live delta tuples");
+        for (from, to) in [(300, 1300), (1300, 5300)] {
+            for tid in from..to {
+                delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+            }
+            assert!(wal_len() > (to - from) as u64 * 40, "the inserts are pending");
+            delta.flush().unwrap();
+            assert_eq!(wal_len(), WAL_HEADER_LEN as u64, "{} live delta tuples", to - 300);
+            assert_eq!(delta.stats().wal_bytes, WAL_HEADER_LEN as u64);
+        }
+        assert_eq!(delta.serving_cube().tuples.len(), 5300, "the file holds them");
+        drop(delta);
+        let delta = DeltaCube::open(&path, base, DeltaOptions::default()).unwrap();
+        assert_eq!((delta.last_replay().records, delta.memtable_len()), (0, 0));
+        assert_answers_like_logical(&delta, &full, 5300, &[0, 1, 2, 3, 4]);
+        drop(delta);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_v5_cube_file_and_a_v1_wal_are_refused() {
+        let rel = SyntheticSpec { tuples: 200, cardinality: 3, ..Default::default() }.generate();
+        let path = temp_path("old_formats");
+        build_base(&rel, &path);
+        let pristine = std::fs::read(&path).unwrap();
+
+        // A v5 file: the layout whose catalog held no selection column.
+        let mut bytes = pristine.clone();
+        for slot in bytes.chunks_mut(512).take(2) {
+            if slot[..8] == rcube_storage::format::MAGIC {
+                slot[8..10].copy_from_slice(&5u16.to_le_bytes());
+                let crc = crc32(&slot[..76]);
+                slot[76..80].copy_from_slice(&crc.to_le_bytes());
+            }
+        }
+        std::fs::write(&path, bytes).unwrap();
+        let refused = SignatureCube::open_from_with(&path, 64).map(|_| ());
+        assert!(matches!(refused, Err(StorageError::UnsupportedVersion(5))), "{refused:?}");
+        let refused = DeltaCube::open(&path, rel.clone(), DeltaOptions::default()).map(|_| ());
+        assert!(matches!(refused, Err(StorageError::UnsupportedVersion(5))), "{refused:?}");
+
+        // A v1 WAL: the header that carried `flushed_seq`, and applied
+        // records behind it.
+        std::fs::write(&path, &pristine).unwrap();
+        let mut wal = Vec::new();
+        wal.extend_from_slice(WAL_MAGIC);
+        wal.extend_from_slice(&1u16.to_le_bytes());
+        wal.extend_from_slice(&[0, 0]);
+        wal.extend_from_slice(&7u64.to_le_bytes());
+        let crc = crc32(&wal);
+        wal.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(wal_path_for(&path), &wal).unwrap();
+        let refused = DeltaCube::open(&path, rel, DeltaOptions::default()).map(|_| ());
+        assert!(matches!(refused, Err(StorageError::UnsupportedVersion(1))), "{refused:?}");
+        assert_eq!(std::fs::read(wal_path_for(&path)).unwrap(), wal, "the WAL is left alone");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_relation_that_is_not_the_files_base_is_malformed() {
+        let full = SyntheticSpec { tuples: 320, cardinality: 3, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("foreign_base");
+        build_base(&base, &path);
+        let malformed = |rel: Relation| {
+            matches!(
+                DeltaCube::open(&path, rel, DeltaOptions::default()),
+                Err(StorageError::Malformed(_))
+            )
+        };
+        let other_cards =
+            SyntheticSpec { tuples: 300, cardinality: 4, ..Default::default() }.generate();
+        let other_dims =
+            SyntheticSpec { tuples: 300, cardinality: 3, selection_dims: 2, ..Default::default() }
+                .generate();
+        let other_ranking =
+            SyntheticSpec { tuples: 300, cardinality: 3, ranking_dims: 3, ..Default::default() }
+                .generate();
+        assert!(malformed(other_cards), "another cardinality");
+        assert!(malformed(other_dims), "another selection arity");
+        assert!(malformed(other_ranking), "another ranking arity");
+        assert!(malformed(full.prefix(301)), "more tuples than the file");
+        // The file's own base, or a prefix of it, opens; tids come from the
+        // file and the WAL, not from the relation.
+        for (rel, tid) in [(base.clone(), 300), (full.prefix(100), 301)] {
+            let delta = DeltaCube::open(&path, rel, DeltaOptions::default()).unwrap();
+            assert_eq!(delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap(), tid);
+        }
+        // Once the file holds the inserted tuples, so may the relation.
+        let delta = DeltaCube::open(&path, base, DeltaOptions::default()).unwrap();
+        assert_eq!(delta.flush().unwrap().applied_ops, 2);
+        drop(delta);
+        assert!(DeltaCube::open(&path, full.prefix(302), DeltaOptions::default()).is_ok());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn after_a_vacuum_and_a_reopen_a_split_moves_flushed_delta_tuples() {
+        let full = SyntheticSpec { tuples: 300, cardinality: 3, ..Default::default() }.generate();
+        let path = temp_path("vacuumed_split");
+        fold_base_file(&path, 0.75);
+        let base = full.prefix(FOLD_BASE);
+        // Every insert lands in one tight cluster, so the second round's
+        // leaf splits carry the first round's tuples with them.
+        let mut rows: Vec<(Vec<u32>, Vec<f64>)> =
+            base.tids().map(|t| (sel_of(&base, t), base.ranking_point(t))).collect();
+        let mut ingest = |delta: &DeltaCube, n: u32| {
+            for i in 0..n {
+                let f = f64::from(i % 13) / 500.0;
+                let row = (vec![i % 3, (i / 3) % 3, (i / 9) % 3], vec![0.45 + f, 0.55 - f]);
+                assert_eq!(delta.insert(&row.0, &row.1).unwrap() as usize, rows.len());
+                rows.push(row);
+            }
+            delta.flush().unwrap()
+        };
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        ingest(&delta, 12);
+        let flushed: Vec<Tid> = (FOLD_BASE as Tid..FOLD_BASE as Tid + 12).collect();
+        drop(delta);
+        crate::vacuum_into_place(&path, &Metrics::disabled(), None).unwrap();
+
+        let delta = DeltaCube::open(&path, base, DeltaOptions::default()).unwrap();
+        let path_of = |delta: &DeltaCube, t: Tid| delta.current().rtree.tuple_path(t).unwrap();
+        let before: Vec<Vec<u16>> = flushed.iter().map(|&t| path_of(&delta, t)).collect();
+        let report = ingest(&delta, 40);
+        let moved = flushed.iter().zip(&before).filter(|&(&t, p)| path_of(&delta, t) != *p);
+        assert!(moved.count() > 0, "a split moved a flushed delta tuple");
+        assert!(report.path_updates > 40);
+        let mut b = RelationBuilder::new(full.schema().clone());
+        for (sel, point) in &rows {
+            b.push(sel, point);
+        }
+        assert_answers_like_rebuilt(&delta, &b.finish(), "after the split");
+        drop(delta);
+        cleanup(&path);
     }
 }

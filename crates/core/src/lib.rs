@@ -51,6 +51,7 @@ pub mod shard;
 pub mod sigcube;
 pub mod signature;
 pub mod sigquery;
+mod tuples;
 
 pub use delta::{DeltaCube, DeltaOptions, DeltaSource, DeltaStats, FlushReport, ReplayReport};
 pub use gridcube::{GridCubeConfig, GridRankingCube};

@@ -171,9 +171,13 @@ fn group_by_cell<'u>(
 ///
 /// `selection_values(tid)` supplies the tuple's selection-dimension values
 /// (from the relation, including freshly inserted tuples); it is asked once
-/// per update. A corrupt stored partial, an ill-formed path or a failed
-/// append surfaces as a typed error; cells already spliced stay spliced in
-/// the (uncommitted) handle, the failing cell is left as it was.
+/// per update. The cube records the values of every tuple that ends up in
+/// the tree where they differ from what it holds — a new tuple's, in
+/// practice — so the next commit stores them. Values outside the cube's
+/// selection schema, a corrupt stored partial, an ill-formed path or a
+/// failed append surface as a typed error; cells already spliced stay
+/// spliced in the (uncommitted) handle, the failing cell is left as it
+/// was.
 pub fn apply_path_updates(
     cube: &mut SignatureCube,
     updates: &[PathUpdate],
@@ -181,6 +185,11 @@ pub fn apply_path_updates(
     disk: &DiskSim,
 ) -> Result<MaintenanceCounts, StorageError> {
     let selections: Vec<Vec<u32>> = updates.iter().map(|u| selection_values(u.tid)).collect();
+    for (u, sel) in updates.iter().zip(&selections) {
+        if u.new_path.is_some() && cube.tuples.get(u.tid).as_ref() != Some(sel) {
+            cube.tuples.set(u.tid, sel)?;
+        }
+    }
     let mut counts = MaintenanceCounts::default();
     for dims in cube.cuboid_dims() {
         for (vals, cell_updates) in group_by_cell(&dims, updates, &selections) {

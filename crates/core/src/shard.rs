@@ -25,14 +25,14 @@
 //!
 //! The cursor opens every shard, and refills every consumed frontier (the
 //! initial scatter, and the refill wave after `extend_k`), in shard order
-//! on the thread that pulls it. Spawning workers per wave cost more than
-//! the pulls they spread on every machine it was measured on. Which
-//! answers are pulled is a pure function of the answer sequence, so
-//! per-shard I/O counters are deterministic. [`ShardedCube::par_query`]
-//! is the one parallel path, a *batch* drain: every shard drains toward a
-//! shared global threshold on [`ShardedCubeConfig::parallelism`] scoped
-//! workers (deterministic answers; I/O there depends on how fast the
-//! threshold tightens, so the deterministic gates use the cursor merge).
+//! on the thread that pulls it. Which answers are pulled is a pure
+//! function of the answer sequence, so per-shard I/O counters are
+//! deterministic. There is no parallel path: spawning workers per wave,
+//! and a batch drain of every shard toward a shared threshold on scoped
+//! workers, each cost more than the pulls they spread on every machine
+//! they were measured on. [`ShardedCube::par_query`] and
+//! [`ShardedCubeConfig::parallelism`] remain for the callers that name
+//! them; the first drains the cursor merge, the second is ignored.
 //!
 //! # Degradation unit: the shard
 //!
@@ -41,9 +41,9 @@
 //! can quarantine per-(route, shard) and fall back while the other
 //! shards stay reopenable; [`ShardedCube::repair_shard`] reopens just
 //! the failed file. While no shard is failed — the serving state — the
-//! table is never locked: `can_answer`, `open` and `par_query` read one
-//! atomic count of failed shards, published (Release) by the writer that
-//! marked or repaired one.
+//! table is never locked: `can_answer` and `open` read one atomic count
+//! of failed shards, published (Release) by the writer that marked or
+//! repaired one.
 //!
 //! # What a query shares with its neighbours
 //!
@@ -82,9 +82,8 @@ pub struct ShardedCubeConfig {
     pub grid: GridCubeConfig,
     /// Per-shard buffer-pool capacity (pages) for file-backed sets.
     pub pool_pages: usize,
-    /// Worker threads for [`ShardedCube::par_query`]'s batch drain; `0` =
-    /// one per hardware thread. The cursor merge always runs on the
-    /// calling thread.
+    /// Ignored: every query merges on the calling thread (module docs).
+    /// Kept for callers that set it.
     pub parallelism: usize,
 }
 
@@ -96,14 +95,6 @@ impl Default for ShardedCubeConfig {
             pool_pages: DEFAULT_POOL_PAGES,
             parallelism: 0,
         }
-    }
-}
-
-fn effective_parallelism(configured: usize) -> usize {
-    if configured > 0 {
-        configured
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
 }
 
@@ -264,7 +255,6 @@ pub struct ShardedCube {
     shards: Vec<Shard>,
     manifest_path: Option<PathBuf>,
     pool_pages: usize,
-    parallelism: usize,
     /// Per-shard failure reasons; a `Some` entry takes the whole set out
     /// of routing (`can_answer` → false) until that shard is repaired.
     health: Mutex<Vec<Option<String>>>,
@@ -298,15 +288,10 @@ impl ShardedCube {
                 Shard { cube, disk, tid_lo: lo as u64, tid_hi: hi as u64, path: None }
             })
             .collect();
-        Self::assemble(shards, None, cfg.pool_pages, cfg.parallelism)
+        Self::assemble(shards, None, cfg.pool_pages)
     }
 
-    fn assemble(
-        shards: Vec<Shard>,
-        manifest_path: Option<PathBuf>,
-        pool_pages: usize,
-        parallelism: usize,
-    ) -> Self {
+    fn assemble(shards: Vec<Shard>, manifest_path: Option<PathBuf>, pool_pages: usize) -> Self {
         Self {
             health: Mutex::new(vec![None; shards.len()]),
             failed: AtomicUsize::new(0),
@@ -314,7 +299,6 @@ impl ShardedCube {
             shards,
             manifest_path,
             pool_pages,
-            parallelism: effective_parallelism(parallelism),
             instruments: OnceLock::new(),
             last_fanout: Mutex::new(None),
         }
@@ -353,19 +337,17 @@ impl ShardedCube {
         Self::open_from_with(manifest_path, cfg.pool_pages, cfg.parallelism)
     }
 
-    /// Reopens a partitioned set from its manifest with default pool and
-    /// parallelism settings.
+    /// Reopens a partitioned set from its manifest with the default pool.
     pub fn open_from(manifest_path: impl AsRef<Path>) -> Result<Self, StorageError> {
         Self::open_from_with(manifest_path, DEFAULT_POOL_PAGES, 0)
     }
 
-    /// [`Self::open_from`] with explicit per-shard buffer-pool capacity
-    /// and [`Self::par_query`] worker count (`0` = hardware threads; the
-    /// cursor merge runs on the calling thread either way).
+    /// [`Self::open_from`] with explicit per-shard buffer-pool capacity.
+    /// `_parallelism` is ignored, like [`ShardedCubeConfig::parallelism`].
     pub fn open_from_with(
         manifest_path: impl AsRef<Path>,
         pool_pages: usize,
-        parallelism: usize,
+        _parallelism: usize,
     ) -> Result<Self, StorageError> {
         let manifest_path = manifest_path.as_ref().to_path_buf();
         let manifest = ShardManifest::open_from(&manifest_path)?;
@@ -374,7 +356,7 @@ impl ShardedCube {
             let path = manifest.shard_path(&manifest_path, i);
             shards.push(Shard::open_file(path, pool_pages, entry.tid_lo, entry.tid_hi)?);
         }
-        Ok(Self::assemble(shards, Some(manifest_path), pool_pages, parallelism))
+        Ok(Self::assemble(shards, Some(manifest_path), pool_pages))
     }
 
     /// Number of shards in the set.
@@ -509,68 +491,11 @@ impl ShardedCube {
         self.last_fanout.lock().unwrap().clone()
     }
 
-    /// Fully parallel batch top-k: every shard drains concurrently toward
-    /// a shared global threshold, then the per-shard candidates merge.
-    ///
-    /// Answers are deterministic (identical to the cursor merge); the
-    /// per-shard I/O, unlike the cursor path, depends on how fast the
-    /// shared threshold tightens across threads, so deterministic I/O
-    /// gates belong on [`ShardedCube::source`]. This is the throughput
-    /// path `BENCH_shard.json` measures aggregate qps on.
+    /// Batch top-k: [`Self::source`]'s cursor merge, drained. Kept for
+    /// callers that name it (module docs, *The merge runs on the calling
+    /// thread*).
     pub fn par_query(&self, plan: &QueryPlan<'_>) -> Result<TopKResult, StorageError> {
-        self.check_healthy()?;
-        let k = plan.k;
-        let acc = Mutex::new(LexTopK::new(k));
-        let n = self.shards.len();
-        let groups = partition_ranges(n, self.parallelism.min(n).max(1));
-        let mut outcomes: Vec<Result<ShardDrain, (usize, StorageError)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|&(glo, ghi)| {
-                    let acc = &acc;
-                    scope.spawn(move || {
-                        let mut drains = Vec::with_capacity(ghi - glo);
-                        for i in glo..ghi {
-                            match drain_shard_bounded(&self.shards[i], plan, k, acc) {
-                                Ok(d) => drains.push(Ok(d)),
-                                Err(e) => {
-                                    drains.push(Err((i, e)));
-                                    break;
-                                }
-                            }
-                        }
-                        drains
-                    })
-                })
-                .collect();
-            for h in handles {
-                outcomes.extend(h.join().expect("shard drain worker panicked"));
-            }
-        });
-        let mut stats = QueryStats::default();
-        let mut first_err = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(d) => {
-                    merge_stats(&mut stats, &d.stats);
-                    if d.pruned {
-                        stats.shards_pruned += 1;
-                    }
-                }
-                Err((shard, e)) => {
-                    self.mark_failed(shard, e.to_string());
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        stats.shards_opened = n as u64;
-        Ok(TopKResult { items: acc.into_inner().unwrap().into_sorted(), stats })
+        self.source().query(plan)
     }
 }
 
@@ -592,95 +517,6 @@ fn merge_stats(acc: &mut QueryStats, s: &QueryStats) {
     acc.path_retries += s.path_retries;
     acc.path_fallbacks += s.path_fallbacks;
     acc.backoff_ns += s.backoff_ns;
-}
-
-/// Bounded best-k accumulator ordered lexicographically by
-/// `(score, tid)`, so eviction under score ties is deterministic
-/// regardless of arrival order across threads.
-struct LexTopK {
-    k: usize,
-    heap: std::collections::BinaryHeap<LexScored>,
-}
-
-#[derive(PartialEq)]
-struct LexScored(f64, Tid);
-
-impl Eq for LexScored {}
-
-impl Ord for LexScored {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
-impl PartialOrd for LexScored {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl LexTopK {
-    fn new(k: usize) -> Self {
-        Self { k, heap: std::collections::BinaryHeap::with_capacity(k + 1) }
-    }
-
-    fn offer(&mut self, tid: Tid, score: f64) {
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(LexScored(score, tid));
-        } else {
-            let worst = self.heap.peek().unwrap();
-            if LexScored(score, tid) < *worst {
-                self.heap.pop();
-                self.heap.push(LexScored(score, tid));
-            }
-        }
-    }
-
-    /// Whether a future answer scoring `score` (or worse) could still
-    /// enter the set — the shared threshold shards drain against.
-    fn admits(&self, score: f64) -> bool {
-        self.heap.len() < self.k || self.heap.peek().is_some_and(|w| score <= w.0)
-    }
-
-    fn into_sorted(self) -> Vec<(Tid, f64)> {
-        let mut v: Vec<(Tid, f64)> = self.heap.into_iter().map(|s| (s.1, s.0)).collect();
-        v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        v
-    }
-}
-
-struct ShardDrain {
-    stats: QueryStats,
-    pruned: bool,
-}
-
-/// Drains one shard toward the shared accumulator, stopping as soon as
-/// the shard's certified next score can no longer enter the global set.
-fn drain_shard_bounded(
-    shard: &Shard,
-    plan: &QueryPlan<'_>,
-    k: usize,
-    acc: &Mutex<LexTopK>,
-) -> Result<ShardDrain, StorageError> {
-    let mut local = *plan;
-    local.k = k;
-    let mut cursor = shard.open(&local, None)?;
-    let base = shard.tid_lo as Tid;
-    let mut pruned = false;
-    while let Some((tid, score)) = cursor.try_next()? {
-        let mut acc = acc.lock().unwrap();
-        acc.offer(tid + base, score);
-        // The shard certifies all its future scores are ≥ this one, so a
-        // rejection threshold reached here holds for the whole remainder.
-        if !acc.admits(score) {
-            pruned = true;
-            break;
-        }
-    }
-    Ok(ShardDrain { stats: cursor.stats(), pruned })
 }
 
 /// The shard set as one [`RankedSource`]: opens a scatter-gather cursor

@@ -94,6 +94,7 @@ use crate::coding;
 use crate::gridcube::{finish_catalog, read_catalog, CATALOG_SIG};
 use crate::nodecache::{DirEntry, HandOver, PartialTable, SharedNodeCache, TableBuilder};
 use crate::signature::{SigNode, Signature};
+use crate::tuples::Tuples;
 
 /// Construction parameters for the signature cube.
 #[derive(Debug, Clone)]
@@ -1004,6 +1005,9 @@ pub struct SignatureCube {
     /// [`Self::commit`] may reuse, and retires what it replaces. Empty on
     /// a cube not yet committed.
     rtree_nodes: Vec<PageId>,
+    /// The selection schema, every tuple's selection values and the last
+    /// WAL seq folded in ([`crate::tuples`]).
+    pub(crate) tuples: Tuples,
 }
 
 /// What [`SignatureCube::commit`] published.
@@ -1062,16 +1066,8 @@ impl SignatureCube {
             }
             cuboids.insert(dims, stored);
         }
-        Self {
-            store,
-            cuboids,
-            m,
-            alpha: config.alpha,
-            node_cache: Arc::new(SharedNodeCache::with_default_budget()),
-            staged: None,
-            metrics: Metrics::global().clone(),
-            rtree_nodes: Vec::new(),
-        }
+        let tuples = Tuples::of_relation(rel, DEFAULT_PAGE_SIZE);
+        Self::over(store, cuboids, m, config.alpha, Vec::new(), tuples)
     }
 
     /// Partition fanout `M`.
@@ -1226,9 +1222,10 @@ impl SignatureCube {
 
     /// Saves the signature cube *and* its R-tree partition into a single
     /// cube file: every partial-signature object is copied page-by-page,
-    /// every R-tree node is written as an object of its own, and the
-    /// catalog records the cuboid directory plus the tree's header and
-    /// node table, so [`Self::open_from`] restores a fully queryable pair.
+    /// every R-tree node is written as an object of its own, the selection
+    /// column is cut for the file's pages, and the catalog records the
+    /// cuboid directory, the tree's header and node table and the column's
+    /// tail, so [`Self::open_from`] restores a fully queryable pair.
     pub fn save_to(
         &self,
         rtree: &RTree,
@@ -1259,11 +1256,12 @@ impl SignatureCube {
     ) -> Result<(), StorageError> {
         let file = PageStore::create_file_with(path, page_size, opts)?;
         let scratch = DiskSim::new(page_size, 0);
-        let (w, _) = self.encode_catalog(
+        let (mut w, _) = self.encode_catalog(
             rtree,
             |old| Ok(file.try_put_shared(&scratch, self.store.peek(old)?)?.0),
             |n| file.put_meta(&scratch, rtree.encode_node(n)),
         )?;
+        self.tuples.cut_for(page_size).write_changed(&file, &scratch, &mut w)?;
         finish_catalog(&file, w)
     }
 
@@ -1332,8 +1330,9 @@ impl SignatureCube {
     /// Publishes the cube's current state as the *next generation* of its
     /// own writable file-backed store: the R-tree nodes changed since the
     /// catalog this handle last read or committed are appended (every node
-    /// on a first commit), then the catalog, with identity-mapped partial
-    /// ids, and the inactive superblock slot is stamped
+    /// on a first commit), then the selection column chunks changed since
+    /// then, then the catalog, with identity-mapped partial ids and the
+    /// column's `flushed_seq`, and the inactive superblock slot is stamped
     /// (`rcube_storage::format`'s crash-atomic publish point). A node is
     /// reused when the tree still names, for it, the object this handle's
     /// node table does — an edit forgets the object (`RTree::node_mut`),
@@ -1342,14 +1341,15 @@ impl SignatureCube {
     /// Partials appended since the last commit become durable. What the
     /// new generation no longer reaches is retired for [`Self::vacuum_to`]
     /// — partials replaced by maintenance (as they were), the catalog it
-    /// supersedes, every node object it replaces, and (in the file
-    /// backend's commit) the allocation map — and stays on disk for
-    /// readers pinned on older generations. Only once the commit stands
-    /// does `rtree` learn where its written nodes live.
+    /// supersedes, every node object and column chunk it replaces, and (in
+    /// the file backend's commit) the allocation map — and stays on disk
+    /// for readers pinned on older generations. Only once the commit
+    /// stands do `rtree` and the column learn where their written objects
+    /// live.
     pub fn commit(&mut self, rtree: &mut RTree) -> Result<Committed, StorageError> {
         let scratch = DiskSim::new(DEFAULT_PAGE_SIZE, 0);
         let mut written = 0;
-        let (w, table) = self.encode_catalog(
+        let (mut w, table) = self.encode_catalog(
             rtree,
             |p| Ok(p.0),
             |n| match rtree.stored_node(n) {
@@ -1360,11 +1360,13 @@ impl SignatureCube {
                 }
             },
         )?;
+        let (chunks, replaced_chunks) = self.tuples.write_changed(&self.store, &scratch, &mut w)?;
         let superseded = self.store.catalog();
         self.store.put_catalog(&scratch, w.into_bytes())?;
         let replaced =
             self.rtree_nodes.iter().enumerate().filter(|&(n, old)| table.get(n) != Some(old));
-        for page in superseded.into_iter().chain(replaced.map(|(_, &old)| old)) {
+        let replaced = replaced.map(|(_, &old)| old).chain(replaced_chunks);
+        for page in superseded.into_iter().chain(replaced) {
             self.store.retire(page)?;
         }
         self.store.flush()?;
@@ -1372,6 +1374,7 @@ impl SignatureCube {
             rtree.set_stored_node(n as u32, object);
         }
         self.rtree_nodes = table;
+        self.tuples.committed(&chunks);
         let generation = self.store.generation().unwrap_or(0);
         self.metrics.counter("maintenance.commits").inc();
         self.metrics.gauge("maintenance.generation").set(generation);
@@ -1492,7 +1495,8 @@ impl SignatureCube {
         }
         let rtree = RTree::read_paged(&mut r, |object| store.peek(object))?;
         let rtree_nodes = (0..rtree.node_slots()).filter_map(|n| rtree.stored_node(n)).collect();
-        Ok((Self::over(store, cuboids, m, alpha, rtree_nodes), rtree))
+        let tuples = Tuples::read(&mut r, &store)?;
+        Ok((Self::over(store, cuboids, m, alpha, rtree_nodes, tuples), rtree))
     }
 
     /// A handle serving `cuboids` out of `store`, caches cold.
@@ -1502,6 +1506,7 @@ impl SignatureCube {
         m: usize,
         alpha: f64,
         rtree_nodes: Vec<PageId>,
+        tuples: Tuples,
     ) -> Self {
         Self {
             store,
@@ -1512,6 +1517,7 @@ impl SignatureCube {
             staged: None,
             metrics: Metrics::global().clone(),
             rtree_nodes,
+            tuples,
         }
     }
 
@@ -1533,6 +1539,7 @@ impl SignatureCube {
             staged: Some(HandOver::default()),
             metrics: Metrics::global().clone(),
             rtree_nodes: self.rtree_nodes.clone(),
+            tuples: self.tuples.clone(),
         }
     }
 

@@ -444,7 +444,7 @@ impl FileBackend {
     /// The first half of [`Self::publish_swap`], up to and including the
     /// rename. An error means `target` still names the old file; `Ok`
     /// means it names `temp`'s inode — a caller that must follow the
-    /// rename with in-process state (the WAL compaction keeps appending
+    /// rename with in-process state (the WAL hand-over keeps appending
     /// through the descriptor it wrote `temp` with) does so right here,
     /// then calls [`Self::sync_parent_dir`].
     pub fn swap_in(

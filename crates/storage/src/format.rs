@@ -1,6 +1,7 @@
-//! The on-disk cube file format (v5: crash-safe generational commits,
+//! The on-disk cube file format (v6: crash-safe generational commits,
 //! persisted vacuum accounting, cross-process writer exclusion, a
-//! signature cube's R-tree stored one object per node).
+//! signature cube's R-tree stored one object per node, and its tuples'
+//! selection values in a column of their own).
 //!
 //! A cube file is a single file of fixed-size pages. Pages 0 and 1 are
 //! the two **superblock slots**; every other page carries an 8-byte
@@ -37,10 +38,10 @@
 //! The version field is the compatibility gate: readers reject files with
 //! an unknown version instead of guessing at the layout. Files written by
 //! the v1 single-superblock layout, the v3 72-byte superblock (no
-//! retired-page field) or v4 (a signature cube's whole R-tree serialized
-//! inside its catalog) fail the version gate with
-//! [`StorageError::UnsupportedVersion`] and must be re-saved; there is
-//! no reader for an older layout.
+//! retired-page field), v4 (a signature cube's whole R-tree serialized
+//! inside its catalog) or v5 (a signature catalog with no tuple tail)
+//! fail the version gate with [`StorageError::UnsupportedVersion`] and
+//! must be re-saved; there is no reader for an older layout.
 //!
 //! The retired-page count is the background scheduler's watermark
 //! signal: a commit retires what the new generation no longer reaches —
@@ -113,7 +114,7 @@
 //! O(partials). Files written with tag 3 fail to open with a
 //! kind-mismatch error and must be re-saved.
 //!
-//! **Signature catalog (tag 4, v5).** All integers little-endian:
+//! **Signature catalog (tag 4, v6).** All integers little-endian:
 //!
 //! | field                  | encoding                                        |
 //! |------------------------|-------------------------------------------------|
@@ -122,6 +123,11 @@
 //! | cuboid directory       | per cuboid: dims, then per cell its values, `total_bits`, depth, partial page ids and first SIDs |
 //! | R-tree header          | dims `u64` · root `u32` · height `u64` · `M` `u64` · `m` `u64` · bulk fill `f64` |
 //! | R-tree node table      | node count `u64`, then one `u64` object id per node id |
+//! | selection schema       | dimension count `u64`, then each cardinality `C_d` `u32` |
+//! | tuple count            | `u64`: tids `0..count` have a column entry      |
+//! | `flushed_seq`          | `u64`: the last WAL seq folded into this generation |
+//! | chunk size             | `u64`: tuples per column chunk                  |
+//! | column chunk table     | chunk count `u64`, then one `u64` object id per chunk |
 //!
 //! The R-tree is stored **one object per node** (`rcube_index::rtree`):
 //! node id `u32` (checked against its table slot) · modelled page id
@@ -132,8 +138,19 @@
 //! other table entry names the object an earlier generation wrote, so
 //! consecutive generations share them the way they share untouched
 //! partials. A node larger than one page spans several through the
-//! ordinary object framing. Node objects and the catalog are metadata:
-//! never charged as query I/O, never counted in `total_bytes` /
+//! ordinary object framing.
+//!
+//! The **selection column** stores each tuple's selection values,
+//! ⌈log₂ C_d⌉ bits per dimension, dimension after dimension, tid after
+//! tid, MSB-first. It is cut by tid range into chunks of as many tuples as
+//! one page's payload holds (`(page_size − 8 − 4) · 8 / Σ⌈log₂ C_d⌉`, the
+//! length prefix taking 4 bytes); chunk *i* holds tids `i·size ..` and is
+//! exactly as many bytes as its tuples' bits need. A commit appends only
+//! the chunks it changed — new tids land in the last one or two — and
+//! shares the rest, like node objects. A tid below the tuple count that no
+//! tuple of the R-tree carries (allocated, then deleted before it was
+//! folded) holds zeros. Node objects, column chunks and the catalog are
+//! metadata: never charged as query I/O, never counted in `total_bytes` /
 //! `object_count`.
 //!
 //! # Generations, commits and copy-on-write
@@ -222,7 +239,7 @@
 //! 1. acquire `<path>.lock` (writers and other vacuums excluded for the
 //!    whole window; readers are never excluded),
 //! 2. open the source read-only and copy its live objects into the temp
-//!    file (a complete v5 cube file with a fresh generation history),
+//!    file (a complete v6 cube file with a fresh generation history),
 //! 3. `fsync` the temp file,
 //! 4. `rename(2)` it over `<path>` — the atomic publish point,
 //! 5. `fsync` the parent directory, release the lock.
@@ -275,22 +292,21 @@
 //! appends must be cheap (one write + `fdatasync`) and torn tails must
 //! be distinguishable from body corruption.
 //!
-//! **Header** (24 bytes): magic `b"RCUBWAL1"` (8) · version `u16` LE ·
-//! flags `u16` (reserved zero) · `flushed_seq u64` LE (the highest
-//! sequence number folded into the cube file by a completed flush) ·
-//! CRC-32 over bytes 0..20. Bad magic, unknown version, or a header CRC
-//! mismatch are typed errors ([`StorageError::BadMagic`],
-//! [`StorageError::UnsupportedVersion`],
+//! **Header** (16 bytes, WAL v2): magic `b"RCUBWAL1"` (8) · version
+//! `u16` LE · flags `u16` (reserved zero) · CRC-32 over bytes 0..12. Bad
+//! magic, unknown version (a v1 WAL, whose 24-byte header carried
+//! `flushed_seq`, included), or a header CRC mismatch are typed errors
+//! ([`StorageError::BadMagic`], [`StorageError::UnsupportedVersion`],
 //! [`StorageError::ChecksumMismatch`]).
 //!
 //! **Records**: each frame is `[len u32][crc u32][payload]`, CRC-32 over
 //! the payload. Payloads start `seq u64 · kind u8 · tid u32`; kinds are
-//! *pending upsert* (1, followed by `nsel u16 · u32×nsel · npt u16 ·
-//! f64-bits u64×npt`), *pending delete* (2), and *applied upsert* (3,
-//! same body as 1) — a flushed-but-live delta tuple whose selection
-//! values the cube file does not store, retained so later incremental
-//! maintenance can re-derive its cuboid cells after an R-tree
-//! rebalance.
+//! *upsert* (1, followed by `nsel u16 · u32×nsel · npt u16 · f64-bits
+//! u64×npt`) and *delete* (2). Nothing else: the cube file holds every
+//! tuple a flush folded, selection values included (the column above),
+//! and records the last seq it folded (`flushed_seq` in the catalog).
+//! Replay skips every frame at or below the elected generation's
+//! `flushed_seq` — the file holds it — and re-enters the rest.
 //!
 //! **Replay classification** (the single load-bearing rule): a frame
 //! whose declared body runs to or past end-of-file, or whose CRC fails
@@ -345,26 +361,28 @@
 //! a platform without file identity. The decision reads nothing but
 //! those stamps.
 //!
-//! **Flush compaction** reuses the vacuum's publish protocol: a new WAL
-//! image (header with the advanced `flushed_seq` + the live applied
-//! records, no pending section) is written to `<path>.wal.new`, fsynced,
-//! and renamed over `<path>.wal` — crash-scriptable at the same
-//! [`crate::fault::SwapStage`] boundaries. The temp file is opened
-//! read+write and *that descriptor* becomes the append handle: a
-//! descriptor follows its inode through the rename, so once
-//! [`crate::FileBackend::swap_in`] returns there is nothing left to open
-//! and nothing that can fail between the rename and the in-process swap
-//! (append handle, applied set, serving generation, memtable). Opening
-//! the renamed path again — what the flush used to do — could fail with
-//! the rename already done, leaving every later append acknowledged into
-//! the unlinked old WAL. The parent-directory fsync runs after the
-//! append handle has moved and only gates the flush's own success
-//! report. The flush orders cube-commit *before* WAL-rewrite, so every
-//! crash point is idempotent: before the commit the old generation plus
-//! the full WAL replay; between commit and rename the replayed pending
-//! ops shadow identical base data and the next flush re-folds them
-//! idempotently (each upsert as delete-then-insert on the R-tree); after
-//! the rename both files agree.
+//! **The WAL hand-over** reuses the vacuum's publish protocol to drop the
+//! frames a commit folded: under the append mutex, a new WAL image — the
+//! header, then the frames appended since the flush's snapshot, byte for
+//! byte — is written to `<path>.wal.new`, fsynced, and renamed over
+//! `<path>.wal`, crash-scriptable at the same
+//! [`crate::fault::SwapStage`] boundaries. It costs what the flush
+//! carries, not what earlier flushes folded: a quiet flush writes the
+//! 16-byte header. The temp file is opened read+write and *that
+//! descriptor* becomes the append handle: a descriptor follows its inode
+//! through the rename, so once [`crate::FileBackend::swap_in`] returns
+//! there is nothing left to open and nothing that can fail between the
+//! rename and the in-process swap (append handle, serving generation,
+//! memtable). The parent-directory fsync runs after the append handle
+//! has moved and only gates the flush's own success report. The flush
+//! orders cube commit *before* WAL hand-over, and the commit stamps the
+//! snapshot's last seq as `flushed_seq`, so every crash point reopens to
+//! the acknowledged ops: before the commit the old generation plus the
+//! full WAL; between commit and rename the new generation, whose
+//! `flushed_seq` makes replay skip the frames it folded; after the
+//! rename both files agree. A flush of this process that committed and
+//! then failed leaves the same pair, and the next flush folds only the
+//! ops above the file's `flushed_seq`.
 
 use crate::backend::StorageError;
 
@@ -372,7 +390,7 @@ use crate::backend::StorageError;
 pub const MAGIC: [u8; 8] = *b"RCUBEFS1";
 
 /// Current format version (superblock bytes 8..10).
-pub const FORMAT_VERSION: u16 = 5;
+pub const FORMAT_VERSION: u16 = 6;
 
 /// Bytes of per-page header preceding the payload.
 pub const PAGE_HEADER: usize = 8;

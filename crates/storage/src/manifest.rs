@@ -30,7 +30,7 @@
 //! Readers gate on the version field exactly like cube files do: an
 //! unknown version is [`StorageError::UnsupportedVersion`], never a
 //! guess at the layout. [`ShardManifest::save_to`] publishes through
-//! the same swap protocol as a vacuum or a WAL compaction
+//! the same swap protocol as a vacuum or a WAL hand-over
 //! ([`FileBackend::publish_swap`]: sibling temp file, fsync, atomic
 //! rename, parent-directory fsync), so a crash at any stage leaves
 //! either the old manifest or the new one, whole — election at open is

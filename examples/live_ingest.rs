@@ -114,14 +114,14 @@ fn main() {
     daemon.stop();
     let stats = delta.stats();
     println!(
-        "daemon flushed: generation {}, {} applied delta tuples, memtable {} ops",
-        stats.serving_generation, stats.applied_tuples, stats.memtable_ops
+        "daemon flushed: generation {}, memtable {} ops, WAL {} bytes",
+        stats.serving_generation, stats.memtable_ops, stats.wal_bytes
     );
     assert_eq!(engine.query(&probe).items, served.items, "the flush is answer-neutral");
 
     // More writes land after the flush; drop everything mid-stream and
-    // reopen — the WAL replays the un-flushed tail, the compacted
-    // records carry the flushed delta tuples.
+    // reopen — the WAL replays the un-flushed tail, the cube file holds
+    // the flushed delta tuples and their selection values.
     let tid = engine.insert(&[1, 1, 1], &[0.0001, 0.0001]).expect("post-flush insert");
     drop(engine);
     drop(delta);
@@ -129,10 +129,9 @@ fn main() {
         .expect("reopen after 'crash'");
     let replay = reopened.last_replay();
     println!(
-        "reopen replayed {} WAL records: {} pending, {} applied{}",
+        "reopen replayed {} WAL records: {} pending{}",
         replay.records,
         replay.pending,
-        replay.applied,
         if replay.torn_tail { " (torn tail truncated)" } else { "" }
     );
     let top = reopened.source().open(&probe.plan()).expect("query reopened").try_drain().unwrap();

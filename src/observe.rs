@@ -274,8 +274,9 @@ pub struct EngineStats {
     /// Cumulative device I/O counters.
     pub io: IoSnapshot,
     /// Delta-layer state when an LSM delta cube is registered: memtable
-    /// depth/bytes, WAL length, flushes completed and what they rewrote,
-    /// last replay outcome.
+    /// depth/bytes, WAL length (the frames not yet folded into the cube
+    /// file), flushes completed and what they rewrote, last replay
+    /// outcome.
     pub delta: Option<DeltaStats>,
     /// Shard count of the registered partitioned cube set, if any.
     pub sharded_shards: Option<usize>,
@@ -309,13 +310,12 @@ impl fmt::Display for EngineStats {
         if let Some(d) = &self.delta {
             writeln!(
                 f,
-                "delta: {} memtable ops ({} bytes), {} WAL bytes, {} applied tuples, \
+                "delta: {} memtable ops ({} bytes), {} WAL bytes, \
                  {} flushes ({} cold opens, {} partials rewritten, {} nodes re-encoded), \
                  generation {}, last replay: {} records{}",
                 d.memtable_ops,
                 d.memtable_bytes,
                 d.wal_bytes,
-                d.applied_tuples,
                 d.flushes,
                 d.cold_opens,
                 d.partials_rewritten,
