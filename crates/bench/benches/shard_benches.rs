@@ -1,5 +1,5 @@
 //! Partitioned cube-set benchmarks: scatter-gather top-k over 1/2/4
-//! tid-range shards, measured against one unsharded cube file over the
+//! region shards, measured against one unsharded cube file over the
 //! same relation, driven by a Zipf-skewed query mix
 //! (`rcube_bench::zipf_query_batch`).
 //!
@@ -12,6 +12,11 @@
 //!     every shard count;
 //!   - the bound holds per shard: the merge never pulls a shard more
 //!     than `answers_consumed_from_it + 1` times;
+//!   - every shard a query leaves unopened has a box bound strictly above
+//!     its k-th answer's score;
+//!   - the 4-shard set opens fewer than 4 shards a query on average
+//!     (`opened_per_query_4s` < 4) and reads at most 1.6× the blocks the
+//!     1-shard set reads (`blocks_4s_over_1s` ≤ 1.6);
 //!   - per-shard I/O is reproducible: re-running a query yields
 //!     identical per-shard pulls/answers/blocks (pulls are a pure
 //!     function of the consumed-answer sequence, not thread timing).
@@ -108,7 +113,12 @@ fn main() {
     // --- Deterministic gates (hard, no wall clock involved) -------------
     let mut max_pull_slack = 0i64;
     let mut merged_blocks_4s = 0u64;
+    // Per shard count: (blocks read, shards opened) over the query set.
+    let mut totals = Vec::new();
+    // How often the zipf mix opens each of the 4 shards: the load skew.
+    let mut opens_by_shard_4s = vec![0u64; 4];
     for (n, cube) in &s.sets {
+        let (mut blocks, mut opened) = (0u64, 0usize);
         for (qi, q) in queries.iter().enumerate() {
             let expect = unsharded_answers(&s, q);
             let merged = cube.source().query(&q.plan()).expect("cursor merge");
@@ -121,11 +131,30 @@ fn main() {
                 batch.items, expect,
                 "shards={n} query {qi}: par_query must match the unsharded answer"
             );
-            assert_eq!(merged.stats.shards_opened, *n as u64, "every shard opens");
+
+            // The stop rule: a shard left unopened has a box bound above
+            // the k-th answer.
+            let fanout = cube.last_fanout().expect("fan-out recorded");
+            let plan = q.plan();
+            for (shard, f) in cube.shards().iter().zip(&fanout.shards).filter(|(_, f)| !f.opened) {
+                let bound = plan.func.lower_bound(&shard.region().project(plan.ranking_dims));
+                let kth = merged.items.get(plan.k - 1).map(|a| a.1);
+                assert!(
+                    kth.is_some_and(|kth| bound > kth),
+                    "shards={n} query {qi}: shard {} skipped at bound {bound}, k-th {kth:?}",
+                    f.shard
+                );
+            }
+            blocks += fanout.blocks_read();
+            opened += fanout.opened();
+            if *n == 4 {
+                for f in fanout.shards.iter().filter(|f| f.opened) {
+                    opens_by_shard_4s[f.shard] += 1;
+                }
+            }
 
             // The bound: a shard is re-pulled only after its head was
             // consumed, so pulls never exceed answers + 1.
-            let fanout = cube.last_fanout().expect("fan-out recorded");
             for f in &fanout.shards {
                 assert!(
                     f.pulls <= f.answers + 1,
@@ -142,7 +171,16 @@ fn main() {
                 merged_blocks_4s = fanout.blocks_read();
             }
         }
+        totals.push((*n, blocks, opened));
     }
+    let total = |n: usize| *totals.iter().find(|t| t.0 == n).expect("shard count measured");
+    let (_, blocks_1s, _) = total(1);
+    let (_, blocks_4s, opened_4s) = total(4);
+    let blocks_per_query_4s = blocks_4s as f64 / QUERIES as f64;
+    let opened_per_query_4s = opened_4s as f64 / QUERIES as f64;
+    let blocks_4s_over_1s = blocks_4s as f64 / blocks_1s.max(1) as f64;
+    assert!(opened_per_query_4s < 4.0, "opened_per_query_4s {opened_per_query_4s} (bound: < 4)");
+    assert!(blocks_4s_over_1s <= 1.6, "blocks_4s_over_1s {blocks_4s_over_1s} (bound: <= 1.6)");
 
     // Reproducibility: the same query re-run on the (now warm) 4-shard
     // set reports identical per-shard counters — pulls are demand-driven,
@@ -164,7 +202,9 @@ fn main() {
     println!(
         "shard: {} queries x {:?} shards all byte-identical to unsharded; \
          max per-shard pull slack {max_pull_slack} (bound: 1); \
-         4-shard sample query read {merged_blocks_4s} blocks",
+         4-shard sample query read {merged_blocks_4s} blocks; 4 shards open \
+         {opened_per_query_4s:.2} a query and read {blocks_per_query_4s:.2} blocks a query, \
+         {blocks_4s_over_1s:.2}x one shard's",
         QUERIES, SHARD_COUNTS
     );
 
@@ -192,7 +232,11 @@ fn main() {
         .with("par_query_identical_to_unsharded", true)
         .with("max_per_shard_pull_slack", max_pull_slack)
         .with("per_shard_io_deterministic", true)
-        .with("sample_query_blocks_4s", merged_blocks_4s);
+        .with("sample_query_blocks_4s", merged_blocks_4s)
+        .with("blocks_per_query_4s", fixed(blocks_per_query_4s, 4))
+        .with("opened_per_query_4s", fixed(opened_per_query_4s, 4))
+        .with("blocks_4s_over_1s", fixed(blocks_4s_over_1s, 4))
+        .with("opens_by_shard_4s", opens_by_shard_4s);
     report
         .set("tuples", TUPLES)
         .set("queries", QUERIES)
@@ -205,6 +249,16 @@ fn main() {
         .set("counters", counters)
         .set("before", Json::Raw(BEFORE));
     report.counter_gate("counters.max_per_shard_pull_slack", "<= 1", "pulls <= answers + 1");
+    report.counter_gate(
+        "counters.opened_per_query_4s",
+        "< 4",
+        "a box bound above the k-th answer leaves its shard shut",
+    );
+    report.counter_gate(
+        "counters.blocks_4s_over_1s",
+        "<= 1.6",
+        "region shards read about what one cube reads",
+    );
     report.write();
 
     std::fs::remove_dir_all(&s.dir).ok();

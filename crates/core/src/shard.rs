@@ -1,49 +1,71 @@
 //! Partitioned cube sets with scatter-gather top-k.
 //!
-//! A [`ShardedCube`] splits a relation at build time by tid range into N
-//! self-contained grid cubes — each shard is an ordinary cube file with
-//! its own buffer pool, I/O meter and metrics prefix — bound together by
-//! a small CRC-stamped manifest ([`rcube_storage::manifest`]). Because
-//! every shard speaks the same [`RankedSource`] operator, the shard set is
-//! *itself* just another `RankedSource`: [`ShardedSource`] opens one
-//! cursor per shard and merges them with a bound-driven k-way selection.
+//! A [`ShardedCube`] splits a relation at build time by region of its
+//! ranking space into N self-contained grid cubes — each shard is an
+//! ordinary cube file with its own buffer pool, I/O meter and metrics
+//! prefix — bound together by a small CRC-stamped manifest
+//! ([`rcube_storage::manifest`]). Because every shard speaks the same
+//! [`RankedSource`] operator, the shard set is *itself* just another
+//! `RankedSource`: [`ShardedSource`] merges per-shard cursors with a
+//! bound-driven k-way selection.
 //!
-//! # The merge never pulls past the bound
+//! # Region shards
+//!
+//! The build cuts the relation k-d style: ⌈n/2⌉ shards below a cut at
+//! that tuple-count quantile of `(coordinate, tid)` order, ⌊n/2⌋ above
+//! it, on ranking dimension `depth mod r` of the grid's `r` ranking
+//! dimensions, recursively. Each shard records the tight box of its
+//! points over every ranking dimension ([`Shard::region`]) and the
+//! ascending global tids its local tids stand for ([`Shard::tids`]).
+//! Because the map is monotone, a shard's `(score, local tid)` order is
+//! the set's `(score, global tid)` order. This is the paper's block
+//! partition one level up: a shard, like a block, has a box whose bound
+//! says what its best answer can score before anything of it is read.
+//!
+//! # The merge opens shards in bound order
+//!
+//! No shard is opened up front. Each step of the merge first opens the
+//! unopened shard with the lowest box bound (ties by shard index) while
+//! that bound is ≤ the best head the merge holds, or while it holds none;
+//! then it emits the best `(score, tid)` head. `≤`, not `<`: a box whose
+//! bound ties the head may hold an equal score with a smaller tid. A NaN
+//! bound counts as −∞, so its shard opens. A query therefore stops with
+//! every unopened shard's bound above its k-th answer; `extend_k` needs no
+//! special case, because the rule is re-checked at every step.
 //!
 //! Per-shard cursors certify ascending score order, so the merger keeps
-//! exactly one *head* answer per shard and re-pulls a shard only after
-//! its head was consumed as a global answer. A shard whose head scores
-//! worse than everything the query still needs is simply never pulled
-//! again — for a no-extension query each shard is pulled at most
+//! exactly one *head* answer per open shard and re-pulls a shard only
+//! after its head was consumed as a global answer. A shard whose head
+//! scores worse than everything the query still needs is simply never
+//! pulled again — for a no-extension query each shard is pulled at most
 //! `answers_consumed_from_it + 1` times, which `BENCH_shard.json` gates
 //! as a hard deterministic counter invariant. `extend_k` composes
-//! shard-wise for free: raising the global limit raises each paused
-//! shard cursor's limit, and every frontier resumes exactly where it
-//! stopped.
+//! shard-wise: raising the global limit raises each paused shard cursor's
+//! limit, and every frontier resumes exactly where it stopped.
 //!
 //! # The merge runs on the calling thread
 //!
-//! The cursor opens every shard, and refills every consumed frontier (the
-//! initial scatter, and the refill wave after `extend_k`), in shard order
-//! on the thread that pulls it. Which answers are pulled is a pure
-//! function of the answer sequence, so per-shard I/O counters are
-//! deterministic. There is no parallel path: spawning workers per wave,
-//! and a batch drain of every shard toward a shared threshold on scoped
-//! workers, each cost more than the pulls they spread on every machine
-//! they were measured on. [`ShardedCube::par_query`] and
-//! [`ShardedCubeConfig::parallelism`] remain for the callers that name
-//! them; the first drains the cursor merge, the second is ignored.
+//! The cursor opens shards, and refills every consumed frontier, in a
+//! fixed order on the thread that pulls it. Which shards open and which
+//! answers are pulled is a pure function of the answer sequence, so
+//! per-shard I/O counters are deterministic. There is no parallel path:
+//! spawning workers per wave, and a batch drain of every shard toward a
+//! shared threshold on scoped workers, each cost more than the pulls they
+//! spread on every machine they were measured on.
+//! [`ShardedCube::par_query`] and [`ShardedCubeConfig::parallelism`]
+//! remain for the callers that name them; the first drains the cursor
+//! merge, the second is ignored.
 //!
 //! # Degradation unit: the shard
 //!
-//! A shard that fails (torn page, checksum mismatch) is marked in the
-//! cube's health table before the error propagates, so the serving layer
-//! can quarantine per-(route, shard) and fall back while the other
-//! shards stay reopenable; [`ShardedCube::repair_shard`] reopens just
-//! the failed file. While no shard is failed — the serving state — the
-//! table is never locked: `can_answer` and `open` read one atomic count
-//! of failed shards, published (Release) by the writer that marked or
-//! repaired one.
+//! A shard that fails (torn page, checksum mismatch) — on its open or on
+//! a pull — is marked in the cube's health table before the error
+//! propagates, so the serving layer can quarantine per-(route, shard) and
+//! fall back while the other shards stay reopenable;
+//! [`ShardedCube::repair_shard`] reopens just the failed file. While no
+//! shard is failed — the serving state — the table is never locked:
+//! `can_answer` and `open` read one atomic count of failed shards,
+//! published (Release) by the writer that marked or repaired one.
 //!
 //! # What a query shares with its neighbours
 //!
@@ -62,6 +84,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use rcube_func::Rect;
 use rcube_obs::Metrics;
 use rcube_storage::{
     DiskSim, IoSnapshot, ShardEntry, ShardManifest, StorageError, DEFAULT_PAGE_SIZE,
@@ -76,7 +99,7 @@ use crate::{QueryStats, TopKResult};
 /// Construction parameters for a partitioned cube set.
 #[derive(Debug, Clone)]
 pub struct ShardedCubeConfig {
-    /// Number of tid-range shards (clamped to the relation's rows).
+    /// Number of region shards (clamped to `1..=` the relation's rows).
     pub shards: usize,
     /// Grid cube every shard is built with.
     pub grid: GridCubeConfig,
@@ -98,45 +121,94 @@ impl Default for ShardedCubeConfig {
     }
 }
 
-/// Balanced contiguous tid ranges: `rows` split into `n` pieces whose
-/// sizes differ by at most one.
-fn partition_ranges(rows: usize, n: usize) -> Vec<(usize, usize)> {
-    let n = n.clamp(1, rows.max(1));
-    let base = rows / n;
-    let rem = rows % n;
-    let mut ranges = Vec::with_capacity(n);
-    let mut lo = 0;
-    for i in 0..n {
-        let len = base + usize::from(i < rem);
-        ranges.push((lo, lo + len));
-        lo += len;
+/// The k-d region partition (module docs, *Region shards*): `n` clamped
+/// to `1..=rows` lists of global tids, each ascending, cut on the
+/// relation's ranking dimensions `dims` (empty = all).
+fn partition(rel: &Relation, dims: &[usize], n: usize) -> Vec<Vec<Tid>> {
+    fn split(cols: &[&[f64]], tids: &mut [Tid], n: usize, depth: usize, out: &mut Vec<Vec<Tid>>) {
+        if n <= 1 || cols.is_empty() {
+            let mut shard = tids.to_vec();
+            shard.sort_unstable();
+            out.push(shard);
+            return;
+        }
+        let left = n.div_ceil(2);
+        let cut = tids.len() * left / n;
+        let col = cols[depth % cols.len()];
+        tids.select_nth_unstable_by(cut, |&a, &b| {
+            col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b))
+        });
+        let (below, above) = tids.split_at_mut(cut);
+        split(cols, below, left, depth + 1, out);
+        split(cols, above, n - left, depth + 1, out);
     }
-    ranges
+    let cols: Vec<&[f64]> = if dims.is_empty() {
+        (0..rel.schema().num_ranking()).map(|d| rel.ranking_column(d)).collect()
+    } else {
+        dims.iter().map(|&d| rel.ranking_column(d)).collect()
+    };
+    let mut tids: Vec<Tid> = rel.tids().collect();
+    let mut out = Vec::new();
+    split(&cols, &mut tids, n.clamp(1, rel.len().max(1)), 0, &mut out);
+    out
+}
+
+/// The tight box of the points of `tids` over every ranking dimension of
+/// `rel` (the origin for an empty shard).
+fn region_of(rel: &Relation, tids: &[Tid]) -> Rect {
+    let (lo, hi) = (0..rel.schema().num_ranking())
+        .map(|d| {
+            let col = rel.ranking_column(d);
+            let (lo, hi) = tids.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &t| {
+                (lo.min(col[t as usize]), hi.max(col[t as usize]))
+            });
+            if lo <= hi {
+                (lo, hi)
+            } else {
+                (0.0, 0.0)
+            }
+        })
+        .unzip();
+    Rect::new(lo, hi)
 }
 
 /// One self-contained partition of the relation: a grid cube over the
-/// sub-relation `tid_lo..tid_hi`, with its own I/O meter (and, when
-/// file-backed, its own buffer pool). Local tid `i` is global tid
-/// `tid_lo + i`.
+/// sub-relation of `tids`, with its own I/O meter (and, when file-backed,
+/// its own buffer pool). Local tid `i` is global tid `tids[i]`.
 #[derive(Debug)]
 pub struct Shard {
     cube: GridRankingCube,
     disk: DiskSim,
-    tid_lo: u64,
-    tid_hi: u64,
+    tids: Vec<Tid>,
+    region: Rect,
     path: Option<PathBuf>,
 }
 
 impl Shard {
-    /// Opens the shard's cube file with a `pool_pages` buffer pool.
+    /// Builds the shard of `tids` in memory.
+    fn build(rel: &Relation, tids: Vec<Tid>, grid: &GridCubeConfig) -> Self {
+        let disk = DiskSim::with_defaults();
+        let cube = GridRankingCube::build(&rel.subset(&tids), &disk, grid.clone());
+        Shard { cube, disk, region: region_of(rel, &tids), tids, path: None }
+    }
+
+    /// Opens the shard's cube file with a `pool_pages` buffer pool; the
+    /// file must hold exactly one tuple per entry of `tids`.
     fn open_file(
         path: PathBuf,
         pool_pages: usize,
-        tid_lo: u64,
-        tid_hi: u64,
+        tids: Vec<Tid>,
+        region: Rect,
     ) -> Result<Self, StorageError> {
         let cube = GridRankingCube::open_from_with(&path, pool_pages)?;
-        Ok(Shard { cube, disk: DiskSim::with_defaults(), tid_lo, tid_hi, path: Some(path) })
+        let p = cube.partition();
+        let tuples: usize = (0..p.num_blocks()).map(|b| p.block_tids(b as u32).len()).sum();
+        if tuples != tids.len() {
+            return Err(StorageError::Malformed(
+                "shard file's tuple count disagrees with its tids",
+            ));
+        }
+        Ok(Shard { cube, disk: DiskSim::with_defaults(), tids, region, path: Some(path) })
     }
 
     /// Opens a cursor over this shard's *local* tids; `cover` is the
@@ -164,9 +236,15 @@ impl Shard {
         self.cube.pool_stats()
     }
 
-    /// The global tid range `[lo, hi)` this shard serves.
-    pub fn tid_range(&self) -> (u64, u64) {
-        (self.tid_lo, self.tid_hi)
+    /// The global tid of each of this shard's local tids, ascending.
+    pub fn tids(&self) -> &[Tid] {
+        &self.tids
+    }
+
+    /// The tight box of this shard's ranking points, over every ranking
+    /// dimension of the relation.
+    pub fn region(&self) -> &Rect {
+        &self.region
     }
 }
 
@@ -189,6 +267,9 @@ pub struct ShardFanout {
     pub shard: usize,
     /// Whether the merge opened this shard's cursor.
     pub opened: bool,
+    /// The ranking function's lower bound over the shard's box — what
+    /// the merge ordered and skipped shards by.
+    pub bound: f64,
     /// Certified answers pulled from the shard (consumed or held as the
     /// paused head).
     pub pulls: u64,
@@ -231,6 +312,10 @@ impl std::fmt::Display for FanoutReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "fan-out: {} shards opened, {} pruned by bound", self.opened(), self.pruned())?;
         for s in &self.shards {
+            if !s.opened {
+                writeln!(f, "  shard {}: skipped (bound {:.4})", s.shard, s.bound)?;
+                continue;
+            }
             let state = if s.pruned {
                 "pruned"
             } else if s.exhausted {
@@ -248,7 +333,7 @@ impl std::fmt::Display for FanoutReport {
     }
 }
 
-/// A partitioned cube set: N tid-range shards served as one
+/// A partitioned cube set: N region shards served as one
 /// [`RankedSource`] via [`ShardedCube::source`].
 #[derive(Debug)]
 pub struct ShardedCube {
@@ -276,17 +361,11 @@ fn uniform_grid(shards: &[Shard]) -> bool {
 
 impl ShardedCube {
     /// Builds an in-memory partitioned set (no files): `cfg.shards`
-    /// balanced tid ranges, one cube per range.
+    /// region shards (module docs, *Region shards*), one cube each.
     pub fn build_in_memory(rel: &Relation, cfg: &ShardedCubeConfig) -> Self {
-        let ranges = partition_ranges(rel.len(), cfg.shards);
-        let shards: Vec<Shard> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let sub = rel.range(lo, hi);
-                let disk = DiskSim::with_defaults();
-                let cube = GridRankingCube::build(&sub, &disk, cfg.grid.clone());
-                Shard { cube, disk, tid_lo: lo as u64, tid_hi: hi as u64, path: None }
-            })
+        let shards = partition(rel, &cfg.grid.ranking_dims, cfg.shards)
+            .into_iter()
+            .map(|tids| Shard::build(rel, tids, &cfg.grid))
             .collect();
         Self::assemble(shards, None, cfg.pool_pages)
     }
@@ -316,20 +395,20 @@ impl ShardedCube {
         let manifest_path = manifest_path.as_ref();
         let stem =
             manifest_path.file_stem().and_then(|s| s.to_str()).unwrap_or("cubeset").to_owned();
-        let ranges = partition_ranges(rel.len(), cfg.shards);
-        let mut entries = Vec::with_capacity(ranges.len());
-        for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            let sub = rel.range(lo, hi);
-            let disk = DiskSim::with_defaults();
+        let parts = partition(rel, &cfg.grid.ranking_dims, cfg.shards);
+        let mut entries = Vec::with_capacity(parts.len());
+        for (i, tids) in parts.into_iter().enumerate() {
+            let shard = Shard::build(rel, tids, &cfg.grid);
             let file = format!("{stem}.shard{i}");
             let path = manifest_path.with_file_name(&file);
-            let cube = GridRankingCube::build(&sub, &disk, cfg.grid.clone());
-            cube.save_to_with(&path, DEFAULT_PAGE_SIZE, cfg.pool_pages)?;
+            shard.cube.save_to_with(&path, DEFAULT_PAGE_SIZE, cfg.pool_pages)?;
+            let r = &shard.region;
             entries.push(ShardEntry {
                 file,
-                tid_lo: lo as u64,
-                tid_hi: hi as u64,
-                tuples: (hi - lo) as u64,
+                tuples: shard.tids.len() as u64,
+                lo: (0..r.dims()).map(|d| r.lo(d)).collect(),
+                hi: (0..r.dims()).map(|d| r.hi(d)).collect(),
+                tids: shard.tids,
             });
         }
         let manifest = ShardManifest { shards: entries };
@@ -351,10 +430,12 @@ impl ShardedCube {
     ) -> Result<Self, StorageError> {
         let manifest_path = manifest_path.as_ref().to_path_buf();
         let manifest = ShardManifest::open_from(&manifest_path)?;
-        let mut shards = Vec::with_capacity(manifest.shards.len());
-        for (i, entry) in manifest.shards.iter().enumerate() {
-            let path = manifest.shard_path(&manifest_path, i);
-            shards.push(Shard::open_file(path, pool_pages, entry.tid_lo, entry.tid_hi)?);
+        let paths: Vec<PathBuf> =
+            (0..manifest.shards.len()).map(|i| manifest.shard_path(&manifest_path, i)).collect();
+        let mut shards = Vec::with_capacity(paths.len());
+        for (path, entry) in paths.into_iter().zip(manifest.shards) {
+            let region = Rect::new(entry.lo, entry.hi);
+            shards.push(Shard::open_file(path, pool_pages, entry.tids, region)?);
         }
         Ok(Self::assemble(shards, Some(manifest_path), pool_pages))
     }
@@ -364,7 +445,7 @@ impl ShardedCube {
         self.shards.len()
     }
 
-    /// The shards themselves (I/O meters, pool stats, tid ranges).
+    /// The shards themselves (I/O meters, pool stats, tids and boxes).
     pub fn shards(&self) -> &[Shard] {
         &self.shards
     }
@@ -437,7 +518,7 @@ impl ShardedCube {
             self.shards.get(shard).ok_or(StorageError::Malformed("shard index out of range"))?;
         let path =
             s.path.clone().ok_or(StorageError::Malformed("in-memory shards cannot be reopened"))?;
-        let fresh = Shard::open_file(path, self.pool_pages, s.tid_lo, s.tid_hi)?;
+        let fresh = Shard::open_file(path, self.pool_pages, s.tids.clone(), s.region.clone())?;
         fresh.cube.verify_integrity()?;
         self.shards[shard] = fresh;
         self.uniform_grid = uniform_grid(&self.shards);
@@ -531,37 +612,44 @@ impl<'a> RankedSource<'a> for ShardedSource<'a> {
     fn open(&self, plan: &QueryPlan<'a>) -> Result<TopKCursor<'a>, StorageError> {
         let cube = self.cube;
         cube.check_healthy()?;
-        let cover = cube.shared_cover(plan);
-        let mut frontiers: Vec<Frontier<'a>> = cube
+        let frontiers: Vec<Frontier<'a>> = cube
             .shards
             .iter()
             .enumerate()
-            .map(|(i, shard)| Frontier {
-                shard: i,
-                tid_base: shard.tid_lo as Tid,
-                cursor: None,
-                head: None,
-                state: FState::NeedsPull,
-                pulls: 0,
-                answers: 0,
+            .map(|(i, shard)| {
+                let bound = plan.func.lower_bound(&shard.region.project(plan.ranking_dims));
+                Frontier {
+                    shard: i,
+                    bound: if bound.is_nan() { f64::NEG_INFINITY } else { bound },
+                    cursor: None,
+                    head: None,
+                    state: FState::Unopened,
+                    pulls: 0,
+                    answers: 0,
+                }
             })
             .collect();
-        // Eager opens: a failed shard surfaces here — inside the engine's
-        // retry/fallback ladder — rather than on the first pull.
-        for f in &mut frontiers {
-            let shard = f.shard;
-            if let Err(e) = open_frontier(cube, f, *plan, cover.as_deref()) {
-                cube.mark_failed(shard, e.to_string());
-                return Err(e);
-            }
-        }
-        let search = ShardedSearch { cube, frontiers, target: plan.k };
+        // A stable sort: equal bounds keep shard order.
+        let mut order: Vec<usize> = (0..frontiers.len()).collect();
+        order.sort_by(|&a, &b| frontiers[a].bound.total_cmp(&frontiers[b].bound));
+        let search = ShardedSearch {
+            cube,
+            plan: *plan,
+            cover: cube.shared_cover(plan),
+            frontiers,
+            order,
+            opened: 0,
+            target: plan.k,
+        };
         Ok(TopKCursor::new(Box::new(search), plan.k))
     }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum FState {
+    /// The merge has not opened the shard: no answer of it can beat the
+    /// best head yet.
+    Unopened,
     /// The shard's head was consumed (or never fetched): pull before the
     /// next merge step.
     NeedsPull,
@@ -573,26 +661,16 @@ enum FState {
 
 struct Frontier<'a> {
     shard: usize,
-    tid_base: Tid,
+    /// Lower bound of the plan's function over the shard's box (NaN read
+    /// as −∞).
+    bound: f64,
     cursor: Option<TopKCursor<'a>>,
-    /// Certified next answer, already rebased to global tids.
+    /// Certified next answer, already mapped to its global tid; `Some`
+    /// exactly while the state is `Ready`.
     head: Option<(Tid, f64)>,
     state: FState,
     pulls: u64,
     answers: u64,
-}
-
-fn open_frontier<'a>(
-    cube: &'a ShardedCube,
-    f: &mut Frontier<'a>,
-    plan: QueryPlan<'a>,
-    cover: Option<&[usize]>,
-) -> Result<(), StorageError> {
-    f.cursor = Some(cube.shards[f.shard].open(&plan, cover)?);
-    if let Some(ins) = cube.instruments.get() {
-        ins[f.shard].opens.inc();
-    }
-    Ok(())
 }
 
 fn pull_frontier<'a>(
@@ -610,8 +688,12 @@ fn pull_frontier<'a>(
         ins[f.shard].pull_us.record(started.elapsed().as_micros() as u64);
     }
     match pulled {
-        Some((tid, score)) => {
-            f.head = Some((tid + f.tid_base, score));
+        Some((local, score)) => {
+            let tid = *cube.shards[f.shard]
+                .tids
+                .get(local as usize)
+                .ok_or(StorageError::Malformed("shard answered a tid outside its tid list"))?;
+            f.head = Some((tid, score));
             f.state = FState::Ready;
             f.pulls += 1;
             if let Some(ins) = cube.instruments.get() {
@@ -629,7 +711,14 @@ fn pull_frontier<'a>(
 /// The bound-driven k-way merge behind a sharded [`TopKCursor`].
 struct ShardedSearch<'a> {
     cube: &'a ShardedCube,
+    plan: QueryPlan<'a>,
+    /// The set-wide grid cover, when every shard resolves the same one.
+    cover: Option<Vec<usize>>,
     frontiers: Vec<Frontier<'a>>,
+    /// Shard indices by ascending `(bound, index)`: the open order.
+    order: Vec<usize>,
+    /// How many of `order` are open.
+    opened: usize,
     /// Current global answer target (raised by `reserve`/`extend_k`).
     target: usize,
 }
@@ -650,11 +739,42 @@ impl ShardedSearch<'_> {
         Ok(())
     }
 
+    /// The ready frontier with the best `(score, tid)` head.
+    fn best(&self) -> Option<(usize, (Tid, f64))> {
+        self.frontiers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| f.head.map(|h| (i, h)))
+            .min_by(|(_, (at, a)), (_, (bt, b))| a.total_cmp(b).then(at.cmp(bt)))
+    }
+
+    /// Opens the next shard of `order`; an error marks it failed.
+    fn open_next(&mut self) -> Result<(), StorageError> {
+        let (cube, plan) = (self.cube, self.plan);
+        let f = &mut self.frontiers[self.order[self.opened]];
+        self.opened += 1;
+        match cube.shards[f.shard].open(&plan, self.cover.as_deref()) {
+            Ok(cursor) => {
+                f.cursor = Some(cursor);
+                f.state = FState::NeedsPull;
+                if let Some(ins) = cube.instruments.get() {
+                    ins[f.shard].opens.inc();
+                }
+                Ok(())
+            }
+            Err(e) => {
+                cube.mark_failed(f.shard, e.to_string());
+                Err(e)
+            }
+        }
+    }
+
     /// One row per shard of what the scatter has done so far.
     fn fanout_rows(&self) -> impl Iterator<Item = ShardFanout> + '_ {
         self.frontiers.iter().map(|f| ShardFanout {
             shard: f.shard,
             opened: f.cursor.is_some(),
+            bound: f.bound,
             pulls: f.pulls,
             answers: f.answers,
             blocks_read: f.cursor.as_ref().map_or(0, |c| c.stats().blocks_read),
@@ -666,34 +786,25 @@ impl ShardedSearch<'_> {
 
 impl ProgressiveSearch for ShardedSearch<'_> {
     fn advance(&mut self) -> Result<Option<(Tid, f64)>, StorageError> {
-        self.fill()?;
-        let mut best: Option<usize> = None;
-        for (i, f) in self.frontiers.iter().enumerate() {
-            if f.state != FState::Ready {
-                continue;
+        let best = loop {
+            self.fill()?;
+            let best = self.best();
+            // Open the lowest-bound unopened shard while its box could
+            // hold an answer that beats or ties the best head.
+            let next = self.order.get(self.opened).map(|&i| self.frontiers[i].bound);
+            match (next, best) {
+                (Some(bound), Some((_, (_, score)))) if bound > score => break best,
+                (Some(_), _) => self.open_next()?,
+                (None, _) => break best,
             }
-            let (tid, score) = f.head.expect("ready frontier without a head");
-            let better = match best {
-                None => true,
-                Some(j) => {
-                    let (bt, bs) = self.frontiers[j].head.unwrap();
-                    score.total_cmp(&bs).then(tid.cmp(&bt)).is_lt()
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        match best {
-            None => Ok(None),
-            Some(i) => {
-                let f = &mut self.frontiers[i];
-                let item = f.head.take().expect("ready frontier without a head");
-                f.state = FState::NeedsPull;
-                f.answers += 1;
-                Ok(Some(item))
-            }
-        }
+        };
+        Ok(best.map(|(i, item)| {
+            let f = &mut self.frontiers[i];
+            f.head = None;
+            f.state = FState::NeedsPull;
+            f.answers += 1;
+            item
+        }))
     }
 
     fn stats(&self) -> QueryStats {
@@ -750,7 +861,7 @@ impl Drop for ShardedSearch<'_> {
 mod tests {
     use super::*;
     use crate::query::Query;
-    use rcube_func::Linear;
+    use rcube_func::{Linear, RankFn};
     use rcube_table::gen::SyntheticSpec;
 
     fn rel() -> Relation {
@@ -779,7 +890,8 @@ mod tests {
                     let got = cube.source().query(&query.plan()).unwrap();
                     let at = format!("shards={shards} parallelism={parallelism} k={k}");
                     assert_eq!(got.items, expect, "{at}");
-                    assert_eq!(got.stats.shards_opened, shards as u64);
+                    let fanout = cube.last_fanout().expect("fan-out recorded on drop");
+                    assert_eq!(got.stats.shards_opened, fanout.opened() as u64, "{at}");
                     assert_eq!(cube.par_query(&query.plan()).unwrap().items, expect, "{at}");
                 }
             }
@@ -839,11 +951,78 @@ mod tests {
         assert!(total <= 10);
     }
 
+    /// Shard sizes differ by at most one at every cut, every tid lands in
+    /// exactly one shard, each list ascends, and each box is the tight box
+    /// of its shard's points.
     #[test]
-    fn partition_ranges_are_balanced_and_contiguous() {
-        let ranges = partition_ranges(10, 3);
-        assert_eq!(ranges, vec![(0, 4), (4, 7), (7, 10)]);
-        assert_eq!(partition_ranges(2, 5).len(), 2);
-        assert_eq!(partition_ranges(0, 3), vec![(0, 0)]);
+    fn region_partition_is_balanced_and_disjoint() {
+        let rel = rel();
+        for n in [1, 2, 3, 4, 5, 7] {
+            let parts = partition(&rel, &[], n);
+            assert_eq!(parts.len(), n);
+            let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(max - min <= 1, "n={n}: sizes {sizes:?}");
+            let mut all: Vec<Tid> = parts.iter().flatten().copied().collect();
+            assert!(parts.iter().all(|p| p.windows(2).all(|w| w[0] < w[1])), "n={n}");
+            all.sort_unstable();
+            assert_eq!(all, rel.tids().collect::<Vec<_>>(), "n={n}");
+            for p in &parts {
+                let region = region_of(&rel, p);
+                let mut tight = Rect::point(&rel.ranking_point(p[0]));
+                p.iter().for_each(|&t| tight.expand(&rel.ranking_point(t)));
+                assert_eq!(region, tight, "n={n}");
+            }
+        }
+        // Two shards cut dimension 0 at its median; four cut each half on
+        // dimension 1 as well.
+        let halves = partition(&rel, &[], 2);
+        let x = |t: &Tid| rel.ranking_value(*t, 0);
+        assert!(
+            halves[0].iter().map(x).fold(f64::MIN, f64::max)
+                <= halves[1].iter().map(x).fold(f64::MAX, f64::min)
+        );
+        assert_eq!(partition(&rel, &[], 0).len(), 1);
+        assert_eq!(partition(&rel.subset(&[4, 9]), &[], 5).len(), 2);
+    }
+
+    /// A function whose bound over one given box is NaN, and exact
+    /// everywhere else.
+    struct NanOn(Linear, Rect);
+
+    impl RankFn for NanOn {
+        fn score(&self, point: &[f64]) -> f64 {
+            self.0.score(point)
+        }
+        fn lower_bound(&self, region: &Rect) -> f64 {
+            if *region == self.1 {
+                f64::NAN
+            } else {
+                self.0.lower_bound(region)
+            }
+        }
+        fn arity(&self) -> usize {
+            2
+        }
+    }
+
+    /// A NaN box bound reads as −∞: its shard opens even when every
+    /// answer lies elsewhere, and the answers do not change.
+    #[test]
+    fn a_nan_bound_still_opens_its_shard() {
+        let rel = rel();
+        let cube = ShardedCube::build_in_memory(&rel, &ShardedCubeConfig::default());
+        let query = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(3);
+        let expect = unsharded_answers(&rel, &query, 3);
+        assert_eq!(cube.source().query(&query.plan()).unwrap().items, expect);
+        let far = cube.last_fanout().unwrap().shards.iter().rposition(|s| !s.opened);
+        let far = far.expect("a query at the low corner skips a shard");
+
+        let region = cube.shards()[far].region().clone();
+        let nan = Query::select([(0, 1)]).rank(NanOn(Linear::uniform(2), region)).top(3);
+        assert_eq!(cube.source().query(&nan.plan()).unwrap().items, expect);
+        let fanout = cube.last_fanout().unwrap();
+        assert!(fanout.shards[far].opened, "{fanout}");
+        assert_eq!(fanout.shards[far].answers, 0, "{fanout}");
     }
 }

@@ -265,8 +265,10 @@
 //! layout). Every shard is a grid cube: the manifest's engine byte is
 //! always 1, and one naming anything else is a typed
 //! [`StorageError::Malformed`]. Per shard it records the cube file name
-//! (relative, so the whole directory relocates) and the global tid range
-//! it serves; a trailing CRC-32 stamps the whole thing.
+//! (relative, so the whole directory relocates), its tuple count, the
+//! tight box of its ranking points and the ascending global tids its
+//! local tids stand for (delta + LEB128 coded); the lists together hold
+//! every tid `0..N` once. A trailing CRC-32 stamps the whole thing.
 //!
 //! * **Versioning.** The manifest carries its own version field
 //!   ([`crate::manifest::MANIFEST_VERSION`]), gated at open exactly like
@@ -774,6 +776,15 @@ impl ByteWriter {
     pub fn put_bytes_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
+
+    /// LEB128: 7 value bits per byte, low group first, high continuation bit.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
 }
 
 /// Bounded reader over catalog, manifest and WAL bytes: every read is
@@ -844,6 +855,23 @@ impl<'a> ByteReader<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], StorageError> {
         let n = self.count(self.remaining())?;
         self.take(n)
+    }
+
+    /// A value written by [`ByteWriter::put_varint`]; one that runs past
+    /// 64 bits is malformed.
+    pub fn varint(&mut self) -> Result<u64, StorageError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+        }
+        Err(StorageError::Malformed("varint runs past 64 bits"))
     }
 }
 

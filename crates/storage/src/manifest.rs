@@ -1,16 +1,17 @@
 //! The shard manifest: one small CRC-stamped file describing a
 //! partitioned cube set.
 //!
-//! A sharded build splits a relation by tid range into N self-contained
-//! cube files (each its own buffer pool, checksums, generations — the
-//! ordinary format described in [`crate::format`]) plus one manifest
-//! naming them. The manifest is the *only* coupling between shards: it
-//! records, per shard, the cube file name (relative to the manifest's
-//! directory, so the set relocates as a unit) and the global tid range
-//! the shard serves. Opening a sharded cube = read manifest, validate
-//! CRC and ranges, open each named file.
+//! A sharded build splits a relation by region of its ranking space into
+//! N self-contained cube files (each its own buffer pool, checksums,
+//! generations — the ordinary format described in [`crate::format`]) plus
+//! one manifest naming them. The manifest is the *only* coupling between
+//! shards: it records, per shard, the cube file name (relative to the
+//! manifest's directory, so the set relocates as a unit), the tight box of
+//! the shard's ranking points and the ascending global tids the shard's
+//! local tids stand for. Opening a sharded cube = read manifest, validate
+//! CRC, boxes and tid lists, open each named file.
 //!
-//! # Layout (all integers little-endian)
+//! # Layout, version 2 (all integers little-endian)
 //!
 //! | offset | size | field                                         |
 //! |--------|------|-----------------------------------------------|
@@ -21,9 +22,14 @@
 //! | 7      | 1    | flags (reserved, zero)                        |
 //! | 8      | 8    | shard count                                   |
 //! | …      | …    | per shard: file name (u64-length-prefixed     |
-//! |        |      | UTF-8), tid_lo u64, tid_hi u64 (exclusive),   |
-//! |        |      | tuple count u64                               |
+//! |        |      | UTF-8), tuple count u64, box dimension count  |
+//! |        |      | u64, `lo`/`hi` f64 pairs per dimension, tid   |
+//! |        |      | list (u64 byte length, then the first tid and |
+//! |        |      | each gap to the next as LEB128)               |
 //! | end−4  | 4    | CRC-32 over every preceding byte              |
+//!
+//! Version 1 recorded a contiguous tid range per shard instead of the box
+//! and the list; it is [`StorageError::UnsupportedVersion`]`(1)`.
 //!
 //! # Versioning and open election
 //!
@@ -50,7 +56,7 @@ use crate::format::{crc32, ByteReader, ByteWriter};
 /// Manifest file magic.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"RCSM";
 /// Current manifest format version.
-pub const MANIFEST_VERSION: u16 = 1;
+pub const MANIFEST_VERSION: u16 = 2;
 /// Sanity cap on the shard count a manifest may claim.
 pub const MAX_SHARDS: usize = 4096;
 
@@ -58,22 +64,25 @@ pub const MAX_SHARDS: usize = 4096;
 const ENGINE_GRID: u8 = 1;
 
 /// One shard's row in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardEntry {
     /// Cube file name, relative to the manifest's directory.
     pub file: String,
-    /// First global tid the shard serves.
-    pub tid_lo: u64,
-    /// One past the last global tid the shard serves.
-    pub tid_hi: u64,
-    /// Tuples stored in the shard (= `tid_hi - tid_lo`).
+    /// Tuples stored in the shard (= `tids.len()`).
     pub tuples: u64,
+    /// Low corner of the shard's ranking points, one value per ranking
+    /// dimension of the relation.
+    pub lo: Vec<f64>,
+    /// High corner of the shard's ranking points.
+    pub hi: Vec<f64>,
+    /// Global tid of each local tid, strictly ascending.
+    pub tids: Vec<u32>,
 }
 
 /// The parsed, validated shard manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardManifest {
-    /// Shards in ascending tid order.
+    /// Shards in build order.
     pub shards: Vec<ShardEntry>,
 }
 
@@ -88,9 +97,19 @@ impl ShardManifest {
         w.put_u64(self.shards.len() as u64);
         for s in &self.shards {
             w.put_bytes(s.file.as_bytes());
-            w.put_u64(s.tid_lo);
-            w.put_u64(s.tid_hi);
             w.put_u64(s.tuples);
+            w.put_u64(s.lo.len() as u64);
+            for (&lo, &hi) in s.lo.iter().zip(&s.hi) {
+                w.put_f64(lo);
+                w.put_f64(hi);
+            }
+            let mut list = ByteWriter::new();
+            let mut prev = 0u32;
+            for &t in &s.tids {
+                list.put_varint(u64::from(t.wrapping_sub(prev)));
+                prev = t;
+            }
+            w.put_bytes(&list.into_bytes());
         }
         let mut bytes = w.into_bytes();
         let crc = crc32(&bytes);
@@ -98,7 +117,8 @@ impl ShardManifest {
         bytes
     }
 
-    /// Parses and validates manifest bytes (magic, version, CRC, ranges).
+    /// Parses and validates manifest bytes (magic, version, CRC, boxes,
+    /// tid lists).
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
         if bytes.len() < 4 + 2 + 1 + 1 + 8 + 4 {
             return Err(StorageError::Malformed("shard manifest truncated"));
@@ -126,10 +146,23 @@ impl ShardManifest {
             let file = std::str::from_utf8(name)
                 .map_err(|_| StorageError::Malformed("shard file name is not UTF-8"))?
                 .to_owned();
-            let tid_lo = r.u64()?;
-            let tid_hi = r.u64()?;
             let tuples = r.u64()?;
-            shards.push(ShardEntry { file, tid_lo, tid_hi, tuples });
+            let dims = r.count(r.remaining() / 16)?;
+            let (mut lo, mut hi) = (Vec::with_capacity(dims), Vec::with_capacity(dims));
+            for _ in 0..dims {
+                lo.push(r.f64()?);
+                hi.push(r.f64()?);
+            }
+            let mut list = ByteReader::new(r.bytes()?);
+            let mut tids = Vec::with_capacity(list.remaining());
+            let mut prev = 0u32;
+            while list.remaining() > 0 {
+                let gap = u32::try_from(list.varint()?)
+                    .map_err(|_| StorageError::Malformed("shard tid gap exceeds 32 bits"))?;
+                prev = prev.wrapping_add(gap);
+                tids.push(prev);
+            }
+            shards.push(ShardEntry { file, tuples, lo, hi, tids });
         }
         if r.remaining() != 0 {
             return Err(StorageError::Malformed("shard manifest has trailing bytes"));
@@ -139,24 +172,42 @@ impl ShardManifest {
         Ok(m)
     }
 
-    /// Structural validation: at least one shard, contiguous ascending tid
-    /// ranges starting at 0, tuple counts matching the ranges.
+    /// Structural validation: at least one shard, bare file names, finite
+    /// boxes with `lo <= hi` all of one dimensionality, strictly ascending
+    /// tid lists as long as their tuple counts, and lists that together
+    /// hold every tid `0..N` exactly once.
     pub fn validate(&self) -> Result<(), StorageError> {
-        if self.shards.is_empty() {
-            return Err(StorageError::Malformed("shard manifest names no shards"));
-        }
-        let mut next = 0u64;
+        let first =
+            self.shards.first().ok_or(StorageError::Malformed("shard manifest names no shards"))?;
+        let total: usize = self.shards.iter().map(|s| s.tids.len()).sum();
+        let mut seen = vec![false; total];
         for s in &self.shards {
             if s.file.is_empty() || s.file.contains('/') || s.file.contains('\\') {
                 return Err(StorageError::Malformed("shard file name must be a bare file name"));
             }
-            if s.tid_lo != next || s.tid_hi < s.tid_lo {
-                return Err(StorageError::Malformed("shard tid ranges must be contiguous"));
+            if s.lo.len() != first.lo.len() || s.hi.len() != s.lo.len() {
+                return Err(StorageError::Malformed("shard boxes disagree in dimensionality"));
             }
-            if s.tuples != s.tid_hi - s.tid_lo {
-                return Err(StorageError::Malformed("shard tuple count disagrees with tid range"));
+            if !s.lo.iter().zip(&s.hi).all(|(lo, hi)| lo.is_finite() && hi.is_finite() && lo <= hi)
+            {
+                return Err(StorageError::Malformed("shard box must be finite with lo <= hi"));
             }
-            next = s.tid_hi;
+            if s.tuples != s.tids.len() as u64 {
+                return Err(StorageError::Malformed(
+                    "shard tuple count disagrees with its tid list",
+                ));
+            }
+            if s.tids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(StorageError::Malformed("shard tids must be strictly ascending"));
+            }
+            for &t in &s.tids {
+                match seen.get_mut(t as usize) {
+                    Some(slot) if !*slot => *slot = true,
+                    _ => {
+                        return Err(StorageError::Malformed("shard tid lists must partition 0..N"))
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -198,13 +249,40 @@ impl ShardManifest {
 mod tests {
     use super::*;
 
+    fn entry(file: &str, lo: [f64; 2], hi: [f64; 2], tids: Vec<u32>) -> ShardEntry {
+        ShardEntry {
+            file: file.into(),
+            tuples: tids.len() as u64,
+            lo: lo.into(),
+            hi: hi.into(),
+            tids,
+        }
+    }
+
     fn sample() -> ShardManifest {
         ShardManifest {
             shards: vec![
-                ShardEntry { file: "cars.shard0".into(), tid_lo: 0, tid_hi: 100, tuples: 100 },
-                ShardEntry { file: "cars.shard1".into(), tid_lo: 100, tid_hi: 180, tuples: 80 },
+                entry("cars.shard0", [0.0, 0.1], [0.5, 0.9], vec![0, 2, 3, 200]),
+                entry(
+                    "cars.shard1",
+                    [0.5, 0.0],
+                    [1.0, 1.0],
+                    [1].into_iter().chain(4..200).collect(),
+                ),
             ],
         }
+    }
+
+    /// `bytes` with its CRC restamped, so only the field under test trips.
+    fn restamped(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    fn is_malformed(r: Result<ShardManifest, StorageError>) -> bool {
+        matches!(r, Err(StorageError::Malformed(_)))
     }
 
     #[test]
@@ -214,26 +292,59 @@ mod tests {
         assert_eq!(back, m);
     }
 
-    /// The bytes every earlier grid manifest was written with, laid out
-    /// by hand from the table above: they still decode, and encoding
-    /// writes them unchanged.
+    /// The version 2 bytes, laid out by hand from the table above: they
+    /// decode, and encoding writes them unchanged.
     #[test]
-    fn grid_manifest_layout_is_unchanged() {
+    fn grid_manifest_v2_layout_is_pinned() {
+        let m = ShardManifest {
+            shards: vec![
+                entry("a.shard0", [0.0, 0.25], [0.5, 1.0], vec![0, 1, 300]),
+                entry("a.shard1", [0.5, 0.0], [1.0, 0.75], (2..300).collect()),
+            ],
+        };
+        let mut bytes = b"RCSM".to_vec();
+        bytes.extend_from_slice(&2u16.to_le_bytes());
+        bytes.extend_from_slice(&[1, 0]);
+        bytes.extend_from_slice(&2u64.to_le_bytes());
+        for s in &m.shards {
+            bytes.extend_from_slice(&(s.file.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(s.file.as_bytes());
+            bytes.extend_from_slice(&s.tuples.to_le_bytes());
+            bytes.extend_from_slice(&2u64.to_le_bytes());
+            for d in 0..2 {
+                bytes.extend_from_slice(&s.lo[d].to_le_bytes());
+                bytes.extend_from_slice(&s.hi[d].to_le_bytes());
+            }
+            // Gaps 0, 1, 299 (= 2·128 + 43: low seven bits first, with the
+            // continuation bit), then 2 and 297 gaps of 1.
+            let list: Vec<u8> = if s.tids[0] == 0 {
+                vec![0, 1, 0x80 | 43, 2]
+            } else {
+                std::iter::once(2).chain([1; 297]).collect()
+            };
+            bytes.extend_from_slice(&(list.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&list);
+        }
+        let bytes = restamped([bytes, vec![0; 4]].concat());
+        assert_eq!(ShardManifest::decode(&bytes).unwrap(), m);
+        assert_eq!(m.encode(), bytes);
+    }
+
+    /// A version 1 manifest — contiguous tid ranges, no boxes — is refused
+    /// by version, whatever its body says.
+    #[test]
+    fn v1_manifest_is_unsupported() {
         let mut bytes = b"RCSM".to_vec();
         bytes.extend_from_slice(&1u16.to_le_bytes());
         bytes.extend_from_slice(&[1, 0]);
-        bytes.extend_from_slice(&2u64.to_le_bytes());
-        for (file, lo, hi) in [("cars.shard0", 0u64, 100u64), ("cars.shard1", 100, 180)] {
-            bytes.extend_from_slice(&(file.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(file.as_bytes());
-            for v in [lo, hi, hi - lo] {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&11u64.to_le_bytes());
+        bytes.extend_from_slice(b"cars.shard0");
+        for v in [0u64, 100, 100] {
+            bytes.extend_from_slice(&v.to_le_bytes());
         }
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(ShardManifest::decode(&bytes).unwrap(), sample());
-        assert_eq!(sample().encode(), bytes);
+        let bytes = restamped([bytes, vec![0; 4]].concat());
+        assert!(matches!(ShardManifest::decode(&bytes), Err(StorageError::UnsupportedVersion(1))));
     }
 
     /// Shards are grid cubes only: a manifest whose engine byte names any
@@ -244,36 +355,31 @@ mod tests {
         let mut bytes = sample().encode();
         for engine in [0, 2, 0xFF] {
             bytes[6] = engine;
-            let body_len = bytes.len() - 4;
-            let crc = crc32(&bytes[..body_len]);
-            bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+            bytes = restamped(bytes);
             assert!(
-                matches!(ShardManifest::decode(&bytes), Err(StorageError::Malformed(_))),
+                is_malformed(ShardManifest::decode(&bytes)),
                 "engine byte {engine} was accepted"
             );
         }
     }
 
+    /// Every single-bit flip anywhere in the file is a typed error.
     #[test]
     fn any_bit_flip_is_caught() {
         let bytes = sample().encode();
-        for i in 0..bytes.len() {
+        for i in 0..bytes.len() * 8 {
             let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(ShardManifest::decode(&bad).is_err(), "flip at byte {i} went undetected");
+            bad[i / 8] ^= 1 << (i % 8);
+            assert!(ShardManifest::decode(&bad).is_err(), "flip of bit {i} went undetected");
         }
     }
 
     #[test]
     fn version_gate_is_typed() {
         let mut bytes = sample().encode();
-        // Bump the version field and restamp the CRC so only the gate trips.
         bytes[4] = 0x7F;
-        let body_len = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
-            ShardManifest::decode(&bytes),
+            ShardManifest::decode(&restamped(bytes)),
             Err(StorageError::UnsupportedVersion(0x7F))
         ));
     }
@@ -281,8 +387,44 @@ mod tests {
     #[test]
     fn gapped_ranges_rejected() {
         let mut m = sample();
-        m.shards[1].tid_lo = 101;
-        assert!(matches!(m.validate(), Err(StorageError::Malformed(_))));
+        m.shards[1].tids.pop();
+        m.shards[1].tuples -= 1;
+        assert!(is_malformed(ShardManifest::decode(&m.encode())), "tid 199 is in no shard");
+    }
+
+    /// Tid lists and boxes that CRC-check but break the contract decode
+    /// to `Malformed`: unsorted, overlapping, a count mismatch, a
+    /// non-finite box, `lo > hi`, and boxes of two dimensionalities.
+    #[test]
+    fn crafted_lists_and_boxes_are_malformed() {
+        type Edit = (&'static str, fn(&mut ShardManifest));
+        let edits: [Edit; 7] = [
+            ("unsorted", |m| m.shards[1].tids.swap(0, 1)),
+            ("overlapping", |m| {
+                m.shards[1].tids[0] = 0;
+            }),
+            ("count mismatch", |m| {
+                m.shards[0].tuples = 5;
+            }),
+            ("non-finite box", |m| {
+                m.shards[0].hi[1] = f64::INFINITY;
+            }),
+            ("NaN box", |m| {
+                m.shards[1].lo[0] = f64::NAN;
+            }),
+            ("lo > hi", |m| {
+                m.shards[0].lo[0] = 0.75;
+            }),
+            ("dimensionality", |m| {
+                m.shards[1].lo.push(0.0);
+                m.shards[1].hi.push(1.0);
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut m = sample();
+            edit(&mut m);
+            assert!(is_malformed(ShardManifest::decode(&m.encode())), "{what} was accepted");
+        }
     }
 
     #[test]

@@ -89,17 +89,17 @@ impl Relation {
         }
     }
 
-    /// Returns the sub-relation holding rows `lo..hi` (tid-range
-    /// partitioning for sharded builds). Row `lo + i` of `self` becomes
-    /// local tid `i`; callers that need global tids add `lo` back.
-    pub fn range(&self, lo: usize, hi: usize) -> Relation {
-        let hi = hi.min(self.rows);
-        let lo = lo.min(hi);
+    /// Returns the sub-relation holding rows `tids`, in that order (a
+    /// shard's tuples): row `tids[i]` of `self` becomes local tid `i`.
+    pub fn subset(&self, tids: &[Tid]) -> Relation {
+        fn pick<T: Copy>(col: &[T], tids: &[Tid]) -> Vec<T> {
+            tids.iter().map(|&t| col[t as usize]).collect()
+        }
         Relation {
             schema: self.schema.clone(),
-            selection_cols: self.selection_cols.iter().map(|c| c[lo..hi].to_vec()).collect(),
-            ranking_cols: self.ranking_cols.iter().map(|c| c[lo..hi].to_vec()).collect(),
-            rows: hi - lo,
+            selection_cols: self.selection_cols.iter().map(|c| pick(c, tids)).collect(),
+            ranking_cols: self.ranking_cols.iter().map(|c| pick(c, tids)).collect(),
+            rows: tids.len(),
         }
     }
 }

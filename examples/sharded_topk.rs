@@ -1,9 +1,10 @@
 //! Partitioned cube sets end to end: build a relation into four
-//! self-contained shard cube files bound by a CRC-stamped manifest,
-//! reopen the set from disk, and serve scatter-gather top-k through the
-//! [`Engine`] — byte-identical to one unsharded cube, with per-shard
-//! fan-out counters in EXPLAIN ANALYZE and cursor pagination that
-//! resumes every shard's paused frontier.
+//! self-contained shard cube files, one per region of the ranking space,
+//! bound by a CRC-stamped manifest, reopen the set from disk, and serve
+//! scatter-gather top-k through the [`Engine`] — byte-identical to one
+//! unsharded cube, opening only the shards whose box bound can still beat
+//! the k-th answer, with per-shard fan-out counters in EXPLAIN ANALYZE and
+//! cursor pagination that resumes every shard's paused frontier.
 //!
 //! ```sh
 //! cargo run --release --example sharded_topk
@@ -16,7 +17,7 @@ fn main() {
     let relation =
         SyntheticSpec { tuples: 10_000, cardinality: 5, ..Default::default() }.generate();
 
-    // --- Offline: partition by tid range, one cube file per shard --------
+    // --- Offline: partition by region, one cube file per shard ----------
     let dir = std::env::temp_dir().join(format!("rcube_sharded_topk_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create example dir");
     let manifest = dir.join("cars.manifest");
@@ -24,8 +25,10 @@ fn main() {
     let built = ShardedCube::build_to(&relation, &manifest, &cfg).expect("build shard set");
     println!("=== build ===");
     for (i, shard) in built.shards().iter().enumerate() {
-        let (lo, hi) = shard.tid_range();
-        println!("  shard {i}: tids [{lo}, {hi})");
+        let r = shard.region();
+        let sides: Vec<String> =
+            (0..r.dims()).map(|d| format!("[{:.3}, {:.3}]", r.lo(d), r.hi(d))).collect();
+        println!("  shard {i}: {} tuples in {}", shard.tids().len(), sides.join(" x "));
     }
     drop(built);
 
@@ -64,7 +67,8 @@ fn main() {
     assert_eq!(first, result.items, "page 1 is the batch answer");
 
     // The merge never pulled a shard past the global threshold: per-shard
-    // pulls stay within one of the answers each shard contributed.
+    // pulls stay within one of the answers each shard contributed, and a
+    // shard whose box bound lies above the last answer was never opened.
     let fanout = engine.sharded_cube().unwrap().last_fanout().expect("fan-out recorded");
     println!("\n=== fan-out ===\n{fanout}");
 

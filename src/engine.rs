@@ -16,8 +16,9 @@
 //!    alone would — and it is preferred because it is the only route that
 //!    sees un-flushed inserts/deletes ([`Engine::insert`] /
 //!    [`Engine::delete`]): every other cube goes stale at the first write;
-//! 2. **Partitioned cube set** — tid-range grid shards merged on the
-//!    calling thread by the bound-driven scatter-gather cursor
+//! 2. **Partitioned cube set** — grid shards, one per region of the
+//!    ranking space, opened in the order of their box bounds and merged
+//!    on the calling thread by the bound-driven scatter-gather cursor
 //!    (`rcube_core::shard`). It is preferred over the single grid cube
 //!    because registering a set asks for what only it gives: a pool and
 //!    meter per shard, and a failure unit of one shard (see below);
@@ -276,7 +277,7 @@ impl Engine {
         self
     }
 
-    /// Builds a partitioned cube set over the relation (tid-range shards,
+    /// Builds a partitioned cube set over the relation (region shards,
     /// each with its own pool and meter) and registers it as the
     /// most-preferred route. Per-shard activity lands in this engine's
     /// registry under `sharded.shard<i>.…`.
@@ -922,14 +923,21 @@ mod tests {
         assert_eq!(eng.route(&q), Route::Sharded, "the shard set outranks the grid");
         let got = eng.query(&q);
         assert_eq!(got.items, unsharded.query(&q).items, "scatter-gather changes nothing");
-        assert_eq!(got.stats.shards_opened, 3, "fan-out surfaces in the stats");
+        // A shard opens iff its box bound reaches the k-th answer.
+        let (plan, kth) = (q.plan(), got.items[8].1);
+        let set = eng.sharded_cube().expect("registered");
+        let reach = |s: &rcube_core::shard::Shard| {
+            plan.func.lower_bound(&s.region().project(plan.ranking_dims)) <= kth
+        };
+        let predicted = set.shards().iter().filter(|s| reach(s)).count();
+        assert_eq!(got.stats.shards_opened, predicted as u64, "fan-out surfaces in the stats");
 
         // EXPLAIN ANALYZE reports the fan-out alongside the trace.
         let report = eng.explain_analyze(&q).expect("healthy engine");
         assert_eq!(report.executed, Route::Sharded);
         let fanout = report.fanout.as_ref().expect("sharded run records a fan-out");
         assert_eq!(fanout.shards.len(), 3);
-        assert_eq!(fanout.opened(), 3);
+        assert_eq!(fanout.opened(), predicted);
         assert!(report.to_string().contains("fan-out"), "Display renders the fan-out");
 
         // An explicit cuboid cover still pins the grid, not the shard set.

@@ -71,18 +71,19 @@
 //!
 //! ## Scale out: partitioned cube sets
 //!
-//! A [`cube::shard::ShardedCube`] splits the relation by tid range into
-//! N self-contained cube files (one buffer pool and I/O meter each,
-//! bound together by a CRC-stamped manifest) and serves them as one
-//! `RankedSource`: the scatter-gather cursor merges per-shard frontiers
-//! with a bound-driven k-way selection that never pulls a shard past
-//! the global threshold, so sharded answers are byte-identical to an
-//! unsharded cube. Register one on the engine and it becomes the
+//! A [`cube::shard::ShardedCube`] splits the relation by region of its
+//! ranking space into N self-contained cube files (one buffer pool and
+//! I/O meter each, bound together by a CRC-stamped manifest that records
+//! each shard's box) and serves them as one `RankedSource`: the
+//! scatter-gather cursor opens shards in the order of their box bounds,
+//! stops once the k-th answer beats every unopened box, and never pulls
+//! an open shard past the global threshold, so sharded answers are
+//! byte-identical to an unsharded cube. Register one on the engine and it becomes the
 //! most-preferred route; see `examples/sharded_topk.rs` for the
 //! build-to-disk / reopen / paginate walkthrough.
 //!
 //! ```
-//! use ranking_cube::cube::shard::{ShardedCube, ShardedCubeConfig};
+//! use ranking_cube::cube::shard::{Shard, ShardedCube, ShardedCubeConfig};
 //! use ranking_cube::prelude::*;
 //!
 //! # let mut b = RelationBuilder::new(
@@ -94,9 +95,14 @@
 //! let query = Query::select([(0, 0)]).rank(Linear::uniform(2)).top(3);
 //! assert_eq!(engine.route(&query), Route::Sharded);
 //! let result = engine.query(&query);
-//! assert_eq!(result.stats.shards_opened, 4);
-//! let fanout = engine.sharded_cube().unwrap().last_fanout().unwrap();
-//! assert_eq!(fanout.opened(), 4); // per-shard pulls/answers/blocks inside
+//! let set = engine.sharded_cube().unwrap();
+//! let fanout = set.last_fanout().unwrap(); // per-shard pulls/answers/blocks inside
+//! assert_eq!(result.stats.shards_opened, fanout.opened() as u64);
+//! // A shard opens only when its box's bound reaches the 3rd answer.
+//! let (plan, kth) = (query.plan(), result.items[2].1);
+//! let reach = |s: &&Shard| plan.func.lower_bound(&s.region().project(plan.ranking_dims)) <= kth;
+//! assert_eq!(fanout.opened(), set.shards().iter().filter(reach).count());
+//! assert_eq!(fanout.opened(), 1);
 //! ```
 //!
 //! ## Serve under writes: the LSM delta cube

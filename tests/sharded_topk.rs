@@ -6,6 +6,10 @@
 //!   `take(k)` — checked by proptest in memory (random relations, shard
 //!   counts, queries) and against a set reopened from its manifest and
 //!   shard files.
+//! * **Shards are regions, opened in bound order.** Every shard a
+//!   finished query left unopened has a box bound above its k-th answer,
+//!   ties that straddle a cut and functions with two basins answer like
+//!   the unsharded grid.
 //! * **The shard is the degradation unit.** Corrupting one shard's cube
 //!   file surfaces as a typed error naming that shard; the engine
 //!   quarantines per shard, keeps answering through the scan fallback
@@ -19,11 +23,13 @@ use std::sync::OnceLock;
 use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::cube::query::{Query, RankedSource, TopKCursor};
 use ranking_cube::cube::shard::{ShardedCube, ShardedCubeConfig};
-use ranking_cube::func::Linear;
+use ranking_cube::func::{Expr, Linear, SqDist};
 use ranking_cube::storage::{DiskSim, ShardManifest, StorageError};
 use ranking_cube::table::gen::SyntheticSpec;
-use ranking_cube::table::Relation;
+use ranking_cube::table::{Relation, Tid};
 use ranking_cube::{Engine, Route};
+
+mod common;
 
 fn rel(tuples: usize, seed: u64) -> Relation {
     SyntheticSpec { tuples, cardinality: 4, seed, ..Default::default() }.generate()
@@ -131,7 +137,11 @@ fn corrupted_shard_degrades_per_shard_and_repairs() {
     let manifest = dir.join("set.manifest");
     let cfg = ShardedCubeConfig { shards: 3, ..Default::default() };
     let built = ShardedCube::build_to(&relation, &manifest, &cfg).expect("build to disk");
-    assert!(built.shards()[1].tid_range().0 > 0, "shard 1 starts past tid 0");
+    let shard1 = &built.shards()[1];
+    assert!(!shard1.tids().is_empty() && shard1.tids()[0] > 0, "shard 1's tids start past 0");
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(40);
+    drop(built.source().query(&q.plan()).expect("pristine set answers"));
+    assert!(built.last_fanout().unwrap().shards[1].opened, "the query opens shard 1");
     drop(built);
 
     // Damage shard 1's data pages, sparing the superblocks at the front
@@ -163,7 +173,6 @@ fn corrupted_shard_degrades_per_shard_and_repairs() {
     // restores it.
     let cube = ShardedCube::open_from(&manifest).expect("reopen for serving");
     let eng = Engine::new(relation.clone()).with_prebuilt_sharded(cube);
-    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
     let degraded = eng.try_query(&q).expect("scan fallback must answer");
     assert_eq!(degraded.stats.path_fallbacks, 1, "one route abandoned");
     let quarantined = eng.quarantined();
@@ -212,5 +221,144 @@ fn corrupted_manifest_is_a_typed_error() {
         matches!(err, StorageError::ChecksumMismatch { .. }),
         "CRC catches the flip before the magic field, got {err:?}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `query` on `cube` and checks the stop rule: every shard the
+/// finished query left unopened has a box bound strictly greater than the
+/// k-th answer's score. Returns how many shards opened.
+fn assert_certified(cube: &ShardedCube, query: &Query) -> usize {
+    let plan = query.plan();
+    let got = cube.source().query(&plan).expect("sharded query");
+    let fanout = cube.last_fanout().expect("fan-out recorded on drop");
+    assert_eq!(fanout.opened() as u64, got.stats.shards_opened);
+    for (shard, row) in cube.shards().iter().zip(&fanout.shards).filter(|(_, row)| !row.opened) {
+        let bound = plan.func.lower_bound(&shard.region().project(plan.ranking_dims));
+        assert_eq!(got.items.len(), plan.k, "a shard stayed shut on a short answer: {fanout}");
+        let kth = got.items[plan.k - 1].1;
+        assert!(bound > kth, "shard {} skipped at bound {bound} <= k-th {kth}", row.shard);
+    }
+    fanout.opened()
+}
+
+/// The stop rule holds over a fixed query set on 3 and 5 region shards,
+/// in memory and reopened from files, and a query at the low corner of
+/// the ranking space opens fewer shards than the set holds.
+#[test]
+fn unopened_shards_are_certified_by_their_box_bounds() {
+    let relation = rel(2_000, 21);
+    let dir = std::env::temp_dir().join(format!("rcube_shard_cert_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut queries = Vec::new();
+    for sel in [vec![], vec![(0, 1)], vec![(0, 2), (1, 3)]] {
+        for k in [1, 10, 40] {
+            for w in [[1.0, 1.0], [1.0, 0.0], [0.2, 1.0]] {
+                queries.push(Query::select(sel.clone()).rank(Linear::new(w.to_vec())).top(k));
+            }
+            let near = SqDist::new(vec![0.8, 0.3]);
+            queries.push(Query::select(sel.clone()).rank(near).top(k));
+        }
+    }
+    let corner = Query::all().rank(Linear::uniform(2)).top(5);
+    for shards in [3, 5] {
+        let cfg = ShardedCubeConfig { shards, ..Default::default() };
+        let manifest = dir.join(format!("set{shards}.manifest"));
+        drop(ShardedCube::build_to(&relation, &manifest, &cfg).expect("build to disk"));
+        let sets = [
+            ShardedCube::build_in_memory(&relation, &cfg),
+            ShardedCube::open_from(&manifest).expect("reopen"),
+        ];
+        for cube in &sets {
+            for q in &queries {
+                assert_certified(cube, q);
+            }
+            assert!(assert_certified(cube, &corner) < shards, "{shards} shards");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn bits(items: &[(Tid, f64)]) -> Vec<(Tid, u64)> {
+    items.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+}
+
+/// Ties across cuts: the quantized relation's values are eighths, so a
+/// cut falls inside a run of equal coordinates and equal scores sit on
+/// both sides of it. The set still answers the unsharded grid byte for
+/// byte, tie order included.
+#[test]
+fn ties_across_region_cuts_answer_like_the_unsharded_grid() {
+    let relation = common::quantized_relation();
+    let grid = GridCubeConfig { block_size: 100, ..Default::default() };
+    let disk = DiskSim::with_defaults();
+    let unsharded = GridRankingCube::build(&relation, &disk, grid.clone());
+    let cube = ShardedCube::build_in_memory(
+        &relation,
+        &ShardedCubeConfig { shards: 4, grid, ..Default::default() },
+    );
+    let r = |i: usize| cube.shards()[i].region();
+    let left = r(0).hi(0).max(r(1).hi(0));
+    assert_eq!(left, r(2).lo(0).min(r(3).lo(0)), "the first cut splits a run of equal x");
+    for sel in [vec![], vec![(0, 0)], vec![(1, 3)], vec![(0, 0), (1, 0)]] {
+        for w in [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]] {
+            for k in [1, 10, 25, 60] {
+                let q = Query::select(sel.clone()).rank(Linear::new(w.to_vec())).top(k);
+                let want = unsharded.source(&disk).query(&q.plan()).unwrap().items;
+                let got = cube.source().query(&q.plan()).unwrap().items;
+                assert_eq!(bits(&got), bits(&want), "{q:?} weights {w:?}");
+            }
+        }
+    }
+}
+
+/// Functions whose minimum is not at a corner: the `min` of two bowls
+/// (two basins in opposite shards) and a squared distance to an interior
+/// point, through 4 region shards, equal the unsharded grid.
+#[test]
+fn non_convex_functions_through_region_shards_match_the_unsharded_grid() {
+    let relation = rel(3_000, 5);
+    let disk = DiskSim::with_defaults();
+    let unsharded = GridRankingCube::build(&relation, &disk, GridCubeConfig::default());
+    let cube = ShardedCube::build_in_memory(&relation, &ShardedCubeConfig::default());
+    let bowl = |x: f64, y: f64| {
+        Expr::var(0)
+            .sub(Expr::constant(x))
+            .square()
+            .add(Expr::var(1).sub(Expr::constant(y)).square())
+    };
+    for k in [1, 5, 20, 50] {
+        for v in 0..4 {
+            let two_basins = bowl(0.1, 0.15).min(bowl(0.9, 0.85).add(Expr::constant(0.002)));
+            let queries = [
+                Query::select([(0, v)]).rank(two_basins).top(k),
+                Query::select([(0, v)]).rank(SqDist::new(vec![0.45, 0.6])).top(k),
+            ];
+            for q in &queries {
+                let want = unsharded.source(&disk).query(&q.plan()).unwrap().items;
+                assert_eq!(bits(&cube.source().query(&q.plan()).unwrap().items), bits(&want));
+                assert_certified(&cube, q);
+            }
+        }
+    }
+}
+
+/// A manifest whose lists are sound but name files of other sizes — here
+/// shards 1 and 2 swapped files — is refused at open, typed: a shard file
+/// must hold exactly one tuple per entry of its tid list.
+#[test]
+fn a_shard_file_that_disagrees_with_its_tid_list_is_malformed() {
+    let relation = rel(700, 3);
+    let dir = std::env::temp_dir().join(format!("rcube_shard_count_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("set.manifest");
+    let cfg = ShardedCubeConfig { shards: 3, ..Default::default() };
+    drop(ShardedCube::build_to(&relation, &manifest, &cfg).expect("build to disk"));
+    let mut m = ShardManifest::open_from(&manifest).expect("read manifest");
+    assert_ne!(m.shards[1].tuples, m.shards[2].tuples, "233 and 234 tuples");
+    let (one, two) = m.shards.split_at_mut(2);
+    std::mem::swap(&mut one[1].file, &mut two[0].file);
+    m.save_to(&manifest).expect("publish the swapped manifest");
+    let err = ShardedCube::open_from(&manifest).expect_err("open must refuse");
+    assert!(matches!(err, StorageError::Malformed(_)), "got {err:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
