@@ -27,18 +27,23 @@
 //!   old and new paths of its net updates — strictly fewer than the cells
 //!   it touched hold — and rewrites at most the partials those cells are
 //!   cut into (`nodes_reencoded`, `partials_rewritten`, gated per flush
-//!   against the catalogs before and after); and only the first flush
-//!   after an open parses the catalog off the file (`cold_opens` is
-//!   exactly 1).
+//!   against the catalogs before and after); and no flush parses the
+//!   catalog off the file, the first after an open included: it reuses
+//!   the one the open parsed (`cold_opens` is exactly 0).
 //!   The **read side of a flush** (`chill` in the JSON): one reader runs
 //!   a fixed lap of 64 queries after every one of 8 flushes of 64 writes
 //!   (which land away from the lap's answers, so the lap asks for the same
 //!   signature nodes every time — what it has to decode again is what the
-//!   flush cooled). From the second generation on — the first flush after
-//!   an open starts a node cache of its own — a lap decodes **0** nodes
-//!   and loads **0** partials: the decoded-node cache follows the file
-//!   across flushes. The `before` block is what the parent commit read,
-//!   which emptied the cache at every swap.
+//!   flush cooled). After every flush, the first included, a lap decodes
+//!   **0** nodes and loads **0** partials: the decoded-node cache follows
+//!   the file across flushes. The `before` block is what the parent
+//!   commit read, which emptied the cache at every swap.
+//!   **Retired generations leave** (`retention` below): over 64
+//!   flushes with a query between each and no cursor left open, one
+//!   generation stays alive (`generations_retained_after_flushes` == 1,
+//!   counted by the generations themselves) and the process's open file
+//!   descriptors grow by at most 1 (`open_fds_delta_over_64_flushes`,
+//!   read off `/proc/self/fd`; skipped where there is no `/proc`).
 //! * **Clock (reported, never load-bearing):** ingest ops/sec during
 //!   the cycles and mixed read/write ops/sec from the Zipf-skewed
 //!   `MixedWorkloadGen` stream; and, in `chill`, the median latency of
@@ -52,7 +57,9 @@
 //!   `writer_hold_us_p50` the median time a flush held the append mutex
 //!   (`FlushReport::writer_hold_us`), and `writer_hold_over_flush_p50`
 //!   that median over the flushes' median duration (target ≤ 0.2, never
-//!   enforced).
+//!   enforced). Beside the retention counts, `rss_kb_per_flush`: the
+//!   resident set's growth over those 64 flushes, per flush (a target,
+//!   never enforced: the allocator decides what it hands back).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, RwLock};
@@ -72,7 +79,7 @@ use ranking_cube::table::workload::{
 };
 use ranking_cube::table::{Relation, RelationBuilder, Tid};
 use rcube_bench::{
-    fixed, percentile, query_of, render, save_signature_cube, BenchReport, Bound, Obj,
+    fixed, percentile, query_of, render, save_signature_cube, BenchReport, Bound, Json, Obj,
 };
 
 const POOL: usize = 2048;
@@ -108,6 +115,10 @@ const OVERLAP_FLUSHES: usize = 8;
 /// Target for `writer_hold_over_flush_p50`: a flush keeps appends waiting
 /// for at most a fifth of its cycle.
 const WRITER_HOLD_SHARE_MAX: f64 = 0.2;
+/// Unpinned flushes [`retention`] runs.
+const RETENTION_FLUSHES: usize = 64;
+/// Target for `rss_kb_per_flush`.
+const RSS_KB_PER_FLUSH_MAX: f64 = 16.0;
 
 /// A scratch cube path with no file or WAL left at it.
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -290,7 +301,7 @@ fn chill_block(full: &Relation, base_rel: &Relation) -> Obj {
     let (mut decoded, mut loaded) = (Vec::new(), Vec::new());
     for generation in 1..=CHILL_FLUSHES {
         let report = write_burst(&delta, generation);
-        assert_eq!(report.cold_opens, u64::from(generation == 1));
+        assert_eq!(report.cold_opens, 0, "generation {generation}: warm");
         let (d, l) = run_lap(&delta);
         decoded.push(d);
         loaded.push(l);
@@ -321,8 +332,8 @@ fn chill_block(full: &Relation, base_rel: &Relation) -> Obj {
                         let ns = t.elapsed().as_nanos() as u64;
                         std::hint::black_box(got);
                         match since {
-                            0..8 if generation > 1 => post.push(ns),
-                            128.. if generation > 1 => steady.push(ns),
+                            0..8 if generation > 0 => post.push(ns),
+                            128.. if generation > 0 => steady.push(ns),
                             _ => {}
                         }
                         since += 1;
@@ -363,11 +374,10 @@ fn chill_block(full: &Relation, base_rel: &Relation) -> Obj {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(wal_path_for(&path)).ok();
 
-    // Hard: from the second generation on the cache came along.
-    assert!(decoded[0] > 0, "the first flush after an open starts a cold cache");
+    // Hard: from the first generation on the cache came along.
     assert!(
-        decoded[1..].iter().chain(&loaded[1..]).all(|&n| n == 0),
-        "a warm flush cooled the cube: decoded {decoded:?}, loaded {loaded:?} per lap"
+        decoded.iter().chain(&loaded).all(|&n| n == 0),
+        "a flush cooled the cube: decoded {decoded:?}, loaded {loaded:?} per lap"
     );
     let before = Obj::new()
         .with("nodes_decoded_per_lap", BEFORE_CHILL_DECODED.to_vec())
@@ -435,6 +445,50 @@ fn appends_during_flush(full: &Relation, base_rel: &Relation) -> (u64, u64, u64)
          {OVERLAP_FLUSHES} flushes; append mutex held p50 {hold_p50}us of a p50 {flush_p50}us flush"
     );
     (append_max_us, hold_p50, flush_p50)
+}
+
+/// Open file descriptors of this process, where `/proc` lists them.
+fn open_fds() -> Option<i64> {
+    Some(std::fs::read_dir("/proc/self/fd").ok()?.count() as i64)
+}
+
+/// Resident set size of this process in kB, where `/proc` reports it.
+fn rss_kb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Retired generations leave (module docs): generations alive, and the growth
+/// of open descriptors and resident memory, over `RETENTION_FLUSHES`
+/// flushes with a query between each and no cursor left open.
+fn retention(full: &Relation, base_rel: &Relation) -> (u64, Option<i64>, Option<f64>) {
+    let path = temp_path("retention");
+    save_signature_cube(base_rel, Default::default(), &DiskSim::with_defaults(), &path);
+    let opts = DeltaOptions { pool_pages: POOL, ..Default::default() };
+    let delta = DeltaCube::open(&path, base_rel.clone(), opts).expect("open retention delta");
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
+    let (fds_before, rss_before) = (open_fds(), rss_kb());
+    for flush in 0..RETENTION_FLUSHES {
+        for i in 0..8 {
+            let like = (BASE + (flush * 8 + i) % (TOTAL - BASE)) as Tid;
+            delta.insert(&sel_of(full, like), &full.ranking_point(like)).expect("insert");
+        }
+        delta.source().open(&q.plan()).unwrap().try_drain().unwrap();
+        assert_eq!(delta.flush().expect("retention flush").cold_opens, 0);
+    }
+    let retained = delta.stats().generations_retained;
+    let fds = open_fds().zip(fds_before).map(|(after, before)| after - before);
+    let rss =
+        rss_kb().zip(rss_before).map(|(after, before)| (after - before) / RETENTION_FLUSHES as f64);
+    drop(delta);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(wal_path_for(&path)).ok();
+    println!(
+        "retention: {retained} generation(s) alive after {RETENTION_FLUSHES} flushes; open fds \
+         grew by {fds:?}, rss by {rss:?} kB per flush (None: no /proc)"
+    );
+    (retained, fds, rss)
 }
 
 fn main() {
@@ -676,8 +730,8 @@ fn main() {
         let recorded = metrics.histogram(&format!("delta.flush.{phase}_us")).count();
         assert_eq!(recorded, flushes_done, "delta.flush.{phase}_us");
     }
-    assert_eq!(cold_opens, 1, "one DeltaCube::open, one catalog parsed off the file");
-    assert_eq!(stats_before.cold_opens, 1);
+    assert_eq!(cold_opens, 0, "the catalog DeltaCube::open parsed served every flush");
+    assert_eq!(stats_before.cold_opens, 0);
 
     // --- Hard deterministic gates ---------------------------------------
     assert_eq!(bad, 0, "a pinned reader observed an answer from a foreign state mid-cycle");
@@ -703,6 +757,11 @@ fn main() {
     let chill = chill_block(&full, &base_rel);
     let (append_max_us, hold_p50, flush_p50) = appends_during_flush(&full, &base_rel);
     let hold_share = hold_p50 as f64 / flush_p50.max(1) as f64;
+    let (retained, fds_grown, rss_per_flush) = retention(&full, &base_rel);
+    assert_eq!(retained, 1, "a generation outlived the flush that retired it");
+    if let Some(grown) = fds_grown {
+        assert!(grown <= 1, "{grown} file descriptors left open by {RETENTION_FLUSHES} flushes");
+    }
 
     // --- BENCH_delta.json ------------------------------------------------
     let per_flush = |n: u64| fixed(n as f64 / flushes_done.max(1) as f64, 1);
@@ -737,7 +796,10 @@ fn main() {
         .set("flush_duration_us_mean", fixed(mean_flush_us, 0))
         .set("append_max_us_during_flush", append_max_us)
         .set("writer_hold_us_p50", hold_p50)
-        .set("writer_hold_over_flush_p50", fixed(hold_share, 3));
+        .set("writer_hold_over_flush_p50", fixed(hold_share, 3))
+        .set("generations_retained_after_flushes", retained)
+        .set("open_fds_delta_over_64_flushes", fds_grown.map_or(Json::Raw("null"), Json::from))
+        .set("rss_kb_per_flush", fixed(rss_per_flush.unwrap_or(f64::NAN), 1));
     report.counter_gate(
         "wal_bytes_written_per_flush",
         "== at the first flush",
@@ -749,6 +811,21 @@ fn main() {
         Bound::Max(WRITER_HOLD_SHARE_MAX),
         None,
     );
+    report.counter_gate(
+        "generations_retained_after_flushes",
+        "== 1",
+        "a generation nobody reads leaves with the flush that retires it",
+    );
+    if fds_grown.is_some() {
+        report.counter_gate(
+            "open_fds_delta_over_64_flushes",
+            "<= 1",
+            "a retired generation closes its file descriptor",
+        );
+    }
+    if let Some(rss) = rss_per_flush {
+        report.clock_gate("rss_kb_per_flush", rss, Bound::Max(RSS_KB_PER_FLUSH_MAX), None);
+    }
     report.write();
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(wal_path_for(&path)).ok();

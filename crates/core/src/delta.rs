@@ -35,12 +35,17 @@
 //!   vacuum uses ([`rcube_storage::FileBackend::swap_in`]). The fold and
 //!   the commit run under the cube file's advisory writer lock. Appends
 //!   keep landing in the memtable and the WAL while a flush runs (*Crash
-//!   safety* below says when they wait). Readers are never blocked: they
-//!   serve the generation they opened until their cursors drain; at the
-//!   swap the superseded generation drops its buffer-pool frames (a cursor
-//!   still pinned on it keeps the frames it holds and re-reads the rest on
-//!   demand). The decoded-node cache is *not* dropped: it follows the file
-//!   to the next generation (below).
+//!   safety* below says when they wait). Readers are never blocked: each
+//!   cursor owns a clone of the generation it opened on (an `Arc`, taken
+//!   under the memtable lock with the overlay it pins) and serves it until
+//!   it drops. At the swap the superseded generation drops its buffer-pool
+//!   frames (a cursor still pinned on it keeps the frames it holds and
+//!   re-reads the rest on demand), and it is freed — directory, R-tree
+//!   copy, pool, file descriptor — by the flush itself when no cursor pins
+//!   it, else by its last cursor. So a delta cube holds one generation plus
+//!   the ones its open cursors read ([`DeltaStats::generations_retained`]),
+//!   however many flushes it has run. The decoded-node cache is *not*
+//!   dropped: it follows the file to the next generation (below).
 //!
 //! # The cube file owns its tuples
 //!
@@ -63,11 +68,13 @@
 //! generation's cuboid directory and R-tree. The serving handle a
 //! previous flush published *is* those, in memory: it was built from the
 //! very values that flush serialized into the catalog. Each published
-//! handle therefore keeps the [`FileStamp`] of its commit, and a flush —
-//! with the writer lock held — compares it with the stamp of the file it
-//! has just opened for writing: same device and inode (the serving
-//! handle's descriptor pins the inode, so the pair cannot be a recycled
-//! number), same elected generation, page count and catalog page. On a
+//! handle therefore keeps the [`FileStamp`] of its commit — and the handle
+//! [`DeltaCube::open`] parsed keeps the stamp of the generation it parsed,
+//! whose catalog it is just as exactly — and a flush — with the writer
+//! lock held — compares it with the stamp of the file it has just opened
+//! for writing: same device and inode (the serving handle's descriptor
+//! pins the inode, so the pair cannot be a recycled number), same elected
+//! generation, page count and catalog page. On a
 //! match the stored catalog is, byte for byte, the serialization of what
 //! the handle holds, nobody can change it under the lock, and the flush
 //! clones the directory and the R-tree — copy-on-write, one pointer per
@@ -124,14 +131,17 @@
 //! Everything else takes the cold path, `SignatureCube::open_store`'s
 //! catalog parse, which stays the only one — and starts a fresh node
 //! cache, for the same reason it distrusts the catalog in memory: the
-//! keys of the old one may name another file's pages. That is the first
-//! flush after [`DeltaCube::open`] (this process published nothing yet),
-//! a vacuum swap (another inode under the path), another writer's commit
+//! keys of the old one may name another file's pages. That is a vacuum
+//! swap (another inode under the path), the first flush after a
+//! re-election (its handle is left unstamped), another writer's commit
 //! (another generation), a flush of this process that committed and then
 //! failed before the swap (the file is a generation ahead of the serving
-//! handle), a platform without file identity. There is no option to
-//! force either path; `FlushReport::cold_opens` and
-//! `delta.flush.cold_opens` say which ran.
+//! handle), a platform without file identity. The first flush after
+//! [`DeltaCube::open`] is not on the list: it reuses the catalog the open
+//! parsed instead of parsing a second full copy beside it, and still
+//! writes only the R-tree nodes it changed (the parse recorded each
+//! node's object). There is no option to force either path;
+//! `FlushReport::cold_opens` and `delta.flush.cold_opens` say which ran.
 //!
 //! # Reading a flush
 //!
@@ -166,7 +176,10 @@
 //! mid-session: the cursor pins the base generation and the memtable
 //! snapshot it opened with (the same contract pinned readers get from
 //! the vacuum swap), so pagination keeps answering the state it started
-//! from.
+//! from. The signature search it runs over its generation borrows
+//! nothing of it (`crate::sigquery`'s search state is handed the cube
+//! and the tree at each step), which is what lets the cursor own the
+//! generation instead of borrowing it from the [`DeltaCube`].
 //!
 //! # Crash safety
 //!
@@ -222,7 +235,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use rcube_index::rtree::RTree;
@@ -237,6 +250,7 @@ use rcube_table::{Dim, Relation, Tid};
 use crate::maintain::{apply_path_updates, PathUpdateBatch};
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
 use crate::sigcube::{Committed, SignatureCube};
+use crate::sigquery::SigState;
 use crate::QueryStats;
 
 /// WAL file magic (8 bytes, distinct from the cube-file magic).
@@ -555,54 +569,77 @@ impl DeltaWriter {
     }
 }
 
-/// One pinned base generation: a read-only cube handle plus its R-tree.
-/// Generations are kept append-only in a chain of [`GenNode`]s, so a
-/// cursor holding `&BaseHandle` stays valid for the [`DeltaCube`]'s whole
-/// lifetime — flushes append a generation, they never drop an old one.
+/// One base generation: a read-only cube handle plus its R-tree. The
+/// [`DeltaCube`] keeps the one it serves beside the memtable, and every
+/// cursor opened on it holds a clone of the `Arc` — so a generation lives
+/// while it serves or a cursor still reads it, and leaves with the last of
+/// them: its directory, R-tree copy, pool and file descriptor go with it.
 ///
 /// Consecutive generations share every R-tree node the flush between
-/// them left alone (the tree is copy-on-write, `rcube_index::rtree`).
-struct BaseHandle {
+/// them left alone (the tree is copy-on-write, `rcube_index::rtree`), and
+/// every cell signature it left alone.
+struct Generation {
     cube: SignatureCube,
     rtree: RTree,
     generation: u64,
-    /// What the flush that built this handle stamped into the file when
-    /// it committed — the generation whose catalog is, byte for byte, the
-    /// serialization of `cube`'s directory and `rtree`. `None` for the
-    /// handle [`DeltaCube::open`] parsed off the file.
+    /// The stamp of the file generation whose catalog is, byte for byte,
+    /// the serialization of `cube`'s directory and `rtree` — what the
+    /// flush that built this handle committed, or what [`DeltaCube::open`]
+    /// parsed. `None` on the handle a re-election parsed, and on one a
+    /// flush had to parse for want of file identity.
     published: Option<FileStamp>,
+    /// The delta cube's count of live generations; this one leaves it on
+    /// drop ([`DeltaStats::generations_retained`]).
+    live: Arc<AtomicU64>,
 }
 
-impl BaseHandle {
+impl Generation {
+    /// The handle over `cube` and `rtree`, counted into `live`.
+    fn new(
+        cube: SignatureCube,
+        rtree: RTree,
+        generation: u64,
+        published: Option<FileStamp>,
+        live: &Arc<AtomicU64>,
+    ) -> Self {
+        live.fetch_add(1, Ordering::Relaxed);
+        Self { cube, rtree, generation, published, live: Arc::clone(live) }
+    }
+
     /// Parses the newest generation of the file at `path` into a serving
     /// handle — `SignatureCube::open_store`, the one catalog parse — over a
-    /// read-only store under `opts` (its fault plan included). The handle
-    /// starts a fresh node cache; it and the pool report as `signature.*`.
-    fn open(path: &Path, opts: FileOptions, metrics: &Metrics) -> Result<Self, StorageError> {
+    /// read-only store under `opts` (its fault plan included), unstamped.
+    /// The handle starts a fresh node cache; it and the pool report as
+    /// `signature.*`.
+    fn open(
+        path: &Path,
+        opts: FileOptions,
+        metrics: &Metrics,
+        live: &Arc<AtomicU64>,
+    ) -> Result<Self, StorageError> {
         let store = PageStore::with_backend(Arc::new(FileBackend::open_with(path, opts)?));
+        let generation = store.generation().unwrap_or(0);
         let (mut cube, rtree) = SignatureCube::open_store(store)?;
         cube.set_metrics(metrics.clone());
-        let generation = cube.store().generation().unwrap_or(0);
-        Ok(Self { cube, rtree, generation, published: None })
+        Ok(Self::new(cube, rtree, generation, None, live))
     }
 }
 
-/// Generations one chain node holds. Every query finds the newest one by
-/// walking the chain, so the walk has to stay short: one hop per
-/// generation read 13 ns a hop — 5 µs an open, twice a query (routing asks
-/// too), after the 400 flushes of a 15 s benchmark window.
-const GEN_CHUNK: usize = 64;
-
-/// [`GEN_CHUNK`] generations, set in order, and the node after them.
-struct GenNode {
-    handles: Box<[OnceLock<BaseHandle>]>,
-    next: OnceLock<Box<GenNode>>,
+impl Drop for Generation {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
-impl GenNode {
-    fn new() -> Box<Self> {
-        let handles = (0..GEN_CHUNK).map(|_| OnceLock::new()).collect();
-        Box::new(Self { handles, next: OnceLock::new() })
+/// The serving base cube a caller reads, pinned for as long as it holds
+/// this ([`DeltaCube::serving_cube`]).
+struct ServingCube(Arc<Generation>);
+
+impl std::ops::Deref for ServingCube {
+    type Target = SignatureCube;
+
+    fn deref(&self) -> &SignatureCube {
+        &self.0.cube
     }
 }
 
@@ -700,8 +737,20 @@ pub struct DeltaStats {
     pub nodes_reencoded: u64,
     /// Flushes since open that parsed the catalog off the file.
     pub cold_opens: u64,
+    /// Base generations alive: the serving one, plus each superseded one
+    /// an open cursor still reads. Counted by the generations themselves,
+    /// so one that lingered with nothing pinning it would show here.
+    pub generations_retained: u64,
     /// What replay found when this handle opened.
     pub last_replay: ReplayReport,
+}
+
+/// What the memtable lock guards: the overlay and the base generation it
+/// sits on. A flush swaps both in one write section, so a cursor's open
+/// pins a consistent pair.
+struct Served {
+    mem: Memtable,
+    base: Arc<Generation>,
 }
 
 /// An ingest-while-serving wrapper over a persistent signature cube
@@ -716,10 +765,9 @@ pub struct DeltaCube {
     wal_path: PathBuf,
     pool_pages: usize,
     disk: DiskSim,
-    head: Box<GenNode>,
-    /// Generations in the chain; the newest is the one served.
-    generations: AtomicU64,
-    mem: RwLock<Memtable>,
+    served: RwLock<Served>,
+    /// Live [`Generation`]s, counted by their constructor and `Drop`.
+    generations: Arc<AtomicU64>,
     /// The append mutex (module docs, *Crash safety*).
     append: Mutex<DeltaWriter>,
     /// The flush mutex: held by a flush for its whole cycle and by
@@ -771,8 +819,11 @@ impl DeltaCube {
         let path = path.as_ref().to_path_buf();
         let wal_path = wal_path_for(&path);
         let file_opts = FileOptions { pool_pages: opts.pool_pages, faults: opts.faults.clone() };
-        let head = GenNode::new();
-        let opened = BaseHandle::open(&path, file_opts, &opts.metrics)?;
+        let generations = Arc::new(AtomicU64::new(0));
+        let mut opened = Generation::open(&path, file_opts, &opts.metrics, &generations)?;
+        // The catalog just parsed is, byte for byte, this stamp's: the
+        // first flush may take the warm path like every later one.
+        opened.published = opened.cube.store().file_stamp();
         let tuples = &opened.cube.tuples;
         let cards = base_rel.schema().selection_dims().iter().map(Dim::cardinality);
         if !cards.eq(tuples.cards().iter().copied())
@@ -782,7 +833,6 @@ impl DeltaCube {
             return Err(StorageError::Malformed("delta open: the relation is not the file's base"));
         }
         let (flushed_seq, file_tuples) = (tuples.flushed_seq, tuples.len() as Tid);
-        assert!(head.handles[0].set(opened).is_ok(), "a new chain node is empty");
 
         // Replay the WAL, creating it when absent (the first append's
         // fsync makes the header durable with it).
@@ -822,9 +872,8 @@ impl DeltaCube {
             wal_path,
             pool_pages: opts.pool_pages,
             disk: DiskSim::with_defaults(),
-            head,
-            generations: AtomicU64::new(1),
-            mem: RwLock::new(state.mem),
+            served: RwLock::new(Served { mem: state.mem, base: Arc::new(opened) }),
+            generations,
             append: Mutex::new(writer),
             flush_lock: Mutex::new(()),
             faults: opts.faults,
@@ -864,7 +913,7 @@ impl DeltaCube {
 
     /// Distinct tids with a pending memtable op.
     pub fn memtable_len(&self) -> usize {
-        self.mem.read().unwrap().ops.len()
+        self.served.read().unwrap().mem.ops.len()
     }
 
     /// Flush cycles completed by this handle.
@@ -874,13 +923,14 @@ impl DeltaCube {
 
     /// The base-cube generation new cursors serve.
     pub fn serving_generation(&self) -> u64 {
-        self.current().generation
+        self.served.read().unwrap().base.generation
     }
 
     /// The base cube new cursors read: the serving generation, with its
-    /// buffer pool and the node cache of its lineage.
-    pub fn serving_cube(&self) -> &SignatureCube {
-        &self.current().cube
+    /// buffer pool and the node cache of its lineage — pinned, like a
+    /// cursor pins it, until the returned handle drops.
+    pub fn serving_cube(&self) -> impl std::ops::Deref<Target = SignatureCube> {
+        ServingCube(self.current())
     }
 
     /// The most recent flush cycles, one `delta.flush` event each, oldest
@@ -899,43 +949,24 @@ impl DeltaCube {
 
     /// Point-in-time delta-layer state.
     pub fn stats(&self) -> DeltaStats {
-        let mem = self.mem.read().unwrap();
+        let served = self.served.read().unwrap();
         DeltaStats {
-            memtable_ops: mem.ops.len(),
-            memtable_bytes: mem.bytes,
+            memtable_ops: served.mem.ops.len(),
+            memtable_bytes: served.mem.bytes,
             wal_bytes: self.wal_len.load(Ordering::SeqCst),
             flushes: self.flushes.load(Ordering::SeqCst),
-            serving_generation: self.serving_generation(),
+            serving_generation: served.base.generation,
             partials_rewritten: self.partials_rewritten.load(Ordering::Relaxed),
             nodes_reencoded: self.nodes_reencoded.load(Ordering::Relaxed),
             cold_opens: self.cold_opens.load(Ordering::Relaxed),
+            generations_retained: self.generations.load(Ordering::Relaxed),
             last_replay: self.last_replay,
         }
     }
 
-    /// The newest generation. Safe to call concurrently with a flush: the
-    /// chain is append-only, a generation is counted (`Release`) only once
-    /// it is in place, and nothing is dropped before the `DeltaCube`
-    /// itself.
-    fn current(&self) -> &BaseHandle {
-        let at = self.generations.load(Ordering::Acquire) as usize - 1;
-        let mut node: &GenNode = &self.head;
-        for _ in 0..at / GEN_CHUNK {
-            node = node.next.get().expect("chained before it was counted");
-        }
-        node.handles[at % GEN_CHUNK].get().expect("set before it was counted")
-    }
-
-    /// Appends the generation a flush built. One flush runs at a time (the
-    /// flush mutex), so the count cannot move underneath.
-    fn push_generation(&self, handle: BaseHandle) {
-        let at = self.generations.load(Ordering::Relaxed) as usize;
-        let mut node: &GenNode = &self.head;
-        for _ in 0..at / GEN_CHUNK {
-            node = node.next.get_or_init(GenNode::new);
-        }
-        assert!(node.handles[at % GEN_CHUNK].set(handle).is_ok(), "one writer appends");
-        self.generations.store(at as u64 + 1, Ordering::Release);
+    /// The serving generation, pinned.
+    fn current(&self) -> Arc<Generation> {
+        Arc::clone(&self.served.read().unwrap().base)
     }
 
     /// Serves the file now under [`Self::path`] from the next query on:
@@ -944,12 +975,13 @@ impl DeltaCube {
     /// flush would elect the new file too, but an idle delta runs none.
     /// The generation is parsed off the file, so the next flush takes the
     /// cold path; the superseded one keeps its pinned cursors, minus its
-    /// pool frames and node tables, whose page ids name the old file.
+    /// pool frames and node tables, whose page ids name the old file, and
+    /// is freed here when no cursor pins it.
     pub(crate) fn reelect(&self) -> Result<(), StorageError> {
         let _flush = self.flush_lock.lock().expect("no flush panicked holding the flush mutex");
-        let next = BaseHandle::open(&self.path, self.file_options(), &self.metrics)?;
-        let serving = self.current();
-        self.push_generation(next);
+        let next =
+            Generation::open(&self.path, self.file_options(), &self.metrics, &self.generations);
+        let serving = std::mem::replace(&mut self.served.write().unwrap().base, Arc::new(next?));
         serving.cube.store().clear_cache();
         serving.cube.node_cache().clear();
         Ok(())
@@ -970,8 +1002,8 @@ impl DeltaCube {
     /// serving base cube (the memtable overlay answers anything the base
     /// can).
     pub fn can_answer(&self, selection: &rcube_table::Selection, ranking_dims: &[usize]) -> bool {
-        let h = self.current();
-        h.cube.can_answer(&h.rtree, selection, ranking_dims)
+        let base = &self.served.read().unwrap().base;
+        base.cube.can_answer(&base.rtree, selection, ranking_dims)
     }
 
     /// Binds the merged view as a [`RankedSource`].
@@ -1012,7 +1044,7 @@ impl DeltaCube {
         self.wal_len.store(w.offset, Ordering::SeqCst);
         self.wal_bytes_ctr.add(appended);
         self.appends_ctr.inc();
-        let mut mem = self.mem.write().unwrap();
+        let mem = &mut self.served.write().unwrap().mem;
         mem.put(tid, seq, MemOp::Upsert { sel: sel.to_vec(), point: point.to_vec() });
         self.mem_depth.set(mem.ops.len() as u64);
         Ok(tid)
@@ -1034,7 +1066,7 @@ impl DeltaCube {
         self.wal_len.store(w.offset, Ordering::SeqCst);
         self.wal_bytes_ctr.add(appended);
         self.appends_ctr.inc();
-        let mut mem = self.mem.write().unwrap();
+        let mem = &mut self.served.write().unwrap().mem;
         mem.put(tid, seq, MemOp::Delete);
         self.mem_depth.set(mem.ops.len() as u64);
         Ok(())
@@ -1123,7 +1155,7 @@ impl DeltaCube {
         let (snapshot, snapshot_seq, tail_from, mut writer_hold) = {
             let w = self.appender();
             let held = Instant::now();
-            let ops = Arc::clone(&self.mem.read().unwrap().ops);
+            let ops = Arc::clone(&self.served.read().unwrap().mem.ops);
             (ops, w.next_seq - 1, w.offset, held.elapsed())
         };
         if snapshot.is_empty() {
@@ -1194,23 +1226,19 @@ impl DeltaCube {
             &self.path,
             self.file_options(),
         )?));
-        let mut next = match (committed, read_store.file_stamp()) {
+        let (mut cube, rtree, published) = match (committed, read_store.file_stamp()) {
             (Some(committed), Some(reopened)) if committed.same_publication(&reopened) => {
-                BaseHandle {
-                    cube: cube.move_onto(read_store),
-                    rtree,
-                    generation,
-                    published: Some(committed),
-                }
+                (cube.move_onto(read_store), rtree, Some(committed))
             }
             // No file identity on this platform: parse what was committed.
             _ => {
                 drop((cube, rtree));
                 let (cube, rtree) = SignatureCube::open_store(read_store)?;
-                BaseHandle { cube, rtree, generation, published: None }
+                (cube, rtree, None)
             }
         };
-        next.cube.set_metrics(self.metrics.clone());
+        cube.set_metrics(self.metrics.clone());
+        let mut next = Generation::new(cube, rtree, generation, published, &self.generations);
         let mut swap_us = lap();
 
         // 4. The hand-over, under the append mutex: a new WAL of the
@@ -1246,7 +1274,7 @@ impl DeltaCube {
         //    report. Appends go to the new WAL, and the serving generation
         //    and the memtable change in one critical section — a concurrent
         //    open sees old+full or new+carried, never a mix. Open cursors
-        //    ride their pinned node. The node tables the fold staged become
+        //    ride their pinned generation. The node tables the fold staged become
         //    visible here and no earlier: until now the commit could still
         //    have been abandoned, and the next attempt writes other bytes
         //    under the same page ids.
@@ -1258,24 +1286,26 @@ impl DeltaCube {
         next.cube.publish_hand_over();
         let cache_moved_on = std::ptr::eq(serving.cube.node_cache(), next.cube.node_cache());
         {
-            let mut mem = self.mem.write().unwrap();
-            self.push_generation(next);
-            mem.prune(snapshot_seq);
-            self.mem_depth.set(mem.ops.len() as u64);
+            let mut served = self.served.write().unwrap();
+            served.base = Arc::new(next);
+            served.mem.prune(snapshot_seq);
+            self.mem_depth.set(served.mem.ops.len() as u64);
         }
         self.wal_len.store(w.offset, Ordering::SeqCst);
         drop(w);
         writer_hold += held.elapsed();
-        // The superseded generation stays in the chain for its pinned
-        // cursors, but its pool stops holding frames nobody new will read
+        // The superseded generation lives on only in the cursors still
+        // pinning it. Its pool stops holding frames nobody new will read
         // (cursors keep the `Arc` frames they hold and re-read the rest on
         // demand). Its node cache goes the same way only when the new
         // generation started one of its own (a cold flush); on the warm
-        // path both serve out of the same one.
+        // path both serve out of the same one. Unpinned, it is freed here,
+        // outside both mutexes: directory, R-tree copy, pool, descriptor.
         serving.cube.store().clear_cache();
         if !cache_moved_on {
             serving.cube.node_cache().clear();
         }
+        drop(serving);
         swap_us += lap();
 
         let report = FlushReport {
@@ -1356,9 +1386,9 @@ impl<'a> RankedSource<'a> for DeltaSource<'a> {
         // Pin overlay + generation under the memtable read lock: flush
         // swaps both inside the write lock, so the pair is consistent — the
         // pin this cursor keeps for its lifetime.
-        let (ops, handle) = {
-            let mem = delta.mem.read().unwrap();
-            (Arc::clone(&mem.ops), delta.current())
+        let (ops, generation) = {
+            let served = delta.served.read().unwrap();
+            (Arc::clone(&served.mem.ops), Arc::clone(&served.base))
         };
         let conds = plan.selection.conds();
         let mut mem_items: Vec<(Tid, f64)> = Vec::new();
@@ -1373,9 +1403,11 @@ impl<'a> RankedSource<'a> for DeltaSource<'a> {
             }
         }
         mem_items.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let base = handle.cube.source(&handle.rtree, &delta.disk).open(plan)?;
+        let base = SigState::open(&generation.cube, &generation.rtree, &delta.disk, plan)?;
         let mem_scored = mem_items.len() as u64;
         let search = DeltaSearch {
+            generation,
+            disk: &delta.disk,
             base,
             base_done: false,
             pending_base: None,
@@ -1391,13 +1423,19 @@ impl<'a> RankedSource<'a> for DeltaSource<'a> {
     }
 }
 
-/// The three-way certified merge: base cursor + overlay drain, masking
+/// The three-way certified merge: base search + overlay drain, masking
 /// deleted/superseded base tids. Both inputs emit ascending `(score,
 /// tid)`, so the merge emits certified answers in the same order — and
 /// because the overlay snapshot and the base generation are pinned at
 /// open, `extend_k` keeps answering the open-time state across flushes.
 struct DeltaSearch<'a> {
-    base: TopKCursor<'a>,
+    /// The base generation pinned at open. The search owns this clone, so
+    /// the generation outlives the flush that supersedes it for as long as
+    /// the cursor does, and no longer.
+    generation: Arc<Generation>,
+    disk: &'a DiskSim,
+    /// The signature search over `generation`, handed it at every step.
+    base: SigState<'a>,
     base_done: bool,
     pending_base: Option<(Tid, f64)>,
     mem: Vec<(Tid, f64)>,
@@ -1412,13 +1450,11 @@ struct DeltaSearch<'a> {
 }
 
 impl DeltaSearch<'_> {
-    /// Refills the one-answer base lookahead, skipping masked tids. The
-    /// inner cursor pausing on its own answer limit is not exhaustion —
-    /// extend it and keep pulling (the frontier resumes, nothing is
-    /// re-read).
+    /// Refills the one-answer base lookahead, skipping masked tids.
     fn refill_base(&mut self) -> Result<(), StorageError> {
         while self.pending_base.is_none() && !self.base_done {
-            match self.base.try_next()? {
+            let base = &*self.generation;
+            match self.base.advance(Some(&base.cube), &base.rtree, self.disk)? {
                 Some((tid, score)) => {
                     if self.ops.contains_key(&tid) {
                         self.masked += 1;
@@ -1426,7 +1462,6 @@ impl DeltaSearch<'_> {
                         self.pending_base = Some((tid, score));
                     }
                 }
-                None if self.base.emitted() >= self.base.k() => self.base.extend_k(1),
                 None => self.base_done = true,
             }
         }
@@ -1465,21 +1500,12 @@ impl ProgressiveSearch for DeltaSearch<'_> {
     }
 
     fn stats(&self) -> QueryStats {
-        let mut s = self.base.stats();
+        let mut s = self.base.stats(self.disk);
         s.tuples_scored += self.mem_scored;
         s.delta_mem_answers = self.mem_emitted;
         s.delta_base_answers = self.base_emitted;
         s.delta_masked = self.masked;
         s
-    }
-
-    fn reserve(&mut self, k: usize) {
-        // The base cursor is extended lazily on demand (refill_base), so
-        // the only job here is to let an early extension through.
-        if k > self.base.k() {
-            let delta = k - self.base.k();
-            self.base.extend_k(delta);
-        }
     }
 }
 
@@ -1628,7 +1654,7 @@ mod tests {
         // Three flushes mid-session (same thread: all shared borrows), each
         // followed by more ingest — the paused cursor must see none of it,
         // and keeps streaming its generation a few answers at a time.
-        let pinned = &delta.head.handles[0].get().unwrap().cube;
+        let pinned = delta.serving_cube();
         assert!(pinned.pool_stats().unwrap().used_pages() > 0, "the cursor warmed its pool");
         assert!(pinned.node_cache().stats().entries > 0);
         for round in 0..3u32 {
@@ -1658,10 +1684,63 @@ mod tests {
     }
 
     #[test]
+    fn a_generation_leaves_with_its_last_cursor() {
+        let full = SyntheticSpec { tuples: 420, cardinality: 4, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("retained");
+        build_base(&base, &path);
+        let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
+        let retained = || delta.stats().generations_retained;
+        let mut next: Tid = 300;
+        let mut ingest_and_flush = |n: Tid| {
+            for tid in next..next + n {
+                delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
+            }
+            next += n;
+            delta.flush().unwrap()
+        };
+        assert_eq!(retained(), 1);
+        let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(5);
+        let deep = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(400);
+        let open_time = delta.source().open(&deep.plan()).unwrap().try_drain().unwrap().items;
+
+        // A cursor on generation g, paused after five answers.
+        let mut first = delta.source().open(&q.plan()).unwrap();
+        let mut got: Vec<_> = first.by_ref().collect();
+        assert_eq!(got.len(), 5);
+        ingest_and_flush(10);
+        assert_eq!(retained(), 2, "g pinned, g + 1 serving");
+        // Two cursors on g + 1: one more generation pinned, not two.
+        let second = delta.source().open(&q.plan()).unwrap();
+        let third = delta.source().open(&q.plan()).unwrap();
+        ingest_and_flush(10);
+        assert_eq!(retained(), 3, "g and g + 1 pinned, g + 2 serving");
+        // A third flush: the generation it retires is pinned by nobody.
+        ingest_and_flush(10);
+        assert_eq!(retained(), 3, "g and g + 1 pinned, g + 3 serving");
+        drop(second);
+        assert_eq!(retained(), 3, "g + 1 is still pinned by the third cursor");
+        drop(third);
+        assert_eq!(retained(), 2, "g + 1 left with its last cursor");
+
+        // Three flushes retired g from the slot; its cursor drains on.
+        first.extend_k(400);
+        got.extend(first.by_ref());
+        assert_eq!(render(&got), render(&open_time), "the open-time answer, byte for byte");
+        drop(first);
+        assert_eq!(retained(), 1, "only the serving generation is left");
+        assert_eq!(ingest_and_flush(10).cold_opens, 0);
+        assert_eq!(retained(), 1);
+        drop(delta);
+        cleanup(&path);
+    }
+
+    #[test]
     fn the_node_cache_stays_bounded_over_fifty_flushes() {
         // No cursor pinned: what the cache holds after any number of warm
         // flushes is the partials the directory serves plus the ones the
-        // last flush retired — never a trail of old generations.
+        // last flush retired — never a trail of old generations; and the
+        // only generation alive is the one serving.
         let full = SyntheticSpec { tuples: 500, cardinality: 3, ..Default::default() }.generate();
         let base = full.prefix(300);
         let path = temp_path("bounded");
@@ -1677,7 +1756,8 @@ mod tests {
                 delta.source().open(&q.plan()).unwrap().try_drain().unwrap();
             }
             let report = delta.flush().unwrap();
-            assert_eq!(report.cold_opens, u64::from(round == 0));
+            assert_eq!(report.cold_opens, 0, "round {round}: warm from the first flush on");
+            assert_eq!(delta.stats().generations_retained, 1, "round {round}");
             let cube = &delta.current().cube;
             let (tables, nodes) = cube.assert_node_cache_matches_file();
             let served: usize = cube
@@ -1964,16 +2044,15 @@ mod tests {
     /// twin files, then checks all three against each other and against a
     /// cube built from scratch over the final R-tree. After every flush the
     /// spliced cube and the whole-cell twin must hold the same nodes, bits
-    /// and codings, in a well-formed catalog; the first flush after an open
-    /// must be cold and every other one warm. Returns the tallest R-tree
-    /// any flush served and the ops they applied.
+    /// and codings, in a well-formed catalog; every flush must be warm, the
+    /// first after an open included. Returns the tallest R-tree any flush
+    /// served and the ops they applied.
     fn check_history(tag: &str, steps: &[Step], alpha: f64) -> (usize, usize) {
         let [path_a, path_b, path_c] = ["a", "b", "c"].map(|t| temp_path(&format!("{tag}_{t}")));
         let base = fold_base_file(&path_a, alpha);
         std::fs::copy(&path_a, &path_b).unwrap();
         std::fs::copy(&path_a, &path_c).unwrap();
         let cuboids = base.schema().num_selection();
-        let mut fresh_open = true;
 
         // The model the reference folds from: pending ops, live flushed
         // delta tuples, and the latest row under every tid (a reopen may
@@ -2069,12 +2148,7 @@ mod tests {
                             cell_nodes(&cube_c),
                             "spliced fold != whole-cell fold"
                         );
-                        assert_eq!(
-                            report.cold_opens,
-                            u64::from(fresh_open),
-                            "warm unless just opened"
-                        );
-                        fresh_open = false;
+                        assert_eq!(report.cold_opens, 0, "warm, just opened or not");
                     }
                     max_height = max_height.max(delta.current().rtree.height());
                     assert!(
@@ -2106,7 +2180,6 @@ mod tests {
                         fold_whole_cell(&path_c, &base, &pending, &flushed);
                     }
                     settle(&mut pending, &mut flushed);
-                    fresh_open = true;
                     delta =
                         DeltaCube::open(&path_a, base.clone(), DeltaOptions::default()).unwrap();
                     max_height = max_height.max(delta.current().rtree.height());
@@ -2258,10 +2331,15 @@ mod tests {
 
     /// Six rounds of clustered inserts (leaf splits up to a new root) and
     /// deletes over `path`, a flush after each; returns every flush's
-    /// `cold_opens`.
-    fn run_rounds(path: &Path, full: &Relation, base: &Relation, before: Before) -> Vec<u64> {
+    /// `cold_opens` and `rtree_nodes_written`.
+    fn run_rounds(
+        path: &Path,
+        full: &Relation,
+        base: &Relation,
+        before: Before,
+    ) -> (Vec<u64>, Vec<usize>) {
         let mut delta = DeltaCube::open(path, base.clone(), DeltaOptions::default()).unwrap();
-        let mut cold = Vec::new();
+        let (mut cold, mut written) = (Vec::new(), Vec::new());
         for round in 0..6u32 {
             for tid in 300 + round * 20..320 + round * 20 {
                 let f = f64::from(tid % 13) / 300.0;
@@ -2283,9 +2361,11 @@ mod tests {
                     delta = DeltaCube::open(path, base.clone(), DeltaOptions::default()).unwrap();
                 }
             }
-            cold.push(delta.flush().unwrap().cold_opens);
+            let report = delta.flush().unwrap();
+            cold.push(report.cold_opens);
+            written.push(report.rtree_nodes_written);
         }
-        cold
+        (cold, written)
     }
 
     #[test]
@@ -2297,9 +2377,15 @@ mod tests {
         std::fs::copy(&paths[0], &paths[1]).unwrap();
         std::fs::copy(&paths[0], &paths[2]).unwrap();
 
-        assert_eq!(run_rounds(&paths[0], &full, &base, Before::Nothing), [1, 0, 0, 0, 0, 0]);
-        assert_eq!(run_rounds(&paths[1], &full, &base, Before::SwapInCopy), [1; 6]);
-        assert_eq!(run_rounds(&paths[2], &full, &base, Before::Reopen), [1; 6]);
+        // Every flush after an open is warm, the first included; one over a
+        // copy swapped in is cold — and writes the very R-tree nodes the
+        // warm one does: the stamped parse recorded each node's object.
+        let (warm, warm_written) = run_rounds(&paths[0], &full, &base, Before::Nothing);
+        let (cold, cold_written) = run_rounds(&paths[1], &full, &base, Before::SwapInCopy);
+        let (reopened, reopened_written) = run_rounds(&paths[2], &full, &base, Before::Reopen);
+        assert_eq!((warm, cold, reopened), (vec![0; 6], vec![1; 6], vec![0; 6]));
+        assert_eq!(warm_written, cold_written, "the first flush after an open included");
+        assert_eq!(reopened_written, cold_written);
 
         // Same process, same R-tree page allocator: the warm file and the
         // always-cold file are the same bytes — every partial, every
@@ -2380,7 +2466,7 @@ mod tests {
             after.cube.assert_node_cache_matches_file();
             cold
         };
-        assert_eq!(flush_keeps_cache(300..310, "first flush"), 1, "first flush after open");
+        assert_eq!(flush_keeps_cache(300..310, "first flush"), 0, "the file it opened, as it was");
         assert_eq!(flush_keeps_cache(310..320, "second flush"), 0, "its own file, as it left it");
 
         // A vacuum swaps another file under the path.
@@ -2424,8 +2510,8 @@ mod tests {
         let applied = retry.fields.iter().find(|(k, _)| *k == "applied_ops").unwrap().1;
         assert_eq!(applied, 10.0, "the retry skips what the failed flush committed");
         assert_answers_like_rebuilt(&delta, &full.prefix(380), "after a half-done flush");
-        assert_eq!(delta.stats().cold_opens, 4);
-        assert_eq!(metrics.counter("delta.flush.cold_opens").get(), 4);
+        assert_eq!(delta.stats().cold_opens, 3);
+        assert_eq!(metrics.counter("delta.flush.cold_opens").get(), 3);
 
         for tid in 380..385 {
             delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
@@ -2445,7 +2531,7 @@ mod tests {
         let path = temp_path("reelect");
         build_base(&base, &path);
         let delta = DeltaCube::open(&path, base, DeltaOptions::default()).unwrap();
-        assert_eq!(ingest_and_flush(&delta, &full, 300..310), 1);
+        assert_eq!(ingest_and_flush(&delta, &full, 300..310), 0);
         assert_eq!(ingest_and_flush(&delta, &full, 310..320), 0);
         let answers = served_answers(&delta);
         let q = &fold_queries()[3];
@@ -2508,7 +2594,7 @@ mod tests {
         let pristine = temp_path("nopublish_base");
         build_base(&base, &pristine);
 
-        // One process: a cold flush, a warm-up, writes, the flush under
+        // One process: a first flush, a warm-up, writes, the flush under
         // test (which `arm` makes fail), more writes, the retry.
         // Arms the failure; what it returns disarms it.
         type Arm<'a> = &'a dyn Fn(&Path, &FaultPlan) -> Box<dyn FnOnce()>;
@@ -2518,7 +2604,7 @@ mod tests {
             let plan = FaultPlan::new();
             let opts = DeltaOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
             let delta = DeltaCube::open(&path, base.clone(), opts).unwrap();
-            assert_eq!(ingest_and_flush(&delta, &full, 300..330), 1);
+            assert_eq!(ingest_and_flush(&delta, &full, 300..330), 0);
             served_answers(&delta);
             for tid in 330..360 {
                 delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
@@ -2661,7 +2747,7 @@ mod tests {
                 }
                 report
             };
-            assert_eq!(burst(40, &[3, 11, 42]).cold_opens, 1);
+            assert_eq!(burst(40, &[3, 11, 42]).cold_opens, 0);
             // A base tuple, a flushed one, and — deleted before its flush —
             // a pending one.
             assert_eq!(burst(30, &[77, 305, 365]).cold_opens, 0);
@@ -2769,9 +2855,10 @@ mod tests {
 
         // The memtable holds exactly the hook's ops.
         let kinds: Vec<(Tid, bool)> = delta
-            .mem
+            .served
             .read()
             .unwrap()
+            .mem
             .ops
             .iter()
             .map(|(&tid, e)| (tid, matches!(e.op, MemOp::Upsert { .. })))
@@ -2829,14 +2916,14 @@ mod tests {
         assert!(partials > 0 && nodes >= partials);
         assert_eq!(snap.counter("delta.flush.partials_rewritten"), Some(partials));
         assert_eq!(snap.counter("delta.flush.nodes_reencoded"), Some(nodes));
-        assert_eq!(snap.counter("delta.flush.cold_opens"), Some(1));
+        assert_eq!(snap.counter("delta.flush.cold_opens"), Some(0), "warm from the first flush");
         let written = sum(|r| r.rtree_nodes_written);
         assert!(written > 0);
         assert_eq!(snap.counter("delta.flush.rtree_nodes_written"), Some(written));
         let stats = delta.stats();
         assert_eq!(
             (stats.partials_rewritten, stats.nodes_reencoded, stats.cold_opens),
-            (partials, nodes, 1)
+            (partials, nodes, 0)
         );
 
         let events = delta.flush_events();

@@ -1938,7 +1938,7 @@ mod tests {
                     .into_iter()
                     .map(|(bid, base, list)| (bid, base, corrupt(list)))
                     .collect();
-                cube.store.overwrite(&disk, page, cell_page(&lists));
+                cube.store.overwrite(&disk, page, cell_page(&lists)).unwrap();
             }
             for conds in queries {
                 let q = Query::select(conds.clone()).rank(Linear::uniform(2)).top(500);

@@ -637,28 +637,36 @@ fn copy_bits(w: &mut BitWriter, stream: &[u8], from: usize, to: usize) {
 /// node lives in a not-yet-loaded partial, and only the requested *nodes*
 /// are decoded from the shared page bytes.
 ///
-/// The cursor captures its metering device at construction, so probing is
-/// the same call for in-memory and reopened file-backed cubes. Probes go
-/// through the [`Pruner`] holding it.
+/// The cursor is per-query state and borrows nothing: it shares the
+/// stored signature's directory and is handed, at every probe, the
+/// [`Probe`] it reads through — so probing is the same call for in-memory
+/// and reopened file-backed cubes, and a cursor can live beside the
+/// generation it reads instead of borrowing it. Probes go through the
+/// [`PruneState`] holding it.
 #[derive(Debug)]
-pub(crate) struct SigCursor<'a> {
-    loader: NodeLoader<'a>,
+pub(crate) struct SigCursor {
+    loader: NodeLoader,
     /// Decoded nodes (`None` = SID proven absent), keyed by SID. Shared
     /// `Arc`s so shared-cache hits never copy word vectors.
     nodes: HashMap<u64, Option<Arc<PackedBits>>>,
+}
+
+/// What a probe reads through: the cube's page store, its shared
+/// cross-query node cache (`None` = per-query memoization only) and the
+/// metering device. [`SignatureCube::probe`] makes the serving one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe<'c> {
+    store: &'c PageStore,
+    disk: &'c DiskSim,
+    cache: Option<&'c SharedNodeCache>,
 }
 
 /// The storage half of a [`SigCursor`] — everything a node decode touches
 /// except the per-query memo, so the memo's entry can stay borrowed across
 /// the decode (one hash probe per node, hit or miss).
 #[derive(Debug)]
-struct NodeLoader<'a> {
-    stored: &'a StoredSignature,
-    store: &'a PageStore,
-    disk: &'a DiskSim,
-    /// Shared cross-query node cache, consulted before loading a partial
-    /// (`None` = per-query memoization only).
-    cache: Option<&'a SharedNodeCache>,
+struct NodeLoader {
+    stored: Arc<StoredSignature>,
     /// Per partial, once a probe routed there: its node table and — only
     /// if a node had to be decoded — its bytes.
     parts: Vec<Option<Part>>,
@@ -688,21 +696,12 @@ struct Part {
     scanned: bool,
 }
 
-impl<'a> SigCursor<'a> {
-    /// A cursor that consults `cache`, when given, before touching storage
-    /// (the serving configuration [`SignatureCube::pruner_for`] builds).
-    pub(crate) fn new(
-        stored: &'a StoredSignature,
-        store: &'a PageStore,
-        disk: &'a DiskSim,
-        cache: Option<&'a SharedNodeCache>,
-    ) -> Self {
+impl SigCursor {
+    /// A cursor over `stored`, nothing loaded yet.
+    pub(crate) fn new(stored: Arc<StoredSignature>) -> Self {
         let parts = (0..stored.partials.len()).map(|_| None).collect();
         let loader = NodeLoader {
             stored,
-            store,
-            disk,
-            cache: cache.filter(|c| !c.is_disabled()),
             parts,
             loads: 0,
             nodes_decoded: 0,
@@ -712,40 +711,44 @@ impl<'a> SigCursor<'a> {
         Self { loader, nodes: HashMap::new() }
     }
 
-    /// The packed bit-words of node `sid`, decoding it on demand;
-    /// `Ok(None)` when the node does not exist.
-    fn node_bits(&mut self, sid: u64) -> Result<Option<&PackedBits>, StorageError> {
+    /// The packed bit-words of node `sid`, decoding it on demand through
+    /// `at`; `Ok(None)` when the node does not exist.
+    fn node_bits(&mut self, at: Probe<'_>, sid: u64) -> Result<Option<&PackedBits>, StorageError> {
         use std::collections::hash_map::Entry;
         Ok(match self.nodes.entry(sid) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(self.loader.decode_sid(sid)?),
+            Entry::Vacant(e) => e.insert(self.loader.decode_sid(at, sid)?),
         }
         .as_deref())
     }
 }
 
-impl NodeLoader<'_> {
-    fn decode_sid(&mut self, sid: u64) -> Result<Option<Arc<PackedBits>>, StorageError> {
-        let Some(pi) = self.stored.partial_of(sid) else {
+impl NodeLoader {
+    fn decode_sid(
+        &mut self,
+        at: Probe<'_>,
+        sid: u64,
+    ) -> Result<Option<Arc<PackedBits>>, StorageError> {
+        let stored = &*self.stored;
+        let Some(pi) = stored.partial_of(sid) else {
             return Ok(None);
         };
-        let page = self.stored.partials[pi];
+        let page = stored.partials[pi];
         if self.parts[pi].is_none() {
             // Shared cache first: with the partial's table resident, a
             // decoded node *or* a proven absence skips the partial load and
             // the decode — no I/O is charged, the bytes never left memory.
-            let part = match self.cache.and_then(|c| c.table(page.0)) {
+            let part = match at.cache.and_then(|c| c.table(page.0)) {
                 Some(table) => {
-                    check_first_sid(&table, self.stored, pi)?;
+                    check_first_sid(&table, stored, pi)?;
                     Part { table, bytes: None, scanned: false }
                 }
                 None => {
-                    let bytes = self.store.try_get_bytes(self.disk, page)?;
+                    let bytes = at.store.try_get_bytes(at.disk, page)?;
                     self.loads += 1;
-                    let shared = self.cache.is_some();
-                    let PartialView { bytes, table } =
-                        scan_checked(bytes, self.stored, pi, shared)?;
-                    let table = self.cache.map_or(Arc::clone(&table), |c| c.admit(page.0, table));
+                    let shared = at.cache.is_some();
+                    let PartialView { bytes, table } = scan_checked(bytes, stored, pi, shared)?;
+                    let table = at.cache.map_or(Arc::clone(&table), |c| c.admit(page.0, table));
                     Part { table, bytes: Some(bytes), scanned: true }
                 }
             };
@@ -753,7 +756,7 @@ impl NodeLoader<'_> {
         }
         let part = self.parts[pi].as_mut().expect("resolved above");
         let Some(di) = part.table.slot_of(sid) else {
-            match self.cache {
+            match at.cache {
                 Some(cache) if part.scanned => cache.record_miss(true),
                 Some(cache) => {
                     self.shared_hits += 1;
@@ -764,7 +767,7 @@ impl NodeLoader<'_> {
             return Ok(None);
         };
         // Only a shared table can hold a node this query did not decode.
-        if let (Some(cache), Some(node)) = (self.cache, part.table.node(di)) {
+        if let (Some(cache), Some(node)) = (at.cache, part.table.node(di)) {
             self.shared_hits += 1;
             cache.record_hit(false);
             return Ok(Some(Arc::clone(node)));
@@ -773,17 +776,17 @@ impl NodeLoader<'_> {
             Some(bytes) => bytes,
             None => {
                 // The table spares the header scan, not the read.
-                let bytes = self.store.try_get_bytes(self.disk, page)?;
+                let bytes = at.store.try_get_bytes(at.disk, page)?;
                 self.loads += 1;
                 check_frame(&bytes, &part.table)?;
                 part.bytes.insert(bytes)
             }
         };
-        let (bits, coded_bits) = decode_at(bytes, &part.table, di, self.stored.m)?;
+        let (bits, coded_bits) = decode_at(bytes, &part.table, di, stored.m)?;
         let bits = Arc::new(bits);
         self.nodes_decoded += 1;
         self.bytes_decoded += coded_bits.div_ceil(8) as u64;
-        Ok(Some(match self.cache {
+        Ok(Some(match at.cache {
             Some(cache) => {
                 cache.record_miss(false);
                 Arc::clone(cache.fill(page.0, &part.table, di, bits))
@@ -794,7 +797,11 @@ impl NodeLoader<'_> {
 }
 
 /// A query-time Boolean pruner (see [`SignatureCube::pruner_for`]): one
-/// lazy cursor per stored signature the selection resolved to.
+/// lazy cursor per stored signature the selection resolved to, bound to
+/// the cube and device it probes through. The per-query half (the
+/// crate's `PruneState`) borrows nothing; a search that owns the
+/// generation it reads holds that half alone and hands it the cube at
+/// each step.
 ///
 /// * **None** (the empty selection): everything passes.
 /// * **One** (an exact cuboid, or a single predicate): a set bit is exact.
@@ -807,37 +814,11 @@ impl NodeLoader<'_> {
 ///   built and only subtrees the search visits are descended.
 #[derive(Debug)]
 pub struct Pruner<'a> {
-    cursors: Vec<SigCursor<'a>>,
-    /// sid → subtree-intersection-non-empty verdict.
-    verdicts: HashMap<u64, bool>,
-    /// One word accumulator per level, lent to the
-    /// [`Self::subtree_non_empty`] call descending through that level.
-    scratch: Vec<Vec<u64>>,
-    m: u64,
-    depth: u16,
+    at: Probe<'a>,
+    state: PruneState,
 }
 
-impl<'a> Pruner<'a> {
-    /// The pruner of the empty selection: every entry qualifies.
-    pub(crate) fn none() -> Self {
-        Self::over(Vec::new())
-    }
-
-    /// The pruner deciding by the conjunction of `cursors`, which must
-    /// mirror the same partition.
-    pub(crate) fn over(cursors: Vec<SigCursor<'a>>) -> Self {
-        let (m, depth) =
-            cursors.first().map_or((0, 0), |c| (c.loader.stored.m as u64, c.loader.stored.depth));
-        debug_assert!(
-            cursors.iter().all(|c| c.loader.stored.depth == depth && c.loader.stored.m as u64 == m),
-            "operands must mirror the same partition"
-        );
-        // Only an intersection descends; one cursor or none never borrows
-        // an accumulator, and a query should not allocate what it cannot use.
-        let levels = if cursors.len() > 1 { depth.max(1) as usize } else { 0 };
-        Self { cursors, verdicts: HashMap::new(), scratch: vec![Vec::new(); levels], m, depth }
-    }
-
+impl Pruner<'_> {
     /// Which entries of the partition node mirrored by signature node
     /// `sid` may qualify, as LSB-first words in `out` (bit `i` = entry
     /// `i`): the node's bits, ANDed word-parallel across the operands;
@@ -851,25 +832,7 @@ impl<'a> Pruner<'a> {
     /// an internal node it is exact too, except under several operands,
     /// where the child must also pass [`Self::try_admit_node`].
     pub fn try_node_mask(&mut self, sid: u64, out: &mut Vec<u64>) -> Result<bool, StorageError> {
-        if self.cursors.is_empty() {
-            return Ok(false);
-        }
-        out.clear();
-        for (i, c) in self.cursors.iter_mut().enumerate() {
-            let Some(bits) = c.node_bits(sid)? else {
-                out.clear();
-                break;
-            };
-            if i == 0 {
-                out.extend_from_slice(bits.words());
-            } else {
-                out.truncate(bits.words().len());
-                for (w, &o) in out.iter_mut().zip(bits.words()) {
-                    *w &= o;
-                }
-            }
-        }
-        Ok(true)
+        self.state.try_node_mask(self.at, sid, out)
     }
 
     /// The verdict on a node whose bit survived its parent's
@@ -878,51 +841,7 @@ impl<'a> Pruner<'a> {
     /// a tuple, memoized per SID; otherwise the parent's bit was the
     /// verdict, and nothing is descended.
     pub fn try_admit_node(&mut self, sid: u64, level: u16) -> Result<bool, StorageError> {
-        if self.cursors.len() < 2 {
-            return Ok(true);
-        }
-        self.subtree_non_empty(sid, level)
-    }
-
-    /// Does the intersection of the subtrees rooted at `sid` (a node at
-    /// `level`, root = 0) contain any common tuple slot? Memoized;
-    /// short-circuits on the first witness.
-    fn subtree_non_empty(&mut self, sid: u64, level: u16) -> Result<bool, StorageError> {
-        if let Some(&v) = self.verdicts.get(&sid) {
-            return Ok(v);
-        }
-        // The level's accumulator leaves `self` for the call so the
-        // descent can re-borrow the cursors; a level at or past the leaf
-        // level never recurses, so those may share the last slot.
-        let slot = (level as usize).min(self.scratch.len() - 1);
-        let mut acc = std::mem::take(&mut self.scratch[slot]);
-        let verdict = self.witness_under(sid, level, &mut acc);
-        self.scratch[slot] = acc;
-        let verdict = verdict?;
-        self.verdicts.insert(sid, verdict);
-        Ok(verdict)
-    }
-
-    /// [`Self::subtree_non_empty`] without the memo, `acc` holding the
-    /// node's mask for the duration.
-    fn witness_under(
-        &mut self,
-        sid: u64,
-        level: u16,
-        acc: &mut Vec<u64>,
-    ) -> Result<bool, StorageError> {
-        self.try_node_mask(sid, acc)?;
-        if level + 1 >= self.depth {
-            // Leaf-level node: any surviving slot bit is a common tuple.
-            return Ok(acc.iter().any(|&w| w != 0));
-        }
-        for p in iter_ones(acc) {
-            let child = sid * (self.m + 1) + p as u64 + 1;
-            if self.subtree_non_empty(child, level + 1)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        self.state.try_admit_node(self.at, sid, level)
     }
 
     /// The two calls above taken at *pop*, for a search whose entries
@@ -941,10 +860,10 @@ impl<'a> Pruner<'a> {
         node_level: Option<u16>,
         mask: &mut Vec<u64>,
     ) -> Result<bool, StorageError> {
-        if self.cursors.is_empty() || sid == 0 {
+        if self.state.cursors.is_empty() || sid == 0 {
             return Ok(true);
         }
-        let base = self.m + 1;
+        let base = self.state.m + 1;
         let (parent, pos) = ((sid - 1) / base, ((sid - 1) % base) as usize);
         self.try_node_mask(parent, mask)?;
         if mask.get(pos / 64).is_none_or(|w| w >> (pos % 64) & 1 == 0) {
@@ -953,27 +872,166 @@ impl<'a> Pruner<'a> {
         node_level.map_or(Ok(true), |level| self.try_admit_node(sid, level))
     }
 
-    fn sum(&self, counter: impl Fn(&NodeLoader<'a>) -> u64) -> u64 {
-        self.cursors.iter().map(|c| counter(&c.loader)).sum()
-    }
-
     /// Partial-signature loads performed.
     pub fn loads(&self) -> u64 {
-        self.sum(|l| l.loads)
+        self.state.loads()
     }
 
     /// Bytes of node codings decoded so far.
     pub fn bytes_decoded(&self) -> u64 {
-        self.sum(|l| l.bytes_decoded)
+        self.state.bytes_decoded()
     }
 
     /// Individual nodes decoded by this query.
     pub fn nodes_decoded(&self) -> u64 {
-        self.sum(|l| l.nodes_decoded)
+        self.state.nodes_decoded()
     }
 
     /// Probes answered by the shared cross-query node cache.
     pub fn shared_node_hits(&self) -> u64 {
+        self.state.shared_node_hits()
+    }
+}
+
+/// A [`Pruner`]'s per-query state — its cursors, verdict memo and
+/// scratch — handed the [`Probe`] it reads through at every call.
+#[derive(Debug)]
+pub(crate) struct PruneState {
+    cursors: Vec<SigCursor>,
+    /// sid → subtree-intersection-non-empty verdict.
+    verdicts: HashMap<u64, bool>,
+    /// One word accumulator per level, lent to the
+    /// [`Self::subtree_non_empty`] call descending through that level.
+    scratch: Vec<Vec<u64>>,
+    m: u64,
+    depth: u16,
+}
+
+impl PruneState {
+    /// The state deciding by the conjunction of `cursors`, which must
+    /// mirror the same partition; none decides nothing (everything passes).
+    pub(crate) fn over(cursors: Vec<SigCursor>) -> Self {
+        let (m, depth) =
+            cursors.first().map_or((0, 0), |c| (c.loader.stored.m as u64, c.loader.stored.depth));
+        debug_assert!(
+            cursors.iter().all(|c| c.loader.stored.depth == depth && c.loader.stored.m as u64 == m),
+            "operands must mirror the same partition"
+        );
+        // Only an intersection descends; one cursor or none never borrows
+        // an accumulator, and a query should not allocate what it cannot use.
+        let levels = if cursors.len() > 1 { depth.max(1) as usize } else { 0 };
+        Self { cursors, verdicts: HashMap::new(), scratch: vec![Vec::new(); levels], m, depth }
+    }
+
+    /// [`Pruner::try_node_mask`], probing through `at`.
+    pub(crate) fn try_node_mask(
+        &mut self,
+        at: Probe<'_>,
+        sid: u64,
+        out: &mut Vec<u64>,
+    ) -> Result<bool, StorageError> {
+        if self.cursors.is_empty() {
+            return Ok(false);
+        }
+        out.clear();
+        for (i, c) in self.cursors.iter_mut().enumerate() {
+            let Some(bits) = c.node_bits(at, sid)? else {
+                out.clear();
+                break;
+            };
+            if i == 0 {
+                out.extend_from_slice(bits.words());
+            } else {
+                out.truncate(bits.words().len());
+                for (w, &o) in out.iter_mut().zip(bits.words()) {
+                    *w &= o;
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// [`Pruner::try_admit_node`], probing through `at`.
+    pub(crate) fn try_admit_node(
+        &mut self,
+        at: Probe<'_>,
+        sid: u64,
+        level: u16,
+    ) -> Result<bool, StorageError> {
+        if self.cursors.len() < 2 {
+            return Ok(true);
+        }
+        self.subtree_non_empty(at, sid, level)
+    }
+
+    /// Does the intersection of the subtrees rooted at `sid` (a node at
+    /// `level`, root = 0) contain any common tuple slot? Memoized;
+    /// short-circuits on the first witness.
+    fn subtree_non_empty(
+        &mut self,
+        at: Probe<'_>,
+        sid: u64,
+        level: u16,
+    ) -> Result<bool, StorageError> {
+        if let Some(&v) = self.verdicts.get(&sid) {
+            return Ok(v);
+        }
+        // The level's accumulator leaves `self` for the call so the
+        // descent can re-borrow the cursors; a level at or past the leaf
+        // level never recurses, so those may share the last slot.
+        let slot = (level as usize).min(self.scratch.len() - 1);
+        let mut acc = std::mem::take(&mut self.scratch[slot]);
+        let verdict = self.witness_under(at, sid, level, &mut acc);
+        self.scratch[slot] = acc;
+        let verdict = verdict?;
+        self.verdicts.insert(sid, verdict);
+        Ok(verdict)
+    }
+
+    /// [`Self::subtree_non_empty`] without the memo, `acc` holding the
+    /// node's mask for the duration.
+    fn witness_under(
+        &mut self,
+        at: Probe<'_>,
+        sid: u64,
+        level: u16,
+        acc: &mut Vec<u64>,
+    ) -> Result<bool, StorageError> {
+        self.try_node_mask(at, sid, acc)?;
+        if level + 1 >= self.depth {
+            // Leaf-level node: any surviving slot bit is a common tuple.
+            return Ok(acc.iter().any(|&w| w != 0));
+        }
+        for p in iter_ones(acc) {
+            let child = sid * (self.m + 1) + p as u64 + 1;
+            if self.subtree_non_empty(at, child, level + 1)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    fn sum(&self, counter: impl Fn(&NodeLoader) -> u64) -> u64 {
+        self.cursors.iter().map(|c| counter(&c.loader)).sum()
+    }
+
+    /// [`Pruner::loads`].
+    pub(crate) fn loads(&self) -> u64 {
+        self.sum(|l| l.loads)
+    }
+
+    /// [`Pruner::bytes_decoded`].
+    pub(crate) fn bytes_decoded(&self) -> u64 {
+        self.sum(|l| l.bytes_decoded)
+    }
+
+    /// [`Pruner::nodes_decoded`].
+    pub(crate) fn nodes_decoded(&self) -> u64 {
+        self.sum(|l| l.nodes_decoded)
+    }
+
+    /// [`Pruner::shared_node_hits`].
+    pub(crate) fn shared_node_hits(&self) -> u64 {
         self.sum(|l| l.shared_hits)
     }
 }
@@ -982,8 +1040,11 @@ impl<'a> Pruner<'a> {
 #[derive(Debug)]
 pub struct SignatureCube {
     store: PageStore,
-    /// cuboid dims → (cell values → stored signature).
-    cuboids: BTreeMap<Vec<usize>, HashMap<Vec<u32>, StoredSignature>>,
+    /// cuboid dims → (cell values → stored signature). The signatures are
+    /// shared: a handle cloned onto the next generation shares every cell
+    /// its splices leave alone, and a query's cursors share the cells they
+    /// probe instead of borrowing the handle.
+    cuboids: BTreeMap<Vec<usize>, HashMap<Vec<u32>, Arc<StoredSignature>>>,
     m: usize,
     alpha: f64,
     /// Shared cross-query decoded-node cache (see the module docs). One
@@ -1062,7 +1123,8 @@ impl SignatureCube {
             let mut stored = HashMap::with_capacity(cells.len());
             for (vals, cell_paths) in cells {
                 let sig = Signature::from_paths(m, cell_paths.iter().copied());
-                stored.insert(vals, StoredSignature::write(&sig, disk, &store, config.alpha));
+                let sig = StoredSignature::write(&sig, disk, &store, config.alpha);
+                stored.insert(vals, Arc::new(sig));
             }
             cuboids.insert(dims, stored);
         }
@@ -1129,7 +1191,7 @@ impl SignatureCube {
 
     /// The stored signature of a cell, if that cell has any tuple.
     pub fn cell_signature(&self, dims: &[usize], vals: &[u32]) -> Option<&StoredSignature> {
-        self.cuboids.get(dims)?.get(vals)
+        self.cuboids.get(dims)?.get(vals).map(Arc::as_ref)
     }
 
     /// Resolves a selection against the materialized cuboids to the stored
@@ -1137,7 +1199,7 @@ impl SignatureCube {
     /// selection, one for an exact cuboid match or a single predicate,
     /// else one atomic signature per predicate. `None` when some
     /// predicate's cell has no tuples — nothing qualifies.
-    fn resolve_selection(&self, selection: &Selection) -> Option<Vec<&StoredSignature>> {
+    fn resolve_selection(&self, selection: &Selection) -> Option<Vec<&Arc<StoredSignature>>> {
         if selection.is_empty() {
             return Some(Vec::new());
         }
@@ -1145,7 +1207,8 @@ impl SignatureCube {
             let vals: Vec<u32> = selection.conds().iter().map(|&(_, v)| v).collect();
             return cells.get(&vals).map(|stored| vec![stored]);
         }
-        selection.conds().iter().map(|&(d, v)| self.cell_signature(&[d], &[v])).collect()
+        let cell = |d: usize, v: u32| self.cuboids.get([d].as_slice())?.get([v].as_slice());
+        selection.conds().iter().map(|&(d, v)| cell(d, v)).collect()
     }
 
     /// The Boolean pruner for a selection: a lazy cursor over the stored
@@ -1171,18 +1234,36 @@ impl SignatureCube {
         selection: &Selection,
         disk: &'a DiskSim,
     ) -> Result<Option<Pruner<'a>>, StorageError> {
+        let state = self.try_prune_state(selection, disk)?;
+        Ok(state.map(|state| Pruner { at: self.probe(disk), state }))
+    }
+
+    /// [`Self::try_pruner_for`]'s per-query state alone, for a search
+    /// that hands it this cube's [`Self::probe`] at every step.
+    pub(crate) fn try_prune_state(
+        &self,
+        selection: &Selection,
+        disk: &DiskSim,
+    ) -> Result<Option<PruneState>, StorageError> {
         let Some(cells) = self.resolve_selection(selection) else {
             return Ok(None);
         };
-        let cursor = |s| SigCursor::new(s, &self.store, disk, Some(&*self.node_cache));
-        let mut pruner = Pruner::over(cells.into_iter().map(cursor).collect());
+        let cursors = cells.into_iter().map(|s| SigCursor::new(Arc::clone(s))).collect();
+        let mut state = PruneState::over(cursors);
         // Root emptiness mirrors the assembled form's `is_empty` check: an
         // empty intersection means no tuple qualifies — signal it up front
         // so searches skip entirely. (One stored signature is never empty.)
-        if !pruner.try_admit_node(0, 0)? {
+        if !state.try_admit_node(self.probe(disk), 0, 0)? {
             return Ok(None);
         }
-        Ok(Some(pruner))
+        Ok(Some(state))
+    }
+
+    /// What this cube's queries probe through: its store, its node cache
+    /// (unless disabled) and `disk`.
+    pub(crate) fn probe<'c>(&'c self, disk: &'c DiskSim) -> Probe<'c> {
+        let cache = Some(&*self.node_cache).filter(|c| !c.is_disabled());
+        Probe { store: &self.store, disk, cache }
     }
 
     /// Fully assembles the signature of an arbitrary Boolean predicate by
@@ -1283,7 +1364,7 @@ impl SignatureCube {
             .cuboids
             .iter()
             .map(|(dims, cells)| {
-                let cell = |s: &StoredSignature| 32 + 4 * dims.len() + 16 * s.partials.len();
+                let cell = |s: &Arc<StoredSignature>| 32 + 4 * dims.len() + 16 * s.partials.len();
                 16 + 8 * dims.len() + cells.values().map(cell).sum::<usize>()
             })
             .sum();
@@ -1489,7 +1570,8 @@ impl SignatureCube {
                         "signature catalog first-SID directory not increasing",
                     ));
                 }
-                cells.insert(vals, StoredSignature { m, depth, partials, first_sid, total_bits });
+                let stored = StoredSignature { m, depth, partials, first_sid, total_bits };
+                cells.insert(vals, Arc::new(stored));
             }
             cuboids.insert(dims, cells);
         }
@@ -1502,7 +1584,7 @@ impl SignatureCube {
     /// A handle serving `cuboids` out of `store`, caches cold.
     fn over(
         store: PageStore,
-        cuboids: BTreeMap<Vec<usize>, HashMap<Vec<u32>, StoredSignature>>,
+        cuboids: BTreeMap<Vec<usize>, HashMap<Vec<u32>, Arc<StoredSignature>>>,
         m: usize,
         alpha: f64,
         rtree_nodes: Vec<PageId>,
@@ -1616,7 +1698,7 @@ impl SignatureCube {
         let cells = self.cuboids.get_mut(dims).expect("cuboid not materialized");
 
         // Edit phase, on decoded copies of the nodes the paths run through.
-        let Some(stored) = cells.get(&vals) else {
+        let Some(stored) = cells.get(&vals).map(Arc::as_ref) else {
             return self.rewrite_cell(dims, vals, news, disk);
         };
         let mut edit = CellEdit {
@@ -1720,8 +1802,9 @@ impl SignatureCube {
         }
         drop(edit);
 
-        // Patch the directory in place, back to front so indices hold.
-        let stored = cells.get_mut(&vals).expect("edited above");
+        // Patch the directory, back to front so indices hold — a copy of
+        // the cell's, when another generation still serves it.
+        let stored = Arc::make_mut(cells.get_mut(&vals).expect("edited above"));
         let mut replaced = Vec::with_capacity(rebuilt.len());
         let mut appended = Vec::with_capacity(done.partials);
         for (pi, parts) in rebuilt.into_iter().rev() {
@@ -1759,11 +1842,11 @@ impl SignatureCube {
         };
         let cells = self.cuboids.get_mut(dims).expect("cuboid not materialized");
         let old = match fresh {
-            Some(stored) => cells.insert(vals, stored),
+            Some(stored) => cells.insert(vals, Arc::new(stored)),
             None => cells.remove(&vals),
         };
         // Written fresh, the cell hands nothing over: its old tables go.
-        let replaced = old.map_or(Vec::new(), |o| o.partials);
+        let replaced = old.map_or(Vec::new(), |o| o.partials.clone());
         self.hand_over(HashMap::new(), &replaced);
         self.retire_partials(&replaced)?;
         Ok(done)
@@ -1799,9 +1882,9 @@ impl SignatureCube {
         let old = if sig.is_empty() {
             cells.remove(&vals)
         } else {
-            cells.insert(vals, StoredSignature::write(sig, disk, &self.store, self.alpha))
+            cells.insert(vals, Arc::new(StoredSignature::write(sig, disk, &self.store, self.alpha)))
         };
-        let replaced = old.map_or(Vec::new(), |o| o.partials);
+        let replaced = old.map_or(Vec::new(), |o| o.partials.clone());
         self.hand_over(HashMap::new(), &replaced);
         self.retire_partials(&replaced)
     }
@@ -1977,6 +2060,17 @@ mod tests {
         (rel, disk, rtree, cube)
     }
 
+    /// A pruner over `stored` alone that reads through `store` and `disk`
+    /// with no shared node cache: per-query memos only.
+    fn uncached<'a>(
+        stored: &StoredSignature,
+        store: &'a PageStore,
+        disk: &'a DiskSim,
+    ) -> Pruner<'a> {
+        let state = PruneState::over(vec![SigCursor::new(Arc::new(stored.clone()))]);
+        Pruner { at: Probe { store, disk, cache: None }, state }
+    }
+
     /// What the path probe the searches used to carry answered, as a walk
     /// over the SID-addressed probes that replaced it: every bit along
     /// `path` set in its node's mask and, for a node path (shorter than the
@@ -2031,7 +2125,7 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(600);
         let stored = cube.cell_signature(&[0], &[1]).expect("cell exists");
         let full = stored.load_full(&disk, cube.store());
-        let mut cursor = Pruner::over(vec![SigCursor::new(stored, cube.store(), &disk, None)]);
+        let mut cursor = uncached(stored, cube.store(), &disk);
         // Tuple paths and every prefix (node path) of them.
         for tid in rel.tids() {
             let path = rtree.tuple_path(tid).unwrap();
@@ -2063,7 +2157,7 @@ mod tests {
 
         // Checking only the root bit loads exactly the root's partial and
         // decodes exactly one node.
-        let mut cursor = Pruner::over(vec![SigCursor::new(stored, cube.store(), &disk, None)]);
+        let mut cursor = uncached(stored, cube.store(), &disk);
         let _ = walk(&mut cursor, &rtree, &[0]);
         assert_eq!(cursor.loads(), 1);
         assert_eq!(cursor.nodes_decoded(), 1);
@@ -2096,7 +2190,7 @@ mod tests {
         }
         let (first, _) = probe.expect("cell has deep tuples");
         let second = second.expect("two subtrees in distinct partials");
-        let mut cursor = Pruner::over(vec![SigCursor::new(stored, cube.store(), &disk, None)]);
+        let mut cursor = uncached(stored, cube.store(), &disk);
         assert!(walk(&mut cursor, &rtree, &first), "tuple prefix must pass its own cell");
         let after_first = cursor.loads();
         assert!(walk(&mut cursor, &rtree, &second));
@@ -2240,8 +2334,8 @@ mod tests {
         let page = stored.partials[0];
         let mut p = 200u32.to_le_bytes().to_vec();
         p.extend_from_slice(&[0xAB; 25]);
-        cube.store().overwrite(&disk, page, p);
-        let mut cursor = Pruner::over(vec![SigCursor::new(stored, cube.store(), &disk, None)]);
+        cube.store().overwrite(&disk, page, p).unwrap();
+        let mut cursor = uncached(stored, cube.store(), &disk);
         assert!(cursor.try_node_mask(0, &mut Vec::new()).is_err());
         assert!(cursor.try_admit_entry(1, None, &mut Vec::new()).is_err());
         assert!(stored.try_load_full(&disk, cube.store()).is_err());
@@ -2274,13 +2368,10 @@ mod tests {
                 let (Some(mem_cell), Some(file_cell)) = (mem_cell, file_cell) else {
                     continue;
                 };
-                // The probe signature is identical for both backends: the
-                // metering device is captured at construction, not
-                // threaded through every check.
-                let mut mem_cur =
-                    Pruner::over(vec![SigCursor::new(mem_cell, cube.store(), &disk, None)]);
-                let mut file_cur =
-                    Pruner::over(vec![SigCursor::new(file_cell, reopened.store(), &disk2, None)]);
+                // The probe is the same call for both backends: the
+                // pruner carries its store and metering device.
+                let mut mem_cur = uncached(mem_cell, cube.store(), &disk);
+                let mut file_cur = uncached(file_cell, reopened.store(), &disk2);
                 for tid in rel.tids() {
                     let p = rtree.tuple_path(tid).unwrap();
                     let in_cell = rel.selection_value(tid, d) == v;
@@ -2390,7 +2481,7 @@ mod tests {
         let (pages, bits) = (stored.partial_pages().to_vec(), stored.total_bits);
         let mut garbage = 200u32.to_le_bytes().to_vec();
         garbage.extend_from_slice(&[0xAB; 25]);
-        cube.store().overwrite(&disk, pages[0], garbage);
+        cube.store().overwrite(&disk, pages[0], garbage).unwrap();
 
         let err = cube.splice_cell(&[0], vec![1], &[&path], &[], &disk).unwrap_err();
         assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
@@ -2513,7 +2604,7 @@ mod tests {
         reopened.verify_integrity().expect("clean scrub");
         let disk2 = DiskSim::with_defaults();
         let cell = reopened.cell_signature(&[0], &[1]).expect("patched cell");
-        let mut cur = Pruner::over(vec![SigCursor::new(cell, reopened.store(), &disk2, None)]);
+        let mut cur = uncached(cell, reopened.store(), &disk2);
         for tid in rel.tids() {
             let p = rtree2.tuple_path(tid).unwrap();
             assert_eq!(walk(&mut cur, &rtree2, &p), keep.contains(&p), "tid {tid}");

@@ -6,8 +6,8 @@
 //! against the signature; this search prunes one step earlier, when a node
 //! is **expanded**. The signature node mirroring the R-tree node just read
 //! holds one bit per entry, so one word-AND across the predicate's cursors
-//! ([`Pruner::try_node_mask`]) names every entry that can qualify, and only
-//! those are scored and pushed:
+//! ([`crate::sigcube::Pruner::try_node_mask`]) names every entry that can
+//! qualify, and only those are scored and pushed:
 //!
 //! * a leaf pushes its qualifying tuples as **certified** entries. A
 //!   tuple entry's bound is its exact score and its Boolean verdict was
@@ -17,8 +17,8 @@
 //!   (or no predicate at all) the parent's bit *was* the child's verdict;
 //!   under a multi-predicate intersection a surviving bit is only a
 //!   candidate and the child is admitted at pop by the memoized subtree
-//!   verdict ([`Pruner::try_admit_node`]), which keeps signature loads as
-//!   lazy as the paper's pop-time probe.
+//!   verdict ([`crate::sigcube::Pruner::try_admit_node`]), which keeps
+//!   signature loads as lazy as the paper's pop-time probe.
 //!
 //! # Why the answers and Lemma 3 are untouched
 //!
@@ -51,7 +51,7 @@ use rcube_storage::{iter_ones, DiskSim, IoSnapshot, StorageError};
 use rcube_table::Tid;
 
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
-use crate::sigcube::{Pruner, SignatureCube};
+use crate::sigcube::{PruneState, SignatureCube};
 use crate::QueryStats;
 
 #[derive(Debug)]
@@ -109,15 +109,15 @@ pub fn open_unpruned<'a>(
     plan: &QueryPlan<'a>,
 ) -> TopKCursor<'a> {
     let before = disk.stats().snapshot();
-    let search = SigSearch::new(rtree, disk, plan, Some(Pruner::none()), before);
-    TopKCursor::new(Box::new(search), plan.k)
+    let state = SigState::new(rtree, plan, Some(PruneState::over(Vec::new())), before);
+    TopKCursor::new(Box::new(SigSearch { cube: None, rtree, disk, state }), plan.k)
 }
 
 /// A `(SignatureCube, RTree)` pair bound to a metering device: the
 /// signature engine's [`RankedSource`]. Constructed per query via
-/// [`SignatureCube::source`]; opening a cursor builds the lazy
-/// [`Pruner`] (consulting the cube's shared cross-query node cache) and
-/// charges its root probe to the cursor's stats.
+/// [`SignatureCube::source`]; opening a cursor builds the lazy pruner
+/// (consulting the cube's shared cross-query node cache) and charges its
+/// root probe to the cursor's stats.
 #[derive(Debug, Clone, Copy)]
 pub struct SigSource<'a> {
     rtree: &'a RTree,
@@ -153,12 +153,28 @@ impl SignatureCube {
 
 impl<'a> RankedSource<'a> for SigSource<'a> {
     fn open(&self, plan: &QueryPlan<'a>) -> Result<TopKCursor<'a>, StorageError> {
-        // Snapshot I/O before pruner construction so root-probe reads are
-        // part of the reported query cost.
-        let before = self.disk.stats().snapshot();
-        let pruner = self.cube.try_pruner_for(plan.selection, self.disk)?;
-        let search = SigSearch::new(self.rtree, self.disk, plan, pruner, before);
-        Ok(TopKCursor::new(Box::new(search), plan.k))
+        let SigSource { rtree, cube, disk } = *self;
+        let state = SigState::open(cube, rtree, disk, plan)?;
+        Ok(TopKCursor::new(Box::new(SigSearch { cube: Some(cube), rtree, disk, state }), plan.k))
+    }
+}
+
+/// A [`SigState`] bundled with the borrowed cube (`None`: nothing to prune
+/// by), tree and device it steps over.
+struct SigSearch<'a> {
+    cube: Option<&'a SignatureCube>,
+    rtree: &'a RTree,
+    disk: &'a DiskSim,
+    state: SigState<'a>,
+}
+
+impl ProgressiveSearch for SigSearch<'_> {
+    fn advance(&mut self) -> Result<Option<(Tid, f64)>, StorageError> {
+        self.state.advance(self.cube, self.rtree, self.disk)
+    }
+
+    fn stats(&self) -> QueryStats {
+        self.state.stats(self.disk)
     }
 }
 
@@ -168,15 +184,18 @@ impl<'a> RankedSource<'a> for SigSource<'a> {
 /// subtree can beat it. [`Self::advance`] therefore pops and expands nodes
 /// until a tuple surfaces and emits it; pausing keeps the heap and the
 /// pruner's decoded-node memos alive, so `extend_k` resumes mid-descent.
-struct SigSearch<'a> {
-    rtree: &'a RTree,
-    disk: &'a DiskSim,
-    func: &'a dyn RankFn,
+///
+/// The state borrows nothing of the cube or the tree it searches: each
+/// step is handed them. So a cursor that owns the generation it serves
+/// (the delta layer's) holds this beside it, and a borrowing one
+/// ([`SigSource`]) holds it beside its references.
+pub(crate) struct SigState<'f> {
+    func: &'f dyn RankFn,
     /// Projection of R-tree dimensions onto the query's ranking dims.
     proj: Vec<usize>,
     /// `None`: some predicate selects an empty cell (or an empty
     /// intersection) — no tuple qualifies, the search never starts.
-    pruner: Option<Pruner<'a>>,
+    pruner: Option<PruneState>,
     heap: std::collections::BinaryHeap<HeapItem>,
     /// `M + 1`, the base of SID arithmetic.
     sid_base: u64,
@@ -190,12 +209,24 @@ struct SigSearch<'a> {
     before: IoSnapshot,
 }
 
-impl<'a> SigSearch<'a> {
+impl<'f> SigState<'f> {
+    /// The search of `plan` over `cube` and `rtree`: its pruner built —
+    /// the root probe charged to the search, I/O counted from here.
+    pub(crate) fn open(
+        cube: &SignatureCube,
+        rtree: &RTree,
+        disk: &DiskSim,
+        plan: &QueryPlan<'f>,
+    ) -> Result<Self, StorageError> {
+        let before = disk.stats().snapshot();
+        let pruner = cube.try_prune_state(plan.selection, disk)?;
+        Ok(Self::new(rtree, plan, pruner, before))
+    }
+
     fn new(
-        rtree: &'a RTree,
-        disk: &'a DiskSim,
-        plan: &QueryPlan<'a>,
-        pruner: Option<Pruner<'a>>,
+        rtree: &RTree,
+        plan: &QueryPlan<'f>,
+        pruner: Option<PruneState>,
         before: IoSnapshot,
     ) -> Self {
         let proj: Vec<usize> = plan.ranking_dims.to_vec();
@@ -212,8 +243,6 @@ impl<'a> SigSearch<'a> {
             heap.push(HeapItem { bound, entry: Entry::Node { n: root, sid: 0, level: 0 } });
         }
         Self {
-            rtree,
-            disk,
             func: plan.func,
             point: Vec::with_capacity(proj.len()),
             proj,
@@ -226,13 +255,19 @@ impl<'a> SigSearch<'a> {
             before,
         }
     }
-}
 
-impl ProgressiveSearch for SigSearch<'_> {
-    fn advance(&mut self) -> Result<Option<(Tid, f64)>, StorageError> {
+    /// The next certified answer, over the `rtree` this search was opened
+    /// on and — unless the search prunes by nothing — its `cube`.
+    pub(crate) fn advance(
+        &mut self,
+        cube: Option<&SignatureCube>,
+        rtree: &RTree,
+        disk: &DiskSim,
+    ) -> Result<Option<(Tid, f64)>, StorageError> {
         let Some(pruner) = self.pruner.as_mut() else {
             return Ok(None);
         };
+        let at = cube.map(|cube| cube.probe(disk));
         while let Some(HeapItem { bound, entry }) = self.heap.pop() {
             let (n, sid, level) = match entry {
                 Entry::Tuple { tid } => {
@@ -242,15 +277,21 @@ impl ProgressiveSearch for SigSearch<'_> {
                 }
                 Entry::Node { n, sid, level } => (n, sid, level),
             };
-            if !pruner.try_admit_node(sid, level)? {
-                continue;
+            if let Some(at) = at {
+                if !pruner.try_admit_node(at, sid, level)? {
+                    continue;
+                }
             }
-            self.rtree.read_node(self.disk, n);
+            rtree.read_node(disk, n);
             self.stats.blocks_read += 1;
-            let tuples = self.rtree.leaf_slice(n);
-            let children = self.rtree.child_ids(n);
+            let tuples = rtree.leaf_slice(n);
+            let children = rtree.child_ids(n);
             let entries = tuples.len().max(children.len());
-            if !pruner.try_node_mask(sid, &mut self.mask)? {
+            let filtered = match at {
+                Some(at) => pruner.try_node_mask(at, sid, &mut self.mask)?,
+                None => false,
+            };
+            if !filtered {
                 // No predicate: every entry qualifies.
                 self.mask.clear();
                 self.mask.resize(entries.div_ceil(64), u64::MAX);
@@ -260,7 +301,7 @@ impl ProgressiveSearch for SigSearch<'_> {
             for pos in iter_ones(&self.mask).take_while(|&pos| pos < entries) {
                 let item = if let Some(&child) = children.get(pos) {
                     let child = NodeHandle(child);
-                    self.rtree.mbr(child).project_into(&self.proj, &mut self.region);
+                    rtree.mbr(child).project_into(&self.proj, &mut self.region);
                     let sid = sid * self.sid_base + pos as u64 + 1;
                     HeapItem {
                         bound: self.func.lower_bound(&self.region),
@@ -280,7 +321,8 @@ impl ProgressiveSearch for SigSearch<'_> {
         Ok(None)
     }
 
-    fn stats(&self) -> QueryStats {
+    /// Counters so far, I/O read off `disk` since open.
+    pub(crate) fn stats(&self, disk: &DiskSim) -> QueryStats {
         let mut stats = self.stats;
         if let Some(pruner) = &self.pruner {
             stats.sig_loads = pruner.loads();
@@ -288,7 +330,7 @@ impl ProgressiveSearch for SigSearch<'_> {
             stats.sig_nodes_decoded = pruner.nodes_decoded();
             stats.shared_node_hits = pruner.shared_node_hits();
         }
-        stats.io = self.before.delta(&self.disk.stats().snapshot());
+        stats.io = self.before.delta(&disk.stats().snapshot());
         stats
     }
 }

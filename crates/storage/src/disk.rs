@@ -182,11 +182,11 @@ impl Default for DiskSim {
 /// [`PageStore::create_file`] / [`PageStore::open_file`] target a real
 /// cube file with checksummed pages and a byte-caching buffer pool.
 ///
-/// The infallible methods (`put`, `get`, `get_bytes`, `overwrite`) keep
-/// the historical panic-on-invariant-violation contract for the in-memory
-/// hot paths; the `try_*` variants surface typed [`StorageError`]s and are
-/// what persistence-aware code (save/open, integrity scrubs, serving from
-/// possibly-corrupt files) should call.
+/// The infallible methods (`put`, `get_bytes`) keep the historical
+/// panic-on-invariant-violation contract for the in-memory hot paths; the
+/// `try_*` variants and [`PageStore::overwrite`] surface typed
+/// [`StorageError`]s and are what persistence-aware code (save/open,
+/// integrity scrubs, serving from possibly-corrupt files) should call.
 #[derive(Debug, Clone)]
 pub struct PageStore {
     backend: Arc<dyn PageBackend>,
@@ -277,22 +277,20 @@ impl PageStore {
     }
 
     /// Replaces the object rooted at `first` (same id, new bytes). Charges
-    /// writes for the covering pages.
-    pub fn overwrite(&self, disk: &DiskSim, first: PageId, data: Vec<u8>) {
-        self.backend
-            .overwrite(disk, first, data)
-            .unwrap_or_else(|e| panic!("PageStore::overwrite: {e}"))
+    /// writes for the covering pages; a missing object, or one the backend
+    /// cannot rewrite in place, is a typed error.
+    pub fn overwrite(
+        &self,
+        disk: &DiskSim,
+        first: PageId,
+        data: Vec<u8>,
+    ) -> Result<(), StorageError> {
+        self.backend.overwrite(disk, first, data)
     }
 
-    /// Reads the object rooted at `first`, charging I/O for every covering
-    /// page. Panics if the object does not exist (a store-level invariant
-    /// violation, not a user error).
-    pub fn get(&self, disk: &DiskSim, first: PageId) -> Vec<u8> {
-        self.get_bytes(disk, first).to_vec()
-    }
-
-    /// Zero-copy read: charges the same I/O as [`PageStore::get`] but hands
-    /// back a shared handle to the object bytes instead of copying them.
+    /// Zero-copy read: charges I/O for every covering page and hands back
+    /// a shared handle to the object bytes. Panics if the object does not
+    /// exist (a store-level invariant violation, not a user error).
     /// Over a file backend the handle is a view into a buffer-pool frame;
     /// query processors parse borrowed posting-list views
     /// (`rcube_core::idlist`-style) directly over it.
@@ -442,8 +440,8 @@ mod tests {
         let id = store.put(&disk, data.clone());
         assert_eq!(store.size_of(id), Some(256));
         disk.reset_stats();
-        let back = store.get(&disk, id);
-        assert_eq!(back, data);
+        let back = store.try_get_bytes(&disk, id).unwrap();
+        assert_eq!(&back[..], &data[..]);
         // 256 bytes over 100-byte pages => 3 physical reads.
         assert_eq!(disk.stats().snapshot().disk_reads, 3);
     }
@@ -467,8 +465,8 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let store = PageStore::new();
         let id = store.put(&disk, vec![1, 2, 3]);
-        store.overwrite(&disk, id, vec![9]);
-        assert_eq!(store.get(&disk, id), vec![9]);
+        store.overwrite(&disk, id, vec![9]).unwrap();
+        assert_eq!(&store.try_get_bytes(&disk, id).unwrap()[..], &[9]);
         assert_eq!(store.len(), 1);
     }
 
@@ -533,7 +531,7 @@ mod tests {
         let store = PageStore::open_file(&path, 8).unwrap();
         assert!(store.read_only());
         assert_eq!(store.catalog(), Some(id));
-        assert_eq!(&store.get(&disk, id)[..], b"persistent bytes");
+        assert_eq!(&store.try_get_bytes(&disk, id).unwrap()[..], b"persistent bytes");
         std::fs::remove_file(&path).ok();
     }
 

@@ -339,16 +339,18 @@
 //! **The warm path.** A flush needs the catalog — cuboid directory and
 //! R-tree — of the generation it patches. A process that flushed before
 //! already holds it: the handle it serves from was built from the very
-//! directory and tree its last commit serialized. So each published
-//! handle remembers the [`crate::FileStamp`] of that commit (device and
-//! inode of the descriptor, generation, page count, catalog page), and
+//! directory and tree its last commit serialized — and a process that
+//! just opened the file holds the catalog it parsed. So each published
+//! handle remembers the [`crate::FileStamp`] of that commit, and the
+//! handle the open parsed the stamp of what it parsed (device and inode
+//! of the descriptor, generation, page count, catalog page), and
 //! the next flush, *after* taking the writer lock, compares it with the
 //! stamp of the file it just opened for writing. Equal stamps mean the
 //! same inode (the serving handle's open descriptor pins it, so the
 //! number cannot have been recycled) electing the same superblock; under
 //! the lock nobody else can commit or swap, so the stored catalog is the
-//! bytes this process wrote from what it holds in memory, and parsing
-//! them would rebuild exactly that. The flush then clones the directory
+//! bytes this process wrote from, or parsed into, what it holds in
+//! memory, and parsing them would rebuild exactly that. The flush then clones the directory
 //! and the R-tree (copy-on-write: one pointer per node) instead of
 //! reading the catalog and every R-tree node object back — the clone
 //! also remembers which object stores each node, so the commit appends
@@ -356,8 +358,7 @@
 //! the next serving handle over a freshly opened read-only store —
 //! opened before the lock is released and checked against the commit's
 //! stamp the same way. Anything else is **cold** and parses the catalog
-//! as before: the first flush after an open (nothing was published by
-//! this process), a vacuum swap (another inode), a foreign commit
+//! as before: a vacuum swap (another inode), a foreign commit
 //! (another generation), a flush of its own that committed and then
 //! failed before swapping (the file is ahead of the serving handle), or
 //! a platform without file identity. The decision reads nothing but

@@ -875,7 +875,8 @@ mod tests {
     fn corrupt_probed_cell(eng: &Engine, faults: &FaultPlan) {
         let delta = eng.delta_cube().expect("registered");
         let page_size = FileBackend::peek_superblock(delta.path()).expect("peek").page_size;
-        let cell = delta.serving_cube().cell_signature(&[0], &[1]).expect("cell");
+        let serving = delta.serving_cube();
+        let cell = serving.cell_signature(&[0], &[1]).expect("cell");
         for page in cell.partial_pages() {
             faults.corrupt_byte(page.0 * u64::from(page_size) + 16, 0x01);
         }
@@ -1164,11 +1165,13 @@ mod tests {
         assert_eq!(d.flushes, 0);
         assert!(stats.to_string().contains("memtable ops"));
 
-        // A flush shows in the same block: what it rewrote, and that the
-        // first one after an open reads the catalog off the file.
+        // A flush shows in the same block: what it rewrote, that even the
+        // first one after an open reuses the catalog the open parsed, and
+        // that the generation it retired is gone.
         delta.flush().unwrap();
         let d = eng.stats_snapshot().delta.expect("delta registered");
-        assert_eq!((d.flushes, d.cold_opens, d.memtable_ops), (1, 1, 0));
+        assert_eq!((d.flushes, d.cold_opens, d.memtable_ops), (1, 0, 0));
+        assert_eq!(d.generations_retained, 1);
         assert!(d.partials_rewritten > 0 && d.nodes_reencoded > 0);
     }
 

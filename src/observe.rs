@@ -312,7 +312,7 @@ impl fmt::Display for EngineStats {
                 f,
                 "delta: {} memtable ops ({} bytes), {} WAL bytes, \
                  {} flushes ({} cold opens, {} partials rewritten, {} nodes re-encoded), \
-                 generation {}, last replay: {} records{}",
+                 generation {} ({} alive), last replay: {} records{}",
                 d.memtable_ops,
                 d.memtable_bytes,
                 d.wal_bytes,
@@ -321,6 +321,7 @@ impl fmt::Display for EngineStats {
                 d.partials_rewritten,
                 d.nodes_reencoded,
                 d.serving_generation,
+                d.generations_retained,
                 d.last_replay.records,
                 if d.last_replay.torn_tail { " (torn tail truncated)" } else { "" }
             )?;

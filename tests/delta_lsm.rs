@@ -14,9 +14,10 @@
 //!   answer-neutral (a crash *between* the cube commit and the WAL
 //!   hand-over leaves frames the file already holds: replay skips every
 //!   one at or below the file's `flushed_seq`) — swept once over a cold
-//!   flush (the first after an open) and once over a warm one (the second
-//!   of a process, which takes its catalog from the generation it serves
-//!   and writes fewer pages), and once over a flush that takes appends
+//!   flush (a copy of the file swapped in under the open delta, so the
+//!   flush must parse the catalog) and once over a warm one (which takes
+//!   its catalog from the generation it serves and writes fewer pages),
+//!   and once over a flush that takes appends
 //!   mid-cycle (each reopen holds exactly the ops acknowledged before the
 //!   crash point that its generation does not);
 //! * a cursor pinned before a flush keeps streaming the R-tree of its
@@ -60,6 +61,15 @@ fn cleanup(p: &Path) {
     let mut os = wal_path_for(p).into_os_string();
     os.push(".new");
     let _ = std::fs::remove_file(PathBuf::from(os));
+}
+
+/// Puts a byte-identical copy of the cube file under `path`: another
+/// inode, so the next flush cannot trust the catalog its delta holds and
+/// takes the cold path.
+fn swap_in_copy(path: &Path) {
+    let copy = temp_path("swap_copy");
+    std::fs::copy(path, &copy).unwrap();
+    std::fs::rename(&copy, path).unwrap();
 }
 
 /// Exact score bit patterns: equality is byte-identity of the top-k.
@@ -356,6 +366,7 @@ fn flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
                 DeltaOptions { faults: Some(Arc::clone(&plan)), ..Default::default() },
             )
             .unwrap();
+            swap_in_copy(&path);
             catch_unwind(AssertUnwindSafe(|| delta.flush()))
         };
         assert!(plan.crashed(), "{label}: crash point never reached");
@@ -386,7 +397,8 @@ fn flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
             DeltaOptions { faults: Some(Arc::clone(&counter)), ..Default::default() },
         )
         .unwrap();
-        delta.flush().expect("clean counted flush");
+        swap_in_copy(&path);
+        assert_eq!(delta.flush().expect("clean counted flush").cold_opens, 1, "a cold flush");
         assert_eq!(answers(&delta), expected, "counted flush is answer-neutral");
         drop(delta);
         cleanup(&path);
@@ -574,8 +586,10 @@ fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
     let base_bytes = std::fs::read(&pristine).unwrap();
     cleanup(&pristine);
 
-    // One process: a clean first flush (cold), more writes, then the flush
-    // under test. `arm` scripts the crash once the first flush is through.
+    // One process: a clean first flush (warm already: it reuses the catalog
+    // the open parsed), more writes, then the flush under test, which
+    // writes through the node cache the first one handed on. `arm` scripts
+    // the crash once the first flush is through.
     let session = |path: &Path, plan: &Arc<FaultPlan>, arm: &dyn Fn(&FaultPlan)| {
         std::fs::write(path, &base_bytes).unwrap();
         let opts = DeltaOptions { faults: Some(Arc::clone(plan)), ..Default::default() };
@@ -583,7 +597,7 @@ fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
         for tid in 160..172u32 {
             delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
         }
-        assert_eq!(delta.flush().expect("first flush").cold_opens, 1);
+        assert_eq!(delta.flush().expect("first flush").cold_opens, 0);
         answers(&delta); // warm the node cache the flush under test writes through
         for tid in 172..190u32 {
             delta.insert(&sel_of(&full, tid), &full.ranking_point(tid)).unwrap();
@@ -603,7 +617,7 @@ fn warm_flush_crash_sweep_reopens_to_the_logical_state_at_every_boundary() {
     let (expected, writes) = {
         let path = temp_path("warm_twin");
         let (res, writes, got, _) = session(&path, &FaultPlan::new(), &|_| {});
-        assert_eq!(res.unwrap().unwrap().cold_opens, 0, "the second flush is the warm one");
+        assert_eq!(res.unwrap().unwrap().cold_opens, 0, "the second flush is warm too");
         cleanup(&path);
         (got.unwrap(), writes)
     };
