@@ -13,6 +13,13 @@
 //! `file_miss_ns` (one whole miss — `pread`, verify, frame, pool insert —
 //! on a file of one-page objects). The `before` block is what this same
 //! emitter read at the parent commit on the same box.
+//!
+//! Two deterministic fields say what the saved file costs on disk:
+//! `grid_file_bytes_per_tuple` and `grid_file_space_amp` (file bytes over
+//! the object payload stored in it). The second is a counter gate at
+//! ≤ 1.5: a file that spends a whole page on each small cell again —
+//! 5.03 before cells were packed into shared one-page segments — fails
+//! the run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rcube_bench::{fixed, BenchReport, Bound, Json};
@@ -41,17 +48,27 @@ const BEFORE: &str = r#"{
     "file_miss_ns": 3216.8,
     "cold_open_penalty_vs_inmem": 1.68,
     "warm_pool_penalty_vs_inmem": 0.97,
-    "buffer_pool_speedup_cold_to_warm": 1.74
+    "buffer_pool_speedup_cold_to_warm": 1.74,
+    "grid_file_commit": "7c54deb, one object per cell",
+    "grid_file_bytes_per_tuple": 215.4,
+    "grid_file_space_amp": 5.033
   }"#;
+
+/// Tuples in the fixture relation.
+const TUPLES: usize = 20_000;
+
+/// The bound the space-amplification counter gate holds.
+const MAX_SPACE_AMP: f64 = 1.5;
 
 struct Setup {
     mem_cube: GridRankingCube,
     file_cube: GridRankingCube,
     path: std::path::PathBuf,
+    file_bytes: u64,
 }
 
 fn setup() -> Setup {
-    let rel = SyntheticSpec { tuples: 20_000, cardinality: 5, ..Default::default() }.generate();
+    let rel = SyntheticSpec { tuples: TUPLES, cardinality: 5, ..Default::default() }.generate();
     let disk = DiskSim::with_defaults();
     let mem_cube = GridRankingCube::build(
         &rel,
@@ -61,7 +78,8 @@ fn setup() -> Setup {
     let path = rcube_bench::temp_path("storage", "cube");
     mem_cube.save_to(&path).expect("save cube file");
     let file_cube = GridRankingCube::open_from(&path).expect("reopen cube file");
-    Setup { mem_cube, file_cube, path }
+    let file_bytes = std::fs::metadata(&path).expect("cube file size").len();
+    Setup { mem_cube, file_cube, path, file_bytes }
 }
 
 fn workload() -> Vec<(&'static str, Vec<(usize, u32)>)> {
@@ -102,9 +120,10 @@ fn bench_backends(c: &mut Criterion) {
     }
     g.finish();
     std::fs::remove_file(&s.path).ok();
+    let space_amp = s.file_bytes as f64 / s.file_cube.store().total_bytes() as f64;
 
     bench_page_floor(c);
-    emit_json(c);
+    emit_json(c, s.file_bytes as f64 / TUPLES as f64, space_amp);
 }
 
 fn bench_page_floor(c: &mut Criterion) {
@@ -136,7 +155,7 @@ fn bench_page_floor(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-fn emit_json(c: &mut Criterion) {
+fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64) {
     let results = c.measurements().iter().map(|m| (m.id.as_str(), m.mean_ns));
     let mut report = BenchReport::criterion("storage", results);
     let cold_penalty = report.ratio("storage_query/file_cold/sel1", "storage_query/inmem/sel1");
@@ -153,6 +172,7 @@ fn emit_json(c: &mut Criterion) {
     println!(
         "storage: checksum {checksum_ns:.0} ns/page ({checksum_mb_s:.0} MB/s), file miss {miss_ns:.0} ns"
     );
+    println!("storage: grid file {bytes_per_tuple:.1} B/tuple, space amp {space_amp:.3}");
     report
         .set("checksum_ns_per_page", fixed(checksum_ns, 1))
         .set("checksum_mb_per_s", fixed(checksum_mb_s, 0))
@@ -160,7 +180,18 @@ fn emit_json(c: &mut Criterion) {
         .set("cold_open_penalty_vs_inmem", fixed(cold_penalty, 2))
         .set("warm_pool_penalty_vs_inmem", fixed(warm_penalty, 2))
         .set("buffer_pool_speedup_cold_to_warm", fixed(pool_speedup, 2))
+        .set("grid_file_bytes_per_tuple", fixed(bytes_per_tuple, 1))
+        .set("grid_file_space_amp", fixed(space_amp, 3))
         .set("before", Json::Raw(BEFORE));
+    assert!(
+        space_amp <= MAX_SPACE_AMP,
+        "grid_file_space_amp = {space_amp:.2} misses its bound <= {MAX_SPACE_AMP}"
+    );
+    report.counter_gate(
+        "grid_file_space_amp",
+        "<= 1.5",
+        "file bytes / stored payload: small cells share one-page segments",
+    );
     // A warm buffer pool must keep file-backed serving within 3x of
     // in-memory.
     report.clock_gate("warm_pool_penalty_vs_inmem", warm_penalty, Bound::Max(3.0), Some(1));

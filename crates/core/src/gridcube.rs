@@ -33,6 +33,18 @@
 //! cursor per covering cuboid, never an intermediate tid set. A query over
 //! fragments is that case and nothing else: same partition, same search,
 //! same file format.
+//!
+//! # Cells on disk
+//!
+//! A saved file ([`GridRankingCube::save_to`]) packs the cuboid cells into
+//! *segments*: consecutive cells in catalog order — cuboid, cell values,
+//! pid — share one object for as long as they fit one page, and a cell too
+//! big for a page keeps an object of its own. The cube names every cell by
+//! object, offset and length, in memory (one object per cell, offset 0) and
+//! reopened alike, and a query reads a cell as a range of its object's
+//! frame. Most cells of a four-dimension cube are a few hundred bytes, so
+//! a page apiece spent most of the file on padding; a segment never spans
+//! two pages, so no fetch reads more pages than its cell alone would.
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -40,7 +52,7 @@ use std::sync::Arc;
 use rcube_func::{RankFn, Rect};
 use rcube_index::grid::{Bid, GridPartition};
 use rcube_storage::{
-    ByteReader, ByteWriter, DiskSim, IoSnapshot, PageId, PageStore, StorageError,
+    format, ByteReader, ByteWriter, DiskSim, IoSnapshot, PageId, PageStore, StorageError,
     DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
 };
 use rcube_table::{Relation, Selection, Tid};
@@ -88,13 +100,13 @@ struct Cuboid {
     mask: u64,
     /// Pseudo-block scale factor for this cuboid.
     sf: usize,
-    /// `(cell values over dims, pid) → stored cell page`. Each page is a
-    /// per-bid posting-list directory (see [`encode_cell`]).
-    cells: HashMap<(Vec<u32>, u32), PageId>,
+    /// `(cell values over dims, pid) → where the stored cell lies`. Each
+    /// cell is a per-bid posting-list directory (see [`encode_cell`]).
+    cells: HashMap<(Vec<u32>, u32), CellRef>,
 }
 
 impl Cuboid {
-    fn new(dims: Vec<usize>, sf: usize, cells: HashMap<(Vec<u32>, u32), PageId>) -> Option<Self> {
+    fn new(dims: Vec<usize>, sf: usize, cells: HashMap<(Vec<u32>, u32), CellRef>) -> Option<Self> {
         let mask = dims_mask(dims.iter().copied())?;
         Some(Self { dims, mask, sf, cells })
     }
@@ -110,6 +122,47 @@ fn dims_mask(dims: impl IntoIterator<Item = usize>) -> Option<u64> {
 /// [`dims_mask`] of the dimensions a selection constrains.
 fn selection_mask(selection: &Selection) -> Option<u64> {
     dims_mask(selection.conds().iter().map(|&(d, _)| d))
+}
+
+/// Where a stored cell lies: `len` bytes from `start` in the object rooted
+/// at `object`. The in-memory build stores one object per cell (`start`
+/// 0); a saved file packs runs of small cells into shared one-page
+/// *segments* ([`GridRankingCube::save_to`]), so several references name
+/// one object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CellRef {
+    object: PageId,
+    start: u32,
+    len: u32,
+}
+
+impl CellRef {
+    /// The cell's byte range inside its object.
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+
+    /// The cell's bytes cut out of its object's bytes: a reference that
+    /// runs past the object's end is a malformed file.
+    fn within(self, object: &[u8]) -> Result<&[u8], StorageError> {
+        object
+            .get(self.range())
+            .ok_or(StorageError::Malformed("cell reference past its object's end"))
+    }
+}
+
+/// A fetched cell: the shared handle of the object it lies in and its
+/// range there, checked against the object's length when fetched —
+/// posting-list views parse straight off the frame, nothing is copied.
+struct CellBytes {
+    frame: Arc<[u8]>,
+    range: std::ops::Range<usize>,
+}
+
+impl CellBytes {
+    fn bytes(&self) -> &[u8] {
+        &self.frame[self.range.clone()]
+    }
 }
 
 /// Bytes per entry of a cell page's bid directory: `[bid][base][end]`.
@@ -289,7 +342,10 @@ impl GridRankingCube {
             let mut cells = HashMap::new();
             for cell in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
                 let (_, pid, _, tid) = cell[0];
-                cells.insert((vals_of(tid).collect(), pid), store.put(disk, encode_cell(cell)));
+                let bytes = encode_cell(cell);
+                let len = u32::try_from(bytes.len()).expect("a cell is under 4 GiB");
+                let object = store.put(disk, bytes);
+                cells.insert((vals_of(tid).collect(), pid), CellRef { object, start: 0, len });
             }
             let cuboid = Cuboid::new(dims, sf, cells);
             cuboids.push(cuboid.expect("a grid cube indexes selection dimensions 0..64"));
@@ -430,65 +486,94 @@ impl GridRankingCube {
     }
 
     /// Saves the cube into a single file at `path` with the default page
-    /// size (4 KB) and buffer-pool capacity: every base block and cuboid
-    /// cell becomes a checksummed on-disk object, and the cube catalog
+    /// size (4 KB): every base block becomes a checksummed on-disk object,
+    /// the cuboid cells are packed into *segments*, and the cube catalog
     /// (partition meta, cuboid directory) is recorded in the superblock.
     /// [`Self::open_from`] reopens it read-only with identical answers.
+    ///
+    /// A segment is one object that concatenates consecutive cells in
+    /// catalog order — cuboid, then cell values, then pid, so the pseudo
+    /// blocks of one cell, which a query buffers together, sit side by side
+    /// — for as long as they fit one page's payload. A cell too big for a
+    /// page alone stays an object of its own. A segment never spans two
+    /// pages, so fetching a cell reads, and charges, the pages it would
+    /// read alone; the catalog names each cell by object, offset and
+    /// length.
     pub fn save_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), StorageError> {
         self.save_to_with(path, DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES)
     }
 
-    /// [`Self::save_to`] with explicit page size and pool capacity.
+    /// [`Self::save_to`] with an explicit page size. The pool capacity is
+    /// not used: a save reads nothing back, so the handle that writes the
+    /// file caches nothing — a write-through pool would hold a copy of
+    /// every segment until the save returns. A reopen picks its own.
     pub fn save_to_with(
         &self,
         path: impl AsRef<std::path::Path>,
         page_size: usize,
-        pool_pages: usize,
+        _pool_pages: usize,
     ) -> Result<(), StorageError> {
-        // Copies every object into the file (deterministic order) and
-        // writes the catalog: kind tag, config, ranking dims, partition,
-        // base-page table, cuboid directory with remapped page ids.
-        let file = PageStore::create_file(path, page_size, pool_pages)?;
+        let file = PageStore::create_file(path, page_size, 0)?;
+        // A one-page object's payload: the page less its header and the
+        // object's `u32` length prefix.
+        self.save_into(&file, page_size - format::PAGE_HEADER - 4)
+    }
+
+    /// Copies every object into `file` (base blocks, then the cells packed
+    /// into segments of at most `room` bytes) and writes the catalog.
+    fn save_into(&self, file: &PageStore, room: usize) -> Result<(), StorageError> {
+        let mut packer = Packer::new(file, room);
+        let base_pages = self
+            .base_pages
+            .iter()
+            .map(|base| match base {
+                Some(old) => file.try_put_shared(&packer.disk, self.store.peek(*old)?).map(Some),
+                None => Ok(None),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut cuboids = Vec::with_capacity(self.cuboids.len());
+        for cuboid in &self.cuboids {
+            let mut keys: Vec<&(Vec<u32>, u32)> = cuboid.cells.keys().collect();
+            keys.sort();
+            for key in &keys {
+                let cell = cuboid.cells[*key];
+                packer.push(cell.within(&self.store.peek(cell.object)?)?)?;
+            }
+            cuboids.push(keys);
+        }
+        let mut refs = packer.finish()?.into_iter();
         let mut w = ByteWriter::new();
         w.put_u8(CATALOG_GRID);
-        let scratch = DiskSim::new(DEFAULT_PAGE_SIZE, 0);
         w.put_u64(self.config.block_size as u64);
         w.put_u64(self.ranking_dims.len() as u64);
         for &d in &self.ranking_dims {
             w.put_u64(d as u64);
         }
         w.put_bytes(&self.partition.to_bytes());
-        w.put_u64(self.base_pages.len() as u64);
-        for base in &self.base_pages {
-            match base {
-                Some(old) => {
-                    w.put_u64(file.try_put_shared(&scratch, self.store.peek(*old)?)?.0);
-                }
-                None => w.put_u64(u64::MAX),
-            }
+        w.put_u64(base_pages.len() as u64);
+        for base in base_pages {
+            w.put_u64(base.map_or(u64::MAX, |page| page.0));
         }
-        w.put_u64(self.cuboids.len() as u64);
-        for cuboid in &self.cuboids {
+        w.put_u64(cuboids.len() as u64);
+        for (cuboid, keys) in self.cuboids.iter().zip(cuboids) {
             w.put_u64(cuboid.dims.len() as u64);
             for &d in &cuboid.dims {
                 w.put_u64(d as u64);
             }
             w.put_u64(cuboid.sf as u64);
-            let mut keys: Vec<&(Vec<u32>, u32)> = cuboid.cells.keys().collect();
-            keys.sort();
             w.put_u64(keys.len() as u64);
-            for key in keys {
-                let (vals, pid) = key;
-                w.put_u64(vals.len() as u64);
+            for (vals, pid) in keys {
+                let cell = refs.next().expect("one reference per packed cell");
                 for &v in vals {
                     w.put_u32(v);
                 }
                 w.put_u32(*pid);
-                let data = self.store.peek(cuboid.cells[key])?;
-                w.put_u64(file.try_put_shared(&scratch, data)?.0);
+                w.put_u64(cell.object.0);
+                w.put_u32(cell.start);
+                w.put_u32(cell.len);
             }
         }
-        finish_catalog(&file, w)
+        finish_catalog(file, w)
     }
 
     /// Reopens a cube saved by [`Self::save_to`], read-only, with the
@@ -504,45 +589,48 @@ impl GridRankingCube {
     ) -> Result<Self, StorageError> {
         let store = PageStore::open_file(path, pool_pages)?;
         let catalog = read_catalog(&store, CATALOG_GRID)?;
-        let mut r = ByteReader::new(&catalog[1..]);
+        Self::from_catalog(store, &catalog[1..])
+    }
+
+    /// Parses a grid catalog — everything after its kind tag — over the
+    /// store its object ids name. Any bytes give a cube or a typed error:
+    /// every count is bounded by the bytes left to hold it before anything
+    /// is allocated for it. Cell references are not checked against their
+    /// objects here; a reference past its object's end fails the first
+    /// read of it, and [`Self::verify_integrity`] checks them all.
+    fn from_catalog(store: PageStore, catalog: &[u8]) -> Result<Self, StorageError> {
         const LIMIT: usize = 1 << 30;
+        let mut r = ByteReader::new(catalog);
         let block_size = r.count(LIMIT)?;
         let nrd = r.count(64)?;
-        let mut ranking_dims = Vec::with_capacity(nrd);
-        for _ in 0..nrd {
-            ranking_dims.push(r.count(LIMIT)?);
-        }
+        let ranking_dims = (0..nrd).map(|_| r.count(LIMIT)).collect::<Result<Vec<_>, _>>()?;
         let partition = GridPartition::from_bytes(r.bytes()?)?;
-        let nbase = r.count(LIMIT)?;
+        if partition.dims() != ranking_dims.as_slice() {
+            return Err(StorageError::Malformed("partition does not cover the ranking dimensions"));
+        }
+        let nbase = r.count(r.remaining() / 8)?;
         if nbase != partition.num_blocks() {
             return Err(StorageError::Malformed("base-page table size mismatch"));
         }
-        let mut base_pages = Vec::with_capacity(nbase);
-        for _ in 0..nbase {
-            base_pages.push(match r.u64()? {
-                u64::MAX => None,
-                p => Some(PageId(p)),
-            });
-        }
-        let ncuboids = r.count(LIMIT)?;
+        let base_pages = (0..nbase)
+            .map(|_| r.u64().map(|p| (p != u64::MAX).then_some(PageId(p))))
+            .collect::<Result<Vec<_>, _>>()?;
+        // A cuboid takes at least its dimension, scale factor and cell
+        // counts.
+        let ncuboids = r.count(r.remaining() / 24)?;
         let mut cuboids = BTreeMap::new();
         for _ in 0..ncuboids {
             let ndims = r.count(64)?;
-            let mut dims = Vec::with_capacity(ndims);
-            for _ in 0..ndims {
-                dims.push(r.count(LIMIT)?);
-            }
+            let dims = (0..ndims).map(|_| r.count(LIMIT)).collect::<Result<Vec<_>, _>>()?;
             let sf = r.count(LIMIT)?.max(1);
-            let ncells = r.count(LIMIT)?;
+            // Per cell: its values, pid, object, start, length.
+            let ncells = r.count(r.remaining() / (4 * ndims + 20))?;
             let mut cells = HashMap::with_capacity(ncells);
             for _ in 0..ncells {
-                let nvals = r.count(64)?;
-                let mut vals = Vec::with_capacity(nvals);
-                for _ in 0..nvals {
-                    vals.push(r.u32()?);
-                }
+                let vals = (0..ndims).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
                 let pid = r.u32()?;
-                cells.insert((vals, pid), PageId(r.u64()?));
+                let cell = CellRef { object: PageId(r.u64()?), start: r.u32()?, len: r.u32()? };
+                cells.insert((vals, pid), cell);
             }
             cuboids.insert(dims, (sf, cells));
         }
@@ -559,31 +647,109 @@ impl GridRankingCube {
         Ok(Self { partition, store, base_pages, cuboids, ranking_dims, config })
     }
 
-    /// Scrubs every stored object (base blocks, cuboid cells) through the
-    /// validated read path, cache-cold, surfacing the first checksum /
+    /// Scrubs every stored object (base blocks, cell objects) once through
+    /// the validated read path, cache-cold, and checks that every cell
+    /// reference lies inside its object, surfacing the first checksum /
     /// structure error. `Ok(())` means all pages decode clean.
     pub fn verify_integrity(&self) -> Result<(), StorageError> {
         self.store.clear_cache();
-        for page in self.base_pages.iter().flatten() {
-            self.store.peek(*page)?;
+        let mut scrubbed = HashMap::new();
+        let mut scrub = |object: PageId| -> Result<usize, StorageError> {
+            if let Some(&len) = scrubbed.get(&object) {
+                return Ok(len);
+            }
+            let len = self.store.peek(object)?.len();
+            scrubbed.insert(object, len);
+            Ok(len)
+        };
+        for &page in self.base_pages.iter().flatten() {
+            scrub(page)?;
         }
         for cuboid in &self.cuboids {
-            for &page in cuboid.cells.values() {
-                self.store.peek(page)?;
+            for &cell in cuboid.cells.values() {
+                if cell.range().end > scrub(cell.object)? {
+                    return Err(StorageError::Malformed("cell reference past its object's end"));
+                }
             }
         }
         Ok(())
+    }
+
+    /// Fetches a stored cell, charging its object's pages to `disk`.
+    fn fetch_cell(&self, disk: &DiskSim, cell: CellRef) -> Result<CellBytes, StorageError> {
+        let frame = self.store.try_get_bytes(disk, cell.object)?;
+        cell.within(&frame)?;
+        Ok(CellBytes { frame, range: cell.range() })
+    }
+}
+
+/// Packs cells, in the order they are pushed, into segment objects of at
+/// most `room` bytes; a cell larger than `room` closes the open segment
+/// and becomes an object of its own.
+struct Packer<'a> {
+    file: &'a PageStore,
+    /// A throwaway meter: what a save writes is no query's I/O.
+    disk: DiskSim,
+    room: usize,
+    segment: Vec<u8>,
+    /// One reference per pushed cell; those from `sealed` on lie in the
+    /// open segment and learn its object when it is stored.
+    refs: Vec<CellRef>,
+    sealed: usize,
+}
+
+impl<'a> Packer<'a> {
+    fn new(file: &'a PageStore, room: usize) -> Self {
+        let disk = DiskSim::new(DEFAULT_PAGE_SIZE, 0);
+        Self { file, disk, room, segment: Vec::new(), refs: Vec::new(), sealed: 0 }
+    }
+
+    fn push(&mut self, cell: &[u8]) -> Result<(), StorageError> {
+        if self.segment.len() + cell.len() > self.room {
+            self.seal()?;
+        }
+        let len = cell.len() as u32;
+        if cell.len() > self.room {
+            let object = self.file.try_put(&self.disk, cell.to_vec())?;
+            self.refs.push(CellRef { object, start: 0, len });
+            self.sealed = self.refs.len();
+        } else {
+            let start = self.segment.len() as u32;
+            self.refs.push(CellRef { object: PageId(u64::MAX), start, len });
+            self.segment.extend_from_slice(cell);
+        }
+        Ok(())
+    }
+
+    /// Stores the open segment, if any, and points its cells at it.
+    fn seal(&mut self) -> Result<(), StorageError> {
+        if !self.segment.is_empty() {
+            let segment = std::mem::replace(&mut self.segment, Vec::with_capacity(self.room));
+            let object = self.file.try_put(&self.disk, segment)?;
+            for cell in &mut self.refs[self.sealed..] {
+                cell.object = object;
+            }
+            self.sealed = self.refs.len();
+        }
+        Ok(())
+    }
+
+    /// Seals the last segment and returns every reference, in push order.
+    fn finish(mut self) -> Result<Vec<CellRef>, StorageError> {
+        self.seal()?;
+        Ok(self.refs)
     }
 }
 
 /// Catalog kind tags (first byte of the catalog object). The signature
 /// catalog moved from tag 3 to tag 4 when its per-cell layout changed
 /// (per-node `sid → partial` pairs → per-partial first-SID directory +
-/// depth), and tag 2 was a fragments-configured grid cube behind two extra
-/// integers, which now saves under the grid tag; files carrying a retired
-/// tag are rejected with a typed kind-mismatch error instead of being
+/// depth); tag 2 was a fragments-configured grid cube behind two extra
+/// integers, and tag 1 a grid catalog naming one object per cell, before
+/// cells were packed into segments (tag 5). Files carrying a retired tag
+/// are rejected with a typed kind-mismatch error instead of being
 /// misparsed.
-pub(crate) const CATALOG_GRID: u8 = 1;
+pub(crate) const CATALOG_GRID: u8 = 5;
 pub(crate) const CATALOG_SIG: u8 = 4;
 
 /// Stores the finished catalog object, records it in the superblock and
@@ -682,10 +848,11 @@ struct GridSearch<'a> {
     unexplored: BinaryHeap<HeapBox>,
     /// Bit per block: set once it has entered the frontier.
     inserted: Vec<u64>,
-    /// Pseudo-block buffer: (covering index, pid) → cell page bytes.
-    /// `None` records a definitively empty cell. Pages are shared handles
-    /// from the store — posting-list views parse straight off them.
-    pid_buffer: HashMap<(usize, u32), Option<Arc<[u8]>>>,
+    /// Pseudo-block buffer: (covering index, pid) → the fetched cell.
+    /// `None` records a definitively empty cell. Cells are ranges of
+    /// shared handles from the store — posting-list views parse straight
+    /// off them.
+    pid_buffer: HashMap<(usize, u32), Option<CellBytes>>,
     /// Evaluated tuples not yet certified/emitted, cheapest first.
     candidates: BinaryHeap<MinScored>,
     /// Scratch reused from block to block: the region being bounded, the
@@ -877,16 +1044,16 @@ impl<'a> GridSearch<'a> {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(match cover.cuboid.cells.get(&cover.key) {
-                        Some(&page) => {
+                        Some(&cell) => {
                             self.stats.blocks_read += 1;
-                            Some(self.cube.store.try_get_bytes(self.disk, page)?)
+                            Some(self.cube.fetch_cell(self.disk, cell)?)
                         }
                         None => None,
                     })
                 }
             };
             match page {
-                Some(page) if cell_has_bid(page, bid) => {}
+                Some(page) if cell_has_bid(page.bytes(), bid) => {}
                 // Cell absent, or bid absent from it: no tuple matches.
                 _ => return Ok(()),
             }
@@ -897,8 +1064,8 @@ impl<'a> GridSearch<'a> {
         // list from passing for a short one.
         let pid_buffer = &self.pid_buffer;
         let mut cursors = self.covering.iter().enumerate().map(|(ci, cover)| {
-            let page = pid_buffer[&(ci, cover.key.1)].as_deref().expect("buffered in pass 1");
-            cell_cursor(page, bid)
+            let page = pid_buffer[&(ci, cover.key.1)].as_ref().expect("buffered in pass 1");
+            cell_cursor(page.bytes(), bid)
         });
         let error = if self.covering.len() == 1 {
             let mut list = cursors.next().expect("one covering cuboid")?;
@@ -1433,22 +1600,39 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn retired_fragments_catalog_tag_is_a_typed_kind_mismatch() {
-        // Tag 2 headed a fragments catalog; no reader is left for it.
-        let path = temp_cube_path("tag2");
+    /// A file whose catalog carries the retired `tag`, then `rest`, fails
+    /// to open with the typed kind mismatch.
+    fn assert_retired_tag(tag: u8, rest: &[u64]) {
+        let path = temp_cube_path(&format!("tag{tag}"));
         let file = PageStore::create_file(&path, 1024, 8).expect("create");
         let mut w = ByteWriter::new();
-        w.put_u8(2);
-        w.put_u64(2); // what followed the tag: fragment size, …
-        w.put_u64(4); // … selection dimensions, then a grid payload
+        w.put_u8(tag);
+        for &word in rest {
+            w.put_u64(word);
+        }
         finish_catalog(&file, w).expect("catalog");
         drop(file);
         match GridRankingCube::open_from(&path) {
             Err(StorageError::Malformed(why)) => assert!(why.contains("catalog kind"), "{why}"),
-            other => panic!("expected a typed kind mismatch, got {other:?}"),
+            other => panic!("tag {tag}: expected a typed kind mismatch, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn retired_fragments_catalog_tag_is_a_typed_kind_mismatch() {
+        // Tag 2 headed a fragments catalog; no reader is left for it. What
+        // followed the tag: fragment size, selection dimensions, then a
+        // grid payload.
+        assert_retired_tag(2, &[2, 4]);
+    }
+
+    #[test]
+    fn retired_one_object_per_cell_catalog_tag_is_a_typed_kind_mismatch() {
+        // Tag 1 named one object per cell, with a value count per cell; a
+        // valid-looking head (block size, one ranking dimension) must not
+        // lure the tag-5 parser into it.
+        assert_retired_tag(1, &[300, 1, 0]);
     }
 
     #[test]
@@ -1806,9 +1990,9 @@ mod tests {
         let (mut longest, mut tags) = (0, Vec::new());
         for cuboid in &cube.cuboids {
             let dims = &cuboid.dims;
-            for ((vals, _pid), &page) in &cuboid.cells {
-                let page = cube.store.peek(page).unwrap();
-                for (bid, base, list) in cell_lists(&page) {
+            for ((vals, _pid), &cell) in &cuboid.cells {
+                let object = cube.store.peek(cell.object).unwrap();
+                for (bid, base, list) in cell_lists(cell.within(&object).unwrap()) {
                     let got: Vec<Tid> =
                         IdListRef::parse(list).unwrap().cursor_with_base(base).collect();
                     let in_cell = |t: Tid| {
@@ -1928,12 +2112,13 @@ mod tests {
                 })
                 .collect();
             assert!(intact.iter().all(|&n| n > 100), "{intact:?}");
-            for ((vals, _pid), &page) in &cube.cuboids.iter().find(|c| c.dims == [0]).unwrap().cells
+            for ((vals, _pid), &cell) in &cube.cuboids.iter().find(|c| c.dims == [0]).unwrap().cells
             {
                 if vals[..] != [1] {
                     continue;
                 }
-                let bytes = cube.store.peek(page).unwrap();
+                // One object per cell in memory: the object is the cell.
+                let (page, bytes) = (cell.object, cube.store.peek(cell.object).unwrap());
                 let lists: Vec<_> = cell_lists(&bytes)
                     .into_iter()
                     .map(|(bid, base, list)| (bid, base, corrupt(list)))
@@ -1951,5 +2136,261 @@ mod tests {
                 );
             }
         }
+    }
+
+    // ---- Segments: what a saved file packs, and what it charges ----
+
+    /// Pads the cell at catalog position `at` of cuboid `ci` to exactly
+    /// `len` bytes (a cell's lists end where its directory says; bytes past
+    /// the last one are never read) and returns its key.
+    fn pad_cell(
+        cube: &mut GridRankingCube,
+        disk: &DiskSim,
+        ci: usize,
+        at: usize,
+        len: usize,
+    ) -> (Vec<u32>, u32) {
+        let cells = &mut cube.cuboids[ci].cells;
+        let mut keys: Vec<_> = cells.keys().cloned().collect();
+        keys.sort();
+        let cell = cells.get_mut(&keys[at]).unwrap();
+        let mut bytes = cube.store.peek(cell.object).unwrap().to_vec();
+        assert!(bytes.len() <= len, "cell {at} is {} bytes already", bytes.len());
+        bytes.resize(len, 0xA5);
+        cube.store.overwrite(disk, cell.object, bytes).unwrap();
+        cell.len = len as u32;
+        keys[at].clone()
+    }
+
+    /// One query's answer as `(tid, score bits)`, blocks read and pages
+    /// charged.
+    type Run = (Vec<(Tid, u64)>, u64, u64);
+
+    /// Each query's [`Run`], on a fresh device over a cold pool.
+    fn cold_runs(cube: &GridRankingCube, queries: &[Query]) -> Vec<Run> {
+        queries
+            .iter()
+            .map(|q| {
+                cube.store.clear_cache();
+                let got = cube.source(&DiskSim::with_defaults()).query(&q.plan()).unwrap();
+                (answer_bits(&got.items), got.stats.blocks_read, got.stats.io.logical_reads)
+            })
+            .collect()
+    }
+
+    /// Pages one fetch of `cell` charges.
+    fn fetch_pages(cube: &GridRankingCube, cell: CellRef) -> u64 {
+        let disk = DiskSim::with_defaults();
+        cube.fetch_cell(&disk, cell).unwrap();
+        disk.stats().snapshot().logical_reads
+    }
+
+    /// A cell of exactly one page's room, one a byte over it and one of
+    /// two and a half pages, each between small cells, at page sizes 512,
+    /// 1024 and 4096. The packed file answers as the in-memory cube does,
+    /// block for block, and charges every query and every cell fetch the
+    /// pages a file of one object per cell charges — which is what it is
+    /// smaller than.
+    #[test]
+    fn packed_cells_round_trip_and_charge_what_lone_cells_charge() {
+        let rel = SyntheticSpec { tuples: 600, cardinality: 3, ..Default::default() }.generate();
+        for page_size in [512, 1024, 4096] {
+            let disk = DiskSim::with_defaults();
+            let config = GridCubeConfig { block_size: 50, ..Default::default() };
+            let mut cube = GridRankingCube::build(&rel, &disk, config);
+            let ci = cube.cuboids.iter().position(|c| c.dims == [0, 1]).unwrap();
+            assert!(cube.cuboids[ci].cells.len() >= 16, "{page_size}: too few cells to pad");
+            let room = page_size - format::PAGE_HEADER - 4;
+            let padded = [(4, room), (8, room + 1), (12, 2 * page_size + page_size / 2)]
+                .map(|(at, len)| pad_cell(&mut cube, &disk, ci, at, len));
+
+            let (packed_path, lone_path) = (
+                temp_cube_path(&format!("packed{page_size}")),
+                temp_cube_path(&format!("lone{page_size}")),
+            );
+            cube.save_to_with(&packed_path, page_size, 64).expect("save packed");
+            let lone = PageStore::create_file(&lone_path, page_size, 64).expect("create");
+            cube.save_into(&lone, 0).expect("save one object per cell");
+            drop(lone);
+            let packed = GridRankingCube::open_from_with(&packed_path, 64).expect("open packed");
+            let lone = GridRankingCube::open_from_with(&lone_path, 64).expect("open lone");
+            packed.verify_integrity().expect("packed file scrubs clean");
+
+            // The layout: the exact fit alone in its segment, the two
+            // larger cells objects of their own, their neighbours shared.
+            let cells = &packed.cuboids[ci].cells;
+            let mut keys: Vec<_> = cells.keys().collect();
+            keys.sort();
+            let sharing = |cell: CellRef| {
+                packed
+                    .cuboids
+                    .iter()
+                    .flat_map(|c| c.cells.values())
+                    .filter(|o| o.object == cell.object)
+                    .count()
+            };
+            for (key, want) in padded.iter().zip([room, room + 1, 2 * page_size + page_size / 2]) {
+                let cell = cells[key];
+                assert_eq!((cell.start, cell.len as usize), (0, want), "{page_size}: {key:?}");
+                assert_eq!(
+                    packed.store.peek(cell.object).unwrap().len(),
+                    want,
+                    "{page_size}: {key:?}"
+                );
+                assert_eq!(sharing(cell), 1, "{page_size}: {key:?} shares its object");
+            }
+            for at in [5, 9, 13] {
+                let (a, b) = (cells[keys[at]], cells[keys[at + 1]]);
+                assert_eq!(
+                    a.object,
+                    b.object,
+                    "{page_size}: cells {at} and {} share a segment",
+                    at + 1
+                );
+                assert_eq!(a.start + a.len, b.start, "{page_size}: side by side");
+            }
+            for cuboid in &packed.cuboids {
+                for (key, &cell) in &cuboid.cells {
+                    let alone =
+                        lone.cuboids.iter().find(|c| c.dims == cuboid.dims).unwrap().cells[key];
+                    assert_eq!(alone.start, 0);
+                    assert_eq!(alone.len, cell.len, "{page_size}: {key:?}");
+                    assert_eq!(
+                        fetch_pages(&packed, cell),
+                        fetch_pages(&lone, alone),
+                        "{page_size}: {key:?}"
+                    );
+                }
+            }
+
+            // Every query over the padded cuboid, and some that intersect.
+            let mut queries: Vec<Query> = Vec::new();
+            for (v0, v1) in (0..3).flat_map(|a| (0..3).map(move |b| (a, b))) {
+                queries.push(Query::select([(0, v0), (1, v1)]).rank(Linear::uniform(2)).top(15));
+                queries.push(
+                    Query::select([(0, v0), (1, v1), (2, 1)])
+                        .rank(Linear::new(vec![1.0, 3.0]))
+                        .top(5),
+                );
+            }
+            let mem: Vec<_> =
+                cold_runs(&cube, &queries).into_iter().map(|(a, b, _)| (a, b)).collect();
+            let on_file = cold_runs(&packed, &queries);
+            assert_eq!(
+                on_file.iter().map(|(a, b, _)| (a.clone(), *b)).collect::<Vec<_>>(),
+                mem,
+                "{page_size}"
+            );
+            assert_eq!(
+                on_file,
+                cold_runs(&lone, &queries),
+                "{page_size}: packed vs one object per cell"
+            );
+
+            let size = |p: &std::path::Path| std::fs::metadata(p).unwrap().len();
+            assert!(size(&packed_path) < size(&lone_path), "{page_size}: packing saved nothing");
+            // The reopened cube saves the file it was opened from.
+            let again_path = temp_cube_path(&format!("again{page_size}"));
+            packed.save_to_with(&again_path, page_size, 64).expect("save reopened");
+            assert!(std::fs::read(&again_path).unwrap() == std::fs::read(&packed_path).unwrap());
+            for path in [packed_path, lone_path, again_path] {
+                std::fs::remove_file(path).ok();
+            }
+        }
+    }
+
+    /// A small saved cube: its path, its reopened store and its catalog
+    /// body (what follows the kind tag).
+    fn saved_catalog(tag: &str, page_size: usize) -> (std::path::PathBuf, PageStore, Vec<u8>) {
+        let rel =
+            SyntheticSpec { tuples: 120, selection_dims: 2, cardinality: 3, ..Default::default() }
+                .generate();
+        let disk = DiskSim::with_defaults();
+        let cube = GridRankingCube::build(
+            &rel,
+            &disk,
+            GridCubeConfig { block_size: 30, ..Default::default() },
+        );
+        let path = temp_cube_path(tag);
+        cube.save_to_with(&path, page_size, 16).expect("save");
+        let store = PageStore::open_file(&path, 16).expect("open");
+        let body = read_catalog(&store, CATALOG_GRID).expect("catalog")[1..].to_vec();
+        (path, store, body)
+    }
+
+    /// The grid catalog decodes any bytes to a cube or a typed error, never
+    /// a panic: the saved catalog, each of its truncations (none of which
+    /// is whole), every single-bit flip of it, and arbitrary bodies. A cube
+    /// that does come back scrubs to `Ok` or a typed error as well.
+    #[test]
+    fn the_grid_catalog_decodes_any_bytes_to_a_cube_or_a_typed_error() {
+        let (path, store, body) = saved_catalog("catalog_fuzz", 512);
+        let decode = |bytes: &[u8]| {
+            GridRankingCube::from_catalog(store.clone(), bytes).map(|cube| cube.verify_integrity())
+        };
+        assert!(matches!(decode(&body), Ok(Ok(()))), "the saved catalog decodes and scrubs");
+        for n in 0..body.len() {
+            assert!(decode(&body[..n]).is_err(), "a {n}-byte prefix decoded");
+        }
+        let mut flipped = body.clone();
+        for bit in 0..body.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in (0..4 * body.len()).step_by(13) {
+            let arbitrary: Vec<u8> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    // Mostly small words, so counts often pass their bounds.
+                    if state.is_multiple_of(4) {
+                        state as u8
+                    } else {
+                        (state % 3) as u8
+                    }
+                })
+                .collect();
+            let _ = decode(&arbitrary);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A cell reference the catalog points one byte past its object's end
+    /// decodes — the catalog does not read objects — and then fails the
+    /// first query that reads the cell, and the scrub, as a malformed file.
+    #[test]
+    fn a_cell_reference_past_its_object_fails_its_first_read_typed() {
+        let (path, store, mut body) = saved_catalog("past_end", 1024);
+        let cube = GridRankingCube::from_catalog(store.clone(), &body).unwrap();
+        let (key, cell) = cube
+            .cuboids
+            .iter()
+            .find(|c| c.dims == [0])
+            .unwrap()
+            .cells
+            .iter()
+            .find(|(k, _)| k.0 == [1])
+            .unwrap();
+        let object_len = store.peek(cell.object).unwrap().len() as u32;
+        let entry =
+            [&cell.object.0.to_le_bytes()[..], &cell.start.to_le_bytes(), &cell.len.to_le_bytes()]
+                .concat();
+        let at =
+            body.windows(entry.len()).position(|w| w == entry).expect("the cell's catalog entry");
+        body[at + 12..at + 16].copy_from_slice(&(object_len - cell.start + 1).to_le_bytes());
+
+        let crafted =
+            GridRankingCube::from_catalog(store, &body).expect("references are read lazily");
+        let q = Query::select([(0, key.0[0])]).rank(Linear::uniform(2)).top(10);
+        let got = crafted.source(&DiskSim::with_defaults()).query(&q.plan());
+        assert!(
+            matches!(&got, Err(e @ StorageError::Malformed(_)) if !e.is_transient()),
+            "{got:?}"
+        );
+        assert!(matches!(crafted.verify_integrity(), Err(StorageError::Malformed(_))));
+        std::fs::remove_file(&path).ok();
     }
 }

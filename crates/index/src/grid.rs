@@ -221,6 +221,9 @@ impl GridPartition {
         if boundaries.len() != dims.len() {
             return Err(StorageError::Malformed("grid boundaries/dims arity mismatch"));
         }
+        if bins == 0 {
+            return Err(StorageError::Malformed("grid partition has no bins"));
+        }
         let expect_blocks = dims
             .len()
             .try_into()
@@ -283,19 +286,21 @@ impl GridPartition {
         for _ in 0..ndims {
             dims.push(r.count(LIMIT)?);
         }
+        // Every count below is bounded by the bytes left to hold what it
+        // counts, so a damaged one fails before it sizes an allocation.
         let mut boundaries = Vec::with_capacity(ndims);
         for _ in 0..ndims {
-            let edges = r.count(LIMIT)?;
+            let edges = r.count(r.remaining() / 8)?;
             let mut v = Vec::with_capacity(edges);
             for _ in 0..edges {
                 v.push(r.f64()?);
             }
             boundaries.push(v);
         }
-        let nblocks = r.count(LIMIT)?;
+        let nblocks = r.count(r.remaining() / 8)?;
         let mut blocks = Vec::with_capacity(nblocks);
         for _ in 0..nblocks {
-            let n = r.count(LIMIT)?;
+            let n = r.count(r.remaining() / 4)?;
             let mut tids = Vec::with_capacity(n);
             for _ in 0..n {
                 tids.push(r.u32()?);

@@ -99,13 +99,16 @@
 //!
 //! The superblock's catalog pointer names one ordinary object whose first
 //! byte is a *kind tag* interpreted by the cube layer (`rcube_core`):
-//! `1` grid cube (whatever cuboids it materializes, ranking fragments
+//! `5` grid cube (whatever cuboids it materializes, ranking fragments
 //! included), `4` signature cube. Readers reject a mismatched tag with a
 //! typed error, so a catalog-layout change is shipped as a new tag rather
-//! than a silent reinterpretation. Tag `2` (a fragments-configured grid
-//! cube behind two extra integers) is retired: such a cube saves under
-//! tag `1`, and a file carrying tag `2` fails to open with the
-//! kind-mismatch error and must be re-saved. Tag `3` (the original
+//! than a silent reinterpretation. Tag `1` (a grid catalog naming one
+//! object per cell, each cell with its own value count) is retired: grid
+//! cells are packed into shared segments under tag `5`, and a file
+//! carrying tag `1` fails to open with the kind-mismatch error and must be
+//! re-saved. Tag `2` (a fragments-configured grid
+//! cube behind two extra integers) is retired as well, and the same
+//! way. Tag `3` (the original
 //! signature-cube catalog) is retired too: it carried a per-node
 //! `sid → partial` pair list per cell; tag `4` stores, per cell, the
 //! signature depth plus one *first-SID* entry per partial — BFS write
@@ -113,6 +116,25 @@
 //! the map (binary search) and shrinks the catalog from O(nodes) to
 //! O(partials). Files written with tag 3 fail to open with a
 //! kind-mismatch error and must be re-saved.
+//!
+//! **Grid catalog (tag 5).** All integers little-endian:
+//!
+//! | field                  | encoding                                        |
+//! |------------------------|-------------------------------------------------|
+//! | kind tag               | `u8` = 5                                        |
+//! | block size `P`         | `u64`                                           |
+//! | ranking dimensions     | count `u64`, then each `u64`                    |
+//! | partition              | byte length `u64`, then bins, dims, bin edges and every block's tids (`rcube_index::grid`) |
+//! | base-block table       | block count `u64`, then one `u64` object id per block (`u64::MAX` = empty block) |
+//! | cuboid directory       | cuboid count `u64`; per cuboid: dims (count `u64`, each `u64`), scale factor `u64`, cell count `u64`, then per cell its values (`u32` per dim), pid `u32`, object `u64`, start `u32`, length `u32` |
+//!
+//! A cell is `length` bytes from `start` in the object it names. The
+//! writer packs consecutive small cells, in directory order, into one
+//! *segment* object for as long as they fit one page's payload
+//! (`page_size − 8 − 4`); a cell too big for a page alone is an object of
+//! its own (start 0). A segment never spans two pages, so fetching a cell
+//! reads the pages it would read alone. A reference that runs past its
+//! object's end is a malformed file, reported by the first read of it.
 //!
 //! **Signature catalog (tag 4, v6).** All integers little-endian:
 //!

@@ -27,7 +27,7 @@ use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
-use ranking_cube::storage::{DiskSim, StorageError};
+use ranking_cube::storage::{DiskSim, FileBackend, StorageError};
 use ranking_cube::table::gen::SyntheticSpec;
 use ranking_cube::table::workload::{WorkloadParams, ZipfQueryGen};
 use ranking_cube::table::Relation;
@@ -436,12 +436,16 @@ fn a_route_condemned_on_one_thread_is_skipped_by_the_next_open_on_another() {
     assert!(built.last_fanout().unwrap().shards[1].opened, "the query opens shard 1");
     drop(built);
 
-    // Rot shard 1's data pages (superblocks and catalog spared): the set
-    // opens, and the first query to pull a damaged page meets a checksum.
+    // Rot shard 1's data pages (superblocks and catalog spared: the pages
+    // between the two slots and the catalog the writer appends after the
+    // data): the set opens, and the first query to pull a damaged page
+    // meets a checksum.
     let shard1 = dir.join("set.shard1");
     let pristine = std::fs::read(&shard1).expect("read shard file");
+    let sb = FileBackend::peek_superblock(&shard1).expect("superblock");
     let mut bad = pristine.clone();
-    let (lo, hi) = (8192, bad.len() - 16 * 4096);
+    let page = sb.page_size as usize;
+    let (lo, hi) = (2 * page, sb.catalog_first.expect("a catalog") as usize * page);
     bad[lo..hi].iter_mut().for_each(|b| *b ^= 0x55);
     std::fs::write(&shard1, &bad).expect("write damaged shard");
 

@@ -24,7 +24,7 @@ use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
 use ranking_cube::cube::query::{Query, RankedSource, TopKCursor};
 use ranking_cube::cube::shard::{ShardedCube, ShardedCubeConfig};
 use ranking_cube::func::{Expr, Linear, SqDist};
-use ranking_cube::storage::{DiskSim, ShardManifest, StorageError};
+use ranking_cube::storage::{DiskSim, FileBackend, ShardManifest, StorageError};
 use ranking_cube::table::gen::SyntheticSpec;
 use ranking_cube::table::{Relation, Tid};
 use ranking_cube::{Engine, Route};
@@ -144,13 +144,17 @@ fn corrupted_shard_degrades_per_shard_and_repairs() {
     assert!(built.last_fanout().unwrap().shards[1].opened, "the query opens shard 1");
     drop(built);
 
-    // Damage shard 1's data pages, sparing the superblocks at the front
-    // and the catalog at the tail: the file still *opens*, and the page
+    // Damage shard 1's data pages — every page between the superblocks at
+    // the front and the catalog the superblock names, which the writer
+    // appends after the data: the file still *opens*, and the page
     // checksums catch the rot only when a query pulls a damaged page.
     let shard1 = dir.join("set.shard1");
     let pristine = std::fs::read(&shard1).expect("read shard file");
+    let sb = FileBackend::peek_superblock(&shard1).expect("superblock");
     let mut bad = pristine.clone();
-    let (lo, hi) = (8192, bad.len() - 16 * 4096);
+    let page = sb.page_size as usize;
+    let (lo, hi) = (2 * page, sb.catalog_first.expect("a catalog") as usize * page);
+    assert!(lo < hi, "shard 1 has data pages");
     for b in &mut bad[lo..hi] {
         *b ^= 0x55;
     }
