@@ -20,6 +20,15 @@
 //! ≤ 1.5: a file that spends a whole page on each small cell again —
 //! 5.03 before cells were packed into shared one-page segments — fails
 //! the run.
+//!
+//! A third, `grid_blocks_per_query`, is the paper's cost metric: blocks a
+//! query reads, cells and base blocks, over a cube of the benchmark of
+//! record's shape at this fixture's size (four cardinality-10 selection
+//! dimensions, three ranking dimensions) and that benchmark's query shape
+//! (two conditions, two ranking dimensions, top 10) — some three tuples of
+//! a block qualify. It is a counter gate at ≤ 0.7 × its `before` value,
+//! read when a block was bounded by its bin alone, before cell entries
+//! carried the box of their tuples.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rcube_bench::{fixed, BenchReport, Bound, Json};
@@ -29,6 +38,7 @@ use rcube_func::Linear;
 use rcube_storage::format::crc32;
 use rcube_storage::{DiskSim, PageId, PageStore, DEFAULT_PAGE_SIZE};
 use rcube_table::gen::SyntheticSpec;
+use rcube_table::workload::{QueryGen, WorkloadParams};
 
 /// One-page objects in the `file_miss` file; one iteration misses on all.
 const MISS_OBJECTS: usize = 1024;
@@ -51,7 +61,9 @@ const BEFORE: &str = r#"{
     "buffer_pool_speedup_cold_to_warm": 1.74,
     "grid_file_commit": "7c54deb, one object per cell",
     "grid_file_bytes_per_tuple": 215.4,
-    "grid_file_space_amp": 5.033
+    "grid_file_space_amp": 5.033,
+    "grid_blocks_commit": "b0d7371, bin bounds only",
+    "grid_blocks_per_query": 13.504
   }"#;
 
 /// Tuples in the fixture relation.
@@ -59,6 +71,11 @@ const TUPLES: usize = 20_000;
 
 /// The bound the space-amplification counter gate holds.
 const MAX_SPACE_AMP: f64 = 1.5;
+
+/// Queries behind `grid_blocks_per_query`, and what they read per query
+/// when a block was bounded by its bin alone (the `before` commit).
+const BLOCK_QUERIES: usize = 256;
+const BLOCKS_BEFORE: f64 = 13.504;
 
 struct Setup {
     mem_cube: GridRankingCube,
@@ -123,7 +140,34 @@ fn bench_backends(c: &mut Criterion) {
     let space_amp = s.file_bytes as f64 / s.file_cube.store().total_bytes() as f64;
 
     bench_page_floor(c);
-    emit_json(c, s.file_bytes as f64 / TUPLES as f64, space_amp);
+    emit_json(c, s.file_bytes as f64 / TUPLES as f64, space_amp, grid_blocks_per_query());
+}
+
+/// Mean blocks a query reads on the benchmark of record's shape (see the
+/// module docs), over [`BLOCK_QUERIES`] queries.
+fn grid_blocks_per_query() -> f64 {
+    let rel = SyntheticSpec {
+        tuples: TUPLES,
+        selection_dims: 4,
+        cardinality: 10,
+        ranking_dims: 3,
+        ..Default::default()
+    }
+    .generate();
+    let disk = DiskSim::with_defaults();
+    let cube = GridRankingCube::build(&rel, &disk, GridCubeConfig::default());
+    let specs = QueryGen::new(WorkloadParams::default()).batch(&rel, BLOCK_QUERIES);
+    let blocks: u64 = specs
+        .iter()
+        .map(|spec| {
+            let f = Linear::new(spec.weights.clone());
+            let q = Query::select(spec.selection.conds().to_vec())
+                .rank_on(spec.ranking_dims.clone(), f)
+                .top(spec.k);
+            cube.source(&disk).query(&q.plan()).unwrap().stats.blocks_read
+        })
+        .sum();
+    blocks as f64 / BLOCK_QUERIES as f64
 }
 
 fn bench_page_floor(c: &mut Criterion) {
@@ -155,7 +199,7 @@ fn bench_page_floor(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64) {
+fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64, blocks: f64) {
     let results = c.measurements().iter().map(|m| (m.id.as_str(), m.mean_ns));
     let mut report = BenchReport::criterion("storage", results);
     let cold_penalty = report.ratio("storage_query/file_cold/sel1", "storage_query/inmem/sel1");
@@ -173,6 +217,7 @@ fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64) {
         "storage: checksum {checksum_ns:.0} ns/page ({checksum_mb_s:.0} MB/s), file miss {miss_ns:.0} ns"
     );
     println!("storage: grid file {bytes_per_tuple:.1} B/tuple, space amp {space_amp:.3}");
+    println!("storage: grid {blocks:.3} blocks/query ({BLOCKS_BEFORE:.3} before)");
     report
         .set("checksum_ns_per_page", fixed(checksum_ns, 1))
         .set("checksum_mb_per_s", fixed(checksum_mb_s, 0))
@@ -182,6 +227,7 @@ fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64) {
         .set("buffer_pool_speedup_cold_to_warm", fixed(pool_speedup, 2))
         .set("grid_file_bytes_per_tuple", fixed(bytes_per_tuple, 1))
         .set("grid_file_space_amp", fixed(space_amp, 3))
+        .set("grid_blocks_per_query", fixed(blocks, 3))
         .set("before", Json::Raw(BEFORE));
     assert!(
         space_amp <= MAX_SPACE_AMP,
@@ -191,6 +237,15 @@ fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64) {
         "grid_file_space_amp",
         "<= 1.5",
         "file bytes / stored payload: small cells share one-page segments",
+    );
+    assert!(
+        blocks <= 0.7 * BLOCKS_BEFORE,
+        "grid_blocks_per_query = {blocks:.3} misses its bound <= 0.7 x {BLOCKS_BEFORE}"
+    );
+    report.counter_gate(
+        "grid_blocks_per_query",
+        "<= 0.7 x before",
+        "an unread block is bounded by the box of the tuples its cells leave, not by its bin",
     );
     // A warm buffer pool must keep file-backed serving within 3x of
     // in-memory.

@@ -45,6 +45,27 @@
 //! frame. Most cells of a four-dimension cube are a few hundred bytes, so
 //! a page apiece spent most of the file on padding; a segment never spans
 //! two pages, so no fetch reads more pages than its cell alone would.
+//!
+//! A cell is a directory with one entry per base block it has tuples in,
+//! then those blocks' posting lists ([`encode_cell`]). An entry's fields
+//! are as wide as the cell's largest value needs, an entry of one tuple
+//! stores no list (its `base` is the tuple), and every entry carries the
+//! box of its tuples over the ranking dimensions, rounded outward to
+//! sixteenths of the block's bin.
+//!
+//! # Selection-aware bounds
+//!
+//! The stop condition bounds an unread block by its bin box, but a block
+//! is read only for the tuples the selection leaves in it — a few of some
+//! three hundred under two conditions. When the frontier first pops a
+//! block, the search buffers its covering cells, as retrieving it would,
+//! and intersects the boxes of the block's entries in them: every
+//! qualifying tuple lies in each box, so in their intersection, and the
+//! function's lower bound over it is still a lower bound on every tuple
+//! the block could answer with. A block whose refined bound exceeds its
+//! bin bound goes back into the frontier under it; one whose boxes miss
+//! each other holds no qualifying tuple at all. Only a block still on top
+//! under its refined bound has its base block read.
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -165,8 +186,15 @@ impl CellBytes {
     }
 }
 
-/// Bytes per entry of a cell page's bid directory: `[bid][base][end]`.
-const DIR_ENTRY: usize = 12;
+/// Bytes in front of a cell's directory: `[entries: u32][widths: u16]`.
+const CELL_HEAD: usize = 6;
+
+/// The widest directory field: a `u32`.
+const MAX_WIDTH: usize = 4;
+
+/// What a singleton entry's absent list stands for: a delta list of one
+/// gap 0, i.e. the entry's `base` alone.
+const SINGLETON: &[u8] = &[idlist::TAG_DELTA, 0];
 
 /// One tuple's place in a cuboid under construction: `(cell ordinal, pid,
 /// bid, tid)`. Sorted, the rows of one stored cell are contiguous, its
@@ -175,88 +203,183 @@ type CellRow = (u128, u32, Bid, Tid);
 
 /// Encodes one cuboid cell: every base block's tid list as a compressed
 /// posting list, fronted by a directory for O(log n) per-bid lookup.
-/// `rows` are the cell's tuples, ascending by `(bid, tid)`.
+/// `rows` are the cell's tuples, ascending by `(bid, tid)`; `sixteenths`
+/// holds, `r` bytes a tid, the sixteenth of its block's bin each of the
+/// tuple's ranking values lies in ([`sixteenth_of`]).
 ///
-/// Layout: `[num_bids: u32]`, then `num_bids` directory entries
-/// `[bid: u32][base: u32][end: u32]` (sorted by bid; `base` is the block's
-/// smallest tid, `end` the cumulative payload offset), then the
-/// concatenated [`idlist`] buffers encoded relative to `base` — block-local
-/// origins keep dense cells bitmap-eligible no matter where their tids sit
-/// globally.
-fn encode_cell(rows: &[CellRow]) -> Vec<u8> {
-    let mut dir = Vec::new();
+/// Layout: `[entries: u32][widths: u16]`, then the entries sorted by bid,
+/// each `[bid][base][end][box]`, then the concatenated [`idlist`] buffers
+/// encoded relative to `base` — block-local origins keep dense cells
+/// bitmap-eligible no matter where their tids sit globally. `base` is the
+/// block's smallest tid and `end` the cumulative payload offset. The
+/// widths are bytes per field (bid, base, end in successive nibbles, each
+/// 0..=4, the top nibble 0), chosen per cell as its largest value needs.
+/// An entry whose list is empty (its `end` equals the one before) is a
+/// *singleton*: its one tuple is `base`. `box` is one byte per ranking
+/// dimension of the partition: the first (low nibble) and last (high
+/// nibble) sixteenth of the block's bin that the entry's tuples occupy.
+fn encode_cell(rows: &[CellRow], sixteenths: &[u8], r: usize) -> Vec<u8> {
+    let mut entries = Vec::new();
+    let mut boxes = Vec::new();
     let mut payload = Vec::new();
     let mut rel: Vec<Tid> = Vec::new();
     for block in rows.chunk_by(|a, b| a.2 == b.2) {
         let (_, _, bid, base) = block[0];
-        rel.clear();
-        rel.extend(block.iter().map(|&(_, _, _, tid)| tid - base));
-        let universe = rel.last().unwrap() + 1;
-        payload.extend_from_slice(&idlist::encode_auto(&rel, universe));
-        dir.extend_from_slice(&bid.to_le_bytes());
-        dir.extend_from_slice(&base.to_le_bytes());
-        dir.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        if block.len() > 1 {
+            rel.clear();
+            rel.extend(block.iter().map(|&(_, _, _, tid)| tid - base));
+            let universe = rel.last().unwrap() + 1;
+            payload.extend_from_slice(&idlist::encode_auto(&rel, universe));
+        }
+        entries.push((bid, base, payload.len() as u32));
+        for i in 0..r {
+            let at = |&(_, _, _, tid): &CellRow| sixteenths[tid as usize * r + i];
+            let (lo, hi) = block.iter().map(at).fold((15, 0), |(lo, hi), q| (q.min(lo), q.max(hi)));
+            boxes.push(lo | hi << 4);
+        }
     }
-    let mut out = Vec::with_capacity(4 + dir.len() + payload.len());
-    out.extend_from_slice(&((dir.len() / DIR_ENTRY) as u32).to_le_bytes());
-    out.extend_from_slice(&dir);
-    out.extend_from_slice(&payload);
+    write_cell(&entries, &boxes, r, &payload)
+}
+
+/// Lays out a cell from its entries `(bid, base, end)`, their boxes (`r`
+/// bytes each) and the lists' payload ([`encode_cell`]).
+fn write_cell(entries: &[(Bid, Tid, u32)], boxes: &[u8], r: usize, payload: &[u8]) -> Vec<u8> {
+    let width = |max: Option<u32>| max.map_or(0, |m| (u32::BITS - m.leading_zeros()).div_ceil(8));
+    let widths = [
+        width(entries.iter().map(|e| e.0).max()),
+        width(entries.iter().map(|e| e.1).max()),
+        width(entries.iter().map(|e| e.2).max()),
+    ];
+    let mut out = Vec::with_capacity(
+        CELL_HEAD + entries.len() * (widths.iter().sum::<u32>() as usize + r) + payload.len(),
+    );
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    let packed = widths.iter().rev().fold(0u16, |packed, &w| packed << 4 | w as u16);
+    out.extend_from_slice(&packed.to_le_bytes());
+    for (i, &(bid, base, end)) in entries.iter().enumerate() {
+        for (value, w) in [bid, base, end].into_iter().zip(widths) {
+            out.extend_from_slice(&value.to_le_bytes()[..w as usize]);
+        }
+        out.extend_from_slice(&boxes[i * r..(i + 1) * r]);
+    }
+    out.extend_from_slice(payload);
     out
 }
 
-/// Binary-searches a cell page's directory for `bid`; returns the block's
-/// base tid and encoded posting-list slice. The cheap presence probe and
-/// the cursor constructor below both route through here.
-fn cell_entry(page: &[u8], bid: Bid) -> Option<(Tid, &[u8])> {
-    if page.len() < 4 {
-        return None;
+/// A block's entry in a cell, as [`cell_entry`] finds it.
+struct Entry<'a> {
+    /// The block's smallest tid in the cell.
+    base: Tid,
+    /// Its posting list, relative to `base` ([`SINGLETON`] for one tuple).
+    list: &'a [u8],
+    /// Its box: one byte a ranking dimension of the partition, the first
+    /// sixteenth of the block's bin in the low nibble, the last in the high.
+    sixteenths: &'a [u8],
+}
+
+impl<'a> Entry<'a> {
+    /// A streaming cursor over the entry's tids — a zero-copy view into
+    /// the cell's bytes. A list that does not parse is a malformed file.
+    fn cursor(&self) -> Result<IdCursor<'a>, StorageError> {
+        Ok(IdListRef::parse(self.list)?.cursor_with_base(self.base))
     }
-    let n = u32::from_le_bytes(page[..4].try_into().unwrap()) as usize;
-    let dir = page.get(4..4 + n * DIR_ENTRY)?;
-    let payload = &page[4 + n * DIR_ENTRY..];
-    let entry = |i: usize| -> (Bid, u32, u32) {
-        let e = &dir[i * DIR_ENTRY..(i + 1) * DIR_ENTRY];
-        (
-            u32::from_le_bytes(e[0..4].try_into().unwrap()),
-            u32::from_le_bytes(e[4..8].try_into().unwrap()),
-            u32::from_le_bytes(e[8..12].try_into().unwrap()),
-        )
-    };
-    let idx = {
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if entry(mid).0 < bid {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+}
+
+/// `N` bytes of `bytes` from `at`, or `None` past its end.
+fn word<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..)?.first_chunk().copied()
+}
+
+/// A little-endian unsigned integer of `bytes.len()` (≤ 4) bytes.
+fn uint(bytes: &[u8]) -> u32 {
+    bytes.iter().rev().fold(0, |v, &b| v << 8 | u32::from(b))
+}
+
+/// Binary-searches a cell's directory for `bid` (`r` box bytes an entry)
+/// and returns its entry, `None` when the cell has no tuple in the block.
+/// Bytes that do not hold the layout of [`encode_cell`] around the entry
+/// are a malformed file: a directory running past the cell, a width out of
+/// range, an `end` below the one before it or past the lists, or a box
+/// whose first sixteenth lies above its last.
+fn cell_entry(cell: &[u8], bid: Bid, r: usize) -> Result<Option<Entry<'_>>, StorageError> {
+    let malformed = StorageError::Malformed;
+    let n =
+        word(cell, 0).map(u32::from_le_bytes).ok_or(malformed("cell shorter than its header"))?;
+    let packed =
+        word(cell, 4).map(u16::from_le_bytes).ok_or(malformed("cell shorter than its header"))?;
+    let [wb, wt, we, rest] = [0, 4, 8, 12].map(|shift| usize::from(packed >> shift & 0xF));
+    if wb.max(wt).max(we) > MAX_WIDTH || rest != 0 {
+        return Err(malformed("cell directory width out of range"));
+    }
+    let size = wb + wt + we + r;
+    let (dir, payload) = (n as usize)
+        .checked_mul(size)
+        .and_then(|len| cell[CELL_HEAD..].split_at_checked(len))
+        .ok_or(malformed("cell directory runs past the cell"))?;
+    let field = |i: usize, at: usize, w: usize| uint(&dir[i * size + at..][..w]);
+    let (mut lo, mut hi) = (0usize, n as usize);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if field(mid, 0, wb) < bid {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
-        lo
+    }
+    if lo == n as usize || field(lo, 0, wb) != bid {
+        return Ok(None);
+    }
+    let end = field(lo, wb + wt, we) as usize;
+    let start = if lo == 0 { 0 } else { field(lo - 1, wb + wt, we) as usize };
+    let list = match start.cmp(&end) {
+        std::cmp::Ordering::Equal => SINGLETON,
+        std::cmp::Ordering::Less => {
+            payload.get(start..end).ok_or(malformed("cell list runs past the cell"))?
+        }
+        std::cmp::Ordering::Greater => return Err(malformed("cell directory ends descend")),
     };
-    if idx >= n {
-        return None;
+    let sixteenths = &dir[lo * size + wb + wt + we..][..r];
+    if sixteenths.iter().any(|&b| b & 0xF > b >> 4) {
+        return Err(malformed("cell entry box is inverted"));
     }
-    let (found, base, end) = entry(idx);
-    if found != bid {
-        return None;
-    }
-    let start = if idx == 0 { 0 } else { entry(idx - 1).2 } as usize;
-    Some((base, payload.get(start..end as usize)?))
+    Ok(Some(Entry { base: field(lo, wb, wt), list, sixteenths }))
 }
 
-/// True when `bid` has a posting list in this cell page — directory binary
-/// search only, no header parse or cursor setup.
-fn cell_has_bid(page: &[u8], bid: Bid) -> bool {
-    cell_entry(page, bid).is_some()
+/// Edge `j` (0..=16) of the sixteenths a bin `[lo, hi]` is cut into: `lo`
+/// at 0, `hi` at 16 and never past `hi` between, monotone in `j`. The one
+/// formula a box is encoded ([`sixteenth_of`]) and decoded with.
+fn sixteenth_edge(lo: f64, hi: f64, j: u8) -> f64 {
+    if j >= 16 {
+        hi
+    } else {
+        (lo + (hi - lo) * f64::from(j) / 16.0).min(hi)
+    }
 }
 
-/// A streaming cursor over `bid`'s posting list in a cell page whose
-/// directory holds it ([`cell_has_bid`]) — a zero-copy view into the page
-/// bytes. A list that does not parse is a malformed file.
-fn cell_cursor(page: &[u8], bid: Bid) -> Result<IdCursor<'_>, StorageError> {
-    let (base, slice) = cell_entry(page, bid).expect("bid checked in pass 1");
-    Ok(IdListRef::parse(slice)?.cursor_with_base(base))
+/// The sixteenth of the bin `[lo, hi]` that `v` lies in: the last `j` in
+/// `0..16` whose [`sixteenth_edge`] is ≤ `v`, so `v` lies in
+/// `[edge(j), edge(j + 1)]` for every `v` in the bin. Monotone in `v`:
+/// the sixteenths of an entry's smallest and largest values bracket every
+/// value between, and boxes of one block intersect by comparing nibbles.
+/// The estimate from the division is corrected against the edges
+/// themselves; an overshoot steps outward (down), since an edge above `v`
+/// would leave `v` outside its own box — a wrong answer, not a slow one.
+fn sixteenth_of(lo: f64, hi: f64, v: f64) -> u8 {
+    // A NaN estimate casts to 0.
+    let mut j = ((v - lo) / (hi - lo) * 16.0).clamp(0.0, 15.0) as u8;
+    while j > 0 && sixteenth_edge(lo, hi, j) > v {
+        j -= 1;
+    }
+    while j < 15 && sixteenth_edge(lo, hi, j + 1) <= v {
+        j += 1;
+    }
+    j
+}
+
+/// The bin of block `bid` on partition dimension `i`: its two edges.
+fn bin_edges(partition: &GridPartition, bid: Bid, i: usize) -> (f64, f64) {
+    let (edges, c) = (partition.boundaries(i), partition.coord(bid, i));
+    (edges[c], edges[c + 1])
 }
 
 /// The materialized grid ranking cube.
@@ -313,6 +436,17 @@ impl GridRankingCube {
 
         dim_sets.sort();
         dim_sets.dedup();
+        // Every tuple's sixteenth of its block's bin, one byte a ranking
+        // dimension: what the boxes of the cell entries are made of.
+        let r = ranking_dims.len();
+        let mut sixteenths = Vec::with_capacity(rel.len() * r);
+        for tid in rel.tids() {
+            let bid = partition.bid_of(tid);
+            for (i, &d) in ranking_dims.iter().enumerate() {
+                let (lo, hi) = bin_edges(&partition, bid, i);
+                sixteenths.push(sixteenth_of(lo, hi, rel.ranking_value(tid, d)));
+            }
+        }
         let mut cuboids = Vec::with_capacity(dim_sets.len());
         for dims in dim_sets {
             let cards: Vec<u32> =
@@ -342,7 +476,7 @@ impl GridRankingCube {
             let mut cells = HashMap::new();
             for cell in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
                 let (_, pid, _, tid) = cell[0];
-                let bytes = encode_cell(cell);
+                let bytes = encode_cell(cell, &sixteenths, r);
                 let len = u32::try_from(bytes.len()).expect("a cell is under 4 GiB");
                 let object = store.put(disk, bytes);
                 cells.insert((vals_of(tid).collect(), pid), CellRef { object, start: 0, len });
@@ -745,11 +879,12 @@ impl<'a> Packer<'a> {
 /// catalog moved from tag 3 to tag 4 when its per-cell layout changed
 /// (per-node `sid → partial` pairs → per-partial first-SID directory +
 /// depth); tag 2 was a fragments-configured grid cube behind two extra
-/// integers, and tag 1 a grid catalog naming one object per cell, before
-/// cells were packed into segments (tag 5). Files carrying a retired tag
-/// are rejected with a typed kind-mismatch error instead of being
-/// misparsed.
-pub(crate) const CATALOG_GRID: u8 = 5;
+/// integers, tag 1 a grid catalog naming one object per cell, before
+/// cells were packed into segments, and tag 5 one whose cells carried a
+/// fixed 12-byte directory entry with no box, before the narrow entry of
+/// [`encode_cell`] (tag 6). Files carrying a retired tag are rejected with
+/// a typed kind-mismatch error instead of being misparsed.
+pub(crate) const CATALOG_GRID: u8 = 6;
 pub(crate) const CATALOG_SIG: u8 = 4;
 
 /// Stores the finished catalog object, records it in the superblock and
@@ -830,9 +965,20 @@ impl<'a> RankedSource<'a> for GridSource<'a> {
 /// frontier always holds a block at least as good (Lemma 1) and ties go to
 /// the frontier, so the unexplored heap supplies the seed and then only
 /// confirms; otherwise exactly one more block is retrieved per step.
-/// Pausing between answers keeps every heap, the inserted set and the
-/// pseudo-block buffer alive, so `extend_k` resumes instead of re-running
-/// the search.
+///
+/// **A block is bounded twice when a selection applies.** Its first pop
+/// from the frontier buffers its covering cells and bounds it by the
+/// intersection of its entries' boxes ([`Self::screen`]; see the module's
+/// *Selection-aware bounds*). Where that bound exceeds the bin bound the
+/// block goes back into the frontier under it, marked deferred, and is
+/// read when it next surfaces. The refined bound is still a lower bound on
+/// every tuple the block could answer with, so the stop condition above
+/// holds unchanged; the neighbours of a block enter the frontier at its
+/// first pop, as before, so the neighbourhood grows as it did.
+///
+/// Pausing between answers keeps every heap, the inserted and deferred
+/// sets and the pseudo-block buffer alive, so `extend_k` resumes instead
+/// of re-running the search.
 struct GridSearch<'a> {
     cube: &'a GridRankingCube,
     disk: &'a DiskSim,
@@ -848,6 +994,9 @@ struct GridSearch<'a> {
     unexplored: BinaryHeap<HeapBox>,
     /// Bit per block: set once it has entered the frontier.
     inserted: Vec<u64>,
+    /// Bit per block: set once its first pop put it back into the frontier
+    /// under the bound of its entries' box.
+    deferred: Vec<u64>,
     /// Pseudo-block buffer: (covering index, pid) → the fetched cell.
     /// `None` records a definitively empty cell. Cells are ranges of
     /// shared handles from the store — posting-list views parse straight
@@ -856,8 +1005,10 @@ struct GridSearch<'a> {
     /// Evaluated tuples not yet certified/emitted, cheapest first.
     candidates: BinaryHeap<MinScored>,
     /// Scratch reused from block to block: the region being bounded, the
-    /// tid list being evaluated, the point being scored.
+    /// box its entries leave (first and last sixteenth a partition
+    /// dimension), the tid list being evaluated, the point being scored.
     region: Rect,
+    cut: Vec<(u8, u8)>,
     tids: Vec<Tid>,
     point: Vec<f64>,
     stats: QueryStats,
@@ -875,8 +1026,10 @@ struct Cover<'a> {
 /// What a search's containers are created with (see [`GridSearch::new`]):
 /// boxes per block heap, buffered pseudo blocks, and evaluated tuples
 /// awaiting certification (also the tid list of one block). A top-10 over
-/// a 7×7×7 partition peaks at 28 / 8 / 44 of them.
-const SEARCH_HEAP_CAP: usize = 32;
+/// a 7×7×7 partition peaks at 42 frontier and 8 unexplored boxes, 3
+/// buffered cells and 30 candidates (28 / 8 / 3 / 59 before deferred
+/// blocks went back into the frontier and fewer blocks were evaluated).
+const SEARCH_HEAP_CAP: usize = 64;
 const PID_BUFFER_CAP: usize = 14;
 const CANDIDATES_CAP: usize = 64;
 
@@ -924,11 +1077,13 @@ impl<'a> GridSearch<'a> {
             h: BinaryHeap::with_capacity(SEARCH_HEAP_CAP),
             unexplored: BinaryHeap::with_capacity(SEARCH_HEAP_CAP),
             inserted: vec![0; num_blocks.div_ceil(64)],
+            deferred: vec![0; num_blocks.div_ceil(64)],
             pid_buffer: HashMap::with_capacity(PID_BUFFER_CAP),
             candidates: BinaryHeap::with_capacity(
                 plan.k.clamp(CANDIDATES_CAP, 16 * CANDIDATES_CAP),
             ),
             region: Rect::unit(proj.len()),
+            cut: vec![(0, 15); cube.ranking_dims.len()],
             tids: Vec::with_capacity(CANDIDATES_CAP),
             point: vec![0.0; proj.len()],
             proj,
@@ -966,14 +1121,12 @@ impl<'a> GridSearch<'a> {
     }
 
     fn is_inserted(&self, bid: Bid) -> bool {
-        self.inserted[bid as usize / 64] >> (bid % 64) & 1 == 1
+        has_bit(&self.inserted, bid)
     }
 
     /// Marks `bid` as having entered the frontier; false if it already had.
     fn insert(&mut self, bid: Bid) -> bool {
-        let fresh = !self.is_inserted(bid);
-        self.inserted[bid as usize / 64] |= 1 << (bid % 64);
-        fresh
+        set_bit(&mut self.inserted, bid)
     }
 
     /// Takes the unexplored heap's top apart until it is a single block
@@ -1009,7 +1162,56 @@ impl<'a> GridSearch<'a> {
         }
     }
 
-    /// Retrieves and evaluates one block.
+    /// Retrieve pass 1 for `bid`: buffers each covering cuboid's cell for
+    /// the block's pseudo block, finds the block's entry in it and
+    /// intersects the entries' boxes. `None` when no tuple of the block can
+    /// qualify — a cell or an entry is absent, or the boxes miss each
+    /// other — else the function's lower bound over the intersection,
+    /// projected on the query's dimensions (−∞ with no selection, which
+    /// has no cells to read). It stops before the next cell
+    /// fetch once a cuboid proves the block empty, the I/O economy of the
+    /// original per-cuboid loop.
+    fn screen(&mut self, bid: Bid) -> Result<Option<f64>, StorageError> {
+        if self.covering.is_empty() {
+            return Ok(Some(f64::NEG_INFINITY)); // no entries, no box
+        }
+        let part = &self.cube.partition;
+        self.cut.fill((0, 15));
+        for (ci, cover) in self.covering.iter_mut().enumerate() {
+            let pid = part.pid_of(bid, cover.cuboid.sf);
+            cover.key.1 = pid;
+            let page = match self.pid_buffer.entry((ci, pid)) {
+                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(match cover.cuboid.cells.get(&cover.key) {
+                        Some(&cell) => {
+                            self.stats.blocks_read += 1;
+                            Some(self.cube.fetch_cell(self.disk, cell)?)
+                        }
+                        None => None,
+                    })
+                }
+            };
+            let Some(page) = page else { return Ok(None) };
+            let Some(entry) = cell_entry(page.bytes(), bid, self.cube.ranking_dims.len())? else {
+                return Ok(None);
+            };
+            for (cut, &b) in self.cut.iter_mut().zip(entry.sixteenths) {
+                *cut = (cut.0.max(b & 0xF), cut.1.min(b >> 4));
+            }
+        }
+        if self.cut.iter().any(|&(first, last)| first > last) {
+            return Ok(None);
+        }
+        for (d, &i) in self.proj.iter().enumerate() {
+            let ((lo, hi), (first, last)) = (bin_edges(part, bid, i), self.cut[i]);
+            self.region.set(d, sixteenth_edge(lo, hi, first), sixteenth_edge(lo, hi, last + 1));
+        }
+        Ok(Some(self.func.lower_bound(&self.region)))
+    }
+
+    /// Retrieves and evaluates one block whose cells [`Self::screen`] has
+    /// buffered.
     fn read_block(&mut self, bid: Bid) -> Result<(), StorageError> {
         let cube = self.cube;
         if self.covering.is_empty() {
@@ -1024,55 +1226,31 @@ impl<'a> GridSearch<'a> {
         done
     }
 
-    /// The retrieve step: tid list for `bid` under the query's selection,
-    /// intersected across covering cuboids, with pid-level buffering,
-    /// appended to `tids`.
+    /// Retrieve pass 2: the tid list for `bid` under the query's selection,
+    /// intersected across covering cuboids, appended to `tids`.
     ///
     /// Each covering cuboid contributes a streaming cursor parsed in place
-    /// over its buffered cell page; the cursors are leapfrogged by the
-    /// k-way intersector (smallest estimated cardinality first). Nothing
-    /// is decoded or hashed.
+    /// over its buffered cell; the cursors are leapfrogged by the k-way
+    /// intersector (smallest estimated cardinality first). Nothing is
+    /// decoded or hashed. A cursor that meets bytes it cannot decode ends
+    /// early: its error, read after the drain, keeps a malformed list from
+    /// passing for a short one.
     fn retrieve_block_tids(&mut self, bid: Bid, tids: &mut Vec<Tid>) -> Result<(), StorageError> {
-        // Pass 1: buffer each covering cell page in turn, short-circuiting
-        // before the next page fetch when a cuboid already proves the
-        // intersection empty (absent cell, or bid missing from the cell) —
-        // the I/O economy of the original per-cuboid loop.
-        for (ci, cover) in self.covering.iter_mut().enumerate() {
-            let pid = self.cube.partition.pid_of(bid, cover.cuboid.sf);
-            cover.key.1 = pid;
-            let page = match self.pid_buffer.entry((ci, pid)) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(match cover.cuboid.cells.get(&cover.key) {
-                        Some(&cell) => {
-                            self.stats.blocks_read += 1;
-                            Some(self.cube.fetch_cell(self.disk, cell)?)
-                        }
-                        None => None,
-                    })
-                }
-            };
-            match page {
-                Some(page) if cell_has_bid(page.bytes(), bid) => {}
-                // Cell absent, or bid absent from it: no tuple matches.
-                _ => return Ok(()),
-            }
-        }
-        // Pass 2: zero-copy cursors over the buffered pages, then stream
-        // the intersection. A cursor that meets bytes it cannot decode
-        // ends early: its error, read after the drain, keeps a malformed
-        // list from passing for a short one.
-        let pid_buffer = &self.pid_buffer;
+        let (cube, pid_buffer) = (self.cube, &self.pid_buffer);
+        // A cell or entry pass 1 did not find holds no tuple: `None`.
         let mut cursors = self.covering.iter().enumerate().map(|(ci, cover)| {
-            let page = pid_buffer[&(ci, cover.key.1)].as_ref().expect("buffered in pass 1");
-            cell_cursor(page.bytes(), bid)
+            let pid = cube.partition.pid_of(bid, cover.cuboid.sf);
+            let Some(Some(page)) = pid_buffer.get(&(ci, pid)) else { return Ok(None) };
+            let entry = cell_entry(page.bytes(), bid, cube.ranking_dims.len())?;
+            entry.map(|entry| entry.cursor()).transpose()
         });
         let error = if self.covering.len() == 1 {
-            let mut list = cursors.next().expect("one covering cuboid")?;
+            let Some(mut list) = cursors.next().transpose()?.flatten() else { return Ok(()) };
             tids.extend(list.by_ref());
             list.error()
         } else {
-            let mut common = KWayIntersect::from_cursors(cursors.collect::<Result<_, _>>()?);
+            let Some(all) = cursors.collect::<Result<Option<Vec<_>>, _>>()? else { return Ok(()) };
+            let mut common = KWayIntersect::from_cursors(all);
             tids.extend(common.by_ref());
             common.error()
         };
@@ -1093,9 +1271,10 @@ impl<'a> GridSearch<'a> {
         let bytes = self.cube.store.try_get_bytes(self.disk, page)?;
         self.stats.blocks_read += 1;
         let rec = 4 + 8 * self.cube.ranking_dims.len();
+        let short = || StorageError::Malformed("base block record cut short");
         let mut want = tids.iter().copied().peekable();
         'records: for chunk in bytes.chunks_exact(rec) {
-            let tid = u32::from_le_bytes(chunk[0..4].try_into().unwrap());
+            let tid = word(chunk, 0).map(u32::from_le_bytes).ok_or_else(short)?;
             loop {
                 match want.peek() {
                     None => break 'records,
@@ -1110,14 +1289,25 @@ impl<'a> GridSearch<'a> {
                 }
             }
             for (v, &p) in self.point.iter_mut().zip(&self.proj) {
-                let off = 4 + 8 * p;
-                *v = f64::from_le_bytes(chunk[off..off + 8].try_into().unwrap());
+                *v = word(chunk, 4 + 8 * p).map(f64::from_le_bytes).ok_or_else(short)?;
             }
             self.candidates.push(MinScored(self.func.score(&self.point), tid));
             self.stats.tuples_scored += 1;
         }
         Ok(())
     }
+}
+
+/// Whether `bid`'s bit is set in a bit-per-block set.
+fn has_bit(set: &[u64], bid: Bid) -> bool {
+    set[bid as usize / 64] >> (bid % 64) & 1 == 1
+}
+
+/// Sets `bid`'s bit; false if it already was.
+fn set_bit(set: &mut [u64], bid: Bid) -> bool {
+    let fresh = !has_bit(set, bid);
+    set[bid as usize / 64] |= 1 << (bid % 64);
+    fresh
 }
 
 impl ProgressiveSearch for GridSearch<'_> {
@@ -1156,16 +1346,29 @@ impl ProgressiveSearch for GridSearch<'_> {
                 (None, _) => return Ok(None),
                 _ => {}
             }
-            // Advance the frontier by exactly one block: retrieve its tid
-            // list, evaluate, expand neighbors (Lemma 1).
-            let HeapBox { lo: bid, .. } = self.h.pop().expect("frontier checked non-empty");
+            // Advance the frontier by exactly one block. On its first pop:
+            // expand its neighbours (Lemma 1) and bound it by its entries'
+            // box, deferring it if that bound is the higher. Then — now or
+            // when it surfaces again — retrieve its tid list and evaluate.
+            let HeapBox { lb, lo: bid, .. } = self.h.pop().expect("frontier checked non-empty");
+            if has_bit(&self.deferred, bid) {
+                self.read_block(bid)?;
+                continue;
+            }
             self.stats.states_generated += 1;
-            self.read_block(bid)?;
             for nb in self.cube.partition.neighbors(bid) {
                 if self.insert(nb) {
                     let lb = self.bound(nb, nb);
                     self.h.push(HeapBox { lb, lo: nb, hi: nb });
                 }
+            }
+            match self.screen(bid)? {
+                Some(refined) if refined > lb => {
+                    set_bit(&mut self.deferred, bid);
+                    self.h.push(HeapBox { lb: refined, lo: bid, hi: bid });
+                }
+                Some(_) => self.read_block(bid)?,
+                None => {}
             }
             self.stats.peak_heap = self.stats.peak_heap.max(self.h.len() as u64);
         }
@@ -1631,8 +1834,16 @@ mod tests {
     fn retired_one_object_per_cell_catalog_tag_is_a_typed_kind_mismatch() {
         // Tag 1 named one object per cell, with a value count per cell; a
         // valid-looking head (block size, one ranking dimension) must not
-        // lure the tag-5 parser into it.
+        // lure the tag-6 parser into it.
         assert_retired_tag(1, &[300, 1, 0]);
+    }
+
+    #[test]
+    fn retired_fixed_entry_catalog_tag_is_a_typed_kind_mismatch() {
+        // Tag 5 named packed cells whose directory entries were a fixed
+        // `[bid u32][base u32][end u32]` with no box. Its catalog reads
+        // exactly like tag 6's, so only the tag tells the cells apart.
+        assert_retired_tag(5, &[300, 1, 0]);
     }
 
     #[test]
@@ -1795,12 +2006,16 @@ mod tests {
         items.iter().map(|&(t, s)| (t, s.to_bits())).collect()
     }
 
-    /// What the search reads is pinned, family by family, to what the
-    /// 343-block scan read on this fixture (summed over 12 queries; the
-    /// numbers were taken at the commit before the descent): the descent
-    /// may change how a block is found, never which block is read next.
-    /// The two-bowl row is the one that had to move — 248 / 378 and 9 of 12
+    /// What the search reads is pinned, family by family (summed over 12
+    /// queries). The states are what the 343-block scan generated on this
+    /// fixture, taken at the commit before the descent: the descent may
+    /// change how a block is found, never which block is popped next. The
+    /// two-bowl row is the one that had to move — 248 / 378 and 9 of 12
     /// answers wrong while the stop condition looked at the frontier alone.
+    /// The blocks fell when entries gained boxes (before → after: 248 →
+    /// 187, 232 → 172, 236 → 181, 283 → 225, 244 → 194, 255 → 209, 743 →
+    /// 581, 312 → 252): the same blocks are popped, and the base blocks
+    /// whose qualifying tuples' box cannot beat the k-th are not read.
     #[test]
     fn block_counts_on_the_census_fixture_are_the_scans() {
         let rel =
@@ -1816,26 +2031,26 @@ mod tests {
             [&[], &[(0, 1)], &[(0, 2), (1, 3)], &[(0, 0), (1, 1), (2, 2)]];
         type Row = (&'static str, Vec<usize>, Box<dyn RankFn>, u64, u64);
         let census: Vec<Row> = vec![
-            ("linear [1,3]", vec![0, 2], Box::new(Linear::new(vec![1.0, 3.0])), 248, 372),
+            ("linear [1,3]", vec![0, 2], Box::new(Linear::new(vec![1.0, 3.0])), 187, 372),
             (
                 "linear [1,.5,2]",
                 vec![0, 1, 2],
                 Box::new(Linear::new(vec![1.0, 0.5, 2.0])),
-                232,
+                172,
                 360,
             ),
-            ("linear [1,-2]", vec![0, 1], Box::new(Linear::new(vec![1.0, -2.0])), 236, 354),
-            ("sqdist (.3,.7)", vec![0, 1], Box::new(SqDist::new(vec![0.3, 0.7])), 283, 390),
+            ("linear [1,-2]", vec![0, 1], Box::new(Linear::new(vec![1.0, -2.0])), 181, 354),
+            ("sqdist (.3,.7)", vec![0, 1], Box::new(SqDist::new(vec![0.3, 0.7])), 225, 390),
             (
                 "sqdist (.5,.5,.2)",
                 vec![0, 1, 2],
                 Box::new(SqDist::new(vec![0.5, 0.5, 0.2])),
-                244,
+                194,
                 378,
             ),
-            ("l1dist (.8,.1)", vec![1, 2], Box::new(L1Dist::new(vec![0.8, 0.1])), 255, 390),
-            ("generalsq (N0-N1^2)^2", vec![0, 1], Box::new(GeneralSq::fg()), 743, 936),
-            ("two bowls, off .0005", vec![0, 1], Box::new(two_bowls(2, 0.0005)), 312, 444),
+            ("l1dist (.8,.1)", vec![1, 2], Box::new(L1Dist::new(vec![0.8, 0.1])), 209, 390),
+            ("generalsq (N0-N1^2)^2", vec![0, 1], Box::new(GeneralSq::fg()), 581, 936),
+            ("two bowls, off .0005", vec![0, 1], Box::new(two_bowls(2, 0.0005)), 252, 444),
         ];
         for (family, dims, f, blocks_read, states_generated) in census {
             let (mut blocks, mut states) = (0, 0);
@@ -1956,45 +2171,51 @@ mod tests {
 
     // ---- What a cell page stores, and what it does when it lies ----
 
-    /// A cell page taken apart: `(bid, base, encoded list)` per directory
-    /// entry.
-    fn cell_lists(page: &[u8]) -> Vec<(Bid, Tid, &[u8])> {
-        let n = u32::from_le_bytes(page[..4].try_into().unwrap()) as usize;
-        let word = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().unwrap());
-        let bids = (0..n).map(|i| word(4 + i * DIR_ENTRY));
+    /// One directory entry taken apart: bid, base, encoded list (a
+    /// singleton's as the one-tid list it stands for) and box bytes.
+    type Listed = (Bid, Tid, Vec<u8>, Vec<u8>);
+
+    /// A cell taken apart, `r` box bytes an entry, in directory order.
+    fn cell_lists(cell: &[u8], r: usize) -> Vec<Listed> {
+        let n = u32::from_le_bytes(cell[..4].try_into().unwrap()) as usize;
+        let (wb, wt, we) =
+            (usize::from(cell[4] & 0xF), usize::from(cell[4] >> 4), usize::from(cell[5]));
+        let size = wb + wt + we + r;
+        let bids = (0..n).map(|i| uint(&cell[CELL_HEAD + i * size..][..wb]));
         bids.map(|bid| {
-            let (base, list) = cell_entry(page, bid).expect("listed in the directory");
-            (bid, base, list)
+            let entry = cell_entry(cell, bid, r).unwrap().expect("listed in the directory");
+            (bid, entry.base, entry.list.to_vec(), entry.sixteenths.to_vec())
         })
         .collect()
     }
 
-    /// The inverse of [`cell_lists`], for pages whose lists a test rewrote.
-    fn cell_page(lists: &[(Bid, Tid, Vec<u8>)]) -> Vec<u8> {
-        let mut out = (lists.len() as u32).to_le_bytes().to_vec();
-        let mut end = 0u32;
-        for (bid, base, list) in lists {
-            end += list.len() as u32;
-            for word in [*bid, *base, end] {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
+    /// The inverse of [`cell_lists`], for cells whose lists a test rewrote:
+    /// every list is stored as given, a singleton's too.
+    fn cell_page(lists: &[Listed]) -> Vec<u8> {
+        let (mut entries, mut boxes, mut payload) = (Vec::new(), Vec::new(), Vec::new());
+        for (bid, base, list, cut) in lists {
+            payload.extend_from_slice(list);
+            entries.push((*bid, *base, payload.len() as u32));
+            boxes.extend_from_slice(cut);
         }
-        out.extend(lists.iter().flat_map(|(_, _, list)| list.iter().copied()));
-        out
+        write_cell(&entries, &boxes, boxes.len() / lists.len().max(1), &payload)
     }
 
-    /// Every stored list of `cube`, decoded and held to the relation: the
-    /// tuples of its block that carry its cell's values. Returns the
-    /// longest list's length and every tag met.
-    fn check_stored_lists(rel: &Relation, cube: &GridRankingCube) -> (usize, Vec<u8>) {
-        let (mut longest, mut tags) = (0, Vec::new());
+    /// Every stored entry of `cube`, decoded and held to the relation: its
+    /// list is the tuples of its block that carry its cell's values, and
+    /// its decoded box holds every one of them on every ranking dimension.
+    /// Returns the longest list's length, every tag met and how many boxes
+    /// are narrower than their bin somewhere.
+    fn check_stored_lists(rel: &Relation, cube: &GridRankingCube) -> (usize, Vec<u8>, usize) {
+        let (mut longest, mut tags, mut narrow) = (0, Vec::new(), 0);
+        let r = cube.ranking_dims.len();
         for cuboid in &cube.cuboids {
             let dims = &cuboid.dims;
             for ((vals, _pid), &cell) in &cuboid.cells {
                 let object = cube.store.peek(cell.object).unwrap();
-                for (bid, base, list) in cell_lists(cell.within(&object).unwrap()) {
+                for (bid, base, list, cut) in cell_lists(cell.within(&object).unwrap(), r) {
                     let got: Vec<Tid> =
-                        IdListRef::parse(list).unwrap().cursor_with_base(base).collect();
+                        IdListRef::parse(&list).unwrap().cursor_with_base(base).collect();
                     let in_cell = |t: Tid| {
                         dims.iter().zip(vals).all(|(&d, &v)| rel.selection_value(t, d) == v)
                     };
@@ -2005,15 +2226,29 @@ mod tests {
                         .copied()
                         .filter(|&t| in_cell(t))
                         .collect();
-                    assert_eq!(got, want, "cuboid {dims:?} cell {vals:?} block {bid}");
+                    let what = format!("cuboid {dims:?} cell {vals:?} block {bid}");
+                    assert_eq!(got, want, "{what}");
+                    for (i, &b) in cut.iter().enumerate() {
+                        let (lo, hi) = bin_edges(&cube.partition, bid, i);
+                        let (from, to) =
+                            (sixteenth_edge(lo, hi, b & 0xF), sixteenth_edge(lo, hi, (b >> 4) + 1));
+                        for &t in &got {
+                            let v = rel.ranking_value(t, cube.ranking_dims[i]);
+                            assert!(
+                                from <= v && v <= to,
+                                "{what}: tid {t} at {v:e} outside [{from:e}, {to:e}] on {i}"
+                            );
+                        }
+                    }
                     longest = longest.max(got.len());
                     if !tags.contains(&list[0]) {
                         tags.push(list[0]);
                     }
+                    narrow += usize::from(cut.iter().any(|&b| b != 0xF0));
                 }
             }
         }
-        (longest, tags)
+        (longest, tags, narrow)
     }
 
     /// The benchmark's shape scaled down (four cardinality-10 selection
@@ -2032,7 +2267,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let cube = GridRankingCube::build(&rel, &disk, GridCubeConfig::default());
         assert_eq!(cube.cuboids.len(), 15);
-        let (longest, tags) = check_stored_lists(&rel, &cube);
+        let (longest, tags, _) = check_stored_lists(&rel, &cube);
         assert!(longest <= cube.block_size(), "longest list {longest}");
         assert_eq!(tags, [idlist::TAG_DELTA]);
     }
@@ -2054,7 +2289,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let config = |cuboids| GridCubeConfig { block_size: 300, cuboids, ..Default::default() };
         let full = GridRankingCube::build(&rel, &disk, config(CuboidSpec::AllSubsets));
-        let (longest, tags) = check_stored_lists(&rel, &full);
+        let (longest, tags, _) = check_stored_lists(&rel, &full);
         assert!(longest > 128, "longest list {longest}");
         assert_eq!(tags, [idlist::TAG_DELTA]);
         // Atomic cuboids only: two conditions intersect two long lists.
@@ -2119,9 +2354,9 @@ mod tests {
                 }
                 // One object per cell in memory: the object is the cell.
                 let (page, bytes) = (cell.object, cube.store.peek(cell.object).unwrap());
-                let lists: Vec<_> = cell_lists(&bytes)
+                let lists: Vec<_> = cell_lists(&bytes, 2)
                     .into_iter()
-                    .map(|(bid, base, list)| (bid, base, corrupt(list)))
+                    .map(|(bid, base, list, cut)| (bid, base, corrupt(&list), cut))
                     .collect();
                 cube.store.overwrite(&disk, page, cell_page(&lists)).unwrap();
             }
@@ -2392,5 +2627,220 @@ mod tests {
         );
         assert!(matches!(crafted.verify_integrity(), Err(StorageError::Malformed(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    // ---- Entry boxes: rounded outward, or a wrong answer ----
+
+    /// 4 096 tuples whose ranking values sit on the sixteenths of the four
+    /// bins per dimension that `edges` cut out, on the bin edges among
+    /// them, and a float beside some of them; the last tuple sits on the
+    /// top edge. A selection value is the third of its bin a tuple's
+    /// sixteenth lies in, so most entries' boxes are narrower than their
+    /// bin and many of their tuples lie on a box edge. Each value occurs 64 times per dimension, so the
+    /// equi-depth edges of a 256-tuple block size are exactly `edges`: the
+    /// first bin opens at `min(0, ·)` and the last closes at `max(1, ·)` of
+    /// the data, which `edges` holds.
+    fn on_the_edges(edges: [f64; 5]) -> Relation {
+        let at = |x: usize| sixteenth_edge(edges[x / 16], edges[x / 16 + 1], (x % 16) as u8);
+        let mut b = rcube_table::RelationBuilder::new(rcube_table::Schema::synthetic(2, 3, 2));
+        for t in 0..4096usize {
+            let (x, y) = (t % 64, t / 64);
+            let mut point = [at(x), at(y)];
+            // Beside the edge: above it anywhere, below it only where no
+            // bin edge is (a value below a bin edge would move the
+            // quantile that put it there).
+            match t % 15 {
+                3 => point[0] = point[0].next_up(),
+                5 if x % 16 != 0 => point[0] = point[0].next_down(),
+                7 => point[1] = point[1].next_up(),
+                11 if y % 16 != 0 => point[1] = point[1].next_down(),
+                _ => {}
+            }
+            if t == 4095 {
+                point = [edges[4]; 2];
+            }
+            b.push(&[(x % 16 / 6) as u32, (y % 16 / 6) as u32], &point);
+        }
+        b.finish()
+    }
+
+    /// Every decoded entry box holds every tuple of its entry, on tuples
+    /// placed exactly on sixteenth edges, on bin edges and in the first and
+    /// last bins, with the data inside `[0, 1]` and reaching past it; and
+    /// the search answers over them as the scan does, in memory and
+    /// reopened. A box rounded inward by one float step fails here.
+    #[test]
+    fn entry_boxes_hold_tuples_on_sixteenth_and_bin_edges() {
+        let disk = DiskSim::with_defaults();
+        for edges in [[0.0, 0.3, 0.55, 0.8, 1.0], [-0.25, 0.3, 0.55, 0.8, 1.25]] {
+            let rel = on_the_edges(edges);
+            let config = GridCubeConfig { block_size: 256, ..Default::default() };
+            let cube = GridRankingCube::build(&rel, &disk, config);
+            for i in 0..2 {
+                assert_eq!(cube.partition.boundaries(i), edges, "{edges:?}: the bins moved");
+            }
+            let (_, _, narrow) = check_stored_lists(&rel, &cube);
+            assert!(narrow >= 200, "{edges:?}: only {narrow} boxes narrower than their bin");
+
+            let path = temp_cube_path("edges");
+            cube.save_to(&path).expect("save");
+            let reopened = GridRankingCube::open_from(&path).expect("open");
+            let families = families(2);
+            for conds in [vec![(0, 1)], vec![(0, 2), (1, 0)]] {
+                let sel = Selection::new(conds.clone());
+                for (family, f) in &families {
+                    let plan = QueryPlan {
+                        selection: &sel,
+                        func: &**f,
+                        ranking_dims: &[0, 1],
+                        k: 25,
+                        cuboids: None,
+                    };
+                    let want = scan_topk(&rel, &sel, &**f, &[0, 1], 25);
+                    for (what, cube) in [("memory", &cube), ("file", &reopened)] {
+                        let got = cube.source(&disk).query(&plan).unwrap();
+                        assert_eq!(
+                            answer_bits(&got.items),
+                            want,
+                            "{edges:?} {conds:?} {family} {what}"
+                        );
+                    }
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// The sixteenth of a value holds it, and the edges are monotone, on
+    /// every edge of a few awkward bins and on the floats beside each.
+    #[test]
+    fn a_value_lies_in_its_sixteenth() {
+        let bins =
+            [(0.0, 1.0), (0.3, 0.55), (-0.25, 0.3), (0.1, 0.1f64.next_up().next_up()), (0.8, 1.25)];
+        for (lo, hi) in bins {
+            for j in 0..=16u8 {
+                let edge = sixteenth_edge(lo, hi, j);
+                assert!(j == 0 || sixteenth_edge(lo, hi, j - 1) <= edge, "[{lo}, {hi}] edge {j}");
+                for v in [edge.next_down(), edge, edge.next_up()] {
+                    if !(lo..=hi).contains(&v) {
+                        continue;
+                    }
+                    let q = sixteenth_of(lo, hi, v);
+                    let (from, to) = (sixteenth_edge(lo, hi, q), sixteenth_edge(lo, hi, q + 1));
+                    assert!(q < 16 && from <= v && v <= to, "[{lo}, {hi}]: {v:e} in {q}");
+                }
+            }
+        }
+    }
+
+    /// [`cell_entry`] on a cell that breaks the layout around the entry it
+    /// is asked for: a typed error for each way, never a panic or a
+    /// silently short list.
+    #[test]
+    fn a_malformed_cell_directory_is_a_typed_error() {
+        // Three entries over two ranking dimensions: a two-tid list, a
+        // singleton, a three-tid list.
+        let lists = [vec![0u8, 0, 3], vec![], vec![0, 0, 1, 1]];
+        let (mut entries, mut payload) = (Vec::new(), Vec::new());
+        for ((bid, base), list) in [(3, 40), (9, 77), (300, 70_000)].into_iter().zip(&lists) {
+            payload.extend_from_slice(list);
+            entries.push((bid, base, payload.len() as u32));
+        }
+        let boxes = [0x30, 0xF0, 0x55, 0x21, 0xE2, 0x77];
+        let cell = write_cell(&entries, &boxes, 2, &payload);
+        let tids = |cell: &[u8], bid| -> Result<Vec<Tid>, StorageError> {
+            Ok(cell_entry(cell, bid, 2)?.map_or(Vec::new(), |e| e.cursor().unwrap().collect()))
+        };
+        assert_eq!(tids(&cell, 3).unwrap(), [40, 44]);
+        assert_eq!(tids(&cell, 9).unwrap(), [77]);
+        assert_eq!(tids(&cell, 300).unwrap(), [70_000, 70_002, 70_004]);
+        assert_eq!(tids(&cell, 4).unwrap(), []);
+        assert_eq!(cell_entry(&cell, 9, 2).unwrap().unwrap().sixteenths, [0x55, 0x21]);
+        // Bid 2 bytes, base 3, end 1: 8 bytes an entry after a 6-byte head.
+        assert_eq!(cell.len(), CELL_HEAD + 3 * 8 + payload.len());
+
+        let malformed = |cell: &[u8], bid, why: &str| match cell_entry(cell, bid, 2) {
+            Err(StorageError::Malformed(got)) => assert!(got.contains(why), "{why}: {got}"),
+            Err(e) => panic!("{why}: {e:?}"),
+            Ok(_) => panic!("{why}: decoded"),
+        };
+        malformed(&cell[..5], 3, "header");
+        malformed(&cell[..CELL_HEAD + 3 * 8 - 1], 3, "runs past the cell");
+        let mut entries_n = cell.clone();
+        entries_n[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        malformed(&entries_n, 3, "runs past the cell");
+        for (byte, value) in [(4, 0x05), (4, 0x50), (5, 0x0F), (5, 0x10)] {
+            let mut wide = cell.clone();
+            wide[byte] = value;
+            malformed(&wide, 3, "width out of range");
+        }
+        let mut inverted = cell.clone();
+        inverted[CELL_HEAD + 8 + 6] = 0x1F;
+        malformed(&inverted, 9, "inverted");
+        let descending = write_cell(&[(1, 5, 3), (2, 6, 1)], &[0xF0; 4], 2, &[0, 0, 1]);
+        malformed(&descending, 2, "descend");
+        let past = write_cell(&[(1, 5, 2), (2, 6, 9)], &[0xF0; 4], 2, &[0, 0, 1]);
+        malformed(&past, 2, "past the cell");
+    }
+
+    /// Arbitrary, truncated and bit-flipped cell bytes under a query: each
+    /// gives an answer or a typed error, never a panic — the cell decode's
+    /// counterpart of the catalog's fuzz test above.
+    #[test]
+    fn any_cell_bytes_give_an_answer_or_a_typed_error() {
+        let rel = SyntheticSpec { tuples: 1_500, cardinality: 3, ..Default::default() }.generate();
+        let disk = DiskSim::with_defaults();
+        let config = GridCubeConfig {
+            block_size: 40,
+            cuboids: CuboidSpec::Fragments(1),
+            ..Default::default()
+        };
+        let cube = GridRankingCube::build(&rel, &disk, config);
+        let cell = |dim: usize| {
+            let cuboid = cube.cuboids.iter().find(|c| c.dims == [dim]).unwrap();
+            cuboid.cells.iter().find(|(key, _)| key.0 == [1]).map(|(_, &cell)| cell.object).unwrap()
+        };
+        // One covering cuboid, and two whose entries intersect.
+        let queries = [
+            Query::select([(0, 1)]).rank(Linear::new(vec![1.0, 2.0])).top(400),
+            Query::select([(0, 1), (1, 1)]).rank(SqDist::new(vec![0.4, 0.6])).top(7),
+        ];
+        let run = || {
+            for q in &queries {
+                match cube.source(&disk).query(&q.plan()) {
+                    Ok(_) | Err(StorageError::Malformed(_)) => {}
+                    Err(e) => panic!("an untyped failure: {e:?}"),
+                }
+            }
+        };
+        for object in [cell(0), cell(1)] {
+            let intact = cube.store.peek(object).unwrap().to_vec();
+            let write = |bytes: Vec<u8>| cube.store.overwrite(&disk, object, bytes).unwrap();
+            for n in 0..intact.len() {
+                write(intact[..n].to_vec());
+                run();
+            }
+            for bit in 0..intact.len() * 8 {
+                let mut flipped = intact.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                write(flipped);
+                run();
+            }
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            for len in (0..2 * intact.len()).step_by(7) {
+                let mut arbitrary = intact.clone();
+                arbitrary.resize(len, 0);
+                for byte in arbitrary.iter_mut().skip(CELL_HEAD) {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    // Mostly a valid header, then anything.
+                    *byte = state as u8;
+                }
+                write(arbitrary);
+                run();
+            }
+            write(intact);
+        }
     }
 }

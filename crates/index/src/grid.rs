@@ -211,7 +211,8 @@ impl GridPartition {
 
     /// Reassembles a partition from serialized parts ([`Self::to_bytes`]'s
     /// counterpart building blocks). `tuple_bid` is rebuilt by inverting
-    /// `blocks`, so the parts stay minimal.
+    /// `blocks`, so the parts stay minimal; each block's tids must ascend,
+    /// as a built partition's do.
     pub fn from_parts(
         boundaries: Vec<Vec<f64>>,
         bins: usize,
@@ -236,6 +237,9 @@ impl GridPartition {
         if boundaries.iter().any(|e| e.len() != bins + 1) {
             return Err(StorageError::Malformed("grid boundary edge count mismatch"));
         }
+        if blocks.iter().any(|tids| tids.windows(2).any(|w| w[0] >= w[1])) {
+            return Err(StorageError::Malformed("grid block tids do not ascend"));
+        }
         let total: usize = blocks.iter().map(|b| b.len()).sum();
         let mut tuple_bid = vec![0 as Bid; total];
         for (bid, tids) in blocks.iter().enumerate() {
@@ -251,7 +255,9 @@ impl GridPartition {
     }
 
     /// Serializes the partition's meta information + block table (cube
-    /// persistence). The inverse is [`Self::from_bytes`].
+    /// persistence). The inverse is [`Self::from_bytes`]. A block's tids
+    /// ascend, so its table is a varint count and varint gaps (the first
+    /// from 0): a byte or two a tuple instead of four.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(self.bins as u64);
@@ -267,9 +273,11 @@ impl GridPartition {
         }
         w.put_u64(self.blocks.len() as u64);
         for tids in &self.blocks {
-            w.put_u64(tids.len() as u64);
+            w.put_varint(tids.len() as u64);
+            let mut prev = 0;
             for &t in tids {
-                w.put_u32(t);
+                w.put_varint(u64::from(t - prev));
+                prev = t;
             }
         }
         w.into_bytes()
@@ -297,13 +305,21 @@ impl GridPartition {
             }
             boundaries.push(v);
         }
-        let nblocks = r.count(r.remaining() / 8)?;
+        let nblocks = r.count(r.remaining())?;
         let mut blocks = Vec::with_capacity(nblocks);
+        let bad = || StorageError::Malformed("grid block tid list malformed");
         for _ in 0..nblocks {
-            let n = r.count(r.remaining() / 4)?;
+            // A tid takes at least a byte.
+            let n = usize::try_from(r.varint()?)
+                .ok()
+                .filter(|&n| n <= r.remaining())
+                .ok_or_else(bad)?;
             let mut tids = Vec::with_capacity(n);
+            let mut prev = 0u32;
             for _ in 0..n {
-                tids.push(r.u32()?);
+                let gap = u32::try_from(r.varint()?).map_err(|_| bad())?;
+                prev = prev.checked_add(gap).ok_or_else(bad)?;
+                tids.push(prev);
             }
             blocks.push(tids);
         }
@@ -494,6 +510,16 @@ mod tests {
                 assert_eq!(a.lo(d), b.lo(d));
                 assert_eq!(a.hi(d), b.hi(d));
             }
+        }
+    }
+
+    #[test]
+    fn a_block_whose_tids_do_not_ascend_fails_typed() {
+        let edges = vec![vec![0.0, 0.5, 1.0]];
+        for block in [vec![3, 3], vec![4, 2]] {
+            let blocks = vec![vec![0, 1], block];
+            let got = GridPartition::from_parts(edges.clone(), 2, vec![0], blocks);
+            assert!(matches!(got, Err(StorageError::Malformed(why)) if why.contains("ascend")));
         }
     }
 

@@ -99,14 +99,16 @@
 //!
 //! The superblock's catalog pointer names one ordinary object whose first
 //! byte is a *kind tag* interpreted by the cube layer (`rcube_core`):
-//! `5` grid cube (whatever cuboids it materializes, ranking fragments
+//! `6` grid cube (whatever cuboids it materializes, ranking fragments
 //! included), `4` signature cube. Readers reject a mismatched tag with a
-//! typed error, so a catalog-layout change is shipped as a new tag rather
-//! than a silent reinterpretation. Tag `1` (a grid catalog naming one
-//! object per cell, each cell with its own value count) is retired: grid
-//! cells are packed into shared segments under tag `5`, and a file
-//! carrying tag `1` fails to open with the kind-mismatch error and must be
-//! re-saved. Tag `2` (a fragments-configured grid
+//! typed error, so a catalog- or cell-layout change is shipped as a new
+//! tag rather than a silent reinterpretation. Tag `5` (packed cells whose
+//! directory entries were a fixed `[bid u32][base u32][end u32]` with no
+//! box, and a partition table of `u64` counts and `u32` tids) is retired:
+//! a file carrying it fails to open with the kind-mismatch error and must
+//! be re-saved. So is tag `1` (a grid catalog naming one object per cell,
+//! each cell with its own value count), before cells were packed into
+//! shared segments. Tag `2` (a fragments-configured grid
 //! cube behind two extra integers) is retired as well, and the same
 //! way. Tag `3` (the original
 //! signature-cube catalog) is retired too: it carried a per-node
@@ -117,14 +119,14 @@
 //! O(partials). Files written with tag 3 fail to open with a
 //! kind-mismatch error and must be re-saved.
 //!
-//! **Grid catalog (tag 5).** All integers little-endian:
+//! **Grid catalog (tag 6).** All integers little-endian:
 //!
 //! | field                  | encoding                                        |
 //! |------------------------|-------------------------------------------------|
-//! | kind tag               | `u8` = 5                                        |
+//! | kind tag               | `u8` = 6                                        |
 //! | block size `P`         | `u64`                                           |
 //! | ranking dimensions     | count `u64`, then each `u64`                    |
-//! | partition              | byte length `u64`, then bins, dims, bin edges and every block's tids (`rcube_index::grid`) |
+//! | partition              | byte length `u64`, then bins, dims and bin edges (`u64` / `f64`), block count `u64`, and per block a LEB128 tid count and LEB128 gaps between its ascending tids, the first from 0 (`rcube_index::grid`) |
 //! | base-block table       | block count `u64`, then one `u64` object id per block (`u64::MAX` = empty block) |
 //! | cuboid directory       | cuboid count `u64`; per cuboid: dims (count `u64`, each `u64`), scale factor `u64`, cell count `u64`, then per cell its values (`u32` per dim), pid `u32`, object `u64`, start `u32`, length `u32` |
 //!
@@ -135,6 +137,27 @@
 //! its own (start 0). A segment never spans two pages, so fetching a cell
 //! reads the pages it would read alone. A reference that runs past its
 //! object's end is a malformed file, reported by the first read of it.
+//!
+//! **Grid cell** (`rcube_core::gridcube::encode_cell`). One entry per base
+//! block the cell has tuples in, sorted by bid, then the entries' posting
+//! lists (`rcube_core::idlist`, relative to the entry's `base`):
+//!
+//! | field        | encoding                                                  |
+//! |--------------|-----------------------------------------------------------|
+//! | entry count  | `u32`                                                     |
+//! | widths       | `u16`: bytes of `bid`, `base` and `end` in nibbles 0–2, each 0..=4; nibble 3 is 0 |
+//! | entries      | per entry: `bid`, `base` (the block's smallest tid in the cell) and `end` (the cumulative list offset), each little-endian in its width, then one box byte per ranking dimension of the partition |
+//! | lists        | the concatenated posting lists                            |
+//!
+//! An entry whose `end` equals the one before (0 for the first) has no
+//! list: it is a *singleton*, its one tuple `base`. A box byte holds the
+//! first (low nibble) and last (high nibble) sixteenth of the block's bin,
+//! on that dimension, that the entry's tuples occupy, rounded outward: the
+//! box `[edge(first), edge(last + 1)]`, with `edge(j) = min(lo + (hi − lo)
+//! · j / 16, hi)` and `edge(16) = hi`, holds every one of them. A width
+//! above 4, a directory running past the cell, an `end` below the one
+//! before it or past the lists, and a box whose first sixteenth lies above
+//! its last are malformed files, reported by the read that meets them.
 //!
 //! **Signature catalog (tag 4, v6).** All integers little-endian:
 //!
