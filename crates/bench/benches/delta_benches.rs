@@ -215,7 +215,7 @@ fn catalog_of(path: &std::path::Path) -> Catalog {
         for v in 0..CARDINALITY {
             if let Some(stored) = cube.cell_signature(&dims, &[v]) {
                 let pages = stored.partial_pages().iter().map(|p| p.0).collect();
-                let nodes = stored.load_full(&disk, cube.store()).node_count();
+                let nodes = stored.load_full(&disk, cube.store()).expect("load cell").node_count();
                 cells.insert((dims[0], v), (pages, nodes));
             }
         }

@@ -58,7 +58,7 @@ fn run_workload(eng: &Engine, queries: &[Query]) -> (Vec<(u32, u64)>, QueryStats
     let mut answers = Vec::new();
     let mut total = QueryStats::default();
     for q in queries {
-        let res = eng.query(q);
+        let res = eng.query(q).unwrap();
         for &(tid, score) in &res.items {
             answers.push((tid, score.to_bits()));
         }

@@ -85,7 +85,8 @@ fn main() {
     let mut full_rtree = RTree::over_relation(&disk, &gate_rel, &[], RTreeConfig::small(16));
     let full_fb = Arc::new(FileBackend::create(&full_path, PAGE, POOL).expect("create"));
     let full_store = PageStore::with_backend(Arc::clone(&full_fb) as _);
-    let mut full_cube = SignatureCube::build_in(&gate_rel, &full_rtree, &disk, CONFIG, full_store);
+    let mut full_cube = SignatureCube::build_in(&gate_rel, &full_rtree, &disk, CONFIG, full_store)
+        .expect("build into the file");
     full_cube.commit(&mut full_rtree).expect("full commit");
     let pages_full = full_fb.pages_written();
     drop((full_cube, full_fb));

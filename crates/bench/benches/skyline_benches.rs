@@ -26,14 +26,14 @@ fn bench_skyline(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("skyline");
     g.sample_size(10);
-    g.bench_function("signature_bbs", |b| b.iter(|| engine.skyline(&q, &disk)));
+    g.bench_function("signature_bbs", |b| b.iter(|| engine.skyline(&q, &disk).unwrap()));
     g.bench_function("ranking_first", |b| {
         b.iter(|| skyline_ranking_first(&rtree, &rel, &q, &disk))
     });
     g.bench_function("bnl", |b| b.iter(|| bnl_skyline(&rel, &q)));
     g.bench_function("drill_down_reuse", |b| {
-        let (_, session) = engine.skyline(&q, &disk);
-        b.iter(|| engine.drill_down(&session, 1, 2, &disk))
+        let (_, session) = engine.skyline(&q, &disk).unwrap();
+        b.iter(|| engine.drill_down(&session, 1, 2, &disk).unwrap())
     });
     g.finish();
 }

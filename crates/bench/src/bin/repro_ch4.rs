@@ -131,7 +131,7 @@ fn fig4_10() {
         for d in 0..rel.schema().num_selection() {
             for v in 0..c {
                 if let Some(stored) = cube.cell_signature(&[d], &[v]) {
-                    let sig = stored.load_full(&disk, cube.store());
+                    let sig = stored.load_full(&disk, cube.store()).expect("in-memory signature");
                     bl_bits += sig.node_count() * (rcube_storage::bits_for(m) + m);
                 }
             }

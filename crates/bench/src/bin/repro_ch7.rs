@@ -54,7 +54,7 @@ fn measure(s: &Ch7Setup, q: &SkylineQuery, series: (&mut Series, &mut Series, &m
     hs.push("Ranking", res.stats.peak_heap as f64);
     s.disk.clear_buffer();
     let engine = SkylineEngine::new(&s.rtree, &s.cube);
-    let (res, cpu) = time_ms(|| engine.skyline(q, &s.disk));
+    let (res, cpu) = time_ms(|| engine.skyline(q, &s.disk).expect("skyline"));
     ts.push("Signature", cost_ms(cpu, res.0.stats.io));
     ds.push("Signature", res.0.stats.io.disk_reads as f64);
     hs.push("Signature", res.0.stats.peak_heap as f64);
@@ -126,7 +126,7 @@ fn fig7_9() {
         let s = ch7_setup_with(synthetic(base_tuples(), 3, 20, 2, DataDist::Uniform, 75), Some(m));
         let engine = SkylineEngine::new(&s.rtree, &s.cube);
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| engine.skyline(&default_query(), &s.disk));
+        let (res, cpu) = time_ms(|| engine.skyline(&default_query(), &s.disk).expect("skyline"));
         series.push("Signature", cost_ms(cpu, res.0.stats.io));
     }
     print_figure(
@@ -168,7 +168,7 @@ fn fig7_11() {
         let conds: Vec<(usize, u32)> = (0..n).map(|d| (d, 1u32)).collect();
         let q = SkylineQuery::new(conds, vec![0, 1]);
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| engine.skyline(&q, &s.disk));
+        let (res, cpu) = time_ms(|| engine.skyline(&q, &s.disk).expect("skyline"));
         series.push("Signature", cost_ms(cpu, res.0.stats.io));
         series.push("sig loads", res.0.stats.sig_loads as f64);
     }
@@ -191,7 +191,7 @@ fn fig7_12() {
         let engine = SkylineEngine::new(&s.rtree, &s.cube);
         let q = SkylineQuery::new(vec![(0, 1), (1, 2)], vec![0, 1]);
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| engine.skyline(&q, &s.disk));
+        let (res, cpu) = time_ms(|| engine.skyline(&q, &s.disk).expect("skyline"));
         let sig_ms = res.0.stats.sig_loads as f64 * rcube_bench::READ_MS;
         series.push("signature load (ms)", sig_ms);
         series.push("total query (ms)", cost_ms(cpu, res.0.stats.io));
@@ -212,15 +212,15 @@ fn fig7_13() {
     let mut series = Series::default();
     let mut xs = Vec::new();
     let base_q = SkylineQuery::new(vec![(0, 1)], vec![0, 1]);
-    let (_, session) = engine.skyline(&base_q, &s.disk);
+    let (_, session) = engine.skyline(&base_q, &s.disk).expect("skyline");
     for &d in &drill_dims {
         xs.push(format!("+A{}", d + 1));
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| engine.drill_down(&session, d, 2, &s.disk));
+        let (res, cpu) = time_ms(|| engine.drill_down(&session, d, 2, &s.disk).expect("skyline"));
         series.push("drill-down (reuse)", cost_ms(cpu, res.0.stats.io));
         let fresh_q = SkylineQuery::new(vec![(0, 1), (d, 2)], vec![0, 1]);
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| engine.skyline(&fresh_q, &s.disk));
+        let (res, cpu) = time_ms(|| engine.skyline(&fresh_q, &s.disk).expect("skyline"));
         series.push("new query", cost_ms(cpu, res.0.stats.io));
     }
     print_figure("Fig 7.13", "drill-down vs new query (ms)", "added pred", &xs, &series);
@@ -232,15 +232,15 @@ fn fig7_14() {
     let mut series = Series::default();
     let mut xs = Vec::new();
     let base_q = SkylineQuery::new(vec![(0, 1), (1, 2)], vec![0, 1]);
-    let (_, session) = engine.skyline(&base_q, &s.disk);
+    let (_, session) = engine.skyline(&base_q, &s.disk).expect("skyline");
     for &d in &[1usize, 0] {
         xs.push(format!("-A{}", d + 1));
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| engine.roll_up(&session, d, &s.disk));
+        let (res, cpu) = time_ms(|| engine.roll_up(&session, d, &s.disk).expect("skyline"));
         series.push("roll-up (reuse)", cost_ms(cpu, res.0.stats.io));
         let fresh_q = SkylineQuery::new(base_q.selection.roll_up(d).conds().to_vec(), vec![0, 1]);
         s.disk.clear_buffer();
-        let (res, cpu) = time_ms(|| engine.skyline(&fresh_q, &s.disk));
+        let (res, cpu) = time_ms(|| engine.skyline(&fresh_q, &s.disk).expect("skyline"));
         series.push("new query", cost_ms(cpu, res.0.stats.io));
     }
     print_figure("Fig 7.14", "roll-up vs new query (ms)", "removed pred", &xs, &series);

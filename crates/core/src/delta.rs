@@ -617,7 +617,7 @@ impl Generation {
         metrics: &Metrics,
         live: &Arc<AtomicU64>,
     ) -> Result<Self, StorageError> {
-        let store = PageStore::with_backend(Arc::new(FileBackend::open_with(path, opts)?));
+        let store = PageStore::open_file(path, opts)?;
         let generation = store.generation().unwrap_or(0);
         let (mut cube, rtree) = SignatureCube::open_store(store)?;
         cube.set_metrics(metrics.clone());
@@ -1181,10 +1181,7 @@ impl DeltaCube {
         //    directory and R-tree *are* the stored catalog: clone them (one
         //    pointer per R-tree node) instead of parsing it, and write
         //    through its node cache, staging what the fold hands over.
-        let store = PageStore::with_backend(Arc::new(FileBackend::open_writable_with(
-            &self.path,
-            self.file_options(),
-        )?));
+        let store = PageStore::open_file_writable(&self.path, self.file_options())?;
         // The fold's own partial reads, apart from what queries read
         // (attachment is once per store: `set_metrics` below leaves it).
         store.attach_metrics(&self.metrics, "delta.flush");
@@ -1222,10 +1219,7 @@ impl DeltaCube {
         //    just committed. Everything that can fail on the way to the
         //    swap fails here, before the WAL moves. (Dropping the writable
         //    store inside `move_onto` releases the lock.)
-        let read_store = PageStore::with_backend(Arc::new(FileBackend::open_with(
-            &self.path,
-            self.file_options(),
-        )?));
+        let read_store = PageStore::open_file(&self.path, self.file_options())?;
         let (mut cube, rtree, published) = match (committed, read_store.file_stamp()) {
             (Some(committed), Some(reopened)) if committed.same_publication(&reopened) => {
                 (cube.move_onto(read_store), rtree, Some(committed))
@@ -1930,7 +1924,7 @@ mod tests {
         applied: &BTreeMap<Tid, Vec<u32>>,
     ) {
         let disk = DiskSim::with_defaults();
-        let (mut cube, mut rtree) = SignatureCube::open_writable_with(path, 64).unwrap();
+        let (mut cube, mut rtree) = SignatureCube::open_writable(path, 64).unwrap();
         let sel_of = model_selection(base, snapshot, applied);
         for (&tid, op) in snapshot {
             let updates = rtree.delete(&disk, tid);
@@ -1953,7 +1947,7 @@ mod tests {
         applied: &BTreeMap<Tid, Vec<u32>>,
     ) {
         let disk = DiskSim::with_defaults();
-        let (mut cube, mut rtree) = SignatureCube::open_writable_with(path, 64).unwrap();
+        let (mut cube, mut rtree) = SignatureCube::open_writable(path, 64).unwrap();
         let sel_of = model_selection(base, snapshot, applied);
         let mut batch = PathUpdateBatch::new();
         for (&tid, op) in snapshot {
@@ -2004,7 +1998,7 @@ mod tests {
                 // Atomic cuboids only (the default config).
                 let vals = vec![v];
                 if let Some(stored) = cube.cell_signature(&dims, &vals) {
-                    let mut paths = stored.load_full(&disk, cube.store()).paths();
+                    let mut paths = stored.load_full(&disk, cube.store()).unwrap().paths();
                     paths.sort();
                     out.insert((dims.clone(), vals), paths);
                 }
@@ -2477,7 +2471,7 @@ mod tests {
 
         // Another writer commits a generation of its own.
         {
-            let (mut cube, mut rtree) = SignatureCube::open_writable_with(&path, 64).unwrap();
+            let (mut cube, mut rtree) = SignatureCube::open_writable(&path, 64).unwrap();
             cube.commit(&mut rtree).unwrap();
         }
         assert_eq!(flush_keeps_cache(340..350, "foreign commit"), 1, "after a foreign commit");

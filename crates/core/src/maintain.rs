@@ -221,7 +221,7 @@ pub(crate) fn apply_path_updates_whole_cell(
     for dims in cube.cuboid_dims() {
         for (vals, cell_updates) in group_by_cell(&dims, updates, &selections) {
             let mut sig = match cube.cell_signature(&dims, &vals) {
-                Some(stored) => stored.try_load_full(disk, cube.store())?,
+                Some(stored) => stored.load_full(disk, cube.store())?,
                 None => Signature::empty(cube.fanout()),
             };
             for old in cell_updates.iter().filter_map(|u| u.old_path.as_deref()) {
@@ -315,8 +315,10 @@ mod tests {
         for d in 0..rel.schema().num_selection() {
             let card = rel.schema().selection_dim(d).cardinality();
             for v in 0..card {
-                let sa = a.cell_signature(&[d], &[v]).map(|s| s.load_full(disk, a.store()));
-                let sb = b.cell_signature(&[d], &[v]).map(|s| s.load_full(disk, b.store()));
+                let sa =
+                    a.cell_signature(&[d], &[v]).map(|s| s.load_full(disk, a.store()).unwrap());
+                let sb =
+                    b.cell_signature(&[d], &[v]).map(|s| s.load_full(disk, b.store()).unwrap());
                 match (sa, sb) {
                     (None, None) => {}
                     (Some(x), Some(y)) => {

@@ -132,7 +132,7 @@ pub fn vacuum_into_place(
         plan.on_swap(SwapStage::TempWrite).map_err(StorageError::Io)?;
     }
     let opts = FileOptions { pool_pages: 0, faults: faults.cloned() };
-    let reclaimed_pages = cube.vacuum_to_opts(&rtree, &temp, page_size, opts)?;
+    let reclaimed_pages = cube.vacuum_to(&rtree, &temp, page_size, opts)?;
     if faults.is_some_and(|p| p.crashed()) {
         // The scripted page-level crash hit inside the temp write: the
         // process "died" before the swap. Surface it so the sweep (and a

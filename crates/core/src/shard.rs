@@ -881,32 +881,19 @@ mod tests {
     fn sharded_merge_matches_unsharded() {
         let rel = rel();
         for shards in [1, 2, 3, 4] {
-            for parallelism in [0, 1, 2] {
-                let cfg = ShardedCubeConfig { shards, parallelism, ..Default::default() };
-                let cube = ShardedCube::build_in_memory(&rel, &cfg);
-                for k in [1, 7, 25] {
-                    let query = Query::select([(0, 3)]).rank(Linear::uniform(2)).top(k);
-                    let expect = unsharded_answers(&rel, &query, k);
-                    let got = cube.source().query(&query.plan()).unwrap();
-                    let at = format!("shards={shards} parallelism={parallelism} k={k}");
-                    assert_eq!(got.items, expect, "{at}");
-                    let fanout = cube.last_fanout().expect("fan-out recorded on drop");
-                    assert_eq!(got.stats.shards_opened, fanout.opened() as u64, "{at}");
-                    assert_eq!(cube.par_query(&query.plan()).unwrap().items, expect, "{at}");
-                }
+            let cfg = ShardedCubeConfig { shards, ..Default::default() };
+            let cube = ShardedCube::build_in_memory(&rel, &cfg);
+            for k in [1, 7, 25] {
+                let query = Query::select([(0, 3)]).rank(Linear::uniform(2)).top(k);
+                let expect = unsharded_answers(&rel, &query, k);
+                let got = cube.source().query(&query.plan()).unwrap();
+                let at = format!("shards={shards} k={k}");
+                assert_eq!(got.items, expect, "{at}");
+                let fanout = cube.last_fanout().expect("fan-out recorded on drop");
+                assert_eq!(got.stats.shards_opened, fanout.opened() as u64, "{at}");
+                assert_eq!(cube.par_query(&query.plan()).unwrap().items, expect, "{at}");
             }
         }
-    }
-
-    #[test]
-    fn par_query_matches_cursor_merge() {
-        let rel = rel();
-        let cfg = ShardedCubeConfig { shards: 3, parallelism: 2, ..Default::default() };
-        let cube = ShardedCube::build_in_memory(&rel, &cfg);
-        let query = Query::select([(1, 5)]).rank(Linear::uniform(2)).top(12);
-        let merged = cube.source().query(&query.plan()).unwrap();
-        let parallel = cube.par_query(&query.plan()).unwrap();
-        assert_eq!(parallel.items, merged.items);
     }
 
     #[test]

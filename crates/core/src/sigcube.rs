@@ -10,9 +10,10 @@
 //! held by the query's [`Pruner`]) that never materialize a partial:
 //!
 //! * **Zero-copy partial views.** On first touch of a partial the cursor
-//!   takes the shared page handle from `PageStore::get_bytes` (a view into
-//!   a buffer-pool frame on file-backed cubes) and header-scans it into a
-//!   per-partial *node directory* — a sorted `(SID, bit offset)` array.
+//!   takes the shared page handle from `PageStore::try_get_bytes` (a view
+//!   into a buffer-pool frame on file-backed cubes) and header-scans it
+//!   into a per-partial *node directory* — a sorted `(SID, bit offset)`
+//!   array.
 //!   The scan reads only each node's `[CS][Len]` header
 //!   ([`coding::skip_node`]); no node payload is decoded.
 //! * **On-demand node decode.** Probes address one node at a time, by
@@ -133,20 +134,9 @@ pub struct StoredSignature {
 }
 
 impl StoredSignature {
-    /// Serializes, compresses, decomposes and stores `sig`. Panics when
-    /// the store rejects a write (see [`Self::try_write`]).
+    /// Serializes, compresses, decomposes and stores `sig`; a failed
+    /// append comes back typed.
     pub fn write(
-        sig: &Signature,
-        disk: &DiskSim,
-        store: &PageStore,
-        alpha: f64,
-    ) -> StoredSignature {
-        Self::try_write(sig, disk, store, alpha)
-            .unwrap_or_else(|e| panic!("StoredSignature::write: {e}"))
-    }
-
-    /// Fallible [`Self::write`]: a failed append comes back typed.
-    pub fn try_write(
         sig: &Signature,
         disk: &DiskSim,
         store: &PageStore,
@@ -216,19 +206,9 @@ impl StoredSignature {
     }
 
     /// Loads and decodes every partial, reconstructing the full signature
-    /// (used by incremental maintenance and tests).
-    pub fn load_full(&self, disk: &DiskSim, store: &PageStore) -> Signature {
-        self.try_load_full(disk, store)
-            .unwrap_or_else(|e| panic!("StoredSignature::load_full: {e}"))
-    }
-
-    /// Fallible [`Self::load_full`]: corrupt or truncated partials surface
-    /// as typed [`StorageError`]s instead of panics.
-    pub fn try_load_full(
-        &self,
-        disk: &DiskSim,
-        store: &PageStore,
-    ) -> Result<Signature, StorageError> {
+    /// (used by incremental maintenance and tests); corrupt or truncated
+    /// partials surface as typed [`StorageError`]s.
+    pub fn load_full(&self, disk: &DiskSim, store: &PageStore) -> Result<Signature, StorageError> {
         let mut nodes: HashMap<u64, PackedBits> = HashMap::new();
         for &page in &self.partials {
             let payload = store.try_get_bytes(disk, page)?;
@@ -1091,19 +1071,21 @@ impl SignatureCube {
         config: SignatureCubeConfig,
     ) -> Self {
         Self::build_in(rel, rtree, disk, config, PageStore::new())
+            .expect("an in-memory store accepts every write")
     }
 
     /// [`Self::build`] into an explicit page store. Passing a writable
     /// file-backed store ([`PageStore::create_file`]) builds the partials
     /// directly into a cube file; publish with [`Self::commit`] instead of
-    /// copying the finished cube through [`Self::save_to`].
+    /// copying the finished cube through [`Self::save_to`]. A write the
+    /// store rejects comes back typed.
     pub fn build_in(
         rel: &Relation,
         rtree: &RTree,
         disk: &DiskSim,
         config: SignatureCubeConfig,
         store: PageStore,
-    ) -> Self {
+    ) -> Result<Self, StorageError> {
         let m = rtree.max_fanout();
         let dim_sets: Vec<Vec<usize>> = config
             .cuboids
@@ -1123,13 +1105,13 @@ impl SignatureCube {
             let mut stored = HashMap::with_capacity(cells.len());
             for (vals, cell_paths) in cells {
                 let sig = Signature::from_paths(m, cell_paths.iter().copied());
-                let sig = StoredSignature::write(&sig, disk, &store, config.alpha);
+                let sig = StoredSignature::write(&sig, disk, &store, config.alpha)?;
                 stored.insert(vals, Arc::new(sig));
             }
             cuboids.insert(dims, stored);
         }
         let tuples = Tuples::of_relation(rel, DEFAULT_PAGE_SIZE);
-        Self::over(store, cuboids, m, config.alpha, Vec::new(), tuples)
+        Ok(Self::over(store, cuboids, m, config.alpha, Vec::new(), tuples))
     }
 
     /// Partition fanout `M`.
@@ -1217,19 +1199,10 @@ impl SignatureCube {
     /// exact cuboid, probing exactly what the assembled signature of
     /// Section 4.3.3 ([`Self::assemble`]) would answer without
     /// materializing it. Returns `None` when some predicate's cell is
-    /// empty or the intersection is provably empty at the root.
+    /// empty or the intersection is provably empty at the root. The
+    /// root-emptiness probe touches storage, so corruption on a
+    /// file-backed cube comes back typed.
     pub fn pruner_for<'a>(
-        &'a self,
-        selection: &Selection,
-        disk: &'a DiskSim,
-    ) -> Option<Pruner<'a>> {
-        self.try_pruner_for(selection, disk)
-            .unwrap_or_else(|e| panic!("SignatureCube::pruner_for: {e}"))
-    }
-
-    /// Fallible [`Self::pruner_for`] (the root-emptiness probe touches
-    /// storage, which can surface corruption on file-backed cubes).
-    pub fn try_pruner_for<'a>(
         &'a self,
         selection: &Selection,
         disk: &'a DiskSim,
@@ -1238,7 +1211,7 @@ impl SignatureCube {
         Ok(state.map(|state| Pruner { at: self.probe(disk), state }))
     }
 
-    /// [`Self::try_pruner_for`]'s per-query state alone, for a search
+    /// [`Self::pruner_for`]'s per-query state alone, for a search
     /// that hands it this cube's [`Self::probe`] at every step.
     pub(crate) fn try_prune_state(
         &self,
@@ -1268,17 +1241,24 @@ impl SignatureCube {
 
     /// Fully assembles the signature of an arbitrary Boolean predicate by
     /// intersecting atomic signatures (Figure 4.7's offline counterpart).
-    pub fn assemble(&self, selection: &Selection, disk: &DiskSim) -> Option<Signature> {
+    /// `None` when some predicate's cell is empty.
+    pub fn assemble(
+        &self,
+        selection: &Selection,
+        disk: &DiskSim,
+    ) -> Result<Option<Signature>, StorageError> {
         let mut acc: Option<Signature> = None;
         for &(d, v) in selection.conds() {
-            let stored = self.cell_signature(&[d], &[v])?;
-            let sig = stored.load_full(disk, &self.store);
+            let Some(stored) = self.cell_signature(&[d], &[v]) else {
+                return Ok(None);
+            };
+            let sig = stored.load_full(disk, &self.store)?;
             acc = Some(match acc {
                 None => sig,
                 Some(prev) => prev.intersect(&sig),
             });
         }
-        acc
+        Ok(acc)
     }
 
     /// Scrubs every partial signature through the validated read path,
@@ -1315,27 +1295,17 @@ impl SignatureCube {
         self.save_to_with(rtree, path, DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES)
     }
 
-    /// [`Self::save_to`] with explicit page size and pool capacity.
+    /// [`Self::save_to`] with an explicit page size and file options (a
+    /// bare pool capacity, or [`FileOptions`] with the scripted crash plan
+    /// the vacuum swap threads into its temp file).
     pub fn save_to_with(
         &self,
         rtree: &RTree,
         path: impl AsRef<std::path::Path>,
         page_size: usize,
-        pool_pages: usize,
+        opts: impl Into<FileOptions>,
     ) -> Result<(), StorageError> {
-        self.save_to_opts(rtree, path, page_size, FileOptions::with_pool(pool_pages))
-    }
-
-    /// [`Self::save_to`] with explicit [`FileOptions`] — the vacuum swap
-    /// threads its scripted crash plan into the temp file through this.
-    pub fn save_to_opts(
-        &self,
-        rtree: &RTree,
-        path: impl AsRef<std::path::Path>,
-        page_size: usize,
-        opts: FileOptions,
-    ) -> Result<(), StorageError> {
-        let file = PageStore::create_file_with(path, page_size, opts)?;
+        let file = PageStore::create_file(path, page_size, opts)?;
         let scratch = DiskSim::new(page_size, 0);
         let (mut w, _) = self.encode_catalog(
             rtree,
@@ -1467,27 +1437,16 @@ impl SignatureCube {
     /// retired by COW maintenance and the catalogs of superseded
     /// generations. Returns the number of pages the source store had
     /// accounted as reclaimable (zero on in-memory stores, which free
-    /// retired objects immediately).
+    /// retired objects immediately). `opts` are the destination file's (a
+    /// fault plan for the swap crash sweep).
     pub fn vacuum_to(
         &self,
         rtree: &RTree,
         path: impl AsRef<std::path::Path>,
         page_size: usize,
-        pool_pages: usize,
+        opts: impl Into<FileOptions>,
     ) -> Result<u64, StorageError> {
-        self.vacuum_to_opts(rtree, path, page_size, FileOptions::with_pool(pool_pages))
-    }
-
-    /// [`Self::vacuum_to`] with explicit [`FileOptions`] on the
-    /// destination file (fault plans for the swap crash sweep).
-    pub fn vacuum_to_opts(
-        &self,
-        rtree: &RTree,
-        path: impl AsRef<std::path::Path>,
-        page_size: usize,
-        opts: FileOptions,
-    ) -> Result<u64, StorageError> {
-        self.save_to_opts(rtree, path, page_size, opts)?;
+        self.save_to_with(rtree, path, page_size, opts)?;
         let reclaimed = self.store.reclaimable_pages();
         self.metrics.counter("maintenance.vacuums").inc();
         self.metrics.counter("maintenance.pages_reclaimed").add(reclaimed);
@@ -1505,40 +1464,35 @@ impl SignatureCube {
         path: impl AsRef<std::path::Path>,
         pool_pages: usize,
     ) -> Result<(Self, RTree), StorageError> {
-        Self::from_store(PageStore::open_file(path, pool_pages)?)
+        Self::open_store(PageStore::open_file(path, pool_pages)?)
     }
 
-    /// Reopens a cube file *writable*: the newest committed generation is
-    /// served as usual, appends land after it, and [`Self::commit`]
-    /// publishes the next generation — incremental maintenance without a
-    /// full rewrite.
-    pub fn open_writable(path: impl AsRef<std::path::Path>) -> Result<(Self, RTree), StorageError> {
-        Self::open_writable_with(path, DEFAULT_POOL_PAGES)
-    }
-
-    /// [`Self::open_writable`] with an explicit buffer-pool capacity.
-    pub fn open_writable_with(
+    /// Reopens a cube file *writable* under `opts` (a bare pool capacity,
+    /// or [`FileOptions`] with a fault plan): the newest committed
+    /// generation is served as usual, appends land after it, and
+    /// [`Self::commit`] publishes the next generation — incremental
+    /// maintenance without a full rewrite.
+    pub fn open_writable(
         path: impl AsRef<std::path::Path>,
-        pool_pages: usize,
+        opts: impl Into<FileOptions>,
     ) -> Result<(Self, RTree), StorageError> {
-        Self::from_store(PageStore::open_file_writable(path, pool_pages)?)
+        Self::open_store(PageStore::open_file_writable(path, opts)?)
     }
 
     /// Decodes the catalog of an already-opened store into a queryable
-    /// `(SignatureCube, RTree)` pair — the entry point for stores opened
-    /// with explicit `FileOptions` (e.g. a `FaultPlan` attached in
-    /// crash and degradation tests).
+    /// `(SignatureCube, RTree)` pair. Every count in the catalog is
+    /// bounded by the bytes left to hold it before anything is sized by
+    /// it, so a malformed catalog is a typed error, not an allocation.
     pub fn open_store(store: PageStore) -> Result<(Self, RTree), StorageError> {
-        Self::from_store(store)
-    }
-
-    fn from_store(store: PageStore) -> Result<(Self, RTree), StorageError> {
         const LIMIT: usize = 1 << 30;
         let catalog = read_catalog(&store, CATALOG_SIG)?;
         let mut r = ByteReader::new(&catalog[1..]);
         let m = r.count(LIMIT)?;
         let alpha = r.f64()?;
-        let ncuboids = r.count(LIMIT)?;
+        // A cuboid takes at least its dimension and cell counts, a cell its
+        // value, bit, depth and partial counts, a partial its page id and
+        // first SID.
+        let ncuboids = r.count(r.remaining() / 16)?;
         let mut cuboids = BTreeMap::new();
         for _ in 0..ncuboids {
             let ndims = r.count(64)?;
@@ -1546,7 +1500,7 @@ impl SignatureCube {
             for _ in 0..ndims {
                 dims.push(r.count(LIMIT)?);
             }
-            let ncells = r.count(LIMIT)?;
+            let ncells = r.count(r.remaining() / 32)?;
             let mut cells = HashMap::with_capacity(ncells);
             for _ in 0..ncells {
                 let nvals = r.count(64)?;
@@ -1556,7 +1510,7 @@ impl SignatureCube {
                 }
                 let total_bits = r.count(LIMIT)?;
                 let depth = r.count(u16::MAX as usize)? as u16;
-                let npartials = r.count(LIMIT)?;
+                let npartials = r.count(r.remaining() / 16)?;
                 let mut partials = Vec::with_capacity(npartials);
                 for _ in 0..npartials {
                     partials.push(PageId(r.u64()?));
@@ -1576,6 +1530,9 @@ impl SignatureCube {
             cuboids.insert(dims, cells);
         }
         let rtree = RTree::read_paged(&mut r, |object| store.peek(object))?;
+        if m != rtree.max_fanout() {
+            return Err(StorageError::Malformed("signature fanout is not its R-tree's"));
+        }
         let rtree_nodes = (0..rtree.node_slots()).filter_map(|n| rtree.stored_node(n)).collect();
         let tuples = Tuples::read(&mut r, &store)?;
         Ok((Self::over(store, cuboids, m, alpha, rtree_nodes, tuples), rtree))
@@ -1835,7 +1792,7 @@ impl SignatureCube {
             None
         } else {
             let sig = Signature::from_paths(self.m, paths.iter().copied());
-            let stored = StoredSignature::try_write(&sig, disk, &self.store, self.alpha)?;
+            let stored = StoredSignature::write(&sig, disk, &self.store, self.alpha)?;
             self.count_appended(&stored.partials, disk);
             done = CellSplice { partials: stored.partials.len(), nodes: sig.node_count() };
             Some(stored)
@@ -1882,7 +1839,8 @@ impl SignatureCube {
         let old = if sig.is_empty() {
             cells.remove(&vals)
         } else {
-            cells.insert(vals, Arc::new(StoredSignature::write(sig, disk, &self.store, self.alpha)))
+            let stored = StoredSignature::write(sig, disk, &self.store, self.alpha)?;
+            cells.insert(vals, Arc::new(stored))
         };
         let replaced = old.map_or(Vec::new(), |o| o.partials.clone());
         self.hand_over(HashMap::new(), &replaced);
@@ -1912,7 +1870,7 @@ impl SignatureCube {
             }
             Err(_damage) => {
                 let store = PageStore::open_file_previous(path, DEFAULT_POOL_PAGES)?;
-                let (prev, _) = Self::from_store(store)?;
+                let (prev, _) = Self::open_store(store)?;
                 prev.verify_integrity()?;
                 let to = FileBackend::rollback_latest(path)?;
                 Metrics::global().counter("maintenance.scrubs_rolled_back").inc();
@@ -2041,7 +1999,7 @@ impl SignatureCube {
             bits += view.table.bit_len();
         }
         assert_eq!(stored.total_bits, bits, "total_bits is the sum of the partial streams");
-        let sig = stored.load_full(&DiskSim::with_defaults(), &self.store);
+        let sig = stored.load_full(&DiskSim::with_defaults(), &self.store).unwrap();
         assert_eq!(stored.depth(), sig.depth());
     }
 }
@@ -2050,6 +2008,7 @@ impl SignatureCube {
 mod tests {
     use super::*;
     use rcube_index::rtree::RTreeConfig;
+    use rcube_storage::FaultPlan;
     use rcube_table::gen::SyntheticSpec;
 
     fn setup(tuples: usize) -> (Relation, DiskSim, RTree, SignatureCube) {
@@ -2107,7 +2066,7 @@ mod tests {
                 let Some(stored) = cube.cell_signature(&[d], &[v]) else {
                     continue;
                 };
-                let sig = stored.load_full(&disk, cube.store());
+                let sig = stored.load_full(&disk, cube.store()).unwrap();
                 assert_eq!(sig.depth(), stored.depth());
                 // The reloaded signature must contain exactly the tuples of
                 // the cell.
@@ -2124,7 +2083,7 @@ mod tests {
     fn cursor_answers_match_full_load() {
         let (rel, disk, rtree, cube) = setup(600);
         let stored = cube.cell_signature(&[0], &[1]).expect("cell exists");
-        let full = stored.load_full(&disk, cube.store());
+        let full = stored.load_full(&disk, cube.store()).unwrap();
         let mut cursor = uncached(stored, cube.store(), &disk);
         // Tuple paths and every prefix (node path) of them.
         for tid in rel.tids() {
@@ -2212,14 +2171,14 @@ mod tests {
         assert!(cube.cell_signature(&[0], &[99]).is_none());
         let sel = Selection::new(vec![(0, 99)]);
         assert!(cube.resolve_selection(&sel).is_none());
-        assert!(cube.pruner_for(&sel, &disk).is_none());
+        assert!(cube.pruner_for(&sel, &disk).unwrap().is_none());
     }
 
     #[test]
     fn assembled_signature_equals_conjunction() {
         let (rel, disk, rtree, cube) = setup(500);
         let sel = Selection::new(vec![(0, 1), (1, 2)]);
-        let Some(sig) = cube.assemble(&sel, &disk) else {
+        let Some(sig) = cube.assemble(&sel, &disk).unwrap() else {
             panic!("assembly failed");
         };
         for tid in rel.tids() {
@@ -2233,8 +2192,8 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(900);
         for conds in [vec![(0usize, 1u32), (1, 2)], vec![(0, 0), (1, 1), (2, 2)]] {
             let sel = Selection::new(conds);
-            let assembled = cube.assemble(&sel, &disk);
-            let lazy = cube.pruner_for(&sel, &disk);
+            let assembled = cube.assemble(&sel, &disk).unwrap();
+            let lazy = cube.pruner_for(&sel, &disk).unwrap();
             match (&assembled, &lazy) {
                 (Some(sig), None) => assert!(sig.is_empty(), "lazy None ⇒ assembled empty"),
                 (None, Some(_)) => panic!("lazy pruner exists but assembly failed"),
@@ -2267,8 +2226,8 @@ mod tests {
     fn lazy_pruner_loads_fewer_partials_than_eager() {
         let (rel, disk, rtree, cube) = setup(3_000);
         let sel = Selection::new(vec![(0, 1), (1, 2)]);
-        let mut lazy = cube.pruner_for(&sel, &disk).expect("non-empty intersection");
-        let assembled = cube.assemble(&sel, &disk).expect("both cells exist");
+        let mut lazy = cube.pruner_for(&sel, &disk).unwrap().expect("non-empty intersection");
+        let assembled = cube.assemble(&sel, &disk).unwrap().expect("both cells exist");
         // Drive it over every tuple's probe (a top-k search touches fewer).
         for tid in rel.tids() {
             let path = rtree.tuple_path(tid).unwrap();
@@ -2338,7 +2297,7 @@ mod tests {
         let mut cursor = uncached(stored, cube.store(), &disk);
         assert!(cursor.try_node_mask(0, &mut Vec::new()).is_err());
         assert!(cursor.try_admit_entry(1, None, &mut Vec::new()).is_err());
-        assert!(stored.try_load_full(&disk, cube.store()).is_err());
+        assert!(stored.load_full(&disk, cube.store()).is_err());
         assert!(cube.verify_integrity().is_err());
     }
 
@@ -2408,7 +2367,7 @@ mod tests {
         let mut cube = SignatureCube::build(&rel, &rtree, &disk, config);
         let warm = |cube: &SignatureCube, rtree: &RTree, d: usize, v: u32| {
             let sel = Selection::new(vec![(d, v)]);
-            let mut p = cube.pruner_for(&sel, &disk).expect("cell exists");
+            let mut p = cube.pruner_for(&sel, &disk).unwrap().expect("cell exists");
             for tid in rel.tids() {
                 let _ = walk(&mut p, rtree, &rtree.tuple_path(tid).unwrap());
             }
@@ -2451,7 +2410,7 @@ mod tests {
         // copied were handed over decoded, the ones it re-encoded entered
         // decoded, so nothing is loaded and nothing decoded again.
         let sel = Selection::new(vec![(0usize, 1u32)]);
-        let mut p = cube.pruner_for(&sel, &disk).expect("spliced cell exists");
+        let mut p = cube.pruner_for(&sel, &disk).unwrap().expect("spliced cell exists");
         for tid in rel.tids().chain([9_000]) {
             let in_cell = tid == 9_000 || rel.selection_value(tid, 0) == 1;
             assert_eq!(walk(&mut p, &rtree, &rtree.tuple_path(tid).unwrap()), in_cell, "tid {tid}");
@@ -2467,7 +2426,7 @@ mod tests {
         assert!(olds.is_empty(), "room in the leaf");
         cube.splice_cell(&[0], vec![1], &[], &[&path], &disk).unwrap();
         assert_eq!(cube.assert_node_cache_matches_file(), (0, 0));
-        let mut p = cube.pruner_for(&sel, &disk).expect("spliced cell exists");
+        let mut p = cube.pruner_for(&sel, &disk).unwrap().expect("spliced cell exists");
         assert!(walk(&mut p, &rtree, &rtree.tuple_path(9_001).unwrap()));
         assert!(p.loads() > 0 && p.shared_node_hits() == 0);
     }
@@ -2525,7 +2484,7 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(700);
         let path = std::env::temp_dir().join(format!("rcube_sig_nodes_{}", std::process::id()));
         cube.save_to_with(&rtree, &path, 1024, 64).expect("save");
-        let (mut wcube, mut wtree) = SignatureCube::open_writable_with(&path, 64).expect("open");
+        let (mut wcube, mut wtree) = SignatureCube::open_writable(&path, 64).expect("open");
         let reclaimable = |c: &SignatureCube| c.store().reclaimable_pages();
 
         // Nothing changed: no node is written, the old catalog and map retire.
@@ -2563,7 +2522,8 @@ mod tests {
         let (_, mut tree) = SignatureCube::open_from_with(&path, 64).expect("open");
         let other = std::env::temp_dir().join(format!("rcube_sig_other_{}", std::process::id()));
         let store = PageStore::create_file(&other, 1024, 64).unwrap();
-        let mut fresh = SignatureCube::build_in(&rel, &tree, &disk, Default::default(), store);
+        let mut fresh =
+            SignatureCube::build_in(&rel, &tree, &disk, Default::default(), store).unwrap();
         let written = fresh.commit(&mut tree).unwrap().rtree_nodes_written;
         assert_eq!(written, tree.node_slots() as usize);
         drop(fresh);
@@ -2571,6 +2531,103 @@ mod tests {
         reopened.verify_integrity().expect("clean scrub");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&other).ok();
+    }
+
+    /// A build into a file store whose disk fills up mid-build returns the
+    /// failed write typed.
+    #[test]
+    fn a_build_into_a_full_file_store_is_a_typed_error() {
+        let (rel, disk, rtree, _) = setup(300);
+        let path = std::env::temp_dir().join(format!("rcube_sig_enospc_{}", std::process::id()));
+        let plan = FaultPlan::new();
+        let opts = FileOptions { pool_pages: 64, faults: Some(Arc::clone(&plan)) };
+        let store = PageStore::create_file(&path, 1024, opts).unwrap();
+        plan.enospc_at_page_write(plan.writes_observed() + 3);
+        let built = SignatureCube::build_in(&rel, &rtree, &disk, Default::default(), store);
+        match built {
+            Err(StorageError::Io(e)) => assert_eq!(e.raw_os_error(), Some(28), "{e}"),
+            other => panic!("expected the ENOSPC write back typed, got {:?}", other.err()),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The signature catalog decodes any bytes to a cube or a typed error,
+    /// never a panic, a hang or an allocation its bytes cannot back: the
+    /// committed catalog, each of its truncations, every single-bit flip,
+    /// a cuboid, cell and partial count each just past the bytes left to
+    /// hold it, and arbitrary bodies. A cube that does come back scrubs to
+    /// `Ok` or a typed error as well.
+    #[test]
+    fn any_signature_catalog_bytes_give_a_cube_or_a_typed_error() {
+        let (_, _, rtree, cube) = setup(300);
+        let path = std::env::temp_dir().join(format!("rcube_sig_catalog_{}", std::process::id()));
+        cube.save_to_with(&rtree, &path, 1024, 64).unwrap();
+        let store = PageStore::open_file_writable(&path, 64).unwrap();
+        let body = store.peek(store.catalog().unwrap()).unwrap()[1..].to_vec();
+        let scratch = DiskSim::new(1024, 0);
+        let decode = |bytes: &[u8]| {
+            store.put_catalog(&scratch, [&[CATALOG_SIG][..], bytes].concat()).unwrap();
+            SignatureCube::open_store(store.clone()).map(|(cube, _)| cube.verify_integrity())
+        };
+        let whole = decode(&body);
+        assert!(matches!(whole, Ok(Ok(()))), "the committed catalog decodes and scrubs: {whole:?}");
+        for n in 0..body.len() {
+            assert!(decode(&body[..n]).is_err(), "a {n}-byte prefix decoded");
+        }
+        let mut flipped = body.clone();
+        for bit in 0..body.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+
+        // The first cuboid's counts: `m`, `alpha`, then the cuboid count,
+        // its dimensions, its cell count, and its first cell's values,
+        // bits and depth before that cell's partial count.
+        let mut r = ByteReader::new(&body);
+        let word = |r: &mut ByteReader<'_>| r.u64().unwrap() as usize;
+        let at = |r: &ByteReader<'_>| body.len() - r.remaining();
+        r.take(16).unwrap();
+        let ncuboids_at = at(&r);
+        word(&mut r);
+        let ndims = word(&mut r);
+        r.take(8 * ndims).unwrap();
+        let ncells_at = at(&r);
+        word(&mut r);
+        let nvals = word(&mut r);
+        r.take(4 * nvals + 16).unwrap();
+        let npartials_at = at(&r);
+        for (offset, per) in [(ncuboids_at, 16), (ncells_at, 32), (npartials_at, 16)] {
+            let past = (body.len() - offset) / per + 1;
+            let mut crafted = body.clone();
+            crafted[offset..offset + 8].copy_from_slice(&(past as u64).to_le_bytes());
+            match decode(&crafted) {
+                Err(StorageError::Malformed(why)) => {
+                    assert_eq!(why, "catalog count out of range", "count at byte {offset}")
+                }
+                other => panic!("count at byte {offset}: {:?}", other.map(|_| ())),
+            }
+        }
+
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in (0..4 * body.len()).step_by(13) {
+            let arbitrary: Vec<u8> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    // Mostly small words, so counts often pass their bounds.
+                    if state.is_multiple_of(4) {
+                        state as u8
+                    } else {
+                        (state % 3) as u8
+                    }
+                })
+                .collect();
+            let _ = decode(&arbitrary);
+        }
+        drop(store);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2582,7 +2639,7 @@ mod tests {
 
         // Reopen writable: same answers, generation 1 (save_to committed
         // once), appends allowed.
-        let (mut wcube, mut wtree) = SignatureCube::open_writable_with(&path, 64).expect("open");
+        let (mut wcube, mut wtree) = SignatureCube::open_writable(&path, 64).expect("open");
         assert!(!wcube.store().read_only());
         assert_eq!(wcube.store().generation(), Some(1));
 
@@ -2683,8 +2740,8 @@ mod tests {
                 .collect();
             let naive = |prefix: &[u16]| matching.iter().any(|p| p.starts_with(prefix));
 
-            let assembled = cube.assemble(&sel, &disk);
-            let lazy = cube.pruner_for(&sel, &disk);
+            let assembled = cube.assemble(&sel, &disk).unwrap();
+            let lazy = cube.pruner_for(&sel, &disk).unwrap();
             proptest::prop_assert_eq!(lazy.is_some(), assembled.as_ref().is_some_and(|s| !s.is_empty()));
             let Some(mut lazy) = lazy else { return; };
             let assembled = assembled.unwrap();

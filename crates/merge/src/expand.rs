@@ -20,6 +20,7 @@ use std::collections::{BinaryHeap, HashSet};
 
 use rcube_func::{RankFn, Rect};
 use rcube_index::{HierIndex, NodeHandle};
+use rcube_storage::StorageError;
 
 use crate::joinsig::{JoinSigCursor, StateKey, SELF_POS};
 use crate::state::{JointState, StateItem};
@@ -102,7 +103,7 @@ impl ThresholdMachine {
         f: &dyn RankFn,
         sig: &mut JoinSigCursor<'_>,
         counters: &mut ExpandCounters,
-    ) -> Self {
+    ) -> Result<Self, StorageError> {
         let key = parent.key(indices);
         let entries = sorted_entries(indices, parent, f);
         let mut machine = Self {
@@ -114,8 +115,8 @@ impl ThresholdMachine {
         };
         // Seed with the all-best combination.
         let picks: Vec<usize> = vec![0; machine.entries.len()];
-        machine.offer(indices, f, &picks, sig, counters);
-        machine
+        machine.offer(indices, f, &picks, sig, counters)?;
+        Ok(machine)
     }
 
     fn offer(
@@ -125,16 +126,17 @@ impl ThresholdMachine {
         picks: &[usize],
         sig: &mut JoinSigCursor<'_>,
         counters: &mut ExpandCounters,
-    ) {
+    ) -> Result<(), StorageError> {
         let (state, combo) = combo_of(&self.entries, picks);
         counters.states_generated += 1;
-        if !sig.is_empty() && !sig.check_child(&self.key, &combo) {
-            return; // provably empty: prune at generation
+        if !sig.is_empty() && !sig.check_child(&self.key, &combo)? {
+            return Ok(()); // provably empty: prune at generation
         }
         let bound = state.lower_bound(indices, f);
         self.seq += 1;
         self.lheap.push(StateItem { bound, seq: self.seq, payload: state });
         counters.local_items += 1;
+        Ok(())
     }
 
     /// Bound on every state this machine may still return.
@@ -158,18 +160,18 @@ impl ThresholdMachine {
         f: &dyn RankFn,
         sig: &mut JoinSigCursor<'_>,
         counters: &mut ExpandCounters,
-    ) -> Option<JointState> {
+    ) -> Result<Option<JointState>, StorageError> {
         loop {
             let tb = self.threshold_bound();
             if let Some(top) = self.lheap.peek() {
                 if top.bound <= tb {
                     counters.local_items -= 1;
-                    return self.lheap.pop().map(|i| i.payload);
+                    return Ok(self.lheap.pop().map(|i| i.payload));
                 }
             }
             if tb.is_infinite() {
                 counters.local_items -= i64::from(self.lheap.peek().is_some());
-                return self.lheap.pop().map(|i| i.payload);
+                return Ok(self.lheap.pop().map(|i| i.payload));
             }
             // Advance the index holding the threshold minimum and generate
             // the Cartesian slice [<t_1] × … × {t_s} × … × [<t_m].
@@ -185,7 +187,7 @@ impl ThresholdMachine {
             let mut picks = vec![0usize; self.entries.len()];
             picks[s] = ts;
             loop {
-                self.offer(indices, f, &picks, sig, counters);
+                self.offer(indices, f, &picks, sig, counters)?;
                 // Odometer over the other indices' prefixes [0, t_j).
                 let mut j = 0;
                 loop {
@@ -278,7 +280,7 @@ impl NeighborhoodMachine {
         f: &dyn RankFn,
         sig: &mut JoinSigCursor<'_>,
         counters: &mut ExpandCounters,
-    ) -> Option<JointState> {
+    ) -> Result<Option<JointState>, StorageError> {
         while let Some(StateItem { payload: picks, .. }) = self.lheap.pop() {
             counters.local_items -= 1;
             // Expand neighbors (+1 in each dimension).
@@ -290,12 +292,12 @@ impl NeighborhoodMachine {
                 }
             }
             let (state, combo) = combo_of(&self.entries, &picks);
-            if !sig.is_empty() && !sig.check_child(&self.key, &combo) {
+            if !sig.is_empty() && !sig.check_child(&self.key, &combo)? {
                 continue; // empty: traversed but not returned
             }
-            return Some(state);
+            return Ok(Some(state));
         }
-        None
+        Ok(None)
     }
 }
 
@@ -320,7 +322,7 @@ impl Machine {
         f: &dyn RankFn,
         sig: &mut JoinSigCursor<'_>,
         counters: &mut ExpandCounters,
-    ) -> Option<JointState> {
+    ) -> Result<Option<JointState>, StorageError> {
         match self {
             Machine::Threshold(m) => m.get_next(indices, f, sig, counters),
             Machine::Neighborhood(m) => m.get_next(indices, f, sig, counters),

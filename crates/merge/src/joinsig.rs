@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rcube_index::HierIndex;
-use rcube_storage::{DiskSim, PageId, PageStore};
+use rcube_storage::{DiskSim, PageId, PageStore, StorageError};
 use rcube_table::Tid;
 
 use crate::bloom::{BloomFilter, BloomView};
@@ -252,55 +252,55 @@ impl<'a> JoinSigCursor<'a> {
 
     /// True when the child `combo` of the state `key` (full, over all `m`
     /// indices) may be non-empty according to every signature.
-    pub fn check_child(&mut self, key: &StateKey, combo: &[u16]) -> bool {
+    pub fn check_child(&mut self, key: &StateKey, combo: &[u16]) -> Result<bool, StorageError> {
         for si in 0..self.sigs.len() {
             let sig = self.sigs[si];
             let sub_key: StateKey = sig.members.iter().map(|&i| key[i].clone()).collect();
             let sub_combo: Vec<u16> = sig.members.iter().map(|&i| combo[i]).collect();
             let code = encode_combo(&sig.bases, &sub_combo);
-            match self.view(si, sub_key) {
-                None => return false,
-                Some(bytes) => {
-                    if !state_sig_contains(&bytes, code) {
-                        return false;
-                    }
-                }
+            match self.view(si, sub_key)? {
+                Some(bytes) if state_sig_contains(&bytes, code) => {}
+                _ => return Ok(false),
             }
         }
-        true
+        Ok(true)
     }
 
     /// True when the state itself exists in every signature (corrects bloom
     /// false positives one level down, Section 5.3.3).
-    pub fn check_state(&mut self, key: &StateKey) -> bool {
+    pub fn check_state(&mut self, key: &StateKey) -> Result<bool, StorageError> {
         for si in 0..self.sigs.len() {
             let sig = self.sigs[si];
             let sub_key: StateKey = sig.members.iter().map(|&i| key[i].clone()).collect();
             if sub_key.iter().all(|p| p.is_empty()) {
                 continue; // root always exists
             }
-            if self.view(si, sub_key).is_none() {
-                return false;
+            if self.view(si, sub_key)?.is_none() {
+                return Ok(false);
             }
         }
-        true
+        Ok(true)
     }
 
     /// The cached payload view of a state signature, fetching (and
-    /// charging) it on first access.
-    fn view(&mut self, si: usize, key: StateKey) -> Option<Arc<[u8]>> {
+    /// charging) it on first access; a page that does not read back is a
+    /// typed error.
+    fn view(&mut self, si: usize, key: StateKey) -> Result<Option<Arc<[u8]>>, StorageError> {
         if let Some(v) = self.views.get(&(si, key.clone())) {
-            return v.clone();
+            return Ok(v.clone());
         }
         let sig = self.sigs[si];
-        let fetched = sig.page_of(&key).map(|page| {
-            let bytes = sig.store.get_bytes(self.disk, page);
-            self.loads += 1;
-            self.bytes_loaded += bytes.len() as u64;
-            bytes
-        });
+        let fetched = match sig.page_of(&key) {
+            Some(page) => {
+                let bytes = sig.store.try_get_bytes(self.disk, page)?;
+                self.loads += 1;
+                self.bytes_loaded += bytes.len() as u64;
+                Some(bytes)
+            }
+            None => None,
+        };
         self.views.insert((si, key), fetched.clone());
-        fetched
+        Ok(fetched)
     }
 
     /// True when no signatures are attached (pruning disabled).
@@ -380,7 +380,7 @@ mod tests {
         for a in 0..3u16 {
             for b in 0..3u16 {
                 assert_eq!(
-                    cursor.check_child(&root_key, &[a, b]),
+                    cursor.check_child(&root_key, &[a, b]).unwrap(),
                     truth.contains(&(a, b)),
                     "combo ({a},{b})"
                 );
@@ -399,9 +399,9 @@ mod tests {
         let sig = JoinSignature::build(&idx, &paths, &disk);
         let mut cursor = JoinSigCursor::new(vec![&sig], &disk);
         let root_key: StateKey = vec![vec![], vec![]];
-        assert!(!cursor.check_child(&root_key, &[0, 0]), "(a1,b1) must be empty");
+        assert!(!cursor.check_child(&root_key, &[0, 0]).unwrap(), "(a1,b1) must be empty");
         // t4 (A=50 in a2, B=45 in b2) makes (a2,b2) non-empty.
-        assert!(cursor.check_child(&root_key, &[1, 1]), "(a2,b2) must be non-empty");
+        assert!(cursor.check_child(&root_key, &[1, 1]).unwrap(), "(a2,b2) must be non-empty");
     }
 
     #[test]
@@ -437,8 +437,8 @@ mod tests {
             for b in 0..n0.min(4) {
                 for c in 0..n0.min(4) {
                     let combo = [a, b, c];
-                    if fc.check_child(&root_key, &combo) {
-                        assert!(pc.check_child(&root_key, &combo));
+                    if fc.check_child(&root_key, &combo).unwrap() {
+                        assert!(pc.check_child(&root_key, &combo).unwrap());
                     }
                 }
             }
@@ -477,9 +477,9 @@ mod tests {
         disk.reset_stats();
         let mut cursor = JoinSigCursor::new(vec![&sig], &disk);
         let root_key: StateKey = vec![vec![], vec![]];
-        cursor.check_child(&root_key, &[0, 0]);
-        cursor.check_child(&root_key, &[1, 1]);
-        cursor.check_child(&root_key, &[2, 2]);
+        cursor.check_child(&root_key, &[0, 0]).unwrap();
+        cursor.check_child(&root_key, &[1, 1]).unwrap();
+        cursor.check_child(&root_key, &[2, 2]).unwrap();
         assert_eq!(cursor.loads, 1, "same state signature loads once");
     }
 
@@ -492,8 +492,26 @@ mod tests {
         let mut cursor = JoinSigCursor::new(vec![&sig], &disk);
         // (a1, b1) is empty, so its state key is absent.
         let key: StateKey = vec![vec![0], vec![0]];
-        assert!(!cursor.check_state(&key));
+        assert!(!cursor.check_state(&key).unwrap());
         // Root key always passes.
-        assert!(cursor.check_state(&vec![vec![], vec![]]));
+        assert!(cursor.check_state(&vec![vec![], vec![]]).unwrap());
+    }
+
+    /// A state signature whose page no longer reads back is the store's
+    /// typed error, not a panic and not a verdict.
+    #[test]
+    fn an_unreadable_state_page_is_a_typed_error() {
+        let (disk, ta, tb) = setup();
+        let idx: Vec<&dyn HierIndex> = vec![&ta, &tb];
+        let paths = collect_tuple_paths(&idx);
+        let sig = JoinSignature::build(&idx, &paths, &disk);
+        let root_key: StateKey = vec![vec![], vec![]];
+        let page = sig.page_of(&root_key).expect("the root state is stored");
+        sig.store.retire(page).unwrap();
+        let mut cursor = JoinSigCursor::new(vec![&sig], &disk);
+        assert!(matches!(
+            cursor.check_child(&root_key, &[1, 1]),
+            Err(StorageError::MissingObject(p)) if p == page
+        ));
     }
 }

@@ -336,13 +336,14 @@ impl<'a> MergeSearch<'a> {
     }
 
     /// Pops and processes one frontier state; `false` when the frontier is
-    /// exhausted.
-    fn step(&mut self) -> bool {
+    /// exhausted. A join-signature page that does not read back is a typed
+    /// error.
+    fn step(&mut self) -> Result<bool, StorageError> {
         let state = &mut self.state;
         match &mut self.frontier {
             Frontier::Basic { heap } => {
                 let Some(StateItem { payload: s, .. }) = heap.pop() else {
-                    return false;
+                    return Ok(false);
                 };
                 if s.is_leaf(&state.indices) {
                     state.retrieve_leaf_state(&s);
@@ -379,7 +380,7 @@ impl<'a> MergeSearch<'a> {
             }
             Frontier::Progressive { heap, sig, expansion } => {
                 let Some(StateItem { bound, payload, .. }) = heap.pop() else {
-                    return false;
+                    return Ok(false);
                 };
                 match payload {
                     GEntry::Leaf(s) => state.retrieve_leaf_state(&s),
@@ -390,8 +391,8 @@ impl<'a> MergeSearch<'a> {
                                 // First expansion: bloom false positives are
                                 // corrected here — a state absent from the
                                 // signature is empty (Section 5.3.3).
-                                if !sig.is_empty() && !sig.check_state(&s.key(&state.indices)) {
-                                    return true;
+                                if !sig.is_empty() && !sig.check_state(&s.key(&state.indices))? {
+                                    return Ok(true);
                                 }
                                 make_machine(
                                     &state.indices,
@@ -400,11 +401,11 @@ impl<'a> MergeSearch<'a> {
                                     *expansion,
                                     sig,
                                     &mut self.counters,
-                                )
+                                )?
                             }
                         };
                         if let Some(child) =
-                            machine.get_next(&state.indices, state.f, sig, &mut self.counters)
+                            machine.get_next(&state.indices, state.f, sig, &mut self.counters)?
                         {
                             let cb = child.lower_bound(&state.indices, state.f);
                             self.seq += 1;
@@ -435,7 +436,7 @@ impl<'a> MergeSearch<'a> {
                 state.stats.peak_heap = state.stats.peak_heap.max(live.max(0) as u64);
             }
         }
-        true
+        Ok(true)
     }
 }
 
@@ -451,7 +452,7 @@ impl ProgressiveSearch for MergeSearch<'_> {
                     return Ok(Some((tid, score)));
                 }
             }
-            if !self.step() {
+            if !self.step()? {
                 return Ok(self.state.candidates.pop().map(|MinScored(s, t)| (t, s)));
             }
         }
@@ -475,17 +476,17 @@ fn make_machine(
     expansion: Expansion,
     sig: &mut JoinSigCursor<'_>,
     counters: &mut ExpandCounters,
-) -> Machine {
+) -> Result<Machine, StorageError> {
     let use_neighborhood = match expansion {
         Expansion::Neighborhood => true,
         Expansion::Threshold => false,
         Expansion::Auto => NeighborhoodMachine::applicable(indices, f),
     };
-    if use_neighborhood {
+    Ok(if use_neighborhood {
         Machine::Neighborhood(NeighborhoodMachine::new(indices, s, f, counters))
     } else {
-        Machine::Threshold(ThresholdMachine::new(indices, s, f, sig, counters))
-    }
+        Machine::Threshold(ThresholdMachine::new(indices, s, f, sig, counters)?)
+    })
 }
 
 #[cfg(test)]

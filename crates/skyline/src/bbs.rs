@@ -22,7 +22,7 @@ use rcube_core::sigcube::SignatureCube;
 use rcube_core::QueryStats;
 use rcube_index::rtree::RTree;
 use rcube_index::{HierIndex, NodeHandle};
-use rcube_storage::{DiskSim, IoSnapshot};
+use rcube_storage::{DiskSim, IoSnapshot, StorageError};
 use rcube_table::{Relation, Tid};
 
 use crate::dominance::{dominates, mindist, transform_point, transform_rect_min};
@@ -196,8 +196,13 @@ impl<'a> SkylineEngine<'a> {
         Self { rtree, cube }
     }
 
-    /// Answers a skyline query from scratch.
-    pub fn skyline(&self, query: &SkylineQuery, disk: &DiskSim) -> (SkylineResult, SkylineSession) {
+    /// Answers a skyline query from scratch. A signature read that fails
+    /// comes back typed.
+    pub fn skyline(
+        &self,
+        query: &SkylineQuery,
+        disk: &DiskSim,
+    ) -> Result<(SkylineResult, SkylineSession), StorageError> {
         self.run(Search::from_root(self.rtree, query, disk))
     }
 
@@ -209,7 +214,7 @@ impl<'a> SkylineEngine<'a> {
         session: &SkylineSession,
         query: &SkylineQuery,
         disk: &DiskSim,
-    ) -> (SkylineResult, SkylineSession) {
+    ) -> Result<(SkylineResult, SkylineSession), StorageError> {
         assert_eq!(session.query.pref_dims, query.pref_dims, "preference dims must match");
         assert_eq!(session.query.dynamic_point, query.dynamic_point, "dynamic point must match");
         let mut search = Search::new(self.rtree, query, disk);
@@ -220,19 +225,19 @@ impl<'a> SkylineEngine<'a> {
     }
 
     /// Drains `search`'s frontier under its query's selection.
-    fn run(&self, mut search: Search<'_>) -> (SkylineResult, SkylineSession) {
+    fn run(&self, mut search: Search<'_>) -> Result<(SkylineResult, SkylineSession), StorageError> {
         let query = search.query;
         let mut session =
             SkylineSession { pruned: Vec::new(), accepted: Vec::new(), query: query.clone() };
 
-        let Some(mut pruner) = self.cube.pruner_for(&query.selection, search.disk) else {
+        let Some(mut pruner) = self.cube.pruner_for(&query.selection, search.disk)? else {
             // Some predicate selects an empty cell: no answers; keep the
             // seeds, in the order they came, so a later roll-up can still
             // resume.
             let mut seeds = std::mem::take(&mut search.heap).into_vec();
             seeds.sort_by_key(|item| item.seq);
             session.pruned = seeds.into_iter().map(|item| (item.key, item.entry)).collect();
-            return (search.finish(), session);
+            return Ok((search.finish(), session));
         };
         let mut mask = Vec::new();
 
@@ -242,10 +247,7 @@ impl<'a> SkylineEngine<'a> {
                 SEntry::Node(_, sid, level) => (sid, Some(level)),
                 SEntry::Tuple(_, sid, _) => (sid, None),
             };
-            let admitted = pruner
-                .try_admit_entry(sid, node_level, &mut mask)
-                .unwrap_or_else(|e| panic!("skyline signature probe: {e}"));
-            if !admitted || search.dominated(&entry) {
+            if !pruner.try_admit_entry(sid, node_level, &mut mask)? || search.dominated(&entry) {
                 session.pruned.push((key, entry));
                 continue;
             }
@@ -260,7 +262,7 @@ impl<'a> SkylineEngine<'a> {
 
         search.stats.sig_loads = pruner.loads();
         search.stats.sig_bytes_decoded = pruner.bytes_decoded();
-        (search.finish(), session)
+        Ok((search.finish(), session))
     }
 }
 
@@ -316,7 +318,7 @@ mod tests {
         let engine = SkylineEngine::new(&rtree, &cube);
         for conds in [vec![], vec![(0usize, 1u32)], vec![(0, 2), (1, 3)]] {
             let q = SkylineQuery::new(conds, vec![0, 1]);
-            let (res, _) = engine.skyline(&q, &disk);
+            let (res, _) = engine.skyline(&q, &disk).unwrap();
             assert_eq!(sorted(res.tids), crate::bnl_skyline(&rel, &q), "query {:?}", q.selection);
         }
     }
@@ -326,7 +328,7 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(1_000);
         let engine = SkylineEngine::new(&rtree, &cube);
         let q = SkylineQuery::dynamic(vec![(1, 1)], vec![0, 1], vec![0.4, 0.6]);
-        let (res, _) = engine.skyline(&q, &disk);
+        let (res, _) = engine.skyline(&q, &disk).unwrap();
         assert_eq!(sorted(res.tids), crate::bnl_skyline(&rel, &q));
     }
 
@@ -344,7 +346,7 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(3_000);
         let engine = SkylineEngine::new(&rtree, &cube);
         let q = SkylineQuery::new(vec![(0, 1), (1, 2)], vec![0, 1]);
-        let (sig, _) = engine.skyline(&q, &disk);
+        let (sig, _) = engine.skyline(&q, &disk).unwrap();
         let rf = skyline_ranking_first(&rtree, &rel, &q, &disk);
         assert_eq!(sorted(sig.tids.clone()), sorted(rf.tids));
         assert!(
@@ -360,7 +362,7 @@ mod tests {
         let (_rel, disk, rtree, cube) = setup(300);
         let engine = SkylineEngine::new(&rtree, &cube);
         let q = SkylineQuery::new(vec![(0, 99)], vec![0, 1]);
-        let (res, session) = engine.skyline(&q, &disk);
+        let (res, session) = engine.skyline(&q, &disk).unwrap();
         assert!(res.tids.is_empty());
         assert!(session.frontier_len() > 0, "session must keep the seeds");
     }

@@ -8,7 +8,7 @@
 //! pruned stay pruned, so the navigation query touches far fewer nodes than
 //! a fresh search from the R-tree root.
 
-use rcube_storage::DiskSim;
+use rcube_storage::{DiskSim, StorageError};
 
 use crate::bbs::{SkylineEngine, SkylineSession};
 use crate::{SkylineQuery, SkylineResult};
@@ -22,7 +22,7 @@ impl<'a> SkylineEngine<'a> {
         dim: usize,
         value: u32,
         disk: &DiskSim,
-    ) -> (SkylineResult, SkylineSession) {
+    ) -> Result<(SkylineResult, SkylineSession), StorageError> {
         let q = session.query();
         let query = SkylineQuery {
             selection: q.selection.drill_down(dim, value),
@@ -39,7 +39,7 @@ impl<'a> SkylineEngine<'a> {
         session: &SkylineSession,
         dim: usize,
         disk: &DiskSim,
-    ) -> (SkylineResult, SkylineSession) {
+    ) -> Result<(SkylineResult, SkylineSession), StorageError> {
         let q = session.query();
         let query = SkylineQuery {
             selection: q.selection.roll_up(dim),
@@ -76,8 +76,8 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(1_500);
         let engine = SkylineEngine::new(&rtree, &cube);
         let base = SkylineQuery::new(vec![(0, 1)], vec![0, 1]);
-        let (_, session) = engine.skyline(&base, &disk);
-        let (dd, _) = engine.drill_down(&session, 1, 2, &disk);
+        let (_, session) = engine.skyline(&base, &disk).unwrap();
+        let (dd, _) = engine.drill_down(&session, 1, 2, &disk).unwrap();
         let fresh_q = SkylineQuery::new(vec![(0, 1), (1, 2)], vec![0, 1]);
         assert_eq!(sorted(dd.tids), crate::bnl_skyline(&rel, &fresh_q));
     }
@@ -87,8 +87,8 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(1_500);
         let engine = SkylineEngine::new(&rtree, &cube);
         let base = SkylineQuery::new(vec![(0, 1), (1, 2)], vec![0, 1]);
-        let (_, session) = engine.skyline(&base, &disk);
-        let (ru, _) = engine.roll_up(&session, 1, &disk);
+        let (_, session) = engine.skyline(&base, &disk).unwrap();
+        let (ru, _) = engine.roll_up(&session, 1, &disk).unwrap();
         let fresh_q = SkylineQuery::new(vec![(0, 1)], vec![0, 1]);
         assert_eq!(sorted(ru.tids), crate::bnl_skyline(&rel, &fresh_q));
     }
@@ -98,10 +98,10 @@ mod tests {
         let (_rel, disk, rtree, cube) = setup(4_000);
         let engine = SkylineEngine::new(&rtree, &cube);
         let base = SkylineQuery::new(vec![(0, 1)], vec![0, 1]);
-        let (_, session) = engine.skyline(&base, &disk);
-        let (dd, _) = engine.drill_down(&session, 1, 2, &disk);
+        let (_, session) = engine.skyline(&base, &disk).unwrap();
+        let (dd, _) = engine.drill_down(&session, 1, 2, &disk).unwrap();
         let fresh_q = SkylineQuery::new(vec![(0, 1), (1, 2)], vec![0, 1]);
-        let (fresh, _) = engine.skyline(&fresh_q, &disk);
+        let (fresh, _) = engine.skyline(&fresh_q, &disk).unwrap();
         assert_eq!(sorted(dd.tids.clone()), sorted(fresh.tids));
         assert!(
             dd.stats.blocks_read <= fresh.stats.blocks_read,
@@ -116,17 +116,17 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(1_000);
         let engine = SkylineEngine::new(&rtree, &cube);
         let base = SkylineQuery::new(vec![], vec![0, 1]);
-        let (_, s0) = engine.skyline(&base, &disk);
+        let (_, s0) = engine.skyline(&base, &disk).unwrap();
         let s1 = {
-            let (r, s) = engine.drill_down(&s0, 0, 1, &disk);
+            let (r, s) = engine.drill_down(&s0, 0, 1, &disk).unwrap();
             let q = SkylineQuery::new(vec![(0, 1)], vec![0, 1]);
             assert_eq!(sorted(r.tids), crate::bnl_skyline(&rel, &q));
             s
         };
-        let (r2, s2) = engine.drill_down(&s1, 2, 3, &disk);
+        let (r2, s2) = engine.drill_down(&s1, 2, 3, &disk).unwrap();
         let q2 = SkylineQuery::new(vec![(0, 1), (2, 3)], vec![0, 1]);
         assert_eq!(sorted(r2.tids), crate::bnl_skyline(&rel, &q2));
-        let (r3, _) = engine.roll_up(&s2, 0, &disk);
+        let (r3, _) = engine.roll_up(&s2, 0, &disk).unwrap();
         let q3 = SkylineQuery::new(vec![(2, 3)], vec![0, 1]);
         assert_eq!(sorted(r3.tids), crate::bnl_skyline(&rel, &q3));
     }
@@ -145,15 +145,15 @@ mod tests {
             seen.push((s.frontier_len(), r.stats.blocks_read, r.tids.len()));
             s
         };
-        let s = note(engine.skyline(&SkylineQuery::new(vec![], vec![0, 1]), &disk));
-        let s = note(engine.drill_down(&s, 0, 1, &disk));
-        let s = note(engine.drill_down(&s, 2, 3, &disk));
-        let s = note(engine.roll_up(&s, 0, &disk));
-        let s = note(engine.drill_down(&s, 1, 99, &disk)); // an empty cell keeps the seeds
-        note(engine.roll_up(&s, 1, &disk));
+        let s = note(engine.skyline(&SkylineQuery::new(vec![], vec![0, 1]), &disk).unwrap());
+        let s = note(engine.drill_down(&s, 0, 1, &disk).unwrap());
+        let s = note(engine.drill_down(&s, 2, 3, &disk).unwrap());
+        let s = note(engine.roll_up(&s, 0, &disk).unwrap());
+        let s = note(engine.drill_down(&s, 1, 99, &disk).unwrap()); // an empty cell keeps the seeds
+        note(engine.roll_up(&s, 1, &disk).unwrap());
         let q = SkylineQuery::dynamic(vec![(0, 1), (1, 2)], vec![0, 1], vec![0.4, 0.6]);
-        let s = note(engine.skyline(&q, &disk));
-        note(engine.roll_up(&s, 1, &disk));
+        let s = note(engine.skyline(&q, &disk).unwrap());
+        note(engine.roll_up(&s, 1, &disk).unwrap());
         assert_eq!(
             seen,
             [
@@ -174,8 +174,8 @@ mod tests {
         let (rel, disk, rtree, cube) = setup(800);
         let engine = SkylineEngine::new(&rtree, &cube);
         let base = SkylineQuery::dynamic(vec![(0, 1)], vec![0, 1], vec![0.5, 0.5]);
-        let (_, session) = engine.skyline(&base, &disk);
-        let (dd, _) = engine.drill_down(&session, 1, 0, &disk);
+        let (_, session) = engine.skyline(&base, &disk).unwrap();
+        let (dd, _) = engine.drill_down(&session, 1, 0, &disk).unwrap();
         let fresh = SkylineQuery::dynamic(vec![(0, 1), (1, 0)], vec![0, 1], vec![0.5, 0.5]);
         assert_eq!(sorted(dd.tids), crate::bnl_skyline(&rel, &fresh));
     }

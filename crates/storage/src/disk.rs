@@ -21,7 +21,7 @@ use rcube_obs::{Counter, Metrics};
 
 use crate::backend::{MemBackend, PageBackend, StorageError};
 use crate::buffer::StripedLruBuffer;
-use crate::file::FileBackend;
+use crate::file::{FileBackend, FileOptions};
 use crate::stats::IoStats;
 use crate::DEFAULT_PAGE_SIZE;
 
@@ -182,11 +182,12 @@ impl Default for DiskSim {
 /// [`PageStore::create_file`] / [`PageStore::open_file`] target a real
 /// cube file with checksummed pages and a byte-caching buffer pool.
 ///
-/// The infallible methods (`put`, `get_bytes`) keep the historical
-/// panic-on-invariant-violation contract for the in-memory hot paths; the
-/// `try_*` variants and [`PageStore::overwrite`] surface typed
-/// [`StorageError`]s and are what persistence-aware code (save/open,
-/// integrity scrubs, serving from possibly-corrupt files) should call.
+/// Reads and writes are fallible: the `try_*` methods and
+/// [`PageStore::overwrite`] surface typed [`StorageError`]s. `put` and
+/// `get_bytes` panic instead. No read path of the engine calls
+/// `get_bytes`, and `put` writes only the fresh in-memory stores of the
+/// grid and join-signature builds; both stay because the end-to-end
+/// benchmark harness calls them.
 #[derive(Debug, Clone)]
 pub struct PageStore {
     backend: Arc<dyn PageBackend>,
@@ -209,50 +210,41 @@ impl PageStore {
         Self { backend }
     }
 
-    /// Creates a fresh cube file at `path` (truncating an existing one).
+    /// Creates a fresh cube file at `path` (truncating an existing one)
+    /// under `opts`: a bare pool capacity in pages, or [`FileOptions`]
+    /// with a fault plan.
     pub fn create_file(
         path: impl AsRef<std::path::Path>,
         page_size: usize,
-        pool_pages: usize,
+        opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::create(path, page_size, pool_pages)?) })
+        Ok(Self { backend: Arc::new(FileBackend::create(path, page_size, opts)?) })
     }
 
-    /// [`Self::create_file`] with explicit [`crate::FileOptions`]
-    /// (fault plans, I/O mode) — the vacuum path uses this to thread a
-    /// scripted crash plan into the temp file it compacts into.
-    pub fn create_file_with(
-        path: impl AsRef<std::path::Path>,
-        page_size: usize,
-        opts: crate::FileOptions,
-    ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::create_with(path, page_size, opts)?) })
-    }
-
-    /// Opens an existing cube file read-only with the given pool capacity.
+    /// Opens an existing cube file read-only.
     pub fn open_file(
         path: impl AsRef<std::path::Path>,
-        pool_pages: usize,
+        opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::open(path, pool_pages)?) })
+        Ok(Self { backend: Arc::new(FileBackend::open(path, opts)?) })
     }
 
     /// Opens an existing cube file for writing: appends land after the
     /// newest committed generation, [`Self::flush`] commits the next one.
     pub fn open_file_writable(
         path: impl AsRef<std::path::Path>,
-        pool_pages: usize,
+        opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::open_writable(path, pool_pages)?) })
+        Ok(Self { backend: Arc::new(FileBackend::open_writable(path, opts)?) })
     }
 
     /// Opens an existing cube file read-only, pinned on its *previous*
     /// generation (scrub verification before a rollback).
     pub fn open_file_previous(
         path: impl AsRef<std::path::Path>,
-        pool_pages: usize,
+        opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::open_previous(path, pool_pages)?) })
+        Ok(Self { backend: Arc::new(FileBackend::open_previous(path, opts)?) })
     }
 
     /// The backing device.

@@ -143,9 +143,10 @@ pub struct FileOptions {
     pub faults: Option<Arc<FaultPlan>>,
 }
 
-impl FileOptions {
-    pub fn with_pool(pool_pages: usize) -> Self {
-        Self { pool_pages, ..Self::default() }
+/// A bare pool capacity in pages, no fault plan: what most opens pass.
+impl From<usize> for FileOptions {
+    fn from(pool_pages: usize) -> Self {
+        Self { pool_pages, faults: None }
     }
 }
 
@@ -204,21 +205,14 @@ type SlotPair = (Result<Superblock, StorageError>, Result<Superblock, StorageErr
 
 impl FileBackend {
     /// Creates a fresh cube file at `path` (truncating any existing file)
-    /// with the given page size and buffer-pool capacity in pages.
+    /// with the given page size, under `opts` (a bare buffer-pool
+    /// capacity in pages, or [`FileOptions`] with a fault plan).
     pub fn create(
         path: impl AsRef<Path>,
         page_size: usize,
-        pool_pages: usize,
+        opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Self::create_with(path, page_size, FileOptions::with_pool(pool_pages))
-    }
-
-    /// Creates a fresh cube file with explicit [`FileOptions`].
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        page_size: usize,
-        opts: FileOptions,
-    ) -> Result<Self, StorageError> {
+        let opts = opts.into();
         if !(MIN_PAGE_SIZE..=MAX_PAGE_SIZE).contains(&page_size) {
             return Err(StorageError::BadLength { page: 0, len: page_size, max: MAX_PAGE_SIZE });
         }
@@ -273,20 +267,21 @@ impl FileBackend {
     /// generation, validating the elected superblock slot (magic, CRC,
     /// version, page-size bounds), the file length against the recorded
     /// page count, and the allocation map.
-    pub fn open(path: impl AsRef<Path>, pool_pages: usize) -> Result<Self, StorageError> {
-        Self::open_impl(path, FileOptions::with_pool(pool_pages), false, false)
-    }
-
-    /// [`Self::open`] with explicit [`FileOptions`].
-    pub fn open_with(path: impl AsRef<Path>, opts: FileOptions) -> Result<Self, StorageError> {
-        Self::open_impl(path, opts, false, false)
+    pub fn open(
+        path: impl AsRef<Path>,
+        opts: impl Into<FileOptions>,
+    ) -> Result<Self, StorageError> {
+        Self::open_impl(path, opts.into(), false, false)
     }
 
     /// Opens read-only pinned on the *previous* generation (the losing,
     /// still-valid slot) — the scrub path verifies it before rolling the
     /// open pointer back.
-    pub fn open_previous(path: impl AsRef<Path>, pool_pages: usize) -> Result<Self, StorageError> {
-        Self::open_impl(path, FileOptions::with_pool(pool_pages), false, true)
+    pub fn open_previous(
+        path: impl AsRef<Path>,
+        opts: impl Into<FileOptions>,
+    ) -> Result<Self, StorageError> {
+        Self::open_impl(path, opts.into(), false, true)
     }
 
     /// Opens an existing cube file for writing: elects the newest
@@ -296,17 +291,11 @@ impl FileBackend {
     /// `<path>.lock` file — a second writer fails fast with
     /// [`StorageError::WriterLocked`], and stale locks left by dead
     /// writers are taken over (see [`crate::lock`]).
-    pub fn open_writable(path: impl AsRef<Path>, pool_pages: usize) -> Result<Self, StorageError> {
-        Self::open_impl(path, FileOptions::with_pool(pool_pages), true, false)
-    }
-
-    /// [`Self::open_writable`] with explicit [`FileOptions`] (a scripted
-    /// media-fault plan, when one is attached).
-    pub fn open_writable_with(
+    pub fn open_writable(
         path: impl AsRef<Path>,
-        opts: FileOptions,
+        opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Self::open_impl(path, opts, true, false)
+        Self::open_impl(path, opts.into(), true, false)
     }
 
     /// Reads both superblock slot heads. Slot 1 lives at `page_size`
@@ -1174,7 +1163,7 @@ mod tests {
             let plan = FaultPlan::new();
             let faulted = FileOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
             for opts in [FileOptions::default(), faulted] {
-                let be = FileBackend::open_with(&path, opts).unwrap();
+                let be = FileBackend::open(&path, opts).unwrap();
                 let err = be.get(&disk, PageId(DATA_START)).unwrap_err();
                 assert_eq!(format!("{err:?}"), expected, "{what}");
             }
@@ -1199,7 +1188,7 @@ mod tests {
         };
         let plan = FaultPlan::new();
         let opts = FileOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
-        let be = FileBackend::open_with(&path, opts).unwrap();
+        let be = FileBackend::open(&path, opts).unwrap();
         let opened = plan.reads_observed();
         assert_eq!(&be.get(&disk, id).unwrap()[..], &[9u8; 400][..]);
         assert_eq!(plan.reads_observed() - opened, 2);
@@ -1460,7 +1449,7 @@ mod tests {
         plan.crash_after_page_writes(0, CrashMode::Dropped);
         {
             let opts = FileOptions { pool_pages: 4, faults: Some(Arc::clone(&plan)) };
-            let be = FileBackend::open_writable_with(&path, opts).unwrap();
+            let be = FileBackend::open_writable(&path, opts).unwrap();
             let b = be.put(&disk, vec![2u8; 50]).unwrap();
             be.set_catalog(b).unwrap();
             be.flush().unwrap(); // "succeeds" — but nothing persisted

@@ -47,7 +47,7 @@ fn main() {
     // 1. Skyline of apartments with in-unit laundry: nothing cheaper AND
     //    closer exists.
     let q = SkylineQuery::new(vec![(0, 1)], vec![0, 1]);
-    let (sky, session) = engine.skyline(&q, &disk);
+    let (sky, session) = engine.skyline(&q, &disk).expect("skyline");
     println!("skyline with in-unit laundry: {} apartments", sky.tids.len());
     assert_eq!(
         {
@@ -59,7 +59,7 @@ fn main() {
     );
 
     // 2. Drill down: also require parking — reuses the frontier.
-    let (sky2, session2) = engine.drill_down(&session, 1, 1, &disk);
+    let (sky2, session2) = engine.drill_down(&session, 1, 1, &disk).expect("skyline");
     println!(
         "+ parking: {} apartments ({} blocks read on reuse)",
         sky2.tids.len(),
@@ -67,13 +67,13 @@ fn main() {
     );
 
     // 3. Roll up: drop the laundry requirement.
-    let (sky3, _) = engine.roll_up(&session2, 0, &disk);
+    let (sky3, _) = engine.roll_up(&session2, 0, &disk).expect("skyline");
     println!("parking only: {} apartments", sky3.tids.len());
 
     // 4. Dynamic skyline around a commute sweet spot: rent ≈ 0.4 of
     //    budget, distance ≈ 0.3 (near the office, not downtown).
     let dq = SkylineQuery::dynamic(vec![(2, 1)], vec![0, 1], vec![0.4, 0.3]);
-    let (dyn_sky, _) = engine.skyline(&dq, &disk);
+    let (dyn_sky, _) = engine.skyline(&dq, &disk).expect("skyline");
     println!(
         "dynamic skyline around (rent 0.4, distance 0.3), pets ok: {} apartments",
         dyn_sky.tids.len()

@@ -78,7 +78,7 @@ fn main() {
                 }
             }
             WorkloadOp::Query(spec) => {
-                answers += engine.query(&query_of(&spec)).items.len() as u64;
+                answers += engine.query(&query_of(&spec)).expect("query").items.len() as u64;
                 queries += 1;
             }
         }
@@ -100,7 +100,7 @@ fn main() {
     // The background daemon watches the memtable depth and folds pending
     // writes into the base past the watermark — ingest keeps serving the
     // same answers straight through the fold and generation swap.
-    let served = engine.query(&probe);
+    let served = engine.query(&probe).expect("query");
     let daemon = engine
         .start_maintenance(MaintenanceConfig {
             flush_watermark_ops: 16,
@@ -109,7 +109,11 @@ fn main() {
         })
         .expect("a delta cube is registered");
     while daemon.flushes_completed() == 0 {
-        assert_eq!(engine.query(&probe).items, served.items, "answers never waver mid-flush");
+        assert_eq!(
+            engine.query(&probe).expect("query").items,
+            served.items,
+            "answers never waver mid-flush"
+        );
     }
     daemon.stop();
     let stats = delta.stats();
@@ -117,7 +121,11 @@ fn main() {
         "daemon flushed: generation {}, memtable {} ops, WAL {} bytes",
         stats.serving_generation, stats.memtable_ops, stats.wal_bytes
     );
-    assert_eq!(engine.query(&probe).items, served.items, "the flush is answer-neutral");
+    assert_eq!(
+        engine.query(&probe).expect("query").items,
+        served.items,
+        "the flush is answer-neutral"
+    );
 
     // More writes land after the flush; drop everything mid-stream and
     // reopen — the WAL replays the un-flushed tail, the cube file holds

@@ -47,7 +47,7 @@ fn main() {
 
     // COW maintenance commits the next generation and leaves retired
     // pages behind — the backlog the vacuum exists to reclaim.
-    let (mut wcube, mut wrtree) = SignatureCube::open_writable(&path).expect("writer open");
+    let (mut wcube, mut wrtree) = SignatureCube::open_writable(&path, 256).expect("writer open");
     for tid in base..full.len() {
         let updates = wrtree.insert(&disk, tid as u32, full.ranking_point(tid as u32));
         apply_path_updates(
@@ -87,7 +87,7 @@ fn main() {
     let delta = Arc::new(DeltaCube::open(&path, full.clone(), opts).expect("delta open"));
     let engine = Engine::new(full).with_delta(Arc::clone(&delta));
     let query = Query::select([(0usize, 1u32)]).rank(Linear::uniform(2)).top(8);
-    let served = engine.query(&query);
+    let served = engine.query(&query).expect("query");
     let generation = delta.serving_generation();
 
     let daemon = engine
@@ -100,7 +100,7 @@ fn main() {
     while daemon.vacuums_completed() == 0 {
         // Queries opened before the swap ride the old inode through it:
         // answers never waver mid-vacuum.
-        assert_eq!(engine.query(&query).items, served.items);
+        assert_eq!(engine.query(&query).expect("query").items, served.items);
     }
     println!(
         "daemon vacuumed: {} pages reclaimed in {} cycle(s), {} lock conflicts",
@@ -129,7 +129,11 @@ fn main() {
         bytes_before / 1024
     );
     assert_eq!(delta.serving_generation(), sb.generation);
-    assert_eq!(engine.query(&query).items, served.items, "vacuum must be answer-neutral");
+    assert_eq!(
+        engine.query(&query).expect("query").items,
+        served.items,
+        "vacuum must be answer-neutral"
+    );
     println!(
         "engine serves the compacted file (generation {generation} -> {}): {}",
         sb.generation,

@@ -50,7 +50,7 @@ fn main() {
     // Step 1: top-5 Dell low-end notebooks (drill-down via the builder).
     let dell_q =
         Query::select([(1, LOW_END)]).and(0, DELL).rank(Linear::new(weights.clone())).top(5);
-    let dell_top = engine.query(&dell_q);
+    let dell_top = engine.query(&dell_q).expect("query");
     println!("top-5 dell low-end notebooks (market-potential deficit):");
     for (tid, score) in &dell_top.items {
         println!("  nb #{tid}: {score:.4}");
@@ -97,7 +97,8 @@ fn main() {
 
     // The paginated list is exactly what a fresh top-15 would return —
     // minus the repeated work.
-    let fresh = engine.query(&Query::select([(1, LOW_END)]).rank(Linear::new(weights)).top(15));
+    let fresh = Query::select([(1, LOW_END)]).rank(Linear::new(weights)).top(15);
+    let fresh = engine.query(&fresh).expect("query");
     let paginated: Vec<(u32, f64)> = all_top.iter().chain(&more).copied().collect();
     assert_eq!(fresh.items, paginated);
     assert!(fresh.stats.blocks_read > stats.blocks_read - at_5);

@@ -34,7 +34,7 @@ fn main() {
     println!("=== mixed workload ===");
     for v in 0..6u32 {
         let q = Query::select([(0, v)]).rank(Linear::uniform(2)).top(10);
-        let res = engine.query(&q);
+        let res = engine.query(&q).expect("query");
         println!(
             "  select d0={v}: {} answers, {} blocks read via {:?}",
             res.items.len(),
@@ -59,7 +59,7 @@ fn main() {
     // selection — exactly the kind of query a slow log should surface.
     let cold = Query::select([(0, 1)]).rank_on(vec![2], Linear::uniform(1)).top(10);
     assert_eq!(engine.route(&cold), Route::Scan);
-    engine.query(&cold);
+    engine.query(&cold).expect("query");
 
     println!("\n=== slow-query log ===");
     for rec in engine.slow_queries().iter().rev().take(3) {

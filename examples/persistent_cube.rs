@@ -115,7 +115,7 @@ fn commit_while_serving() {
 
     // Mid-stream, the writer patches the affected cells (COW) and commits
     // the next generation into the inactive superblock slot.
-    let (mut wcube, mut wrtree) = SignatureCube::open_writable(&path).expect("writer open");
+    let (mut wcube, mut wrtree) = SignatureCube::open_writable(&path, 256).expect("writer open");
     for tid in base..full.len() {
         let updates = wrtree.insert(&disk, tid as u32, full.ranking_point(tid as u32));
         apply_path_updates(

@@ -70,6 +70,6 @@ fn main() {
     );
 
     // Batch callers get the same answers through the same door.
-    let result = engine.query(&query);
+    let result = engine.query(&query).expect("query");
     assert_eq!(result.tids(), vec![1, 6]);
 }

@@ -40,7 +40,7 @@ fn main() {
 
     let query = Query::select([(0, 2), (1, 1)]).rank(Linear::uniform(2)).top(5);
     assert_eq!(engine.route(&query), Route::Sharded);
-    let result = engine.query(&query);
+    let result = engine.query(&query).expect("query");
     println!("\n=== scatter-gather top-5 via {:?} ===", Route::Sharded);
     for (tid, score) in &result.items {
         println!("  tid {tid:>5}  score {score:.4}");

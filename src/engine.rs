@@ -31,7 +31,7 @@
 //! # Graceful degradation
 //!
 //! Typed [`StorageError`]s from file-backed paths do not abort a batch
-//! query ([`Engine::try_query`]):
+//! query ([`Engine::query`]):
 //!
 //! * **Transient faults** (interrupted/timed-out I/O,
 //!   [`StorageError::is_transient`]) are retried on the same route with
@@ -484,7 +484,7 @@ impl Engine {
     /// registered source. Answers stream in ascending score order;
     /// `extend_k` paginates without re-running (see
     /// `rcube_core::query` for the full contract). Storage faults during
-    /// streaming surface to the caller; [`Self::try_query`] adds the
+    /// streaming surface to the caller; [`Self::query`] adds the
     /// retry/fallback orchestration for batch answers.
     pub fn open<'e>(&'e self, query: &'e Query) -> Result<TopKCursor<'e>, StorageError> {
         let plan = query.plan();
@@ -493,21 +493,14 @@ impl Engine {
         self.open_route(route, &plan)
     }
 
-    /// Batch convenience: open, drain `k` answers, return the result.
-    /// Storage corruption that survives the retry/fallback ladder panics;
-    /// use [`Self::try_query`] to observe it as a typed error.
-    pub fn query(&self, query: &Query) -> TopKResult {
-        self.try_query(query).unwrap_or_else(|e| panic!("storage error during query: {e}"))
-    }
-
-    /// Fallible [`Self::query`] with graceful degradation (module docs):
-    /// transient faults retry on the same route with bounded backoff,
-    /// persistent faults quarantine the route and fall back to the next
-    /// candidate, down to the always-available scan. The downgrade is
-    /// visible in the result's `QueryStats` (`path_retries`,
-    /// `path_fallbacks`); an error escapes only when the scan itself
-    /// fails.
-    pub fn try_query(&self, query: &Query) -> Result<TopKResult, StorageError> {
+    /// Batch answer: open, drain `k` answers, return the result, with
+    /// graceful degradation (module docs): transient faults retry on the
+    /// same route with bounded backoff, persistent faults quarantine the
+    /// route and fall back to the next candidate, down to the
+    /// always-available scan. The downgrade is visible in the result's
+    /// `QueryStats` (`path_retries`, `path_fallbacks`); an error escapes
+    /// only when the scan itself fails.
+    pub fn query(&self, query: &Query) -> Result<TopKResult, StorageError> {
         let threshold = self.slow_threshold_ns.load(Ordering::Relaxed);
         let trace = (threshold != SLOW_LOG_OFF).then(|| Arc::new(QueryTrace::new(TRACE_CAP)));
         let start = Instant::now();
@@ -520,7 +513,13 @@ impl Engine {
         Ok(res)
     }
 
-    /// The retry/fallback ladder behind [`Self::try_query`] and
+    /// [`Self::query`]; the end-to-end benchmark harness calls it by this
+    /// name.
+    pub fn try_query(&self, query: &Query) -> Result<TopKResult, StorageError> {
+        self.query(query)
+    }
+
+    /// The retry/fallback ladder behind [`Self::query`] and
     /// [`Self::explain_analyze`]: runs `query` to completion, attaching
     /// `trace` (when given) to the answering cursor so every pull lands
     /// in the trace ring. Returns the result, the route that actually
@@ -773,10 +772,10 @@ impl Engine {
         })
     }
 
-    /// Arms the slow-query log: any [`Self::query`]/[`Self::try_query`]
-    /// taking at least `threshold` wall-clock is captured with its full
-    /// trace and plan report (bounded to the most recent 64). A zero
-    /// threshold captures everything — handy in tests and demos.
+    /// Arms the slow-query log: any [`Self::query`] taking at least
+    /// `threshold` wall-clock is captured with its full trace and plan
+    /// report (bounded to the most recent 64). A zero threshold captures
+    /// everything — handy in tests and demos.
     pub fn set_slow_query_log(&self, threshold: Duration) {
         self.slow_threshold_ns.store(threshold.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -898,7 +897,7 @@ mod tests {
         });
         let q1 = Query::select([(0, 1)]).rank_on(vec![1], Linear::uniform(1)).top(5);
         assert_eq!(narrow.route(&q1), Route::Scan);
-        let res = narrow.query(&q1);
+        let res = narrow.query(&q1).unwrap();
         assert!(!res.items.is_empty(), "scan fallback must still answer");
         let q0 = Query::select([(0, 1)]).rank_on(vec![0], Linear::uniform(1)).top(5);
         assert_eq!(narrow.route(&q0), Route::Grid, "covered dims stay on the cube");
@@ -906,7 +905,11 @@ mod tests {
         // An explicit cuboid cover pins the route to the grid engine.
         let qc = Query::select([(0, 1)]).rank(Linear::uniform(2)).via_cuboids(vec![vec![0]]).top(5);
         assert_eq!(eng.route(&qc), Route::Grid);
-        assert_eq!(eng.query(&qc).items, eng.query(&q).items, "cover {{0}} answers identically");
+        assert_eq!(
+            eng.query(&qc).unwrap().items,
+            eng.query(&q).unwrap().items,
+            "cover {{0}} answers identically"
+        );
     }
 
     #[test]
@@ -922,8 +925,8 @@ mod tests {
 
         let q = Query::select([(0, 2)]).rank(Linear::uniform(2)).top(9);
         assert_eq!(eng.route(&q), Route::Sharded, "the shard set outranks the grid");
-        let got = eng.query(&q);
-        assert_eq!(got.items, unsharded.query(&q).items, "scatter-gather changes nothing");
+        let got = eng.query(&q).unwrap();
+        assert_eq!(got.items, unsharded.query(&q).unwrap().items, "scatter-gather changes nothing");
         // A shard opens iff its box bound reaches the k-th answer.
         let (plan, kth) = (q.plan(), got.items[8].1);
         let set = eng.sharded_cube().expect("registered");
@@ -950,7 +953,7 @@ mod tests {
     fn engine_answers_match_naive_scan() {
         let eng = engine(1_500);
         let q = Query::select([(0, 1), (1, 2)]).rank(Linear::uniform(2)).top(10);
-        let got = eng.query(&q);
+        let got = eng.query(&q).unwrap();
         let sel = Selection::new(vec![(0, 1), (1, 2)]);
         let rel = eng.relation();
         let mut want: Vec<f64> = rel
@@ -982,7 +985,7 @@ mod tests {
 
         // A fresh top-10 run reads at least as much as the extension did.
         let q10 = Query::select([(0, 2)]).rank(Linear::new(vec![0.7, 0.3])).top(10);
-        let fresh = eng.query(&q10);
+        let fresh = eng.query(&q10).unwrap();
         let both: Vec<_> = first.iter().chain(&rest).map(|&(t, s)| (t, s)).collect();
         assert_eq!(fresh.items, both, "split+extend must equal a fresh top-10");
         assert!(
@@ -997,7 +1000,7 @@ mod tests {
         let eng = Engine::new(rel);
         let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(4);
         assert_eq!(eng.route(&q), Route::Scan);
-        let res = eng.query(&q);
+        let res = eng.query(&q).unwrap();
         assert!(res.items.len() <= 4);
         assert!(res.stats.blocks_read > 0, "scan charges page reads");
     }
@@ -1010,13 +1013,13 @@ mod tests {
 
         // Two injected transient failures: attempt 1 and 2 die, 3 answers.
         faults.fail_next_reads(2);
-        let res = eng.try_query(&q).expect("transient faults must be absorbed by retry");
+        let res = eng.query(&q).expect("transient faults must be absorbed by retry");
         assert_eq!(res.stats.path_retries, 2, "both retries surfaced in stats");
         assert_eq!(res.stats.path_fallbacks, 0, "the route itself recovered");
         assert!(eng.quarantined().is_empty(), "transient faults must not quarantine");
 
         // Same answers as a fault-free run.
-        let clean = eng.try_query(&q).expect("clean run");
+        let clean = eng.query(&q).expect("clean run");
         assert_eq!(res.items, clean.items);
         assert_eq!(clean.stats.path_retries, 0);
     }
@@ -1030,7 +1033,7 @@ mod tests {
         // fails with a (non-transient) checksum error on first touch.
         corrupt_probed_cell(&eng, &faults);
 
-        let degraded = eng.try_query(&q).expect("scan fallback must answer");
+        let degraded = eng.query(&q).expect("scan fallback must answer");
         assert_eq!(degraded.stats.path_fallbacks, 1, "one route abandoned");
         let quarantined = eng.quarantined();
         assert_eq!(quarantined.len(), 1);
@@ -1041,7 +1044,7 @@ mod tests {
         let scan_only = Engine::new(
             SyntheticSpec { tuples: 700, cardinality: 4, ..Default::default() }.generate(),
         );
-        assert_eq!(degraded.items, scan_only.query(&q).items);
+        assert_eq!(degraded.items, scan_only.query(&q).unwrap().items);
 
         // Subsequent queries skip the quarantined route up front, and the
         // plan says why…
@@ -1063,7 +1066,7 @@ mod tests {
         faults.heal();
         eng.clear_quarantine();
         assert_eq!(eng.route(&q), Route::Delta);
-        let healed = eng.try_query(&q).expect("healed route serves again");
+        let healed = eng.query(&q).expect("healed route serves again");
         assert_eq!(healed.items, degraded.items);
         assert_eq!(healed.stats.path_fallbacks, 0);
     }
@@ -1097,7 +1100,7 @@ mod tests {
         let run = || {
             let (eng, faults, _file) = faulted_delta_engine(600);
             faults.fail_next_reads(2);
-            eng.try_query(&q).expect("retries absorb the faults")
+            eng.query(&q).expect("retries absorb the faults")
         };
 
         let first = run();
@@ -1116,7 +1119,7 @@ mod tests {
 
         // The fast path reports zero.
         let (eng, _, _file) = faulted_delta_engine(600);
-        let clean = eng.try_query(&q).expect("clean run");
+        let clean = eng.query(&q).expect("clean run");
         assert_eq!(clean.stats.backoff_ns, 0);
     }
 
@@ -1136,7 +1139,7 @@ mod tests {
 
         // Writer API: a better-scoring insert shows up at rank 1.
         let tid = eng.insert(&[1, 0, 0], &[0.0001, 0.0001]).expect("insert through engine");
-        let res = eng.query(&q);
+        let res = eng.query(&q).unwrap();
         assert_eq!(res.items[0].0, tid, "fresh insert must win the top-k");
         assert!(res.stats.delta_mem_answers >= 1, "overlay contribution surfaces in stats");
 
@@ -1152,7 +1155,7 @@ mod tests {
         let base_winner = res.items[1].0;
         eng.delete(tid).expect("delete through engine");
         eng.delete(base_winner).expect("delete base tuple through engine");
-        let after = eng.query(&q);
+        let after = eng.query(&q).unwrap();
         assert!(after.items.iter().all(|&(t, _)| t != tid && t != base_winner));
         assert!(after.stats.delta_masked >= 1, "masked base answers are counted");
 
@@ -1199,7 +1202,7 @@ mod tests {
 
         // Condemn the delta route with a persistent checksum fault.
         corrupt_probed_cell(&eng, &faults);
-        let degraded = eng.try_query(&q).expect("scan fallback answers");
+        let degraded = eng.query(&q).expect("scan fallback answers");
         assert_eq!(eng.quarantined().len(), 1);
 
         // The flips live in the media plan: the file on disk scrubs clean.
@@ -1215,7 +1218,7 @@ mod tests {
         eng.repair_path(Route::Delta, &file.0).expect("scrub + targeted unquarantine");
         assert!(eng.quarantined().is_empty());
         assert_eq!(eng.route(&q), Route::Delta);
-        let healed = eng.try_query(&q).expect("restored route serves");
+        let healed = eng.query(&q).expect("restored route serves");
         assert_eq!(healed.items, degraded.items, "repair changed the path, not the answer");
     }
 }

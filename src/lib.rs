@@ -65,7 +65,7 @@
 //! assert_eq!(cursor.next().map(|(tid, _)| tid), Some(0)); // the runner-up
 //!
 //! // Batch callers drain a cursor behind the same door.
-//! let result = engine.query(&Query::select([(0, 0)]).rank(Linear::uniform(2)).top(2));
+//! let result = engine.query(&Query::select([(0, 0)]).rank(Linear::uniform(2)).top(2)).unwrap();
 //! assert_eq!(result.tids(), vec![1, 0]);
 //! ```
 //!
@@ -94,7 +94,7 @@
 //!     .with_sharded_cube(ShardedCubeConfig { shards: 4, ..Default::default() });
 //! let query = Query::select([(0, 0)]).rank(Linear::uniform(2)).top(3);
 //! assert_eq!(engine.route(&query), Route::Sharded);
-//! let result = engine.query(&query);
+//! let result = engine.query(&query).unwrap();
 //! let set = engine.sharded_cube().unwrap();
 //! let fanout = set.last_fanout().unwrap(); // per-shard pulls/answers/blocks inside
 //! assert_eq!(result.stats.shards_opened, fanout.opened() as u64);
@@ -148,11 +148,11 @@
 //! let tid = engine.insert(&[0], &[0.01, 0.01]).unwrap();
 //! let query = Query::select([(0, 0)]).rank(Linear::uniform(2)).top(1);
 //! assert_eq!(engine.route(&query), Route::Delta);
-//! assert_eq!(engine.query(&query).tids(), vec![tid]); // the new tuple wins
+//! assert_eq!(engine.query(&query).unwrap().tids(), vec![tid]); // the new tuple wins
 //!
 //! // Background merge: answers are unchanged, the memtable empties.
 //! delta.flush().unwrap();
-//! assert_eq!(engine.query(&query).tids(), vec![tid]);
+//! assert_eq!(engine.query(&query).unwrap().tids(), vec![tid]);
 //! assert_eq!(engine.stats_snapshot().delta.unwrap().memtable_ops, 0);
 //! # let wal = delta.wal_path().to_path_buf();
 //! # drop(engine); drop(delta);
@@ -190,7 +190,7 @@
 //!
 //! // Slow-query log: threshold zero captures everything.
 //! engine.set_slow_query_log(std::time::Duration::ZERO);
-//! engine.query(&query);
+//! engine.query(&query).unwrap();
 //! assert_eq!(engine.slow_queries().len(), 1);
 //!
 //! // Export: Prometheus text or JSON for scraping.

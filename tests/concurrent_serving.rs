@@ -459,7 +459,7 @@ fn a_route_condemned_on_one_thread_is_skipped_by_the_next_open_on_another() {
         let (eng, q, expected) = (&eng, &q, &expected);
         // Thread A runs into the fault: the route is quarantined.
         s.spawn(move || {
-            let degraded = eng.try_query(q).expect("the scan answers");
+            let degraded = eng.query(q).expect("the scan answers");
             assert_eq!(degraded.stats.path_fallbacks, 1);
             condemned.send(()).unwrap();
         });
@@ -526,7 +526,7 @@ fn explain_analyze_reports_its_own_fan_out_under_a_second_client() {
         s.spawn(|| {
             running.wait();
             while !stop.load(Ordering::Relaxed) {
-                assert_eq!(eng.query(&theirs).items.len(), 40);
+                assert_eq!(eng.query(&theirs).unwrap().items.len(), 40);
             }
         });
         running.wait();

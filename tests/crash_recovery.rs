@@ -27,9 +27,7 @@ use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{ScrubOutcome, SignatureCube, SignatureCubeConfig};
 use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
-use ranking_cube::storage::{
-    CrashMode, DiskSim, FaultPlan, FileBackend, FileOptions, PageStore, StorageError,
-};
+use ranking_cube::storage::{CrashMode, DiskSim, FaultPlan, FileOptions, PageStore, StorageError};
 use ranking_cube::table::gen::SyntheticSpec;
 use ranking_cube::table::Relation;
 
@@ -87,9 +85,7 @@ fn open_readonly(path: &Path) -> (SignatureCube, RTree) {
 
 fn faulted_writable(path: &Path, plan: &Arc<FaultPlan>) -> PageStore {
     let opts = FileOptions { pool_pages: WRITER_POOL, faults: Some(Arc::clone(plan)) };
-    PageStore::with_backend(Arc::new(
-        FileBackend::open_writable_with(path, opts).expect("open writable (faulted)"),
-    ))
+    PageStore::open_file_writable(path, opts).expect("open writable (faulted)")
 }
 
 /// One maintenance round: insert tuples `from..to` of `full` into the
@@ -294,9 +290,7 @@ proptest::proptest! {
         let plan = FaultPlan::new();
         plan.corrupt_byte(offset, 1 << bit);
         let opts = FileOptions { pool_pages: 32, faults: Some(Arc::clone(&plan)) };
-        let opened = FileBackend::open_with(&path, opts)
-            .map(|be| PageStore::with_backend(Arc::new(be)))
-            .and_then(SignatureCube::open_store);
+        let opened = PageStore::open_file(&path, opts).and_then(SignatureCube::open_store);
         match opened {
             Err(_) => {} // superblock / alloc map / catalog rejected the flip
             Ok((cube, rtree)) => {

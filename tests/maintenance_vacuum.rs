@@ -527,7 +527,7 @@ fn engine_serves_through_live_vacuum_and_refreshes() {
     let retired = FileBackend::peek_superblock(&path).expect("peek").retired_pages;
     let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(8);
     assert_eq!(eng.route(&q), Route::Delta);
-    let before = eng.query(&q);
+    let before = eng.query(&q).unwrap();
     let mut pinned = eng.open(&q).expect("open before the vacuum");
     let head = pinned.next().expect("a first answer");
 
@@ -535,7 +535,7 @@ fn engine_serves_through_live_vacuum_and_refreshes() {
     let sched = eng.start_maintenance(config()).expect("a delta cube is registered");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while sched.vacuums_completed() == 0 && std::time::Instant::now() < deadline {
-        assert_eq!(eng.query(&q).items, before.items, "engine answers drifted mid-vacuum");
+        assert_eq!(eng.query(&q).unwrap().items, before.items, "engine answers drifted mid-vacuum");
     }
     assert_eq!(sched.vacuums_completed(), 1, "{:?}", sched.last_error());
     assert_eq!(sched.pages_reclaimed(), retired);
@@ -552,7 +552,7 @@ fn engine_serves_through_live_vacuum_and_refreshes() {
     assert_eq!(drained, before.items, "the pinned generation outlives the swap");
     drop(pinned);
     // …new queries answer the same, and the next flush parses the new file.
-    assert_eq!(eng.query(&q).items, before.items, "re-election changed an answer");
+    assert_eq!(eng.query(&q).unwrap().items, before.items, "re-election changed an answer");
     assert!(eng.quarantined().is_empty());
     eng.insert(&[2, 1, 0], &[0.7, 0.3]).expect("insert");
     assert_eq!(delta.flush().expect("flush onto the compacted file").cold_opens, 1);

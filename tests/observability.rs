@@ -180,7 +180,7 @@ fn explain_analyze_reconciles_on_every_route() {
 
         // The analyze answer matches a plain batch run (same engine,
         // same query → same certified top-k).
-        let batch = eng.query(&q);
+        let batch = eng.query(&q).unwrap();
         assert_eq!(report.items, batch.items, "{want_route:?}: analyze must not perturb answers");
     }
 }
@@ -298,12 +298,12 @@ fn slow_query_log_captures_plan_trace_and_is_bounded() {
     let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(5);
 
     // Disarmed by default: nothing is captured.
-    eng.query(&q);
+    eng.query(&q).unwrap();
     assert!(eng.slow_queries().is_empty(), "log must stay empty until armed");
 
     // Threshold zero captures everything, with full plan + trace.
     eng.set_slow_query_log(Duration::ZERO);
-    let res = eng.query(&q);
+    let res = eng.query(&q).unwrap();
     let log = eng.slow_queries();
     assert_eq!(log.len(), 1);
     let rec = &log[0];
@@ -315,14 +315,14 @@ fn slow_query_log_captures_plan_trace_and_is_bounded() {
 
     // Bounded: the ring keeps the most recent 64.
     for _ in 0..70 {
-        eng.query(&q);
+        eng.query(&q).unwrap();
     }
     assert_eq!(eng.slow_queries().len(), 64);
 
     // Disarm + clear.
     eng.disable_slow_query_log();
     eng.clear_slow_queries();
-    eng.query(&q);
+    eng.query(&q).unwrap();
     assert!(eng.slow_queries().is_empty());
 }
 
@@ -333,7 +333,7 @@ fn stats_snapshot_and_exports_cover_engine_series() {
     let eng = Engine::new(rel(1_000, 4, 41))
         .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() });
     for v in 0..4 {
-        eng.query(&Query::select([(0, v)]).rank(Linear::uniform(2)).top(5));
+        eng.query(&Query::select([(0, v)]).rank(Linear::uniform(2)).top(5)).unwrap();
     }
 
     let stats = eng.stats_snapshot();
@@ -367,8 +367,8 @@ fn stats_snapshot_and_exports_cover_engine_series() {
     )
     .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() });
     let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(5);
-    let a = bare.query(&q);
-    let b = eng.query(&q);
+    let a = bare.query(&q).unwrap();
+    let b = eng.query(&q).unwrap();
     assert_eq!(a.items, b.items, "instrumentation must not change answers");
     assert!(bare.metrics().snapshot().counters.is_empty(), "disabled registry records nothing");
 }
@@ -400,7 +400,7 @@ fn delta_route_lights_the_node_cache_and_tells_the_folds_reads_apart() {
     let mut lap = |eng: &Engine| {
         for q in &queries {
             assert_eq!(eng.route(q), Route::Delta);
-            let stats = eng.query(q).stats;
+            let stats = eng.query(q).unwrap().stats;
             shared += stats.shared_node_hits;
             decoded += stats.sig_nodes_decoded;
             loads += stats.sig_loads;

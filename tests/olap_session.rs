@@ -72,17 +72,17 @@ fn skyline_navigation_chain() {
     let engine = SkylineEngine::new(&rtree, &cube);
 
     let q0 = SkylineQuery::new(vec![], vec![0, 1]);
-    let (_, s0) = engine.skyline(&q0, &disk);
+    let (_, s0) = engine.skyline(&q0, &disk).unwrap();
     // Drill 0=1 → drill 1=2 → roll 0 → drill 2=0 → roll 1.
-    let (r1, s1) = engine.drill_down(&s0, 0, 1, &disk);
+    let (r1, s1) = engine.drill_down(&s0, 0, 1, &disk).unwrap();
     check(&rel, &r1.tids, vec![(0, 1)]);
-    let (r2, s2) = engine.drill_down(&s1, 1, 2, &disk);
+    let (r2, s2) = engine.drill_down(&s1, 1, 2, &disk).unwrap();
     check(&rel, &r2.tids, vec![(0, 1), (1, 2)]);
-    let (r3, s3) = engine.roll_up(&s2, 0, &disk);
+    let (r3, s3) = engine.roll_up(&s2, 0, &disk).unwrap();
     check(&rel, &r3.tids, vec![(1, 2)]);
-    let (r4, s4) = engine.drill_down(&s3, 2, 0, &disk);
+    let (r4, s4) = engine.drill_down(&s3, 2, 0, &disk).unwrap();
     check(&rel, &r4.tids, vec![(1, 2), (2, 0)]);
-    let (r5, _) = engine.roll_up(&s4, 1, &disk);
+    let (r5, _) = engine.roll_up(&s4, 1, &disk).unwrap();
     check(&rel, &r5.tids, vec![(2, 0)]);
 }
 

@@ -77,8 +77,8 @@ fn table_5_2_index_merge_example() {
     let paths = ranking_cube::merge::joinsig::collect_tuple_paths(&idx);
     let sig = JoinSignature::build(&idx, &paths, &disk);
     let mut cursor = JoinSigCursor::new(vec![&sig], &disk);
-    assert!(!cursor.check_child(&vec![vec![], vec![]], &[0, 0]));
-    assert!(cursor.check_child(&vec![vec![], vec![]], &[1, 1]));
+    assert!(!cursor.check_child(&vec![vec![], vec![]], &[0, 0]).unwrap());
+    assert!(cursor.check_child(&vec![vec![], vec![]], &[1, 1]).unwrap());
 }
 
 /// Intro Example 1, Q2: quadratic target queries over the cube.

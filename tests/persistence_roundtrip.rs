@@ -265,8 +265,8 @@ proptest::proptest! {
             .collect();
         let naive = |prefix: &[u16]| matching.iter().any(|p| p.starts_with(prefix));
 
-        let assembled = cube.assemble(&sel, &disk);
-        let lazy_file = reopened.pruner_for(&sel, &disk2);
+        let assembled = cube.assemble(&sel, &disk).unwrap();
+        let lazy_file = reopened.pruner_for(&sel, &disk2).unwrap();
         proptest::prop_assert_eq!(
             lazy_file.is_some(),
             assembled.as_ref().is_some_and(|s| !s.is_empty())

@@ -177,7 +177,7 @@ fn corrupted_shard_degrades_per_shard_and_repairs() {
     // restores it.
     let cube = ShardedCube::open_from(&manifest).expect("reopen for serving");
     let eng = Engine::new(relation.clone()).with_prebuilt_sharded(cube);
-    let degraded = eng.try_query(&q).expect("scan fallback must answer");
+    let degraded = eng.query(&q).expect("scan fallback must answer");
     assert_eq!(degraded.stats.path_fallbacks, 1, "one route abandoned");
     let quarantined = eng.quarantined();
     assert_eq!(quarantined.len(), 1);
@@ -187,7 +187,7 @@ fn corrupted_shard_degrades_per_shard_and_repairs() {
 
     // Degradation changed the path, never the answer.
     let scan_only = Engine::new(relation.clone());
-    assert_eq!(degraded.items, scan_only.query(&q).items);
+    assert_eq!(degraded.items, scan_only.query(&q).unwrap().items);
 
     // Repair: restore the pristine bytes, reopen just shard 1.
     std::fs::write(&shard1, &pristine).expect("restore shard file");
@@ -195,7 +195,7 @@ fn corrupted_shard_degrades_per_shard_and_repairs() {
     eng.repair_shard(1).expect("repair reopens the healed shard");
     assert!(eng.quarantined().is_empty(), "the shard's entries are lifted");
     assert_eq!(eng.route(&q), Route::Sharded, "the set serves again");
-    let healed = eng.query(&q);
+    let healed = eng.query(&q).unwrap();
     assert_eq!(healed.items, degraded.items, "repair changed the path, not the answer");
 
     std::fs::remove_dir_all(&dir).ok();
