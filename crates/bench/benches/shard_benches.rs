@@ -17,13 +17,18 @@
 //!   - the 4-shard set opens fewer than 4 shards a query on average
 //!     (`opened_per_query_4s` < 4) and reads at most 1.6× the blocks the
 //!     1-shard set reads (`blocks_4s_over_1s` ≤ 1.6);
+//!   - the 1-shard set is the grid route: per query it answers and reads
+//!     exactly the blocks of the unsharded cube `GridRankingCube::build`
+//!     made (`one_shard_reads_the_grid_blocks`) — its cursor is its
+//!     shard's own, so its blocks come from that cursor's stats, with no
+//!     fan-out to read them from;
 //!   - per-shard I/O is reproducible: re-running a query yields
 //!     identical per-shard pulls/answers/blocks (pulls are a pure
 //!     function of the consumed-answer sequence, not thread timing).
 //! * **Throughput scaling** (wall-clock): aggregate queries/sec at 1, 2
 //!   and 4 shards through `par_query`. Since the parallel batch drain was
-//!   deleted that is the sequential cursor merge, which no shard count
-//!   speeds up: the 4-shard gate (≥ 2.5× one shard, a clock gate with a
+//!   deleted that is the sequential cursor merge (at 1 shard, the shard's
+//!   own cursor, merging nothing), which no shard count speeds up: the 4-shard gate (≥ 2.5× one shard, a clock gate with a
 //!   floor of 4 hardware threads) was written for the parallel path and
 //!   stays until the scaling question is asked of another path.
 
@@ -87,8 +92,8 @@ fn setup() -> Setup {
     Setup { unsharded, disk: DiskSim::with_defaults(), sets, dir, queries }
 }
 
-fn unsharded_answers(s: &Setup, q: &Query) -> Vec<(rcube_table::Tid, f64)> {
-    s.unsharded.source(&s.disk).query(&q.plan()).expect("unsharded query").items
+fn unsharded(s: &Setup, q: &Query) -> rcube_core::TopKResult {
+    s.unsharded.source(&s.disk).query(&q.plan()).expect("unsharded query")
 }
 
 /// Aggregate queries/sec pushing the Zipf mix through `par_query` (the
@@ -120,17 +125,26 @@ fn main() {
     for (n, cube) in &s.sets {
         let (mut blocks, mut opened) = (0u64, 0usize);
         for (qi, q) in queries.iter().enumerate() {
-            let expect = unsharded_answers(&s, q);
+            let expect = unsharded(&s, q);
             let merged = cube.source().query(&q.plan()).expect("cursor merge");
             assert_eq!(
-                merged.items, expect,
+                merged.items, expect.items,
                 "shards={n} query {qi}: merged top-k must be byte-identical to unsharded"
             );
             let batch = cube.par_query(&q.plan()).expect("par_query");
             assert_eq!(
-                batch.items, expect,
+                batch.items, expect.items,
                 "shards={n} query {qi}: par_query must match the unsharded answer"
             );
+            if *n == 1 {
+                // A set of one is its shard's own cursor: no fan-out.
+                assert_eq!(
+                    merged.stats.blocks_read, expect.stats.blocks_read,
+                    "query {qi}: one shard must read the unsharded grid's blocks"
+                );
+                blocks += merged.stats.blocks_read;
+                continue;
+            }
 
             // The stop rule: a shard left unopened has a box bound above
             // the k-th answer.
@@ -236,7 +250,8 @@ fn main() {
         .with("blocks_per_query_4s", fixed(blocks_per_query_4s, 4))
         .with("opened_per_query_4s", fixed(opened_per_query_4s, 4))
         .with("blocks_4s_over_1s", fixed(blocks_4s_over_1s, 4))
-        .with("opens_by_shard_4s", opens_by_shard_4s);
+        .with("opens_by_shard_4s", opens_by_shard_4s)
+        .with("one_shard_reads_the_grid_blocks", true);
     report
         .set("tuples", TUPLES)
         .set("queries", QUERIES)
@@ -258,6 +273,11 @@ fn main() {
         "counters.blocks_4s_over_1s",
         "<= 1.6",
         "region shards read about what one cube reads",
+    );
+    report.counter_gate(
+        "counters.one_shard_reads_the_grid_blocks",
+        "== true",
+        "a set of one answers with its shard's own grid cursor",
     );
     report.write();
 

@@ -58,10 +58,10 @@
 //!
 //! # Degradation unit: the shard
 //!
-//! A shard that fails (torn page, checksum mismatch) — on its open or on
-//! a pull — is marked in the cube's health table before the error
-//! propagates, so the serving layer can quarantine per-(route, shard) and
-//! fall back while the other shards stay reopenable;
+//! A shard that fails (torn page, checksum mismatch) on a pull is marked
+//! in the cube's health table before the error propagates, so the
+//! serving layer can quarantine per-(route, shard) and fall back while
+//! the other shards stay reopenable;
 //! [`ShardedCube::repair_shard`] reopens just the failed file. While no
 //! shard is failed — the serving state — the table is never locked:
 //! `can_answer` and `open` read one atomic count of failed shards,
@@ -71,13 +71,25 @@
 //!
 //! Two clients on one set write none of each other's cache lines beyond
 //! the buffer-pool stripes they both read: per-shard instruments are
-//! thread-striped, the cover is resolved once per query for the whole set
-//! (every shard is built from one `CuboidSpec`; a set whose shard files
-//! disagree resolves per shard), and the fan-out of a query lives **on its
-//! cursor** ([`TopKCursor::fanout`]) — that is what `explain_analyze`
-//! reads. [`ShardedCube::last_fanout`] remains as the single-client
-//! convenience: a process-wide "most recently finished" slot any
-//! concurrent cursor overwrites on drop, rewritten in place.
+//! thread-striped, the cover is resolved once per query, on shard 0, for
+//! the whole set (every shard is built from one `CuboidSpec`, and a set
+//! whose shard files disagree on cuboids does not open), and the fan-out
+//! of a query lives **on its cursor** ([`TopKCursor::fanout`]) — that is
+//! what `explain_analyze` reads. [`ShardedCube::last_fanout`] remains as
+//! the single-client convenience: a process-wide "most recently finished"
+//! slot any concurrent cursor overwrites on drop, rewritten in place.
+//!
+//! # A set of one is the grid route
+//!
+//! A grid cube is a set of one shard ([`ShardedCube::of_grid`], or a build
+//! with `shards: 1`), and the engine labels it `Route::Grid`. Its local
+//! tids are the global ones — a build gives `0..n`, and a one-shard
+//! manifest's own validation admits no other list — so the set hands back
+//! its shard's own cursor: no frontier, no tid map, no fan-out, no
+//! `last_fanout`, and a fault on a pull is the route's, not marked in the
+//! health table. Its pool and meter are the grid's:
+//! [`ShardedCube::attach_metrics`] names them `grid.pool.…` and `disk.…`
+//! and registers no per-shard series.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -211,19 +223,15 @@ impl Shard {
         Ok(Shard { cube, disk: DiskSim::with_defaults(), tids, region, path: Some(path) })
     }
 
-    /// Opens a cursor over this shard's *local* tids; `cover` is the
-    /// set-wide grid cover when the set resolved one
-    /// ([`ShardedCube::shared_cover`]).
-    fn open<'a>(
-        &'a self,
-        plan: &QueryPlan<'a>,
-        cover: Option<&[usize]>,
-    ) -> Result<TopKCursor<'a>, StorageError> {
-        let source = self.cube.source(&self.disk);
-        match cover {
-            Some(cover) => Ok(source.open_covered(plan, cover)),
-            None => source.open(plan),
-        }
+    /// Opens a cursor over this shard's *local* tids on the set-wide
+    /// `cover`, resolved on shard 0.
+    fn open<'a>(&'a self, plan: &QueryPlan<'a>, cover: &[usize]) -> TopKCursor<'a> {
+        self.cube.source(&self.disk).open_covered(plan, cover)
+    }
+
+    /// This shard's grid cube.
+    pub fn cube(&self) -> &GridRankingCube {
+        &self.cube
     }
 
     /// Cumulative I/O this shard has served (its private meter).
@@ -347,16 +355,8 @@ pub struct ShardedCube {
     /// lock with Release; the serving paths load it with Acquire and skip
     /// the lock while it is zero.
     failed: AtomicUsize,
-    /// Every shard's cube has the same cuboids, so one resolved cover
-    /// serves them all ([`Self::shared_cover`]).
-    uniform_grid: bool,
     instruments: OnceLock<Vec<ShardInstruments>>,
     last_fanout: Mutex<Option<FanoutReport>>,
-}
-
-/// Whether one grid cover, resolved on the first shard, is every shard's.
-fn uniform_grid(shards: &[Shard]) -> bool {
-    shards.first().is_some_and(|first| shards.iter().all(|s| s.cube.same_cuboids(&first.cube)))
 }
 
 impl ShardedCube {
@@ -370,11 +370,22 @@ impl ShardedCube {
         Self::assemble(shards, None, cfg.pool_pages)
     }
 
+    /// The set of one shard over `cube`, an already-materialized grid cube
+    /// of all of `rel` (e.g. reopened from its file): the grid route
+    /// (module docs, *A set of one is the grid route*).
+    pub fn of_grid(rel: &Relation, cube: GridRankingCube) -> Self {
+        let tids: Vec<Tid> = rel.tids().collect();
+        let region = region_of(rel, &tids);
+        let shard = Shard { cube, disk: DiskSim::with_defaults(), tids, region, path: None };
+        Self::assemble(vec![shard], None, DEFAULT_POOL_PAGES)
+    }
+
+    /// Binds shards — at least one, every one with the same cuboids — into
+    /// a set.
     fn assemble(shards: Vec<Shard>, manifest_path: Option<PathBuf>, pool_pages: usize) -> Self {
         Self {
             health: Mutex::new(vec![None; shards.len()]),
             failed: AtomicUsize::new(0),
-            uniform_grid: uniform_grid(&shards),
             shards,
             manifest_path,
             pool_pages,
@@ -423,6 +434,9 @@ impl ShardedCube {
 
     /// [`Self::open_from`] with explicit per-shard buffer-pool capacity.
     /// `_parallelism` is ignored, like [`ShardedCubeConfig::parallelism`].
+    /// A manifest whose shard files disagree on cuboids is `Malformed`: the
+    /// set resolves one cover, on shard 0, for every shard. (A one-shard
+    /// manifest's tids are `0..n` by [`ShardManifest::validate`].)
     pub fn open_from_with(
         manifest_path: impl AsRef<Path>,
         pool_pages: usize,
@@ -436,6 +450,9 @@ impl ShardedCube {
         for (path, entry) in paths.into_iter().zip(manifest.shards) {
             let region = Rect::new(entry.lo, entry.hi);
             shards.push(Shard::open_file(path, pool_pages, entry.tids, region)?);
+        }
+        if !shards.iter().all(|s| s.cube.same_cuboids(&shards[0].cube)) {
+            return Err(StorageError::Malformed("shard files disagree on cuboids"));
         }
         Ok(Self::assemble(shards, Some(manifest_path), pool_pages))
     }
@@ -463,24 +480,6 @@ impl ShardedCube {
     /// No shard is marked failed (one Acquire load, no lock).
     fn is_healthy(&self) -> bool {
         self.failed.load(Ordering::Acquire) == 0
-    }
-
-    /// The typed refusal of a set with a failed shard.
-    fn check_healthy(&self) -> Result<(), StorageError> {
-        if self.is_healthy() {
-            Ok(())
-        } else {
-            Err(StorageError::Malformed(
-                "sharded cube has a failed shard; repair it before querying",
-            ))
-        }
-    }
-
-    /// The grid cover of `plan` resolved once for the whole set, when every
-    /// shard would resolve the same one.
-    fn shared_cover(&self, plan: &QueryPlan<'_>) -> Option<Vec<usize>> {
-        let first = self.shards.first().filter(|_| self.uniform_grid)?;
-        Some(first.cube.plan_cover(plan))
     }
 
     /// Binds the set to its scatter-gather [`RankedSource`].
@@ -512,16 +511,19 @@ impl ShardedCube {
 
     /// Reopens one failed shard from its file and clears its health
     /// entry. The other shards (and their warm pools) are untouched —
-    /// repair is per-shard, not per-set.
+    /// repair is per-shard, not per-set. A file that no longer has the
+    /// shard's cuboids is `Malformed`, as at open.
     pub fn repair_shard(&mut self, shard: usize) -> Result<(), StorageError> {
         let s =
             self.shards.get(shard).ok_or(StorageError::Malformed("shard index out of range"))?;
         let path =
             s.path.clone().ok_or(StorageError::Malformed("in-memory shards cannot be reopened"))?;
         let fresh = Shard::open_file(path, self.pool_pages, s.tids.clone(), s.region.clone())?;
+        if !fresh.cube.same_cuboids(&s.cube) {
+            return Err(StorageError::Malformed("shard files disagree on cuboids"));
+        }
         fresh.cube.verify_integrity()?;
         self.shards[shard] = fresh;
-        self.uniform_grid = uniform_grid(&self.shards);
         if self.health.lock().unwrap()[shard].take().is_some() {
             self.failed.fetch_sub(1, Ordering::Release);
         }
@@ -543,8 +545,15 @@ impl ShardedCube {
     /// Mirrors per-shard activity into `metrics`: pool series under
     /// `sharded.shard<i>.pool.…`, plus per-shard
     /// `opens`/`pulls`/`answers`/`blocks_read` counters and a `pull_us`
-    /// latency histogram. Call once at registration.
+    /// latency histogram. Call once at registration. A set of one is the
+    /// grid: its pool lands under `grid.pool.…`, its meter under `disk.…`,
+    /// and it registers no per-shard series.
     pub fn attach_metrics(&self, metrics: &Metrics) {
+        if let [shard] = self.shards.as_slice() {
+            shard.cube.store().attach_metrics(metrics, "grid");
+            shard.disk.attach_metrics(metrics);
+            return;
+        }
         let ins = self
             .shards
             .iter()
@@ -583,10 +592,7 @@ impl ShardedCube {
 /// Field-wise accumulation of per-shard cursor stats into a roll-up
 /// (sums everywhere, max for the heap watermark).
 fn merge_stats(acc: &mut QueryStats, s: &QueryStats) {
-    acc.io.logical_reads += s.io.logical_reads;
-    acc.io.disk_reads += s.io.disk_reads;
-    acc.io.writes += s.io.writes;
-    acc.io.random_accesses += s.io.random_accesses;
+    acc.io = acc.io + s.io;
     acc.blocks_read += s.blocks_read;
     acc.tuples_scored += s.tuples_scored;
     acc.peak_heap = acc.peak_heap.max(s.peak_heap);
@@ -602,7 +608,7 @@ fn merge_stats(acc: &mut QueryStats, s: &QueryStats) {
 
 /// The shard set as one [`RankedSource`]: opens a scatter-gather cursor
 /// whose answers are byte-identical to an unsharded cube over the same
-/// relation.
+/// relation — for a set of one, that cube's own cursor.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedSource<'a> {
     cube: &'a ShardedCube,
@@ -611,7 +617,14 @@ pub struct ShardedSource<'a> {
 impl<'a> RankedSource<'a> for ShardedSource<'a> {
     fn open(&self, plan: &QueryPlan<'a>) -> Result<TopKCursor<'a>, StorageError> {
         let cube = self.cube;
-        cube.check_healthy()?;
+        if !cube.is_healthy() {
+            let why = "sharded cube has a failed shard; repair it before querying";
+            return Err(StorageError::Malformed(why));
+        }
+        let cover = cube.shards[0].cube.plan_cover(plan);
+        if let [shard] = cube.shards.as_slice() {
+            return Ok(shard.open(plan, &cover));
+        }
         let frontiers: Vec<Frontier<'a>> = cube
             .shards
             .iter()
@@ -632,15 +645,8 @@ impl<'a> RankedSource<'a> for ShardedSource<'a> {
         // A stable sort: equal bounds keep shard order.
         let mut order: Vec<usize> = (0..frontiers.len()).collect();
         order.sort_by(|&a, &b| frontiers[a].bound.total_cmp(&frontiers[b].bound));
-        let search = ShardedSearch {
-            cube,
-            plan: *plan,
-            cover: cube.shared_cover(plan),
-            frontiers,
-            order,
-            opened: 0,
-            target: plan.k,
-        };
+        let search =
+            ShardedSearch { cube, plan: *plan, cover, frontiers, order, opened: 0, target: plan.k };
         Ok(TopKCursor::new(Box::new(search), plan.k))
     }
 }
@@ -712,8 +718,8 @@ fn pull_frontier<'a>(
 struct ShardedSearch<'a> {
     cube: &'a ShardedCube,
     plan: QueryPlan<'a>,
-    /// The set-wide grid cover, when every shard resolves the same one.
-    cover: Option<Vec<usize>>,
+    /// The set-wide grid cover, resolved on shard 0.
+    cover: Vec<usize>,
     frontiers: Vec<Frontier<'a>>,
     /// Shard indices by ascending `(bound, index)`: the open order.
     order: Vec<usize>,
@@ -748,24 +754,15 @@ impl ShardedSearch<'_> {
             .min_by(|(_, (at, a)), (_, (bt, b))| a.total_cmp(b).then(at.cmp(bt)))
     }
 
-    /// Opens the next shard of `order`; an error marks it failed.
-    fn open_next(&mut self) -> Result<(), StorageError> {
-        let (cube, plan) = (self.cube, self.plan);
+    /// Opens the next shard of `order`.
+    fn open_next(&mut self) {
+        let cube = self.cube;
         let f = &mut self.frontiers[self.order[self.opened]];
         self.opened += 1;
-        match cube.shards[f.shard].open(&plan, self.cover.as_deref()) {
-            Ok(cursor) => {
-                f.cursor = Some(cursor);
-                f.state = FState::NeedsPull;
-                if let Some(ins) = cube.instruments.get() {
-                    ins[f.shard].opens.inc();
-                }
-                Ok(())
-            }
-            Err(e) => {
-                cube.mark_failed(f.shard, e.to_string());
-                Err(e)
-            }
+        f.cursor = Some(cube.shards[f.shard].open(&self.plan, &self.cover));
+        f.state = FState::NeedsPull;
+        if let Some(ins) = cube.instruments.get() {
+            ins[f.shard].opens.inc();
         }
     }
 
@@ -794,7 +791,7 @@ impl ProgressiveSearch for ShardedSearch<'_> {
             let next = self.order.get(self.opened).map(|&i| self.frontiers[i].bound);
             match (next, best) {
                 (Some(bound), Some((_, (_, score)))) if bound > score => break best,
-                (Some(_), _) => self.open_next()?,
+                (Some(_), _) => self.open_next(),
                 (None, _) => break best,
             }
         };
@@ -868,15 +865,21 @@ mod tests {
         SyntheticSpec { tuples: 3000, ..Default::default() }.generate()
     }
 
-    fn unsharded_answers(rel: &Relation, query: &Query, k: usize) -> Vec<(Tid, f64)> {
+    fn unsharded(rel: &Relation, query: &Query, k: usize) -> TopKResult {
         let disk = DiskSim::with_defaults();
         let cube = GridRankingCube::build(rel, &disk, GridCubeConfig::default());
         let plan = query.plan();
         let mut local = plan;
         local.k = k;
-        cube.source(&disk).query(&local).unwrap().items
+        cube.source(&disk).query(&local).unwrap()
     }
 
+    fn unsharded_answers(rel: &Relation, query: &Query, k: usize) -> Vec<(Tid, f64)> {
+        unsharded(rel, query, k).items
+    }
+
+    /// Every set answers as one cube does; a set of one is that cube's own
+    /// cursor (its blocks, no fan-out), a larger set reports its fan-out.
     #[test]
     fn sharded_merge_matches_unsharded() {
         let rel = rel();
@@ -885,13 +888,20 @@ mod tests {
             let cube = ShardedCube::build_in_memory(&rel, &cfg);
             for k in [1, 7, 25] {
                 let query = Query::select([(0, 3)]).rank(Linear::uniform(2)).top(k);
-                let expect = unsharded_answers(&rel, &query, k);
-                let got = cube.source().query(&query.plan()).unwrap();
+                let expect = unsharded(&rel, &query, k);
+                let mut cursor = cube.source().open(&query.plan()).unwrap();
+                let got = cursor.try_drain().unwrap();
                 let at = format!("shards={shards} k={k}");
-                assert_eq!(got.items, expect, "{at}");
-                let fanout = cube.last_fanout().expect("fan-out recorded on drop");
-                assert_eq!(got.stats.shards_opened, fanout.opened() as u64, "{at}");
-                assert_eq!(cube.par_query(&query.plan()).unwrap().items, expect, "{at}");
+                assert_eq!(got.items, expect.items, "{at}");
+                if shards == 1 {
+                    assert!(cursor.fanout().is_none(), "{at}");
+                    assert_eq!(got.stats.blocks_read, expect.stats.blocks_read, "{at}");
+                } else {
+                    let fanout = cursor.fanout().expect("a merge reports its fan-out");
+                    assert_eq!(got.stats.shards_opened, fanout.opened() as u64, "{at}");
+                    assert_eq!(got.stats.blocks_read, fanout.blocks_read(), "{at}");
+                }
+                assert_eq!(cube.par_query(&query.plan()).unwrap().items, expect.items, "{at}");
             }
         }
     }

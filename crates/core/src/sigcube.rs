@@ -1396,8 +1396,14 @@ impl SignatureCube {
     /// the file backend's commit) the allocation map — and stays on disk
     /// for readers pinned on older generations. Only once the commit
     /// stands do `rtree` and the column learn where their written objects
-    /// live.
+    /// live. A store with no file generation (the in-memory simulator,
+    /// whose object ids come from the meter that writes them) is a typed
+    /// error: there is nothing to publish, and the throwaway meter below
+    /// would hand out ids that partials already hold.
     pub fn commit(&mut self, rtree: &mut RTree) -> Result<Committed, StorageError> {
+        if self.store.generation().is_none() {
+            return Err(StorageError::Malformed("commit needs a file-backed store"));
+        }
         let scratch = DiskSim::new(DEFAULT_PAGE_SIZE, 0);
         let mut written = 0;
         let (mut w, table) = self.encode_catalog(
@@ -2549,6 +2555,17 @@ mod tests {
             other => panic!("expected the ENOSPC write back typed, got {:?}", other.err()),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A commit over an in-memory store is refused before it writes: the
+    /// cube still verifies and answers as built.
+    #[test]
+    fn a_commit_over_an_in_memory_store_is_a_typed_error() {
+        let (_, _, mut rtree, mut cube) = setup(300);
+        cube.verify_integrity().expect("built cube verifies");
+        let err = cube.commit(&mut rtree).expect_err("nothing to publish in memory");
+        assert!(matches!(err, StorageError::Malformed(m) if m.contains("file-backed")), "{err:?}");
+        cube.verify_integrity().expect("a refused commit wrote nothing");
     }
 
     /// The signature catalog decodes any bytes to a cube or a typed error,

@@ -102,6 +102,20 @@ impl IoSnapshot {
     }
 }
 
+/// Field-wise sum: the I/O of two meters together.
+impl std::ops::Add for IoSnapshot {
+    type Output = IoSnapshot;
+
+    fn add(self, o: IoSnapshot) -> IoSnapshot {
+        IoSnapshot {
+            logical_reads: self.logical_reads + o.logical_reads,
+            disk_reads: self.disk_reads + o.disk_reads,
+            writes: self.writes + o.writes,
+            random_accesses: self.random_accesses + o.random_accesses,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,12 +19,14 @@
 //! 2. **Partitioned cube set** — grid shards, one per region of the
 //!    ranking space, opened in the order of their box bounds and merged
 //!    on the calling thread by the bound-driven scatter-gather cursor
-//!    (`rcube_core::shard`). It is preferred over the single grid cube
-//!    because registering a set asks for what only it gives: a pool and
-//!    meter per shard, and a failure unit of one shard (see below);
+//!    (`rcube_core::shard`): a pool and meter per shard, and a failure
+//!    unit of one shard (see below);
 //! 3. **Grid ranking cube** — covering cuboids over the selection, the
 //!    paper's primary engine (materialized in full or as the linear-space
-//!    ranking fragments of Section 3.4: a `CuboidSpec`, not a route);
+//!    ranking fragments of Section 3.4: a `CuboidSpec`, not a route). It
+//!    is the same [`ShardedCube`] holding one shard, which answers with
+//!    its shard's own cursor: routes 2 and 3 are one grid-family set, one
+//!    per engine, labelled by its shard count;
 //! 4. **Table scan** — the always-applicable fallback (built implicitly,
 //!    so every well-formed query is answerable).
 //!
@@ -42,8 +44,10 @@
 //!   to the in-memory table scan, which always answers — counted in
 //!   `QueryStats::path_fallbacks`.
 //! * A route that failed persistently is **quarantined**: subsequent
-//!   queries skip it until [`Engine::clear_quarantine`] (after a repair
-//!   such as `SignatureCube::scrub_path`). The scan is never quarantined.
+//!   queries skip it until [`Engine::clear_quarantine`], or until the
+//!   targeted repair of its store: [`Engine::repair_path`] for the delta
+//!   cube's file, [`Engine::repair_shard`] for the grid-family set. The
+//!   scan is never quarantined.
 //!   [`Engine::quarantined`] lists the paths taken down and why.
 //! * On the sharded route the degradation unit is the **shard**: a
 //!   failed shard quarantines the route with one entry *per condemned
@@ -64,7 +68,7 @@ use rcube_baseline::TableScan;
 use rcube_core::delta::DeltaCube;
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
 use rcube_core::query::{Query, QueryPlan, RankedSource, TopKCursor};
-use rcube_core::shard::{FanoutReport, ShardedCube, ShardedCubeConfig};
+use rcube_core::shard::{FanoutReport, Shard, ShardedCube, ShardedCubeConfig};
 use rcube_core::sigcube::{ScrubOutcome, SignatureCube};
 use rcube_core::{MaintenanceConfig, MaintenanceScheduler, TopKResult};
 use rcube_obs::{Counter, Histogram, Metrics, QueryTrace};
@@ -97,9 +101,11 @@ const SLOW_LOG_OFF: u64 = u64::MAX;
 pub enum Route {
     /// The LSM delta cube answered via the base+overlay certified merge.
     Delta,
-    /// The partitioned cube set answered via the scatter-gather merge.
+    /// The grid-family set of two or more shards answered via the
+    /// scatter-gather merge.
     Sharded,
-    /// The grid ranking cube answered.
+    /// The grid ranking cube answered: the grid-family set of one shard,
+    /// through that shard's own cursor.
     Grid,
     /// The table-scan fallback answered.
     Scan,
@@ -122,6 +128,16 @@ impl Route {
     /// Position in [`Self::ALL`] (the variants are declared in that order).
     fn index(self) -> usize {
         self as usize
+    }
+}
+
+/// The route a grid-family set answers on: the grid for a set of one
+/// shard, the sharded route for more.
+fn label(set: &ShardedCube) -> Route {
+    if set.num_shards() == 1 {
+        Route::Grid
+    } else {
+        Route::Sharded
     }
 }
 
@@ -201,8 +217,9 @@ pub struct Engine {
     rel: Relation,
     disk: DiskSim,
     delta: Option<Arc<DeltaCube>>,
-    sharded: Option<ShardedCube>,
-    grid: Option<GridRankingCube>,
+    /// The grid-family set: `Route::Grid` when it holds one shard,
+    /// `Route::Sharded` when it holds more.
+    cubes: Option<ShardedCube>,
     scan: TableScan,
     quarantine: Quarantine,
     /// This engine's metric registry; every registered component mirrors
@@ -251,8 +268,7 @@ impl Engine {
             rel,
             disk,
             delta: None,
-            sharded: None,
-            grid: None,
+            cubes: None,
             scan,
             quarantine: Quarantine::default(),
             metrics,
@@ -277,40 +293,38 @@ impl Engine {
         self
     }
 
-    /// Builds a partitioned cube set over the relation (region shards,
-    /// each with its own pool and meter) and registers it as the
-    /// most-preferred route. Per-shard activity lands in this engine's
-    /// registry under `sharded.shard<i>.…`.
-    pub fn with_sharded_cube(mut self, config: ShardedCubeConfig) -> Self {
+    /// Builds a grid-family cube set over the relation (`config.shards`
+    /// region shards, each with its own pool and meter) and registers it
+    /// with [`Self::with_prebuilt_sharded`].
+    pub fn with_sharded_cube(self, config: ShardedCubeConfig) -> Self {
         let cube = ShardedCube::build_in_memory(&self.rel, &config);
-        cube.attach_metrics(&self.metrics);
-        self.sharded = Some(cube);
-        self
+        self.with_prebuilt_sharded(cube)
     }
 
-    /// Registers an already-materialized partitioned cube set (e.g.
-    /// reopened from its shard manifest via `ShardedCube::open_from`).
+    /// Registers an already-materialized grid-family set (e.g. reopened
+    /// from its shard manifest via `ShardedCube::open_from`), replacing
+    /// any set registered before: an engine serves one. A set of one
+    /// shard is the grid route, its pool mirrored under `grid.pool.…`; a
+    /// larger one is the sharded route, its per-shard activity under
+    /// `sharded.shard<i>.…`.
     pub fn with_prebuilt_sharded(mut self, cube: ShardedCube) -> Self {
         cube.attach_metrics(&self.metrics);
-        self.sharded = Some(cube);
+        self.cubes = Some(cube);
         self
     }
 
-    /// Materializes a grid ranking cube (charging construction I/O to the
-    /// engine's device) and registers it as the preferred route.
-    pub fn with_grid_cube(mut self, config: GridCubeConfig) -> Self {
-        let cube = GridRankingCube::build(&self.rel, &self.disk, config);
-        cube.store().attach_metrics(&self.metrics, "grid");
-        self.grid = Some(cube);
-        self
+    /// Materializes a grid ranking cube — a set of one shard, whose I/O
+    /// its own meter counts — and registers it as the grid route.
+    pub fn with_grid_cube(self, config: GridCubeConfig) -> Self {
+        self.with_sharded_cube(ShardedCubeConfig { shards: 1, grid: config, ..Default::default() })
     }
 
-    /// Registers an already-materialized grid cube (e.g. reopened from a
-    /// cube file) instead of building one.
-    pub fn with_prebuilt_grid(mut self, cube: GridRankingCube) -> Self {
-        cube.store().attach_metrics(&self.metrics, "grid");
-        self.grid = Some(cube);
-        self
+    /// Registers an already-materialized grid cube over the whole
+    /// relation (e.g. reopened from a cube file) as the grid route: the
+    /// set of one [`ShardedCube::of_grid`] makes of it.
+    pub fn with_prebuilt_grid(self, cube: GridRankingCube) -> Self {
+        let cube = ShardedCube::of_grid(&self.rel, cube);
+        self.with_prebuilt_sharded(cube)
     }
 
     /// The relation being served.
@@ -350,25 +364,37 @@ impl Engine {
             .delete(tid)
     }
 
-    /// The registered partitioned cube set, if any.
+    /// The registered grid-family set, whatever its shard count.
     pub fn sharded_cube(&self) -> Option<&ShardedCube> {
-        self.sharded.as_ref()
+        self.cubes.as_ref()
     }
 
-    /// The registered grid cube, if any.
+    /// The registered grid cube: the only shard's cube when the set holds
+    /// one, else `None`.
     pub fn grid_cube(&self) -> Option<&GridRankingCube> {
-        self.grid.as_ref()
+        match self.cubes.as_ref()?.shards() {
+            [shard] => Some(shard.cube()),
+            _ => None,
+        }
     }
 
-    /// Whether `query` pins the grid route with an explicit `via_cuboids`
-    /// cover. A cover only means anything to the grid engines, so a pin
-    /// without a registered grid cube — or one whose partition misses a
-    /// ranking dimension — panics rather than silently dropping the cover.
-    fn pins_grid(&self, plan: &QueryPlan<'_>) -> bool {
+    /// The registered set when `route` is its label (the grid for a set of
+    /// one shard, else the sharded route).
+    fn set_on(&self, route: Route) -> Option<&ShardedCube> {
+        self.cubes.as_ref().filter(|c| label(c) == route)
+    }
+
+    /// Whether `query` pins the grid-family set with an explicit
+    /// `via_cuboids` cover. A cover only means anything to the grid
+    /// engines, so a pin without a registered set — or one whose partition
+    /// misses a ranking dimension — panics rather than silently dropping
+    /// the cover.
+    fn pins_cover(&self, plan: &QueryPlan<'_>) -> bool {
         if plan.cuboids.is_none() {
             return false;
         }
-        let grid = self.grid.as_ref().expect("via_cuboids requires a registered grid cube");
+        let set = self.cubes.as_ref().expect("via_cuboids requires a registered grid cube");
+        let grid = set.shards()[0].cube();
         assert!(
             plan.ranking_dims.iter().all(|d| grid.ranking_dims().contains(d)),
             "via_cuboids query ranks on dimensions the grid partition does not cover"
@@ -383,21 +409,21 @@ impl Engine {
     /// `can_answer` and the quarantine list are combined: the router
     /// filters on it ([`Self::viable`]) and [`Self::consider`] renders it,
     /// so the plan a report shows is the plan the router executes. A pinned
-    /// query stands on the grid alone.
+    /// query stands on the grid-family set alone.
     fn standing<'d>(
         &self,
         route: Route,
         plan: &QueryPlan<'_>,
         down: &'d [(Route, String)],
     ) -> (bool, bool, Option<&'d str>) {
-        if self.pins_grid(plan) {
-            return (route == Route::Grid, route == Route::Grid, None);
+        if self.pins_cover(plan) {
+            let on = self.set_on(route).is_some();
+            return (on, on, None);
         }
         let (sel, dims) = (plan.selection, plan.ranking_dims);
         let covers = match route {
             Route::Delta => self.delta.as_ref().map(|d| d.can_answer(sel, dims)),
-            Route::Sharded => self.sharded.as_ref().map(|c| c.can_answer(sel, dims)),
-            Route::Grid => self.grid.as_ref().map(|g| g.can_answer(sel, dims)),
+            Route::Sharded | Route::Grid => self.set_on(route).map(|c| c.can_answer(sel, dims)),
             Route::Scan => Some(true),
         };
         let why = down.iter().find(|(q, _)| *q == route).map(|(_, why)| why.as_str());
@@ -412,7 +438,7 @@ impl Engine {
     /// Every route's standing for `plan`, in preference order: the rows of
     /// [`Self::explain`].
     fn consider(&self, plan: &QueryPlan<'_>) -> Vec<CandidatePlan> {
-        let pinned = self.pins_grid(plan);
+        let pinned = self.pins_cover(plan);
         let mut chosen_yet = false;
         let rows = self.quarantine.with(|down| {
             Route::ALL.map(|route| {
@@ -436,8 +462,8 @@ impl Engine {
 
     /// Candidate routes for `plan`, best first: every registered,
     /// non-quarantined source that can answer it, always ending with the
-    /// table scan. An explicit `via_cuboids` pin returns the grid route
-    /// alone — degrading a pinned query to another path would silently
+    /// table scan. An explicit `via_cuboids` pin returns the grid-family
+    /// set's route alone — degrading a pinned query to another path would silently
     /// drop its cover.
     fn candidates(&self, plan: &QueryPlan<'_>) -> Vec<Route> {
         self.quarantine.with(|down| {
@@ -457,9 +483,10 @@ impl Engine {
     /// skipping quarantined paths.
     ///
     /// An explicit cuboid cover (`via_cuboids`) only means anything to the
-    /// grid engines, so it pins the route to the grid cube (panicking when
-    /// none is registered or its partition misses a ranking dimension)
-    /// rather than silently dropping the cover on another path.
+    /// grid engines, so it pins the route to the grid-family set, whatever
+    /// its shard count (panicking when none is registered or its partition
+    /// misses a ranking dimension), rather than silently dropping the
+    /// cover on another path.
     pub fn route(&self, query: &Query) -> Route {
         self.route_for(&query.plan())
     }
@@ -472,9 +499,8 @@ impl Engine {
     ) -> Result<TopKCursor<'e>, StorageError> {
         match route {
             Route::Delta => self.delta.as_ref().expect("routed to delta").source().open(plan),
-            Route::Sharded => self.sharded.as_ref().expect("routed to sharded").source().open(plan),
-            Route::Grid => {
-                self.grid.as_ref().expect("routed to grid").source(&self.disk).open(plan)
+            Route::Sharded | Route::Grid => {
+                self.cubes.as_ref().expect("routed to the grid-family set").source().open(plan)
             }
             Route::Scan => self.scan.source(&self.rel, &self.disk).open(plan),
         }
@@ -575,12 +601,8 @@ impl Engine {
                         // On the sharded route the condemnation is per
                         // shard — one entry per failed shard, so repair
                         // can lift them one shard at a time.
-                        let failed = match route {
-                            Route::Sharded => {
-                                self.sharded.as_ref().map(|c| c.failed_shards()).unwrap_or_default()
-                            }
-                            _ => Vec::new(),
-                        };
+                        let failed =
+                            self.set_on(route).map(|c| c.failed_shards()).unwrap_or_default();
                         self.quarantine.update(|down| {
                             if failed.is_empty() {
                                 down.push((route, e.to_string()));
@@ -649,40 +671,44 @@ impl Engine {
         self.quarantine.update(Vec::clear);
     }
 
-    /// Repairs the cube file backing `route` and returns *that route
-    /// alone* to service: runs [`SignatureCube::scrub_path`] (generation
-    /// election plus rollback of a torn newest generation), then clears
-    /// only `route`'s quarantine entries — other condemned routes stay
-    /// down until their own repair. The targeted alternative to the
-    /// blanket [`Self::clear_quarantine`].
+    /// Repairs the signature cube file backing `route` and returns *that
+    /// route alone* to service: runs [`SignatureCube::scrub_path`]
+    /// (generation election plus rollback of a torn newest generation),
+    /// then clears only `route`'s quarantine entries — other condemned
+    /// routes stay down until their own repair. The targeted alternative
+    /// to the blanket [`Self::clear_quarantine`]. The grid and sharded
+    /// routes are a typed error: their files are grid cubes, repaired by
+    /// [`Self::repair_shard`].
     pub fn repair_path(
         &self,
         route: Route,
         path: impl AsRef<std::path::Path>,
     ) -> Result<ScrubOutcome, StorageError> {
+        if matches!(route, Route::Grid | Route::Sharded) {
+            return Err(StorageError::Malformed("grid routes are repaired by repair_shard"));
+        }
         let outcome = SignatureCube::scrub_path(path)?;
         self.quarantine.update(|down| down.retain(|(q, _)| *q != route));
         Ok(outcome)
     }
 
-    /// Repairs one failed shard of the registered partitioned cube set:
+    /// Repairs one failed shard of the registered grid-family set:
     /// reopens just that shard's cube file (verifying its integrity),
-    /// clears its health entry, and lifts *its* quarantine entries —
-    /// other condemned shards stay down until their own repair, and the
-    /// healthy shards' warm buffer pools are untouched. The sharded
-    /// route returns to service once no entry remains.
+    /// clears its health entry, and lifts *its* quarantine entries under
+    /// the set's label — other condemned shards stay down until their own
+    /// repair, and the healthy shards' warm buffer pools are untouched.
+    /// The route returns to service once no entry remains; a set of one
+    /// (the grid route) returns at once.
     pub fn repair_shard(&mut self, shard: usize) -> Result<(), StorageError> {
         let cube = self
-            .sharded
+            .cubes
             .as_mut()
             .ok_or(StorageError::Malformed("no sharded cube set is registered"))?;
         cube.repair_shard(shard)?;
-        let prefix = format!("shard {shard}:");
+        let (set, prefix) = (label(cube), format!("shard {shard}:"));
         let healthy = cube.failed_shards().is_empty();
         self.quarantine.update(|down| {
-            down.retain(|(route, why)| {
-                *route != Route::Sharded || (!healthy && !why.starts_with(&prefix))
-            })
+            down.retain(|(route, why)| *route != set || (!healthy && !why.starts_with(&prefix)))
         });
         Ok(())
     }
@@ -795,17 +821,19 @@ impl Engine {
         self.slow_log.lock().unwrap().clear();
     }
 
-    /// One aggregated point-in-time view of the engine: device I/O,
-    /// per-path buffer pools, the delta's serving signature node cache,
-    /// quarantine state, slow-log depth, and a snapshot of every metric
-    /// series in the registry.
+    /// One aggregated point-in-time view of the engine: device I/O (the
+    /// engine's device plus every shard's meter), per-path buffer pools,
+    /// the delta's serving signature node cache, quarantine state,
+    /// slow-log depth, and a snapshot of every metric series in the
+    /// registry.
     pub fn stats_snapshot(&self) -> EngineStats {
+        let shards = self.cubes.as_ref().map_or(&[][..], ShardedCube::shards);
         EngineStats {
-            io: self.disk.stats().snapshot(),
+            io: shards.iter().map(Shard::io).fold(self.disk.stats().snapshot(), |a, b| a + b),
             delta: self.delta.as_ref().map(|d| d.stats()),
-            sharded_shards: self.sharded.as_ref().map(|c| c.num_shards()),
-            sharded_failed: self.sharded.as_ref().map(|c| c.failed_shards()).unwrap_or_default(),
-            grid_pool: self.grid.as_ref().and_then(|g| g.pool_stats()),
+            sharded_shards: self.set_on(Route::Sharded).map(ShardedCube::num_shards),
+            sharded_failed: self.cubes.as_ref().map(|c| c.failed_shards()).unwrap_or_default(),
+            grid_pool: self.grid_cube().and_then(|g| g.pool_stats()),
             signature_pool: self.delta.as_ref().and_then(|d| d.serving_cube().pool_stats()),
             node_cache: self.delta.as_ref().map(|d| d.serving_cube().node_cache().stats()),
             quarantined: self.quarantined(),
@@ -919,12 +947,18 @@ mod tests {
         let rel = SyntheticSpec { tuples: 1_200, cardinality: 5, ..Default::default() }.generate();
         let unsharded = Engine::new(rel.clone())
             .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() });
-        let eng = Engine::new(rel)
-            .with_grid_cube(GridCubeConfig { block_size: 64, ..Default::default() })
-            .with_sharded_cube(ShardedCubeConfig { shards: 3, ..Default::default() });
+        let three = ShardedCubeConfig { shards: 3, ..Default::default() };
+        let eng = Engine::new(rel.clone()).with_sharded_cube(three.clone());
 
         let q = Query::select([(0, 2)]).rank(Linear::uniform(2)).top(9);
-        assert_eq!(eng.route(&q), Route::Sharded, "the shard set outranks the grid");
+        assert_eq!(unsharded.route(&q), Route::Grid, "a set of one is the grid");
+        assert_eq!(eng.route(&q), Route::Sharded, "a set of three is the sharded route");
+        assert!(eng.grid_cube().is_none() && unsharded.grid_cube().is_some());
+        // An engine serves one grid-family set: a second replaces the first.
+        let replaced =
+            Engine::new(rel).with_grid_cube(GridCubeConfig::default()).with_sharded_cube(three);
+        assert_eq!(replaced.route(&q), Route::Sharded);
+        assert!(replaced.grid_cube().is_none());
         let got = eng.query(&q).unwrap();
         assert_eq!(got.items, unsharded.query(&q).unwrap().items, "scatter-gather changes nothing");
         // A shard opens iff its box bound reaches the k-th answer.
@@ -944,9 +978,13 @@ mod tests {
         assert_eq!(fanout.opened(), predicted);
         assert!(report.to_string().contains("fan-out"), "Display renders the fan-out");
 
-        // An explicit cuboid cover still pins the grid, not the shard set.
+        // An explicit cuboid cover stands on whichever set is registered.
         let qc = Query::select([(0, 2)]).rank(Linear::uniform(2)).via_cuboids(vec![vec![0]]).top(9);
-        assert_eq!(eng.route(&qc), Route::Grid);
+        assert_eq!(eng.route(&qc), Route::Sharded);
+        assert_eq!(unsharded.route(&qc), Route::Grid);
+        let pinned = eng.query(&qc).unwrap();
+        assert_eq!(pinned.items, unsharded.query(&qc).unwrap().items, "the pin holds per shard");
+        assert_eq!(pinned.items, got.items, "cover {{0}} answers identically");
     }
 
     #[test]
@@ -1205,17 +1243,20 @@ mod tests {
         let degraded = eng.query(&q).expect("scan fallback answers");
         assert_eq!(eng.quarantined().len(), 1);
 
-        // The flips live in the media plan: the file on disk scrubs clean.
-        // Repairing a *different* route scrubs it but leaves the delta
-        // quarantine standing.
-        let outcome = eng.repair_path(Route::Grid, &file.0).expect("scrub clean file");
-        assert!(matches!(outcome, ScrubOutcome::Clean { .. }));
+        // A grid-family route is not repaired by a scrub: a typed error
+        // that names its repair, and the delta quarantine stands.
+        for route in [Route::Grid, Route::Sharded] {
+            let err = eng.repair_path(route, &file.0).expect_err("not a signature route");
+            assert!(matches!(err, StorageError::Malformed(m) if m.contains("repair_shard")));
+        }
         assert_eq!(eng.quarantined().len(), 1, "unrelated repair must not lift quarantine");
         assert_eq!(eng.route(&q), Route::Scan);
 
         // Repairing the condemned route (media healed) restores it alone.
         faults.heal();
-        eng.repair_path(Route::Delta, &file.0).expect("scrub + targeted unquarantine");
+        let outcome =
+            eng.repair_path(Route::Delta, &file.0).expect("scrub + targeted unquarantine");
+        assert!(matches!(outcome, ScrubOutcome::Clean { .. }), "the file on disk scrubs clean");
         assert!(eng.quarantined().is_empty());
         assert_eq!(eng.route(&q), Route::Delta);
         let healed = eng.query(&q).expect("restored route serves");

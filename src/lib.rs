@@ -78,9 +78,12 @@
 //! scatter-gather cursor opens shards in the order of their box bounds,
 //! stops once the k-th answer beats every unopened box, and never pulls
 //! an open shard past the global threshold, so sharded answers are
-//! byte-identical to an unsharded cube. Register one on the engine and it becomes the
-//! most-preferred route; see `examples/sharded_topk.rs` for the
-//! build-to-disk / reopen / paginate walkthrough.
+//! byte-identical to an unsharded cube. A grid cube is the set of one
+//! shard, whose own cursor answers: the engine serves one grid-family set,
+//! on [`Route::Grid`] when it holds one shard ([`Engine::with_grid_cube`],
+//! [`Engine::with_prebuilt_grid`]) and on [`Route::Sharded`] when it holds
+//! more; see `examples/sharded_topk.rs` for the build-to-disk / reopen /
+//! paginate walkthrough.
 //!
 //! ```
 //! use ranking_cube::cube::shard::{Shard, ShardedCube, ShardedCubeConfig};

@@ -68,9 +68,9 @@ pub struct CandidatePlan {
     pub quarantined: Option<String>,
     /// Whether the router would open this path first.
     pub chosen: bool,
-    /// Whether the query pins the grid route with an explicit
-    /// `via_cuboids` cover — then the only reason any row was chosen or
-    /// skipped.
+    /// Whether the query pins the grid-family set (whichever of the grid
+    /// and sharded routes it is) with an explicit `via_cuboids` cover —
+    /// then the only reason any row was chosen or skipped.
     pub pinned: bool,
 }
 
@@ -271,19 +271,23 @@ impl fmt::Display for SlowQueryRecord {
 /// and the engine's full metric registry.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
-    /// Cumulative device I/O counters.
+    /// Cumulative I/O counters: the engine's device (the scan's) plus the
+    /// meter of every shard of the grid-family set — a grid cube's I/O
+    /// lands on its one shard's.
     pub io: IoSnapshot,
     /// Delta-layer state when an LSM delta cube is registered: memtable
     /// depth/bytes, WAL length (the frames not yet folded into the cube
     /// file), flushes completed and what they rewrote, last replay
     /// outcome.
     pub delta: Option<DeltaStats>,
-    /// Shard count of the registered partitioned cube set, if any.
+    /// Shard count of the registered grid-family set when it is the
+    /// sharded route (two or more shards).
     pub sharded_shards: Option<usize>,
     /// Shards of the partitioned set currently failed, with the
     /// condemning error (empty when healthy or unregistered).
     pub sharded_failed: Vec<(usize, String)>,
-    /// Grid cube buffer-pool stats (file-backed stores only).
+    /// Grid cube buffer-pool stats: the set of one's shard (file-backed
+    /// stores only).
     pub grid_pool: Option<PoolStats>,
     /// Buffer-pool stats of the delta cube's serving generation — the
     /// signature cube new queries read.

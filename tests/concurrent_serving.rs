@@ -315,11 +315,13 @@ fn two_clients_on_the_grid_route_lose_no_count() {
     hammer(&eng, Route::Grid, &queries, &expected);
 
     // Three tallies striped independently of one another — the registry's
-    // pool counters, the pool's own per-shard totals and the device's I/O
-    // meter — agree on how many objects (one page each here) were read.
+    // pool counters, the pool's own per-shard totals and the grid's I/O
+    // meter (its shard's) — agree on how many objects (one page each here)
+    // were read.
     assert!(lookups(&eng) > 0);
     assert_eq!(lookups(&eng), pool_lookups(&eng) - unmirrored);
-    assert_eq!(lookups(&eng), eng.disk().stats().snapshot().logical_reads);
+    let meter = eng.sharded_cube().unwrap().shards()[0].io();
+    assert_eq!(lookups(&eng), meter.logical_reads);
     assert_eq!(counters(&eng, &["query.grid.count".to_owned()]), 2 * LAPS * queries.len() as u64);
 
     // A client alone on its device: its cursors' I/O deltas are exact, and

@@ -20,7 +20,7 @@
 
 use std::sync::OnceLock;
 
-use ranking_cube::cube::gridcube::{GridCubeConfig, GridRankingCube};
+use ranking_cube::cube::gridcube::{CuboidSpec, GridCubeConfig, GridRankingCube};
 use ranking_cube::cube::query::{Query, RankedSource, TopKCursor};
 use ranking_cube::cube::shard::{ShardedCube, ShardedCubeConfig};
 use ranking_cube::func::{Expr, Linear, SqDist};
@@ -129,6 +129,25 @@ proptest::proptest! {
     }
 }
 
+/// Damages a shard file's data pages — every page between the
+/// superblocks at the front and the catalog the superblock names, which
+/// the writer appends after the data: the file still *opens*, and the page
+/// checksums catch the rot only when a query pulls a damaged page.
+/// Returns the pristine bytes.
+fn damage_data_pages(path: &std::path::Path) -> Vec<u8> {
+    let pristine = std::fs::read(path).expect("read shard file");
+    let sb = FileBackend::peek_superblock(path).expect("superblock");
+    let mut bad = pristine.clone();
+    let page = sb.page_size as usize;
+    let (lo, hi) = (2 * page, sb.catalog_first.expect("a catalog") as usize * page);
+    assert!(lo < hi, "the shard has data pages");
+    for b in &mut bad[lo..hi] {
+        *b ^= 0x55;
+    }
+    std::fs::write(path, &bad).expect("write damaged shard");
+    pristine
+}
+
 #[test]
 fn corrupted_shard_degrades_per_shard_and_repairs() {
     let relation = rel(700, 9);
@@ -144,21 +163,8 @@ fn corrupted_shard_degrades_per_shard_and_repairs() {
     assert!(built.last_fanout().unwrap().shards[1].opened, "the query opens shard 1");
     drop(built);
 
-    // Damage shard 1's data pages — every page between the superblocks at
-    // the front and the catalog the superblock names, which the writer
-    // appends after the data: the file still *opens*, and the page
-    // checksums catch the rot only when a query pulls a damaged page.
     let shard1 = dir.join("set.shard1");
-    let pristine = std::fs::read(&shard1).expect("read shard file");
-    let sb = FileBackend::peek_superblock(&shard1).expect("superblock");
-    let mut bad = pristine.clone();
-    let page = sb.page_size as usize;
-    let (lo, hi) = (2 * page, sb.catalog_first.expect("a catalog") as usize * page);
-    assert!(lo < hi, "shard 1 has data pages");
-    for b in &mut bad[lo..hi] {
-        *b ^= 0x55;
-    }
-    std::fs::write(&shard1, &bad).expect("write damaged shard");
+    let pristine = damage_data_pages(&shard1);
 
     let cube = ShardedCube::open_from(&manifest).expect("superblocks still elect");
     let err = cube.verify_integrity().expect_err("scrub must catch the damage");
@@ -364,5 +370,81 @@ fn a_shard_file_that_disagrees_with_its_tid_list_is_malformed() {
     m.save_to(&manifest).expect("publish the swapped manifest");
     let err = ShardedCube::open_from(&manifest).expect_err("open must refuse");
     assert!(matches!(err, StorageError::Malformed(_)), "got {err:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A set of one is the grid route, and its shard is its unit of repair: a
+/// damaged file quarantines `Route::Grid` (the scan answers alike), a
+/// scrub of the path is refused as the wrong repair, and `repair_shard(0)`
+/// returns the grid to service.
+#[test]
+fn a_damaged_set_of_one_is_the_grid_route_and_repairs_by_shard() {
+    let relation = rel(600, 5);
+    let dir = std::env::temp_dir().join(format!("rcube_shard_one_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("set.manifest");
+    let cfg = ShardedCubeConfig { shards: 1, ..Default::default() };
+    drop(ShardedCube::build_to(&relation, &manifest, &cfg).expect("build to disk"));
+    let shard0 = dir.join("set.shard0");
+    let pristine = damage_data_pages(&shard0);
+
+    let cube = ShardedCube::open_from(&manifest).expect("superblocks still elect");
+    let mut eng = Engine::new(relation.clone()).with_prebuilt_sharded(cube);
+    let q = Query::select([(0, 1)]).rank(Linear::uniform(2)).top(20);
+    assert_eq!(eng.route(&q), Route::Grid, "a set of one is the grid");
+    let degraded = eng.query(&q).expect("scan fallback must answer");
+    assert_eq!(degraded.stats.path_fallbacks, 1);
+    let quarantined = eng.quarantined();
+    assert_eq!(quarantined.len(), 1);
+    assert_eq!(quarantined[0].0, Route::Grid);
+    assert_eq!(degraded.items, Engine::new(relation.clone()).query(&q).unwrap().items);
+
+    let err = eng.repair_path(Route::Grid, &shard0).expect_err("a grid file is not scrubbed");
+    assert!(matches!(err, StorageError::Malformed(m) if m.contains("repair_shard")), "{err:?}");
+    assert_eq!(eng.quarantined().len(), 1, "a refused repair lifts nothing");
+
+    std::fs::write(&shard0, &pristine).expect("restore shard file");
+    eng.repair_shard(0).expect("repair reopens the healed shard");
+    assert!(eng.quarantined().is_empty(), "the grid's entries are lifted");
+    assert_eq!(eng.route(&q), Route::Grid, "the grid serves again");
+    assert_eq!(eng.query(&q).unwrap().items, degraded.items);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A set resolves one cover, on shard 0, for every shard, and a set of one
+/// answers with global tids unmapped, so both are refused at open, typed:
+/// a shard file built under another `CuboidSpec` swapped into a set, and a
+/// one-shard manifest whose tids are not `0..n`.
+#[test]
+fn a_shard_file_that_disagrees_on_cuboids_or_a_one_shard_tid_list_is_malformed() {
+    let relation = rel(700, 3);
+    let dir = std::env::temp_dir().join(format!("rcube_shard_agree_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let build = |stem: &str, shards: usize, cuboids: CuboidSpec| {
+        let grid = GridCubeConfig { cuboids, ..Default::default() };
+        let cfg = ShardedCubeConfig { shards, grid, ..Default::default() };
+        let manifest = dir.join(format!("{stem}.manifest"));
+        drop(ShardedCube::build_to(&relation, &manifest, &cfg).expect("build to disk"));
+        manifest
+    };
+    let malformed = |manifest: &std::path::Path, why: &str| {
+        let err = ShardedCube::open_from(manifest).expect_err("open must refuse");
+        assert!(matches!(err, StorageError::Malformed(m) if m.contains(why)), "got {err:?}");
+    };
+
+    // Same relation and shard count, so shard 1 of either set holds the
+    // same tuples; only the cuboids differ.
+    let set = build("full", 3, CuboidSpec::AllSubsets);
+    build("fragments", 3, CuboidSpec::Fragments(2));
+    std::fs::copy(dir.join("fragments.shard1"), dir.join("full.shard1")).expect("swap a file in");
+    malformed(&set, "disagree on cuboids");
+
+    let one = build("one", 1, CuboidSpec::AllSubsets);
+    ShardedCube::open_from(&one).expect("a built set of one opens");
+    let mut m = ShardManifest::open_from(&one).expect("read manifest");
+    let last = m.shards[0].tids.len() as Tid;
+    *m.shards[0].tids.last_mut().unwrap() = last;
+    std::fs::write(&one, m.encode()).expect("write the shifted manifest");
+    malformed(&one, "partition 0..N");
     std::fs::remove_dir_all(&dir).ok();
 }
