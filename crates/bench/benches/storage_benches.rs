@@ -21,7 +21,13 @@
 //! 5.03 before cells were packed into shared one-page segments — fails
 //! the run.
 //!
-//! A third, `grid_blocks_per_query`, is the paper's cost metric: blocks a
+//! Beside them, `grid_base_bytes_per_tuple` pins the base block layout:
+//! the payload of the file's base blocks over its tuples must be 8 bytes
+//! per ranking dimension, a hard counter gate (16 on this two-dimension
+//! fixture; 20 while every record also carried its tuple's tid, which the
+//! partition in the catalog already holds).
+//!
+//! A fourth, `grid_blocks_per_query`, is the paper's cost metric: blocks a
 //! query reads, cells and base blocks, over a cube of the benchmark of
 //! record's shape at this fixture's size (four cardinality-10 selection
 //! dimensions, three ranking dimensions) and that benchmark's query shape
@@ -138,9 +144,14 @@ fn bench_backends(c: &mut Criterion) {
     g.finish();
     std::fs::remove_file(&s.path).ok();
     let space_amp = s.file_bytes as f64 / s.file_cube.store().total_bytes() as f64;
+    let base_per_tuple =
+        s.file_cube.base_block_bytes().expect("read base blocks") as f64 / TUPLES as f64;
+    // A base block record: one `f64` per ranking dimension.
+    let record = 8 * s.file_cube.ranking_dims().len();
 
     bench_page_floor(c);
-    emit_json(c, s.file_bytes as f64 / TUPLES as f64, space_amp, grid_blocks_per_query());
+    let blocks = grid_blocks_per_query();
+    emit_json(c, s.file_bytes as f64 / TUPLES as f64, space_amp, (base_per_tuple, record), blocks);
 }
 
 /// Mean blocks a query reads on the benchmark of record's shape (see the
@@ -199,7 +210,15 @@ fn bench_page_floor(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64, blocks: f64) {
+/// `base` is the base blocks' payload per tuple and the record size it
+/// must equal.
+fn emit_json(
+    c: &mut Criterion,
+    bytes_per_tuple: f64,
+    space_amp: f64,
+    (base_per_tuple, record): (f64, usize),
+    blocks: f64,
+) {
     let results = c.measurements().iter().map(|m| (m.id.as_str(), m.mean_ns));
     let mut report = BenchReport::criterion("storage", results);
     let cold_penalty = report.ratio("storage_query/file_cold/sel1", "storage_query/inmem/sel1");
@@ -217,6 +236,7 @@ fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64, blocks: f6
         "storage: checksum {checksum_ns:.0} ns/page ({checksum_mb_s:.0} MB/s), file miss {miss_ns:.0} ns"
     );
     println!("storage: grid file {bytes_per_tuple:.1} B/tuple, space amp {space_amp:.3}");
+    println!("storage: grid base blocks {base_per_tuple:.1} B/tuple ({record} B a record)");
     println!("storage: grid {blocks:.3} blocks/query ({BLOCKS_BEFORE:.3} before)");
     report
         .set("checksum_ns_per_page", fixed(checksum_ns, 1))
@@ -227,6 +247,7 @@ fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64, blocks: f6
         .set("buffer_pool_speedup_cold_to_warm", fixed(pool_speedup, 2))
         .set("grid_file_bytes_per_tuple", fixed(bytes_per_tuple, 1))
         .set("grid_file_space_amp", fixed(space_amp, 3))
+        .set("grid_base_bytes_per_tuple", fixed(base_per_tuple, 1))
         .set("grid_blocks_per_query", fixed(blocks, 3))
         .set("before", Json::Raw(BEFORE));
     assert!(
@@ -237,6 +258,16 @@ fn emit_json(c: &mut Criterion, bytes_per_tuple: f64, space_amp: f64, blocks: f6
         "grid_file_space_amp",
         "<= 1.5",
         "file bytes / stored payload: small cells share one-page segments",
+    );
+    assert!(
+        base_per_tuple == record as f64,
+        "grid_base_bytes_per_tuple = {base_per_tuple:.2} misses its bound == {record} \
+         (8 x ranking dims)"
+    );
+    report.counter_gate(
+        "grid_base_bytes_per_tuple",
+        "== 8 x ranking dims",
+        "a base block holds ranking values only: its tids live once, in the partition",
     );
     assert!(
         blocks <= 0.7 * BLOCKS_BEFORE,

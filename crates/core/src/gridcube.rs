@@ -53,6 +53,14 @@
 //! box of its tuples over the ranking dimensions, rounded outward to
 //! sixteenths of the block's bin.
 //!
+//! A base block is one object of `n × R` little-endian `f64`s, row-major:
+//! the ranking values of the block's `n` tuples in the order of
+//! [`GridPartition::block_tids`], which is ascending and which the catalog
+//! stores once. Record `i` belongs to the block's `i`-th tid, so a block
+//! keeps no tid column of its own: 24 bytes a tuple over three ranking
+//! dimensions lets a block of up to 340 tuples fit two 4 KB pages. An
+//! object of any other length is a malformed file.
+//!
 //! # Selection-aware bounds
 //!
 //! The stop condition bounds an unread block by its bin box, but a block
@@ -387,7 +395,9 @@ fn bin_edges(partition: &GridPartition, bid: Bid, i: usize) -> (f64, f64) {
 pub struct GridRankingCube {
     partition: GridPartition,
     store: PageStore,
-    /// bid → base block page (tid + ranking values records).
+    /// bid → base block object: the ranking values of the block's tuples,
+    /// in `partition.block_tids(bid)` order; `None` exactly for an empty
+    /// block.
     base_pages: Vec<Option<PageId>>,
     /// The materialized cuboids, ascending by `dims` (the order cover
     /// resolution breaks ties in, and the order a saved catalog lists them).
@@ -408,16 +418,16 @@ impl GridRankingCube {
         let partition = GridPartition::build(rel, &ranking_dims, config.block_size);
         let store = PageStore::new();
 
-        // Base block table: bid → [(tid, values…)].
+        // Base block table: bid → the ranking values of its tuples, in the
+        // order of `partition.block_tids(bid)` (module docs, *Cells on disk*).
         let mut base_pages = vec![None; partition.num_blocks()];
         for bid in 0..partition.num_blocks() as Bid {
             let tids = partition.block_tids(bid);
             if tids.is_empty() {
                 continue;
             }
-            let mut bytes = Vec::with_capacity(tids.len() * (4 + 8 * ranking_dims.len()));
+            let mut bytes = Vec::with_capacity(tids.len() * 8 * ranking_dims.len());
             for &tid in tids {
-                bytes.extend_from_slice(&tid.to_le_bytes());
                 for &d in &ranking_dims {
                     bytes.extend_from_slice(&rel.ranking_value(tid, d).to_le_bytes());
                 }
@@ -498,9 +508,18 @@ impl GridRankingCube {
         &self.ranking_dims
     }
 
-    /// Materialized size in bytes (cuboid cells + base block table).
+    /// Materialized size in bytes in the paper's accounting: cuboid cells
+    /// plus a base block table of `(tid, ranking values)` records. The
+    /// stored base blocks hold the values alone — their tids are the
+    /// partition's — so the tid column is counted here, 4 bytes a tuple.
     pub fn materialized_bytes(&self) -> usize {
-        self.store.total_bytes()
+        self.store.total_bytes() + 4 * self.partition.num_tuples()
+    }
+
+    /// Payload bytes of the stored base blocks, read through the store
+    /// uncharged: 8 bytes per ranking dimension per tuple.
+    pub fn base_block_bytes(&self) -> Result<usize, StorageError> {
+        self.base_pages.iter().flatten().map(|&page| Ok(self.store.peek(page)?.len())).sum()
     }
 
     /// Dimension sets of the materialized cuboids.
@@ -620,10 +639,12 @@ impl GridRankingCube {
     }
 
     /// Saves the cube into a single file at `path` with the default page
-    /// size (4 KB): every base block becomes a checksummed on-disk object,
-    /// the cuboid cells are packed into *segments*, and the cube catalog
-    /// (partition meta, cuboid directory) is recorded in the superblock.
-    /// [`Self::open_from`] reopens it read-only with identical answers.
+    /// size (4 KB): every base block becomes a checksummed on-disk object
+    /// of ranking values alone, the cuboid cells are packed into
+    /// *segments*, and the cube catalog (partition meta with every block's
+    /// tids, base-block and cuboid directories) is recorded in the
+    /// superblock. [`Self::open_from`] reopens it read-only with identical
+    /// answers.
     ///
     /// A segment is one object that concatenates consecutive cells in
     /// catalog order — cuboid, then cell values, then pid, so the pseudo
@@ -737,6 +758,10 @@ impl GridRankingCube {
         let mut r = ByteReader::new(catalog);
         let block_size = r.count(LIMIT)?;
         let nrd = r.count(64)?;
+        if nrd == 0 {
+            // A base block record is 8 bytes a ranking dimension.
+            return Err(StorageError::Malformed("grid catalog names no ranking dimension"));
+        }
         let ranking_dims = (0..nrd).map(|_| r.count(LIMIT)).collect::<Result<Vec<_>, _>>()?;
         let partition = GridPartition::from_bytes(r.bytes()?)?;
         if partition.dims() != ranking_dims.as_slice() {
@@ -749,6 +774,12 @@ impl GridRankingCube {
         let base_pages = (0..nbase)
             .map(|_| r.u64().map(|p| (p != u64::MAX).then_some(PageId(p))))
             .collect::<Result<Vec<_>, _>>()?;
+        let stored = |(bid, base): (usize, &Option<PageId>)| {
+            base.is_some() != partition.block_tids(bid as Bid).is_empty()
+        };
+        if !base_pages.iter().enumerate().all(stored) {
+            return Err(StorageError::Malformed("base-page table disagrees with the partition"));
+        }
         // A cuboid takes at least its dimension, scale factor and cell
         // counts.
         let ncuboids = r.count(r.remaining() / 24)?;
@@ -782,9 +813,10 @@ impl GridRankingCube {
     }
 
     /// Scrubs every stored object (base blocks, cell objects) once through
-    /// the validated read path, cache-cold, and checks that every cell
-    /// reference lies inside its object, surfacing the first checksum /
-    /// structure error. `Ok(())` means all pages decode clean.
+    /// the validated read path, cache-cold, and checks that every base
+    /// block holds one record per tuple of its partition block and every
+    /// cell reference lies inside its object, surfacing the first checksum
+    /// / structure error. `Ok(())` means all pages decode clean.
     pub fn verify_integrity(&self) -> Result<(), StorageError> {
         self.store.clear_cache();
         let mut scrubbed = HashMap::new();
@@ -796,8 +828,12 @@ impl GridRankingCube {
             scrubbed.insert(object, len);
             Ok(len)
         };
-        for &page in self.base_pages.iter().flatten() {
-            scrub(page)?;
+        let rec = 8 * self.ranking_dims.len();
+        for (bid, base) in self.base_pages.iter().enumerate() {
+            let tuples = self.partition.block_tids(bid as Bid).len();
+            if base.map(&mut scrub).transpose()?.is_some_and(|len| len != tuples * rec) {
+                return Err(BASE_SIZE);
+            }
         }
         for cuboid in &self.cuboids {
             for &cell in cuboid.cells.values() {
@@ -880,11 +916,13 @@ impl<'a> Packer<'a> {
 /// (per-node `sid → partial` pairs → per-partial first-SID directory +
 /// depth); tag 2 was a fragments-configured grid cube behind two extra
 /// integers, tag 1 a grid catalog naming one object per cell, before
-/// cells were packed into segments, and tag 5 one whose cells carried a
-/// fixed 12-byte directory entry with no box, before the narrow entry of
-/// [`encode_cell`] (tag 6). Files carrying a retired tag are rejected with
-/// a typed kind-mismatch error instead of being misparsed.
-pub(crate) const CATALOG_GRID: u8 = 6;
+/// cells were packed into segments, tag 5 one whose cells carried a fixed
+/// 12-byte directory entry with no box, before the narrow entry of
+/// [`encode_cell`], and tag 6 one whose base blocks stored each tuple's
+/// tid beside its ranking values, before the tids were left to the
+/// partition (tag 7). Files carrying a retired tag are rejected with a
+/// typed kind-mismatch error instead of being misparsed.
+pub(crate) const CATALOG_GRID: u8 = 7;
 pub(crate) const CATALOG_SIG: u8 = 4;
 
 /// Stores the finished catalog object, records it in the superblock and
@@ -1213,15 +1251,15 @@ impl<'a> GridSearch<'a> {
     /// Retrieves and evaluates one block whose cells [`Self::screen`] has
     /// buffered.
     fn read_block(&mut self, bid: Bid) -> Result<(), StorageError> {
-        let cube = self.cube;
         if self.covering.is_empty() {
             // No selection: the whole base block qualifies.
-            return self.evaluate_block(bid, cube.partition.block_tids(bid));
+            return self.evaluate_block(bid, None);
         }
         let mut tids = std::mem::take(&mut self.tids);
         tids.clear();
-        let done =
-            self.retrieve_block_tids(bid, &mut tids).and_then(|()| self.evaluate_block(bid, &tids));
+        let done = self
+            .retrieve_block_tids(bid, &mut tids)
+            .and_then(|()| self.evaluate_block(bid, Some(&tids)));
         self.tids = tids;
         done
     }
@@ -1258,11 +1296,14 @@ impl<'a> GridSearch<'a> {
     }
 
     /// The evaluate step: fetch real values from the base block table and
-    /// push scored tuples into the candidate heap. Both the retrieved tid
-    /// list and the block records are ascending by tid, so a two-pointer
-    /// merge replaces a hash probe.
-    fn evaluate_block(&mut self, bid: Bid, tids: &[Tid]) -> Result<(), StorageError> {
-        if tids.is_empty() {
+    /// push scored tuples into the candidate heap — every tuple of the
+    /// block, or the `wanted` ones. Record `i` of a base block belongs to
+    /// `block_tids(bid)[i]` (module docs, *Cells on disk*), so a wanted
+    /// tid's record is at its index in that slice; wanted tids ascend, so
+    /// each search resumes past the last hit, and tuples are scored in
+    /// ascending tid order either way.
+    fn evaluate_block(&mut self, bid: Bid, wanted: Option<&[Tid]>) -> Result<(), StorageError> {
+        if wanted.is_some_and(<[Tid]>::is_empty) {
             return Ok(());
         }
         let Some(page) = self.cube.base_pages[bid as usize] else {
@@ -1270,33 +1311,43 @@ impl<'a> GridSearch<'a> {
         };
         let bytes = self.cube.store.try_get_bytes(self.disk, page)?;
         self.stats.blocks_read += 1;
-        let rec = 4 + 8 * self.cube.ranking_dims.len();
-        let short = || StorageError::Malformed("base block record cut short");
-        let mut want = tids.iter().copied().peekable();
-        'records: for chunk in bytes.chunks_exact(rec) {
-            let tid = word(chunk, 0).map(u32::from_le_bytes).ok_or_else(short)?;
-            loop {
-                match want.peek() {
-                    None => break 'records,
-                    Some(&w) if w < tid => {
-                        want.next();
-                    }
-                    Some(&w) if w == tid => {
-                        want.next();
-                        break;
-                    }
-                    Some(_) => continue 'records,
-                }
+        let (all, rec) = (self.cube.partition.block_tids(bid), 8 * self.cube.ranking_dims.len());
+        if bytes.len() != all.len() * rec {
+            return Err(BASE_SIZE);
+        }
+        let mut records = bytes.chunks_exact(rec);
+        let Some(wanted) = wanted else {
+            return all.iter().zip(records).try_for_each(|(&tid, record)| self.score(tid, record));
+        };
+        // `records` starts at index `next` of `all`.
+        let mut next = 0;
+        for &tid in wanted {
+            let at = next + all[next..].partition_point(|&t| t < tid);
+            if all.get(at) != Some(&tid) {
+                continue;
             }
-            for (v, &p) in self.point.iter_mut().zip(&self.proj) {
-                *v = word(chunk, 4 + 8 * p).map(f64::from_le_bytes).ok_or_else(short)?;
-            }
-            self.candidates.push(MinScored(self.func.score(&self.point), tid));
-            self.stats.tuples_scored += 1;
+            let Some(record) = records.nth(at - next) else { break };
+            next = at + 1;
+            self.score(tid, record)?;
         }
         Ok(())
     }
+
+    /// Scores tuple `tid` from its base block record.
+    fn score(&mut self, tid: Tid, record: &[u8]) -> Result<(), StorageError> {
+        for (v, &p) in self.point.iter_mut().zip(&self.proj) {
+            *v = word(record, 8 * p).map(f64::from_le_bytes).ok_or(BASE_SIZE)?;
+        }
+        self.candidates.push(MinScored(self.func.score(&self.point), tid));
+        self.stats.tuples_scored += 1;
+        Ok(())
+    }
 }
+
+/// A base block whose length is not its partition block's tuples times
+/// one record.
+const BASE_SIZE: StorageError =
+    StorageError::Malformed("base block size disagrees with its partition");
 
 /// Whether `bid`'s bit is set in a bit-per-block set.
 fn has_bit(set: &[u64], bid: Bid) -> bool {
@@ -1834,7 +1885,7 @@ mod tests {
     fn retired_one_object_per_cell_catalog_tag_is_a_typed_kind_mismatch() {
         // Tag 1 named one object per cell, with a value count per cell; a
         // valid-looking head (block size, one ranking dimension) must not
-        // lure the tag-6 parser into it.
+        // lure the grid parser into it.
         assert_retired_tag(1, &[300, 1, 0]);
     }
 
@@ -1842,8 +1893,16 @@ mod tests {
     fn retired_fixed_entry_catalog_tag_is_a_typed_kind_mismatch() {
         // Tag 5 named packed cells whose directory entries were a fixed
         // `[bid u32][base u32][end u32]` with no box. Its catalog reads
-        // exactly like tag 6's, so only the tag tells the cells apart.
+        // exactly like today's, so only the tag tells the cells apart.
         assert_retired_tag(5, &[300, 1, 0]);
+    }
+
+    #[test]
+    fn retired_tid_column_catalog_tag_is_a_typed_kind_mismatch() {
+        // Tag 6 named base blocks of `[tid u32][f64 × R]` records. Its
+        // catalog reads exactly like tag 7's, so only the tag tells the
+        // blocks apart.
+        assert_retired_tag(6, &[300, 1, 0]);
     }
 
     #[test]
@@ -2564,6 +2623,33 @@ mod tests {
             GridRankingCube::from_catalog(store.clone(), bytes).map(|cube| cube.verify_integrity())
         };
         assert!(matches!(decode(&body), Ok(Ok(()))), "the saved catalog decodes and scrubs");
+        // A base-page table naming no object for a block that has tuples.
+        let part = GridRankingCube::from_catalog(store.clone(), &body).unwrap().partition;
+        let bytes = part.to_bytes();
+        let table = body.windows(bytes.len()).position(|w| w == bytes).expect("the partition")
+            + bytes.len()
+            + 8;
+        let bid = (0..part.num_blocks()).find(|&b| !part.block_tids(b as Bid).is_empty()).unwrap();
+        let mut unstored = body.clone();
+        unstored[table + 8 * bid..][..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        match decode(&unstored) {
+            Err(StorageError::Malformed(why)) => assert!(why.contains("partition"), "{why}"),
+            other => panic!("a non-empty block without a base block decoded: {other:?}"),
+        }
+        // A cube over no ranking dimension, whose records would be empty.
+        let mut w = ByteWriter::new();
+        w.put_u64(300);
+        w.put_u64(0);
+        w.put_bytes(
+            &GridPartition::from_parts(vec![], 1, vec![], vec![vec![0]]).unwrap().to_bytes(),
+        );
+        for word in [1, 0, 0] {
+            w.put_u64(word);
+        }
+        match decode(&w.into_bytes()) {
+            Err(StorageError::Malformed(why)) => assert!(why.contains("no ranking"), "{why}"),
+            other => panic!("a catalog over no ranking dimension decoded: {other:?}"),
+        }
         for n in 0..body.len() {
             assert!(decode(&body[..n]).is_err(), "a {n}-byte prefix decoded");
         }
@@ -2627,6 +2713,40 @@ mod tests {
         );
         assert!(matches!(crafted.verify_integrity(), Err(StorageError::Malformed(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A base block whose object is not its partition block's tuples times
+    /// one record — here another block's object, of another length — fails
+    /// every query that reads it, whole or under a selection, and the
+    /// scrub, as a malformed file; never as a panic or a wrong answer.
+    #[test]
+    fn a_base_block_that_disagrees_with_its_partition_is_a_typed_error() {
+        let rel = SyntheticSpec { tuples: 1_000, cardinality: 2, ..Default::default() }.generate();
+        let disk = DiskSim::with_defaults();
+        let config = GridCubeConfig { block_size: 50, ..Default::default() };
+        let mut cube = GridRankingCube::build(&rel, &disk, config);
+        cube.verify_integrity().expect("a built cube scrubs clean");
+        let sizes: Vec<usize> = (0..cube.partition.num_blocks())
+            .map(|bid| cube.partition.block_tids(bid as Bid).len())
+            .collect();
+        let (a, b) = (0..sizes.len())
+            .flat_map(|a| (0..sizes.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| sizes[a] > 0 && sizes[b] > 0 && sizes[a] != sizes[b])
+            .expect("two blocks of different sizes");
+        cube.base_pages[b] = cube.base_pages[a];
+
+        let size_error = |got: &Result<(), StorageError>| match got {
+            Err(StorageError::Malformed(why)) => why.contains("base block size"),
+            _ => false,
+        };
+        for q in [
+            Query::all().rank(Linear::uniform(2)).top(rel.len()),
+            Query::select([(0, 1)]).rank(Linear::uniform(2)).top(rel.len()),
+        ] {
+            let got = cube.source(&disk).query(&q.plan()).map(|_| ());
+            assert!(size_error(&got), "{got:?}");
+        }
+        assert!(size_error(&cube.verify_integrity()));
     }
 
     // ---- Entry boxes: rounded outward, or a wrong answer ----

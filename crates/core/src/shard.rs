@@ -213,9 +213,7 @@ impl Shard {
         region: Rect,
     ) -> Result<Self, StorageError> {
         let cube = GridRankingCube::open_from_with(&path, pool_pages)?;
-        let p = cube.partition();
-        let tuples: usize = (0..p.num_blocks()).map(|b| p.block_tids(b as u32).len()).sum();
-        if tuples != tids.len() {
+        if cube.partition().num_tuples() != tids.len() {
             return Err(StorageError::Malformed(
                 "shard file's tuple count disagrees with its tids",
             ));
@@ -355,6 +353,9 @@ pub struct ShardedCube {
     /// lock with Release; the serving paths load it with Acquire and skip
     /// the lock while it is zero.
     failed: AtomicUsize,
+    /// The registry [`Self::attach_metrics`] mirrored the set into, kept so
+    /// a repaired shard's fresh pool and meter count under the same names.
+    metrics: OnceLock<Metrics>,
     instruments: OnceLock<Vec<ShardInstruments>>,
     last_fanout: Mutex<Option<FanoutReport>>,
 }
@@ -389,6 +390,7 @@ impl ShardedCube {
             shards,
             manifest_path,
             pool_pages,
+            metrics: OnceLock::new(),
             instruments: OnceLock::new(),
             last_fanout: Mutex::new(None),
         }
@@ -511,8 +513,10 @@ impl ShardedCube {
 
     /// Reopens one failed shard from its file and clears its health
     /// entry. The other shards (and their warm pools) are untouched —
-    /// repair is per-shard, not per-set. A file that no longer has the
-    /// shard's cuboids is `Malformed`, as at open.
+    /// repair is per-shard, not per-set. The fresh shard's pool (and, in a
+    /// set of one, its meter) keeps counting under the names
+    /// [`Self::attach_metrics`] gave the old one. A file that no longer has
+    /// the shard's cuboids is `Malformed`, as at open.
     pub fn repair_shard(&mut self, shard: usize) -> Result<(), StorageError> {
         let s =
             self.shards.get(shard).ok_or(StorageError::Malformed("shard index out of range"))?;
@@ -524,6 +528,9 @@ impl ShardedCube {
         }
         fresh.cube.verify_integrity()?;
         self.shards[shard] = fresh;
+        if let Some(metrics) = self.metrics.get() {
+            self.attach_shard(shard, metrics);
+        }
         if self.health.lock().unwrap()[shard].take().is_some() {
             self.failed.fetch_sub(1, Ordering::Release);
         }
@@ -549,18 +556,16 @@ impl ShardedCube {
     /// grid: its pool lands under `grid.pool.…`, its meter under `disk.…`,
     /// and it registers no per-shard series.
     pub fn attach_metrics(&self, metrics: &Metrics) {
-        if let [shard] = self.shards.as_slice() {
-            shard.cube.store().attach_metrics(metrics, "grid");
-            shard.disk.attach_metrics(metrics);
+        let _ = self.metrics.set(metrics.clone());
+        for i in 0..self.shards.len() {
+            self.attach_shard(i, metrics);
+        }
+        if self.shards.len() == 1 {
             return;
         }
-        let ins = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
+        let ins = (0..self.shards.len())
+            .map(|i| {
                 let prefix = format!("sharded.shard{i}");
-                s.cube.store().attach_metrics(metrics, &prefix);
                 ShardInstruments {
                     opens: metrics.counter(&format!("{prefix}.opens")),
                     pulls: metrics.counter(&format!("{prefix}.pulls")),
@@ -571,6 +576,19 @@ impl ShardedCube {
             })
             .collect();
         let _ = self.instruments.set(ins);
+    }
+
+    /// Mirrors shard `i`'s pool into `metrics` (module docs: `grid.pool.…`
+    /// and the meter's `disk.…` for a set of one, else
+    /// `sharded.shard<i>.pool.…`).
+    fn attach_shard(&self, i: usize, metrics: &Metrics) {
+        let shard = &self.shards[i];
+        if self.shards.len() == 1 {
+            shard.cube.store().attach_metrics(metrics, "grid");
+            shard.disk.attach_metrics(metrics);
+        } else {
+            shard.cube.store().attach_metrics(metrics, &format!("sharded.shard{i}"));
+        }
     }
 
     /// The fan-out of the most recently *finished* sharded query (the

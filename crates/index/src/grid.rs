@@ -100,6 +100,11 @@ impl GridPartition {
         self.blocks.len()
     }
 
+    /// Tuples partitioned, over all blocks.
+    pub fn num_tuples(&self) -> usize {
+        self.tuple_bid.len()
+    }
+
     /// Bin boundaries for dimension index `i` (position within `dims`).
     pub fn boundaries(&self, i: usize) -> &[f64] {
         &self.boundaries[i]

@@ -99,35 +99,35 @@
 //!
 //! The superblock's catalog pointer names one ordinary object whose first
 //! byte is a *kind tag* interpreted by the cube layer (`rcube_core`):
-//! `6` grid cube (whatever cuboids it materializes, ranking fragments
+//! `7` grid cube (whatever cuboids it materializes, ranking fragments
 //! included), `4` signature cube. Readers reject a mismatched tag with a
-//! typed error, so a catalog- or cell-layout change is shipped as a new
-//! tag rather than a silent reinterpretation. Tag `5` (packed cells whose
-//! directory entries were a fixed `[bid u32][base u32][end u32]` with no
-//! box, and a partition table of `u64` counts and `u32` tids) is retired:
-//! a file carrying it fails to open with the kind-mismatch error and must
-//! be re-saved. So is tag `1` (a grid catalog naming one object per cell,
-//! each cell with its own value count), before cells were packed into
-//! shared segments. Tag `2` (a fragments-configured grid
-//! cube behind two extra integers) is retired as well, and the same
-//! way. Tag `3` (the original
-//! signature-cube catalog) is retired too: it carried a per-node
-//! `sid → partial` pair list per cell; tag `4` stores, per cell, the
-//! signature depth plus one *first-SID* entry per partial — BFS write
+//! typed error, so a catalog-, cell- or block-layout change is shipped as
+//! a new tag rather than a silent reinterpretation. Retired tags fail to
+//! open with the kind-mismatch error, and their files must be re-saved:
+//! tag `6` (base blocks of `[tid u32][f64 × R]` records, the tids
+//! repeating the partition's), tag `5` (packed cells whose directory
+//! entries were a fixed `[bid u32][base u32][end u32]` with no box, and a
+//! partition table of `u64` counts and `u32` tids), tag `1` (a grid
+//! catalog naming one object per cell, each cell with its own value
+//! count, before cells were packed into shared segments) and tag `2` (a
+//! fragments-configured grid cube behind two extra integers). Tag `3`
+//! (the original signature-cube catalog) is retired too: it carried a
+//! per-node `sid → partial` pair list per cell; tag `4` stores, per cell,
+//! the signature depth plus one *first-SID* entry per partial — BFS write
 //! order makes SIDs strictly increasing, so that sorted array replaces
 //! the map (binary search) and shrinks the catalog from O(nodes) to
 //! O(partials). Files written with tag 3 fail to open with a
 //! kind-mismatch error and must be re-saved.
 //!
-//! **Grid catalog (tag 6).** All integers little-endian:
+//! **Grid catalog (tag 7).** All integers little-endian:
 //!
 //! | field                  | encoding                                        |
 //! |------------------------|-------------------------------------------------|
-//! | kind tag               | `u8` = 6                                        |
+//! | kind tag               | `u8` = 7                                        |
 //! | block size `P`         | `u64`                                           |
 //! | ranking dimensions     | count `u64`, then each `u64`                    |
 //! | partition              | byte length `u64`, then bins, dims and bin edges (`u64` / `f64`), block count `u64`, and per block a LEB128 tid count and LEB128 gaps between its ascending tids, the first from 0 (`rcube_index::grid`) |
-//! | base-block table       | block count `u64`, then one `u64` object id per block (`u64::MAX` = empty block) |
+//! | base-block table       | block count `u64`, then one `u64` object id per block (`u64::MAX` exactly for a block with no tids) |
 //! | cuboid directory       | cuboid count `u64`; per cuboid: dims (count `u64`, each `u64`), scale factor `u64`, cell count `u64`, then per cell its values (`u32` per dim), pid `u32`, object `u64`, start `u32`, length `u32` |
 //!
 //! A cell is `length` bytes from `start` in the object it names. The
@@ -137,6 +137,12 @@
 //! its own (start 0). A segment never spans two pages, so fetching a cell
 //! reads the pages it would read alone. A reference that runs past its
 //! object's end is a malformed file, reported by the first read of it.
+//!
+//! **Grid base block.** `n × R` little-endian `f64`s, row-major: the
+//! ranking values, over the catalog's ranking dimensions, of the block's
+//! `n` tids in the partition's (ascending) order — record `i` belongs to
+//! the block's `i`-th tid, and no tid is stored in the block. An object
+//! of any other length is a malformed file.
 //!
 //! **Grid cell** (`rcube_core::gridcube::encode_cell`). One entry per base
 //! block the cell has tuples in, sorted by bid, then the entries' posting

@@ -411,6 +411,48 @@ fn a_damaged_set_of_one_is_the_grid_route_and_repairs_by_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `repair_shard` swaps in a freshly opened shard, whose pool must keep
+/// counting under the names the engine gave the old one: after the repair,
+/// queries advance `sharded.shard0.pool.*` on a 2-shard set and
+/// `grid.pool.*` on a set of one by exactly the lookups the new pool saw.
+#[test]
+fn a_repaired_shard_keeps_its_pool_series() {
+    let relation = rel(600, 11);
+    let dir = std::env::temp_dir().join(format!("rcube_shard_series_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Top-all opens every shard.
+    let q = Query::all().rank(Linear::uniform(2)).top(relation.len());
+    for (shards, prefix) in [(2, "sharded.shard0"), (1, "grid")] {
+        let manifest = dir.join(format!("set{shards}.manifest"));
+        let cfg = ShardedCubeConfig { shards, ..Default::default() };
+        drop(ShardedCube::build_to(&relation, &manifest, &cfg).expect("build to disk"));
+        let cube = ShardedCube::open_from(&manifest).expect("open");
+        let mut eng = Engine::new(relation.clone()).with_prebuilt_sharded(cube);
+        let series = |eng: &Engine| {
+            let snap = eng.metrics().snapshot();
+            let get = |what: &str| snap.counter(&format!("{prefix}.pool.{what}")).unwrap_or(0);
+            get("hits") + get("misses")
+        };
+        let lookups = |eng: &Engine| {
+            let shard = &eng.sharded_cube().unwrap().shards()[0];
+            let pool = shard.cube().pool_stats().expect("file-backed");
+            pool.hits() + pool.misses()
+        };
+        let want = eng.query(&q).expect("answers").items;
+        assert!(series(&eng) > 0, "{prefix}: the series counts before the repair");
+
+        eng.repair_shard(0).expect("repair reopens the shard");
+        let (series_at, lookups_at) = (series(&eng), lookups(&eng));
+        for _ in 0..3 {
+            assert_eq!(eng.query(&q).expect("answers").items, want, "{prefix}");
+        }
+        let counted = series(&eng) - series_at;
+        assert!(counted > 0, "{prefix}: the series stopped at the repair");
+        assert_eq!(counted, lookups(&eng) - lookups_at, "{prefix}: series vs the new pool");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A set resolves one cover, on shard 0, for every shard, and a set of one
 /// answers with global tids unmapped, so both are refused at open, typed:
 /// a shard file built under another `CuboidSpec` swapped into a set, and a
