@@ -31,7 +31,7 @@ use rcube_bench::{
 use rcube_core::query::RankedSource;
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
 use rcube_index::rtree::{RTree, RTreeConfig};
-use rcube_storage::{DiskSim, FileBackend, PageStore};
+use rcube_storage::{DiskSim, FileBackend, PageBackend, PageStore};
 use rcube_table::gen::SyntheticSpec;
 
 const PAGE: usize = 4096;

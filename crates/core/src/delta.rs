@@ -511,9 +511,14 @@ fn replay_wal(bytes: &[u8], flushed_seq: u64) -> Result<WalState, StorageError> 
             }
             return Err(StorageError::ChecksumMismatch { page: frame });
         };
+        // No write is logged past the top seq or tid: a checksummed frame
+        // naming one is damage, not a record to count from.
+        let (Some(after_seq), Some(after_tid)) = (seq.checked_add(1), tid.checked_add(1)) else {
+            return Err(StorageError::Malformed("WAL frame at the top of the seq or tid range"));
+        };
         s.report.records += 1;
-        s.next_seq = s.next_seq.max(seq + 1);
-        s.next_tid = s.next_tid.max(tid + 1);
+        s.next_seq = s.next_seq.max(after_seq);
+        s.next_tid = s.next_tid.max(after_tid);
         if seq > flushed_seq {
             s.report.pending += 1;
             s.mem.put(tid, seq, op);
@@ -3137,6 +3142,103 @@ mod tests {
         assert!(matches!(refused, Err(StorageError::UnsupportedVersion(1))), "{refused:?}");
         assert_eq!(std::fs::read(wal_path_for(&path)).unwrap(), wal, "the WAL is left alone");
         cleanup(&path);
+    }
+
+    /// Decode fuzz of the WAL replay: arbitrary bytes, and a valid WAL
+    /// cut short or with bits flipped, replay to a typed error or to a
+    /// memtable holding exactly the first `records` frames written — never
+    /// a panic. A checksummed frame at the top of the seq or tid range is
+    /// refused typed.
+    #[test]
+    fn wal_decode_fuzz_gives_a_typed_error_or_a_prefix() {
+        let mut rng = proptest::TestRng::deterministic("wal_decode_fuzz");
+        let mut below = |n: usize| (rng.next_u64() % n as u64) as usize;
+        // Distinct tids, seqs from 1, one delete in three.
+        let ops: Vec<(u64, Tid, MemOp)> = (0..40u32)
+            .map(|i| {
+                let op = match i % 3 {
+                    2 => MemOp::Delete,
+                    _ => {
+                        MemOp::Upsert { sel: vec![i, i % 5], point: vec![f64::from(i) / 7.0, -0.5] }
+                    }
+                };
+                (u64::from(i) + 1, 100 + 3 * i, op)
+            })
+            .collect();
+        let encode = |seq: u64, tid: Tid, op: &MemOp| {
+            let mut payload = Vec::new();
+            match op {
+                MemOp::Upsert { sel, point } => encode_upsert(&mut payload, seq, tid, sel, point),
+                MemOp::Delete => encode_delete(&mut payload, seq, tid),
+            }
+            frame(&payload)
+        };
+        let mut wal = wal_header().to_vec();
+        let mut ends = vec![wal.len()];
+        for (seq, tid, op) in &ops {
+            wal.extend(encode(*seq, *tid, op));
+            ends.push(wal.len());
+        }
+        let same = |a: &MemOp, b: &MemOp| match (a, b) {
+            (MemOp::Delete, MemOp::Delete) => true,
+            (MemOp::Upsert { sel: s, point: p }, MemOp::Upsert { sel: t, point: q }) => {
+                s == t && p.iter().map(|v| v.to_bits()).eq(q.iter().map(|v| v.to_bits()))
+            }
+            _ => false,
+        };
+        // `Some(records)` after checking the replayed state is that prefix.
+        let replay_prefix = |bytes: &[u8]| {
+            let s = replay_wal(bytes, 0).ok()?;
+            let r = s.report.records as usize;
+            assert!(r <= ops.len() && s.report.pending == r as u64);
+            assert_eq!(s.mem.ops.len(), r);
+            for (seq, tid, op) in &ops[..r] {
+                let logged = &s.mem.ops[tid];
+                assert!(logged.seq == *seq && same(&logged.op, op), "frame {seq}");
+            }
+            assert_eq!(s.next_seq, r as u64 + 1);
+            if bytes.len() >= WAL_HEADER_LEN {
+                assert_eq!(s.valid_len, ends[r] as u64);
+            }
+            Some(r)
+        };
+        assert_eq!(replay_prefix(&wal), Some(ops.len()));
+
+        let (mut prefixes, mut refused) = (0, 0);
+        for _ in 0..4_000 {
+            let mut bytes = wal.clone();
+            match below(4) {
+                // Cut anywhere, header included.
+                0 => bytes.truncate(below(wal.len())),
+                // One to three bits flipped anywhere.
+                1 => {
+                    for _ in 0..1 + below(3) {
+                        let bit = below(bytes.len() * 8);
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                // Arbitrary bytes behind a valid header…
+                2 => {
+                    bytes.truncate(WAL_HEADER_LEN + 8 * below(ops.len()));
+                    let junk = below(300);
+                    bytes.extend((0..junk).map(|_| below(256) as u8));
+                }
+                // … and in its place.
+                _ => bytes = (0..below(300)).map(|_| below(256) as u8).collect(),
+            }
+            match replay_prefix(&bytes) {
+                Some(_) => prefixes += 1,
+                None => refused += 1,
+            }
+        }
+        assert!(prefixes > 500 && refused > 500, "{prefixes} prefixes, {refused} refused");
+
+        for (seq, tid) in [(u64::MAX, 7), (9, Tid::MAX)] {
+            let mut bytes = wal_header().to_vec();
+            bytes.extend(encode(seq, tid, &MemOp::Delete));
+            bytes.extend(encode(1, 8, &MemOp::Delete));
+            assert!(matches!(replay_wal(&bytes, 0), Err(StorageError::Malformed(_))));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! held by the query's [`Pruner`]) that never materialize a partial:
 //!
 //! * **Zero-copy partial views.** On first touch of a partial the cursor
-//!   takes the shared page handle from `PageStore::try_get_bytes` (a view
+//!   takes the shared page handle from `PageBackend::try_get_bytes` (a view
 //!   into a buffer-pool frame on file-backed cubes) and header-scans it
 //!   into a per-partial *node directory* — a sorted `(SID, bit offset)`
 //!   array.
@@ -134,14 +134,15 @@ pub struct StoredSignature {
 }
 
 impl StoredSignature {
-    /// Serializes, compresses, decomposes and stores `sig`; a failed
-    /// append comes back typed.
+    /// Serializes, compresses, decomposes and stores `sig`; returns it
+    /// with the pages its partials cover on `disk`. A failed append comes
+    /// back typed.
     pub fn write(
         sig: &Signature,
         disk: &DiskSim,
         store: &PageStore,
         alpha: f64,
-    ) -> Result<StoredSignature, StorageError> {
+    ) -> Result<(StoredSignature, u64), StorageError> {
         let m = sig.fanout();
         let depth = sig.depth();
         let target_bits = partial_target_bits(disk, alpha);
@@ -151,6 +152,7 @@ impl StoredSignature {
         let mut first_sid = Vec::new();
         let mut cur = BitWriter::new();
         let mut total_bits = 0usize;
+        let mut pages = 0;
         let mut queue: std::collections::VecDeque<(u64, &SigNode)> =
             std::collections::VecDeque::new();
         if let Some(root) = sig.root() {
@@ -168,15 +170,15 @@ impl StoredSignature {
             }
             if cur.len() >= target_bits {
                 total_bits += cur.len();
-                partials.push(flush_partial(&mut cur, disk, store)?);
+                partials.push(flush_partial(&mut cur, disk, store, &mut pages)?);
             }
         }
         if !cur.is_empty() {
             total_bits += cur.len();
-            partials.push(flush_partial(&mut cur, disk, store)?);
+            partials.push(flush_partial(&mut cur, disk, store, &mut pages)?);
         }
         debug_assert_eq!(partials.len(), first_sid.len());
-        Ok(StoredSignature { m, depth, partials, first_sid, total_bits })
+        Ok((StoredSignature { m, depth, partials, first_sid, total_bits }, pages))
     }
 
     /// Number of partial signatures.
@@ -225,16 +227,20 @@ fn partial_target_bits(disk: &DiskSim, alpha: f64) -> usize {
     ((disk.page_size() as f64) * alpha * 8.0).max(64.0) as usize
 }
 
+/// Stores the partial `cur` holds and empties `cur`; adds the pages it
+/// covers on `disk` to `pages`.
 fn flush_partial(
     cur: &mut BitWriter,
     disk: &DiskSim,
     store: &PageStore,
+    pages: &mut u64,
 ) -> Result<PageId, StorageError> {
     let taken = std::mem::take(cur);
     let (bytes, bit_len) = taken.into_parts();
     let mut payload = Vec::with_capacity(4 + bytes.len());
     payload.extend_from_slice(&(bit_len as u32).to_le_bytes());
     payload.extend_from_slice(&bytes);
+    *pages += disk.pages_for(payload.len()) as u64;
     store.try_put(disk, payload)
 }
 
@@ -1105,7 +1111,7 @@ impl SignatureCube {
             let mut stored = HashMap::with_capacity(cells.len());
             for (vals, cell_paths) in cells {
                 let sig = Signature::from_paths(m, cell_paths.iter().copied());
-                let sig = StoredSignature::write(&sig, disk, &store, config.alpha)?;
+                let (sig, _) = StoredSignature::write(&sig, disk, &store, config.alpha)?;
                 stored.insert(vals, Arc::new(sig));
             }
             cuboids.insert(dims, stored);
@@ -1707,7 +1713,7 @@ impl SignatureCube {
         let target_bits = partial_target_bits(disk, self.alpha);
         let mut done = CellSplice::default();
         let mut rebuilt: Vec<(usize, Vec<(PageId, u64)>)> = Vec::with_capacity(dirty.len());
-        let (mut bits_gone, mut bits_new) = (0usize, 0usize);
+        let (mut bits_gone, mut bits_new, mut pages) = (0usize, 0usize, 0);
         let store = &self.store;
         // The node table of each partial written, unless nobody would read it.
         let tabled = !self.node_cache.is_disabled();
@@ -1715,7 +1721,7 @@ impl SignatureCube {
         let mut close = |cur: &mut BitWriter, first: u64, table: &mut Option<TableBuilder>| {
             let bit_len = cur.len();
             bits_new += bit_len;
-            let page = flush_partial(cur, disk, store)?;
+            let page = flush_partial(cur, disk, store, &mut pages)?;
             if let Some(table) = table {
                 tables.insert(page.0, Arc::new(table.finish(bit_len)));
             }
@@ -1769,16 +1775,14 @@ impl SignatureCube {
         // the cell's, when another generation still serves it.
         let stored = Arc::make_mut(cells.get_mut(&vals).expect("edited above"));
         let mut replaced = Vec::with_capacity(rebuilt.len());
-        let mut appended = Vec::with_capacity(done.partials);
         for (pi, parts) in rebuilt.into_iter().rev() {
             replaced.push(stored.partials[pi]);
-            appended.extend(parts.iter().map(|&(page, _)| page));
             stored.partials.splice(pi..=pi, parts.iter().map(|&(page, _)| page));
             stored.first_sid.splice(pi..=pi, parts.iter().map(|&(_, sid)| sid));
         }
         stored.total_bits = stored.total_bits - bits_gone + bits_new;
         debug_assert!(stored.first_sid.windows(2).all(|w| w[0] < w[1]));
-        self.count_appended(&appended, disk);
+        self.metrics.counter("maintenance.pages_appended").add(pages);
         self.hand_over(tables, &replaced);
         self.retire_partials(&replaced)?;
         Ok(done)
@@ -1798,8 +1802,8 @@ impl SignatureCube {
             None
         } else {
             let sig = Signature::from_paths(self.m, paths.iter().copied());
-            let stored = StoredSignature::write(&sig, disk, &self.store, self.alpha)?;
-            self.count_appended(&stored.partials, disk);
+            let (stored, pages) = StoredSignature::write(&sig, disk, &self.store, self.alpha)?;
+            self.metrics.counter("maintenance.pages_appended").add(pages);
             done = CellSplice { partials: stored.partials.len(), nodes: sig.node_count() };
             Some(stored)
         };
@@ -1813,14 +1817,6 @@ impl SignatureCube {
         self.hand_over(HashMap::new(), &replaced);
         self.retire_partials(&replaced)?;
         Ok(done)
-    }
-
-    fn count_appended(&self, partials: &[PageId], disk: &DiskSim) {
-        let pages: u64 = partials
-            .iter()
-            .map(|&p| self.store.size_of(p).map_or(1, |len| disk.pages_for(len) as u64))
-            .sum();
-        self.metrics.counter("maintenance.pages_appended").add(pages);
     }
 
     /// COW retirement: replaced partials leave the *next* generation
@@ -1845,7 +1841,7 @@ impl SignatureCube {
         let old = if sig.is_empty() {
             cells.remove(&vals)
         } else {
-            let stored = StoredSignature::write(sig, disk, &self.store, self.alpha)?;
+            let (stored, _) = StoredSignature::write(sig, disk, &self.store, self.alpha)?;
             cells.insert(vals, Arc::new(stored))
         };
         let replaced = old.map_or(Vec::new(), |o| o.partials.clone());
@@ -2371,6 +2367,8 @@ mod tests {
         let mut rtree = RTree::over_relation(&disk, &rel, &[], RTreeConfig::small(8));
         let config = SignatureCubeConfig { alpha: 1e-6, ..Default::default() };
         let mut cube = SignatureCube::build(&rel, &rtree, &disk, config);
+        let metrics = Metrics::new();
+        cube.set_metrics(metrics.clone());
         let warm = |cube: &SignatureCube, rtree: &RTree, d: usize, v: u32| {
             let sel = Selection::new(vec![(d, v)]);
             let mut p = cube.pruner_for(&sel, &disk).unwrap().expect("cell exists");
@@ -2400,6 +2398,10 @@ mod tests {
         assert!((1..=path.len()).contains(&replaced), "one partial per changed node at most");
         assert_eq!(done.partials, after.len() - kept);
         assert!(done.nodes <= path.len(), "only nodes on the path are re-encoded");
+        let written: u64 = (after.iter().filter(|p| !before.contains(p)))
+            .map(|&p| disk.pages_for(cube.store().peek(p).unwrap().len()) as u64)
+            .sum();
+        assert_eq!(metrics.counter("maintenance.pages_appended").get(), written);
 
         // The untouched cell is still fully cache-served…
         let (loads, hits) = warm(&cube, &rtree, 1, 2);

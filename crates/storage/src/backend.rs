@@ -1,8 +1,9 @@
-//! The pluggable page backend: one trait, two devices.
+//! The page backend: one trait, two devices.
 //!
 //! Everything above this crate stores *objects* (serialized cells, base
-//! blocks, partial signatures) through [`crate::PageStore`]; the store
-//! delegates to a [`PageBackend`]:
+//! blocks, partial signatures) through a [`crate::PageStore`], an owning
+//! handle that derefs to the [`PageBackend`] it holds — every storage
+//! operation is a trait method, implemented by one of two devices:
 //!
 //! * [`MemBackend`] — the original in-memory simulator. Bytes live in a
 //!   map, the [`crate::DiskSim`] passed to each call decides buffer
@@ -154,10 +155,13 @@ impl FileStamp {
     }
 }
 
-/// A device that stores byte objects in fixed-size pages.
+/// A device that stores byte objects in fixed-size pages: the one storage
+/// interface, reached through a [`crate::PageStore`] or a backend handle.
 ///
-/// Object granularity: `put` lays an object over one or more consecutive
-/// pages and returns the first page id; `get` reassembles it. The
+/// Object granularity: `try_put` lays an object over one or more
+/// consecutive pages and returns the first page id; `try_get_bytes`
+/// reassembles it. Every fallible operation returns a typed
+/// [`StorageError`]. The
 /// [`DiskSim`] argument is the *meter* — backends charge logical/physical
 /// reads and writes against its shared [`crate::IoStats`] so the paper's
 /// disk-access counts stay comparable across devices. Hit/miss is decided
@@ -169,11 +173,11 @@ pub trait PageBackend: Send + Sync + std::fmt::Debug {
     /// [`MemBackend`], the write-through pool frame of the file store — so
     /// a caller that already holds the bytes shared (a save copying one
     /// store's objects into another) hands them over without a copy.
-    fn put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError>;
+    fn try_put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError>;
 
-    /// [`Self::put_shared`] for bytes the caller owns outright.
-    fn put(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
-        self.put_shared(disk, data.into())
+    /// [`Self::try_put_shared`] for bytes the caller owns outright.
+    fn try_put(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
+        self.try_put_shared(disk, data.into())
     }
 
     /// Replaces the object rooted at `first` (same id, new bytes).
@@ -185,22 +189,27 @@ pub trait PageBackend: Send + Sync + std::fmt::Debug {
     /// new copy (COW) and publishing a new catalog, never in place.
     fn overwrite(&self, disk: &DiskSim, first: PageId, data: Vec<u8>) -> Result<(), StorageError>;
 
-    /// Reads the object rooted at `first`, charging one read per covering
-    /// page, and returns a shared handle to its bytes.
-    fn get(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError>;
+    /// Zero-copy read: charges one read per covering page and returns a
+    /// shared handle to the object's bytes — over a file backend, a view
+    /// into a buffer-pool frame that query processors parse borrowed
+    /// posting-list views directly over. Every page is validated (type,
+    /// length, CRC) before bytes are handed out.
+    fn try_get_bytes(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError>;
 
     /// Reads an object without charging I/O (save/open bookkeeping, not a
     /// metered query path).
     fn peek(&self, first: PageId) -> Result<Arc<[u8]>, StorageError>;
 
-    /// Object payload size in bytes, if known without I/O.
-    fn size_of(&self, first: PageId) -> Option<usize>;
-
     /// Total stored payload bytes (materialized-size metric).
     fn total_bytes(&self) -> usize;
 
     /// Number of stored objects.
-    fn object_count(&self) -> usize;
+    fn len(&self) -> usize;
+
+    /// True when no objects are stored.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 
     /// Drops cached bytes (cold-cache measurement point). No-op for the
     /// in-memory backend, whose "cache" is the `DiskSim` buffer.
@@ -226,10 +235,10 @@ pub trait PageBackend: Send + Sync + std::fmt::Debug {
     /// Stores a metadata object: the catalog, or an object only the
     /// catalog names (an R-tree node). Backends with persistent metadata
     /// neither charge it to `disk` nor count it in `total_bytes` /
-    /// `object_count`, keeping those the paper's *materialized cube size*
+    /// `len`, keeping those the paper's *materialized cube size*
     /// (cells + base blocks), not file overhead.
     fn put_meta(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
-        self.put(disk, data)
+        self.try_put(disk, data)
     }
 
     /// Stores the catalog object ([`Self::put_meta`]) and records it as
@@ -298,7 +307,7 @@ impl MemBackend {
 }
 
 impl PageBackend for MemBackend {
-    fn put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
+    fn try_put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
         let pages = disk.pages_for(data.len());
         let ids = disk.alloc_pages(pages);
         let first = ids[0];
@@ -318,7 +327,7 @@ impl PageBackend for MemBackend {
         Ok(())
     }
 
-    fn get(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError> {
+    fn try_get_bytes(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError> {
         let data = self.peek(first)?;
         disk.read_span(first, data.len());
         Ok(data)
@@ -328,15 +337,11 @@ impl PageBackend for MemBackend {
         self.objects.read().unwrap().get(&first).cloned().ok_or(StorageError::MissingObject(first))
     }
 
-    fn size_of(&self, first: PageId) -> Option<usize> {
-        self.objects.read().unwrap().get(&first).map(|d| d.len())
-    }
-
     fn total_bytes(&self) -> usize {
         self.objects.read().unwrap().values().map(|d| d.len()).sum()
     }
 
-    fn object_count(&self) -> usize {
+    fn len(&self) -> usize {
         self.objects.read().unwrap().len()
     }
 
@@ -370,11 +375,10 @@ mod tests {
     fn mem_backend_round_trips() {
         let disk = DiskSim::new(100, 0);
         let be = MemBackend::new();
-        let id = be.put(&disk, vec![9u8; 250]).unwrap();
-        assert_eq!(be.size_of(id), Some(250));
+        let id = be.try_put(&disk, vec![9u8; 250]).unwrap();
         assert_eq!(be.total_bytes(), 250);
-        assert_eq!(be.object_count(), 1);
-        let back = be.get(&disk, id).unwrap();
+        assert_eq!(be.len(), 1);
+        let back = be.try_get_bytes(&disk, id).unwrap();
         assert_eq!(&back[..], &[9u8; 250][..]);
         // 250 bytes over 100-byte pages: 3 physical reads, 3 writes.
         let s = disk.stats().snapshot();
@@ -386,7 +390,10 @@ mod tests {
     fn mem_backend_missing_object_is_typed() {
         let disk = DiskSim::with_defaults();
         let be = MemBackend::new();
-        assert!(matches!(be.get(&disk, PageId(5)), Err(StorageError::MissingObject(PageId(5)))));
+        assert!(matches!(
+            be.try_get_bytes(&disk, PageId(5)),
+            Err(StorageError::MissingObject(PageId(5)))
+        ));
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! cursor-heavy concurrent workloads charging hits against one shared
 //! device do not serialize on a single mutex.
 //!
-//! [`PageStore`] holds real object bytes behind a pluggable
-//! [`PageBackend`]: the in-memory simulator by default, or a checksummed
-//! cube file ([`crate::FileBackend`]) for persistent, reopenable cubes.
+//! [`PageStore`] is the handle every cube holds on the bytes it stores:
+//! it owns one [`PageBackend`] — the in-memory simulator by default, or a
+//! checksummed cube file ([`crate::FileBackend`]) for persistent,
+//! reopenable cubes — and derefs to it, so the trait is the whole storage
+//! interface.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -174,7 +177,10 @@ impl Default for DiskSim {
     }
 }
 
-/// A byte-addressed object store over a pluggable [`PageBackend`].
+/// A byte-addressed object store: an owning, cloneable handle on a
+/// [`PageBackend`] that derefs to it, so every storage operation is the
+/// trait method of that name (`store.try_get_bytes(..)`,
+/// `store.flush()`, `store.pool_stats()`, …).
 ///
 /// Each stored object owns one or more consecutive pages; reading the
 /// object charges one read per covering page against the metering
@@ -182,16 +188,14 @@ impl Default for DiskSim {
 /// [`PageStore::create_file`] / [`PageStore::open_file`] target a real
 /// cube file with checksummed pages and a byte-caching buffer pool.
 ///
-/// Reads and writes are fallible: the `try_*` methods and
-/// [`PageStore::overwrite`] surface typed [`StorageError`]s. `put` and
-/// `get_bytes` panic instead. No read path of the engine calls
+/// Reads and writes are fallible and surface typed [`StorageError`]s.
+/// The handle adds only two panicking names, [`PageStore::put`] and
+/// [`PageStore::get_bytes`]: no read path of the engine calls
 /// `get_bytes`, and `put` writes only the fresh in-memory stores of the
 /// grid and join-signature builds; both stay because the end-to-end
 /// benchmark harness calls them.
 #[derive(Debug, Clone)]
-pub struct PageStore {
-    backend: Arc<dyn PageBackend>,
-}
+pub struct PageStore(Arc<dyn PageBackend>);
 
 impl Default for PageStore {
     fn default() -> Self {
@@ -199,15 +203,23 @@ impl Default for PageStore {
     }
 }
 
+impl Deref for PageStore {
+    type Target = dyn PageBackend;
+
+    fn deref(&self) -> &Self::Target {
+        &*self.0
+    }
+}
+
 impl PageStore {
     /// In-memory store (deterministic simulator backend).
     pub fn new() -> Self {
-        Self { backend: Arc::new(MemBackend::new()) }
+        Self(Arc::new(MemBackend::new()))
     }
 
     /// Store over an explicit backend.
     pub fn with_backend(backend: Arc<dyn PageBackend>) -> Self {
-        Self { backend }
+        Self(backend)
     }
 
     /// Creates a fresh cube file at `path` (truncating an existing one)
@@ -218,7 +230,7 @@ impl PageStore {
         page_size: usize,
         opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::create(path, page_size, opts)?) })
+        Ok(Self(Arc::new(FileBackend::create(path, page_size, opts)?)))
     }
 
     /// Opens an existing cube file read-only.
@@ -226,16 +238,16 @@ impl PageStore {
         path: impl AsRef<std::path::Path>,
         opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::open(path, opts)?) })
+        Ok(Self(Arc::new(FileBackend::open(path, opts)?)))
     }
 
     /// Opens an existing cube file for writing: appends land after the
-    /// newest committed generation, [`Self::flush`] commits the next one.
+    /// newest committed generation, `flush` commits the next one.
     pub fn open_file_writable(
         path: impl AsRef<std::path::Path>,
         opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::open_writable(path, opts)?) })
+        Ok(Self(Arc::new(FileBackend::open_writable(path, opts)?)))
     }
 
     /// Opens an existing cube file read-only, pinned on its *previous*
@@ -244,159 +256,20 @@ impl PageStore {
         path: impl AsRef<std::path::Path>,
         opts: impl Into<FileOptions>,
     ) -> Result<Self, StorageError> {
-        Ok(Self { backend: Arc::new(FileBackend::open_previous(path, opts)?) })
+        Ok(Self(Arc::new(FileBackend::open_previous(path, opts)?)))
     }
 
-    /// The backing device.
-    pub fn backend(&self) -> &Arc<dyn PageBackend> {
-        &self.backend
-    }
-
-    /// Stores `data`, charging writes to `disk`; returns the first page id.
+    /// [`PageBackend::try_put`] that panics on a storage error.
     pub fn put(&self, disk: &DiskSim, data: Vec<u8>) -> PageId {
         self.try_put(disk, data).unwrap_or_else(|e| panic!("PageStore::put: {e}"))
     }
 
-    /// Fallible [`PageStore::put`].
-    pub fn try_put(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
-        self.backend.put(disk, data)
-    }
-
-    /// [`PageStore::try_put`] for bytes already behind a shared handle:
-    /// the store keeps that handle instead of copying out of it.
-    pub fn try_put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
-        self.backend.put_shared(disk, data)
-    }
-
-    /// Replaces the object rooted at `first` (same id, new bytes). Charges
-    /// writes for the covering pages; a missing object, or one the backend
-    /// cannot rewrite in place, is a typed error.
-    pub fn overwrite(
-        &self,
-        disk: &DiskSim,
-        first: PageId,
-        data: Vec<u8>,
-    ) -> Result<(), StorageError> {
-        self.backend.overwrite(disk, first, data)
-    }
-
-    /// Zero-copy read: charges I/O for every covering page and hands back
-    /// a shared handle to the object bytes. Panics if the object does not
-    /// exist (a store-level invariant violation, not a user error).
-    /// Over a file backend the handle is a view into a buffer-pool frame;
-    /// query processors parse borrowed posting-list views
-    /// (`rcube_core::idlist`-style) directly over it.
+    /// [`PageBackend::try_get_bytes`] that panics on a storage error (a
+    /// missing object is a store-level invariant violation, not a user
+    /// error).
     pub fn get_bytes(&self, disk: &DiskSim, first: PageId) -> Arc<[u8]> {
         self.try_get_bytes(disk, first)
             .unwrap_or_else(|e| panic!("PageStore::get_bytes at {first:?}: {e}"))
-    }
-
-    /// Fallible [`PageStore::get_bytes`]: the hardened read path. Every
-    /// page is validated (type, length, CRC) before bytes are handed out;
-    /// truncation or corruption comes back as a typed [`StorageError`].
-    pub fn try_get_bytes(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError> {
-        self.backend.get(disk, first)
-    }
-
-    /// Reads an object without charging I/O (catalog/bookkeeping reads).
-    pub fn peek(&self, first: PageId) -> Result<Arc<[u8]>, StorageError> {
-        self.backend.peek(first)
-    }
-
-    /// Object size in bytes without charging I/O (catalog lookup).
-    pub fn size_of(&self, first: PageId) -> Option<usize> {
-        self.backend.size_of(first)
-    }
-
-    /// Total stored bytes across all objects (materialized-size metric).
-    pub fn total_bytes(&self) -> usize {
-        self.backend.total_bytes()
-    }
-
-    /// Number of stored objects.
-    pub fn len(&self) -> usize {
-        self.backend.object_count()
-    }
-
-    /// True when no objects are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops backend-cached bytes (cold-cache measurement point; no-op for
-    /// the in-memory backend, whose hits live in the `DiskSim` buffer).
-    pub fn clear_cache(&self) {
-        self.backend.clear_cache();
-    }
-
-    /// Per-shard buffer-pool occupancy and hit/miss/eviction counters, or
-    /// `None` on backends without a byte cache (the in-memory simulator).
-    pub fn pool_stats(&self) -> Option<crate::buffer::PoolStats> {
-        self.backend.pool_stats()
-    }
-
-    /// Mirrors the backend's cache/fault activity into `metrics` under
-    /// `{prefix}.…` series (e.g. `grid.pool.hits`). No-op on backends
-    /// with nothing to observe (the in-memory simulator).
-    pub fn attach_metrics(&self, metrics: &rcube_obs::Metrics, prefix: &str) {
-        self.backend.attach_metrics(metrics, prefix);
-    }
-
-    /// Commits the backend state (on generational backends: appends the
-    /// allocation map and stamps the inactive superblock slot with the
-    /// next generation — the crash-atomic publish point).
-    pub fn flush(&self) -> Result<(), StorageError> {
-        self.backend.flush()
-    }
-
-    /// The committed generation this store serves, if the backend has
-    /// generational commits (`None` for the in-memory simulator).
-    pub fn generation(&self) -> Option<u64> {
-        self.backend.generation()
-    }
-
-    /// The file and committed generation behind this store
-    /// ([`crate::FileStamp`]; `None` on the in-memory backend).
-    pub fn file_stamp(&self) -> Option<crate::FileStamp> {
-        self.backend.file_stamp()
-    }
-
-    /// Marks the object rooted at `first` unreachable from the next
-    /// generation (COW maintenance retired it).
-    pub fn retire(&self, first: PageId) -> Result<(), StorageError> {
-        self.backend.retire(first)
-    }
-
-    /// Pages retired by COW maintenance that a vacuum would reclaim.
-    pub fn reclaimable_pages(&self) -> u64 {
-        self.backend.reclaimable_pages()
-    }
-
-    /// True when the backend rejects writes (a reopened cube file).
-    pub fn read_only(&self) -> bool {
-        self.backend.read_only()
-    }
-
-    /// The catalog root recorded on the device, if any.
-    pub fn catalog(&self) -> Option<PageId> {
-        self.backend.catalog()
-    }
-
-    /// Records the catalog root on the device.
-    pub fn set_catalog(&self, first: PageId) -> Result<(), StorageError> {
-        self.backend.set_catalog(first)
-    }
-
-    /// Stores a metadata object the catalog names, uncharged and excluded
-    /// from the materialized totals on persistent backends.
-    pub fn put_meta(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
-        self.backend.put_meta(disk, data)
-    }
-
-    /// Stores the catalog object and records it as the root (excluded
-    /// from the materialized totals on persistent backends).
-    pub fn put_catalog(&self, disk: &DiskSim, data: Vec<u8>) -> Result<PageId, StorageError> {
-        self.backend.put_catalog(disk, data)
     }
 }
 
@@ -430,7 +303,6 @@ mod tests {
         let store = PageStore::new();
         let data: Vec<u8> = (0..=255).collect();
         let id = store.put(&disk, data.clone());
-        assert_eq!(store.size_of(id), Some(256));
         disk.reset_stats();
         let back = store.try_get_bytes(&disk, id).unwrap();
         assert_eq!(&back[..], &data[..]);
@@ -540,7 +412,6 @@ mod tests {
         for store in [PageStore::new(), PageStore::create_file(&path, 512, 8).unwrap()] {
             let id = store.try_put_shared(&disk, Arc::clone(&data)).unwrap();
             assert!(Arc::ptr_eq(&store.peek(id).unwrap(), &data));
-            assert_eq!(store.size_of(id), Some(1500));
             if store.pool_stats().is_some() {
                 store.clear_cache();
                 let cold = store.peek(id).unwrap();

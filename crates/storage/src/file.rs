@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::backend::{FileStamp, PageBackend, StorageError};
 use crate::buffer::{BufferPool, PoolStats};
@@ -184,13 +184,12 @@ pub struct FileBackend {
     /// Pages of the allocation map the committed generation points at
     /// (0 = none): the next commit appends another and retires this one.
     alloc_pages: AtomicU64,
-    /// first page → object payload length, learned on put and first read.
-    sizes: RwLock<HashMap<u64, u32>>,
     /// Sharded frame cache; internally synchronized.
     pool: BufferPool,
-    /// Serializes mutators (put / overwrite / flush). Never taken on the
-    /// read path.
-    writer: Mutex<()>,
+    /// Serializes mutators (put / overwrite / flush / retire) and holds
+    /// first page → payload length of every object this handle wrote.
+    /// Never taken on the read path.
+    writer: Mutex<HashMap<u64, u32>>,
     /// Scripted media faults, if attached.
     faults: Option<Arc<FaultPlan>>,
     /// Cross-process writer exclusion: writable handles hold the sibling
@@ -235,9 +234,8 @@ impl FileBackend {
             pages_written: AtomicU64::new(0),
             retired_pages: AtomicU64::new(0),
             alloc_pages: AtomicU64::new(0),
-            sizes: RwLock::new(HashMap::new()),
             pool: BufferPool::new(opts.pool_pages),
-            writer: Mutex::new(()),
+            writer: Mutex::new(HashMap::new()),
             faults: opts.faults,
             _lock: Some(lock),
         };
@@ -394,9 +392,8 @@ impl FileBackend {
             // reopen instead of resetting to zero each restart.
             retired_pages: AtomicU64::new(sb.retired_pages),
             alloc_pages: AtomicU64::new(sb.alloc_first.map_or(0, |_| u64::from(sb.alloc_pages))),
-            sizes: RwLock::new(HashMap::new()),
             pool: BufferPool::new(opts.pool_pages),
-            writer: Mutex::new(()),
+            writer: Mutex::new(HashMap::new()),
             faults: opts.faults,
             _lock: lock,
         };
@@ -494,23 +491,11 @@ impl FileBackend {
         self.page_size
     }
 
-    /// Per-shard buffer-pool occupancy and hit/miss/eviction counters.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
     /// Raw page writes issued by this handle (superblock stamps and
     /// allocation maps included) — the patch-vs-rematerialize commit
     /// cost metric.
     pub fn pages_written(&self) -> u64 {
         self.pages_written.load(Ordering::Relaxed)
-    }
-
-    /// Pages retired by COW maintenance, unreachable from the next
-    /// generation — replaced objects, superseded catalogs and allocation
-    /// maps: what a vacuum (compacting rewrite) would reclaim.
-    pub fn reclaimable_pages(&self) -> u64 {
-        self.retired_pages.load(Ordering::Relaxed)
     }
 
     /// Per-page payload capacity.
@@ -587,11 +572,13 @@ impl FileBackend {
         Ok(pages)
     }
 
-    /// Records an object's payload length (skips the write lock when the
-    /// size is already known).
-    fn learn_size(&self, first: u64, len: u32) {
-        if self.sizes.read().unwrap().get(&first) != Some(&len) {
-            self.sizes.write().unwrap().insert(first, len);
+    /// Payload length of the object at `first`: as recorded in `sizes`
+    /// (the writer's map) when this handle wrote it, read off the file
+    /// otherwise.
+    fn object_len(&self, sizes: &HashMap<u64, u32>, first: u64) -> Result<usize, StorageError> {
+        match sizes.get(&first) {
+            Some(&len) => Ok(len as usize),
+            None => Ok(self.read_object(first)?.0.len()),
         }
     }
 
@@ -608,12 +595,10 @@ impl FileBackend {
         if first < DATA_START || first >= page_count {
             return Err(StorageError::OutOfBounds { page: first, page_count });
         }
-        let (frame, pages) = PAGE_SCRATCH.with_borrow_mut(|buf| {
+        PAGE_SCRATCH.with_borrow_mut(|buf| {
             buf.resize(self.page_size, 0);
             self.assemble(first, page_count, buf)
-        })?;
-        self.learn_size(first, frame.len() as u32);
-        Ok((frame, pages))
+        })
     }
 
     /// [`Self::read_object`] past the bounds check, reading through `buf`.
@@ -710,11 +695,11 @@ impl FileBackend {
 }
 
 impl PageBackend for FileBackend {
-    fn put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
+    fn try_put_shared(&self, disk: &DiskSim, data: Arc<[u8]>) -> Result<PageId, StorageError> {
         if self.read_only {
             return Err(StorageError::ReadOnly);
         }
-        let _w = self.writer.lock().unwrap();
+        let mut sizes = self.writer.lock().unwrap();
         let first = self.page_count.load(Ordering::Relaxed);
         let pages = self.write_object_pages(first, &data)?;
         // Publish the new bound only after the pages exist on disk, so a
@@ -723,7 +708,7 @@ impl PageBackend for FileBackend {
         self.total_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
         self.object_count.fetch_add(1, Ordering::Relaxed);
         self.dirty.store(true, Ordering::Relaxed);
-        self.learn_size(first, data.len() as u32);
+        sizes.insert(first, data.len() as u32);
         disk.stats().record_writes(pages as u64);
         // Write-through: the caller's handle is the pool frame.
         self.pool.insert(PageId(first), data, pages);
@@ -734,7 +719,7 @@ impl PageBackend for FileBackend {
         if self.read_only {
             return Err(StorageError::ReadOnly);
         }
-        let _w = self.writer.lock().unwrap();
+        let mut sizes = self.writer.lock().unwrap();
         // Committed pages are immutable: readers pinned on the committed
         // generation stream them lock-free, so patches must go through
         // COW appends. Only objects appended since the last commit (owned
@@ -745,10 +730,7 @@ impl PageBackend for FileBackend {
         // The new bytes must fit the originally allocated span; shrinking
         // leaves orphaned-but-allocated tail pages, which is fine for the
         // append-only writer.
-        let old_len = match self.sizes.read().unwrap().get(&first.0).copied() {
-            Some(l) => l as usize,
-            None => self.read_object(first.0)?.0.len(),
-        };
+        let old_len = self.object_len(&sizes, first.0)?;
         let old_pages = self.pages_for_object(old_len);
         let new_pages = self.pages_for_object(data.len());
         if new_pages > old_pages {
@@ -763,13 +745,13 @@ impl PageBackend for FileBackend {
         self.total_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
         self.total_bytes.fetch_sub(old_len as u64, Ordering::Relaxed);
         self.dirty.store(true, Ordering::Relaxed);
-        self.learn_size(first.0, data.len() as u32);
+        sizes.insert(first.0, data.len() as u32);
         let frame: Arc<[u8]> = data.into();
         self.pool.insert(first, frame, new_pages);
         Ok(())
     }
 
-    fn get(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError> {
+    fn try_get_bytes(&self, disk: &DiskSim, first: PageId) -> Result<Arc<[u8]>, StorageError> {
         self.fetch(first, Some(disk.stats()))
     }
 
@@ -777,15 +759,11 @@ impl PageBackend for FileBackend {
         self.fetch(first, None)
     }
 
-    fn size_of(&self, first: PageId) -> Option<usize> {
-        self.sizes.read().unwrap().get(&first.0).map(|&l| l as usize)
-    }
-
     fn total_bytes(&self) -> usize {
         self.total_bytes.load(Ordering::Relaxed) as usize
     }
 
-    fn object_count(&self) -> usize {
+    fn len(&self) -> usize {
         self.object_count.load(Ordering::Relaxed) as usize
     }
 
@@ -867,14 +845,14 @@ impl PageBackend for FileBackend {
         if self.read_only {
             return Err(StorageError::ReadOnly);
         }
-        let _w = self.writer.lock().unwrap();
+        let mut sizes = self.writer.lock().unwrap();
         // Like `put`, but the object is file metadata: it is neither
         // charged as query I/O nor counted in the materialized totals.
         let first = self.page_count.load(Ordering::Relaxed);
         let pages = self.write_object_pages(first, &data)?;
         self.page_count.store(first + pages as u64, Ordering::Release);
         self.dirty.store(true, Ordering::Relaxed);
-        self.learn_size(first, data.len() as u32);
+        sizes.insert(first, data.len() as u32);
         let frame: Arc<[u8]> = data.into();
         self.pool.insert(PageId(first), frame, pages);
         Ok(PageId(first))
@@ -936,10 +914,8 @@ impl PageBackend for FileBackend {
         // The bytes stay on disk (readers pinned on older generations
         // still stream them); we only account the pages as reclaimable
         // so a vacuum pass knows what a compacting rewrite would save.
-        let len = match self.size_of(first) {
-            Some(l) => l,
-            None => self.read_object(first.0)?.0.len(),
-        };
+        let sizes = self.writer.lock().unwrap();
+        let len = self.object_len(&sizes, first.0)?;
         self.retired_pages.fetch_add(self.pages_for_object(len) as u64, Ordering::Relaxed);
         // The tally is persisted in the next commit's superblock so the
         // vacuum watermark survives reopen.
@@ -947,6 +923,9 @@ impl PageBackend for FileBackend {
         Ok(())
     }
 
+    /// Pages retired by COW maintenance, unreachable from the next
+    /// generation — replaced objects, superseded catalogs and allocation
+    /// maps: what a vacuum (compacting rewrite) would reclaim.
     fn reclaimable_pages(&self) -> u64 {
         self.retired_pages.load(Ordering::Relaxed)
     }
@@ -971,8 +950,8 @@ mod tests {
         let small = vec![7u8; 20];
         let (id_big, id_small) = {
             let be = FileBackend::create(&path, 4096, 16).unwrap();
-            let a = be.put(&disk, data.clone()).unwrap();
-            let b = be.put(&disk, small.clone()).unwrap();
+            let a = be.try_put(&disk, data.clone()).unwrap();
+            let b = be.try_put(&disk, small.clone()).unwrap();
             be.set_catalog(b).unwrap();
             be.flush().unwrap();
             (a, b)
@@ -981,15 +960,15 @@ mod tests {
         assert!(be.read_only());
         assert_eq!(be.generation(), Some(1));
         assert_eq!(be.catalog(), Some(id_small));
-        assert_eq!(be.object_count(), 2);
+        assert_eq!(be.len(), 2);
         assert_eq!(be.total_bytes(), data.len() + small.len());
         let disk2 = DiskSim::with_defaults();
-        assert_eq!(&be.get(&disk2, id_big).unwrap()[..], &data[..]);
-        assert_eq!(&be.get(&disk2, id_small).unwrap()[..], &small[..]);
+        assert_eq!(&be.try_get_bytes(&disk2, id_big).unwrap()[..], &data[..]);
+        assert_eq!(&be.try_get_bytes(&disk2, id_small).unwrap()[..], &small[..]);
         // Multi-page object: 40 004 bytes over (4096−8)-byte payloads = 10
         // physical reads, then a pool hit charges logical reads only.
         let before = disk2.stats().snapshot();
-        be.get(&disk2, id_big).unwrap();
+        be.try_get_bytes(&disk2, id_big).unwrap();
         let d = before.delta(&disk2.stats().snapshot());
         assert_eq!(d.disk_reads, 0);
         assert_eq!(d.logical_reads, 10);
@@ -1001,14 +980,14 @@ mod tests {
         let path = temp_path("cold");
         let disk = DiskSim::with_defaults();
         let be = FileBackend::create(&path, 256, 64).unwrap();
-        let id = be.put(&disk, vec![1u8; 600]).unwrap(); // 3 pages at 248-byte cap
+        let id = be.try_put(&disk, vec![1u8; 600]).unwrap(); // 3 pages at 248-byte cap
         be.flush().unwrap();
         be.clear_cache();
         let before = disk.stats().snapshot();
-        be.get(&disk, id).unwrap();
+        be.try_get_bytes(&disk, id).unwrap();
         let d = before.delta(&disk.stats().snapshot());
         assert_eq!(d.disk_reads, 3);
-        be.get(&disk, id).unwrap();
+        be.try_get_bytes(&disk, id).unwrap();
         let d = before.delta(&disk.stats().snapshot());
         assert_eq!(d.disk_reads, 3, "second read served by the pool");
         assert_eq!(d.logical_reads, 6);
@@ -1023,18 +1002,18 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let id = {
             let be = FileBackend::create(&path, 128, 0).unwrap();
-            let id = be.put(&disk, (0..200u8).collect()).unwrap();
+            let id = be.try_put(&disk, (0..200u8).collect()).unwrap();
             be.flush().unwrap();
             id
         };
         let be = FileBackend::open(&path, 0).unwrap();
-        assert_eq!(be.get(&disk, id).unwrap().len(), 200);
+        assert_eq!(be.try_get_bytes(&disk, id).unwrap().len(), 200);
         let mut bytes = std::fs::read(&path).unwrap();
         for bit in 0..2 * 128 * 8 {
             let at = 128 * id.0 as usize + bit / 8;
             bytes[at] ^= 1 << (bit % 8);
             std::fs::write(&path, &bytes).unwrap();
-            match be.get(&disk, id) {
+            match be.try_get_bytes(&disk, id) {
                 Err(StorageError::ChecksumMismatch { page }) => {
                     assert_eq!(page, id.0 + (bit / 8 / 128) as u64, "bit {bit}")
                 }
@@ -1150,7 +1129,7 @@ mod tests {
             {
                 // A committed file with exactly `pages.len()` data pages…
                 let be = FileBackend::create(&path, 256, 0).unwrap();
-                be.put(&disk, vec![0u8; pages.len() * CAP - 4]).unwrap();
+                be.try_put(&disk, vec![0u8; pages.len() * CAP - 4]).unwrap();
                 be.flush().unwrap();
             }
             // …whose contents are then swapped for the crafted ones.
@@ -1164,7 +1143,7 @@ mod tests {
             let faulted = FileOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
             for opts in [FileOptions::default(), faulted] {
                 let be = FileBackend::open(&path, opts).unwrap();
-                let err = be.get(&disk, PageId(DATA_START)).unwrap_err();
+                let err = be.try_get_bytes(&disk, PageId(DATA_START)).unwrap_err();
                 assert_eq!(format!("{err:?}"), expected, "{what}");
             }
             assert!(plan.reads_observed() > 0, "{what}: the plan saw the pages read");
@@ -1182,7 +1161,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let id = {
             let be = FileBackend::create(&path, 256, 0).unwrap();
-            let id = be.put(&disk, vec![9u8; 400]).unwrap();
+            let id = be.try_put(&disk, vec![9u8; 400]).unwrap();
             be.flush().unwrap();
             id
         };
@@ -1190,10 +1169,10 @@ mod tests {
         let opts = FileOptions { faults: Some(Arc::clone(&plan)), ..Default::default() };
         let be = FileBackend::open(&path, opts).unwrap();
         let opened = plan.reads_observed();
-        assert_eq!(&be.get(&disk, id).unwrap()[..], &[9u8; 400][..]);
+        assert_eq!(&be.try_get_bytes(&disk, id).unwrap()[..], &[9u8; 400][..]);
         assert_eq!(plan.reads_observed() - opened, 2);
         plan.corrupt_byte(256 * (id.0 + 1) + 100, 0x10);
-        match be.get(&disk, id) {
+        match be.try_get_bytes(&disk, id) {
             Err(StorageError::ChecksumMismatch { page }) => assert_eq!(page, id.0 + 1),
             other => panic!("expected checksum mismatch on the continuation, got {other:?}"),
         }
@@ -1201,7 +1180,7 @@ mod tests {
         // The flip lives in the plan, not in the thread's read buffer: a
         // clean handle on the same thread reads the object intact.
         let clean = FileBackend::open(&path, 0).unwrap();
-        assert_eq!(&clean.get(&disk, id).unwrap()[..], &[9u8; 400][..]);
+        assert_eq!(&clean.try_get_bytes(&disk, id).unwrap()[..], &[9u8; 400][..]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1217,7 +1196,7 @@ mod tests {
                 let path = temp_path(&format!("scratch_{size}"));
                 let data: Vec<u8> = (0..3 * size).map(|i| (i % 253) as u8).collect();
                 let be = FileBackend::create(&path, size, 0).unwrap();
-                let ids = [be.put(&disk, data.clone()), be.put(&disk, data[..40].to_vec())];
+                let ids = [be.try_put(&disk, data.clone()), be.try_put(&disk, data[..40].to_vec())];
                 be.flush().unwrap();
                 (path, data, ids.map(Result::unwrap))
             })
@@ -1225,8 +1204,8 @@ mod tests {
         let opened: Vec<_> = files.iter().map(|f| FileBackend::open(&f.0, 0).unwrap()).collect();
         for _ in 0..3 {
             for (be, (_, data, [big, small])) in opened.iter().zip(&files) {
-                assert_eq!(&be.get(&disk, *big).unwrap()[..], &data[..]);
-                assert_eq!(&be.get(&disk, *small).unwrap()[..], &data[..40]);
+                assert_eq!(&be.try_get_bytes(&disk, *big).unwrap()[..], &data[..]);
+                assert_eq!(&be.try_get_bytes(&disk, *small).unwrap()[..], &data[..40]);
             }
         }
         for (path, ..) in &files {
@@ -1240,7 +1219,7 @@ mod tests {
         {
             let disk = DiskSim::with_defaults();
             let be = FileBackend::create(&path, 256, 0).unwrap();
-            be.put(&disk, vec![1u8; 2000]).unwrap();
+            be.try_put(&disk, vec![1u8; 2000]).unwrap();
             be.flush().unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
@@ -1255,7 +1234,7 @@ mod tests {
         {
             let disk = DiskSim::with_defaults();
             let be = FileBackend::create(&path, 256, 0).unwrap();
-            be.put(&disk, vec![3u8; 50]).unwrap();
+            be.try_put(&disk, vec![3u8; 50]).unwrap();
             be.flush().unwrap();
         }
         // Flip a byte *past* the 80 serialized superblock bytes in both
@@ -1272,6 +1251,82 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Decode fuzz of the superblock election: arbitrary, bit-flipped and
+    /// re-stamped (checksum recomputed over a junk field) heads in either
+    /// slot, through `decode_slot` + `elect_superblock` and through an open
+    /// of a small committed file whose pages 0–1 carry them. Each case
+    /// elects a generation one of the slots holds or fails typed; none
+    /// panics or hangs.
+    #[test]
+    fn superblock_election_decode_fuzz() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const PAGE: usize = 256;
+        let (path, fuzzed) = (temp_path("sb_fuzz_src"), temp_path("sb_fuzz"));
+        let disk = DiskSim::with_defaults();
+        {
+            let be = FileBackend::create(&path, PAGE, 4).unwrap();
+            for generation in 1..=2u8 {
+                let id = be.try_put(&disk, vec![generation; 300]).unwrap();
+                be.set_catalog(id).unwrap();
+                be.flush().unwrap();
+            }
+        }
+        let clean = std::fs::read(&path).unwrap();
+        let mut rng = StdRng::seed_from_u64(46);
+        let (mut elected, mut refused, mut opened) = (0, 0, 0);
+        for _ in 0..2_000 {
+            let mut bytes = clean.clone();
+            for slot in bytes.chunks_mut(PAGE).take(2) {
+                match rng.gen_range(0..5) {
+                    0 => {}
+                    1 => {
+                        for _ in 0..rng.gen_range(1..4) {
+                            let bit = rng.gen_range(0..PAGE * 8);
+                            slot[bit / 8] ^= 1 << (bit % 8);
+                        }
+                    }
+                    2 => slot[..SUPERBLOCK_LEN].iter_mut().for_each(|b| *b = rng.gen()),
+                    3 => {
+                        let (at, width) = [(12, 4), (16, 8), (24, 8), (48, 8), (56, 4), (60, 8)]
+                            [rng.gen_range(0..6usize)];
+                        let value: u64 = [0, u64::MAX, rng.gen_range(0..16), rng.gen()]
+                            [rng.gen_range(0..4usize)];
+                        slot[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                        let crc = crate::format::crc32(&slot[..76]);
+                        slot[76..80].copy_from_slice(&crc.to_le_bytes());
+                    }
+                    _ => slot.iter_mut().for_each(|b| *b = rng.gen()),
+                }
+            }
+            let head0 = Superblock::decode_slot(&bytes[..PAGE], 0);
+            let head1 = Superblock::decode_slot(&bytes[PAGE..2 * PAGE], 1);
+            let generations: Vec<u64> =
+                [&head0, &head1].into_iter().flatten().map(|sb| sb.generation).collect();
+            match elect_superblock(head0, head1) {
+                Ok(e) => {
+                    assert!(generations.contains(&e.winner.generation));
+                    assert!(e.previous.is_none_or(|p| p.generation <= e.winner.generation));
+                    elected += 1;
+                }
+                Err(_) => {
+                    assert!(generations.is_empty());
+                    refused += 1;
+                }
+            }
+            std::fs::write(&fuzzed, &bytes).unwrap();
+            if let Ok(be) = FileBackend::open(&fuzzed, 4) {
+                assert!(generations.contains(&be.generation().unwrap()));
+                if let Some(catalog) = be.catalog() {
+                    let _ = be.try_get_bytes(&disk, catalog);
+                }
+                opened += 1;
+            }
+        }
+        assert!(elected > 500 && refused > 100 && opened > 200, "{elected} {refused} {opened}");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&fuzzed).ok();
+    }
+
     #[test]
     fn not_a_cube_file_rejected() {
         let path = temp_path("badmagic");
@@ -1285,10 +1340,19 @@ mod tests {
         let path = temp_path("oob");
         let disk = DiskSim::with_defaults();
         let be = FileBackend::create(&path, 256, 0).unwrap();
-        be.put(&disk, vec![1u8; 10]).unwrap();
-        assert!(matches!(be.get(&disk, PageId(0)), Err(StorageError::OutOfBounds { .. })));
-        assert!(matches!(be.get(&disk, PageId(1)), Err(StorageError::OutOfBounds { .. })));
-        assert!(matches!(be.get(&disk, PageId(99)), Err(StorageError::OutOfBounds { .. })));
+        be.try_put(&disk, vec![1u8; 10]).unwrap();
+        assert!(matches!(
+            be.try_get_bytes(&disk, PageId(0)),
+            Err(StorageError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            be.try_get_bytes(&disk, PageId(1)),
+            Err(StorageError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            be.try_get_bytes(&disk, PageId(99)),
+            Err(StorageError::OutOfBounds { .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1298,11 +1362,11 @@ mod tests {
         let disk = DiskSim::with_defaults();
         {
             let be = FileBackend::create(&path, 256, 0).unwrap();
-            be.put(&disk, vec![1u8; 10]).unwrap();
+            be.try_put(&disk, vec![1u8; 10]).unwrap();
             be.flush().unwrap();
         }
         let be = FileBackend::open(&path, 0).unwrap();
-        assert!(matches!(be.put(&disk, vec![2u8; 5]), Err(StorageError::ReadOnly)));
+        assert!(matches!(be.try_put(&disk, vec![2u8; 5]), Err(StorageError::ReadOnly)));
         assert!(matches!(be.set_catalog(PageId(2)), Err(StorageError::ReadOnly)));
         std::fs::remove_file(&path).ok();
     }
@@ -1312,9 +1376,9 @@ mod tests {
         let path = temp_path("overwrite");
         let disk = DiskSim::with_defaults();
         let be = FileBackend::create(&path, 256, 4).unwrap();
-        let id = be.put(&disk, vec![1u8; 400]).unwrap();
+        let id = be.try_put(&disk, vec![1u8; 400]).unwrap();
         be.overwrite(&disk, id, vec![2u8; 300]).unwrap();
-        assert_eq!(&be.get(&disk, id).unwrap()[..], &[2u8; 300][..]);
+        assert_eq!(&be.try_get_bytes(&disk, id).unwrap()[..], &[2u8; 300][..]);
         // Growing past the allocated span is rejected.
         assert!(matches!(
             be.overwrite(&disk, id, vec![3u8; 4000]),
@@ -1328,7 +1392,7 @@ mod tests {
         let path = temp_path("immutable");
         let disk = DiskSim::with_defaults();
         let be = FileBackend::create(&path, 256, 4).unwrap();
-        let id = be.put(&disk, vec![1u8; 100]).unwrap();
+        let id = be.try_put(&disk, vec![1u8; 100]).unwrap();
         be.flush().unwrap();
         // The object is committed now: in-place mutation must be refused.
         assert!(matches!(
@@ -1336,7 +1400,7 @@ mod tests {
             Err(StorageError::ImmutableGeneration { .. })
         ));
         // A fresh append is still mutable until the next commit.
-        let id2 = be.put(&disk, vec![3u8; 100]).unwrap();
+        let id2 = be.try_put(&disk, vec![3u8; 100]).unwrap();
         be.overwrite(&disk, id2, vec![4u8; 100]).unwrap();
         be.flush().unwrap();
         assert!(matches!(
@@ -1351,7 +1415,7 @@ mod tests {
         let path = temp_path("generations");
         let disk = DiskSim::with_defaults();
         let be = FileBackend::create(&path, 256, 4).unwrap();
-        let a = be.put(&disk, vec![1u8; 50]).unwrap();
+        let a = be.try_put(&disk, vec![1u8; 50]).unwrap();
         be.set_catalog(a).unwrap();
         be.flush().unwrap();
         assert_eq!(be.generation(), Some(1));
@@ -1360,20 +1424,20 @@ mod tests {
         let reader = FileBackend::open(&path, 4).unwrap();
         assert_eq!(reader.generation(), Some(1));
 
-        let b = be.put(&disk, vec![2u8; 50]).unwrap();
+        let b = be.try_put(&disk, vec![2u8; 50]).unwrap();
         be.set_catalog(b).unwrap();
         be.flush().unwrap();
         assert_eq!(be.generation(), Some(2));
 
         // The pinned reader still serves generation 1 byte-identically.
         assert_eq!(reader.catalog(), Some(a));
-        assert_eq!(&reader.get(&disk, a).unwrap()[..], &[1u8; 50][..]);
+        assert_eq!(&reader.try_get_bytes(&disk, a).unwrap()[..], &[1u8; 50][..]);
         // A fresh open elects generation 2 and sees both objects.
         let fresh = FileBackend::open(&path, 4).unwrap();
         assert_eq!(fresh.generation(), Some(2));
         assert_eq!(fresh.catalog(), Some(b));
-        assert_eq!(&fresh.get(&disk, a).unwrap()[..], &[1u8; 50][..]);
-        assert_eq!(&fresh.get(&disk, b).unwrap()[..], &[2u8; 50][..]);
+        assert_eq!(&fresh.try_get_bytes(&disk, a).unwrap()[..], &[1u8; 50][..]);
+        assert_eq!(&fresh.try_get_bytes(&disk, b).unwrap()[..], &[2u8; 50][..]);
         // And the previous generation stays openable for scrubbing.
         let prev = FileBackend::open_previous(&path, 4).unwrap();
         assert_eq!(prev.generation(), Some(1));
@@ -1387,7 +1451,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let a = {
             let be = FileBackend::create(&path, 256, 4).unwrap();
-            let a = be.put(&disk, vec![1u8; 50]).unwrap();
+            let a = be.try_put(&disk, vec![1u8; 50]).unwrap();
             be.set_catalog(a).unwrap();
             be.flush().unwrap();
             a
@@ -1395,7 +1459,7 @@ mod tests {
         let be = FileBackend::open_writable(&path, 4).unwrap();
         assert!(!be.read_only());
         assert_eq!(be.generation(), Some(1));
-        let b = be.put(&disk, vec![2u8; 50]).unwrap();
+        let b = be.try_put(&disk, vec![2u8; 50]).unwrap();
         be.set_catalog(b).unwrap();
         be.flush().unwrap();
         assert_eq!(be.generation(), Some(2));
@@ -1403,7 +1467,7 @@ mod tests {
         let fresh = FileBackend::open(&path, 4).unwrap();
         assert_eq!(fresh.generation(), Some(2));
         assert_eq!(fresh.catalog(), Some(b));
-        assert_eq!(&fresh.get(&disk, a).unwrap()[..], &[1u8; 50][..]);
+        assert_eq!(&fresh.try_get_bytes(&disk, a).unwrap()[..], &[1u8; 50][..]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1413,10 +1477,10 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let (a, b) = {
             let be = FileBackend::create(&path, 256, 4).unwrap();
-            let a = be.put(&disk, vec![1u8; 50]).unwrap();
+            let a = be.try_put(&disk, vec![1u8; 50]).unwrap();
             be.set_catalog(a).unwrap();
             be.flush().unwrap();
-            let b = be.put(&disk, vec![2u8; 50]).unwrap();
+            let b = be.try_put(&disk, vec![2u8; 50]).unwrap();
             be.set_catalog(b).unwrap();
             be.flush().unwrap();
             (a, b)
@@ -1438,7 +1502,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let a = {
             let be = FileBackend::create(&path, 256, 4).unwrap();
-            let a = be.put(&disk, vec![1u8; 50]).unwrap();
+            let a = be.try_put(&disk, vec![1u8; 50]).unwrap();
             be.set_catalog(a).unwrap();
             be.flush().unwrap();
             a
@@ -1450,7 +1514,7 @@ mod tests {
         {
             let opts = FileOptions { pool_pages: 4, faults: Some(Arc::clone(&plan)) };
             let be = FileBackend::open_writable(&path, opts).unwrap();
-            let b = be.put(&disk, vec![2u8; 50]).unwrap();
+            let b = be.try_put(&disk, vec![2u8; 50]).unwrap();
             be.set_catalog(b).unwrap();
             be.flush().unwrap(); // "succeeds" — but nothing persisted
             assert!(plan.crashed());
@@ -1458,7 +1522,7 @@ mod tests {
         let be = FileBackend::open(&path, 4).unwrap();
         assert_eq!(be.generation(), Some(1));
         assert_eq!(be.catalog(), Some(a));
-        assert_eq!(&be.get(&disk, a).unwrap()[..], &[1u8; 50][..]);
+        assert_eq!(&be.try_get_bytes(&disk, a).unwrap()[..], &[1u8; 50][..]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1467,7 +1531,7 @@ mod tests {
         let path = temp_path("writerlock");
         let disk = DiskSim::with_defaults();
         let be = FileBackend::create(&path, 256, 0).unwrap();
-        be.put(&disk, vec![1u8; 20]).unwrap();
+        be.try_put(&disk, vec![1u8; 20]).unwrap();
         be.flush().unwrap();
         // Held by the live create handle: writable opens and recreates
         // fail typed; read-only opens are never excluded.
@@ -1494,8 +1558,8 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let retired = {
             let be = FileBackend::create(&path, 256, 4).unwrap();
-            let a = be.put(&disk, vec![1u8; 600]).unwrap();
-            let b = be.put(&disk, vec![2u8; 600]).unwrap();
+            let a = be.try_put(&disk, vec![1u8; 600]).unwrap();
+            let b = be.try_put(&disk, vec![2u8; 600]).unwrap();
             be.set_catalog(b).unwrap();
             be.flush().unwrap();
             be.retire(a).unwrap();
@@ -1517,18 +1581,18 @@ mod tests {
         let path = temp_path("retired_map");
         let disk = DiskSim::with_defaults();
         let be = FileBackend::create(&path, 256, 4).unwrap();
-        be.put(&disk, vec![1u8; 600]).unwrap();
+        be.try_put(&disk, vec![1u8; 600]).unwrap();
         be.flush().unwrap();
         assert_eq!(be.reclaimable_pages(), 0, "the first map replaces none");
         let first_map = FileBackend::peek_superblock(&path).unwrap().alloc_pages;
-        be.put(&disk, vec![2u8; 600]).unwrap();
+        be.try_put(&disk, vec![2u8; 600]).unwrap();
         be.flush().unwrap();
         assert_eq!(be.reclaimable_pages(), u64::from(first_map));
         drop(be);
         // A writable reopen knows which map the elected generation points at.
         let be = FileBackend::open_writable(&path, 0).unwrap();
         let second_map = FileBackend::peek_superblock(&path).unwrap().alloc_pages;
-        be.put(&disk, vec![3u8; 600]).unwrap();
+        be.try_put(&disk, vec![3u8; 600]).unwrap();
         be.flush().unwrap();
         assert_eq!(be.reclaimable_pages(), u64::from(first_map + second_map));
         drop(be);
@@ -1542,14 +1606,14 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let old_id = {
             let be = FileBackend::create(&target, 256, 4).unwrap();
-            let id = be.put(&disk, vec![1u8; 50]).unwrap();
+            let id = be.try_put(&disk, vec![1u8; 50]).unwrap();
             be.set_catalog(id).unwrap();
             be.flush().unwrap();
             id
         };
         let new_id = {
             let be = FileBackend::create(&temp, 256, 4).unwrap();
-            let id = be.put(&disk, vec![2u8; 70]).unwrap();
+            let id = be.try_put(&disk, vec![2u8; 70]).unwrap();
             be.set_catalog(id).unwrap();
             be.flush().unwrap();
             id
@@ -1559,9 +1623,9 @@ mod tests {
         FileBackend::publish_swap(&temp, &target, None).unwrap();
         // …keeps serving the retired inode byte-identically, while a
         // fresh open elects the swapped-in file.
-        assert_eq!(&pinned.get(&disk, old_id).unwrap()[..], &[1u8; 50][..]);
+        assert_eq!(&pinned.try_get_bytes(&disk, old_id).unwrap()[..], &[1u8; 50][..]);
         let fresh = FileBackend::open(&target, 0).unwrap();
-        assert_eq!(&fresh.get(&disk, new_id).unwrap()[..], &[2u8; 70][..]);
+        assert_eq!(&fresh.try_get_bytes(&disk, new_id).unwrap()[..], &[2u8; 70][..]);
         assert!(!temp.exists());
         std::fs::remove_file(&target).ok();
     }
@@ -1578,7 +1642,7 @@ mod tests {
         let ids: Vec<PageId> = {
             let mut be = FileBackend::create(&path, 256, 8).unwrap();
             be.file.mode = IoMode::SeekLocked;
-            let ids = objects.iter().map(|o| be.put(&disk, o.clone()).unwrap()).collect();
+            let ids = objects.iter().map(|o| be.try_put(&disk, o.clone()).unwrap()).collect();
             be.flush().unwrap();
             ids
         };
@@ -1593,7 +1657,7 @@ mod tests {
                         let disk = DiskSim::with_defaults();
                         for round in 0..25 {
                             let i = (t * 5 + round * 3) % ids.len();
-                            let bytes = be.get(&disk, ids[i]).unwrap();
+                            let bytes = be.try_get_bytes(&disk, ids[i]).unwrap();
                             assert_eq!(&bytes[..], &objects[i][..], "object {i} in {mode:?}");
                         }
                     });
@@ -1614,7 +1678,7 @@ mod tests {
             (0..24u8).map(|i| vec![i; 64 + (i as usize * 37) % 700]).collect();
         let ids: Vec<PageId> = {
             let be = FileBackend::create(&path, 256, 64).unwrap();
-            let ids = objects.iter().map(|o| be.put(&disk, o.clone()).unwrap()).collect();
+            let ids = objects.iter().map(|o| be.try_put(&disk, o.clone()).unwrap()).collect();
             be.flush().unwrap();
             ids
         };
@@ -1626,13 +1690,13 @@ mod tests {
                     let disk = DiskSim::with_defaults();
                     for round in 0..50 {
                         let i = (t * 7 + round * 11) % ids.len();
-                        let bytes = be.get(&disk, ids[i]).unwrap();
+                        let bytes = be.try_get_bytes(&disk, ids[i]).unwrap();
                         assert_eq!(&bytes[..], &objects[i][..], "object {i}");
                     }
                 });
             }
         });
-        let stats = be.pool_stats();
+        let stats = be.pool_stats().unwrap();
         assert_eq!(stats.hits() + stats.misses(), 8 * 50);
         assert!(stats.hits() > 0, "warm pool must absorb repeat reads");
         std::fs::remove_file(&path).ok();
@@ -1643,13 +1707,14 @@ mod tests {
         let path = temp_path("poolstats");
         let disk = DiskSim::with_defaults();
         let be = FileBackend::create(&path, 256, 16).unwrap();
-        let ids: Vec<PageId> = (0..6).map(|i| be.put(&disk, vec![i as u8; 100]).unwrap()).collect();
+        let ids: Vec<PageId> =
+            (0..6).map(|i| be.try_put(&disk, vec![i as u8; 100]).unwrap()).collect();
         be.clear_cache();
         for &id in &ids {
-            be.get(&disk, id).unwrap(); // miss
-            be.get(&disk, id).unwrap(); // hit
+            be.try_get_bytes(&disk, id).unwrap(); // miss
+            be.try_get_bytes(&disk, id).unwrap(); // hit
         }
-        let stats = be.pool_stats();
+        let stats = be.pool_stats().unwrap();
         assert_eq!(stats.hits(), 6);
         assert_eq!(stats.misses(), 6);
         assert_eq!(stats.frames(), 6);

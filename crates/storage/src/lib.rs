@@ -8,16 +8,18 @@
 //!   (buffer-miss) reads, writes and random accesses;
 //! * [`DiskSim`] — a thread-safe metered block device with an LRU buffer
 //!   that charges physical reads only on buffer misses;
-//! * [`PageBackend`] — the pluggable device trait behind [`PageStore`],
-//!   with two implementations: [`MemBackend`] (the deterministic
-//!   in-memory simulator) and [`FileBackend`] (a real single-file store
-//!   with a superblock, CRC-checksummed pages, an allocation map, a
-//!   lock-free positional-read path and a lock-striped byte-caching
-//!   [`BufferPool`] — see [`format`] for the on-disk layout and the
-//!   concurrency model);
-//! * [`PageStore`] — the byte-addressed object store used to persist
-//!   serialized structures (cuboid cells, base blocks, partial
-//!   signatures), in memory or in a reopenable cube file;
+//! * [`PageBackend`] — the storage interface: one trait, every object
+//!   operation (put, overwrite, metered and unmetered reads, commit,
+//!   retire, catalog root, pool statistics), with two implementations:
+//!   [`MemBackend`] (the deterministic in-memory simulator) and
+//!   [`FileBackend`] (a real single-file store with a superblock,
+//!   CRC-checksummed pages, an allocation map, a lock-free positional-read
+//!   path and a lock-striped byte-caching [`BufferPool`] — see [`format`]
+//!   for the on-disk layout and the concurrency model);
+//! * [`PageStore`] — the handle the cubes hold on their serialized
+//!   structures (cuboid cells, base blocks, partial signatures): it owns
+//!   one backend, in memory or over a reopenable cube file, and derefs to
+//!   it, so a store call is the trait call;
 //! * [`bits`] — bit-level readers/writers used by the signature coding
 //!   schemes of Chapter 4 (`BL`/`RL`/`PI`/`PC` produce real binary strings).
 //!
